@@ -307,7 +307,9 @@ func TestClusterWorkerStatusAndGauges(t *testing.T) {
 	w.Kill()
 	deadlineOK := false
 	for i := 0; i < 100; i++ {
-		if ws := coord.Workers(); len(ws) >= 1 && !ws[0].Alive {
+		// The gauges are set just after the roster flips, so wait for
+		// both instead of racing the monitor for the second.
+		if ws := coord.Workers(); len(ws) >= 1 && !ws[0].Alive && reg.Gauge("server_workers_alive").Value() == 0 {
 			deadlineOK = true
 			break
 		}

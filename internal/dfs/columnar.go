@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Columnar MBB files: the structs-of-arrays storage kind for the
@@ -60,6 +61,17 @@ func (c *mbbColumns) appendRow(m MBB) {
 	c.ls = append(c.ls, m.L)
 	c.bs = append(c.bs, m.B)
 	c.marked = append(c.marked, m.Marked)
+}
+
+// grow reserves room for n more rows in every plane.
+func (c *mbbColumns) grow(n int) {
+	c.slots = slices.Grow(c.slots, n)
+	c.ids = slices.Grow(c.ids, n)
+	c.xs = slices.Grow(c.xs, n)
+	c.ys = slices.Grow(c.ys, n)
+	c.ls = slices.Grow(c.ls, n)
+	c.bs = slices.Grow(c.bs, n)
+	c.marked = slices.Grow(c.marked, n)
 }
 
 func (c *mbbColumns) appendAll(p *mbbColumns) {
@@ -139,6 +151,10 @@ type MBBWriter struct {
 	closed  bool
 }
 
+// Grow reserves room for n more rows, so a writer that knows its row
+// count up front fills each plane without regrowing it.
+func (w *MBBWriter) Grow(n int) { w.pending.grow(n) }
+
 // Append adds one row. The value is copied into the column planes, so
 // there is no buffer-ownership question to get wrong.
 func (w *MBBWriter) Append(m MBB) {
@@ -158,7 +174,12 @@ func (w *MBBWriter) Close() error {
 	n := int64(len(w.pending.ids))
 	bytes := n * MBBRecordBytes
 	w.fs.mu.Lock()
-	w.f.cols.appendAll(&w.pending)
+	if len(w.f.cols.ids) == 0 {
+		// First publication: the planes become the file's, uncopied.
+		*w.f.cols = w.pending
+	} else {
+		w.f.cols.appendAll(&w.pending)
+	}
 	w.f.bytes += bytes
 	w.fs.mu.Unlock()
 	w.fs.bytesWritten.Add(bytes)
@@ -177,35 +198,41 @@ func (w *MBBWriter) Close() error {
 // same call site also handles files restored from record-based
 // snapshots.
 func (fs *FS) ScanMBB(name string, fn func(MBB) error) error {
-	fs.mu.RLock()
-	f, ok := fs.files[name]
-	fs.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("dfs: open %q: no such file", name)
+	f, err := fs.lookup(name)
+	if err != nil {
+		return err
 	}
-	var bytes, n int64
-	if f.cols != nil {
-		c := f.cols
-		n = int64(len(c.ids))
-		bytes = n * MBBRecordBytes
-		for i := range c.ids {
-			if err := fn(c.row(i)); err != nil {
-				return err
-			}
-		}
-	} else {
-		n = int64(len(f.records))
-		for _, rec := range f.records {
-			m, err := decodeMBB(rec)
-			if err != nil {
-				return err
-			}
-			bytes += int64(len(rec))
-			if err := fn(m); err != nil {
-				return err
-			}
-		}
+	n := f.count()
+	bytes, err := f.forEachMBB(0, int(n), fn)
+	if err != nil {
+		return err
 	}
 	fs.chargeRead(f, bytes, n)
 	return nil
+}
+
+// forEachMBB streams records [lo, hi) as decoded rows and returns the
+// bytes they are charged at. A boxed record must be a well-formed
+// 38-byte MBB record.
+func (f *file) forEachMBB(lo, hi int, fn func(MBB) error) (int64, error) {
+	if c := f.cols; c != nil {
+		for i := lo; i < hi; i++ {
+			if err := fn(c.row(i)); err != nil {
+				return 0, err
+			}
+		}
+		return int64(hi-lo) * MBBRecordBytes, nil
+	}
+	var bytes int64
+	for _, rec := range f.records[lo:hi] {
+		m, err := decodeMBB(rec)
+		if err != nil {
+			return 0, err
+		}
+		bytes += int64(len(rec))
+		if err := fn(m); err != nil {
+			return 0, err
+		}
+	}
+	return bytes, nil
 }

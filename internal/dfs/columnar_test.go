@@ -316,3 +316,128 @@ func TestColumnarWireFormat(t *testing.T) {
 		t.Errorf("id bytes = %s, want f9ffffff (little-endian -7)", got)
 	}
 }
+
+// TestSizedWritersChargeAlike: a capacity hint and the whole-output
+// append change how the host allocates, never what is charged or read
+// back — and both hand their storage to an empty file uncopied.
+func TestSizedWritersChargeAlike(t *testing.T) {
+	rows := testMBBs(137)
+	plain, sized := New(0), New(0)
+	pw, sw := plain.CreateMBB("rel"), sized.CreateMBB("rel")
+	sw.Grow(len(rows))
+	planes := cap(sw.pending.xs)
+	for _, m := range rows {
+		pw.Append(m)
+		sw.Append(m)
+	}
+	if cap(sw.pending.xs) != planes {
+		t.Errorf("plane regrew from %d to %d rows despite Grow(%d)", planes, cap(sw.pending.xs), len(rows))
+	}
+	staged := &sw.pending.xs[0]
+	if err := pw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if &sized.files["rel"].cols.xs[0] != staged {
+		t.Error("Close copied the staged planes into the empty file")
+	}
+
+	images := make([][]byte, len(rows))
+	for i, m := range rows {
+		images[i] = boxedImage(m)
+	}
+	one, all := New(0), New(0)
+	ow, aw := one.Create("rel"), all.Create("rel")
+	for _, img := range images {
+		ow.Append(img)
+	}
+	aw.AppendOwnedAll(images)
+	if err := ow.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := aw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if &all.files["rel"].records[0] != &images[0] {
+		t.Error("AppendOwnedAll + Close copied the record table")
+	}
+
+	want := plain.Stats()
+	for name, fs := range map[string]*FS{"Grow": sized, "Append": one, "AppendOwnedAll": all} {
+		if got := fs.Stats(); got != want {
+			t.Errorf("%s: write Stats %+v, want %+v", name, got, want)
+		}
+		var got []MBB
+		if err := fs.ScanMBB("rel", func(m MBB) error { got = append(got, m); return nil }); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, rows) {
+			t.Errorf("%s: rows read back differ from the rows written", name)
+		}
+	}
+}
+
+// TestViewChargesOnceAndRanges: Open charges exactly what a Scan does,
+// whatever is read through the View afterwards, and both range forms
+// deliver the same rows from either storage kind.
+func TestViewChargesOnceAndRanges(t *testing.T) {
+	rows := testMBBs(20)
+	boxed, col := New(0), New(0)
+	bw, cw := boxed.Create("rel"), col.CreateMBB("rel")
+	for _, m := range rows {
+		bw.Append(boxedImage(m))
+		cw.Append(m)
+	}
+	if err := bw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := cw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for name, fs := range map[string]*FS{"boxed": boxed, "columnar": col} {
+		before := fs.Stats()
+		v, err := fs.Open("rel")
+		if err != nil {
+			t.Fatal(err)
+		}
+		charged := fs.Stats()
+		if d, want := charged.BytesRead-before.BytesRead, int64(len(rows))*MBBRecordBytes; d != want || v.Bytes() != want {
+			t.Errorf("%s: Open charged %d bytes (view says %d), Scan charges %d", name, d, v.Bytes(), want)
+		}
+		if d := charged.RecordsRead - before.RecordsRead; d != int64(len(rows)) || v.Len() != len(rows) {
+			t.Errorf("%s: Open charged %d records (view says %d), want %d", name, d, v.Len(), len(rows))
+		}
+		var viaMBB, viaRec []MBB
+		for _, r := range [][2]int{{3, 9}, {0, 3}, {9, 20}, {5, 5}} {
+			if err := v.MBBs(r[0], r[1], func(m MBB) error { viaMBB = append(viaMBB, m); return nil }); err != nil {
+				t.Fatal(err)
+			}
+			if err := v.Records(r[0], r[1], func(rec []byte) error {
+				m, err := decodeMBB(rec)
+				viaRec = append(viaRec, m)
+				return err
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := append(append(append([]MBB{}, rows[3:9]...), rows[0:3]...), rows[9:20]...)
+		if !reflect.DeepEqual(viaMBB, want) || !reflect.DeepEqual(viaRec, want) {
+			t.Errorf("%s: view ranges delivered the wrong rows", name)
+		}
+		if fs.Stats() != charged {
+			t.Errorf("%s: reading ranges of an open view charged again", name)
+		}
+		if err := v.MBBs(4, 21, func(MBB) error { return nil }); err == nil {
+			t.Errorf("%s: out-of-bounds range accepted", name)
+		}
+	}
+	if _, err := col.Open("missing"); err == nil {
+		t.Error("Open of a missing file succeeded")
+	}
+	var none *View
+	if none.Len() != 0 || none.Bytes() != 0 || none.Records(0, 0, nil) != nil {
+		t.Error("the nil View is not the empty input")
+	}
+}

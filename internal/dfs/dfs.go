@@ -261,16 +261,25 @@ func (fs *FS) Size(name string) (bytes, records int64, err error) {
 	return f.bytes, f.count(), nil
 }
 
+// lookup finds the named file.
+func (fs *FS) lookup(name string) (*file, error) {
+	fs.mu.RLock()
+	defer fs.mu.RUnlock()
+	f, ok := fs.files[name]
+	if !ok {
+		return nil, fmt.Errorf("dfs: open %q: no such file", name)
+	}
+	return f, nil
+}
+
 // Scan reads every record of the named file in order, charging the read
 // counters, and invokes fn on each. The callback receives the stored
 // byte slice (or, on a columnar file, a reused scratch rendering of the
 // row); callers must not retain or mutate it.
 func (fs *FS) Scan(name string, fn func(record []byte) error) error {
-	fs.mu.RLock()
-	f, ok := fs.files[name]
-	fs.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("dfs: open %q: no such file", name)
+	f, err := fs.lookup(name)
+	if err != nil {
+		return err
 	}
 	n := f.count()
 	bytes, err := f.forEachRange(0, n, fn)
@@ -285,11 +294,9 @@ func (fs *FS) Scan(name string, fn func(record []byte) error) error {
 // assigned to one mapper. Counters are charged for the records actually
 // delivered.
 func (fs *FS) ScanRange(name string, lo, hi int64, fn func(record []byte) error) error {
-	fs.mu.RLock()
-	f, ok := fs.files[name]
-	fs.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("dfs: open %q: no such file", name)
+	f, err := fs.lookup(name)
+	if err != nil {
+		return err
 	}
 	n := f.count()
 	if lo < 0 || hi < lo || hi > n {
@@ -301,6 +308,73 @@ func (fs *FS) ScanRange(name string, lo, hi int64, fn func(record []byte) error)
 	}
 	fs.chargeRead(f, bytes, hi-lo)
 	return nil
+}
+
+// View is a read-only handle on one file, the form a job's input takes
+// when its map tasks read their own splits: Open charges the whole-file
+// read once, exactly as Scan would, and the ranges handed out afterwards
+// are free. Charging at the open rather than per range keeps every
+// counter independent of how many mappers, retries or speculative
+// racers touch a split. Files are immutable once written, so any number
+// of goroutines may read ranges of one View concurrently.
+type View struct {
+	f *file
+	n int
+}
+
+// Open charges one whole-file read of the named file and returns a View
+// of its records.
+func (fs *FS) Open(name string) (*View, error) {
+	f, err := fs.lookup(name)
+	if err != nil {
+		return nil, err
+	}
+	n := f.count()
+	fs.chargeRead(f, f.bytes, n)
+	return &View{f: f, n: int(n)}, nil
+}
+
+// Len returns the number of records; a nil View is the empty input.
+func (v *View) Len() int {
+	if v == nil {
+		return 0
+	}
+	return v.n
+}
+
+// Bytes returns the file's charged size.
+func (v *View) Bytes() int64 {
+	if v == nil {
+		return 0
+	}
+	return v.f.bytes
+}
+
+// Records streams records [lo, hi) in the boxed wire format. As with
+// Scan, fn must not retain or mutate the slice.
+func (v *View) Records(lo, hi int, fn func(record []byte) error) error {
+	if err := v.checkRange(lo, hi); err != nil || lo == hi {
+		return err
+	}
+	_, err := v.f.forEachRange(int64(lo), int64(hi), fn)
+	return err
+}
+
+func (v *View) checkRange(lo, hi int) error {
+	if lo < 0 || hi < lo || hi > v.Len() {
+		return fmt.Errorf("dfs: view range [%d,%d) out of bounds (0..%d)", lo, hi, v.Len())
+	}
+	return nil
+}
+
+// MBBs streams records [lo, hi) as decoded MBB rows: straight out of
+// the planes of a columnar file, decoded from a boxed one.
+func (v *View) MBBs(lo, hi int, fn func(MBB) error) error {
+	if err := v.checkRange(lo, hi); err != nil || lo == hi {
+		return err
+	}
+	_, err := v.f.forEachMBB(lo, hi, fn)
+	return err
 }
 
 // Stats returns a snapshot of the I/O counters. Block counts are
@@ -364,6 +438,25 @@ func (w *Writer) AppendOwned(record []byte) {
 	w.bytes += int64(len(record))
 }
 
+// AppendOwnedAll adds the records in order, taking ownership of every
+// buffer and of the slice that holds them — the whole-output form of
+// AppendOwned, for a step that built its records as views into a few
+// large buffers. On a fresh writer the slice becomes the file's record
+// table without a copy.
+func (w *Writer) AppendOwnedAll(records [][]byte) {
+	if w.closed {
+		panic("dfs: AppendOwnedAll on closed writer")
+	}
+	for _, rec := range records {
+		w.bytes += int64(len(rec))
+	}
+	if w.pending == nil {
+		w.pending = records
+	} else {
+		w.pending = append(w.pending, records...)
+	}
+}
+
 // Close publishes the appended records to the file and charges the
 // write counters. A writer must be closed exactly once.
 func (w *Writer) Close() error {
@@ -372,7 +465,11 @@ func (w *Writer) Close() error {
 	}
 	w.closed = true
 	w.fs.mu.Lock()
-	w.f.records = append(w.f.records, w.pending...)
+	if len(w.f.records) == 0 {
+		w.f.records = w.pending
+	} else {
+		w.f.records = append(w.f.records, w.pending...)
+	}
 	w.f.bytes += w.bytes
 	w.fs.mu.Unlock()
 	if !w.f.local {

@@ -132,19 +132,20 @@ func NewChain(cfg ChainConfig) *Chain {
 // Stats returns a snapshot of the chain's counters.
 func (c *Chain) Stats() ChainStats { return c.stats }
 
-// Step runs one checkpointing job of the chain: run receives the
-// previous step's checkpoint records (nil for the first step) and
-// returns the step's output records plus the job's Stats. The output is
-// committed to the DFS before Step returns; the records handed to the
-// next step are the ones read back from that file. The chain takes
-// ownership of the returned records — they are written to the
-// checkpoint without a defensive copy, so run must not reuse or mutate
-// them after returning.
+// Step runs one checkpointing job of the chain: run receives a view of
+// the previous step's checkpoint file (nil, the empty view, for the
+// first step), already charged as one whole-file read — its records are
+// immutable, so the step's map tasks may read their own splits of it —
+// and returns the step's output records plus the job's Stats. The
+// output is committed to the DFS before Step returns. The chain takes
+// ownership of the returned records and of the slice holding them: they
+// become the checkpoint file without a copy, so run must not reuse or
+// mutate either after returning.
 //
 // Under Resume, a step whose checkpoint is already complete is skipped
 // entirely — run is not called, none of its input is read — and the
 // Stats recorded in its meta file are returned instead.
-func (c *Chain) Step(name string, run func(in [][]byte) (out [][]byte, st *Stats, err error)) (*Stats, error) {
+func (c *Chain) Step(name string, run func(in *dfs.View) (out [][]byte, st *Stats, err error)) (*Stats, error) {
 	i, err := c.begin(name)
 	if err != nil {
 		return nil, err
@@ -163,7 +164,7 @@ func (c *Chain) Step(name string, run func(in [][]byte) (out [][]byte, st *Stats
 	if err := c.maybeKill(i, name); err != nil {
 		return nil, err
 	}
-	in, err := c.readPending()
+	in, err := c.openPending()
 	if err != nil {
 		return nil, err
 	}
@@ -181,12 +182,12 @@ func (c *Chain) Step(name string, run func(in [][]byte) (out [][]byte, st *Stats
 }
 
 // FinalStep runs one non-checkpointing job: run receives the previous
-// checkpoint's records but its own output stays in memory (captured by
+// checkpoint's view but its own output stays in memory (captured by
 // the caller), mirroring a terminal job whose result is consumed
 // directly. Because nothing is committed, a FinalStep is never skipped
 // by Resume — it re-runs on every resume, which is exactly the recovery
 // cost of a job killed past its last checkpoint.
-func (c *Chain) FinalStep(name string, run func(in [][]byte) (*Stats, error)) (*Stats, error) {
+func (c *Chain) FinalStep(name string, run func(in *dfs.View) (*Stats, error)) (*Stats, error) {
 	i, err := c.begin(name)
 	if err != nil {
 		return nil, err
@@ -194,7 +195,7 @@ func (c *Chain) FinalStep(name string, run func(in [][]byte) (*Stats, error)) (*
 	if err := c.maybeKill(i, name); err != nil {
 		return nil, err
 	}
-	in, err := c.readPending()
+	in, err := c.openPending()
 	if err != nil {
 		return nil, err
 	}
@@ -207,16 +208,16 @@ func (c *Chain) FinalStep(name string, run func(in [][]byte) (*Stats, error)) (*
 	return st, nil
 }
 
-// Output reads the last checkpointed step's records back from the DFS
+// Output opens the last checkpointed step's records on the DFS
 // (charging the read — the final read-back a consumer of the chain's
 // result pays). Valid after the last Step, including when every step
 // was skipped by Resume.
-func (c *Chain) Output() ([][]byte, error) {
+func (c *Chain) Output() (*dfs.View, error) {
 	if c.last == "" {
 		return nil, fmt.Errorf("mapreduce: chain %q has no checkpointed step to output", c.cfg.Name)
 	}
 	c.pending = c.last
-	return c.readPending()
+	return c.openPending()
 }
 
 // begin claims the next job index and validates chain state. The
@@ -299,43 +300,37 @@ func (c *Chain) tryResume(i int, name, file string) (*Stats, bool, error) {
 	return meta.Stats, true, nil
 }
 
-// readPending reads the pending checkpoint file, if any, charging the
-// read. The first step of a fresh chain has no pending file and
-// receives nil.
-func (c *Chain) readPending() ([][]byte, error) {
+// openPending opens the pending checkpoint file, if any, charging the
+// whole-file read. The first step of a fresh chain has no pending file
+// and receives nil.
+func (c *Chain) openPending() (*dfs.View, error) {
 	if c.pending == "" {
 		return nil, nil
 	}
 	file := c.pending
 	c.pending = ""
-	var in [][]byte
-	var bytes int64
-	err := c.cfg.FS.Scan(file, func(rec []byte) error {
-		in = append(in, append([]byte(nil), rec...))
-		bytes += int64(len(rec))
-		return nil
-	})
+	in, err := c.cfg.FS.Open(file)
 	if err != nil {
 		return nil, err
 	}
-	c.stats.CheckpointBytesRead += bytes
-	c.stats.CheckpointRecordsRead += int64(len(in))
-	c.traceAdd("checkpoint_bytes_read", bytes)
-	c.count("chain_checkpoint_bytes_read_total", bytes)
+	c.stats.CheckpointBytesRead += in.Bytes()
+	c.stats.CheckpointRecordsRead += int64(in.Len())
+	c.traceAdd("checkpoint_bytes_read", in.Bytes())
+	c.count("chain_checkpoint_bytes_read_total", in.Bytes())
 	return in, nil
 }
 
 // writeCheckpoint commits job i's output records and meta record.
 func (c *Chain) writeCheckpoint(i int, name, file string, out [][]byte, st *Stats) error {
 	fs := c.cfg.FS
-	w := fs.Create(file)
 	var bytes int64
 	for _, rec := range out {
-		// The chain owns step output records (see Step), so they move
-		// into the file without the defensive Append copy.
-		w.AppendOwned(rec)
 		bytes += int64(len(rec))
 	}
+	// The chain owns step output records and their slice (see Step), so
+	// both move into the file uncopied.
+	w := fs.Create(file)
+	w.AppendOwnedAll(out)
 	if err := w.Close(); err != nil {
 		return err
 	}

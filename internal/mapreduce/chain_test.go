@@ -30,14 +30,14 @@ func runTestChain(t *testing.T, cfg ChainConfig, calls *[3]int) ([][]byte, Chain
 	}
 	for i := 0; i < 3; i++ {
 		i := i
-		_, err := ch.Step(fmt.Sprintf("s%d", i), func(in [][]byte) ([][]byte, *Stats, error) {
+		_, err := ch.Step(fmt.Sprintf("s%d", i), func(in *dfs.View) ([][]byte, *Stats, error) {
 			calls[i]++
 			if i == 0 && in != nil {
 				t.Errorf("step 0 received non-nil input %v", in)
 			}
 			var out [][]byte
-			for _, rec := range in {
-				out = append(out, append(append([]byte(nil), rec...), byte(i)))
+			for _, rec := range viewRecords(t, in) {
+				out = append(out, append(rec, byte(i)))
 			}
 			out = append(out, []byte{byte(100 + i)})
 			return out, mkStats(i), nil
@@ -47,7 +47,21 @@ func runTestChain(t *testing.T, cfg ChainConfig, calls *[3]int) ([][]byte, Chain
 		}
 	}
 	out, err := ch.Output()
-	return out, ch.Stats(), err
+	return viewRecords(t, out), ch.Stats(), err
+}
+
+// viewRecords copies every record out of a checkpoint view (nil for
+// the empty view).
+func viewRecords(t *testing.T, v *dfs.View) [][]byte {
+	t.Helper()
+	var recs [][]byte
+	if err := v.Records(0, v.Len(), func(rec []byte) error {
+		recs = append(recs, append([]byte(nil), rec...))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return recs
 }
 
 func TestChainCleanRun(t *testing.T) {
@@ -198,13 +212,13 @@ func TestChainResumedStatsRoundTrip(t *testing.T) {
 		ReduceInputKeys: 7, PairsPerReducer: []int64{40, 2}, MapAttempts: 3,
 		MapWall: time.Second, TotalWall: 2 * time.Second}
 	ch := NewChain(ChainConfig{Name: "rt", FS: fs})
-	if _, err := ch.Step("s0", func(_ [][]byte) ([][]byte, *Stats, error) {
+	if _, err := ch.Step("s0", func(_ *dfs.View) ([][]byte, *Stats, error) {
 		return [][]byte{{1}}, orig, nil
 	}); err != nil {
 		t.Fatal(err)
 	}
 	ch2 := NewChain(ChainConfig{Name: "rt", FS: fs, Resume: true})
-	st, err := ch2.Step("s0", func(_ [][]byte) ([][]byte, *Stats, error) {
+	st, err := ch2.Step("s0", func(_ *dfs.View) ([][]byte, *Stats, error) {
 		t.Fatal("resumed step must not run")
 		return nil, nil, nil
 	})
@@ -223,7 +237,7 @@ func TestChainResumedStatsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(out, [][]byte{{1}}) {
+	if !reflect.DeepEqual(viewRecords(t, out), [][]byte{{1}}) {
 		t.Errorf("output after full resume = %v", out)
 	}
 }
@@ -235,16 +249,16 @@ func TestChainFinalStepNeverResumed(t *testing.T) {
 	fs := dfs.New(0)
 	run := func(resume bool) (stepRan, finalRan int) {
 		ch := NewChain(ChainConfig{Name: "f", FS: fs, Resume: resume})
-		if _, err := ch.Step("s0", func(_ [][]byte) ([][]byte, *Stats, error) {
+		if _, err := ch.Step("s0", func(_ *dfs.View) ([][]byte, *Stats, error) {
 			stepRan++
 			return [][]byte{{7}}, &Stats{}, nil
 		}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ch.FinalStep("final", func(in [][]byte) (*Stats, error) {
+		if _, err := ch.FinalStep("final", func(in *dfs.View) (*Stats, error) {
 			finalRan++
-			if !reflect.DeepEqual(in, [][]byte{{7}}) {
-				t.Errorf("final step input = %v", in)
+			if got := viewRecords(t, in); !reflect.DeepEqual(got, [][]byte{{7}}) {
+				t.Errorf("final step input = %v", got)
 			}
 			return &Stats{}, nil
 		}); err != nil {
@@ -270,7 +284,7 @@ func TestChainValidation(t *testing.T) {
 	fs := dfs.New(0)
 	// Resuming against a mismatched checkpoint layout fails loudly.
 	ch := NewChain(ChainConfig{Name: "v", FS: fs})
-	if _, err := ch.Step("alpha", func(_ [][]byte) ([][]byte, *Stats, error) {
+	if _, err := ch.Step("alpha", func(_ *dfs.View) ([][]byte, *Stats, error) {
 		return [][]byte{{1}}, &Stats{}, nil
 	}); err != nil {
 		t.Fatal(err)
@@ -285,7 +299,7 @@ func TestChainValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	ch2 := NewChain(ChainConfig{Name: "v", FS: fs, Resume: true})
-	_, err := ch2.Step("alpha", func(_ [][]byte) ([][]byte, *Stats, error) {
+	_, err := ch2.Step("alpha", func(_ *dfs.View) ([][]byte, *Stats, error) {
 		return nil, nil, fmt.Errorf("should not run")
 	})
 	if err == nil || !strings.Contains(err.Error(), "use a fresh FS or prefix") {
@@ -294,12 +308,12 @@ func TestChainValidation(t *testing.T) {
 
 	// Stepping after a kill is a chain-state error.
 	ch3 := NewChain(ChainConfig{Name: "k", FS: fs, FailJob: func(int) bool { return true }})
-	if _, err := ch3.Step("s", func(_ [][]byte) ([][]byte, *Stats, error) {
+	if _, err := ch3.Step("s", func(_ *dfs.View) ([][]byte, *Stats, error) {
 		return nil, &Stats{}, nil
 	}); err == nil {
 		t.Fatal("expected kill")
 	}
-	if _, err := ch3.Step("s2", func(_ [][]byte) ([][]byte, *Stats, error) {
+	if _, err := ch3.Step("s2", func(_ *dfs.View) ([][]byte, *Stats, error) {
 		return nil, &Stats{}, nil
 	}); err == nil || !strings.Contains(err.Error(), "after kill") {
 		t.Errorf("step after kill: err = %v", err)

@@ -10,7 +10,8 @@
 //
 // Execution model:
 //
-//   - the input slice is divided into NumMappers contiguous splits;
+//   - the input is divided into NumMappers contiguous splits, each read
+//     by its own mapper (RunSplits; Run is the in-memory special case);
 //   - each mapper applies Map to its records and emits (K, V) pairs;
 //   - each pair is routed to reducer Partition(K, NumReducers);
 //   - each mapper key-sorts its per-reducer output runs (stable, so
@@ -473,11 +474,28 @@ func legacyGroups[K cmp.Ordered, V any](in reducerInput[K, V]) (map[K][]V, []K) 
 	return groups, keys
 }
 
-// Run executes the job on the given input and returns the concatenated
-// reducer outputs plus counters. Map or Reduce errors abort the job;
-// when several tasks fail, the error of the lowest-index task is
-// returned so failures are reproducible.
+// Run executes the job on an in-memory input: RunSplits over slices of
+// the given records.
 func (j *Job[I, K, V, O]) Run(input []I) ([]O, *Stats, error) {
+	return j.RunSplits(len(input), func(lo, hi int, yield func(I) error) error {
+		for i := lo; i < hi; i++ {
+			if err := yield(input[i]); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// RunSplits executes the job over n input records that the map tasks
+// read themselves — a mapper is handed a split and parses its own
+// records — and returns the concatenated reducer outputs plus counters.
+// Every attempt of a mapper calls read with its split [lo, hi), and
+// read passes the split's records, in order, to yield; map tasks call
+// it concurrently, a distributed run only for the splits it owns. Map,
+// Reduce or read errors abort the job; when several tasks fail, the
+// error of the lowest-index task is returned so failures reproduce.
+func (j *Job[I, K, V, O]) RunSplits(n int, read func(lo, hi int, yield func(I) error) error) ([]O, *Stats, error) {
 	cfg, err := j.Config.withDefaults()
 	if err != nil {
 		return nil, nil, err
@@ -522,7 +540,7 @@ func (j *Job[I, K, V, O]) Run(input []I) ([]O, *Stats, error) {
 
 	stats := &Stats{
 		Job:             cfg.Name,
-		MapInputRecords: int64(len(input)),
+		MapInputRecords: int64(n),
 		PairsPerReducer: make([]int64, cfg.NumReducers),
 	}
 	pool := cfg.Pool
@@ -546,13 +564,7 @@ func (j *Job[I, K, V, O]) Run(input []I) ([]O, *Stats, error) {
 	// ---- map phase ----
 	mapSpan := tr.Start(jobSpan, trace.KindPhase, "map")
 	mapStart := time.Now()
-	nm := cfg.NumMappers
-	if nm > len(input) && len(input) > 0 {
-		nm = len(input)
-	}
-	if len(input) == 0 {
-		nm = 0
-	}
+	nm := min(cfg.NumMappers, n)
 	// batches[m][r] holds mapper m's sorted run for reducer r.
 	batches := make([][]pairBatch[K, V], nm)
 	mapErrs := make([]error, nm)
@@ -574,8 +586,8 @@ func (j *Job[I, K, V, O]) Run(input []I) ([]O, *Stats, error) {
 			mapErrs[m] = err
 			return
 		}
-		lo := len(input) * m / nm
-		hi := len(input) * (m + 1) / nm
+		lo := n * m / nm
+		hi := n * (m + 1) / nm
 		var delay time.Duration
 		if cfg.SlowTask != nil && cfg.SlowTask("map", m) {
 			delay = cfg.StragglerDelay
@@ -596,9 +608,7 @@ func (j *Job[I, K, V, O]) Run(input []I) ([]O, *Stats, error) {
 				}
 				out[r].pairs = append(out[r].pairs, pair[K, V]{key: k, val: v})
 			}
-			for i := lo; i < hi && a.err == nil; i++ {
-				a.err = safeMap(j.Map, input[i], emit)
-			}
+			a.err = safeSplit(read, lo, hi, func(in I) error { return j.Map(in, emit) })
 			if d > 0 {
 				time.Sleep(d)
 			}
@@ -943,7 +953,8 @@ func (j *Job[I, K, V, O]) Run(input []I) ([]O, *Stats, error) {
 			if timed {
 				a.t0 = time.Now()
 			}
-			var out []O
+			// An estimate, capped so a selective reducer wastes little.
+			out := make([]O, 0, min(len(in.keys)/2, 4096))
 			emit := func(o O) { out = append(out, o) }
 			if legacyGrouping {
 				for _, k := range lkeys {
@@ -1031,7 +1042,14 @@ func (j *Job[I, K, V, O]) Run(input []I) ([]O, *Stats, error) {
 		}
 	}
 
-	var out []O
+	total := 0
+	for r := range outputs {
+		total += len(outputs[r])
+	}
+	var out []O // stays nil when nothing was emitted
+	if total > 0 {
+		out = make([]O, 0, total)
+	}
 	for r := 0; r < cfg.NumReducers; r++ {
 		stats.ReduceInputKeys += keyCounts[r]
 		out = append(out, outputs[r]...)
@@ -1262,16 +1280,16 @@ func logRace[T any](logs *[]taskAttempt, won, lost attemptOutcome[T], raced, bac
 	)
 }
 
-// safeMap invokes the map function, converting panics into errors so a
-// bad record cannot take down the whole process (mirrors Hadoop task
-// isolation).
-func safeMap[I any, K cmp.Ordered, V any](fn func(I, func(K, V)) error, in I, emit func(K, V)) (err error) {
+// safeSplit runs one map attempt over its split, converting panics of
+// the reader or the map function into errors so a bad record cannot
+// take down the whole process (mirrors Hadoop task isolation).
+func safeSplit[I any](read func(lo, hi int, yield func(I) error) error, lo, hi int, mapOne func(I) error) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("map panic: %v", p)
 		}
 	}()
-	return fn(in, emit)
+	return read(lo, hi, mapOne)
 }
 
 // safeReduce is the reduce-side twin of safeMap.

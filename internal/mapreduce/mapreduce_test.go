@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -120,6 +121,66 @@ func TestValueOrderWithinKey(t *testing.T) {
 	}
 	if len(out) != 1 || !reflect.DeepEqual(out[0], input) {
 		t.Errorf("value order = %v, want %v", out, input)
+	}
+}
+
+// TestRunSplitsReadsPerAttempt: a job whose mappers read their own
+// splits returns what Run returns on the same records, calls the reader
+// with exactly the engine's split bounds — once more for every retried
+// attempt — and surfaces reader errors and panics as task failures.
+func TestRunSplitsReadsPerAttempt(t *testing.T) {
+	input := []string{"a b a", "c b", "a", "d d d", "b"}
+	cfg := Config{Name: "wc", NumReducers: 4, NumMappers: 3, Parallelism: 2, MaxAttempts: 2,
+		FailMap: func(m, attempt int) bool { return m == 1 && attempt == 1 }}
+	want, wantStats, err := wordCountJob(cfg).Run(input)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	reads := map[[2]int]int{}
+	read := func(lo, hi int, yield func(string) error) error {
+		mu.Lock()
+		reads[[2]int{lo, hi}]++
+		mu.Unlock()
+		for _, line := range input[lo:hi] {
+			if err := yield(line); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	got, stats, err := wordCountJob(cfg).RunSplits(len(input), read)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats.MapWall, stats.ReduceWall, stats.TotalWall = 0, 0, 0
+	wantStats.MapWall, wantStats.ReduceWall, wantStats.TotalWall = 0, 0, 0
+	if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(stats, wantStats) {
+		t.Errorf("RunSplits = %v %+v, Run = %v %+v", got, stats, want, wantStats)
+	}
+	if wantReads := map[[2]int]int{{0, 1}: 1, {1, 3}: 2, {3, 5}: 1}; !reflect.DeepEqual(reads, wantReads) {
+		t.Errorf("reader calls = %v, want %v", reads, wantReads)
+	}
+
+	cfg.FailMap = nil
+	boom := errors.New("split unreadable")
+	_, _, err = wordCountJob(cfg).RunSplits(len(input), func(lo, hi int, _ func(string) error) error {
+		if lo == 1 {
+			return boom
+		}
+		return nil
+	})
+	if !errors.Is(err, boom) || !strings.Contains(err.Error(), "mapper 1") {
+		t.Errorf("reader error surfaced as %v", err)
+	}
+	_, _, err = wordCountJob(cfg).RunSplits(len(input), func(lo, hi int, _ func(string) error) error {
+		panic("bad block")
+	})
+	if err == nil || !strings.Contains(err.Error(), "map panic: bad block") {
+		t.Errorf("reader panic surfaced as %v", err)
+	}
+	if out, stats, err := wordCountJob(cfg).RunSplits(0, nil); err != nil || len(out) != 0 || stats.MapAttempts != 0 {
+		t.Errorf("empty input: %v %+v %v", out, stats, err)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"mwsjoin/internal/metrics"
 	"mwsjoin/internal/profile"
@@ -155,6 +156,13 @@ func TestServerStatusInfo(t *testing.T) {
 	}
 }
 
+// eventually polls cond for up to five seconds.
+func eventually(cond func() bool) {
+	for deadline := time.Now().Add(5 * time.Second); !cond() && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestServerCalibratedAdmission: with a ledger and -calibrate, a fresh
 // server prices admission with the learned factors (exactly
 // Calibration.Apply over the raw prediction), appends new entries as
@@ -171,7 +179,17 @@ func TestServerCalibratedAdmission(t *testing.T) {
 		t.Fatalf("gen-1 job: %s: %s", base.State, base.Error)
 	}
 
-	entries, err := profile.ReadLedger(ledgerPath)
+	// The ledger line is appended just after the job turns terminal
+	// (file I/O stays outside the server lock), so wait for it.
+	var entries []profile.LedgerEntry
+	var err error
+	ledgerHolds := func(n int) func() bool {
+		return func() bool {
+			entries, err = profile.ReadLedger(ledgerPath)
+			return err != nil || len(entries) >= n
+		}
+	}
+	eventually(ledgerHolds(1))
 	if err != nil || len(entries) != 1 {
 		t.Fatalf("ledger after gen 1: %d entries, %v", len(entries), err)
 	}
@@ -214,12 +232,13 @@ func TestServerCalibratedAdmission(t *testing.T) {
 			st.OutputTuples, base.OutputTuples, st.Stats.IntermediatePairs(), base.Stats.IntermediatePairs())
 	}
 
+	eventually(func() bool { return s2.StatusInfo().CalibrationEntries >= 2 })
 	info := s2.StatusInfo()
 	if !info.Calibrate || info.CalibrationEntries != 2 {
 		t.Errorf("gen-2 status = calibrate %v, %d entries; want true, 2 (1 loaded + 1 appended)",
 			info.Calibrate, info.CalibrationEntries)
 	}
-	if entries, err = profile.ReadLedger(ledgerPath); err != nil || len(entries) != 2 {
+	if eventually(ledgerHolds(2)); err != nil || len(entries) != 2 {
 		t.Errorf("ledger after gen 2: %d entries, %v; want 2", len(entries), err)
 	}
 }

@@ -2,17 +2,37 @@ package spatial
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"time"
 
+	"mwsjoin/internal/dfs"
 	"mwsjoin/internal/geom"
 	"mwsjoin/internal/grid"
 	"mwsjoin/internal/mapreduce"
 	"mwsjoin/internal/metrics"
 	"mwsjoin/internal/query"
+	"mwsjoin/internal/trace"
 )
+
+// cascadeVal is the value every cascade step shuffles: a partial tuple,
+// as its key rectangle plus a reference into the round's input store,
+// or an item of the new slot's relation. It is small and pointer-free,
+// so sorted runs, merge intermediates and reducer inputs are memory the
+// collector never scans.
+type cascadeVal struct {
+	Rect geom.Rect // a tuple's key rectangle, not enlarged, or an item's rectangle
+	ID   int32     // an item's id, or a tuple's record index within its slab
+	Slab int32     // the tuple's slab in the input store; itemSlab marks an item
+}
+
+const itemSlab = -1
+
+func (v cascadeVal) ref() partialRef { return partialRef{Slab: v.Slab, Idx: v.ID} }
 
 // cascade runs the 2-way Cascade baseline (§6.1): the multi-way query
 // is evaluated as a left-deep sequence of 2-way map-reduce joins in the
@@ -27,13 +47,6 @@ import (
 // de-duplicates with the §5.2/§5.3 rule: the cell containing the
 // start-point of the intersection between the (enlarged) key rectangle
 // and the new rectangle reports the pair.
-type cascadeRecord struct {
-	// Exactly one of tuple / item is meaningful; isTuple selects it.
-	isTuple bool
-	tuple   partial
-	item    tagged
-}
-
 func cascade(pl *plan, exec *executor) (*Result, error) {
 	start := time.Now()
 
@@ -70,7 +83,8 @@ func cascade(pl *plan, exec *executor) (*Result, error) {
 		// One round span per cascade step: the 2-way join job plus its
 		// checkpoint traffic (the previous checkpoint's read-back lands
 		// in this step's round; its own output write is charged here).
-		roundSpan := exec.beginRound(fmt.Sprintf("step-%d-%s", p, pl.q.Slots()[newSlot]))
+		stepName := fmt.Sprintf("step-%d-%s", p, pl.q.Slots()[newSlot])
+		roundSpan := exec.beginRound(stepName)
 		// On the final step with CountOnly, tuples are counted at the
 		// reducers instead of materialised and checkpointed.
 		discard := countOnly && p == pl.m-1
@@ -80,142 +94,158 @@ func cascade(pl *plan, exec *executor) (*Result, error) {
 		// endpoint.
 		keyPos := planPos(pl, primary.Other(newSlot))
 		d := primary.Pred.Weight()
+		// The partials the mappers read, and the ones the reducers emit.
+		in, out := newPartialStore(p), newPartialStore(p+1)
+		codec := &cascadeCodec{in: in, slot: int8(newSlot), keyPos: keyPos}
 
-		runStep := func(in [][]byte) ([]partial, *mapreduce.Stats, error) {
-			// Current partial tuples over plan.order[:p]: decoded from
-			// the previous step's checkpoint, or — on the first step,
-			// which has no predecessor — the first slot's items as
-			// 1-member partials. All input loading happens inside the
-			// step closure so a resumed run charges none of it.
-			var current []partial
+		stepStart := time.Now()
+		var jobEnd time.Time
+		runStep := func(prev *dfs.View) ([][]byte, *mapreduce.Stats, error) {
+			// The driver only opens the round's inputs — inside the step
+			// closure, so a resumed run charges none of the reads — and
+			// every map task reads its own split. The tuple side is the
+			// previous step's checkpoint or, on the first step, the
+			// first slot's relation as 1-member partials.
+			tuples := prev
 			if p == 1 {
-				firstItems, err := exec.loadRelation(pl.order[0])
-				if err != nil {
+				var err error
+				if tuples, err = exec.fs.Open(inputFile(exec.rels[pl.order[0]].Name)); err != nil {
 					return nil, nil, err
 				}
-				current = make([]partial, len(firstItems))
-				for i, it := range firstItems {
-					current[i] = partial{IDs: []int32{it.ID}, Rects: []geom.Rect{it.Rect}}
-				}
-			} else {
-				current = make([]partial, 0, len(in))
-				for _, rec := range in {
-					t, err := decodePartial(rec)
-					if err != nil {
-						return nil, nil, err
-					}
-					current = append(current, t)
-				}
 			}
-			items, err := exec.loadRelation(newSlot)
+			items, err := exec.fs.Open(inputFile(exec.rels[newSlot].Name))
 			if err != nil {
 				return nil, nil, err
 			}
-			// Sort each relation by sweep order once per round: the
-			// engine's shuffle preserves input order within a key, so
-			// every cell's tuples and items arrive at the reducer already
-			// ascending by MinX and the plane sweep needs no per-cell
-			// re-sort (sweep.JoinSorted). Stable sorts keep equal-MinX
-			// records in input order, which makes the per-cell order
-			// identical to what sweep.Join's (MinX, arrival index) sort
-			// produced — emitted pairs, and therefore all stats, are
-			// unchanged.
-			slices.SortStableFunc(current, func(a, b partial) int {
-				return cmp.Compare(a.Rects[keyPos].MinX(), b.Rects[keyPos].MinX())
-			})
-			slices.SortStableFunc(items, func(a, b tagged) int {
-				return cmp.Compare(a.Rect.MinX(), b.Rect.MinX())
-			})
-			input := make([]cascadeRecord, 0, len(current)+len(items))
-			for _, t := range current {
-				input = append(input, cascadeRecord{isTuple: true, tuple: t})
-			}
-			for _, it := range items {
-				input = append(input, cascadeRecord{item: it})
+			nt := tuples.Len()
+			// The job input is the tuples then the items, in file order,
+			// unsorted: the shuffle delivers a cell's values in (mapper
+			// index, emit order), which is this input order, and each
+			// reducer sorts its own cell.
+			read := func(lo, hi int, yield func(cascadeVal) error) error {
+				if thi := min(hi, nt); lo < thi {
+					// The split's tuples fill one slab of the input store.
+					slab, buf := in.alloc(thi - lo)
+					v := cascadeVal{ID: -1, Slab: slab}
+					next := func(key geom.Rect) error { // the record at the head of buf
+						buf, v.Rect, v.ID = buf[in.stride:], key, v.ID+1
+						return yield(v)
+					}
+					var err error
+					if p == 1 {
+						err = tuples.MBBs(lo, thi, func(m dfs.MBB) error {
+							binary.LittleEndian.PutUint16(buf, 1)
+							putMember(buf[2:], m.ID, mbbRect(m))
+							return next(mbbRect(m))
+						})
+					} else {
+						err = tuples.Records(lo, thi, func(rec []byte) error {
+							if err := checkPartial(rec, p); err != nil {
+								return err
+							}
+							copy(buf, rec)
+							return next(partialRect(rec, keyPos))
+						})
+					}
+					if err != nil {
+						return err
+					}
+				}
+				if ilo := max(lo, nt); ilo < hi {
+					return items.MBBs(ilo-nt, hi-nt, func(m dfs.MBB) error {
+						return yield(cascadeVal{Rect: mbbRect(m), ID: m.ID, Slab: itemSlab})
+					})
+				}
+				return nil
 			}
 
-			job := &mapreduce.Job[cascadeRecord, grid.CellID, cascadeRecord, partial]{
+			job := &mapreduce.Job[cascadeVal, grid.CellID, cascadeVal, partialRef]{
 				Config: exec.jobConfig(fmt.Sprintf("cascade-%d-%s", p, pl.q.Slots()[newSlot])),
-				Map: func(rec cascadeRecord, emit func(grid.CellID, cascadeRecord)) error {
-					if rec.isTuple {
-						key := rec.tuple.Rects[keyPos]
-						if d > 0 {
-							key = key.Enlarge(d)
-						}
-						exec.part.ForEachSplit(key, func(c grid.CellID) { emit(c, rec) })
-					} else {
-						exec.part.ForEachSplit(rec.item.Rect, func(c grid.CellID) { emit(c, rec) })
+				Map: func(v cascadeVal, emit func(grid.CellID, cascadeVal)) error {
+					key := v.Rect
+					if v.Slab != itemSlab && d > 0 {
+						key = key.Enlarge(d)
 					}
+					exec.part.ForEachSplit(key, func(c grid.CellID) { emit(c, v) })
 					return nil
 				},
 				Partition: mapreduce.IdentityPartition[grid.CellID],
-				Reduce:    cascadeReduce(pl, exec.part, newSlot, keyPos, edges, primary, discard, &counted, exec.cfg.Metrics),
-				PairBytes: func(_ grid.CellID, rec cascadeRecord) int {
-					if rec.isTuple {
-						return 4 + encodedPartialBytes(len(rec.tuple.IDs))
+				Reduce:    cascadeReduce(pl, exec.part, in, out, newSlot, edges, primary, discard, &counted, exec.cfg.Metrics),
+				PairBytes: func(_ grid.CellID, v cascadeVal) int {
+					if v.Slab != itemSlab {
+						return 4 + in.stride
 					}
 					return 4 + itemRecordBytes
 				},
-				EncodePair:   encodeCellCascade,
-				DecodePair:   decodeCellCascade,
-				EncodeOutput: encodePartialOutput,
-				DecodeOutput: decodePartialOutput,
+				EncodePair: codec.encodePair,
+				DecodePair: codec.decodePair,
+				// An emitted partial travels as its checkpoint record.
+				EncodeOutput: func(ref partialRef, buf []byte) []byte { return append(buf, out.rec(ref)...) },
+				DecodeOutput: out.decode,
 			}
-			return job.Run(input)
+			exec.tr.Observe(roundSpan, trace.KindPhase, "load-inputs", stepStart, time.Now())
+			refs, st, err := job.RunSplits(nt+items.Len(), read)
+			jobEnd = time.Now()
+			// The emitted records are already in checkpoint layout: the
+			// step's output file is views into the reducers' slabs.
+			recs := make([][]byte, len(refs))
+			for i, ref := range refs {
+				recs[i] = out.rec(ref)
+			}
+			return recs, st, err
 		}
 
-		stepName := fmt.Sprintf("step-%d-%s", p, pl.q.Slots()[newSlot])
 		var st *mapreduce.Stats
 		var err error
 		if discard {
 			// Counted output is consumed in place; a FinalStep commits
 			// nothing and therefore re-runs on every resume.
-			st, err = ch.FinalStep(stepName, func(in [][]byte) (*mapreduce.Stats, error) {
-				_, st, err := runStep(in)
+			st, err = ch.FinalStep(stepName, func(prev *dfs.View) (*mapreduce.Stats, error) {
+				_, st, err := runStep(prev)
 				return st, err
 			})
 		} else {
-			st, err = ch.Step(stepName, func(in [][]byte) ([][]byte, *mapreduce.Stats, error) {
-				out, st, err := runStep(in)
-				if err != nil {
-					return nil, nil, err
-				}
-				recs := make([][]byte, len(out))
-				for i, t := range out {
-					recs[i] = encodePartial(t)
-				}
-				return recs, st, nil
-			})
+			st, err = ch.Step(stepName, runStep)
 		}
 		if err != nil {
 			return nil, err
 		}
 		rounds = append(rounds, st)
+		if !jobEnd.IsZero() {
+			exec.tr.Observe(roundSpan, trace.KindPhase, "checkpoint-write", jobEnd, time.Now())
+		}
 		exec.endRound(roundSpan)
 	}
 
 	// Convert plan-ordered partials to slot-ordered tuples, reading the
 	// final checkpoint back from the DFS — the read a consumer of the
-	// cascade's materialised result pays.
+	// cascade's materialised result pays. All tuples share one id slab.
 	var tuples []Tuple
 	if !countOnly {
-		recs, err := ch.Output()
+		assemble := exec.tr.Start(exec.runSpan, trace.KindPhase, "assemble-tuples")
+		final, err := ch.Output()
 		if err != nil {
 			return nil, err
 		}
-		tuples = make([]Tuple, len(recs))
-		for i, rec := range recs {
-			t, err := decodePartial(rec)
-			if err != nil {
-				return nil, err
+		tuples = make([]Tuple, 0, final.Len())
+		ids := make([]int32, final.Len()*pl.m)
+		err = final.Records(0, final.Len(), func(rec []byte) error {
+			if err := checkPartial(rec, pl.m); err != nil {
+				return err
 			}
-			ids := make([]int32, pl.m)
+			t := ids[:pl.m:pl.m]
+			ids = ids[pl.m:]
 			for pos, slot := range pl.order {
-				ids[slot] = t.IDs[pos]
+				t[slot] = partialID(rec, pos)
 			}
-			tuples[i] = Tuple{IDs: ids}
+			tuples = append(tuples, Tuple{IDs: t})
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
 		counted.Store(int64(len(tuples)))
+		exec.tr.End(assemble)
 	}
 	cs := ch.Stats()
 	return &Result{Tuples: tuples, Stats: Stats{
@@ -227,48 +257,98 @@ func cascade(pl *plan, exec *executor) (*Result, error) {
 	}}, nil
 }
 
+// sweepKey orders one value of a cell for the plane sweep: its MinX as
+// an unsigned integer that sorts like the float, then its arrival
+// position in the cell.
+type sweepKey struct {
+	x uint64
+	i int32
+}
+
+func compareSweepKeys(a, b sweepKey) int {
+	return cmp.Or(cmp.Compare(a.x, b.x), cmp.Compare(a.i, b.i))
+}
+
+// sweepOrder maps a finite float64 to a uint64 that compares the way
+// the float does. Adding zero first folds -0 into +0: they compare
+// equal as floats, so they must tie here too.
+func sweepOrder(x float64) uint64 {
+	b := math.Float64bits(x + 0)
+	if b>>63 != 0 {
+		return ^b
+	}
+	return b | 1<<63
+}
+
+// cellScratch is cascadeReduce's per-cell working set, recycled across
+// the cells of a round.
+type cellScratch struct {
+	order []sweepKey
+	recs  [][]byte    // tuple records and
+	keys  []geom.Rect // their key rectangles, in sweep order
+	ids   []int32     // item ids and
+	rects []geom.Rect // rectangles, in sweep order
+	out   []byte      // emitted records, before they move to their slab
+}
+
 // cascadeReduce joins the partial tuples and new-slot items delivered
 // to one cell with a forward plane sweep over the tuples' key
 // rectangles and the items — the classic SJMR-style in-reducer join
-// (§5).
-func cascadeReduce(pl *plan, part *grid.Partitioning, newSlot, keyPos int, edges []query.Edge, primary query.Edge, discard bool, counted *atomic.Int64, reg *metrics.Registry) func(grid.CellID, []cascadeRecord, func(partial)) error {
+// (§5). The partials a cell emits form one slab of out.
+func cascadeReduce(pl *plan, part *grid.Partitioning, in, out *partialStore, newSlot int, edges []query.Edge, primary query.Edge, discard bool, counted *atomic.Int64, reg *metrics.Registry) func(grid.CellID, []cascadeVal, func(partialRef)) error {
 	d := primary.Pred.Weight()
-	return func(c grid.CellID, recs []cascadeRecord, emit func(partial)) error {
+	scratch := sync.Pool{New: func() any { return new(cellScratch) }}
+	return func(c grid.CellID, vals []cascadeVal, emit func(partialRef)) error {
 		var local int64
-		defer func() { observeCell(reg, int64(len(recs)), local) }()
-		var tuples []partial
-		var keys []geom.Rect
-		var ids []int32
-		var rects []geom.Rect
-		for _, rec := range recs {
-			if rec.isTuple {
-				tuples = append(tuples, rec.tuple)
-				keys = append(keys, rec.tuple.Rects[keyPos])
-			} else {
-				ids = append(ids, rec.item.ID)
-				rects = append(rects, rec.item.Rect)
+		defer func() { observeCell(reg, int64(len(vals)), local) }()
+		sc := scratch.Get().(*cellScratch)
+		defer scratch.Put(sc)
+
+		// Sweep order is (MinX, arrival position), tuples and items
+		// apart. A cell's values arrive in job-input order, so this is
+		// the order a stable MinX sort of each whole relation ahead of
+		// the job would deliver, computed per cell on compact keys.
+		sc.order = sc.order[:0]
+		nt := 0
+		for _, items := range [2]bool{false, true} {
+			for i, v := range vals {
+				if (v.Slab == itemSlab) == items {
+					sc.order = append(sc.order, sweepKey{sweepOrder(v.Rect.MinX()), int32(i)})
+				}
+			}
+			if !items {
+				nt = len(sc.order)
 			}
 		}
-		if len(tuples) == 0 || len(ids) == 0 {
+		if nt == 0 || nt == len(vals) {
 			return nil
 		}
-		// keys and rects arrive pre-sorted by MinX: the cascade sorts
-		// both relations before the job and the shuffle preserves input
-		// order within each cell. Dense cells answer through a
-		// bulk-loaded R-tree instead of the plane sweep, with identical
-		// pair order (see joinSortedDense).
-		usedRTree := joinSortedDense(keys, rects, d, pl.rtreeThreshold, func(i, j int) bool {
-			t := tuples[i]
-			if !cascadeAccepts(pl, t, newSlot, ids[j], rects[j], edges, primary) {
+		slices.SortFunc(sc.order[:nt], compareSweepKeys)
+		slices.SortFunc(sc.order[nt:], compareSweepKeys)
+		sc.recs, sc.keys, sc.ids, sc.rects, sc.out = sc.recs[:0], sc.keys[:0], sc.ids[:0], sc.rects[:0], sc.out[:0]
+		for _, k := range sc.order[:nt] {
+			sc.recs = append(sc.recs, in.rec(vals[k.i].ref()))
+			sc.keys = append(sc.keys, vals[k.i].Rect)
+		}
+		for _, k := range sc.order[nt:] {
+			sc.ids = append(sc.ids, vals[k.i].ID)
+			sc.rects = append(sc.rects, vals[k.i].Rect)
+		}
+
+		// Dense cells answer through a bulk-loaded R-tree instead of the
+		// plane sweep, with identical pair order (see joinSortedDense).
+		usedRTree := joinSortedDense(sc.keys, sc.rects, d, pl.rtreeThreshold, func(i, j int) bool {
+			t, id, r := sc.recs[i], sc.ids[j], sc.rects[j]
+			if !cascadeAccepts(pl, t, newSlot, id, r, edges, primary) {
 				return true
 			}
 			// §5.2/§5.3 duplicate avoidance: only the cell owning the
 			// start-point of enlKey ∩ item computes the pair.
-			enlKey := keys[i]
+			enlKey := sc.keys[i]
 			if d > 0 {
 				enlKey = enlKey.Enlarge(d)
 			}
-			inter, ok := enlKey.Intersection(rects[j])
+			inter, ok := enlKey.Intersection(r)
 			if !ok || part.CellOf(inter.Start()) != c {
 				return true
 			}
@@ -277,13 +357,20 @@ func cascadeReduce(pl *plan, part *grid.Partitioning, newSlot, keyPos int, edges
 				counted.Add(1)
 				return true
 			}
-			emit(partial{
-				IDs:   append(append([]int32(nil), t.IDs...), ids[j]),
-				Rects: append(append([]geom.Rect(nil), t.Rects...), rects[j]),
-			})
+			// t's members then the new one, under the grown count.
+			sc.out = binary.LittleEndian.AppendUint16(sc.out, uint16(out.m))
+			sc.out = append(append(sc.out, t[2:]...), make([]byte, memberBytes)...)
+			putMember(sc.out[len(sc.out)-memberBytes:], id, r)
 			return true
 		})
 		observeCellJoin(reg, usedRTree)
+		if n := len(sc.out) / out.stride; n > 0 {
+			slab, dst := out.alloc(n)
+			copy(dst, sc.out)
+			for i := 0; i < n; i++ {
+				emit(partialRef{Slab: slab, Idx: int32(i)})
+			}
+		}
 		return nil
 	}
 }
@@ -303,20 +390,22 @@ func observeCellJoin(reg *metrics.Registry, usedRTree bool) {
 }
 
 // cascadeAccepts verifies the non-primary connecting edges and
-// self-join distinctness for appending item (id, r) to partial t.
-func cascadeAccepts(pl *plan, t partial, newSlot int, id int32, r geom.Rect, edges []query.Edge, primary query.Edge) bool {
+// self-join distinctness for appending item (id, r) to the partial
+// record t.
+func cascadeAccepts(pl *plan, t []byte, newSlot int, id int32, r geom.Rect, edges []query.Edge, primary query.Edge) bool {
 	for _, e := range edges {
 		if e == primary {
 			continue // guaranteed by the index probe
 		}
 		pos := planPos(pl, e.Other(newSlot))
-		if !e.Pred.Eval(r, t.Rects[pos]) {
+		if !e.Pred.Eval(r, partialRect(t, pos)) {
 			return false
 		}
 	}
 	if pl.distinct {
-		for pos, slot := range pl.order[:len(t.IDs)] {
-			if !pl.compatible(slot, t.IDs[pos], newSlot, id) {
+		members := int(binary.LittleEndian.Uint16(t))
+		for pos, slot := range pl.order[:members] {
+			if !pl.compatible(slot, partialID(t, pos), newSlot, id) {
 				return false
 			}
 		}

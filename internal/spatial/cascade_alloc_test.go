@@ -1,0 +1,78 @@
+package spatial
+
+import (
+	"math/rand/v2"
+	"reflect"
+	"runtime"
+	"testing"
+	"unsafe"
+
+	"mwsjoin/internal/query"
+)
+
+// The parent commit (a2b8e1b) spent this much on the query below,
+// measured by this test's own loop on that commit.
+const (
+	parentCascadeMallocs    = 103_800
+	parentCascadeTotalAlloc = 28_950_000
+)
+
+// TestCascadeAllocationBudget holds the flat-partial data path to its
+// allocation claim on one cascade_uniform-shaped query (the benchmark
+// workload's query, config and rectangle density at unit 5,000): at
+// most 15 % of the parent's mallocs and half of its bytes.
+func TestCascadeAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow memory allocates")
+	}
+	rng := rand.New(rand.NewPCG(2013, 5000))
+	rels := randomRelations(rng, 3, 5000, 7071, 100)
+	q := query.New("R1", "R2", "R3").Overlap(0, 1).Overlap(1, 2)
+	cfg := Config{Reducers: 64, Columnar: true, Parallelism: 2, NumMappers: 8}
+	run := func() {
+		if _, err := Execute(Cascade, q, rels, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm up lazily initialised state
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	mallocs, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
+	t.Logf("mallocs %d (parent %d), bytes %d (parent %d)", mallocs, parentCascadeMallocs, bytes, parentCascadeTotalAlloc)
+	if mallocs > parentCascadeMallocs*15/100 {
+		t.Errorf("%d mallocs, budget is 15%% of the parent's %d", mallocs, parentCascadeMallocs)
+	}
+	if bytes > parentCascadeTotalAlloc/2 {
+		t.Errorf("%d bytes allocated, budget is half of the parent's %d", bytes, parentCascadeTotalAlloc)
+	}
+}
+
+// TestCascadeShuffledValueIsFlat: what the cascade moves through map,
+// run sort, merge and reduce must stay small and free of pointers, so
+// the runs holding it are memory the collector never scans.
+func TestCascadeShuffledValueIsFlat(t *testing.T) {
+	if size := unsafe.Sizeof(cascadeVal{}); size > 48 {
+		t.Errorf("cascadeVal is %d bytes, want at most 48", size)
+	}
+	var walk func(reflect.Type, string)
+	walk = func(ty reflect.Type, path string) {
+		switch ty.Kind() {
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				walk(ty.Field(i).Type, path+"."+ty.Field(i).Name)
+			}
+		case reflect.Array:
+			walk(ty.Elem(), path+"[]")
+		case reflect.Bool, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64, reflect.Int,
+			reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uint,
+			reflect.Float32, reflect.Float64:
+		default:
+			t.Errorf("%s is a %s, which holds a pointer", path, ty.Kind())
+		}
+	}
+	walk(reflect.TypeOf(cascadeVal{}), "cascadeVal")
+	walk(reflect.TypeOf(partialRef{}), "partialRef")
+}

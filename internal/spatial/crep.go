@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mwsjoin/internal/dfs"
 	"mwsjoin/internal/grid"
 	"mwsjoin/internal/mapreduce"
 	"mwsjoin/internal/metrics"
@@ -27,7 +28,7 @@ func allReplicate(pl *plan, exec *executor) (*Result, error) {
 	var counted atomic.Int64
 	var tuples []Tuple
 	var inputCount int64
-	st, err := ch.FinalStep("join", func(_ [][]byte) (*mapreduce.Stats, error) {
+	st, err := ch.FinalStep("join", func(_ *dfs.View) (*mapreduce.Stats, error) {
 		input, err := exec.loadAllRelations()
 		if err != nil {
 			return nil, err
@@ -120,7 +121,7 @@ func controlledReplicate(pl *plan, exec *executor, limit bool) (*Result, error) 
 
 	// ---- round one: split everything, decide replication ----
 	markSpan := exec.beginRound("mark")
-	st1, err := ch.Step("mark", func(_ [][]byte) ([][]byte, *mapreduce.Stats, error) {
+	st1, err := ch.Step("mark", func(_ *dfs.View) ([][]byte, *mapreduce.Stats, error) {
 		input, err := exec.loadAllRelations()
 		if err != nil {
 			return nil, nil, err
@@ -160,18 +161,14 @@ func controlledReplicate(pl *plan, exec *executor, limit bool) (*Result, error) 
 			PairBytes:    taggedPairBytes,
 			EncodePair:   encodeCellTagged,
 			DecodePair:   decodeCellTagged,
-			EncodeOutput: encodeTaggedOutput,
-			DecodeOutput: decodeTaggedOutput,
+			EncodeOutput: encodeItem,
+			DecodeOutput: decodeItem,
 		}
 		out, st, err := round1.Run(input)
 		if err != nil {
 			return nil, nil, err
 		}
-		recs := make([][]byte, len(out))
-		for i, it := range out {
-			recs[i] = encodeItem(it)
-		}
-		return recs, st, nil
+		return itemRecords(len(out), func(i int) tagged { return out[i] }), st, nil
 	})
 	if err != nil {
 		return nil, err
@@ -183,19 +180,19 @@ func controlledReplicate(pl *plan, exec *executor, limit bool) (*Result, error) 
 	var counted atomic.Int64
 	var tuples []Tuple
 	var markedCount, unmarkedCount int64
-	st2, err := ch.FinalStep("join", func(in [][]byte) (*mapreduce.Stats, error) {
-		staged := make([]tagged, 0, len(in))
-		for _, rec := range in {
-			it, err := decodeItem(rec)
-			if err != nil {
-				return nil, err
-			}
-			if it.Marked {
+	st2, err := ch.FinalStep("join", func(in *dfs.View) (*mapreduce.Stats, error) {
+		staged := make([]tagged, 0, in.Len())
+		err := in.MBBs(0, in.Len(), func(m dfs.MBB) error {
+			if m.Marked {
 				markedCount++
 			} else {
 				unmarkedCount++
 			}
-			staged = append(staged, it)
+			staged = append(staged, mbbItem(m))
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
 		round2 := &mapreduce.Job[tagged, grid.CellID, tagged, Tuple]{
 			Config: exec.jobConfig(fmt.Sprintf("%s-join", method)),

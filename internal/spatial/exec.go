@@ -310,9 +310,11 @@ func Execute(method Method, q *query.Query, rels []Relation, cfg Config) (*Resul
 	}
 
 	before := fs.Stats()
+	stage := exec.tr.Start(exec.runSpan, trace.KindPhase, "stage-inputs")
 	if err := exec.stageInputs(); err != nil {
 		return nil, err
 	}
+	exec.tr.End(stage)
 
 	var res *Result
 	switch method {
@@ -423,6 +425,7 @@ func (e *executor) stageInputs() error {
 		}
 		if e.cfg.Columnar {
 			w := e.fs.CreateMBB(name)
+			w.Grow(len(rel.Items))
 			for _, it := range rel.Items {
 				w.Append(dfs.MBB{ID: it.ID, X: it.R.X, Y: it.R.Y, L: it.R.L, B: it.R.B})
 			}
@@ -432,11 +435,9 @@ func (e *executor) stageInputs() error {
 			continue
 		}
 		w := e.fs.Create(name)
-		for _, it := range rel.Items {
-			// encodeItem allocates a fresh record, so ownership transfers
-			// to the file without the Append copy.
-			w.AppendOwned(encodeItem(tagged{ID: it.ID, Rect: it.R}))
-		}
+		w.AppendOwnedAll(itemRecords(len(rel.Items), func(i int) tagged {
+			return tagged{ID: rel.Items[i].ID, Rect: rel.Items[i].R}
+		}))
 		if err := w.Close(); err != nil {
 			return err
 		}
@@ -449,30 +450,11 @@ func (e *executor) stageInputs() error {
 func (e *executor) loadRelation(slot int) ([]tagged, error) {
 	rel := e.rels[slot]
 	out := make([]tagged, 0, len(rel.Items))
-	if e.cfg.Columnar {
-		// Columnar fast path: rows come straight out of the column
-		// planes, no per-record []byte or decode. Charges are identical
-		// to the boxed Scan, and ScanMBB also reads boxed files (e.g. a
-		// relation restored from a snapshot), so resumes interoperate.
-		err := e.fs.ScanMBB(inputFile(rel.Name), func(m dfs.MBB) error {
-			out = append(out, tagged{
-				Slot:   int8(slot),
-				ID:     m.ID,
-				Rect:   geom.Rect{X: m.X, Y: m.Y, L: m.L, B: m.B},
-				Marked: m.Marked,
-			})
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	err := e.fs.Scan(inputFile(rel.Name), func(rec []byte) error {
-		it, err := decodeItem(rec)
-		if err != nil {
-			return err
-		}
+	// ScanMBB reads both storage kinds at identical charges — planes of
+	// a columnar file, records of a boxed one (boxed staging, or a
+	// relation restored from a snapshot) — so resumes interoperate.
+	err := e.fs.ScanMBB(inputFile(rel.Name), func(m dfs.MBB) error {
+		it := mbbItem(m)
 		it.Slot = int8(slot)
 		out = append(out, it)
 		return nil

@@ -4,7 +4,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sync"
+	"sync/atomic"
 
+	"mwsjoin/internal/dfs"
 	"mwsjoin/internal/geom"
 	"mwsjoin/internal/grid"
 )
@@ -47,17 +50,35 @@ func getRect(buf []byte) geom.Rect {
 	}
 }
 
-// encodeItem renders a tagged item as a DFS record.
-func encodeItem(t tagged) []byte {
-	buf := make([]byte, itemRecordBytes)
-	buf[0] = byte(t.Slot)
-	binary.LittleEndian.PutUint32(buf[1:], uint32(t.ID))
-	putRect(buf[5:], t.Rect)
+// encodeItem appends a tagged item's DFS record to buf — also the
+// output codec of jobs that emit items (c-rep round 1).
+func encodeItem(t tagged, buf []byte) []byte {
+	var rec [itemRecordBytes]byte
+	rec[0] = byte(t.Slot)
+	binary.LittleEndian.PutUint32(rec[1:], uint32(t.ID))
+	putRect(rec[5:], t.Rect)
 	if t.Marked {
-		buf[37] = 1
+		rec[37] = 1
 	}
-	return buf
+	return append(buf, rec[:]...)
 }
+
+// itemRecords renders n tagged items as DFS records: views into one
+// buffer, in the form Writer.AppendOwnedAll and Chain.Step take over.
+func itemRecords(n int, item func(i int) tagged) [][]byte {
+	buf := make([]byte, 0, n*itemRecordBytes)
+	recs := make([][]byte, n)
+	for i := range recs {
+		buf = encodeItem(item(i), buf)
+		recs[i] = buf[i*itemRecordBytes : (i+1)*itemRecordBytes : (i+1)*itemRecordBytes]
+	}
+	return recs
+}
+
+// mbbRect and mbbItem convert a row read from the DFS.
+func mbbRect(m dfs.MBB) geom.Rect { return geom.Rect{X: m.X, Y: m.Y, L: m.L, B: m.B} }
+
+func mbbItem(m dfs.MBB) tagged { return tagged{m.Slot, m.ID, mbbRect(m), m.Marked} }
 
 // decodeItem parses a DFS item record.
 func decodeItem(buf []byte) (tagged, error) {
@@ -72,32 +93,109 @@ func decodeItem(buf []byte) (tagged, error) {
 	}, nil
 }
 
-// partial is a tuple over a prefix of the cascade's slot order: ids and
-// rects are parallel, one entry per bound slot in plan order. Cascade
-// intermediates are sequences of partials.
-type partial struct {
-	IDs   []int32
-	Rects []geom.Rect
-}
+// Partial tuples — the cascade's intermediates — are tuples over a
+// prefix of the plan's slot order, one (id, rect) member per bound slot.
+// They exist only in their DFS record layout; all partials of a cascade
+// round have the same member count, so they are fixed-stride records in
+// a few large pointer-free slabs (partialStore) and the shuffle moves
+// small references into them.
 
 // memberBytes is the encoded size of one partial member.
 const memberBytes = 4 + rectBytes
 
-// encodedPartialBytes returns the record size of a partial with n
-// members.
+// encodedPartialBytes is the record size of a partial with n members.
 func encodedPartialBytes(n int) int { return 2 + n*memberBytes }
 
-// encodePartial renders a partial tuple as a DFS record.
-func encodePartial(p partial) []byte {
-	buf := make([]byte, encodedPartialBytes(len(p.IDs)))
-	binary.LittleEndian.PutUint16(buf, uint16(len(p.IDs)))
-	off := 2
-	for i := range p.IDs {
-		binary.LittleEndian.PutUint32(buf[off:], uint32(p.IDs[i]))
-		putRect(buf[off+4:], p.Rects[i])
-		off += memberBytes
+// checkPartial reports whether rec is a well-formed partial record of
+// exactly m members, before anything is sized from the count it claims.
+func checkPartial(rec []byte, m int) error {
+	if len(rec) < 2 || int(binary.LittleEndian.Uint16(rec)) != m || len(rec) != encodedPartialBytes(m) {
+		return fmt.Errorf("spatial: malformed partial record (%d bytes), want %d bytes for %d members", len(rec), encodedPartialBytes(m), m)
 	}
-	return buf
+	return nil
+}
+
+// partialID and partialRect read the member at plan position pos.
+func partialID(rec []byte, pos int) int32 {
+	return int32(binary.LittleEndian.Uint32(rec[2+pos*memberBytes:]))
+}
+
+func partialRect(rec []byte, pos int) geom.Rect {
+	return getRect(rec[2+pos*memberBytes+4:])
+}
+
+// putMember writes one (id, rect) member into buf[:memberBytes].
+func putMember(buf []byte, id int32, r geom.Rect) {
+	binary.LittleEndian.PutUint32(buf, uint32(id))
+	putRect(buf[4:], r)
+}
+
+// partialRef addresses one record of a partialStore.
+type partialRef struct {
+	Slab, Idx int32
+}
+
+// partialStore holds one side of a cascade round — the partials its
+// mappers read, or the ones its reducers emit — as m-member records.
+// Each map task, reduce call or run of decoded records owns one slab.
+// A record is written once, before its reference is handed out, and
+// the slab table only grows, so records resolve without a lock.
+type partialStore struct {
+	m, stride int
+	slabs     atomic.Pointer[[][]byte]
+
+	mu sync.Mutex // serialises add and decode
+	// Decoded records (spilled runs read back, runs and outputs from
+	// other workers) go to next, the head of free: the unfilled tail of
+	// a slab whose size is a constant, never read from the input.
+	next partialRef
+	free []byte
+}
+
+const decodeChunkRecords = 256
+
+func newPartialStore(m int) *partialStore {
+	s := &partialStore{m: m, stride: encodedPartialBytes(m)}
+	s.slabs.Store(new([][]byte))
+	return s
+}
+
+// add publishes a slab and returns its number; the caller holds mu.
+func (s *partialStore) add(slab []byte) int32 {
+	table := append(*s.slabs.Load(), slab)
+	s.slabs.Store(&table)
+	return int32(len(table) - 1)
+}
+
+// alloc registers a zeroed slab of n records for the caller to fill.
+func (s *partialStore) alloc(n int) (int32, []byte) {
+	slab := make([]byte, n*s.stride)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.add(slab), slab
+}
+
+// rec resolves a reference to its record.
+func (s *partialStore) rec(ref partialRef) []byte {
+	off := int(ref.Idx) * s.stride
+	return (*s.slabs.Load())[ref.Slab][off : off+s.stride : off+s.stride]
+}
+
+// decode validates one partial record and copies it into the store.
+func (s *partialStore) decode(rec []byte) (partialRef, error) {
+	if err := checkPartial(rec, s.m); err != nil {
+		return partialRef{}, err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.free) == 0 {
+		s.free = make([]byte, decodeChunkRecords*s.stride)
+		s.next = partialRef{Slab: s.add(s.free)}
+	}
+	ref := s.next
+	copy(s.free, rec)
+	s.free, s.next.Idx = s.free[s.stride:], ref.Idx+1
+	return ref, nil
 }
 
 // Spill codecs: frame one intermediate (cell, value) pair for the
@@ -109,10 +207,7 @@ func encodePartial(p partial) []byte {
 
 // encodeCellTagged frames a (cell, item) pair: cell(4) item(38).
 func encodeCellTagged(c grid.CellID, t tagged, buf []byte) []byte {
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(c))
-	buf = append(buf, hdr[:]...)
-	return append(buf, encodeItem(t)...)
+	return encodeItem(t, binary.LittleEndian.AppendUint32(buf, uint32(c)))
 }
 
 // decodeCellTagged parses an encodeCellTagged record.
@@ -127,68 +222,58 @@ func decodeCellTagged(rec []byte) (grid.CellID, tagged, error) {
 	return grid.CellID(binary.LittleEndian.Uint32(rec)), t, nil
 }
 
-// cascadeRecordTag distinguishes the two cascadeRecord shapes in a
-// spill frame: cell(4) tag(1) then a partial-tuple or item record.
+// cascadeTag distinguishes the two cascadeVal shapes in a spill frame:
+// cell(4) tag(1) then a partial-tuple or item record.
 const (
 	cascadeTagItem  = 0
 	cascadeTagTuple = 1
 )
 
-// encodeCellCascade frames a (cell, cascadeRecord) pair.
-func encodeCellCascade(c grid.CellID, rec cascadeRecord, buf []byte) []byte {
-	var hdr [5]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(c))
-	if rec.isTuple {
-		hdr[4] = cascadeTagTuple
-		buf = append(buf, hdr[:]...)
-		return append(buf, encodePartial(rec.tuple)...)
-	}
-	hdr[4] = cascadeTagItem
-	buf = append(buf, hdr[:]...)
-	return append(buf, encodeItem(rec.item)...)
+// cascadeCodec frames one cascade round's shuffled pairs for spill files
+// and the network. A tuple's reference is resolved through the round's
+// input store on the way out and decoded into it on the way in, so the
+// frame carries the partial record itself and costs the same however a
+// process holds its partials in memory.
+type cascadeCodec struct {
+	in     *partialStore
+	slot   int8 // the round's new slot, stamped on item records
+	keyPos int  // plan position of the member whose rectangle keys a tuple
 }
 
-// decodeCellCascade parses an encodeCellCascade record.
-func decodeCellCascade(rec []byte) (grid.CellID, cascadeRecord, error) {
+// encodePair frames a (cell, cascadeVal) pair.
+func (cc *cascadeCodec) encodePair(c grid.CellID, v cascadeVal, buf []byte) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(c))
+	if v.Slab != itemSlab {
+		return append(append(buf, cascadeTagTuple), cc.in.rec(v.ref())...)
+	}
+	return encodeItem(tagged{Slot: cc.slot, ID: v.ID, Rect: v.Rect}, append(buf, cascadeTagItem))
+}
+
+// decodePair parses an encodePair frame.
+func (cc *cascadeCodec) decodePair(rec []byte) (grid.CellID, cascadeVal, error) {
 	if len(rec) < 5 {
-		return 0, cascadeRecord{}, fmt.Errorf("spatial: spilled cascade pair too short (%d bytes)", len(rec))
+		return 0, cascadeVal{}, fmt.Errorf("spatial: spilled cascade pair too short (%d bytes)", len(rec))
 	}
 	c := grid.CellID(binary.LittleEndian.Uint32(rec))
 	switch rec[4] {
 	case cascadeTagTuple:
-		p, err := decodePartial(rec[5:])
+		ref, err := cc.in.decode(rec[5:])
 		if err != nil {
-			return 0, cascadeRecord{}, err
+			return 0, cascadeVal{}, err
 		}
-		return c, cascadeRecord{isTuple: true, tuple: p}, nil
+		return c, cascadeVal{Rect: partialRect(rec[5:], cc.keyPos), ID: ref.Idx, Slab: ref.Slab}, nil
 	case cascadeTagItem:
 		t, err := decodeItem(rec[5:])
 		if err != nil {
-			return 0, cascadeRecord{}, err
+			return 0, cascadeVal{}, err
 		}
-		return c, cascadeRecord{item: t}, nil
+		if t.Slot != cc.slot || rec[len(rec)-1] != 0 {
+			return 0, cascadeVal{}, fmt.Errorf("spatial: spilled cascade item is not an unmarked slot-%d item", cc.slot)
+		}
+		return c, cascadeVal{Rect: t.Rect, ID: t.ID, Slab: itemSlab}, nil
 	default:
-		return 0, cascadeRecord{}, fmt.Errorf("spatial: spilled cascade pair has unknown tag %d", rec[4])
+		return 0, cascadeVal{}, fmt.Errorf("spatial: spilled cascade pair has unknown tag %d", rec[4])
 	}
-}
-
-// decodePartial parses a DFS partial-tuple record.
-func decodePartial(buf []byte) (partial, error) {
-	if len(buf) < 2 {
-		return partial{}, fmt.Errorf("spatial: partial record too short (%d bytes)", len(buf))
-	}
-	n := int(binary.LittleEndian.Uint16(buf))
-	if len(buf) != encodedPartialBytes(n) {
-		return partial{}, fmt.Errorf("spatial: partial record has %d bytes, want %d for %d members", len(buf), encodedPartialBytes(n), n)
-	}
-	p := partial{IDs: make([]int32, n), Rects: make([]geom.Rect, n)}
-	off := 2
-	for i := 0; i < n; i++ {
-		p.IDs[i] = int32(binary.LittleEndian.Uint32(buf[off:]))
-		p.Rects[i] = getRect(buf[off+4:])
-		off += memberBytes
-	}
-	return p, nil
 }
 
 // Output codecs: frame one job output record so a distributed run can
@@ -223,19 +308,3 @@ func decodeTupleOutput(rec []byte) (Tuple, error) {
 	}
 	return t, nil
 }
-
-// encodeTaggedOutput frames a tagged item output (c-rep round 1).
-func encodeTaggedOutput(t tagged, buf []byte) []byte {
-	return append(buf, encodeItem(t)...)
-}
-
-// decodeTaggedOutput parses an encodeTaggedOutput record.
-func decodeTaggedOutput(rec []byte) (tagged, error) { return decodeItem(rec) }
-
-// encodePartialOutput frames a partial-tuple output (cascade steps).
-func encodePartialOutput(p partial, buf []byte) []byte {
-	return append(buf, encodePartial(p)...)
-}
-
-// decodePartialOutput parses an encodePartialOutput record.
-func decodePartialOutput(rec []byte) (partial, error) { return decodePartial(rec) }

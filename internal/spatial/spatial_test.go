@@ -1,6 +1,8 @@
 package spatial
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math/rand/v2"
 	"reflect"
 	"testing"
@@ -607,7 +609,7 @@ func TestTupleKey(t *testing.T) {
 
 func TestRecordRoundTrip(t *testing.T) {
 	it := tagged{Slot: 3, ID: 12345, Rect: geom.Rect{X: 1.5, Y: -2.25, L: 10, B: 0.125}, Marked: true}
-	got, err := decodeItem(encodeItem(it))
+	got, err := decodeItem(encodeItem(it, nil))
 	if err != nil || got != it {
 		t.Errorf("item round trip = %+v, %v", got, err)
 	}
@@ -615,19 +617,30 @@ func TestRecordRoundTrip(t *testing.T) {
 		t.Error("short item record must fail")
 	}
 
-	p := partial{
-		IDs:   []int32{7, 9},
-		Rects: []geom.Rect{{X: 1, Y: 2, L: 3, B: 4}, {X: 5, Y: 6, L: 7, B: 8}},
+	// A 2-member partial, in the layout the cascade checkpoints.
+	rects := []geom.Rect{{X: 1, Y: 2, L: 3, B: 4}, {X: 5, Y: 6, L: 7, B: 8}}
+	rec := make([]byte, encodedPartialBytes(2))
+	binary.LittleEndian.PutUint16(rec, 2)
+	putMember(rec[2:], 7, rects[0])
+	putMember(rec[2+memberBytes:], 9, rects[1])
+	st := newPartialStore(2)
+	ref, err := st.decode(rec)
+	if err != nil {
+		t.Fatal(err)
 	}
-	got2, err := decodePartial(encodePartial(p))
-	if err != nil || !reflect.DeepEqual(got2, p) {
-		t.Errorf("partial round trip = %+v, %v", got2, err)
+	got2 := st.rec(ref)
+	if !bytes.Equal(got2, rec) || partialID(got2, 0) != 7 || partialID(got2, 1) != 9 ||
+		partialRect(got2, 0) != rects[0] || partialRect(got2, 1) != rects[1] {
+		t.Errorf("partial round trip = %v", got2)
 	}
-	if _, err := decodePartial([]byte{9}); err == nil {
+	if _, err := st.decode([]byte{9}); err == nil {
 		t.Error("short partial record must fail")
 	}
-	if _, err := decodePartial([]byte{2, 0, 1}); err == nil {
+	if _, err := st.decode([]byte{2, 0, 1}); err == nil {
 		t.Error("truncated partial record must fail")
+	}
+	if _, err := newPartialStore(3).decode(rec); err == nil {
+		t.Error("a 2-member record must not decode into a 3-member store")
 	}
 }
 

@@ -145,6 +145,18 @@ go test -run='^$' -fuzz=FuzzKeyRanker -fuzztime=5s ./internal/mapreduce
 echo "== fuzz (FuzzRTreeProbe, 5s) =="
 go test -run='^$' -fuzz=FuzzRTreeProbe -fuzztime=5s ./internal/index
 
+echo "== fuzz (FuzzDecodeCascadePair + FuzzDecodePartial, 5s each) =="
+# The cascade's byte decoders — spill frames, mesh frames, checkpoint
+# records — must reject or round-trip exactly, and never size a slab
+# from a count the input claims.
+go test -run='^$' -fuzz=FuzzDecodeCascadePair -fuzztime=5s ./internal/spatial
+go test -run='^$' -fuzz=FuzzDecodePartial -fuzztime=5s ./internal/spatial
+
+echo "== benchmark module (own go.mod, invisible to the root go test ./...) =="
+go test -C benchmark ./...
+go vet -C benchmark ./...
+test -z "$(gofmt -l benchmark)"
+
 echo "== shuffle pipeline bench smoke (1 iteration per benchmark) =="
 go test -run='^$' -bench . -benchtime=1x ./internal/mapreduce
 
