@@ -239,8 +239,8 @@ func BenchmarkPartitioningAblation(b *testing.B) {
 // BenchmarkAdaptivePartitioningSkew is the PR6 headline comparison at
 // bench scale: the uniform grid versus the sample-driven adaptive
 // partitioning on the Zipf-clustered skewed workload, reporting the
-// C-Rep-L join round's max/median reducer-pair skew (the committed
-// full-scale numbers live in BENCH_PR6.json).
+// C-Rep-L join round's max/median reducer-pair skew (the benchmark's
+// grid.reducer_skew metric tracks the adaptive side at full scale).
 func BenchmarkAdaptivePartitioningSkew(b *testing.B) {
 	n := benchUnit()
 	rels := make([]Relation, 3)

@@ -66,11 +66,9 @@ func TestRunJSONReport(t *testing.T) {
 	}
 }
 
-// TestBenchPR2Ordering guards the committed report: on every Table 2
-// row where both baselines ran, Controlled-Replicate must shuffle no
-// more intermediate pairs (and ship no more rectangle copies) than
-// All-Replicate — the paper's headline ordering.
-func TestBenchPR2Ordering(t *testing.T) {
+// committedTable2 reads Table 2 of the committed BENCH_PR2.json.
+func committedTable2(t *testing.T) (*bench.Report, *bench.Table) {
+	t.Helper()
 	f, err := os.Open(filepath.Join("..", "..", "BENCH_PR2.json"))
 	if err != nil {
 		t.Fatal(err)
@@ -84,6 +82,15 @@ func TestBenchPR2Ordering(t *testing.T) {
 	if tab == nil {
 		t.Fatal("BENCH_PR2.json has no table2")
 	}
+	return rep, tab
+}
+
+// TestBenchPR2Ordering guards the committed report: on every Table 2
+// row where both baselines ran, Controlled-Replicate must shuffle no
+// more intermediate pairs (and ship no more rectangle copies) than
+// All-Replicate — the paper's headline ordering.
+func TestBenchPR2Ordering(t *testing.T) {
+	_, tab := committedTable2(t)
 	if len(tab.Rows) != 5 {
 		t.Fatalf("table2 has %d rows", len(tab.Rows))
 	}
@@ -110,71 +117,55 @@ func TestBenchPR2Ordering(t *testing.T) {
 	}
 }
 
-// TestBenchPR3MatchesPR2 guards the shuffle-pipeline rewrite: the
-// sort-based shuffle, map-side combiners and cascade pre-sort must not
-// change any published Table 2 cost counter. Both committed reports
-// were generated at unit=1000 seed=2013 reducers=64, so every
-// deterministic counter — intermediate pairs, rectangles replicated,
-// copies after replication — and the output tuple counts must agree
-// cell for cell.
+// TestBenchPR3MatchesPR2 holds the engine to the published Table 2: the
+// table regenerated now, at the unit, seed and reducer count of the
+// committed BENCH_PR2.json (written before the sorted-run shuffle, the
+// combiners and every later engine change), must agree with it cell for
+// cell on each deterministic counter — intermediate pairs, rectangles
+// replicated, copies after replication — and on the output tuple
+// counts.
 func TestBenchPR3MatchesPR2(t *testing.T) {
-	read := func(name string) *bench.Table {
-		f, err := os.Open(filepath.Join("..", "..", name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer f.Close()
-		rep, err := bench.ReadReport(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep.Unit != 1000 || rep.Seed != 2013 || rep.Reducers != 64 {
-			t.Fatalf("%s config = %d/%d/%d, want 1000/2013/64", name, rep.Unit, rep.Seed, rep.Reducers)
-		}
-		tab := rep.Table("table2")
-		if tab == nil {
-			t.Fatalf("%s has no table2", name)
-		}
-		return tab
+	rep, want := committedTable2(t)
+	got, err := bench.Table2(bench.Config{Unit: rep.Unit, Seed: rep.Seed, Reducers: rep.Reducers})
+	if err != nil {
+		t.Fatal(err)
 	}
-	before := read("BENCH_PR2.json")
-	after := read("BENCH_PR3.json")
-	if len(before.Rows) != len(after.Rows) {
-		t.Fatalf("row count changed: %d vs %d", len(before.Rows), len(after.Rows))
+	if len(want.Rows) != len(got.Rows) {
+		t.Fatalf("row count changed: %d vs %d", len(want.Rows), len(got.Rows))
 	}
-	for i, rowB := range before.Rows {
-		rowA := after.Rows[i]
-		if rowB.Label != rowA.Label {
-			t.Fatalf("row %d label %q vs %q", i, rowB.Label, rowA.Label)
+	for i, rowW := range want.Rows {
+		rowG := got.Rows[i]
+		if rowW.Label != rowG.Label {
+			t.Fatalf("row %d label %q vs %q", i, rowW.Label, rowG.Label)
 		}
-		if rowB.Tuples != rowA.Tuples {
-			t.Errorf("row %s: tuples %d -> %d", rowB.Label, rowB.Tuples, rowA.Tuples)
+		if rowW.Tuples != rowG.Tuples {
+			t.Errorf("row %s: tuples %d -> %d", rowW.Label, rowW.Tuples, rowG.Tuples)
 		}
-		if len(rowB.Cells) != len(rowA.Cells) {
-			t.Fatalf("row %s cell count changed", rowB.Label)
+		if len(rowW.Cells) != len(rowG.Cells) {
+			t.Fatalf("row %s cell count changed", rowW.Label)
 		}
-		for j, cb := range rowB.Cells {
-			ca := rowA.Cells[j]
-			if cb.Method != ca.Method || cb.Skipped != ca.Skipped {
-				t.Fatalf("row %s cell %d identity changed", rowB.Label, j)
+		for j, cw := range rowW.Cells {
+			cg := rowG.Cells[j]
+			if cw.Method != cg.Method || cw.Skipped != cg.Skipped {
+				t.Fatalf("row %s cell %d identity changed", rowW.Label, j)
 			}
-			if cb.Skipped {
+			if cw.Skipped {
 				continue
 			}
-			if cb.Pairs != ca.Pairs {
-				t.Errorf("row %s %v: pairs %d -> %d", rowB.Label, cb.Method, cb.Pairs, ca.Pairs)
+			if cw.Pairs != cg.Pairs {
+				t.Errorf("row %s %v: pairs %d -> %d", rowW.Label, cw.Method, cw.Pairs, cg.Pairs)
 			}
-			if cb.Replicated != ca.Replicated {
-				t.Errorf("row %s %v: replicated %d -> %d", rowB.Label, cb.Method, cb.Replicated, ca.Replicated)
+			if cw.Replicated != cg.Replicated {
+				t.Errorf("row %s %v: replicated %d -> %d", rowW.Label, cw.Method, cw.Replicated, cg.Replicated)
 			}
-			if cb.AfterReplication != ca.AfterReplication {
-				t.Errorf("row %s %v: after_replication %d -> %d", rowB.Label, cb.Method, cb.AfterReplication, ca.AfterReplication)
+			if cw.AfterReplication != cg.AfterReplication {
+				t.Errorf("row %s %v: after_replication %d -> %d", rowW.Label, cw.Method, cw.AfterReplication, cg.AfterReplication)
 			}
 			// Combiners fired means they dropped pairs; on well-formed
 			// inputs the mark-round dedup must be a pure pass-through.
-			if ca.CombineIn != ca.CombineOut {
+			if cg.CombineIn != cg.CombineOut {
 				t.Errorf("row %s %v: combiner dropped pairs (%d in, %d out)",
-					rowB.Label, ca.Method, ca.CombineIn, ca.CombineOut)
+					rowW.Label, cg.Method, cg.CombineIn, cg.CombineOut)
 			}
 		}
 	}

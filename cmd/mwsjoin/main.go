@@ -151,7 +151,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		chromeOut = fs.String("trace-chrome", "", "write a Chrome trace-event JSON timeline of the execution to this file (load in chrome://tracing or Perfetto)")
 		ledgerOut = fs.String("ledger", "", "append a calibration-ledger entry (predicted vs actual per-phase costs, one JSON line) to this file; in -explain mode, one entry per method")
 		calibrate = fs.Bool("calibrate", false, "apply correction factors learned from the -ledger file to every cost prediction (query results are unchanged); requires -ledger")
-		columnar  = fs.Bool("columnar", false, "stage relations in the simulated DFS's columnar (structs-of-arrays) MBB storage; results and charged bytes are identical, host memory churn is far lower")
 		spillBudg = fs.Int64("spill-budget", 0, "per-run in-memory byte budget for each mapper's sorted runs; runs over budget spill to uncharged local scratch and results are unchanged (0 = never spill)")
 	)
 	fs.Var(rels, "rel", "slot binding <slot>=<file>; repeat once per slot")
@@ -241,7 +240,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		Speculative:         *specul,
 		Tracer:              tracer,
 		Metrics:             reg,
-		Columnar:            *columnar,
 		SpillBudget:         *spillBudg,
 	}
 	if *resume {

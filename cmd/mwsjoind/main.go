@@ -125,7 +125,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		ledger     = fs.String("ledger", "", "calibration-ledger file: every executed job appends its predicted-vs-actual per-phase costs (one JSON line)")
 		calibrate  = fs.Bool("calibrate", false, "price admission with correction factors learned from the -ledger file; requires -ledger, never changes query results")
 		slowlogN   = fs.Int("slowlog", server.DefaultSlowlogSize, "slow-query log size (top-N jobs by end-to-end latency on /v1/slowlog); negative disables")
-		columnar   = fs.Bool("columnar", false, "stage each job's relations in the simulated DFS's columnar (structs-of-arrays) MBB storage; results and charged bytes are identical, host memory churn is far lower")
 		spillBudg  = fs.Int64("spill-budget", 0, "per-run in-memory byte budget for each mapper's sorted runs; over-budget runs spill to uncharged local scratch with identical results (0 = never spill)")
 		clListen   = fs.String("cluster-listen", "", "coordinator control address for mwsjworker processes; empty = in-process engine")
 		clWorkers  = fs.Int("cluster-workers", 1, "with -cluster-listen, wait for this many workers before serving")
@@ -176,7 +175,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		Partition:      scheme,
 		SplitThreshold: *splitThr,
 		Parallelism:    *parallel,
-		Columnar:       *columnar,
 		SpillBudget:    *spillBudg,
 		Cluster:        coord,
 		NumMappers:     *clMappers,

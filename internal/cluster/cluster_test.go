@@ -110,7 +110,6 @@ func inProcessReference(t *testing.T, spec SessionSpec) *spatial.Result {
 		Parallelism:    spec.Parallelism,
 		OptimizeOrder:  spec.OptimizeOrder,
 		NoCombiner:     spec.NoCombiner,
-		Columnar:       spec.Columnar,
 		SpillBudget:    spec.SpillBudget,
 		FS:             dfs.New(0),
 	})

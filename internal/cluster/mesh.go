@@ -34,6 +34,26 @@ type meshHello struct {
 // read error long before this fires.
 const defaultExchangeTimeout = 60 * time.Second
 
+// maxFrameBytes bounds one frame's payload on both sides of the wire: a
+// quarter of what the 32-bit length field can declare, and two orders
+// above the largest exchange the repository's workloads produce.
+const maxFrameBytes = 1 << 30
+
+// FrameTooLargeError reports a mesh frame — one about to be sent, or one
+// a peer's header declared — longer than the data plane carries.
+type FrameTooLargeError struct{ Bytes int64 }
+
+func (e *FrameTooLargeError) Error() string {
+	return fmt.Sprintf("cluster: mesh frame of %d bytes exceeds the %d-byte limit", e.Bytes, int64(maxFrameBytes))
+}
+
+func checkFrameLen(n int64) error {
+	if n > maxFrameBytes {
+		return &FrameTooLargeError{Bytes: n}
+	}
+	return nil
+}
+
 // meshConn is one peer connection: writes serialized by a mutex, reads
 // demuxed by a single reader goroutine into the seq-keyed pending map.
 type meshConn struct {
@@ -66,6 +86,12 @@ func (mc *meshConn) readLoop() {
 		}
 		seq := binary.LittleEndian.Uint64(hdr[:8])
 		n := binary.LittleEndian.Uint32(hdr[8:])
+		if err := checkFrameLen(int64(n)); err != nil {
+			// Nothing after a bad header can be trusted to be a frame.
+			mc.fail(err)
+			mc.c.Close()
+			return
+		}
 		payload := make([]byte, n)
 		if _, err := io.ReadFull(mc.c, payload); err != nil {
 			mc.fail(err)
@@ -96,6 +122,9 @@ func (mc *meshConn) kick() {
 
 // send writes one frame; safe for concurrent use.
 func (mc *meshConn) send(seq uint64, payload []byte) error {
+	if err := checkFrameLen(int64(len(payload))); err != nil {
+		return err
+	}
 	var hdr [12]byte
 	binary.LittleEndian.PutUint64(hdr[:8], seq)
 	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(payload)))
@@ -148,7 +177,7 @@ type mesh struct {
 	// exchanges counts completed AllToAll entries; when dieAfter is
 	// positive and the counter reaches it, onDie fires before the
 	// exchange proceeds — the deterministic mid-round kill hook the
-	// recovery tests and the check.sh SIGKILL stanza are built on.
+	// recovery tests and TestDaemonClusterEndToEnd are built on.
 	exchanges int
 	dieAfter  int
 	onDie     func()

@@ -36,8 +36,8 @@ type WorkerConfig struct {
 	ExchangeTimeout time.Duration
 	// DieAfterExchanges, when positive, kills the worker right before
 	// its n-th mesh exchange of a session — the deterministic
-	// mid-round fault the recovery tests and the check.sh SIGKILL
-	// stanza inject. The default death is SIGKILL of the whole
+	// mid-round fault the recovery tests and TestDaemonClusterEndToEnd
+	// inject. The default death is SIGKILL of the whole
 	// process; OnDie overrides it for in-process tests.
 	DieAfterExchanges int
 	// DieInProcess makes DieAfterExchanges call Worker.Kill — dropping
@@ -311,7 +311,6 @@ func (w *Worker) executeAttempt(m message) (*spatial.Result, error) {
 		Parallelism:    spec.Parallelism,
 		OptimizeOrder:  spec.OptimizeOrder,
 		NoCombiner:     spec.NoCombiner,
-		Columnar:       spec.Columnar,
 		SpillBudget:    spec.SpillBudget,
 		Resume:         spec.Resume,
 		FS:             s.fs,

@@ -21,10 +21,10 @@ import (
 // The charged byte accounting is identical on both kinds: every MBB
 // record costs MBBRecordBytes whether it lives in a box or a column,
 // so Stats, traces and metrics are bit-identical between the paths.
-// Scan and ScanRange still work on a columnar file (each row is
-// synthesised into the boxed wire format on the fly), and ScanMBB
-// works on a boxed file (each record is decoded), so snapshots and
-// generic readers interoperate freely.
+// Scan and View.Records still work on a columnar file (each row is
+// synthesised into the boxed wire format on the fly), and ScanMBB and
+// View.MBBs work on a boxed file (each record is decoded), so snapshots
+// and generic readers interoperate freely.
 
 // MBB is one minimum-bounding-box record: a query-slot-tagged
 // rectangle in the (x, y, l, b) start-point + extents layout of

@@ -106,39 +106,6 @@ func TestColumnarBoxedEquivalence(t *testing.T) {
 	}
 }
 
-// TestColumnarScanRange checks the synthesised boxed view of a columnar
-// file under ScanRange, including the partial-charge semantics.
-func TestColumnarScanRange(t *testing.T) {
-	rows := testMBBs(10)
-	fs := New(0)
-	w := fs.CreateMBB("rel")
-	for _, m := range rows {
-		w.Append(m)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	before := fs.Stats()
-	var got []MBB
-	if err := fs.ScanRange("rel", 3, 7, func(rec []byte) error {
-		m, err := decodeMBB(rec)
-		if err != nil {
-			return err
-		}
-		got = append(got, m)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, rows[3:7]) {
-		t.Errorf("ScanRange rows = %+v, want rows 3..6", got)
-	}
-	d := fs.Stats().BytesRead - before.BytesRead
-	if want := int64(4) * MBBRecordBytes; d != want {
-		t.Errorf("ScanRange charged %d bytes, want %d", d, want)
-	}
-}
-
 // TestScanMBBBoxedErrors checks that a boxed file with a malformed
 // record fails ScanMBB with a decode error.
 func TestScanMBBBoxedErrors(t *testing.T) {

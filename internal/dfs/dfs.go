@@ -290,26 +290,6 @@ func (fs *FS) Scan(name string, fn func(record []byte) error) error {
 	return nil
 }
 
-// ScanRange reads records [lo, hi) of the named file — an input split
-// assigned to one mapper. Counters are charged for the records actually
-// delivered.
-func (fs *FS) ScanRange(name string, lo, hi int64, fn func(record []byte) error) error {
-	f, err := fs.lookup(name)
-	if err != nil {
-		return err
-	}
-	n := f.count()
-	if lo < 0 || hi < lo || hi > n {
-		return fmt.Errorf("dfs: scan %q range [%d,%d) out of bounds (0..%d)", name, lo, hi, n)
-	}
-	bytes, err := f.forEachRange(lo, hi, fn)
-	if err != nil {
-		return err
-	}
-	fs.chargeRead(f, bytes, hi-lo)
-	return nil
-}
-
 // View is a read-only handle on one file, the form a job's input takes
 // when its map tasks read their own splits: Open charges the whole-file
 // read once, exactly as Scan would, and the ranges handed out afterwards

@@ -59,7 +59,9 @@ func TestAppendCopiesBuffer(t *testing.T) {
 	})
 }
 
-func TestScanRange(t *testing.T) {
+// TestViewRecordsRange: a View hands out any in-bounds range of a file
+// of generic records and rejects the others.
+func TestViewRecordsRange(t *testing.T) {
 	fs := New(0)
 	var records [][]byte
 	for i := 0; i < 10; i++ {
@@ -68,24 +70,24 @@ func TestScanRange(t *testing.T) {
 	if err := fs.WriteFile("f", records); err != nil {
 		t.Fatal(err)
 	}
+	v, err := fs.Open("f")
+	if err != nil {
+		t.Fatal(err)
+	}
 	var got []byte
-	if err := fs.ScanRange("f", 3, 7, func(rec []byte) error {
+	if err := v.Records(3, 7, func(rec []byte) error {
 		got = append(got, rec[0])
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, []byte{3, 4, 5, 6}) {
-		t.Errorf("ScanRange = %v", got)
+		t.Errorf("Records(3, 7) = %v", got)
 	}
-	if err := fs.ScanRange("f", -1, 2, func([]byte) error { return nil }); err == nil {
-		t.Error("negative lo must fail")
-	}
-	if err := fs.ScanRange("f", 5, 11, func([]byte) error { return nil }); err == nil {
-		t.Error("hi beyond EOF must fail")
-	}
-	if err := fs.ScanRange("missing", 0, 0, func([]byte) error { return nil }); err == nil {
-		t.Error("missing file must fail")
+	for _, r := range [][2]int{{-1, 2}, {5, 11}, {7, 3}} {
+		if err := v.Records(r[0], r[1], func([]byte) error { return nil }); err == nil {
+			t.Errorf("range [%d,%d) of a 10-record file accepted", r[0], r[1])
+		}
 	}
 }
 

@@ -54,13 +54,15 @@ func BenchmarkFinalizeRun(b *testing.B) {
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			src := benchPairs(n, keyspace, 1)
-			run := make([]pair[int64, int64], n)
+			pool := NewBufferPool()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				run := getBufLen[pair[int64, int64]](&pool.pairs, n)
 				copy(run, src)
 				batch := pairBatch[int64, int64]{pairs: run}
-				finalizeRun(&batch, bc.rank, bc.combine, bc.bytes, nil)
+				finalizeRun(&batch, bc.rank, bc.combine, bc.bytes, pool)
+				putBuf(&pool.pairs, batch.pairs)
 			}
 		})
 	}
@@ -72,41 +74,29 @@ func BenchmarkMergeRuns(b *testing.B) {
 	for _, nruns := range []int{2, 8} {
 		b.Run(fmt.Sprintf("runs=%d", nruns), func(b *testing.B) {
 			const per = 1 << 14
-			batches := make([][]pairBatch[int64, int64], nruns)
-			for m := range batches {
-				batch := pairBatch[int64, int64]{pairs: benchPairs(per, 1<<11, m)}
-				finalizeRun(&batch, keyRanker[int64](), nil, nil, nil)
-				batches[m] = []pairBatch[int64, int64]{batch}
+			pool := NewBufferPool()
+			sorted := make([]pairBatch[int64, int64], nruns)
+			for m := range sorted {
+				sorted[m].pairs = benchPairs(per, 1<<11, m)
+				finalizeRun(&sorted[m], keyRanker[int64](), nil, nil, pool)
 			}
+			batches := make([][]pairBatch[int64, int64], nruns)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				mergeRuns(batches, 0, nruns*per, nil)
+				// The merge consumes and recycles its runs, so every
+				// iteration merges fresh copies of the sorted ones.
+				for m := range batches {
+					run := getBufLen[pair[int64, int64]](&pool.pairs, per)
+					copy(run, sorted[m].pairs)
+					batches[m] = []pairBatch[int64, int64]{{pairs: run}}
+				}
+				in := mergeRuns(batches, 0, nruns*per, pool)
+				putBuf(&pool.keys, in.keys)
+				putBuf(&pool.vals, in.vals)
 			}
 		})
 	}
-}
-
-// BenchmarkGrouping compares the reduce-side group derivation: walking
-// the merged run's contiguous key groups (pipeline) versus rebuilding a
-// map[K][]V plus a key sort (legacy).
-func BenchmarkGrouping(b *testing.B) {
-	const n, keyspace = 1 << 17, 1 << 11
-	batch := pairBatch[int64, int64]{pairs: benchPairs(n, keyspace, 1)}
-	finalizeRun(&batch, keyRanker[int64](), nil, nil, nil)
-	in := mergeRuns([][]pairBatch[int64, int64]{{batch}}, 0, n, nil)
-	b.Run("pipeline", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			groupStarts(in.keys, nil)
-		}
-	})
-	b.Run("legacy", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			legacyGroups(in)
-		}
-	})
 }
 
 // benchEngineJob builds a shuffle-heavy aggregation job: records input
@@ -173,41 +163,5 @@ func BenchmarkEngine(b *testing.B) {
 				}
 			}
 		}
-	}
-}
-
-// BenchmarkShuffleHeavy1M is the PR's acceptance anchor: 1,048,576
-// intermediate pairs with PairBytes set at 8-way parallelism and high
-// key cardinality (~2^20 key space — the regime where reduce-side hash
-// grouping thrashes allocation and the sorted-run pipeline stays
-// linear), run through the legacy (pre-pipeline) shuffle and the
-// sort-based pipeline in the same process so the speedup is measured
-// like for like. The pooled mode additionally sets Config.Pool — the
-// PR 8 acceptance gate is pooled allocs/op ≤ pipeline allocs/op / 1.5
-// on this workload (see bench_pr8_test.go).
-func BenchmarkShuffleHeavy1M(b *testing.B) {
-	const records = 1 << 17 // 8 pairs each -> 1,048,576 pairs
-	for _, mode := range []string{"legacy", "pipeline", "pooled"} {
-		b.Run(mode, func(b *testing.B) {
-			job, mkInput := benchEngineJob(64, 8, 1<<20, true, false)
-			input := mkInput(records)
-			legacyGrouping = mode == "legacy"
-			defer func() { legacyGrouping = false }()
-			if mode == "pooled" {
-				job.Config.Pool = NewBufferPool()
-				// Warm the pool: steady-state reuse, not first-run
-				// growth, is what the anchor measures.
-				if _, _, err := job.Run(input); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := job.Run(input); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

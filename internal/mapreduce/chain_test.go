@@ -115,6 +115,9 @@ func metaBytes(t *testing.T, fs *dfs.FS, chain string, k int) int64 {
 	return total
 }
 
+// TestChainKillResumeEveryBoundary kills a chain before every job
+// boundary and resumes it; the kill points are deterministic, so a
+// failure reproduces.
 func TestChainKillResumeEveryBoundary(t *testing.T) {
 	// Reference: a clean run on its own FS.
 	cleanFS := dfs.New(0)

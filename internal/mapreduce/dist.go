@@ -263,7 +263,7 @@ func distExchangeRuns[I any, K cmp.Ordered, V any, O any](j *Job[I, K, V, O], cf
 				}
 				// The shipped run's memory is dead locally: its reducer
 				// runs elsewhere.
-				putPairs(pool, b.pairs)
+				putBuf(&pool.pairs, b.pairs)
 				b.pairs = nil
 			}
 		}
@@ -304,7 +304,7 @@ func distExchangeRuns[I any, K cmp.Ordered, V any, O any](j *Job[I, K, V, O], cf
 			if m < 0 || m >= nm || r < 0 || r >= cfg.NumReducers {
 				return 0, 0, fmt.Errorf("mapreduce: job %q: run exchange: worker %d shipped run for mapper %d reducer %d out of range", cfg.Name, w, m, r)
 			}
-			ps := getPairs[K, V](pool, int(npairs))
+			ps := getBuf[pair[K, V]](&pool.pairs, int(npairs))
 			for i := uint64(0); i < npairs; i++ {
 				var raw []byte
 				if raw, buf, err = readBytes(buf); err != nil {

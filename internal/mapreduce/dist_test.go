@@ -140,6 +140,9 @@ func normalizeDistStats(s *Stats) Stats {
 	return n
 }
 
+// TestDistBitIdenticalToInProcess: an SPMD group of W workers returns,
+// on every worker, the output and Stats of the in-process engine, with
+// the network bytes in their own Stats family.
 func TestDistBitIdenticalToInProcess(t *testing.T) {
 	input := make([]int, 1000)
 	for i := range input {

@@ -45,7 +45,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -116,12 +115,13 @@ type Config struct {
 	// map/reduce task-latency histograms, and the per-job imbalance
 	// factor. A nil registry costs nothing.
 	Metrics *metrics.Registry
-	// Pool, when non-nil, recycles the engine's large scratch buffers —
-	// sorted-run pair slices, radix scratch, merge-tree intermediates,
-	// merged reducer inputs — across task attempts and jobs; see
-	// BufferPool for the lifecycle rules. Results and Stats are
-	// bit-identical with and without it. When set, Reduce must not
-	// retain its values slice after returning.
+	// Pool recycles the engine's large scratch buffers — sorted-run pair
+	// slices, radix scratch, merge-tree intermediates, merged reducer
+	// inputs — across task attempts and, when callers share one pool,
+	// across the jobs of an execution; see BufferPool for the lifecycle
+	// rules. Nil means a pool private to this job, dropped when it
+	// returns. Results and Stats never depend on which. On a shared pool
+	// Reduce must not retain its values slice after returning.
 	Pool *BufferPool
 	// SpillBudget, when positive, bounds the bytes (as measured by
 	// Job.PairBytes) a mapper keeps in memory for one finalized sorted
@@ -364,15 +364,6 @@ type pairBatch[K cmp.Ordered, V any] struct {
 	n          int
 }
 
-// legacyGrouping switches the engine back to the pre-pipeline shuffle:
-// serial per-reducer concatenation in mapper order, a serial per-pair
-// PairBytes walk, and reduce-side map[K][]V grouping plus a key sort.
-// It exists only as the reference implementation for the equivalence
-// property tests and the before/after benchmarks; production code must
-// never set it. Combine is ignored on this path (combiners did not
-// exist before the pipeline).
-var legacyGrouping bool
-
 // finalizeRun turns one mapper's raw per-reducer run into shuffle-ready
 // form, inside the parallel map task: a stable key sort (emit order
 // within a key survives), the optional combiner applied per key group,
@@ -422,7 +413,7 @@ func finalizeRun[K cmp.Ordered, V any](b *pairBatch[K, V], rank func(K) uint64, 
 		if !aliased {
 			// The combiner moved the run to a fresh backing array; the
 			// original buffer is dead and can be recycled.
-			putPairs(pool, orig)
+			putBuf(&pool.pairs, orig)
 		}
 		b.pairs = dst
 		ps = dst
@@ -437,9 +428,7 @@ func finalizeRun[K cmp.Ordered, V any](b *pairBatch[K, V], rank func(K) uint64, 
 }
 
 // reducerInput is one reducer's shuffled input: parallel key/value
-// slices, in merged key order on the pipeline path (contiguous key
-// groups) or raw arrival order on the legacy path (grouped
-// reduce-side).
+// slices in merged key order, so every key's values are contiguous.
 type reducerInput[K cmp.Ordered, V any] struct {
 	keys []K
 	vals []V
@@ -449,29 +438,13 @@ type reducerInput[K cmp.Ordered, V any] struct {
 // input: group g spans keys[starts[g]:starts[g+1]]. keys must be
 // non-empty and key-sorted.
 func groupStarts[K cmp.Ordered](keys []K, pool *BufferPool) []int {
-	starts := append(getInts(pool, 16), 0)
+	starts := append(getBuf[int](&pool.ints, 16), 0)
 	for i := 1; i < len(keys); i++ {
 		if keys[i] != keys[i-1] {
 			starts = append(starts, i)
 		}
 	}
 	return append(starts, len(keys))
-}
-
-// legacyGroups reproduces the pre-pipeline reduce-side grouping
-// exactly: map[K][]V bucketing in arrival order plus a sort over the
-// distinct keys. Only reachable under legacyGrouping.
-func legacyGroups[K cmp.Ordered, V any](in reducerInput[K, V]) (map[K][]V, []K) {
-	groups := make(map[K][]V, len(in.keys)/2+1)
-	for i, k := range in.keys {
-		groups[k] = append(groups[k], in.vals[i])
-	}
-	keys := make([]K, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(a, b int) bool { return cmp.Less(keys[a], keys[b]) })
-	return groups, keys
 }
 
 // Run executes the job on an in-memory input: RunSplits over slices of
@@ -507,9 +480,6 @@ func (j *Job[I, K, V, O]) RunSplits(n int, read func(lo, hi int, yield func(I) e
 	// DistConfig with NumWorkers == 1 takes the in-process path whole.
 	dist := cfg.Dist != nil && cfg.Dist.NumWorkers > 1
 	if dist {
-		if legacyGrouping {
-			return nil, nil, fmt.Errorf("mapreduce: job %q: distributed execution is incompatible with the legacy grouping path", cfg.Name)
-		}
 		if j.EncodePair == nil || j.DecodePair == nil {
 			return nil, nil, fmt.Errorf("mapreduce: job %q: distributed execution requires the EncodePair/DecodePair codec", cfg.Name)
 		}
@@ -544,11 +514,15 @@ func (j *Job[I, K, V, O]) RunSplits(n int, read func(lo, hi int, yield func(I) e
 		PairsPerReducer: make([]int64, cfg.NumReducers),
 	}
 	pool := cfg.Pool
+	if pool == nil {
+		// Private to this job and dropped with it, so nothing it recycled
+		// is ever handed out again after RunSplits returns.
+		pool = NewBufferPool()
+	}
 	// Spilling needs the pair codec to stage runs on disk and PairBytes
-	// to size the budget decision; the legacy reference path predates
-	// (and ignores) both pooling and spilling.
+	// to size the budget decision.
 	spilling := cfg.SpillBudget > 0 && j.EncodePair != nil && j.DecodePair != nil &&
-		j.PairBytes != nil && !legacyGrouping
+		j.PairBytes != nil
 	var spillSeq atomic.Int64 // attempt-unique scratch file names
 	ranker := keyRanker[K]()
 	start := time.Now()
@@ -604,7 +578,7 @@ func (j *Job[I, K, V, O]) RunSplits(n int, read func(lo, hi int, yield func(I) e
 					panic(fmt.Sprintf("mapreduce: job %q: partitioner sent key %v to reducer %d of %d", cfg.Name, k, r, cfg.NumReducers))
 				}
 				if out[r].pairs == nil {
-					out[r].pairs = getPairs[K, V](pool, 0)
+					out[r].pairs = getBuf[pair[K, V]](&pool.pairs, 0)
 				}
 				out[r].pairs = append(out[r].pairs, pair[K, V]{key: k, val: v})
 			}
@@ -612,7 +586,7 @@ func (j *Job[I, K, V, O]) RunSplits(n int, read func(lo, hi int, yield func(I) e
 			if d > 0 {
 				time.Sleep(d)
 			}
-			if a.err == nil && !legacyGrouping {
+			if a.err == nil {
 				// Sorting, combining and byte accounting run inside every
 				// attempt — including ones later discarded by fault
 				// injection or a lost speculative race, which crash after
@@ -798,85 +772,57 @@ func (j *Job[I, K, V, O]) RunSplits(n int, read func(lo, hi int, yield func(I) e
 	if j.PairBytes != nil {
 		bytesPerReducer = make([]int64, cfg.NumReducers)
 	}
-	if legacyGrouping {
-		// Pre-pipeline reference: serial concatenation in mapper order
-		// with a serial per-pair byte walk.
-		for r := 0; r < cfg.NumReducers; r++ {
-			var total int
-			for m := 0; m < nm; m++ {
-				total += len(batches[m][r].pairs)
-			}
-			keys := make([]K, 0, total)
-			vals := make([]V, 0, total)
-			for m := 0; m < nm; m++ {
-				for _, p := range batches[m][r].pairs {
-					keys = append(keys, p.key)
-					vals = append(vals, p.val)
-				}
-			}
-			rin[r] = reducerInput[K, V]{keys: keys, vals: vals}
-			stats.PairsPerReducer[r] = int64(total)
-			stats.IntermediatePairs += int64(total)
-			if j.PairBytes != nil {
-				for i := range keys {
-					bytesPerReducer[r] += int64(j.PairBytes(keys[i], vals[i]))
-				}
-				stats.IntermediateBytes += bytesPerReducer[r]
-			}
+	var shufErrs []error
+	if spilling {
+		shufErrs = make([]error, cfg.NumReducers)
+	}
+	runTasks(cfg.Parallelism, cfg.NumReducers, func(r int) {
+		if dist && !cfg.Dist.ownsReducer(r) {
+			// A remotely-owned reducer merges and reduces on its
+			// owner; its input, key count and outputs arrive through
+			// the reduce barrier.
+			return
 		}
-	} else {
-		var shufErrs []error
 		if spilling {
-			shufErrs = make([]error, cfg.NumReducers)
-		}
-		runTasks(cfg.Parallelism, cfg.NumReducers, func(r int) {
-			if dist && !cfg.Dist.ownsReducer(r) {
-				// A remotely-owned reducer merges and reduces on its
-				// owner; its input, key count and outputs arrive through
-				// the reduce barrier.
-				return
-			}
-			if spilling {
-				// Materialize this reducer's spilled runs just before
-				// they are merged, one reducer at a time, so peak memory
-				// stays bounded by the merge working set.
-				for m := 0; m < nm; m++ {
-					if batches[m][r].spill != "" {
-						if err := readSpill(&batches[m][r], cfg.SpillFS, j.DecodePair, pool); err != nil {
-							shufErrs[r] = err
-							return
-						}
+			// Materialize this reducer's spilled runs just before
+			// they are merged, one reducer at a time, so peak memory
+			// stays bounded by the merge working set.
+			for m := 0; m < nm; m++ {
+				if batches[m][r].spill != "" {
+					if err := readSpill(&batches[m][r], cfg.SpillFS, j.DecodePair, pool); err != nil {
+						shufErrs[r] = err
+						return
 					}
 				}
 			}
-			var total int
-			var nbytes int64
-			for m := 0; m < nm; m++ {
-				total += len(batches[m][r].pairs)
-				nbytes += batches[m][r].bytes
-			}
-			rin[r] = mergeRuns(batches, r, total, pool)
-			if bytesPerReducer != nil {
-				bytesPerReducer[r] = nbytes
-			}
-		})
-		for _, err := range shufErrs {
-			if err != nil {
-				discardSpills()
-				return nil, nil, err
-			}
 		}
-		for r := 0; r < cfg.NumReducers; r++ {
-			if dist && !cfg.Dist.ownsReducer(r) {
-				// Filled in by the reduce barrier from the owner's report.
-				continue
-			}
-			n := int64(len(rin[r].keys))
-			stats.PairsPerReducer[r] = n
-			stats.IntermediatePairs += n
-			if bytesPerReducer != nil {
-				stats.IntermediateBytes += bytesPerReducer[r]
-			}
+		var total int
+		var nbytes int64
+		for m := 0; m < nm; m++ {
+			total += len(batches[m][r].pairs)
+			nbytes += batches[m][r].bytes
+		}
+		rin[r] = mergeRuns(batches, r, total, pool)
+		if bytesPerReducer != nil {
+			bytesPerReducer[r] = nbytes
+		}
+	})
+	for _, err := range shufErrs {
+		if err != nil {
+			discardSpills()
+			return nil, nil, err
+		}
+	}
+	for r := 0; r < cfg.NumReducers; r++ {
+		if dist && !cfg.Dist.ownsReducer(r) {
+			// Filled in by the reduce barrier from the owner's report.
+			continue
+		}
+		n := int64(len(rin[r].keys))
+		stats.PairsPerReducer[r] = n
+		stats.IntermediatePairs += n
+		if bytesPerReducer != nil {
+			stats.IntermediateBytes += bytesPerReducer[r]
 		}
 	}
 	batches = nil
@@ -927,23 +873,11 @@ func (j *Job[I, K, V, O]) RunSplits(n int, read func(lo, hi int, yield func(I) e
 		// The merged run already holds each key's values contiguously
 		// in (mapper index, emit order); index its group boundaries
 		// once — the view is derived from the immutable shuffle output,
-		// so retried and speculative attempts reuse it. The legacy path
-		// instead rebuilds the pre-pipeline map[K][]V plus sorted
-		// distinct keys.
-		var starts []int
-		var lgroups map[K][]V
-		var lkeys []K
-		nkeys := 0
-		if legacyGrouping {
-			lgroups, lkeys = legacyGroups(in)
-			nkeys = len(lkeys)
-		} else {
-			starts = groupStarts(in.keys, pool)
-			// All attempts (retries and awaited speculative racers)
-			// share the immutable view; recycle once the task is done.
-			defer putInts(pool, starts)
-			nkeys = len(starts) - 1
-		}
+		// so retried and speculative attempts (awaited racers included)
+		// reuse it; recycle once the task is done.
+		starts := groupStarts(in.keys, pool)
+		defer putBuf(&pool.ints, starts)
+		nkeys := len(starts) - 1
 		var delay time.Duration
 		if cfg.SlowTask != nil && cfg.SlowTask("reduce", r) {
 			delay = cfg.StragglerDelay
@@ -956,21 +890,12 @@ func (j *Job[I, K, V, O]) RunSplits(n int, read func(lo, hi int, yield func(I) e
 			// An estimate, capped so a selective reducer wastes little.
 			out := make([]O, 0, min(len(in.keys)/2, 4096))
 			emit := func(o O) { out = append(out, o) }
-			if legacyGrouping {
-				for _, k := range lkeys {
-					if a.err = safeReduce(j.Reduce, k, lgroups[k], emit); a.err != nil {
-						a.err = fmt.Errorf("mapreduce: job %q: reducer %d key %v: %w", cfg.Name, r, k, a.err)
-						break
-					}
-				}
-			} else {
-				for g := 0; g+1 < len(starts); g++ {
-					glo, ghi := starts[g], starts[g+1]
-					k := in.keys[glo]
-					if a.err = safeReduce(j.Reduce, k, in.vals[glo:ghi:ghi], emit); a.err != nil {
-						a.err = fmt.Errorf("mapreduce: job %q: reducer %d key %v: %w", cfg.Name, r, k, a.err)
-						break
-					}
+			for g := 0; g+1 < len(starts); g++ {
+				glo, ghi := starts[g], starts[g+1]
+				k := in.keys[glo]
+				if a.err = safeReduce(j.Reduce, k, in.vals[glo:ghi:ghi], emit); a.err != nil {
+					a.err = fmt.Errorf("mapreduce: job %q: reducer %d key %v: %w", cfg.Name, r, k, a.err)
+					break
 				}
 			}
 			if d > 0 {
@@ -1016,11 +941,11 @@ func (j *Job[I, K, V, O]) RunSplits(n int, read func(lo, hi int, yield func(I) e
 	})
 	// The reduce phase — every retry and speculative racer included —
 	// has committed; the merged inputs are dead (outputs are freshly
-	// appended []O and Reduce must not retain the values slice when a
-	// pool is set), so the big key/value arrays recycle here.
+	// appended []O and Reduce must not retain the values slice of a job
+	// on a shared pool), so the big key/value arrays recycle here.
 	for r := range rin {
-		putKeys(pool, rin[r].keys)
-		putVals(pool, rin[r].vals)
+		putBuf(&pool.keys, rin[r].keys)
+		putBuf(&pool.vals, rin[r].vals)
 		rin[r] = reducerInput[K, V]{}
 	}
 	var redSpec int64

@@ -19,8 +19,7 @@ import "cmp"
 // Every run the merge consumes — the mappers' level-0 runs and the
 // tree's own intermediates — is dead the moment its two-run merge
 // completes, so it is returned to the pool right there; the final
-// key/value arrays come from the pool too. A nil pool allocates
-// exactly like before.
+// key/value arrays come from the pool too.
 func mergeRuns[K cmp.Ordered, V any](batches [][]pairBatch[K, V], r, total int, pool *BufferPool) reducerInput[K, V] {
 	if total == 0 {
 		return reducerInput[K, V]{}
@@ -43,14 +42,14 @@ func mergeRuns[K cmp.Ordered, V any](batches [][]pairBatch[K, V], r, total int, 
 		runs = half
 	}
 
-	keys := getKeys[K](pool, total)
-	vals := getVals[V](pool, total)
+	keys := getBuf[K](&pool.keys, total)
+	vals := getBuf[V](&pool.vals, total)
 	if len(runs) == 1 {
 		for i := range runs[0] {
 			keys = append(keys, runs[0][i].key)
 			vals = append(vals, runs[0][i].val)
 		}
-		putPairs(pool, runs[0])
+		putBuf(&pool.pairs, runs[0])
 		return reducerInput[K, V]{keys: keys, vals: vals}
 	}
 	// Final level writes straight into the key/value layout the reduce
@@ -76,15 +75,15 @@ func mergeRuns[K cmp.Ordered, V any](batches [][]pairBatch[K, V], r, total int, 
 		keys = append(keys, b[j].key)
 		vals = append(vals, b[j].val)
 	}
-	putPairs(pool, a)
-	putPairs(pool, b)
+	putBuf(&pool.pairs, a)
+	putBuf(&pool.pairs, b)
 	return reducerInput[K, V]{keys: keys, vals: vals}
 }
 
 // merge2 merges two key-sorted runs, preferring a on ties so earlier
 // mappers stay first. Both inputs are consumed and recycled.
 func merge2[K cmp.Ordered, V any](a, b []pair[K, V], pool *BufferPool) []pair[K, V] {
-	out := getPairs[K, V](pool, len(a)+len(b))
+	out := getBuf[pair[K, V]](&pool.pairs, len(a)+len(b))
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		if cmp.Compare(a[i].key, b[j].key) <= 0 {
@@ -97,7 +96,7 @@ func merge2[K cmp.Ordered, V any](a, b []pair[K, V], pool *BufferPool) []pair[K,
 	}
 	out = append(out, a[i:]...)
 	out = append(out, b[j:]...)
-	putPairs(pool, a)
-	putPairs(pool, b)
+	putBuf(&pool.pairs, a)
+	putBuf(&pool.pairs, b)
 	return out
 }

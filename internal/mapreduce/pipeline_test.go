@@ -1,12 +1,15 @@
 package mapreduce
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"mwsjoin/internal/dfs"
 	"mwsjoin/internal/trace"
 )
 
@@ -57,41 +60,138 @@ func spanSummary(tr *trace.Tracer) []string {
 	return out
 }
 
-// TestPipelineEquivalence is the PR's core property: outputs, Stats
-// (including PairsPerReducer and IntermediateBytes), and trace-span
-// totals are bit-identical across Parallelism ∈ {1, 2, 8} and
-// old-vs-new grouping, with and without simultaneous map+reduce fault
-// injection.
+// referenceRun states the engine's contract directly, serially and
+// without the engine's data structures — it is the oracle the shuffle
+// is tested against. Mapper m of nm = min(NumMappers, n) reads the split
+// [n·m/nm, n·(m+1)/nm); a pair goes to reducer Partition(key); Combine
+// sees each (mapper, reducer) run one key group at a time; reducers run
+// in index order, each over its keys ascending, a key's values in
+// (mapper, emit) order. Only the fields that contract determines are
+// filled in: attempt counters and walls depend on the fault schedule.
+func referenceRun[I any, K cmp.Ordered, V any, O any](t *testing.T, j *Job[I, K, V, O], input []I) ([]O, *Stats) {
+	t.Helper()
+	n, nr := len(input), j.Config.NumReducers
+	nm := min(j.Config.NumMappers, n)
+	partition := j.Partition
+	if partition == nil {
+		partition = DefaultPartition[K]
+	}
+	st := &Stats{Job: j.Config.Name, MapInputRecords: int64(n), PairsPerReducer: make([]int64, nr)}
+	groups := make([]map[K][]V, nr)
+	for r := range groups {
+		groups[r] = map[K][]V{}
+	}
+	for m := 0; m < nm; m++ {
+		runs := make([]map[K][]V, nr)
+		for r := range runs {
+			runs[r] = map[K][]V{}
+		}
+		for _, in := range input[n*m/nm : n*(m+1)/nm] {
+			if err := j.Map(in, func(k K, v V) { r := partition(k, nr); runs[r][k] = append(runs[r][k], v) }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for r, run := range runs {
+			for _, k := range sortedKeys(run) {
+				vs := run[k]
+				if j.Combine != nil {
+					st.CombineInputPairs += int64(len(vs))
+					vs = slices.Clone(j.Combine(k, slices.Clone(vs)))
+					st.CombineOutputPairs += int64(len(vs))
+				}
+				groups[r][k] = append(groups[r][k], vs...)
+				st.PairsPerReducer[r] += int64(len(vs))
+				st.IntermediatePairs += int64(len(vs))
+				for _, v := range vs {
+					if j.PairBytes != nil {
+						st.IntermediateBytes += int64(j.PairBytes(k, v))
+					}
+				}
+			}
+		}
+	}
+	var out []O
+	for r := range groups {
+		for _, k := range sortedKeys(groups[r]) {
+			st.ReduceInputKeys++
+			if err := j.Reduce(k, groups[r][k], func(o O) { out = append(out, o) }); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	st.ReduceOutputRecords = int64(len(out))
+	return out, st
+}
+
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+// contractStats keeps the Stats fields referenceRun determines.
+func contractStats(s *Stats) Stats {
+	return Stats{
+		Job: s.Job, MapInputRecords: s.MapInputRecords,
+		IntermediatePairs: s.IntermediatePairs, IntermediateBytes: s.IntermediateBytes,
+		PairsPerReducer: s.PairsPerReducer, ReduceInputKeys: s.ReduceInputKeys,
+		ReduceOutputRecords: s.ReduceOutputRecords,
+		CombineInputPairs:   s.CombineInputPairs, CombineOutputPairs: s.CombineOutputPairs,
+	}
+}
+
+// TestPipelineEquivalence is the shuffle's core property: outputs and
+// the contract Stats (including PairsPerReducer and IntermediateBytes)
+// equal referenceRun's, and full Stats and trace-span totals are
+// bit-identical across Parallelism ∈ {1, 2, 8}, with and without
+// simultaneous map+reduce fault injection — for the plain sorted-run
+// shuffle, with a Combine hook, and with every run spilled.
 func TestPipelineEquivalence(t *testing.T) {
-	for _, inject := range []bool{false, true} {
-		var refOut []string
-		var refStats *Stats
-		var refSpans []string
-		for _, legacy := range []bool{false, true} {
+	codec := spillTestJob(Config{})
+	for _, shape := range []string{"plain", "combine", "spill"} {
+		for _, inject := range []bool{false, true} {
+			var refStats *Stats
+			var refSpans []string
 			for _, par := range []int{1, 2, 8} {
-				name := fmt.Sprintf("inject=%v/legacy=%v/par=%d", inject, legacy, par)
-				legacyGrouping = legacy
+				name := fmt.Sprintf("%s/inject=%v/par=%d", shape, inject, par)
 				job, input := pipelineJob(par, inject)
+				fs := dfs.New(0)
+				switch shape {
+				case "combine":
+					job.Combine = sumCombine
+				case "spill":
+					job.Config.SpillBudget, job.Config.SpillFS = 1, fs
+					job.EncodePair, job.DecodePair = codec.EncodePair, codec.DecodePair
+				}
 				tr := trace.New()
 				job.Config.Tracer = tr
 				out, stats, err := job.Run(input)
-				legacyGrouping = false
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
+				}
+				if shape == "spill" && (stats.SpilledRuns == 0 || len(fs.List()) != 0) {
+					t.Errorf("%s: %d spilled runs, scratch left %v", name, stats.SpilledRuns, fs.List())
+				}
+				wantOut, wantStats := referenceRun(t, job, input)
+				if !reflect.DeepEqual(out, wantOut) {
+					t.Errorf("%s: outputs differ from the reference\n got %v\nwant %v", name, out, wantOut)
+				}
+				if got := contractStats(stats); !reflect.DeepEqual(got, *wantStats) {
+					t.Errorf("%s: stats differ from the reference\n got %+v\nwant %+v", name, got, *wantStats)
 				}
 				// Wall-clock fields can never be identical; zero them
 				// before comparing.
 				stats.MapWall, stats.ReduceWall, stats.TotalWall = 0, 0, 0
 				spans := spanSummary(tr)
 				if refStats == nil {
-					refOut, refStats, refSpans = out, stats, spans
+					refStats, refSpans = stats, spans
 					continue
 				}
-				if !reflect.DeepEqual(out, refOut) {
-					t.Errorf("%s: outputs differ\n got %v\nwant %v", name, out, refOut)
-				}
 				if !reflect.DeepEqual(stats, refStats) {
-					t.Errorf("%s: stats differ\n got %+v\nwant %+v", name, stats, refStats)
+					t.Errorf("%s: stats differ across parallelism\n got %+v\nwant %+v", name, stats, refStats)
 				}
 				if !reflect.DeepEqual(spans, refSpans) {
 					t.Errorf("%s: trace spans differ\n got %v\nwant %v", name, spans, refSpans)
@@ -101,10 +201,9 @@ func TestPipelineEquivalence(t *testing.T) {
 	}
 }
 
-// TestMergeMatchesLegacyRandom fuzzes the sorted-run merge against the
-// legacy grouping across random workloads and key types, including
-// string keys, which exercise the comparison-sort fallback instead of
-// the radix ranker.
+// TestMergeMatchesLegacyRandom fuzzes the sorted-run merge against
+// referenceRun across random workloads with string keys, which exercise
+// the comparison-sort fallback instead of the radix ranker.
 func TestMergeMatchesLegacyRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 30; trial++ {
@@ -116,43 +215,36 @@ func TestMergeMatchesLegacyRandom(t *testing.T) {
 		for i := range input {
 			input[i] = rng.Int63n(1 << 30)
 		}
-		run := func(legacy bool) ([]string, *Stats) {
-			legacyGrouping = legacy
-			defer func() { legacyGrouping = false }()
-			job := &Job[int64, string, int64, string]{
-				Config: Config{Name: "fuzz", NumReducers: reducers, NumMappers: mappers, Parallelism: 4},
-				Map: func(x int64, emit func(string, int64)) error {
-					emit(fmt.Sprintf("k%02d", x%int64(keyspace)), x)
-					if x%3 == 0 {
-						emit(fmt.Sprintf("k%02d", (x/7)%int64(keyspace)), -x)
-					}
-					return nil
-				},
-				Reduce: func(k string, vs []int64, emit func(string)) error {
-					var sb strings.Builder
-					fmt.Fprintf(&sb, "%s=", k)
-					for _, v := range vs {
-						fmt.Fprintf(&sb, "%d,", v)
-					}
-					emit(sb.String())
-					return nil
-				},
-				PairBytes: func(k string, v int64) int { return len(k) + 8 },
-			}
-			out, stats, err := job.Run(input)
-			if err != nil {
-				t.Fatalf("trial %d: %v", trial, err)
-			}
-			stats.MapWall, stats.ReduceWall, stats.TotalWall = 0, 0, 0
-			return out, stats
+		job := &Job[int64, string, int64, string]{
+			Config: Config{Name: "fuzz", NumReducers: reducers, NumMappers: mappers, Parallelism: 4},
+			Map: func(x int64, emit func(string, int64)) error {
+				emit(fmt.Sprintf("k%02d", x%int64(keyspace)), x)
+				if x%3 == 0 {
+					emit(fmt.Sprintf("k%02d", (x/7)%int64(keyspace)), -x)
+				}
+				return nil
+			},
+			Reduce: func(k string, vs []int64, emit func(string)) error {
+				var sb strings.Builder
+				fmt.Fprintf(&sb, "%s=", k)
+				for _, v := range vs {
+					fmt.Fprintf(&sb, "%d,", v)
+				}
+				emit(sb.String())
+				return nil
+			},
+			PairBytes: func(k string, v int64) int { return len(k) + 8 },
 		}
-		gotOut, gotStats := run(false)
-		wantOut, wantStats := run(true)
+		gotOut, gotStats, err := job.Run(input)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		wantOut, wantStats := referenceRun(t, job, input)
 		if !reflect.DeepEqual(gotOut, wantOut) {
 			t.Fatalf("trial %d: outputs differ\n got %v\nwant %v", trial, gotOut, wantOut)
 		}
-		if !reflect.DeepEqual(gotStats, wantStats) {
-			t.Fatalf("trial %d: stats differ\n got %+v\nwant %+v", trial, gotStats, wantStats)
+		if got := contractStats(gotStats); !reflect.DeepEqual(got, *wantStats) {
+			t.Fatalf("trial %d: stats differ\n got %+v\nwant %+v", trial, got, *wantStats)
 		}
 	}
 }
@@ -264,71 +356,24 @@ func TestCombinerDropAndExpand(t *testing.T) {
 	}
 }
 
-// TestCombinerDeterminismAndTrace runs a combiner job across
-// parallelism settings under fault injection: outputs, combine stats
-// and the combine_in/combine_out trace counters must be identical, and
-// a discarded map attempt's combine accounting must be discarded with
-// it.
+// TestCombinerDeterminismAndTrace: under fault injection a combiner's
+// accounting covers committed map attempts only and is what the shuffle
+// then moves, and the job span exposes it. (Determinism across
+// parallelism is TestPipelineEquivalence's combine shape.)
 func TestCombinerDeterminismAndTrace(t *testing.T) {
-	var refStats *Stats
-	var refSpans []string
-	var refOut []string
-	for _, par := range []int{1, 2, 8} {
-		job, input := pipelineJob(par, true)
-		job.Combine = func(k int64, vs []int64) []int64 {
-			var sum int64
-			for _, v := range vs {
-				sum += v
-			}
-			vs[0] = sum
-			return vs[:1]
-		}
-		// The sum reduce is combiner-compatible, but len(vs) is not:
-		// re-state the reducer in terms of sums only.
-		job.Reduce = func(k int64, vs []int64, emit func(string)) error {
-			var sum int64
-			for _, v := range vs {
-				sum += v
-			}
-			emit(fmt.Sprintf("%d:%d", k, sum))
-			return nil
-		}
-		tr := trace.New()
-		job.Config.Tracer = tr
-		out, stats, err := job.Run(input)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stats.CombineInputPairs <= stats.CombineOutputPairs {
-			t.Errorf("par=%d: combiner did not shrink: in=%d out=%d", par, stats.CombineInputPairs, stats.CombineOutputPairs)
-		}
-		if stats.IntermediatePairs != stats.CombineOutputPairs {
-			t.Errorf("par=%d: IntermediatePairs = %d, want CombineOutputPairs %d", par, stats.IntermediatePairs, stats.CombineOutputPairs)
-		}
-		stats.MapWall, stats.ReduceWall, stats.TotalWall = 0, 0, 0
-		spans := spanSummary(tr)
-		if refStats == nil {
-			refOut, refStats, refSpans = out, stats, spans
-			continue
-		}
-		if !reflect.DeepEqual(out, refOut) {
-			t.Errorf("par=%d: outputs differ", par)
-		}
-		if !reflect.DeepEqual(stats, refStats) {
-			t.Errorf("par=%d: stats differ\n got %+v\nwant %+v", par, stats, refStats)
-		}
-		if !reflect.DeepEqual(spans, refSpans) {
-			t.Errorf("par=%d: trace spans differ", par)
-		}
-	}
-	// The job span must expose the combine counters.
+	job, input := pipelineJob(2, true)
+	job.Combine = sumCombine
 	tr := trace.New()
-	job, input := pipelineJob(1, false)
-	job.Combine = func(k int64, vs []int64) []int64 { return vs }
 	job.Config.Tracer = tr
 	_, stats, err := job.Run(input)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if stats.CombineInputPairs <= stats.CombineOutputPairs {
+		t.Errorf("combiner did not shrink: in=%d out=%d", stats.CombineInputPairs, stats.CombineOutputPairs)
+	}
+	if stats.IntermediatePairs != stats.CombineOutputPairs {
+		t.Errorf("IntermediatePairs = %d, want CombineOutputPairs %d", stats.IntermediatePairs, stats.CombineOutputPairs)
 	}
 	jobSpans := tr.Find(trace.KindJob, "prop")
 	if len(jobSpans) != 1 {
@@ -361,7 +406,7 @@ func TestRadixMatchesComparisonSort(t *testing.T) {
 		want := make([]pair[int64, int64], n)
 		copy(want, ps)
 		slicesStableByKey(want)
-		got := radixSortPairs(ps, rank, nil)
+		got := radixSortPairs(ps, rank, NewBufferPool())
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d (n=%d span=%d): radix order differs", trial, n, span)
 		}

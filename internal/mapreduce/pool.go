@@ -11,8 +11,8 @@ import (
 // scratch, merge-tree intermediates, group-boundary indexes, and the
 // merged per-reducer key/value slices. At paper scale those buffers
 // dominate the allocation profile — a pool turns the per-job churn
-// into a handful of steady-state arrays. Pass one via Config.Pool;
-// the same pool may (and should) serve every job of an execution.
+// into a handful of steady-state arrays. Every job runs on one; pass a
+// shared pool via Config.Pool so it serves every job of an execution.
 //
 // Lifecycle rules (DESIGN.md §4g):
 //
@@ -24,7 +24,7 @@ import (
 //     re-read, and reducer inputs after the whole reduce phase — every
 //     retry and backup attempt included — has committed.
 //   - Recycled buffers never alias committed output: reducer outputs
-//     are freshly appended []O slices, and when a pool is set Reduce
+//     are freshly appended []O slices, and on a shared pool Reduce
 //     implementations must not retain the values slice (or subslices
 //     of it) after returning — copy what they keep, which every
 //     reducer in this repository already does.
@@ -47,8 +47,8 @@ import (
 // mutex-guarded stacks are safe, and each list is bounded so a one-off
 // giant job cannot pin its scratch forever.
 //
-// A nil *BufferPool is valid everywhere and allocates exactly like the
-// pool-free engine. BufferPool is safe for concurrent use.
+// BufferPool is safe for concurrent use. A job whose Config.Pool is nil
+// runs on a private pool of its own.
 type BufferPool struct {
 	pairs freeList // *[]pair[K, V]
 	keys  freeList // *[]K
@@ -65,7 +65,7 @@ type BufferPool struct {
 const maxPoolItems = 2048
 
 // freeList is a bounded LIFO of boxed slices. Get returns nil when
-// empty; the caller type-asserts and falls back to allocation. Each
+// empty; getBuf type-asserts and falls back to allocation. Each
 // entry carries the identity of its backing array so Put can reject a
 // buffer the list already holds (a double-Put would otherwise make two
 // later Gets alias the same memory).
@@ -118,125 +118,33 @@ func bufID[T any](s []T) uintptr {
 // NewBufferPool returns an empty pool.
 func NewBufferPool() *BufferPool { return &BufferPool{} }
 
-// getPairs returns an empty pair slice for appending, recycled when
-// the pool has one of the right type (whatever its capacity — the pool
-// converges to the workload's run sizes), freshly allocated with the
-// given capacity otherwise.
-func getPairs[K cmp.Ordered, V any](p *BufferPool, capacity int) []pair[K, V] {
-	if p != nil {
-		if v, ok := p.pairs.Get().(*[]pair[K, V]); ok && v != nil {
-			return (*v)[:0]
-		}
+// getBuf returns an empty slice for appending: the buffer f recycles if
+// it holds one of element type T (whatever its capacity — the pool
+// converges to the workload's run sizes), a fresh one of the given
+// capacity otherwise.
+func getBuf[T any](f *freeList, capacity int) []T {
+	if v, ok := f.Get().(*[]T); ok {
+		return (*v)[:0]
 	}
-	return make([]pair[K, V], 0, capacity)
+	return make([]T, 0, capacity)
 }
 
-// getPairsLen returns a pair slice of length n for indexed writes.
-func getPairsLen[K cmp.Ordered, V any](p *BufferPool, n int) []pair[K, V] {
-	if p != nil {
-		if v, ok := p.pairs.Get().(*[]pair[K, V]); ok && v != nil && cap(*v) >= n {
-			return (*v)[:n]
-		}
+// getBufLen returns a length-n slice for indexed writes; its contents
+// are arbitrary.
+func getBufLen[T any](f *freeList, n int) []T {
+	if v, ok := f.Get().(*[]T); ok && cap(*v) >= n {
+		return (*v)[:n]
 	}
-	return make([]pair[K, V], n)
+	return make([]T, n)
 }
 
-func putPairs[K cmp.Ordered, V any](p *BufferPool, s []pair[K, V]) {
-	if p == nil || cap(s) == 0 {
+// putBuf hands s back to f. The caller must hold the only reference.
+func putBuf[T any](f *freeList, s []T) {
+	if cap(s) == 0 {
 		return
 	}
 	s = s[:0]
-	p.pairs.Put(bufID(s), &s)
-}
-
-func getKeys[K cmp.Ordered](p *BufferPool, capacity int) []K {
-	if p != nil {
-		if v, ok := p.keys.Get().(*[]K); ok && v != nil {
-			return (*v)[:0]
-		}
-	}
-	return make([]K, 0, capacity)
-}
-
-func putKeys[K cmp.Ordered](p *BufferPool, s []K) {
-	if p == nil || cap(s) == 0 {
-		return
-	}
-	s = s[:0]
-	p.keys.Put(bufID(s), &s)
-}
-
-func getVals[V any](p *BufferPool, capacity int) []V {
-	if p != nil {
-		if v, ok := p.vals.Get().(*[]V); ok && v != nil {
-			return (*v)[:0]
-		}
-	}
-	return make([]V, 0, capacity)
-}
-
-func putVals[V any](p *BufferPool, s []V) {
-	if p == nil || cap(s) == 0 {
-		return
-	}
-	s = s[:0]
-	p.vals.Put(bufID(s), &s)
-}
-
-// getU64s returns a length-n scratch slice; contents are arbitrary.
-func getU64s(p *BufferPool, n int) []uint64 {
-	if p != nil {
-		if v, ok := p.u64s.Get().(*[]uint64); ok && v != nil && cap(*v) >= n {
-			return (*v)[:n]
-		}
-	}
-	return make([]uint64, n)
-}
-
-func putU64s(p *BufferPool, s []uint64) {
-	if p == nil || cap(s) == 0 {
-		return
-	}
-	s = s[:0]
-	p.u64s.Put(bufID(s), &s)
-}
-
-// getU32sZero returns a length-n scratch slice with every element
-// zeroed (the radix counting pass requires clean counters).
-func getU32sZero(p *BufferPool, n int) []uint32 {
-	if p != nil {
-		if v, ok := p.u32s.Get().(*[]uint32); ok && v != nil && cap(*v) >= n {
-			s := (*v)[:n]
-			clear(s)
-			return s
-		}
-	}
-	return make([]uint32, n)
-}
-
-func putU32s(p *BufferPool, s []uint32) {
-	if p == nil || cap(s) == 0 {
-		return
-	}
-	s = s[:0]
-	p.u32s.Put(bufID(s), &s)
-}
-
-func getInts(p *BufferPool, capacity int) []int {
-	if p != nil {
-		if v, ok := p.ints.Get().(*[]int); ok && v != nil {
-			return (*v)[:0]
-		}
-	}
-	return make([]int, 0, capacity)
-}
-
-func putInts(p *BufferPool, s []int) {
-	if p == nil || cap(s) == 0 {
-		return
-	}
-	s = s[:0]
-	p.ints.Put(bufID(s), &s)
+	f.Put(bufID(s), &s)
 }
 
 // recycleBatches returns a discarded attempt's run buffers to the pool
@@ -245,7 +153,7 @@ func putInts(p *BufferPool, s []int) {
 // returned), so the engine holds the only reference.
 func recycleBatches[K cmp.Ordered, V any](p *BufferPool, fs spillStore, batches []pairBatch[K, V]) {
 	for r := range batches {
-		putPairs(p, batches[r].pairs)
+		putBuf(&p.pairs, batches[r].pairs)
 		batches[r].pairs = nil
 		if batches[r].spill != "" {
 			fs.Delete(batches[r].spill)

@@ -18,12 +18,12 @@ import (
 func TestPoolDoublePutNoAlias(t *testing.T) {
 	p := NewBufferPool()
 	buf := make([]pair[int64, int64], 0, 64)
-	putPairs(p, buf)
-	putPairs(p, buf)
-	putPairs(p, buf[:0]) // reslicing does not change identity either
+	putBuf(&p.pairs, buf)
+	putBuf(&p.pairs, buf)
+	putBuf(&p.pairs, buf[:0]) // reslicing does not change identity either
 
-	a := getPairs[int64, int64](p, 8)
-	b := getPairs[int64, int64](p, 8)
+	a := getBuf[pair[int64, int64]](&p.pairs, 8)
+	b := getBuf[pair[int64, int64]](&p.pairs, 8)
 	if unsafe.SliceData(a) != unsafe.SliceData(buf) {
 		t.Fatal("first Get did not return the recycled buffer")
 	}
@@ -39,8 +39,8 @@ func TestPoolDoublePutNoAlias(t *testing.T) {
 	}
 
 	// Once the buffer is back out, putting it again is legitimate reuse.
-	putPairs(p, a)
-	if c := getPairs[int64, int64](p, 8); unsafe.SliceData(c) != unsafe.SliceData(a) {
+	putBuf(&p.pairs, a)
+	if c := getBuf[pair[int64, int64]](&p.pairs, 8); unsafe.SliceData(c) != unsafe.SliceData(a) {
 		t.Error("re-put after Get was dropped — duplicate tracking leaked")
 	}
 }
@@ -48,45 +48,16 @@ func TestPoolDoublePutNoAlias(t *testing.T) {
 // TestPoolDoublePutAllKinds covers every free list, not just pairs.
 func TestPoolDoublePutAllKinds(t *testing.T) {
 	p := NewBufferPool()
-
-	ks := make([]int64, 0, 16)
-	putKeys(p, ks)
-	putKeys(p, ks)
-	getKeys[int64](p, 1)
-	if got := getKeys[int64](p, 1); unsafe.SliceData(got) == unsafe.SliceData(ks) {
-		t.Error("keys: double-put retained twice")
-	}
-
-	vs := make([]int64, 0, 16)
-	putVals(p, vs)
-	putVals(p, vs)
-	getVals[int64](p, 1)
-	if got := getVals[int64](p, 1); unsafe.SliceData(got) == unsafe.SliceData(vs) {
-		t.Error("vals: double-put retained twice")
-	}
-
-	u64 := make([]uint64, 16)
-	putU64s(p, u64)
-	putU64s(p, u64)
-	getU64s(p, 16)
-	if got := getU64s(p, 16); unsafe.SliceData(got) == unsafe.SliceData(u64) {
-		t.Error("u64s: double-put retained twice")
-	}
-
-	u32 := make([]uint32, 16)
-	putU32s(p, u32)
-	putU32s(p, u32)
-	getU32sZero(p, 16)
-	if got := getU32sZero(p, 16); unsafe.SliceData(got) == unsafe.SliceData(u32) {
-		t.Error("u32s: double-put retained twice")
-	}
-
-	is := make([]int, 0, 16)
-	putInts(p, is)
-	putInts(p, is)
-	getInts(p, 1)
-	if got := getInts(p, 1); unsafe.SliceData(got) == unsafe.SliceData(is) {
-		t.Error("ints: double-put retained twice")
+	for name, f := range map[string]*freeList{
+		"keys": &p.keys, "vals": &p.vals, "u64s": &p.u64s, "u32s": &p.u32s, "ints": &p.ints,
+	} {
+		buf := make([]int64, 16)
+		putBuf(f, buf)
+		putBuf(f, buf)
+		getBufLen[int64](f, 16)
+		if got := getBufLen[int64](f, 16); unsafe.SliceData(got) == unsafe.SliceData(buf) {
+			t.Errorf("%s: double-put retained twice", name)
+		}
 	}
 }
 
@@ -96,23 +67,23 @@ func TestPoolDoublePutAllKinds(t *testing.T) {
 func poisonPool(p *BufferPool) {
 	for _, capn := range []int{8, 64, 512} {
 		prs := make([]pair[int64, int64], 0, capn)
-		putPairs(p, prs)
-		putPairs(p, prs)
+		putBuf(&p.pairs, prs)
+		putBuf(&p.pairs, prs)
 		ks := make([]int64, 0, capn)
-		putKeys(p, ks)
-		putKeys(p, ks)
+		putBuf(&p.keys, ks)
+		putBuf(&p.keys, ks)
 		vs := make([]int64, 0, capn)
-		putVals(p, vs)
-		putVals(p, vs)
+		putBuf(&p.vals, vs)
+		putBuf(&p.vals, vs)
 		u64 := make([]uint64, capn)
-		putU64s(p, u64)
-		putU64s(p, u64)
+		putBuf(&p.u64s, u64)
+		putBuf(&p.u64s, u64)
 		u32 := make([]uint32, capn)
-		putU32s(p, u32)
-		putU32s(p, u32)
+		putBuf(&p.u32s, u32)
+		putBuf(&p.u32s, u32)
 		is := make([]int, 0, capn)
-		putInts(p, is)
-		putInts(p, is)
+		putBuf(&p.ints, is)
+		putBuf(&p.ints, is)
 	}
 }
 

@@ -74,7 +74,7 @@ func radixSortPairs[K cmp.Ordered, V any](ps []pair[K, V], rank func(K) uint64, 
 	if n < 2 {
 		return ps
 	}
-	ranks := getU64s(pool, n)
+	ranks := getBufLen[uint64](&pool.u64s, n)
 	lo, hi := rank(ps[0].key), rank(ps[0].key)
 	sorted := true
 	for i := range ps {
@@ -91,7 +91,7 @@ func radixSortPairs[K cmp.Ordered, V any](ps []pair[K, V], rank func(K) uint64, 
 		}
 	}
 	if sorted {
-		putU64s(pool, ranks)
+		putBuf(&pool.u64s, ranks)
 		return ps
 	}
 	span := hi - lo
@@ -102,9 +102,9 @@ func radixSortPairs[K cmp.Ordered, V any](ps []pair[K, V], rank func(K) uint64, 
 	width := (nbits + passes - 1) / passes
 	mask := uint64(1)<<width - 1
 
-	tmp := getPairsLen[K, V](pool, n)
-	tmpRanks := getU64s(pool, n)
-	counts := getU32sZero(pool, 1<<width)
+	tmp := getBufLen[pair[K, V]](&pool.pairs, n)
+	tmpRanks := getBufLen[uint64](&pool.u64s, n)
+	counts := getBufLen[uint32](&pool.u32s, 1<<width)
 	for p := 0; p < passes; p++ {
 		shift := p * width
 		clear(counts)
@@ -127,9 +127,9 @@ func radixSortPairs[K cmp.Ordered, V any](ps []pair[K, V], rank func(K) uint64, 
 		ranks, tmpRanks = tmpRanks, ranks
 	}
 	// After the swaps, tmp is whichever buffer does not hold the result.
-	putPairs(pool, tmp)
-	putU64s(pool, ranks)
-	putU64s(pool, tmpRanks)
-	putU32s(pool, counts)
+	putBuf(&pool.pairs, tmp)
+	putBuf(&pool.u64s, ranks)
+	putBuf(&pool.u64s, tmpRanks)
+	putBuf(&pool.u32s, counts)
 	return ps
 }

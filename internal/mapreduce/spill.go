@@ -42,14 +42,14 @@ func spillBatch[K cmp.Ordered, V any](b *pairBatch[K, V], fs spillStore, name st
 	b.spill = name
 	b.spillBytes = bytes
 	b.n = len(b.pairs)
-	putPairs(pool, b.pairs)
+	putBuf(&pool.pairs, b.pairs)
 	b.pairs = nil
 }
 
 // readSpill materializes a spilled run back into memory for the merge
 // and deletes the scratch file — each run is read exactly once.
 func readSpill[K cmp.Ordered, V any](b *pairBatch[K, V], fs spillStore, decode func([]byte) (K, V, error), pool *BufferPool) error {
-	ps := getPairs[K, V](pool, b.n)
+	ps := getBuf[pair[K, V]](&pool.pairs, b.n)
 	name := b.spill
 	err := fs.Scan(name, func(rec []byte) error {
 		k, v, err := decode(rec)
@@ -62,7 +62,7 @@ func readSpill[K cmp.Ordered, V any](b *pairBatch[K, V], fs spillStore, decode f
 	_ = fs.Delete(name) // consumed (or poisoned) either way
 	b.spill = ""
 	if err != nil {
-		putPairs(pool, ps)
+		putBuf(&pool.pairs, ps)
 		return err
 	}
 	b.pairs = ps

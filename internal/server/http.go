@@ -30,13 +30,20 @@ import (
 // any of those paths refreshes the server_uptime_seconds gauge. Errors
 // are JSON envelopes {"error": {"code", "message"}}: 400 for malformed
 // requests, 404 for unknown jobs, 409 for state conflicts (no result
-// yet, no profile yet, cancel after finish), 429 with Retry-After for
-// admission rejections, 503 when draining.
+// yet, no profile yet, cancel after finish), 413 for a submit body over
+// maxSubmitBytes, 429 with Retry-After for admission rejections, 503
+// when draining.
 func NewHandler(s *Server, reg *metrics.Registry) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		var req SubmitRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes)).Decode(&req); err != nil {
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				writeError(w, http.StatusRequestEntityTooLarge, "body_too_large",
+					"request body exceeds "+strconv.FormatInt(tooLarge.Limit, 10)+" bytes")
+				return
+			}
 			writeError(w, http.StatusBadRequest, "bad_request", "invalid JSON body: "+err.Error())
 			return
 		}
@@ -137,6 +144,11 @@ func NewHandler(s *Server, reg *metrics.Registry) http.Handler {
 	}
 	return mux
 }
+
+// maxSubmitBytes bounds the body of POST /v1/jobs. A SubmitRequest is a
+// query text and a few scalars — relations are named, never shipped —
+// so 1 MiB is three orders above any the repository builds.
+const maxSubmitBytes = 1 << 20
 
 // errorBody is the JSON error envelope.
 type errorBody struct {

@@ -302,3 +302,31 @@ func TestHTTPObservabilityEndpoints(t *testing.T) {
 		}
 	}
 }
+
+// TestHTTPSubmitBodyBound: POST /v1/jobs reads at most maxSubmitBytes of
+// body and answers a longer one 413 in the server's error envelope,
+// without submitting anything.
+func TestHTTPSubmitBodyBound(t *testing.T) {
+	s, _ := newTestServer(t, Config{Workers: 1})
+	h := NewHandler(s, nil)
+	post := func(body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/jobs", strings.NewReader(body)))
+		return rec
+	}
+	huge := `{"query": "` + strings.Repeat("A", maxSubmitBytes) + `"}`
+	rec := post(huge)
+	var body errorBody
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+		t.Fatalf("413 body is not the error envelope: %v: %s", err, rec.Body.Bytes())
+	}
+	if rec.Code != http.StatusRequestEntityTooLarge || body.Error.Code != "body_too_large" {
+		t.Errorf("oversized submit = %d %q, want 413 body_too_large", rec.Code, body.Error.Code)
+	}
+	if n := len(s.Jobs()); n != 0 {
+		t.Errorf("oversized submit left %d jobs behind", n)
+	}
+	if rec := post(`{"query": "A ov B and B ov C", "method": "c-rep-l"}`); rec.Code != http.StatusAccepted {
+		t.Errorf("ordinary submit after it = %d, want 202: %s", rec.Code, rec.Body.Bytes())
+	}
+}

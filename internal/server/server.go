@@ -89,10 +89,6 @@ type Config struct {
 	// Parallelism bounds each job's concurrent map/reduce tasks
 	// (mapreduce.Config.Parallelism); 0 uses the engine default.
 	Parallelism int
-	// Columnar stages each job's relations in the simulated DFS's
-	// columnar MBB storage (spatial.Config.Columnar). Results, Stats and
-	// cached entries are bit-identical either way.
-	Columnar bool
 	// SpillBudget, when positive, bounds each mapper's in-memory sorted
 	// runs per job (spatial.Config.SpillBudget); over-budget runs spill
 	// to uncharged local scratch with bit-identical results.
@@ -753,7 +749,6 @@ func (s *Server) runJob(j *Job) {
 			Parallelism:    s.cfg.Parallelism,
 			OptimizeOrder:  j.optimizeOrder,
 			NoCombiner:     j.noCombiner,
-			Columnar:       s.cfg.Columnar,
 			SpillBudget:    s.cfg.SpillBudget,
 		})
 		var rr *cluster.RunResult
@@ -764,7 +759,6 @@ func (s *Server) runJob(j *Job) {
 		cfg := spatial.Config{
 			Part:          j.part,
 			Parallelism:   s.cfg.Parallelism,
-			Columnar:      s.cfg.Columnar,
 			SpillBudget:   s.cfg.SpillBudget,
 			OptimizeOrder: j.optimizeOrder,
 			NoCombiner:    j.noCombiner,

@@ -354,6 +354,9 @@ func TestCancelQueued(t *testing.T) {
 		}
 	})
 	blocker := submit(t, s, SubmitRequest{Query: "A ov B and B ov C", Method: "c-rep-l"})
+	// The queue orders equal priorities by predicted cost, so the cheaper
+	// victim would overtake a blocker the worker has not claimed yet.
+	waitState(t, s, blocker.ID, StateRunning)
 	victim := submit(t, s, SubmitRequest{Query: "A ov B", Method: "2-way-cascade"})
 
 	st, err := s.Cancel(victim.ID)

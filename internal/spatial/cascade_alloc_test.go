@@ -28,7 +28,7 @@ func TestCascadeAllocationBudget(t *testing.T) {
 	rng := rand.New(rand.NewPCG(2013, 5000))
 	rels := randomRelations(rng, 3, 5000, 7071, 100)
 	q := query.New("R1", "R2", "R3").Overlap(0, 1).Overlap(1, 2)
-	cfg := Config{Reducers: 64, Columnar: true, Parallelism: 2, NumMappers: 8}
+	cfg := Config{Reducers: 64, Parallelism: 2, NumMappers: 8}
 	run := func() {
 		if _, err := Execute(Cascade, q, rels, cfg); err != nil {
 			t.Fatal(err)

@@ -82,19 +82,18 @@ func orderConfigs() map[string]Config {
 	base := Config{Reducers: 16, NumMappers: 4, Parallelism: 1}
 	with := func(f func(*Config)) Config { c := base; f(&c); return c }
 	return map[string]Config{
-		"base":     base,
-		"par2":     with(func(c *Config) { c.Parallelism = 2 }),
-		"par8":     with(func(c *Config) { c.Parallelism = 8 }),
-		"columnar": with(func(c *Config) { c.Columnar = true; c.Parallelism = 2 }),
+		"base": base,
+		"par2": with(func(c *Config) { c.Parallelism = 2 }),
+		"par8": with(func(c *Config) { c.Parallelism = 8 }),
 		"faults": with(func(c *Config) {
 			c.Parallelism = 2
 			c.MaxAttempts = 3
 			c.FailMap = func(m, attempt int) bool { return m%2 == 0 && attempt == 1 }
 			c.FailReduce = func(r, attempt int) bool { return r%3 == 0 && attempt < 3 }
 		}),
-		"spill1": with(func(c *Config) { c.SpillBudget = 1; c.Columnar = true; c.Parallelism = 2 }),
+		"spill1": with(func(c *Config) { c.SpillBudget = 1; c.Parallelism = 2 }),
 		"all": with(func(c *Config) {
-			c.Parallelism, c.Columnar, c.SpillBudget, c.MaxAttempts = 8, true, 1, 2
+			c.Parallelism, c.SpillBudget, c.MaxAttempts = 8, 1, 2
 			c.FailMap = func(m, attempt int) bool { return m%2 == 1 && attempt == 1 }
 			c.FailReduce = func(r, attempt int) bool { return r%4 == 1 && attempt == 1 }
 		}),

@@ -168,7 +168,7 @@ func controlledReplicate(pl *plan, exec *executor, limit bool) (*Result, error) 
 		if err != nil {
 			return nil, nil, err
 		}
-		return itemRecords(len(out), func(i int) tagged { return out[i] }), st, nil
+		return itemRecords(out), st, nil
 	})
 	if err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package spatial
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand/v2"
@@ -44,13 +45,13 @@ func assertNoScratch(t *testing.T, fs *dfs.FS, label string) {
 	}
 }
 
-// TestColumnarSpillEquivalenceBattery is the PR 8 acceptance battery:
-// across random workloads, every map-reduce method run with columnar
-// staging, the shared buffer pool and a 1-byte spill budget (every
-// non-empty sorted run spills) produces bit-identical tuples, identical
-// charged DFS Stats, and identical per-round engine stats (modulo walls
-// and the Spill* counters) to the default boxed, in-memory run — at
-// Parallelism 1, 2 and 8, and under map+reduce fault injection.
+// TestColumnarSpillEquivalenceBattery is the memory path's acceptance
+// battery: across random workloads, every map-reduce method run with a
+// 1-byte spill budget (every non-empty sorted run spills) produces
+// bit-identical tuples, identical charged DFS Stats, and identical
+// per-round engine stats (modulo walls and the Spill* counters) to the
+// in-memory run — at Parallelism 1, 2 and 8, and under map+reduce fault
+// injection.
 func TestColumnarSpillEquivalenceBattery(t *testing.T) {
 	rng := rand.New(rand.NewPCG(8, 2013))
 	const trials = 3
@@ -67,28 +68,27 @@ func TestColumnarSpillEquivalenceBattery(t *testing.T) {
 		for _, m := range mrMethods {
 			for _, par := range []int{1, 2, 8} {
 				label := fmt.Sprintf("trial %d %v par=%d", trial, m, par)
-				// The boxed in-memory baseline runs at the same
-				// parallelism: NumMappers defaults from Parallelism, so
-				// MapAttempts legitimately varies with it.
+				// The in-memory baseline runs at the same parallelism:
+				// NumMappers defaults from Parallelism, so MapAttempts
+				// legitimately varies with it.
 				base, err := Execute(m, q, rels, Config{Parallelism: par})
 				if err != nil {
-					t.Fatalf("%s: boxed baseline: %v", label, err)
+					t.Fatalf("%s: in-memory baseline: %v", label, err)
 				}
 				fs := dfs.New(0)
 				res, err := Execute(m, q, rels, Config{
 					FS:          fs,
 					Parallelism: par,
-					Columnar:    true,
 					SpillBudget: 1,
 				})
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
 				if !reflect.DeepEqual(res.Tuples, base.Tuples) {
-					t.Errorf("%s: tuples differ from boxed in-memory run", label)
+					t.Errorf("%s: tuples differ from the in-memory run", label)
 				}
 				if res.Stats.DFS != base.Stats.DFS {
-					t.Errorf("%s: charged DFS stats differ:\ncolumnar+spill %+v\nboxed          %+v",
+					t.Errorf("%s: charged DFS stats differ:\nspill     %+v\nin-memory %+v",
 						label, res.Stats.DFS, base.Stats.DFS)
 				}
 				if !reflect.DeepEqual(normalizeSpillRounds(res.Stats.Rounds), normalizeSpillRounds(base.Stats.Rounds)) {
@@ -98,7 +98,7 @@ func TestColumnarSpillEquivalenceBattery(t *testing.T) {
 					res.Stats.RectanglesAfterReplication != base.Stats.RectanglesAfterReplication ||
 					res.Stats.ReplicationCopies != base.Stats.ReplicationCopies ||
 					res.Stats.OutputTuples != base.Stats.OutputTuples {
-					t.Errorf("%s: replication counters differ from boxed run", label)
+					t.Errorf("%s: replication counters differ from the in-memory run", label)
 				}
 				runs, written, read := totalSpilledRuns(res.Stats.Rounds)
 				if runs == 0 {
@@ -127,17 +127,17 @@ func TestColumnarSpillEquivalenceBattery(t *testing.T) {
 			}
 			base, err := Execute(m, q, rels, faultCfg)
 			if err != nil {
-				t.Fatalf("%s: boxed baseline: %v", label, err)
+				t.Fatalf("%s: in-memory baseline: %v", label, err)
 			}
 			fs := dfs.New(0)
 			memCfg := faultCfg
-			memCfg.FS, memCfg.Columnar, memCfg.SpillBudget = fs, true, 1
+			memCfg.FS, memCfg.SpillBudget = fs, 1
 			res, err := Execute(m, q, rels, memCfg)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
 			if !reflect.DeepEqual(res.Tuples, base.Tuples) {
-				t.Errorf("%s: tuples differ from boxed in-memory run", label)
+				t.Errorf("%s: tuples differ from the in-memory run", label)
 			}
 			if res.Stats.DFS != base.Stats.DFS {
 				t.Errorf("%s: charged DFS stats differ under faults", label)
@@ -176,27 +176,28 @@ func TestColumnarSpillSpeculative(t *testing.T) {
 		}
 		fs := dfs.New(0)
 		memCfg := specCfg
-		memCfg.FS, memCfg.Columnar, memCfg.SpillBudget = fs, true, 1
+		memCfg.FS, memCfg.SpillBudget = fs, 1
 		res, err := Execute(m, q, rels, memCfg)
 		if err != nil {
 			t.Fatalf("%v speculative: %v", m, err)
 		}
 		if !reflect.DeepEqual(res.Tuples, base.Tuples) {
-			t.Errorf("%v: speculative columnar+spill tuples differ", m)
+			t.Errorf("%v: speculative spilling tuples differ", m)
 		}
 		if res.Stats.DFS != base.Stats.DFS {
-			t.Errorf("%v: speculative columnar+spill charged DFS stats differ", m)
+			t.Errorf("%v: speculative spilling charged DFS stats differ", m)
 		}
 		assertNoScratch(t, fs, fmt.Sprintf("%v speculative", m))
 	}
 }
 
-// TestColumnarSpillKillResume kills a columnar, spilling chain before
-// every job boundary and resumes it — on the same FS, with the same
-// memory configuration — checking the final output is bit-identical to
-// a clean boxed in-memory run. One boundary per method additionally
-// resumes with the opposite staging mode (columnar kill → boxed resume),
-// proving the staged relation files interoperate across modes.
+// TestColumnarSpillKillResume kills a spilling chain before every job
+// boundary and resumes it — on the same FS, with the same memory
+// configuration — checking the final output is bit-identical to a clean
+// in-memory run. One boundary per method resumes instead on an FS
+// restored from a snapshot of the killed one, where the columnar staged
+// relations come back as boxed files: input from outside the process
+// that the readers must keep decoding.
 func TestColumnarSpillKillResume(t *testing.T) {
 	part := grid2x2(t)
 	q := chain4()
@@ -211,7 +212,7 @@ func TestColumnarSpillKillResume(t *testing.T) {
 
 		for k := 0; k < jobs; k++ {
 			memCfg := func(fs *dfs.FS) Config {
-				return Config{Part: part, FS: fs, Columnar: true, SpillBudget: 1}
+				return Config{Part: part, FS: fs, SpillBudget: 1}
 			}
 			fs := dfs.New(0)
 			killCfg := memCfg(fs)
@@ -223,20 +224,26 @@ func TestColumnarSpillKillResume(t *testing.T) {
 			}
 			assertNoScratch(t, fs, fmt.Sprintf("%v k=%d killed", m, k))
 
-			resumeCfg := memCfg(fs)
 			if k == jobs-1 {
-				// Cross-mode resume: the killed run staged columnar
-				// relations; the boxed resume reads them through Scan's
-				// synthesized records and must not restage.
-				resumeCfg.Columnar = false
+				// Cross-kind resume: snapshots hold every file in the
+				// boxed wire format, and the resume must read the
+				// restored relations as they are, not restage them.
+				var img bytes.Buffer
+				if err := fs.WriteSnapshot(&img); err != nil {
+					t.Fatal(err)
+				}
+				if fs, err = dfs.ReadSnapshot(&img, 0); err != nil {
+					t.Fatal(err)
+				}
 			}
+			resumeCfg := memCfg(fs)
 			resumeCfg.Resume = true
 			res, err := Execute(m, q, rels, resumeCfg)
 			if err != nil {
 				t.Fatalf("%v k=%d: resume: %v", m, k, err)
 			}
 			if !reflect.DeepEqual(res.Tuples, clean.Tuples) {
-				t.Errorf("%v k=%d: resumed columnar+spill tuples differ from clean boxed run", m, k)
+				t.Errorf("%v k=%d: resumed spilling tuples differ from the clean run", m, k)
 			}
 			if res.Stats.OutputTuples != clean.Stats.OutputTuples {
 				t.Errorf("%v k=%d: output count differs", m, k)

@@ -63,13 +63,13 @@ func encodeItem(t tagged, buf []byte) []byte {
 	return append(buf, rec[:]...)
 }
 
-// itemRecords renders n tagged items as DFS records: views into one
-// buffer, in the form Writer.AppendOwnedAll and Chain.Step take over.
-func itemRecords(n int, item func(i int) tagged) [][]byte {
-	buf := make([]byte, 0, n*itemRecordBytes)
-	recs := make([][]byte, n)
-	for i := range recs {
-		buf = encodeItem(item(i), buf)
+// itemRecords renders tagged items as DFS records: views into one
+// buffer, in the form Chain.Step takes over.
+func itemRecords(items []tagged) [][]byte {
+	buf := make([]byte, 0, len(items)*itemRecordBytes)
+	recs := make([][]byte, len(items))
+	for i, it := range items {
+		buf = encodeItem(it, buf)
 		recs[i] = buf[i*itemRecordBytes : (i+1)*itemRecordBytes : (i+1)*itemRecordBytes]
 	}
 	return recs

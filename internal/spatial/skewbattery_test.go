@@ -196,8 +196,8 @@ func normalizeBattery(rounds []*mapreduce.Stats) []mapreduce.Stats {
 // claim: on the committed skewed workload the adaptive partitioning
 // improves the join round's max/median reducer-pair skew by at least
 // 5× over the uniform grid of the same cell budget, while the output
-// count stays identical. BENCH_PR6.json records the same comparison at
-// benchmark scale.
+// count stays identical. (BENCHMARK.json's grid.reducer_skew tracks the
+// adaptive side at benchmark scale.)
 func TestAdaptiveSkewImprovement(t *testing.T) {
 	rels := skewedTriple(t, 2000)
 	q := skewedChain()

@@ -210,12 +210,6 @@ type Options struct {
 	// exact count. Use for cost measurement (the -explain mode) where
 	// only the counters matter.
 	CountOnly bool
-	// Columnar stages relation inputs in the simulated DFS's columnar
-	// (structs-of-arrays) MBB storage instead of one boxed record per
-	// rectangle. Results, Stats and charged bytes are bit-identical to
-	// boxed staging; at paper scale the columnar planes cut the
-	// host-side allocation count by orders of magnitude.
-	Columnar bool
 	// SpillBudget, when positive, bounds the in-memory bytes of each
 	// mapper's per-reducer sorted run (priced exactly like the shuffle
 	// byte accounting); runs over budget spill to uncharged local disk
@@ -510,7 +504,6 @@ func buildConfig(rels []Relation, opts *Options) (spatial.Config, error) {
 		OptimizeOrder:       o.OptimizeOrder,
 		CountOnly:           o.CountOnly,
 		Calibration:         o.Calibration,
-		Columnar:            o.Columnar,
 		SpillBudget:         o.SpillBudget,
 	}
 	if o.EuclideanLimit {
