@@ -269,6 +269,29 @@ func TestBenchPR9Anchor(t *testing.T) {
 	if len(a.Workloads) < 4 {
 		t.Fatalf("committed anchor has %d workloads, want >= 4", len(a.Workloads))
 	}
+	// Planning is a deterministic function of the data, and cheap enough
+	// to repeat at the anchor's own scale: the committed picks and their
+	// costs are what the planner still says, to the bit.
+	sets, rows, err = pr9Matrix(a.Unit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, row := range rows {
+		q, err := ParseQuery(row.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := PlanQuery(q, sets[row.name], &Options{}, PlannerOptions{})
+		if err != nil {
+			t.Fatalf("%s: plan at unit %d: %v", row.name, a.Unit, err)
+		}
+		w := a.Workloads[i]
+		if w.Name != row.name || plan.Method.String() != w.PlanMethod || plan.Scheme.String() != w.PlanScheme ||
+			plan.Reducers != w.PlanReducers || plan.Cost != w.PlanCost {
+			t.Errorf("%s: planner picks %s on %s/%d at cost %v, the committed anchor has %s on %s/%d at cost %v",
+				row.name, plan.Method, plan.Scheme, plan.Reducers, plan.Cost, w.PlanMethod, w.PlanScheme, w.PlanReducers, w.PlanCost)
+		}
+	}
 	for _, w := range a.Workloads {
 		if w.Ratio > 1.1 {
 			t.Errorf("%s: planner pick %s ran %.3f× the best method %s — over the 1.1× bar",

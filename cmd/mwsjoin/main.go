@@ -22,9 +22,9 @@
 // with relative errors.
 //
 // -method auto delegates the choice to the cost-based planner: it
-// enumerates every method, cascade join orderings, uniform vs adaptive
-// grids at several resolutions and combiner on/off, prices each with
-// the (optionally calibrated) cost model, and runs the cheapest plan.
+// enumerates every method, cascade join orderings and uniform vs
+// adaptive grids at several resolutions, prices each with the
+// (optionally calibrated) cost model, and runs the cheapest plan.
 // -explain-plan prints the planner's full candidate table — the chosen
 // plan first, then every rejected alternative with its predicted cost —
 // without executing anything. Explicitly setting -reducers or
@@ -312,9 +312,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if *explainPl {
 			return plan.WriteExplain(stdout)
 		}
-		fmt.Fprintf(stderr, "planner: %v on %v/%d (%d cells), order=%t, combiner=%t, predicted cost %.0f of %d candidates\n",
+		fmt.Fprintf(stderr, "planner: %v on %v/%d (%d cells), order=%t, predicted cost %.0f of %d candidates\n",
 			plan.Method, plan.Scheme, plan.Reducers, plan.Cells,
-			plan.OptimizeOrder, plan.Combiner, plan.Cost, len(plan.Alternatives))
+			plan.OptimizeOrder, plan.Cost, len(plan.Alternatives))
 	}
 
 	var res *mwsjoin.Result

@@ -151,7 +151,9 @@ func UnpackRelation(rd RelationData) (spatial.Relation, error) {
 			},
 		}
 	}
-	return spatial.Relation{Name: rd.Name, Items: items}, nil
+	// Summarised on arrival: the session's Execute validates, bounds and
+	// partitions from the summary instead of walking the items again.
+	return spatial.Relation{Name: rd.Name, Items: items}.Summarized(), nil
 }
 
 // SpecFromConfig assembles a SessionSpec from a query, relations and

@@ -3,6 +3,7 @@ package estimate
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"mwsjoin/internal/geom"
@@ -100,5 +101,43 @@ func TestSamplerDeterminism(t *testing.T) {
 	c := NewSampler(512, 43).JoinCardinality(r1, r2, query.Ov())
 	if a == c {
 		t.Log("different seeds coincided (possible but unlikely); not failing")
+	}
+}
+
+// denseSample is the reference draw the sparse one replaced: a partial
+// Fisher–Yates shuffle over a materialised index of the whole dataset.
+func denseSample(size int, seed uint64, rects []geom.Rect, stream uint64) []geom.Rect {
+	if len(rects) <= size {
+		return rects
+	}
+	rng := rand.New(rand.NewPCG(seed, stream))
+	idx := make([]int32, len(rects))
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	out := make([]geom.Rect, size)
+	for i := 0; i < size; i++ {
+		j := i + rng.IntN(len(idx)-i)
+		idx[i], idx[j] = idx[j], idx[i]
+		out[i] = rects[idx[i]]
+	}
+	return out
+}
+
+// TestSparseSampleMatchesDense: the O(sample) draw consumes the same
+// random sequence and returns the identical rectangles, on the streams
+// the cost model and the adaptive partitioner use.
+func TestSparseSampleMatchesDense(t *testing.T) {
+	rng := rand.New(rand.NewPCG(8, 8))
+	all := uniformRects(50_000, rng, 10_000, 100)
+	s := NewSampler(0, 2013)
+	for _, n := range []int{0, 1, 1023, 1024, 1025, 50_000} {
+		for _, stream := range []uint64{1, 2, 3, 0x5eed} {
+			got := s.Sample(all[:n], stream)
+			want := denseSample(DefaultSampleSize, 2013, all[:n], stream)
+			if !slices.Equal(got, want) {
+				t.Errorf("n=%d stream=%#x: sparse draw differs from the dense reference", n, stream)
+			}
+		}
 	}
 }

@@ -83,6 +83,17 @@ func (c *resultCache) get(key cacheKey) (*spatial.Result, bool) {
 	return e.res, true
 }
 
+// holds reports whether the key is cached, counting nothing and
+// promoting nothing — the look before pricing that decides whether a
+// pinned-method submission needs pricing at all.
+func (c *resultCache) holds(key cacheKey) bool {
+	if c == nil {
+		return false
+	}
+	_, ok := c.entries[key]
+	return ok
+}
+
 // put stores a result under the key, evicting least-recently-used
 // entries until the byte budget holds. A result larger than the whole
 // budget is not stored (it would evict everything and still not fit).

@@ -52,14 +52,13 @@ type Job struct {
 	// part is the reducer grid, computed once at admission so Predict
 	// and Execute cost the same plan.
 	part *grid.Partitioning
-	// planned marks an "auto" submission: method, part, optimizeOrder
-	// and noCombiner were chosen by the cost-based planner (plan holds
-	// the full decision including the rejected alternatives), and
-	// admission priced that chosen plan.
+	// planned marks an "auto" submission: method, part and
+	// optimizeOrder are the cost-based planner's pick, planCost its
+	// scalar cost, and admission priced that chosen plan. The rejected
+	// alternatives are not kept.
 	planned       bool
-	plan          *spatial.Plan
+	planCost      float64
 	optimizeOrder bool
-	noCombiner    bool
 
 	// SLO timestamps: queuedAt at admission, startedAt when a worker
 	// claims the job, finishedAt at the terminal transition.
@@ -99,6 +98,8 @@ type JobStatus struct {
 	Priority int     `json:"priority"`
 	// PredictedPairs is the EXPLAIN-based admission cost the scheduler
 	// queued the job by; PredictedRounds is the expected chain length.
+	// Both are zero for a pinned-method cache hit, which is answered
+	// before anything is priced.
 	PredictedPairs  float64 `json:"predicted_pairs"`
 	PredictedRounds int     `json:"predicted_rounds"`
 	// StepsDone / CurrentStep report chain progress while running: the
@@ -130,15 +131,13 @@ func (j *Job) status() *JobStatus {
 		Query:           j.queryTxt,
 		Method:          j.method.String(),
 		Planned:         j.planned,
+		PlanCost:        j.planCost,
 		Priority:        j.priority,
 		PredictedPairs:  j.cost,
 		PredictedRounds: j.rounds,
 		StepsDone:       j.stepsDone,
 		CurrentStep:     j.currentStep,
 		Cached:          j.cached,
-	}
-	if j.plan != nil {
-		st.PlanCost = j.plan.Cost
 	}
 	if j.res != nil {
 		st.OutputTuples = j.res.Stats.OutputTuples

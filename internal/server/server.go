@@ -194,7 +194,7 @@ type SubmitRequest struct {
 	// Method is a spatial method name ("c-rep-l", "2-way-cascade",
 	// ...); empty picks c-rep-l, the recommended default. "auto"
 	// delegates the choice to the cost-based planner: the cheapest
-	// (method, grid, order, combiner) candidate under the calibrated
+	// (method, grid, order) candidate under the calibrated
 	// cost model is priced at admission and executed, and the job's
 	// status/slowlog/ledger record the planner's pick.
 	Method string `json:"method,omitempty"`
@@ -213,11 +213,20 @@ type RelationInfo struct {
 	Fingerprint string `json:"fingerprint"`
 }
 
-// relEntry is a registered relation plus its content fingerprint.
+// relEntry is a registered relation plus its content fingerprint. gen
+// numbers the registration, so a submission that planned outside the
+// lock can tell whether the entry it bound is still the registered one.
 type relEntry struct {
 	rel spatial.Relation
 	fp  uint64
+	gen uint64
 }
+
+// jobHistory is how many terminal jobs the service keeps answering
+// for. Older ones are forgotten, oldest finish first: their IDs answer
+// like unknown ones (ErrNotFound, HTTP 404), and their tuples, spans
+// and profiles go with them.
+const jobHistory = 1024
 
 // Server is the multi-query join service. Create with New, register
 // relations, submit jobs, and Close to drain.
@@ -239,7 +248,9 @@ type Server struct {
 	mu          sync.Mutex
 	cond        *sync.Cond
 	rels        map[string]relEntry
+	regGen      uint64 // registrations so far
 	jobs        map[string]*Job
+	finished    []string // IDs of the retained terminal jobs, in finish order
 	queue       jobQueue
 	seq         int64
 	inFlight    float64 // predicted cost of running jobs
@@ -255,6 +266,11 @@ type Server struct {
 	// the seam the cancellation property tests use to park a job at a
 	// chosen boundary.
 	stepGate func(jobID string, step int, name string)
+	// planGate, when non-nil (tests only), is invoked by every
+	// submission after it has bound its relations and before it prices
+	// them, outside the server mutex — the seam that parks a submission
+	// inside planning.
+	planGate func(req SubmitRequest)
 }
 
 // New creates a server and starts its worker pool. With
@@ -299,11 +315,17 @@ func New(cfg Config) *Server {
 // service's queries can bind to. Replacing a relation changes its
 // fingerprint, so cached results computed from the old data can never
 // be served for the new — the cache needs no explicit invalidation.
+//
+// The relation is summarised here, once (spatial.Relation.Summarized):
+// every submission binding it plans, prices and validates from that
+// summary instead of walking the records again.
 func (s *Server) RegisterRelation(rel spatial.Relation) RelationInfo {
 	fp := dataset.Fingerprint(rel)
+	rel = rel.Summarized()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.rels[rel.Name] = relEntry{rel: rel, fp: fp}
+	s.regGen++
+	s.rels[rel.Name] = relEntry{rel: rel, fp: fp, gen: s.regGen}
 	s.reg.Gauge("server_relations").Set(int64(len(s.rels)))
 	return RelationInfo{Name: rel.Name, Records: len(rel.Items), Fingerprint: fmt.Sprintf("%016x", fp)}
 }
@@ -320,10 +342,156 @@ func (s *Server) Relations() []RelationInfo {
 	return out
 }
 
+// binding is a query's slots resolved against the registry at one
+// moment: the relations, which registrations they came from, and the
+// fingerprint vector the result cache keys by.
+type binding struct {
+	rels []spatial.Relation
+	gens []uint64
+	fps  string
+}
+
+// bind resolves the query's slots. Caller holds the mutex.
+func (s *Server) bind(q *query.Query) (*binding, error) {
+	b := &binding{rels: make([]spatial.Relation, q.NumSlots()), gens: make([]uint64, q.NumSlots())}
+	fps := make([]byte, 0, 17*q.NumSlots())
+	for i, slot := range q.Slots() {
+		e, ok := s.rels[slot]
+		if !ok {
+			return nil, &UnknownRelationError{Slot: slot}
+		}
+		b.rels[i], b.gens[i] = e.rel, e.gen
+		fps = fmt.Appendf(fps, "%016x/", e.fp)
+	}
+	b.fps = string(fps)
+	return b, nil
+}
+
+// current reports whether every slot still names the registration the
+// binding took. Caller holds the mutex.
+func (s *Server) current(q *query.Query, b *binding) bool {
+	for i, slot := range q.Slots() {
+		if s.rels[slot].gen != b.gens[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// pricing is what admission needs to know about how a job will run:
+// the resolved method and grid, the raw prediction for the ledger and
+// the calibrated one admission orders and throttles by. The zero value
+// prices nothing — a pinned-method cache hit, answered before pricing.
+type pricing struct {
+	method        spatial.Method
+	part          *grid.Partitioning
+	raw, priced   *spatial.Prediction
+	planned       bool
+	planCost      float64
+	optimizeOrder bool
+}
+
+// price resolves the execution plan of a bound submission, outside the
+// mutex. A fixed-method submission is priced on the service's
+// configured grid; an "auto" submission runs the cost-based planner
+// over the full candidate space (with the service's grid as one
+// candidate) and is priced — and executed — as whatever the planner
+// picked, so admission control always costs the plan that actually
+// runs. Either way the ledger records the RAW prediction — recording
+// calibrated values would compound the factors on the next calibration
+// round — while admission orders and throttles by the calibrated cost.
+func (s *Server) price(q *query.Query, b *binding, method spatial.Method, planned bool) (pricing, error) {
+	if planned {
+		plan, err := spatial.PlanQuery(q, b.rels,
+			spatial.Config{SplitThreshold: s.cfg.SplitThreshold, Calibration: s.cal.Load()},
+			spatial.PlannerOptions{Reducers: s.plannerReducers()})
+		if err != nil {
+			return pricing{}, err
+		}
+		return pricing{method: plan.Method, part: plan.Part, raw: plan.Raw, priced: plan.Prediction,
+			planned: true, planCost: plan.Cost, optimizeOrder: plan.OptimizeOrder}, nil
+	}
+	// The grid is the relation set's (spatial.BuildPartitioning remembers
+	// it), so Predict, given the same scheme, prices that very grid.
+	part, err := spatial.BuildPartitioning(s.cfg.Partition, b.rels, s.cfg.Reducers, s.cfg.SplitThreshold)
+	if err != nil {
+		return pricing{}, err
+	}
+	raw, err := spatial.Predict(method, q, b.rels,
+		spatial.Config{Scheme: s.cfg.Partition, Reducers: s.cfg.Reducers, SplitThreshold: s.cfg.SplitThreshold})
+	if err != nil {
+		return pricing{}, err
+	}
+	return pricing{method: method, part: part, raw: raw, priced: s.cal.Load().Apply(raw)}, nil
+}
+
+// newJob creates the job of a bound, priced submission. Caller holds
+// the mutex.
+func (s *Server) newJob(req SubmitRequest, q *query.Query, b *binding, pr pricing) *Job {
+	s.seq++
+	j := &Job{
+		id:            fmt.Sprintf("j%06d", s.seq),
+		seq:           s.seq,
+		queryTxt:      q.String(),
+		q:             q,
+		method:        pr.method,
+		rels:          b.rels,
+		priority:      req.Priority,
+		rawPred:       pr.raw,
+		key:           cacheKey{query: q.String(), method: pr.method, fps: b.fps},
+		part:          pr.part,
+		planned:       pr.planned,
+		planCost:      pr.planCost,
+		optimizeOrder: pr.optimizeOrder,
+		queuedAt:      time.Now(),
+		done:          make(chan struct{}),
+	}
+	if pr.priced != nil {
+		j.cost, j.rounds = pr.priced.Pairs, pr.priced.Rounds
+	}
+	s.reg.Counter("server_jobs_submitted_total").Add(1)
+	return j
+}
+
+// serveCached answers a job from the result cache, if its key is
+// there: the job is born done and no map-reduce job runs. Caller holds
+// the mutex.
+func (s *Server) serveCached(j *Job) bool {
+	res, ok := s.cache.get(j.key)
+	if !ok {
+		return false
+	}
+	j.state = StateDone
+	j.cached = true
+	j.res = res
+	s.stateCounts[StateDone]++
+	s.publishStateGauges()
+	s.jobs[j.id] = j
+	s.retain(j)
+	close(j.done)
+	j.finishedAt = time.Now()
+	s.observeSLO(j, j.finishedAt)
+	return true
+}
+
 // Submit admits one query: it is parsed, bound to registered relations,
-// costed with spatial.Predict, checked against the cache and — on a
-// miss — queued for the worker pool. The returned status is the job's
-// state at admission time (StateDone immediately for a cache hit).
+// costed with spatial.Predict (or planned, for "auto"), checked against
+// the cache and — on a miss — queued for the worker pool. The returned
+// status is the job's state at admission time (StateDone immediately
+// for a cache hit).
+//
+// The mutex is held to bind and to admit, never to plan or price:
+//
+//  1. bind, under the mutex: the slots' relations, registrations and
+//     fingerprints. A pinned method's cache key is complete here, so a
+//     hit is answered now, before anything is priced;
+//  2. plan and price, unlocked: the other client's submissions, status
+//     calls and result pages do not wait behind it;
+//  3. admit, under the mutex again: if a bound relation was replaced in
+//     the meantime, bind afresh and go back to 2, so the job's plan,
+//     cache key and execution all see one version of the data;
+//     otherwise look the (now known) key up in the cache, and on a miss
+//     apply the queue limit and enqueue.
 func (s *Server) Submit(req SubmitRequest) (*JobStatus, error) {
 	q, err := query.Parse(req.Query)
 	if err != nil {
@@ -337,9 +505,8 @@ func (s *Server) Submit(req SubmitRequest) (*JobStatus, error) {
 		methodName = spatial.ControlledReplicateLimit.String()
 	}
 	// "auto" defers the method choice to the cost-based planner; the
-	// chosen method is resolved under the lock below (planning needs
-	// the bound relations) and recorded everywhere a fixed method would
-	// be — job status, SLO histograms, slowlog, calibration ledger.
+	// chosen method is recorded everywhere a fixed method would be — job
+	// status, SLO histograms, slowlog, calibration ledger.
 	planned := methodName == "auto"
 	var method spatial.Method
 	if !planned {
@@ -348,109 +515,60 @@ func (s *Server) Submit(req SubmitRequest) (*JobStatus, error) {
 		}
 	}
 
-	// Bind slots and build the cache key outside the lock? No — the
-	// binding must be consistent with the registry at admission time,
-	// so take the lock once for bind+cache+queue.
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.closed {
+		s.mu.Unlock()
 		return nil, ErrClosed
 	}
-	rels := make([]spatial.Relation, q.NumSlots())
-	fps := make([]byte, 0, 17*q.NumSlots())
-	for i, slot := range q.Slots() {
-		e, ok := s.rels[slot]
-		if !ok {
-			return nil, &UnknownRelationError{Slot: slot}
-		}
-		rels[i] = e.rel
-		fps = fmt.Appendf(fps, "%016x/", e.fp)
+	b, err := s.bind(q)
+	if err != nil {
+		s.mu.Unlock()
+		return nil, err
 	}
-	// Resolve the execution plan. A fixed-method submission is priced
-	// on the service's configured grid; an "auto" submission runs the
-	// cost-based planner over the full candidate space (with the
-	// service's grid as one candidate) and is priced — and executed —
-	// as whatever the planner picked, so admission control always costs
-	// the plan that actually runs. Either way the ledger records the
-	// RAW prediction — recording calibrated values would compound the
-	// factors on the next calibration round — while admission orders
-	// and throttles by the calibrated cost.
-	var (
-		part   *grid.Partitioning
-		pred   *spatial.Prediction
-		priced *spatial.Prediction
-		plan   *spatial.Plan
-	)
-	if planned {
-		plan, err = spatial.PlanQuery(q, rels,
-			spatial.Config{SplitThreshold: s.cfg.SplitThreshold, Calibration: s.cal.Load()},
-			spatial.PlannerOptions{Reducers: s.plannerReducers()})
-		if err != nil {
-			return nil, err
-		}
-		method = plan.Method
-		part = plan.Part
-		pred = plan.Raw
-		priced = plan.Prediction
-	} else {
-		part, err = spatial.BuildPartitioning(s.cfg.Partition, rels, s.cfg.Reducers, s.cfg.SplitThreshold)
-		if err != nil {
-			return nil, err
-		}
-		pred, err = spatial.Predict(method, q, rels, spatial.Config{Part: part})
-		if err != nil {
-			return nil, err
-		}
-		priced = s.cal.Load().Apply(pred)
+	if !planned && s.cache.holds(cacheKey{query: q.String(), method: method, fps: b.fps}) {
+		defer s.mu.Unlock()
+		return s.admit(s.newJob(req, q, b, pricing{method: method}))
 	}
-	key := cacheKey{query: q.String(), method: method, fps: string(fps)}
+	gate := s.planGate
+	s.mu.Unlock()
 
-	s.seq++
-	j := &Job{
-		id:       fmt.Sprintf("j%06d", s.seq),
-		seq:      s.seq,
-		queryTxt: q.String(),
-		q:        q,
-		method:   method,
-		rels:     rels,
-		priority: req.Priority,
-		cost:     priced.Pairs,
-		rounds:   priced.Rounds,
-		rawPred:  pred,
-		key:      key,
-		queuedAt: time.Now(),
-		done:     make(chan struct{}),
+	for {
+		if gate != nil {
+			gate(req)
+		}
+		pr, err := s.price(q, b, method, planned)
+		if err != nil {
+			return nil, err
+		}
+		s.mu.Lock()
+		if s.closed {
+			s.mu.Unlock()
+			return nil, ErrClosed
+		}
+		if !s.current(q, b) {
+			b, err = s.bind(q)
+			s.mu.Unlock()
+			if err != nil {
+				return nil, err
+			}
+			continue
+		}
+		st, err := s.admit(s.newJob(req, q, b, pr))
+		s.mu.Unlock()
+		return st, err
 	}
-	j.part = part
-	j.planned = planned
-	if plan != nil {
-		j.plan = plan
-		j.optimizeOrder = plan.OptimizeOrder
-		j.noCombiner = !plan.Combiner
-	}
-	s.reg.Counter("server_jobs_submitted_total").Add(1)
+}
 
-	if res, ok := s.cache.get(key); ok {
-		// Served entirely from cache: the job is born done and no
-		// map-reduce job runs.
-		j.state = StateDone
-		j.cached = true
-		j.res = res
-		j.stepsDone = 0
-		s.stateCounts[StateDone]++
-		s.publishStateGauges()
-		s.jobs[j.id] = j
-		close(j.done)
-		j.finishedAt = time.Now()
-		s.observeSLO(j, j.finishedAt)
+// admit serves a priced job from the cache or queues it. Caller holds
+// the mutex.
+func (s *Server) admit(j *Job) (*JobStatus, error) {
+	if s.serveCached(j) {
 		return j.status(), nil
 	}
-
 	if int(s.stateCounts[StateQueued]) >= s.cfg.QueueLimit {
 		s.reg.Counter("server_admission_rejections_total").Add(1)
 		return nil, &AdmissionError{QueueDepth: int(s.stateCounts[StateQueued]), QueueLimit: s.cfg.QueueLimit}
 	}
-
 	ctx, cancel := context.WithCancelCause(context.Background())
 	j.ctx, j.cancel = ctx, cancel
 	j.state = StateQueued
@@ -461,6 +579,17 @@ func (s *Server) Submit(req SubmitRequest) (*JobStatus, error) {
 	heap.Push(&s.queue, j)
 	s.cond.Signal()
 	return j.status(), nil
+}
+
+// retain records a job that has just become terminal and forgets the
+// oldest terminal job beyond jobHistory. Queued and running jobs are
+// never in the list, so never forgotten. Caller holds the mutex.
+func (s *Server) retain(j *Job) {
+	s.finished = append(s.finished, j.id)
+	if len(s.finished) > jobHistory {
+		delete(s.jobs, s.finished[0])
+		s.finished = s.finished[1:]
+	}
 }
 
 // plannerReducers is the grid-resolution candidate set for "auto"
@@ -675,6 +804,7 @@ func (s *Server) setState(j *Job, st State) {
 	j.state = st
 	if st.terminal() {
 		s.reg.Counter("server_jobs_" + string(st) + "_total").Add(1)
+		s.retain(j)
 	}
 	s.publishStateGauges()
 }
@@ -748,7 +878,6 @@ func (s *Server) runJob(j *Job) {
 			NumMappers:     s.cfg.NumMappers,
 			Parallelism:    s.cfg.Parallelism,
 			OptimizeOrder:  j.optimizeOrder,
-			NoCombiner:     j.noCombiner,
 			SpillBudget:    s.cfg.SpillBudget,
 		})
 		var rr *cluster.RunResult
@@ -761,7 +890,6 @@ func (s *Server) runJob(j *Job) {
 			Parallelism:   s.cfg.Parallelism,
 			SpillBudget:   s.cfg.SpillBudget,
 			OptimizeOrder: j.optimizeOrder,
-			NoCombiner:    j.noCombiner,
 			Context:       j.ctx,
 			Tracer:        j.tracer,
 			Metrics:       s.reg,

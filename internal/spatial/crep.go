@@ -107,8 +107,8 @@ func controlledReplicate(pl *plan, exec *executor, limit bool) (*Result, error) 
 	if limit {
 		method = ControlledReplicateLimit
 		dmax := make([]float64, pl.m)
-		for s, rel := range exec.rels {
-			dmax[s] = rel.MaxDiagonal()
+		for s, st := range exec.stats {
+			dmax[s] = st.maxDiag
 		}
 		var err error
 		bounds, err = pl.q.ReplicationBounds(dmax)

@@ -3,12 +3,8 @@ package spatial
 import (
 	"context"
 	"fmt"
-	"math"
-
-	"mwsjoin/internal/estimate"
 
 	"mwsjoin/internal/dfs"
-	"mwsjoin/internal/geom"
 	"mwsjoin/internal/grid"
 	"mwsjoin/internal/mapreduce"
 	"mwsjoin/internal/metrics"
@@ -124,7 +120,7 @@ type Config struct {
 	// a metered execution must not share its FS with concurrent runs.
 	Metrics *metrics.Registry
 	// NoCombiner disables the map-side combiner of C-Rep's mark round
-	// (the planner's combiner on/off axis). The combiner is a set-level
+	// (an ablation knob for pinned runs). The combiner is a set-level
 	// no-op on well-formed inputs, so tuples and intermediate pair
 	// counts are identical either way; only the Combine* Stats counters
 	// differ. Methods without a combiner ignore it.
@@ -164,48 +160,15 @@ type Config struct {
 // (§5.1), defaulting to 64 reducers (§7.8.1) when k ≤ 0. k must be a
 // perfect square.
 func DefaultPartitioning(rels []Relation, k int) (*grid.Partitioning, error) {
-	if k <= 0 {
-		k = 64
-	}
-	side := int(math.Round(math.Sqrt(float64(k))))
-	if side*side != k {
-		return nil, fmt.Errorf("spatial: reducer count %d is not a perfect square", k)
-	}
-	return grid.NewUniform(dataBounds(rels), side, side)
-}
-
-// dataBounds computes the bounding box of all bound relations, widened
-// to positive area (unit square for empty data, unit extent for
-// degenerate axes).
-func dataBounds(rels []Relation) geom.Rect {
-	minX, minY := math.Inf(1), math.Inf(1)
-	maxX, maxY := math.Inf(-1), math.Inf(-1)
-	any := false
-	for _, rel := range rels {
-		for _, it := range rel.Items {
-			any = true
-			minX = math.Min(minX, it.R.MinX())
-			minY = math.Min(minY, it.R.MinY())
-			maxX = math.Max(maxX, it.R.MaxX())
-			maxY = math.Max(maxY, it.R.MaxY())
-		}
-	}
-	if !any {
-		minX, minY, maxX, maxY = 0, 0, 1, 1
-	}
-	if maxX <= minX {
-		maxX = minX + 1
-	}
-	if maxY <= minY {
-		maxY = minY + 1
-	}
-	return geom.RectFromCorners(geom.Point{X: minX, Y: minY}, geom.Point{X: maxX, Y: maxY})
+	return BuildPartitioning(PartitionUniform, rels, k, 0)
 }
 
 // executor carries the per-execution context shared by the methods.
 type executor struct {
-	part   *grid.Partitioning
-	rels   []Relation
+	part *grid.Partitioning
+	rels []Relation
+	// stats are the relations' summaries, slot by slot.
+	stats  []*relStats
 	fs     *dfs.FS
 	cfg    Config
 	metric grid.Metric
@@ -258,31 +221,25 @@ func Execute(method Method, q *query.Query, rels []Relation, cfg Config) (*Resul
 			return nil, fmt.Errorf("spatial: a distributed run needs an explicit NumMappers (the GOMAXPROCS default differs across workers)")
 		}
 	}
-	pl, err := newPlan(q, rels, !cfg.AllowSelfPairs, cfg.UseRTree, cfg.RTreeSweepThreshold)
+	// The estimator is how Execute reads the relations' summaries: the
+	// binding and every rectangle validated, the cost-based join order,
+	// and the configured grid — none of which walks Items again once the
+	// relations have been summarised.
+	est, err := newEstimator(q, rels, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.OptimizeOrder {
-		pl.optimizeOrder(rels, estimate.NewSampler(0, 2013))
+	pl := est.plan(cfg.OptimizeOrder)
+	g, err := est.configuredGrid(cfg)
+	if err != nil {
+		return nil, err
 	}
-	for s, rel := range rels {
-		for _, it := range rel.Items {
-			if err := it.R.Validate(); err != nil {
-				return nil, fmt.Errorf("spatial: relation %q (slot %d) item %d: %w", rel.Name, s, it.ID, err)
-			}
-		}
-	}
-	part := cfg.Part
-	if part == nil {
-		if part, err = BuildPartitioning(cfg.Scheme, rels, cfg.Reducers, cfg.SplitThreshold); err != nil {
-			return nil, err
-		}
-	}
+	part := g.part
 	fs := cfg.FS
 	if fs == nil {
 		fs = dfs.New(0)
 	}
-	exec := &executor{part: part, rels: rels, fs: fs, cfg: cfg, metric: cfg.LimitMetric, tr: cfg.Tracer, pool: mapreduce.NewBufferPool()}
+	exec := &executor{part: part, rels: rels, stats: est.set.stats, fs: fs, cfg: cfg, metric: cfg.LimitMetric, tr: cfg.Tracer, pool: mapreduce.NewBufferPool()}
 	exec.runSpan = exec.tr.Start(0, trace.KindRun, fmt.Sprintf("%s %s", method, q))
 	exec.cur = exec.runSpan
 	// Registered before the runSpan End so it runs after it (defers are

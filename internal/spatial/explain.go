@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"mwsjoin/internal/estimate"
-	"mwsjoin/internal/geom"
 	"mwsjoin/internal/grid"
 	"mwsjoin/internal/query"
 )
@@ -89,177 +88,329 @@ type Prediction struct {
 }
 
 // Predict estimates the cost of running the query with the given method
-// under the same configuration Execute would use. The estimator draws
-// deterministic uniform samples (estimate.Sampler with the planner's
-// fixed seed), so predictions are reproducible. BruteForce predicts
-// zero communication: it runs no map-reduce job. When cfg.Calibration
-// is set, its learned per-method/per-phase correction factors are
-// multiplied into the returned estimate (see Calibration.Apply).
+// under the same configuration Execute would use. The estimator reads
+// the relations' deterministic fixed-seed samples (see summary.go), so
+// predictions are reproducible. BruteForce predicts zero communication:
+// it runs no map-reduce job. When cfg.Calibration is set, its learned
+// per-method/per-phase correction factors are multiplied into the
+// returned estimate (see Calibration.Apply).
 //
 // Every field of the returned Prediction is finite and non-negative —
 // even for empty relations, degenerate geometry, or hostile calibration
 // factors — so candidate plans always have a total cost order.
+//
+// Predict is the planner's estimator asked for one candidate: PlanQuery
+// prices its whole search space from one estimator, through the same
+// code.
 func Predict(method Method, q *query.Query, rels []Relation, cfg Config) (*Prediction, error) {
+	est, err := newEstimator(q, rels, cfg)
+	if err != nil {
+		return nil, err
+	}
+	g, err := est.configuredGrid(cfg)
+	if err != nil {
+		return nil, err
+	}
+	raw, err := est.predict(method, cfg.OptimizeOrder, g)
+	if err != nil {
+		return nil, err
+	}
+	return cfg.Calibration.Apply(raw).sanitize(), nil
+}
+
+// estimator is the estimate context of one Predict or PlanQuery call:
+// the bound relations' summaries plus everything sampled for this query
+// — each directed edge's cardinality, each join order's chain, each
+// fan-out mean — computed when a candidate first asks and read by every
+// later one, so pricing a candidate is arithmetic. Means a query's
+// ranges cannot change live on the candidate grid instead (gridStats)
+// and outlast the call. Not safe for concurrent use.
+type estimator struct {
+	set    relationSet
+	metric grid.Metric
+
+	// base runs the connectivity join order, optimized the cost-based
+	// one (built on first use; base itself when there is nothing to
+	// reorder).
+	base, optimized *plan
+
+	cards  map[cardKey]float64
+	chains map[*plan][]float64
+	means  map[planMeanKey]float64
+	splits map[planMeanKey][]int32 // see splitCounts
+	// bounds are C-Rep-L's per-slot replication radii.
+	bounds    []float64
+	boundsErr error
+}
+
+// newEstimator validates the query/relation binding and the relations'
+// rectangles — exactly as Execute does: a single NaN coordinate would
+// otherwise poison every sampled sum into NaN.
+func newEstimator(q *query.Query, rels []Relation, cfg Config) (*estimator, error) {
 	pl, err := newPlan(q, rels, !cfg.AllowSelfPairs, cfg.UseRTree, cfg.RTreeSweepThreshold)
 	if err != nil {
 		return nil, err
 	}
-	// Reject non-finite rectangles up front, exactly as Execute does:
-	// a single NaN coordinate would otherwise poison every sampled sum
-	// below into NaN.
-	for s, rel := range rels {
-		for _, it := range rel.Items {
-			if err := it.R.Validate(); err != nil {
-				return nil, fmt.Errorf("spatial: relation %q (slot %d) item %d: %w", rel.Name, s, it.ID, err)
-			}
-		}
-	}
-	sampler := estimate.NewSampler(0, 2013)
-	if cfg.OptimizeOrder {
-		pl.optimizeOrder(rels, sampler)
-	}
-	part := cfg.Part
-	if part == nil {
-		if part, err = BuildPartitioning(cfg.Scheme, rels, cfg.Reducers, cfg.SplitThreshold); err != nil {
-			return nil, err
-		}
-	}
-	pr := &predictor{pl: pl, part: part, rels: rels, sampler: sampler, metric: cfg.LimitMetric}
-
-	p := &Prediction{Method: method, Cells: part.NumCells()}
-	switch method {
-	case BruteForce:
-		// Single-machine reference: no shuffle, no replication.
-	case Cascade:
-		p.RoundPairs = pr.cascadePairs()
-	case AllReplicate:
-		p.RoundPairs, p.Replicated, p.Copies = pr.allReplicate()
-	case ControlledReplicate:
-		p.RoundPairs, p.Replicated, p.Copies, err = pr.controlledReplicate(false)
-	case ControlledReplicateLimit:
-		p.RoundPairs, p.Replicated, p.Copies, err = pr.controlledReplicate(true)
-	default:
-		return nil, fmt.Errorf("spatial: unknown method %v", method)
-	}
-	if err != nil {
+	set := summaries(rels)
+	if err := set.validate(); err != nil {
 		return nil, err
 	}
-	p.Rounds = len(p.RoundPairs)
-	p.Tuples = pr.outputTuples()
-	// Sanitize both before and after calibration: before, so Apply's
-	// factor multiplications start from finite fields (sanitize also
-	// derives Pairs as the sum of the clamped rounds); after, so a
-	// pathological ledger-learned factor still cannot leak Inf out.
-	return cfg.Calibration.Apply(p.sanitize()).sanitize(), nil
+	return &estimator{
+		set: set, metric: cfg.LimitMetric, base: pl,
+		cards:  map[cardKey]float64{},
+		chains: map[*plan][]float64{},
+		means:  map[planMeanKey]float64{},
+		splits: map[planMeanKey][]int32{},
+	}, nil
 }
 
-// predictor carries the sampled per-slot state of one Predict call.
-type predictor struct {
-	pl      *plan
-	part    *grid.Partitioning
-	rels    []Relation
-	sampler *estimate.Sampler
-	metric  grid.Metric
-
-	rects   [][]geom.Rect // lazily built full rect slices per slot
-	samples [][]geom.Rect // lazily drawn per-slot samples
-}
-
-// slotRects returns all rectangles of slot s.
-func (pr *predictor) slotRects(s int) []geom.Rect {
-	if pr.rects == nil {
-		pr.rects = make([][]geom.Rect, len(pr.rels))
+// configuredGrid resolves the grid a Config asks for: the caller's own,
+// or the relation set's for the configured scheme.
+func (est *estimator) configuredGrid(cfg Config) (*gridStats, error) {
+	if cfg.Part != nil {
+		return &gridStats{part: cfg.Part}, nil
 	}
-	if pr.rects[s] == nil {
-		items := pr.rels[s].Items
-		rs := make([]geom.Rect, len(items))
-		for i, it := range items {
-			rs[i] = it.R
+	return est.set.grid(cfg.Scheme, cfg.Reducers, cfg.SplitThreshold)
+}
+
+// plan returns the query plan under the default or the cost-based join
+// order.
+func (est *estimator) plan(optimize bool) *plan {
+	if !optimize {
+		return est.base
+	}
+	if est.optimized == nil {
+		est.optimized = est.base.optimizeOrder(est)
+	}
+	return est.optimized
+}
+
+// count is slot s's cardinality.
+func (est *estimator) count(s int) float64 { return float64(est.set.stats[s].n) }
+
+// cardKey names a sampled join: the first slot is drawn on stream 1,
+// the second on stream 2, so the estimate depends on the direction.
+type cardKey struct {
+	first, second int
+	weight        float64
+}
+
+// card estimates the number of (first, second) rectangle pairs within
+// the predicate's distance, from the two slots' sorted samples.
+func (est *estimator) card(first, second int, pred query.Predicate) float64 {
+	k := cardKey{first, second, pred.Weight()}
+	if c, ok := est.cards[k]; ok {
+		return c
+	}
+	set := est.set
+	c := estimate.SampledCardinality(
+		set.stats[first].n, set.sortedSample(first, 1),
+		set.stats[second].n, set.sortedSample(second, 2), k.weight)
+	est.cards[k] = c
+	return c
+}
+
+// meanKind selects a per-rectangle fan-out whose mean over a slot's
+// sample the cost model needs.
+type meanKind uint8
+
+const (
+	// meanSplit: cells the rectangle, enlarged by d, is split over.
+	meanSplit meanKind = iota
+	// meanFourthQuadrant: cells of its 4th quadrant (replication f1).
+	meanFourthQuadrant
+	// meanMarked: 1 when the rectangle is predicted marked under d.
+	meanMarked
+	// meanMarkedF1, meanMarkedF2: copies C-Rep and C-Rep-L ship of it —
+	// f1, or f2 within bound, when marked under d; its one projection
+	// when not.
+	meanMarkedF1
+	meanMarkedF2
+)
+
+// meanKey names one fan-out mean on a grid.
+type meanKey struct {
+	slot  int
+	kind  meanKind
+	d     float64 // enlargement: an edge weight, or the slot's largest
+	bound float64 // meanMarkedF2's replication radius
+}
+
+type planMeanKey struct {
+	g *gridStats
+	meanKey
+}
+
+// mean returns E[f(r)] for a uniformly drawn rectangle of the slot: the
+// mean of the kind's fan-out over the slot's sample. A mean taken with
+// no enlargement depends on the relations and the grid alone, so it is
+// kept on the grid for every later query over these relations; one that
+// a range predicate's d (or C-Rep-L's bound, which sums them) enters is
+// this plan's only.
+func (est *estimator) mean(g *gridStats, k meanKey) float64 {
+	shared := k.d == 0 && k.kind != meanMarkedF2
+	if shared {
+		g.mu.Lock()
+		v, ok := g.means[k]
+		g.mu.Unlock()
+		if ok {
+			return v
 		}
-		pr.rects[s] = rs
+	} else if v, ok := est.means[planMeanKey{g, k}]; ok {
+		return v
 	}
-	return pr.rects[s]
+	v := est.sampleMean(g, k)
+	if shared {
+		g.mu.Lock()
+		if g.means == nil {
+			g.means = map[meanKey]float64{}
+		}
+		g.means[k] = v
+		g.mu.Unlock()
+	} else {
+		est.means[planMeanKey{g, k}] = v
+	}
+	return v
 }
 
-// slotSample returns the deterministic uniform sample of slot s.
-func (pr *predictor) slotSample(s int) []geom.Rect {
-	if pr.samples == nil {
-		pr.samples = make([][]geom.Rect, len(pr.rels))
+// splitCounts returns, per rectangle of the slot's sample, the number
+// of cells it is split over once enlarged by d. Every fan-out the cost
+// model takes under an enlargement starts from it — the cascade's key
+// split is its mean, and a rectangle is predicted marked when the count
+// exceeds one — so the four binary searches behind a count run once per
+// (grid, slot, d) of a plan.
+func (est *estimator) splitCounts(g *gridStats, slot int, d float64) []int32 {
+	k := planMeanKey{g, meanKey{slot: slot, d: d}}
+	if c, ok := est.splits[k]; ok {
+		return c
 	}
-	if pr.samples[s] == nil {
-		// Streams 1 and 2 are used by JoinCardinality; slot fanout
-		// samples start at 3.
-		pr.samples[s] = pr.sampler.Sample(pr.slotRects(s), uint64(s)+3)
+	sample := est.set.sample(slot, uint64(slot)+3)
+	c := make([]int32, len(sample))
+	for i, r := range sample {
+		if d > 0 {
+			r = r.Enlarge(d)
+		}
+		c[i] = int32(g.part.SplitCount(r))
 	}
-	return pr.samples[s]
+	est.splits[k] = c
+	return c
 }
 
-// sampleMean returns the mean of f over slot s's sample — E[f(r)] for a
-// uniformly drawn rectangle of the slot.
-func (pr *predictor) sampleMean(s int, f func(geom.Rect) float64) float64 {
-	sample := pr.slotSample(s)
+// sampleMean takes the mean a meanKey names over the slot's sample, 0
+// for an empty one.
+func (est *estimator) sampleMean(g *gridStats, k meanKey) float64 {
+	sample := est.set.sample(k.slot, uint64(k.slot)+3)
 	if len(sample) == 0 {
 		return 0
 	}
+	part := g.part
 	var sum float64
-	for _, r := range sample {
-		sum += f(r)
+	if k.kind == meanFourthQuadrant {
+		for _, r := range sample {
+			sum += float64(part.FourthQuadrantCount(r))
+		}
+		return clampCost(sum / float64(len(sample)))
+	}
+	// The sampled marking test: C1–C4 are approximated by the dominant
+	// C2 test — the rectangle crosses a cell boundary — and enlarging by
+	// the slot's largest incident predicate weight folds C2's
+	// range-predicate cases into it.
+	for i, split := range est.splitCounts(g, k.slot, k.d) {
+		marked := split > 1
+		switch {
+		case k.kind == meanSplit:
+			sum += float64(split)
+		case k.kind == meanMarked:
+			if marked {
+				sum++
+			}
+		case !marked:
+			sum++ // projected to its start cell only
+		case k.kind == meanMarkedF1:
+			sum += float64(part.FourthQuadrantCount(sample[i]))
+		default: // meanMarkedF2
+			n := 0
+			part.ForEachReplicateF2(sample[i], k.bound, est.metric, func(grid.CellID) { n++ })
+			sum += float64(n)
+		}
 	}
 	return clampCost(sum / float64(len(sample)))
 }
 
-// slotMean scales the sample mean of f up to the slot's full
-// cardinality: Σ over all rectangles of slot s of E[f(r)].
-func (pr *predictor) slotMean(s int, f func(geom.Rect) float64) float64 {
-	return pr.sampleMean(s, f) * float64(len(pr.slotRects(s)))
+// slotTotal scales a slot's mean up to its full cardinality: Σ over all
+// rectangles of the slot of E[f(r)].
+func (est *estimator) slotTotal(g *gridStats, k meanKey) float64 {
+	return est.mean(g, k) * est.count(k.slot)
 }
 
 // chain estimates the intermediate cardinality after each prefix of the
 // plan order: chain[p] is the predicted number of partial tuples over
 // order[:p+1]. This is the same independence-chaining the cost-based
-// planner uses: the first connecting edge scales by card/N and every
+// join order uses: the first connecting edge scales by card/N and every
 // further connecting edge filters multiplicatively by its selectivity.
-func (pr *predictor) chain() []float64 {
-	pl := pr.pl
+func (est *estimator) chain(pl *plan) []float64 {
+	if c, ok := est.chains[pl]; ok {
+		return c
+	}
 	out := make([]float64, pl.m)
-	out[0] = float64(len(pr.slotRects(pl.order[0])))
-	est := out[0]
+	out[0] = est.count(pl.order[0])
+	cur := out[0]
 	for p := 1; p < pl.m; p++ {
 		s := pl.order[p]
 		// Zero-relation short-circuit: an empty slot joins to nothing,
 		// so every chain prefix from here on is exactly 0 — no sampled
 		// ratio (and no division) is needed to know that.
-		if len(pr.slotRects(s)) == 0 || est == 0 {
-			est = 0
+		if est.count(s) == 0 || cur == 0 {
+			cur = 0
 			continue
 		}
-		grow := est
+		grow := cur
 		for i, e := range pl.edgesToPrev[p] {
 			o := e.Other(s)
-			card := pr.sampler.JoinCardinality(pr.slotRects(o), pr.slotRects(s), e.Pred)
-			no := float64(len(pr.slotRects(o)))
-			ns := float64(len(pr.slotRects(s)))
+			card := est.card(o, s, e.Pred)
 			if i == 0 {
-				// card/no is the expected fanout of one existing
+				// card/N_o is the expected fanout of one existing
 				// partial into slot s; safeDiv treats the empty-slot
 				// denominator as zero fanout.
-				grow = est * safeDiv(card, no)
+				grow = cur * safeDiv(card, est.count(o))
 			} else {
 				// Further connecting edges filter multiplicatively by
-				// their selectivity card/(no·ns).
-				grow *= safeDiv(card, no*ns)
+				// their selectivity card/(N_o·N_s).
+				grow *= safeDiv(card, est.count(o)*est.count(s))
 			}
 		}
-		est = clampCost(grow)
-		out[p] = est
+		cur = clampCost(grow)
+		out[p] = cur
 	}
+	est.chains[pl] = out
 	return out
 }
 
-// outputTuples predicts the final result cardinality.
-func (pr *predictor) outputTuples() float64 {
-	c := pr.chain()
-	return c[len(c)-1]
+// predict prices one candidate — a method under a join order on a grid —
+// into a sanitized, uncalibrated Prediction.
+func (est *estimator) predict(method Method, optimize bool, g *gridStats) (*Prediction, error) {
+	pl := est.plan(optimize)
+	p := &Prediction{Method: method, Cells: g.part.NumCells()}
+	switch method {
+	case BruteForce:
+		// Single-machine reference: no shuffle, no replication.
+	case Cascade:
+		p.RoundPairs = est.cascadePairs(pl, g)
+	case AllReplicate:
+		p.RoundPairs, p.Replicated, p.Copies = est.allReplicate(g)
+	case ControlledReplicate, ControlledReplicateLimit:
+		var err error
+		p.RoundPairs, p.Replicated, p.Copies, err = est.controlledReplicate(g, method == ControlledReplicateLimit)
+		if err != nil {
+			return nil, err
+		}
+	default:
+		return nil, fmt.Errorf("spatial: unknown method %v", method)
+	}
+	p.Rounds = len(p.RoundPairs)
+	chain := est.chain(pl)
+	p.Tuples = chain[len(chain)-1]
+	return p.sanitize(), nil
 }
 
 // cascadePairs predicts the shuffle volume of each 2-way cascade step:
@@ -267,27 +418,17 @@ func (pr *predictor) outputTuples() float64 {
 // the new slot's relation split by its rectangles. The key rectangle of
 // a partial is a rectangle of the key slot's base relation, so that
 // relation's sampled split factor stands in for the partials'.
-func (pr *predictor) cascadePairs() []float64 {
-	pl := pr.pl
+func (est *estimator) cascadePairs(pl *plan, g *gridStats) []float64 {
 	if pl.m == 1 {
 		return nil
 	}
-	chain := pr.chain()
+	chain := est.chain(pl)
 	out := make([]float64, 0, pl.m-1)
 	for p := 1; p < pl.m; p++ {
 		newSlot := pl.order[p]
 		primary := pl.edgesToPrev[p][pl.primary[p]]
-		keySlot := primary.Other(newSlot)
-		d := primary.Pred.Weight()
-		keySplit := pr.sampleMean(keySlot, func(r geom.Rect) float64 {
-			if d > 0 {
-				r = r.Enlarge(d)
-			}
-			return float64(pr.part.SplitCount(r))
-		})
-		newSplits := pr.slotMean(newSlot, func(r geom.Rect) float64 {
-			return float64(pr.part.SplitCount(r))
-		})
+		keySplit := est.mean(g, meanKey{slot: primary.Other(newSlot), kind: meanSplit, d: max(primary.Pred.Weight(), 0)})
+		newSplits := est.slotTotal(g, meanKey{slot: newSlot, kind: meanSplit})
 		out = append(out, chain[p-1]*keySplit+newSplits)
 	}
 	return out
@@ -295,73 +436,48 @@ func (pr *predictor) cascadePairs() []float64 {
 
 // allReplicate predicts the one-round All-Replicate shuffle: every
 // rectangle ships to all cells of its 4th quadrant.
-func (pr *predictor) allReplicate() (rounds []float64, replicated, copies float64) {
+func (est *estimator) allReplicate(g *gridStats) (rounds []float64, replicated, copies float64) {
 	var pairs float64
-	for s := range pr.rels {
-		pairs += pr.slotMean(s, func(r geom.Rect) float64 {
-			return float64(pr.part.FourthQuadrantCount(r))
-		})
-		replicated += float64(len(pr.slotRects(s)))
+	for s := range est.set.rels {
+		pairs += est.slotTotal(g, meanKey{slot: s, kind: meanFourthQuadrant})
+		replicated += est.count(s)
 	}
 	return []float64{pairs}, replicated, pairs
 }
 
 // controlledReplicate predicts C-Rep's two rounds. Round one splits
-// every rectangle. For round two the marking conditions C1–C4 are
-// approximated per sampled rectangle by the dominant C2 test: a
-// rectangle is predicted marked when, enlarged by the largest incident
-// predicate weight of its slot, it crosses a cell boundary. Marked
-// rectangles replicate with f1 (or f2 within the §7.9 radius when limit
-// is set); unmarked ones project once.
-func (pr *predictor) controlledReplicate(limit bool) (rounds []float64, replicated, copies float64, err error) {
-	var bounds []float64
-	if limit {
-		dmax := make([]float64, pr.pl.m)
-		for s, rel := range pr.rels {
-			dmax[s] = rel.MaxDiagonal()
+// every rectangle. For round two a rectangle is predicted marked when,
+// enlarged by the largest incident predicate weight of its slot, it
+// crosses a cell boundary (see sampleMean). Marked rectangles replicate
+// with f1 (or f2 within the §7.9 radius when limit is set); unmarked
+// ones project once.
+func (est *estimator) controlledReplicate(g *gridStats, limit bool) (rounds []float64, replicated, copies float64, err error) {
+	q := est.base.q
+	if limit && est.bounds == nil && est.boundsErr == nil {
+		dmax := make([]float64, len(est.set.stats))
+		for s, st := range est.set.stats {
+			dmax[s] = st.maxDiag
 		}
-		if bounds, err = pr.pl.q.ReplicationBounds(dmax); err != nil {
-			return nil, 0, 0, err
-		}
+		est.bounds, est.boundsErr = q.ReplicationBounds(dmax)
+	}
+	if limit && est.boundsErr != nil {
+		return nil, 0, 0, est.boundsErr
 	}
 	var round1, round2 float64
-	for s := range pr.rels {
-		round1 += pr.slotMean(s, func(r geom.Rect) float64 {
-			return float64(pr.part.SplitCount(r))
-		})
+	for s := range est.set.rels {
+		round1 += est.slotTotal(g, meanKey{slot: s, kind: meanSplit})
 		ds := 0.0
-		for _, e := range pr.pl.q.EdgesAt(s) {
+		for _, e := range q.EdgesAt(s) {
 			if w := e.Pred.Weight(); w > ds {
 				ds = w
 			}
 		}
-		round2 += pr.slotMean(s, func(r geom.Rect) float64 {
-			if !pr.predictMarked(r, ds) {
-				return 1 // projected to its start cell only
-			}
-			if limit {
-				n := 0
-				pr.part.ForEachReplicateF2(r, bounds[s], pr.metric, func(grid.CellID) { n++ })
-				return float64(n)
-			}
-			return float64(pr.part.FourthQuadrantCount(r))
-		})
-		replicated += pr.slotMean(s, func(r geom.Rect) float64 {
-			if pr.predictMarked(r, ds) {
-				return 1
-			}
-			return 0
-		})
+		if limit {
+			round2 += est.slotTotal(g, meanKey{slot: s, kind: meanMarkedF2, d: ds, bound: est.bounds[s]})
+		} else {
+			round2 += est.slotTotal(g, meanKey{slot: s, kind: meanMarkedF1, d: ds})
+		}
+		replicated += est.slotTotal(g, meanKey{slot: s, kind: meanMarked, d: ds})
 	}
 	return []float64{round1, round2}, replicated, round2, nil
-}
-
-// predictMarked is the sampled marking test: enlarging by the slot's
-// largest incident predicate weight folds the range-predicate cases of
-// C2 into the boundary-crossing test.
-func (pr *predictor) predictMarked(r geom.Rect, ds float64) bool {
-	if ds > 0 {
-		r = r.Enlarge(ds)
-	}
-	return pr.part.Crosses(r)
 }

@@ -1,0 +1,5 @@
+package spatial
+
+// RaceEnabled lets the external test package skip allocation ceilings
+// under the race detector, as the in-package ones do.
+const RaceEnabled = raceEnabled

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"mwsjoin/internal/estimate"
 	"mwsjoin/internal/geom"
 	"mwsjoin/internal/query"
 )
@@ -32,16 +31,19 @@ func TestOptimizeOrderPicksCheapEdgeFirst(t *testing.T) {
 		mk("R3", 400, 2), // tiny rectangles: sparse joins
 	}
 	q := query.New("R1", "R2", "R3").Overlap(0, 1).Overlap(1, 2)
-	pl, err := newPlan(q, rels, true, false, 0)
+	est, err := newEstimator(q, rels, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(pl.order, []int{0, 1, 2}) {
-		t.Fatalf("default order = %v", pl.order)
+	if !reflect.DeepEqual(est.plan(false).order, []int{0, 1, 2}) {
+		t.Fatalf("default order = %v", est.plan(false).order)
 	}
-	pl.optimizeOrder(rels, estimate.NewSampler(0, 1))
+	pl := est.plan(true)
 	if !reflect.DeepEqual(pl.order, []int{1, 2, 0}) {
 		t.Errorf("optimized order = %v, want [1 2 0] (sparse edge first)", pl.order)
+	}
+	if !reflect.DeepEqual(est.plan(false).order, []int{0, 1, 2}) {
+		t.Errorf("optimizing rewrote the default plan's order to %v", est.plan(false).order)
 	}
 	// The rebuilt backward edges stay consistent: each later slot
 	// connects to an earlier one.
@@ -115,10 +117,11 @@ func TestOptimizeOrderReducesCascadeTraffic(t *testing.T) {
 func TestOptimizeOrderTwoSlotsNoop(t *testing.T) {
 	q := query.New("A", "B").Overlap(0, 1)
 	rels := []Relation{NewRelation("A", nil), NewRelation("B", nil)}
-	pl, _ := newPlan(q, rels, true, false, 0)
-	before := append([]int(nil), pl.order...)
-	pl.optimizeOrder(rels, estimate.NewSampler(0, 1))
-	if !reflect.DeepEqual(pl.order, before) {
-		t.Errorf("binary join order changed: %v", pl.order)
+	est, err := newEstimator(q, rels, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if est.plan(true) != est.plan(false) {
+		t.Errorf("binary join order changed: %v", est.plan(true).order)
 	}
 }

@@ -3,8 +3,6 @@ package spatial
 import (
 	"fmt"
 
-	"mwsjoin/internal/estimate"
-	"mwsjoin/internal/geom"
 	"mwsjoin/internal/grid"
 )
 
@@ -48,48 +46,27 @@ const adaptiveSampleStream = 0x5eed
 
 // AdaptivePartitioning builds the skew-aware reducer grid for the
 // bound relations: each distinct relation contributes a deterministic
-// uniform sample of its rectangles (the pre-pass a real deployment
-// would run as a cheap sampling job), and grid.NewAdaptive splits hot
+// uniform sample of its rectangles, and grid.NewAdaptive splits hot
 // regions and merges cold ones into at most k cells over the full data
 // bounds. k ≤ 0 uses the paper's 64-reducer default; unlike the
 // uniform scheme, k need not be a perfect square. splitThreshold ≤ 0
 // uses the default (see grid.AdaptiveOptions.SplitThreshold). Empty
 // relations fall back to the uniform default grid.
 func AdaptivePartitioning(rels []Relation, k int, splitThreshold float64) (*grid.Partitioning, error) {
-	if k <= 0 {
-		k = 64
-	}
-	sampler := estimate.NewSampler(0, 2013)
-	var sample []geom.Rect
-	seen := map[string]bool{}
-	for s, rel := range rels {
-		if seen[rel.Name] {
-			continue
-		}
-		seen[rel.Name] = true
-		rects := make([]geom.Rect, len(rel.Items))
-		for i, it := range rel.Items {
-			rects[i] = it.R
-		}
-		sample = append(sample, sampler.Sample(rects, adaptiveSampleStream+uint64(s))...)
-	}
-	if len(sample) == 0 {
-		return DefaultPartitioning(rels, 0)
-	}
-	return grid.NewAdaptive(sample, grid.AdaptiveOptions{
-		Target:         k,
-		SplitThreshold: splitThreshold,
-		Bounds:         dataBounds(rels),
-	})
+	return BuildPartitioning(PartitionAdaptive, rels, k, splitThreshold)
 }
 
 // BuildPartitioning resolves a partition scheme to a concrete reducer
 // grid over the bound relations, the shared entry point of Execute,
-// Predict, the public Options and the join service's admission path —
-// so the partitioning EXPLAIN prices is the one the run uses.
+// Predict, the planner, the public Options and the join service — so
+// the partitioning EXPLAIN prices is the one the run uses. The samples
+// and the extent come from the relations' summaries, and the grid is
+// remembered for the relation set (relationSet.grid): asking again for
+// the same relations, scheme, k and threshold returns the same grid.
 func BuildPartitioning(scheme PartitionScheme, rels []Relation, k int, splitThreshold float64) (*grid.Partitioning, error) {
-	if scheme == PartitionAdaptive {
-		return AdaptivePartitioning(rels, k, splitThreshold)
+	g, err := summaries(rels).grid(scheme, k, splitThreshold)
+	if err != nil {
+		return nil, err
 	}
-	return DefaultPartitioning(rels, k)
+	return g.part, nil
 }

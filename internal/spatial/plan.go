@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"mwsjoin/internal/estimate"
 	"mwsjoin/internal/geom"
 	"mwsjoin/internal/grid"
 	"mwsjoin/internal/index"
@@ -78,8 +77,7 @@ func newPlan(q *query.Query, rels []Relation, distinct, useRTree bool, rtreeThre
 	// Visit order: start at slot 0, greedily append the unvisited slot
 	// with the most edges into the visited set (ties to the lowest
 	// index). Validate() guarantees connectivity, so this covers all
-	// slots. Execute may replace this with a cost-based order via
-	// optimizeOrder.
+	// slots. optimizeOrder derives the cost-based alternative.
 	visited := make([]bool, m)
 	pl.order = append(pl.order, 0)
 	visited[0] = true
@@ -137,56 +135,36 @@ func (pl *plan) buildEdges() {
 	}
 }
 
-// optimizeOrder replaces the connectivity order with a cost-based
-// left-deep order (paper footnote 1 assumes 2-way Cascade runs its
-// joins in the optimal order): the sampling estimator supplies 2-way
-// join cardinalities, the first two slots are the cheapest edge, and
-// each subsequent slot is the connected one minimising the estimated
-// intermediate result size.
-func (pl *plan) optimizeOrder(rels []Relation, sampler *estimate.Sampler) {
+// optimizeOrder returns the plan under a cost-based left-deep order
+// (paper footnote 1 assumes 2-way Cascade runs its joins in the optimal
+// order): the estimator supplies sampled 2-way join cardinalities, the
+// first two slots are the cheapest edge, and each subsequent slot is
+// the connected one minimising the estimated intermediate result size.
+// The receiver is left as it is, and returned when there is nothing to
+// reorder.
+func (pl *plan) optimizeOrder(est *estimator) *plan {
 	m := pl.m
 	if m < 3 {
-		return // nothing to reorder
+		return pl
 	}
-	rects := make([][]geom.Rect, m)
-	for s, rel := range rels {
-		rects[s] = make([]geom.Rect, len(rel.Items))
-		for i, it := range rel.Items {
-			rects[s][i] = it.R
-		}
-	}
-	// Pairwise cardinality and selectivity estimates, one per edge.
+	// Pairwise cardinality and selectivity estimates, one per connected
+	// slot pair (its first edge's predicate), lower slot first.
 	type key struct{ a, b int }
 	card := map[key]float64{}
 	sel := map[key]float64{}
 	for _, e := range pl.q.Edges() {
-		a, b := e.A, e.B
-		if a > b {
-			a, b = b, a
-		}
-		k := key{a, b}
+		k := key{min(e.A, e.B), max(e.A, e.B)}
 		if _, done := card[k]; done {
 			continue
 		}
-		c := sampler.JoinCardinality(rects[a], rects[b], e.Pred)
+		c := est.card(k.a, k.b, e.Pred)
 		card[k] = c
-		n := float64(len(rects[a])) * float64(len(rects[b]))
-		if n > 0 {
+		if n := est.count(k.a) * est.count(k.b); n > 0 {
 			sel[k] = c / n
 		}
 	}
-	edgeCard := func(a, b int) float64 {
-		if a > b {
-			a, b = b, a
-		}
-		return card[key{a, b}]
-	}
-	edgeSel := func(a, b int) float64 {
-		if a > b {
-			a, b = b, a
-		}
-		return sel[key{a, b}]
-	}
+	edgeCard := func(a, b int) float64 { return card[key{min(a, b), max(a, b)}] }
+	edgeSel := func(a, b int) float64 { return sel[key{min(a, b), max(a, b)}] }
 
 	// Cheapest edge first (ties: lowest slot indices).
 	bestA, bestB, bestCost := -1, -1, math.Inf(1)
@@ -199,7 +177,7 @@ func (pl *plan) optimizeOrder(rels []Relation, sampler *estimate.Sampler) {
 	order := []int{bestA, bestB}
 	visited := make([]bool, m)
 	visited[bestA], visited[bestB] = true, true
-	est := bestCost
+	cur := bestCost
 
 	for len(order) < m {
 		next, nextEst := -1, math.Inf(1)
@@ -215,11 +193,10 @@ func (pl *plan) optimizeOrder(rels []Relation, sampler *estimate.Sampler) {
 				}
 				if grow < 0 {
 					// First connecting edge: E × card(o,t)/N_o.
-					no := float64(len(rects[o]))
-					if no == 0 {
+					if no := est.count(o); no == 0 {
 						grow = 0
 					} else {
-						grow = est * edgeCard(o, t) / no
+						grow = cur * edgeCard(o, t) / no
 					}
 				} else {
 					// Further connecting edges filter multiplicatively.
@@ -234,14 +211,16 @@ func (pl *plan) optimizeOrder(rels []Relation, sampler *estimate.Sampler) {
 			}
 		}
 		if next < 0 {
-			return // disconnected under this start; keep original order
+			return pl // disconnected under this start; keep original order
 		}
 		order = append(order, next)
 		visited[next] = true
-		est = nextEst
+		cur = nextEst
 	}
-	pl.order = order
-	pl.buildEdges()
+	opt := *pl
+	opt.order = order
+	opt.buildEdges()
+	return &opt
 }
 
 // compatible reports whether binding item id j to slot sj conflicts

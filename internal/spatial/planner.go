@@ -3,8 +3,8 @@ package spatial
 // The cost-based query planner (ROADMAP item 1, DESIGN.md §4h): given
 // a parsed query and its bound relations, enumerate candidate plans —
 // every map-reduce method, cascade join orderings, uniform vs adaptive
-// partitioning at several grid resolutions, combiner on/off — price
-// each with the calibrated EXPLAIN predictor, and return the argmin as
+// partitioning at several grid resolutions — price each with the
+// calibrated EXPLAIN predictor, and return the argmin as
 // a Plan that ExecutePlan runs exactly as priced. Every method yields
 // the same tuple set, so planning is purely a cost decision: a wrong
 // pick can only waste time, never change the answer.
@@ -158,10 +158,6 @@ type PlanCandidate struct {
 	// OptimizeOrder records whether the candidate runs the cost-based
 	// cascade join order instead of the connectivity default.
 	OptimizeOrder bool
-	// Combiner records whether the mark round's map-side combiner is
-	// enabled (only meaningful for the C-Rep family; a no-op for the
-	// result either way).
-	Combiner bool
 	// Prediction is the calibrated EXPLAIN estimate the candidate was
 	// priced from; Raw is its uncalibrated twin — what the calibration
 	// ledger records, so learned factors never compound.
@@ -227,9 +223,9 @@ func planCost(p *Prediction, opts PlannerOptions) float64 {
 }
 
 // lessCandidate is the deterministic total order the planner sorts by:
-// ascending cost, ties broken by method, scheme, grid resolution,
-// default join order before the optimized one, and combiner-on before
-// combiner-off — so identical inputs always produce the identical plan.
+// ascending cost, ties broken by method, scheme, grid resolution, and
+// default join order before the optimized one — so identical inputs
+// always produce the identical plan.
 func lessCandidate(a, b PlanCandidate) bool {
 	if a.Cost != b.Cost {
 		return a.Cost < b.Cost
@@ -246,19 +242,24 @@ func lessCandidate(a, b PlanCandidate) bool {
 	if a.OptimizeOrder != b.OptimizeOrder {
 		return !a.OptimizeOrder
 	}
-	if a.Combiner != b.Combiner {
-		return a.Combiner
-	}
 	return false
 }
 
 // PlanQuery enumerates the candidate space and returns the cheapest
 // plan. cfg supplies the execution context the candidates inherit
 // (calibration factors, LimitMetric, self-pair policy, …); fields the
-// planner itself enumerates (Part, Scheme, Reducers, OptimizeOrder,
-// NoCombiner) are overridden per candidate, except that a caller-fixed
-// cfg.Part pins the grid axis: then only the method, order and
-// combiner axes are explored, priced against exactly that grid.
+// planner itself enumerates (Part, Scheme, Reducers, OptimizeOrder) are
+// overridden per candidate, except that a caller-fixed cfg.Part pins
+// the grid axis: then only the method and order axes are explored,
+// priced against exactly that grid. The mark round's combiner is not an
+// axis: it cannot change a prediction, so cfg.NoCombiner is the
+// caller's to set on the run.
+//
+// Every candidate is priced from one estimator (see Predict), so the
+// relations are sampled and joined once per plan, not once per
+// candidate, and the candidate grids — with the fan-out means no query
+// can change — are the relation set's, shared with every earlier and
+// later plan over the same relations.
 //
 // The search is deterministic: the predictor draws fixed-seed samples,
 // the enumeration order is fixed, and ties break by lessCandidate — so
@@ -267,19 +268,28 @@ func PlanQuery(q *query.Query, rels []Relation, cfg Config, opts PlannerOptions)
 	type gridCand struct {
 		scheme   PartitionScheme
 		reducers int
-		part     *grid.Partitioning
+		g        *gridStats
+	}
+	for _, m := range opts.methods() {
+		if m == BruteForce {
+			return nil, fmt.Errorf("spatial: planner cannot cost %v: it runs no map-reduce job and would win every comparison vacuously", BruteForce)
+		}
+	}
+	est, err := newEstimator(q, rels, cfg)
+	if err != nil {
+		return nil, err
 	}
 	var grids []gridCand
 	if cfg.Part != nil {
-		grids = append(grids, gridCand{cfg.Scheme, cfg.Part.NumCells(), cfg.Part})
+		grids = append(grids, gridCand{cfg.Scheme, cfg.Part.NumCells(), &gridStats{part: cfg.Part}})
 	} else {
 		for _, scheme := range opts.schemes() {
 			for _, k := range opts.reducers() {
-				part, err := BuildPartitioning(scheme, rels, k, cfg.SplitThreshold)
+				g, err := est.set.grid(scheme, k, cfg.SplitThreshold)
 				if err != nil {
 					return nil, fmt.Errorf("spatial: planner grid candidate %s/%d: %w", scheme, k, err)
 				}
-				grids = append(grids, gridCand{scheme, k, part})
+				grids = append(grids, gridCand{scheme, k, g})
 			}
 		}
 	}
@@ -287,9 +297,6 @@ func PlanQuery(q *query.Query, rels []Relation, cfg Config, opts PlannerOptions)
 	var cands []PlanCandidate
 	parts := make(map[string]*grid.Partitioning, len(grids))
 	for _, m := range opts.methods() {
-		if m == BruteForce {
-			return nil, fmt.Errorf("spatial: planner cannot cost %v: it runs no map-reduce job and would win every comparison vacuously", BruteForce)
-		}
 		// The join order only changes the predicted cost of Cascade's
 		// 2-way steps; the other methods' shuffle rounds are
 		// order-independent, so their candidates inherit cfg's setting.
@@ -299,13 +306,7 @@ func PlanQuery(q *query.Query, rels []Relation, cfg Config, opts PlannerOptions)
 		}
 		for _, g := range grids {
 			for _, order := range orders {
-				ccfg := cfg
-				ccfg.Part = g.part
-				ccfg.Scheme = g.scheme
-				ccfg.Reducers = g.reducers
-				ccfg.OptimizeOrder = order
-				ccfg.Calibration = nil
-				raw, err := Predict(m, q, rels, ccfg)
+				raw, err := est.predict(m, order, g.g)
 				if err != nil {
 					return nil, err
 				}
@@ -314,23 +315,14 @@ func PlanQuery(q *query.Query, rels []Relation, cfg Config, opts PlannerOptions)
 					Method:        m,
 					Scheme:        g.scheme,
 					Reducers:      g.reducers,
-					Cells:         g.part.NumCells(),
+					Cells:         g.g.part.NumCells(),
 					OptimizeOrder: order,
-					Combiner:      true,
 					Prediction:    pred,
 					Raw:           raw,
 					Cost:          planCost(pred, opts),
 				}
 				cands = append(cands, c)
-				parts[c.label()] = g.part
-				if m == ControlledReplicate || m == ControlledReplicateLimit {
-					// The combiner axis: the mark-round combiner is a
-					// set-level no-op, so the prediction (and hence the
-					// cost) is shared and the tie-break prefers it on.
-					off := c
-					off.Combiner = false
-					cands = append(cands, off)
-				}
+				parts[c.label()] = g.g.part
 			}
 		}
 	}
@@ -343,16 +335,15 @@ func PlanQuery(q *query.Query, rels []Relation, cfg Config, opts PlannerOptions)
 }
 
 // ExecutePlan runs a plan exactly as the planner priced it: the chosen
-// method on the chosen grid, join order and combiner setting. cfg
-// supplies everything else (parallelism, fault injection, tracing, …);
-// its Part/Scheme/Reducers/OptimizeOrder/NoCombiner fields are
-// overwritten from the plan.
+// method on the chosen grid and join order. cfg supplies everything
+// else (parallelism, fault injection, tracing, …); its
+// Part/Scheme/Reducers/OptimizeOrder fields are overwritten from the
+// plan.
 func ExecutePlan(pl *Plan, q *query.Query, rels []Relation, cfg Config) (*Result, error) {
 	cfg.Part = pl.Part
 	cfg.Scheme = pl.Scheme
 	cfg.Reducers = pl.Reducers
 	cfg.OptimizeOrder = pl.OptimizeOrder
-	cfg.NoCombiner = !pl.Combiner
 	return Execute(pl.Method, q, rels, cfg)
 }
 
@@ -361,7 +352,7 @@ func ExecutePlan(pl *Plan, q *query.Query, rels []Relation, cfg Config) (*Result
 // calibrated per-phase estimates each was priced from.
 func (p *Plan) WriteExplain(w io.Writer) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "pick\tmethod\tpartition\tcells\torder\tcombiner\trounds\tpairs\tcopies\ttuples\tcost")
+	fmt.Fprintln(tw, "pick\tmethod\tpartition\tcells\torder\trounds\tpairs\tcopies\ttuples\tcost")
 	for i, c := range p.Alternatives {
 		pick := ""
 		if i == 0 {
@@ -371,12 +362,8 @@ func (p *Plan) WriteExplain(w io.Writer) error {
 		if c.OptimizeOrder {
 			order = "optimized"
 		}
-		comb := "on"
-		if !c.Combiner {
-			comb = "off"
-		}
-		fmt.Fprintf(tw, "%s\t%s\t%s/%d\t%d\t%s\t%s\t%d\t%.0f\t%.0f\t%.0f\t%.0f\n",
-			pick, c.Method, c.Scheme, c.Reducers, c.Cells, order, comb,
+		fmt.Fprintf(tw, "%s\t%s\t%s/%d\t%d\t%s\t%d\t%.0f\t%.0f\t%.0f\t%.0f\n",
+			pick, c.Method, c.Scheme, c.Reducers, c.Cells, order,
 			c.Prediction.Rounds, c.Prediction.Pairs, c.Prediction.Copies,
 			c.Prediction.Tuples, c.Cost)
 	}

@@ -113,7 +113,7 @@ func TestPlannerDegenerateBattery(t *testing.T) {
 				t.Fatal("Alternatives[0] must be the chosen plan")
 			}
 			for _, c := range plan.Alternatives {
-				ctx := fmt.Sprintf("candidate %s order=%t combiner=%t", c.label(), c.OptimizeOrder, c.Combiner)
+				ctx := fmt.Sprintf("candidate %s order=%t", c.label(), c.OptimizeOrder)
 				if math.IsNaN(c.Cost) || math.IsInf(c.Cost, 0) || c.Cost < 0 {
 					t.Errorf("%s: cost = %v, want finite non-negative", ctx, c.Cost)
 				}
@@ -220,7 +220,7 @@ func TestPlannerEquivalenceBattery(t *testing.T) {
 func planFingerprint(p *Plan) string {
 	var b strings.Builder
 	for _, c := range p.Alternatives {
-		fmt.Fprintf(&b, "%s|%t|%t|%d|%.6g;", c.label(), c.OptimizeOrder, c.Combiner, c.Cells, c.Cost)
+		fmt.Fprintf(&b, "%s|%t|%d|%.6g;", c.label(), c.OptimizeOrder, c.Cells, c.Cost)
 	}
 	return b.String()
 }
@@ -326,14 +326,42 @@ func TestPredictFiniteOnDegenerateInputs(t *testing.T) {
 }
 
 // TestPredictRejectsInvalidRects: a NaN coordinate must be a load-time
-// error, not a NaN that poisons every sampled sum downstream.
+// error, not a NaN that poisons every sampled sum downstream — on the
+// call that summarises the relation and, with the same error, on every
+// later call that reads the summary.
 func TestPredictRejectsInvalidRects(t *testing.T) {
 	q := query.New("R1", "R2").Overlap(0, 1)
-	bad := Relation{Name: "R2", Items: []Item{{ID: 0, R: geom.Rect{X: math.NaN(), Y: 1, L: 1, B: 1}}}}
-	rels := []Relation{NewRelation("R1", []geom.Rect{{X: 0, Y: 1, L: 1, B: 1}}), bad}
-	for _, m := range []Method{Cascade, AllReplicate, ControlledReplicate, ControlledReplicateLimit} {
-		if _, err := Predict(m, q, rels, Config{}); err == nil {
-			t.Errorf("%v: NaN rectangle accepted", m)
+	nan := geom.Rect{X: math.NaN(), Y: 1, L: 1, B: 1}
+	good := NewRelation("R1", []geom.Rect{{X: 0, Y: 1, L: 1, B: 1}})
+	for name, bad := range map[string]Relation{
+		"literal":    {Name: "R2", Items: []Item{{ID: 0, R: nan}}},
+		"summarised": NewRelation("R2", []geom.Rect{{X: 3, Y: 1, L: 1, B: 1}, nan}),
+	} {
+		rels := []Relation{good, bad}
+		var first string
+		for _, m := range []Method{Cascade, AllReplicate, ControlledReplicate, ControlledReplicateLimit} {
+			_, err := Predict(m, q, rels, Config{})
+			if err == nil {
+				t.Errorf("%s/%v: NaN rectangle accepted", name, m)
+				continue
+			}
+			if first == "" {
+				first = err.Error()
+			}
+			if err.Error() != first {
+				t.Errorf("%s/%v: error %q, the first call's was %q", name, m, err, first)
+			}
+		}
+		for _, run := range []func() error{
+			func() error { _, err := PlanQuery(q, rels, Config{}, PlannerOptions{}); return err },
+			func() error { _, err := Execute(Cascade, q, rels, Config{}); return err },
+		} {
+			if err := run(); err == nil || err.Error() != first {
+				t.Errorf("%s: PlanQuery/Execute error %v, Predict's was %q", name, err, first)
+			}
+		}
+		if want := fmt.Sprintf("spatial: relation %q (slot 1) item %d: ", "R2", len(bad.Items)-1); !strings.HasPrefix(first, want) {
+			t.Errorf("%s: error %q, want it to name the relation, slot and item: %q…", name, first, want)
 		}
 	}
 }

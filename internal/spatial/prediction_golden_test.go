@@ -1,0 +1,247 @@
+package spatial_test
+
+import (
+	"encoding/json"
+	"fmt"
+	"math"
+	"math/rand/v2"
+	"os"
+	"strings"
+	"testing"
+
+	"mwsjoin/internal/dataset"
+	"mwsjoin/internal/geom"
+	"mwsjoin/internal/grid"
+	"mwsjoin/internal/query"
+	"mwsjoin/internal/spatial"
+)
+
+// The prediction goldens pin every number the cost model produces to
+// what the commit before the per-relation summaries (0c03bd6) computed:
+// testdata/prediction_golden.json was written by this very file running
+// on that commit, where every Predict call re-validated, re-copied,
+// re-sampled and re-joined the relations from scratch. The summaries,
+// the per-plan estimate context and the relation-set memo change where
+// and how often each statistic is computed, never its value — so every
+// candidate's label, raw and calibrated prediction and cost must
+// reproduce bit for bit (math.Float64bits, rendered as hex), through
+// PlanQuery and through a standalone Predict of the same candidate.
+//
+// MWSJ_WRITE_PREDICTION_GOLDEN=1 rewrites the file from the current
+// code, which is only meaningful on a commit whose numbers are the
+// reference.
+
+const predictionGoldenFile = "testdata/prediction_golden.json"
+
+func bits(v float64) string { return fmt.Sprintf("%016x", math.Float64bits(v)) }
+
+// goldenOf renders a prediction's every field, floats as their bits.
+func goldenOf(p *spatial.Prediction) string {
+	rounds := make([]string, len(p.RoundPairs))
+	for i, rp := range p.RoundPairs {
+		rounds[i] = bits(rp)
+	}
+	return fmt.Sprintf("cells=%d rounds=%d [%s] pairs=%s replicated=%s copies=%s tuples=%s",
+		p.Cells, p.Rounds, strings.Join(rounds, " "), bits(p.Pairs), bits(p.Replicated), bits(p.Copies), bits(p.Tuples))
+}
+
+// goldenCandidate is one priced candidate as the golden file holds it.
+type goldenCandidate struct {
+	Label      string `json:"label"` // method/scheme/reducers, "+order" for the optimized join order
+	Raw        string `json:"raw"`
+	Calibrated string `json:"calibrated,omitempty"` // only where a Calibration is set
+	Cost       string `json:"cost"`
+}
+
+type goldenCase struct {
+	name  string
+	q     *query.Query
+	rels  []spatial.Relation
+	cfg   spatial.Config
+	popts spatial.PlannerOptions
+}
+
+// goldenUniform mirrors the benchmark's uniform relations: the paper's
+// synthetic rectangles at the paper's density.
+func goldenUniform(tb testing.TB, names []string, n int, seed uint64) []spatial.Relation {
+	tb.Helper()
+	p := dataset.PaperDefaults(n)
+	side := 100_000 * math.Sqrt(float64(n)/1e6)
+	p.XMax, p.YMax = side, side
+	rels := make([]spatial.Relation, len(names))
+	for i, name := range names {
+		rects, err := dataset.Synthetic(p, seed+101*uint64(i+1))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		rels[i] = spatial.NewRelation(name, rects)
+	}
+	return rels
+}
+
+// goldenZipf mirrors the benchmark's skewed relations: one
+// Zipf-clustered draw dealt round-robin into the named relations.
+func goldenZipf(tb testing.TB, names []string, total int, seed uint64) []spatial.Relation {
+	tb.Helper()
+	rects, err := dataset.ZipfClustered(dataset.SkewedDefaults(total), 2013)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rng := rand.New(rand.NewPCG(seed, 0x7a697066))
+	rng.Shuffle(len(rects), func(i, j int) { rects[i], rects[j] = rects[j], rects[i] })
+	dealt := make([][]geom.Rect, len(names))
+	for i, r := range rects {
+		dealt[i%len(names)] = append(dealt[i%len(names)], r)
+	}
+	rels := make([]spatial.Relation, len(names))
+	for i, name := range names {
+		rels[i] = spatial.NewRelation(name, dealt[i])
+	}
+	return rels
+}
+
+func goldenCases(tb testing.TB) []goldenCase {
+	abc := []string{"a", "b", "c"}
+	hybrid := func() *query.Query { return query.New("a", "b", "c").Overlap(0, 1).Range(1, 2, 8) }
+	uniSmall := goldenUniform(tb, abc, 3000, 2013)
+	uniLarge := goldenUniform(tb, abc, 12000, 7)
+	zipfSmall := goldenZipf(tb, abc, 9000, 2013)
+	zipfLarge := goldenZipf(tb, abc, 15000, 7)
+	four := goldenUniform(tb, []string{"a", "b", "c", "d"}, 2500, 11)
+
+	pinned, err := grid.NewUniform(geom.Rect{X: -10, Y: 5500, L: 5600, B: 5600}, 5, 7)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cal := &spatial.Calibration{Factors: map[string]float64{
+		spatial.CalibrationKey(spatial.Cascade, "round0"):                  1.7,
+		spatial.CalibrationKey(spatial.Cascade, "pairs"):                   0.6,
+		spatial.CalibrationKey(spatial.Cascade, "tuples"):                  2.25,
+		spatial.CalibrationKey(spatial.AllReplicate, "copies"):             0.5,
+		spatial.CalibrationKey(spatial.ControlledReplicate, "round1"):      3,
+		spatial.CalibrationKey(spatial.ControlledReplicate, "replicated"):  0.1,
+		spatial.CalibrationKey(spatial.ControlledReplicateLimit, "pairs"):  1.3,
+		spatial.CalibrationKey(spatial.ControlledReplicateLimit, "tuples"): 0.9,
+	}}
+	self := zipfSmall[0]
+	few := make([]geom.Rect, 300)
+	for i := range few {
+		few[i] = uniSmall[1].Items[i].R
+	}
+	return []goldenCase{
+		{name: "uniform-3000/hybrid", q: hybrid(), rels: uniSmall},
+		{name: "uniform-12000/hybrid", q: hybrid(), rels: uniLarge},
+		{name: "zipf-3000/hybrid", q: hybrid(), rels: zipfSmall},
+		{name: "zipf-5000/hybrid", q: hybrid(), rels: zipfLarge},
+		{name: "uniform-3000/pair-range", q: query.New("a", "b").Range(0, 1, 25), rels: uniSmall[:2]},
+		{name: "zipf-3000/pair-overlap", q: query.New("a", "b").Overlap(0, 1), rels: zipfSmall[:2]},
+		{
+			// A second edge into slot c (a filter beside the primary) and a
+			// dense tail, so the optimized order differs from the default.
+			name: "uniform-2500/four-slot",
+			q:    query.New("a", "b", "c", "d").Overlap(0, 1).Range(1, 2, 12).Range(0, 2, 40).Overlap(2, 3),
+			rels: four,
+		},
+		{
+			name: "zipf-3000/self-join",
+			q:    query.New("x", "y", "z").Overlap(0, 1).Range(1, 2, 5),
+			rels: []spatial.Relation{self, self, self},
+		},
+		{
+			name: "uniform-3000/empty-middle",
+			q:    hybrid(),
+			rels: []spatial.Relation{uniSmall[0], spatial.NewRelation("b", nil), uniSmall[2]},
+		},
+		{
+			name: "uniform-3000/below-sample-size",
+			q:    hybrid(),
+			rels: []spatial.Relation{uniSmall[0], spatial.NewRelation("b", few), uniSmall[2]},
+		},
+		{name: "uniform-3000/pinned-part", q: hybrid(), rels: uniSmall, cfg: spatial.Config{Part: pinned}},
+		{name: "zipf-5000/calibrated", q: hybrid(), rels: zipfLarge, cfg: spatial.Config{Calibration: cal}},
+		{
+			name: "uniform-12000/split-threshold", q: hybrid(), rels: uniLarge,
+			cfg:   spatial.Config{SplitThreshold: 0.5, LimitMetric: grid.MetricEuclidean},
+			popts: spatial.PlannerOptions{Reducers: []int{36, 100}},
+		},
+	}
+}
+
+func TestPredictionGolden(t *testing.T) {
+	got := map[string][]goldenCandidate{}
+	alts := map[string][]spatial.PlanCandidate{}
+	cases := goldenCases(t)
+	for _, tc := range cases {
+		plan, err := spatial.PlanQuery(tc.q, tc.rels, tc.cfg, tc.popts)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		alts[tc.name] = plan.Alternatives
+		for _, c := range alts[tc.name] {
+			label := fmt.Sprintf("%s/%s/%d→%d", c.Method, c.Scheme, c.Reducers, c.Cells)
+			if c.OptimizeOrder {
+				label += "+order"
+			}
+			g := goldenCandidate{Label: label, Raw: goldenOf(c.Raw), Cost: bits(c.Cost)}
+			if tc.cfg.Calibration != nil {
+				g.Calibrated = goldenOf(c.Prediction)
+			} else if goldenOf(c.Prediction) != g.Raw {
+				t.Errorf("%s: %s priced a prediction that is not its raw one without a calibration", tc.name, label)
+			}
+			got[tc.name] = append(got[tc.name], g)
+		}
+	}
+
+	if os.Getenv("MWSJ_WRITE_PREDICTION_GOLDEN") != "" {
+		js, err := json.MarshalIndent(got, "", " ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(predictionGoldenFile, append(js, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	js, err := os.ReadFile(predictionGoldenFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][]goldenCandidate{}
+	if err := json.Unmarshal(js, &want); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range cases {
+		g, w := got[tc.name], want[tc.name]
+		if len(g) != len(w) {
+			t.Errorf("%s: %d candidates, the parent commit enumerated %d", tc.name, len(g), len(w))
+			continue
+		}
+		for i := range g {
+			if g[i] != w[i] {
+				t.Errorf("%s: candidate %d\n got  %+v\n want %+v", tc.name, i, g[i], w[i])
+			}
+		}
+		// Standalone Predict of each candidate — the one-candidate
+		// estimate context — prices exactly what the plan did.
+		for i, c := range alts[tc.name] {
+			cfg := tc.cfg
+			cfg.OptimizeOrder = c.OptimizeOrder
+			if cfg.Part == nil {
+				cfg.Scheme, cfg.Reducers = c.Scheme, c.Reducers
+			}
+			for _, want := range []string{w[i].Calibrated, w[i].Raw} {
+				if want == "" {
+					continue
+				}
+				pred, err := spatial.Predict(c.Method, tc.q, tc.rels, cfg)
+				if err != nil {
+					t.Fatalf("%s: Predict %s: %v", tc.name, w[i].Label, err)
+				}
+				if goldenOf(pred) != want {
+					t.Errorf("%s: standalone Predict %s\n got  %s\n want %s", tc.name, w[i].Label, goldenOf(pred), want)
+				}
+				cfg.Calibration = nil
+			}
+		}
+	}
+}

@@ -1,0 +1,184 @@
+package spatial
+
+import (
+	"math/rand/v2"
+	"sync"
+	"testing"
+
+	"mwsjoin/internal/geom"
+	"mwsjoin/internal/query"
+)
+
+// summaryRelations are large enough that every statistic is sampled.
+func summaryRelations(seed uint64) []Relation {
+	return randomRelations(rand.New(rand.NewPCG(seed, 18)), 3, 3000, 4000, 80)
+}
+
+func hybridQuery() *query.Query { return query.New("R1", "R2", "R3").Overlap(0, 1).Range(1, 2, 9) }
+
+// allReplicated is the one prediction field that is a plain statistic:
+// All-Replicate ships every rectangle, so it is the relations' total
+// count — and moves when, and only when, a summary is rebuilt.
+func allReplicated(t *testing.T, rels []Relation) float64 {
+	t.Helper()
+	p, err := Predict(AllReplicate, hybridQuery(), rels, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p.Replicated
+}
+
+// TestSummaryFollowsItems is the staleness guard: a relation that has
+// been planned on and then has its Items re-sliced, replaced, appended
+// to or rewritten in place is summarised afresh — never priced,
+// partitioned or validated from the statistics of its old contents.
+func TestSummaryFollowsItems(t *testing.T) {
+	rels := summaryRelations(1)
+	if got := allReplicated(t, rels); got != 9000 {
+		t.Fatalf("replicated = %v, want 9000", got)
+	}
+	before := rels[1].stats()
+	if rels[1].stats() != before {
+		t.Fatal("an unchanged relation was summarised twice")
+	}
+
+	rels[1].Items = rels[1].Items[:1000]
+	if got := allReplicated(t, rels); got != 7000 {
+		t.Errorf("after re-slicing to 1000 items: replicated = %v, want 7000", got)
+	}
+	rels[1].Items = append(rels[1].Items, Item{ID: 1000, R: geom.Rect{X: 1, Y: 2, L: 3, B: 1}})
+	if got := allReplicated(t, rels); got != 7001 {
+		t.Errorf("after appending one item: replicated = %v, want 7001", got)
+	}
+	rels[1].Items = summaryRelations(2)[1].Items[:500]
+	if got := allReplicated(t, rels); got != 6500 {
+		t.Errorf("after replacing Items: replicated = %v, want 6500", got)
+	}
+
+	// Rewritten in place: same array, same length, other rectangles.
+	part, err := BuildPartitioning(PartitionUniform, rels, 16, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range rels[2].Items {
+		rels[2].Items[i].R.X += 1e6
+	}
+	moved, err := BuildPartitioning(PartitionUniform, rels, 16, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if moved == part || moved.Bounds().MaxX() < 1e6 {
+		t.Errorf("after shifting a relation in place the grid still spans %v", moved.Bounds())
+	}
+	if d := rels[2].MaxDiagonal(); d != rels[2].stats().maxDiag || d <= 0 {
+		t.Errorf("MaxDiagonal = %v, the summary holds %v", d, rels[2].stats().maxDiag)
+	}
+
+	// A copy of the value shares the summary, and narrowing the copy
+	// does not leave the original with the copy's statistics.
+	narrow := rels[0]
+	narrow.Items = narrow.Items[:10]
+	if n := narrow.stats().n; n != 10 {
+		t.Errorf("narrowed copy summarised as %d items", n)
+	}
+	if n := rels[0].stats().n; n != 3000 {
+		t.Errorf("original summarised as %d items after its copy was narrowed", n)
+	}
+
+	// A rectangle made invalid in place, at a probed position, is
+	// rejected from then on, on every call.
+	rels[0].Items[0].R.L = -1
+	for call := 0; call < 2; call++ {
+		if _, err := Predict(Cascade, hybridQuery(), rels, Config{}); err == nil {
+			t.Errorf("call %d: a negative length written in place was accepted", call)
+		}
+	}
+}
+
+// TestSummaryBuiltOnce: concurrent first users of fresh relations wait
+// for one walk per relation, draw each sample once, and agree.
+func TestSummaryBuiltOnce(t *testing.T) {
+	rels := summaryRelations(3)
+	built := statsIDs.Load()
+	const n = 4
+	plans := make([]string, n)
+	var wg sync.WaitGroup
+	for i := range plans {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			plan, err := PlanQuery(hybridQuery(), rels, Config{}, PlannerOptions{})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			plans[i] = planFingerprint(plan)
+		}()
+	}
+	wg.Wait()
+	if got := statsIDs.Load() - built; got != uint64(len(rels)) {
+		t.Errorf("%d summaries built for %d relations", got, len(rels))
+	}
+	for i, p := range plans {
+		if p != plans[0] {
+			t.Errorf("plan %d differs from plan 0:\n %s\n %s", i, p, plans[0])
+		}
+	}
+	again, err := PlanQuery(hybridQuery(), rels, Config{}, PlannerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if planFingerprint(again) != plans[0] {
+		t.Error("a warm plan differs from the first plans")
+	}
+	if got := statsIDs.Load() - built; got != uint64(len(rels)) {
+		t.Errorf("a warm plan summarised again: %d summaries for %d relations", got, len(rels))
+	}
+}
+
+// TestGridMemo: a relation set's grids are built once per (scheme, k,
+// threshold), the memo never outgrows its fixed size, and another
+// relation in any slot is another key.
+func TestGridMemo(t *testing.T) {
+	rels := summaryRelations(4)
+	first, err := BuildPartitioning(PartitionAdaptive, rels, 64, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := AdaptivePartitioning(rels, 64, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != first {
+		t.Error("the same relations, scheme and k built a second grid")
+	}
+	if byDefault, _ := BuildPartitioning(PartitionAdaptive, rels, 0, -1); byDefault != first {
+		t.Error("k ≤ 0 and a threshold ≤ 0 did not resolve to the defaults' grid")
+	}
+	for k := 1; k <= 3*gridMemoSize; k++ {
+		if _, err := BuildPartitioning(PartitionAdaptive, rels, k, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lead := rels[0].stats()
+	lead.mu.Lock()
+	kept := len(lead.grids.entries)
+	lead.mu.Unlock()
+	if kept != gridMemoSize {
+		t.Errorf("memo holds %d grids, want its fixed size %d", kept, gridMemoSize)
+	}
+	if recent, _ := BuildPartitioning(PartitionAdaptive, rels, 3*gridMemoSize, 0); recent == nil || recent.NumCells() > 3*gridMemoSize {
+		t.Errorf("grid for k=%d: %v", 3*gridMemoSize, recent)
+	}
+
+	// Replacing one relation of the set — same name, other contents —
+	// changes the key: no grid of the old set answers for the new one.
+	other := []Relation{rels[0], NewRelation("R2", []geom.Rect{{X: -5000, Y: 9000, L: 10, B: 10}}), rels[2]}
+	replaced, err := BuildPartitioning(PartitionAdaptive, other, 64, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if replaced == first || replaced.Bounds().MinX() > -5000 {
+		t.Errorf("the grid of a set with a replaced relation spans %v", replaced.Bounds())
+	}
+}

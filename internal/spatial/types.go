@@ -39,9 +39,20 @@ type Item struct {
 // Relation is a named dataset of rectangles. Two query slots bound to
 // relations with the same Name are treated as a self-join: by default
 // an output tuple may not bind the same rectangle to both slots.
+//
+// A relation carries a summary of its Items — validity, extent, largest
+// diagonal and the cost model's fixed-seed samples — computed on first
+// use and shared by every copy of the value, so planning and executing
+// many queries over it walk Items once (see summary.go). Items is
+// read-only from that first use on. Appending to it, re-slicing it,
+// replacing it or rewriting it in place is noticed and the relation is
+// summarised afresh; a write to a single element may go unnoticed and
+// leave the old statistics in force.
 type Relation struct {
 	Name  string
 	Items []Item
+
+	sum *relSummary
 }
 
 // NewRelation builds a relation whose item IDs are the rectangle
@@ -51,20 +62,12 @@ func NewRelation(name string, rects []geom.Rect) Relation {
 	for i, r := range rects {
 		items[i] = Item{ID: int32(i), R: r}
 	}
-	return Relation{Name: name, Items: items}
+	return Relation{Name: name, Items: items, sum: &relSummary{}}
 }
 
 // MaxDiagonal returns the largest rectangle diagonal in the relation —
 // the d_max bound of §7.9 — or 0 for an empty relation.
-func (rel Relation) MaxDiagonal() float64 {
-	var d float64
-	for _, it := range rel.Items {
-		if dd := it.R.Diagonal(); dd > d {
-			d = dd
-		}
-	}
-	return d
-}
+func (rel Relation) MaxDiagonal() float64 { return rel.stats().maxDiag }
 
 // Tuple is one output row: the rectangle IDs bound to the query slots,
 // in slot order.

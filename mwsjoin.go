@@ -400,9 +400,9 @@ func ParsePartitionScheme(s string) (PartitionScheme, error) {
 	return spatial.ParsePartitionScheme(s)
 }
 
-// Plan is the cost-based planner's pick: the chosen method, grid,
-// join order and combiner setting, the calibrated cost estimate it was
-// priced from, and every rejected alternative. Obtain one with
+// Plan is the cost-based planner's pick: the chosen method, grid and
+// join order, the calibrated cost estimate it was priced from, and
+// every rejected alternative. Obtain one with
 // PlanQuery, execute it with RunPlan, render it with WriteExplain.
 type Plan = spatial.Plan
 
@@ -416,8 +416,8 @@ type PlannerOptions = spatial.PlannerOptions
 
 // PlanQuery enumerates candidate execution plans for the query — every
 // map-reduce method, cascade join orderings, uniform vs adaptive
-// partitioning at several grid resolutions, combiner on/off — prices
-// each with the (optionally calibrated) EXPLAIN cost model, and
+// partitioning at several grid resolutions — prices each with the
+// (optionally calibrated) EXPLAIN cost model, and
 // returns the cheapest as a Plan ready for RunPlan. Setting
 // Options.Partitioning or Options.Reducers pins the grid axis to that
 // one grid; leaving both zero lets the planner pick the resolution.
@@ -433,8 +433,7 @@ func PlanQuery(q *Query, rels []Relation, opts *Options, popts PlannerOptions) (
 }
 
 // RunPlan executes a planned query exactly as PlanQuery priced it: the
-// chosen method on the chosen grid, join order and combiner setting.
-// opts supplies everything else (parallelism, fault injection,
+// chosen method on the chosen grid and join order. opts supplies everything else (parallelism, fault injection,
 // tracing, …) and may be nil.
 func RunPlan(q *Query, rels []Relation, plan *Plan, opts *Options) (*Result, error) {
 	return RunPlanContext(context.Background(), q, rels, plan, opts)
