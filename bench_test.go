@@ -137,14 +137,16 @@ func BenchmarkReducerIndexAblation(b *testing.B) {
 		{"uniform", uniform},
 		{"roads", []Relation{roads, roads, roads}},
 	} {
-		for _, rtree := range []bool{false, true} {
+		// Threshold 0 keeps the default escalation point (256 records a
+		// slot); 1 indexes every slot past the linear-scan size by R-tree.
+		for _, threshold := range []int{0, 1} {
 			name := tc.name + "/grid-index"
-			if rtree {
+			if threshold == 1 {
 				name = tc.name + "/rtree-index"
 			}
 			b.Run(name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := Run(q, tc.rels, ControlledReplicateLimit, &Options{UseRTree: rtree}); err != nil {
+					if _, err := Run(q, tc.rels, ControlledReplicateLimit, &Options{RTreeSweepThreshold: threshold}); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -21,17 +21,17 @@
 // with suppressed tuple output, and prints a predicted-vs-actual table
 // with relative errors.
 //
-// -method auto delegates the choice to the cost-based planner: it
-// enumerates every method, cascade join orderings and uniform vs
-// adaptive grids at several resolutions, prices each with the
-// (optionally calibrated) cost model, and runs the cheapest plan.
-// -explain-plan prints the planner's full candidate table — the chosen
-// plan first, then every rejected alternative with its predicted cost —
-// without executing anything. Explicitly setting -reducers or
-// -partition pins the corresponding planner axis. -timeout bounds the
-// run: the execution stops
-// cooperatively at its next job boundary and the command exits with
-// status 3, distinguishing a deadline from a failure (status 1).
+// -method auto delegates the choice of method to the cost-based
+// planner: it prices every map-reduce method with the (optionally
+// calibrated) cost model on the grid -partition, -reducers and
+// -split-threshold select — they mean the same under every -method —
+// and runs the cheapest in the cost-based join order. -explain-plan
+// prints the grid and the planner's candidate table — the chosen method
+// first, then every rejected one with its predicted cost — without
+// executing anything; an explicit -method narrows it to that method.
+// -timeout bounds the run: the execution stops cooperatively at its
+// next job boundary and the command exits with status 3, distinguishing
+// a deadline from a failure (status 1).
 //
 // -profile writes a structured post-run query profile (per-round
 // map/shuffle/reduce breakdown; "-" prints to stderr) and -trace-chrome
@@ -127,7 +127,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	rels := relFlags{}
 	var (
 		queryText = fs.String("query", "", `query text, e.g. "R1 ov R2 and R2 ra(100) R3"`)
-		method    = fs.String("method", "c-rep-l", "join method: brute-force | 2-way-cascade | all-replicate | c-rep | c-rep-l | auto (cost-based planner picks the cheapest plan)")
+		method    = fs.String("method", "c-rep-l", "join method: brute-force | 2-way-cascade | all-replicate | c-rep | c-rep-l | auto (cost-based planner picks the cheapest method on the -partition/-reducers grid)")
 		reducers  = fs.Int("reducers", 64, "reducer count (perfect square for -partition uniform)")
 		partition = fs.String("partition", "uniform", "reducer partitioning scheme: uniform | adaptive (sample-driven split/merge, balances skewed data; results are identical)")
 		splitThr  = fs.Float64("split-threshold", 0, "adaptive-partition split capacity factor; a region splits while it holds more than split-threshold × (sample/reducers) sample points (0 = default 1.0)")
@@ -140,7 +140,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		traceTree = fs.String("trace-tree", "", "write a human-readable span tree of the execution to this file")
 		serveAddr = fs.String("serve", "", "serve live metrics on this address while running (/metrics, /debug/vars, /debug/pprof/*); :0 picks a free port")
 		explain   = fs.Bool("explain", false, "predict each map-reduce method's cost, measure the actuals, and print a predicted-vs-actual table (ignores -method and tuple output)")
-		explainPl = fs.Bool("explain-plan", false, "print the cost-based planner's candidate table (chosen plan plus every rejected alternative with predicted costs) and exit without running the query")
+		explainPl = fs.Bool("explain-plan", false, "print the grid and the cost-based planner's candidate table (chosen method plus every rejected one with predicted costs) and exit without running the query")
 		skewThr   = fs.Float64("skew-threshold", 0, "reducer-skew ratio flagged in the -trace-tree export; 0 derives it from the measured job imbalance distribution")
 		failJob   = fs.Int("fail-job", -1, "kill the run before job-chain index N (fault injection); with -checkpoint, the completed checkpoints are saved for -resume")
 		resume    = fs.Bool("resume", false, "resume a killed run from the -checkpoint snapshot; completed jobs are skipped and only the checkpoint re-read is charged")
@@ -167,10 +167,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("-calibrate requires -ledger <file>")
 	}
 
-	// Flags the user set explicitly pin the matching planner axis in
-	// -method auto / -explain-plan mode; left at their defaults, the
-	// planner is free to enumerate (e.g. the -reducers default of 64
-	// must not silently fix the grid resolution).
+	// -explain-plan ranks every method unless -method was typed: the
+	// flag's c-rep-l default must not silently narrow the table.
 	setFlags := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { setFlags[f.Name] = true })
 
@@ -286,35 +284,22 @@ func run(args []string, stdout, stderr io.Writer) error {
 		defer cancel()
 	}
 
-	// Plan in auto / -explain-plan mode. Only explicitly-set flags pin a
-	// planner axis: -reducers fixes the grid, -partition the scheme, and
-	// (for -explain-plan) -method narrows the table to one method.
+	// Plan in auto / -explain-plan mode, on the grid the flags select.
 	var plan *mwsjoin.Plan
 	if auto || *explainPl {
 		var popts mwsjoin.PlannerOptions
 		if !auto && setFlags["method"] {
 			popts.Methods = []mwsjoin.Method{m}
 		}
-		if setFlags["partition"] {
-			scheme, err := mwsjoin.ParsePartitionScheme(*partition)
-			if err != nil {
-				return err
-			}
-			popts.Schemes = []mwsjoin.PartitionScheme{scheme}
-		}
-		planOpts := opts
-		if !setFlags["reducers"] {
-			planOpts.Reducers = 0
-		}
-		if plan, err = mwsjoin.PlanQuery(q, bound, &planOpts, popts); err != nil {
+		if plan, err = mwsjoin.PlanQuery(q, bound, &opts, popts); err != nil {
 			return err
 		}
 		if *explainPl {
+			fmt.Fprintf(stdout, "grid: %s/%d (%d cells), cost-based join order\n", *partition, *reducers, plan.Cells)
 			return plan.WriteExplain(stdout)
 		}
-		fmt.Fprintf(stderr, "planner: %v on %v/%d (%d cells), order=%t, predicted cost %.0f of %d candidates\n",
-			plan.Method, plan.Scheme, plan.Reducers, plan.Cells,
-			plan.OptimizeOrder, plan.Cost, len(plan.Alternatives))
+		fmt.Fprintf(stderr, "planner: %v on %s/%d (%d cells), predicted cost %.0f of %d candidates\n",
+			plan.Method, *partition, *reducers, plan.Cells, plan.Cost, len(plan.Alternatives))
 	}
 
 	var res *mwsjoin.Result

@@ -293,9 +293,10 @@ func TestRunAutoMethod(t *testing.T) {
 	}
 }
 
-// TestExplainPlanFlag checks -explain-plan prints the candidate table
-// without executing, marks the pick, and that explicitly pinning
-// -method / -partition / -reducers narrows the enumerated space.
+// TestExplainPlanFlag checks -explain-plan prints the grid and the
+// candidate table without executing, marks the pick, ranks one row per
+// method on the grid -partition/-reducers select, and that an explicit
+// -method narrows the table to that method.
 func TestExplainPlanFlag(t *testing.T) {
 	r := writeRects(t, "r.csv", []mwsjoin.Rect{
 		{X: 0, Y: 10, L: 4, B: 4},
@@ -309,11 +310,17 @@ func TestExplainPlanFlag(t *testing.T) {
 		t.Fatal(err)
 	}
 	table := out.String()
-	if !strings.Contains(table, "pick") || !strings.Contains(table, "cost") {
-		t.Fatalf("missing table header:\n%s", table)
-	}
 	lines := strings.Split(strings.TrimSpace(table), "\n")
-	if len(lines) < 2 || !strings.HasPrefix(lines[1], "*") {
+	if len(lines) != 6 {
+		t.Fatalf("want the grid, the header and one row per method:\n%s", table)
+	}
+	if !strings.HasPrefix(lines[0], "grid: uniform/64 (64 cells)") {
+		t.Errorf("default grid line = %q", lines[0])
+	}
+	if !strings.Contains(lines[1], "pick") || !strings.Contains(lines[1], "cost") {
+		t.Errorf("missing table header:\n%s", table)
+	}
+	if !strings.HasPrefix(lines[2], "*") {
 		t.Errorf("first candidate row not marked as the pick:\n%s", table)
 	}
 	for _, m := range []string{"2-way-cascade", "all-replicate", "c-rep", "c-rep-l"} {
@@ -321,14 +328,11 @@ func TestExplainPlanFlag(t *testing.T) {
 			t.Errorf("full table missing method %s:\n%s", m, table)
 		}
 	}
-	if !strings.Contains(table, "uniform") || !strings.Contains(table, "adaptive") {
-		t.Errorf("full table missing a partition scheme:\n%s", table)
-	}
 
-	// Pinning -method, -partition and -reducers collapses those axes.
+	// -partition and -reducers choose the grid, -method the one row.
 	out.Reset()
 	err := run(append(append([]string{}, args...),
-		"-explain-plan", "-method", "all-replicate", "-partition", "uniform", "-reducers", "16"), &out, &errOut)
+		"-explain-plan", "-method", "all-replicate", "-partition", "adaptive", "-reducers", "7"), &out, &errOut)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,10 +340,8 @@ func TestExplainPlanFlag(t *testing.T) {
 	if strings.Contains(pinned, "c-rep") || strings.Contains(pinned, "cascade") {
 		t.Errorf("pinned -method table still lists other methods:\n%s", pinned)
 	}
-	if strings.Contains(pinned, "adaptive") {
-		t.Errorf("pinned -partition table still lists adaptive grids:\n%s", pinned)
-	}
-	if rows := strings.Split(strings.TrimSpace(pinned), "\n"); len(rows) != 2 {
-		t.Errorf("pinned table has %d candidate rows, want 1:\n%s", len(rows)-1, pinned)
+	rows := strings.Split(strings.TrimSpace(pinned), "\n")
+	if len(rows) != 3 || !strings.HasPrefix(rows[0], "grid: adaptive/7 (") {
+		t.Errorf("want the adaptive/7 grid line, the header and 1 row:\n%s", pinned)
 	}
 }

@@ -109,7 +109,6 @@ func inProcessReference(t *testing.T, spec SessionSpec) *spatial.Result {
 		NumMappers:     spec.NumMappers,
 		Parallelism:    spec.Parallelism,
 		OptimizeOrder:  spec.OptimizeOrder,
-		NoCombiner:     spec.NoCombiner,
 		SpillBudget:    spec.SpillBudget,
 		FS:             dfs.New(0),
 	})

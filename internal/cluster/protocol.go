@@ -96,7 +96,6 @@ type SessionSpec struct {
 	NumMappers     int            `json:"num_mappers"`
 	Parallelism    int            `json:"parallelism,omitempty"`
 	OptimizeOrder  bool           `json:"optimize_order,omitempty"`
-	NoCombiner     bool           `json:"no_combiner,omitempty"`
 	SpillBudget    int64          `json:"spill_budget,omitempty"`
 	// Resume is set by the coordinator on retry attempts: the worker
 	// re-runs the session against its retained per-session DFS, so
@@ -168,7 +167,6 @@ func SpecFromConfig(method spatial.Method, queryText string, rels []spatial.Rela
 		NumMappers:     cfg.NumMappers,
 		Parallelism:    cfg.Parallelism,
 		OptimizeOrder:  cfg.OptimizeOrder,
-		NoCombiner:     cfg.NoCombiner,
 		SpillBudget:    cfg.SpillBudget,
 	}
 	for _, rel := range rels {

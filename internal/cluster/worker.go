@@ -310,7 +310,6 @@ func (w *Worker) executeAttempt(m message) (*spatial.Result, error) {
 		NumMappers:     spec.NumMappers,
 		Parallelism:    spec.Parallelism,
 		OptimizeOrder:  spec.OptimizeOrder,
-		NoCombiner:     spec.NoCombiner,
 		SpillBudget:    spec.SpillBudget,
 		Resume:         spec.Resume,
 		FS:             s.fs,

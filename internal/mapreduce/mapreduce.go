@@ -1217,7 +1217,7 @@ func safeSplit[I any](read func(lo, hi int, yield func(I) error) error, lo, hi i
 	return read(lo, hi, mapOne)
 }
 
-// safeReduce is the reduce-side twin of safeMap.
+// safeReduce is the reduce-side twin of safeSplit.
 func safeReduce[K cmp.Ordered, V any, O any](fn func(K, []V, func(O)) error, k K, vs []V, emit func(O)) (err error) {
 	defer func() {
 		if p := recover(); p != nil {

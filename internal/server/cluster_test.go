@@ -10,6 +10,8 @@ import (
 
 	"mwsjoin/internal/cluster"
 	"mwsjoin/internal/metrics"
+	"mwsjoin/internal/query"
+	"mwsjoin/internal/spatial"
 )
 
 // startTestCoordinator brings up a coordinator plus n in-process
@@ -119,5 +121,41 @@ func TestServerClusterDispatch(t *testing.T) {
 	hPlain.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/workers", nil))
 	if rec.Code != 404 {
 		t.Errorf("GET /v1/workers without cluster = %d", rec.Code)
+	}
+}
+
+// TestClusterAutoRunsPricedGrid: on a cluster, an "auto" job runs on
+// the grid its predicted_pairs and plan_cost were priced on — the
+// service's configured one, here a grid the planner used to have no
+// candidate for.
+func TestClusterAutoRunsPricedGrid(t *testing.T) {
+	cfg := oddGrid
+	cfg.Cluster = startTestCoordinator(t, 2, metrics.NewRegistry())
+	s, _ := newTestServer(t, cfg)
+	st := waitJob(t, s, submit(t, s, SubmitRequest{Query: "A ov B and B ra(40) C", Method: "auto"}).ID)
+	if st.State != StateDone {
+		t.Fatalf("cluster auto job: %s: %s", st.State, st.Error)
+	}
+
+	q, err := query.Parse(st.Query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := spatial.Config{Scheme: cfg.Partition, Reducers: cfg.Reducers, OptimizeOrder: true}
+	rels := testRelations(1)[:3]
+	plan, err := spatial.PlanQuery(q, rels, sc, spatial.PlannerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pred, err := spatial.Predict(plan.Method, q, rels, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Method != plan.Method.String() || st.PlanCost != plan.Cost || st.PredictedPairs != pred.Pairs {
+		t.Errorf("job priced as %s at cost %v, %v pairs; the configured grid prices %s at %v, %v pairs",
+			st.Method, st.PlanCost, st.PredictedPairs, plan.Method, plan.Cost, pred.Pairs)
+	}
+	if ran := len(st.Stats.Rounds[0].PairsPerReducer); ran != pred.Cells {
+		t.Errorf("job ran on %d cells, its price was for %d", ran, pred.Cells)
 	}
 }

@@ -49,16 +49,15 @@ type Job struct {
 	// ledger (cost above may carry learned correction factors).
 	rawPred *spatial.Prediction
 	key     cacheKey
-	// part is the reducer grid, computed once at admission so Predict
-	// and Execute cost the same plan.
+	// part is the reducer grid the job was priced on at admission and
+	// runs on (nil for brute-force, which prices no plan).
 	part *grid.Partitioning
-	// planned marks an "auto" submission: method, part and
-	// optimizeOrder are the cost-based planner's pick, planCost its
-	// scalar cost, and admission priced that chosen plan. The rejected
-	// alternatives are not kept.
-	planned       bool
-	planCost      float64
-	optimizeOrder bool
+	// planned marks an "auto" submission: method is the cost-based
+	// planner's pick, planCost its scalar cost, and the job runs in the
+	// planner's cost-based join order. The rejected alternatives are
+	// not kept.
+	planned  bool
+	planCost float64
 
 	// SLO timestamps: queuedAt at admission, startedAt when a worker
 	// claims the job, finishedAt at the terminal transition.

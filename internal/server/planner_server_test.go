@@ -100,32 +100,55 @@ func TestSubmitAutoMethod(t *testing.T) {
 	}
 }
 
-// TestPlannerReducerCandidates: the service's configured reducer count
-// joins the planner's default grid resolutions only when it is a usable
-// (perfect-square) addition.
-func TestPlannerReducerCandidates(t *testing.T) {
-	cases := []struct {
-		reducers int
-		want     []int
-	}{
-		{0, []int{16, 64, 256}},
-		{64, []int{16, 64, 256}}, // already a default
-		{25, []int{16, 64, 256, 25}},
-		{7, []int{16, 64, 256}}, // not a perfect square
+// oddGrid is a service grid the old planner space never held: adaptive,
+// and a cell target that is not a perfect square.
+var oddGrid = Config{Workers: 1, CacheBytes: -1, Partition: spatial.PartitionAdaptive, Reducers: 7}
+
+// TestAutoAndPinnedShareConfiguredGrid: an "auto" job and a pinned one
+// over the same relations are priced and run on one and the same
+// *grid.Partitioning — the service's configured grid, which is also the
+// relation set's BuildPartitioning answer.
+func TestAutoAndPinnedShareConfiguredGrid(t *testing.T) {
+	s, _ := newTestServer(t, oddGrid)
+	query := "A ov B and B ra(40) C"
+	auto := waitJob(t, s, submit(t, s, SubmitRequest{Query: query, Method: "auto"}).ID)
+	pinned := waitJob(t, s, submit(t, s, SubmitRequest{Query: query, Method: "all-replicate"}).ID)
+	if auto.State != StateDone || pinned.State != StateDone {
+		t.Fatalf("auto %s (%s), pinned %s (%s)", auto.State, auto.Error, pinned.State, pinned.Error)
 	}
-	for _, tc := range cases {
-		s := &Server{}
-		s.cfg.Reducers = tc.reducers
-		got := s.plannerReducers()
-		if len(got) != len(tc.want) {
-			t.Errorf("plannerReducers(%d) = %v, want %v", tc.reducers, got, tc.want)
-			continue
+	s.mu.Lock()
+	autoPart, pinnedPart := s.jobs[auto.ID].part, s.jobs[pinned.ID].part
+	rels := []spatial.Relation{s.rels["A"].rel, s.rels["B"].rel, s.rels["C"].rel}
+	s.mu.Unlock()
+	want, err := spatial.BuildPartitioning(oddGrid.Partition, rels, oddGrid.Reducers, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if autoPart != want || pinnedPart != want {
+		t.Errorf("auto ran on %v, pinned on %v, the configured grid is %v", autoPart, pinnedPart, want)
+	}
+	for _, st := range []*JobStatus{auto, pinned} {
+		if got := len(st.Stats.Rounds[0].PairsPerReducer); got != want.NumCells() {
+			t.Errorf("%s job ran on %d cells, configured grid has %d", st.Method, got, want.NumCells())
 		}
-		for i := range got {
-			if got[i] != tc.want[i] {
-				t.Errorf("plannerReducers(%d) = %v, want %v", tc.reducers, got, tc.want)
-				break
-			}
+	}
+}
+
+// TestPinnedPricingIsSanitized: a runaway learned factor cannot push a
+// pinned job's admission cost past the cap every consumer of a
+// prediction is promised, any more than a planned one's.
+func TestPinnedPricingIsSanitized(t *testing.T) {
+	s, _ := newTestServer(t, Config{Workers: 1, CacheBytes: -1})
+	factors := map[string]float64{}
+	for _, m := range spatial.Methods() {
+		factors[spatial.CalibrationKey(m, "pairs")] = 1e300
+	}
+	s.cal.Store(&spatial.Calibration{Factors: factors})
+	for _, method := range []string{"c-rep-l", "auto"} {
+		st := submit(t, s, SubmitRequest{Query: "A ov B and B ov C", Method: method})
+		if p := st.PredictedPairs; math.IsNaN(p) || p <= 0 || p > 1e30 {
+			t.Errorf("%s: predicted_pairs = %v, want within (0, 1e30]", method, p)
 		}
+		waitJob(t, s, st.ID)
 	}
 }

@@ -9,7 +9,7 @@
 //     once; everything else waits in a priority queue ordered by
 //     (priority desc, EXPLAIN-predicted cost asc, submission order);
 //   - admission control is EXPLAIN-based: each submission is costed
-//     with spatial.Predict before it is queued, the queue is bounded by
+//     with spatial.PlanQuery before it is queued, the queue is bounded by
 //     Config.QueueLimit (full → a structured *AdmissionError), and an
 //     optional Config.CostBudget throttles the total predicted
 //     intermediate pairs in flight;
@@ -34,7 +34,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -74,15 +73,16 @@ type Config struct {
 	CacheBytes int64
 	// Reducers is the per-job reducer-grid size (perfect square for the
 	// uniform scheme, any positive count for adaptive); 0 uses the
-	// paper's 64. Every job of the service uses the same setting so
-	// cached and fresh results are interchangeable.
+	// paper's 64. Every job of the service, pinned or "auto", in process
+	// or on the cluster, is priced and run on this one grid.
 	Reducers int
 	// Partition selects the per-job partitioning scheme
-	// (spatial.PartitionUniform or spatial.PartitionAdaptive). The
-	// partitioning is built at admission and reused by the run, so
-	// EXPLAIN-based admission prices the plan actually executed.
-	// Results are bit-identical across schemes, so cached entries stay
-	// valid regardless of the scheme they were computed under.
+	// (spatial.PartitionUniform or spatial.PartitionAdaptive), for
+	// pinned and "auto" jobs alike. The partitioning is resolved at
+	// admission and reused by the run, so EXPLAIN-based admission prices
+	// the grid actually executed. Results are bit-identical across
+	// schemes, so cached entries stay valid regardless of the scheme
+	// they were computed under.
 	Partition spatial.PartitionScheme
 	// SplitThreshold tunes the adaptive scheme (≤ 0 = default 1.0).
 	SplitThreshold float64
@@ -194,8 +194,8 @@ type SubmitRequest struct {
 	// Method is a spatial method name ("c-rep-l", "2-way-cascade",
 	// ...); empty picks c-rep-l, the recommended default. "auto"
 	// delegates the choice to the cost-based planner: the cheapest
-	// (method, grid, order) candidate under the calibrated
-	// cost model is priced at admission and executed, and the job's
+	// method under the calibrated cost model, on the service's grid, is
+	// priced at admission and executed, and the job's
 	// status/slowlog/ledger record the planner's pick.
 	Method string `json:"method,omitempty"`
 	// Priority orders the queue: higher runs first. Ties run cheapest
@@ -383,46 +383,53 @@ func (s *Server) current(q *query.Query, b *binding) bool {
 // the calibrated one admission orders and throttles by. The zero value
 // prices nothing — a pinned-method cache hit, answered before pricing.
 type pricing struct {
-	method        spatial.Method
-	part          *grid.Partitioning
-	raw, priced   *spatial.Prediction
-	planned       bool
-	planCost      float64
-	optimizeOrder bool
+	method      spatial.Method
+	part        *grid.Partitioning
+	raw, priced *spatial.Prediction
+	planned     bool
+	planCost    float64
+}
+
+// gridConfig is the reducer grid of the service as a spatial.Config:
+// what every job is priced under and — with the engine settings added —
+// run under, in process or on the cluster.
+func (s *Server) gridConfig() spatial.Config {
+	return spatial.Config{Scheme: s.cfg.Partition, Reducers: s.cfg.Reducers, SplitThreshold: s.cfg.SplitThreshold}
 }
 
 // price resolves the execution plan of a bound submission, outside the
-// mutex. A fixed-method submission is priced on the service's
-// configured grid; an "auto" submission runs the cost-based planner
-// over the full candidate space (with the service's grid as one
-// candidate) and is priced — and executed — as whatever the planner
-// picked, so admission control always costs the plan that actually
-// runs. Either way the ledger records the RAW prediction — recording
-// calibrated values would compound the factors on the next calibration
-// round — while admission orders and throttles by the calibrated cost.
+// mutex: one planner call on the service's configured grid, ranking the
+// pinned method alone or, for "auto", all four — so pinned and planned
+// submissions are priced, calibrated and sanitized alike, on the grid
+// the job then runs on. The ledger records the RAW prediction —
+// recording calibrated values would compound the factors on the next
+// calibration round — while admission orders and throttles by the
+// calibrated cost. A pinned job is priced in the planner's cost-based
+// join order and run in the default one, as Execute runs any pinned
+// method; only Cascade's rounds depend on the order at all.
 func (s *Server) price(q *query.Query, b *binding, method spatial.Method, planned bool) (pricing, error) {
+	cfg := s.gridConfig()
+	if !planned && method == spatial.BruteForce {
+		// Runs no map-reduce job, so there is no plan to rank: the
+		// planner refuses it, and Predict answers zero rounds and zero
+		// pairs, which no calibration factor moves.
+		pred, err := spatial.Predict(method, q, b.rels, cfg)
+		return pricing{method: method, raw: pred, priced: pred}, err
+	}
+	cfg.Calibration = s.cal.Load()
+	var popts spatial.PlannerOptions
+	if !planned {
+		popts.Methods = []spatial.Method{method}
+	}
+	plan, err := spatial.PlanQuery(q, b.rels, cfg, popts)
+	if err != nil {
+		return pricing{}, err
+	}
+	pr := pricing{method: plan.Method, part: plan.Part, raw: plan.Raw, priced: plan.Prediction, planned: planned}
 	if planned {
-		plan, err := spatial.PlanQuery(q, b.rels,
-			spatial.Config{SplitThreshold: s.cfg.SplitThreshold, Calibration: s.cal.Load()},
-			spatial.PlannerOptions{Reducers: s.plannerReducers()})
-		if err != nil {
-			return pricing{}, err
-		}
-		return pricing{method: plan.Method, part: plan.Part, raw: plan.Raw, priced: plan.Prediction,
-			planned: true, planCost: plan.Cost, optimizeOrder: plan.OptimizeOrder}, nil
+		pr.planCost = plan.Cost
 	}
-	// The grid is the relation set's (spatial.BuildPartitioning remembers
-	// it), so Predict, given the same scheme, prices that very grid.
-	part, err := spatial.BuildPartitioning(s.cfg.Partition, b.rels, s.cfg.Reducers, s.cfg.SplitThreshold)
-	if err != nil {
-		return pricing{}, err
-	}
-	raw, err := spatial.Predict(method, q, b.rels,
-		spatial.Config{Scheme: s.cfg.Partition, Reducers: s.cfg.Reducers, SplitThreshold: s.cfg.SplitThreshold})
-	if err != nil {
-		return pricing{}, err
-	}
-	return pricing{method: method, part: part, raw: raw, priced: s.cal.Load().Apply(raw)}, nil
+	return pr, nil
 }
 
 // newJob creates the job of a bound, priced submission. Caller holds
@@ -430,21 +437,20 @@ func (s *Server) price(q *query.Query, b *binding, method spatial.Method, planne
 func (s *Server) newJob(req SubmitRequest, q *query.Query, b *binding, pr pricing) *Job {
 	s.seq++
 	j := &Job{
-		id:            fmt.Sprintf("j%06d", s.seq),
-		seq:           s.seq,
-		queryTxt:      q.String(),
-		q:             q,
-		method:        pr.method,
-		rels:          b.rels,
-		priority:      req.Priority,
-		rawPred:       pr.raw,
-		key:           cacheKey{query: q.String(), method: pr.method, fps: b.fps},
-		part:          pr.part,
-		planned:       pr.planned,
-		planCost:      pr.planCost,
-		optimizeOrder: pr.optimizeOrder,
-		queuedAt:      time.Now(),
-		done:          make(chan struct{}),
+		id:       fmt.Sprintf("j%06d", s.seq),
+		seq:      s.seq,
+		queryTxt: q.String(),
+		q:        q,
+		method:   pr.method,
+		rels:     b.rels,
+		priority: req.Priority,
+		rawPred:  pr.raw,
+		key:      cacheKey{query: q.String(), method: pr.method, fps: b.fps},
+		part:     pr.part,
+		planned:  pr.planned,
+		planCost: pr.planCost,
+		queuedAt: time.Now(),
+		done:     make(chan struct{}),
 	}
 	if pr.priced != nil {
 		j.cost, j.rounds = pr.priced.Pairs, pr.priced.Rounds
@@ -475,8 +481,8 @@ func (s *Server) serveCached(j *Job) bool {
 }
 
 // Submit admits one query: it is parsed, bound to registered relations,
-// costed with spatial.Predict (or planned, for "auto"), checked against
-// the cache and — on a miss — queued for the worker pool. The returned
+// priced with spatial.PlanQuery (over its pinned method, or all of them
+// for "auto"), checked against the cache and — on a miss — queued for the worker pool. The returned
 // status is the job's state at admission time (StateDone immediately
 // for a cache hit).
 //
@@ -590,28 +596,6 @@ func (s *Server) retain(j *Job) {
 		delete(s.jobs, s.finished[0])
 		s.finished = s.finished[1:]
 	}
-}
-
-// plannerReducers is the grid-resolution candidate set for "auto"
-// submissions: the planner's default resolutions plus the service's
-// configured reducer count (when it is a perfect square — the uniform
-// candidates require one; a non-square setting still reaches the
-// adaptive candidates through the defaults).
-func (s *Server) plannerReducers() []int {
-	out := []int{16, 64, 256}
-	k := s.cfg.Reducers
-	if k <= 0 {
-		return out
-	}
-	for _, v := range out {
-		if v == k {
-			return out
-		}
-	}
-	if side := int(math.Round(math.Sqrt(float64(k)))); side*side == k {
-		out = append(out, k)
-	}
-	return out
 }
 
 // Status snapshots a job.
@@ -870,39 +854,34 @@ func (s *Server) nextJob() *Job {
 func (s *Server) runJob(j *Job) {
 	var res *spatial.Result
 	var err error
+	cfg := s.gridConfig()
+	cfg.Parallelism = s.cfg.Parallelism
+	cfg.SpillBudget = s.cfg.SpillBudget
+	// A planned job runs as ExecutePlan would run it.
+	cfg.OptimizeOrder = j.planned
 	if coord := s.cfg.Cluster; coord != nil {
-		spec := cluster.SpecFromConfig(j.method, j.queryTxt, j.rels, spatial.Config{
-			Scheme:         s.cfg.Partition,
-			Reducers:       s.cfg.Reducers,
-			SplitThreshold: s.cfg.SplitThreshold,
-			NumMappers:     s.cfg.NumMappers,
-			Parallelism:    s.cfg.Parallelism,
-			OptimizeOrder:  j.optimizeOrder,
-			SpillBudget:    s.cfg.SpillBudget,
-		})
+		// The workers derive the grid from the shipped relations and the
+		// configuration the job was priced under: the same grid.
+		cfg.NumMappers = s.cfg.NumMappers
+		spec := cluster.SpecFromConfig(j.method, j.queryTxt, j.rels, cfg)
 		var rr *cluster.RunResult
 		if rr, err = coord.Run(spec); err == nil {
 			res = &spatial.Result{Tuples: rr.Tuples, Stats: rr.Stats}
 		}
 	} else {
-		cfg := spatial.Config{
-			Part:          j.part,
-			Parallelism:   s.cfg.Parallelism,
-			SpillBudget:   s.cfg.SpillBudget,
-			OptimizeOrder: j.optimizeOrder,
-			Context:       j.ctx,
-			Tracer:        j.tracer,
-			Metrics:       s.reg,
-			OnChainStep: func(i int, name string) {
-				s.mu.Lock()
-				j.stepsDone = i
-				j.currentStep = name
-				gate := s.stepGate
-				s.mu.Unlock()
-				if gate != nil {
-					gate(j.id, i, name)
-				}
-			},
+		cfg.Part = j.part
+		cfg.Context = j.ctx
+		cfg.Tracer = j.tracer
+		cfg.Metrics = s.reg
+		cfg.OnChainStep = func(i int, name string) {
+			s.mu.Lock()
+			j.stepsDone = i
+			j.currentStep = name
+			gate := s.stepGate
+			s.mu.Unlock()
+			if gate != nil {
+				gate(j.id, i, name)
+			}
 		}
 		res, err = spatial.Execute(j.method, j.q, j.rels, cfg)
 	}

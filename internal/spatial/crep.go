@@ -126,14 +126,6 @@ func controlledReplicate(pl *plan, exec *executor, limit bool) (*Result, error) 
 		if err != nil {
 			return nil, nil, err
 		}
-		// The planner's combiner axis: dedupSplitRun is a set-level
-		// no-op on well-formed inputs (see its comment), so disabling
-		// it can only change the Combine* Stats counters, never the
-		// marking or the tuples.
-		combine := dedupSplitRun
-		if exec.cfg.NoCombiner {
-			combine = nil
-		}
 		round1 := &mapreduce.Job[tagged, grid.CellID, tagged, tagged]{
 			Config: exec.jobConfig(fmt.Sprintf("%s-mark", method)),
 			Map: func(it tagged, emit func(grid.CellID, tagged)) error {
@@ -141,7 +133,7 @@ func controlledReplicate(pl *plan, exec *executor, limit bool) (*Result, error) 
 				return nil
 			},
 			Partition: mapreduce.IdentityPartition[grid.CellID],
-			Combine:   combine,
+			Combine:   dedupSplitRun,
 			Reduce: func(c grid.CellID, items []tagged, emit func(tagged)) error {
 				cd := newCellData(pl.m, items)
 				marked := markCell(pl, exec.part, c, cd)

@@ -167,46 +167,38 @@ func TestDistributedExecuteEquivalence(t *testing.T) {
 	}
 }
 
-// TestDistributedSpillAndCombinerAxes re-runs the oracle under the
-// spill and no-combiner knobs, which cross the network path with the
-// readSpill re-materialisation of remote-destined runs.
+// TestDistributedSpillAndCombinerAxes re-runs the oracle under a spill
+// budget, which crosses the network path with the readSpill
+// re-materialisation of remote-destined runs — Cascade's plain rounds
+// and C-Rep's combined mark round alike.
 func TestDistributedSpillAndCombinerAxes(t *testing.T) {
 	rng := rand.New(rand.NewPCG(2013, 11))
 	q := query.New("R1", "R2", "R3").Overlap(0, 1).Overlap(1, 2)
 	rels := randomRelations(rng, 3, 100, 900, 60)
-	for _, tc := range []struct {
-		name string
-		mut  func(*Config)
-	}{
-		{"spill", func(c *Config) { c.SpillBudget = 4 << 10 }},
-		{"no-combiner", func(c *Config) { c.NoCombiner = true }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := Config{Reducers: 9, NumMappers: 5, Parallelism: 2}
-			tc.mut(&cfg)
-			for _, m := range []Method{Cascade, ControlledReplicate} {
-				ref := cfg
-				ref.FS = dfs.New(0)
-				want, err := Execute(m, q, rels, ref)
+	t.Run("spill", func(t *testing.T) {
+		cfg := Config{Reducers: 9, NumMappers: 5, Parallelism: 2, SpillBudget: 4 << 10}
+		for _, m := range []Method{Cascade, ControlledReplicate} {
+			ref := cfg
+			ref.FS = dfs.New(0)
+			want, err := Execute(m, q, rels, ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			results, errs := executeDistributed(t, 3, m, q, rels, cfg)
+			for self, err := range errs {
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("%v worker %d: %v", m, self, err)
 				}
-				results, errs := executeDistributed(t, 3, m, q, rels, cfg)
-				for self, err := range errs {
-					if err != nil {
-						t.Fatalf("%v worker %d: %v", m, self, err)
-					}
-					if !reflect.DeepEqual(results[self].Tuples, want.Tuples) {
-						t.Errorf("%v worker %d: tuples diverge", m, self)
-					}
-					gs, ws := normalizeSpatialStats(results[self].Stats), normalizeSpatialStats(want.Stats)
-					if !reflect.DeepEqual(gs, ws) {
-						t.Errorf("%v worker %d: stats diverge:\n got %+v\nwant %+v", m, self, gs, ws)
-					}
+				if !reflect.DeepEqual(results[self].Tuples, want.Tuples) {
+					t.Errorf("%v worker %d: tuples diverge", m, self)
+				}
+				gs, ws := normalizeSpatialStats(results[self].Stats), normalizeSpatialStats(want.Stats)
+				if !reflect.DeepEqual(gs, ws) {
+					t.Errorf("%v worker %d: stats diverge:\n got %+v\nwant %+v", m, self, gs, ws)
 				}
 			}
-		})
-	}
+		}
+	})
 }
 
 func TestDistributedConfigValidation(t *testing.T) {

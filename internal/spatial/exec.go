@@ -26,9 +26,8 @@ type Config struct {
 	// Ignored when Part is set or Scheme is uniform.
 	SplitThreshold float64
 	// Reducers is the target cell count of the grid derived when Part is
-	// nil (the planner's per-query grid-resolution knob; must be a
-	// perfect square under the uniform scheme). ≤ 0 uses the default 64.
-	// Ignored when Part is set.
+	// nil (must be a perfect square under the uniform scheme). ≤ 0 uses
+	// the default 64. Ignored when Part is set.
 	Reducers int
 	// RTreeSweepThreshold is the per-cell record count at which the
 	// cascade reducers switch their plane sweep to probes of a
@@ -50,9 +49,6 @@ type Config struct {
 	// a self-join; by default tuples bind distinct rectangles to slots
 	// sharing a dataset (the paper's "road triples").
 	AllowSelfPairs bool
-	// UseRTree switches the reducer-local index from the bucket grid
-	// to the STR R-tree (ablation knob).
-	UseRTree bool
 	// FS is the simulated distributed file system; a private one is
 	// created when nil.
 	FS *dfs.FS
@@ -119,12 +115,6 @@ type Config struct {
 	// the registry is attached to the FS for the duration of the run, so
 	// a metered execution must not share its FS with concurrent runs.
 	Metrics *metrics.Registry
-	// NoCombiner disables the map-side combiner of C-Rep's mark round
-	// (an ablation knob for pinned runs). The combiner is a set-level
-	// no-op on well-formed inputs, so tuples and intermediate pair
-	// counts are identical either way; only the Combine* Stats counters
-	// differ. Methods without a combiner ignore it.
-	NoCombiner bool
 	// OptimizeOrder replaces the default connectivity join order with a
 	// cost-based one derived from sampling estimates (footnote 1 of the
 	// paper assumes Cascade runs its 2-way joins in the optimal order).

@@ -99,9 +99,8 @@ type Prediction struct {
 // even for empty relations, degenerate geometry, or hostile calibration
 // factors — so candidate plans always have a total cost order.
 //
-// Predict is the planner's estimator asked for one candidate: PlanQuery
-// prices its whole search space from one estimator, through the same
-// code.
+// Predict is the planner's estimator asked for one method: PlanQuery
+// prices every method from one estimator, through the same code.
 func Predict(method Method, q *query.Query, rels []Relation, cfg Config) (*Prediction, error) {
 	est, err := newEstimator(q, rels, cfg)
 	if err != nil {
@@ -111,20 +110,27 @@ func Predict(method Method, q *query.Query, rels []Relation, cfg Config) (*Predi
 	if err != nil {
 		return nil, err
 	}
-	raw, err := est.predict(method, cfg.OptimizeOrder, g)
-	if err != nil {
-		return nil, err
+	_, priced, err := est.price(method, cfg.OptimizeOrder, g, cfg.Calibration)
+	return priced, err
+}
+
+// price is what Predict returns for a method and what PlanQuery ranks
+// it by: the raw prediction and its calibrated, sanitized twin (the raw
+// one itself without a calibration).
+func (est *estimator) price(method Method, optimize bool, g *gridStats, cal *Calibration) (raw, priced *Prediction, err error) {
+	if raw, err = est.predict(method, optimize, g); err != nil {
+		return nil, nil, err
 	}
-	return cfg.Calibration.Apply(raw).sanitize(), nil
+	return raw, cal.Apply(raw).sanitize(), nil
 }
 
 // estimator is the estimate context of one Predict or PlanQuery call:
 // the bound relations' summaries plus everything sampled for this query
 // — each directed edge's cardinality, each join order's chain, each
-// fan-out mean — computed when a candidate first asks and read by every
-// later one, so pricing a candidate is arithmetic. Means a query's
-// ranges cannot change live on the candidate grid instead (gridStats)
-// and outlast the call. Not safe for concurrent use.
+// fan-out mean — computed when a method first asks and read by every
+// later one, so pricing a method is arithmetic. Means a query's ranges
+// cannot change live on the grid instead (gridStats) and outlast the
+// call. Not safe for concurrent use.
 type estimator struct {
 	set    relationSet
 	metric grid.Metric
@@ -147,7 +153,7 @@ type estimator struct {
 // rectangles — exactly as Execute does: a single NaN coordinate would
 // otherwise poison every sampled sum into NaN.
 func newEstimator(q *query.Query, rels []Relation, cfg Config) (*estimator, error) {
-	pl, err := newPlan(q, rels, !cfg.AllowSelfPairs, cfg.UseRTree, cfg.RTreeSweepThreshold)
+	pl, err := newPlan(q, rels, !cfg.AllowSelfPairs, cfg.RTreeSweepThreshold)
 	if err != nil {
 		return nil, err
 	}
@@ -386,8 +392,8 @@ func (est *estimator) chain(pl *plan) []float64 {
 	return out
 }
 
-// predict prices one candidate — a method under a join order on a grid —
-// into a sanitized, uncalibrated Prediction.
+// predict prices a method under a join order on a grid into a
+// sanitized, uncalibrated Prediction.
 func (est *estimator) predict(method Method, optimize bool, g *gridStats) (*Prediction, error) {
 	pl := est.plan(optimize)
 	p := &Prediction{Method: method, Cells: g.part.NumCells()}

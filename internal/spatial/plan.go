@@ -30,8 +30,6 @@ type plan struct {
 	primary     []int
 	// sameDataset[i][j] marks slot pairs bound to the same dataset.
 	sameDataset [][]bool
-	// useRTree selects the reducer-local index implementation.
-	useRTree bool
 	// indexThreshold is the slot size below which a linear scan beats
 	// building an index.
 	indexThreshold int
@@ -50,7 +48,7 @@ const DefaultRTreeSweepThreshold = 256
 // newPlan validates the query/relation binding and builds the plan.
 // rtreeThreshold follows Config.RTreeSweepThreshold semantics: 0 means
 // DefaultRTreeSweepThreshold, negative disables the escalation.
-func newPlan(q *query.Query, rels []Relation, distinct, useRTree bool, rtreeThreshold int) (*plan, error) {
+func newPlan(q *query.Query, rels []Relation, distinct bool, rtreeThreshold int) (*plan, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
@@ -63,7 +61,7 @@ func newPlan(q *query.Query, rels []Relation, distinct, useRTree bool, rtreeThre
 	} else if rtreeThreshold < 0 {
 		rtreeThreshold = 0
 	}
-	pl := &plan{q: q, m: m, distinct: distinct, useRTree: useRTree, indexThreshold: 16, rtreeThreshold: rtreeThreshold}
+	pl := &plan{q: q, m: m, distinct: distinct, indexThreshold: 16, rtreeThreshold: rtreeThreshold}
 
 	// Same-dataset groups, by relation name.
 	pl.sameDataset = make([][]bool, m)
@@ -232,17 +230,18 @@ func (pl *plan) compatible(si int, idI int32, sj int, idJ int32) bool {
 	return !pl.sameDataset[si][sj] || idI != idJ
 }
 
-// newIndex builds the configured reducer-local index over rects:
-// a linear scan below the index threshold, then the configured index,
-// escalated to the STR R-tree once the slot crosses the dense-cell
-// threshold (the bucket grid degrades when a skewed cell piles
-// thousands of rectangles into few buckets). All three report the same
-// match set, so the choice never changes emitted tuples.
+// newIndex builds the reducer-local index over rects, chosen from the
+// observed slot size alone: a linear scan below the index threshold,
+// then the bucket grid, escalated to the STR R-tree once the slot
+// crosses the dense-cell threshold (the bucket grid degrades when a
+// skewed cell piles thousands of rectangles into few buckets). All
+// three report the same match set, so the choice never changes emitted
+// tuples.
 func (pl *plan) newIndex(rects []geom.Rect) index.Index {
 	if len(rects) < pl.indexThreshold {
 		return index.NewLinear(rects)
 	}
-	if pl.useRTree || (pl.rtreeThreshold > 0 && len(rects) >= pl.rtreeThreshold) {
+	if pl.rtreeThreshold > 0 && len(rects) >= pl.rtreeThreshold {
 		return index.NewRTree(rects)
 	}
 	return index.NewGrid(rects)

@@ -42,8 +42,8 @@ func fresh(rels []spatial.Relation) []spatial.Relation {
 
 var planSink *spatial.Plan
 
-// BenchmarkPlanQuery prices the planner's whole default candidate space
-// the way an "auto" submission does. cold plans over relations nothing
+// BenchmarkPlanQuery ranks the four methods on the default grid the way
+// an "auto" submission does. cold plans over relations nothing
 // has summarised yet (the first query after a registration); warm plans
 // a never-repeated miss over relations an earlier query has planned on.
 func BenchmarkPlanQuery(b *testing.B) {

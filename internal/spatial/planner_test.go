@@ -10,6 +10,7 @@ import (
 
 	"mwsjoin/internal/dfs"
 	"mwsjoin/internal/geom"
+	"mwsjoin/internal/grid"
 	"mwsjoin/internal/query"
 )
 
@@ -36,13 +37,53 @@ func assertFinitePrediction(t *testing.T, ctx string, p *Prediction) {
 	}
 }
 
+// assertOneAxis checks the planner's whole contract on a plan: one
+// candidate per method, each exactly what Predict returns for the method
+// under cfg in the cost-based join order, all on the grid Execute
+// resolves from cfg, ranked by planCost with ties broken by method.
+func assertOneAxis(t *testing.T, plan *Plan, q *query.Query, rels []Relation, cfg Config, popts PlannerOptions) {
+	t.Helper()
+	if want := len(popts.methods()); len(plan.Alternatives) != want {
+		t.Fatalf("%d candidates, want one per method (%d)", len(plan.Alternatives), want)
+	}
+	if !reflect.DeepEqual(plan.Alternatives[0], plan.PlanCandidate) {
+		t.Error("Alternatives[0] must be the chosen plan")
+	}
+	part := cfg.Part
+	if part == nil {
+		var err error
+		if part, err = BuildPartitioning(cfg.Scheme, rels, cfg.Reducers, cfg.SplitThreshold); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if plan.Part != part {
+		t.Errorf("plan grid %v is not the configured grid %v", plan.Part, part)
+	}
+	cfg.OptimizeOrder = true
+	for i, c := range plan.Alternatives {
+		pred, err := Predict(c.Method, q, rels, cfg)
+		if err != nil {
+			t.Fatalf("Predict(%v): %v", c.Method, err)
+		}
+		if !reflect.DeepEqual(c.Prediction, pred) {
+			t.Errorf("%v: planned on %+v, Predict says %+v", c.Method, c.Prediction, pred)
+		}
+		if c.Cells != part.NumCells() || c.Cost != planCost(pred) {
+			t.Errorf("%v: %d cells at cost %v, want %d cells at planCost(Predict) = %v",
+				c.Method, c.Cells, c.Cost, part.NumCells(), planCost(pred))
+		}
+		if i > 0 && lessCandidate(c, plan.Alternatives[i-1]) {
+			t.Errorf("%v ranked after the dearer %v", c.Method, plan.Alternatives[i-1].Method)
+		}
+	}
+}
+
 // plannerCase is one scenario of the planner battery.
 type plannerCase struct {
-	name  string
-	q     *query.Query
-	rels  []Relation
-	popts PlannerOptions
-	cfg   Config
+	name string
+	q    *query.Query
+	rels []Relation
+	cfg  Config
 }
 
 // plannerDegenerateCases enumerates the degenerate inputs the planner
@@ -82,10 +123,10 @@ func plannerDegenerateCases() []plannerCase {
 			rels: []Relation{NewRelation("R1", identical), NewRelation("R2", identical[:20])},
 		},
 		{
-			name:  "one-cell-grid",
-			q:     chain4(),
-			rels:  figure4Relations(),
-			popts: PlannerOptions{Reducers: []int{1}},
+			name: "one-cell-grid",
+			q:    chain4(),
+			rels: figure4Relations(),
+			cfg:  Config{Reducers: 1},
 		},
 		{
 			name: "self-join",
@@ -102,18 +143,13 @@ func plannerDegenerateCases() []plannerCase {
 func TestPlannerDegenerateBattery(t *testing.T) {
 	for _, tc := range plannerDegenerateCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			plan, err := PlanQuery(tc.q, tc.rels, tc.cfg, tc.popts)
+			plan, err := PlanQuery(tc.q, tc.rels, tc.cfg, PlannerOptions{})
 			if err != nil {
 				t.Fatalf("PlanQuery: %v", err)
 			}
-			if plan.Part == nil {
-				t.Fatal("plan has no partitioning")
-			}
-			if len(plan.Alternatives) == 0 || !reflect.DeepEqual(plan.Alternatives[0], plan.PlanCandidate) {
-				t.Fatal("Alternatives[0] must be the chosen plan")
-			}
+			assertOneAxis(t, plan, tc.q, tc.rels, tc.cfg, PlannerOptions{})
 			for _, c := range plan.Alternatives {
-				ctx := fmt.Sprintf("candidate %s order=%t", c.label(), c.OptimizeOrder)
+				ctx := fmt.Sprintf("candidate %v", c.Method)
 				if math.IsNaN(c.Cost) || math.IsInf(c.Cost, 0) || c.Cost < 0 {
 					t.Errorf("%s: cost = %v, want finite non-negative", ctx, c.Cost)
 				}
@@ -123,15 +159,15 @@ func TestPlannerDegenerateBattery(t *testing.T) {
 
 			res, err := ExecutePlan(plan, tc.q, tc.rels, tc.cfg)
 			if err != nil {
-				t.Fatalf("ExecutePlan(%s): %v", plan.label(), err)
+				t.Fatalf("ExecutePlan(%v): %v", plan.Method, err)
 			}
 			want, err := Execute(BruteForce, tc.q, tc.rels, tc.cfg)
 			if err != nil {
 				t.Fatalf("brute-force oracle: %v", err)
 			}
 			if !reflect.DeepEqual(res.TupleSet(), want.TupleSet()) {
-				t.Errorf("plan %s tuples diverge from brute force: got %d, want %d",
-					plan.label(), len(res.TupleSet()), len(want.TupleSet()))
+				t.Errorf("plan %v tuples diverge from brute force: got %d, want %d",
+					plan.Method, len(res.TupleSet()), len(want.TupleSet()))
 			}
 		})
 	}
@@ -180,7 +216,7 @@ func TestPlannerEquivalenceBattery(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(res.TupleSet(), wantSet) {
-					t.Errorf("plan %s under p=%d/%s diverges from brute force", plan.label(), par, f.name)
+					t.Errorf("plan %v under p=%d/%s diverges from brute force", plan.Method, par, f.name)
 				}
 			})
 		}
@@ -206,7 +242,7 @@ func TestPlannerEquivalenceBattery(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(res.TupleSet(), wantSet) {
-				t.Errorf("resumed plan %s diverges from brute force", plan.label())
+				t.Errorf("resumed plan %v diverges from brute force", plan.Method)
 			}
 			if res.Stats.Chain.ResumedJobs != int64(kk) {
 				t.Errorf("resumed jobs = %d, want %d", res.Stats.Chain.ResumedJobs, kk)
@@ -220,7 +256,7 @@ func TestPlannerEquivalenceBattery(t *testing.T) {
 func planFingerprint(p *Plan) string {
 	var b strings.Builder
 	for _, c := range p.Alternatives {
-		fmt.Fprintf(&b, "%s|%t|%d|%.6g;", c.label(), c.OptimizeOrder, c.Cells, c.Cost)
+		fmt.Fprintf(&b, "%v|%d|%.6g;", c.Method, c.Cells, c.Cost)
 	}
 	return b.String()
 }
@@ -242,6 +278,7 @@ func TestPlannerDeterminism(t *testing.T) {
 	if planFingerprint(a) != planFingerprint(b) {
 		t.Errorf("same inputs, different plans:\n a: %s\n b: %s", planFingerprint(a), planFingerprint(b))
 	}
+	assertOneAxis(t, a, q, rels, Config{}, PlannerOptions{})
 }
 
 // TestPlannerRejectsBruteForce: BruteForce predicts zero communication
@@ -256,23 +293,27 @@ func TestPlannerRejectsBruteForce(t *testing.T) {
 	}
 }
 
-// TestPlannerPinnedGrid: a caller-fixed Config.Part collapses the grid
-// axis — every candidate is priced against exactly that grid, and the
-// executed plan runs on it.
+// TestPlannerPinnedGrid: the grid is never the planner's to choose —
+// a caller-fixed Config.Part, the default, or any scheme and resolution
+// (square or not) the Config names is the one grid every method is
+// priced on and the plan runs on.
 func TestPlannerPinnedGrid(t *testing.T) {
 	q := chain4()
 	rels := figure4Relations()
-	part := grid2x2(t)
-	plan, err := PlanQuery(q, rels, Config{Part: part}, PlannerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Part != part {
-		t.Error("plan did not adopt the pinned grid")
-	}
-	for _, c := range plan.Alternatives {
-		if c.Cells != part.NumCells() {
-			t.Errorf("candidate %s priced against %d cells, want %d", c.label(), c.Cells, part.NumCells())
+	cal := &Calibration{Factors: map[string]float64{CalibrationKey(Cascade, "pairs"): 40}}
+	for name, cfg := range map[string]Config{
+		"part":         {Part: grid2x2(t)},
+		"default":      {},
+		"uniform-36":   {Reducers: 36, Calibration: cal},
+		"adaptive-7":   {Scheme: PartitionAdaptive, Reducers: 7, SplitThreshold: 0.5},
+		"euclidean-16": {Reducers: 16, LimitMetric: grid.MetricEuclidean},
+	} {
+		for _, popts := range []PlannerOptions{{}, {Methods: []Method{ControlledReplicateLimit, Cascade}}} {
+			plan, err := PlanQuery(q, rels, cfg, popts)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			assertOneAxis(t, plan, q, rels, cfg, popts)
 		}
 	}
 }
@@ -393,7 +434,7 @@ func TestPredictHostileCalibration(t *testing.T) {
 	}
 	for _, c := range plan.Alternatives {
 		if math.IsNaN(c.Cost) || math.IsInf(c.Cost, 0) {
-			t.Errorf("candidate %s: non-finite cost %v under hostile calibration", c.label(), c.Cost)
+			t.Errorf("candidate %v: non-finite cost %v under hostile calibration", c.Method, c.Cost)
 		}
 	}
 }
@@ -436,5 +477,6 @@ func FuzzPlannerDeterminism(f *testing.F) {
 		if planFingerprint(a) != planFingerprint(b) {
 			t.Errorf("nondeterministic plan for seed (%d,%d):\n a: %s\n b: %s", s1, s2, planFingerprint(a), planFingerprint(b))
 		}
+		assertOneAxis(t, a, q, rels, Config{}, PlannerOptions{})
 	})
 }

@@ -18,18 +18,16 @@ import (
 
 // The prediction goldens pin every number the cost model produces to
 // what the commit before the per-relation summaries (0c03bd6) computed:
-// testdata/prediction_golden.json was written by this very file running
-// on that commit, where every Predict call re-validated, re-copied,
-// re-sampled and re-joined the relations from scratch. The summaries,
-// the per-plan estimate context and the relation-set memo change where
-// and how often each statistic is computed, never its value — so every
-// candidate's label, raw and calibrated prediction and cost must
-// reproduce bit for bit (math.Float64bits, rendered as hex), through
-// PlanQuery and through a standalone Predict of the same candidate.
-//
-// MWSJ_WRITE_PREDICTION_GOLDEN=1 rewrites the file from the current
-// code, which is only meaningful on a commit whose numbers are the
-// reference.
+// testdata/prediction_golden.json was written on that commit, where the
+// planner still enumerated method × scheme × resolution × join order
+// and every Predict call re-validated, re-copied, re-sampled and
+// re-joined the relations from scratch. The file is frozen. Neither the
+// summaries nor the planner's collapse to one axis may change a number,
+// so every golden candidate's raw and calibrated prediction and cost
+// must reproduce bit for bit (math.Float64bits, rendered as hex) through
+// Predict under the Config its label names, and the candidates in the
+// cost-based join order — the only order the planner still prices —
+// through PlanQuery under that Config as well.
 
 const predictionGoldenFile = "testdata/prediction_golden.json"
 
@@ -54,11 +52,10 @@ type goldenCandidate struct {
 }
 
 type goldenCase struct {
-	name  string
-	q     *query.Query
-	rels  []spatial.Relation
-	cfg   spatial.Config
-	popts spatial.PlannerOptions
+	name string
+	q    *query.Query
+	rels []spatial.Relation
+	cfg  spatial.Config
 }
 
 // goldenUniform mirrors the benchmark's uniform relations: the paper's
@@ -160,48 +157,35 @@ func goldenCases(tb testing.TB) []goldenCase {
 		{name: "uniform-3000/pinned-part", q: hybrid(), rels: uniSmall, cfg: spatial.Config{Part: pinned}},
 		{name: "zipf-5000/calibrated", q: hybrid(), rels: zipfLarge, cfg: spatial.Config{Calibration: cal}},
 		{
+			// Its golden candidates sit on grids {36, 100}.
 			name: "uniform-12000/split-threshold", q: hybrid(), rels: uniLarge,
-			cfg:   spatial.Config{SplitThreshold: 0.5, LimitMetric: grid.MetricEuclidean},
-			popts: spatial.PlannerOptions{Reducers: []int{36, 100}},
+			cfg: spatial.Config{SplitThreshold: 0.5, LimitMetric: grid.MetricEuclidean},
 		},
 	}
 }
 
-func TestPredictionGolden(t *testing.T) {
-	got := map[string][]goldenCandidate{}
-	alts := map[string][]spatial.PlanCandidate{}
-	cases := goldenCases(t)
-	for _, tc := range cases {
-		plan, err := spatial.PlanQuery(tc.q, tc.rels, tc.cfg, tc.popts)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		alts[tc.name] = plan.Alternatives
-		for _, c := range alts[tc.name] {
-			label := fmt.Sprintf("%s/%s/%d→%d", c.Method, c.Scheme, c.Reducers, c.Cells)
-			if c.OptimizeOrder {
-				label += "+order"
-			}
-			g := goldenCandidate{Label: label, Raw: goldenOf(c.Raw), Cost: bits(c.Cost)}
-			if tc.cfg.Calibration != nil {
-				g.Calibrated = goldenOf(c.Prediction)
-			} else if goldenOf(c.Prediction) != g.Raw {
-				t.Errorf("%s: %s priced a prediction that is not its raw one without a calibration", tc.name, label)
-			}
-			got[tc.name] = append(got[tc.name], g)
-		}
+// parseGoldenLabel splits "method/scheme/reducers→cells[+order]".
+func parseGoldenLabel(t *testing.T, label string) (m spatial.Method, scheme spatial.PartitionScheme, k, cells int, order bool) {
+	t.Helper()
+	label, order = strings.CutSuffix(label, "+order")
+	parts := strings.Split(label, "/")
+	if len(parts) != 3 {
+		t.Fatalf("golden label %q", label)
 	}
+	m, err := spatial.ParseMethod(parts[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if scheme, err = spatial.ParsePartitionScheme(parts[1]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fmt.Sscanf(parts[2], "%d→%d", &k, &cells); err != nil {
+		t.Fatalf("golden label %q: %v", label, err)
+	}
+	return m, scheme, k, cells, order
+}
 
-	if os.Getenv("MWSJ_WRITE_PREDICTION_GOLDEN") != "" {
-		js, err := json.MarshalIndent(got, "", " ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(predictionGoldenFile, append(js, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
+func TestPredictionGolden(t *testing.T) {
 	js, err := os.ReadFile(predictionGoldenFile)
 	if err != nil {
 		t.Fatal(err)
@@ -210,37 +194,48 @@ func TestPredictionGolden(t *testing.T) {
 	if err := json.Unmarshal(js, &want); err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range cases {
-		g, w := got[tc.name], want[tc.name]
-		if len(g) != len(w) {
-			t.Errorf("%s: %d candidates, the parent commit enumerated %d", tc.name, len(g), len(w))
-			continue
+	for _, tc := range goldenCases(t) {
+		if len(want[tc.name]) == 0 {
+			t.Errorf("%s: no golden candidates", tc.name)
 		}
-		for i := range g {
-			if g[i] != w[i] {
-				t.Errorf("%s: candidate %d\n got  %+v\n want %+v", tc.name, i, g[i], w[i])
-			}
-		}
-		// Standalone Predict of each candidate — the one-candidate
-		// estimate context — prices exactly what the plan did.
-		for i, c := range alts[tc.name] {
+		for _, w := range want[tc.name] {
+			m, scheme, k, cells, order := parseGoldenLabel(t, w.Label)
 			cfg := tc.cfg
-			cfg.OptimizeOrder = c.OptimizeOrder
+			cfg.OptimizeOrder = order
 			if cfg.Part == nil {
-				cfg.Scheme, cfg.Reducers = c.Scheme, c.Reducers
+				cfg.Scheme, cfg.Reducers = scheme, k
 			}
-			for _, want := range []string{w[i].Calibrated, w[i].Raw} {
-				if want == "" {
-					continue
+			priced, err := spatial.Predict(m, tc.q, tc.rels, cfg)
+			if err != nil {
+				t.Fatalf("%s: Predict %s: %v", tc.name, w.Label, err)
+			}
+			rawCfg := cfg
+			rawCfg.Calibration = nil
+			raw, err := spatial.Predict(m, tc.q, tc.rels, rawCfg)
+			if err != nil {
+				t.Fatalf("%s: Predict %s: %v", tc.name, w.Label, err)
+			}
+			check := func(via string, raw, priced *spatial.Prediction, cost float64) {
+				if raw.Cells != cells || goldenOf(raw) != w.Raw {
+					t.Errorf("%s: %s %s raw\n got  %s\n want %s", tc.name, via, w.Label, goldenOf(raw), w.Raw)
 				}
-				pred, err := spatial.Predict(c.Method, tc.q, tc.rels, cfg)
+				if w.Calibrated != "" && goldenOf(priced) != w.Calibrated {
+					t.Errorf("%s: %s %s calibrated\n got  %s\n want %s", tc.name, via, w.Label, goldenOf(priced), w.Calibrated)
+				}
+				if w.Calibrated == "" && goldenOf(priced) != w.Raw {
+					t.Errorf("%s: %s %s priced a prediction that is not its raw one without a calibration", tc.name, via, w.Label)
+				}
+				if bits(cost) != w.Cost {
+					t.Errorf("%s: %s %s cost %s, want %s", tc.name, via, w.Label, bits(cost), w.Cost)
+				}
+			}
+			check("Predict", raw, priced, spatial.PlanCost(priced))
+			if order {
+				plan, err := spatial.PlanQuery(tc.q, tc.rels, cfg, spatial.PlannerOptions{Methods: []spatial.Method{m}})
 				if err != nil {
-					t.Fatalf("%s: Predict %s: %v", tc.name, w[i].Label, err)
+					t.Fatalf("%s: PlanQuery %s: %v", tc.name, w.Label, err)
 				}
-				if goldenOf(pred) != want {
-					t.Errorf("%s: standalone Predict %s\n got  %s\n want %s", tc.name, w[i].Label, goldenOf(pred), want)
-				}
-				cfg.Calibration = nil
+				check("PlanQuery", plan.Raw, plan.Prediction, plan.Cost)
 			}
 		}
 	}

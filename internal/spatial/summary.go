@@ -18,7 +18,7 @@ import (
 //
 //   - per relation: relStats — validity, count, extent, largest
 //     diagonal, and the fixed-seed samples, held on the Relation value;
-//   - per relation set: gridStats — a candidate grid and the fan-out
+//   - per relation set: gridStats — a reducer grid and the fan-out
 //     means on it that no query's range can change, held on the set's
 //     leading relation in a fixed-size memo;
 //   - per plan: the estimator of explain.go.
@@ -283,13 +283,13 @@ func (set relationSet) bounds() geom.Rect {
 }
 
 // gridMemoSize bounds the grids a relation remembers for the sets it
-// leads. The join service prices at most eight per set (two schemes at
-// the planner's resolutions and its own); the rest is room for a few
-// sets led by the same relation.
+// leads. The join service prices one per set — its configured grid; the
+// rest is room for the sets led by the same relation and for callers
+// that ask for several grids over one set.
 const gridMemoSize = 32
 
-// gridKey names everything a candidate grid and the query-independent
-// fan-out means on it depend on: which contents sit in which slot under
+// gridKey names everything a grid and the query-independent fan-out
+// means on it depend on: which contents sit in which slot under
 // which name (set), and how the grid is cut.
 type gridKey struct {
 	set    string
@@ -298,8 +298,8 @@ type gridKey struct {
 	thr    float64
 }
 
-// gridStats is one candidate grid of a relation set and the fan-out
-// means of the set's samples on it that do not depend on a query.
+// gridStats is one grid of a relation set and the fan-out means of the
+// set's samples on it that do not depend on a query.
 type gridStats struct {
 	part *grid.Partitioning
 

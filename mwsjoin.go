@@ -155,9 +155,6 @@ type Options struct {
 	// AllowSelfPairs lets one rectangle occupy several slots of a
 	// self-join.
 	AllowSelfPairs bool
-	// UseRTree switches reducer-local indexing from the bucket grid to
-	// an STR R-tree.
-	UseRTree bool
 	// OptimizeOrder picks the cascade join order (and the matchers'
 	// backtracking order) from sampling-based cardinality estimates
 	// instead of plain graph connectivity. Results are unchanged.
@@ -400,27 +397,27 @@ func ParsePartitionScheme(s string) (PartitionScheme, error) {
 	return spatial.ParsePartitionScheme(s)
 }
 
-// Plan is the cost-based planner's pick: the chosen method, grid and
-// join order, the calibrated cost estimate it was priced from, and
-// every rejected alternative. Obtain one with
-// PlanQuery, execute it with RunPlan, render it with WriteExplain.
+// Plan is the cost-based planner's pick: the chosen method, the grid it
+// was priced on, the calibrated cost estimate it was priced from, and
+// every rejected method. Obtain one with PlanQuery, execute it with
+// RunPlan, render it with WriteExplain.
 type Plan = spatial.Plan
 
-// PlanCandidate is one priced point of the planner's search space.
+// PlanCandidate is one priced method of a Plan.
 type PlanCandidate = spatial.PlanCandidate
 
-// PlannerOptions bounds the planner's search space (methods, partition
-// schemes, grid resolutions) and tunes its cost scalar; the zero value
-// searches the full default space.
+// PlannerOptions bounds the methods the planner ranks; the zero value
+// ranks every map-reduce method.
 type PlannerOptions = spatial.PlannerOptions
 
-// PlanQuery enumerates candidate execution plans for the query — every
-// map-reduce method, cascade join orderings, uniform vs adaptive
-// partitioning at several grid resolutions — prices each with the
-// (optionally calibrated) EXPLAIN cost model, and
-// returns the cheapest as a Plan ready for RunPlan. Setting
-// Options.Partitioning or Options.Reducers pins the grid axis to that
-// one grid; leaving both zero lets the planner pick the resolution.
+// PlanQuery prices every map-reduce method for the query with the
+// (optionally calibrated) EXPLAIN cost model — each exactly as Predict
+// prices it under the same options with OptimizeOrder set — and returns
+// the cheapest as a Plan ready for RunPlan. The method is the only
+// thing planned: the reducer grid is the one the options select
+// (Partitioning, else Partition, Reducers and SplitThreshold; the
+// paper's uniform 8×8 by default), exactly as for Run, and the join
+// order is the cost-based one.
 // Planning is deterministic: the same query, relations and options
 // always produce the same plan. Every method returns the same tuples,
 // so a planner pick can only change cost, never the answer.
@@ -433,8 +430,9 @@ func PlanQuery(q *Query, rels []Relation, opts *Options, popts PlannerOptions) (
 }
 
 // RunPlan executes a planned query exactly as PlanQuery priced it: the
-// chosen method on the chosen grid and join order. opts supplies everything else (parallelism, fault injection,
-// tracing, …) and may be nil.
+// chosen method on the plan's grid in the cost-based join order. opts
+// supplies everything else (parallelism, fault injection, tracing, …)
+// and may be nil.
 func RunPlan(q *Query, rels []Relation, plan *Plan, opts *Options) (*Result, error) {
 	return RunPlanContext(context.Background(), q, rels, plan, opts)
 }
@@ -489,7 +487,6 @@ func buildConfig(rels []Relation, opts *Options) (spatial.Config, error) {
 		RTreeSweepThreshold: o.RTreeSweepThreshold,
 		Parallelism:         o.Parallelism,
 		AllowSelfPairs:      o.AllowSelfPairs,
-		UseRTree:            o.UseRTree,
 		MaxAttempts:         o.MaxAttempts,
 		FailMap:             o.FailMap,
 		FailReduce:          o.FailReduce,

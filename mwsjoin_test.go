@@ -55,7 +55,7 @@ func TestRunOptions(t *testing.T) {
 		nil,
 		{Reducers: 16},
 		{Partitioning: part},
-		{EuclideanLimit: true, UseRTree: true, Parallelism: 2},
+		{EuclideanLimit: true, RTreeSweepThreshold: 1, Parallelism: 2},
 	} {
 		res, err := Run(q, rels, ControlledReplicateLimit, opts)
 		if err != nil {

@@ -26,6 +26,12 @@ go vet ./...
 echo "== go build =="
 go build ./...
 
+echo "== benchmark module builds (own go.mod, frozen: fail here, not after the race pass) =="
+# -o /dev/null: the module is one main package, which a bare build
+# would write into benchmark/ as an executable.
+go build -C benchmark -o /dev/null ./...
+go vet -C benchmark ./...
+
 echo "== go test -race (every package but the table harness) =="
 # -count=1 defeats the test cache so the race detector re-exercises the
 # speculative, spill/recycle, exchange and server goroutines every run.
@@ -47,9 +53,8 @@ echo "== fuzz (every target `go test -list '^Fuzz' ./...` finds, 5s each) =="
 # the targets, so one added tomorrow is fuzzed here without an edit.
 make fuzz-5s
 
-echo "== benchmark module (own go.mod, invisible to the root go test ./...) =="
+echo "== benchmark module tests (own go.mod, invisible to the root go test ./...) =="
 go test -C benchmark ./...
-go vet -C benchmark ./...
 test -z "$(gofmt -l benchmark)"
 
 echo "== shuffle pipeline and planner bench smoke (1 iteration per benchmark) =="
