@@ -1,7 +1,12 @@
 package cluster
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/json"
+	"io"
 	"math/rand/v2"
+	"net"
 	"reflect"
 	"strings"
 	"testing"
@@ -329,6 +334,10 @@ func TestClusterWorkerStatusAndGauges(t *testing.T) {
 	}
 }
 
+// TestRelationPackRoundTrip: a relation survives PackRelation and
+// UnpackRelation, and every control message type — the bulk-carrying
+// ones at their edge sizes — survives writeMessage and readMessage over
+// a connection.
 func TestRelationPackRoundTrip(t *testing.T) {
 	rels := testRelations(7, 2, 50)
 	for _, rel := range rels {
@@ -342,5 +351,199 @@ func TestRelationPackRoundTrip(t *testing.T) {
 	}
 	if _, err := UnpackRelation(RelationData{Name: "x", Items: make([]byte, 5)}); err == nil {
 		t.Error("truncated relation unpacked without error")
+	}
+
+	for _, m := range sampleMessages() {
+		pipeRoundTrip(t, m)
+	}
+
+	// start: the relations arrive as they were packed, empty ones too.
+	for _, nRel := range []int{0, 1, 3} {
+		spec := SpecFromConfig(mustMethod("c-rep"), "q", testRelations(11, nRel, 40), spatial.Config{Reducers: 4, NumMappers: 2})
+		if nRel == 3 {
+			spec.Relations[1] = PackRelation(spatial.NewRelation("R2", nil))
+		}
+		got := pipeRoundTrip(t, &message{Type: msgStart, Session: "s1", Self: 1, Roster: []string{"a", "b"}, Spec: &spec})
+		if len(got.Spec.Relations) != nRel {
+			t.Fatalf("start with %d relations arrived with %d", nRel, len(got.Spec.Relations))
+		}
+		for i, rd := range got.Spec.Relations {
+			want, _ := UnpackRelation(spec.Relations[i])
+			rel, err := UnpackRelation(rd)
+			if err != nil || rel.Name != want.Name || len(rel.Items) != len(want.Items) || (len(want.Items) > 0 && !reflect.DeepEqual(rel.Items, want.Items)) {
+				t.Errorf("start with %d relations: relation %d did not round-trip (err %v)", nRel, i, err)
+			}
+		}
+	}
+
+	// result: the tuples come back carved from one slab, non-nil even
+	// when there are none.
+	rng := rand.New(rand.NewPCG(5, 5))
+	for _, n := range []int{0, 1, 60000} {
+		tuples := make([]spatial.Tuple, n)
+		for i := range tuples {
+			tuples[i] = spatial.Tuple{IDs: []int32{rng.Int32(), -rng.Int32(), int32(i)}}
+		}
+		arity, slab, err := packTuples(tuples)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := pipeRoundTrip(t, &message{Type: msgResult, Session: "s1", OK: true, Hash: hashTuples(tuples),
+			Stats: json.RawMessage(`{"OutputTuples":1}`), Arity: arity, Count: n, Slab: slab})
+		back, err := unpackTuples(got.Arity, got.Count, got.Slab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if back == nil || !reflect.DeepEqual(back, tuples) {
+			t.Errorf("result with %d tuples did not round-trip (got %d, nil=%v)", n, len(back), back == nil)
+		}
+	}
+	if _, _, err := packTuples([]spatial.Tuple{{IDs: []int32{1, 2}}, {IDs: []int32{3}}}); err == nil {
+		t.Error("tuples of two widths packed into one slab")
+	}
+
+	// chk_data / install_chk: one attachment however many records.
+	for _, recs := range [][][]byte{nil, {{}}, manyRecords(10000)} {
+		var chk []byte
+		for _, r := range recs {
+			chk = appendRecord(chk, r)
+		}
+		for _, typ := range []string{msgChkData, msgInstallChk} {
+			got := pipeRoundTrip(t, &message{Type: typ, Session: "s1", File: "chk/c/0", Chk: chk})
+			back, err := splitRecords(got.Chk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(back) != len(recs) {
+				t.Fatalf("%s with %d records arrived with %d", typ, len(recs), len(back))
+			}
+			for i := range recs {
+				if !bytes.Equal(back[i], recs[i]) {
+					t.Fatalf("%s: record %d differs", typ, i)
+				}
+			}
+		}
+	}
+	if _, err := splitRecords([]byte{5, 'a'}); err == nil {
+		t.Error("truncated checkpoint attachment split without error")
+	}
+}
+
+// manyRecords builds n records of varying length, some empty, some past
+// the one-byte length prefix.
+func manyRecords(n int) [][]byte {
+	recs := make([][]byte, n)
+	for i := range recs {
+		recs[i] = bytes.Repeat([]byte{byte(i)}, i%200)
+	}
+	return recs
+}
+
+// sampleMessages is one message of every control-plane type, bulk
+// fields populated where the type has them.
+func sampleMessages() []*message {
+	spec := SpecFromConfig(mustMethod("2-way-cascade"), "R1 ov R2", testRelations(3, 2, 10), spatial.Config{Reducers: 4, NumMappers: 2})
+	_, slab, _ := packTuples([]spatial.Tuple{{IDs: []int32{1, 2}}, {IDs: []int32{3, 4}}})
+	chk := appendRecord(appendRecord(nil, []byte("rec-a")), nil)
+	return []*message{
+		{Type: msgRegister, Proto: protocolVersion, Name: "w0", DataAddr: "127.0.0.1:1"},
+		{Type: msgHeartbeat},
+		{Type: msgResult, Session: "s1", Attempt: 1, OK: true, Hash: "ab", Stats: json.RawMessage(`{"OutputTuples":2}`), Arity: 2, Count: 2, Slab: slab},
+		{Type: msgResult, Session: "s1", Error: "boom"},
+		{Type: msgChkList, Session: "s1", Files: []string{"chk/a", "chk/b"}},
+		{Type: msgChkData, Session: "s1", File: "chk/a", Chk: chk},
+		{Type: msgChkOK, Session: "s1", File: "chk/a"},
+		{Type: msgStart, Session: "s1", Attempt: 1, Self: 1, Roster: []string{"x:1", "y:2"}, Spec: &spec},
+		{Type: msgListChk, Session: "s1"},
+		{Type: msgFetchChk, Session: "s1", File: "chk/a"},
+		{Type: msgInstallChk, Session: "s1", File: "chk/a", Chk: chk},
+		{Type: msgEnd, Session: "s1"},
+	}
+}
+
+// sameMessage compares two messages as the wire sees them: equal header
+// lines, equal attachments (nil and empty alike).
+func sameMessage(a, b *message) bool {
+	ha, errA := json.Marshal(wireHeader{message: a})
+	hb, errB := json.Marshal(wireHeader{message: b})
+	fa, fb := a.bulk(), b.bulk()
+	if errA != nil || errB != nil || !bytes.Equal(ha, hb) || len(fa) != len(fb) {
+		return false
+	}
+	for i := range fa {
+		if !bytes.Equal(*fa[i], *fb[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// pipeRoundTrip sends m through writeMessage and readMessage over a
+// net.Pipe and fails the test unless the same message, at the size the
+// writer reported, comes out.
+func pipeRoundTrip(t *testing.T, m *message) *message {
+	t.Helper()
+	c1, c2 := net.Pipe()
+	defer c2.Close()
+	type sent struct {
+		n   int64
+		err error
+	}
+	done := make(chan sent, 1)
+	go func() {
+		n, err := writeMessage(c1, m)
+		c1.Close()
+		done <- sent{n, err}
+	}()
+	br := bufio.NewReaderSize(c2, controlReadBuffer)
+	got, err := readMessage(br)
+	if err != nil {
+		t.Fatalf("%s: read: %v", m.Type, err)
+	}
+	if _, err := br.ReadByte(); err != io.EOF {
+		t.Errorf("%s: bytes left on the wire after the message (err %v)", m.Type, err)
+	}
+	w := <-done
+	if w.err != nil {
+		t.Fatalf("%s: write: %v", m.Type, w.err)
+	}
+	if !sameMessage(got, m) {
+		t.Errorf("%s message did not round-trip:\n got %+v\nwant %+v", m.Type, got, m)
+	}
+	if got.wireBytes != w.n {
+		t.Errorf("%s: reader counted %d bytes, writer %d", m.Type, got.wireBytes, w.n)
+	}
+	return got
+}
+
+// TestCheckpointSyncOverWire: a checkpoint one survivor holds and the
+// other lacks is fetched from the first and installed on the second
+// through chk_data/install_chk — record for record, empty records and
+// records past the one-byte length prefix included.
+func TestCheckpointSyncOverWire(t *testing.T) {
+	tc := startTestCluster(t, 2, nil)
+	const session, file = "s-sync", checkpointPrefix + "chain/step-0"
+	recs := manyRecords(3000)
+	if err := tc.workers[0].session(session).fs.WriteFile(file, recs); err != nil {
+		t.Fatal(err)
+	}
+	if err := tc.coord.syncCheckpoints(session, tc.coord.aliveMembers()); err != nil {
+		t.Fatal(err)
+	}
+	var got [][]byte
+	err := tc.workers[1].session(session).fs.Scan(file, func(rec []byte) error {
+		got = append(got, append([]byte{}, rec...))
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(recs) {
+		t.Fatalf("installed checkpoint has %d records, donor's has %d", len(got), len(recs))
+	}
+	for i := range recs {
+		if !bytes.Equal(got[i], recs[i]) {
+			t.Fatalf("installed checkpoint record %d differs", i)
+		}
 	}
 }

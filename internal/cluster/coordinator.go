@@ -66,6 +66,18 @@ type RunResult struct {
 	// Hash is the canonical tuple-set hash every roster member agreed
 	// on.
 	Hash string
+
+	// What the control plane cost the final attempt — outputs for logs
+	// and experiments, nothing reads them back. ShipWall is how long
+	// writing start to the whole roster took; WaitWall runs from the
+	// first start byte to the last member's result being read off the
+	// wire (the engine's own time is inside it); CollectWall is
+	// decoding the result and comparing the roster's hashes.
+	ShipWall, WaitWall, CollectWall time.Duration
+	// SpecBytes and ResultBytes are the start messages written and the
+	// result messages read, header lines and attachments, summed over
+	// the roster.
+	SpecBytes, ResultBytes int64
 }
 
 // member is the coordinator's view of one registered worker.
@@ -74,8 +86,7 @@ type member struct {
 	addr     string
 	dataAddr string
 	conn     net.Conn
-	enc      *json.Encoder
-	encMu    sync.Mutex
+	sendMu   sync.Mutex
 
 	mu       sync.Mutex
 	lastBeat time.Time
@@ -84,14 +95,15 @@ type member struct {
 	sessions int64
 	// inbox receives result/chk messages routed by the member's reader
 	// goroutine; dead closes when the connection drops.
-	inbox chan message
+	inbox chan *message
 	dead  chan struct{}
 }
 
-func (m *member) send(msg message) error {
-	m.encMu.Lock()
-	defer m.encMu.Unlock()
-	return m.enc.Encode(msg)
+// send writes one message and returns its size on the wire.
+func (m *member) send(msg *message) (int64, error) {
+	m.sendMu.Lock()
+	defer m.sendMu.Unlock()
+	return writeMessage(m.conn, msg)
 }
 
 // Coordinator owns cluster membership and runs query sessions across
@@ -180,10 +192,16 @@ func (c *Coordinator) acceptLoop() {
 // register message first, then routes heartbeats into liveness and
 // everything else into the member's inbox.
 func (c *Coordinator) serveWorker(conn net.Conn) {
-	dec := json.NewDecoder(bufio.NewReader(conn))
-	var hello message
+	br := bufio.NewReaderSize(conn, controlReadBuffer)
 	conn.SetReadDeadline(time.Now().Add(c.cfg.HeartbeatTimeout))
-	if err := dec.Decode(&hello); err != nil || hello.Type != msgRegister || hello.Name == "" {
+	hello, err := readMessage(br)
+	if err != nil || hello.Type != msgRegister || hello.Name == "" {
+		conn.Close()
+		return
+	}
+	if hello.Proto != protocolVersion {
+		c.cfg.Logf("coordinator: rejecting worker %q: it speaks control protocol %d, this coordinator speaks %d",
+			hello.Name, hello.Proto, protocolVersion)
 		conn.Close()
 		return
 	}
@@ -194,10 +212,9 @@ func (c *Coordinator) serveWorker(conn net.Conn) {
 		addr:     conn.RemoteAddr().String(),
 		dataAddr: hello.DataAddr,
 		conn:     conn,
-		enc:      json.NewEncoder(conn),
 		lastBeat: time.Now(),
 		alive:    true,
-		inbox:    make(chan message, 16),
+		inbox:    make(chan *message, 16),
 		dead:     make(chan struct{}),
 	}
 	c.mu.Lock()
@@ -217,9 +234,10 @@ func (c *Coordinator) serveWorker(conn net.Conn) {
 	c.publishGauges()
 	c.cfg.Logf("coordinator: worker %s registered (data %s)", m.name, m.dataAddr)
 
+reading:
 	for {
-		var msg message
-		if err := dec.Decode(&msg); err != nil {
+		msg, err := readMessage(br)
+		if err != nil {
 			break
 		}
 		m.mu.Lock()
@@ -231,7 +249,7 @@ func (c *Coordinator) serveWorker(conn net.Conn) {
 		select {
 		case m.inbox <- msg:
 		case <-c.done:
-			break
+			break reading
 		}
 	}
 	m.mu.Lock()
@@ -366,6 +384,8 @@ func (c *Coordinator) Run(spec SessionSpec) (*RunResult, error) {
 		if res != nil {
 			res.Attempts = attempt + 1
 			c.endSession(session, roster)
+			c.cfg.Logf("coordinator: session %s done on %d workers, attempt %d: ship %v, wait %v, collect %v; spec %d B, result %d B",
+				session, res.Workers, attempt, res.ShipWall, res.WaitWall, res.CollectWall, res.SpecBytes, res.ResultBytes)
 			return res, nil
 		}
 		c.cfg.Logf("coordinator: session %s attempt %d failed (%s), recovering", session, attempt, failure)
@@ -381,7 +401,7 @@ func (c *Coordinator) Run(spec SessionSpec) (*RunResult, error) {
 
 // attemptOutcome is one worker's terminal state within an attempt.
 type attemptOutcome struct {
-	msg  message
+	msg  *message
 	died bool
 }
 
@@ -395,15 +415,28 @@ func (c *Coordinator) runAttempt(session string, attempt int, spec *SessionSpec,
 		dataAddrs[i] = m.dataAddr
 	}
 	c.cfg.Logf("coordinator: session %s attempt %d on %d workers", session, attempt, len(roster))
+	// start goes to the whole roster at once: the headers differ only in
+	// Self and the attachments are the spec's own slices, so no member
+	// waits for another's megabytes to be written first.
+	shipStart := time.Now()
+	specBytes := make([]int64, len(roster))
+	var ship sync.WaitGroup
 	for i, m := range roster {
 		m.mu.Lock()
 		m.inFlight++
 		m.mu.Unlock()
-		err := m.send(message{Type: msgStart, Session: session, Attempt: attempt, Self: i, Roster: dataAddrs, Spec: spec})
-		if err != nil {
-			m.conn.Close() // send failure == death; reader will mark it
-		}
+		ship.Add(1)
+		go func(i int, m *member) {
+			defer ship.Done()
+			var err error
+			specBytes[i], err = m.send(&message{Type: msgStart, Session: session, Attempt: attempt, Self: i, Roster: dataAddrs, Spec: spec})
+			if err != nil {
+				m.conn.Close() // send failure == death; reader will mark it
+			}
+		}(i, m)
 	}
+	ship.Wait()
+	res := &RunResult{Workers: len(roster), ShipWall: time.Since(shipStart)}
 	c.publishGauges()
 	defer func() {
 		for _, m := range roster {
@@ -437,9 +470,12 @@ func (c *Coordinator) runAttempt(session string, attempt int, spec *SessionSpec,
 		}
 	}
 
+	res.WaitWall = time.Since(shipStart)
+	collectStart := time.Now()
+
 	var died, failed int
 	var failReason string
-	for i, o := range outcomes {
+	for _, o := range outcomes {
 		switch {
 		case o.died:
 			died++
@@ -448,7 +484,6 @@ func (c *Coordinator) runAttempt(session string, attempt int, spec *SessionSpec,
 			if failReason == "" {
 				failReason = o.msg.Error
 			}
-			_ = i
 		}
 	}
 	if died > 0 {
@@ -468,22 +503,28 @@ func (c *Coordinator) runAttempt(session string, attempt int, spec *SessionSpec,
 				session, roster[i].name, o.msg.Hash, roster[0].name, hash)
 		}
 	}
-	res := &RunResult{Workers: len(roster), Hash: hash}
-	if err := json.Unmarshal(outcomes[0].msg.Stats, &res.Stats); err != nil {
+	first := outcomes[0].msg
+	res.Hash = hash
+	if err := json.Unmarshal(first.Stats, &res.Stats); err != nil {
 		return nil, "", fmt.Errorf("cluster: session %s: bad stats from worker %s: %w", session, roster[0].name, err)
 	}
-	res.Tuples = make([]spatial.Tuple, len(outcomes[0].msg.Tuples))
-	for i, ids := range outcomes[0].msg.Tuples {
-		res.Tuples[i] = spatial.Tuple{IDs: ids}
+	var err error
+	if res.Tuples, err = unpackTuples(first.Arity, first.Count, first.Slab); err != nil {
+		return nil, "", fmt.Errorf("cluster: session %s: bad tuples from worker %s: %w", session, roster[0].name, err)
 	}
+	for i, o := range outcomes {
+		res.SpecBytes += specBytes[i]
+		res.ResultBytes += o.msg.wireBytes
+	}
+	res.CollectWall = time.Since(collectStart)
 	return res, "", nil
 }
 
 // request sends one control message and awaits the reply of the given
 // type for the session, tolerating stale inbox chatter.
-func (c *Coordinator) request(m *member, out message, wantType string) (message, error) {
-	if err := m.send(out); err != nil {
-		return message{}, fmt.Errorf("cluster: %s to %s: %w", out.Type, m.name, err)
+func (c *Coordinator) request(m *member, out *message, wantType string) (*message, error) {
+	if _, err := m.send(out); err != nil {
+		return nil, fmt.Errorf("cluster: %s to %s: %w", out.Type, m.name, err)
 	}
 	deadline := time.NewTimer(c.cfg.HeartbeatTimeout * 5)
 	defer deadline.Stop()
@@ -492,14 +533,14 @@ func (c *Coordinator) request(m *member, out message, wantType string) (message,
 		case msg := <-m.inbox:
 			if msg.Type == wantType && msg.Session == out.Session {
 				if msg.Error != "" {
-					return message{}, fmt.Errorf("cluster: %s on %s: %s", out.Type, m.name, msg.Error)
+					return nil, fmt.Errorf("cluster: %s on %s: %s", out.Type, m.name, msg.Error)
 				}
 				return msg, nil
 			}
 		case <-m.dead:
-			return message{}, fmt.Errorf("cluster: worker %s died during %s", m.name, out.Type)
+			return nil, fmt.Errorf("cluster: worker %s died during %s", m.name, out.Type)
 		case <-deadline.C:
-			return message{}, fmt.Errorf("cluster: %s to %s timed out", out.Type, m.name)
+			return nil, fmt.Errorf("cluster: %s to %s timed out", out.Type, m.name)
 		}
 	}
 }
@@ -518,7 +559,7 @@ func (c *Coordinator) syncCheckpoints(session string, survivors []*member) error
 	have := make([]map[string]bool, len(survivors))
 	union := map[string]int{} // file -> index of a holder
 	for i, m := range survivors {
-		reply, err := c.request(m, message{Type: msgListChk, Session: session}, msgChkList)
+		reply, err := c.request(m, &message{Type: msgListChk, Session: session}, msgChkList)
 		if err != nil {
 			return err
 		}
@@ -538,21 +579,19 @@ func (c *Coordinator) syncCheckpoints(session string, survivors []*member) error
 	sort.Strings(files)
 	for _, f := range files {
 		donor := survivors[union[f]]
-		var data message
-		fetched := false
+		var data *message
 		for i, m := range survivors {
 			if have[i][f] {
 				continue
 			}
-			if !fetched {
+			if data == nil {
 				var err error
-				data, err = c.request(donor, message{Type: msgFetchChk, Session: session, File: f}, msgChkData)
+				data, err = c.request(donor, &message{Type: msgFetchChk, Session: session, File: f}, msgChkData)
 				if err != nil {
 					return err
 				}
-				fetched = true
 			}
-			if _, err := c.request(m, message{Type: msgInstallChk, Session: session, File: f, Records: data.Records}, msgChkOK); err != nil {
+			if _, err := c.request(m, &message{Type: msgInstallChk, Session: session, File: f, Chk: data.Chk}, msgChkOK); err != nil {
 				return err
 			}
 			c.cfg.Logf("coordinator: session %s: installed %s on %s (from %s)", session, f, m.name, donor.name)
@@ -564,6 +603,6 @@ func (c *Coordinator) syncCheckpoints(session string, survivors []*member) error
 // endSession releases the session state on the given workers.
 func (c *Coordinator) endSession(session string, members []*member) {
 	for _, m := range members {
-		m.send(message{Type: msgEnd, Session: session})
+		m.send(&message{Type: msgEnd, Session: session}) // a dead member has no session to release
 	}
 }

@@ -7,15 +7,26 @@
 // session placement, and recovery.
 //
 // The design is deliberately symmetric: every worker runs the same
-// deterministic spatial.Execute over the same staged inputs, so the
-// only bytes that must cross the wire are the shuffle runs (data
-// plane, see mesh.go) and the small control messages (this file).
-// Every worker therefore finishes each session holding the complete,
-// bit-identical result — the single-worker case degenerates to the
-// unmodified in-process engine, and any existing equivalence battery
-// doubles as a distributed-correctness oracle. Cross-worker agreement
-// is enforced with a result hash (sha-256 over the canonical tuple
-// keys) that the coordinator compares across the roster.
+// deterministic spatial.Execute over the same staged inputs, and every
+// worker finishes each session holding the complete, bit-identical
+// result — the single-worker case degenerates to the unmodified
+// in-process engine, and any existing equivalence battery doubles as a
+// distributed-correctness oracle. Cross-worker agreement is enforced
+// with a result hash (sha-256 over the canonical tuple keys) that the
+// coordinator compares across the roster.
+//
+// What crosses the wire, and how. Data plane (mesh.go, worker to
+// worker): the shuffle runs, the per-job barriers and the all-gathered
+// reducer outputs, as length-prefixed binary frames. Control plane
+// (this file and wire.go, coordinator to worker): per session, the
+// whole of every input relation to every worker in start, and the
+// whole result from worker 0 in result — megabytes, not "small control
+// messages" — plus, during recovery, checkpoint files. Each control
+// message is a JSON header line followed by its bulk fields as binary
+// attachments (packed relation items, one int32 tuple slab, one framed
+// record file), so bulk bytes are never quoted, escaped or base64'd;
+// the verbs without bulk (register, heartbeat, list_chk, end, …) are
+// a line and nothing else.
 //
 // Recovery: the coordinator detects worker death via heartbeats and
 // dead control connections. Survivors of a failed attempt fail fast
@@ -30,6 +41,7 @@ package cluster
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"math"
 
@@ -37,22 +49,23 @@ import (
 	"mwsjoin/internal/spatial"
 )
 
-// Control-plane message types. The control plane is JSON lines over
-// one TCP connection per worker; the worker opens it at registration
-// and both sides write whole messages under a per-connection mutex.
+// Control-plane message types. The control plane is one TCP connection
+// per worker, opened by the worker at registration; both sides write
+// whole messages (wire.go) under a per-connection mutex. [att] marks a
+// field that travels as a binary attachment, not in the header line.
 const (
 	// worker → coordinator
-	msgRegister  = "register"  // Name, DataAddr
+	msgRegister  = "register"  // Proto, Name, DataAddr
 	msgHeartbeat = "heartbeat" //
-	msgResult    = "result"    // Session, Attempt, OK, Error, Hash, Stats, Tuples (self 0)
+	msgResult    = "result"    // Session, Attempt, OK, Error, Hash, Stats, Arity, Count, Slab [att] (self 0)
 	msgChkList   = "chk_list"  // Session, Files
-	msgChkData   = "chk_data"  // Session, File, Records
+	msgChkData   = "chk_data"  // Session, File, Chk [att]
 	msgChkOK     = "chk_ok"    // Session
 	// coordinator → worker
-	msgStart      = "start"       // Session, Attempt, Self, Roster, Spec
+	msgStart      = "start"       // Session, Attempt, Self, Roster, Spec, Spec.Relations[i].Items [att]
 	msgListChk    = "list_chk"    // Session
 	msgFetchChk   = "fetch_chk"   // Session, File
-	msgInstallChk = "install_chk" // Session, File, Records
+	msgInstallChk = "install_chk" // Session, File, Chk [att]
 	msgEnd        = "end"         // Session — release session state
 )
 
@@ -60,6 +73,7 @@ const (
 // selects which fields are meaningful (see the constants above).
 type message struct {
 	Type     string `json:"type"`
+	Proto    int    `json:"proto,omitempty"`
 	Name     string `json:"name,omitempty"`
 	DataAddr string `json:"data_addr,omitempty"`
 
@@ -69,15 +83,25 @@ type message struct {
 	Roster  []string     `json:"roster,omitempty"`
 	Spec    *SessionSpec `json:"spec,omitempty"`
 
-	OK     bool      `json:"ok,omitempty"`
-	Error  string    `json:"error,omitempty"`
-	Hash   string    `json:"hash,omitempty"`
-	Stats  []byte    `json:"stats,omitempty"`
-	Tuples [][]int32 `json:"tuples,omitempty"`
+	OK    bool            `json:"ok,omitempty"`
+	Error string          `json:"error,omitempty"`
+	Hash  string          `json:"hash,omitempty"`
+	Stats json.RawMessage `json:"stats,omitempty"`
+	// Slab is Count result tuples of Arity ids each, flat little-endian
+	// int32 (packTuples/unpackTuples).
+	Arity int    `json:"arity,omitempty"`
+	Count int    `json:"count,omitempty"`
+	Slab  []byte `json:"-"`
 
-	Files   []string `json:"files,omitempty"`
-	File    string   `json:"file,omitempty"`
-	Records [][]byte `json:"records,omitempty"`
+	Files []string `json:"files,omitempty"`
+	File  string   `json:"file,omitempty"`
+	// Chk is one checkpoint file, its records appendRecord-framed. The
+	// coordinator forwards it from donor to receiver unopened.
+	Chk []byte `json:"-"`
+
+	// wireBytes is the size readMessage took the message off the wire at,
+	// header line and attachments.
+	wireBytes int64
 }
 
 // SessionSpec is everything a worker needs to run one query session:
@@ -105,11 +129,11 @@ type SessionSpec struct {
 }
 
 // RelationData is one relation of a spec, packed as 36-byte binary
-// items (id + rect) so relation shipping does not balloon the JSON
-// control plane.
+// items (id + rect). On the wire Items is an attachment of the start
+// message, never part of its JSON header.
 type RelationData struct {
 	Name  string `json:"name"`
-	Items []byte `json:"items"`
+	Items []byte `json:"-"`
 }
 
 // itemBytes is the packed size of one relation item: id(4) + 4 float64

@@ -1,0 +1,283 @@
+package cluster
+
+import (
+	"bufio"
+	"encoding/binary"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"net"
+	"slices"
+
+	"mwsjoin/internal/spatial"
+)
+
+// The control plane's one wire form: a JSON header line, then the
+// message's bulk fields as binary attachments whose lengths the header
+// declares. Small verbs (register, heartbeat, list_chk, end) are a line
+// and nothing else; start, result, chk_data and install_chk carry their
+// bytes as bytes. Both ends use writeMessage/readMessage and nothing
+// else.
+
+const (
+	// protocolVersion is what register declares and the coordinator
+	// requires; it changes whenever the framing below does, so a stale
+	// worker binary fails at registration instead of mid-session.
+	protocolVersion = 2
+
+	// maxHeaderBytes caps the JSON header line. Every bulk field rides as
+	// an attachment, so a header holds names, counters and the run's
+	// Stats — kilobytes.
+	maxHeaderBytes = 1 << 20
+
+	// attachChunk is the most an attachment read allocates ahead of the
+	// bytes that have actually arrived: a header may declare up to
+	// maxFrameBytes, but memory follows the sender's bytes, not its
+	// claims.
+	attachChunk = 2 << 20
+
+	// controlReadBuffer sizes the bufio.Reader of a control connection:
+	// room for any ordinary header line; attachments larger than it are
+	// read straight into their own buffers.
+	controlReadBuffer = 64 << 10
+)
+
+// errHeaderTooLarge reports a header line beyond maxHeaderBytes, on
+// either side of the wire.
+var errHeaderTooLarge = fmt.Errorf("cluster: control header exceeds %d bytes", maxHeaderBytes)
+
+// wireHeader is the header line: the message's JSON fields plus the
+// byte length of each attachment that follows, in order.
+type wireHeader struct {
+	*message
+	Att []int64 `json:"att,omitempty"`
+}
+
+// bulk returns the message's bulk fields in wire order, one attachment
+// each: a start's relations, a result's tuple slab (when it has
+// tuples), a checkpoint transfer's record file. The writer sends what
+// they hold; the reader fills them.
+func (m *message) bulk() []*[]byte {
+	switch m.Type {
+	case msgStart:
+		if m.Spec == nil {
+			return nil
+		}
+		fields := make([]*[]byte, len(m.Spec.Relations))
+		for i := range m.Spec.Relations {
+			fields[i] = &m.Spec.Relations[i].Items
+		}
+		return fields
+	case msgResult:
+		if m.Count > 0 {
+			return []*[]byte{&m.Slab}
+		}
+	case msgChkData, msgInstallChk:
+		return []*[]byte{&m.Chk}
+	}
+	return nil
+}
+
+// writeMessage writes one message — header line, then attachments — and
+// returns the bytes it put on the wire. Callers serialize writers of one
+// connection. The attachments are written from the message's own
+// slices, so one spec can be sent to a whole roster without a copy.
+func writeMessage(w io.Writer, m *message) (int64, error) {
+	fields := m.bulk()
+	hdr := wireHeader{message: m}
+	bufs := make(net.Buffers, 1, 1+len(fields))
+	for _, f := range fields {
+		if err := checkFrameLen(int64(len(*f))); err != nil {
+			return 0, err
+		}
+		hdr.Att = append(hdr.Att, int64(len(*f)))
+		if len(*f) > 0 {
+			bufs = append(bufs, *f)
+		}
+	}
+	line, err := json.Marshal(hdr)
+	if err != nil {
+		return 0, fmt.Errorf("cluster: encode %s header: %w", m.Type, err)
+	}
+	if len(line) >= maxHeaderBytes {
+		return 0, errHeaderTooLarge
+	}
+	bufs[0] = append(line, '\n')
+	return bufs.WriteTo(w)
+}
+
+// readMessage reads one message. Every length it takes from the wire is
+// checked before it sizes an allocation: the header line against
+// maxHeaderBytes, the attachment count against what the message's type
+// and header fields call for, each attachment against maxFrameBytes and
+// then read in attachChunk steps.
+func readMessage(br *bufio.Reader) (*message, error) {
+	line, err := readHeaderLine(br)
+	if err != nil {
+		return nil, err
+	}
+	m := new(message)
+	hdr := wireHeader{message: m}
+	if err := json.Unmarshal(line, &hdr); err != nil {
+		return nil, fmt.Errorf("cluster: bad control header: %w", err)
+	}
+	m.wireBytes = int64(len(line)) + 1
+	fields := m.bulk()
+	if len(hdr.Att) != len(fields) {
+		return nil, fmt.Errorf("cluster: %s message declares %d attachments, want %d", m.Type, len(hdr.Att), len(fields))
+	}
+	for i, n := range hdr.Att {
+		if n < 0 {
+			return nil, fmt.Errorf("cluster: %s message declares a %d-byte attachment", m.Type, n)
+		}
+		if err := checkFrameLen(n); err != nil {
+			return nil, err
+		}
+		if *fields[i], err = readAttachment(br, int(n)); err != nil {
+			return nil, fmt.Errorf("cluster: %s attachment: %w", m.Type, err)
+		}
+		m.wireBytes += n
+	}
+	if m.Type == msgResult {
+		if err := checkSlab(m.Arity, m.Count, len(m.Slab)); err != nil {
+			return nil, err
+		}
+	}
+	return m, nil
+}
+
+// readHeaderLine returns the next line without its newline. The slice
+// may alias br's buffer and is valid until the next read.
+func readHeaderLine(br *bufio.Reader) ([]byte, error) {
+	var line []byte
+	for {
+		frag, err := br.ReadSlice('\n')
+		if len(line)+len(frag) > maxHeaderBytes {
+			return nil, errHeaderTooLarge
+		}
+		switch {
+		case err == nil && line == nil:
+			return frag[:len(frag)-1], nil
+		case err == nil:
+			line = append(line, frag...)
+			return line[:len(line)-1], nil
+		case errors.Is(err, bufio.ErrBufferFull):
+			line = append(line, frag...)
+		case errors.Is(err, io.EOF) && len(line)+len(frag) > 0:
+			return nil, io.ErrUnexpectedEOF
+		default:
+			return nil, err
+		}
+	}
+}
+
+// readAttachment reads n declared bytes. Up to attachChunk it is one
+// exact allocation; beyond, chunks are collected as they arrive and
+// joined only once all n bytes have, so a header that lies about a
+// length costs at most one chunk more than was really sent.
+func readAttachment(r io.Reader, n int) ([]byte, error) {
+	if n <= attachChunk {
+		buf := make([]byte, n)
+		_, err := io.ReadFull(r, buf)
+		return buf, eofIsUnexpected(err)
+	}
+	var chunks [][]byte
+	for got := 0; got < n; {
+		c := make([]byte, min(n-got, attachChunk))
+		if _, err := io.ReadFull(r, c); err != nil {
+			return nil, eofIsUnexpected(err)
+		}
+		chunks = append(chunks, c)
+		got += len(c)
+	}
+	return slices.Concat(chunks...), nil
+}
+
+// eofIsUnexpected: inside a message, running out of bytes is never a
+// clean end of stream.
+func eofIsUnexpected(err error) error {
+	if errors.Is(err, io.EOF) {
+		return io.ErrUnexpectedEOF
+	}
+	return err
+}
+
+// checkSlab verifies that a result's header and tuple slab agree:
+// count tuples of arity little-endian int32 ids each, nothing over.
+// Divisions only, so no wire value can overflow the check, and count is
+// bounded by the bytes that arrived before anything is sized from it.
+func checkSlab(arity, count, slabBytes int) error {
+	ids := slabBytes / 4
+	ok := slabBytes == 0 && count == 0 && arity >= 0
+	if count > 0 {
+		ok = slabBytes%4 == 0 && arity > 0 && arity <= ids && ids%arity == 0 && ids/arity == count
+	}
+	if !ok {
+		return fmt.Errorf("cluster: result declares %d tuples of arity %d but carries a %d-byte slab", count, arity, slabBytes)
+	}
+	return nil
+}
+
+// packTuples renders a result's tuples as one flat little-endian int32
+// slab. A query's tuples all have its relation count as their width; a
+// set that does not cannot be framed and is reported.
+func packTuples(tuples []spatial.Tuple) (arity int, slab []byte, err error) {
+	if len(tuples) == 0 {
+		return 0, nil, nil
+	}
+	arity = len(tuples[0].IDs)
+	if arity == 0 {
+		return 0, nil, fmt.Errorf("cluster: result tuple 0 is empty")
+	}
+	slab = make([]byte, 0, 4*arity*len(tuples))
+	for i, t := range tuples {
+		if len(t.IDs) != arity {
+			return 0, nil, fmt.Errorf("cluster: result tuple %d has %d ids, tuple 0 has %d", i, len(t.IDs), arity)
+		}
+		for _, id := range t.IDs {
+			slab = binary.LittleEndian.AppendUint32(slab, uint32(id))
+		}
+	}
+	return arity, slab, nil
+}
+
+// unpackTuples decodes a slab into one []int32 and carves the tuples
+// from it. The result is non-nil even when empty.
+func unpackTuples(arity, count int, slab []byte) ([]spatial.Tuple, error) {
+	if err := checkSlab(arity, count, len(slab)); err != nil {
+		return nil, err
+	}
+	ids := make([]int32, arity*count)
+	for i := range ids {
+		ids[i] = int32(binary.LittleEndian.Uint32(slab[4*i:]))
+	}
+	tuples := make([]spatial.Tuple, count)
+	for i := range tuples {
+		tuples[i].IDs = ids[i*arity : (i+1)*arity : (i+1)*arity]
+	}
+	return tuples, nil
+}
+
+// appendRecord frames one checkpoint record onto a chk_data attachment:
+// uvarint length, then the bytes. A whole file is one attachment, so a
+// message's attachment count never grows with its record count.
+func appendRecord(buf, rec []byte) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(rec)))
+	return append(buf, rec...)
+}
+
+// splitRecords parses an appendRecord-framed attachment into views of
+// it.
+func splitRecords(buf []byte) ([][]byte, error) {
+	var recs [][]byte
+	for len(buf) > 0 {
+		n, w := binary.Uvarint(buf)
+		if w <= 0 || n > uint64(len(buf)-w) {
+			return nil, fmt.Errorf("cluster: checkpoint attachment truncated after %d records", len(recs))
+		}
+		recs = append(recs, buf[w:w+int(n):w+int(n)])
+		buf = buf[w+int(n):]
+	}
+	return recs, nil
+}

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"strings"
@@ -66,8 +67,7 @@ type workerSession struct {
 type Worker struct {
 	cfg    WorkerConfig
 	ctrl   net.Conn
-	enc    *json.Encoder
-	encMu  sync.Mutex
+	sendMu sync.Mutex
 	dataLn net.Listener
 	reg    *meshRegistry
 
@@ -111,14 +111,13 @@ func StartWorker(cfg WorkerConfig) (*Worker, error) {
 	w := &Worker{
 		cfg:      cfg,
 		ctrl:     ctrl,
-		enc:      json.NewEncoder(ctrl),
 		dataLn:   dataLn,
 		reg:      newMeshRegistry(),
 		sessions: make(map[string]*workerSession),
 		done:     make(chan struct{}),
 		ctrlDone: make(chan struct{}),
 	}
-	if err := w.send(message{Type: msgRegister, Name: cfg.Name, DataAddr: dataLn.Addr().String()}); err != nil {
+	if err := w.send(&message{Type: msgRegister, Proto: protocolVersion, Name: cfg.Name, DataAddr: dataLn.Addr().String()}); err != nil {
 		w.Close()
 		return nil, fmt.Errorf("cluster: register: %w", err)
 	}
@@ -182,10 +181,11 @@ func (w *Worker) Kill() {
 	}
 }
 
-func (w *Worker) send(m message) error {
-	w.encMu.Lock()
-	defer w.encMu.Unlock()
-	return w.enc.Encode(m)
+func (w *Worker) send(m *message) error {
+	w.sendMu.Lock()
+	defer w.sendMu.Unlock()
+	_, err := writeMessage(w.ctrl, m)
+	return err
 }
 
 func (w *Worker) heartbeatLoop() {
@@ -196,7 +196,7 @@ func (w *Worker) heartbeatLoop() {
 		case <-w.done:
 			return
 		case <-t.C:
-			if err := w.send(message{Type: msgHeartbeat}); err != nil {
+			if err := w.send(&message{Type: msgHeartbeat}); err != nil {
 				return
 			}
 		}
@@ -207,10 +207,10 @@ func (w *Worker) heartbeatLoop() {
 // drops.
 func (w *Worker) controlLoop() {
 	defer close(w.ctrlDone)
-	dec := json.NewDecoder(bufio.NewReader(w.ctrl))
+	br := bufio.NewReaderSize(w.ctrl, controlReadBuffer)
 	for {
-		var m message
-		if err := dec.Decode(&m); err != nil {
+		m, err := readMessage(br)
+		if err != nil {
 			select {
 			case <-w.done:
 			default:
@@ -251,34 +251,47 @@ func (w *Worker) session(id string) *workerSession {
 }
 
 // runSession executes one session attempt and reports the result.
-func (w *Worker) runSession(m message) {
-	res, err := w.executeAttempt(m)
-	out := message{Type: msgResult, Session: m.Session, Attempt: m.Attempt}
-	if err != nil {
-		out.Error = err.Error()
-		w.cfg.Logf("worker %s: session %s attempt %d failed: %v", w.cfg.Name, m.Session, m.Attempt, err)
-	} else {
-		out.OK = true
-		out.Hash = hashTuples(res.Tuples)
-		if stats, merr := json.Marshal(res.Stats); merr == nil {
-			out.Stats = stats
-		}
-		if m.Self == 0 {
-			out.Tuples = make([][]int32, len(res.Tuples))
-			for i, t := range res.Tuples {
-				out.Tuples[i] = t.IDs
-			}
-		}
+func (w *Worker) runSession(m *message) {
+	out, err := w.attemptResult(m)
+	if err == nil {
 		w.cfg.Logf("worker %s: session %s attempt %d done (%d tuples, hash %s)",
-			w.cfg.Name, m.Session, m.Attempt, len(res.Tuples), out.Hash[:8])
+			w.cfg.Name, m.Session, m.Attempt, out.Count, out.Hash[:8])
+		if err = w.send(out); err == nil {
+			return
+		}
+		if !errors.Is(err, errHeaderTooLarge) {
+			w.cfg.Logf("worker %s: result send failed: %v", w.cfg.Name, err)
+			return // the connection is gone
+		}
+		// The run's Stats outgrew the header line and nothing was written:
+		// the coordinator must still hear that the attempt failed.
 	}
-	if err := w.send(out); err != nil {
-		w.cfg.Logf("worker %s: result send failed: %v", w.cfg.Name, err)
+	w.cfg.Logf("worker %s: session %s attempt %d failed: %v", w.cfg.Name, m.Session, m.Attempt, err)
+	w.reply(&message{Type: msgResult, Session: m.Session, Attempt: m.Attempt, Error: err.Error()})
+}
+
+// attemptResult executes one attempt and frames its outcome: the hash
+// every member reports, the run's Stats, and on worker 0 the tuples.
+func (w *Worker) attemptResult(m *message) (*message, error) {
+	res, err := w.executeAttempt(m)
+	if err != nil {
+		return nil, err
 	}
+	out := &message{Type: msgResult, Session: m.Session, Attempt: m.Attempt, OK: true, Hash: hashTuples(res.Tuples)}
+	if out.Stats, err = json.Marshal(res.Stats); err != nil {
+		return nil, fmt.Errorf("cluster: encode stats: %w", err)
+	}
+	if m.Self == 0 {
+		if out.Arity, out.Slab, err = packTuples(res.Tuples); err != nil {
+			return nil, err
+		}
+		out.Count = len(res.Tuples)
+	}
+	return out, nil
 }
 
 // executeAttempt runs the spec on this worker's share of the roster.
-func (w *Worker) executeAttempt(m message) (*spatial.Result, error) {
+func (w *Worker) executeAttempt(m *message) (*spatial.Result, error) {
 	if m.Spec == nil {
 		return nil, fmt.Errorf("cluster: start without a spec")
 	}
@@ -349,7 +362,7 @@ func (w *Worker) executeAttempt(m message) (*spatial.Result, error) {
 // defaults "chk/<chain>/...").
 const checkpointPrefix = "chk/"
 
-func (w *Worker) handleListChk(m message) {
+func (w *Worker) handleListChk(m *message) {
 	s := w.session(m.Session)
 	var files []string
 	for _, name := range s.fs.List() {
@@ -357,43 +370,66 @@ func (w *Worker) handleListChk(m message) {
 			files = append(files, name)
 		}
 	}
-	w.send(message{Type: msgChkList, Session: m.Session, Files: files})
+	w.reply(&message{Type: msgChkList, Session: m.Session, Files: files})
 }
 
-func (w *Worker) handleFetchChk(m message) {
+func (w *Worker) handleFetchChk(m *message) {
 	s := w.session(m.Session)
-	var records [][]byte
+	out := &message{Type: msgChkData, Session: m.Session, File: m.File}
 	err := s.fs.Scan(m.File, func(rec []byte) error {
-		records = append(records, append([]byte(nil), rec...))
+		out.Chk = appendRecord(out.Chk, rec)
 		return nil
 	})
-	out := message{Type: msgChkData, Session: m.Session, File: m.File, Records: records}
 	if err != nil {
 		out.Error = err.Error()
 	}
-	w.send(out)
+	w.reply(out)
 }
 
-func (w *Worker) handleInstallChk(m message) {
+func (w *Worker) handleInstallChk(m *message) {
 	s := w.session(m.Session)
-	out := message{Type: msgChkOK, Session: m.Session, File: m.File}
-	if err := s.fs.WriteFile(m.File, m.Records); err != nil {
+	out := &message{Type: msgChkOK, Session: m.Session, File: m.File}
+	// WriteFile copies each record, so the views into m.Chk do not pin it.
+	recs, err := splitRecords(m.Chk)
+	if err == nil {
+		err = s.fs.WriteFile(m.File, recs)
+	}
+	if err != nil {
 		out.Error = err.Error()
 	}
-	w.send(out)
+	w.reply(out)
+}
+
+// reply answers a coordinator request. A failed write means the control
+// connection is gone, which controlLoop reports; the coordinator's
+// request times out or sees the death on its own.
+func (w *Worker) reply(m *message) {
+	if err := w.send(m); err != nil {
+		w.cfg.Logf("worker %s: %s send failed: %v", w.cfg.Name, m.Type, err)
+	}
 }
 
 // hashTuples renders the canonical sha-256 of a tuple set; the
 // coordinator compares it across the roster — the cheap distributed
 // bit-identity check that guards every clustered run, not only the
 // ones a test happens to cover.
+//
+// The digest is over uvarint(len(IDs)) ‖ Tuple.Key() per tuple — each id
+// as 4 little-endian bytes — fed from one reused buffer, not a string
+// per tuple.
 func hashTuples(tuples []spatial.Tuple) string {
 	h := sha256.New()
-	var buf [binary.MaxVarintLen64]byte
+	buf := make([]byte, 0, 4096)
 	for _, t := range tuples {
-		n := binary.PutUvarint(buf[:], uint64(len(t.IDs)))
-		h.Write(buf[:n])
-		h.Write([]byte(t.Key()))
+		buf = binary.AppendUvarint(buf, uint64(len(t.IDs)))
+		for _, id := range t.IDs {
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(id))
+		}
+		if len(buf) >= 2048 {
+			h.Write(buf)
+			buf = buf[:0]
+		}
 	}
+	h.Write(buf)
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -111,6 +111,25 @@ func readBytes(buf []byte) ([]byte, []byte, error) {
 	return rest[:n], rest[n:], nil
 }
 
+// uvarintLen is the number of bytes appendUvarint writes for v.
+func uvarintLen(v uint64) int {
+	n := 1
+	for ; v >= 0x80; v >>= 7 {
+		n++
+	}
+	return n
+}
+
+// checkCount rejects an entry count a payload cannot hold: every entry
+// (a length-prefixed record) takes at least one byte, so a claim beyond
+// the bytes that remain is a lie, caught before it sizes an allocation.
+func checkCount(what string, n uint64, remaining int) error {
+	if n > uint64(remaining) {
+		return fmt.Errorf("mapreduce: dist frame: %d %s declared with %d bytes left", n, what, remaining)
+	}
+	return nil
+}
+
 // taskError is one worker's lowest-index failed task, flattened for the
 // wire. The barrier returns the globally lowest index so every worker
 // surfaces the same error the in-process engine would (it reports the
@@ -221,6 +240,12 @@ func distMapBarrier(d *DistConfig, stats *Stats, mapErrs []error, spilledRuns, s
 	return nil
 }
 
+// runPairSlack is what a shipped pair may take beyond its PairBytes
+// price without regrowing the payload: the record's length prefix and a
+// codec's framing byte. A codec that exceeds it costs a reallocation,
+// nothing else.
+const runPairSlack = 4
+
 // distExchangeRuns is exchange stage 2, the network shuffle: ship each
 // owned mapper's sorted runs destined for remotely-owned reducers
 // (reading back any that spilled — the sender-side re-read, matching
@@ -240,7 +265,21 @@ func distExchangeRuns[I any, K cmp.Ordered, V any, O any](j *Job[I, K, V, O], cf
 		if u == d.Self {
 			continue
 		}
-		var buf []byte
+		// Sized before the first append: a run's priced bytes (its exact
+		// encoded size, if it spilled) plus runPairSlack per pair.
+		size := 0
+		for m := d.Self; m < nm; m += W {
+			for r := u; r < cfg.NumReducers; r += W {
+				b := &batches[m][r]
+				if b.spill != "" {
+					size += int(b.spillBytes) + b.n*runPairSlack
+				} else {
+					size += int(b.bytes) + len(b.pairs)*runPairSlack
+				}
+				size += 4 * binary.MaxVarintLen32
+			}
+		}
+		buf := make([]byte, 0, size)
 		for m := d.Self; m < nm; m += W {
 			for r := u; r < cfg.NumReducers; r += W {
 				b := &batches[m][r]
@@ -304,6 +343,9 @@ func distExchangeRuns[I any, K cmp.Ordered, V any, O any](j *Job[I, K, V, O], cf
 			if m < 0 || m >= nm || r < 0 || r >= cfg.NumReducers {
 				return 0, 0, fmt.Errorf("mapreduce: job %q: run exchange: worker %d shipped run for mapper %d reducer %d out of range", cfg.Name, w, m, r)
 			}
+			if err = checkCount("pairs", npairs, len(buf)); err != nil {
+				return 0, 0, fmt.Errorf("mapreduce: job %q: run exchange: worker %d: %w", cfg.Name, w, err)
+			}
 			ps := getBuf[pair[K, V]](&pool.pairs, int(npairs))
 			for i := uint64(0); i < npairs; i++ {
 				var raw []byte
@@ -337,17 +379,26 @@ func distReduceBarrier[I any, K cmp.Ordered, V any, O any](j *Job[I, K, V, O], c
 			break
 		}
 	}
-	payload := appendUvarint(nil, uint64(stats.ReduceAttempts))
+	// A sizing pass fixes the payload's capacity before the first append:
+	// the all-gathered outputs are the job's whole result, and growing a
+	// buffer that large by doubling allocates it twice over.
+	var rec []byte
+	nOwned, size := 0, 6*binary.MaxVarintLen64+len(locErr.msg)
+	for r := d.Self; r < cfg.NumReducers; r += d.NumWorkers {
+		nOwned++
+		size += 5 * binary.MaxVarintLen64
+		for i := range outputs[r] {
+			rec = j.EncodeOutput(outputs[r][i], rec[:0])
+			size += uvarintLen(uint64(len(rec))) + len(rec)
+		}
+	}
+	payload := make([]byte, 0, size)
+	payload = appendUvarint(payload, uint64(stats.ReduceAttempts))
 	payload = appendUvarint(payload, uint64(stats.ReduceFailures))
 	payload = appendUvarint(payload, uint64(netBytes))
 	payload = appendUvarint(payload, uint64(netRuns))
 	payload = locErr.append(payload)
-	nOwned := 0
-	for r := d.Self; r < cfg.NumReducers; r += d.NumWorkers {
-		nOwned++
-	}
 	payload = appendUvarint(payload, uint64(nOwned))
-	var rec []byte
 	for r := d.Self; r < cfg.NumReducers; r += d.NumWorkers {
 		payload = appendUvarint(payload, uint64(r))
 		payload = appendUvarint(payload, uint64(stats.PairsPerReducer[r]))
@@ -420,6 +471,9 @@ func distReduceBarrier[I any, K cmp.Ordered, V any, O any](j *Job[I, K, V, O], c
 			r := int(r64)
 			if r < 0 || r >= cfg.NumReducers {
 				return fail(fmt.Errorf("reducer %d out of range", r))
+			}
+			if err = checkCount("outputs", nout, len(buf)); err != nil {
+				return fail(err)
 			}
 			if remote {
 				stats.PairsPerReducer[r] = int64(pairs)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -283,6 +284,66 @@ func TestDistErrorIdentity(t *testing.T) {
 		}
 		if err.Error() != inErr.Error() {
 			t.Errorf("worker %d: error %q, in-process %q", self, err, inErr)
+		}
+	}
+}
+
+// forgingExchanger plays worker 1 of a two-worker group to a real
+// worker 0: it echoes worker 0's own payload back (a well-formed peer)
+// except on the exchange named forgeTag, where it answers forged.
+type forgingExchanger struct {
+	forgeTag string
+	forged   []byte
+}
+
+func (e *forgingExchanger) AllToAll(tag string, outgoing [][]byte) ([][]byte, error) {
+	peer := outgoing[0]
+	switch {
+	case tag == e.forgeTag:
+		peer = e.forged
+	case tag == "runs":
+		peer = nil // worker 1 ships no runs
+	}
+	return [][]byte{outgoing[0], peer}, nil
+}
+
+// TestDistWireCountsBounded: the two decoders that size a buffer from a
+// count on the wire check it against the bytes that remain first, so a
+// payload claiming 2^40 entries is an error, not a terabyte make.
+func TestDistWireCountsBounded(t *testing.T) {
+	input := make([]int, 64)
+	for i := range input {
+		input[i] = i
+	}
+	uv := func(vs ...uint64) []byte {
+		var buf []byte
+		for _, v := range vs {
+			buf = binary.AppendUvarint(buf, v)
+		}
+		return buf
+	}
+	for _, c := range []struct {
+		tag    string
+		forged []byte
+		want   string
+	}{
+		// stage 2: mapper 1, reducer 0, 16 priced bytes, 2^40 pairs, one byte of them.
+		{"runs", append(uv(1, 0, 16, 1<<40), 0), "pairs declared"},
+		// stage 3: the four counters, no error, one reducer: r=1 pairs=0
+		// bytes=0 keys=0 nout=2^40, one byte of outputs.
+		{"outputs", append(uv(1, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 1<<40), 0), "outputs declared"},
+	} {
+		j := distTestJob(Config{Name: "forged", NumReducers: 4, NumMappers: 4}, false)
+		j.Config.Dist = &DistConfig{NumWorkers: 2, Self: 0, Exchanger: &forgingExchanger{forgeTag: c.tag, forged: c.forged}}
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		_, _, err := j.Run(input)
+		runtime.ReadMemStats(&m1)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("forged %s payload: err = %v, want %q", c.tag, err, c.want)
+		}
+		if grew := m1.TotalAlloc - m0.TotalAlloc; grew > 16<<20 {
+			t.Errorf("forged %s payload: job allocated %d bytes", c.tag, grew)
 		}
 	}
 }

@@ -57,8 +57,9 @@ echo "== benchmark module tests (own go.mod, invisible to the root go test ./...
 go test -C benchmark ./...
 test -z "$(gofmt -l benchmark)"
 
-echo "== shuffle pipeline and planner bench smoke (1 iteration per benchmark) =="
+echo "== shuffle pipeline, planner and control-plane bench smoke (1 iteration per benchmark) =="
 go test -run='^$' -bench . -benchtime=1x ./internal/mapreduce
 go test -run='^$' -bench BenchmarkPlanQuery -benchtime=1x ./internal/spatial
+go test -run='^$' -bench BenchmarkControlPlane -benchtime=1x ./internal/cluster
 
 echo "== check.sh: all green =="
