@@ -1,6 +1,7 @@
 package index
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"reflect"
@@ -10,72 +11,76 @@ import (
 )
 
 // TestRTreeStructure checks the STR bulk-load invariants directly on
-// the node arrays: every node holds 1..fanout items, all leaves sit at
-// the same depth, the leaves partition the rectangle indices exactly
-// once, and every node's MBR is the union of its children.
+// the flat arrays: the permutation places every rectangle at exactly
+// one leaf position, every level is a sixteenth (rounded up) of the one
+// below and ends in a single root, and every entry's box is the union
+// of its ≤ 16 children.
 func TestRTreeStructure(t *testing.T) {
 	rng := rand.New(rand.NewPCG(31, 7))
-	for _, n := range []int{1, 15, 16, 17, 255, 1000} {
+	for _, n := range []int{1, 15, 16, 17, 255, 256, 257, 1000, 4097} {
 		rects := randRects(n, rng, 1000, 20)
 		tr := NewRTree(rects)
 		if tr.Len() != n {
 			t.Fatalf("n=%d: Len = %d", n, tr.Len())
 		}
 
-		seen := make([]int, n)
-		leafDepths := map[int]bool{}
-		var walk func(node int32, depth int) geom.Rect
-		walk = func(node int32, depth int) geom.Rect {
-			nd := tr.nodes[node]
-			if len(nd.items) == 0 || len(nd.items) > rtreeFanout {
-				t.Fatalf("n=%d: node with %d items (fanout %d)", n, len(nd.items), rtreeFanout)
-			}
-			var union geom.Rect
-			for j, it := range nd.items {
-				var child geom.Rect
-				if nd.leaf {
-					leafDepths[depth] = true
-					seen[it]++
-					child = rects[it]
-				} else {
-					child = walk(it, depth+1)
-				}
-				if j == 0 {
-					union = child
-				} else {
-					union = union.Union(child)
-				}
-			}
-			if nd.mbr != union {
-				t.Fatalf("n=%d: node MBR %v != union of children %v", n, nd.mbr, union)
-			}
-			return union
+		if len(tr.perm) != n {
+			t.Fatalf("n=%d: %d leaf positions", n, len(tr.perm))
 		}
-		walk(tr.root, 1)
-
+		seen := make([]int, n)
+		below := make([]box, n) // the rectangles' boxes in STR order
+		for p, i := range tr.perm {
+			seen[i]++
+			below[p] = boxOf(rects[i])
+		}
 		for i, c := range seen {
 			if c != 1 {
-				t.Fatalf("n=%d: rect %d appears in %d leaves", n, i, c)
+				t.Fatalf("n=%d: rect %d appears at %d leaf positions", n, i, c)
 			}
 		}
-		if len(leafDepths) != 1 {
-			t.Errorf("n=%d: leaves at %d distinct depths, want 1", n, len(leafDepths))
-		}
-		for d := range leafDepths {
-			if d != tr.Height() {
-				t.Errorf("n=%d: leaf depth %d != Height %d", n, d, tr.Height())
+
+		for l, level := range tr.levels {
+			if want := (len(below) + rtreeFanout - 1) / rtreeFanout; len(level) != want {
+				t.Fatalf("n=%d: level %d has %d entries over %d children, want %d", n, l, len(level), len(below), want)
 			}
+			for i, got := range level {
+				kids := below[i*rtreeFanout : min((i+1)*rtreeFanout, len(below))]
+				union := kids[0]
+				for _, k := range kids[1:] {
+					union.union(k)
+				}
+				if got != union {
+					t.Fatalf("n=%d: level %d entry %d is %v, its children's union %v", n, l, i, got, union)
+				}
+			}
+			below = level
+		}
+		if len(below) != 1 {
+			t.Errorf("n=%d: top level has %d entries, want one root", n, len(below))
 		}
 	}
 }
 
-// TestRTreeDeterministicBuild: bulk-loading the same slice twice yields
-// the identical tree (probe order in the reducers depends on it).
+// TestRTreeDeterministicBuild: the tree is a function of the input
+// alone (probe order in the reducers depends on it) — two builds agree,
+// and ties in the STR keys fall by index: rectangles sharing one center
+// keep their input order.
 func TestRTreeDeterministicBuild(t *testing.T) {
 	rects := randRects(500, rand.New(rand.NewPCG(3, 3)), 1000, 15)
 	a, b := NewRTree(rects), NewRTree(rects)
-	if !reflect.DeepEqual(a.nodes, b.nodes) || a.root != b.root {
+	if !reflect.DeepEqual(a.perm, b.perm) || !reflect.DeepEqual(a.levels, b.levels) {
 		t.Error("same input produced different trees")
+	}
+	// Concentric squares: one center, 300 distinct boxes.
+	same := make([]geom.Rect, 300)
+	for i := range same {
+		h := float64(i + 1)
+		same[i] = geom.Rect{X: 500 - h, Y: 500 + h, L: 2 * h, B: 2 * h}
+	}
+	for p, i := range NewRTree(same).perm {
+		if int(i) != p {
+			t.Fatalf("tied keys: position %d holds rect %d, want input order", p, i)
+		}
 	}
 }
 
@@ -108,30 +113,148 @@ func TestRTreeDuplicateMBBs(t *testing.T) {
 	}
 }
 
+// TestRTreeFilterRoundsLikeWithinDist puts whole leaves at a gap the
+// predicate accepts only by rounding: the probe's edge is at ∓1e9, the
+// rectangles' at ±0.29999996, and d = 1e9 + 0.3 is stored as 1e9 +
+// 0.29999995…, to which the gap 1e9 + 0.29999996 also rounds — so the
+// subtraction WithinDist performs says "within d", while the same edge
+// compared against a query expanded by d (−1e9 + d = 0.29999995… <
+// 0.29999996) says "too far". A node filter in that form would drop
+// every one of these pairs; the fuzz target does not find the case in
+// reasonable time, hence the construction.
+func TestRTreeFilterRoundsLikeWithinDist(t *testing.T) {
+	const big, gap = 1e9, 0.29999996
+	d := big + 0.3
+	cases := []struct {
+		name  string
+		at    func(u float64) geom.Rect // a point rectangle, u along the free axis
+		probe geom.Rect
+	}{
+		{"right", func(u float64) geom.Rect { return geom.Rect{X: gap, Y: u} }, geom.Rect{X: -big - 1, Y: 20, L: 1, B: 40}},
+		{"left", func(u float64) geom.Rect { return geom.Rect{X: -gap, Y: u} }, geom.Rect{X: big, Y: 20, L: 1, B: 40}},
+		{"above", func(u float64) geom.Rect { return geom.Rect{X: u, Y: gap} }, geom.Rect{X: -20, Y: -big, L: 40, B: 1}},
+		{"below", func(u float64) geom.Rect { return geom.Rect{X: u, Y: -gap} }, geom.Rect{X: -20, Y: big + 1, L: 40, B: 1}},
+	}
+	for _, c := range cases {
+		rects := make([]geom.Rect, 40) // three leaves under one root
+		for i := range rects {
+			rects[i] = c.at(float64(i)/4 - 5)
+		}
+		want := collect(NewLinear(rects), c.probe, d)
+		if len(want) != len(rects) {
+			t.Fatalf("%s: the predicate accepts %d of %d pairs; the construction is off", c.name, len(want), len(rects))
+		}
+		if got := collect(NewRTree(rects), c.probe, d); !equalInts(got, want) {
+			t.Errorf("%s: rtree reports %d of the %d rectangles WithinDist accepts", c.name, len(got), len(want))
+		}
+	}
+}
+
+// fuzzRects draws the fuzz target's rectangles in one of four shapes:
+// random ones; n copies of one; a lattice of multiples of 5, where
+// boxes touch along edges and at corners and sit at distances of
+// exactly 5, 10, … and (15, 20 → 25) from each other; and random ones
+// carried out to ±1e9, where a − b ≤ d and a ≤ b + d round differently.
+func fuzzRects(seed uint64, n int, shape uint8) []geom.Rect {
+	rng := rand.New(rand.NewPCG(seed, 0xf0cc))
+	rects := randRects(n, rng, 1000, 30)
+	switch shape % 4 {
+	case 1:
+		for i := range rects {
+			rects[i] = rects[0]
+		}
+	case 2:
+		for i := range rects {
+			rects[i] = geom.Rect{X: 5 * float64(rng.IntN(21)), Y: 5 * float64(rng.IntN(21)), L: 5 * float64(rng.IntN(5)), B: 5 * float64(rng.IntN(5))}
+		}
+	case 3:
+		for i := range rects {
+			rects[i].X += 1e9
+			rects[i].Y -= 1e9
+		}
+	}
+	return rects
+}
+
 // FuzzRTreeProbe fuzzes probe-vs-brute-force agreement: whatever
-// workload seed and probe geometry the fuzzer invents, the R-tree must
-// return exactly the linear scan's matches.
+// workload seed, shape and probe geometry the fuzzer invents, the
+// R-tree must return exactly the linear scan's matches.
 func FuzzRTreeProbe(f *testing.F) {
-	f.Add(uint64(1), 50, 10.0, 20.0, 5.0, 5.0, 0.0)
-	f.Add(uint64(2), 0, 0.0, 0.0, 0.0, 0.0, 1.0)            // empty tree
-	f.Add(uint64(3), 1, -50.0, 1000.0, 2000.0, 2000.0, 0.0) // probe covers space
-	f.Add(uint64(4), 200, 500.0, 500.0, 0.0, 0.0, 25.0)     // point probe, distance
-	f.Add(uint64(5), 17, 100.0, 100.0, 1.0, 1.0, -1.0)      // negative distance
-	f.Fuzz(func(t *testing.T, seed uint64, n int, px, py, pl, pb, d float64) {
+	f.Add(uint64(1), 50, uint8(0), 10.0, 20.0, 5.0, 5.0, 0.0)
+	f.Add(uint64(2), 0, uint8(0), 0.0, 0.0, 0.0, 0.0, 1.0)            // empty tree
+	f.Add(uint64(3), 1, uint8(0), -50.0, 1000.0, 2000.0, 2000.0, 0.0) // probe covers space
+	f.Add(uint64(4), 200, uint8(0), 500.0, 500.0, 0.0, 0.0, 25.0)     // point probe, distance
+	f.Add(uint64(5), 17, uint8(0), 100.0, 100.0, 1.0, 1.0, -1.0)      // negative distance
+	f.Add(uint64(6), 100, uint8(1), 0.0, 1000.0, 1000.0, 1000.0, 0.0) // all duplicates, all matched
+	f.Add(uint64(6), 300, uint8(1), 2000.0, 0.0, 1.0, 1.0, 40.0)      // all duplicates, none or all
+	f.Add(uint64(7), 400, uint8(2), 50.0, 50.0, 10.0, 10.0, 0.0)      // edges and corners touching
+	f.Add(uint64(7), 400, uint8(2), 50.0, 50.0, 0.0, 0.0, 5.0)        // distance exactly d along an axis
+	f.Add(uint64(8), 400, uint8(2), 40.0, 60.0, 5.0, 5.0, 25.0)       // … and across a corner: 15² + 20² = 25²
+	f.Add(uint64(9), 300, uint8(3), 1e9+500.3, -1e9+500.7, 7.1, 3.3, 0.3)
+	f.Add(uint64(9), 300, uint8(3), 1e9+250.1, -1e9+750.9, 0.0, 0.0, 0.0)
+	f.Add(uint64(10), 300, uint8(3), 0.3, 0.7, 1.0, 1.0, 1e9) // a far probe: the gaps themselves round
+	f.Fuzz(func(t *testing.T, seed uint64, n int, shape uint8, px, py, pl, pb, d float64) {
 		if n < 0 || n > 500 {
 			return
 		}
 		for _, v := range []float64{px, py, pl, pb, d} {
-			if math.IsNaN(v) || math.IsInf(v, 0) || math.Abs(v) > 1e9 {
+			if math.IsNaN(v) || math.IsInf(v, 0) || math.Abs(v) > 4e9 {
 				return
 			}
 		}
-		rects := randRects(n, rand.New(rand.NewPCG(seed, 0xf0cc)), 1000, 30)
+		rects := fuzzRects(seed, n, shape)
 		probe := geom.Rect{X: px, Y: py, L: math.Abs(pl), B: math.Abs(pb)}
 		want := collect(NewLinear(rects), probe, d)
 		got := collect(NewRTree(rects), probe, d)
 		if !equalInts(got, want) {
-			t.Fatalf("seed=%d n=%d probe=%v d=%v: rtree %v, linear %v", seed, n, probe, d, got, want)
+			t.Fatalf("seed=%d n=%d shape=%d probe=%v d=%v: rtree %v, linear %v", seed, n, shape%4, probe, d, got, want)
 		}
 	})
 }
+
+// rtreeBenchSizes brackets a reducer cell: the escalation threshold, a
+// hot cell, and a cell past the cache.
+var rtreeBenchSizes = []int{256, 4096, 32768}
+
+// benchCell draws n rectangles at the paper's density (dimensions up to
+// 100 on a square of side 100·√n) and 1,024 probes in the same space.
+func benchCell(n int) (rects, probes []geom.Rect) {
+	rng := rand.New(rand.NewPCG(21, uint64(n)))
+	side := 100 * math.Sqrt(float64(n))
+	return randRects(n, rng, side, 100), randRects(1024, rng, side, 100)
+}
+
+func BenchmarkRTreeBuild(b *testing.B) {
+	for _, n := range rtreeBenchSizes {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			rects, _ := benchCell(n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchTree = NewRTree(rects)
+			}
+		})
+	}
+}
+
+// BenchmarkRTreeProbe alternates overlap and ra(5) probes, the two
+// shapes of the benchmark's hybrid query.
+func BenchmarkRTreeProbe(b *testing.B) {
+	for _, n := range rtreeBenchSizes {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			rects, probes := benchCell(n)
+			tr := NewRTree(rects)
+			count := func(int) bool { benchMatches++; return true }
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tr.Probe(probes[i%1024], float64(i&1)*5, count)
+			}
+		})
+	}
+}
+
+var (
+	benchTree    *RTree
+	benchMatches int
+)

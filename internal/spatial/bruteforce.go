@@ -16,11 +16,12 @@ func bruteForce(pl *plan, rels []Relation, countOnly bool) (*Result, error) {
 		}
 	}
 	var tuples []Tuple
+	var slab tupleSlab
 	var count int64
 	pl.match(data, func(assign []int) {
 		count++
 		if !countOnly {
-			tuples = append(tuples, tupleOf(data, assign))
+			tuples = append(tuples, slab.tupleOf(data, assign))
 		}
 	})
 	return &Result{

@@ -257,11 +257,14 @@ func controlledReplicate(pl *plan, exec *executor, limit bool) (*Result, error) 
 func joinReduce(pl *plan, part *grid.Partitioning, countOnly bool, counted *atomic.Int64, reg *metrics.Registry) func(grid.CellID, []tagged, func(Tuple)) error {
 	return func(c grid.CellID, items []tagged, emit func(Tuple)) error {
 		cd := newCellData(pl.m, items)
+		// The slab lives for this call: an attempt the engine discards
+		// and retries leaves its chunks behind as garbage.
+		var slab tupleSlab
 		var local int64
 		pl.matchInCell(cd, part, c, func(assign []int) {
 			local++
 			if !countOnly {
-				emit(tupleOf(cd, assign))
+				emit(slab.tupleOf(cd, assign))
 			}
 		})
 		counted.Add(local)

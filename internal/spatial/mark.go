@@ -28,7 +28,10 @@ import (
 // because the join graph is connected). When the closure swallows all m
 // slots the branch is a full local tuple — exactly the C3 boundary case
 // the paper excludes, because reducer c can compute that tuple itself
-// in round two.
+// in round two. The round decides, it does not join: down one branch
+// the set assigned ∪ pending never shrinks, so as soon as it covers all
+// m slots every leaf below is such a tuple or a dead end, and the
+// branch is abandoned before a single candidate is probed.
 
 // marker is the per-cell marking engine. It is rebuilt per reducer call
 // (cheap: slices over the already-grouped cell data).
@@ -50,6 +53,12 @@ type marker struct {
 	forcedBy []int
 	assigned int
 	marked   [][]bool
+
+	// try[t] is the probe callback binding a candidate to slot t, built
+	// once per cell so the search allocates nothing per probe; found
+	// carries the innermost finished witness call's result out of it.
+	try   []func(j int) bool
+	found bool
 }
 
 // markCell computes the marked flag for every item of cd that starts in
@@ -74,9 +83,11 @@ func markCell(pl *plan, part *grid.Partitioning, c grid.CellID, cd *cellData) []
 	}
 	mk.slotEdges = make([][]query.Edge, pl.m)
 	mk.escape = make([][][]bool, pl.m)
+	mk.try = make([]func(int) bool, pl.m)
 	for s := 0; s < pl.m; s++ {
 		mk.slotEdges[s] = pl.q.EdgesAt(s)
 		mk.escape[s] = make([][]bool, len(mk.slotEdges[s]))
+		mk.try[s] = func(j int) bool { return mk.tryCandidate(s, j) }
 	}
 
 	for s := 0; s < pl.m; s++ {
@@ -87,14 +98,9 @@ func markCell(pl *plan, part *grid.Partitioning, c grid.CellID, cd *cellData) []
 			if part.Project(cd.rects[s][j]) != c {
 				continue // only the start cell decides (and outputs) an item
 			}
-			mk.assign[s] = j
-			mk.assigned = 1
-			forced := mk.force(s, j, +1)
+			mk.bind(s, j)
 			mk.witness() // marks the whole witness set on success
-			mk.force(s, j, -1)
-			_ = forced
-			mk.assign[s] = -1
-			mk.assigned = 0
+			mk.unbind(s, j)
 		}
 	}
 	return mk.marked
@@ -123,41 +129,51 @@ func (mk *marker) itemEscapes(r geom.Rect, e query.Edge) bool {
 	return mk.part.OtherCellWithin(r, mk.cell, e.Pred.D)
 }
 
-// force adjusts the forced counters for the assignment of item j to
-// slot s (delta = +1) or its removal (delta = -1): every unassigned
-// neighbour slot reached by an edge the item cannot escape through is
-// forced in. It returns nothing callers rely on beyond the counter
-// updates.
-func (mk *marker) force(s, j, delta int) bool {
-	for ei, e := range mk.slotEdges[s] {
-		t := e.Other(s)
-		if !mk.escapeOK(s, ei, j) {
-			mk.forcedBy[t] += delta
-		}
-	}
-	return true
+// bind assigns item j to slot s and forces in every neighbour slot
+// reached by an edge the item cannot escape through; unbind undoes it.
+func (mk *marker) bind(s, j int) {
+	mk.assign[s] = j
+	mk.assigned++
+	mk.force(s, j, +1)
 }
 
-// pendingSlot returns an unassigned forced slot, or -1.
-func (mk *marker) pendingSlot() int {
-	for s := 0; s < mk.pl.m; s++ {
-		if mk.forcedBy[s] > 0 && mk.assign[s] < 0 {
-			return s
+func (mk *marker) unbind(s, j int) {
+	mk.force(s, j, -1)
+	mk.assigned--
+	mk.assign[s] = -1
+}
+
+func (mk *marker) force(s, j, delta int) {
+	for ei, e := range mk.slotEdges[s] {
+		if !mk.escapeOK(s, ei, j) {
+			mk.forcedBy[e.Other(s)] += delta
 		}
 	}
-	return -1
 }
 
 // witness runs the forced-closure backtracking search from the current
 // assignment. On success it marks every assigned member that starts in
-// the cell and returns true.
+// the cell and returns true; the first witness ends the search, since
+// it marks only its own members and markCell starts a search of its own
+// from every item still unmarked.
 func (mk *marker) witness() bool {
-	t := mk.pendingSlot()
-	if t < 0 {
-		if mk.assigned >= mk.pl.m {
-			return false // full local tuple: C3 boundary case, no replication
+	t, pending := -1, 0
+	for s, f := range mk.forcedBy {
+		if f > 0 && mk.assign[s] < 0 {
+			if t < 0 {
+				t = s
+			}
+			pending++
 		}
-		// Witness found: mark all members starting in this cell.
+	}
+	// Binding only ever adds to assigned ∪ pending, and a witness is a
+	// leaf with nothing pending and fewer than m slots assigned: once
+	// the closure covers every slot, all that lies below is full local
+	// tuples (the C3 case, which marks nothing) and dead ends.
+	if mk.assigned+pending >= mk.pl.m {
+		return false
+	}
+	if t < 0 {
 		for s, j := range mk.assign {
 			if j >= 0 && mk.part.Project(mk.cd.rects[s][j]) == mk.cell {
 				mk.marked[s][j] = true
@@ -165,53 +181,31 @@ func (mk *marker) witness() bool {
 		}
 		return true
 	}
-	// Try every local item of the forced slot that is consistent with
-	// the current assignment (C1) and distinct under self-joins.
-	found := false
-	probe := mk.candidateProbe(t)
-	probe(func(j int) bool {
-		if !mk.consistentWithAssigned(t, j) {
-			return true
+	// Candidates for the forced slot come from an index probe along an
+	// edge to an assigned neighbour — there is one, the member that
+	// forced the slot in.
+	mk.found = false
+	for _, e := range mk.slotEdges[t] {
+		if k := mk.assign[e.Other(t)]; k >= 0 {
+			mk.indexFor(t).Probe(mk.cd.rects[e.Other(t)][k], e.Pred.Weight(), mk.try[t])
+			break
 		}
-		mk.assign[t] = j
-		mk.assigned++
-		mk.force(t, j, +1)
-		if mk.witness() {
-			found = true
-		}
-		mk.force(t, j, -1)
-		mk.assigned--
-		mk.assign[t] = -1
-		// Keep searching even after success: other witnesses may mark
-		// additional members... they may not — a witness only marks
-		// its own members, and the outer loop in markCell visits every
-		// unmarked item anyway, so stop at the first witness.
-		return !found
-	})
-	return found
+	}
+	return mk.found
 }
 
-// candidateProbe returns an iterator over plausible items for slot t:
-// if t has an assigned neighbour, candidates come from a spatial index
-// probe along one connecting edge; otherwise all local items.
-func (mk *marker) candidateProbe(t int) func(func(int) bool) {
-	for _, e := range mk.slotEdges[t] {
-		u := e.Other(t)
-		if mk.assign[u] >= 0 {
-			probeRect := mk.cd.rects[u][mk.assign[u]]
-			d := e.Pred.Weight()
-			return func(fn func(int) bool) {
-				mk.indexFor(t).Probe(probeRect, d, fn)
-			}
-		}
+// tryCandidate binds item j to the forced slot t if it is consistent
+// with the current assignment (C1) and distinct under self-joins, and
+// searches on. It is the probe callback: false stops the probe, which
+// it does at the first witness.
+func (mk *marker) tryCandidate(t, j int) bool {
+	if !mk.consistentWithAssigned(t, j) {
+		return true
 	}
-	return func(fn func(int) bool) {
-		for j := range mk.cd.ids[t] {
-			if !fn(j) {
-				return
-			}
-		}
-	}
+	mk.bind(t, j)
+	mk.found = mk.witness()
+	mk.unbind(t, j)
+	return !mk.found
 }
 
 // indexFor lazily builds the index over slot t's local rectangles.

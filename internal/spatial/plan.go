@@ -332,6 +332,9 @@ func (pl *plan) matchPruned(cd *cellData, pruneX, pruneY, needX, needY float64, 
 		pl: pl, cd: cd,
 		assign:  make([]int, pl.m),
 		indexes: make([]index.Index, pl.m),
+		runX:    make([]float64, pl.m),
+		runY:    make([]float64, pl.m),
+		onProbe: make([]func(int) bool, pl.m),
 		emit:    emit,
 		pruneX:  pruneX,
 		pruneY:  pruneY,
@@ -340,6 +343,14 @@ func (pl *plan) matchPruned(cd *cellData, pruneX, pruneY, needX, needY float64, 
 	}
 	for i := range st.assign {
 		st.assign[i] = -1
+	}
+	for p := 1; p < pl.m; p++ {
+		st.onProbe[p] = func(j int) bool {
+			if st.accepts(p, j) {
+				st.step(p, j)
+			}
+			return true
+		}
 	}
 	if !math.IsInf(needX, -1) || !math.IsInf(needY, 1) {
 		// Suffix maxima/minima over the plan order bound what later
@@ -359,14 +370,21 @@ func (pl *plan) matchPruned(cd *cellData, pruneX, pruneY, needX, needY float64, 
 			st.sufMinY[p] = math.Min(st.sufMinY[p+1], minY)
 		}
 	}
-	st.extend(0, math.Inf(-1), math.Inf(1))
+	st.runX[0], st.runY[0] = math.Inf(-1), math.Inf(1)
+	st.extend(0)
 }
 
 type matchState struct {
-	pl             *plan
-	cd             *cellData
-	assign         []int
-	indexes        []index.Index
+	pl      *plan
+	cd      *cellData
+	assign  []int
+	indexes []index.Index
+	// runX[p], runY[p] carry the running duplicate-avoidance point of
+	// the members assigned before position p of the plan order.
+	runX, runY []float64
+	// onProbe[p] is position p's index-probe callback, built once per
+	// cell so the search allocates nothing per probe.
+	onProbe        []func(j int) bool
 	emit           func([]int)
 	pruneX, pruneY float64
 	// needX/needY with sufMaxX/sufMinY implement the suffix-bound
@@ -383,12 +401,14 @@ func (st *matchState) indexFor(s int) index.Index {
 	return st.indexes[s]
 }
 
-// accepts verifies non-primary edges and distinctness for binding item
-// j to slot s given the current partial assignment.
-func (st *matchState) accepts(p int, s, j int, skipPrimary bool) bool {
+// accepts verifies the non-primary edges and distinctness for binding
+// item j at position p given the current partial assignment; the
+// primary edge is what the index probe already tested.
+func (st *matchState) accepts(p, j int) bool {
 	pl := st.pl
+	s := pl.order[p]
 	for i, e := range pl.edgesToPrev[p] {
-		if skipPrimary && i == pl.primary[p] {
+		if i == pl.primary[p] {
 			continue
 		}
 		t := e.Other(s)
@@ -409,56 +429,56 @@ func (st *matchState) accepts(p int, s, j int, skipPrimary bool) bool {
 }
 
 // extend advances the backtracking search at position p of the plan
-// order; maxX and minY carry the running duplicate-avoidance point of
-// the assigned members.
-func (st *matchState) extend(p int, maxX, minY float64) {
+// order: every local item at the first position, the index's matches
+// along the primary edge at the later ones.
+func (st *matchState) extend(p int) {
 	pl := st.pl
 	s := pl.order[p]
-	step := func(j int) {
-		r := st.cd.rects[s][j]
-		nx, ny := maxX, minY
-		if r.X > nx {
-			nx = r.X
-		}
-		if r.Y < ny {
-			ny = r.Y
-		}
-		if nx >= st.pruneX || ny <= st.pruneY {
-			return // the dup point has left this reducer's cell for good
-		}
-		if st.sufMaxX != nil {
-			// Even the best remaining members cannot pull the dup
-			// point into the cell's column/row.
-			if math.Max(nx, st.sufMaxX[p+1]) < st.needX {
-				return
-			}
-			if math.Min(ny, st.sufMinY[p+1]) > st.needY {
-				return
-			}
-		}
-		st.assign[s] = j
-		if p == pl.m-1 {
-			st.emit(st.assign)
-		} else {
-			st.extend(p+1, nx, ny)
-		}
-		st.assign[s] = -1
-	}
 	if p == 0 {
 		for j := range st.cd.ids[s] {
-			step(j)
+			st.step(p, j)
 		}
 		return
 	}
 	e := pl.edgesToPrev[p][pl.primary[p]]
 	t := e.Other(s)
-	probe := st.cd.rects[t][st.assign[t]]
-	st.indexFor(s).Probe(probe, e.Pred.Weight(), func(j int) bool {
-		if st.accepts(p, s, j, true) {
-			step(j)
+	st.indexFor(s).Probe(st.cd.rects[t][st.assign[t]], e.Pred.Weight(), st.onProbe[p])
+}
+
+// step binds item j at position p, unless the dup point provably ends
+// outside this reducer's cell, and searches on.
+func (st *matchState) step(p, j int) {
+	pl := st.pl
+	s := pl.order[p]
+	r := st.cd.rects[s][j]
+	nx, ny := st.runX[p], st.runY[p]
+	if r.X > nx {
+		nx = r.X
+	}
+	if r.Y < ny {
+		ny = r.Y
+	}
+	if nx >= st.pruneX || ny <= st.pruneY {
+		return // the dup point has left this reducer's cell for good
+	}
+	if st.sufMaxX != nil {
+		// Even the best remaining members cannot pull the dup
+		// point into the cell's column/row.
+		if math.Max(nx, st.sufMaxX[p+1]) < st.needX {
+			return
 		}
-		return true
-	})
+		if math.Min(ny, st.sufMinY[p+1]) > st.needY {
+			return
+		}
+	}
+	st.assign[s] = j
+	if p == pl.m-1 {
+		st.emit(st.assign)
+	} else {
+		st.runX[p+1], st.runY[p+1] = nx, ny
+		st.extend(p + 1)
+	}
+	st.assign[s] = -1
 }
 
 // dupPoint computes the §6.2 duplicate-avoidance point of an
@@ -485,9 +505,24 @@ func dupPoint(cd *cellData, assign []int) geom.Point {
 	return pt
 }
 
+// tupleSlab carves output tuples from chunks of one []int32 instead of
+// allocating each tuple: the first chunk holds 64 tuples, each further
+// one twice the last up to 8,192, so a sparse cell wastes little and a
+// hot one allocates rarely. The zero value is ready to use.
+type tupleSlab struct {
+	free  []int32
+	chunk int // tuples the last chunk was sized for
+}
+
 // tupleOf materialises the output tuple of an assignment.
-func tupleOf(cd *cellData, assign []int) Tuple {
-	ids := make([]int32, len(assign))
+func (sl *tupleSlab) tupleOf(cd *cellData, assign []int) Tuple {
+	m := len(assign)
+	if len(sl.free) < m {
+		sl.chunk = min(max(64, 2*sl.chunk), 8192)
+		sl.free = make([]int32, sl.chunk*m)
+	}
+	ids := sl.free[:m:m]
+	sl.free = sl.free[m:]
 	for s, j := range assign {
 		ids[s] = cd.ids[s][j]
 	}

@@ -107,8 +107,15 @@ func TestDupPointAndTupleOf(t *testing.T) {
 	if got := dupPoint(cd, assign); got != (geom.Point{X: 30, Y: 40}) {
 		t.Errorf("dupPoint = %v, want (30, 40)", got)
 	}
-	if got := tupleOf(cd, assign); !reflect.DeepEqual(got.IDs, []int32{7, 9, 3}) {
-		t.Errorf("tupleOf = %v", got)
+	// Tuples carved from one slab are neighbours in memory: each must be
+	// capped at its own m ids, so appending to one cannot reach the next.
+	var slab tupleSlab
+	first, second := slab.tupleOf(cd, assign), slab.tupleOf(cd, assign)
+	_ = append(first.IDs, 99)
+	for _, got := range []Tuple{first, second} {
+		if !reflect.DeepEqual(got.IDs, []int32{7, 9, 3}) {
+			t.Errorf("tupleOf = %v", got)
+		}
 	}
 }
 
