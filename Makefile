@@ -1,7 +1,7 @@
 # Convenience targets; `make check` is the expanded tier-1 gate
 # (vet + build + race tests + a short run of every fuzz target).
 
-.PHONY: check test build vet fuzz bench
+.PHONY: check test build vet fuzz bench loc
 
 check:
 	./scripts/check.sh
@@ -30,3 +30,10 @@ fuzz-%:
 
 bench:
 	go test -bench=. -benchtime=1x ./...
+
+# loc prints the two sizes every PR quotes — lines of Go outside
+# benchmark/, all and non-test — so CHANGES.md and ROADMAP.md count alike.
+loc:
+	@printf 'go lines outside benchmark/: %s (non-test %s)\n' \
+		"$$(find . -name '*.go' -not -path './benchmark/*' | xargs cat | wc -l)" \
+		"$$(find . -name '*.go' -not -path './benchmark/*' -not -name '*_test.go' | xargs cat | wc -l)"

@@ -23,7 +23,6 @@ import (
 
 	"mwsjoin/internal/bench"
 	"mwsjoin/internal/dataset"
-	"mwsjoin/internal/spatial"
 )
 
 // benchUnit is the rectangles-per-paper-million scale for the table
@@ -194,48 +193,6 @@ func BenchmarkLimitMetricAblation(b *testing.B) {
 // sqrtRatio returns √(n / 1e6), the density-preserving space scale.
 func sqrtRatio(n int) float64 {
 	return math.Sqrt(float64(n) / 1e6)
-}
-
-var _ = spatial.Methods // keep the spatial import anchored for docs links
-
-// BenchmarkPartitioningAblation compares the uniform grid (the paper's
-// setup) against the quantile grid on the skewed road workload,
-// reporting the reducer-load skew of the C-Rep-L join round. The
-// quantile grid exploits the §4 definition's generality (cells need
-// equal size only within a row/column) to balance reducers under skew.
-func BenchmarkPartitioningAblation(b *testing.B) {
-	n := benchUnit()
-	roads := CaliforniaRoadsRelation("roads", 2*n, 7)
-	rels := []Relation{roads, roads, roads}
-	q := NewQuery("a", "b", "c").Overlap(0, 1).Overlap(1, 2)
-
-	uniform, err := spatial.DefaultPartitioning(rels, 64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	quantile, err := QuantilePartitioning(rels, 64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, tc := range []struct {
-		name string
-		part *Partitioning
-	}{
-		{"uniform", uniform},
-		{"quantile", quantile},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			var skew float64
-			for i := 0; i < b.N; i++ {
-				res, err := Run(q, rels, ControlledReplicateLimit, &Options{Partitioning: tc.part})
-				if err != nil {
-					b.Fatal(err)
-				}
-				skew = res.Stats.Rounds[len(res.Stats.Rounds)-1].MaxReducerSkew()
-			}
-			b.ReportMetric(skew, "reducer-skew")
-		})
-	}
 }
 
 // BenchmarkAdaptivePartitioningSkew is the PR6 headline comparison at

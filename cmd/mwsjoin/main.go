@@ -124,6 +124,7 @@ func main() {
 
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("mwsjoin", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	rels := relFlags{}
 	var (
 		queryText = fs.String("query", "", `query text, e.g. "R1 ov R2 and R2 ra(100) R3"`)
@@ -145,7 +146,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		failJob   = fs.Int("fail-job", -1, "kill the run before job-chain index N (fault injection); with -checkpoint, the completed checkpoints are saved for -resume")
 		resume    = fs.Bool("resume", false, "resume a killed run from the -checkpoint snapshot; completed jobs are skipped and only the checkpoint re-read is charged")
 		chkPath   = fs.String("checkpoint", "", "host file holding the simulated file-system snapshot: written when -fail-job kills the run, read by -resume")
-		specul    = fs.Bool("speculative", false, "race backup attempts for straggler tasks (Hadoop speculative execution); results are unchanged")
 		timeout   = fs.Duration("timeout", 0, "abort the run after this duration (0 = no limit); the execution stops at its next job boundary and the command exits with status 3")
 		profPath  = fs.String("profile", "", `write the structured query profile (per-round map/shuffle/reduce breakdown, skew, combiner and chain accounting) to this file after the run; "-" prints it to stderr`)
 		chromeOut = fs.String("trace-chrome", "", "write a Chrome trace-event JSON timeline of the execution to this file (load in chrome://tracing or Perfetto)")
@@ -188,13 +188,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *traceJSON != "" || *traceTree != "" || *profPath != "" || *chromeOut != "" {
 		tracer = mwsjoin.NewTracer()
 	}
-	// The registry backs -serve, the -explain analyze runs, the
-	// speculative-attempt counter, and the auto-derived -trace-tree skew
-	// threshold. The metrics server starts before the (potentially
-	// large) relation load, so a bad -serve address fails fast and the
-	// load itself is observable.
+	// The registry backs -serve, the -explain analyze runs and the
+	// auto-derived -trace-tree skew threshold. The metrics server starts
+	// before the (potentially large) relation load, so a bad -serve
+	// address fails fast and the load itself is observable.
 	var reg *mwsjoin.MetricsRegistry
-	if *serveAddr != "" || *explain || *specul || (*traceTree != "" && *skewThr <= 0) {
+	if *serveAddr != "" || *explain || (*traceTree != "" && *skewThr <= 0) {
 		reg = mwsjoin.NewMetricsRegistry()
 	}
 	var boundAddr string
@@ -235,7 +234,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		RTreeSweepThreshold: *rtreeThr,
 		EuclideanLimit:      *euclid,
 		AllowSelfPairs:      *selfPairs,
-		Speculative:         *specul,
 		Tracer:              tracer,
 		Metrics:             reg,
 		SpillBudget:         *spillBudg,
@@ -422,11 +420,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if s.Chain != nil {
 			fmt.Fprintf(stderr, "chain jobs run/resumed:  %d/%d\n", s.Chain.JobsRun, s.Chain.ResumedJobs)
 			fmt.Fprintf(stderr, "checkpoint bytes w/r:    %d/%d\n", s.Chain.CheckpointBytesWritten, s.Chain.CheckpointBytesRead)
-		}
-		if reg != nil {
-			if n := reg.Counter("mapreduce_speculative_attempts_total").Value(); n > 0 {
-				fmt.Fprintf(stderr, "speculative attempts:    %d\n", n)
-			}
 		}
 		var combineIn, combineOut int64
 		for _, r := range s.Rounds {

@@ -103,30 +103,3 @@ func TestResumeRequiresCheckpoint(t *testing.T) {
 		t.Errorf("-resume without -checkpoint: err = %v", err)
 	}
 }
-
-// TestSpeculativeSmoke: -speculative leaves the output identical and
-// reports the backup attempts in -stats.
-func TestSpeculativeSmoke(t *testing.T) {
-	path := writeRects(t, "r.csv", denseRects(100))
-	args := func(extra ...string) []string {
-		return append([]string{
-			"-query", "a ov b and b ov c",
-			"-rel", "a=" + path, "-rel", "b=" + path, "-rel", "c=" + path,
-			"-method", "2-way-cascade", "-reducers", "16",
-		}, extra...)
-	}
-	var plainOut, plainErr strings.Builder
-	if err := run(args(), &plainOut, &plainErr); err != nil {
-		t.Fatal(err)
-	}
-	var specOut, specErr strings.Builder
-	if err := run(args("-speculative", "-stats"), &specOut, &specErr); err != nil {
-		t.Fatal(err)
-	}
-	if specOut.String() != plainOut.String() {
-		t.Error("-speculative changed the tuple output")
-	}
-	if !strings.Contains(specErr.String(), "speculative attempts:") {
-		t.Errorf("-speculative -stats lacks the attempt counter:\n%s", specErr.String())
-	}
-}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -59,11 +58,9 @@ func denseRects(n int) []mwsjoin.Rect {
 
 // TestServeSmoke runs the CLI with -serve and asserts, while the server
 // is still up, that the scraped /metrics counters equal the run's flat
-// Stats and the bridged trace span totals — the live view and the
-// post-hoc views cannot disagree.
+// Stats — the live view and the post-hoc view cannot disagree.
 func TestServeSmoke(t *testing.T) {
 	path := writeRects(t, "r.csv", denseRects(120))
-	traceOut := filepath.Join(t.TempDir(), "trace.json")
 
 	var scraped map[string]int64
 	var res *mwsjoin.Result
@@ -81,7 +78,7 @@ func TestServeSmoke(t *testing.T) {
 		"-query", "a ov b and b ov c",
 		"-rel", "a=" + path, "-rel", "b=" + path, "-rel", "c=" + path,
 		"-method", "c-rep", "-reducers", "16",
-		"-quiet", "-serve", "127.0.0.1:0", "-trace", traceOut,
+		"-quiet", "-serve", "127.0.0.1:0",
 	}, &out, &errOut)
 	if err != nil {
 		t.Fatal(err)
@@ -102,10 +99,6 @@ func TestServeSmoke(t *testing.T) {
 		"spatial_rectangle_copies_total":      s.RectanglesAfterReplication,
 		"mapreduce_jobs_total":                int64(len(s.Rounds)),
 		"mapreduce_intermediate_pairs_total":  s.IntermediatePairs(),
-		// Bridged trace span counters: job spans carry "pairs", the run
-		// span carries "tuples".
-		"trace_job_pairs":  s.IntermediatePairs(),
-		"trace_run_tuples": s.OutputTuples,
 	}
 	for name, want := range checks {
 		if got, ok := scraped[name]; !ok {

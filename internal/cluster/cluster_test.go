@@ -14,6 +14,7 @@ import (
 
 	"mwsjoin/internal/dfs"
 	"mwsjoin/internal/geom"
+	"mwsjoin/internal/grid"
 	"mwsjoin/internal/metrics"
 	"mwsjoin/internal/query"
 	"mwsjoin/internal/spatial"
@@ -107,7 +108,7 @@ func inProcessReference(t *testing.T, spec SessionSpec) *spatial.Result {
 			t.Fatal(err)
 		}
 	}
-	res, err := spatial.Execute(method, q, rels, spatial.Config{
+	cfg := spatial.Config{
 		Scheme:         scheme,
 		Reducers:       spec.Reducers,
 		SplitThreshold: spec.SplitThreshold,
@@ -115,8 +116,13 @@ func inProcessReference(t *testing.T, spec SessionSpec) *spatial.Result {
 		Parallelism:    spec.Parallelism,
 		OptimizeOrder:  spec.OptimizeOrder,
 		SpillBudget:    spec.SpillBudget,
+		AllowSelfPairs: spec.AllowSelfPairs,
 		FS:             dfs.New(0),
-	})
+	}
+	if spec.EuclideanLimit {
+		cfg.LimitMetric = grid.MetricEuclidean
+	}
+	res, err := spatial.Execute(method, q, rels, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,6 +137,15 @@ func testSpec(method string) SessionSpec {
 		rels,
 		spatial.Config{Reducers: 16, NumMappers: 6, Parallelism: 3},
 	)
+}
+
+// knobSpec is a self-join under the two Config values that change the
+// answer — AllowSelfPairs the tuples, the Euclidean limit C-Rep-L's
+// replication — and that a worker must therefore take from the spec.
+func knobSpec() SessionSpec {
+	r := testRelations(7, 1, 150)[0]
+	return SpecFromConfig(spatial.ControlledReplicateLimit, "a ov b and b ra(40) c", []spatial.Relation{r, r, r},
+		spatial.Config{Reducers: 16, NumMappers: 6, Parallelism: 3, AllowSelfPairs: true, LimitMetric: grid.MetricEuclidean})
 }
 
 func mustMethod(s string) spatial.Method {
@@ -148,8 +163,9 @@ func mustMethod(s string) spatial.Method {
 func TestClusterEquivalence(t *testing.T) {
 	for _, n := range []int{1, 3} {
 		tc := startTestCluster(t, n, nil)
-		for _, method := range []string{"2-way-cascade", "all-replicate", "c-rep", "c-rep-l"} {
-			spec := testSpec(method)
+		specs := []SessionSpec{testSpec("2-way-cascade"), testSpec("all-replicate"), testSpec("c-rep"), testSpec("c-rep-l"), knobSpec()}
+		for _, spec := range specs {
+			method := spec.Method + " on " + spec.Query
 			want := inProcessReference(t, spec)
 			got, err := tc.coord.Run(spec)
 			if err != nil {

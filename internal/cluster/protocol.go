@@ -46,6 +46,7 @@ import (
 	"math"
 
 	"mwsjoin/internal/geom"
+	"mwsjoin/internal/grid"
 	"mwsjoin/internal/spatial"
 )
 
@@ -121,6 +122,12 @@ type SessionSpec struct {
 	Parallelism    int            `json:"parallelism,omitempty"`
 	OptimizeOrder  bool           `json:"optimize_order,omitempty"`
 	SpillBudget    int64          `json:"spill_budget,omitempty"`
+	// AllowSelfPairs and EuclideanLimit (Config.LimitMetric ==
+	// grid.MetricEuclidean) change the answer — the tuple set; C-Rep-L's
+	// pairs and replication counters — so a worker must run under the
+	// caller's values, not its own defaults.
+	AllowSelfPairs bool `json:"allow_self_pairs,omitempty"`
+	EuclideanLimit bool `json:"euclidean_limit,omitempty"`
 	// Resume is set by the coordinator on retry attempts: the worker
 	// re-runs the session against its retained per-session DFS, so
 	// checkpointed chain steps committed before the failure are not
@@ -180,7 +187,8 @@ func UnpackRelation(rd RelationData) (spatial.Relation, error) {
 }
 
 // SpecFromConfig assembles a SessionSpec from a query, relations and
-// the subset of spatial.Config knobs a cluster run honours.
+// the spatial.Config fields a cluster run honours; the rest stay with
+// the calling process (TestSpecCarriesConfig lists each and why).
 func SpecFromConfig(method spatial.Method, queryText string, rels []spatial.Relation, cfg spatial.Config) SessionSpec {
 	spec := SessionSpec{
 		Method:         method.String(),
@@ -192,6 +200,8 @@ func SpecFromConfig(method spatial.Method, queryText string, rels []spatial.Rela
 		Parallelism:    cfg.Parallelism,
 		OptimizeOrder:  cfg.OptimizeOrder,
 		SpillBudget:    cfg.SpillBudget,
+		AllowSelfPairs: cfg.AllowSelfPairs,
+		EuclideanLimit: cfg.LimitMetric == grid.MetricEuclidean,
 	}
 	for _, rel := range rels {
 		spec.Relations = append(spec.Relations, PackRelation(rel))

@@ -22,9 +22,11 @@ import (
 
 const (
 	// protocolVersion is what register declares and the coordinator
-	// requires; it changes whenever the framing below does, so a stale
-	// worker binary fails at registration instead of mid-session.
-	protocolVersion = 2
+	// requires; it changes whenever the framing below or the meaning of
+	// a start does, so a stale worker binary fails at registration
+	// instead of mid-session — or, ignoring a spec field it never heard
+	// of, answering a different question.
+	protocolVersion = 3
 
 	// maxHeaderBytes caps the JSON header line. Every bulk field rides as
 	// an attachment, so a header holds names, counters and the run's

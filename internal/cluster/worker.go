@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"mwsjoin/internal/dfs"
+	"mwsjoin/internal/grid"
 	"mwsjoin/internal/mapreduce"
 	"mwsjoin/internal/query"
 	"mwsjoin/internal/spatial"
@@ -324,8 +325,12 @@ func (w *Worker) executeAttempt(m *message) (*spatial.Result, error) {
 		Parallelism:    spec.Parallelism,
 		OptimizeOrder:  spec.OptimizeOrder,
 		SpillBudget:    spec.SpillBudget,
+		AllowSelfPairs: spec.AllowSelfPairs,
 		Resume:         spec.Resume,
 		FS:             s.fs,
+	}
+	if spec.EuclideanLimit {
+		cfg.LimitMetric = grid.MetricEuclidean
 	}
 	if len(m.Roster) > 1 {
 		mh, err := dialMesh(m.Self, m.Roster, m.Session, m.Attempt, w.reg, w.cfg.ExchangeTimeout)

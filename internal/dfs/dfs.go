@@ -294,9 +294,9 @@ func (fs *FS) Scan(name string, fn func(record []byte) error) error {
 // when its map tasks read their own splits: Open charges the whole-file
 // read once, exactly as Scan would, and the ranges handed out afterwards
 // are free. Charging at the open rather than per range keeps every
-// counter independent of how many mappers, retries or speculative
-// racers touch a split. Files are immutable once written, so any number
-// of goroutines may read ranges of one View concurrently.
+// counter independent of how many mappers or retries touch a split.
+// Files are immutable once written, so any number of goroutines may read
+// ranges of one View concurrently.
 type View struct {
 	f *file
 	n int

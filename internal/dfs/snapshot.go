@@ -3,8 +3,10 @@ package dfs
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // snapshotMagic heads every serialised FS image so a stray file is
@@ -75,9 +77,48 @@ func (fs *FS) WriteSnapshot(w io.Writer) error {
 	return bw.Flush()
 }
 
+// snapshotChunk is the most ReadSnapshot allocates ahead of the bytes
+// that have arrived: every length in a snapshot is a claim by whoever
+// wrote the file, so nothing is sized from one beyond this.
+const snapshotChunk = 64 << 10
+
+// readSized reads n declared bytes. Up to snapshotChunk it is one exact
+// allocation; beyond, chunks are collected as they arrive and joined
+// only once all n bytes have, so a length that lies costs at most one
+// chunk more than the file really holds.
+func readSized(r io.Reader, n uint64) ([]byte, error) {
+	if n <= snapshotChunk {
+		buf := make([]byte, n)
+		_, err := io.ReadFull(r, buf)
+		return buf, err
+	}
+	var chunks [][]byte
+	for got := uint64(0); got < n; {
+		c := make([]byte, min(n-got, snapshotChunk))
+		if _, err := io.ReadFull(r, c); err != nil {
+			return nil, err
+		}
+		chunks = append(chunks, c)
+		got += uint64(len(c))
+	}
+	return slices.Concat(chunks...), nil
+}
+
+// truncated names what a snapshot that ends mid-structure is: past the
+// magic, running out of bytes is never a clean end of file.
+func truncated(err error) error {
+	if errors.Is(err, io.EOF) {
+		return io.ErrUnexpectedEOF
+	}
+	return err
+}
+
 // ReadSnapshot reconstructs a file system from a WriteSnapshot image.
 // Counters start at zero — the snapshot restores state, and only the
-// resumed run's own I/O should be charged to it.
+// resumed run's own I/O should be charged to it. The image is input
+// from outside the process: a truncated or lying one is an error
+// wrapping io.ErrUnexpectedEOF, and memory is allocated only for bytes
+// that arrived.
 func ReadSnapshot(r io.Reader, blockSize int64) (*FS, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(snapshotMagic))
@@ -90,31 +131,31 @@ func ReadSnapshot(r io.Reader, blockSize int64) (*FS, error) {
 	fs := New(blockSize)
 	nFiles, err := binary.ReadUvarint(br)
 	if err != nil {
-		return nil, fmt.Errorf("dfs: reading snapshot file count: %w", err)
+		return nil, fmt.Errorf("dfs: reading snapshot file count: %w", truncated(err))
 	}
 	for i := uint64(0); i < nFiles; i++ {
 		nameLen, err := binary.ReadUvarint(br)
 		if err != nil {
-			return nil, fmt.Errorf("dfs: snapshot file %d: %w", i, err)
+			return nil, fmt.Errorf("dfs: snapshot file %d of %d: %w", i, nFiles, truncated(err))
 		}
-		nameBuf := make([]byte, nameLen)
-		if _, err := io.ReadFull(br, nameBuf); err != nil {
-			return nil, fmt.Errorf("dfs: snapshot file %d name: %w", i, err)
+		nameBuf, err := readSized(br, nameLen)
+		if err != nil {
+			return nil, fmt.Errorf("dfs: snapshot file %d of %d: %d-byte name: %w", i, nFiles, nameLen, truncated(err))
 		}
 		name := string(nameBuf)
 		nRecs, err := binary.ReadUvarint(br)
 		if err != nil {
-			return nil, fmt.Errorf("dfs: snapshot %q record count: %w", name, err)
+			return nil, fmt.Errorf("dfs: snapshot %q record count: %w", name, truncated(err))
 		}
-		f := &file{records: make([][]byte, 0, nRecs)}
+		f := &file{}
 		for j := uint64(0); j < nRecs; j++ {
 			recLen, err := binary.ReadUvarint(br)
 			if err != nil {
-				return nil, fmt.Errorf("dfs: snapshot %q record %d: %w", name, j, err)
+				return nil, fmt.Errorf("dfs: snapshot %q record %d of %d: %w", name, j, nRecs, truncated(err))
 			}
-			rec := make([]byte, recLen)
-			if _, err := io.ReadFull(br, rec); err != nil {
-				return nil, fmt.Errorf("dfs: snapshot %q record %d: %w", name, j, err)
+			rec, err := readSized(br, recLen)
+			if err != nil {
+				return nil, fmt.Errorf("dfs: snapshot %q record %d of %d: %d bytes declared: %w", name, j, nRecs, recLen, truncated(err))
 			}
 			f.records = append(f.records, rec)
 			f.bytes += int64(len(rec))

@@ -25,7 +25,7 @@ func clusteredSample(n int, seed uint64) []geom.Rect {
 			x = rng.Float64() * 1000
 			y = rng.Float64() * 1000
 		}
-		out[i] = geom.Rect{X: clampFloat(x, 0, 995), Y: clampFloat(y, 5, 1000), L: 5, B: 5}
+		out[i] = geom.Rect{X: min(max(x, 0), 995), Y: min(max(y, 5), 1000), L: 5, B: 5}
 	}
 	return out
 }
@@ -172,5 +172,20 @@ func TestAdaptiveMergeKeepsHotResolution(t *testing.T) {
 	}
 	if mid > 1 {
 		t.Errorf("cold band kept %d cuts (want ≤ 1): %v", mid, p.xCuts)
+	}
+}
+
+func TestSplitSkewUniformData(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 5))
+	rects := make([]geom.Rect, 4000)
+	for i := range rects {
+		rects[i] = geom.Rect{X: rng.Float64() * 1000, Y: rng.Float64() * 1000, L: 3, B: 3}
+	}
+	p, _ := NewUniform(geom.Rect{X: 0, Y: 1010, L: 1010, B: 1010}, 8, 8)
+	if skew := p.SplitSkew(rects); skew > 1.6 {
+		t.Errorf("uniform data skew = %.2f, want near 1", skew)
+	}
+	if skew := p.SplitSkew(nil); skew != 0 {
+		t.Errorf("empty workload skew = %v", skew)
 	}
 }

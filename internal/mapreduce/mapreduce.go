@@ -84,26 +84,6 @@ type Config struct {
 	// that side effects of the user Reduce function itself (shared
 	// counters, ...) cannot be rolled back by the engine.
 	FailReduce func(reducer, attempt int) bool
-	// SlowTask, when non-nil, deterministically marks straggler tasks:
-	// a marked map (reduce) task sleeps StragglerDelay inside each of
-	// its regular attempts, simulating a slow node. phase is "map" or
-	// "reduce". Marking changes wall times only, never results.
-	SlowTask func(phase string, task int) bool
-	// Speculative enables Hadoop-style speculative execution: every
-	// attempt of a straggler task races a backup attempt; the first
-	// finisher's output commits and the loser's output and accounting
-	// are discarded, so results and Stats are identical with and
-	// without speculation. When SlowTask is nil, task 0 of each phase
-	// is marked. Map and Reduce must be deterministic; their side
-	// effects (shared counters, ...) run once per racer, exactly as
-	// they re-run on a FailMap/FailReduce retry. Backup attempts are
-	// not counted in Stats.MapAttempts/ReduceAttempts — they surface as
-	// speculative_attempts trace counters and the
-	// mapreduce_speculative_attempts_total metric.
-	Speculative bool
-	// StragglerDelay is the simulated straggler slowdown; defaults to
-	// 2ms when SlowTask marks anything.
-	StragglerDelay time.Duration
 	// Tracer, when non-nil, receives job → phase → task-attempt spans
 	// and counters for this job; TraceParent is the span they nest
 	// under (0 for a root job span). A nil Tracer costs nothing.
@@ -164,12 +144,6 @@ func (c *Config) withDefaults() (Config, error) {
 	}
 	if cfg.MaxAttempts <= 0 {
 		cfg.MaxAttempts = 1
-	}
-	if cfg.Speculative && cfg.SlowTask == nil {
-		cfg.SlowTask = func(_ string, task int) bool { return task == 0 }
-	}
-	if cfg.SlowTask != nil && cfg.StragglerDelay <= 0 {
-		cfg.StragglerDelay = 2 * time.Millisecond
 	}
 	if cfg.SpillBudget > 0 && cfg.SpillFS == nil {
 		return cfg, fmt.Errorf("mapreduce: job %q: SpillBudget set without SpillFS", cfg.Name)
@@ -542,14 +516,7 @@ func (j *Job[I, K, V, O]) RunSplits(n int, read func(lo, hi int, yield func(I) e
 	// batches[m][r] holds mapper m's sorted run for reducer r.
 	batches := make([][]pairBatch[K, V], nm)
 	mapErrs := make([]error, nm)
-	attempts := make([]int64, nm)
-	failures := make([]int64, nm)
-	var mapLogs [][]taskAttempt
-	if timed {
-		mapLogs = make([][]taskAttempt, nm)
-	}
-
-	specMap := make([]int64, nm)
+	mapRuns := make([]taskRun, nm)
 	runTasks(cfg.Parallelism, nm, func(m int) {
 		if dist && !cfg.Dist.ownsMapper(m) {
 			// A remotely-owned mapper runs on its owner; its sorted runs
@@ -562,15 +529,7 @@ func (j *Job[I, K, V, O]) RunSplits(n int, read func(lo, hi int, yield func(I) e
 		}
 		lo := n * m / nm
 		hi := n * (m + 1) / nm
-		var delay time.Duration
-		if cfg.SlowTask != nil && cfg.SlowTask("map", m) {
-			delay = cfg.StragglerDelay
-		}
-		body := func(d time.Duration) attemptOutcome[[]pairBatch[K, V]] {
-			var a attemptOutcome[[]pairBatch[K, V]]
-			if timed {
-				a.t0 = time.Now()
-			}
+		body := func() ([]pairBatch[K, V], error) {
 			out := make([]pairBatch[K, V], cfg.NumReducers)
 			emit := func(k K, v V) {
 				r := partition(k, cfg.NumReducers)
@@ -582,81 +541,35 @@ func (j *Job[I, K, V, O]) RunSplits(n int, read func(lo, hi int, yield func(I) e
 				}
 				out[r].pairs = append(out[r].pairs, pair[K, V]{key: k, val: v})
 			}
-			a.err = safeSplit(read, lo, hi, func(in I) error { return j.Map(in, emit) })
-			if d > 0 {
-				time.Sleep(d)
+			if err := safeSplit(read, lo, hi, func(in I) error { return j.Map(in, emit) }); err != nil {
+				return out, fmt.Errorf("mapreduce: job %q: mapper %d: %w", cfg.Name, m, err)
 			}
-			if a.err == nil {
-				// Sorting, combining and byte accounting run inside every
-				// attempt — including ones later discarded by fault
-				// injection or a lost speculative race, which crash after
-				// their spill like a real Hadoop task — so the attempt
-				// timing covers the work and a discarded attempt's combine
-				// and byte accounting is discarded with its batch, never
-				// leaked into Stats.
-				for r := range out {
-					finalizeRun(&out[r], ranker, j.Combine, j.PairBytes, pool)
-					if spilling && out[r].bytes > cfg.SpillBudget && len(out[r].pairs) > 0 {
-						// Over-budget runs move to local scratch right
-						// here, inside the attempt, so the mapper's
-						// memory is bounded no matter how many attempts
-						// race or retry; attempt-unique names keep
-						// concurrent racers' scratch apart.
-						name := fmt.Sprintf("spill/%s/run-%d", cfg.Name, spillSeq.Add(1))
-						spillBatch(&out[r], cfg.SpillFS, name, j.EncodePair, pool)
-					}
+			// Sorting, combining and byte accounting run inside every
+			// attempt — including ones later discarded by fault
+			// injection, which crash after their spill like a real Hadoop
+			// task — so the attempt timing covers the work and a
+			// discarded attempt's combine and byte accounting is
+			// discarded with its batch, never leaked into Stats.
+			for r := range out {
+				finalizeRun(&out[r], ranker, j.Combine, j.PairBytes, pool)
+				if spilling && out[r].bytes > cfg.SpillBudget && len(out[r].pairs) > 0 {
+					// Over-budget runs move to local scratch right here,
+					// inside the attempt, so the mapper's memory is
+					// bounded no matter how often it retries; the
+					// sequence number keeps the scratch names of
+					// concurrent mappers and of retries apart.
+					name := fmt.Sprintf("spill/%s/run-%d", cfg.Name, spillSeq.Add(1))
+					spillBatch(&out[r], cfg.SpillFS, name, j.EncodePair, pool)
 				}
 			}
-			a.res = out
-			if timed {
-				a.t1 = time.Now()
-			}
-			return a
+			return out, nil
 		}
-		for attempt := 1; attempt <= cfg.MaxAttempts; attempt++ {
-			attempts[m]++
-			raced := cfg.Speculative && delay > 0
-			var won, lost attemptOutcome[[]pairBatch[K, V]]
-			var backupWon bool
-			if raced {
-				won, lost, backupWon = raceAttempt(body, delay)
-				specMap[m]++
-			} else {
-				won = body(delay)
-			}
-			injected := cfg.FailMap != nil && cfg.FailMap(m, attempt)
-			if timed {
-				logRace(&mapLogs[m], won, lost, raced, backupWon, injected)
-			}
-			if raced {
-				// The losing racer has fully completed (raceAttempt
-				// awaits both), so its runs can be recycled and its
-				// scratch deleted without aliasing the winner's output.
-				recycleBatches(pool, cfg.SpillFS, lost.res)
-			}
-			if injected {
-				failures[m]++
-				recycleBatches(pool, cfg.SpillFS, won.res)
-				if attempt == cfg.MaxAttempts {
-					mapErrs[m] = fmt.Errorf("mapreduce: job %q: mapper %d failed after %d attempts", cfg.Name, m, attempt)
-					return
-				}
-				continue // discard output, retry
-			}
-			if won.err != nil {
-				recycleBatches(pool, cfg.SpillFS, won.res)
-				mapErrs[m] = fmt.Errorf("mapreduce: job %q: mapper %d: %w", cfg.Name, m, won.err)
-				return
-			}
-			batches[m] = won.res
-			return
-		}
+		batches[m], mapErrs[m] = runAttempts(&cfg, "mapper", m, cfg.FailMap, timed, &mapRuns[m], body,
+			func(out []pairBatch[K, V]) { recycleBatches(pool, cfg.SpillFS, out) })
 	})
-	var mapSpec int64
-	for m := range attempts {
-		stats.MapAttempts += attempts[m]
-		stats.MapFailures += failures[m]
-		mapSpec += specMap[m]
+	for m := range mapRuns {
+		stats.MapAttempts += mapRuns[m].attempts
+		stats.MapFailures += mapRuns[m].failures
 	}
 	if j.Combine != nil {
 		for _, bm := range batches { // nil for failed mappers: skipped
@@ -670,13 +583,10 @@ func (j *Job[I, K, V, O]) RunSplits(n int, read func(lo, hi int, yield func(I) e
 	if traced {
 		// Task-attempt spans are logged in task order after the phase,
 		// so span IDs stay deterministic despite concurrent execution.
-		logTaskAttempts(tr, mapSpan, "map", mapLogs)
+		logTaskAttempts(tr, mapSpan, "map", mapRuns)
 		tr.Add(mapSpan, "records_in", stats.MapInputRecords)
 		tr.Add(mapSpan, "attempts", stats.MapAttempts)
 		tr.Add(mapSpan, "injected_failures", stats.MapFailures)
-		if cfg.Speculative {
-			tr.Add(mapSpan, "speculative_attempts", mapSpec)
-		}
 		if j.Combine != nil {
 			tr.Add(mapSpan, "combine_in", stats.CombineInputPairs)
 			tr.Add(mapSpan, "combine_out", stats.CombineOutputPairs)
@@ -854,13 +764,7 @@ func (j *Job[I, K, V, O]) RunSplits(n int, read func(lo, hi int, yield func(I) e
 	outputs := make([][]O, cfg.NumReducers)
 	keyCounts := make([]int64, cfg.NumReducers)
 	redErrs := make([]error, cfg.NumReducers)
-	redAttempts := make([]int64, cfg.NumReducers)
-	redFailures := make([]int64, cfg.NumReducers)
-	var redLogs [][]taskAttempt
-	if timed {
-		redLogs = make([][]taskAttempt, cfg.NumReducers)
-	}
-	specRed := make([]int64, cfg.NumReducers)
+	redRuns := make([]taskRun, cfg.NumReducers)
 	runTasks(cfg.Parallelism, cfg.NumReducers, func(r int) {
 		if err := cancelled(); err != nil {
 			redErrs[r] = err
@@ -873,74 +777,30 @@ func (j *Job[I, K, V, O]) RunSplits(n int, read func(lo, hi int, yield func(I) e
 		// The merged run already holds each key's values contiguously
 		// in (mapper index, emit order); index its group boundaries
 		// once — the view is derived from the immutable shuffle output,
-		// so retried and speculative attempts (awaited racers included)
-		// reuse it; recycle once the task is done.
+		// so retried attempts reuse it; recycle once the task is done.
 		starts := groupStarts(in.keys, pool)
 		defer putBuf(&pool.ints, starts)
-		nkeys := len(starts) - 1
-		var delay time.Duration
-		if cfg.SlowTask != nil && cfg.SlowTask("reduce", r) {
-			delay = cfg.StragglerDelay
-		}
-		body := func(d time.Duration) attemptOutcome[[]O] {
-			var a attemptOutcome[[]O]
-			if timed {
-				a.t0 = time.Now()
-			}
+		body := func() ([]O, error) {
 			// An estimate, capped so a selective reducer wastes little.
 			out := make([]O, 0, min(len(in.keys)/2, 4096))
 			emit := func(o O) { out = append(out, o) }
 			for g := 0; g+1 < len(starts); g++ {
 				glo, ghi := starts[g], starts[g+1]
 				k := in.keys[glo]
-				if a.err = safeReduce(j.Reduce, k, in.vals[glo:ghi:ghi], emit); a.err != nil {
-					a.err = fmt.Errorf("mapreduce: job %q: reducer %d key %v: %w", cfg.Name, r, k, a.err)
-					break
+				if err := safeReduce(j.Reduce, k, in.vals[glo:ghi:ghi], emit); err != nil {
+					return out, fmt.Errorf("mapreduce: job %q: reducer %d key %v: %w", cfg.Name, r, k, err)
 				}
 			}
-			if d > 0 {
-				time.Sleep(d)
-			}
-			a.res = out
-			if timed {
-				a.t1 = time.Now()
-			}
-			return a
+			return out, nil
 		}
-		for attempt := 1; attempt <= cfg.MaxAttempts; attempt++ {
-			redAttempts[r]++
-			raced := cfg.Speculative && delay > 0
-			var won, lost attemptOutcome[[]O]
-			var backupWon bool
-			if raced {
-				won, lost, backupWon = raceAttempt(body, delay)
-				specRed[r]++
-			} else {
-				won = body(delay)
-			}
-			injected := cfg.FailReduce != nil && cfg.FailReduce(r, attempt)
-			if timed {
-				logRace(&redLogs[r], won, lost, raced, backupWon, injected)
-			}
-			if injected {
-				redFailures[r]++
-				if attempt == cfg.MaxAttempts {
-					redErrs[r] = fmt.Errorf("mapreduce: job %q: reducer %d failed after %d attempts", cfg.Name, r, attempt)
-					return
-				}
-				continue // discard partial output, retry
-			}
-			if won.err != nil {
-				redErrs[r] = won.err
-				return
-			}
-			outputs[r] = won.res
-			keyCounts[r] = int64(nkeys)
-			return
+		// A discarded reduce attempt holds no pooled buffer: its partial
+		// output is simply dropped.
+		outputs[r], redErrs[r] = runAttempts(&cfg, "reducer", r, cfg.FailReduce, timed, &redRuns[r], body, func([]O) {})
+		if redErrs[r] == nil {
+			keyCounts[r] = int64(len(starts) - 1)
 		}
 	})
-	// The reduce phase — every retry and speculative racer included —
-	// has committed; the merged inputs are dead (outputs are freshly
+	// The reduce phase — every retry included — has committed; the merged inputs are dead (outputs are freshly
 	// appended []O and Reduce must not retain the values slice of a job
 	// on a shared pool), so the big key/value arrays recycle here.
 	for r := range rin {
@@ -948,11 +808,9 @@ func (j *Job[I, K, V, O]) RunSplits(n int, read func(lo, hi int, yield func(I) e
 		putBuf(&pool.vals, rin[r].vals)
 		rin[r] = reducerInput[K, V]{}
 	}
-	var redSpec int64
-	for r := range redAttempts {
-		stats.ReduceAttempts += redAttempts[r]
-		stats.ReduceFailures += redFailures[r]
-		redSpec += specRed[r]
+	for r := range redRuns {
+		stats.ReduceAttempts += redRuns[r].attempts
+		stats.ReduceFailures += redRuns[r].failures
 	}
 	stats.ReduceWall = time.Since(reduceStart)
 
@@ -981,14 +839,11 @@ func (j *Job[I, K, V, O]) RunSplits(n int, read func(lo, hi int, yield func(I) e
 	}
 	stats.ReduceOutputRecords = int64(len(out))
 	if traced {
-		logTaskAttempts(tr, reduceSpan, "reduce", redLogs)
+		logTaskAttempts(tr, reduceSpan, "reduce", redRuns)
 		tr.Add(reduceSpan, "keys", stats.ReduceInputKeys)
 		tr.Add(reduceSpan, "records_out", stats.ReduceOutputRecords)
 		tr.Add(reduceSpan, "attempts", stats.ReduceAttempts)
 		tr.Add(reduceSpan, "injected_failures", stats.ReduceFailures)
-		if cfg.Speculative {
-			tr.Add(reduceSpan, "speculative_attempts", redSpec)
-		}
 	}
 	tr.End(reduceSpan)
 	for _, err := range redErrs {
@@ -1015,11 +870,8 @@ func (j *Job[I, K, V, O]) RunSplits(n int, read func(lo, hi int, yield func(I) e
 			tr.Add(jobSpan, "combine_in", stats.CombineInputPairs)
 			tr.Add(jobSpan, "combine_out", stats.CombineOutputPairs)
 		}
-		if cfg.Speculative {
-			tr.Add(jobSpan, "speculative_attempts", mapSpec+redSpec)
-		}
 	}
-	recordMetrics(cfg.Metrics, stats, j.Combine != nil, cfg.Speculative, mapSpec+redSpec, keyCounts, bytesPerReducer, mapLogs, redLogs)
+	recordMetrics(cfg.Metrics, stats, j.Combine != nil, keyCounts, bytesPerReducer, mapRuns, redRuns)
 	return out, stats, nil
 }
 
@@ -1037,7 +889,7 @@ const ReducerPairsHistogram = "mapreduce_reducer_pairs"
 // counters mirroring Stats exactly, per-reducer pair/key/byte
 // distributions, task-attempt latency distributions, and the job's
 // imbalance factor. A nil registry records nothing.
-func recordMetrics(m *metrics.Registry, stats *Stats, hasCombine, speculative bool, spec int64, keyCounts, bytesPerReducer []int64, mapLogs, redLogs [][]taskAttempt) {
+func recordMetrics(m *metrics.Registry, stats *Stats, hasCombine bool, keyCounts, bytesPerReducer []int64, mapRuns, redRuns []taskRun) {
 	if m == nil {
 		return
 	}
@@ -1056,12 +908,6 @@ func recordMetrics(m *metrics.Registry, stats *Stats, hasCombine, speculative bo
 		// workloads are byte-identical to the pre-combiner engine.
 		m.Counter("mapreduce_combine_input_pairs_total").Add(stats.CombineInputPairs)
 		m.Counter("mapreduce_combine_output_pairs_total").Add(stats.CombineOutputPairs)
-	}
-	if speculative {
-		// Registered only when speculation is on, so scrapes of
-		// non-speculative workloads are unchanged. Kept out of Stats
-		// entirely: speculation must not perturb result accounting.
-		m.Counter("mapreduce_speculative_attempts_total").Add(spec)
 	}
 	if stats.SpilledRuns > 0 {
 		// Registered only when something spilled, so scrapes of
@@ -1089,14 +935,14 @@ func recordMetrics(m *metrics.Registry, stats *Stats, hasCombine, speculative bo
 	m.Histogram(JobImbalanceHistogram).Observe(imb)
 
 	mapH := m.Histogram("mapreduce_map_task_micros")
-	for _, attempts := range mapLogs {
-		for _, a := range attempts {
+	for _, t := range mapRuns {
+		for _, a := range t.log {
 			mapH.Observe(a.end.Sub(a.start).Microseconds())
 		}
 	}
 	redH := m.Histogram("mapreduce_reduce_task_micros")
-	for _, attempts := range redLogs {
-		for _, a := range attempts {
+	for _, t := range redRuns {
+		for _, a := range t.log {
 			redH.Observe(a.end.Sub(a.start).Microseconds())
 		}
 	}
@@ -1126,83 +972,63 @@ func SuggestedSkewThreshold(reg *metrics.Registry) float64 {
 type taskAttempt struct {
 	start, end time.Time
 	failed     bool
-	// speculative marks the backup racer of a speculative pair;
-	// discarded marks whichever racer lost the race (its output and
-	// accounting were thrown away).
-	speculative bool
-	discarded   bool
+}
+
+// taskRun is one task's retry accounting: the attempts it made, how many
+// of them the fault injector failed and, when the job is timed, each
+// attempt's wall clock in attempt order.
+type taskRun struct {
+	attempts, failures int64
+	log                []taskAttempt
 }
 
 // logTaskAttempts records the per-task attempt spans of one phase.
-// logs[t] holds task t's attempts in attempt order.
-func logTaskAttempts(tr *trace.Tracer, phase trace.SpanID, kind string, logs [][]taskAttempt) {
-	for t, attempts := range logs {
-		for i, a := range attempts {
+func logTaskAttempts(tr *trace.Tracer, phase trace.SpanID, kind string, runs []taskRun) {
+	for t := range runs {
+		for i, a := range runs[t].log {
 			id := tr.Observe(phase, trace.KindTask, fmt.Sprintf("%s-%d#%d", kind, t, i+1), a.start, a.end)
 			if a.failed {
 				tr.Add(id, "injected_failure", 1)
-			}
-			if a.speculative {
-				tr.Add(id, "speculative", 1)
-			}
-			if a.discarded {
-				tr.Add(id, "discarded", 1)
 			}
 		}
 	}
 }
 
-// attemptOutcome is one task attempt's result: its output, error, and
-// locally measured wall clock (zero when the job is untraced).
-type attemptOutcome[T any] struct {
-	res    T
-	err    error
-	t0, t1 time.Time
-}
-
-// raceAttempt runs body twice concurrently — the original attempt with
-// the straggler delay and a backup attempt without it — and commits
-// whichever finishes first, exactly Hadoop's speculative execution.
-// The loser keeps running to completion (a speculative task is not
-// preempted) but its outcome is returned only for logging; the caller
-// commits won and discards lost. Because Map/Reduce are required to be
-// deterministic, both racers compute the same value, so which racer
-// the atomic flag crowns cannot change the committed output — it only
-// changes which wall-clock numbers are kept.
-func raceAttempt[T any](body func(d time.Duration) attemptOutcome[T], delay time.Duration) (won, lost attemptOutcome[T], backupWon bool) {
-	var winner atomic.Int32 // 0 undecided, 1 original, 2 backup
-	backupCh := make(chan attemptOutcome[T], 1)
-	go func() {
-		a := body(0)
-		winner.CompareAndSwap(0, 2)
-		backupCh <- a
-	}()
-	orig := body(delay)
-	winner.CompareAndSwap(0, 1)
-	backup := <-backupCh
-	if winner.Load() == 2 {
-		return backup, orig, true
+// runAttempts is the engine's one attempt loop, run by every map and
+// every reduce task (role names which, for error messages): run body,
+// ask the fault injector for its verdict on this attempt number, log
+// the attempt, then either commit the result or hand it to discard and
+// — after an injected failure with budget left — retry. An injected
+// failure takes precedence over body's own error, which is never
+// retried. A failed task returns the zero T.
+func runAttempts[T any](cfg *Config, role string, task int, fail func(task, attempt int) bool, timed bool, run *taskRun, body func() (T, error), discard func(T)) (T, error) {
+	var zero T
+	for attempt := 1; ; attempt++ {
+		run.attempts++
+		var a taskAttempt
+		if timed {
+			a.start = time.Now()
+		}
+		res, err := body()
+		if timed {
+			a.end = time.Now()
+		}
+		a.failed = fail != nil && fail(task, attempt)
+		if timed {
+			run.log = append(run.log, a)
+		}
+		if !a.failed && err == nil {
+			return res, nil
+		}
+		discard(res)
+		if !a.failed {
+			return zero, err
+		}
+		run.failures++
+		if attempt >= cfg.MaxAttempts {
+			return zero, fmt.Errorf("mapreduce: job %q: %s %d failed after %d attempts", cfg.Name, role, task, attempt)
+		}
 	}
-	return orig, backup, false
-}
-
-// logRace appends the attempt-log entries for one (possibly raced)
-// attempt: the original first, then the backup racer if one ran. Both
-// carry the injected-failure flag — a deterministic FailMap/FailReduce
-// verdict applies to the attempt number, not to an individual racer.
-func logRace[T any](logs *[]taskAttempt, won, lost attemptOutcome[T], raced, backupWon, injected bool) {
-	if !raced {
-		*logs = append(*logs, taskAttempt{start: won.t0, end: won.t1, failed: injected})
-		return
-	}
-	orig, backup := won, lost
-	if backupWon {
-		orig, backup = lost, won
-	}
-	*logs = append(*logs,
-		taskAttempt{start: orig.t0, end: orig.t1, failed: injected, discarded: backupWon},
-		taskAttempt{start: backup.t0, end: backup.t1, failed: injected, speculative: true, discarded: !backupWon},
-	)
 }
 
 // safeSplit runs one map attempt over its split, converting panics of

@@ -17,12 +17,10 @@ import (
 // Lifecycle rules (DESIGN.md §4g):
 //
 //   - A buffer is recycled only where the engine holds the sole live
-//     reference: discarded fault-injection attempts and lost
-//     speculative racers (raceAttempt waits for both racers, so the
-//     loser has fully stopped touching its buffers before the discard),
-//     runs consumed by the merge tree, spilled runs after their
-//     re-read, and reducer inputs after the whole reduce phase — every
-//     retry and backup attempt included — has committed.
+//     reference: discarded fault-injection attempts, runs consumed by
+//     the merge tree, spilled runs after their re-read, and reducer
+//     inputs after the whole reduce phase — every retry included — has
+//     committed.
 //   - Recycled buffers never alias committed output: reducer outputs
 //     are freshly appended []O slices, and on a shared pool Reduce
 //     implementations must not retain the values slice (or subslices
@@ -148,9 +146,8 @@ func putBuf[T any](f *freeList, s []T) {
 }
 
 // recycleBatches returns a discarded attempt's run buffers to the pool
-// and removes any runs it spilled: the attempt is fully complete (a
-// lost speculative racer has been awaited, a failed attempt has
-// returned), so the engine holds the only reference.
+// and removes any runs it spilled: the failed attempt has returned, so
+// the engine holds the only reference.
 func recycleBatches[K cmp.Ordered, V any](p *BufferPool, fs spillStore, batches []pairBatch[K, V]) {
 	for r := range batches {
 		putBuf(&p.pairs, batches[r].pairs)

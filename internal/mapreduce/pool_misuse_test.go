@@ -128,7 +128,7 @@ func TestPoolDoublePutJobEquivalence(t *testing.T) {
 // are reused, and neither direction may corrupt the other's runs.
 func TestPoolCrossJobReuse(t *testing.T) {
 	intInput := spillInput(200)
-	wcInput := specInput()
+	wcInput := wordInput()
 	intBase := Config{Name: "ints", NumReducers: 5, NumMappers: 4, Parallelism: 4}
 	wcBase := Config{Name: "words", NumReducers: 3, NumMappers: 3, Parallelism: 4}
 

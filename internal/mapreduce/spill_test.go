@@ -60,12 +60,12 @@ func spillInput(n int) []int64 {
 // spill path: a job forced to spill every run (1-byte budget) must
 // produce bit-identical output and — aside from the Spill* counters —
 // bit-identical Stats to the in-memory run, across parallelism levels,
-// on a job-private and on a shared buffer pool, under fault injection,
-// and under speculative execution.
+// on a job-private and on a shared buffer pool, and under fault
+// injection.
 func TestSpillEquivalence(t *testing.T) {
 	input := spillInput(400)
 	for _, par := range []int{1, 2, 8} {
-		for _, variant := range []string{"plain", "pooled", "faults", "speculative"} {
+		for _, variant := range []string{"plain", "pooled", "faults"} {
 			t.Run(fmt.Sprintf("par=%d/%s", par, variant), func(t *testing.T) {
 				base := Config{Name: "spill", NumReducers: 7, NumMappers: 4, Parallelism: par}
 				switch variant {
@@ -75,8 +75,6 @@ func TestSpillEquivalence(t *testing.T) {
 					base.MaxAttempts = 3
 					base.FailMap = func(_, attempt int) bool { return attempt < 3 }
 					base.FailReduce = func(_, attempt int) bool { return attempt < 3 }
-				case "speculative":
-					base.Speculative = true
 				}
 
 				cleanOut, clean, err := spillTestJob(base).Run(input)
@@ -202,11 +200,11 @@ func TestSpillDecodeErrorSurfaces(t *testing.T) {
 
 // TestPooledEquivalence: repeated runs on one shared, warming pool must
 // produce the output and Stats of a run on a job-private pool (nil
-// Config.Pool) — across parallelism, faults and speculation.
+// Config.Pool) — across parallelism and faults.
 func TestPooledEquivalence(t *testing.T) {
 	input := spillInput(300)
 	for _, par := range []int{1, 2, 8} {
-		for _, variant := range []string{"plain", "faults", "speculative"} {
+		for _, variant := range []string{"plain", "faults"} {
 			t.Run(fmt.Sprintf("par=%d/%s", par, variant), func(t *testing.T) {
 				base := Config{Name: "pool", NumReducers: 5, NumMappers: 4, Parallelism: par}
 				switch variant {
@@ -214,8 +212,6 @@ func TestPooledEquivalence(t *testing.T) {
 					base.MaxAttempts = 3
 					base.FailMap = func(_, attempt int) bool { return attempt < 3 }
 					base.FailReduce = func(_, attempt int) bool { return attempt < 3 }
-				case "speculative":
-					base.Speculative = true
 				}
 				cleanOut, clean, err := spillTestJob(base).Run(input)
 				if err != nil {
@@ -251,7 +247,7 @@ func TestPooledEquivalence(t *testing.T) {
 // scratch is not pooled, so this guards the mixed regime.
 func TestPooledSpillWordCount(t *testing.T) {
 	fs := dfs.New(0)
-	input := specInput()
+	input := wordInput()
 	base := Config{Name: "wc", NumReducers: 5, NumMappers: 4, Parallelism: 4}
 	want, clean, err := combineWordCountJob(base).Run(input)
 	if err != nil {

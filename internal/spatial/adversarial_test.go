@@ -3,6 +3,7 @@ package spatial
 import (
 	"math/rand/v2"
 	"reflect"
+	"sort"
 	"testing"
 
 	"mwsjoin/internal/geom"
@@ -11,8 +12,8 @@ import (
 )
 
 // adversarialGrids builds partitionings that stress the boundary logic:
-// non-uniform rectilinear cuts, a quantile grid over skewed data, and a
-// degenerate 1×N grid.
+// non-uniform rectilinear cuts, cuts that coincide with rectangle
+// start-points, and a degenerate 1×N grid.
 func adversarialGrids(t *testing.T, rels []Relation) map[string]*grid.Partitioning {
 	t.Helper()
 	nonUniform, err := grid.NewFromCuts(
@@ -22,13 +23,16 @@ func adversarialGrids(t *testing.T, rels []Relation) map[string]*grid.Partitioni
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rects []geom.Rect
+	// Interior cuts taken from the data's own start-points, so some
+	// rectangles begin exactly on a cell boundary.
+	xCuts, yCuts := []float64{0, 1000}, []float64{0, 1000}
 	for _, rel := range rels {
-		for _, it := range rel.Items {
-			rects = append(rects, it.R)
-		}
+		xCuts = append(xCuts, rel.Items[0].R.X)
+		yCuts = append(yCuts, rel.Items[0].R.Y)
 	}
-	quantile, err := grid.NewQuantile(rects, 4, 4, geom.Rect{X: 0, Y: 1000, L: 1000, B: 1000})
+	sort.Float64s(xCuts)
+	sort.Float64s(yCuts)
+	onData, err := grid.NewFromCuts(xCuts, yCuts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +46,7 @@ func adversarialGrids(t *testing.T, rels []Relation) map[string]*grid.Partitioni
 	}
 	return map[string]*grid.Partitioning{
 		"non-uniform": nonUniform,
-		"quantile":    quantile,
+		"on-data":     onData,
 		"one-row":     oneRow,
 		"one-cell":    oneCell,
 	}

@@ -66,7 +66,7 @@ func allReplicate(pl *plan, exec *executor) (*Result, error) {
 		// one copy: both counters derive from exactly-once quantities
 		// (input size, committed IntermediatePairs) instead of atomics
 		// bumped inside the Map closure, which over-count when retried
-		// or speculative attempts re-run the mapper.
+		// attempts re-run the mapper.
 		RectanglesReplicated:       inputCount,
 		RectanglesAfterReplication: st.IntermediatePairs,
 		ReplicationCopies:          st.IntermediatePairs,
@@ -226,8 +226,8 @@ func controlledReplicate(pl *plan, exec *executor, limit bool) (*Result, error) 
 		// Both replication counters derive from exactly-once quantities
 		// — the checkpointed mark-round output and the join job's
 		// committed IntermediatePairs — rather than atomics bumped in
-		// the Map closure, which over-count when retried or speculative
-		// attempts re-run the mapper.
+		// the Map closure, which over-count when retried attempts re-run
+		// the mapper.
 		RectanglesReplicated: markedCount,
 		// The paper's parenthesised §7.8.3 metric counts every
 		// rectangle copy communicated to the join round's reducers —

@@ -91,13 +91,6 @@ type Config struct {
 	// checkpoint is complete are skipped (their recorded Stats are
 	// reused), and only the checkpoint re-read cost is charged.
 	Resume bool
-	// Speculative enables engine-level speculative execution for every
-	// job; SlowTask passes the deterministic straggler hook through
-	// (see mapreduce.Config). Ignored under CountOnly: the in-reducer
-	// tuple tally would double-count raced attempts, so count-only
-	// runs stay non-speculative.
-	Speculative bool
-	SlowTask    func(phase string, task int) bool
 	// Tracer, when non-nil, receives the execution's span tree: a run
 	// span over the whole call, one round span per algorithm step
 	// (cascade steps, C-Rep's mark/join rounds) covering the step's
@@ -108,12 +101,10 @@ type Config struct {
 	// Metrics, when non-nil, receives the execution's live counters and
 	// distributions: the engine's mapreduce_* metrics for every job,
 	// the dfs_* I/O metrics, spatial_* run totals, and per-grid-cell
-	// candidate/output histograms from the join reducers. When Tracer
-	// is also set, the tracer's span counters are bridged into the same
-	// registry as trace_<kind>_<counter> totals, so trace and metrics
-	// views stay consistent by construction. Like the FS trace target,
-	// the registry is attached to the FS for the duration of the run, so
-	// a metered execution must not share its FS with concurrent runs.
+	// candidate/output histograms from the join reducers. Like the FS
+	// trace target, the registry is attached to the FS for the duration
+	// of the run, so a metered execution must not share its FS with
+	// concurrent runs.
 	Metrics *metrics.Registry
 	// OptimizeOrder replaces the default connectivity join order with a
 	// cost-based one derived from sampling estimates (footnote 1 of the
@@ -246,12 +237,6 @@ func Execute(method Method, q *query.Query, rels []Relation, cfg Config) (*Resul
 	if cfg.Metrics != nil {
 		fs.SetMetrics(cfg.Metrics)
 		defer fs.SetMetrics(nil)
-		if cfg.Tracer != nil {
-			// Bridge span counters into the registry for the duration of
-			// the run so trace totals and metrics totals cannot diverge.
-			cfg.Tracer.SetSink(metrics.NewSpanSink(cfg.Metrics))
-			defer cfg.Tracer.SetSink(nil)
-		}
 	}
 
 	before := fs.Stats()
@@ -312,8 +297,6 @@ func (e *executor) jobConfig(name string) mapreduce.Config {
 		MaxAttempts: e.cfg.MaxAttempts,
 		FailMap:     e.cfg.FailMap,
 		FailReduce:  e.cfg.FailReduce,
-		SlowTask:    e.cfg.SlowTask,
-		Speculative: e.cfg.Speculative && !e.cfg.CountOnly,
 		Tracer:      e.tr,
 		TraceParent: e.cur,
 		Metrics:     e.cfg.Metrics,

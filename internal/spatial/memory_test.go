@@ -157,40 +157,6 @@ func TestColumnarSpillEquivalenceBattery(t *testing.T) {
 	}
 }
 
-// TestColumnarSpillSpeculative runs the battery's speculative variant:
-// raced attempts whose loser is discarded must recycle pooled buffers
-// and spill scratch without affecting results or charged stats.
-func TestColumnarSpillSpeculative(t *testing.T) {
-	rng := rand.New(rand.NewPCG(9, 2013))
-	rels := randomRelations(rng, 3, 50, 500, 50)
-	q := randomPropertyQuery(rng, []string{rels[0].Name, rels[1].Name, rels[2].Name})
-	for _, m := range mrMethods {
-		specCfg := Config{
-			Parallelism: 4,
-			Speculative: true,
-			SlowTask:    func(phase string, task int) bool { return task%2 == 0 },
-		}
-		base, err := Execute(m, q, rels, specCfg)
-		if err != nil {
-			t.Fatalf("%v: baseline: %v", m, err)
-		}
-		fs := dfs.New(0)
-		memCfg := specCfg
-		memCfg.FS, memCfg.SpillBudget = fs, 1
-		res, err := Execute(m, q, rels, memCfg)
-		if err != nil {
-			t.Fatalf("%v speculative: %v", m, err)
-		}
-		if !reflect.DeepEqual(res.Tuples, base.Tuples) {
-			t.Errorf("%v: speculative spilling tuples differ", m)
-		}
-		if res.Stats.DFS != base.Stats.DFS {
-			t.Errorf("%v: speculative spilling charged DFS stats differ", m)
-		}
-		assertNoScratch(t, fs, fmt.Sprintf("%v speculative", m))
-	}
-}
-
 // TestColumnarSpillKillResume kills a spilling chain before every job
 // boundary and resumes it — on the same FS, with the same memory
 // configuration — checking the final output is bit-identical to a clean

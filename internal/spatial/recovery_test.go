@@ -9,7 +9,6 @@ import (
 
 	"mwsjoin/internal/dfs"
 	"mwsjoin/internal/mapreduce"
-	"mwsjoin/internal/query"
 )
 
 // mrMethods are the methods that run a job chain.
@@ -185,75 +184,6 @@ func TestKillResumeRandomizedWorkload(t *testing.T) {
 		}
 		if res.Stats.Chain.ResumedJobs != int64(k) {
 			t.Errorf("k=%d: resumed %d jobs", k, res.Stats.Chain.ResumedJobs)
-		}
-	}
-}
-
-// TestSpeculativeSpatialEquivalence: speculative execution is invisible
-// in results and accounting for every method — outputs, per-round
-// stats, replication counters, DFS counters, and chain stats are all
-// identical with and without it, across parallelism levels.
-func TestSpeculativeSpatialEquivalence(t *testing.T) {
-	part := testGrid(t, 4, 100)
-	rng := rand.New(rand.NewPCG(11, 5))
-	rels := randomRelations(rng, 3, 35, 100, 12)
-	q := query.New("R1", "R2", "R3").Overlap(0, 1).Range(1, 2, 8)
-
-	for _, m := range mrMethods {
-		for _, par := range []int{1, 2, 8} {
-			off, err := Execute(m, q, rels, Config{Part: part, Parallelism: par})
-			if err != nil {
-				t.Fatalf("%v par=%d: %v", m, par, err)
-			}
-			on, err := Execute(m, q, rels, Config{Part: part, Parallelism: par,
-				Speculative: true, SlowTask: func(_ string, task int) bool { return task%3 == 0 }})
-			if err != nil {
-				t.Fatalf("%v par=%d: speculative: %v", m, par, err)
-			}
-			if !reflect.DeepEqual(on.Tuples, off.Tuples) {
-				t.Errorf("%v par=%d: speculative run changed the tuples", m, par)
-			}
-			if !reflect.DeepEqual(normalizeRounds(on.Stats.Rounds), normalizeRounds(off.Stats.Rounds)) {
-				t.Errorf("%v par=%d: speculative run perturbed round stats", m, par)
-			}
-			if on.Stats.DFS != off.Stats.DFS {
-				t.Errorf("%v par=%d: speculative run perturbed DFS counters", m, par)
-			}
-			if !reflect.DeepEqual(on.Stats.Chain, off.Stats.Chain) {
-				t.Errorf("%v par=%d: speculative run perturbed chain stats", m, par)
-			}
-			if on.Stats.RectanglesReplicated != off.Stats.RectanglesReplicated ||
-				on.Stats.RectanglesAfterReplication != off.Stats.RectanglesAfterReplication ||
-				on.Stats.ReplicationCopies != off.Stats.ReplicationCopies ||
-				on.Stats.OutputTuples != off.Stats.OutputTuples {
-				t.Errorf("%v par=%d: speculative run perturbed replication counters", m, par)
-			}
-		}
-	}
-}
-
-// TestSpeculativeCountOnlyGate: under CountOnly the spatial layer
-// disables speculation (the in-reducer tally cannot untally a losing
-// racer), so counts stay exact even when Speculative is requested.
-func TestSpeculativeCountOnlyGate(t *testing.T) {
-	part := testGrid(t, 4, 100)
-	rng := rand.New(rand.NewPCG(3, 9))
-	rels := randomRelations(rng, 3, 35, 100, 12)
-	q := query.New("R1", "R2", "R3").Overlap(0, 1).Overlap(1, 2)
-
-	ref, err := Execute(Cascade, q, rels, Config{Part: part})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range mrMethods {
-		res, err := Execute(m, q, rels, Config{Part: part, CountOnly: true,
-			Speculative: true, Parallelism: 8})
-		if err != nil {
-			t.Fatalf("%v: %v", m, err)
-		}
-		if res.Stats.OutputTuples != ref.Stats.OutputTuples {
-			t.Errorf("%v: count-only speculative count = %d, want %d",
-				m, res.Stats.OutputTuples, ref.Stats.OutputTuples)
 		}
 	}
 }

@@ -81,15 +81,6 @@ type span struct {
 	counters map[string]int64
 }
 
-// CounterSink receives a copy of every counter increment recorded on a
-// span, keyed by the span's kind and name. The metrics registry bridges
-// through this interface (mwsjoin/internal/metrics.NewSpanSink), so
-// live metrics and post-hoc traces are fed by the same Add calls and
-// cannot diverge. Implementations must be safe for concurrent use.
-type CounterSink interface {
-	SpanCounter(kind Kind, spanName, counter string, delta int64)
-}
-
 // Tracer records spans and counters. It is safe for concurrent use:
 // reducers running in parallel may attach counters and tasks
 // concurrently. The zero value is not usable; call New. A nil *Tracer
@@ -100,7 +91,6 @@ type Tracer struct {
 	mu    sync.Mutex
 	spans []*span
 	byID  map[SpanID]*span
-	sink  CounterSink
 }
 
 // New creates an empty tracer whose epoch (time zero of all span
@@ -164,18 +154,6 @@ func (t *Tracer) Observe(parent SpanID, kind Kind, name string, start, end time.
 	return s.id
 }
 
-// SetSink attaches (or, with nil, detaches) a counter sink that
-// observes every subsequent Add. Increments recorded before the sink
-// was attached are not replayed.
-func (t *Tracer) SetSink(sink CounterSink) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.sink = sink
-}
-
 // Add accumulates delta into the span's named counter. Adding to
 // SpanID 0 or on a nil tracer is an allocation-free no-op, so hot
 // paths may call it unconditionally.
@@ -184,22 +162,15 @@ func (t *Tracer) Add(id SpanID, counter string, delta int64) {
 		return
 	}
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	s := t.byID[id]
 	if s == nil {
-		t.mu.Unlock()
 		return
 	}
 	if s.counters == nil {
 		s.counters = make(map[string]int64)
 	}
 	s.counters[counter] += delta
-	sink, kind, name := t.sink, s.kind, s.name
-	t.mu.Unlock()
-	// The sink is invoked outside the tracer lock so registry locking
-	// can never deadlock against span recording.
-	if sink != nil {
-		sink.SpanCounter(kind, name, counter, delta)
-	}
 }
 
 // UnfinishedCounter is attached (value 1) to every span closed by
@@ -221,7 +192,8 @@ func (t *Tracer) FinishOpen() int {
 	}
 	now := time.Since(t.epoch)
 	t.mu.Lock()
-	var closed []*span
+	defer t.mu.Unlock()
+	closed := 0
 	for _, s := range t.spans {
 		if s.dur < 0 {
 			s.dur = now - s.start
@@ -232,18 +204,10 @@ func (t *Tracer) FinishOpen() int {
 				s.counters = make(map[string]int64)
 			}
 			s.counters[UnfinishedCounter] = 1
-			closed = append(closed, s)
+			closed++
 		}
 	}
-	sink := t.sink
-	t.mu.Unlock()
-	// Mirror Add: the sink observes the flag outside the tracer lock.
-	if sink != nil {
-		for _, s := range closed {
-			sink.SpanCounter(s.kind, s.name, UnfinishedCounter, 1)
-		}
-	}
-	return len(closed)
+	return closed
 }
 
 // Spans returns a snapshot of all recorded spans in creation (ID)

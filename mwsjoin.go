@@ -33,9 +33,7 @@ package mwsjoin
 
 import (
 	"context"
-	"fmt"
 	"io"
-	"math"
 
 	"mwsjoin/internal/dataset"
 	"mwsjoin/internal/dfs"
@@ -43,10 +41,8 @@ import (
 	"mwsjoin/internal/grid"
 	"mwsjoin/internal/mapreduce"
 	"mwsjoin/internal/metrics"
-	"mwsjoin/internal/pointquery"
 	"mwsjoin/internal/profile"
 	"mwsjoin/internal/query"
-	"mwsjoin/internal/refine"
 	"mwsjoin/internal/spatial"
 	"mwsjoin/internal/trace"
 )
@@ -182,14 +178,6 @@ type Options struct {
 	// reused) and only the checkpoint re-read cost is charged. The
 	// final output is bit-identical to an unkilled run's.
 	Resume bool
-	// Speculative enables Hadoop-style speculative execution inside
-	// every job: straggler task attempts race a backup attempt and the
-	// first finisher wins. Results and Stats are identical with and
-	// without it; SlowTask optionally marks the stragglers
-	// deterministically (phase is "map" or "reduce"). Ignored under
-	// CountOnly.
-	Speculative bool
-	SlowTask    func(phase string, task int) bool
 	// Tracer, when non-nil, records the execution as a hierarchy of
 	// timed spans with counters (run → round → job → phase → task); see
 	// NewTracer. The same tracer may collect several sequential runs.
@@ -199,8 +187,7 @@ type Options struct {
 	// NewMetricsRegistry. The same registry may collect several
 	// sequential runs and be served over HTTP concurrently (see
 	// ServeMetrics), but two concurrent Run calls must not share one
-	// registry-attached FS. When Tracer is also set, span counters are
-	// bridged into the registry as trace_<kind>_<counter> totals.
+	// registry-attached FS.
 	Metrics *MetricsRegistry
 	// CountOnly suppresses materialisation of the output tuples:
 	// Result.Tuples stays nil while Stats.OutputTuples still carries the
@@ -493,8 +480,6 @@ func buildConfig(rels []Relation, opts *Options) (spatial.Config, error) {
 		FS:                  o.FS,
 		FailJob:             o.FailJob,
 		Resume:              o.Resume,
-		Speculative:         o.Speculative,
-		SlowTask:            o.SlowTask,
 		Tracer:              o.Tracer,
 		Metrics:             o.Metrics,
 		OptimizeOrder:       o.OptimizeOrder,
@@ -556,124 +541,6 @@ func ReadRelationFile(name, path string) (Relation, error) {
 // WriteRelationFile saves rectangles to a dataset file.
 func WriteRelationFile(path string, rects []Rect) error {
 	return dataset.WriteFile(path, rects)
-}
-
-// Polygon is a simple polygon (vertices in order, implicitly closed)
-// used by the exact filter-and-refine pipeline.
-type Polygon = refine.Polygon
-
-// Layer is a named dataset of polygonal objects, the exact-geometry
-// counterpart of Relation.
-type Layer = refine.Layer
-
-// NewLayer builds a validated polygon layer whose object IDs are the
-// polygon indices.
-func NewLayer(name string, polys []Polygon) (Layer, error) {
-	return refine.NewLayer(name, polys)
-}
-
-// RunExact executes the paper's full two-step pipeline (§1.1): the
-// chosen map-reduce method evaluates the query on the layers' minimum
-// bounding rectangles (the filter step, a superset of the answer), then
-// the refinement step checks the exact polygon predicates on every
-// candidate tuple. The returned tuples reference the layers' object
-// IDs; Stats describes the filter step and additionally reports the
-// refined tuple count in OutputTuples.
-func RunExact(q *Query, layers []Layer, method Method, opts *Options) (*Result, error) {
-	rels := make([]Relation, len(layers))
-	for i, l := range layers {
-		rels[i] = l.FilterRelation()
-	}
-	res, err := Run(q, rels, method, opts)
-	if err != nil {
-		return nil, err
-	}
-	exact, err := refine.Refine(q, layers, res.Tuples)
-	if err != nil {
-		return nil, err
-	}
-	res.Tuples = exact
-	res.Stats.OutputTuples = int64(len(exact))
-	return res, nil
-}
-
-// PointSet is a named dataset of points for the point-query extensions
-// (containment and kNN join — the future-work queries of the paper's
-// §10).
-type PointSet = pointquery.PointSet
-
-// ContainmentPair reports that rectangle RectID contains point PointID.
-type ContainmentPair = pointquery.ContainmentPair
-
-// Neighbor is one kNN candidate: inner point ID and distance.
-type Neighbor = pointquery.Neighbor
-
-// KNNResult is the k nearest inner points of one outer point.
-type KNNResult = pointquery.KNNResult
-
-// pointQueryGrid derives the reducer grid for a point query from the
-// options and the data extent.
-func pointQueryGrid(o Options, pts []Point, extra []Relation) (*Partitioning, error) {
-	if o.Partitioning != nil {
-		return o.Partitioning, nil
-	}
-	rects := make([]Rect, 0, len(pts))
-	for _, p := range pts {
-		rects = append(rects, Rect{X: p.X, Y: p.Y})
-	}
-	rels := append([]Relation{NewRelation("pts", rects)}, extra...)
-	return spatial.DefaultPartitioning(rels, o.Reducers)
-}
-
-// Containment finds every (point, rectangle) pair with the point inside
-// the closed rectangle, on the simulated cluster. opts may be nil.
-func Containment(points PointSet, rects Relation, opts *Options) ([]ContainmentPair, error) {
-	var o Options
-	if opts != nil {
-		o = *opts
-	}
-	part, err := pointQueryGrid(o, points.Pts, []Relation{rects})
-	if err != nil {
-		return nil, err
-	}
-	pairs, _, err := pointquery.Containment(points, rects, part, pointquery.Config{Parallelism: o.Parallelism})
-	return pairs, err
-}
-
-// KNNJoin finds, for every point of outer, its k nearest points of
-// inner, on the simulated cluster. opts may be nil.
-func KNNJoin(outer, inner PointSet, k int, opts *Options) ([]KNNResult, error) {
-	var o Options
-	if opts != nil {
-		o = *opts
-	}
-	part, err := pointQueryGrid(o, append(append([]Point(nil), outer.Pts...), inner.Pts...), nil)
-	if err != nil {
-		return nil, err
-	}
-	results, _, err := pointquery.KNNJoin(outer, inner, k, part, pointquery.Config{Parallelism: o.Parallelism})
-	return results, err
-}
-
-// QuantilePartitioning builds a reducer grid whose cuts are
-// start-point quantiles of the bound relations, equalising reducer load
-// under spatial skew (road networks, clustered data). k must be a
-// perfect square. Pass the result via Options.Partitioning.
-func QuantilePartitioning(rels []Relation, k int) (*Partitioning, error) {
-	if k <= 0 {
-		k = 64
-	}
-	side := int(math.Round(math.Sqrt(float64(k))))
-	if side*side != k {
-		return nil, fmt.Errorf("mwsjoin: reducer count %d is not a perfect square", k)
-	}
-	var rects []Rect
-	for _, rel := range rels {
-		for _, it := range rel.Items {
-			rects = append(rects, it.R)
-		}
-	}
-	return grid.NewQuantile(rects, side, side, Rect{})
 }
 
 // AdaptivePartitioning builds the skew-aware reducer grid the

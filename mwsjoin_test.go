@@ -127,67 +127,6 @@ func TestSelfJoinThroughPublicAPI(t *testing.T) {
 	}
 }
 
-func TestPointQueriesPublicAPI(t *testing.T) {
-	points := PointSet{Name: "p", Pts: []Point{
-		{X: 15, Y: 85}, {X: 50, Y: 50}, {X: 90, Y: 10},
-	}}
-	rects := NewRelation("r", []Rect{
-		{X: 10, Y: 90, L: 10, B: 10},
-		{X: 40, Y: 60, L: 20, B: 20},
-	})
-	pairs, err := Containment(points, rects, &Options{Reducers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[ContainmentPair]bool{{PointID: 0, RectID: 0}: true, {PointID: 1, RectID: 1}: true}
-	if len(pairs) != len(want) {
-		t.Fatalf("pairs = %v", pairs)
-	}
-	for _, p := range pairs {
-		if !want[p] {
-			t.Errorf("unexpected pair %v", p)
-		}
-	}
-
-	inner := PointSet{Name: "i", Pts: []Point{{X: 0, Y: 0}, {X: 10, Y: 0}, {X: 100, Y: 100}}}
-	outer := PointSet{Name: "o", Pts: []Point{{X: 1, Y: 0}}}
-	res, err := KNNJoin(outer, inner, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 1 || len(res[0].Neighbors) != 2 ||
-		res[0].Neighbors[0].ID != 0 || res[0].Neighbors[1].ID != 1 {
-		t.Fatalf("knn = %+v", res)
-	}
-}
-
-func TestRunExactPublicAPI(t *testing.T) {
-	// A triangle and two squares: the MBR filter admits both squares,
-	// exact refinement keeps only the one the triangle actually covers.
-	tri, err := NewLayer("A", []Polygon{{{X: 0, Y: 0}, {X: 10, Y: 0}, {X: 0, Y: 10}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sq, err := NewLayer("B", []Polygon{
-		{{X: 8, Y: 8}, {X: 9, Y: 8}, {X: 9, Y: 9}, {X: 8, Y: 9}},
-		{{X: 1, Y: 1}, {X: 2, Y: 1}, {X: 2, Y: 2}, {X: 1, Y: 2}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := NewQuery("A", "B").Overlap(0, 1)
-	res, err := RunExact(q, []Layer{tri, sq}, ControlledReplicateLimit, &Options{Reducers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Tuples) != 1 || res.Tuples[0].IDs[1] != 1 {
-		t.Fatalf("exact tuples = %v, want only the covered square", res.Tuples)
-	}
-	if res.Stats.OutputTuples != 1 {
-		t.Errorf("OutputTuples = %d", res.Stats.OutputTuples)
-	}
-}
-
 func TestMetricsPublicAPI(t *testing.T) {
 	roads := CaliforniaRoadsRelation("roads", 400, 5)
 	rels := []Relation{roads, roads, roads}
@@ -196,10 +135,7 @@ func TestMetricsPublicAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := NewMetricsRegistry()
-	tracer := NewTracer()
-	res, err := Run(q, rels, ControlledReplicate, &Options{
-		Reducers: 16, Metrics: reg, Tracer: tracer,
-	})
+	res, err := Run(q, rels, ControlledReplicate, &Options{Reducers: 16, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,8 +143,7 @@ func TestMetricsPublicAPI(t *testing.T) {
 		t.Fatalf("degenerate run: %+v", res.Stats)
 	}
 
-	// The live registry, the flat Stats, and the bridged trace span
-	// counters must agree exactly.
+	// The live registry and the flat Stats must agree exactly.
 	snap := reg.Snapshot()
 	s := res.Stats
 	for name, want := range map[string]int64{
@@ -217,8 +152,6 @@ func TestMetricsPublicAPI(t *testing.T) {
 		"spatial_intermediate_pairs_total":   s.IntermediatePairs(),
 		"mapreduce_jobs_total":               int64(len(s.Rounds)),
 		"mapreduce_intermediate_pairs_total": s.IntermediatePairs(),
-		"trace_job_pairs":                    s.IntermediatePairs(),
-		"trace_run_tuples":                   s.OutputTuples,
 	} {
 		if got := snap.Counters[name]; got != want {
 			t.Errorf("counter %s = %d, want %d", name, got, want)
@@ -263,30 +196,6 @@ func TestMetricsPublicAPI(t *testing.T) {
 	}
 	if p1.Rounds != 2 || p1.Pairs <= 0 || p1.Tuples <= 0 {
 		t.Errorf("c-rep prediction = %+v", p1)
-	}
-}
-
-func TestQuantilePartitioningPublicAPI(t *testing.T) {
-	roads := CaliforniaRoadsRelation("roads", 5000, 9)
-	rels := []Relation{roads, roads, roads}
-	part, err := QuantilePartitioning(rels, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, _ := ParseQuery("a ov b and b ov c")
-	want, err := Run(q, rels, BruteForce, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Run(q, rels, ControlledReplicateLimit, &Options{Partitioning: part})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.TupleSet(), want.TupleSet()) {
-		t.Error("quantile partitioning changes results")
-	}
-	if _, err := QuantilePartitioning(rels, 7); err == nil {
-		t.Error("non-square count must fail")
 	}
 }
 

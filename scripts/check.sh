@@ -34,7 +34,7 @@ go vet -C benchmark ./...
 
 echo "== go test -race (every package but the table harness) =="
 # -count=1 defeats the test cache so the race detector re-exercises the
-# speculative, spill/recycle, exchange and server goroutines every run.
+# spill/recycle, exchange and server goroutines every run.
 # cmd/benchtables and internal/bench are left out: a single-goroutine
 # sweep over an engine whose own packages are race-tested here, and
 # under -race their 366 CPU-seconds starve the timing-sensitive daemon
