@@ -132,7 +132,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		reducers  = fs.Int("reducers", 64, "reducer count (perfect square for -partition uniform)")
 		partition = fs.String("partition", "uniform", "reducer partitioning scheme: uniform | adaptive (sample-driven split/merge, balances skewed data; results are identical)")
 		splitThr  = fs.Float64("split-threshold", 0, "adaptive-partition split capacity factor; a region splits while it holds more than split-threshold × (sample/reducers) sample points (0 = default 1.0)")
-		rtreeThr  = fs.Int("rtree-sweep-threshold", 0, "per-cell record count at which cascade reducers swap the plane sweep for an STR R-tree; 0 = default 256, negative = never (results are identical either way)")
+		rtreeThr  = fs.Int("rtree-sweep-threshold", 0, "per-cell record count at which the multi-way reducers swap their bucket-grid index for an STR R-tree; 0 = default 256, negative = never; the cascade ignores it (results are identical either way)")
 		stats     = fs.Bool("stats", false, "print cost statistics to stderr")
 		quiet     = fs.Bool("quiet", false, "suppress tuple output (use with -stats)")
 		euclid    = fs.Bool("euclidean-limit", false, "use the paper's Euclidean C-Rep-L metric")

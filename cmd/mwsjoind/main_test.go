@@ -369,8 +369,15 @@ func TestDaemonObservabilityEndToEnd(t *testing.T) {
 	}
 
 	// Status: build identity and live snapshot.
+	// The server appends to the ledger after it reports the job done
+	// (file I/O outside its lock), so the entry is awaited, not assumed.
 	var svc server.ServiceStatus
-	a.json("GET", "/v1/status", nil, &svc, http.StatusOK)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		a.json("GET", "/v1/status", nil, &svc, http.StatusOK)
+		if svc.CalibrationEntries >= 1 || time.Now().After(deadline) {
+			break
+		}
+	}
 	if svc.Version != "dev" || !strings.HasPrefix(svc.GoVersion, "go") {
 		t.Errorf("status identity = %q/%q", svc.Version, svc.GoVersion)
 	}

@@ -26,7 +26,7 @@ var notCarried = map[string]string{
 	"FailJob":             "fault hooks are functions of the calling process",
 	"Calibration":         "Execute ignores it; it re-prices plans where they are made",
 	"CountOnly":           "Execute rejects it on a multi-worker run",
-	"RTreeSweepThreshold": "a cost knob: tuples and their order are identical at any value",
+	"RTreeSweepThreshold": "a cost knob of the multi-way reducers' probe index: the tuple set is identical at any value",
 	"Columnar":            "read by nothing",
 }
 

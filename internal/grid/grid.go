@@ -20,7 +20,6 @@ package grid
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"mwsjoin/internal/geom"
 )
@@ -72,6 +71,9 @@ type Partitioning struct {
 	yCuts []float64 // ascending, len rows+1
 	rows  int
 	cols  int
+	// Bands per unit of x and of y were all bands equally wide: where
+	// colOf and rowOf start looking (see bandOf).
+	xInv, yInv float64
 }
 
 // NewUniform builds a uniform rows × cols partitioning of the space
@@ -124,6 +126,8 @@ func NewFromCuts(xCuts, yCuts []float64) (*Partitioning, error) {
 		rows:  len(yCuts) - 1,
 		cols:  len(xCuts) - 1,
 	}
+	p.xInv = float64(p.cols) / (p.xCuts[p.cols] - p.xCuts[0])
+	p.yInv = float64(p.rows) / (p.yCuts[p.rows] - p.yCuts[0])
 	return p, nil
 }
 
@@ -160,8 +164,35 @@ func (p *Partitioning) Valid(c CellID) bool {
 	return c >= 0 && int(c) < p.NumCells()
 }
 
+// bandOf returns the largest i < len(cuts)-1 with cuts[i] <= v, for a v
+// in [cuts[0], cuts[len(cuts)-1]): the band of the ascending cuts that
+// holds v. It guesses the band a uniform division would give — inv is
+// bands per unit — and walks from there, so on uniform cuts it is a
+// multiplication and a comparison or two, and on any cuts it returns
+// what a binary search does: the guess only decides where the walk
+// starts, the comparisons against the cuts decide where it ends.
+func bandOf(cuts []float64, inv, v float64) int {
+	last := len(cuts) - 2
+	i := 0
+	// A product that is not a number (an infinite span times a zero
+	// inv) starts the walk at 0.
+	if g := (v - cuts[0]) * inv; g >= float64(last) {
+		i = last
+	} else if g > 0 {
+		i = int(g)
+	}
+	for v < cuts[i] {
+		i--
+	}
+	for i < last && v >= cuts[i+1] {
+		i++
+	}
+	return i
+}
+
 // colOf locates the column owning coordinate x ([left, right) ownership
-// with boundary clamping).
+// with boundary clamping): vertical grid lines belong to the cell on
+// their right.
 func (p *Partitioning) colOf(x float64) int {
 	if x < p.xCuts[0] {
 		return 0
@@ -169,28 +200,26 @@ func (p *Partitioning) colOf(x float64) int {
 	if x >= p.xCuts[p.cols] {
 		return p.cols - 1
 	}
-	// Largest i with xCuts[i] <= x: SearchFloat64s finds the first cut
-	// >= x, which is the owning column when the cut equals x exactly
-	// (vertical grid lines belong to the cell on their right).
-	i := sort.SearchFloat64s(p.xCuts, x)
-	if p.xCuts[i] == x {
-		return i
-	}
-	return i - 1
+	return bandOf(p.xCuts, p.xInv, x)
 }
 
 // rowOf locates the row owning coordinate y ((bottom, top] ownership
-// with boundary clamping). Row 0 is the topmost row.
+// with boundary clamping). Row 0 is the topmost row; a horizontal grid
+// line belongs to the cell below it.
 func (p *Partitioning) rowOf(y float64) int {
 	if y <= p.yCuts[0] {
 		return p.rows - 1
 	}
-	if y > p.yCuts[p.rows] {
+	if y >= p.yCuts[p.rows] {
 		return 0
 	}
-	// Smallest i with yCuts[i] >= y; y belongs to the band (yCuts[i-1], yCuts[i]].
-	i := sort.SearchFloat64s(p.yCuts, y)
-	return p.rows - i
+	// y lies in the band [yCuts[i], yCuts[i+1]) and belongs to the row
+	// under its upper cut, unless it is the lower cut itself.
+	i := bandOf(p.yCuts, p.yInv, y)
+	if y == p.yCuts[i] {
+		i--
+	}
+	return p.rows - 1 - i
 }
 
 // CellOf returns the cell owning point pt, clamped into the grid for
@@ -228,16 +257,26 @@ func (p *Partitioning) Project(r geom.Rect) CellID {
 // common"), so an edge lying exactly on a grid cut touches the cells on
 // both sides of it.
 func (p *Partitioning) splitRange(r geom.Rect) (rowLo, rowHi, colLo, colHi int) {
+	// The near edges are looked up; the far ones are walked to from
+	// there, which is colOf(MaxX) and rowOf(MinY) (they own cuts to the
+	// right column and the row below) in as many steps as the rectangle
+	// spans cells.
 	colLo = p.colOf(r.MinX())
+	colHi = colLo
+	for maxX := r.MaxX(); colHi < p.cols-1 && maxX >= p.xCuts[colHi+1]; {
+		colHi++
+	}
 	if colLo > 0 && p.xCuts[colLo] == r.MinX() {
 		colLo-- // left edge on a cut also touches the column to its left
 	}
-	colHi = p.colOf(r.MaxX()) // colOf already owns cuts to the right column
 	rowLo = p.rowOf(r.MaxY())
+	rowHi = rowLo
+	for minY := r.MinY(); rowHi < p.rows-1 && minY <= p.yCuts[p.rows-rowHi-1]; {
+		rowHi++
+	}
 	if rowLo > 0 && p.yCuts[p.rows-rowLo] == r.MaxY() {
 		rowLo-- // top edge on a cut also touches the row above
 	}
-	rowHi = p.rowOf(r.MinY()) // rowOf already owns cuts to the row below
 	return rowLo, rowHi, colLo, colHi
 }
 

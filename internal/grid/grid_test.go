@@ -410,19 +410,35 @@ func subset(a, b []CellID) bool {
 	return true
 }
 
+// BenchmarkSplit is the map side's per-rectangle cost — four cell-of
+// lookups and the cells between them — on the uniform grid, where the
+// arithmetic guess lands on the band, and on an adaptive one over
+// clustered data, where it has to walk.
 func BenchmarkSplit(b *testing.B) {
-	p, _ := NewUniform(geom.Rect{X: 0, Y: 100000, L: 100000, B: 100000}, 8, 8)
+	uniform, _ := NewUniform(geom.Rect{X: 0, Y: 100000, L: 100000, B: 100000}, 8, 8)
+	sample := clusteredSample(4000, 7)
+	adaptive, err := NewAdaptive(sample, AdaptiveOptions{Target: 64})
+	if err != nil {
+		b.Fatal(err)
+	}
 	rng := rand.New(rand.NewPCG(1, 1))
 	rects := make([]geom.Rect, 1024)
 	for i := range rects {
 		rects[i] = geom.Rect{X: rng.Float64() * 100000, Y: rng.Float64() * 100000, L: rng.Float64() * 100, B: rng.Float64() * 100}
 	}
-	b.ResetTimer()
-	n := 0
-	for i := 0; i < b.N; i++ {
-		p.ForEachSplit(rects[i%1024], func(CellID) { n++ })
+	for _, bc := range []struct {
+		name  string
+		p     *Partitioning
+		rects []geom.Rect
+	}{{"uniform", uniform, rects}, {"adaptive", adaptive, sample[:1024]}} {
+		b.Run(bc.name, func(b *testing.B) {
+			n := 0
+			for i := 0; i < b.N; i++ {
+				bc.p.ForEachSplit(bc.rects[i%1024], func(CellID) { n++ })
+			}
+			_ = n
+		})
 	}
-	_ = n
 }
 
 func BenchmarkReplicateF2(b *testing.B) {

@@ -30,7 +30,9 @@ import (
 //     concrete type does not match the requesting job's K/V
 //     instantiation is dropped on the floor, so one pool safely serves
 //     heterogeneous job pipelines; the pool simply converges to the
-//     types that dominate.
+//     types that dominate. A Get that names a size is likewise served
+//     only by a buffer at least that large, so the pool converges to
+//     the workload's run sizes instead of growing small arrays.
 //   - A double-Put of the same buffer is dropped, not retained twice:
 //     each free list remembers the backing-array identity of what it
 //     holds, so two later Gets can never return aliasing slices whose
@@ -116,12 +118,14 @@ func bufID[T any](s []T) uintptr {
 // NewBufferPool returns an empty pool.
 func NewBufferPool() *BufferPool { return &BufferPool{} }
 
-// getBuf returns an empty slice for appending: the buffer f recycles if
-// it holds one of element type T (whatever its capacity — the pool
-// converges to the workload's run sizes), a fresh one of the given
-// capacity otherwise.
+// getBuf returns an empty slice for appending with room for capacity
+// elements: the buffer f recycles if it holds one of element type T
+// that large, a fresh one otherwise. A recycled buffer that is too
+// small is left to the collector, as getBufLen leaves it: the merge
+// tree appends exactly the capacity it asked for, and growing a small
+// array under it costs more than the array saved.
 func getBuf[T any](f *freeList, capacity int) []T {
-	if v, ok := f.Get().(*[]T); ok {
+	if v, ok := f.Get().(*[]T); ok && cap(*v) >= capacity {
 		return (*v)[:0]
 	}
 	return make([]T, 0, capacity)

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -16,6 +17,7 @@ import (
 	"mwsjoin/internal/mapreduce"
 	"mwsjoin/internal/metrics"
 	"mwsjoin/internal/query"
+	"mwsjoin/internal/sweep"
 	"mwsjoin/internal/trace"
 )
 
@@ -257,18 +259,6 @@ func cascade(pl *plan, exec *executor) (*Result, error) {
 	}}, nil
 }
 
-// sweepKey orders one value of a cell for the plane sweep: its MinX as
-// an unsigned integer that sorts like the float, then its arrival
-// position in the cell.
-type sweepKey struct {
-	x uint64
-	i int32
-}
-
-func compareSweepKeys(a, b sweepKey) int {
-	return cmp.Or(cmp.Compare(a.x, b.x), cmp.Compare(a.i, b.i))
-}
-
 // sweepOrder maps a finite float64 to a uint64 that compares the way
 // the float does. Adding zero first folds -0 into +0: they compare
 // equal as floats, so they must tie here too.
@@ -280,10 +270,60 @@ func sweepOrder(x float64) uint64 {
 	return b | 1<<63
 }
 
+// appendSweepWords appends one word per tuple of vals (per item, when
+// items is set) in sweep order — ascending (MinX, arrival position) —
+// with the position in the low 32 bits. xs holds sweepOrder of every
+// value's MinX.
+//
+// The order comes from an ordered sort of the words themselves, no
+// comparator: the high 32 bits are the value's offset from the
+// smallest MinX of its side, shifted right until the largest fits.
+// Where the shift dropped bits, values whose offsets agree above it
+// form a run that is in position order, not MinX order; those runs are
+// re-sorted on the exact (MinX, position), which leaves the
+// permutation a comparator sort of the whole side produces.
+func appendSweepWords(words, xs []uint64, vals []cascadeVal, items bool) []uint64 {
+	base := len(words)
+	lo, hi := uint64(math.MaxUint64), uint64(0)
+	for i := range vals {
+		if (vals[i].Slab == itemSlab) == items {
+			lo, hi = min(lo, xs[i]), max(hi, xs[i])
+			words = append(words, uint64(i))
+		}
+	}
+	side := words[base:]
+	if len(side) < 2 {
+		return words
+	}
+	shift := max(bits.Len64(hi-lo), 32) - 32
+	for k, i := range side {
+		side[k] = (xs[i]-lo)>>shift<<32 | i
+	}
+	slices.Sort(side)
+	if shift == 0 {
+		return words
+	}
+	exact := func(a, b uint64) int {
+		return cmp.Or(cmp.Compare(xs[uint32(a)], xs[uint32(b)]), cmp.Compare(a, b))
+	}
+	for from := 0; from < len(side); {
+		to := from + 1
+		for to < len(side) && side[to]>>32 == side[from]>>32 {
+			to++
+		}
+		if to-from > 1 {
+			slices.SortFunc(side[from:to], exact)
+		}
+		from = to
+	}
+	return words
+}
+
 // cellScratch is cascadeReduce's per-cell working set, recycled across
 // the cells of a round.
 type cellScratch struct {
-	order []sweepKey
+	xs    []uint64    // sweepOrder of every value's MinX, by arrival position
+	order []uint64    // appendSweepWords: the tuples, then the items
 	recs  [][]byte    // tuple records and
 	keys  []geom.Rect // their key rectangles, in sweep order
 	ids   []int32     // item ids and
@@ -308,36 +348,32 @@ func cascadeReduce(pl *plan, part *grid.Partitioning, in, out *partialStore, new
 		// apart. A cell's values arrive in job-input order, so this is
 		// the order a stable MinX sort of each whole relation ahead of
 		// the job would deliver, computed per cell on compact keys.
-		sc.order = sc.order[:0]
+		sc.xs = sc.xs[:0]
 		nt := 0
-		for _, items := range [2]bool{false, true} {
-			for i, v := range vals {
-				if (v.Slab == itemSlab) == items {
-					sc.order = append(sc.order, sweepKey{sweepOrder(v.Rect.MinX()), int32(i)})
-				}
-			}
-			if !items {
-				nt = len(sc.order)
+		for i := range vals {
+			sc.xs = append(sc.xs, sweepOrder(vals[i].Rect.MinX()))
+			if vals[i].Slab != itemSlab {
+				nt++
 			}
 		}
 		if nt == 0 || nt == len(vals) {
 			return nil
 		}
-		slices.SortFunc(sc.order[:nt], compareSweepKeys)
-		slices.SortFunc(sc.order[nt:], compareSweepKeys)
+		sc.order = appendSweepWords(sc.order[:0], sc.xs, vals, false)
+		sc.order = appendSweepWords(sc.order, sc.xs, vals, true)
 		sc.recs, sc.keys, sc.ids, sc.rects, sc.out = sc.recs[:0], sc.keys[:0], sc.ids[:0], sc.rects[:0], sc.out[:0]
-		for _, k := range sc.order[:nt] {
-			sc.recs = append(sc.recs, in.rec(vals[k.i].ref()))
-			sc.keys = append(sc.keys, vals[k.i].Rect)
+		for _, w := range sc.order[:nt] {
+			v := &vals[uint32(w)]
+			sc.recs = append(sc.recs, in.rec(v.ref()))
+			sc.keys = append(sc.keys, v.Rect)
 		}
-		for _, k := range sc.order[nt:] {
-			sc.ids = append(sc.ids, vals[k.i].ID)
-			sc.rects = append(sc.rects, vals[k.i].Rect)
+		for _, w := range sc.order[nt:] {
+			v := &vals[uint32(w)]
+			sc.ids = append(sc.ids, v.ID)
+			sc.rects = append(sc.rects, v.Rect)
 		}
 
-		// Dense cells answer through a bulk-loaded R-tree instead of the
-		// plane sweep, with identical pair order (see joinSortedDense).
-		usedRTree := joinSortedDense(sc.keys, sc.rects, d, pl.rtreeThreshold, func(i, j int) bool {
+		sweep.JoinSorted(sc.keys, sc.rects, d, func(i, j int) bool {
 			t, id, r := sc.recs[i], sc.ids[j], sc.rects[j]
 			if !cascadeAccepts(pl, t, newSlot, id, r, edges, primary) {
 				return true
@@ -363,7 +399,6 @@ func cascadeReduce(pl *plan, part *grid.Partitioning, in, out *partialStore, new
 			putMember(sc.out[len(sc.out)-memberBytes:], id, r)
 			return true
 		})
-		observeCellJoin(reg, usedRTree)
 		if n := len(sc.out) / out.stride; n > 0 {
 			slab, dst := out.alloc(n)
 			copy(dst, sc.out)
@@ -372,20 +407,6 @@ func cascadeReduce(pl *plan, part *grid.Partitioning, in, out *partialStore, new
 			}
 		}
 		return nil
-	}
-}
-
-// observeCellJoin counts which per-cell join path ran — the trace of
-// the dense-cell R-tree escalation. Discarded attempts under injected
-// reduce faults count again, mirroring observeCell.
-func observeCellJoin(reg *metrics.Registry, usedRTree bool) {
-	if reg == nil {
-		return
-	}
-	if usedRTree {
-		reg.Counter("spatial_cell_rtree_joins_total").Add(1)
-	} else {
-		reg.Counter("spatial_cell_sweep_joins_total").Add(1)
 	}
 }
 

@@ -9,19 +9,32 @@ import (
 
 	"mwsjoin/internal/geom"
 	"mwsjoin/internal/mapreduce"
-	"mwsjoin/internal/metrics"
 	"mwsjoin/internal/query"
 	"mwsjoin/internal/sweep"
 )
 
-// collectPairs runs joinSortedDense and records the emitted (i, k)
-// sequence, stopping after limit pairs (limit < 0 = unlimited).
-func collectPairs(as, bs []geom.Rect, d float64, threshold, limit int) (pairs [][2]int, rtree bool) {
-	rtree = joinSortedDense(as, bs, d, threshold, func(i, k int) bool {
+// collectPairs records the (i, k) sequence sweep.JoinSorted — the one
+// per-cell 2-way kernel cascadeReduce reaches — emits, stopping after
+// limit pairs (limit < 0 = unlimited).
+func collectPairs(as, bs []geom.Rect, d float64, limit int) (pairs [][2]int) {
+	sweep.JoinSorted(as, bs, d, func(i, k int) bool {
 		pairs = append(pairs, [2]int{i, k})
 		return limit < 0 || len(pairs) < limit
 	})
-	return pairs, rtree
+	return pairs
+}
+
+// quadraticPairs is the sequence the kernel owes: every (i, k) the
+// geom predicates accept, i ascending, then k ascending.
+func quadraticPairs(as, bs []geom.Rect, d float64) (pairs [][2]int) {
+	for i, a := range as {
+		for k, b := range bs {
+			if d == 0 && a.Overlaps(b) || d > 0 && a.WithinDist(b, d) {
+				pairs = append(pairs, [2]int{i, k})
+			}
+		}
+	}
+	return pairs
 }
 
 // sortByMinX puts rects in the ascending-MinX order JoinSorted needs.
@@ -31,10 +44,10 @@ func sortByMinX(rects []geom.Rect) []geom.Rect {
 	return out
 }
 
-// denseCases are rect-set pairs covering the degenerate shapes the
-// R-tree path must agree with the sweep on: zero-width and zero-height
-// rectangles, exact duplicates, edge-touching neighbours, and stacked
-// identical x windows (the sweep's quadratic worst case).
+// denseCases are rect-set pairs covering the degenerate shapes a dense
+// cell delivers: zero-width and zero-height rectangles, exact
+// duplicates, edge-touching neighbours, and stacked identical x windows
+// (an unstriped sweep's quadratic worst case).
 func denseCases(rng *rand.Rand) []struct {
 	name   string
 	as, bs []geom.Rect
@@ -83,34 +96,19 @@ func denseCases(rng *rand.Rand) []struct {
 }
 
 // TestJoinSortedDenseMatchesSweep is the per-cell bit-identity check:
-// with the threshold forced low the R-tree path must emit exactly the
-// sweep's pair sequence — same pairs, same order — across degenerate
-// shapes and distances.
+// on dense and degenerate cells the striped kernel must emit exactly
+// the quadratic reference's pair sequence — same pairs, same order —
+// at every distance. (internal/sweep's FuzzJoinSorted holds the same
+// property on arbitrary inputs.)
 func TestJoinSortedDenseMatchesSweep(t *testing.T) {
 	rng := rand.New(rand.NewPCG(2013, 17))
 	for _, tc := range denseCases(rng) {
 		for _, d := range []float64{0, 3.5, 200} {
 			t.Run(fmt.Sprintf("%s/d=%g", tc.name, d), func(t *testing.T) {
-				var want [][2]int
-				sweep.JoinSorted(tc.as, tc.bs, d, func(i, k int) bool {
-					want = append(want, [2]int{i, k})
-					return true
-				})
-				got, rtree := collectPairs(tc.as, tc.bs, d, 1, -1)
-				if len(tc.as) > 0 && len(tc.bs) > 0 && !rtree {
-					t.Fatal("threshold 1 did not engage the R-tree path")
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("R-tree pairs differ from sweep: got %d pairs %v, want %d pairs %v",
+				want := quadraticPairs(tc.as, tc.bs, d)
+				if got := collectPairs(tc.as, tc.bs, d, -1); !reflect.DeepEqual(got, want) {
+					t.Errorf("kernel pairs differ from the reference: got %d pairs %v, want %d pairs %v",
 						len(got), head(got), len(want), head(want))
-				}
-				// Below-threshold call must route to the sweep.
-				sweepPairs, rtree := collectPairs(tc.as, tc.bs, d, len(tc.as)+len(tc.bs)+1, -1)
-				if rtree {
-					t.Error("threshold above input size engaged the R-tree path")
-				}
-				if !reflect.DeepEqual(sweepPairs, want) {
-					t.Error("sweep path through joinSortedDense differs from direct sweep")
 				}
 			})
 		}
@@ -132,8 +130,8 @@ func head(pairs [][2]int) [][2]int {
 	return pairs
 }
 
-// TestJoinSortedDenseEarlyStop: fn returning false stops both paths at
-// the same prefix.
+// TestJoinSortedDenseEarlyStop: fn returning false stops the kernel at
+// a prefix of the full sequence.
 func TestJoinSortedDenseEarlyStop(t *testing.T) {
 	rng := rand.New(rand.NewPCG(5, 23))
 	as := make([]geom.Rect, 80)
@@ -141,74 +139,47 @@ func TestJoinSortedDenseEarlyStop(t *testing.T) {
 		as[i] = geom.Rect{X: rng.Float64() * 50, Y: 10 + rng.Float64()*40, L: 8, B: 8}
 	}
 	as = sortByMinX(as)
-	full, _ := collectPairs(as, as, 0, 1, -1)
+	full := collectPairs(as, as, 0, -1)
 	if len(full) < 10 {
 		t.Fatalf("workload too sparse: %d pairs", len(full))
 	}
 	for _, limit := range []int{1, 3, len(full) / 2} {
-		got, _ := collectPairs(as, as, 0, 1, limit)
-		if !reflect.DeepEqual(got, full[:limit]) {
+		if got := collectPairs(as, as, 0, limit); !reflect.DeepEqual(got, full[:limit]) {
 			t.Errorf("limit %d: early-stopped prefix differs from full sequence prefix", limit)
 		}
-		gotSweep, _ := collectPairs(as, as, 0, 0, limit)
-		if !reflect.DeepEqual(gotSweep, full[:limit]) {
-			t.Errorf("limit %d: sweep prefix differs", limit)
-		}
 	}
 }
 
-// TestJoinSortedDenseNegativeDistance: d < 0 matches nothing on either
-// path.
+// TestJoinSortedDenseNegativeDistance: d < 0 matches nothing.
 func TestJoinSortedDenseNegativeDistance(t *testing.T) {
 	as := []geom.Rect{{X: 0, Y: 10, L: 10, B: 10}, {X: 5, Y: 10, L: 10, B: 10}}
-	if pairs, _ := collectPairs(as, as, -1, 1, -1); len(pairs) != 0 {
-		t.Errorf("R-tree path with d<0 emitted %d pairs", len(pairs))
-	}
-	if pairs, _ := collectPairs(as, as, -1, 0, -1); len(pairs) != 0 {
-		t.Errorf("sweep path with d<0 emitted %d pairs", len(pairs))
+	if pairs := collectPairs(as, as, -1, -1); len(pairs) != 0 {
+		t.Errorf("d<0 emitted %d pairs", len(pairs))
 	}
 }
 
-// TestCascadeRTreeEscalationBitIdentical runs full executions with the
-// R-tree escalation forced on every cell versus disabled. Cascade's
-// reducers go through joinSortedDense, whose pair sequence is
-// bit-identical to the sweep's, so its tuple slice must match in
-// order; the multi-way reducers (All-Rep, C-Rep) escalate their
-// per-cell probe index instead, which reorders within-cell emission,
-// so they are held to tuple-set identity plus unchanged counts.
+// TestCascadeRTreeEscalationBitIdentical runs full executions with
+// RTreeSweepThreshold forced to 1 versus disabled. The threshold
+// governs only the multi-way reducers' per-cell probe index (All-Rep,
+// C-Rep), whose choice reorders within-cell emission, so they are held
+// to tuple-set identity plus unchanged counts; the cascade's kernel has
+// no threshold, so its tuple slice must match in order.
 func TestCascadeRTreeEscalationBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewPCG(2013, 29))
 	rels := randomRelations(rng, 3, 120, 1000, 60)
 	q := query.New("R1", "R2", "R3").Overlap(0, 1).Overlap(1, 2)
 	part := testGrid(t, 4, 1000)
 	for _, method := range mrMethods {
-		baseReg, forcedReg := metrics.NewRegistry(), metrics.NewRegistry()
-		base, err := Execute(method, q, rels, Config{Part: part, RTreeSweepThreshold: -1, Metrics: baseReg})
+		base, err := Execute(method, q, rels, Config{Part: part, RTreeSweepThreshold: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		forced, err := Execute(method, q, rels, Config{Part: part, RTreeSweepThreshold: 1, Metrics: forcedReg})
+		forced, err := Execute(method, q, rels, Config{Part: part, RTreeSweepThreshold: 1})
 		if err != nil {
 			t.Fatal(err)
-		}
-		// Cascade's reducers trace which per-cell join path ran: with
-		// the threshold disabled no cell may report the R-tree path,
-		// and with it forced to 1 every counted cell must. (The
-		// multi-way reducers escalate inside plan.newIndex, which has
-		// no counter.)
-		if method == Cascade {
-			if n := baseReg.Counter("spatial_cell_rtree_joins_total").Value(); n != 0 {
-				t.Errorf("%v: %d cells used the R-tree with escalation disabled", method, n)
-			}
-			if n := forcedReg.Counter("spatial_cell_rtree_joins_total").Value(); n == 0 {
-				t.Errorf("%v: no cell used the R-tree with the threshold forced to 1", method)
-			}
-			if n := forcedReg.Counter("spatial_cell_sweep_joins_total").Value(); n != 0 {
-				t.Errorf("%v: %d cells swept with the threshold forced to 1", method, n)
-			}
 		}
 		if method == Cascade && !reflect.DeepEqual(forced.Tuples, base.Tuples) {
-			t.Errorf("%v: forced R-tree escalation changed the tuple sequence (%d vs %d tuples)",
+			t.Errorf("%v: the threshold changed the tuple sequence (%d vs %d tuples)",
 				method, len(forced.Tuples), len(base.Tuples))
 		}
 		if !reflect.DeepEqual(forced.TupleSet(), base.TupleSet()) {

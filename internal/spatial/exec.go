@@ -30,12 +30,13 @@ type Config struct {
 	// the default 64. Ignored when Part is set.
 	Reducers int
 	// RTreeSweepThreshold is the per-cell record count at which the
-	// cascade reducers switch their plane sweep to probes of a
-	// bulk-loaded STR R-tree, and the backtracking matchers escalate
-	// their bucket-grid index to the R-tree — the dense-cell defence
-	// against the sweep's quadratic worst case. 0 uses the default
+	// multi-way reducers (All-Rep, C-Rep, C-Rep-L) escalate their
+	// bucket-grid probe index to a bulk-loaded STR R-tree — the
+	// dense-cell defence against a skewed cell piling into few buckets.
+	// It governs nothing else: the cascade's reducers run one striped
+	// sweep at every cell size. 0 uses the default
 	// (DefaultRTreeSweepThreshold); negative disables the escalation.
-	// Emitted tuples and their order are identical either way.
+	// The emitted tuple set is identical either way.
 	RTreeSweepThreshold int
 	// Parallelism and NumMappers pass through to the engine; zero
 	// values use the engine defaults.

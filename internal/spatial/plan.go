@@ -33,16 +33,16 @@ type plan struct {
 	// indexThreshold is the slot size below which a linear scan beats
 	// building an index.
 	indexThreshold int
-	// rtreeThreshold is the dense-cell escalation point: at or above
-	// this many records a cell's plane sweep becomes R-tree probes and
-	// the matchers' bucket grid becomes an R-tree (0 never escalates —
-	// newPlan resolves Config's 0-means-default before storing it here).
+	// rtreeThreshold is the dense-cell escalation point of newIndex: at
+	// or above this many records the matchers' bucket grid becomes an
+	// R-tree (0 never escalates — newPlan resolves Config's
+	// 0-means-default before storing it here).
 	rtreeThreshold int
 }
 
-// DefaultRTreeSweepThreshold is the per-cell record count at which
-// reducers switch from the plane sweep to a bulk-loaded R-tree when
-// Config.RTreeSweepThreshold is 0.
+// DefaultRTreeSweepThreshold is the per-cell record count at which the
+// multi-way reducers switch from the bucket grid to a bulk-loaded
+// R-tree when Config.RTreeSweepThreshold is 0.
 const DefaultRTreeSweepThreshold = 256
 
 // newPlan validates the query/relation binding and builds the plan.

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"sort"
 	"testing"
@@ -324,5 +325,46 @@ func BenchmarkJoinSorted5k(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		n := 0
 		JoinSorted(as, bs, 0, func(int, int) bool { n++; return true })
+	}
+}
+
+// TestReachCoversAcceptedGaps: the y-interval an a sweeps holds every
+// b the pair test accepts. The instances are ones where the plain
+// enlargement does not — fl(bMinY−top) ≤ d while fl(top+d) < bMinY,
+// which takes a d that dwarfs the coordinates — mirrored for the lower
+// edge, then a random search around the same boundary.
+func TestReachCoversAcceptedGaps(t *testing.T) {
+	check := func(top, bot, d, bMinY, bMaxY float64) {
+		t.Helper()
+		if bMinY-top > d || bot-bMaxY > d {
+			return // the test rejects the pair; any interval will do
+		}
+		if lo, hi := reach(top, bot, d); !(bMinY <= hi && lo <= bMaxY) {
+			t.Errorf("a [%v, %v] d=%v: reach [%v, %v] misses accepted b [%v, %v]", bot, top, d, lo, hi, bMinY, bMaxY)
+		}
+	}
+	for _, c := range [][3]float64{ // bMinY, d, top
+		{1, 4.223589744447587, -3.223589744447587},
+		{8, 18.158134732790266, -10.158134732790268},
+		{0.5, 512.0086913825112, -511.50869138251124},
+	} {
+		bMinY, d, top := c[0], c[1], c[2]
+		if !(bMinY-top <= d && top+d < bMinY) {
+			t.Fatalf("instance %v no longer separates the two roundings", c)
+		}
+		check(top, top-1, d, bMinY, bMinY+1)
+		check(-top+1, -top, d, -bMinY-1, -bMinY) // the same gap under a
+	}
+	rng := rand.New(rand.NewPCG(24, 1))
+	for i := 0; i < 200000; i++ {
+		scale := math.Ldexp(1, rng.IntN(40)-20)
+		d := rng.Float64() * scale
+		edge := (rng.Float64() - 0.5) * math.Ldexp(1, rng.IntN(40)-20)
+		top := edge - d
+		for _, top := range []float64{top, math.Nextafter(top, math.Inf(1)), math.Nextafter(top, math.Inf(-1))} {
+			h := rng.Float64() * scale
+			check(top, top-h, d, edge, edge+h)
+			check(-top+h, -top, d, -edge-h, -edge)
+		}
 	}
 }

@@ -136,10 +136,11 @@ type Options struct {
 	// region splits while it holds more than SplitThreshold × (sample
 	// size / Reducers) sample points. ≤ 0 uses the default 1.0.
 	SplitThreshold float64
-	// RTreeSweepThreshold is the per-cell record count at which dense
-	// reducer cells switch from the plane sweep to probes of a
-	// bulk-loaded STR R-tree (0 = default 256, negative = never).
-	// Emitted tuples are identical either way.
+	// RTreeSweepThreshold is the per-cell record count at which the
+	// multi-way reducers (All-Rep, C-Rep, C-Rep-L) switch their probe
+	// index from the bucket grid to a bulk-loaded STR R-tree (0 =
+	// default 256, negative = never). The 2-way cascade does not read
+	// it. Emitted tuples are identical either way.
 	RTreeSweepThreshold int
 	// Parallelism bounds concurrent map/reduce tasks (default:
 	// GOMAXPROCS).
