@@ -109,51 +109,6 @@ func BenchmarkMethods(b *testing.B) {
 	}
 }
 
-// BenchmarkReducerIndexAblation compares the two reducer-local index
-// structures (bucket grid vs STR R-tree) inside C-Rep-L on uniform and
-// skewed (road) workloads — the DESIGN.md ablation for the index
-// choice.
-func BenchmarkReducerIndexAblation(b *testing.B) {
-	n := benchUnit()
-	uniform := make([]Relation, 3)
-	for i := range uniform {
-		p := PaperSyntheticParams(n)
-		p.XMax = 100_000 * sqrtRatio(n)
-		p.YMax = p.XMax
-		rel, err := SyntheticRelation(fmt.Sprintf("R%d", i+1), p, uint64(10+i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		uniform[i] = rel
-	}
-	roads := CaliforniaRoadsRelation("roads", 2*n, 7)
-	q := NewQuery("a", "b", "c").Overlap(0, 1).Overlap(1, 2)
-
-	for _, tc := range []struct {
-		name string
-		rels []Relation
-	}{
-		{"uniform", uniform},
-		{"roads", []Relation{roads, roads, roads}},
-	} {
-		// Threshold 0 keeps the default escalation point (256 records a
-		// slot); 1 indexes every slot past the linear-scan size by R-tree.
-		for _, threshold := range []int{0, 1} {
-			name := tc.name + "/grid-index"
-			if threshold == 1 {
-				name = tc.name + "/rtree-index"
-			}
-			b.Run(name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := Run(q, tc.rels, ControlledReplicateLimit, &Options{RTreeSweepThreshold: threshold}); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkLimitMetricAblation compares the Chebyshev (safe default)
 // and Euclidean (paper) C-Rep-L limit metrics on a range query — the
 // DESIGN.md §3.2 ablation.

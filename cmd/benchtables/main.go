@@ -50,7 +50,7 @@ func run(args []string, stdout io.Writer) error {
 		md       = fs.Bool("md", false, "emit markdown tables")
 		outPath  = fs.String("o", "", "also write the output to this file")
 		quiet    = fs.Bool("q", false, "suppress per-run progress on stderr")
-		traceDir = fs.String("tracedir", "", "write per-cell trace files (<table>-<row>-<method>.{json,txt}) into this directory")
+		traceDir = fs.String("tracedir", "", "write per-cell trace files into this directory: <table>-<row>-<method>.json (Chrome trace) and .txt (profile text)")
 		jsonPath = fs.String("json", "", "write the regenerated tables as a JSON report (rows, per-method stats, reducer-skew quantiles) to this file")
 		serve    = fs.String("serve", "", "serve live metrics on this address while sweeping (/metrics, /progress, /debug/pprof/*); :0 picks a free port")
 	)

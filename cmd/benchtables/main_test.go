@@ -67,8 +67,8 @@ func TestRunTraceDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(data), "run") || !strings.Contains(string(data), "shuffle") {
-		t.Errorf("trace tree incomplete:\n%s", data)
+	if !strings.Contains(string(data), "profile c-rep") || !strings.Contains(string(data), "shuffle") {
+		t.Errorf("profile text incomplete:\n%s", data)
 	}
 }
 

@@ -15,11 +15,11 @@
 // slot); -stats adds the cost metrics of §7.8.3 on stderr.
 //
 // -serve :8080 exposes live observability while the join runs
-// (Prometheus text on /metrics, JSON on /debug/vars, the Go profiler on
-// /debug/pprof/*). -explain skips the normal run and instead predicts
-// every map-reduce method's cost from samples, measures the actuals
-// with suppressed tuple output, and prints a predicted-vs-actual table
-// with relative errors.
+// (Prometheus text on /metrics, the Go profiler on /debug/pprof/*).
+// -explain skips the normal run and instead predicts every map-reduce
+// method's cost from samples, measures the actuals with suppressed
+// tuple output, and prints a predicted-vs-actual table with relative
+// errors.
 //
 // -method auto delegates the choice of method to the cost-based
 // planner: it prices every map-reduce method with the (optionally
@@ -57,27 +57,13 @@ import (
 	"mwsjoin"
 )
 
-// saveSnapshot persists the simulated file system (and with it the
-// chain checkpoints of a killed run) to a host file for -resume.
-func saveSnapshot(fs *mwsjoin.FileSystem, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := fs.WriteSnapshot(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 // testAfterRun, when set by tests, observes the bound -serve address
 // and the final result (nil in -explain mode) while the metrics server
 // is still listening.
 var testAfterRun func(addr string, res *mwsjoin.Result)
 
-// exportTrace writes one tracer export to path ("" skips it).
-func exportTrace(tr *mwsjoin.Tracer, path string, write func(*mwsjoin.Tracer, io.Writer) error) error {
+// writeFile writes one export to path ("" skips it).
+func writeFile(path string, write func(io.Writer) error) error {
 	if path == "" {
 		return nil
 	}
@@ -85,7 +71,7 @@ func exportTrace(tr *mwsjoin.Tracer, path string, write func(*mwsjoin.Tracer, io
 	if err != nil {
 		return err
 	}
-	if err := write(tr, f); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}
@@ -132,23 +118,19 @@ func run(args []string, stdout, stderr io.Writer) error {
 		reducers  = fs.Int("reducers", 64, "reducer count (perfect square for -partition uniform)")
 		partition = fs.String("partition", "uniform", "reducer partitioning scheme: uniform | adaptive (sample-driven split/merge, balances skewed data; results are identical)")
 		splitThr  = fs.Float64("split-threshold", 0, "adaptive-partition split capacity factor; a region splits while it holds more than split-threshold × (sample/reducers) sample points (0 = default 1.0)")
-		rtreeThr  = fs.Int("rtree-sweep-threshold", 0, "per-cell record count at which the multi-way reducers swap their bucket-grid index for an STR R-tree; 0 = default 256, negative = never; the cascade ignores it (results are identical either way)")
 		stats     = fs.Bool("stats", false, "print cost statistics to stderr")
 		quiet     = fs.Bool("quiet", false, "suppress tuple output (use with -stats)")
 		euclid    = fs.Bool("euclidean-limit", false, "use the paper's Euclidean C-Rep-L metric")
 		selfPairs = fs.Bool("allow-self-pairs", false, "allow one rectangle in several self-join slots")
-		traceJSON = fs.String("trace", "", "write a JSON span timeline of the execution to this file (one span per line)")
-		traceTree = fs.String("trace-tree", "", "write a human-readable span tree of the execution to this file")
-		serveAddr = fs.String("serve", "", "serve live metrics on this address while running (/metrics, /debug/vars, /debug/pprof/*); :0 picks a free port")
+		serveAddr = fs.String("serve", "", "serve live metrics on this address while running (/metrics, /debug/pprof/*); :0 picks a free port")
 		explain   = fs.Bool("explain", false, "predict each map-reduce method's cost, measure the actuals, and print a predicted-vs-actual table (ignores -method and tuple output)")
 		explainPl = fs.Bool("explain-plan", false, "print the grid and the cost-based planner's candidate table (chosen method plus every rejected one with predicted costs) and exit without running the query")
-		skewThr   = fs.Float64("skew-threshold", 0, "reducer-skew ratio flagged in the -trace-tree export; 0 derives it from the measured job imbalance distribution")
 		failJob   = fs.Int("fail-job", -1, "kill the run before job-chain index N (fault injection); with -checkpoint, the completed checkpoints are saved for -resume")
 		resume    = fs.Bool("resume", false, "resume a killed run from the -checkpoint snapshot; completed jobs are skipped and only the checkpoint re-read is charged")
 		chkPath   = fs.String("checkpoint", "", "host file holding the simulated file-system snapshot: written when -fail-job kills the run, read by -resume")
 		timeout   = fs.Duration("timeout", 0, "abort the run after this duration (0 = no limit); the execution stops at its next job boundary and the command exits with status 3")
 		profPath  = fs.String("profile", "", `write the structured query profile (per-round map/shuffle/reduce breakdown, skew, combiner and chain accounting) to this file after the run; "-" prints it to stderr`)
-		chromeOut = fs.String("trace-chrome", "", "write a Chrome trace-event JSON timeline of the execution to this file (load in chrome://tracing or Perfetto)")
+		chromeOut = fs.String("trace-chrome", "", "write a Chrome trace-event JSON timeline of the execution to this file (load in chrome://tracing or Perfetto); each event's args carry its span's counters, span_id and parent_id")
 		ledgerOut = fs.String("ledger", "", "append a calibration-ledger entry (predicted vs actual per-phase costs, one JSON line) to this file; in -explain mode, one entry per method")
 		calibrate = fs.Bool("calibrate", false, "apply correction factors learned from the -ledger file to every cost prediction (query results are unchanged); requires -ledger")
 		spillBudg = fs.Int64("spill-budget", 0, "per-run in-memory byte budget for each mapper's sorted runs; runs over budget spill to uncharged local scratch and results are unchanged (0 = never spill)")
@@ -185,15 +167,15 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	var tracer *mwsjoin.Tracer
-	if *traceJSON != "" || *traceTree != "" || *profPath != "" || *chromeOut != "" {
+	if *profPath != "" || *chromeOut != "" {
 		tracer = mwsjoin.NewTracer()
 	}
-	// The registry backs -serve, the -explain analyze runs and the
-	// auto-derived -trace-tree skew threshold. The metrics server starts
-	// before the (potentially large) relation load, so a bad -serve
-	// address fails fast and the load itself is observable.
+	// The registry backs -serve and the -explain analyze runs. The
+	// metrics server starts before the (potentially large) relation
+	// load, so a bad -serve address fails fast and the load itself is
+	// observable.
 	var reg *mwsjoin.MetricsRegistry
-	if *serveAddr != "" || *explain || (*traceTree != "" && *skewThr <= 0) {
+	if *serveAddr != "" || *explain {
 		reg = mwsjoin.NewMetricsRegistry()
 	}
 	var boundAddr string
@@ -228,15 +210,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	opts := mwsjoin.Options{
-		Reducers:            *reducers,
-		Partition:           *partition,
-		SplitThreshold:      *splitThr,
-		RTreeSweepThreshold: *rtreeThr,
-		EuclideanLimit:      *euclid,
-		AllowSelfPairs:      *selfPairs,
-		Tracer:              tracer,
-		Metrics:             reg,
-		SpillBudget:         *spillBudg,
+		Reducers:       *reducers,
+		Partition:      *partition,
+		SplitThreshold: *splitThr,
+		EuclideanLimit: *euclid,
+		AllowSelfPairs: *selfPairs,
+		Tracer:         tracer,
+		Metrics:        reg,
+		SpillBudget:    *spillBudg,
 	}
 	if *resume {
 		f, err := os.Open(*chkPath)
@@ -314,7 +295,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			var killed *mwsjoin.ChainKilledError
 			if errors.As(err, &killed) && *chkPath != "" {
-				if serr := saveSnapshot(opts.FS, *chkPath); serr != nil {
+				// The snapshot holds the killed run's chain checkpoints.
+				if serr := writeFile(*chkPath, opts.FS.WriteSnapshot); serr != nil {
 					return fmt.Errorf("%w; saving checkpoint snapshot: %v", err, serr)
 				}
 				fmt.Fprintf(stderr, "run killed before job %d; checkpoints saved to %s — re-run with -resume -checkpoint %s to finish\n",
@@ -323,21 +305,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 	}
-	if err := exportTrace(tracer, *traceJSON, (*mwsjoin.Tracer).WriteJSON); err != nil {
-		return err
-	}
-	threshold := *skewThr
-	if threshold <= 0 {
-		threshold = mwsjoin.SuggestedSkewThreshold(reg)
-	}
-	err = exportTrace(tracer, *traceTree, func(tr *mwsjoin.Tracer, w io.Writer) error {
-		return tr.WriteTreeWith(w, mwsjoin.TraceTreeOptions{SkewThreshold: threshold})
-	})
-	if err != nil {
-		return err
-	}
-	err = exportTrace(tracer, *chromeOut, func(tr *mwsjoin.Tracer, w io.Writer) error {
-		return mwsjoin.WriteChromeTrace(w, tr.Spans())
+	err = writeFile(*chromeOut, func(w io.Writer) error {
+		return mwsjoin.WriteChromeTrace(w, tracer.Spans())
 	})
 	if err != nil {
 		return err
@@ -366,21 +335,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if *profPath != "" {
 			prof := mwsjoin.BuildProfile(q, &res.Stats, tracer.Spans())
 			if *profPath == "-" {
-				if err := prof.WriteText(stderr); err != nil {
-					return err
-				}
+				err = prof.WriteText(stderr)
 			} else {
-				f, err := os.Create(*profPath)
-				if err != nil {
-					return err
-				}
-				if err := prof.WriteText(f); err != nil {
-					f.Close()
-					return err
-				}
-				if err := f.Close(); err != nil {
-					return err
-				}
+				err = writeFile(*profPath, prof.WriteText)
+			}
+			if err != nil {
+				return err
 			}
 		}
 	}

@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"mwsjoin"
-	"mwsjoin/internal/trace"
 )
 
 // traceDataset writes a dataset big enough for a C-Rep run to shuffle
@@ -34,48 +33,81 @@ func traceDataset(t *testing.T, name string, seed uint64, n int) string {
 
 var statRe = regexp.MustCompile(`round \d+ \(([^)]+)\): pairs=(\d+)`)
 
-// TestRunTraceMatchesStats is the CLI acceptance check: -trace on a
-// Controlled-Replicate query emits a valid JSON span timeline whose
-// per-job pair/byte counters exactly equal the Stats totals the -stats
-// report prints.
+// chromeSpan is one event of a -trace-chrome file with its span
+// identity read back from the args.
+type chromeSpan struct {
+	Name string           `json:"name"`
+	Cat  string           `json:"cat"`
+	Args map[string]int64 `json:"args"`
+}
+
+func (s chromeSpan) id() int64     { return s.Args["span_id"] }
+func (s chromeSpan) parent() int64 { return s.Args["parent_id"] }
+
+// TestRunTraceMatchesStats is the CLI acceptance check: -trace-chrome on
+// a Controlled-Replicate query writes a trace whose span_id/parent_id
+// args rebuild the run → round → job → phase tree, and whose per-job
+// pair/byte counters exactly equal the Stats totals -stats prints.
 func TestRunTraceMatchesStats(t *testing.T) {
 	r1 := traceDataset(t, "r1.csv", 11, 150)
 	r2 := traceDataset(t, "r2.csv", 12, 150)
 	r3 := traceDataset(t, "r3.csv", 13, 150)
 	traceFile := filepath.Join(t.TempDir(), "out.json")
-	treeFile := filepath.Join(t.TempDir(), "out.txt")
 
 	var out, errOut strings.Builder
 	err := run([]string{
 		"-query", "R1 ov R2 and R2 ra(40) R3",
 		"-rel", "R1=" + r1, "-rel", "R2=" + r2, "-rel", "R3=" + r3,
 		"-method", "c-rep", "-reducers", "16", "-quiet", "-stats",
-		"-trace", traceFile, "-trace-tree", treeFile,
+		"-trace-chrome", traceFile,
 	}, &out, &errOut)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Every line of the trace file must be standalone valid JSON.
 	raw, err := os.ReadFile(traceFile)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
-		var v map[string]any
-		if err := json.Unmarshal([]byte(line), &v); err != nil {
-			t.Fatalf("trace line %d is not valid JSON: %v\n%s", i+1, err, line)
-		}
+	if err := mwsjoin.ValidateChromeTrace(raw); err != nil {
+		t.Fatal(err)
 	}
+	var doc struct {
+		TraceEvents []chromeSpan `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	spans := doc.TraceEvents
 
-	f, err := os.Open(traceFile)
-	if err != nil {
-		t.Fatal(err)
+	// Rebuild the tree: ids are unique and positive, every parent is a
+	// span of the trace (or 0 for the root), and rounds and jobs nest
+	// under the level above them (phases also time the run's own
+	// staging, so they may sit under the run).
+	byID := map[int64]chromeSpan{}
+	children := map[int64][]chromeSpan{}
+	for _, s := range spans {
+		if _, dup := byID[s.id()]; dup || s.id() <= 0 {
+			t.Fatalf("span %q has a missing or duplicate span_id: %v", s.Name, s.Args)
+		}
+		byID[s.id()] = s
+		children[s.parent()] = append(children[s.parent()], s)
 	}
-	defer f.Close()
-	spans, err := trace.ReadJSON(f)
-	if err != nil {
-		t.Fatal(err)
+	parentCat := map[string]string{"round": "run", "job": "round"}
+	for _, s := range spans {
+		if s.parent() == 0 {
+			if s.Cat != "run" {
+				t.Errorf("root span %q is a %s, want run", s.Name, s.Cat)
+			}
+			continue
+		}
+		p, ok := byID[s.parent()]
+		if !ok {
+			t.Fatalf("span %q names parent %d, which is not in the trace", s.Name, s.parent())
+		}
+		if want, ok := parentCat[s.Cat]; ok && p.Cat != want {
+			t.Errorf("%s %q sits under %s %q", s.Cat, s.Name, p.Cat, p.Name)
+		}
 	}
 
 	// Collect per-job pairs from the -stats report...
@@ -95,9 +127,9 @@ func TestRunTraceMatchesStats(t *testing.T) {
 
 	// ...and compare with the job spans' counters.
 	var jobOrder []string
-	var total, totalBytes int64
+	var total int64
 	for _, s := range spans {
-		if s.Kind != trace.KindJob {
+		if s.Cat != "job" {
 			continue
 		}
 		jobOrder = append(jobOrder, s.Name)
@@ -106,14 +138,20 @@ func TestRunTraceMatchesStats(t *testing.T) {
 			t.Errorf("job span %q missing from stats report", s.Name)
 			continue
 		}
-		if got := s.Counter("pairs"); got != want {
+		if got := s.Args["pairs"]; got != want {
 			t.Errorf("job %q: trace pairs=%d, stats pairs=%d", s.Name, got, want)
 		}
-		if s.Counter("bytes") <= 0 {
+		if s.Args["bytes"] <= 0 {
 			t.Errorf("job %q: no bytes counter in trace", s.Name)
 		}
-		total += s.Counter("pairs")
-		totalBytes += s.Counter("bytes")
+		var phases []string
+		for _, c := range children[s.id()] {
+			phases = append(phases, c.Name)
+		}
+		if !strings.Contains(fmt.Sprint(phases), "shuffle") {
+			t.Errorf("job %q: no shuffle phase among %v", s.Name, phases)
+		}
+		total += s.Args["pairs"]
 	}
 	if fmt.Sprint(jobOrder) != fmt.Sprint(statOrder) {
 		t.Errorf("job order: trace %v, stats %v", jobOrder, statOrder)
@@ -127,21 +165,10 @@ func TestRunTraceMatchesStats(t *testing.T) {
 	wantW := statLine(t, errOut.String(), "dfs bytes written:")
 	var traceW int64
 	for _, s := range spans {
-		traceW += s.Counter("dfs_bytes_written")
+		traceW += s.Args["dfs_bytes_written"]
 	}
 	if traceW != wantW {
 		t.Errorf("summed trace dfs writes=%d, stats=%d", traceW, wantW)
-	}
-
-	// The tree export mentions the hierarchy levels and the method.
-	tree, err := os.ReadFile(treeFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"run", "round", "job", "phase", "c-rep", "shuffle"} {
-		if !strings.Contains(string(tree), want) {
-			t.Errorf("trace tree missing %q:\n%s", want, tree)
-		}
 	}
 }
 
@@ -168,7 +195,7 @@ func TestRunTraceFileError(t *testing.T) {
 	err := run([]string{
 		"-query", "A ov B", "-rel", "A=" + r, "-rel", "B=" + r,
 		"-reducers", "4", "-allow-self-pairs", "-quiet",
-		"-trace", filepath.Join(t.TempDir(), "no", "such", "dir", "x.json"),
+		"-trace-chrome", filepath.Join(t.TempDir(), "no", "such", "dir", "x.json"),
 	}, &out, &errOut)
 	if err == nil {
 		t.Fatal("want error for unwritable trace path")

@@ -82,15 +82,12 @@ func run(w io.Writer, n int) error {
 		snap.Counters["spatial_intermediate_pairs_total"], res.Stats.IntermediatePairs())
 
 	// Per-reducer skew: the distribution of intermediate pairs across
-	// every reducer of every job, and the derived warning threshold the
-	// trace tree export uses.
+	// every reducer of every job.
 	h := snap.Histograms[mapreduce.ReducerPairsHistogram]
 	fmt.Fprintf(w, "\n== reducer skew (%d reducer observations) ==\n", h.Count)
 	fmt.Fprintf(w, "pairs per reducer: p50=%d p95=%d max=%d\n",
 		h.Quantile(0.5), h.Quantile(0.95), h.Max)
 	fmt.Fprintf(w, "imbalance factor (max/mean): %.2f\n", h.Imbalance())
-	fmt.Fprintf(w, "suggested trace-tree skew threshold: %.2f\n",
-		mwsjoin.SuggestedSkewThreshold(reg))
 
 	// Grid-cell skew from the spatial layer: candidate and output
 	// distributions across reducer cells.

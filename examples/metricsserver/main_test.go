@@ -22,7 +22,6 @@ func TestMetricsServer(t *testing.T) {
 		"mapreduce_jobs_total",
 		"== reducer skew",
 		"imbalance factor",
-		"suggested trace-tree skew threshold",
 		"spatial_cell_candidates",
 		"spatial_cell_tuples",
 	} {

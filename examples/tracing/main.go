@@ -1,18 +1,19 @@
 // Tracing walks through the structured tracing layer: attach a Tracer
-// to a Controlled-Replicate run, print the human-readable span tree
-// (run → mark/join rounds → jobs → map/shuffle/reduce phases with
-// per-phase counters and reducer-skew flags), and show how the JSON
-// timeline decomposes the flat Stats totals per job.
+// to a Controlled-Replicate run, print the query profile built from its
+// spans (run → mark/join rounds → map/shuffle/reduce phases with
+// per-phase counters and each round's reducer skew), export the same
+// spans as a Chrome trace, and show how the job spans decompose the
+// flat Stats totals.
 //
 //	go run ./examples/tracing
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"log"
 	"os"
-	"strings"
 
 	"mwsjoin"
 	"mwsjoin/internal/trace"
@@ -50,24 +51,25 @@ func run(w io.Writer, n int) error {
 	if err != nil {
 		return err
 	}
+	spans := tracer.Spans()
 
 	fmt.Fprintf(w, "query: %s  →  %d tuples\n\n", q, len(res.Tuples))
-	fmt.Fprintln(w, "── span tree ──")
-	if err := tracer.WriteTree(w); err != nil {
+	fmt.Fprintln(w, "── profile ──")
+	if err := mwsjoin.BuildProfile(q, &res.Stats, spans).WriteText(w); err != nil {
 		return err
 	}
 
-	// The JSON timeline carries the same spans machine-readably; each
-	// job span's counters mirror the Stats entry of its round exactly.
-	var timeline strings.Builder
-	if err := tracer.WriteJSON(&timeline); err != nil {
+	// The Chrome trace carries every span (load it in chrome://tracing
+	// or Perfetto); each job span's counters mirror the Stats entry of
+	// its round exactly.
+	var chrome bytes.Buffer
+	if err := mwsjoin.WriteChromeTrace(&chrome, spans); err != nil {
 		return err
 	}
-	spans, err := trace.ReadJSON(strings.NewReader(timeline.String()))
-	if err != nil {
+	if err := mwsjoin.ValidateChromeTrace(chrome.Bytes()); err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "\n── JSON timeline: %d spans, job counters vs Stats ──\n", len(spans))
+	fmt.Fprintf(w, "\n── Chrome trace: %d spans in %d bytes, job counters vs Stats ──\n", len(spans), chrome.Len())
 	jobIdx := 0
 	for _, s := range spans {
 		if s.Kind != trace.KindJob {

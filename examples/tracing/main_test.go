@@ -5,8 +5,9 @@ import (
 	"testing"
 )
 
-// TestTracing runs the walkthrough on a small workload: the tree must
-// show the full hierarchy and every job's counters must match Stats.
+// TestTracing runs the walkthrough on a small workload: the profile must
+// show both rounds with their phases and skew, the Chrome trace must
+// validate, and every job's counters must match Stats.
 func TestTracing(t *testing.T) {
 	var out strings.Builder
 	if err := run(&out, 400); err != nil {
@@ -14,11 +15,12 @@ func TestTracing(t *testing.T) {
 	}
 	text := out.String()
 	for _, want := range []string{
-		"span tree",
-		"run",
+		"── profile ──",
 		"mark",
 		"join",
 		"shuffle",
+		"skew=",
+		"Chrome trace",
 		"match=true",
 	} {
 		if !strings.Contains(text, want) {

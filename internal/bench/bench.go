@@ -27,6 +27,7 @@ import (
 	"mwsjoin/internal/geom"
 	"mwsjoin/internal/mapreduce"
 	"mwsjoin/internal/metrics"
+	"mwsjoin/internal/profile"
 	"mwsjoin/internal/query"
 	"mwsjoin/internal/spatial"
 	"mwsjoin/internal/trace"
@@ -50,8 +51,8 @@ type Config struct {
 	Log io.Writer
 	// TraceDir, when non-empty, records every measured cell with a
 	// tracer and writes two files per cell into the directory (created
-	// if missing): <table>-<row>-<method>.json (span timeline, one span
-	// per line) and .txt (the human-readable phase tree).
+	// if missing): <table>-<row>-<method>.json (the Chrome trace) and
+	// .txt (the profile text).
 	TraceDir string
 	// Metrics, when non-nil, accumulates every measured cell's counters
 	// and distributions: each cell runs against a private registry
@@ -200,7 +201,7 @@ func runRow(cfg Config, label string, q *query.Query, rels []spatial.Relation, m
 			return row, fmt.Errorf("bench: %s %v: %w", label, m, err)
 		}
 		if tr != nil {
-			if err := writeTraces(cfg, label, m, tr); err != nil {
+			if err := writeTraces(cfg, label, q, &res.Stats, tr.Spans()); err != nil {
 				return row, err
 			}
 		}
@@ -239,17 +240,17 @@ func runRow(cfg Config, label string, q *query.Query, rels []spatial.Relation, m
 	return row, nil
 }
 
-// writeTraces exports one measured cell's tracer into TraceDir as a
-// JSON timeline plus a phase tree.
-func writeTraces(cfg Config, label string, m spatial.Method, tr *trace.Tracer) error {
+// writeTraces exports one measured cell into TraceDir as a Chrome
+// trace plus the profile text.
+func writeTraces(cfg Config, label string, q *query.Query, st *spatial.Stats, spans []trace.Span) error {
 	if err := os.MkdirAll(cfg.TraceDir, 0o755); err != nil {
 		return err
 	}
 	base := filepath.Join(cfg.TraceDir,
-		traceFileName(cfg.traceTable)+"-"+traceFileName(label)+"-"+traceFileName(m.String()))
+		traceFileName(cfg.traceTable)+"-"+traceFileName(label)+"-"+traceFileName(st.Method.String()))
 	for ext, write := range map[string]func(io.Writer) error{
-		".json": tr.WriteJSON,
-		".txt":  tr.WriteTree,
+		".json": func(w io.Writer) error { return profile.WriteChromeTrace(w, spans) },
+		".txt":  profile.Build(q.String(), st, spans).WriteText,
 	} {
 		f, err := os.Create(base + ext)
 		if err != nil {

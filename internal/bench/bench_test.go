@@ -6,8 +6,8 @@ import (
 	"strings"
 	"testing"
 
+	"mwsjoin/internal/profile"
 	"mwsjoin/internal/spatial"
-	"mwsjoin/internal/trace"
 )
 
 // tinyConfig keeps harness unit tests fast.
@@ -135,8 +135,8 @@ func TestTable2ReplicationShape(t *testing.T) {
 }
 
 // TestTraceDirWritesPerCellFiles: with TraceDir set, Table6 (the
-// smallest sweep: two methods, one workload) writes a readable JSON
-// timeline and a phase tree for every measured cell.
+// smallest sweep: two methods, one workload) writes a valid Chrome trace
+// and the profile text for every measured cell.
 func TestTraceDirWritesPerCellFiles(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Unit = 200
@@ -148,24 +148,19 @@ func TestTraceDirWritesPerCellFiles(t *testing.T) {
 	for _, row := range tab.Rows {
 		for _, m := range tab.Methods {
 			base := filepath.Join(cfg.TraceDir, "table6-"+traceFileName(row.Label)+"-"+traceFileName(m.String()))
-			f, err := os.Open(base + ".json")
+			chrome, err := os.ReadFile(base + ".json")
 			if err != nil {
 				t.Fatalf("missing trace: %v", err)
 			}
-			spans, err := trace.ReadJSON(f)
-			f.Close()
-			if err != nil {
-				t.Fatalf("%s.json: %v", base, err)
+			if err := profile.ValidateChromeTrace(chrome); err != nil {
+				t.Errorf("%s.json: %v", base, err)
 			}
-			if len(spans) == 0 || spans[0].Kind != trace.KindRun {
-				t.Errorf("%s.json: no run span (got %d spans)", base, len(spans))
-			}
-			tree, err := os.ReadFile(base + ".txt")
+			text, err := os.ReadFile(base + ".txt")
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !strings.Contains(string(tree), "shuffle") {
-				t.Errorf("%s.txt: no shuffle phase in tree:\n%s", base, tree)
+			if !strings.Contains(string(text), "    shuffle ") {
+				t.Errorf("%s.txt: no shuffle line in the profile:\n%s", base, text)
 			}
 		}
 	}

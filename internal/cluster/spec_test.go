@@ -12,22 +12,21 @@ import (
 // behind, each with the reason it may: the worker sets the field itself,
 // or it deliberately stays in the calling process.
 var notCarried = map[string]string{
-	"FS":                  "worker-set: its retained per-session file system",
-	"Dist":                "worker-set: built from the start message's roster",
-	"Resume":              "worker-set: from SessionSpec.Resume, which the coordinator sets on a retry attempt",
-	"Part":                "the cluster derives the grid from Scheme/Reducers/SplitThreshold and the shipped relations",
-	"Tracer":              "a span tree belongs to one process; cluster jobs have no profile",
-	"Metrics":             "each worker records into its own registry",
-	"Context":             "cancellation is the coordinator's session timeout",
-	"OnChainStep":         "a progress callback cannot cross the wire",
-	"MaxAttempts":         "fault hooks are functions of the calling process",
-	"FailMap":             "fault hooks are functions of the calling process",
-	"FailReduce":          "fault hooks are functions of the calling process",
-	"FailJob":             "fault hooks are functions of the calling process",
-	"Calibration":         "Execute ignores it; it re-prices plans where they are made",
-	"CountOnly":           "Execute rejects it on a multi-worker run",
-	"RTreeSweepThreshold": "a cost knob of the multi-way reducers' probe index: the tuple set is identical at any value",
-	"Columnar":            "read by nothing",
+	"FS":          "worker-set: its retained per-session file system",
+	"Dist":        "worker-set: built from the start message's roster",
+	"Resume":      "worker-set: from SessionSpec.Resume, which the coordinator sets on a retry attempt",
+	"Part":        "the cluster derives the grid from Scheme/Reducers/SplitThreshold and the shipped relations",
+	"Tracer":      "a span tree belongs to one process; cluster jobs have no profile",
+	"Metrics":     "each worker records into its own registry",
+	"Context":     "cancellation is the coordinator's session timeout",
+	"OnChainStep": "a progress callback cannot cross the wire",
+	"MaxAttempts": "fault hooks are functions of the calling process",
+	"FailMap":     "fault hooks are functions of the calling process",
+	"FailReduce":  "fault hooks are functions of the calling process",
+	"FailJob":     "fault hooks are functions of the calling process",
+	"Calibration": "Execute ignores it; it re-prices plans where they are made",
+	"CountOnly":   "Execute rejects it on a multi-worker run",
+	"Columnar":    "read by nothing",
 }
 
 // setNonZero gives a Config field some value other than its zero.

@@ -102,11 +102,6 @@ func (r Rect) Area() float64 { return r.L * r.B }
 // maximum diagonal d_max over a relation (§7.9).
 func (r Rect) Diagonal() float64 { return math.Hypot(r.L, r.B) }
 
-// ContainsPoint reports whether p lies in the closed rectangle.
-func (r Rect) ContainsPoint(p Point) bool {
-	return p.X >= r.MinX() && p.X <= r.MaxX() && p.Y >= r.MinY() && p.Y <= r.MaxY()
-}
-
 // ContainsRect reports whether s lies entirely inside the closed
 // rectangle r.
 func (r Rect) ContainsRect(s Rect) bool {
@@ -185,20 +180,6 @@ func (r Rect) ChebyshevDist(s Rect) float64 {
 	dx := axisGap(r.MinX(), r.MaxX(), s.MinX(), s.MaxX())
 	dy := axisGap(r.MinY(), r.MaxY(), s.MinY(), s.MaxY())
 	return math.Max(dx, dy)
-}
-
-// DistToPoint returns the minimum Euclidean distance from the closed
-// rectangle to the point p; it is 0 when p lies inside r.
-func (r Rect) DistToPoint(p Point) float64 {
-	dx := axisGap(r.MinX(), r.MaxX(), p.X, p.X)
-	dy := axisGap(r.MinY(), r.MaxY(), p.Y, p.Y)
-	if dx == 0 {
-		return dy
-	}
-	if dy == 0 {
-		return dx
-	}
-	return math.Hypot(dx, dy)
 }
 
 // WithinDist implements the Range(r, s, d) predicate: true when the

@@ -194,33 +194,8 @@ func TestChebyshevDist(t *testing.T) {
 	}
 }
 
-func TestDistToPoint(t *testing.T) {
-	r := rect(0, 10, 10, 10)
-	tests := []struct {
-		p    Point
-		want float64
-	}{
-		{Point{5, 5}, 0},
-		{Point{10, 10}, 0},
-		{Point{13, 5}, 3},
-		{Point{5, -4}, 4},
-		{Point{13, 14}, 5},
-	}
-	for _, tt := range tests {
-		if got := r.DistToPoint(tt.p); math.Abs(got-tt.want) > 1e-12 {
-			t.Errorf("DistToPoint(%v) = %v, want %v", tt.p, got, tt.want)
-		}
-	}
-}
-
 func TestContains(t *testing.T) {
 	r := rect(0, 10, 10, 10)
-	if !r.ContainsPoint(Point{0, 0}) || !r.ContainsPoint(Point{10, 10}) || !r.ContainsPoint(Point{5, 5}) {
-		t.Error("boundary and interior points must be contained")
-	}
-	if r.ContainsPoint(Point{10.001, 5}) {
-		t.Error("exterior point must not be contained")
-	}
 	if !r.ContainsRect(rect(1, 9, 8, 8)) || !r.ContainsRect(r) {
 		t.Error("inner and identical rectangles must be contained")
 	}

@@ -233,28 +233,3 @@ func coldestPair(colLoad, rowLoad []int64) (axis, at int) {
 	}
 	return axis, at
 }
-
-// SplitSkew measures reducer load balance for a partitioning over a
-// workload: it splits every rectangle and returns the ratio of the most
-// loaded cell to the mean cell load (1 = perfectly balanced).
-func (p *Partitioning) SplitSkew(rects []geom.Rect) float64 {
-	counts := make([]int64, p.NumCells())
-	var total int64
-	for _, r := range rects {
-		p.ForEachSplit(r, func(c CellID) {
-			counts[c]++
-			total++
-		})
-	}
-	if total == 0 {
-		return 0
-	}
-	var max int64
-	for _, n := range counts {
-		if n > max {
-			max = n
-		}
-	}
-	mean := float64(total) / float64(p.NumCells())
-	return float64(max) / mean
-}

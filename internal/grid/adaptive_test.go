@@ -174,18 +174,3 @@ func TestAdaptiveMergeKeepsHotResolution(t *testing.T) {
 		t.Errorf("cold band kept %d cuts (want ≤ 1): %v", mid, p.xCuts)
 	}
 }
-
-func TestSplitSkewUniformData(t *testing.T) {
-	rng := rand.New(rand.NewPCG(5, 5))
-	rects := make([]geom.Rect, 4000)
-	for i := range rects {
-		rects[i] = geom.Rect{X: rng.Float64() * 1000, Y: rng.Float64() * 1000, L: 3, B: 3}
-	}
-	p, _ := NewUniform(geom.Rect{X: 0, Y: 1010, L: 1010, B: 1010}, 8, 8)
-	if skew := p.SplitSkew(rects); skew > 1.6 {
-		t.Errorf("uniform data skew = %.2f, want near 1", skew)
-	}
-	if skew := p.SplitSkew(nil); skew != 0 {
-		t.Errorf("empty workload skew = %v", skew)
-	}
-}

@@ -875,11 +875,6 @@ func (j *Job[I, K, V, O]) RunSplits(n int, read func(lo, hi int, yield func(I) e
 	return out, stats, nil
 }
 
-// JobImbalanceHistogram is the registry histogram observing each job's
-// reducer imbalance factor (MaxReducerSkew ×1000, so the log buckets
-// resolve fractional factors).
-const JobImbalanceHistogram = "mapreduce_job_imbalance_x1000"
-
 // ReducerPairsHistogram is the registry histogram observing every
 // reducer's intermediate pair count across jobs — the distribution
 // behind the skew quantiles reported by the bench harness.
@@ -930,9 +925,10 @@ func recordMetrics(m *metrics.Registry, stats *Stats, hasCombine bool, keyCounts
 			bytesH.Observe(bytesPerReducer[r])
 		}
 	}
+	// The imbalance factor ×1000, so the log buckets resolve fractions.
 	imb := int64(stats.MaxReducerSkew() * 1000)
 	m.Gauge("mapreduce_last_job_imbalance_x1000").Set(imb)
-	m.Histogram(JobImbalanceHistogram).Observe(imb)
+	m.Histogram("mapreduce_job_imbalance_x1000").Observe(imb)
 
 	mapH := m.Histogram("mapreduce_map_task_micros")
 	for _, t := range mapRuns {
@@ -946,24 +942,6 @@ func recordMetrics(m *metrics.Registry, stats *Stats, hasCombine bool, keyCounts
 			redH.Observe(a.end.Sub(a.start).Microseconds())
 		}
 	}
-}
-
-// SuggestedSkewThreshold derives a reducer-skew flagging threshold for
-// the trace tree exporter from the measured per-job imbalance-factor
-// distribution in the registry: 1.5× the median job imbalance, floored
-// at trace.DefaultSkewThreshold so well-balanced workloads keep the
-// strict default. With no registry (or no recorded jobs) it returns the
-// default, so callers can pass the result unconditionally.
-func SuggestedSkewThreshold(reg *metrics.Registry) float64 {
-	h := reg.Histogram(JobImbalanceHistogram).Snapshot()
-	if h.Count == 0 {
-		return trace.DefaultSkewThreshold
-	}
-	thr := 1.5 * float64(h.Quantile(0.5)) / 1000
-	if thr < trace.DefaultSkewThreshold {
-		thr = trace.DefaultSkewThreshold
-	}
-	return thr
 }
 
 // taskAttempt is one task attempt's locally measured timing, logged

@@ -1,8 +1,8 @@
 // HTTP exposition of a Registry over the standard library only: the
-// Prometheus text format on /metrics (consumable by any scraper), an
-// expvar-style JSON dump on /debug/vars, the runtime profiler on
-// /debug/pprof/* and a /progress JSON snapshot for long-running bench
-// sweeps. The CLIs mount all four behind one -serve flag.
+// Prometheus text format on /metrics (consumable by any scraper), the
+// runtime profiler on /debug/pprof/* and a /progress JSON snapshot for
+// long-running bench sweeps. The CLIs mount all three behind one -serve
+// flag.
 package metrics
 
 import (
@@ -62,17 +62,6 @@ func Handler(r *Registry) http.Handler {
 	})
 }
 
-// VarsHandler serves the registry snapshot as one JSON object
-// (expvar-style /debug/vars: machine-readable, no format negotiation).
-func VarsHandler(r *Registry) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(r.Snapshot()) //nolint:errcheck // best-effort over HTTP
-	})
-}
-
 // ProgressHandler serves the progress board as a JSON object.
 func ProgressHandler(p *Progress) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
@@ -86,13 +75,11 @@ func ProgressHandler(p *Progress) http.Handler {
 // NewServeMux mounts the full observability surface:
 //
 //	/metrics        Prometheus text format
-//	/debug/vars     JSON snapshot of the registry
 //	/debug/pprof/*  the Go runtime profiler
 //	/progress       JSON progress board (empty object when p is nil)
 func NewServeMux(r *Registry, p *Progress) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", Handler(r))
-	mux.Handle("/debug/vars", VarsHandler(r))
 	mux.Handle("/progress", ProgressHandler(p))
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

@@ -79,19 +79,8 @@ func TestServeMuxEndpoints(t *testing.T) {
 	defer srv.Close()
 
 	body := get(t, srv.URL+"/metrics")
-	if !strings.Contains(body, "dfs_reads_total 11") {
-		t.Errorf("/metrics missing counter:\n%s", body)
-	}
-
-	var snap Snapshot
-	if err := json.Unmarshal([]byte(get(t, srv.URL+"/debug/vars")), &snap); err != nil {
-		t.Fatalf("/debug/vars not JSON: %v", err)
-	}
-	if snap.Counters["dfs_reads_total"] != 11 {
-		t.Errorf("/debug/vars counters = %v", snap.Counters)
-	}
-	if hs := snap.Histograms["sizes"]; hs.Count != 1 || hs.Sum != 64 {
-		t.Errorf("/debug/vars histogram = %+v", hs)
+	if !strings.Contains(body, "dfs_reads_total 11") || !strings.Contains(body, "sizes_sum 64") {
+		t.Errorf("/metrics missing counter or histogram:\n%s", body)
 	}
 
 	var progress map[string]any

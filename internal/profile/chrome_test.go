@@ -3,8 +3,10 @@ package profile
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"mwsjoin/internal/query"
 	"mwsjoin/internal/spatial"
@@ -54,6 +56,84 @@ func TestChromeTraceExportValidates(t *testing.T) {
 	}
 	if len(tids) < 2 {
 		t.Errorf("task lanes collapsed onto the hierarchy track: tids %v", tids)
+	}
+}
+
+// spansFromChrome rebuilds the span snapshot a trace was written from:
+// identity from the span_id/parent_id args, counters from the rest, and
+// Dur == -1 for an event flagged open. Times come back in whole
+// microseconds, the format's unit.
+func spansFromChrome(t *testing.T, data []byte) []trace.Span {
+	t.Helper()
+	var doc chromeTrace
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	spans := make([]trace.Span, len(doc.TraceEvents))
+	for i, ev := range doc.TraceEvents {
+		id, okID := ev.Args["span_id"]
+		parent, okParent := ev.Args["parent_id"]
+		if !okID || !okParent {
+			t.Fatalf("event %d (%s) has no span_id/parent_id: %v", i, ev.Name, ev.Args)
+		}
+		s := trace.Span{
+			ID: trace.SpanID(id), Parent: trace.SpanID(parent), Kind: trace.Kind(ev.Cat), Name: ev.Name,
+			Start: time.Duration(ev.TS) * time.Microsecond,
+			Dur:   time.Duration(ev.Dur) * time.Microsecond,
+		}
+		if ev.Args["open"] == 1 {
+			s.Dur = -1
+		}
+		for k, v := range ev.Args {
+			if k == "span_id" || k == "parent_id" || k == "open" {
+				continue
+			}
+			if s.Counters == nil {
+				s.Counters = map[string]int64{}
+			}
+			s.Counters[k] = v
+		}
+		spans[i] = s
+	}
+	return spans
+}
+
+// TestChromeTraceRebuildsSpanTree: the Chrome trace is the timeline's
+// only export, so it must be lossless — one event per span of a traced
+// C-Rep run plus an open one, and the tree rebuilt from the events
+// equals Tracer.Spans() up to microsecond rounding.
+func TestChromeTraceRebuildsSpanTree(t *testing.T) {
+	q := query.New("R1", "R2", "R3").Overlap(0, 1).Overlap(1, 2)
+	rels := testRelations(21, 3, 200, 1000, 60)
+	tr := trace.New()
+	if _, err := spatial.Execute(spatial.ControlledReplicate, q, rels, spatial.Config{Tracer: tr}); err != nil {
+		t.Fatal(err)
+	}
+	tr.Add(tr.Start(0, trace.KindRun, "abandoned"), "pairs", 3)
+	var buf bytes.Buffer
+	if err := WriteChromeTrace(&buf, tr.Spans()); err != nil {
+		t.Fatal(err)
+	}
+	want := tr.Spans()
+	for i := range want {
+		want[i].Start = time.Duration(want[i].Start.Microseconds()) * time.Microsecond
+		if want[i].Dur >= 0 {
+			want[i].Dur = time.Duration(want[i].Dur.Microseconds()) * time.Microsecond
+		}
+	}
+	got := spansFromChrome(t, buf.Bytes())
+	if !reflect.DeepEqual(got, want) {
+		if len(got) != len(want) {
+			t.Fatalf("%d events for %d spans", len(got), len(want))
+		}
+		for i := range got {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Errorf("span %d rebuilt as %+v, want %+v", i, got[i], want[i])
+			}
+		}
+	}
+	if open := got[len(got)-1]; open.Dur != -1 || open.Counter("pairs") != 3 {
+		t.Errorf("open span rebuilt as %+v", open)
 	}
 }
 

@@ -26,7 +26,7 @@ import (
 //	GET    /v1/workers        cluster roster  → 200 ClusterWorkers (404 without a cluster)
 //
 // plus the observability surface of metrics.NewServeMux (/metrics,
-// /debug/vars, /debug/pprof/*, /progress) when reg is non-nil; scraping
+// /debug/pprof/*, /progress) when reg is non-nil; scraping
 // any of those paths refreshes the server_uptime_seconds gauge. Errors
 // are JSON envelopes {"error": {"code", "message"}}: 400 for malformed
 // requests, 404 for unknown jobs, 409 for state conflicts (no result
@@ -138,7 +138,7 @@ func NewHandler(s *Server, reg *metrics.Registry) http.Handler {
 			reg.Gauge("server_uptime_seconds").Set(int64(time.Since(s.start).Seconds()))
 			obs.ServeHTTP(w, r)
 		})
-		for _, p := range []string{"/metrics", "/debug/vars", "/debug/pprof/", "/progress"} {
+		for _, p := range []string{"/metrics", "/debug/pprof/", "/progress"} {
 			mux.Handle(p, wrapped)
 		}
 	}

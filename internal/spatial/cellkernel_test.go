@@ -158,26 +158,27 @@ func TestJoinSortedDenseNegativeDistance(t *testing.T) {
 	}
 }
 
-// TestCascadeRTreeEscalationBitIdentical runs full executions with
-// RTreeSweepThreshold forced to 1 versus disabled. The threshold
+// TestCascadeRTreeEscalationBitIdentical runs full executions with the
+// R-tree forced onto every indexed slot versus kept off. The cut-off
 // governs only the multi-way reducers' per-cell probe index (All-Rep,
 // C-Rep), whose choice reorders within-cell emission, so they are held
 // to tuple-set identity plus unchanged counts; the cascade's kernel has
-// no threshold, so its tuple slice must match in order.
+// no cut-off, so its tuple slice must match in order.
 func TestCascadeRTreeEscalationBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewPCG(2013, 29))
 	rels := randomRelations(rng, 3, 120, 1000, 60)
 	q := query.New("R1", "R2", "R3").Overlap(0, 1).Overlap(1, 2)
 	part := testGrid(t, 4, 1000)
+	run := func(method Method, from int) *Result {
+		withRTreeFrom(t, from)
+		res, err := Execute(method, q, rels, Config{Part: part})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
 	for _, method := range mrMethods {
-		base, err := Execute(method, q, rels, Config{Part: part, RTreeSweepThreshold: -1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		forced, err := Execute(method, q, rels, Config{Part: part, RTreeSweepThreshold: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
+		base, forced := run(method, rtreeNever), run(method, rtreeAlways)
 		if method == Cascade && !reflect.DeepEqual(forced.Tuples, base.Tuples) {
 			t.Errorf("%v: the threshold changed the tuple sequence (%d vs %d tuples)",
 				method, len(forced.Tuples), len(base.Tuples))

@@ -29,15 +29,6 @@ type Config struct {
 	// nil (must be a perfect square under the uniform scheme). ≤ 0 uses
 	// the default 64. Ignored when Part is set.
 	Reducers int
-	// RTreeSweepThreshold is the per-cell record count at which the
-	// multi-way reducers (All-Rep, C-Rep, C-Rep-L) escalate their
-	// bucket-grid probe index to a bulk-loaded STR R-tree — the
-	// dense-cell defence against a skewed cell piling into few buckets.
-	// It governs nothing else: the cascade's reducers run one striped
-	// sweep at every cell size. 0 uses the default
-	// (DefaultRTreeSweepThreshold); negative disables the escalation.
-	// The emitted tuple set is identical either way.
-	RTreeSweepThreshold int
 	// Parallelism and NumMappers pass through to the engine; zero
 	// values use the engine defaults.
 	Parallelism int

@@ -153,7 +153,7 @@ type estimator struct {
 // rectangles — exactly as Execute does: a single NaN coordinate would
 // otherwise poison every sampled sum into NaN.
 func newEstimator(q *query.Query, rels []Relation, cfg Config) (*estimator, error) {
-	pl, err := newPlan(q, rels, !cfg.AllowSelfPairs, cfg.RTreeSweepThreshold)
+	pl, err := newPlan(q, rels, !cfg.AllowSelfPairs)
 	if err != nil {
 		return nil, err
 	}

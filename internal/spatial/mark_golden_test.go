@@ -167,7 +167,7 @@ func splitOntoCells(part *grid.Partitioning, rels []Relation) [][]tagged {
 
 func markGoldenOf(tb testing.TB, mc markCase) markGolden {
 	tb.Helper()
-	pl, err := newPlan(mc.q, mc.rels, true, 0)
+	pl, err := newPlan(mc.q, mc.rels, true)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -346,7 +346,7 @@ func TestMarkCellMatchesDefinition(t *testing.T) {
 		for s, name := range sh.slots {
 			rels[s] = NewRelation(name, nil)
 		}
-		pl, err := newPlan(q, rels, true, 0)
+		pl, err := newPlan(q, rels, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -409,7 +409,7 @@ func BenchmarkMarkCell(b *testing.B) {
 		b.Fatal(err)
 	}
 	q := query.New("R1", "R2", "R3").Overlap(0, 1).Range(1, 2, 5)
-	pl, err := newPlan(q, rels, true, 0)
+	pl, err := newPlan(q, rels, true)
 	if err != nil {
 		b.Fatal(err)
 	}

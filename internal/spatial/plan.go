@@ -30,25 +30,27 @@ type plan struct {
 	primary     []int
 	// sameDataset[i][j] marks slot pairs bound to the same dataset.
 	sameDataset [][]bool
-	// indexThreshold is the slot size below which a linear scan beats
-	// building an index.
-	indexThreshold int
-	// rtreeThreshold is the dense-cell escalation point of newIndex: at
-	// or above this many records the matchers' bucket grid becomes an
-	// R-tree (0 never escalates — newPlan resolves Config's
-	// 0-means-default before storing it here).
-	rtreeThreshold int
+	// rtreeFrom is the slot size from which newIndex builds the R-tree:
+	// the rtreeFrom constant unless a test overrode it.
+	rtreeFrom int
 }
 
-// DefaultRTreeSweepThreshold is the per-cell record count at which the
-// multi-way reducers switch from the bucket grid to a bulk-loaded
-// R-tree when Config.RTreeSweepThreshold is 0.
-const DefaultRTreeSweepThreshold = 256
+// The slot-size cut-offs of newIndex: a linear scan below
+// linearScanBelow records, the bucket grid below rtreeFrom, the STR
+// R-tree from there. No one structure wins every size band (ROADMAP
+// 3(b)), so a better rule would follow skew, not a user-set number.
+const (
+	linearScanBelow = 16
+	rtreeFrom       = 256
+)
+
+// rtreeFromOverride, when non-zero, replaces rtreeFrom in the plans
+// built while it is set. Only tests write it (export_test.go), to force
+// the R-tree onto every indexed slot or to keep it off.
+var rtreeFromOverride int
 
 // newPlan validates the query/relation binding and builds the plan.
-// rtreeThreshold follows Config.RTreeSweepThreshold semantics: 0 means
-// DefaultRTreeSweepThreshold, negative disables the escalation.
-func newPlan(q *query.Query, rels []Relation, distinct bool, rtreeThreshold int) (*plan, error) {
+func newPlan(q *query.Query, rels []Relation, distinct bool) (*plan, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
@@ -56,12 +58,10 @@ func newPlan(q *query.Query, rels []Relation, distinct bool, rtreeThreshold int)
 	if len(rels) != m {
 		return nil, fmt.Errorf("spatial: query has %d slots but %d relations were bound", m, len(rels))
 	}
-	if rtreeThreshold == 0 {
-		rtreeThreshold = DefaultRTreeSweepThreshold
-	} else if rtreeThreshold < 0 {
-		rtreeThreshold = 0
+	pl := &plan{q: q, m: m, distinct: distinct, rtreeFrom: rtreeFrom}
+	if rtreeFromOverride != 0 {
+		pl.rtreeFrom = rtreeFromOverride
 	}
-	pl := &plan{q: q, m: m, distinct: distinct, indexThreshold: 16, rtreeThreshold: rtreeThreshold}
 
 	// Same-dataset groups, by relation name.
 	pl.sameDataset = make([][]bool, m)
@@ -231,20 +231,19 @@ func (pl *plan) compatible(si int, idI int32, sj int, idJ int32) bool {
 }
 
 // newIndex builds the reducer-local index over rects, chosen from the
-// observed slot size alone: a linear scan below the index threshold,
-// then the bucket grid, escalated to the STR R-tree once the slot
-// crosses the dense-cell threshold (the bucket grid degrades when a
-// skewed cell piles thousands of rectangles into few buckets). All
-// three report the same match set, so the choice never changes emitted
-// tuples.
+// observed slot size alone: a linear scan below linearScanBelow, then
+// the bucket grid, escalated to the STR R-tree from pl.rtreeFrom (the
+// bucket grid degrades when a skewed cell piles thousands of rectangles
+// into few buckets). All three report the same match set, so the choice
+// never changes emitted tuples.
 func (pl *plan) newIndex(rects []geom.Rect) index.Index {
-	if len(rects) < pl.indexThreshold {
+	switch {
+	case len(rects) < linearScanBelow:
 		return index.NewLinear(rects)
+	case len(rects) < pl.rtreeFrom:
+		return index.NewGrid(rects)
 	}
-	if pl.rtreeThreshold > 0 && len(rects) >= pl.rtreeThreshold {
-		return index.NewRTree(rects)
-	}
-	return index.NewGrid(rects)
+	return index.NewRTree(rects)
 }
 
 // cellData is the per-reducer view of the shuffled rectangles: ids and

@@ -16,7 +16,7 @@ func TestNewPlanOrderConnectivity(t *testing.T) {
 		NewRelation("A", nil), NewRelation("B", nil),
 		NewRelation("C", nil), NewRelation("D", nil),
 	}
-	pl, err := newPlan(q, rels, true, 0)
+	pl, err := newPlan(q, rels, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestNewPlanPrimaryPrefersOverlap(t *testing.T) {
 	// 1; the overlap edge must be the probe edge.
 	q := query.New("A", "B", "C").Overlap(0, 1).Range(0, 2, 50).Overlap(1, 2)
 	rels := []Relation{NewRelation("A", nil), NewRelation("B", nil), NewRelation("C", nil)}
-	pl, err := newPlan(q, rels, true, 0)
+	pl, err := newPlan(q, rels, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,11 +63,11 @@ func TestNewPlanPrimaryPrefersOverlap(t *testing.T) {
 
 func TestNewPlanValidation(t *testing.T) {
 	q := query.New("A", "B").Overlap(0, 1)
-	if _, err := newPlan(q, []Relation{NewRelation("A", nil)}, true, 0); err == nil {
+	if _, err := newPlan(q, []Relation{NewRelation("A", nil)}, true); err == nil {
 		t.Error("relation count mismatch must fail")
 	}
 	bad := query.New("A", "B") // no edges → disconnected
-	if _, err := newPlan(bad, []Relation{NewRelation("A", nil), NewRelation("B", nil)}, true, 0); err == nil {
+	if _, err := newPlan(bad, []Relation{NewRelation("A", nil), NewRelation("B", nil)}, true); err == nil {
 		t.Error("disconnected query must fail")
 	}
 }
@@ -76,7 +76,7 @@ func TestCompatibleSelfJoin(t *testing.T) {
 	q := query.New("a", "b", "c").Overlap(0, 1).Overlap(1, 2)
 	same := NewRelation("R", nil)
 	other := NewRelation("S", nil)
-	pl, err := newPlan(q, []Relation{same, same, other}, true, 0)
+	pl, err := newPlan(q, []Relation{same, same, other}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestCompatibleSelfJoin(t *testing.T) {
 	if !pl.compatible(0, 5, 2, 5) {
 		t.Error("different datasets share IDs freely")
 	}
-	loose, _ := newPlan(q, []Relation{same, same, other}, false, 0)
+	loose, _ := newPlan(q, []Relation{same, same, other}, false)
 	if !loose.compatible(0, 5, 1, 5) {
 		t.Error("AllowSelfPairs must disable the distinctness check")
 	}
@@ -122,7 +122,7 @@ func TestDupPointAndTupleOf(t *testing.T) {
 func TestMatchEmptySlotShortCircuits(t *testing.T) {
 	q := query.New("A", "B").Overlap(0, 1)
 	rels := []Relation{NewRelation("A", nil), NewRelation("B", nil)}
-	pl, _ := newPlan(q, rels, true, 0)
+	pl, _ := newPlan(q, rels, true)
 	cd := newCellData(2, []tagged{{Slot: 0, ID: 1, Rect: geom.Rect{L: 1, B: 1}}})
 	called := false
 	pl.match(cd, func([]int) { called = true })
@@ -133,7 +133,7 @@ func TestMatchEmptySlotShortCircuits(t *testing.T) {
 
 func TestPlanPosPanicsOnUnknownSlot(t *testing.T) {
 	q := query.New("A", "B").Overlap(0, 1)
-	pl, _ := newPlan(q, []Relation{NewRelation("A", nil), NewRelation("B", nil)}, true, 0)
+	pl, _ := newPlan(q, []Relation{NewRelation("A", nil), NewRelation("B", nil)}, true)
 	if planPos(pl, 1) != 1 {
 		t.Error("planPos(1) wrong")
 	}

@@ -61,7 +61,7 @@ func TestMarkCellFigure4(t *testing.T) {
 	part := grid2x2(t)
 	q := chain4()
 	rels := figure4Relations()
-	pl, err := newPlan(q, rels, true, 0)
+	pl, err := newPlan(q, rels, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestMarkCellFullLocalTuple(t *testing.T) {
 		NewRelation("R2", []geom.Rect{{X: 12, Y: 88, L: 5, B: 5}}),
 		NewRelation("R3", []geom.Rect{{X: 14, Y: 86, L: 5, B: 5}}),
 	}
-	pl, err := newPlan(q, rels, true, 0)
+	pl, err := newPlan(q, rels, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestMarkCellRangeEscape(t *testing.T) {
 		NewRelation("R1", []geom.Rect{a, b}),
 		NewRelation("R2", nil),
 	}
-	pl, err := newPlan(q, rels, true, 0)
+	pl, err := newPlan(q, rels, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -654,9 +654,8 @@ func TestMaxDiagonal(t *testing.T) {
 	}
 }
 
-// TestRTreeReducerIndexAgrees re-runs a scenario with the dense-cell
-// threshold at 1, so every matcher slot past the linear-scan size is
-// indexed by the R-tree.
+// TestRTreeReducerIndexAgrees re-runs a scenario with the R-tree forced,
+// so every matcher slot past the linear-scan size is indexed by it.
 func TestRTreeReducerIndexAgrees(t *testing.T) {
 	rng := rand.New(rand.NewPCG(8, 8))
 	q := query.New("R1", "R2", "R3").Overlap(0, 1).Range(1, 2, 30)
@@ -666,7 +665,8 @@ func TestRTreeReducerIndexAgrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Execute(ControlledReplicateLimit, q, rels, Config{Part: part, RTreeSweepThreshold: 1})
+	withRTreeFrom(t, rtreeAlways)
+	got, err := Execute(ControlledReplicateLimit, q, rels, Config{Part: part})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,13 +21,12 @@
 //
 // A nil *Tracer is a valid no-op: every method is nil-safe and
 // allocation-free, so production paths pay nothing when tracing is off.
-// Exporters live in export.go: a JSON timeline (one span per line) and
-// a human-readable phase tree with per-phase percentages and
-// reducer-skew flagging.
+// The exporters live in internal/profile: the Chrome trace-event
+// timeline (every span, its id, parent and counters) and the per-round
+// profile text.
 package trace
 
 import (
-	"sort"
 	"sync"
 	"time"
 )
@@ -245,14 +244,4 @@ func (t *Tracer) Find(kind Kind, name string) []Span {
 		}
 	}
 	return out
-}
-
-// counterNames returns the sorted counter keys of a span snapshot.
-func counterNames(c map[string]int64) []string {
-	names := make([]string, 0, len(c))
-	for k := range c {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
 }

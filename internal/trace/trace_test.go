@@ -1,9 +1,6 @@
 package trace
 
 import (
-	"bytes"
-	"encoding/json"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -144,55 +141,9 @@ func TestConcurrentUse(t *testing.T) {
 	}
 }
 
-func TestWriteJSONRoundTrip(t *testing.T) {
-	tr := New()
-	run := tr.Start(0, KindRun, "run")
-	job := tr.Start(run, KindJob, "j1")
-	tr.Add(job, "pairs", 7)
-	tr.End(job)
-	open := tr.Start(run, KindPhase, "never-ended")
-	_ = open
-	tr.End(run)
-
-	var buf bytes.Buffer
-	if err := tr.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("got %d lines, want 3:\n%s", len(lines), buf.String())
-	}
-	for i, line := range lines {
-		if !json.Valid([]byte(line)) {
-			t.Errorf("line %d is not valid JSON: %s", i+1, line)
-		}
-	}
-
-	back, err := ReadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := tr.Spans()
-	if len(back) != len(want) {
-		t.Fatalf("round-trip count %d, want %d", len(back), len(want))
-	}
-	for i := range back {
-		if back[i].ID != want[i].ID || back[i].Parent != want[i].Parent ||
-			back[i].Kind != want[i].Kind || back[i].Name != want[i].Name {
-			t.Errorf("span %d round-trip mismatch: %+v vs %+v", i, back[i], want[i])
-		}
-		if back[i].Counter("pairs") != want[i].Counter("pairs") {
-			t.Errorf("span %d counters mismatch", i)
-		}
-	}
-	if back[2].Dur != -1 {
-		t.Errorf("open span Dur = %v, want -1", back[2].Dur)
-	}
-}
-
 // TestFinishOpenFlagsOrphans: FinishOpen closes exactly the spans an
-// abandoned execution left open, marks them unfinished, and never
-// lets a negative duration reach the JSON timeline.
+// abandoned execution left open, marks them unfinished, and leaves no
+// negative duration in the snapshot an exporter reads.
 func TestFinishOpenFlagsOrphans(t *testing.T) {
 	tr := New()
 	run := tr.Start(0, KindRun, "run")
@@ -205,13 +156,11 @@ func TestFinishOpenFlagsOrphans(t *testing.T) {
 	if n := tr.FinishOpen(); n != 3 {
 		t.Fatalf("FinishOpen closed %d spans, want 3", n)
 	}
+	byID := map[SpanID]Span{}
 	for _, s := range tr.Spans() {
 		if s.Dur < 0 {
 			t.Errorf("span %d (%s) still open after FinishOpen", s.ID, s.Name)
 		}
-	}
-	byID := map[SpanID]Span{}
-	for _, s := range tr.Spans() {
 		byID[s.ID] = s
 	}
 	if byID[done].Counter(UnfinishedCounter) != 0 {
@@ -229,72 +178,6 @@ func TestFinishOpenFlagsOrphans(t *testing.T) {
 	var nilTr *Tracer
 	if nilTr.FinishOpen() != 0 {
 		t.Error("nil FinishOpen must return 0")
-	}
-
-	var buf bytes.Buffer
-	if err := tr.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(buf.String(), `"dur_us":-`) {
-		t.Errorf("timeline contains a negative duration:\n%s", buf.String())
-	}
-}
-
-// TestWriteJSONOpenFlag: a span that is still open at export time is
-// serialized with "open":true and dur_us 0, and ReadJSON restores the
-// Dur == -1 sentinel (covered by the round-trip test's back[2] check).
-func TestWriteJSONOpenFlag(t *testing.T) {
-	tr := New()
-	tr.Start(0, KindRun, "still-going")
-	var buf bytes.Buffer
-	if err := tr.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	line := buf.String()
-	if !strings.Contains(line, `"open":true`) || strings.Contains(line, `"dur_us":-1`) {
-		t.Errorf("open span not flagged: %s", line)
-	}
-}
-
-func TestWriteTreeSummary(t *testing.T) {
-	tr := New()
-	run := tr.Start(0, KindRun, "c-rep-l q2")
-	job := tr.Start(run, KindJob, "join")
-	sh := tr.Start(job, KindPhase, "shuffle")
-	// 100 pairs over 4 reducers with one holding 80 → skew 3.2×.
-	tr.Add(sh, "pairs", 100)
-	tr.Add(sh, "max_reducer_pairs", 80)
-	tr.Add(sh, "reducers", 4)
-	tr.Add(sh, "hot_reducer", 2)
-	tr.End(sh)
-	red := tr.Start(job, KindPhase, "reduce")
-	for i := 0; i < 20; i++ {
-		id := tr.Observe(red, KindTask, "r", time.Now(), time.Now().Add(time.Duration(i)*time.Microsecond))
-		_ = id
-	}
-	tr.End(red)
-	tr.End(job)
-	tr.End(run)
-
-	var buf bytes.Buffer
-	if err := tr.WriteTree(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		"run    c-rep-l q2",
-		"job    join",
-		"phase  shuffle",
-		"skew 3.2× (hot reducer 2)",
-		"task ×20",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("tree missing %q:\n%s", want, out)
-		}
-	}
-	// 20 task attempts must be collapsed, not listed.
-	if n := strings.Count(out, "task   r"); n > 1 {
-		t.Errorf("tasks not collapsed (%d lines):\n%s", n, out)
 	}
 }
 

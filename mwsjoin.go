@@ -52,9 +52,6 @@ import (
 // set (Overlaps, WithinDist, Enlarge, ...).
 type Rect = geom.Rect
 
-// Point is a location in the plane.
-type Point = geom.Point
-
 // NewRect builds a validated rectangle from its start-point and
 // dimensions.
 func NewRect(x, y, l, b float64) (Rect, error) { return geom.NewRect(x, y, l, b) }
@@ -136,12 +133,6 @@ type Options struct {
 	// region splits while it holds more than SplitThreshold × (sample
 	// size / Reducers) sample points. ≤ 0 uses the default 1.0.
 	SplitThreshold float64
-	// RTreeSweepThreshold is the per-cell record count at which the
-	// multi-way reducers (All-Rep, C-Rep, C-Rep-L) switch their probe
-	// index from the bucket grid to a bulk-loaded STR R-tree (0 =
-	// default 256, negative = never). The 2-way cascade does not read
-	// it. Emitted tuples are identical either way.
-	RTreeSweepThreshold int
 	// Parallelism bounds concurrent map/reduce tasks (default:
 	// GOMAXPROCS).
 	Parallelism int
@@ -211,8 +202,8 @@ type Options struct {
 }
 
 // Tracer is the structured tracing collector; pass one via
-// Options.Tracer, then export with its WriteJSON (one span per line) or
-// WriteTree (human-readable phase tree) methods.
+// Options.Tracer, then export its Spans with WriteChromeTrace (the
+// timeline) or BuildProfile (the per-round text view).
 type Tracer = trace.Tracer
 
 // TraceSpan is one exported span snapshot of a Tracer.
@@ -220,20 +211,6 @@ type TraceSpan = trace.Span
 
 // NewTracer creates an empty tracer ready to record executions.
 func NewTracer() *Tracer { return trace.New() }
-
-// TraceTreeOptions tunes the Tracer's human-readable tree export; pass
-// to (*Tracer).WriteTreeWith. The zero value uses the defaults.
-type TraceTreeOptions = trace.TreeOptions
-
-// SuggestedSkewThreshold derives a workload-aware reducer-skew warning
-// threshold for the trace-tree export from the job imbalance factors the
-// registry has observed: 1.5× the median job's max/mean reducer load,
-// floored at the fixed default so balanced workloads keep the strict
-// 2× flag. With no recorded jobs (or a nil registry) it returns the
-// default.
-func SuggestedSkewThreshold(reg *MetricsRegistry) float64 {
-	return mapreduce.SuggestedSkewThreshold(reg)
-}
 
 // MetricsRegistry is the live metrics collector; pass one via
 // Options.Metrics and inspect it with its Snapshot method, serve it with
@@ -247,9 +224,9 @@ type MetricsSnapshot = metrics.Snapshot
 func NewMetricsRegistry() *MetricsRegistry { return metrics.NewRegistry() }
 
 // ServeMetrics starts an HTTP observability server for the registry on
-// addr (":0" picks a free port): Prometheus text on /metrics, a JSON
-// snapshot on /debug/vars and the Go profiler on /debug/pprof/*. It
-// returns the bound address and a shutdown function.
+// addr (":0" picks a free port): Prometheus text on /metrics and the Go
+// profiler on /debug/pprof/*. It returns the bound address and a
+// shutdown function.
 func ServeMetrics(addr string, reg *MetricsRegistry) (bound string, shutdown func() error, err error) {
 	return metrics.ListenAndServe(addr, reg, nil)
 }
@@ -469,24 +446,23 @@ func buildConfig(rels []Relation, opts *Options) (spatial.Config, error) {
 		return spatial.Config{}, err
 	}
 	cfg := spatial.Config{
-		Part:                o.Partitioning,
-		Scheme:              scheme,
-		SplitThreshold:      o.SplitThreshold,
-		RTreeSweepThreshold: o.RTreeSweepThreshold,
-		Parallelism:         o.Parallelism,
-		AllowSelfPairs:      o.AllowSelfPairs,
-		MaxAttempts:         o.MaxAttempts,
-		FailMap:             o.FailMap,
-		FailReduce:          o.FailReduce,
-		FS:                  o.FS,
-		FailJob:             o.FailJob,
-		Resume:              o.Resume,
-		Tracer:              o.Tracer,
-		Metrics:             o.Metrics,
-		OptimizeOrder:       o.OptimizeOrder,
-		CountOnly:           o.CountOnly,
-		Calibration:         o.Calibration,
-		SpillBudget:         o.SpillBudget,
+		Part:           o.Partitioning,
+		Scheme:         scheme,
+		SplitThreshold: o.SplitThreshold,
+		Parallelism:    o.Parallelism,
+		AllowSelfPairs: o.AllowSelfPairs,
+		MaxAttempts:    o.MaxAttempts,
+		FailMap:        o.FailMap,
+		FailReduce:     o.FailReduce,
+		FS:             o.FS,
+		FailJob:        o.FailJob,
+		Resume:         o.Resume,
+		Tracer:         o.Tracer,
+		Metrics:        o.Metrics,
+		OptimizeOrder:  o.OptimizeOrder,
+		CountOnly:      o.CountOnly,
+		Calibration:    o.Calibration,
+		SpillBudget:    o.SpillBudget,
 	}
 	if o.EuclideanLimit {
 		cfg.LimitMetric = grid.MetricEuclidean

@@ -55,7 +55,7 @@ func TestRunOptions(t *testing.T) {
 		nil,
 		{Reducers: 16},
 		{Partitioning: part},
-		{EuclideanLimit: true, RTreeSweepThreshold: 1, Parallelism: 2},
+		{EuclideanLimit: true, Parallelism: 2},
 	} {
 		res, err := Run(q, rels, ControlledReplicateLimit, opts)
 		if err != nil {
@@ -165,9 +165,6 @@ func TestMetricsPublicAPI(t *testing.T) {
 	}
 	if h.Count != int64(len(s.Rounds)*16) {
 		t.Errorf("reducer_pairs count = %d, want %d", h.Count, len(s.Rounds)*16)
-	}
-	if thr := SuggestedSkewThreshold(reg); thr < 2.0 {
-		t.Errorf("suggested skew threshold = %v, want ≥ the 2.0 default", thr)
 	}
 
 	// CountOnly reproduces the exact counters without materialising.
