@@ -89,28 +89,31 @@ func outputCount(countOnly bool, counted *atomic.Int64, materialised int) int64 
 
 // controlledReplicate runs the paper's Controlled-Replicate framework
 // (§7) and, when limit is true, Controlled-Replicate-in-Limit (§7.9):
-// round one splits every relation and marks the rectangles satisfying
-// conditions C1–C4; round two replicates only the marked rectangles
-// (f1, or f2 bounded by the per-relation radius for C-Rep-L), projects
-// the rest, and joins.
+// round one splits the rectangles near a cell boundary and marks those
+// satisfying conditions C1–C4; round two replicates only the marked
+// rectangles (f1, or f2 bounded by the per-relation radius for
+// C-Rep-L), projects the rest, and joins.
 //
-// The two rounds run as a chain: the mark round's output is
-// checkpointed on the DFS (the small read/write cost C-Rep pays that
-// §7.1 contrasts with Cascade's) and the join round reads it back. A
-// run killed between the rounds resumes by re-reading the mark
-// checkpoint only.
+// The two rounds run as a chain: the marked rectangles are checkpointed
+// on the DFS (the small read/write cost C-Rep pays that §7.1 contrasts
+// with Cascade's), and the join round reads them back beside the staged
+// relations. A run killed between the rounds resumes by re-reading the
+// mark checkpoint and the relations.
 func controlledReplicate(pl *plan, exec *executor, limit bool) (*Result, error) {
 	start := time.Now()
 
+	dmax := make([]float64, pl.m)
+	for s, st := range exec.stats {
+		dmax[s] = st.maxDiag
+	}
+	band, err := markBand(pl.q, dmax)
+	if err != nil {
+		return nil, err
+	}
 	method := ControlledReplicate
 	var bounds []float64
 	if limit {
 		method = ControlledReplicateLimit
-		dmax := make([]float64, pl.m)
-		for s, st := range exec.stats {
-			dmax[s] = st.maxDiag
-		}
-		var err error
 		bounds, err = pl.q.ReplicationBounds(dmax)
 		if err != nil {
 			return nil, err
@@ -119,7 +122,7 @@ func controlledReplicate(pl *plan, exec *executor, limit bool) (*Result, error) 
 
 	ch := exec.chain(method.String())
 
-	// ---- round one: split everything, decide replication ----
+	// ---- round one: split the boundary band, decide replication ----
 	markSpan := exec.beginRound("mark")
 	st1, err := ch.Step("mark", func(_ *dfs.View) ([][]byte, *mapreduce.Stats, error) {
 		input, err := exec.loadAllRelations()
@@ -129,23 +132,24 @@ func controlledReplicate(pl *plan, exec *executor, limit bool) (*Result, error) 
 		round1 := &mapreduce.Job[tagged, grid.CellID, tagged, tagged]{
 			Config: exec.jobConfig(fmt.Sprintf("%s-mark", method)),
 			Map: func(it tagged, emit func(grid.CellID, tagged)) error {
-				exec.part.ForEachSplit(it.Rect, func(c grid.CellID) { emit(c, it) })
+				// A rectangle outside the band can neither be marked nor
+				// serve in a witness, so no reducer needs it.
+				if inMarkBand(exec.part, it.Rect, band[it.Slot]) {
+					exec.part.ForEachSplit(it.Rect, func(c grid.CellID) { emit(c, it) })
+				}
 				return nil
 			},
 			Partition: mapreduce.IdentityPartition[grid.CellID],
 			Combine:   dedupSplitRun,
 			Reduce: func(c grid.CellID, items []tagged, emit func(tagged)) error {
 				cd := newCellData(pl.m, items)
-				marked := markCell(pl, exec.part, c, cd)
-				// Output each rectangle from its start cell only, so every
-				// rectangle enters round two exactly once.
-				for s := 0; s < pl.m; s++ {
-					for j, id := range cd.ids[s] {
-						r := cd.rects[s][j]
-						if exec.part.Project(r) != c {
-							continue
+				// markCell marks only rectangles starting in c, so each
+				// marked rectangle is output once, by its start cell.
+				for s, marked := range markCell(pl, exec.part, c, cd) {
+					for j, ok := range marked {
+						if ok {
+							emit(tagged{Slot: int8(s), ID: cd.ids[s][j], Rect: cd.rects[s][j], Marked: true})
 						}
-						emit(tagged{Slot: int8(s), ID: id, Rect: r, Marked: marked[s][j]})
 					}
 				}
 				return nil
@@ -173,19 +177,33 @@ func controlledReplicate(pl *plan, exec *executor, limit bool) (*Result, error) 
 	var tuples []Tuple
 	var markedCount, unmarkedCount int64
 	st2, err := ch.FinalStep("join", func(in *dfs.View) (*mapreduce.Stats, error) {
-		staged := make([]tagged, 0, in.Len())
+		// The checkpoint holds the marked records; a relation record is
+		// marked iff the checkpoint holds it, whole — slot, ID and
+		// rectangle — so repeated records and IDs that are not indices
+		// resolve exactly. Few records are marked: one bit per ID mod
+		// 2¹⁶ turns most away before the map hashes a rectangle.
+		marks := make(map[tagged]bool, in.Len())
+		var maybe [1 << 10]uint64
 		err := in.MBBs(0, in.Len(), func(m dfs.MBB) error {
-			if m.Marked {
-				markedCount++
-			} else {
-				unmarkedCount++
-			}
-			staged = append(staged, mbbItem(m))
+			m.Marked = false // the key is the relation record
+			marks[mbbItem(m)] = true
+			maybe[uint16(m.ID)>>6] |= 1 << (m.ID & 63)
 			return nil
 		})
 		if err != nil {
 			return nil, err
 		}
+		staged, err := exec.loadAllRelations()
+		if err != nil {
+			return nil, err
+		}
+		for i, it := range staged {
+			if maybe[uint16(it.ID)>>6]&(1<<(it.ID&63)) != 0 && marks[it] {
+				staged[i].Marked = true
+				markedCount++
+			}
+		}
+		unmarkedCount = int64(len(staged)) - markedCount
 		round2 := &mapreduce.Job[tagged, grid.CellID, tagged, Tuple]{
 			Config: exec.jobConfig(fmt.Sprintf("%s-join", method)),
 			Map: func(it tagged, emit func(grid.CellID, tagged)) error {
@@ -224,10 +242,10 @@ func controlledReplicate(pl *plan, exec *executor, limit bool) (*Result, error) 
 		Rounds: []*mapreduce.Stats{st1, st2},
 		Chain:  &cs,
 		// Both replication counters derive from exactly-once quantities
-		// — the checkpointed mark-round output and the join job's
-		// committed IntermediatePairs — rather than atomics bumped in
-		// the Map closure, which over-count when retried attempts re-run
-		// the mapper.
+		// — the relation records the mark checkpoint names and the join
+		// job's committed IntermediatePairs — rather than atomics bumped
+		// in the Map closure, which over-count when retried attempts
+		// re-run the mapper.
 		RectanglesReplicated: markedCount,
 		// The paper's parenthesised §7.8.3 metric counts every
 		// rectangle copy communicated to the join round's reducers —
@@ -290,15 +308,16 @@ func taggedPairBytes(_ grid.CellID, _ tagged) int { return 4 + itemRecordBytes }
 
 // dedupSplitRun is the mark round's combiner: it drops adjacent exact
 // duplicates from one mapper's per-cell run. The mark round has set
-// semantics — markCell and the start-cell emission rule depend only on
-// which rectangles reached a cell, so shipping a duplicate copy can
-// only waste shuffle bytes, never change the marking. On well-formed
-// inputs (NewRelation assigns distinct sequential IDs, ForEachSplit
-// visits each cell once) no duplicates exist and the combiner is a
-// pure pass-through, keeping every published counter identical; it
-// pays off when an upstream data source repeats records. The join
-// rounds deliberately have no combiner: there, duplicate input records
-// must multiply output tuples to match the brute-force reference.
+// semantics — markCell depends only on which rectangles reached a cell,
+// and round two looks its marks up by the whole record — so shipping a
+// duplicate copy can only waste shuffle bytes, never change a mark or
+// drop a record: round two reads the relations themselves, repeats
+// included. On well-formed inputs (NewRelation assigns distinct
+// sequential IDs, ForEachSplit visits each cell once) no duplicates
+// exist and the combiner is a pure pass-through; it pays off when an
+// upstream data source repeats records. The join rounds deliberately
+// have no combiner: there, duplicate input records must multiply output
+// tuples to match the brute-force reference.
 func dedupSplitRun(_ grid.CellID, items []tagged) []tagged {
 	w := 1
 	for i := 1; i < len(items); i++ {

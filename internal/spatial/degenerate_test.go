@@ -2,6 +2,7 @@ package spatial
 
 import (
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"testing"
 
@@ -102,6 +103,66 @@ func TestDegenerateBoundaryRects(t *testing.T) {
 				t.Fatalf("%s: %v: %v", qs, m, err)
 			}
 			assertMultisetsEqual(t, qs, m, tupleMultiset(res), ref)
+		}
+	}
+}
+
+// TestRepeatedItemsMatchBruteForce binds relations whose Items repeat a
+// record verbatim — one that C-Rep marks and one it does not — and give
+// one ID to two different rectangles. Every method must report each
+// repeat as often as brute force does: the mark round may collapse
+// repeats (its combiner does), the join round must not.
+func TestRepeatedItemsMatchBruteForce(t *testing.T) {
+	part, err := grid.NewFromCuts([]float64{0, 2, 4}, []float64{0, 2, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	crossing := Item{ID: 0, R: geom.Rect{X: 1.5, Y: 3, L: 1, B: 0.5}}   // across x = 2: marked
+	interior := Item{ID: 1, R: geom.Rect{X: 0.2, Y: 1, L: 0.3, B: 0.3}} // deep in one cell
+	a := Relation{Name: "A", Items: []Item{
+		crossing, crossing,
+		interior, interior,
+		{ID: 2, R: geom.Rect{X: 3.2, Y: 1.2, L: 0.2, B: 0.2}},
+		{ID: 2, R: geom.Rect{X: 1.7, Y: 1.2, L: 0.6, B: 0.2}}, // a second ID 2, across x = 2
+		{ID: 3, R: geom.Rect{X: 2.2, Y: 3.2, L: 0.3, B: 0.5}}, // meets the crossing A
+	}}
+	b := NewRelation("B", []geom.Rect{
+		{X: 2.3, Y: 2.8, L: 0.5, B: 0.5}, // meets the crossing A in the next cell
+		{X: 0.3, Y: 0.9, L: 0.3, B: 0.3}, // meets the interior A
+		{X: 3.1, Y: 1.3, L: 0.2, B: 0.3},
+		{X: 1.2, Y: 1.3, L: 0.6, B: 0.3},
+	})
+	c := NewRelation("C", []geom.Rect{{X: 2.4, Y: 2.6, L: 0.2, B: 0.2}, {X: 0.1, Y: 0.6, L: 0.2, B: 0.2}, {X: 3.3, Y: 0.9, L: 0.1, B: 0.1}})
+	for _, tc := range []struct {
+		qs   string
+		rels []Relation
+	}{
+		{"A ov B", []Relation{a, b}},
+		{"A ov B and B ra(0.5) C", []Relation{a, b, c}},
+		{"A ov A2 and A2 ov B", []Relation{a, a, b}}, // a self-join over the repeats
+	} {
+		qs, rels := tc.qs, tc.rels
+		q, err := query.Parse(qs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Execute(BruteForce, q, rels, Config{Part: part})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := tupleMultiset(want)
+		if len(slices.Compact(slices.Clone(ref))) == len(ref) {
+			t.Fatalf("%s: brute force reports no repeated tuple — the test is vacuous", qs)
+		}
+		for _, m := range []Method{Cascade, AllReplicate, ControlledReplicate, ControlledReplicateLimit} {
+			res, err := Execute(m, q, rels, Config{Part: part})
+			if err != nil {
+				t.Fatalf("%s: %v: %v", qs, m, err)
+			}
+			assertMultisetsEqual(t, qs, m, tupleMultiset(res), ref)
+			if m == ControlledReplicate && res.Stats.RectanglesReplicated == 0 {
+				t.Errorf("%s: C-Rep marked nothing — the repeats of a marked record go untested", qs)
+			}
 		}
 	}
 }

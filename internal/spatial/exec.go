@@ -358,12 +358,15 @@ func (e *executor) stageInputs() error {
 // loadRelation reads one slot's relation from the DFS (charging read
 // cost) and tags the items with the slot number.
 func (e *executor) loadRelation(slot int) ([]tagged, error) {
-	rel := e.rels[slot]
-	out := make([]tagged, 0, len(rel.Items))
+	return e.appendRelation(make([]tagged, 0, len(e.rels[slot].Items)), slot)
+}
+
+// appendRelation is loadRelation appending to out.
+func (e *executor) appendRelation(out []tagged, slot int) ([]tagged, error) {
 	// ScanMBB reads both storage kinds at identical charges — planes of
 	// a columnar file as staged, records of a boxed one (a relation
 	// restored from a snapshot) — so resumes interoperate.
-	err := e.fs.ScanMBB(inputFile(rel.Name), func(m dfs.MBB) error {
+	err := e.fs.ScanMBB(inputFile(e.rels[slot].Name), func(m dfs.MBB) error {
 		it := mbbItem(m)
 		it.Slot = int8(slot)
 		out = append(out, it)
@@ -375,17 +378,20 @@ func (e *executor) loadRelation(slot int) ([]tagged, error) {
 	return out, nil
 }
 
-// loadAllRelations concatenates all slots' items (each slot reads its
-// relation file, so self-joins charge one read per slot, as a Hadoop
-// job with the dataset listed once per input would).
+// loadAllRelations concatenates all slots' items into one slice (each
+// slot reads its relation file, so self-joins charge one read per slot,
+// as a Hadoop job with the dataset listed once per input would).
 func (e *executor) loadAllRelations() ([]tagged, error) {
-	var out []tagged
+	n := 0
+	for _, rel := range e.rels {
+		n += len(rel.Items)
+	}
+	out := make([]tagged, 0, n)
 	for s := range e.rels {
-		items, err := e.loadRelation(s)
-		if err != nil {
+		var err error
+		if out, err = e.appendRelation(out, s); err != nil {
 			return nil, err
 		}
-		out = append(out, items...)
 	}
 	return out, nil
 }

@@ -1,6 +1,8 @@
 package spatial
 
 import (
+	"math"
+
 	"mwsjoin/internal/geom"
 	"mwsjoin/internal/grid"
 	"mwsjoin/internal/index"
@@ -32,6 +34,10 @@ import (
 // the set assigned ∪ pending never shrinks, so as soon as it covers all
 // m slots every leaf below is such a tuple or a dead end, and the
 // branch is abandoned before a single candidate is probed.
+//
+// The round's map ships a reducer only the rectangles near its cell's
+// boundary (markBand below), and its output is the marked rectangles
+// alone: round two reads the relations themselves.
 
 // marker is the per-cell marking engine. It is rebuilt per reducer call
 // (cheap: slices over the already-grouped cell data).
@@ -104,6 +110,63 @@ func markCell(pl *plan, part *grid.Partitioning, c grid.CellID, cd *cellData) []
 		}
 	}
 	return mk.marked
+}
+
+// The mark round ships only the rectangles a witness can use: its map
+// drops every rectangle that lies deeper inside its start cell than its
+// slot's band width (DESIGN.md §3.1). Let U ∋ u be a witness over S,
+// with u of slot i starting in cell c. The query graph is connected and
+// S is a proper subset, so some member w has an edge e leaving S, and w
+// escapes through e: it crosses ∂c (overlap), lies within weight(e) of
+// ∂c (range: another cell is within d of it), or lies outside c
+// altogether. The members between u and w satisfy their edges, so
+//
+//	dist(u, ∂c) ≤ path_S(i, w) + [w ≠ u]·dmax[w] + weight(e),
+//
+// where path_S is query.ReplicationBounds' path bound (Σ edge weights +
+// Σ intermediate dmax) over paths inside S. Slot i's band width is the
+// largest distance this admits: the maximum over connected S ∋ i of the
+// minimum over the edges (w, e) leaving S. Every other member of U is
+// bounded by its own slot's width the same way.
+//
+// That maximum is the C-Rep-L radius of slot i, its largest path bound
+// to another slot. It is at most the radius: a shortest path from i to
+// any slot outside S leaves S first through some (w, e), and the terms
+// up to there are a prefix of it. It is at least the radius: take the
+// farthest slot x among the leaves of a shortest-path tree from i; the
+// tree without x keeps S = slots∖{x} connected, every edge leaving S
+// enters x, and each term is then the cost of a path from i to x.
+// TestMarkBandWidths holds markBand to the max-min over every S.
+
+// markBand returns each slot's band width from the slots' largest
+// rectangle diagonals. A single-relation query never replicates, so its
+// one slot gets −∞: nothing is shipped.
+func markBand(q *query.Query, dmax []float64) ([]float64, error) {
+	if q.NumSlots() < 2 {
+		return []float64{math.Inf(-1)}, nil
+	}
+	return q.ReplicationBounds(dmax)
+}
+
+// inMarkBand reports whether the mark round ships r, a rectangle of a
+// slot with band width w: whether r lies within w of its start cell's
+// boundary. A rectangle that is not inside its start cell — it crosses
+// or touches a cut, or was clamped in from outside the grid — has a gap
+// of at most 0 and always ships when w ≥ 0.
+func inMarkBand(part *grid.Partitioning, r geom.Rect, w float64) bool {
+	c := part.CellRect(part.Project(r))
+	gap := min(r.MinX()-c.MinX(), c.MaxX()-r.MaxX(), r.MinY()-c.MinY(), c.MaxY()-r.MaxY())
+	// The argument above holds over the reals; the search decides in
+	// float64. Each step of a witness path — a predicate test, a
+	// diagonal, a cell edge computed as X+L, a sum in ReplicationBounds —
+	// rounds by a few ulps of the largest magnitude it involves, and every
+	// rectangle on the path lies within |cell coordinates| + w of the
+	// origin. The slack is 2⁻⁴⁰ of that magnitude, 4,096 of its ulps:
+	// more than the roundings of a path through every slot of any query
+	// the int8 slot tag can hold. A width that overflowed to NaN ships
+	// everything.
+	slack := (math.Abs(c.X) + math.Abs(c.Y) + c.L + c.B + w) * 0x1p-40
+	return !(gap > w+slack)
 }
 
 // escapeOK reports (with caching) whether item j of slot s satisfies

@@ -152,11 +152,15 @@ func markCases(tb testing.TB) []markCase {
 }
 
 // splitOntoCells is the mark round's map phase: every rectangle goes to
-// every cell it has a point in.
-func splitOntoCells(part *grid.Partitioning, rels []Relation) [][]tagged {
+// every cell it has a point in — with a band, only the rectangles in
+// their slot's band; a nil band is the unpruned split.
+func splitOntoCells(part *grid.Partitioning, rels []Relation, band []float64) [][]tagged {
 	cells := make([][]tagged, part.NumCells())
 	for s, rel := range rels {
 		for _, it := range rel.Items {
+			if band != nil && !inMarkBand(part, it.R, band[s]) {
+				continue
+			}
 			part.ForEachSplit(it.R, func(c grid.CellID) {
 				cells[c] = append(cells[c], tagged{Slot: int8(s), ID: it.ID, Rect: it.R})
 			})
@@ -173,7 +177,7 @@ func markGoldenOf(tb testing.TB, mc markCase) markGolden {
 	}
 	g := markGolden{Name: mc.name}
 	h := sha256.New()
-	for c, items := range splitOntoCells(mc.part, mc.rels) {
+	for c, items := range splitOntoCells(mc.part, mc.rels, nil) {
 		cd := newCellData(pl.m, items)
 		marked := markCell(pl, mc.part, grid.CellID(c), cd)
 		var lines []string
@@ -414,7 +418,7 @@ func BenchmarkMarkCell(b *testing.B) {
 		b.Fatal(err)
 	}
 	const centre = grid.CellID(4)
-	cd := newCellData(pl.m, splitOntoCells(part, rels)[centre])
+	cd := newCellData(pl.m, splitOntoCells(part, rels, nil)[centre])
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
