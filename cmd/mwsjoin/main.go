@@ -22,23 +22,20 @@
 // errors.
 //
 // -method auto delegates the choice of method to the cost-based
-// planner: it prices every map-reduce method with the (optionally
-// calibrated) cost model on the grid -partition, -reducers and
-// -split-threshold select — they mean the same under every -method —
-// and runs the cheapest in the cost-based join order. -explain-plan
-// prints the grid and the planner's candidate table — the chosen method
-// first, then every rejected one with its predicted cost — without
-// executing anything; an explicit -method narrows it to that method.
+// planner: it prices every map-reduce method with the cost model on
+// the grid -partition, -reducers and -split-threshold select — they
+// mean the same under every -method — and runs the cheapest in the
+// cost-based join order. -explain-plan prints the grid and the
+// planner's candidate table — the chosen method first, then every
+// rejected one with its predicted cost — without executing anything;
+// an explicit -method narrows it to that method.
 // -timeout bounds the run: the execution stops cooperatively at its
 // next job boundary and the command exits with status 3, distinguishing
 // a deadline from a failure (status 1).
 //
 // -profile writes a structured post-run query profile (per-round
 // map/shuffle/reduce breakdown; "-" prints to stderr) and -trace-chrome
-// a Chrome trace-event timeline loadable in chrome://tracing. -ledger
-// appends each run's predicted-vs-actual per-phase costs to a
-// calibration ledger; -calibrate feeds the learned correction factors
-// back into every prediction (results are never affected).
+// a Chrome trace-event timeline loadable in chrome://tracing.
 //
 // For a long-lived service answering many concurrent queries, see the
 // mwsjoind daemon.
@@ -131,8 +128,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		timeout   = fs.Duration("timeout", 0, "abort the run after this duration (0 = no limit); the execution stops at its next job boundary and the command exits with status 3")
 		profPath  = fs.String("profile", "", `write the structured query profile (per-round map/shuffle/reduce breakdown, skew, combiner and chain accounting) to this file after the run; "-" prints it to stderr`)
 		chromeOut = fs.String("trace-chrome", "", "write a Chrome trace-event JSON timeline of the execution to this file (load in chrome://tracing or Perfetto); each event's args carry its span's counters, span_id and parent_id")
-		ledgerOut = fs.String("ledger", "", "append a calibration-ledger entry (predicted vs actual per-phase costs, one JSON line) to this file; in -explain mode, one entry per method")
-		calibrate = fs.Bool("calibrate", false, "apply correction factors learned from the -ledger file to every cost prediction (query results are unchanged); requires -ledger")
 		spillBudg = fs.Int64("spill-budget", 0, "per-run in-memory byte budget for each mapper's sorted runs; runs over budget spill to uncharged local scratch and results are unchanged (0 = never spill)")
 	)
 	fs.Var(rels, "rel", "slot binding <slot>=<file>; repeat once per slot")
@@ -144,9 +139,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if *resume && *chkPath == "" {
 		return fmt.Errorf("-resume requires -checkpoint <file>")
-	}
-	if *calibrate && *ledgerOut == "" {
-		return fmt.Errorf("-calibrate requires -ledger <file>")
 	}
 
 	// -explain-plan ranks every method unless -method was typed: the
@@ -238,18 +230,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 			opts.FS = mwsjoin.NewFileSystem()
 		}
 	}
-	if *calibrate {
-		entries, err := mwsjoin.ReadCalibrationLedger(*ledgerOut)
-		if err != nil {
-			return err
-		}
-		opts.Calibration = mwsjoin.Calibrate(entries)
-		fmt.Fprintf(stderr, "calibration: %d ledger entries, %d learned factors\n", len(entries), len(opts.Calibration.Factors))
-	}
-	var ledger *mwsjoin.CalibrationLedger
-	if *ledgerOut != "" {
-		ledger = mwsjoin.OpenCalibrationLedger(*ledgerOut)
-	}
 
 	// The timeout rides on the engine's cooperative cancellation: the
 	// deadline is noticed at the next chain-job boundary or task
@@ -283,7 +263,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	var res *mwsjoin.Result
 	if *explain {
-		if err := runExplain(ctx, q, bound, opts, ledger, stdout); err != nil {
+		if err := runExplain(ctx, q, bound, opts, stdout); err != nil {
 			return err
 		}
 	} else {
@@ -311,37 +291,15 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if res != nil {
-		// The ledger records the RAW prediction next to the measured
-		// costs — calibrated predictions would compound the factors on
-		// the next Calibrate.
-		if ledger != nil {
-			var pred *mwsjoin.Prediction
-			if plan != nil {
-				// The chosen plan's raw prediction priced the exact grid
-				// that ran; re-predicting here could cost a different one.
-				pred = plan.Raw
-			} else {
-				rawOpts := opts
-				rawOpts.Calibration = nil
-				if pred, err = mwsjoin.Predict(q, bound, m, &rawOpts); err != nil {
-					return err
-				}
-			}
-			if err := ledger.Append(mwsjoin.NewCalibrationEntry(q, pred, &res.Stats)); err != nil {
-				return err
-			}
+	if res != nil && *profPath != "" {
+		prof := mwsjoin.BuildProfile(q, &res.Stats, tracer.Spans())
+		if *profPath == "-" {
+			err = prof.WriteText(stderr)
+		} else {
+			err = writeFile(*profPath, prof.WriteText)
 		}
-		if *profPath != "" {
-			prof := mwsjoin.BuildProfile(q, &res.Stats, tracer.Spans())
-			if *profPath == "-" {
-				err = prof.WriteText(stderr)
-			} else {
-				err = writeFile(*profPath, prof.WriteText)
-			}
-			if err != nil {
-				return err
-			}
+		if err != nil {
+			return err
 		}
 	}
 	if testAfterRun != nil {
@@ -414,10 +372,8 @@ var explainMethods = []mwsjoin.Method{
 
 // runExplain predicts each method's §7.8.3 cost figures from samples,
 // measures the actuals with CountOnly runs, and prints the
-// predicted-vs-actual table with relative errors. With a ledger, each
-// method's RAW prediction is appended next to its measured costs (the
-// table still shows the calibrated prediction when -calibrate is on).
-func runExplain(ctx context.Context, q *mwsjoin.Query, rels []mwsjoin.Relation, opts mwsjoin.Options, ledger *mwsjoin.CalibrationLedger, stdout io.Writer) error {
+// predicted-vs-actual table with relative errors.
+func runExplain(ctx context.Context, q *mwsjoin.Query, rels []mwsjoin.Relation, opts mwsjoin.Options, stdout io.Writer) error {
 	w := bufio.NewWriter(stdout)
 	fmt.Fprintf(w, "%-14s %7s %42s %42s %42s\n", "", "", "intermediate pairs", "rect copies to join round", "output tuples")
 	fmt.Fprintf(w, "%-14s %7s %14s %14s %12s %14s %14s %12s %14s %14s %12s\n",
@@ -434,17 +390,6 @@ func runExplain(ctx context.Context, q *mwsjoin.Query, rels []mwsjoin.Relation, 
 			return err
 		}
 		s := res.Stats
-		if ledger != nil {
-			rawOpts := opts
-			rawOpts.Calibration = nil
-			raw, err := mwsjoin.Predict(q, rels, m, &rawOpts)
-			if err != nil {
-				return err
-			}
-			if err := ledger.Append(mwsjoin.NewCalibrationEntry(q, raw, &s)); err != nil {
-				return err
-			}
-		}
 		fmt.Fprintf(w, "%-14v %7d %14.0f %14d %12s %14.0f %14d %12s %14.0f %14d %12s\n",
 			m, pred.Rounds,
 			pred.Pairs, s.IntermediatePairs(), relErr(pred.Pairs, s.IntermediatePairs()),

@@ -162,11 +162,10 @@ func TestTimeoutFlag(t *testing.T) {
 	}
 }
 
-// TestProfileCalibrateFlags drives the observability flags end to end:
-// -profile writes the text profile (file or stderr), -trace-chrome a
-// schema-valid Chrome trace, -ledger appends predicted-vs-actual
-// entries, and -calibrate feeds them back without changing any tuple.
-func TestProfileCalibrateFlags(t *testing.T) {
+// TestProfileFlags drives the observability flags end to end: -profile
+// writes the text profile to a file or, as "-", to stderr, and
+// -trace-chrome a schema-valid Chrome trace, without changing a tuple.
+func TestProfileFlags(t *testing.T) {
 	dir := t.TempDir()
 	r1 := writeRects(t, "r1.csv", []mwsjoin.Rect{
 		{X: 0, Y: 10, L: 4, B: 4},
@@ -179,16 +178,20 @@ func TestProfileCalibrateFlags(t *testing.T) {
 	})
 	profPath := filepath.Join(dir, "profile.txt")
 	chromePath := filepath.Join(dir, "trace.json")
-	ledgerPath := filepath.Join(dir, "ledger.jsonl")
 	base := []string{"-query", "A ov B", "-rel", "A=" + r1, "-rel", "B=" + r2, "-reducers", "4"}
 
-	var out, errOut strings.Builder
+	var baseline, out, errOut strings.Builder
+	if err := run(base, &baseline, &errOut); err != nil {
+		t.Fatal(err)
+	}
 	err := run(append(append([]string{}, base...),
-		"-profile", profPath, "-trace-chrome", chromePath, "-ledger", ledgerPath), &out, &errOut)
+		"-profile", profPath, "-trace-chrome", chromePath), &out, &errOut)
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseline := out.String()
+	if out.String() != baseline.String() {
+		t.Errorf("-profile/-trace-chrome changed the tuples:\n got %q\nwant %q", out.String(), baseline.String())
+	}
 
 	prof, err := os.ReadFile(profPath)
 	if err != nil {
@@ -206,54 +209,20 @@ func TestProfileCalibrateFlags(t *testing.T) {
 	if err := mwsjoin.ValidateChromeTrace(chrome); err != nil {
 		t.Errorf("-trace-chrome output fails schema validation: %v", err)
 	}
-	entries, err := mwsjoin.ReadCalibrationLedger(ledgerPath)
-	if err != nil || len(entries) != 1 {
-		t.Fatalf("ledger after first run: %d entries, %v", len(entries), err)
-	}
-	if entries[0].Method != "c-rep-l" || entries[0].Actual.Tuples <= 0 {
-		t.Errorf("ledger entry = %+v", entries[0])
-	}
 
-	// Calibrated re-run: identical tuples, one more ledger entry, and
 	// -profile - goes to stderr.
-	out.Reset()
 	errOut.Reset()
-	err = run(append(append([]string{}, base...),
-		"-ledger", ledgerPath, "-calibrate", "-profile", "-"), &out, &errOut)
-	if err != nil {
+	if err := run(append(append([]string{}, base...), "-quiet", "-profile", "-"), &out, &errOut); err != nil {
 		t.Fatal(err)
 	}
-	if out.String() != baseline {
-		t.Errorf("-calibrate changed the tuples:\n got %q\nwant %q", out.String(), baseline)
-	}
-	if !strings.Contains(errOut.String(), "calibration:") || !strings.Contains(errOut.String(), `profile c-rep-l "A ov B"`) {
-		t.Errorf("stderr missing calibration banner or inline profile:\n%s", errOut.String())
-	}
-	if entries, err = mwsjoin.ReadCalibrationLedger(ledgerPath); err != nil || len(entries) != 2 {
-		t.Fatalf("ledger after calibrated run: %d entries, %v", len(entries), err)
-	}
-
-	// -explain appends one raw entry per method.
-	out.Reset()
-	errOut.Reset()
-	explainLedger := filepath.Join(dir, "explain.jsonl")
-	if err := run(append(append([]string{}, base...), "-explain", "-ledger", explainLedger), &out, &errOut); err != nil {
-		t.Fatal(err)
-	}
-	if entries, err = mwsjoin.ReadCalibrationLedger(explainLedger); err != nil || len(entries) != 4 {
-		t.Fatalf("-explain ledger: %d entries, %v; want one per method", len(entries), err)
-	}
-
-	// -calibrate without -ledger is a usage error.
-	if err := run(append(append([]string{}, base...), "-calibrate"), &out, &errOut); err == nil {
-		t.Error("-calibrate without -ledger unexpectedly succeeded")
+	if !strings.Contains(errOut.String(), `profile c-rep-l "A ov B"`) {
+		t.Errorf("stderr missing the inline profile:\n%s", errOut.String())
 	}
 }
 
 // TestRunAutoMethod checks -method auto: the planner picks a plan, the
-// run produces exactly the tuples an explicit method produces, the
-// chosen plan is announced on stderr, and a -ledger entry records the
-// plan's raw prediction.
+// run produces exactly the tuples an explicit method produces, and the
+// chosen plan is announced on stderr.
 func TestRunAutoMethod(t *testing.T) {
 	roads := writeRects(t, "roads.csv", []mwsjoin.Rect{
 		{X: 0, Y: 10, L: 5, B: 5},
@@ -271,10 +240,8 @@ func TestRunAutoMethod(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ledgerPath := filepath.Join(t.TempDir(), "auto.jsonl")
 	var out, errOut strings.Builder
-	err := run(append(append([]string{}, args...),
-		"-method", "auto", "-ledger", ledgerPath), &out, &errOut)
+	err := run(append(append([]string{}, args...), "-method", "auto"), &out, &errOut)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,13 +250,6 @@ func TestRunAutoMethod(t *testing.T) {
 	}
 	if !strings.Contains(errOut.String(), "planner:") {
 		t.Errorf("stderr missing planner announcement:\n%s", errOut.String())
-	}
-	entries, err := mwsjoin.ReadCalibrationLedger(ledgerPath)
-	if err != nil || len(entries) != 1 {
-		t.Fatalf("auto-run ledger: %d entries, %v; want 1", len(entries), err)
-	}
-	if entries[0].Method == "auto" || entries[0].Method == "" {
-		t.Errorf("ledger entry method = %q, want the planner's concrete pick", entries[0].Method)
 	}
 }
 

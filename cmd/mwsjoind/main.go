@@ -32,13 +32,6 @@
 // Results are bit-identical either way; -cluster-workers N blocks
 // startup until N workers have joined.
 //
-// -ledger appends every executed job's predicted-vs-actual per-phase
-// costs to a calibration ledger file; with -calibrate the daemon prices
-// admission with correction factors learned from that ledger (loaded at
-// startup, refreshed as jobs complete). Calibration never changes query
-// results — only the predicted costs the scheduler orders and throttles
-// by.
-//
 // On SIGINT/SIGTERM the daemon drains gracefully: submissions are
 // rejected, queued jobs are cancelled, running jobs get -drain to
 // finish (then are cancelled at their next chain boundary), and
@@ -122,8 +115,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		splitThr   = fs.Float64("split-threshold", 0, "adaptive-partition split capacity factor (0 = default 1.0)")
 		parallel   = fs.Int("parallelism", 0, "per-job concurrent task bound; 0 = GOMAXPROCS")
 		drain      = fs.Duration("drain", 10*time.Second, "graceful-shutdown budget for running jobs and in-flight HTTP requests")
-		ledger     = fs.String("ledger", "", "calibration-ledger file: every executed job appends its predicted-vs-actual per-phase costs (one JSON line)")
-		calibrate  = fs.Bool("calibrate", false, "price admission with correction factors learned from the -ledger file; requires -ledger, never changes query results")
 		slowlogN   = fs.Int("slowlog", server.DefaultSlowlogSize, "slow-query log size (top-N jobs by end-to-end latency on /v1/slowlog); negative disables")
 		spillBudg  = fs.Int64("spill-budget", 0, "per-run in-memory byte budget for each mapper's sorted runs; over-budget runs spill to uncharged local scratch with identical results (0 = never spill)")
 		clListen   = fs.String("cluster-listen", "", "coordinator control address for mwsjworker processes; empty = in-process engine")
@@ -137,9 +128,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if len(rels.names) == 0 {
 		return fmt.Errorf("at least one -rel <name>=<file> is required")
-	}
-	if *calibrate && *ledger == "" {
-		return fmt.Errorf("-calibrate requires -ledger <file>")
 	}
 
 	reg := metrics.NewRegistry()
@@ -181,16 +169,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		Metrics:        reg,
 		Version:        version,
 		SlowlogSize:    *slowlogN,
-		LedgerPath:     *ledger,
-		Calibrate:      *calibrate,
 	})
-	if *ledger != "" {
-		mode := "recording"
-		if *calibrate {
-			mode = "recording + calibrated admission"
-		}
-		fmt.Fprintf(stderr, "mwsjoind: calibration ledger %s (%s)\n", *ledger, mode)
-	}
 	for _, name := range rels.names {
 		rel, err := mwsjoin.ReadRelationFile(name, rels.files[name])
 		if err != nil {

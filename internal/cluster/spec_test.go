@@ -24,7 +24,6 @@ var notCarried = map[string]string{
 	"FailMap":     "fault hooks are functions of the calling process",
 	"FailReduce":  "fault hooks are functions of the calling process",
 	"FailJob":     "fault hooks are functions of the calling process",
-	"Calibration": "Execute ignores it; it re-prices plans where they are made",
 	"CountOnly":   "Execute rejects it on a multi-worker run",
 	"Columnar":    "read by nothing",
 }

@@ -3,6 +3,7 @@ package mapreduce
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 
 	"mwsjoin/internal/dfs"
@@ -106,6 +107,23 @@ type ChainKilledError struct {
 func (e *ChainKilledError) Error() string {
 	return fmt.Sprintf("mapreduce: chain %q killed before job %d (%s); completed checkpoints remain for resume", e.Chain, e.Job, e.Step)
 }
+
+// CheckpointMetaError reports a checkpoint meta file a chain cannot
+// have written: not exactly one record, not JSON, or without the step's
+// Stats. Checkpoints also arrive from snapshot files and over the
+// cluster's wire, so resuming validates the meta instead of trusting it.
+type CheckpointMetaError struct {
+	Chain string
+	Job   int
+	File  string
+	Err   error
+}
+
+func (e *CheckpointMetaError) Error() string {
+	return fmt.Sprintf("mapreduce: chain %q: checkpoint meta %q for job %d: %v", e.Chain, e.File, e.Job, e.Err)
+}
+
+func (e *CheckpointMetaError) Unwrap() error { return e.Err }
 
 // chainMeta is the JSON meta record committed next to each checkpoint.
 // All Stats fields are integers, so the round trip is exact.
@@ -274,13 +292,22 @@ func (c *Chain) tryResume(i int, name, file string) (*Stats, bool, error) {
 		return nil, false, nil
 	}
 	var meta chainMeta
-	var metaBytes int64
+	var metaBytes, metaRecords int64
 	err := fs.Scan(file+metaSuffix, func(rec []byte) error {
 		metaBytes += int64(len(rec))
+		metaRecords++
 		return json.Unmarshal(rec, &meta)
 	})
+	switch {
+	case err != nil:
+		// The read or a record's JSON failed: reported as it is.
+	case metaRecords != 1:
+		err = fmt.Errorf("%d records, want 1", metaRecords)
+	case meta.Stats == nil:
+		err = errors.New("no stats")
+	}
 	if err != nil {
-		return nil, false, fmt.Errorf("mapreduce: chain %q: reading checkpoint meta for job %d: %w", c.cfg.Name, i, err)
+		return nil, false, &CheckpointMetaError{Chain: c.cfg.Name, Job: i, File: file + metaSuffix, Err: err}
 	}
 	if meta.Step != i || meta.Name != name {
 		return nil, false, fmt.Errorf("mapreduce: chain %q: checkpoint %q records job %d (%s), want job %d (%s); use a fresh FS or prefix", c.cfg.Name, file, meta.Step, meta.Name, i, name)

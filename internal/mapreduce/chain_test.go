@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"reflect"
@@ -372,4 +373,86 @@ func TestChainObservability(t *testing.T) {
 	if got := reg.Counter("chain_jobs_total").Value(); got != cs.Jobs {
 		t.Errorf("metric chain_jobs_total = %d, want %d", got, cs.Jobs)
 	}
+}
+
+// writeResumableStep commits one checkpointing step "s0" of chain "m"
+// on a fresh FS and returns the FS and the checkpoint's meta file.
+func writeResumableStep(t testing.TB) (*dfs.FS, string) {
+	t.Helper()
+	fs := dfs.New(0)
+	ch := NewChain(ChainConfig{Name: "m", FS: fs})
+	if _, err := ch.Step("s0", func(_ *dfs.View) ([][]byte, *Stats, error) {
+		return [][]byte{{1}, {2}}, &Stats{Job: "s0", PairsPerReducer: []int64{2}}, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return fs, "chk/m/000-s0" + metaSuffix
+}
+
+// resumeStep resumes step "s0" of chain "m" on fs; the step must not run.
+func resumeStep(t testing.TB, fs *dfs.FS) (*Stats, error) {
+	t.Helper()
+	ch := NewChain(ChainConfig{Name: "m", FS: fs, Resume: true})
+	return ch.Step("s0", func(_ *dfs.View) ([][]byte, *Stats, error) {
+		return nil, nil, fmt.Errorf("resumed step ran")
+	})
+}
+
+// TestResumeRejectsMetaWithoutStats: a checkpoint meta file that is not
+// exactly one record carrying the step's stats — which no chain writes,
+// but a snapshot file or a shipped checkpoint can hold — fails the
+// resume with an error naming the chain, the job and the file, instead
+// of resuming as a success with a nil round.
+func TestResumeRejectsMetaWithoutStats(t *testing.T) {
+	for name, recs := range map[string][][]byte{
+		"no stats":    {[]byte(`{"step":0,"name":"s0","records":2}`)},
+		"null stats":  {[]byte(`{"step":0,"name":"s0","records":2,"stats":null}`)},
+		"no record":   {},
+		"two records": {[]byte(`{"step":0,"name":"s0","records":2,"stats":{}}`), []byte(`{"step":0,"name":"s0","records":2,"stats":{}}`)},
+	} {
+		fs, meta := writeResumableStep(t)
+		if err := fs.Delete(meta); err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.WriteFile(meta, recs); err != nil {
+			t.Fatal(err)
+		}
+		st, err := resumeStep(t, fs)
+		if err == nil {
+			t.Errorf("%s: resume succeeded with stats %+v", name, st)
+			continue
+		}
+		for _, want := range []string{`chain "m"`, "job 0", meta} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: error %q does not name %s", name, err, want)
+			}
+		}
+	}
+}
+
+// FuzzResumeMeta: whatever bytes stand in a checkpoint's meta file —
+// split at newlines into records — resuming the step returns an error
+// or non-nil Stats, and never panics.
+func FuzzResumeMeta(f *testing.F) {
+	f.Add([]byte(`{"step":0,"name":"s0","records":2,"stats":{"Job":"s0"}}`))
+	f.Add([]byte(`{"step":0,"name":"s0","records":2}`))
+	f.Add([]byte(`{"step":0,"name":"s0","records":2,"stats":{}}` + "\n" + `{"step":0}`))
+	f.Add([]byte(`{"step":0,"name":"s0","records":2,"stats":{"PairsPerReducer":[1,-1]}}`))
+	f.Add([]byte(``))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fs, meta := writeResumableStep(t)
+		if err := fs.Delete(meta); err != nil {
+			t.Fatal(err)
+		}
+		var recs [][]byte
+		if len(data) > 0 {
+			recs = bytes.Split(data, []byte("\n"))
+		}
+		if err := fs.WriteFile(meta, recs); err != nil {
+			t.Fatal(err)
+		}
+		if st, err := resumeStep(t, fs); err == nil && st == nil {
+			t.Fatalf("meta %q resumed with nil stats", data)
+		}
+	})
 }

@@ -1,20 +1,14 @@
-// Package profile assembles per-query execution profiles and closes
-// the calibration loop between the EXPLAIN predictor and measured
-// reality. The paper's experimental argument is per-phase cost
-// attribution — map vs shuffle vs reduce pairs/bytes/time per round
-// (§6.4, §7.8.3) — and the flat Stats structs plus the raw span tree
-// each hold half of that picture. A Profile joins them: the
-// deterministic counters come from spatial.Stats (authoritative,
-// bit-identical across parallelism), the per-phase wall times come
-// from the tracer's span tree, and Normalize zeroes the wall fields so
-// profiles are property-testable (two runs of the same query produce
-// byte-identical normalized profiles).
-//
-// The second half of the package (ledger.go) persists predicted-vs-
-// actual phase costs per query and derives per-method/per-phase
-// correction factors (spatial.Calibration) from the residuals — the
-// feedback ROADMAP's cost-based planner needs. chrome.go exports the
-// span tree as Chrome trace-event JSON for chrome://tracing/Perfetto.
+// Package profile assembles per-query execution profiles. The paper's
+// experimental argument is per-phase cost attribution — map vs shuffle
+// vs reduce pairs/bytes/time per round (§6.4, §7.8.3) — and the flat
+// Stats structs plus the raw span tree each hold half of that picture.
+// A Profile joins them: the deterministic counters come from
+// spatial.Stats (authoritative, bit-identical across parallelism), the
+// per-phase wall times come from the tracer's span tree, and Normalize
+// zeroes the wall fields so profiles are property-testable (two runs of
+// the same query produce byte-identical normalized profiles). chrome.go
+// exports the span tree as Chrome trace-event JSON for
+// chrome://tracing/Perfetto.
 package profile
 
 import (

@@ -253,11 +253,10 @@ func TestProfileWithoutTracer(t *testing.T) {
 	}
 }
 
-// TestPredictionReconcilesStats is the satellite regression test for
-// the predicted-vs-actual table path: for every method × partition
-// scheme, each Prediction phase field pairs with its documented
-// mapreduce/spatial Stats counterpart, field-for-field, in the ledger
-// entry the calibration loop records.
+// TestPredictionReconcilesStats is the regression test for the
+// predicted-vs-actual table path: for every method × partition scheme,
+// each Prediction phase field pairs with the Stats counterpart its doc
+// comment names — the pairing the -explain table prints.
 func TestPredictionReconcilesStats(t *testing.T) {
 	q := query.New("R1", "R2", "R3").Overlap(0, 1).Range(1, 2, 40)
 	rels := testRelations(15, 3, 260, 1000, 60)
@@ -274,39 +273,30 @@ func TestPredictionReconcilesStats(t *testing.T) {
 			}
 			st := &res.Stats
 
-			// Shape: one predicted round per executed job.
+			// Shape: one predicted round per executed job, and Pairs is
+			// the sum of the rounds on both sides.
 			if pred.Rounds != len(st.Rounds) || len(pred.RoundPairs) != len(st.Rounds) {
 				t.Errorf("%v/%v: predicted %d rounds, executed %d", scheme, m, pred.Rounds, len(st.Rounds))
 				continue
 			}
-			e := NewLedgerEntry(q.String(), pred, st)
-			// Field-for-field: the entry's Actual side must equal the
-			// Stats fields named in the Prediction doc comments.
-			if len(e.Actual.RoundPairs) != len(st.Rounds) {
-				t.Fatalf("%v/%v: actual rounds = %d", scheme, m, len(e.Actual.RoundPairs))
-			}
+			var predSum float64
+			var actSum int64
 			for i, r := range st.Rounds {
-				if e.Actual.RoundPairs[i] != float64(r.IntermediatePairs) {
-					t.Errorf("%v/%v round %d: actual pairs %v != stats %d", scheme, m, i, e.Actual.RoundPairs[i], r.IntermediatePairs)
-				}
+				predSum += pred.RoundPairs[i]
+				actSum += r.IntermediatePairs
 			}
-			if e.Actual.Pairs != float64(st.IntermediatePairs()) ||
-				e.Actual.Replicated != float64(st.RectanglesReplicated) ||
-				e.Actual.Copies != float64(st.RectanglesAfterReplication) ||
-				e.Actual.Tuples != float64(st.OutputTuples) {
-				t.Errorf("%v/%v: actual side %+v does not reconcile with stats", scheme, m, e.Actual)
-			}
-			if e.Predicted.Pairs != pred.Pairs || e.Predicted.Copies != pred.Copies ||
-				e.Predicted.Replicated != pred.Replicated || e.Predicted.Tuples != pred.Tuples {
-				t.Errorf("%v/%v: predicted side %+v does not reconcile with prediction", scheme, m, e.Predicted)
+			if pred.Pairs != predSum || st.IntermediatePairs() != actSum {
+				t.Errorf("%v/%v: pairs %v / %d are not the sums of their rounds %v / %d",
+					scheme, m, pred.Pairs, st.IntermediatePairs(), predSum, actSum)
 			}
 			// Regression guard on predictor quality: the estimate must
 			// stay the right order of magnitude on this fixed workload.
 			if m != spatial.BruteForce {
-				if e.Actual.Pairs <= 0 || e.Predicted.Pairs <= 0 {
-					t.Fatalf("%v/%v: degenerate workload (pred %v, actual %v)", scheme, m, e.Predicted.Pairs, e.Actual.Pairs)
+				actual := float64(st.IntermediatePairs())
+				if actual <= 0 || pred.Pairs <= 0 {
+					t.Fatalf("%v/%v: degenerate workload (pred %v, actual %v)", scheme, m, pred.Pairs, actual)
 				}
-				if ratio := e.Predicted.Pairs / e.Actual.Pairs; ratio < 0.25 || ratio > 4 {
+				if ratio := pred.Pairs / actual; ratio < 0.25 || ratio > 4 {
 					t.Errorf("%v/%v: predicted/actual pairs ratio %.2f outside [0.25, 4]", scheme, m, ratio)
 				}
 			}

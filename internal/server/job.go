@@ -45,10 +45,7 @@ type Job struct {
 	// priority run first, and the in-flight cost budget throttles on it.
 	cost   float64
 	rounds int // predicted chain length, the progress denominator
-	// rawPred is the UNCALIBRATED prediction, kept for the calibration
-	// ledger (cost above may carry learned correction factors).
-	rawPred *spatial.Prediction
-	key     cacheKey
+	key    cacheKey
 	// part is the reducer grid the job was priced on at admission and
 	// runs on (nil for brute-force, which prices no plan).
 	part *grid.Partitioning

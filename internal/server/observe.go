@@ -53,13 +53,11 @@ type ServiceStatus struct {
 	QueueDepth    int64           `json:"queue_depth"`
 	Relations     int             `json:"relations"`
 	// PoolWorkers is the in-process worker-pool size (Config.Workers).
-	PoolWorkers int  `json:"pool_workers"`
-	Calibrate   bool `json:"calibrate"`
+	PoolWorkers int `json:"pool_workers"`
 	// Workers describes the cluster roster when the server dispatches
 	// to a coordinator; absent on a single-process server.
-	Workers            *ClusterWorkers `json:"workers,omitempty"`
-	CalibrationEntries int             `json:"calibration_entries"`
-	SlowlogEntries     int             `json:"slowlog_entries"`
+	Workers        *ClusterWorkers `json:"workers,omitempty"`
+	SlowlogEntries int             `json:"slowlog_entries"`
 }
 
 // ClusterWorkers is the status `workers` section: the coordinator's
@@ -190,51 +188,24 @@ func errNoProfileFor(j *Job) error {
 	return fmt.Errorf("%w (state %s)", ErrNoProfile, j.state)
 }
 
-// appendLedger records a completed job's predicted-vs-actual costs into
-// the calibration ledger and, when calibration is on, refreshes the
-// learned correction factors. Called outside the server mutex: ledger
-// appends are real file I/O.
-func (s *Server) appendLedger(j *Job) {
-	if s.ledger == nil || j.rawPred == nil || j.res == nil {
-		return
-	}
-	entry := profile.NewLedgerEntry(j.queryTxt, j.rawPred, &j.res.Stats)
-	if err := s.ledger.Append(entry); err != nil {
-		s.reg.Counter("server_calibration_ledger_errors_total").Add(1)
-		return
-	}
-	s.reg.Counter("server_calibration_ledger_entries_total").Add(1)
-	s.calMu.Lock()
-	defer s.calMu.Unlock()
-	s.calEntries = append(s.calEntries, entry)
-	if s.cfg.Calibrate {
-		s.cal.Store(profile.Calibrate(s.calEntries))
-	}
-}
-
 // StatusInfo snapshots the service identity and coarse state, and
 // refreshes the uptime gauge as a side effect.
 func (s *Server) StatusInfo() ServiceStatus {
 	uptime := time.Since(s.start)
 	s.reg.Gauge("server_uptime_seconds").Set(int64(uptime.Seconds()))
-	s.calMu.Lock()
-	entries := len(s.calEntries)
-	s.calMu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := ServiceStatus{
-		Version:            s.version,
-		GoVersion:          runtime.Version(),
-		StartTime:          s.start.UTC().Format(time.RFC3339),
-		UptimeSeconds:      uptime.Seconds(),
-		Jobs:               make(map[State]int64, len(s.stateCounts)),
-		QueueDepth:         s.stateCounts[StateQueued],
-		Relations:          len(s.rels),
-		PoolWorkers:        s.cfg.Workers,
-		Workers:            s.clusterWorkers(),
-		Calibrate:          s.cfg.Calibrate,
-		CalibrationEntries: entries,
-		SlowlogEntries:     len(s.slowlog),
+		Version:        s.version,
+		GoVersion:      runtime.Version(),
+		StartTime:      s.start.UTC().Format(time.RFC3339),
+		UptimeSeconds:  uptime.Seconds(),
+		Jobs:           make(map[State]int64, len(s.stateCounts)),
+		QueueDepth:     s.stateCounts[StateQueued],
+		Relations:      len(s.rels),
+		PoolWorkers:    s.cfg.Workers,
+		Workers:        s.clusterWorkers(),
+		SlowlogEntries: len(s.slowlog),
 	}
 	for state, n := range s.stateCounts {
 		st.Jobs[state] = n

@@ -5,19 +5,14 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
-	"math"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"mwsjoin/internal/metrics"
 	"mwsjoin/internal/profile"
-	"mwsjoin/internal/query"
-	"mwsjoin/internal/spatial"
 )
 
 // TestServerProfileAndSlowlog: a completed job has a profile whose
@@ -148,98 +143,8 @@ func TestServerStatusInfo(t *testing.T) {
 	if info.Jobs[StateDone] != 1 || info.SlowlogEntries != 1 {
 		t.Errorf("jobs %v slowlog %d", info.Jobs, info.SlowlogEntries)
 	}
-	if info.Calibrate || info.CalibrationEntries != 0 {
-		t.Errorf("calibration reported on a server without a ledger: %+v", info)
-	}
 	if v := reg.Gauge("server_build_info_v_test").Value(); v != 1 {
 		t.Errorf("build info gauge = %d, want 1", v)
-	}
-}
-
-// eventually polls cond for up to five seconds.
-func eventually(cond func() bool) {
-	for deadline := time.Now().Add(5 * time.Second); !cond() && time.Now().Before(deadline); {
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// TestServerCalibratedAdmission: with a ledger and -calibrate, a fresh
-// server prices admission with the learned factors (exactly
-// Calibration.Apply over the raw prediction), appends new entries as
-// jobs finish, and produces bit-identical results to an uncalibrated
-// server.
-func TestServerCalibratedAdmission(t *testing.T) {
-	ledgerPath := filepath.Join(t.TempDir(), "ledger.jsonl")
-	req := SubmitRequest{Query: "A ov B and B ov C", Method: "c-rep"}
-
-	// Generation 1: no calibration, just ledger writes.
-	s1, _ := newTestServer(t, Config{Workers: 1, LedgerPath: ledgerPath})
-	base := waitJob(t, s1, submit(t, s1, req).ID)
-	if base.State != StateDone {
-		t.Fatalf("gen-1 job: %s: %s", base.State, base.Error)
-	}
-
-	// The ledger line is appended just after the job turns terminal
-	// (file I/O stays outside the server lock), so wait for it.
-	var entries []profile.LedgerEntry
-	var err error
-	ledgerHolds := func(n int) func() bool {
-		return func() bool {
-			entries, err = profile.ReadLedger(ledgerPath)
-			return err != nil || len(entries) >= n
-		}
-	}
-	eventually(ledgerHolds(1))
-	if err != nil || len(entries) != 1 {
-		t.Fatalf("ledger after gen 1: %d entries, %v", len(entries), err)
-	}
-	if entries[0].Predicted.Pairs != base.PredictedPairs {
-		t.Errorf("ledger predicted pairs %f != uncalibrated admission cost %f",
-			entries[0].Predicted.Pairs, base.PredictedPairs)
-	}
-	cal := profile.Calibrate(entries)
-
-	// Generation 2: same ledger, calibration on.
-	s2, _ := newTestServer(t, Config{Workers: 1, LedgerPath: ledgerPath, Calibrate: true})
-	st := waitJob(t, s2, submit(t, s2, req).ID)
-	if st.State != StateDone {
-		t.Fatalf("gen-2 job: %s: %s", st.State, st.Error)
-	}
-
-	// The admission cost must be exactly the calibrated prediction.
-	q, err := query.Parse(req.Query)
-	if err != nil {
-		t.Fatal(err)
-	}
-	part, err := spatial.BuildPartitioning(spatial.PartitionUniform, testRelations(1)[:3], testReducers, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := spatial.Predict(spatial.ControlledReplicate, q, testRelations(1)[:3], spatial.Config{Part: part})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := cal.Apply(raw).Pairs
-	if math.Abs(st.PredictedPairs-want) > 1e-9*math.Max(1, want) {
-		t.Errorf("calibrated admission cost = %f, want %f (raw %f)", st.PredictedPairs, want, raw.Pairs)
-	}
-	if st.PredictedPairs == base.PredictedPairs {
-		t.Errorf("calibration left the admission cost unchanged at %f (factors learned nothing?)", base.PredictedPairs)
-	}
-	// ...and calibration must not change results.
-	if st.OutputTuples != base.OutputTuples || st.Stats.IntermediatePairs() != base.Stats.IntermediatePairs() {
-		t.Errorf("calibration changed execution: tuples %d vs %d, pairs %d vs %d",
-			st.OutputTuples, base.OutputTuples, st.Stats.IntermediatePairs(), base.Stats.IntermediatePairs())
-	}
-
-	eventually(func() bool { return s2.StatusInfo().CalibrationEntries >= 2 })
-	info := s2.StatusInfo()
-	if !info.Calibrate || info.CalibrationEntries != 2 {
-		t.Errorf("gen-2 status = calibrate %v, %d entries; want true, 2 (1 loaded + 1 appended)",
-			info.Calibrate, info.CalibrationEntries)
-	}
-	if eventually(ledgerHolds(2)); err != nil || len(entries) != 2 {
-		t.Errorf("ledger after gen 2: %d entries, %v; want 2", len(entries), err)
 	}
 }
 

@@ -36,7 +36,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"mwsjoin/internal/cluster"
@@ -103,17 +102,6 @@ type Config struct {
 	// end-to-end latency, GET /v1/slowlog). 0 picks DefaultSlowlogSize,
 	// negative disables the slowlog.
 	SlowlogSize int
-	// LedgerPath, when set, appends a calibration-ledger entry
-	// (profile.LedgerEntry, one JSON line) for every successfully
-	// executed job: the raw EXPLAIN prediction next to the measured
-	// per-phase costs.
-	LedgerPath string
-	// Calibrate prices admission with correction factors learned from
-	// the ledger: factors are derived from LedgerPath's entries at
-	// startup and refreshed as jobs complete. It never changes query
-	// results — only the predicted costs the scheduler orders and
-	// throttles by. Off by default; requires LedgerPath.
-	Calibrate bool
 	// Cluster, when non-nil, dispatches every job to the distributed
 	// coordinator/worker runtime instead of the in-process engine: the
 	// coordinator ships the query and relations to its registered
@@ -194,9 +182,9 @@ type SubmitRequest struct {
 	// Method is a spatial method name ("c-rep-l", "2-way-cascade",
 	// ...); empty picks c-rep-l, the recommended default. "auto"
 	// delegates the choice to the cost-based planner: the cheapest
-	// method under the calibrated cost model, on the service's grid, is
-	// priced at admission and executed, and the job's
-	// status/slowlog/ledger record the planner's pick.
+	// method under the planner's cost model, on the service's grid, is
+	// priced at admission and executed, and the job's status and
+	// slowlog record the planner's pick.
 	Method string `json:"method,omitempty"`
 	// Priority orders the queue: higher runs first. Ties run cheapest
 	// predicted cost first, then submission order.
@@ -231,18 +219,10 @@ const jobHistory = 1024
 // Server is the multi-query join service. Create with New, register
 // relations, submit jobs, and Close to drain.
 type Server struct {
-	cfg     Config
-	reg     *metrics.Registry
-	start   time.Time
-	version string
-	// ledger is the persistent calibration ledger (nil without
-	// Config.LedgerPath); cal holds the current correction factors when
-	// Config.Calibrate is on (atomic so Submit prices without taking the
-	// calibration lock).
-	ledger      *profile.Ledger
-	cal         atomic.Pointer[spatial.Calibration]
-	calMu       sync.Mutex // guards calEntries
-	calEntries  []profile.LedgerEntry
+	cfg         Config
+	reg         *metrics.Registry
+	start       time.Time
+	version     string
 	slowlogSize int
 
 	mu          sync.Mutex
@@ -273,10 +253,7 @@ type Server struct {
 	planGate func(req SubmitRequest)
 }
 
-// New creates a server and starts its worker pool. With
-// Config.LedgerPath set, any existing ledger entries are loaded (a
-// broken ledger is ignored, not fatal) and — with Config.Calibrate —
-// seed the initial correction factors.
+// New creates a server and starts its worker pool.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
@@ -291,17 +268,6 @@ func New(cfg Config) *Server {
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.cache = newResultCache(cfg.CacheBytes, s.reg)
-	if cfg.LedgerPath != "" {
-		s.ledger = profile.OpenLedger(cfg.LedgerPath)
-		if entries, err := profile.ReadLedger(cfg.LedgerPath); err == nil {
-			s.calEntries = entries
-			if cfg.Calibrate && len(entries) > 0 {
-				s.cal.Store(profile.Calibrate(entries))
-			}
-		} else {
-			s.reg.Counter("server_calibration_ledger_errors_total").Add(1)
-		}
-	}
 	s.reg.Gauge("server_build_info_" + metrics.SanitizeName(s.version)).Set(1)
 	s.reg.Gauge("server_uptime_seconds").Set(0)
 	for w := 0; w < cfg.Workers; w++ {
@@ -379,15 +345,15 @@ func (s *Server) current(q *query.Query, b *binding) bool {
 }
 
 // pricing is what admission needs to know about how a job will run:
-// the resolved method and grid, the raw prediction for the ledger and
-// the calibrated one admission orders and throttles by. The zero value
-// prices nothing — a pinned-method cache hit, answered before pricing.
+// the resolved method and grid, and the prediction admission orders and
+// throttles by. The zero value prices nothing — a pinned-method cache
+// hit, answered before pricing.
 type pricing struct {
-	method      spatial.Method
-	part        *grid.Partitioning
-	raw, priced *spatial.Prediction
-	planned     bool
-	planCost    float64
+	method   spatial.Method
+	part     *grid.Partitioning
+	priced   *spatial.Prediction
+	planned  bool
+	planCost float64
 }
 
 // gridConfig is the reducer grid of the service as a spatial.Config:
@@ -400,11 +366,8 @@ func (s *Server) gridConfig() spatial.Config {
 // price resolves the execution plan of a bound submission, outside the
 // mutex: one planner call on the service's configured grid, ranking the
 // pinned method alone or, for "auto", all four — so pinned and planned
-// submissions are priced, calibrated and sanitized alike, on the grid
-// the job then runs on. The ledger records the RAW prediction —
-// recording calibrated values would compound the factors on the next
-// calibration round — while admission orders and throttles by the
-// calibrated cost. A pinned job is priced in the planner's cost-based
+// submissions are priced and sanitized alike, on the grid the job then
+// runs on. A pinned job is priced in the planner's cost-based
 // join order and run in the default one, as Execute runs any pinned
 // method; only Cascade's rounds depend on the order at all.
 func (s *Server) price(q *query.Query, b *binding, method spatial.Method, planned bool) (pricing, error) {
@@ -412,11 +375,10 @@ func (s *Server) price(q *query.Query, b *binding, method spatial.Method, planne
 	if !planned && method == spatial.BruteForce {
 		// Runs no map-reduce job, so there is no plan to rank: the
 		// planner refuses it, and Predict answers zero rounds and zero
-		// pairs, which no calibration factor moves.
+		// pairs.
 		pred, err := spatial.Predict(method, q, b.rels, cfg)
-		return pricing{method: method, raw: pred, priced: pred}, err
+		return pricing{method: method, priced: pred}, err
 	}
-	cfg.Calibration = s.cal.Load()
 	var popts spatial.PlannerOptions
 	if !planned {
 		popts.Methods = []spatial.Method{method}
@@ -425,7 +387,7 @@ func (s *Server) price(q *query.Query, b *binding, method spatial.Method, planne
 	if err != nil {
 		return pricing{}, err
 	}
-	pr := pricing{method: plan.Method, part: plan.Part, raw: plan.Raw, priced: plan.Prediction, planned: planned}
+	pr := pricing{method: plan.Method, part: plan.Part, priced: plan.Prediction, planned: planned}
 	if planned {
 		pr.planCost = plan.Cost
 	}
@@ -444,7 +406,6 @@ func (s *Server) newJob(req SubmitRequest, q *query.Query, b *binding, pr pricin
 		method:   pr.method,
 		rels:     b.rels,
 		priority: req.Priority,
-		rawPred:  pr.raw,
 		key:      cacheKey{query: q.String(), method: pr.method, fps: b.fps},
 		part:     pr.part,
 		planned:  pr.planned,
@@ -512,7 +473,7 @@ func (s *Server) Submit(req SubmitRequest) (*JobStatus, error) {
 	}
 	// "auto" defers the method choice to the cost-based planner; the
 	// chosen method is recorded everywhere a fixed method would be — job
-	// status, SLO histograms, slowlog, calibration ledger.
+	// status, SLO histograms, slowlog.
 	planned := methodName == "auto"
 	var method spatial.Method
 	if !planned {
@@ -921,12 +882,6 @@ func (s *Server) runJob(j *Job) {
 	close(j.done)
 	s.cond.Broadcast()
 	s.mu.Unlock()
-
-	// Ledger append is real file I/O — after the mutex is released. The
-	// job is terminal, so the fields read here are settled.
-	if err == nil {
-		s.appendLedger(j)
-	}
 }
 
 // jobQueue is the admission priority queue: higher priority first, then

@@ -44,9 +44,9 @@ func allReplicate(pl *plan, exec *executor) (*Result, error) {
 			Reduce:       joinReduce(pl, exec.part, exec.cfg.CountOnly, &counted, exec.cfg.Metrics),
 			PairBytes:    taggedPairBytes,
 			EncodePair:   encodeCellTagged,
-			DecodePair:   decodeCellTagged,
+			DecodePair:   cellTaggedDecoder(pl.m),
 			EncodeOutput: encodeTupleOutput,
-			DecodeOutput: decodeTupleOutput,
+			DecodeOutput: tupleOutputDecoder(pl.m),
 		}
 		out, st, err := job.Run(input)
 		tuples = out
@@ -156,7 +156,7 @@ func controlledReplicate(pl *plan, exec *executor, limit bool) (*Result, error) 
 			},
 			PairBytes:    taggedPairBytes,
 			EncodePair:   encodeCellTagged,
-			DecodePair:   decodeCellTagged,
+			DecodePair:   cellTaggedDecoder(pl.m),
 			EncodeOutput: encodeItem,
 			DecodeOutput: decodeItem,
 		}
@@ -222,9 +222,9 @@ func controlledReplicate(pl *plan, exec *executor, limit bool) (*Result, error) 
 			Reduce:       joinReduce(pl, exec.part, exec.cfg.CountOnly, &counted, exec.cfg.Metrics),
 			PairBytes:    taggedPairBytes,
 			EncodePair:   encodeCellTagged,
-			DecodePair:   decodeCellTagged,
+			DecodePair:   cellTaggedDecoder(pl.m),
 			EncodeOutput: encodeTupleOutput,
-			DecodeOutput: decodeTupleOutput,
+			DecodeOutput: tupleOutputDecoder(pl.m),
 		}
 		out, st, err := round2.Run(staged)
 		tuples = out

@@ -104,11 +104,6 @@ type Config struct {
 	// It affects the Cascade job sequence and the backtracking order of
 	// every reducer-local matcher; results are unchanged.
 	OptimizeOrder bool
-	// Calibration, when non-nil, multiplies learned per-method/per-phase
-	// correction factors into Predict's estimates (see Calibration).
-	// Execute ignores it entirely — calibration re-prices plans, it
-	// never changes results.
-	Calibration *Calibration
 	// CountOnly suppresses materialisation of the output tuples:
 	// Result.Tuples stays nil while Stats.OutputTuples still reports
 	// the exact count. Used by the benchmark harness, whose dense

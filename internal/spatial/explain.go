@@ -11,10 +11,9 @@ import (
 
 // maxFiniteCost caps every predicted cost field. The cap is large
 // enough that no realistic estimate reaches it, yet small enough that
-// summing millions of capped fields (or multiplying by a runaway
-// calibration factor) still cannot overflow float64 to +Inf. The
-// planner's argmin requires a total order over candidate costs, which
-// NaN and Inf both break.
+// summing millions of capped fields (or weighting them in planCost)
+// still cannot overflow float64 to +Inf. The planner's argmin requires
+// a total order over candidate costs, which NaN and Inf both break.
 const maxFiniteCost = 1e30
 
 // clampCost maps any estimate into the finite range [0, maxFiniteCost].
@@ -41,10 +40,10 @@ func safeDiv(a, b float64) float64 {
 }
 
 // sanitize enforces the Prediction invariant: every field is finite and
-// non-negative, and Pairs is exactly the sum of RoundPairs. Called on
-// every Predict return path, including after calibration factors are
-// applied, so downstream consumers (planner argmin, admission control,
-// ledger) never see NaN or Inf.
+// non-negative, and Pairs is exactly the sum of RoundPairs. predict
+// calls it once on every prediction it returns, so downstream consumers
+// (planner argmin, admission control, the -explain table) never see NaN
+// or Inf.
 func (p *Prediction) sanitize() *Prediction {
 	p.Pairs = 0
 	for i, n := range p.RoundPairs {
@@ -91,13 +90,11 @@ type Prediction struct {
 // under the same configuration Execute would use. The estimator reads
 // the relations' deterministic fixed-seed samples (see summary.go), so
 // predictions are reproducible. BruteForce predicts zero communication:
-// it runs no map-reduce job. When cfg.Calibration is set, its learned
-// per-method/per-phase correction factors are multiplied into the
-// returned estimate (see Calibration.Apply).
+// it runs no map-reduce job.
 //
 // Every field of the returned Prediction is finite and non-negative —
-// even for empty relations, degenerate geometry, or hostile calibration
-// factors — so candidate plans always have a total cost order.
+// even for empty relations or degenerate geometry — so candidate plans
+// always have a total cost order.
 //
 // Predict is the planner's estimator asked for one method: PlanQuery
 // prices every method from one estimator, through the same code.
@@ -110,18 +107,7 @@ func Predict(method Method, q *query.Query, rels []Relation, cfg Config) (*Predi
 	if err != nil {
 		return nil, err
 	}
-	_, priced, err := est.price(method, cfg.OptimizeOrder, g, cfg.Calibration)
-	return priced, err
-}
-
-// price is what Predict returns for a method and what PlanQuery ranks
-// it by: the raw prediction and its calibrated, sanitized twin (the raw
-// one itself without a calibration).
-func (est *estimator) price(method Method, optimize bool, g *gridStats, cal *Calibration) (raw, priced *Prediction, err error) {
-	if raw, err = est.predict(method, optimize, g); err != nil {
-		return nil, nil, err
-	}
-	return raw, cal.Apply(raw).sanitize(), nil
+	return est.predict(method, cfg.OptimizeOrder, g)
 }
 
 // estimator is the estimate context of one Predict or PlanQuery call:
@@ -393,7 +379,8 @@ func (est *estimator) chain(pl *plan) []float64 {
 }
 
 // predict prices a method under a join order on a grid into a
-// sanitized, uncalibrated Prediction.
+// sanitized Prediction: what Predict returns for a method and what
+// PlanQuery ranks it by.
 func (est *estimator) predict(method Method, optimize bool, g *gridStats) (*Prediction, error) {
 	pl := est.plan(optimize)
 	p := &Prediction{Method: method, Cells: g.part.NumCells()}

@@ -1,14 +1,14 @@
 package spatial
 
-// The cost-based query planner (ROADMAP item 1, DESIGN.md §4h): given
-// a parsed query and its bound relations, price every map-reduce method
-// with the calibrated EXPLAIN predictor on the one reducer grid the
-// caller's Config resolves to, and return the argmin as a Plan that
-// ExecutePlan runs exactly as priced. The method is the planner's only
-// axis: it is the replication-rate trade-off the predicted pair counts
-// capture, while grid scheme, grid resolution and cascade join order
-// were measured to be decided inside the model's own error (EXPERIMENTS.md,
-// "Axis audit — executed"), so the grid is the caller's and the join
+// The cost-based query planner (DESIGN.md §4h): given a parsed query
+// and its bound relations, price every map-reduce method with the
+// EXPLAIN predictor on the one reducer grid the caller's Config
+// resolves to, and return the argmin as a Plan that ExecutePlan runs
+// exactly as priced. The method is the planner's only axis: it is the
+// replication-rate trade-off the predicted pair counts capture, while
+// grid scheme, grid resolution and cascade join order were measured to
+// be decided inside the model's own error (EXPERIMENTS.md, "Axis
+// audit — executed"), so the grid is the caller's and the join
 // order is the cost-based one the paper's footnote 1 assumes. Every
 // method yields the same tuple set, so planning is purely a cost
 // decision: a wrong pick can only waste time, never change the answer.
@@ -29,9 +29,8 @@ import (
 // execution; only the ranking matters, so the absolute scale is a
 // convenience for reading EXPLAIN PLAN output. The weights were fitted
 // against measured wall times of the EXPERIMENTS.md workload matrix
-// (uniform + Zipf-clustered, unit 20,000, seed 2013) and are corrected
-// further at runtime by the calibration ledger's learned per-method
-// factors.
+// (uniform + Zipf-clustered, unit 20,000, seed 2013). They are the
+// model's only correction: Predict's counts are used as estimated.
 const (
 	// planSetupCost is the fixed per-round cost: job scheduling, input
 	// staging and checkpointing overhead of one map-reduce job.
@@ -97,11 +96,8 @@ type PlanCandidate struct {
 	Method Method
 	// Cells is the cell count of the plan's grid.
 	Cells int
-	// Prediction is the calibrated EXPLAIN estimate the candidate was
-	// priced from; Raw is its uncalibrated twin — what the calibration
-	// ledger records, so learned factors never compound.
+	// Prediction is the EXPLAIN estimate the candidate was priced from.
 	Prediction *Prediction
-	Raw        *Prediction
 	// Cost is the candidate's scalar cost (microsecond-equivalents,
 	// see DESIGN.md §4h); always finite and non-negative.
 	Cost float64
@@ -170,7 +166,7 @@ func lessCandidate(a, b PlanCandidate) bool {
 // Each candidate is the Prediction that Predict returns for the method
 // under cfg with OptimizeOrder set — the same grid (cfg.Part, else the
 // relation set's for cfg.Scheme, Reducers and SplitThreshold; default
-// uniform/64), the same calibration, the cost-based join order — so the
+// uniform/64), the cost-based join order — so the
 // pick is the argmin of planCost over the methods' Predict results, and
 // Plan.Part is the grid Execute resolves from the same cfg.
 //
@@ -197,7 +193,7 @@ func PlanQuery(q *query.Query, rels []Relation, cfg Config, opts PlannerOptions)
 	}
 	cands := make([]PlanCandidate, 0, len(methods))
 	for _, m := range methods {
-		raw, pred, err := est.price(m, true, g, cfg.Calibration)
+		pred, err := est.predict(m, true, g)
 		if err != nil {
 			return nil, err
 		}
@@ -205,7 +201,6 @@ func PlanQuery(q *query.Query, rels []Relation, cfg Config, opts PlannerOptions)
 			Method:     m,
 			Cells:      g.part.NumCells(),
 			Prediction: pred,
-			Raw:        raw,
 			Cost:       planCost(pred),
 		})
 	}
@@ -224,8 +219,8 @@ func ExecutePlan(pl *Plan, q *query.Query, rels []Relation, cfg Config) (*Result
 }
 
 // WriteExplain renders the EXPLAIN PLAN table: the chosen method first,
-// then every rejected one in ascending cost order, with the calibrated
-// per-phase estimates each was priced from.
+// then every rejected one in ascending cost order, with the per-phase
+// estimates each was priced from.
 func (p *Plan) WriteExplain(w io.Writer) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "pick\tmethod\trounds\tpairs\tcopies\ttuples\tcost")

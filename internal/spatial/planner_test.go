@@ -153,8 +153,7 @@ func TestPlannerDegenerateBattery(t *testing.T) {
 				if math.IsNaN(c.Cost) || math.IsInf(c.Cost, 0) || c.Cost < 0 {
 					t.Errorf("%s: cost = %v, want finite non-negative", ctx, c.Cost)
 				}
-				assertFinitePrediction(t, ctx+" calibrated", c.Prediction)
-				assertFinitePrediction(t, ctx+" raw", c.Raw)
+				assertFinitePrediction(t, ctx, c.Prediction)
 			}
 
 			res, err := ExecutePlan(plan, tc.q, tc.rels, tc.cfg)
@@ -300,11 +299,10 @@ func TestPlannerRejectsBruteForce(t *testing.T) {
 func TestPlannerPinnedGrid(t *testing.T) {
 	q := chain4()
 	rels := figure4Relations()
-	cal := &Calibration{Factors: map[string]float64{CalibrationKey(Cascade, "pairs"): 40}}
 	for name, cfg := range map[string]Config{
 		"part":         {Part: grid2x2(t)},
 		"default":      {},
-		"uniform-36":   {Reducers: 36, Calibration: cal},
+		"uniform-36":   {Reducers: 36},
 		"adaptive-7":   {Scheme: PartitionAdaptive, Reducers: 7, SplitThreshold: 0.5},
 		"euclidean-16": {Reducers: 16, LimitMetric: grid.MetricEuclidean},
 	} {
@@ -403,38 +401,6 @@ func TestPredictRejectsInvalidRects(t *testing.T) {
 		}
 		if want := fmt.Sprintf("spatial: relation %q (slot 1) item %d: ", "R2", len(bad.Items)-1); !strings.HasPrefix(first, want) {
 			t.Errorf("%s: error %q, want it to name the relation, slot and item: %q…", name, first, want)
-		}
-	}
-}
-
-// TestPredictHostileCalibration: pathological learned factors (Inf,
-// NaN, zero, negative, astronomically large) must never leak a
-// non-finite cost out of Predict or the planner.
-func TestPredictHostileCalibration(t *testing.T) {
-	q := chain4()
-	rels := figure4Relations()
-	cal := &Calibration{Factors: map[string]float64{
-		CalibrationKey(ControlledReplicateLimit, "pairs"):      math.Inf(1),
-		CalibrationKey(ControlledReplicateLimit, "round0"):     math.NaN(),
-		CalibrationKey(ControlledReplicateLimit, "tuples"):     0,
-		CalibrationKey(ControlledReplicateLimit, "copies"):     -3,
-		CalibrationKey(ControlledReplicateLimit, "replicated"): 1e308,
-		CalibrationKey(Cascade, "round1"):                      1e308,
-	}}
-	for _, m := range []Method{Cascade, ControlledReplicateLimit} {
-		p, err := Predict(m, q, rels, Config{Calibration: cal})
-		if err != nil {
-			t.Fatalf("%v: %v", m, err)
-		}
-		assertFinitePrediction(t, fmt.Sprintf("hostile calibration %v", m), p)
-	}
-	plan, err := PlanQuery(q, rels, Config{Calibration: cal}, PlannerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range plan.Alternatives {
-		if math.IsNaN(c.Cost) || math.IsInf(c.Cost, 0) {
-			t.Errorf("candidate %v: non-finite cost %v under hostile calibration", c.Method, c.Cost)
 		}
 	}
 }

@@ -23,8 +23,8 @@ import (
 // and every Predict call re-validated, re-copied, re-sampled and
 // re-joined the relations from scratch. The file is frozen. Neither the
 // summaries nor the planner's collapse to one axis may change a number,
-// so every golden candidate's raw and calibrated prediction and cost
-// must reproduce bit for bit (math.Float64bits, rendered as hex) through
+// so every golden candidate's raw prediction and cost must reproduce
+// bit for bit (math.Float64bits, rendered as hex) through
 // Predict under the Config its label names, and the candidates in the
 // cost-based join order — the only order the planner still prices —
 // through PlanQuery under that Config as well.
@@ -45,10 +45,9 @@ func goldenOf(p *spatial.Prediction) string {
 
 // goldenCandidate is one priced candidate as the golden file holds it.
 type goldenCandidate struct {
-	Label      string `json:"label"` // method/scheme/reducers, "+order" for the optimized join order
-	Raw        string `json:"raw"`
-	Calibrated string `json:"calibrated,omitempty"` // only where a Calibration is set
-	Cost       string `json:"cost"`
+	Label string `json:"label"` // method/scheme/reducers, "+order" for the optimized join order
+	Raw   string `json:"raw"`
+	Cost  string `json:"cost"`
 }
 
 type goldenCase struct {
@@ -110,16 +109,6 @@ func goldenCases(tb testing.TB) []goldenCase {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	cal := &spatial.Calibration{Factors: map[string]float64{
-		spatial.CalibrationKey(spatial.Cascade, "round0"):                  1.7,
-		spatial.CalibrationKey(spatial.Cascade, "pairs"):                   0.6,
-		spatial.CalibrationKey(spatial.Cascade, "tuples"):                  2.25,
-		spatial.CalibrationKey(spatial.AllReplicate, "copies"):             0.5,
-		spatial.CalibrationKey(spatial.ControlledReplicate, "round1"):      3,
-		spatial.CalibrationKey(spatial.ControlledReplicate, "replicated"):  0.1,
-		spatial.CalibrationKey(spatial.ControlledReplicateLimit, "pairs"):  1.3,
-		spatial.CalibrationKey(spatial.ControlledReplicateLimit, "tuples"): 0.9,
-	}}
 	self := zipfSmall[0]
 	few := make([]geom.Rect, 300)
 	for i := range few {
@@ -155,7 +144,6 @@ func goldenCases(tb testing.TB) []goldenCase {
 			rels: []spatial.Relation{uniSmall[0], spatial.NewRelation("b", few), uniSmall[2]},
 		},
 		{name: "uniform-3000/pinned-part", q: hybrid(), rels: uniSmall, cfg: spatial.Config{Part: pinned}},
-		{name: "zipf-5000/calibrated", q: hybrid(), rels: zipfLarge, cfg: spatial.Config{Calibration: cal}},
 		{
 			// Its golden candidates sit on grids {36, 100}.
 			name: "uniform-12000/split-threshold", q: hybrid(), rels: uniLarge,
@@ -205,37 +193,25 @@ func TestPredictionGolden(t *testing.T) {
 			if cfg.Part == nil {
 				cfg.Scheme, cfg.Reducers = scheme, k
 			}
-			priced, err := spatial.Predict(m, tc.q, tc.rels, cfg)
+			pred, err := spatial.Predict(m, tc.q, tc.rels, cfg)
 			if err != nil {
 				t.Fatalf("%s: Predict %s: %v", tc.name, w.Label, err)
 			}
-			rawCfg := cfg
-			rawCfg.Calibration = nil
-			raw, err := spatial.Predict(m, tc.q, tc.rels, rawCfg)
-			if err != nil {
-				t.Fatalf("%s: Predict %s: %v", tc.name, w.Label, err)
-			}
-			check := func(via string, raw, priced *spatial.Prediction, cost float64) {
-				if raw.Cells != cells || goldenOf(raw) != w.Raw {
-					t.Errorf("%s: %s %s raw\n got  %s\n want %s", tc.name, via, w.Label, goldenOf(raw), w.Raw)
-				}
-				if w.Calibrated != "" && goldenOf(priced) != w.Calibrated {
-					t.Errorf("%s: %s %s calibrated\n got  %s\n want %s", tc.name, via, w.Label, goldenOf(priced), w.Calibrated)
-				}
-				if w.Calibrated == "" && goldenOf(priced) != w.Raw {
-					t.Errorf("%s: %s %s priced a prediction that is not its raw one without a calibration", tc.name, via, w.Label)
+			check := func(via string, pred *spatial.Prediction, cost float64) {
+				if pred.Cells != cells || goldenOf(pred) != w.Raw {
+					t.Errorf("%s: %s %s raw\n got  %s\n want %s", tc.name, via, w.Label, goldenOf(pred), w.Raw)
 				}
 				if bits(cost) != w.Cost {
 					t.Errorf("%s: %s %s cost %s, want %s", tc.name, via, w.Label, bits(cost), w.Cost)
 				}
 			}
-			check("Predict", raw, priced, spatial.PlanCost(priced))
+			check("Predict", pred, spatial.PlanCost(pred))
 			if order {
 				plan, err := spatial.PlanQuery(tc.q, tc.rels, cfg, spatial.PlannerOptions{Methods: []spatial.Method{m}})
 				if err != nil {
 					t.Fatalf("%s: PlanQuery %s: %v", tc.name, w.Label, err)
 				}
-				check("PlanQuery", plan.Raw, plan.Prediction, plan.Cost)
+				check("PlanQuery", plan.Prediction, plan.Cost)
 			}
 		}
 	}

@@ -80,10 +80,15 @@ func mbbRect(m dfs.MBB) geom.Rect { return geom.Rect{X: m.X, Y: m.Y, L: m.L, B: 
 
 func mbbItem(m dfs.MBB) tagged { return tagged{m.Slot, m.ID, mbbRect(m), m.Marked} }
 
-// decodeItem parses a DFS item record.
+// decodeItem parses a DFS item record. A mark byte other than 0 or 1 is
+// one encodeItem cannot have written, so it is rejected, not read as
+// unmarked.
 func decodeItem(buf []byte) (tagged, error) {
 	if len(buf) != itemRecordBytes {
 		return tagged{}, fmt.Errorf("spatial: item record has %d bytes, want %d", len(buf), itemRecordBytes)
+	}
+	if buf[37] > 1 {
+		return tagged{}, fmt.Errorf("spatial: item record has mark byte %d, want 0 or 1", buf[37])
 	}
 	return tagged{
 		Slot:   int8(buf[0]),
@@ -210,16 +215,23 @@ func encodeCellTagged(c grid.CellID, t tagged, buf []byte) []byte {
 	return encodeItem(t, binary.LittleEndian.AppendUint32(buf, uint32(c)))
 }
 
-// decodeCellTagged parses an encodeCellTagged record.
-func decodeCellTagged(rec []byte) (grid.CellID, tagged, error) {
-	if len(rec) != 4+itemRecordBytes {
-		return 0, tagged{}, fmt.Errorf("spatial: spilled item pair has %d bytes, want %d", len(rec), 4+itemRecordBytes)
+// cellTaggedDecoder parses encodeCellTagged records of a query of m
+// slots. A slot outside [0, m) would index past a reducer's per-slot
+// tables, so it is rejected here, as a decode error.
+func cellTaggedDecoder(m int) func(rec []byte) (grid.CellID, tagged, error) {
+	return func(rec []byte) (grid.CellID, tagged, error) {
+		if len(rec) != 4+itemRecordBytes {
+			return 0, tagged{}, fmt.Errorf("spatial: spilled item pair has %d bytes, want %d", len(rec), 4+itemRecordBytes)
+		}
+		t, err := decodeItem(rec[4:])
+		if err != nil {
+			return 0, tagged{}, err
+		}
+		if t.Slot < 0 || int(t.Slot) >= m {
+			return 0, tagged{}, fmt.Errorf("spatial: spilled item pair has slot %d, want [0, %d)", t.Slot, m)
+		}
+		return grid.CellID(binary.LittleEndian.Uint32(rec)), t, nil
 	}
-	t, err := decodeItem(rec[4:])
-	if err != nil {
-		return 0, tagged{}, err
-	}
-	return grid.CellID(binary.LittleEndian.Uint32(rec)), t, nil
 }
 
 // cascadeTag distinguishes the two cascadeVal shapes in a spill frame:
@@ -293,18 +305,17 @@ func encodeTupleOutput(t Tuple, buf []byte) []byte {
 	return buf
 }
 
-// decodeTupleOutput parses an encodeTupleOutput record.
-func decodeTupleOutput(rec []byte) (Tuple, error) {
-	if len(rec) < 2 {
-		return Tuple{}, fmt.Errorf("spatial: tuple record too short (%d bytes)", len(rec))
+// tupleOutputDecoder parses encodeTupleOutput records of a query of m
+// slots: a tuple of any other width is one the job cannot have emitted.
+func tupleOutputDecoder(m int) func(rec []byte) (Tuple, error) {
+	return func(rec []byte) (Tuple, error) {
+		if len(rec) != 2+4*m || int(binary.LittleEndian.Uint16(rec)) != m {
+			return Tuple{}, fmt.Errorf("spatial: malformed tuple record (%d bytes), want %d bytes for %d ids", len(rec), 2+4*m, m)
+		}
+		t := Tuple{IDs: make([]int32, m)}
+		for i := range t.IDs {
+			t.IDs[i] = int32(binary.LittleEndian.Uint32(rec[2+4*i:]))
+		}
+		return t, nil
 	}
-	n := int(binary.LittleEndian.Uint16(rec))
-	if len(rec) != 2+4*n {
-		return Tuple{}, fmt.Errorf("spatial: tuple record has %d bytes, want %d for %d ids", len(rec), 2+4*n, n)
-	}
-	t := Tuple{IDs: make([]int32, n)}
-	for i := 0; i < n; i++ {
-		t.IDs[i] = int32(binary.LittleEndian.Uint32(rec[2+4*i:]))
-	}
-	return t, nil
 }

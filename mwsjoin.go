@@ -194,11 +194,6 @@ type Options struct {
 	// SpilledRuns/SpillBytes* job counters record that spilling
 	// happened.
 	SpillBudget int64
-	// Calibration, when non-nil, applies learned per-method/per-phase
-	// correction factors to Predict's estimates (see Calibrate and the
-	// calibration ledger). Run ignores it entirely — calibration never
-	// changes query results, only predictions.
-	Calibration *Calibration
 }
 
 // Tracer is the structured tracing collector; pass one via
@@ -305,46 +300,6 @@ func WriteChromeTrace(w io.Writer, spans []TraceSpan) error {
 // non-negative times).
 func ValidateChromeTrace(data []byte) error { return profile.ValidateChromeTrace(data) }
 
-// Calibration holds learned per-method/per-phase correction factors for
-// the EXPLAIN cost model; pass via Options.Calibration to tighten
-// Predict. Derive one from a ledger with Calibrate.
-type Calibration = spatial.Calibration
-
-// CalibrationEntry is one line of the calibration ledger: a query's
-// predicted versus measured per-phase costs.
-type CalibrationEntry = profile.LedgerEntry
-
-// CalibrationLedger is the persistent predicted-vs-actual ledger (JSON
-// lines on the real file system), appended once per executed query.
-type CalibrationLedger = profile.Ledger
-
-// OpenCalibrationLedger returns a ledger appending to path (created on
-// first use).
-func OpenCalibrationLedger(path string) *CalibrationLedger { return profile.OpenLedger(path) }
-
-// ReadCalibrationLedger loads every entry of a ledger file; a missing
-// file is an empty ledger.
-func ReadCalibrationLedger(path string) ([]CalibrationEntry, error) {
-	return profile.ReadLedger(path)
-}
-
-// NewCalibrationEntry pairs an uncalibrated Prediction with the Stats
-// the corresponding Run measured. Append it to a ledger, then derive
-// factors with Calibrate. Always record raw (uncalibrated) predictions:
-// ledgering calibrated ones would compound the factors.
-func NewCalibrationEntry(q *Query, pred *Prediction, st *Stats) CalibrationEntry {
-	text := ""
-	if q != nil {
-		text = q.String()
-	}
-	return profile.NewLedgerEntry(text, pred, st)
-}
-
-// Calibrate derives correction factors from ledger entries: for each
-// (method, phase) the geometric mean of actual/predicted over the
-// usable entries. An empty ledger yields the identity calibration.
-func Calibrate(entries []CalibrationEntry) *Calibration { return profile.Calibrate(entries) }
-
 // PartitionScheme selects how the reducer grid is derived from the
 // data: PartitionUniform is the paper's fixed k×k grid,
 // PartitionAdaptive the sample-driven split/merge partitioning.
@@ -363,7 +318,7 @@ func ParsePartitionScheme(s string) (PartitionScheme, error) {
 }
 
 // Plan is the cost-based planner's pick: the chosen method, the grid it
-// was priced on, the calibrated cost estimate it was priced from, and
+// was priced on, the cost estimate it was priced from, and
 // every rejected method. Obtain one with PlanQuery, execute it with
 // RunPlan, render it with WriteExplain.
 type Plan = spatial.Plan
@@ -376,7 +331,7 @@ type PlanCandidate = spatial.PlanCandidate
 type PlannerOptions = spatial.PlannerOptions
 
 // PlanQuery prices every map-reduce method for the query with the
-// (optionally calibrated) EXPLAIN cost model — each exactly as Predict
+// EXPLAIN cost model — each exactly as Predict
 // prices it under the same options with OptimizeOrder set — and returns
 // the cheapest as a Plan ready for RunPlan. The method is the only
 // thing planned: the reducer grid is the one the options select
@@ -461,7 +416,6 @@ func buildConfig(rels []Relation, opts *Options) (spatial.Config, error) {
 		Metrics:        o.Metrics,
 		OptimizeOrder:  o.OptimizeOrder,
 		CountOnly:      o.CountOnly,
-		Calibration:    o.Calibration,
 		SpillBudget:    o.SpillBudget,
 	}
 	if o.EuclideanLimit {
