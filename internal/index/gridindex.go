@@ -79,7 +79,7 @@ func NewGrid(rects []geom.Rect) *Grid {
 	return g
 }
 
-// Len implements Index.
+// Len returns the number of indexed rectangles.
 func (g *Grid) Len() int { return len(g.rects) }
 
 // forEachBucket visits the bucket indices overlapping r, clamped into
@@ -99,7 +99,10 @@ func (g *Grid) forEachBucket(r geom.Rect, fn func(b int)) {
 func (g *Grid) clampX(x int) int { return min(max(x, 0), g.nx-1) }
 func (g *Grid) clampY(y int) int { return min(max(y, 0), g.ny-1) }
 
-// Probe implements Index.
+// Probe invokes fn with the index of every rectangle within distance
+// d of r (d = 0 means overlap), each once, in no particular order; fn
+// returning false stops the probe. Not exact at extreme coordinates:
+// see the package doc.
 func (g *Grid) Probe(r geom.Rect, d float64, fn func(i int) bool) {
 	if len(g.rects) == 0 {
 		return

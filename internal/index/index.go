@@ -1,55 +1,20 @@
-// Package index provides the reducer-local spatial indexes used to
-// find join candidates among the rectangles delivered to one
-// partition-cell. Two interchangeable structures are provided:
+// Package index holds two spatial indexes the engine no longer uses:
 //
-//   - Grid: a bucket grid, fastest for uniformly distributed small
-//     rectangles (the paper's synthetic workloads);
-//   - RTree: an STR bulk-loaded R-tree, more robust under skew (the
-//     California road workload).
+//   - Grid: a bucket grid;
+//   - RTree: an STR bulk-loaded R-tree.
 //
-// Both support the two probe shapes the paper's predicates need:
-// overlap probes (d = 0) and within-distance probes (d > 0), and both
-// report *indices* into the rectangle slice they were built from, so
-// callers keep rectangles in cache-friendly flat slices.
+// Every reducer now runs the strip kernel of internal/sweep. The two
+// stay only because the benchmark's layer measurements
+// (benchmark/layers.go) call NewGrid and NewRTree by name; they go
+// when that file is ported. Both answer overlap probes (d = 0) and
+// within-distance probes (d > 0) with indices into the rectangle slice
+// they were built from. RTree is exact at any coordinates; Grid is not:
+// it picks buckets from the probe enlarged by d, and where that
+// enlargement rounds short of a rectangle by an ulp — coordinates near
+// 1e9 with d ≈ 1e9 — it drops pairs geom.Rect.WithinDist accepts.
 package index
 
 import "mwsjoin/internal/geom"
-
-// Index is the probe interface shared by Grid and RTree.
-type Index interface {
-	// Probe invokes fn with the index of every rectangle within
-	// distance d of the probe rectangle (d = 0 means overlap). fn
-	// returning false stops the probe early. Indices are reported in
-	// no particular order but exactly once per matching rectangle.
-	Probe(r geom.Rect, d float64, fn func(i int) bool)
-	// Len returns the number of indexed rectangles.
-	Len() int
-}
-
-// Linear is the trivial reference index: a scan over all rectangles.
-// It exists to cross-check the real indexes in tests and as a safe
-// fallback for tiny inputs.
-type Linear struct {
-	rects []geom.Rect
-}
-
-// NewLinear builds a Linear index over rects; the slice is retained,
-// not copied.
-func NewLinear(rects []geom.Rect) *Linear { return &Linear{rects: rects} }
-
-// Len implements Index.
-func (l *Linear) Len() int { return len(l.rects) }
-
-// Probe implements Index.
-func (l *Linear) Probe(r geom.Rect, d float64, fn func(i int) bool) {
-	for i := range l.rects {
-		if matches(l.rects[i], r, d) {
-			if !fn(i) {
-				return
-			}
-		}
-	}
-}
 
 // matches is the shared predicate test: overlap when d == 0, within
 // distance otherwise.

@@ -159,14 +159,16 @@ func NewRTree(rects []geom.Rect) *RTree {
 	return t
 }
 
-// Len implements Index.
+// Len returns the number of indexed rectangles.
 func (t *RTree) Len() int { return len(t.rects) }
 
 // Height returns the number of levels in the tree (0 for an empty
 // tree); exposed for tests and diagnostics.
 func (t *RTree) Height() int { return len(t.levels) }
 
-// Probe implements Index. Matches are reported in STR order.
+// Probe invokes fn with the index of every rectangle within distance
+// d of r (d = 0 means overlap), each once, in STR order; fn returning
+// false stops the probe.
 func (t *RTree) Probe(r geom.Rect, d float64, fn func(i int) bool) {
 	if len(t.levels) == 0 || d < 0 {
 		return // a negative distance matches nothing, as in WithinDist

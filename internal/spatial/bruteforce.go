@@ -3,18 +3,24 @@ package spatial
 import "time"
 
 // bruteForce evaluates the query on a single machine with the same
-// backtracking matcher the reducers use, but over the entire datasets.
-// It is the ground truth the distributed methods are tested against,
-// and doubles as a centralised baseline for small inputs.
+// matcher the reducers use, but over the entire datasets. It is the
+// centralised baseline for small inputs and the reference the
+// distributed methods are tested against; the kernel-free reference
+// the matcher itself is tested against lives in the tests.
 func bruteForce(pl *plan, rels []Relation, countOnly bool) (*Result, error) {
 	start := time.Now()
-	data := newCellData(pl.m, nil)
+	n := 0
+	for _, rel := range rels {
+		n += len(rel.Items)
+	}
+	items := make([]tagged, 0, n)
 	for s, rel := range rels {
 		for _, it := range rel.Items {
-			data.ids[s] = append(data.ids[s], it.ID)
-			data.rects[s] = append(data.rects[s], it.R)
+			items = append(items, tagged{Slot: int8(s), ID: it.ID, Rect: it.R})
 		}
 	}
+	data := newCellData(pl.m, items)
+	defer data.release()
 	var tuples []Tuple
 	var slab tupleSlab
 	var count int64

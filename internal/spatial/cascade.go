@@ -270,10 +270,12 @@ func sweepOrder(x float64) uint64 {
 	return b | 1<<63
 }
 
-// appendSweepWords appends one word per tuple of vals (per item, when
-// items is set) in sweep order — ascending (MinX, arrival position) —
-// with the position in the low 32 bits. xs holds sweepOrder of every
-// value's MinX.
+// sortSweepWords puts one side of a cell into sweep order — ascending
+// (MinX, arrival position). side holds the side's arrival positions,
+// ascending, and xs sweepOrder of the MinX at every position; on return
+// side holds one word per value in sweep order, with the position in
+// the low 32 bits. A side is the cascade's tuples or its items, or one
+// slot of a multi-way cell.
 //
 // The order comes from an ordered sort of the words themselves, no
 // comparator: the high 32 bits are the value's offset from the
@@ -282,18 +284,13 @@ func sweepOrder(x float64) uint64 {
 // form a run that is in position order, not MinX order; those runs are
 // re-sorted on the exact (MinX, position), which leaves the
 // permutation a comparator sort of the whole side produces.
-func appendSweepWords(words, xs []uint64, vals []cascadeVal, items bool) []uint64 {
-	base := len(words)
-	lo, hi := uint64(math.MaxUint64), uint64(0)
-	for i := range vals {
-		if (vals[i].Slab == itemSlab) == items {
-			lo, hi = min(lo, xs[i]), max(hi, xs[i])
-			words = append(words, uint64(i))
-		}
-	}
-	side := words[base:]
+func sortSweepWords(side, xs []uint64) {
 	if len(side) < 2 {
-		return words
+		return
+	}
+	lo, hi := uint64(math.MaxUint64), uint64(0)
+	for _, i := range side {
+		lo, hi = min(lo, xs[i]), max(hi, xs[i])
 	}
 	shift := max(bits.Len64(hi-lo), 32) - 32
 	for k, i := range side {
@@ -301,7 +298,7 @@ func appendSweepWords(words, xs []uint64, vals []cascadeVal, items bool) []uint6
 	}
 	slices.Sort(side)
 	if shift == 0 {
-		return words
+		return
 	}
 	exact := func(a, b uint64) int {
 		return cmp.Or(cmp.Compare(xs[uint32(a)], xs[uint32(b)]), cmp.Compare(a, b))
@@ -316,14 +313,13 @@ func appendSweepWords(words, xs []uint64, vals []cascadeVal, items bool) []uint6
 		}
 		from = to
 	}
-	return words
 }
 
 // cellScratch is cascadeReduce's per-cell working set, recycled across
 // the cells of a round.
 type cellScratch struct {
 	xs    []uint64    // sweepOrder of every value's MinX, by arrival position
-	order []uint64    // appendSweepWords: the tuples, then the items
+	order []uint64    // sortSweepWords: the tuples, then the items
 	recs  [][]byte    // tuple records and
 	keys  []geom.Rect // their key rectangles, in sweep order
 	ids   []int32     // item ids and
@@ -348,19 +344,24 @@ func cascadeReduce(pl *plan, part *grid.Partitioning, in, out *partialStore, new
 		// apart. A cell's values arrive in job-input order, so this is
 		// the order a stable MinX sort of each whole relation ahead of
 		// the job would deliver, computed per cell on compact keys.
-		sc.xs = sc.xs[:0]
-		nt := 0
+		sc.xs, sc.order = sc.xs[:0], sc.order[:0]
 		for i := range vals {
 			sc.xs = append(sc.xs, sweepOrder(vals[i].Rect.MinX()))
 			if vals[i].Slab != itemSlab {
-				nt++
+				sc.order = append(sc.order, uint64(i))
 			}
 		}
+		nt := len(sc.order)
 		if nt == 0 || nt == len(vals) {
 			return nil
 		}
-		sc.order = appendSweepWords(sc.order[:0], sc.xs, vals, false)
-		sc.order = appendSweepWords(sc.order, sc.xs, vals, true)
+		for i := range vals {
+			if vals[i].Slab == itemSlab {
+				sc.order = append(sc.order, uint64(i))
+			}
+		}
+		sortSweepWords(sc.order[:nt], sc.xs)
+		sortSweepWords(sc.order[nt:], sc.xs)
 		sc.recs, sc.keys, sc.ids, sc.rects, sc.out = sc.recs[:0], sc.keys[:0], sc.ids[:0], sc.rects[:0], sc.out[:0]
 		for _, w := range sc.order[:nt] {
 			v := &vals[uint32(w)]
@@ -379,13 +380,17 @@ func cascadeReduce(pl *plan, part *grid.Partitioning, in, out *partialStore, new
 				return true
 			}
 			// §5.2/§5.3 duplicate avoidance: only the cell owning the
-			// start-point of enlKey ∩ item computes the pair.
+			// start-point of enlKey ∩ item computes the pair. The point
+			// comes from the edges, not from enlKey.Intersection: the
+			// sweep accepted the pair on its exact gaps, and where the
+			// float enlargement falls an ulp short of the item the
+			// intersection is empty and the pair would be lost.
 			enlKey := sc.keys[i]
 			if d > 0 {
 				enlKey = enlKey.Enlarge(d)
 			}
-			inter, ok := enlKey.Intersection(r)
-			if !ok || part.CellOf(inter.Start()) != c {
+			start := geom.Point{X: max(enlKey.MinX(), r.MinX()), Y: min(enlKey.MaxY(), r.MaxY())}
+			if part.CellOf(start) != c {
 				return true
 			}
 			local++

@@ -8,8 +8,6 @@ import (
 	"testing"
 
 	"mwsjoin/internal/geom"
-	"mwsjoin/internal/mapreduce"
-	"mwsjoin/internal/query"
 	"mwsjoin/internal/sweep"
 )
 
@@ -115,14 +113,6 @@ func TestJoinSortedDenseMatchesSweep(t *testing.T) {
 	}
 }
 
-func sumPairs(rounds []*mapreduce.Stats) int64 {
-	var n int64
-	for _, r := range rounds {
-		n += r.IntermediatePairs
-	}
-	return n
-}
-
 func head(pairs [][2]int) [][2]int {
 	if len(pairs) > 8 {
 		return pairs[:8]
@@ -155,43 +145,5 @@ func TestJoinSortedDenseNegativeDistance(t *testing.T) {
 	as := []geom.Rect{{X: 0, Y: 10, L: 10, B: 10}, {X: 5, Y: 10, L: 10, B: 10}}
 	if pairs := collectPairs(as, as, -1, -1); len(pairs) != 0 {
 		t.Errorf("d<0 emitted %d pairs", len(pairs))
-	}
-}
-
-// TestCascadeRTreeEscalationBitIdentical runs full executions with the
-// R-tree forced onto every indexed slot versus kept off. The cut-off
-// governs only the multi-way reducers' per-cell probe index (All-Rep,
-// C-Rep), whose choice reorders within-cell emission, so they are held
-// to tuple-set identity plus unchanged counts; the cascade's kernel has
-// no cut-off, so its tuple slice must match in order.
-func TestCascadeRTreeEscalationBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewPCG(2013, 29))
-	rels := randomRelations(rng, 3, 120, 1000, 60)
-	q := query.New("R1", "R2", "R3").Overlap(0, 1).Overlap(1, 2)
-	part := testGrid(t, 4, 1000)
-	run := func(method Method, from int) *Result {
-		withRTreeFrom(t, from)
-		res, err := Execute(method, q, rels, Config{Part: part})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	for _, method := range mrMethods {
-		base, forced := run(method, rtreeNever), run(method, rtreeAlways)
-		if method == Cascade && !reflect.DeepEqual(forced.Tuples, base.Tuples) {
-			t.Errorf("%v: the threshold changed the tuple sequence (%d vs %d tuples)",
-				method, len(forced.Tuples), len(base.Tuples))
-		}
-		if !reflect.DeepEqual(forced.TupleSet(), base.TupleSet()) {
-			t.Errorf("%v: forced R-tree escalation changed the tuple set", method)
-		}
-		if forced.Stats.OutputTuples != base.Stats.OutputTuples {
-			t.Errorf("%v: escalation changed output count: %d vs %d", method,
-				forced.Stats.OutputTuples, base.Stats.OutputTuples)
-		}
-		if fp, bp := sumPairs(forced.Stats.Rounds), sumPairs(base.Stats.Rounds); fp != bp {
-			t.Errorf("%v: escalation changed shuffle pairs: %d vs %d", method, fp, bp)
-		}
 	}
 }

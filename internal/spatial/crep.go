@@ -143,6 +143,7 @@ func controlledReplicate(pl *plan, exec *executor, limit bool) (*Result, error) 
 			Combine:   dedupSplitRun,
 			Reduce: func(c grid.CellID, items []tagged, emit func(tagged)) error {
 				cd := newCellData(pl.m, items)
+				defer cd.release()
 				// markCell marks only rectangles starting in c, so each
 				// marked rectangle is output once, by its start cell.
 				for s, marked := range markCell(pl, exec.part, c, cd) {
@@ -275,6 +276,7 @@ func controlledReplicate(pl *plan, exec *executor, limit bool) (*Result, error) 
 func joinReduce(pl *plan, part *grid.Partitioning, countOnly bool, counted *atomic.Int64, reg *metrics.Registry) func(grid.CellID, []tagged, func(Tuple)) error {
 	return func(c grid.CellID, items []tagged, emit func(Tuple)) error {
 		cd := newCellData(pl.m, items)
+		defer cd.release()
 		// The slab lives for this call: an attempt the engine discards
 		// and retries leaves its chunks behind as garbage.
 		var slab tupleSlab

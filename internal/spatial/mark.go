@@ -5,7 +5,6 @@ import (
 
 	"mwsjoin/internal/geom"
 	"mwsjoin/internal/grid"
-	"mwsjoin/internal/index"
 	"mwsjoin/internal/query"
 )
 
@@ -52,8 +51,8 @@ type marker struct {
 	slotEdges [][]query.Edge
 	escape    [][][]bool
 
-	indexes []index.Index
-	assign  []int
+	strips cellStrips
+	assign []int
 	// forcedBy[s] counts how many assigned members currently force
 	// slot s in; a slot is pending while forcedBy > 0 and unassigned.
 	forcedBy []int
@@ -75,7 +74,7 @@ func markCell(pl *plan, part *grid.Partitioning, c grid.CellID, cd *cellData) []
 		part:     part,
 		cell:     c,
 		cd:       cd,
-		indexes:  make([]index.Index, pl.m),
+		strips:   cellStrips{rects: cd.rects},
 		assign:   make([]int, pl.m),
 		forcedBy: make([]int, pl.m),
 		marked:   make([][]bool, pl.m),
@@ -95,6 +94,7 @@ func markCell(pl *plan, part *grid.Partitioning, c grid.CellID, cd *cellData) []
 		mk.escape[s] = make([][]bool, len(mk.slotEdges[s]))
 		mk.try[s] = func(j int) bool { return mk.tryCandidate(s, j) }
 	}
+	defer mk.strips.release()
 
 	for s := 0; s < pl.m; s++ {
 		for j := range cd.ids[s] {
@@ -244,13 +244,14 @@ func (mk *marker) witness() bool {
 		}
 		return true
 	}
-	// Candidates for the forced slot come from an index probe along an
-	// edge to an assigned neighbour — there is one, the member that
-	// forced the slot in.
+	// Candidates for the forced slot come from a probe of its strips
+	// along an edge to an assigned neighbour — there is one, the member
+	// that forced the slot in.
 	mk.found = false
 	for _, e := range mk.slotEdges[t] {
 		if k := mk.assign[e.Other(t)]; k >= 0 {
-			mk.indexFor(t).Probe(mk.cd.rects[e.Other(t)][k], e.Pred.Weight(), mk.try[t])
+			d := e.Pred.Weight()
+			mk.strips.of(t, d).Probe(mk.cd.rects[e.Other(t)][k], d, mk.try[t])
 			break
 		}
 	}
@@ -269,14 +270,6 @@ func (mk *marker) tryCandidate(t, j int) bool {
 	mk.found = mk.witness()
 	mk.unbind(t, j)
 	return !mk.found
-}
-
-// indexFor lazily builds the index over slot t's local rectangles.
-func (mk *marker) indexFor(t int) index.Index {
-	if mk.indexes[t] == nil {
-		mk.indexes[t] = mk.pl.newIndex(mk.cd.rects[t])
-	}
-	return mk.indexes[t]
 }
 
 // consistentWithAssigned verifies C1 (all edges into the assigned set)

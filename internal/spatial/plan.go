@@ -3,11 +3,12 @@ package spatial
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"mwsjoin/internal/geom"
 	"mwsjoin/internal/grid"
-	"mwsjoin/internal/index"
 	"mwsjoin/internal/query"
+	"mwsjoin/internal/sweep"
 )
 
 // plan precomputes the query-dependent state shared by every reducer:
@@ -24,30 +25,13 @@ type plan struct {
 	// the first has at least one edge to an earlier slot.
 	order []int
 	// edgesToPrev[p] are the query edges from slot order[p] to slots
-	// earlier in the order; primary[p] indexes the edge used for index
-	// probing (the rest are verified as filters).
+	// earlier in the order; primary[p] indexes the edge that finds the
+	// candidates (the rest are verified as filters).
 	edgesToPrev [][]query.Edge
 	primary     []int
 	// sameDataset[i][j] marks slot pairs bound to the same dataset.
 	sameDataset [][]bool
-	// rtreeFrom is the slot size from which newIndex builds the R-tree:
-	// the rtreeFrom constant unless a test overrode it.
-	rtreeFrom int
 }
-
-// The slot-size cut-offs of newIndex: a linear scan below
-// linearScanBelow records, the bucket grid below rtreeFrom, the STR
-// R-tree from there. No one structure wins every size band (ROADMAP
-// 3(b)), so a better rule would follow skew, not a user-set number.
-const (
-	linearScanBelow = 16
-	rtreeFrom       = 256
-)
-
-// rtreeFromOverride, when non-zero, replaces rtreeFrom in the plans
-// built while it is set. Only tests write it (export_test.go), to force
-// the R-tree onto every indexed slot or to keep it off.
-var rtreeFromOverride int
 
 // newPlan validates the query/relation binding and builds the plan.
 func newPlan(q *query.Query, rels []Relation, distinct bool) (*plan, error) {
@@ -58,10 +42,7 @@ func newPlan(q *query.Query, rels []Relation, distinct bool) (*plan, error) {
 	if len(rels) != m {
 		return nil, fmt.Errorf("spatial: query has %d slots but %d relations were bound", m, len(rels))
 	}
-	pl := &plan{q: q, m: m, distinct: distinct, rtreeFrom: rtreeFrom}
-	if rtreeFromOverride != 0 {
-		pl.rtreeFrom = rtreeFromOverride
-	}
+	pl := &plan{q: q, m: m, distinct: distinct}
 
 	// Same-dataset groups, by relation name.
 	pl.sameDataset = make([][]bool, m)
@@ -230,46 +211,111 @@ func (pl *plan) compatible(si int, idI int32, sj int, idJ int32) bool {
 	return !pl.sameDataset[si][sj] || idI != idJ
 }
 
-// newIndex builds the reducer-local index over rects, chosen from the
-// observed slot size alone: a linear scan below linearScanBelow, then
-// the bucket grid, escalated to the STR R-tree from pl.rtreeFrom (the
-// bucket grid degrades when a skewed cell piles thousands of rectangles
-// into few buckets). All three report the same match set, so the choice
-// never changes emitted tuples.
-func (pl *plan) newIndex(rects []geom.Rect) index.Index {
-	switch {
-	case len(rects) < linearScanBelow:
-		return index.NewLinear(rects)
-	case len(rects) < pl.rtreeFrom:
-		return index.NewGrid(rects)
-	}
-	return index.NewRTree(rects)
-}
-
 // cellData is the per-reducer view of the shuffled rectangles: ids and
-// rects per slot, parallel slices.
+// rects per slot, parallel slices, each slot in sweep order — ascending
+// (MinX, arrival position) — which is what sweep.JoinSorted and
+// sweep.Build read. A cellData is recycled through cellPool together
+// with the scratch below; release hands it back.
 type cellData struct {
 	ids   [][]int32
 	rects [][]geom.Rect
+
+	idBuf   []int32     // every slot's ids, slot after slot, and
+	rectBuf []geom.Rect // rects: the arrays ids and rects slice
+	off     []int32     // slot s is positions off[s]:off[s+1] of both
+	xs      []uint64    // sortSweepWords: sweepOrder of each item's MinX,
+	words   []uint64    // and the items of one slot after another
+	keep    []int32     // matchPruned: the first slot's admitted items
+	as      []geom.Rect // and their rects
 }
 
-// newCellData groups tagged items by slot.
+var cellPool = sync.Pool{New: func() any { return new(cellData) }}
+
+// newCellData groups tagged items by slot, each slot in sweep order.
+// Ids and rects are permuted together, so an item's local index names
+// the same record in both.
 func newCellData(m int, items []tagged) *cellData {
-	cd := &cellData{ids: make([][]int32, m), rects: make([][]geom.Rect, m)}
-	for _, it := range items {
-		s := int(it.Slot)
-		cd.ids[s] = append(cd.ids[s], it.ID)
-		cd.rects[s] = append(cd.rects[s], it.Rect)
+	cd := cellPool.Get().(*cellData)
+	cd.off = append(cd.off[:0], make([]int32, m+1)...)
+	cd.xs = cd.xs[:0]
+	for i := range items {
+		cd.off[items[i].Slot+1]++
+		cd.xs = append(cd.xs, sweepOrder(items[i].Rect.MinX()))
+	}
+	for s := 0; s < m; s++ {
+		cd.off[s+1] += cd.off[s]
+	}
+	// A counting sort by slot keeps each slot's arrival order; off[s]
+	// serves as slot s's fill cursor and is restored after.
+	cd.words = append(cd.words[:0], make([]uint64, len(items))...)
+	for i := range items {
+		s := items[i].Slot
+		cd.words[cd.off[s]] = uint64(i)
+		cd.off[s]++
+	}
+	copy(cd.off[1:], cd.off[:m])
+	cd.off[0] = 0
+	n := len(items)
+	cd.idBuf = append(cd.idBuf[:0], make([]int32, n)...)
+	cd.rectBuf = append(cd.rectBuf[:0], make([]geom.Rect, n)...)
+	cd.ids, cd.rects = append(cd.ids[:0], make([][]int32, m)...), append(cd.rects[:0], make([][]geom.Rect, m)...)
+	for s := 0; s < m; s++ {
+		lo, hi := cd.off[s], cd.off[s+1]
+		sortSweepWords(cd.words[lo:hi], cd.xs)
+		for k := lo; k < hi; k++ {
+			it := &items[uint32(cd.words[k])]
+			cd.idBuf[k], cd.rectBuf[k] = it.ID, it.Rect
+		}
+		cd.ids[s], cd.rects[s] = cd.idBuf[lo:hi:hi], cd.rectBuf[lo:hi:hi]
 	}
 	return cd
 }
 
+// release returns cd to cellPool; nothing may read it after.
+func (cd *cellData) release() { cellPool.Put(cd) }
+
+// cellStrips holds the strip layouts a search over one cell probes,
+// each built on first use. A strip is cut from the distance it serves,
+// so there is one per slot and probe distance; few distances meet one
+// slot, and the list stays short.
+type cellStrips struct {
+	rects [][]geom.Rect // the cell's slots
+	built []builtStrips
+}
+
+type builtStrips struct {
+	slot int
+	d    float64
+	s    *sweep.Strips
+}
+
+// of returns slot s's layout for probes at distance d.
+func (cs *cellStrips) of(s int, d float64) *sweep.Strips {
+	for _, b := range cs.built {
+		if b.slot == s && b.d == d {
+			return b.s
+		}
+	}
+	st := sweep.Build(cs.rects[s], d)
+	cs.built = append(cs.built, builtStrips{slot: s, d: d, s: st})
+	return st
+}
+
+// release hands every layout back to the sweep package's pool.
+func (cs *cellStrips) release() {
+	for _, b := range cs.built {
+		b.s.Release()
+	}
+	cs.built = cs.built[:0]
+}
+
 // match enumerates every assignment of local items to slots that
 // satisfies all query conditions and invokes emit with assign[slot] =
-// local item index. Assignments are found by backtracking in plan
-// order, probing the configured spatial index for candidates along the
-// primary edge and verifying remaining edges as filters. emit must not
-// retain assign.
+// local item index. The plan's first edge is one sweep over its two
+// slots; every later slot is searched by backtracking in plan order,
+// probing its strips for candidates along the primary edge and
+// verifying the remaining edges as filters. emit must not retain
+// assign.
 func (pl *plan) match(cd *cellData, emit func(assign []int)) {
 	pl.matchPruned(cd, math.Inf(1), math.Inf(-1), math.Inf(-1), math.Inf(1), emit)
 }
@@ -321,6 +367,12 @@ func (pl *plan) matchInCell(cd *cellData, part *grid.Partitioning, c grid.CellID
 // cannot lift the final point up to needX (or the smallest start-y
 // cannot push it down to needY), no extension can help either.
 // Infinite bounds disable the respective prune.
+//
+// Whether an item at the first position survives those prunes depends
+// on the item alone, so they filter that slot once, before the sweep
+// pairs it with the second position's slot (sweep.JoinSorted along the
+// plan's first edge). Each pair the sweep reports is then extended by
+// strip probes, one slot per later position.
 func (pl *plan) matchPruned(cd *cellData, pruneX, pruneY, needX, needY float64, emit func(assign []int)) {
 	for s := 0; s < pl.m; s++ {
 		if len(cd.ids[s]) == 0 {
@@ -329,8 +381,8 @@ func (pl *plan) matchPruned(cd *cellData, pruneX, pruneY, needX, needY float64, 
 	}
 	st := &matchState{
 		pl: pl, cd: cd,
+		strips:  cellStrips{rects: cd.rects},
 		assign:  make([]int, pl.m),
-		indexes: make([]index.Index, pl.m),
 		runX:    make([]float64, pl.m),
 		runY:    make([]float64, pl.m),
 		onProbe: make([]func(int) bool, pl.m),
@@ -340,10 +392,11 @@ func (pl *plan) matchPruned(cd *cellData, pruneX, pruneY, needX, needY float64, 
 		needX:   needX,
 		needY:   needY,
 	}
+	defer st.strips.release()
 	for i := range st.assign {
 		st.assign[i] = -1
 	}
-	for p := 1; p < pl.m; p++ {
+	for p := 2; p < pl.m; p++ {
 		st.onProbe[p] = func(j int) bool {
 			if st.accepts(p, j) {
 				st.step(p, j)
@@ -370,18 +423,47 @@ func (pl *plan) matchPruned(cd *cellData, pruneX, pruneY, needX, needY float64, 
 		}
 	}
 	st.runX[0], st.runY[0] = math.Inf(-1), math.Inf(1)
-	st.extend(0)
+
+	s0 := pl.order[0]
+	cd.keep, cd.as = cd.keep[:0], cd.as[:0]
+	for j, r := range cd.rects[s0] {
+		if _, _, ok := st.admit(0, j); ok {
+			cd.keep = append(cd.keep, int32(j))
+			cd.as = append(cd.as, r)
+		}
+	}
+	if pl.m == 1 {
+		for _, j := range cd.keep {
+			st.assign[s0] = int(j)
+			emit(st.assign)
+		}
+		return
+	}
+	e := pl.edgesToPrev[1][pl.primary[1]]
+	bound := -1
+	sweep.JoinSorted(cd.as, cd.rects[pl.order[1]], e.Pred.Weight(), func(i, k int) bool {
+		if i != bound {
+			bound = i
+			j := int(cd.keep[i])
+			st.assign[s0] = j
+			st.runX[1], st.runY[1], _ = st.admit(0, j)
+		}
+		if st.accepts(1, k) {
+			st.step(1, k)
+		}
+		return true
+	})
 }
 
 type matchState struct {
-	pl      *plan
-	cd      *cellData
-	assign  []int
-	indexes []index.Index
+	pl     *plan
+	cd     *cellData
+	assign []int
+	strips cellStrips
 	// runX[p], runY[p] carry the running duplicate-avoidance point of
 	// the members assigned before position p of the plan order.
 	runX, runY []float64
-	// onProbe[p] is position p's index-probe callback, built once per
+	// onProbe[p] is position p's strip-probe callback, built once per
 	// cell so the search allocates nothing per probe.
 	onProbe        []func(j int) bool
 	emit           func([]int)
@@ -392,17 +474,9 @@ type matchState struct {
 	sufMaxX, sufMinY []float64
 }
 
-// indexFor lazily builds the index over slot s's local rectangles.
-func (st *matchState) indexFor(s int) index.Index {
-	if st.indexes[s] == nil {
-		st.indexes[s] = st.pl.newIndex(st.cd.rects[s])
-	}
-	return st.indexes[s]
-}
-
 // accepts verifies the non-primary edges and distinctness for binding
 // item j at position p given the current partial assignment; the
-// primary edge is what the index probe already tested.
+// primary edge is what the sweep or the strip probe already tested.
 func (st *matchState) accepts(p, j int) bool {
 	pl := st.pl
 	s := pl.order[p]
@@ -427,30 +501,24 @@ func (st *matchState) accepts(p, j int) bool {
 	return true
 }
 
-// extend advances the backtracking search at position p of the plan
-// order: every local item at the first position, the index's matches
-// along the primary edge at the later ones.
+// extend advances the backtracking search at position p ≥ 2 of the
+// plan order: slot order[p]'s strips are probed with the rectangle
+// bound at the other end of the primary edge.
 func (st *matchState) extend(p int) {
 	pl := st.pl
 	s := pl.order[p]
-	if p == 0 {
-		for j := range st.cd.ids[s] {
-			st.step(p, j)
-		}
-		return
-	}
 	e := pl.edgesToPrev[p][pl.primary[p]]
 	t := e.Other(s)
-	st.indexFor(s).Probe(st.cd.rects[t][st.assign[t]], e.Pred.Weight(), st.onProbe[p])
+	d := e.Pred.Weight()
+	st.strips.of(s, d).Probe(st.cd.rects[t][st.assign[t]], d, st.onProbe[p])
 }
 
-// step binds item j at position p, unless the dup point provably ends
-// outside this reducer's cell, and searches on.
-func (st *matchState) step(p, j int) {
-	pl := st.pl
-	s := pl.order[p]
-	r := st.cd.rects[s][j]
-	nx, ny := st.runX[p], st.runY[p]
+// admit computes the running dup point with item j bound at position
+// p, and whether the cell can still own the point of a tuple built on
+// it.
+func (st *matchState) admit(p, j int) (nx, ny float64, ok bool) {
+	r := st.cd.rects[st.pl.order[p]][j]
+	nx, ny = st.runX[p], st.runY[p]
 	if r.X > nx {
 		nx = r.X
 	}
@@ -458,20 +526,26 @@ func (st *matchState) step(p, j int) {
 		ny = r.Y
 	}
 	if nx >= st.pruneX || ny <= st.pruneY {
-		return // the dup point has left this reducer's cell for good
+		return nx, ny, false // the dup point has left this reducer's cell for good
 	}
-	if st.sufMaxX != nil {
-		// Even the best remaining members cannot pull the dup
-		// point into the cell's column/row.
-		if math.Max(nx, st.sufMaxX[p+1]) < st.needX {
-			return
-		}
-		if math.Min(ny, st.sufMinY[p+1]) > st.needY {
-			return
-		}
+	// Even the best remaining members cannot pull the dup point into the
+	// cell's column/row.
+	if st.sufMaxX != nil && (math.Max(nx, st.sufMaxX[p+1]) < st.needX || math.Min(ny, st.sufMinY[p+1]) > st.needY) {
+		return nx, ny, false
 	}
+	return nx, ny, true
+}
+
+// step binds item j at position p ≥ 1, unless the dup point provably
+// ends outside this reducer's cell, and searches on.
+func (st *matchState) step(p, j int) {
+	nx, ny, ok := st.admit(p, j)
+	if !ok {
+		return
+	}
+	s := st.pl.order[p]
 	st.assign[s] = j
-	if p == pl.m-1 {
+	if p == st.pl.m-1 {
 		st.emit(st.assign)
 	} else {
 		st.runX[p+1], st.runY[p+1] = nx, ny

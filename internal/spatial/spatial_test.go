@@ -3,6 +3,7 @@ package spatial
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math/rand/v2"
 	"reflect"
 	"testing"
@@ -57,6 +58,17 @@ func figure4Relations() []Relation {
 	}
 }
 
+// isMarked reads markCell's flag for the item of slot s with the given
+// id: a cell's slots are in sweep order, not in the order items arrive.
+func isMarked(cd *cellData, marked [][]bool, s int, id int32) bool {
+	for j, got := range cd.ids[s] {
+		if got == id {
+			return marked[s][j]
+		}
+	}
+	panic(fmt.Sprintf("slot %d holds no item %d", s, id))
+}
+
 func TestMarkCellFigure4(t *testing.T) {
 	part := grid2x2(t)
 	q := chain4()
@@ -79,13 +91,13 @@ func TestMarkCellFigure4(t *testing.T) {
 	// overlaps the crossing v1 → marked via the witness {u1, v1}
 	// (condition C1 + C2, §7.6). v2 is isolated and interior → not
 	// marked (fails C2 exactly like U5 = (v2, w1) in §7.7).
-	if !marked[0][0] {
+	if !isMarked(cd, marked, 0, 0) {
 		t.Error("u1 must be marked (witness {u1, v1})")
 	}
-	if !marked[1][0] {
+	if !isMarked(cd, marked, 1, 0) {
 		t.Error("v1 must be marked (crossing)")
 	}
-	if marked[1][1] {
+	if isMarked(cd, marked, 1, 1) {
 		t.Error("v2 must not be marked (interior, no witness)")
 	}
 
@@ -98,15 +110,15 @@ func TestMarkCellFigure4(t *testing.T) {
 	}
 	cd = newCellData(pl.m, items)
 	marked = markCell(pl, part, 1, cd)
-	if !marked[2][0] {
+	if !isMarked(cd, marked, 2, 0) {
 		t.Error("w1 must be marked (crossing)")
 	}
-	if marked[0][0] { // u2 is the only (hence first) slot-0 item at c2
+	if isMarked(cd, marked, 0, 1) {
 		t.Error("u2 must not be marked (isolated)")
 	}
 	// v1 does not start in c2, so c2 must not mark it (its own cell
 	// already decides).
-	if marked[1][0] {
+	if isMarked(cd, marked, 1, 0) {
 		t.Error("v1 must not be marked by c2 — it starts in c1")
 	}
 }
@@ -180,10 +192,10 @@ func TestMarkCellRangeEscape(t *testing.T) {
 	}
 	cd := newCellData(pl.m, items)
 	marked := markCell(pl, part, 0, cd)
-	if !marked[0][0] {
+	if !isMarked(cd, marked, 0, 0) {
 		t.Error("rectangle within d of cell c2 must be marked")
 	}
-	if marked[0][1] {
+	if isMarked(cd, marked, 0, 1) {
 		t.Error("rectangle far from all other cells must not be marked")
 	}
 }
@@ -651,27 +663,6 @@ func TestMaxDiagonal(t *testing.T) {
 	}
 	if got := NewRelation("E", nil).MaxDiagonal(); got != 0 {
 		t.Errorf("empty MaxDiagonal = %v", got)
-	}
-}
-
-// TestRTreeReducerIndexAgrees re-runs a scenario with the R-tree forced,
-// so every matcher slot past the linear-scan size is indexed by it.
-func TestRTreeReducerIndexAgrees(t *testing.T) {
-	rng := rand.New(rand.NewPCG(8, 8))
-	q := query.New("R1", "R2", "R3").Overlap(0, 1).Range(1, 2, 30)
-	rels := randomRelations(rng, 3, 120, 800, 50)
-	part := testGrid(t, 4, 800)
-	want, err := Execute(BruteForce, q, rels, Config{Part: part})
-	if err != nil {
-		t.Fatal(err)
-	}
-	withRTreeFrom(t, rtreeAlways)
-	got, err := Execute(ControlledReplicateLimit, q, rels, Config{Part: part})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.TupleSet(), want.TupleSet()) {
-		t.Error("R-tree reducer index changes results")
 	}
 }
 

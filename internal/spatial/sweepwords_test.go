@@ -11,7 +11,7 @@ import (
 )
 
 // sweepKey and compareSweepKeys are the comparator sort
-// appendSweepWords replaced: a value's MinX as an ordered integer, then
+// sortSweepWords replaced: a value's MinX as an ordered integer, then
 // its arrival position.
 type sweepKey struct {
 	x uint64
@@ -67,14 +67,15 @@ func TestSweepWordsMatchComparatorSort(t *testing.T) {
 		var words []uint64
 		for _, items := range []bool{false, true} {
 			var want []sweepKey
+			base := len(words)
 			for i, v := range vals {
 				if (v.Slab == itemSlab) == items {
 					want = append(want, sweepKey{xs[i], int32(i)})
+					words = append(words, uint64(i))
 				}
 			}
 			slices.SortFunc(want, compareSweepKeys)
-			base := len(words)
-			words = appendSweepWords(words, xs, vals, items)
+			sortSweepWords(words[base:], xs)
 			got := words[base:]
 			if len(got) != len(want) {
 				t.Fatalf("%s items=%v: %d words for %d values", name, items, len(got), len(want))

@@ -178,6 +178,35 @@ func BenchmarkJoinSortedCells(b *testing.B) {
 	}
 }
 
+// BenchmarkStripProbe reports ns per probe of the multi-way reducers'
+// kernel on the uniform 780-record cell and the Zipf hot cell: one
+// sweep.Build over the cell's bs, then one Probe per a, in sweep order.
+// The build is in the figure, as a reducer pays it once per slot and
+// cell.
+func BenchmarkStripProbe(b *testing.B) {
+	for _, sh := range cellShapes(b) {
+		if sh.name != "uniform780" && sh.name != "zipf-hot" {
+			continue
+		}
+		b.Run(sh.name, func(b *testing.B) {
+			matches := 0
+			count := func(int) bool { matches++; return true }
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				st := sweep.Build(sh.bs, sh.d)
+				for i := range sh.as {
+					st.Probe(sh.as[i], sh.d, count)
+				}
+				st.Release()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(sh.as)), "ns/probe")
+			b.ReportMetric(float64(len(sh.bs)), "bs")
+			b.ReportMetric(float64(matches/b.N), "matches")
+		})
+	}
+}
+
 // TestCellShapesAgree holds the three kernels of the benchmark to one
 // pair sequence on its own shapes, so the table compares equal work.
 func TestCellShapesAgree(t *testing.T) {

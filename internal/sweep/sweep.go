@@ -4,6 +4,8 @@
 // the SJMR line of work the paper builds on (§5): both inputs are
 // sorted by their left edge, and for each rectangle only the window of
 // candidates whose x-extents come within the threshold is examined.
+// The same strip layout serves the multi-way reducers' probes
+// (Strips.Probe), so every reducer runs one kernel.
 package sweep
 
 import (
@@ -66,39 +68,28 @@ func Join(as, bs []geom.Rect, d float64, fn func(i, j int) bool) {
 // For that the strips an a visits must cover every b the test can
 // accept: stripOf is monotone in y, and reach widens a's enlarged
 // extent past the rounding of a.Y+d against b.MinY−a.Y (DESIGN.md
-// §4e).
+// §4e). The layout is a Strips, cut from the heights of both sides;
+// Build cuts one from bs's alone, for Probe.
 func JoinSorted(as, bs []geom.Rect, d float64, fn func(i, j int) bool) {
 	if len(as) == 0 || len(bs) == 0 || d < 0 {
 		return
 	}
-	lo, hi := bs[0].Y-bs[0].B, bs[0].Y
-	heights := 0.0
-	for i := range bs {
-		lo, hi = min(lo, bs[i].Y-bs[i].B), max(hi, bs[i].Y)
-		heights += bs[i].B
-	}
+	lo, hi, heights := extent(bs)
 	for i := range as {
 		heights += as[i].B
 	}
-	// A strip is twice the mean height, + d, tall: as tall as the
-	// tallest rectangle when heights spread evenly from zero, so an a
-	// visits one strip or two as a rule. Visits are what a strip costs
-	// (each starts on cache lines the last a did not touch), and a
-	// strip half as tall saves fewer candidates than it adds visits.
-	// Written so that a zero height (q = +Inf) takes len(bs) strips and
-	// a zero extent (q = NaN or 0) one.
-	n := 1
-	if q := (hi - lo) / (2*heights/float64(len(as)+len(bs)) + d); q >= 2 {
-		n = int(min(q, float64(len(bs))))
-	}
+	n := stripCount(lo, hi, heights, len(as)+len(bs), d, len(bs))
 	if n == 1 {
 		sweepOne(as, bs, d, fn)
 		return
 	}
 
-	sc := scratch.Get().(*strips)
-	defer scratch.Put(sc)
-	sc.build(bs, lo, float64(n)/(hi-lo), n)
+	sc := pool.Get().(*Strips)
+	defer pool.Put(sc)
+	sc.deal(bs, lo, hi, n)
+	// The sweep advances cursor[s] past the entries of strip s that
+	// ended left of its front.
+	sc.cursor = append(sc.cursor[:0], sc.start...)
 	entries, cursor, end, matches := sc.entries, sc.cursor, sc.end, sc.matches
 	d2 := d * d
 	for i := range as {
@@ -166,14 +157,25 @@ func reach(top, bot, d float64) (lo, hi float64) {
 	return bot - d - slack, top + d + slack
 }
 
-// strips is JoinSorted's working set, recycled across calls.
-type strips struct {
+// Strips is a slot of rectangles laid out for the in-reducer join: the
+// y-extent cut into horizontal strips, every rectangle copied, with its
+// edges computed once, into each strip its y-extent touches, and each
+// strip a run ascending by MinX. JoinSorted sweeps such a layout with
+// one monotone cursor per strip; Build makes one for Probe, which finds
+// the rectangles near one probe rectangle at a time, in any order of
+// probes. A Strips is recycled through a pool of the package, so a
+// Build is allocation-free once the pool holds one of its size.
+type Strips struct {
 	lo, inv, top float64 // stripOf's origin, strips per unit of y, last strip
 	entries      []stripEntry
-	// Strip s is entries[cursor[s]:end[s]]; the sweep advances cursor[s]
-	// past the entries that ended left of its front.
-	cursor, end []int32
-	matches     []int32 // the bs one a matched
+	// Strip s is entries[start[s]:end[s]]. Build sets width[s], the
+	// largest maxX − minX among its entries, which bounds Probe's
+	// x-window.
+	start, end []int32
+	width      []float64
+	// JoinSorted's working set: its per-strip cursors, and the bs one a
+	// matched.
+	cursor, matches []int32
 }
 
 // stripEntry is one b in one strip.
@@ -183,11 +185,119 @@ type stripEntry struct {
 	first                  int32 // the lowest strip holding this b
 }
 
-var scratch = sync.Pool{New: func() any { return new(strips) }}
+var pool = sync.Pool{New: func() any { return new(Strips) }}
+
+// Build lays bs, ascending by MinX, out in strips for probes at
+// distance d. A strip is cut from bs's own mean height and d as
+// JoinSorted cuts it, so no size or option enters the layout. The
+// slice is read, not retained; Release returns the layout to the pool.
+func Build(bs []geom.Rect, d float64) *Strips {
+	sc := pool.Get().(*Strips)
+	if len(bs) == 0 {
+		sc.entries = sc.entries[:0]
+		return sc
+	}
+	lo, hi, heights := extent(bs)
+	sc.deal(bs, lo, hi, stripCount(lo, hi, heights, len(bs), d, len(bs)))
+	sc.width = sc.width[:0]
+	for s := range sc.start {
+		w := 0.0
+		for _, e := range sc.entries[sc.start[s]:sc.end[s]] {
+			w = max(w, e.maxX-e.minX)
+		}
+		sc.width = append(sc.width, w)
+	}
+	return sc
+}
+
+// Release hands the layout back for reuse; sc must not be used after.
+func (sc *Strips) Release() { pool.Put(sc) }
+
+// Probe calls fn with the position in bs of every b within distance d
+// of a (d = 0: overlapping it), and stops when fn returns false. Each b
+// is reported once, strip by strip and ascending within a strip.
+//
+// It visits the strips reach(a, d) touches, applies the first-shared-
+// strip rule there, and in each starts at the first entry whose MinX
+// is at least a.MinX − d − width(strip): an entry further left ends
+// more than d left of a. The bound carries reach's slack, (|a.MinX| +
+// d + width)·2⁻⁵⁰, because the test accepts on fl(a.MinX − b.MaxX) ≤ d
+// and b.MaxX is itself a rounded sum; a pair is then decided by
+// sweepOne's exact gap arithmetic, b.min − a.max against d, never a.max
+// + d against b.min (DESIGN.md §4e).
+func (sc *Strips) Probe(a geom.Rect, d float64, fn func(k int) bool) {
+	if len(sc.entries) == 0 || d < 0 {
+		return
+	}
+	aMin, aMax := a.X, a.X+a.L
+	aTop, aBot := a.Y, a.Y-a.B
+	yLo, yHi := reach(aTop, aBot, d)
+	s0, s1 := sc.stripOf(yLo), sc.stripOf(yHi)
+	d2 := d * d
+	for s := s0; s <= s1; s++ {
+		es := sc.entries[sc.start[s]:sc.end[s]]
+		w := sc.width[s]
+		from := aMin - d - w - (math.Abs(aMin)+d+w)*0x1p-50
+		k, hi := 0, len(es)
+		for k < hi {
+			h := int(uint(k+hi) >> 1)
+			if es[h].minX < from {
+				k = h + 1
+			} else {
+				hi = h
+			}
+		}
+		seen := int32(s)
+		if s == s0 {
+			seen = 0
+		}
+		for ; k < len(es); k++ {
+			e := &es[k]
+			if e.minX-aMax > d {
+				break
+			}
+			if e.first < seen || e.minY-aTop > d || aBot-e.maxY > d {
+				continue
+			}
+			dx := max(e.minX-aMax, aMin-e.maxX, 0)
+			dy := max(e.minY-aTop, aBot-e.maxY, 0)
+			if dx <= d && dy <= d && dx*dx+dy*dy <= d2 && !fn(int(e.k)) {
+				return
+			}
+		}
+	}
+}
+
+// extent returns the y-range bs span and the sum of their heights.
+func extent(bs []geom.Rect) (lo, hi, heights float64) {
+	lo, hi = bs[0].Y-bs[0].B, bs[0].Y
+	for i := range bs {
+		lo, hi = min(lo, bs[i].Y-bs[i].B), max(hi, bs[i].Y)
+		heights += bs[i].B
+	}
+	return lo, hi, heights
+}
+
+// stripCount is the number of strips [lo, hi] is cut into, from the
+// heights of count rectangles and d; at most nb, the rectangles dealt.
+//
+// A strip is twice the mean height, + d, tall: as tall as the tallest
+// rectangle when heights spread evenly from zero, so an a visits one
+// strip or two as a rule. Visits are what a strip costs (each starts on
+// cache lines the last a did not touch), and a strip half as tall saves
+// fewer candidates than it adds visits. Written so that a zero height
+// (q = +Inf) takes nb strips and a zero extent (q = NaN or 0) one.
+func stripCount(lo, hi, heights float64, count int, d float64, nb int) int {
+	n := 1
+	if q := (hi - lo) / (2*heights/float64(count) + d); q >= 2 {
+		n = int(min(q, float64(nb)))
+	}
+	return n
+}
 
 // stripOf maps a y to its strip, clamped to the strips there are. It
 // is monotone in y, which is all the sweep needs of it.
-func (sc *strips) stripOf(y float64) int {
+func (sc *Strips) stripOf(y float64) int {
 	f := (y - sc.lo) * sc.inv
 	if !(f > 0) {
 		return 0
@@ -198,13 +308,13 @@ func (sc *strips) stripOf(y float64) int {
 	return int(f)
 }
 
-// build deals bs into n strips starting at lo, inv strips per unit of
-// y, each strip in bs order.
-func (sc *strips) build(bs []geom.Rect, lo, inv float64, n int) {
-	sc.lo, sc.inv, sc.top = lo, inv, float64(n-1)
-	sc.cursor = append(sc.cursor[:0], make([]int32, n)...)
+// deal cuts [lo, hi] into n strips and copies bs into them, each strip
+// in bs order.
+func (sc *Strips) deal(bs []geom.Rect, lo, hi float64, n int) {
+	sc.lo, sc.inv, sc.top = lo, float64(n)/(hi-lo), float64(n-1)
+	sc.start = append(sc.start[:0], make([]int32, n)...)
 	sc.end = append(sc.end[:0], make([]int32, n)...)
-	cursor, end := sc.cursor, sc.end
+	start, end := sc.start, sc.end
 	for i := range bs {
 		s1 := sc.stripOf(bs[i].Y)
 		for s := sc.stripOf(bs[i].Y - bs[i].B); s <= s1; s++ {
@@ -213,9 +323,9 @@ func (sc *strips) build(bs []geom.Rect, lo, inv float64, n int) {
 	}
 	total := int32(0)
 	for s := range end {
-		cursor[s] = total
+		start[s] = total
 		total += end[s]
-		end[s] = cursor[s]
+		end[s] = start[s]
 	}
 	sc.entries = append(sc.entries[:0], make([]stripEntry, total)...)
 	entries := sc.entries
