@@ -116,7 +116,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		parallel   = fs.Int("parallelism", 0, "per-job concurrent task bound; 0 = GOMAXPROCS")
 		drain      = fs.Duration("drain", 10*time.Second, "graceful-shutdown budget for running jobs and in-flight HTTP requests")
 		slowlogN   = fs.Int("slowlog", server.DefaultSlowlogSize, "slow-query log size (top-N jobs by end-to-end latency on /v1/slowlog); negative disables")
-		spillBudg  = fs.Int64("spill-budget", 0, "per-run in-memory byte budget for each mapper's sorted runs; over-budget runs spill to uncharged local scratch with identical results (0 = never spill)")
+		spillBudg  = fs.Int64("spill-budget", 0, "per-run in-memory byte budget for each mapper's runs; over-budget runs spill to uncharged local scratch with identical results (0 = never spill)")
 		clListen   = fs.String("cluster-listen", "", "coordinator control address for mwsjworker processes; empty = in-process engine")
 		clWorkers  = fs.Int("cluster-workers", 1, "with -cluster-listen, wait for this many workers before serving")
 		clMappers  = fs.Int("cluster-mappers", 0, "with -cluster-listen, mappers per job (must be explicit across workers; 0 = 8)")

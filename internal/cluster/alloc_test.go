@@ -12,9 +12,19 @@ import (
 // TestClusterAllocationCeiling keeps the cluster's envelope from growing
 // back: a cascade over 3 × 10,000 uniform rectangles through a
 // coordinator and two workers — pack, ship, two SPMD runs, network
-// shuffle, gather — may allocate at most 2.75 × what one spatial.Execute
-// of the same query allocates. Measured here: 2.00 ×; with relations and
-// tuples as base64 inside JSON lines it was 3.06 × (3.4 × at 3 × 50,000).
+// shuffle, gather — may allocate at most 3.25 × what one spatial.Execute
+// of the same query allocates, and at most 32 MiB.
+//
+// The ratio was 2.00 × when the envelope was binary (with relations and
+// tuples as base64 inside JSON lines it was 3.06 ×, 3.4 × at 3 × 50,000)
+// and 2.20 × on commit 22365f4: 15.6 MB in-process, 34.3 MB clustered,
+// under a 2.75 × ceiling. The concatenating shuffle then took both sides
+// down, unequally — in-process to 10.3 MB (−34 %), clustered to 29.0 MB
+// (−16 %), whose two SPMD runs share the envelope's fixed cost — so the
+// ratio rose to 2.81 × with no byte added. The ceiling moved with the
+// denominator, keeping about the old headroom over what is measured,
+// and the absolute ceiling, which 22365f4's 34.3 MB fails, holds the
+// cluster's own bytes to the new level.
 func TestClusterAllocationCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's bookkeeping allocates")
@@ -65,7 +75,10 @@ func TestClusterAllocationCeiling(t *testing.T) {
 	if tuples == 0 {
 		t.Fatal("query produced no tuples; the ceiling would be vacuous")
 	}
-	if ratio > 2.75 {
-		t.Errorf("two-worker cluster allocates %.2f × the in-process engine, ceiling 2.75", ratio)
+	if ratio > 3.25 {
+		t.Errorf("two-worker cluster allocates %.2f × the in-process engine, ceiling 3.25", ratio)
+	}
+	if clustered > 32<<20 {
+		t.Errorf("two-worker cluster allocates %d B, ceiling %d", clustered, 32<<20)
 	}
 }

@@ -1,7 +1,7 @@
 // Package cluster turns the in-process map-reduce engine into a real
 // coordinator/worker runtime: N worker processes execute every job of a
 // query in SPMD lockstep — each worker owns its share of map and reduce
-// tasks and ships EncodePair-framed sorted runs destined for remote
+// tasks and ships EncodePair-framed runs destined for remote
 // reducers over persistent loopback/LAN connections (the network
 // shuffle) — while a coordinator owns worker membership, heartbeats,
 // session placement, and recovery.

@@ -121,7 +121,7 @@ type file struct {
 	cols *mbbColumns
 	// local marks simulated *local-disk* scratch (shuffle spill runs):
 	// its I/O is never charged to the Stats counters — Hadoop spills
-	// sorted runs to the tasktracker's local filesystem, not HDFS —
+	// runs to the tasktracker's local filesystem, not HDFS —
 	// and it is excluded from snapshots.
 	local bool
 }
@@ -202,7 +202,7 @@ func (fs *FS) Create(name string) *Writer {
 // CreateLocal makes (or truncates) the named file as *local-disk*
 // scratch: none of its I/O — create, write, read, delete — is charged
 // to the Stats counters, and snapshots skip it. The map-reduce engine
-// uses local files for spilled sorted runs, which in a real cluster
+// uses local files for spilled runs, which in a real cluster
 // live on the tasktracker's local filesystem, not the DFS; keeping
 // them out of the counters keeps the paper's reading/writing-cost
 // metric identical whether a shuffle spilled or stayed in memory.

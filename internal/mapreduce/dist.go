@@ -8,16 +8,16 @@ package mapreduce
 //  1. a map barrier gathering per-worker map accounting and errors, so
 //     every worker agrees on the job's MapAttempts/Combine*/Spill*
 //     totals and on whether (and how) the map phase failed;
-//  2. the network shuffle: each worker ships the EncodePair-framed
-//     sorted runs destined for remotely-owned reducers and receives the
-//     remotely-produced runs of its own reducers, so the merge tree
-//     sees exactly the batches[m][r] matrix an in-process run builds;
+//  2. the network shuffle: each worker ships the EncodePair-framed runs
+//     destined for remotely-owned reducers and receives the
+//     remotely-produced runs of its own reducers, so the shuffle sees
+//     exactly the runs[m][r] matrix an in-process run builds;
 //  3. a reduce barrier all-gathering the EncodeOutput-framed reducer
 //     outputs plus per-reducer accounting, so every worker finishes the
 //     job with the complete output slice and identical Stats.
 //
-// Because the merge delivers each key's values in (mapper index, emit
-// order) no matter which worker produced the run, and outputs are
+// Because the shuffle delivers a reducer's values in (mapper index,
+// emit order) no matter which worker produced the run, and outputs are
 // assembled in reducer-index order, a distributed run is bit-identical
 // to the in-process engine; the only new Stats are the
 // ShuffleNetworkBytes/ShuffleNetworkRuns family counting what stage 2
@@ -26,10 +26,10 @@ package mapreduce
 // stay zero).
 
 import (
-	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"unsafe"
 )
 
 // Exchanger is one collective data-plane primitive connecting the W
@@ -90,11 +90,16 @@ func appendUvarint(buf []byte, v uint64) []byte {
 	return binary.AppendUvarint(buf, v)
 }
 
-// readUvarint consumes one varint from buf.
+// readUvarint consumes one varint from buf. Only the shortest encoding
+// of a value is accepted, the one appendUvarint writes, so a frame that
+// decodes re-encodes to the same bytes.
 func readUvarint(buf []byte) (uint64, []byte, error) {
 	v, n := binary.Uvarint(buf)
 	if n <= 0 {
 		return 0, nil, errors.New("mapreduce: dist frame: truncated varint")
+	}
+	if n != uvarintLen(v) {
+		return 0, nil, errors.New("mapreduce: dist frame: overlong varint")
 	}
 	return v, buf[n:], nil
 }
@@ -122,12 +127,21 @@ func uvarintLen(v uint64) int {
 
 // checkCount rejects an entry count a payload cannot hold: every entry
 // (a length-prefixed record) takes at least one byte, so a claim beyond
-// the bytes that remain is a lie, caught before it sizes an allocation.
+// the bytes that remain is a lie.
 func checkCount(what string, n uint64, remaining int) error {
 	if n > uint64(remaining) {
 		return fmt.Errorf("mapreduce: dist frame: %d %s declared with %d bytes left", n, what, remaining)
 	}
 	return nil
+}
+
+// frameCap is the capacity to reserve for n decoded values of type T
+// that a frame claims with remaining bytes left: the claim, cut to what
+// remaining bytes of T would hold, so a count that lies about
+// undecodable records costs no more memory than the frame itself.
+func frameCap[T any](n uint64, remaining int) int {
+	var zero T
+	return int(min(n, uint64(remaining)/uint64(max(unsafe.Sizeof(zero), 1))))
 }
 
 // taskError is one worker's lowest-index failed task, flattened for the
@@ -186,9 +200,8 @@ const mapBarrierCounters = 7
 // accounting (attempt/failure/combine/spill counters over the mappers
 // it owns) and error state, overwrite the local partial sums in stats
 // with the global totals, and surface the globally lowest-index map
-// error (or nil). spillStats are this worker's owned-batch spill
-// counters, computed by the caller before the shuffle consumes the
-// spill fields.
+// error (or nil). spilledRuns and spillBytes are this worker's spill
+// counters over the runs it committed.
 func distMapBarrier(d *DistConfig, stats *Stats, mapErrs []error, spilledRuns, spillBytes int64) error {
 	locErr := taskError{idx: -1}
 	for m, err := range mapErrs {
@@ -240,22 +253,20 @@ func distMapBarrier(d *DistConfig, stats *Stats, mapErrs []error, spilledRuns, s
 	return nil
 }
 
-// runPairSlack is what a shipped pair may take beyond its PairBytes
-// price without regrowing the payload: the record's length prefix and a
-// codec's framing byte. A codec that exceeds it costs a reallocation,
-// nothing else.
+// runPairSlack is what a shipped or spilled pair may take beyond its
+// PairBytes price without regrowing the buffer it is encoded into: the
+// record's length prefix and a codec's framing byte. A codec that
+// exceeds it costs a reallocation, nothing else.
 const runPairSlack = 4
 
 // distExchangeRuns is exchange stage 2, the network shuffle: ship each
-// owned mapper's sorted runs destined for remotely-owned reducers
-// (reading back any that spilled — the sender-side re-read, matching
-// the written-once/read-once spill accounting committed in stage 1) and
-// receive the remote runs of the reducers this worker owns. On return,
-// batches[m][r] is populated for every locally-owned reducer column r
+// owned mapper's runs destined for remotely-owned reducers and receive
+// the remote runs of the reducers this worker owns. On return,
+// runs[m][r] is populated for every locally-owned reducer column r
 // exactly as an in-process run would have built it; remote mappers'
-// rows are materialized so the merge tree can index them. Returns the
+// rows are materialized so the shuffle can index them. Returns the
 // bytes and non-empty runs shipped to remote workers.
-func distExchangeRuns[I any, K cmp.Ordered, V any, O any](j *Job[I, K, V, O], cfg *Config, batches [][]pairBatch[K, V], nm int, pool *BufferPool) (int64, int64, error) {
+func distExchangeRuns[I any, K ReducerKey, V any, O any](j *Job[I, K, V, O], cfg *Config, runs [][]run[V], nm int, pool *BufferPool) (int64, int64, error) {
 	d := cfg.Dist
 	W := d.NumWorkers
 	outgoing := make([][]byte, W)
@@ -270,40 +281,24 @@ func distExchangeRuns[I any, K cmp.Ordered, V any, O any](j *Job[I, K, V, O], cf
 		size := 0
 		for m := d.Self; m < nm; m += W {
 			for r := u; r < cfg.NumReducers; r += W {
-				b := &batches[m][r]
-				if b.spill != "" {
-					size += int(b.spillBytes) + b.n*runPairSlack
-				} else {
-					size += int(b.bytes) + len(b.pairs)*runPairSlack
-				}
-				size += 4 * binary.MaxVarintLen32
+				b := &runs[m][r]
+				size += int(max(b.bytes, b.spillBytes)) + b.n*runPairSlack + 4*binary.MaxVarintLen32
 			}
 		}
 		buf := make([]byte, 0, size)
 		for m := d.Self; m < nm; m += W {
 			for r := u; r < cfg.NumReducers; r += W {
-				b := &batches[m][r]
-				if b.spill != "" {
-					if err := readSpill(b, cfg.SpillFS, j.DecodePair, pool); err != nil {
-						return 0, 0, err
-					}
-				}
-				buf = appendUvarint(buf, uint64(m))
-				buf = appendUvarint(buf, uint64(r))
-				buf = appendUvarint(buf, uint64(b.bytes))
-				buf = appendUvarint(buf, uint64(len(b.pairs)))
-				for i := range b.pairs {
-					rec = j.EncodePair(b.pairs[i].key, b.pairs[i].val, rec[:0])
-					buf = appendUvarint(buf, uint64(len(rec)))
-					buf = append(buf, rec...)
-				}
-				if len(b.pairs) > 0 {
+				b := &runs[m][r]
+				if b.n > 0 {
 					sentRuns++
+				}
+				var err error
+				if buf, rec, err = appendRun(buf, rec, m, K(r), b, j.EncodePair, cfg.SpillFS); err != nil {
+					return 0, 0, err
 				}
 				// The shipped run's memory is dead locally: its reducer
 				// runs elsewhere.
-				putBuf(&pool.pairs, b.pairs)
-				b.pairs = nil
+				b.recycle(pool)
 			}
 		}
 		outgoing[u] = buf
@@ -313,55 +308,97 @@ func distExchangeRuns[I any, K cmp.Ordered, V any, O any](j *Job[I, K, V, O], cf
 	if err != nil {
 		return 0, 0, fmt.Errorf("mapreduce: job %q: run exchange: %w", cfg.Name, err)
 	}
-	// Materialize every remote mapper's row — the merge tree indexes
-	// batches[m][r] for all m, empty runs included.
+	// Materialize every remote mapper's row — the shuffle indexes
+	// runs[m][r] for all m, empty runs included.
 	for m := 0; m < nm; m++ {
-		if batches[m] == nil {
-			batches[m] = make([]pairBatch[K, V], cfg.NumReducers)
+		if runs[m] == nil {
+			runs[m] = make([]run[V], cfg.NumReducers)
 		}
 	}
 	for w := 0; w < W; w++ {
 		if w == d.Self {
 			continue
 		}
-		buf := incoming[w]
-		for len(buf) > 0 {
-			var m64, r64, nbytes, npairs uint64
-			if m64, buf, err = readUvarint(buf); err != nil {
-				return 0, 0, fmt.Errorf("mapreduce: job %q: run exchange: worker %d: %w", cfg.Name, w, err)
-			}
-			if r64, buf, err = readUvarint(buf); err != nil {
-				return 0, 0, fmt.Errorf("mapreduce: job %q: run exchange: worker %d: %w", cfg.Name, w, err)
-			}
-			if nbytes, buf, err = readUvarint(buf); err != nil {
-				return 0, 0, fmt.Errorf("mapreduce: job %q: run exchange: worker %d: %w", cfg.Name, w, err)
-			}
-			if npairs, buf, err = readUvarint(buf); err != nil {
-				return 0, 0, fmt.Errorf("mapreduce: job %q: run exchange: worker %d: %w", cfg.Name, w, err)
-			}
-			m, r := int(m64), int(r64)
-			if m < 0 || m >= nm || r < 0 || r >= cfg.NumReducers {
-				return 0, 0, fmt.Errorf("mapreduce: job %q: run exchange: worker %d shipped run for mapper %d reducer %d out of range", cfg.Name, w, m, r)
-			}
-			if err = checkCount("pairs", npairs, len(buf)); err != nil {
-				return 0, 0, fmt.Errorf("mapreduce: job %q: run exchange: worker %d: %w", cfg.Name, w, err)
-			}
-			ps := getBuf[pair[K, V]](&pool.pairs, int(npairs))
-			for i := uint64(0); i < npairs; i++ {
-				var raw []byte
-				if raw, buf, err = readBytes(buf); err != nil {
-					return 0, 0, fmt.Errorf("mapreduce: job %q: run exchange: worker %d: %w", cfg.Name, w, err)
-				}
-				k, v, err := j.DecodePair(raw)
-				if err != nil {
-					return 0, 0, fmt.Errorf("mapreduce: job %q: run exchange: worker %d: %w", cfg.Name, w, err)
-				}
-				ps = append(ps, pair[K, V]{key: k, val: v})
-			}
-			batches[m][r] = pairBatch[K, V]{pairs: ps, bytes: int64(nbytes)}
+		if err := decodeRuns(incoming[w], d, w, runs, j.DecodePair, pool); err != nil {
+			return 0, 0, fmt.Errorf("mapreduce: job %q: run exchange: worker %d: %w", cfg.Name, w, err)
 		}
 	}
 	return sentBytes, sentRuns, nil
+}
+
+// appendRun frames mapper m's run for reducer key: m, the reducer, the
+// run's priced bytes and its pair count, then one length-prefixed
+// EncodePair record per pair (rec is the caller's encoding scratch). A
+// spilled run's records are its scratch file's, forwarded as they are
+// and deleted, which is the one read its spill accounting counts.
+func appendRun[K ReducerKey, V any](buf, rec []byte, m int, key K, b *run[V], encode func(K, V, []byte) []byte, fs spillStore) ([]byte, []byte, error) {
+	buf = appendUvarint(buf, uint64(m))
+	buf = appendUvarint(buf, uint64(key))
+	buf = appendUvarint(buf, uint64(b.bytes))
+	buf = appendUvarint(buf, uint64(b.n))
+	if b.spill != "" {
+		err := fs.Scan(b.spill, func(r []byte) error {
+			buf = append(appendUvarint(buf, uint64(len(r))), r...)
+			return nil
+		})
+		_ = fs.Delete(b.spill)
+		b.spill = ""
+		return buf, rec, err
+	}
+	for _, c := range b.chunks {
+		for i := range c {
+			rec = encode(key, c[i], rec[:0])
+			buf = append(appendUvarint(buf, uint64(len(rec))), rec...)
+		}
+	}
+	return buf, rec, nil
+}
+
+// decodeRuns parses worker from's run-exchange payload to this worker
+// into runs: one appendRun frame for every mapper from owns and every
+// reducer this worker owns, in that order and nothing else. Values land
+// in their run as they decode, so what a payload costs follows the
+// pairs it holds, never a count it claims; a pair keyed to another
+// reducer, like a run out of place, is an error.
+func decodeRuns[K ReducerKey, V any](buf []byte, d *DistConfig, from int, runs [][]run[V], decode func([]byte) (K, V, error), pool *BufferPool) error {
+	for m := from; m < len(runs); m += d.NumWorkers {
+		for r := d.Self; r < len(runs[m]); r += d.NumWorkers {
+			var hdr [4]uint64 // mapper, reducer, priced bytes, pairs
+			for i := range hdr {
+				var err error
+				if hdr[i], buf, err = readUvarint(buf); err != nil {
+					return err
+				}
+			}
+			if hdr[0] != uint64(m) || hdr[1] != uint64(r) {
+				return fmt.Errorf("mapreduce: dist frame: run of mapper %d reducer %d where mapper %d reducer %d's belongs", hdr[0], hdr[1], m, r)
+			}
+			if err := checkCount("pairs", hdr[3], len(buf)); err != nil {
+				return err
+			}
+			b := &runs[m][r]
+			b.bytes = int64(hdr[2])
+			for i := uint64(0); i < hdr[3]; i++ {
+				raw, rest, err := readBytes(buf)
+				if err != nil {
+					return err
+				}
+				buf = rest
+				k, v, err := decode(raw)
+				if err != nil {
+					return err
+				}
+				if k != K(r) {
+					return fmt.Errorf("mapreduce: dist frame: a pair keyed %v in reducer %d's run", k, r)
+				}
+				b.add(v, pool)
+			}
+		}
+	}
+	if len(buf) > 0 {
+		return fmt.Errorf("mapreduce: dist frame: %d bytes after the last run", len(buf))
+	}
+	return nil
 }
 
 // distReduceBarrier is exchange stage 3: all-gather each worker's
@@ -370,7 +407,7 @@ func distExchangeRuns[I any, K cmp.Ordered, V any, O any](j *Job[I, K, V, O], cf
 // it, outputs/keyCounts/bytesPerReducer/stats are globally complete and
 // identical on every worker; a reduce failure anywhere surfaces the
 // same lowest-reducer error everywhere.
-func distReduceBarrier[I any, K cmp.Ordered, V any, O any](j *Job[I, K, V, O], cfg *Config, stats *Stats, outputs [][]O, keyCounts []int64, bytesPerReducer []int64, redErrs []error, netBytes, netRuns int64) error {
+func distReduceBarrier[I any, K ReducerKey, V any, O any](j *Job[I, K, V, O], cfg *Config, stats *Stats, outputs [][]O, keyCounts []int64, bytesPerReducer []int64, redErrs []error, netBytes, netRuns int64) error {
 	d := cfg.Dist
 	locErr := taskError{idx: -1}
 	for r, err := range redErrs {
@@ -483,7 +520,7 @@ func distReduceBarrier[I any, K cmp.Ordered, V any, O any](j *Job[I, K, V, O], c
 				if bytesPerReducer != nil {
 					bytesPerReducer[r] = int64(nb)
 				}
-				out := make([]O, 0, nout)
+				out := make([]O, 0, frameCap[O](nout, len(buf)))
 				for k := uint64(0); k < nout; k++ {
 					var raw []byte
 					if raw, buf, err = readBytes(buf); err != nil {

@@ -1,12 +1,13 @@
 package mapreduce
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
-	"strconv"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -60,15 +61,16 @@ func (e *chanExchanger) AllToAll(tag string, outgoing [][]byte) ([][]byte, error
 }
 
 // distTestJob builds the reference job the distributed equivalence
-// tests run: integer inputs fan out to two keys each, reducers fold the
-// values into order-sensitive strings, and the full pair/output codec
-// is wired so the job can both spill and distribute.
+// tests run: integer inputs fan out to two reducers each, reducers fold
+// the values into order-sensitive strings, and the full pair/output
+// codec is wired so the job can both spill and distribute.
 func distTestJob(cfg Config, combine bool) *Job[int, int, int, string] {
+	nr := cfg.NumReducers
 	j := &Job[int, int, int, string]{
 		Config: cfg,
 		Map: func(in int, emit func(int, int)) error {
-			emit(in%97, in)
-			emit(in%89, in*3)
+			emit(in%97%nr, in)
+			emit(in%89%nr, in*3)
 			return nil
 		},
 		Reduce: func(k int, vs []int, emit func(string)) error {
@@ -289,12 +291,28 @@ func TestDistErrorIdentity(t *testing.T) {
 }
 
 // forgingExchanger plays worker 1 of a two-worker group to a real
-// worker 0: it echoes worker 0's own payload back (a well-formed peer)
-// except on the exchange named forgeTag, where it answers forged.
+// worker 0 of a job with four mappers and four reducers: it echoes
+// worker 0's own payload back (a well-formed peer) and ships empty runs
+// of its mappers 1 and 3 (forgedNoRuns), except on the exchange named
+// forgeTag, where it answers forged.
 type forgingExchanger struct {
 	forgeTag string
 	forged   []byte
 }
+
+// uv concatenates the varint encodings of vs.
+func uv(vs ...uint64) []byte {
+	var buf []byte
+	for _, v := range vs {
+		buf = binary.AppendUvarint(buf, v)
+	}
+	return buf
+}
+
+// forgedNoRuns is worker 1's run payload when its mappers emitted
+// nothing: (mapper, reducer, bytes, pairs) for mappers 1 and 3 and
+// worker 0's reducers 0 and 2.
+var forgedNoRuns = uv(1, 0, 0, 0, 1, 2, 0, 0, 3, 0, 0, 0, 3, 2, 0, 0)
 
 func (e *forgingExchanger) AllToAll(tag string, outgoing [][]byte) ([][]byte, error) {
 	peer := outgoing[0]
@@ -302,50 +320,137 @@ func (e *forgingExchanger) AllToAll(tag string, outgoing [][]byte) ([][]byte, er
 	case tag == e.forgeTag:
 		peer = e.forged
 	case tag == "runs":
-		peer = nil // worker 1 ships no runs
+		peer = forgedNoRuns
 	}
 	return [][]byte{outgoing[0], peer}, nil
 }
 
-// TestDistWireCountsBounded: the two decoders that size a buffer from a
-// count on the wire check it against the bytes that remain first, so a
-// payload claiming 2^40 entries is an error, not a terabyte make.
-func TestDistWireCountsBounded(t *testing.T) {
+// runForgedPeer runs distTestJob as worker 0 against a forgingExchanger
+// and returns the bytes the job allocated and its error.
+func runForgedPeer(t *testing.T, tag string, forged []byte, decodeOutput func([]byte) (string, error)) (uint64, error) {
+	t.Helper()
 	input := make([]int, 64)
 	for i := range input {
 		input[i] = i
 	}
-	uv := func(vs ...uint64) []byte {
-		var buf []byte
-		for _, v := range vs {
-			buf = binary.AppendUvarint(buf, v)
-		}
-		return buf
+	j := distTestJob(Config{Name: "forged", NumReducers: 4, NumMappers: 4}, false)
+	if decodeOutput != nil {
+		j.DecodeOutput = decodeOutput
 	}
+	j.Config.Dist = &DistConfig{NumWorkers: 2, Self: 0, Exchanger: &forgingExchanger{forgeTag: tag, forged: forged}}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	_, _, err := j.Run(input)
+	runtime.ReadMemStats(&m1)
+	return m1.TotalAlloc - m0.TotalAlloc, err
+}
+
+// TestDistWireCountsBounded: a decoder trusts no count and no key a peer
+// sends. What it allocates follows the bytes it was sent: a payload
+// claiming 2^40 entries is an error before anything is sized from it,
+// and a 1 MiB payload claiming 2^20 entries that do not decode costs the
+// job less than 4 MiB — the run decoder keeps values only as they
+// decode, the output decoder reserves at most the frame's size. And a
+// run payload is the sender's runs for this worker's reducers, in order,
+// each holding pairs of its own reducer: a pair keyed to another reducer
+// — which would hand reducer 0 a value meant for reducer 2 — a run out
+// of place, bytes after the last run and an overlong varint are errors.
+func TestDistWireCountsBounded(t *testing.T) {
+	const mib = 1 << 20
+	undecodable := make([]byte, mib) // 2^20 records of length 0
+	rejectEmpty := func(rec []byte) (string, error) {
+		if len(rec) == 0 {
+			return "", errors.New("empty output record")
+		}
+		return string(rec), nil
+	}
+	pair := func(k, v uint64) []byte { return append(uv(2), uv(k, v)...) }
 	for _, c := range []struct {
-		tag    string
-		forged []byte
-		want   string
+		tag, want    string
+		forged       []byte
+		decodeOutput func([]byte) (string, error)
+		budget       uint64
 	}{
 		// stage 2: mapper 1, reducer 0, 16 priced bytes, 2^40 pairs, one byte of them.
-		{"runs", append(uv(1, 0, 16, 1<<40), 0), "pairs declared"},
+		{"runs", "pairs declared", append(uv(1, 0, 16, 1<<40), 0), nil, 16 << 20},
 		// stage 3: the four counters, no error, one reducer: r=1 pairs=0
 		// bytes=0 keys=0 nout=2^40, one byte of outputs.
-		{"outputs", append(uv(1, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 1<<40), 0), "outputs declared"},
+		{"outputs", "outputs declared", append(uv(1, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 1<<40), 0), nil, 16 << 20},
+		// the same headers claiming 2^20 entries, with 2^20 empty records.
+		{"runs", "bad pair", append(uv(1, 0, 16, mib), undecodable...), nil, 4 << 20},
+		{"outputs", "empty output record", append(uv(1, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0, mib), undecodable...), rejectEmpty, 4 << 20},
+		// well-formed runs but for the one thing named.
+		{"runs", "keyed 2 in reducer 0's run", append(append(uv(1, 0, 16, 1), pair(2, 7)...), forgedNoRuns[4:]...), nil, 1 << 20},
+		{"runs", "mapper 1 reducer 2 where mapper 1 reducer 0's belongs", uv(1, 2, 0, 0, 1, 0, 0, 0, 3, 0, 0, 0, 3, 2, 0, 0), nil, 1 << 20},
+		{"runs", "after the last run", append(slices.Clone(forgedNoRuns), 0), nil, 1 << 20},
+		{"runs", "overlong varint", append([]byte{0x81, 0x00}, forgedNoRuns[1:]...), nil, 1 << 20},
 	} {
-		j := distTestJob(Config{Name: "forged", NumReducers: 4, NumMappers: 4}, false)
-		j.Config.Dist = &DistConfig{NumWorkers: 2, Self: 0, Exchanger: &forgingExchanger{forgeTag: c.tag, forged: c.forged}}
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		_, _, err := j.Run(input)
-		runtime.ReadMemStats(&m1)
+		grew, err := runForgedPeer(t, c.tag, c.forged, c.decodeOutput)
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("forged %s payload: err = %v, want %q", c.tag, err, c.want)
 		}
-		if grew := m1.TotalAlloc - m0.TotalAlloc; grew > 16<<20 {
-			t.Errorf("forged %s payload: job allocated %d bytes", c.tag, grew)
+		if grew > c.budget {
+			t.Errorf("forged %s payload (%q): job allocated %d bytes, budget %d", c.tag, c.want, grew, c.budget)
 		}
 	}
+}
+
+// fuzzRunCodec is the fixed-width pair codec FuzzDistRuns decodes with:
+// a frame it accepts re-encodes to the same bytes.
+var fuzzRunCodec = spillTestJob(Config{})
+
+// appendFuzzRuns encodes runs as worker 1's payload to worker 0 of a
+// two-worker job with four mappers and four reducers.
+func appendFuzzRuns(runs [][]run[int64]) []byte {
+	var buf, rec []byte
+	for m := 1; m < len(runs); m += 2 {
+		for r := 0; r < len(runs[m]); r += 2 {
+			buf, rec, _ = appendRun(buf, rec, m, int64(r), &runs[m][r], fuzzRunCodec.EncodePair, nil)
+		}
+	}
+	return buf
+}
+
+// FuzzDistRuns: whatever bytes a peer ships as its run payload, the run
+// decoder returns an error or runs that re-encode to exactly those
+// bytes; it never panics, never keeps a pair under another reducer, and
+// allocates no more than a small multiple of the payload.
+func FuzzDistRuns(f *testing.F) {
+	pool := NewBufferPool()
+	seed := make([][]run[int64], 4)
+	for m := range seed {
+		seed[m] = make([]run[int64], 4)
+		for r := range seed[m] {
+			for i := 0; i < m*r; i++ {
+				seed[m][r].add(int64(100*m+i), pool)
+			}
+			seed[m][r].bytes = int64(16 * m * r)
+		}
+	}
+	f.Add(appendFuzzRuns(seed))
+	f.Add(forgedNoRuns)
+	f.Add(append(uv(1, 0, 16, 1<<20), 0))
+	f.Add(append(append(uv(1, 0, 16, 1), append(uv(16), make([]byte, 16)...)...), uv(1, 2, 0, 0, 3, 0, 0, 0, 3, 2, 0, 0)...))
+	d := &DistConfig{NumWorkers: 2, Self: 0}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		runs := make([][]run[int64], 4)
+		for m := range runs {
+			runs[m] = make([]run[int64], 4)
+		}
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		err := decodeRuns(payload, d, 1, runs, fuzzRunCodec.DecodePair, NewBufferPool())
+		runtime.ReadMemStats(&m1)
+		if grew := m1.TotalAlloc - m0.TotalAlloc; grew > 2*uint64(len(payload))+64<<10 {
+			t.Fatalf("a %d-byte payload allocated %d bytes", len(payload), grew)
+		}
+		if err != nil {
+			return
+		}
+		if got := appendFuzzRuns(runs); !bytes.Equal(got, payload) {
+			t.Fatalf("payload %x decoded, but re-encodes as %x", payload, got)
+		}
+	})
 }
 
 func TestDistValidation(t *testing.T) {
@@ -382,5 +487,4 @@ func TestDistValidation(t *testing.T) {
 	if _, _, err := j.Run(input); err != nil {
 		t.Errorf("degenerate single worker: %v", err)
 	}
-	_ = strconv.Itoa(0)
 }

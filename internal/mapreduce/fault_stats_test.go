@@ -6,17 +6,27 @@ import (
 	"testing"
 )
 
-// combineWordCountJob is wordCountJob plus a summing combiner, so the
-// combine counters and combiner-reduced IntermediateBytes are live —
-// the counters the fault-accounting sweep must keep honest.
-func combineWordCountJob(cfg Config) *Job[string, string, int, string] {
+// combineWordCountJob is wordCountJob plus a combiner that sums each
+// word's counts within a run, so the combine counters and
+// combiner-reduced IntermediateBytes are live — the counters the
+// fault-accounting sweep must keep honest.
+func combineWordCountJob(cfg Config) *Job[string, int, wordN, string] {
 	j := wordCountJob(cfg)
-	j.Combine = func(_ string, vs []int) []int {
-		sum := 0
+	j.Combine = func(_ int, vs []wordN) []wordN {
+		// Fold each word into its first occurrence, in place: the
+		// output never overtakes the input it reads.
+		out := vs[:0]
+	next:
 		for _, v := range vs {
-			sum += v
+			for i := range out {
+				if out[i].w == v.w {
+					out[i].n += v.n
+					continue next
+				}
+			}
+			out = append(out, v)
 		}
-		return []int{sum}
+		return out
 	}
 	return j
 }

@@ -1,38 +1,35 @@
 // Package mapreduce implements the execution substrate of the paper
-// (§2): a map-reduce engine with user-defined map and reduce functions,
-// a partitioner that assigns intermediate keys to reducers, and a
-// shuffle that groups values by key. The engine is an in-process
-// simulation of Hadoop-era map-reduce, built for *cost accounting*: it
-// counts every intermediate key-value pair and byte moved between the
-// map and reduce sides, because the paper's central argument is that
-// algorithm quality on map-reduce is governed by the number of
-// intermediate pairs produced (§1).
+// (§2): a map-reduce engine with user-defined map and reduce functions
+// and a shuffle that routes every intermediate pair to its reducer. The
+// engine is an in-process simulation of Hadoop-era map-reduce, built
+// for *cost accounting*: it counts every intermediate key-value pair
+// and byte moved between the map and reduce sides, because the paper's
+// central argument is that algorithm quality on map-reduce is governed
+// by the number of intermediate pairs produced (§1).
 //
-// Execution model:
+// An intermediate key is the index of the reducer it goes to — the
+// paper's "an intermediate key-value pair (c_i, u) is routed to the
+// reducer c_i" (§5.1) — so a reducer sees exactly one key. Execution
+// model:
 //
 //   - the input is divided into NumMappers contiguous splits, each read
 //     by its own mapper (RunSplits; Run is the in-memory special case);
 //   - each mapper applies Map to its records and emits (K, V) pairs;
-//   - each pair is routed to reducer Partition(K, NumReducers);
-//   - each mapper key-sorts its per-reducer output runs (stable, so
-//     emit order within a key survives), applies the optional Combine
-//     hook to each key group, and folds the PairBytes accounting in;
-//   - the shuffle merges every reducer's pre-sorted mapper runs in
-//     parallel (k-way merge, ties broken by mapper index);
-//   - each reducer walks the contiguous key groups of its merged run
-//     and applies Reduce to every (key, values) group in ascending key
-//     order;
+//     value v of key k is appended to the mapper's run for reducer k;
+//   - each mapper applies the optional Combine hook once per run and
+//     folds the PairBytes accounting in;
+//   - the shuffle concatenates every reducer's runs in mapper order, in
+//     parallel across reducers;
+//   - Reduce runs once per reducer that received values;
 //   - reducer outputs are concatenated in reducer-index order.
 //
-// The engine is deterministic regardless of goroutine scheduling: the
-// merge delivers every key's values in (mapper index, emit order) —
-// exactly the order a serial concatenation would — keys are reduced in
-// sorted order, and outputs are assembled in reducer order. Task fault
-// injection (Config.FailMap / Config.FailReduce with MaxAttempts)
-// deterministically re-runs failed attempts, discarding their partial
-// output (including its combine and byte accounting), to mirror
-// Hadoop's task retry semantics; retried reduce attempts reuse the
-// immutable merged input.
+// The engine is deterministic regardless of goroutine scheduling: a
+// reducer's values arrive in (mapper index, emit order) and outputs are
+// assembled in reducer order. Task fault injection (Config.FailMap /
+// Config.FailReduce with MaxAttempts) deterministically re-runs failed
+// attempts, discarding their partial output (including its combine and
+// byte accounting), to mirror Hadoop's task retry semantics; retried
+// reduce attempts reuse the immutable shuffled input.
 //
 // When Config.Tracer is set, every run emits a span tree — job →
 // map/shuffle/reduce phases → task attempts — with counters that
@@ -40,7 +37,6 @@
 package mapreduce
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"runtime"
@@ -95,19 +91,19 @@ type Config struct {
 	// map/reduce task-latency histograms, and the per-job imbalance
 	// factor. A nil registry costs nothing.
 	Metrics *metrics.Registry
-	// Pool recycles the engine's large scratch buffers — sorted-run pair
-	// slices, radix scratch, merge-tree intermediates, merged reducer
-	// inputs — across task attempts and, when callers share one pool,
-	// across the jobs of an execution; see BufferPool for the lifecycle
-	// rules. Nil means a pool private to this job, dropped when it
-	// returns. Results and Stats never depend on which. On a shared pool
-	// Reduce must not retain its values slice after returning.
+	// Pool recycles the engine's large scratch buffers — the map side's
+	// run chunks and the shuffled reducer inputs — across task attempts
+	// and, when callers share one pool, across the jobs of an execution;
+	// see BufferPool for the lifecycle rules. Nil means a pool private to
+	// this job, dropped when it returns. Results and Stats never depend
+	// on which. On a shared pool Reduce must not retain its values slice
+	// after returning.
 	Pool *BufferPool
 	// SpillBudget, when positive, bounds the bytes (as measured by
-	// Job.PairBytes) a mapper keeps in memory for one finalized sorted
-	// run: a run over the budget is written to local-disk scratch on
-	// SpillFS and re-read by the shuffle's merge, so larger-than-RAM
-	// shuffles complete instead of OOMing. Spilling requires SpillFS
+	// Job.PairBytes) a mapper keeps in memory for one finalized run: a
+	// run over the budget is written to local-disk scratch on SpillFS
+	// and read back by the shuffle, so larger-than-RAM shuffles complete
+	// instead of OOMing. Spilling requires SpillFS
 	// plus the job's EncodePair/DecodePair codec and PairBytes; jobs
 	// missing any of those never spill. Results and every non-Spill*
 	// Stats field are bit-identical with and without spilling.
@@ -117,7 +113,7 @@ type Config struct {
 	SpillFS *dfs.FS
 	// Dist, when non-nil, runs the job as one SPMD worker of a cluster:
 	// task ownership is partitioned by index modulo Dist.NumWorkers,
-	// sorted runs destined for remote reducers ship over Dist.Exchanger,
+	// runs destined for remote reducers ship over Dist.Exchanger,
 	// and the reduce barrier all-gathers outputs so every worker returns
 	// the complete, bit-identical result (see dist.go). NumWorkers == 1
 	// is exactly the in-process engine. Distribution with NumWorkers > 1
@@ -171,8 +167,8 @@ type Stats struct {
 	CombineInputPairs  int64
 	CombineOutputPairs int64
 	// SpilledRuns, SpillBytesWritten and SpillBytesRead count the
-	// map-side sorted runs that exceeded Config.SpillBudget and were
-	// staged on local-disk scratch until the merge re-read them. Spill
+	// map-side runs that exceeded Config.SpillBudget and were staged on
+	// local-disk scratch until the shuffle read them back. Spill
 	// I/O is local traffic, uncharged to the DFS counters, so every
 	// other field is identical whether a shuffle spilled or stayed in
 	// memory. Omitted from JSON when zero, so non-spilling runs (and
@@ -182,7 +178,7 @@ type Stats struct {
 	SpillBytesRead    int64 `json:",omitempty"`
 	// ShuffleNetworkBytes and ShuffleNetworkRuns count what the
 	// distributed run exchange actually shipped between workers: the
-	// framed bytes and non-empty sorted runs sent to remotely-owned
+	// framed bytes and non-empty runs sent to remotely-owned
 	// reducers, summed over all workers (every worker reports the same
 	// global totals). They are deliberately NOT folded into
 	// IntermediateBytes — the paper's communication metric counts what
@@ -268,29 +264,37 @@ func (s *Stats) Add(o *Stats) {
 	}
 }
 
+// ReducerKey is the type of an intermediate key: an integer naming the
+// reducer its pair goes to, in [0, Config.NumReducers).
+type ReducerKey interface {
+	~int | ~int8 | ~int16 | ~int32 | ~int64 | ~uint | ~uint8 | ~uint16 | ~uint32 | ~uint64 | ~uintptr
+}
+
 // Job describes one map-reduce job over input records of type I,
-// intermediate pairs (K, V) and output records of type O. Keys must be
-// ordered so the reduce phase is deterministic.
-type Job[I any, K cmp.Ordered, V any, O any] struct {
+// intermediate pairs (K, V) and output records of type O. A pair's key
+// is its reducer: Map's emit(k, v) sends v to reducer k, and a key
+// outside [0, NumReducers) fails the map attempt.
+type Job[I any, K ReducerKey, V any, O any] struct {
 	Config Config
 	// Map transforms one input record into intermediate pairs.
 	Map func(in I, emit func(K, V)) error
-	// Partition assigns a key to one of n reducers; nil uses a
-	// stable default hash of the key.
+	// Partition is read by nothing: key k goes to reducer k.
+	//
+	// Deprecated: the key is the reducer index; the field remains so
+	// that existing Job literals compile.
 	Partition func(key K, n int) int
-	// Reduce folds all values of one key into output records.
+	// Reduce folds all values of one reducer — its key — into output
+	// records; it runs once per reducer that received values.
 	Reduce func(key K, values []V, emit func(O)) error
-	// Combine, when non-nil, is a Hadoop-style combiner applied to
-	// each mapper's key-sorted output runs before the shuffle: for
-	// every key group the mapper produced, Combine(key, values)
-	// replaces the group's values with the returned slice (an empty
-	// result drops the key from that run). It must be
-	// semantics-preserving for Reduce — reducing a key over any
+	// Combine, when non-nil, is a Hadoop-style combiner applied once to
+	// each map attempt's run for a reducer before the shuffle:
+	// Combine(key, values) gets the run's values in emit order and the
+	// run ships what it returns instead (an empty result ships nothing).
+	// It must be semantics-preserving for Reduce — reducing over any
 	// concatenation of combined runs must yield the same output as
-	// reducing the raw pairs. The values slice is scratch reused
-	// between calls: implementations must not retain it, but may
-	// return it (or a prefix of it) — the engine copies the returned
-	// values before reuse. Stats.CombineInputPairs /
+	// reducing the raw pairs. values is the run's own storage: Combine
+	// may rewrite it and return it or a subslice of it, or return a new
+	// slice, and retains neither. Stats.CombineInputPairs /
 	// Stats.CombineOutputPairs report its effect; IntermediatePairs,
 	// PairsPerReducer and all byte counters measure what is actually
 	// shuffled, i.e. the post-combine runs.
@@ -300,10 +304,12 @@ type Job[I any, K cmp.Ordered, V any, O any] struct {
 	PairBytes func(key K, value V) int
 	// EncodePair appends the wire encoding of one intermediate pair to
 	// buf and returns the extended slice; DecodePair parses one such
-	// record back. Together they are the codec that lets map-side
-	// sorted runs spill to local disk under Config.SpillBudget — the
-	// engine frames records itself, one per pair, preserving run
-	// order. Jobs without the codec never spill.
+	// record back. Together they are the codec that lets map-side runs
+	// spill to local disk under Config.SpillBudget and ship between
+	// workers — the engine frames records itself, one per pair,
+	// preserving run order. A decoded pair whose key is not the reducer
+	// of the run it arrived in is an error. Jobs without the codec never
+	// spill.
 	EncodePair func(key K, value V, buf []byte) []byte
 	DecodePair func(rec []byte) (K, V, error)
 	// EncodeOutput appends the wire encoding of one reducer output
@@ -315,111 +321,11 @@ type Job[I any, K cmp.Ordered, V any, O any] struct {
 	DecodeOutput func(rec []byte) (O, error)
 }
 
-// pair is one intermediate key-value emitted by a mapper.
-type pair[K cmp.Ordered, V any] struct {
-	key K
-	val V
-}
-
-// pairBatch is the output of one mapper for one reducer: a run of
-// pairs that the mapper key-sorts, combines, and sizes before handing
-// it to the shuffle, so the shuffle itself never walks pairs serially.
-type pairBatch[K cmp.Ordered, V any] struct {
-	pairs      []pair[K, V]
-	bytes      int64 // Σ PairBytes over pairs; 0 when PairBytes is nil
-	combineIn  int64 // pairs fed to Combine
-	combineOut int64 // pairs Combine kept
-	// spill names the local scratch file holding this run when it
-	// exceeded Config.SpillBudget; pairs is then nil until the shuffle
-	// re-reads it. n and spillBytes record the spilled pair count and
-	// encoded size.
-	spill      string
-	spillBytes int64
-	n          int
-}
-
-// finalizeRun turns one mapper's raw per-reducer run into shuffle-ready
-// form, inside the parallel map task: a stable key sort (emit order
-// within a key survives), the optional combiner applied per key group,
-// and the PairBytes accounting folded in. rank, when non-nil, selects
-// the linear radix run sort; otherwise a comparison stable sort is
-// used.
-func finalizeRun[K cmp.Ordered, V any](b *pairBatch[K, V], rank func(K) uint64, combine func(K, []V) []V, pairBytes func(K, V) int, pool *BufferPool) {
-	ps := b.pairs
-	if len(ps) == 0 {
-		return
-	}
-	if rank != nil {
-		ps = radixSortPairs(ps, rank, pool)
-		b.pairs = ps
-	} else if !slices.IsSortedFunc(ps, func(a, b pair[K, V]) int { return cmp.Compare(a.key, b.key) }) {
-		slices.SortStableFunc(ps, func(a, b pair[K, V]) int { return cmp.Compare(a.key, b.key) })
-	}
-	if combine != nil {
-		orig := ps
-		var scratch []V
-		dst := ps[:0]
-		aliased := true // dst still shares ps's backing array
-		for lo := 0; lo < len(ps); {
-			hi := lo + 1
-			for hi < len(ps) && ps[hi].key == ps[lo].key {
-				hi++
-			}
-			k := ps[lo].key
-			scratch = scratch[:0]
-			for i := lo; i < hi; i++ {
-				scratch = append(scratch, ps[i].val)
-			}
-			vs := combine(k, scratch)
-			b.combineIn += int64(hi - lo)
-			b.combineOut += int64(len(vs))
-			if aliased && len(dst)+len(vs) > hi {
-				// An expanding combiner would overwrite pairs not yet
-				// consumed; move the output to a fresh backing array.
-				dst = append(make([]pair[K, V], 0, len(dst)+len(vs)+len(ps)-hi), dst...)
-				aliased = false
-			}
-			for _, v := range vs {
-				dst = append(dst, pair[K, V]{key: k, val: v})
-			}
-			lo = hi
-		}
-		if !aliased {
-			// The combiner moved the run to a fresh backing array; the
-			// original buffer is dead and can be recycled.
-			putBuf(&pool.pairs, orig)
-		}
-		b.pairs = dst
-		ps = dst
-	}
-	if pairBytes != nil {
-		var n int64
-		for i := range ps {
-			n += int64(pairBytes(ps[i].key, ps[i].val))
-		}
-		b.bytes = n
-	}
-}
-
-// reducerInput is one reducer's shuffled input: parallel key/value
-// slices in merged key order, so every key's values are contiguous.
-type reducerInput[K cmp.Ordered, V any] struct {
-	keys []K
-	vals []V
-}
-
-// groupStarts indexes the contiguous key groups of a merged reducer
-// input: group g spans keys[starts[g]:starts[g+1]]. keys must be
-// non-empty and key-sorted.
-func groupStarts[K cmp.Ordered](keys []K, pool *BufferPool) []int {
-	starts := append(getBuf[int](&pool.ints, 16), 0)
-	for i := 1; i < len(keys); i++ {
-		if keys[i] != keys[i-1] {
-			starts = append(starts, i)
-		}
-	}
-	return append(starts, len(keys))
-}
+// IdentityPartition returns key as a reducer index.
+//
+// Deprecated: it is the engine's routing whatever Job.Partition holds;
+// it remains so that existing Job literals compile.
+func IdentityPartition[K ReducerKey](key K, _ int) int { return int(key) }
 
 // Run executes the job on an in-memory input: RunSplits over slices of
 // the given records.
@@ -461,10 +367,6 @@ func (j *Job[I, K, V, O]) RunSplits(n int, read func(lo, hi int, yield func(I) e
 			return nil, nil, fmt.Errorf("mapreduce: job %q: distributed execution requires the EncodeOutput/DecodeOutput codec", cfg.Name)
 		}
 	}
-	partition := j.Partition
-	if partition == nil {
-		partition = DefaultPartition[K]
-	}
 	// cancelled reports the job's cancellation error, nil while the
 	// context (if any) is live. Checked before each task attempt and at
 	// phase boundaries: a cancelled job never starts another task, so
@@ -498,7 +400,7 @@ func (j *Job[I, K, V, O]) RunSplits(n int, read func(lo, hi int, yield func(I) e
 	spilling := cfg.SpillBudget > 0 && j.EncodePair != nil && j.DecodePair != nil &&
 		j.PairBytes != nil
 	var spillSeq atomic.Int64 // attempt-unique scratch file names
-	ranker := keyRanker[K]()
+	nr := cfg.NumReducers
 	start := time.Now()
 	tr := cfg.Tracer
 	traced := tr != nil
@@ -513,14 +415,14 @@ func (j *Job[I, K, V, O]) RunSplits(n int, read func(lo, hi int, yield func(I) e
 	mapSpan := tr.Start(jobSpan, trace.KindPhase, "map")
 	mapStart := time.Now()
 	nm := min(cfg.NumMappers, n)
-	// batches[m][r] holds mapper m's sorted run for reducer r.
-	batches := make([][]pairBatch[K, V], nm)
+	// runs[m][r] holds mapper m's run for reducer r.
+	runs := make([][]run[V], nm)
 	mapErrs := make([]error, nm)
 	mapRuns := make([]taskRun, nm)
 	runTasks(cfg.Parallelism, nm, func(m int) {
 		if dist && !cfg.Dist.ownsMapper(m) {
-			// A remotely-owned mapper runs on its owner; its sorted runs
-			// arrive through the network shuffle below.
+			// A remotely-owned mapper runs on its owner; its runs arrive
+			// through the network shuffle below.
 			return
 		}
 		if err := cancelled(); err != nil {
@@ -529,53 +431,56 @@ func (j *Job[I, K, V, O]) RunSplits(n int, read func(lo, hi int, yield func(I) e
 		}
 		lo := n * m / nm
 		hi := n * (m + 1) / nm
-		body := func() ([]pairBatch[K, V], error) {
-			out := make([]pairBatch[K, V], cfg.NumReducers)
+		body := func() ([]run[V], error) {
+			out := make([]run[V], nr)
 			emit := func(k K, v V) {
-				r := partition(k, cfg.NumReducers)
-				if r < 0 || r >= cfg.NumReducers {
-					panic(fmt.Sprintf("mapreduce: job %q: partitioner sent key %v to reducer %d of %d", cfg.Name, k, r, cfg.NumReducers))
+				if uint(k) >= uint(nr) {
+					panic(fmt.Sprintf("mapreduce: job %q: emitted key %v, outside reducers [0, %d)", cfg.Name, k, nr))
 				}
-				if out[r].pairs == nil {
-					out[r].pairs = getBuf[pair[K, V]](&pool.pairs, 0)
-				}
-				out[r].pairs = append(out[r].pairs, pair[K, V]{key: k, val: v})
+				out[k].add(v, pool)
 			}
 			if err := safeSplit(read, lo, hi, func(in I) error { return j.Map(in, emit) }); err != nil {
 				return out, fmt.Errorf("mapreduce: job %q: mapper %d: %w", cfg.Name, m, err)
 			}
-			// Sorting, combining and byte accounting run inside every
-			// attempt — including ones later discarded by fault
-			// injection, which crash after their spill like a real Hadoop
-			// task — so the attempt timing covers the work and a
-			// discarded attempt's combine and byte accounting is
-			// discarded with its batch, never leaked into Stats.
+			// Combining and byte accounting run inside every attempt —
+			// including ones later discarded by fault injection, which
+			// crash after their spill like a real Hadoop task — so the
+			// attempt timing covers the work and a discarded attempt's
+			// combine and byte accounting is discarded with its runs,
+			// never leaked into Stats.
 			for r := range out {
-				finalizeRun(&out[r], ranker, j.Combine, j.PairBytes, pool)
-				if spilling && out[r].bytes > cfg.SpillBudget && len(out[r].pairs) > 0 {
+				finalizeRun(&out[r], K(r), j.Combine, j.PairBytes, pool)
+				if spilling && out[r].bytes > cfg.SpillBudget && out[r].n > 0 {
 					// Over-budget runs move to local scratch right here,
 					// inside the attempt, so the mapper's memory is
 					// bounded no matter how often it retries; the
 					// sequence number keeps the scratch names of
 					// concurrent mappers and of retries apart.
 					name := fmt.Sprintf("spill/%s/run-%d", cfg.Name, spillSeq.Add(1))
-					spillBatch(&out[r], cfg.SpillFS, name, j.EncodePair, pool)
+					spillRun(&out[r], K(r), cfg.SpillFS, name, j.EncodePair, pool)
 				}
 			}
 			return out, nil
 		}
-		batches[m], mapErrs[m] = runAttempts(&cfg, "mapper", m, cfg.FailMap, timed, &mapRuns[m], body,
-			func(out []pairBatch[K, V]) { recycleBatches(pool, cfg.SpillFS, out) })
+		runs[m], mapErrs[m] = runAttempts(&cfg, "mapper", m, cfg.FailMap, timed, &mapRuns[m], body,
+			func(out []run[V]) { recycleRuns(pool, cfg.SpillFS, out) })
 	})
 	for m := range mapRuns {
 		stats.MapAttempts += mapRuns[m].attempts
 		stats.MapFailures += mapRuns[m].failures
 	}
-	if j.Combine != nil {
-		for _, bm := range batches { // nil for failed mappers: skipped
-			for r := range bm {
-				stats.CombineInputPairs += bm[r].combineIn
-				stats.CombineOutputPairs += bm[r].combineOut
+	// Spill accounting is committed-run-scoped like every other counter:
+	// discarded attempts deleted their scratch, and each surviving run is
+	// written and read exactly once. It is counted here, before the
+	// shuffle and the run exchange consume the spill fields.
+	var spilledRuns, spillBytes int64
+	for _, rm := range runs { // nil for failed mappers: skipped
+		for r := range rm {
+			stats.CombineInputPairs += rm[r].combineIn
+			stats.CombineOutputPairs += rm[r].combineOut
+			if rm[r].spill != "" {
+				spilledRuns++
+				spillBytes += rm[r].spillBytes
 			}
 		}
 	}
@@ -596,35 +501,19 @@ func (j *Job[I, K, V, O]) RunSplits(n int, read func(lo, hi int, yield func(I) e
 	// discardSpills removes committed mappers' scratch on the abort
 	// paths below, where the shuffle will never consume it.
 	discardSpills := func() {
-		if !spilling {
-			return
-		}
-		for m := range batches {
-			for r := range batches[m] {
-				if batches[m][r].spill != "" {
-					_ = cfg.SpillFS.Delete(batches[m][r].spill)
-					batches[m][r].spill = ""
+		for m := range runs {
+			for r := range runs[m] {
+				if runs[m][r].spill != "" {
+					_ = cfg.SpillFS.Delete(runs[m][r].spill)
+					runs[m][r].spill = ""
 				}
 			}
 		}
 	}
 	if dist {
-		// Exchange stage 1, the map barrier: commit this worker's spill
-		// accounting while the spill fields are still intact (the run
-		// exchange below re-reads remote-destined spills), then gather
-		// every worker's map accounting and error state so all workers
-		// agree on the totals and on whether the map phase failed.
-		var spilledRuns, spillBytes int64
-		if spilling {
-			for m := range batches {
-				for r := range batches[m] {
-					if batches[m][r].spill != "" {
-						spilledRuns++
-						spillBytes += batches[m][r].spillBytes
-					}
-				}
-			}
-		}
+		// Exchange stage 1, the map barrier: gather every worker's map
+		// accounting and error state so all workers agree on the totals
+		// and on whether the map phase failed.
 		if err := distMapBarrier(cfg.Dist, stats, mapErrs, spilledRuns, spillBytes); err != nil {
 			discardSpills()
 			return nil, nil, err
@@ -636,6 +525,7 @@ func (j *Job[I, K, V, O]) RunSplits(n int, read func(lo, hi int, yield func(I) e
 				return nil, nil, fmt.Errorf("%w (mapper %d)", err, m)
 			}
 		}
+		stats.SpilledRuns, stats.SpillBytesWritten, stats.SpillBytesRead = spilledRuns, spillBytes, spillBytes
 	}
 
 	// A cancellation landing between phases stops before the shuffle, so
@@ -644,77 +534,57 @@ func (j *Job[I, K, V, O]) RunSplits(n int, read func(lo, hi int, yield func(I) e
 		discardSpills()
 		return nil, nil, err
 	}
-	if spilling && !dist {
-		// Spill accounting is committed-batch-scoped like every other
-		// counter: discarded attempts deleted their scratch above, and
-		// each surviving run is written and read exactly once. (The
-		// distributed path committed it inside the map barrier.)
-		for m := range batches {
-			for r := range batches[m] {
-				if batches[m][r].spill != "" {
-					stats.SpilledRuns++
-					stats.SpillBytesWritten += batches[m][r].spillBytes
-					stats.SpillBytesRead += batches[m][r].spillBytes
-				}
-			}
-		}
-	}
 	var netBytes, netRuns int64
 	if dist {
-		// Exchange stage 2, the network shuffle: ship the sorted runs of
+		// Exchange stage 2, the network shuffle: ship the runs of
 		// remotely-owned reducers, receive the remote runs of our own.
 		var err error
-		if netBytes, netRuns, err = distExchangeRuns(j, &cfg, batches, nm, pool); err != nil {
+		if netBytes, netRuns, err = distExchangeRuns(j, &cfg, runs, nm, pool); err != nil {
 			discardSpills()
 			return nil, nil, err
 		}
 	}
 
-	// ---- shuffle: parallel k-way merge of the sorted mapper runs ----
-	// Each reducer's merge is one task; pair and byte totals were folded
-	// into the runs by the map phase, so no per-pair work remains here.
-	// The tracer is deliberately untouched in the merge loop — shuffle
-	// counters are attached once per phase below, so a nil tracer adds
-	// zero work and zero allocations per pair.
+	// ---- shuffle: every reducer's runs, concatenated ----
+	// Reducer r's input is in[off[r]:off[r+1]], its runs copied in mapper
+	// order — the order a stable merge of one-key runs delivers — into
+	// one slab for the job, one task per reducer. Pair and byte totals
+	// were folded into the runs by the map phase, and the tracer is
+	// untouched per pair: shuffle counters are attached once below.
 	shuffleStart := time.Now()
-	rin := make([]reducerInput[K, V], cfg.NumReducers)
+	owned := func(r int) bool { return !dist || cfg.Dist.ownsReducer(r) }
+	off := make([]int, nr+1)
 	var bytesPerReducer []int64
 	if j.PairBytes != nil {
-		bytesPerReducer = make([]int64, cfg.NumReducers)
+		bytesPerReducer = make([]int64, nr)
 	}
-	var shufErrs []error
-	if spilling {
-		shufErrs = make([]error, cfg.NumReducers)
-	}
-	runTasks(cfg.Parallelism, cfg.NumReducers, func(r int) {
-		if dist && !cfg.Dist.ownsReducer(r) {
-			// A remotely-owned reducer merges and reduces on its
-			// owner; its input, key count and outputs arrive through
-			// the reduce barrier.
-			return
+	for r := 0; r < nr; r++ {
+		off[r+1] = off[r]
+		if !owned(r) {
+			// Shuffled and reduced on its owner; its counts and outputs
+			// arrive through the reduce barrier.
+			continue
 		}
-		if spilling {
-			// Materialize this reducer's spilled runs just before
-			// they are merged, one reducer at a time, so peak memory
-			// stays bounded by the merge working set.
-			for m := 0; m < nm; m++ {
-				if batches[m][r].spill != "" {
-					if err := readSpill(&batches[m][r], cfg.SpillFS, j.DecodePair, pool); err != nil {
-						shufErrs[r] = err
-						return
-					}
-				}
-			}
+		var nb int64
+		for m := range runs {
+			off[r+1] += runs[m][r].n
+			nb += runs[m][r].bytes
 		}
-		var total int
-		var nbytes int64
-		for m := 0; m < nm; m++ {
-			total += len(batches[m][r].pairs)
-			nbytes += batches[m][r].bytes
-		}
-		rin[r] = mergeRuns(batches, r, total, pool)
+		stats.PairsPerReducer[r] = int64(off[r+1] - off[r])
+		stats.IntermediateBytes += nb
 		if bytesPerReducer != nil {
-			bytesPerReducer[r] = nbytes
+			bytesPerReducer[r] = nb
+		}
+	}
+	stats.IntermediatePairs = int64(off[nr])
+	var in []V
+	if off[nr] > 0 {
+		in = getBufLen[V](&pool.vals, off[nr])
+	}
+	shufErrs := make([]error, nr)
+	runTasks(cfg.Parallelism, nr, func(r int) {
+		if owned(r) {
+			shufErrs[r] = gatherInput(in[off[r]:off[r+1]], runs, K(r), cfg.SpillFS, j.DecodePair, pool)
 		}
 	})
 	for _, err := range shufErrs {
@@ -723,19 +593,7 @@ func (j *Job[I, K, V, O]) RunSplits(n int, read func(lo, hi int, yield func(I) e
 			return nil, nil, err
 		}
 	}
-	for r := 0; r < cfg.NumReducers; r++ {
-		if dist && !cfg.Dist.ownsReducer(r) {
-			// Filled in by the reduce barrier from the owner's report.
-			continue
-		}
-		n := int64(len(rin[r].keys))
-		stats.PairsPerReducer[r] = n
-		stats.IntermediatePairs += n
-		if bytesPerReducer != nil {
-			stats.IntermediateBytes += bytesPerReducer[r]
-		}
-	}
-	batches = nil
+	runs = nil
 	if traced {
 		shuffleSpan := tr.Observe(jobSpan, trace.KindPhase, "shuffle", shuffleStart, time.Now())
 		var maxPairs, hot int64
@@ -746,7 +604,7 @@ func (j *Job[I, K, V, O]) RunSplits(n int, read func(lo, hi int, yield func(I) e
 		}
 		tr.Add(shuffleSpan, "pairs", stats.IntermediatePairs)
 		tr.Add(shuffleSpan, "bytes", stats.IntermediateBytes)
-		tr.Add(shuffleSpan, "reducers", int64(cfg.NumReducers))
+		tr.Add(shuffleSpan, "reducers", int64(nr))
 		tr.Add(shuffleSpan, "max_reducer_pairs", maxPairs)
 		tr.Add(shuffleSpan, "hot_reducer", hot)
 		if stats.SpilledRuns > 0 {
@@ -761,35 +619,26 @@ func (j *Job[I, K, V, O]) RunSplits(n int, read func(lo, hi int, yield func(I) e
 	// ---- reduce phase ----
 	reduceSpan := tr.Start(jobSpan, trace.KindPhase, "reduce")
 	reduceStart := time.Now()
-	outputs := make([][]O, cfg.NumReducers)
-	keyCounts := make([]int64, cfg.NumReducers)
-	redErrs := make([]error, cfg.NumReducers)
-	redRuns := make([]taskRun, cfg.NumReducers)
-	runTasks(cfg.Parallelism, cfg.NumReducers, func(r int) {
+	outputs := make([][]O, nr)
+	keyCounts := make([]int64, nr)
+	redErrs := make([]error, nr)
+	redRuns := make([]taskRun, nr)
+	runTasks(cfg.Parallelism, nr, func(r int) {
 		if err := cancelled(); err != nil {
 			redErrs[r] = err
 			return
 		}
-		in := rin[r]
-		if len(in.keys) == 0 {
+		// The shuffled input is immutable, so retried attempts reuse it.
+		vs := in[off[r]:off[r+1]:off[r+1]]
+		if len(vs) == 0 {
 			return
 		}
-		// The merged run already holds each key's values contiguously
-		// in (mapper index, emit order); index its group boundaries
-		// once — the view is derived from the immutable shuffle output,
-		// so retried attempts reuse it; recycle once the task is done.
-		starts := groupStarts(in.keys, pool)
-		defer putBuf(&pool.ints, starts)
 		body := func() ([]O, error) {
 			// An estimate, capped so a selective reducer wastes little.
-			out := make([]O, 0, min(len(in.keys)/2, 4096))
+			out := make([]O, 0, min(len(vs)/2, 4096))
 			emit := func(o O) { out = append(out, o) }
-			for g := 0; g+1 < len(starts); g++ {
-				glo, ghi := starts[g], starts[g+1]
-				k := in.keys[glo]
-				if err := safeReduce(j.Reduce, k, in.vals[glo:ghi:ghi], emit); err != nil {
-					return out, fmt.Errorf("mapreduce: job %q: reducer %d key %v: %w", cfg.Name, r, k, err)
-				}
+			if err := safeReduce(j.Reduce, K(r), vs, emit); err != nil {
+				return out, fmt.Errorf("mapreduce: job %q: reducer %d: %w", cfg.Name, r, err)
 			}
 			return out, nil
 		}
@@ -797,17 +646,13 @@ func (j *Job[I, K, V, O]) RunSplits(n int, read func(lo, hi int, yield func(I) e
 		// output is simply dropped.
 		outputs[r], redErrs[r] = runAttempts(&cfg, "reducer", r, cfg.FailReduce, timed, &redRuns[r], body, func([]O) {})
 		if redErrs[r] == nil {
-			keyCounts[r] = int64(len(starts) - 1)
+			keyCounts[r] = 1
 		}
 	})
-	// The reduce phase — every retry included — has committed; the merged inputs are dead (outputs are freshly
-	// appended []O and Reduce must not retain the values slice of a job
-	// on a shared pool), so the big key/value arrays recycle here.
-	for r := range rin {
-		putBuf(&pool.keys, rin[r].keys)
-		putBuf(&pool.vals, rin[r].vals)
-		rin[r] = reducerInput[K, V]{}
-	}
+	// The reduce phase — every retry included — has committed; the
+	// shuffled input is dead (outputs are freshly appended []O and Reduce
+	// must not retain its values on a shared pool), so it recycles here.
+	putBuf(&pool.vals, in)
 	for r := range redRuns {
 		stats.ReduceAttempts += redRuns[r].attempts
 		stats.ReduceFailures += redRuns[r].failures
@@ -1022,7 +867,7 @@ func safeSplit[I any](read func(lo, hi int, yield func(I) error) error, lo, hi i
 }
 
 // safeReduce is the reduce-side twin of safeSplit.
-func safeReduce[K cmp.Ordered, V any, O any](fn func(K, []V, func(O)) error, k K, vs []V, emit func(O)) (err error) {
+func safeReduce[K ReducerKey, V any, O any](fn func(K, []V, func(O)) error, k K, vs []V, emit func(O)) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("reduce panic: %v", p)

@@ -10,25 +10,45 @@ import (
 	"testing"
 )
 
+// wordN is a word and how many times it was seen.
+type wordN struct {
+	w string
+	n int
+}
+
+// wordReducer is the reducer of n that word w goes to: its byte sum
+// modulo n.
+func wordReducer(w string, n int) int {
+	sum := 0
+	for i := 0; i < len(w); i++ {
+		sum += int(w[i])
+	}
+	return sum % n
+}
+
 // wordCountJob is the canonical smoke test: count word occurrences.
-func wordCountJob(cfg Config) *Job[string, string, int, string] {
-	return &Job[string, string, int, string]{
+// Each word is emitted to the reducer it hashes to, and each reducer
+// counts the words it received.
+func wordCountJob(cfg Config) *Job[string, int, wordN, string] {
+	return &Job[string, int, wordN, string]{
 		Config: cfg,
-		Map: func(line string, emit func(string, int)) error {
+		Map: func(line string, emit func(int, wordN)) error {
 			for _, w := range strings.Fields(line) {
-				emit(w, 1)
+				emit(wordReducer(w, cfg.NumReducers), wordN{w, 1})
 			}
 			return nil
 		},
-		Reduce: func(k string, vs []int, emit func(string)) error {
-			sum := 0
+		Reduce: func(_ int, vs []wordN, emit func(string)) error {
+			counts := map[string]int{}
 			for _, v := range vs {
-				sum += v
+				counts[v.w] += v.n
 			}
-			emit(fmt.Sprintf("%s=%d", k, sum))
+			for _, w := range sortedKeys(counts) {
+				emit(fmt.Sprintf("%s=%d", w, counts[w]))
+			}
 			return nil
 		},
-		PairBytes: func(k string, _ int) int { return len(k) + 4 },
+		PairBytes: func(_ int, v wordN) int { return len(v.w) + 4 },
 	}
 }
 
@@ -76,9 +96,8 @@ func TestDeterminism(t *testing.T) {
 		input = append(input, i)
 	}
 	job := &Job[int, int, int, [2]int]{
-		Config:    Config{Name: "det", NumReducers: 7, NumMappers: 9, Parallelism: 8},
-		Map:       func(x int, emit func(int, int)) error { emit(x%13, x); return nil },
-		Partition: DefaultPartition[int],
+		Config: Config{Name: "det", NumReducers: 13, NumMappers: 9, Parallelism: 8},
+		Map:    func(x int, emit func(int, int)) error { emit(x%13, x); return nil },
 		Reduce: func(k int, vs []int, emit func([2]int)) error {
 			sum := 0
 			for _, v := range vs {
@@ -103,7 +122,7 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-// TestValueOrderWithinKey: values of one key arrive in mapper-index
+// TestValueOrderWithinKey: a reducer's values arrive in mapper-index
 // order, then input order — regardless of scheduling.
 func TestValueOrderWithinKey(t *testing.T) {
 	input := []int{10, 11, 12, 13, 14, 15}
@@ -189,7 +208,7 @@ func TestConfigValidation(t *testing.T) {
 	if _, _, err := job.Run([]string{"x"}); err == nil {
 		t.Error("NumReducers=0 must fail")
 	}
-	missing := &Job[string, string, int, string]{Config: Config{NumReducers: 1}}
+	missing := &Job[string, int, wordN, string]{Config: Config{NumReducers: 1}}
 	if _, _, err := missing.Run([]string{"x"}); err == nil {
 		t.Error("missing Map/Reduce must fail")
 	}
@@ -213,7 +232,7 @@ func TestMapErrorAborts(t *testing.T) {
 			if x == 3 {
 				return errors.New("bad record")
 			}
-			emit(x, x)
+			emit(x%2, x)
 			return nil
 		},
 		Reduce: func(k int, vs []int, emit func(int)) error { emit(k); return nil },
@@ -226,7 +245,7 @@ func TestMapErrorAborts(t *testing.T) {
 
 func TestReduceErrorAborts(t *testing.T) {
 	job := &Job[int, int, int, int]{
-		Config: Config{Name: "rederr", NumReducers: 2},
+		Config: Config{Name: "rederr", NumReducers: 4},
 		Map:    func(x int, emit func(int, int)) error { emit(x, x); return nil },
 		Reduce: func(k int, vs []int, emit func(int)) error {
 			if k == 2 {
@@ -317,16 +336,28 @@ func TestFaultInjectionExhausted(t *testing.T) {
 	}
 }
 
-func TestBadPartitionerPanicsSurface(t *testing.T) {
-	job := &Job[int, int, int, int]{
-		Config:    Config{Name: "badpart", NumReducers: 2},
-		Map:       func(x int, emit func(int, int)) error { emit(x, x); return nil },
-		Partition: func(k, n int) int { return 99 },
-		Reduce:    func(k int, vs []int, emit func(int)) error { emit(k); return nil },
+// TestOutOfRangeKeySurfaces: a key is a reducer index, so emitting one
+// outside [0, NumReducers) fails the map attempt with an error naming
+// the key — negative and unsigned keys included.
+func TestOutOfRangeKeySurfaces(t *testing.T) {
+	for _, key := range []int{99, 2, -1} {
+		job := &Job[int, int, int, int]{
+			Config: Config{Name: "badkey", NumReducers: 2},
+			Map:    func(x int, emit func(int, int)) error { emit(key, x); return nil },
+			Reduce: func(k int, vs []int, emit func(int)) error { emit(k); return nil },
+		}
+		_, _, err := job.Run([]int{1})
+		if want := fmt.Sprintf("key %d,", key); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("key %d: err = %v, want it to name %q", key, err, want)
+		}
 	}
-	_, _, err := job.Run([]int{1})
-	if err == nil || !strings.Contains(err.Error(), "reducer 99") {
-		t.Errorf("err = %v", err)
+	job := &Job[int, uint8, int, int]{
+		Config: Config{Name: "badkey", NumReducers: 2},
+		Map:    func(x int, emit func(uint8, int)) error { emit(255, x); return nil },
+		Reduce: func(k uint8, vs []int, emit func(int)) error { emit(int(k)); return nil },
+	}
+	if _, _, err := job.Run([]int{1}); err == nil || !strings.Contains(err.Error(), "key 255,") {
+		t.Errorf("uint8 key 255: err = %v", err)
 	}
 }
 
@@ -357,28 +388,6 @@ func TestStatsAddAndSkew(t *testing.T) {
 
 type cellLike int32 // named integer type, like grid.CellID
 
-func TestDefaultPartitionKinds(t *testing.T) {
-	if got := DefaultPartition(cellLike(13), 5); got != 3 {
-		t.Errorf("named int32 partition = %d, want 3", got)
-	}
-	if got := DefaultPartition(-7, 5); got < 0 || got >= 5 {
-		t.Errorf("negative int partition = %d out of range", got)
-	}
-	if got := DefaultPartition(uint16(9), 4); got != 1 {
-		t.Errorf("uint partition = %d, want 1", got)
-	}
-	if got := DefaultPartition("hello", 8); got < 0 || got >= 8 {
-		t.Errorf("string partition out of range: %d", got)
-	}
-	if got := DefaultPartition(3.25, 8); got < 0 || got >= 8 {
-		t.Errorf("float partition out of range: %d", got)
-	}
-	// Stability across calls.
-	if DefaultPartition("hello", 8) != DefaultPartition("hello", 8) {
-		t.Error("string partition must be stable")
-	}
-}
-
 func TestIdentityPartition(t *testing.T) {
 	if IdentityPartition(cellLike(6), 10) != 6 {
 		t.Error("identity partition of named int")
@@ -386,12 +395,6 @@ func TestIdentityPartition(t *testing.T) {
 	if IdentityPartition(uint8(3), 10) != 3 {
 		t.Error("identity partition of uint")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("identity partition of string must panic")
-		}
-	}()
-	IdentityPartition("x", 10)
 }
 
 func TestRunTasksSequentialFallback(t *testing.T) {
@@ -409,9 +412,8 @@ func BenchmarkShuffleThroughput(b *testing.B) {
 		input[i] = i
 	}
 	job := &Job[int, int, int, int]{
-		Config:    Config{Name: "bench", NumReducers: 64, NumMappers: 4},
-		Map:       func(x int, emit func(int, int)) error { emit(x%64, x); emit((x+7)%64, x); return nil },
-		Partition: IdentityPartition[int],
+		Config: Config{Name: "bench", NumReducers: 64, NumMappers: 4},
+		Map:    func(x int, emit func(int, int)) error { emit(x%64, x); emit((x+7)%64, x); return nil },
 		Reduce: func(k int, vs []int, emit func(int)) error {
 			emit(len(vs))
 			return nil

@@ -13,9 +13,9 @@ import (
 	"mwsjoin/internal/trace"
 )
 
-// pipelineJob builds a deterministic pseudo-random word-count-style job
-// over int64 keys whose key cardinality, fan-out and fault injection
-// are tunable from the test table.
+// pipelineJob builds a deterministic pseudo-random aggregation job over
+// seven reducers whose fan-out and fault injection are tunable from the
+// test table.
 func pipelineJob(par int, inject bool) (*Job[int64, int64, int64, string], []int64) {
 	cfg := Config{Name: "prop", NumReducers: 7, NumMappers: 5, Parallelism: par}
 	if inject {
@@ -26,10 +26,10 @@ func pipelineJob(par int, inject bool) (*Job[int64, int64, int64, string], []int
 	job := &Job[int64, int64, int64, string]{
 		Config: cfg,
 		Map: func(x int64, emit func(int64, int64)) error {
-			// Skewed fan-out: record x emits 1+x%4 pairs over a small
-			// key space so most keys collect values from many mappers.
+			// Skewed fan-out: record x emits 1+x%4 pairs, so every
+			// reducer collects values from many mappers.
 			for s := int64(0); s <= x%4; s++ {
-				emit((x*31+s*17)%23, x)
+				emit((x*31+s*17)%7, x)
 			}
 			return nil
 		},
@@ -63,60 +63,51 @@ func spanSummary(tr *trace.Tracer) []string {
 // referenceRun states the engine's contract directly, serially and
 // without the engine's data structures — it is the oracle the shuffle
 // is tested against. Mapper m of nm = min(NumMappers, n) reads the split
-// [n·m/nm, n·(m+1)/nm); a pair goes to reducer Partition(key); Combine
-// sees each (mapper, reducer) run one key group at a time; reducers run
-// in index order, each over its keys ascending, a key's values in
-// (mapper, emit) order. Only the fields that contract determines are
-// filled in: attempt counters and walls depend on the fault schedule.
-func referenceRun[I any, K cmp.Ordered, V any, O any](t *testing.T, j *Job[I, K, V, O], input []I) ([]O, *Stats) {
+// [n·m/nm, n·(m+1)/nm); a pair's key is its reducer; Combine sees each
+// non-empty (mapper, reducer) run once, in emit order; reducers run in
+// index order, each once over its values in (mapper, emit) order. Only
+// the fields that contract determines are filled in: attempt counters
+// and walls depend on the fault schedule.
+func referenceRun[I any, K ReducerKey, V any, O any](t *testing.T, j *Job[I, K, V, O], input []I) ([]O, *Stats) {
 	t.Helper()
 	n, nr := len(input), j.Config.NumReducers
 	nm := min(j.Config.NumMappers, n)
-	partition := j.Partition
-	if partition == nil {
-		partition = DefaultPartition[K]
-	}
 	st := &Stats{Job: j.Config.Name, MapInputRecords: int64(n), PairsPerReducer: make([]int64, nr)}
-	groups := make([]map[K][]V, nr)
-	for r := range groups {
-		groups[r] = map[K][]V{}
-	}
+	in := make([][]V, nr)
 	for m := 0; m < nm; m++ {
-		runs := make([]map[K][]V, nr)
-		for r := range runs {
-			runs[r] = map[K][]V{}
-		}
-		for _, in := range input[n*m/nm : n*(m+1)/nm] {
-			if err := j.Map(in, func(k K, v V) { r := partition(k, nr); runs[r][k] = append(runs[r][k], v) }); err != nil {
+		runs := make([][]V, nr)
+		for _, x := range input[n*m/nm : n*(m+1)/nm] {
+			if err := j.Map(x, func(k K, v V) { runs[k] = append(runs[k], v) }); err != nil {
 				t.Fatal(err)
 			}
 		}
-		for r, run := range runs {
-			for _, k := range sortedKeys(run) {
-				vs := run[k]
-				if j.Combine != nil {
-					st.CombineInputPairs += int64(len(vs))
-					vs = slices.Clone(j.Combine(k, slices.Clone(vs)))
-					st.CombineOutputPairs += int64(len(vs))
-				}
-				groups[r][k] = append(groups[r][k], vs...)
-				st.PairsPerReducer[r] += int64(len(vs))
-				st.IntermediatePairs += int64(len(vs))
-				for _, v := range vs {
-					if j.PairBytes != nil {
-						st.IntermediateBytes += int64(j.PairBytes(k, v))
-					}
+		for r, vs := range runs {
+			if len(vs) == 0 {
+				continue
+			}
+			if j.Combine != nil {
+				st.CombineInputPairs += int64(len(vs))
+				vs = slices.Clone(j.Combine(K(r), vs))
+				st.CombineOutputPairs += int64(len(vs))
+			}
+			in[r] = append(in[r], vs...)
+			st.PairsPerReducer[r] += int64(len(vs))
+			st.IntermediatePairs += int64(len(vs))
+			for _, v := range vs {
+				if j.PairBytes != nil {
+					st.IntermediateBytes += int64(j.PairBytes(K(r), v))
 				}
 			}
 		}
 	}
 	var out []O
-	for r := range groups {
-		for _, k := range sortedKeys(groups[r]) {
-			st.ReduceInputKeys++
-			if err := j.Reduce(k, groups[r][k], func(o O) { out = append(out, o) }); err != nil {
-				t.Fatal(err)
-			}
+	for r, vs := range in {
+		if len(vs) == 0 {
+			continue
+		}
+		st.ReduceInputKeys++
+		if err := j.Reduce(K(r), vs, func(o O) { out = append(out, o) }); err != nil {
+			t.Fatal(err)
 		}
 	}
 	st.ReduceOutputRecords = int64(len(out))
@@ -147,11 +138,11 @@ func contractStats(s *Stats) Stats {
 // the contract Stats (including PairsPerReducer and IntermediateBytes)
 // equal referenceRun's, and full Stats and trace-span totals are
 // bit-identical across Parallelism ∈ {1, 2, 8}, with and without
-// simultaneous map+reduce fault injection — for the plain sorted-run
-// shuffle, with a Combine hook, and with every run spilled.
+// simultaneous map+reduce fault injection — for the plain shuffle, with
+// a Combine hook, with every run spilled, and with both.
 func TestPipelineEquivalence(t *testing.T) {
 	codec := spillTestJob(Config{})
-	for _, shape := range []string{"plain", "combine", "spill"} {
+	for _, shape := range []string{"plain", "combine", "spill", "combine+spill"} {
 		for _, inject := range []bool{false, true} {
 			var refStats *Stats
 			var refSpans []string
@@ -159,10 +150,10 @@ func TestPipelineEquivalence(t *testing.T) {
 				name := fmt.Sprintf("%s/inject=%v/par=%d", shape, inject, par)
 				job, input := pipelineJob(par, inject)
 				fs := dfs.New(0)
-				switch shape {
-				case "combine":
+				if strings.Contains(shape, "combine") {
 					job.Combine = sumCombine
-				case "spill":
+				}
+				if strings.Contains(shape, "spill") {
 					job.Config.SpillBudget, job.Config.SpillFS = 1, fs
 					job.EncodePair, job.DecodePair = codec.EncodePair, codec.DecodePair
 				}
@@ -172,7 +163,7 @@ func TestPipelineEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				if shape == "spill" && (stats.SpilledRuns == 0 || len(fs.List()) != 0) {
+				if strings.Contains(shape, "spill") && (stats.SpilledRuns == 0 || len(fs.List()) != 0) {
 					t.Errorf("%s: %d spilled runs, scratch left %v", name, stats.SpilledRuns, fs.List())
 				}
 				wantOut, wantStats := referenceRun(t, job, input)
@@ -201,39 +192,93 @@ func TestPipelineEquivalence(t *testing.T) {
 	}
 }
 
-// TestMergeMatchesLegacyRandom fuzzes the sorted-run merge against
-// referenceRun across random workloads with string keys, which exercise
-// the comparison-sort fallback instead of the radix ranker.
+// TestRunsSpanChunks: runs thousands of values long — many chunks each —
+// reach Combine, the spill file and the reducer as one sequence in emit
+// order. An order-sensitive reducer and a combiner that keeps every
+// other value hold every path to referenceRun.
+func TestRunsSpanChunks(t *testing.T) {
+	codec := spillTestJob(Config{})
+	input := spillInput(5000) // ≈ 3,300 values per (mapper, reducer) run
+	for _, shape := range []string{"plain", "combine", "spill", "combine+spill"} {
+		fs := dfs.New(0)
+		job := &Job[int64, int64, int64, string]{
+			Config: Config{Name: "long", NumReducers: 3, NumMappers: 2, Parallelism: 2},
+			Map: func(x int64, emit func(int64, int64)) error {
+				emit(x%3, x)
+				emit((x+1)%3, -x)
+				return nil
+			},
+			Reduce: func(k int64, vs []int64, emit func(string)) error {
+				var weighted int64
+				for i, v := range vs {
+					weighted += v * int64(i+1)
+				}
+				emit(fmt.Sprintf("%d:%d:%d", k, len(vs), weighted))
+				return nil
+			},
+			PairBytes: func(int64, int64) int { return 16 },
+		}
+		if strings.Contains(shape, "combine") {
+			job.Combine = func(_ int64, vs []int64) []int64 {
+				kept := vs[:0]
+				for i, v := range vs {
+					if i%2 == 0 {
+						kept = append(kept, v)
+					}
+				}
+				return kept
+			}
+		}
+		if strings.Contains(shape, "spill") {
+			job.Config.SpillBudget, job.Config.SpillFS = 1, fs
+			job.EncodePair, job.DecodePair = codec.EncodePair, codec.DecodePair
+		}
+		out, stats, err := job.Run(input)
+		if err != nil {
+			t.Fatalf("%s: %v", shape, err)
+		}
+		wantOut, wantStats := referenceRun(t, job, input)
+		if !reflect.DeepEqual(out, wantOut) {
+			t.Errorf("%s: outputs differ from the reference\n got %v\nwant %v", shape, out, wantOut)
+		}
+		if got := contractStats(stats); !reflect.DeepEqual(got, *wantStats) {
+			t.Errorf("%s: stats differ from the reference\n got %+v\nwant %+v", shape, got, *wantStats)
+		}
+	}
+}
+
+// TestMergeMatchesLegacyRandom holds the shuffle — each reducer's runs
+// concatenated in mapper order — to referenceRun across random
+// workloads: reducer and mapper counts, input sizes, and fan-out.
 func TestMergeMatchesLegacyRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 30; trial++ {
 		reducers := 1 + rng.Intn(8)
 		mappers := 1 + rng.Intn(6)
 		records := rng.Intn(200)
-		keyspace := 1 + rng.Intn(30)
 		input := make([]int64, records)
 		for i := range input {
 			input[i] = rng.Int63n(1 << 30)
 		}
-		job := &Job[int64, string, int64, string]{
+		job := &Job[int64, int, int64, string]{
 			Config: Config{Name: "fuzz", NumReducers: reducers, NumMappers: mappers, Parallelism: 4},
-			Map: func(x int64, emit func(string, int64)) error {
-				emit(fmt.Sprintf("k%02d", x%int64(keyspace)), x)
+			Map: func(x int64, emit func(int, int64)) error {
+				emit(int(x%int64(reducers)), x)
 				if x%3 == 0 {
-					emit(fmt.Sprintf("k%02d", (x/7)%int64(keyspace)), -x)
+					emit(int((x/7)%int64(reducers)), -x)
 				}
 				return nil
 			},
-			Reduce: func(k string, vs []int64, emit func(string)) error {
+			Reduce: func(k int, vs []int64, emit func(string)) error {
 				var sb strings.Builder
-				fmt.Fprintf(&sb, "%s=", k)
+				fmt.Fprintf(&sb, "%d=", k)
 				for _, v := range vs {
 					fmt.Fprintf(&sb, "%d,", v)
 				}
 				emit(sb.String())
 				return nil
 			},
-			PairBytes: func(k string, v int64) int { return len(k) + 8 },
+			PairBytes: func(k int, v int64) int { return k + 8 },
 		}
 		gotOut, gotStats, err := job.Run(input)
 		if err != nil {
@@ -258,7 +303,7 @@ func TestCombinerSum(t *testing.T) {
 		input[i] = int64(i)
 	}
 	job := &Job[int64, int64, int64, string]{
-		Config: Config{Name: "combine", NumReducers: 3, NumMappers: 4, Parallelism: 2},
+		Config: Config{Name: "combine", NumReducers: 5, NumMappers: 4, Parallelism: 2},
 		Map: func(x int64, emit func(int64, int64)) error {
 			emit(x%5, 1) // 60 pairs over 5 keys
 			return nil
@@ -285,7 +330,7 @@ func TestCombinerSum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"0=12", "3=12", "1=12", "4=12", "2=12"} // reducer order: keys 0,3 -> r0; 1,4 -> r1; 2 -> r2
+	want := []string{"0=12", "1=12", "2=12", "3=12", "4=12"}
 	if !reflect.DeepEqual(out, want) {
 		t.Errorf("outputs = %v, want %v", out, want)
 	}
@@ -303,13 +348,12 @@ func TestCombinerSum(t *testing.T) {
 }
 
 // TestCombinerDropAndExpand exercises the two tricky combiner shapes:
-// returning nothing (the key disappears from that run) and returning
-// more values than consumed (the engine must abandon the in-place
-// rewrite rather than clobber unread pairs).
+// returning nothing (the run ships nothing) and returning more values
+// than it was given (the run becomes the combiner's new slice).
 func TestCombinerDropAndExpand(t *testing.T) {
 	input := []int64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
 	job := &Job[int64, int64, int64, int64]{
-		Config: Config{Name: "drop-expand", NumReducers: 2, NumMappers: 1, Parallelism: 1},
+		Config: Config{Name: "drop-expand", NumReducers: 4, NumMappers: 1, Parallelism: 1},
 		Map: func(x int64, emit func(int64, int64)) error {
 			emit(x%4, x)
 			return nil
@@ -341,9 +385,9 @@ func TestCombinerDropAndExpand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// key 0 dropped; key 1 doubled: (1+5+9)*2=30; key 2: 2+6=8 on r0;
-	// key 3: 3+7=10 on r1.
-	want := []int64{2008, 1030, 3010}
+	// key 0 dropped; key 1 doubled: (1+5+9)*2=30; key 2: 2+6=8; key 3:
+	// 3+7=10.
+	want := []int64{1030, 2008, 3010}
 	if !reflect.DeepEqual(out, want) {
 		t.Errorf("outputs = %v, want %v", out, want)
 	}
@@ -385,70 +429,6 @@ func TestCombinerDeterminismAndTrace(t *testing.T) {
 			jobSpan.Counters["combine_in"], jobSpan.Counters["combine_out"],
 			stats.CombineInputPairs, stats.CombineOutputPairs)
 	}
-}
-
-// TestRadixMatchesComparisonSort cross-checks the radix run sort
-// against the comparison sort on random runs over assorted widths and
-// spans, including negative keys and single-key runs.
-func TestRadixMatchesComparisonSort(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	rank := keyRanker[int64]()
-	if rank == nil {
-		t.Fatal("keyRanker[int64] = nil")
-	}
-	for trial := 0; trial < 50; trial++ {
-		n := rng.Intn(500)
-		span := int64(1) << uint(rng.Intn(40))
-		ps := make([]pair[int64, int64], n)
-		for i := range ps {
-			ps[i] = pair[int64, int64]{key: rng.Int63n(2*span+1) - span, val: int64(i)}
-		}
-		want := make([]pair[int64, int64], n)
-		copy(want, ps)
-		slicesStableByKey(want)
-		got := radixSortPairs(ps, rank, NewBufferPool())
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d (n=%d span=%d): radix order differs", trial, n, span)
-		}
-	}
-}
-
-// slicesStableByKey is the reference sort for TestRadixMatchesComparisonSort.
-func slicesStableByKey(ps []pair[int64, int64]) {
-	for i := 1; i < len(ps); i++ {
-		for j := i; j > 0 && ps[j].key < ps[j-1].key; j-- {
-			ps[j], ps[j-1] = ps[j-1], ps[j]
-		}
-	}
-}
-
-// TestKeyRankerKinds checks rank monotonicity for every supported key
-// kind, including named integer types like grid cell IDs.
-func TestKeyRankerKinds(t *testing.T) {
-	if r := keyRanker[string](); r != nil {
-		t.Error("keyRanker[string] should be nil")
-	}
-	if r := keyRanker[float64](); r != nil {
-		t.Error("keyRanker[float64] should be nil")
-	}
-	checkInt := func(t *testing.T, name string, ranks []uint64) {
-		t.Helper()
-		for i := 1; i < len(ranks); i++ {
-			if ranks[i-1] >= ranks[i] {
-				t.Errorf("%s: rank not strictly increasing at %d: %v", name, i, ranks)
-			}
-		}
-	}
-	ri := keyRanker[int64]()
-	checkInt(t, "int64", []uint64{ri(-1 << 62), ri(-7), ri(0), ri(9), ri(1 << 62)})
-	type cellID int32 // mirrors grid.CellID
-	rc := keyRanker[cellID]()
-	if rc == nil {
-		t.Fatal("keyRanker for named int32 = nil")
-	}
-	checkInt(t, "cellID", []uint64{rc(-9), rc(-1), rc(0), rc(3), rc(1 << 30)})
-	ru := keyRanker[uint16]()
-	checkInt(t, "uint16", []uint64{ru(0), ru(1), ru(65535)})
 }
 
 // TestRunTasksAtomicStride verifies the stride dispatcher runs every

@@ -17,13 +17,13 @@ import (
 // handing out an alias of the first.
 func TestPoolDoublePutNoAlias(t *testing.T) {
 	p := NewBufferPool()
-	buf := make([]pair[int64, int64], 0, 64)
-	putBuf(&p.pairs, buf)
-	putBuf(&p.pairs, buf)
-	putBuf(&p.pairs, buf[:0]) // reslicing does not change identity either
+	buf := make([]int64, 0, 64)
+	putBuf(&p.chunks, buf)
+	putBuf(&p.chunks, buf)
+	putBuf(&p.chunks, buf[:0]) // reslicing does not change identity either
 
-	a := getBuf[pair[int64, int64]](&p.pairs, 8)
-	b := getBuf[pair[int64, int64]](&p.pairs, 8)
+	a := getBuf[int64](&p.chunks, 8)
+	b := getBuf[int64](&p.chunks, 8)
 	if unsafe.SliceData(a) != unsafe.SliceData(buf) {
 		t.Fatal("first Get did not return the recycled buffer")
 	}
@@ -32,25 +32,23 @@ func TestPoolDoublePutNoAlias(t *testing.T) {
 	}
 
 	// Writes through one must not show through the other.
-	a = append(a, pair[int64, int64]{key: 1, val: 1})
-	b = append(b, pair[int64, int64]{key: 2, val: 2})
-	if a[0].key != 1 || a[0].val != 1 {
-		t.Fatalf("aliased append corrupted recycled run: %+v", a[0])
+	a = append(a, 1)
+	b = append(b, 2)
+	if a[0] != 1 {
+		t.Fatalf("aliased append corrupted recycled run: %v", a[0])
 	}
 
 	// Once the buffer is back out, putting it again is legitimate reuse.
-	putBuf(&p.pairs, a)
-	if c := getBuf[pair[int64, int64]](&p.pairs, 8); unsafe.SliceData(c) != unsafe.SliceData(a) {
+	putBuf(&p.chunks, a)
+	if c := getBuf[int64](&p.chunks, 8); unsafe.SliceData(c) != unsafe.SliceData(a) {
 		t.Error("re-put after Get was dropped — duplicate tracking leaked")
 	}
 }
 
-// TestPoolDoublePutAllKinds covers every free list, not just pairs.
+// TestPoolDoublePutAllKinds covers every free list, not just chunks.
 func TestPoolDoublePutAllKinds(t *testing.T) {
 	p := NewBufferPool()
-	for name, f := range map[string]*freeList{
-		"keys": &p.keys, "vals": &p.vals, "u64s": &p.u64s, "u32s": &p.u32s, "ints": &p.ints,
-	} {
+	for name, f := range map[string]*freeList{"chunks": &p.chunks, "vals": &p.vals} {
 		buf := make([]int64, 16)
 		putBuf(f, buf)
 		putBuf(f, buf)
@@ -66,24 +64,11 @@ func TestPoolDoublePutAllKinds(t *testing.T) {
 // twice before handing the pool to a job.
 func poisonPool(p *BufferPool) {
 	for _, capn := range []int{8, 64, 512} {
-		prs := make([]pair[int64, int64], 0, capn)
-		putBuf(&p.pairs, prs)
-		putBuf(&p.pairs, prs)
-		ks := make([]int64, 0, capn)
-		putBuf(&p.keys, ks)
-		putBuf(&p.keys, ks)
-		vs := make([]int64, 0, capn)
-		putBuf(&p.vals, vs)
-		putBuf(&p.vals, vs)
-		u64 := make([]uint64, capn)
-		putBuf(&p.u64s, u64)
-		putBuf(&p.u64s, u64)
-		u32 := make([]uint32, capn)
-		putBuf(&p.u32s, u32)
-		putBuf(&p.u32s, u32)
-		is := make([]int, 0, capn)
-		putBuf(&p.ints, is)
-		putBuf(&p.ints, is)
+		for _, f := range []*freeList{&p.chunks, &p.vals} {
+			buf := make([]int64, 0, capn)
+			putBuf(f, buf)
+			putBuf(f, buf)
+		}
 	}
 }
 

@@ -1,21 +1,19 @@
 package mapreduce
 
 import (
-	"cmp"
 	"fmt"
 
 	"mwsjoin/internal/dfs"
 )
 
 // Map-side spill: when Config.SpillBudget bounds the bytes a mapper
-// may keep in memory per sorted run, finalized runs over the budget
-// are written to local-disk scratch (dfs.CreateLocal — uncharged, the
-// way Hadoop spills land on the tasktracker's local filesystem rather
-// than HDFS) and re-read by the shuffle just before the merge tree
-// consumes them. The run is already key-sorted and combined when it
-// spills, so the re-read slots straight into the existing pairwise
-// merge; results, DFS Stats and every non-Spill* engine counter are
-// bit-identical to an in-memory shuffle.
+// may keep in memory per run, finalized runs over the budget are
+// written to local-disk scratch (dfs.CreateLocal — uncharged, the way
+// Hadoop spills land on the tasktracker's local filesystem rather than
+// HDFS) and read back by the shuffle straight into their reducer's
+// input. The run is already combined when it spills, so results, DFS
+// Stats and every non-Spill* engine counter are bit-identical to an
+// in-memory shuffle.
 
 // spillStore is the slice of the dfs.FS surface the spill path uses;
 // an interface so the pool's discard helper needs no dfs import.
@@ -25,46 +23,57 @@ type spillStore interface {
 	Delete(name string) error
 }
 
-// spillBatch writes one finalized sorted run to local scratch and
-// returns its in-memory pairs to the pool — freeing the memory is the
-// entire point. Records are framed one per pair in run order, so the
-// re-read reproduces the exact sorted sequence.
-func spillBatch[K cmp.Ordered, V any](b *pairBatch[K, V], fs spillStore, name string, encode func(K, V, []byte) []byte, pool *BufferPool) {
-	w := fs.CreateLocal(name)
-	var bytes int64
-	for i := range b.pairs {
-		rec := encode(b.pairs[i].key, b.pairs[i].val, nil)
-		bytes += int64(len(rec))
-		w.AppendOwned(rec)
+// spillRun writes one finalized run for reducer key to local scratch
+// and returns its chunks to the pool — freeing the memory is the entire
+// point. The run is encoded into one buffer, one record per pair in run
+// order, and the file takes the records as views into it.
+func spillRun[K ReducerKey, V any](b *run[V], key K, fs spillStore, name string, encode func(K, V, []byte) []byte, pool *BufferPool) {
+	buf := make([]byte, 0, int(b.bytes)+b.n*runPairSlack)
+	recs := make([][]byte, 0, b.n)
+	for _, c := range b.chunks {
+		for i := range c {
+			// A record stays a view of the array it was encoded into: if
+			// buf outgrows its estimate, the earlier records keep the old
+			// array, whose bytes no later append touches.
+			at := len(buf)
+			buf = encode(key, c[i], buf)
+			recs = append(recs, buf[at:len(buf):len(buf)])
+		}
 	}
+	n := b.n
+	b.recycle(pool)
+	w := fs.CreateLocal(name)
+	w.AppendOwnedAll(recs)
 	// Local writers cannot fail short of a double close.
 	_ = w.Close()
-	b.spill = name
-	b.spillBytes = bytes
-	b.n = len(b.pairs)
-	putBuf(&pool.pairs, b.pairs)
-	b.pairs = nil
+	b.n, b.spill, b.spillBytes = n, name, int64(len(buf))
 }
 
-// readSpill materializes a spilled run back into memory for the merge
-// and deletes the scratch file — each run is read exactly once.
-func readSpill[K cmp.Ordered, V any](b *pairBatch[K, V], fs spillStore, decode func([]byte) (K, V, error), pool *BufferPool) error {
-	ps := getBuf[pair[K, V]](&pool.pairs, b.n)
+// readSpill decodes a spilled run of reducer key into dst, which holds
+// exactly its values, and deletes the scratch file — each run is read
+// exactly once. A record that does not decode to a pair of key, or a
+// file of another length, is an error.
+func readSpill[K ReducerKey, V any](b *run[V], key K, dst []V, fs spillStore, decode func([]byte) (K, V, error)) error {
 	name := b.spill
+	i := 0
 	err := fs.Scan(name, func(rec []byte) error {
 		k, v, err := decode(rec)
-		if err != nil {
+		switch {
+		case err != nil:
 			return fmt.Errorf("mapreduce: spilled run %s: %w", name, err)
+		case k != key:
+			return fmt.Errorf("mapreduce: spilled run %s: a pair keyed %v in reducer %v's run", name, k, key)
+		case i == len(dst):
+			return fmt.Errorf("mapreduce: spilled run %s: more than its %d pairs", name, len(dst))
 		}
-		ps = append(ps, pair[K, V]{key: k, val: v})
+		dst[i] = v
+		i++
 		return nil
 	})
 	_ = fs.Delete(name) // consumed (or poisoned) either way
 	b.spill = ""
-	if err != nil {
-		putBuf(&pool.pairs, ps)
-		return err
+	if err == nil && i < len(dst) {
+		err = fmt.Errorf("mapreduce: spilled run %s: %d of its %d pairs", name, i, len(dst))
 	}
-	b.pairs = ps
-	return nil
+	return err
 }

@@ -4,25 +4,26 @@ import (
 	"encoding/binary"
 	"fmt"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"mwsjoin/internal/dfs"
 )
 
 // spillTestJob builds an integer aggregation job with the full spill
-// kit: PairBytes pricing plus the pair codec. Keys fan out over a
-// keyspace of 101, values sum per key, so output correctness is easy
+// kit: PairBytes pricing plus the pair codec. Every record fans out to
+// four reducers, values sum per reducer, so output correctness is easy
 // to cross-check between configurations.
 func spillTestJob(cfg Config) *Job[int64, int64, int64, string] {
 	return &Job[int64, int64, int64, string]{
 		Config: cfg,
 		Map: func(x int64, emit func(int64, int64)) error {
 			for s := int64(0); s < 4; s++ {
-				emit((x*31+s*7)%101, x)
+				emit((x*31+s*7)%int64(cfg.NumReducers), x)
 			}
 			return nil
 		},
-		Partition: func(k int64, n int) int { return int(k % int64(n)) },
 		Reduce: func(k int64, vs []int64, emit func(string)) error {
 			var sum int64
 			for _, v := range vs {
@@ -103,7 +104,7 @@ func TestSpillEquivalence(t *testing.T) {
 				if st.SpillBytesWritten != st.SpilledRuns*0 && st.SpillBytesWritten != st.SpillBytesRead {
 					t.Errorf("spill bytes written %d != read %d", st.SpillBytesWritten, st.SpillBytesRead)
 				}
-				// Committed-batch accounting: every surviving pair crossed
+				// Committed-run accounting: every surviving pair crossed
 				// the spill at 16 encoded bytes.
 				if want := st.IntermediatePairs * 16; st.SpillBytesWritten != want {
 					t.Errorf("SpillBytesWritten = %d, want %d (16 bytes × %d pairs)",
@@ -181,20 +182,31 @@ func TestSpillConfigValidation(t *testing.T) {
 }
 
 // TestSpillDecodeErrorSurfaces: a poisoned codec must abort the job
-// with the decode error and still clean up its scratch.
+// with a decode error and still clean up its scratch — whether a record
+// fails to decode or decodes to a pair of another reducer, which would
+// otherwise be handed to the wrong reducer.
 func TestSpillDecodeErrorSurfaces(t *testing.T) {
-	fs := dfs.New(0)
-	cfg := Config{Name: "poison", NumReducers: 2, NumMappers: 2,
-		SpillBudget: 1, SpillFS: fs}
-	j := spillTestJob(cfg)
-	j.DecodePair = func([]byte) (int64, int64, error) {
-		return 0, 0, fmt.Errorf("poisoned record")
-	}
-	if _, _, err := j.Run(spillInput(50)); err == nil {
-		t.Fatal("poisoned decode should fail the job")
-	}
-	if names := fs.List(); len(names) != 0 {
-		t.Errorf("scratch files left behind after decode failure: %v", names)
+	decode := spillTestJob(Config{}).DecodePair
+	for want, poisoned := range map[string]func([]byte) (int64, int64, error){
+		"poisoned record": func([]byte) (int64, int64, error) {
+			return 0, 0, fmt.Errorf("poisoned record")
+		},
+		"a pair keyed": func(rec []byte) (int64, int64, error) {
+			k, v, err := decode(rec)
+			return (k + 1) % 2, v, err
+		},
+	} {
+		fs := dfs.New(0)
+		cfg := Config{Name: "poison", NumReducers: 2, NumMappers: 2,
+			SpillBudget: 1, SpillFS: fs}
+		j := spillTestJob(cfg)
+		j.DecodePair = poisoned
+		if _, _, err := j.Run(spillInput(50)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("err = %v, want %q", err, want)
+		}
+		if names := fs.List(); len(names) != 0 {
+			t.Errorf("%s: scratch files left behind: %v", want, names)
+		}
 	}
 }
 
@@ -241,10 +253,10 @@ func TestPooledEquivalence(t *testing.T) {
 	}
 }
 
-// TestPooledSpillWordCount exercises the pool+spill combination on the
-// comparison-sort (string-key) path as well, where the radix ranker is
-// unavailable — strings take the slices.SortStableFunc fallback, whose
-// scratch is not pooled, so this guards the mixed regime.
+// TestPooledSpillWordCount exercises the pool+spill combination on a
+// job whose values hold pointers (strings) and whose combiner rewrites
+// its run in place, so recycled chunks and spilled records of variable
+// length meet in one run.
 func TestPooledSpillWordCount(t *testing.T) {
 	fs := dfs.New(0)
 	input := wordInput()
@@ -258,18 +270,16 @@ func TestPooledSpillWordCount(t *testing.T) {
 	cfg.SpillBudget = 1
 	cfg.SpillFS = fs
 	j := combineWordCountJob(cfg)
-	j.PairBytes = func(k string, _ int) int { return len(k) + 4 }
-	j.EncodePair = func(k string, v int, buf []byte) []byte {
-		var n [4]byte
-		binary.LittleEndian.PutUint32(n[:], uint32(v))
-		buf = append(buf, n[:]...)
-		return append(buf, k...)
+	j.EncodePair = func(k int, v wordN, buf []byte) []byte {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(k))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(v.n))
+		return append(buf, v.w...)
 	}
-	j.DecodePair = func(rec []byte) (string, int, error) {
-		if len(rec) < 4 {
-			return "", 0, fmt.Errorf("short record")
+	j.DecodePair = func(rec []byte) (int, wordN, error) {
+		if len(rec) < 8 {
+			return 0, wordN{}, fmt.Errorf("short record")
 		}
-		return string(rec[4:]), int(binary.LittleEndian.Uint32(rec)), nil
+		return int(binary.LittleEndian.Uint32(rec)), wordN{string(rec[8:]), int(binary.LittleEndian.Uint32(rec[4:]))}, nil
 	}
 	got, st, err := j.Run(input)
 	if err != nil {
@@ -281,13 +291,10 @@ func TestPooledSpillWordCount(t *testing.T) {
 	if st.SpilledRuns == 0 {
 		t.Error("nothing spilled under a 1-byte budget")
 	}
-	// The reference job has no PairBytes, so IntermediateBytes differs
-	// by construction; everything else must match.
 	norm, cleanNorm := *st, *clean
 	zeroWalls(&norm)
 	zeroWalls(&cleanNorm)
 	norm.SpilledRuns, norm.SpillBytesWritten, norm.SpillBytesRead = 0, 0, 0
-	norm.IntermediateBytes = cleanNorm.IntermediateBytes
 	if !reflect.DeepEqual(norm, cleanNorm) {
 		t.Errorf("Stats differ:\n got  %+v\n want %+v", norm, cleanNorm)
 	}
@@ -296,48 +303,54 @@ func TestPooledSpillWordCount(t *testing.T) {
 	}
 }
 
-// TestSortedRunAllocationBudget is the PR's allocation-budget guard on
-// the map-side sort + shuffle-merge hot path: with a warm pool, one
-// finalize+merge cycle over 4 mapper runs must stay within a small
-// constant allocation budget instead of scaling with run length.
+// TestSortedRunAllocationBudget guards the map-side run and the
+// shuffle's concatenation: with a warm pool, one cycle — four mappers'
+// runs of 4,096 values built chunk by chunk, finalized and copied into
+// one reducer input — allocates a small constant number of objects and
+// a small fraction of the bytes one copy of the values takes, however
+// long the runs are.
 func TestSortedRunAllocationBudget(t *testing.T) {
 	const nruns, per = 4, 1 << 12
 	pool := NewBufferPool()
-	rank := keyRanker[int64]()
-	src := make([][]pair[int64, int64], nruns)
-	for m := range src {
-		src[m] = benchPairs(per, 1<<10, m)
-	}
-
 	cycle := func() {
-		batches := make([][]pairBatch[int64, int64], nruns)
-		for m := range src {
-			ps := getBufLen[pair[int64, int64]](&pool.pairs, per)
-			copy(ps, src[m])
-			b := pairBatch[int64, int64]{pairs: ps}
-			finalizeRun(&b, rank, nil, nil, pool)
-			batches[m] = []pairBatch[int64, int64]{b}
+		runs := make([][]run[int64], nruns)
+		for m := range runs {
+			runs[m] = make([]run[int64], 1)
+			for i := 0; i < per; i++ {
+				runs[m][0].add(int64(i), pool)
+			}
+			finalizeRun[int, int64](&runs[m][0], 0, nil, nil, pool)
 		}
-		in := mergeRuns(batches, 0, nruns*per, pool)
-		starts := groupStarts(in.keys, pool)
-		putBuf(&pool.ints, starts)
-		putBuf(&pool.keys, in.keys)
-		putBuf(&pool.vals, in.vals)
+		in := getBufLen[int64](&pool.vals, nruns*per)
+		if err := gatherInput[int, int64](in, runs, 0, nil, nil, pool); err != nil {
+			t.Fatal(err)
+		}
+		if in[per] != 0 || in[len(in)-1] != per-1 {
+			t.Fatalf("reducer input is not the runs in mapper order")
+		}
+		putBuf(&pool.vals, in)
 	}
 	// Warm the pool: the first cycle allocates the steady-state buffers.
 	cycle()
 	cycle()
 
-	// Steady state: the per-cycle slices (batches headers, the batch
-	// slice-of-slices) still allocate, but every pair/key/value/scratch
-	// array — the O(n) buffers — must come from the pool. 32 is far
-	// below what allocating them afresh costs (dozens of 4096-element
-	// arrays). The race detector's shadow bookkeeping allocates on its
+	// Steady state: the per-cycle headers (the runs matrix, each run's
+	// chunk list) still allocate, but every value array must come from
+	// the pool. The race detector's shadow bookkeeping allocates on its
 	// own, so the budget only holds uninstrumented.
 	if !raceEnabled {
-		allocs := testing.AllocsPerRun(10, cycle)
+		const cycles = 10
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allocs := testing.AllocsPerRun(cycles, cycle)
+		runtime.ReadMemStats(&after)
+		// AllocsPerRun makes one warm-up call besides the measured ones.
+		bytes := (after.TotalAlloc - before.TotalAlloc) / (cycles + 1)
 		if allocs > 32 {
-			t.Errorf("warm-pool finalize+merge cycle allocates %.0f objects, budget 32", allocs)
+			t.Errorf("warm-pool run+shuffle cycle allocates %.0f objects, budget 32", allocs)
+		}
+		if copyBytes := uint64(nruns * per * 8); bytes > copyBytes/16 {
+			t.Errorf("warm-pool run+shuffle cycle allocates %d bytes, budget %d (1/16 of one copy)", bytes, copyBytes/16)
 		}
 	}
 }

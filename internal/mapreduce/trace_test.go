@@ -251,9 +251,8 @@ func benchmarkShuffle(b *testing.B, tr *trace.Tracer) {
 		input[i] = i
 	}
 	job := &Job[int, int, int, int]{
-		Config:    Config{Name: "bench", NumReducers: 64, NumMappers: 4, Tracer: tr},
-		Map:       func(x int, emit func(int, int)) error { emit(x%64, x); emit((x+7)%64, x); return nil },
-		Partition: IdentityPartition[int],
+		Config: Config{Name: "bench", NumReducers: 64, NumMappers: 4, Tracer: tr},
+		Map:    func(x int, emit func(int, int)) error { emit(x%64, x); emit((x+7)%64, x); return nil },
 		Reduce: func(k int, vs []int, emit func(int)) error {
 			emit(len(vs))
 			return nil

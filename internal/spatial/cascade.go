@@ -24,8 +24,8 @@ import (
 // cascadeVal is the value every cascade step shuffles: a partial tuple,
 // as its key rectangle plus a reference into the round's input store,
 // or an item of the new slot's relation. It is small and pointer-free,
-// so sorted runs, merge intermediates and reducer inputs are memory the
-// collector never scans.
+// so the engine's runs and reducer inputs are memory the collector
+// never scans.
 type cascadeVal struct {
 	Rect geom.Rect // a tuple's key rectangle, not enlarged, or an item's rectangle
 	ID   int32     // an item's id, or a tuple's record index within its slab
@@ -171,8 +171,7 @@ func cascade(pl *plan, exec *executor) (*Result, error) {
 					exec.part.ForEachSplit(key, func(c grid.CellID) { emit(c, v) })
 					return nil
 				},
-				Partition: mapreduce.IdentityPartition[grid.CellID],
-				Reduce:    cascadeReduce(pl, exec.part, in, out, newSlot, edges, primary, discard, &counted, exec.cfg.Metrics),
+				Reduce: cascadeReduce(pl, exec.part, in, out, newSlot, edges, primary, discard, &counted, exec.cfg.Metrics),
 				PairBytes: func(_ grid.CellID, v cascadeVal) int {
 					if v.Slab != itemSlab {
 						return 4 + in.stride

@@ -10,17 +10,27 @@ import (
 	"mwsjoin/internal/query"
 )
 
-// The parent commit (a2b8e1b) spent this much on the query below,
-// measured by this test's own loop on that commit.
+// Commit a2b8e1b, before the flat partials, spent this much on the
+// query below, measured by this test's own loop on that commit.
 const (
 	parentCascadeMallocs    = 103_800
 	parentCascadeTotalAlloc = 28_950_000
 )
 
-// TestCascadeAllocationBudget holds the flat-partial data path to its
-// allocation claim on one cascade_uniform-shaped query (the benchmark
+// shuffleBytesBudget pins the engine's concatenating shuffle: the query
+// below allocated 8.14 MB (8,119 mallocs) on commit 22365f4, whose
+// mappers stored a key beside every value and whose shuffle merged the
+// runs through a tree of pair buffers, and 6.55 MB (2,770 mallocs) once
+// a run became a chunk list of values and the shuffle a concatenation.
+// The budget sits between the two, so a shuffle that grows back to a
+// merge tree fails it.
+const shuffleBytesBudget = 7_200_000
+
+// TestCascadeAllocationBudget holds the cascade's data path to its
+// allocation claims on one cascade_uniform-shaped query (the benchmark
 // workload's query, config and rectangle density at unit 5,000): at
-// most 15 % of the parent's mallocs and half of its bytes.
+// most 15 % of a2b8e1b's mallocs, and no more bytes than
+// shuffleBytesBudget.
 func TestCascadeAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's shadow memory allocates")
@@ -41,12 +51,12 @@ func TestCascadeAllocationBudget(t *testing.T) {
 	run()
 	runtime.ReadMemStats(&after)
 	mallocs, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
-	t.Logf("mallocs %d (parent %d), bytes %d (parent %d)", mallocs, parentCascadeMallocs, bytes, parentCascadeTotalAlloc)
+	t.Logf("mallocs %d (a2b8e1b %d), bytes %d (a2b8e1b %d, budget %d)", mallocs, parentCascadeMallocs, bytes, parentCascadeTotalAlloc, shuffleBytesBudget)
 	if mallocs > parentCascadeMallocs*15/100 {
-		t.Errorf("%d mallocs, budget is 15%% of the parent's %d", mallocs, parentCascadeMallocs)
+		t.Errorf("%d mallocs, budget is 15%% of a2b8e1b's %d", mallocs, parentCascadeMallocs)
 	}
-	if bytes > parentCascadeTotalAlloc/2 {
-		t.Errorf("%d bytes allocated, budget is half of the parent's %d", bytes, parentCascadeTotalAlloc)
+	if bytes > shuffleBytesBudget {
+		t.Errorf("%d bytes allocated, budget %d", bytes, shuffleBytesBudget)
 	}
 }
 

@@ -40,7 +40,6 @@ func allReplicate(pl *plan, exec *executor) (*Result, error) {
 				exec.part.ForEachFourthQuadrant(it.Rect, func(c grid.CellID) { emit(c, it) })
 				return nil
 			},
-			Partition:    mapreduce.IdentityPartition[grid.CellID],
 			Reduce:       joinReduce(pl, exec.part, exec.cfg.CountOnly, &counted, exec.cfg.Metrics),
 			PairBytes:    taggedPairBytes,
 			EncodePair:   encodeCellTagged,
@@ -139,8 +138,7 @@ func controlledReplicate(pl *plan, exec *executor, limit bool) (*Result, error) 
 				}
 				return nil
 			},
-			Partition: mapreduce.IdentityPartition[grid.CellID],
-			Combine:   dedupSplitRun,
+			Combine: dedupSplitRun,
 			Reduce: func(c grid.CellID, items []tagged, emit func(tagged)) error {
 				cd := newCellData(pl.m, items)
 				defer cd.release()
@@ -219,7 +217,6 @@ func controlledReplicate(pl *plan, exec *executor, limit bool) (*Result, error) 
 				}
 				return nil
 			},
-			Partition:    mapreduce.IdentityPartition[grid.CellID],
 			Reduce:       joinReduce(pl, exec.part, exec.cfg.CountOnly, &counted, exec.cfg.Metrics),
 			PairBytes:    taggedPairBytes,
 			EncodePair:   encodeCellTagged,

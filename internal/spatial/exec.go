@@ -51,8 +51,8 @@ type Config struct {
 	Columnar bool
 	// SpillBudget, when positive, bounds the bytes (PairBytes-priced,
 	// the same pricing the shuffle accounting uses) a mapper may hold in
-	// memory per per-reducer sorted run; runs exceeding it are spilled
-	// to uncharged local DFS scratch and re-read by the shuffle merge.
+	// memory per per-reducer run; runs exceeding it are spilled to
+	// uncharged local DFS scratch and read back by the shuffle.
 	// Results, Stats and every non-Spill* counter are bit-identical to
 	// an in-memory run (see mapreduce.Config.SpillBudget).
 	SpillBudget int64

@@ -47,7 +47,7 @@ func assertNoScratch(t *testing.T, fs *dfs.FS, label string) {
 
 // TestColumnarSpillEquivalenceBattery is the memory path's acceptance
 // battery: across random workloads, every map-reduce method run with a
-// 1-byte spill budget (every non-empty sorted run spills) produces
+// 1-byte spill budget (every non-empty run spills) produces
 // bit-identical tuples, identical charged DFS Stats, and identical
 // per-round engine stats (modulo walls and the Spill* counters) to the
 // in-memory run — at Parallelism 1, 2 and 8, and under map+reduce fault

@@ -187,9 +187,9 @@ type Options struct {
 	// only the counters matter.
 	CountOnly bool
 	// SpillBudget, when positive, bounds the in-memory bytes of each
-	// mapper's per-reducer sorted run (priced exactly like the shuffle
-	// byte accounting); runs over budget spill to uncharged local disk
-	// scratch and are re-read by the shuffle merge. Results and all
+	// mapper's per-reducer run (priced exactly like the shuffle byte
+	// accounting); runs over budget spill to uncharged local disk
+	// scratch and are read back by the shuffle. Results and all
 	// charged Stats are bit-identical to an unbounded run — only the
 	// SpilledRuns/SpillBytes* job counters record that spilling
 	// happened.

@@ -198,7 +198,7 @@ func TestMetricsPublicAPI(t *testing.T) {
 
 // TestPaperScaleSmoke is the gate's one paper-scale execution: the Q2
 // chain through C-Rep-L at the unit MWSJ_BENCH_UNIT names, with a 1-byte
-// spill budget so every sorted run of both rounds goes through local
+// spill budget so every run of both rounds goes through local
 // scratch. scripts/check.sh sets 200,000 — three 200k-rectangle
 // relations, 10× the EXPERIMENTS.md tables — under a -timeout. Without
 // the variable it is skipped: at small units the spill batteries of
