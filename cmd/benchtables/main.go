@@ -52,7 +52,7 @@ func run(args []string, stdout io.Writer) error {
 		quiet    = fs.Bool("q", false, "suppress per-run progress on stderr")
 		traceDir = fs.String("tracedir", "", "write per-cell trace files into this directory: <table>-<row>-<method>.json (Chrome trace) and .txt (profile text)")
 		jsonPath = fs.String("json", "", "write the regenerated tables as a JSON report (rows, per-method stats, reducer-skew quantiles) to this file")
-		serve    = fs.String("serve", "", "serve live metrics on this address while sweeping (/metrics, /progress, /debug/pprof/*); :0 picks a free port")
+		serve    = fs.String("serve", "", "serve metrics on this address while sweeping (/metrics: every measured cell's series; /progress, /debug/pprof/*); :0 picks a free port")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

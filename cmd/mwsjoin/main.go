@@ -14,8 +14,9 @@
 // Output is one tuple per line (the rectangle indices bound to each
 // slot); -stats adds the cost metrics of §7.8.3 on stderr.
 //
-// -serve :8080 exposes live observability while the join runs
-// (Prometheus text on /metrics, the Go profiler on /debug/pprof/*).
+// -serve :8080 serves observability while the command runs: the Go
+// profiler on /debug/pprof/*, and on /metrics the Prometheus text of
+// the run's series, which land when the run ends.
 // -explain skips the normal run and instead predicts every map-reduce
 // method's cost from samples, measures the actuals with suppressed
 // tuple output, and prints a predicted-vs-actual table with relative
@@ -119,7 +120,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		quiet     = fs.Bool("quiet", false, "suppress tuple output (use with -stats)")
 		euclid    = fs.Bool("euclidean-limit", false, "use the paper's Euclidean C-Rep-L metric")
 		selfPairs = fs.Bool("allow-self-pairs", false, "allow one rectangle in several self-join slots")
-		serveAddr = fs.String("serve", "", "serve live metrics on this address while running (/metrics, /debug/pprof/*); :0 picks a free port")
+		serveAddr = fs.String("serve", "", "serve metrics on this address while running (/metrics: the run's series, once it ends; /debug/pprof/*); :0 picks a free port")
 		explain   = fs.Bool("explain", false, "predict each map-reduce method's cost, measure the actuals, and print a predicted-vs-actual table (ignores -method and tuple output)")
 		explainPl = fs.Bool("explain-plan", false, "print the grid and the cost-based planner's candidate table (chosen method plus every rejected one with predicted costs) and exit without running the query")
 		failJob   = fs.Int("fail-job", -1, "kill the run before job-chain index N (fault injection); with -checkpoint, the completed checkpoints are saved for -resume")
@@ -162,16 +163,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *profPath != "" || *chromeOut != "" {
 		tracer = mwsjoin.NewTracer()
 	}
-	// The registry backs -serve and the -explain analyze runs. The
-	// metrics server starts before the (potentially large) relation
-	// load, so a bad -serve address fails fast and the load itself is
-	// observable.
+	// The registry exists only to be served by -serve; every run
+	// publishes its Stats into it when it ends. The metrics server starts
+	// before the (potentially large) relation load, so a bad -serve
+	// address fails fast and the profiler can watch the load.
 	var reg *mwsjoin.MetricsRegistry
-	if *serveAddr != "" || *explain {
-		reg = mwsjoin.NewMetricsRegistry()
-	}
 	var boundAddr string
 	if *serveAddr != "" {
+		reg = mwsjoin.NewMetricsRegistry()
 		addr, shutdown, err := mwsjoin.ServeMetrics(*serveAddr, reg)
 		if err != nil {
 			return fmt.Errorf("-serve %s: %w", *serveAddr, err)

@@ -1,9 +1,8 @@
-// Metricsserver walks through the live observability surface: attach a
-// metrics registry to a Controlled-Replicate run, serve it over HTTP
-// while the join executes, scrape our own /metrics endpoint the way a
-// Prometheus collector would, and read the per-reducer skew
-// distribution (p50/p95/max and the imbalance factor) off the
-// registry's histograms.
+// Metricsserver walks through the metrics surface: serve a registry over
+// HTTP, let a Controlled-Replicate run publish its Stats into it when it
+// ends, scrape our own /metrics endpoint the way a Prometheus collector
+// would, and read the per-reducer skew distribution (p50/p95/max and the
+// imbalance factor) off the registry's histograms.
 //
 //	go run ./examples/metricsserver
 package main
@@ -14,11 +13,10 @@ import (
 	"log"
 	"net/http"
 	"os"
-	"sort"
 	"strings"
 
 	"mwsjoin"
-	"mwsjoin/internal/mapreduce"
+	"mwsjoin/internal/profile"
 )
 
 func main() {
@@ -43,8 +41,8 @@ func run(w io.Writer, n int) error {
 		return err
 	}
 
-	// The registry is live: the server binds before the run starts, so a
-	// collector scraping during the join sees the counters climb.
+	// The server binds before the run starts; the run's series land in
+	// the registry when it ends, read off its Stats.
 	reg := mwsjoin.NewMetricsRegistry()
 	addr, shutdown, err := mwsjoin.ServeMetrics("127.0.0.1:0", reg)
 	if err != nil {
@@ -52,7 +50,7 @@ func run(w io.Writer, n int) error {
 	}
 	defer shutdown() //nolint:errcheck // best-effort on exit
 
-	res, err := mwsjoin.Run(q, rels, mwsjoin.ControlledReplicate, &mwsjoin.Options{
+	_, err = mwsjoin.Run(q, rels, mwsjoin.ControlledReplicate, &mwsjoin.Options{
 		Reducers:  16,
 		Metrics:   reg,
 		CountOnly: true,
@@ -73,36 +71,20 @@ func run(w io.Writer, n int) error {
 		}
 	}
 
-	// The registry's totals are the run's Stats, by construction.
 	snap := reg.Snapshot()
-	fmt.Fprintf(w, "\n== totals vs Stats ==\n")
-	fmt.Fprintf(w, "output tuples:      %d (stats %d)\n",
-		snap.Counters["spatial_output_tuples_total"], res.Stats.OutputTuples)
-	fmt.Fprintf(w, "intermediate pairs: %d (stats %d)\n",
-		snap.Counters["spatial_intermediate_pairs_total"], res.Stats.IntermediatePairs())
-
 	// Per-reducer skew: the distribution of intermediate pairs across
 	// every reducer of every job.
-	h := snap.Histograms[mapreduce.ReducerPairsHistogram]
+	h := snap.Histograms[profile.ReducerPairsHistogram]
 	fmt.Fprintf(w, "\n== reducer skew (%d reducer observations) ==\n", h.Count)
 	fmt.Fprintf(w, "pairs per reducer: p50=%d p95=%d max=%d\n",
 		h.Quantile(0.5), h.Quantile(0.95), h.Max)
 	fmt.Fprintf(w, "imbalance factor (max/mean): %.2f\n", h.Imbalance())
 
-	// Grid-cell skew from the spatial layer: candidate and output
-	// distributions across reducer cells.
-	var names []string
-	for name := range snap.Histograms {
-		if strings.HasPrefix(name, "spatial_cell_") {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		ch := snap.Histograms[name]
-		fmt.Fprintf(w, "%s: p50=%d p95=%d max=%d imbalance=%.2f\n",
-			name, ch.Quantile(0.5), ch.Quantile(0.95), ch.Max, ch.Imbalance())
-	}
+	// Grid-cell skew from the spatial layer: the candidates each
+	// non-empty join cell received.
+	ch := snap.Histograms["spatial_cell_candidates"]
+	fmt.Fprintf(w, "spatial_cell_candidates: p50=%d p95=%d max=%d imbalance=%.2f\n",
+		ch.Quantile(0.5), ch.Quantile(0.95), ch.Max, ch.Imbalance())
 	return nil
 }
 

@@ -25,7 +25,6 @@ import (
 
 	"mwsjoin/internal/dataset"
 	"mwsjoin/internal/geom"
-	"mwsjoin/internal/mapreduce"
 	"mwsjoin/internal/metrics"
 	"mwsjoin/internal/profile"
 	"mwsjoin/internal/query"
@@ -55,10 +54,8 @@ type Config struct {
 	// .txt (the profile text).
 	TraceDir string
 	// Metrics, when non-nil, accumulates every measured cell's counters
-	// and distributions: each cell runs against a private registry
-	// (whose reducer-pair histogram yields the cell's skew quantiles)
-	// that is then merged into this one, so a -serve scrape sees the
-	// whole sweep so far.
+	// and distributions: each cell publishes its Stats into it once
+	// measured, so a -serve scrape sees the whole sweep so far.
 	Metrics *metrics.Registry
 	// Progress, when non-nil, receives the table/row/method currently
 	// being measured (served as /progress JSON by benchtables -serve).
@@ -192,11 +189,7 @@ func runRow(cfg Config, label string, q *query.Query, rels []spatial.Relation, m
 		if cfg.TraceDir != "" {
 			tr = trace.New()
 		}
-		// Each cell measures into a private registry so its reducer-skew
-		// distribution is isolated; the snapshot then rolls up into the
-		// long-lived Config.Metrics registry behind -serve.
-		reg := metrics.NewRegistry()
-		res, err := spatial.Execute(m, q, rels, spatial.Config{Part: part, CountOnly: true, Tracer: tr, Metrics: reg})
+		res, err := spatial.Execute(m, q, rels, spatial.Config{Part: part, CountOnly: true, Tracer: tr})
 		if err != nil {
 			return row, fmt.Errorf("bench: %s %v: %w", label, m, err)
 		}
@@ -205,16 +198,20 @@ func runRow(cfg Config, label string, q *query.Query, rels []spatial.Relation, m
 				return row, err
 			}
 		}
-		snap := reg.Snapshot()
-		cfg.Metrics.Merge(snap)
+		profile.Publish(cfg.Metrics, &res.Stats)
 		var pairBytes, combineIn, combineOut int64
+		// The cell's reducer-skew distribution: every reducer of every round.
+		var reducerPairs metrics.Histogram
 		for _, r := range res.Stats.Rounds {
 			pairBytes += r.IntermediateBytes
 			combineIn += r.CombineInputPairs
 			combineOut += r.CombineOutputPairs
+			for _, n := range r.PairsPerReducer {
+				reducerPairs.Observe(n)
+			}
 		}
 		dfsBytes := res.Stats.DFS.BytesRead + res.Stats.DFS.BytesWritten
-		pairsH := snap.Histograms[mapreduce.ReducerPairsHistogram]
+		pairsH := reducerPairs.Snapshot()
 		cell := Cell{
 			Method:           m,
 			Time:             res.Stats.Wall,

@@ -17,7 +17,6 @@ var notCarried = map[string]string{
 	"Resume":      "worker-set: from SessionSpec.Resume, which the coordinator sets on a retry attempt",
 	"Part":        "the cluster derives the grid from Scheme/Reducers/SplitThreshold and the shipped relations",
 	"Tracer":      "a span tree belongs to one process; cluster jobs have no profile",
-	"Metrics":     "each worker records into its own registry",
 	"Context":     "cancellation is the coordinator's session timeout",
 	"OnChainStep": "a progress callback cannot cross the wire",
 	"MaxAttempts": "fault hooks are functions of the calling process",

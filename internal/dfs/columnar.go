@@ -20,7 +20,7 @@ import (
 //
 // The charged byte accounting is identical on both kinds: every MBB
 // record costs MBBRecordBytes whether it lives in a box or a column,
-// so Stats, traces and metrics are bit-identical between the paths.
+// so Stats and traces are bit-identical between the paths.
 // Scan and View.Records still work on a columnar file (each row is
 // synthesised into the boxed wire format on the fly), and ScanMBB and
 // View.MBBs work on a boxed file (each record is decoded), so snapshots
@@ -185,7 +185,6 @@ func (w *MBBWriter) Close() error {
 	w.fs.bytesWritten.Add(bytes)
 	w.fs.recordsWritten.Add(n)
 	w.fs.traceIO("dfs_bytes_written", "dfs_records_written", bytes, n)
-	w.fs.meterIO("write", "written", bytes, n)
 	w.pending = mbbColumns{}
 	return nil
 }

@@ -17,7 +17,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"mwsjoin/internal/metrics"
 	"mwsjoin/internal/trace"
 )
 
@@ -58,10 +57,6 @@ type FS struct {
 	// and write, attributing DFS traffic to the currently executing
 	// span (the executor points it at the active round span).
 	traceTo atomic.Pointer[traceTarget]
-
-	// metricsTo, when set, receives live dfs_* counters and per-
-	// operation size distributions for every read and write.
-	metricsTo atomic.Pointer[metrics.Registry]
 }
 
 // traceTarget pairs a tracer with the span DFS counters flow into.
@@ -87,29 +82,6 @@ func (fs *FS) traceIO(counterBytes, counterRecords string, bytes, records int64)
 		t.tr.Add(t.span, counterBytes, bytes)
 		t.tr.Add(t.span, counterRecords, records)
 	}
-}
-
-// SetMetrics attaches (or, with nil, detaches) a live metrics registry:
-// every subsequent read and write updates dfs_* counters mirroring
-// Stats plus per-operation size histograms (dfs_read_bytes /
-// dfs_write_bytes — one observation per Scan or Writer.Close, the
-// block-transfer granularity of the simulation).
-func (fs *FS) SetMetrics(reg *metrics.Registry) {
-	fs.metricsTo.Store(reg)
-}
-
-// meterIO charges one whole read or write operation to the attached
-// registry, if any. op is "read" or "write"; past is the participle
-// used in the byte/record counter names ("read" / "written").
-func (fs *FS) meterIO(op, past string, bytes, records int64) {
-	reg := fs.metricsTo.Load()
-	if reg == nil {
-		return
-	}
-	reg.Counter("dfs_" + op + "s_total").Add(1)
-	reg.Counter("dfs_bytes_" + past + "_total").Add(bytes)
-	reg.Counter("dfs_records_" + past + "_total").Add(records)
-	reg.Histogram("dfs_" + op + "_bytes").Observe(bytes)
 }
 
 type file struct {
@@ -170,7 +142,6 @@ func (fs *FS) chargeRead(f *file, bytes, records int64) {
 	fs.bytesRead.Add(bytes)
 	fs.recordsRead.Add(records)
 	fs.traceIO("dfs_bytes_read", "dfs_records_read", bytes, records)
-	fs.meterIO("read", "read", bytes, records)
 }
 
 // New creates a file system with the given block size; sizes ≤ 0 fall
@@ -456,7 +427,6 @@ func (w *Writer) Close() error {
 		w.fs.bytesWritten.Add(w.bytes)
 		w.fs.recordsWritten.Add(int64(len(w.pending)))
 		w.fs.traceIO("dfs_bytes_written", "dfs_records_written", w.bytes, int64(len(w.pending)))
-		w.fs.meterIO("write", "written", w.bytes, int64(len(w.pending)))
 	}
 	w.pending = nil
 	return nil

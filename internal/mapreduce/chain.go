@@ -7,7 +7,6 @@ import (
 	"fmt"
 
 	"mwsjoin/internal/dfs"
-	"mwsjoin/internal/metrics"
 	"mwsjoin/internal/trace"
 )
 
@@ -74,11 +73,10 @@ type ChainConfig struct {
 	// progress sink needs.
 	OnStep func(jobIndex int, name string)
 	// Tracer/TraceParent receive the chain's recovery counters
-	// (checkpoint_bytes_written, checkpoint_bytes_read, resumed_jobs);
-	// Metrics receives the equivalent chain_* totals. All optional.
+	// (checkpoint_bytes_written, checkpoint_bytes_read, resumed_jobs).
+	// Both optional.
 	Tracer      *trace.Tracer
 	TraceParent trace.SpanID
-	Metrics     *metrics.Registry
 }
 
 // ChainStats counts what a chain did. Checkpoint counters include the
@@ -194,7 +192,6 @@ func (c *Chain) Step(name string, run func(in *dfs.View) (out [][]byte, st *Stat
 		return nil, err
 	}
 	c.stats.JobsRun++
-	c.count("chain_jobs_run_total", 1)
 	c.pending, c.last = file, file
 	return st, nil
 }
@@ -222,7 +219,6 @@ func (c *Chain) FinalStep(name string, run func(in *dfs.View) (*Stats, error)) (
 		return nil, err
 	}
 	c.stats.JobsRun++
-	c.count("chain_jobs_run_total", 1)
 	return st, nil
 }
 
@@ -250,14 +246,12 @@ func (c *Chain) begin(name string) (int, error) {
 	if ctx := c.cfg.Context; ctx != nil {
 		if cause := context.Cause(ctx); cause != nil {
 			c.killed = true
-			c.count("chain_cancellations_total", 1)
 			return 0, fmt.Errorf("mapreduce: chain %q cancelled before job %d (%s): %w", c.cfg.Name, c.next, name, cause)
 		}
 	}
 	i := c.next
 	c.next++
 	c.stats.Jobs++
-	c.count("chain_jobs_total", 1)
 	if c.cfg.OnStep != nil {
 		c.cfg.OnStep(i, name)
 	}
@@ -271,7 +265,6 @@ func (c *Chain) maybeKill(i int, name string) error {
 	}
 	c.killed = true
 	c.traceAdd("chain_kills", 1)
-	c.count("chain_kills_total", 1)
 	return &ChainKilledError{Chain: c.cfg.Name, Job: i, Step: name}
 }
 
@@ -322,8 +315,6 @@ func (c *Chain) tryResume(i int, name, file string) (*Stats, bool, error) {
 	c.stats.CheckpointRecordsRead++
 	c.traceAdd("resumed_jobs", 1)
 	c.traceAdd("checkpoint_bytes_read", metaBytes)
-	c.count("chain_jobs_resumed_total", 1)
-	c.count("chain_checkpoint_bytes_read_total", metaBytes)
 	return meta.Stats, true, nil
 }
 
@@ -343,7 +334,6 @@ func (c *Chain) openPending() (*dfs.View, error) {
 	c.stats.CheckpointBytesRead += in.Bytes()
 	c.stats.CheckpointRecordsRead += int64(in.Len())
 	c.traceAdd("checkpoint_bytes_read", in.Bytes())
-	c.count("chain_checkpoint_bytes_read_total", in.Bytes())
 	return in, nil
 }
 
@@ -393,16 +383,9 @@ func (c *Chain) writeCheckpoint(i int, name, file string, out [][]byte, st *Stat
 	c.stats.CheckpointBytesWritten += written
 	c.stats.CheckpointRecordsWritten += int64(len(out)) + 1
 	c.traceAdd("checkpoint_bytes_written", written)
-	c.count("chain_checkpoint_bytes_written_total", written)
 	return nil
 }
 
 func (c *Chain) traceAdd(counter string, v int64) {
 	c.cfg.Tracer.Add(c.cfg.TraceParent, counter, v)
-}
-
-func (c *Chain) count(name string, v int64) {
-	if c.cfg.Metrics != nil {
-		c.cfg.Metrics.Counter(name).Add(v)
-	}
 }

@@ -169,7 +169,10 @@ func (e *taskError) append(buf []byte) []byte {
 	return append(buf, e.msg...)
 }
 
-func (e *taskError) parse(buf []byte) ([]byte, error) {
+// parse decodes one taskError of a job with tasks tasks into e. An
+// index beyond the job's tasks, or a message without a task, is an
+// error, so an accepted frame re-encodes to the same bytes.
+func (e *taskError) parse(buf []byte, tasks int) ([]byte, error) {
 	idx, buf, err := readUvarint(buf)
 	if err != nil {
 		return nil, err
@@ -178,7 +181,13 @@ func (e *taskError) parse(buf []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.merge(int(int64(idx))-1, string(msg))
+	switch {
+	case idx > uint64(tasks):
+		return nil, fmt.Errorf("mapreduce: dist frame: an error of task %d, of %d tasks", idx-1, tasks)
+	case idx == 0 && len(msg) > 0:
+		return nil, errors.New("mapreduce: dist frame: an error message without a task")
+	}
+	e.idx, e.msg = int(idx)-1, string(msg)
 	return buf, nil
 }
 
@@ -193,8 +202,37 @@ func distGather(d *DistConfig, tag string, payload []byte) ([][]byte, error) {
 }
 
 // mapBarrierCounters are the per-worker map-phase contributions summed
-// by the barrier, in wire order.
+// by the barrier, in wire order: map attempts and failures, combine
+// input and output pairs, spilled runs, spill bytes written and read.
 const mapBarrierCounters = 7
+
+// appendMapReport encodes one worker's map-barrier payload: its
+// counters, then its lowest-index map error.
+func appendMapReport(buf []byte, c [mapBarrierCounters]int64, e taskError) []byte {
+	for _, v := range c {
+		buf = appendUvarint(buf, uint64(v))
+	}
+	return e.append(buf)
+}
+
+// parseMapReport decodes one worker's whole map-barrier payload for a
+// job of tasks mappers.
+func parseMapReport(buf []byte, tasks int) (c [mapBarrierCounters]int64, e taskError, err error) {
+	for i := range c {
+		var v uint64
+		if v, buf, err = readUvarint(buf); err != nil {
+			return c, e, err
+		}
+		c[i] = int64(v)
+	}
+	if buf, err = e.parse(buf, tasks); err != nil {
+		return c, e, err
+	}
+	if len(buf) > 0 {
+		err = fmt.Errorf("mapreduce: dist frame: %d bytes after the map report", len(buf))
+	}
+	return c, e, err
+}
 
 // distMapBarrier is exchange stage 1: gather every worker's map-phase
 // accounting (attempt/failure/combine/spill counters over the mappers
@@ -212,14 +250,10 @@ func distMapBarrier(d *DistConfig, stats *Stats, mapErrs []error, spilledRuns, s
 			break // mapErrs is index-ordered; the first is the lowest
 		}
 	}
-	payload := appendUvarint(nil, uint64(stats.MapAttempts))
-	payload = appendUvarint(payload, uint64(stats.MapFailures))
-	payload = appendUvarint(payload, uint64(stats.CombineInputPairs))
-	payload = appendUvarint(payload, uint64(stats.CombineOutputPairs))
-	payload = appendUvarint(payload, uint64(spilledRuns))
-	payload = appendUvarint(payload, uint64(spillBytes))
-	payload = appendUvarint(payload, uint64(spillBytes)) // written == read for committed runs
-	payload = locErr.append(payload)
+	payload := appendMapReport(nil, [mapBarrierCounters]int64{
+		stats.MapAttempts, stats.MapFailures, stats.CombineInputPairs, stats.CombineOutputPairs,
+		spilledRuns, spillBytes, spillBytes, // written == read for committed runs
+	}, locErr)
 
 	incoming, err := distGather(d, "map-stats", payload)
 	if err != nil {
@@ -228,17 +262,14 @@ func distMapBarrier(d *DistConfig, stats *Stats, mapErrs []error, spilledRuns, s
 	var totals [mapBarrierCounters]int64
 	globErr := taskError{idx: -1}
 	for w, buf := range incoming {
-		for i := 0; i < mapBarrierCounters; i++ {
-			v, rest, err := readUvarint(buf)
-			if err != nil {
-				return fmt.Errorf("mapreduce: job %q: map barrier: worker %d: %w", stats.Job, w, err)
-			}
-			totals[i] += int64(v)
-			buf = rest
-		}
-		if _, err := globErr.parse(buf); err != nil {
+		c, e, err := parseMapReport(buf, len(mapErrs))
+		if err != nil {
 			return fmt.Errorf("mapreduce: job %q: map barrier: worker %d: %w", stats.Job, w, err)
 		}
+		for i, v := range c {
+			totals[i] += v
+		}
+		globErr.merge(e.idx, e.msg)
 	}
 	stats.MapAttempts = totals[0]
 	stats.MapFailures = totals[1]
@@ -401,6 +432,118 @@ func decodeRuns[K ReducerKey, V any](buf []byte, d *DistConfig, from int, runs [
 	return nil
 }
 
+// reduceBarrierCounters are the per-worker reduce-phase contributions
+// summed by the reduce barrier, in wire order: reduce attempts and
+// failures, then the bytes and non-empty runs its run exchange shipped.
+const reduceBarrierCounters = 4
+
+// ownedReducers is the number of reducers worker w of W owns among nr.
+func ownedReducers(w, W, nr int) int {
+	if w >= nr {
+		return 0
+	}
+	return (nr-1-w)/W + 1
+}
+
+// reducerReport is one reducer's entry in its owner's reduce-barrier
+// payload: the pairs shuffled to it, their priced bytes, its keys, and
+// its nout outputs as length-prefixed EncodeOutput records.
+type reducerReport struct {
+	r                  int
+	pairs, bytes, keys int64
+	nout               uint64
+	recs               []byte
+}
+
+// appendReduceReport encodes worker w's reduce-barrier payload: its
+// counters and lowest-index reduce error, the count of reducers it owns,
+// then one reducerReport per owned reducer r ≡ w (mod W), ascending, read
+// from the per-reducer pairs, bytes, keys and outputs slices.
+func appendReduceReport[O any](c [reduceBarrierCounters]int64, e taskError, w, W int, pairs, bytes, keys []int64, outputs [][]O, encode func(O, []byte) []byte) []byte {
+	// A sizing pass fixes the payload's capacity before the first append:
+	// the all-gathered outputs are the job's whole result, and growing a
+	// buffer that large by doubling allocates it twice over.
+	var rec []byte
+	size := (reduceBarrierCounters+3)*binary.MaxVarintLen64 + len(e.msg)
+	for r := w; r < len(outputs); r += W {
+		size += 5 * binary.MaxVarintLen64
+		for i := range outputs[r] {
+			rec = encode(outputs[r][i], rec[:0])
+			size += uvarintLen(uint64(len(rec))) + len(rec)
+		}
+	}
+	buf := make([]byte, 0, size)
+	for _, v := range c {
+		buf = appendUvarint(buf, uint64(v))
+	}
+	buf = e.append(buf)
+	buf = appendUvarint(buf, uint64(ownedReducers(w, W, len(outputs))))
+	for r := w; r < len(outputs); r += W {
+		buf = appendUvarint(buf, uint64(r))
+		buf = appendUvarint(buf, uint64(pairs[r]))
+		buf = appendUvarint(buf, uint64(bytes[r]))
+		buf = appendUvarint(buf, uint64(keys[r]))
+		buf = appendUvarint(buf, uint64(len(outputs[r])))
+		for i := range outputs[r] {
+			rec = encode(outputs[r][i], rec[:0])
+			buf = append(appendUvarint(buf, uint64(len(rec))), rec...)
+		}
+	}
+	return buf
+}
+
+// parseReduceReport decodes worker w's whole reduce-barrier payload for
+// a job of nr reducers, handing each reducer entry to entry. The entries
+// must be exactly the reducers w owns, ascending, each once: an entry
+// for another worker's reducer would overwrite that reducer's outputs
+// and count its pairs twice.
+func parseReduceReport(buf []byte, w, W, nr int, entry func(reducerReport) error) (c [reduceBarrierCounters]int64, e taskError, err error) {
+	var v uint64
+	for i := range c {
+		if v, buf, err = readUvarint(buf); err != nil {
+			return c, e, err
+		}
+		c[i] = int64(v)
+	}
+	if buf, err = e.parse(buf, nr); err != nil {
+		return c, e, err
+	}
+	if v, buf, err = readUvarint(buf); err != nil {
+		return c, e, err
+	}
+	if owned := ownedReducers(w, W, nr); v != uint64(owned) {
+		return c, e, fmt.Errorf("mapreduce: dist frame: %d reducers reported, worker %d owns %d", v, w, owned)
+	}
+	for r := w; r < nr; r += W {
+		var hdr [5]uint64 // reducer, pairs, priced bytes, keys, outputs
+		for i := range hdr {
+			if hdr[i], buf, err = readUvarint(buf); err != nil {
+				return c, e, err
+			}
+		}
+		if hdr[0] != uint64(r) {
+			return c, e, fmt.Errorf("mapreduce: dist frame: reducer %d reported where worker %d's reducer %d belongs", hdr[0], w, r)
+		}
+		if err = checkCount("outputs", hdr[4], len(buf)); err != nil {
+			return c, e, err
+		}
+		recs := buf
+		for i := uint64(0); i < hdr[4]; i++ {
+			if _, buf, err = readBytes(buf); err != nil {
+				return c, e, err
+			}
+		}
+		rep := reducerReport{r: r, pairs: int64(hdr[1]), bytes: int64(hdr[2]), keys: int64(hdr[3]), nout: hdr[4], recs: recs[:len(recs)-len(buf)]}
+		if err = entry(rep); err != nil {
+			return c, e, err
+		}
+	}
+	if len(buf) > 0 {
+		err = fmt.Errorf("mapreduce: dist frame: %d bytes after the last reducer", len(buf))
+	}
+	return c, e, err
+}
+
 // distReduceBarrier is exchange stage 3: all-gather each worker's
 // reduce accounting, per-owned-reducer shuffle/keys/bytes figures, the
 // EncodeOutput-framed outputs, and its stage-2 network counters. After
@@ -416,137 +559,53 @@ func distReduceBarrier[I any, K ReducerKey, V any, O any](j *Job[I, K, V, O], cf
 			break
 		}
 	}
-	// A sizing pass fixes the payload's capacity before the first append:
-	// the all-gathered outputs are the job's whole result, and growing a
-	// buffer that large by doubling allocates it twice over.
-	var rec []byte
-	nOwned, size := 0, 6*binary.MaxVarintLen64+len(locErr.msg)
-	for r := d.Self; r < cfg.NumReducers; r += d.NumWorkers {
-		nOwned++
-		size += 5 * binary.MaxVarintLen64
-		for i := range outputs[r] {
-			rec = j.EncodeOutput(outputs[r][i], rec[:0])
-			size += uvarintLen(uint64(len(rec))) + len(rec)
-		}
-	}
-	payload := make([]byte, 0, size)
-	payload = appendUvarint(payload, uint64(stats.ReduceAttempts))
-	payload = appendUvarint(payload, uint64(stats.ReduceFailures))
-	payload = appendUvarint(payload, uint64(netBytes))
-	payload = appendUvarint(payload, uint64(netRuns))
-	payload = locErr.append(payload)
-	payload = appendUvarint(payload, uint64(nOwned))
-	for r := d.Self; r < cfg.NumReducers; r += d.NumWorkers {
-		payload = appendUvarint(payload, uint64(r))
-		payload = appendUvarint(payload, uint64(stats.PairsPerReducer[r]))
-		var nb int64
-		if bytesPerReducer != nil {
-			nb = bytesPerReducer[r]
-		}
-		payload = appendUvarint(payload, uint64(nb))
-		payload = appendUvarint(payload, uint64(keyCounts[r]))
-		payload = appendUvarint(payload, uint64(len(outputs[r])))
-		for i := range outputs[r] {
-			rec = j.EncodeOutput(outputs[r][i], rec[:0])
-			payload = appendUvarint(payload, uint64(len(rec)))
-			payload = append(payload, rec...)
-		}
-	}
+	payload := appendReduceReport([reduceBarrierCounters]int64{stats.ReduceAttempts, stats.ReduceFailures, netBytes, netRuns},
+		locErr, d.Self, d.NumWorkers, stats.PairsPerReducer, bytesPerReducer, keyCounts, outputs, j.EncodeOutput)
 
 	incoming, err := distGather(d, "outputs", payload)
 	if err != nil {
 		return fmt.Errorf("mapreduce: job %q: reduce barrier: %w", cfg.Name, err)
 	}
-	var redAttempts, redFailures, totNetBytes, totNetRuns int64
+	var totals [reduceBarrierCounters]int64
 	globErr := taskError{idx: -1}
 	for w, buf := range incoming {
-		fail := func(err error) error {
+		// adopt takes a remote reducer's figures and outputs; this
+		// worker's own payload round-trips and holds nothing new.
+		adopt := func(rep reducerReport) error {
+			if w == d.Self {
+				return nil
+			}
+			stats.PairsPerReducer[rep.r] = rep.pairs
+			stats.IntermediatePairs += rep.pairs
+			stats.IntermediateBytes += rep.bytes
+			keyCounts[rep.r] = rep.keys
+			bytesPerReducer[rep.r] = rep.bytes
+			out := make([]O, 0, frameCap[O](rep.nout, len(rep.recs)))
+			for recs := rep.recs; len(recs) > 0; {
+				raw, rest, _ := readBytes(recs) // framing checked by the parser
+				recs = rest
+				o, err := j.DecodeOutput(raw)
+				if err != nil {
+					return err
+				}
+				out = append(out, o)
+			}
+			outputs[rep.r] = out
+			return nil
+		}
+		c, e, err := parseReduceReport(buf, w, d.NumWorkers, cfg.NumReducers, adopt)
+		if err != nil {
 			return fmt.Errorf("mapreduce: job %q: reduce barrier: worker %d: %w", cfg.Name, w, err)
 		}
-		var v uint64
-		if v, buf, err = readUvarint(buf); err != nil {
-			return fail(err)
+		for i, v := range c {
+			totals[i] += v
 		}
-		redAttempts += int64(v)
-		if v, buf, err = readUvarint(buf); err != nil {
-			return fail(err)
-		}
-		redFailures += int64(v)
-		if v, buf, err = readUvarint(buf); err != nil {
-			return fail(err)
-		}
-		totNetBytes += int64(v)
-		if v, buf, err = readUvarint(buf); err != nil {
-			return fail(err)
-		}
-		totNetRuns += int64(v)
-		if buf, err = globErr.parse(buf); err != nil {
-			return fail(err)
-		}
-		var n uint64
-		if n, buf, err = readUvarint(buf); err != nil {
-			return fail(err)
-		}
-		remote := w != d.Self
-		for i := uint64(0); i < n; i++ {
-			var r64, pairs, nb, keys, nout uint64
-			if r64, buf, err = readUvarint(buf); err != nil {
-				return fail(err)
-			}
-			if pairs, buf, err = readUvarint(buf); err != nil {
-				return fail(err)
-			}
-			if nb, buf, err = readUvarint(buf); err != nil {
-				return fail(err)
-			}
-			if keys, buf, err = readUvarint(buf); err != nil {
-				return fail(err)
-			}
-			if nout, buf, err = readUvarint(buf); err != nil {
-				return fail(err)
-			}
-			r := int(r64)
-			if r < 0 || r >= cfg.NumReducers {
-				return fail(fmt.Errorf("reducer %d out of range", r))
-			}
-			if err = checkCount("outputs", nout, len(buf)); err != nil {
-				return fail(err)
-			}
-			if remote {
-				stats.PairsPerReducer[r] = int64(pairs)
-				stats.IntermediatePairs += int64(pairs)
-				stats.IntermediateBytes += int64(nb)
-				keyCounts[r] = int64(keys)
-				if bytesPerReducer != nil {
-					bytesPerReducer[r] = int64(nb)
-				}
-				out := make([]O, 0, frameCap[O](nout, len(buf)))
-				for k := uint64(0); k < nout; k++ {
-					var raw []byte
-					if raw, buf, err = readBytes(buf); err != nil {
-						return fail(err)
-					}
-					o, err := j.DecodeOutput(raw)
-					if err != nil {
-						return fail(err)
-					}
-					out = append(out, o)
-				}
-				outputs[r] = out
-			} else {
-				// Own payload round-trips locally; skip the records.
-				for k := uint64(0); k < nout; k++ {
-					if _, buf, err = readBytes(buf); err != nil {
-						return fail(err)
-					}
-				}
-			}
-		}
+		globErr.merge(e.idx, e.msg)
 	}
-	stats.ReduceAttempts = redAttempts
-	stats.ReduceFailures = redFailures
-	stats.ShuffleNetworkBytes = totNetBytes
-	stats.ShuffleNetworkRuns = totNetRuns
+	stats.ReduceAttempts = totals[0]
+	stats.ReduceFailures = totals[1]
+	stats.ShuffleNetworkBytes = totals[2]
+	stats.ShuffleNetworkRuns = totals[3]
 	if globErr.idx >= 0 {
 		return errors.New(globErr.msg)
 	}

@@ -373,12 +373,12 @@ func TestDistWireCountsBounded(t *testing.T) {
 	}{
 		// stage 2: mapper 1, reducer 0, 16 priced bytes, 2^40 pairs, one byte of them.
 		{"runs", "pairs declared", append(uv(1, 0, 16, 1<<40), 0), nil, 16 << 20},
-		// stage 3: the four counters, no error, one reducer: r=1 pairs=0
-		// bytes=0 keys=0 nout=2^40, one byte of outputs.
-		{"outputs", "outputs declared", append(uv(1, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 1<<40), 0), nil, 16 << 20},
+		// stage 3: the four counters, no error, worker 1's two reducers, the
+		// first r=1 pairs=0 bytes=0 keys=0 nout=2^40, one byte of outputs.
+		{"outputs", "outputs declared", append(uv(1, 0, 0, 0, 0, 0, 2, 1, 0, 0, 0, 1<<40), 0), nil, 16 << 20},
 		// the same headers claiming 2^20 entries, with 2^20 empty records.
 		{"runs", "bad pair", append(uv(1, 0, 16, mib), undecodable...), nil, 4 << 20},
-		{"outputs", "empty output record", append(uv(1, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0, mib), undecodable...), rejectEmpty, 4 << 20},
+		{"outputs", "empty output record", append(append(uv(1, 0, 0, 0, 0, 0, 2, 1, 0, 0, 0, mib), undecodable...), uv(3, 0, 0, 0, 0)...), rejectEmpty, 4 << 20},
 		// well-formed runs but for the one thing named.
 		{"runs", "keyed 2 in reducer 0's run", append(append(uv(1, 0, 16, 1), pair(2, 7)...), forgedNoRuns[4:]...), nil, 1 << 20},
 		{"runs", "mapper 1 reducer 2 where mapper 1 reducer 0's belongs", uv(1, 2, 0, 0, 1, 0, 0, 0, 3, 0, 0, 0, 3, 2, 0, 0), nil, 1 << 20},
@@ -393,6 +393,97 @@ func TestDistWireCountsBounded(t *testing.T) {
 			t.Errorf("forged %s payload (%q): job allocated %d bytes, budget %d", c.tag, c.want, grew, c.budget)
 		}
 	}
+}
+
+// TestDistGatherOwnership: a gathered payload speaks only for its
+// sender. Worker 1's outputs are its own reducers 1 and 3, ascending,
+// each once — a claim on worker 0's reducer 0 would overwrite worker 0's
+// outputs and count that reducer's pairs twice — and a task error names
+// one of the job's tasks. Anything else fails the job on worker 0.
+func TestDistGatherOwnership(t *testing.T) {
+	counters := uv(1, 0, 0, 0) // reduce attempts, failures, network bytes and runs
+	noErr := uv(0, 0)
+	empty := func(r uint64) []byte { return uv(r, 0, 0, 0, 0) }
+	cat := func(parts ...[]byte) []byte { return slices.Concat(parts...) }
+	for _, c := range []struct {
+		tag, want string
+		forged    []byte
+	}{
+		{"outputs", "", cat(counters, noErr, uv(2), empty(1), empty(3))},
+		{"outputs", "reducer 0 reported where worker 1's reducer 1 belongs", cat(counters, noErr, uv(2), uv(0, 1000, 0, 1, 0), empty(3))},
+		{"outputs", "reducer 1 reported where worker 1's reducer 3 belongs", cat(counters, noErr, uv(2), empty(1), empty(1))},
+		{"outputs", "reducer 3 reported where worker 1's reducer 1 belongs", cat(counters, noErr, uv(2), empty(3), empty(1))},
+		{"outputs", "1 reducers reported, worker 1 owns 2", cat(counters, noErr, uv(1), empty(1))},
+		{"outputs", "3 reducers reported, worker 1 owns 2", cat(counters, noErr, uv(3), empty(1), empty(3), empty(5))},
+		{"outputs", "bytes after the last reducer", cat(counters, noErr, uv(2), empty(1), empty(3), uv(0))},
+		{"outputs", "an error of task 4, of 4 tasks", cat(counters, uv(5, 1), []byte("x"), uv(2), empty(1), empty(3))},
+		{"outputs", "an error message without a task", cat(counters, uv(0, 1), []byte("x"), uv(2), empty(1), empty(3))},
+		{"map-stats", "bytes after the map report", cat(uv(1, 0, 0, 0, 0, 0, 0), noErr, uv(0))},
+		{"map-stats", "an error of task 7, of 4 tasks", cat(uv(1, 0, 0, 0, 0, 0, 0), uv(8, 1), []byte("x"))},
+	} {
+		_, err := runForgedPeer(t, c.tag, c.forged, nil)
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("well-formed %s payload: %v", c.tag, err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("forged %s payload: err = %v, want %q", c.tag, err, c.want)
+		}
+	}
+}
+
+// FuzzDistGathers: whatever bytes worker 1 ships as its map-stats or
+// outputs payload, worker 0's barrier fails or learns exactly what the
+// payload encodes — its counters, error and per-reducer figures and
+// outputs re-encode to the same bytes — never panics, and allocates no
+// more than a small multiple of the payload. The seeds are built by the
+// barriers' own encoders, so each decodes to what was encoded.
+func FuzzDistGathers(f *testing.F) {
+	const nm, nr = 4, 4
+	mapSeed := appendMapReport(nil, [mapBarrierCounters]int64{3, 1, 9, 7, 2, 640, 640}, taskError{idx: -1})
+	pairs, priced, keys := []int64{0, 5, 0, 2}, []int64{0, 80, 0, 32}, []int64{0, 1, 0, 1}
+	outs := [][]string{nil, {"1:2,3,", ""}, nil, {"3:9,"}}
+	outSeed := appendReduceReport([reduceBarrierCounters]int64{2, 0, 123, 4}, taskError{idx: -1}, 1, 2, pairs, priced, keys, outs, distTestJob(Config{}, false).EncodeOutput)
+	f.Add(false, mapSeed)
+	f.Add(true, outSeed)
+	f.Add(false, appendMapReport(nil, [mapBarrierCounters]int64{}, taskError{idx: 3, msg: "mapper 3 failed"}))
+	f.Add(true, append(slices.Clone(outSeed[:len(outSeed)-5]), uv(1<<40)...))
+	f.Fuzz(func(t *testing.T, gatherOutputs bool, payload []byte) {
+		tag := "map-stats"
+		if gatherOutputs {
+			tag = "outputs"
+		}
+		d := &DistConfig{NumWorkers: 2, Self: 0, Exchanger: &forgingExchanger{forgeTag: tag, forged: payload}}
+		j := distTestJob(Config{Name: "fuzz", NumReducers: nr, NumMappers: nm, Dist: d}, false)
+		// Worker 0 contributes nothing, so what it ends with is worker 1's.
+		stats := &Stats{Job: "fuzz", PairsPerReducer: make([]int64, nr)}
+		outputs, keyCounts, bytesPerReducer := make([][]string, nr), make([]int64, nr), make([]int64, nr)
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		var err error
+		if gatherOutputs {
+			err = distReduceBarrier(j, &j.Config, stats, outputs, keyCounts, bytesPerReducer, make([]error, nr), 0, 0)
+		} else {
+			err = distMapBarrier(d, stats, make([]error, nm), 0, 0)
+		}
+		runtime.ReadMemStats(&m1)
+		if grew := m1.TotalAlloc - m0.TotalAlloc; grew > 4*uint64(len(payload))+64<<10 {
+			t.Fatalf("a %d-byte payload allocated %d bytes", len(payload), grew)
+		}
+		if err != nil {
+			return
+		}
+		var got []byte
+		if gatherOutputs {
+			c := [reduceBarrierCounters]int64{stats.ReduceAttempts, stats.ReduceFailures, stats.ShuffleNetworkBytes, stats.ShuffleNetworkRuns}
+			got = appendReduceReport(c, taskError{idx: -1}, 1, 2, stats.PairsPerReducer, bytesPerReducer, keyCounts, outputs, j.EncodeOutput)
+		} else {
+			got = appendMapReport(nil, [mapBarrierCounters]int64{stats.MapAttempts, stats.MapFailures, stats.CombineInputPairs,
+				stats.CombineOutputPairs, stats.SpilledRuns, stats.SpillBytesWritten, stats.SpillBytesRead}, taskError{idx: -1})
+		}
+		if !bytes.Equal(got, payload) {
+			t.Fatalf("%s payload %x decoded, but re-encodes as %x", tag, payload, got)
+		}
+	})
 }
 
 // fuzzRunCodec is the fixed-width pair codec FuzzDistRuns decodes with:

@@ -46,7 +46,6 @@ import (
 	"time"
 
 	"mwsjoin/internal/dfs"
-	"mwsjoin/internal/metrics"
 	"mwsjoin/internal/trace"
 )
 
@@ -85,12 +84,6 @@ type Config struct {
 	// under (0 for a root job span). A nil Tracer costs nothing.
 	Tracer      *trace.Tracer
 	TraceParent trace.SpanID
-	// Metrics, when non-nil, receives the job's live counters and
-	// distributions (see the mapreduce_* names in DESIGN.md): flat
-	// totals mirroring Stats, per-reducer pair/key/byte histograms,
-	// map/reduce task-latency histograms, and the per-job imbalance
-	// factor. A nil registry costs nothing.
-	Metrics *metrics.Registry
 	// Pool recycles the engine's large scratch buffers — the map side's
 	// run chunks and the shuffled reducer inputs — across task attempts
 	// and, when callers share one pool, across the jobs of an execution;
@@ -404,10 +397,6 @@ func (j *Job[I, K, V, O]) RunSplits(n int, read func(lo, hi int, yield func(I) e
 	start := time.Now()
 	tr := cfg.Tracer
 	traced := tr != nil
-	// Task attempts are timed when either observability surface wants
-	// them: the tracer logs them as spans, the registry as latency
-	// histograms.
-	timed := traced || cfg.Metrics != nil
 	jobSpan := tr.Start(cfg.TraceParent, trace.KindJob, cfg.Name)
 	defer tr.End(jobSpan)
 
@@ -462,7 +451,7 @@ func (j *Job[I, K, V, O]) RunSplits(n int, read func(lo, hi int, yield func(I) e
 			}
 			return out, nil
 		}
-		runs[m], mapErrs[m] = runAttempts(&cfg, "mapper", m, cfg.FailMap, timed, &mapRuns[m], body,
+		runs[m], mapErrs[m] = runAttempts(&cfg, "mapper", m, cfg.FailMap, traced, &mapRuns[m], body,
 			func(out []run[V]) { recycleRuns(pool, cfg.SpillFS, out) })
 	})
 	for m := range mapRuns {
@@ -554,8 +543,8 @@ func (j *Job[I, K, V, O]) RunSplits(n int, read func(lo, hi int, yield func(I) e
 	shuffleStart := time.Now()
 	owned := func(r int) bool { return !dist || cfg.Dist.ownsReducer(r) }
 	off := make([]int, nr+1)
-	var bytesPerReducer []int64
-	if j.PairBytes != nil {
+	var bytesPerReducer []int64 // what the reduce barrier reports per owned reducer
+	if dist {
 		bytesPerReducer = make([]int64, nr)
 	}
 	for r := 0; r < nr; r++ {
@@ -572,7 +561,7 @@ func (j *Job[I, K, V, O]) RunSplits(n int, read func(lo, hi int, yield func(I) e
 		}
 		stats.PairsPerReducer[r] = int64(off[r+1] - off[r])
 		stats.IntermediateBytes += nb
-		if bytesPerReducer != nil {
+		if dist {
 			bytesPerReducer[r] = nb
 		}
 	}
@@ -644,7 +633,7 @@ func (j *Job[I, K, V, O]) RunSplits(n int, read func(lo, hi int, yield func(I) e
 		}
 		// A discarded reduce attempt holds no pooled buffer: its partial
 		// output is simply dropped.
-		outputs[r], redErrs[r] = runAttempts(&cfg, "reducer", r, cfg.FailReduce, timed, &redRuns[r], body, func([]O) {})
+		outputs[r], redErrs[r] = runAttempts(&cfg, "reducer", r, cfg.FailReduce, traced, &redRuns[r], body, func([]O) {})
 		if redErrs[r] == nil {
 			keyCounts[r] = 1
 		}
@@ -716,77 +705,7 @@ func (j *Job[I, K, V, O]) RunSplits(n int, read func(lo, hi int, yield func(I) e
 			tr.Add(jobSpan, "combine_out", stats.CombineOutputPairs)
 		}
 	}
-	recordMetrics(cfg.Metrics, stats, j.Combine != nil, keyCounts, bytesPerReducer, mapRuns, redRuns)
 	return out, stats, nil
-}
-
-// ReducerPairsHistogram is the registry histogram observing every
-// reducer's intermediate pair count across jobs — the distribution
-// behind the skew quantiles reported by the bench harness.
-const ReducerPairsHistogram = "mapreduce_reducer_pairs"
-
-// recordMetrics publishes one finished job into the live registry: flat
-// counters mirroring Stats exactly, per-reducer pair/key/byte
-// distributions, task-attempt latency distributions, and the job's
-// imbalance factor. A nil registry records nothing.
-func recordMetrics(m *metrics.Registry, stats *Stats, hasCombine bool, keyCounts, bytesPerReducer []int64, mapRuns, redRuns []taskRun) {
-	if m == nil {
-		return
-	}
-	m.Counter("mapreduce_jobs_total").Add(1)
-	m.Counter("mapreduce_map_input_records_total").Add(stats.MapInputRecords)
-	m.Counter("mapreduce_intermediate_pairs_total").Add(stats.IntermediatePairs)
-	m.Counter("mapreduce_intermediate_bytes_total").Add(stats.IntermediateBytes)
-	m.Counter("mapreduce_reduce_input_keys_total").Add(stats.ReduceInputKeys)
-	m.Counter("mapreduce_reduce_output_records_total").Add(stats.ReduceOutputRecords)
-	m.Counter("mapreduce_map_attempts_total").Add(stats.MapAttempts)
-	m.Counter("mapreduce_map_failures_total").Add(stats.MapFailures)
-	m.Counter("mapreduce_reduce_attempts_total").Add(stats.ReduceAttempts)
-	m.Counter("mapreduce_reduce_failures_total").Add(stats.ReduceFailures)
-	if hasCombine {
-		// Registered only for combiner jobs, so scrapes of combiner-free
-		// workloads are byte-identical to the pre-combiner engine.
-		m.Counter("mapreduce_combine_input_pairs_total").Add(stats.CombineInputPairs)
-		m.Counter("mapreduce_combine_output_pairs_total").Add(stats.CombineOutputPairs)
-	}
-	if stats.SpilledRuns > 0 {
-		// Registered only when something spilled, so scrapes of
-		// in-memory workloads are byte-identical to before.
-		m.Counter("mapreduce_spilled_runs_total").Add(stats.SpilledRuns)
-		m.Counter("mapreduce_spill_bytes_written_total").Add(stats.SpillBytesWritten)
-		m.Counter("mapreduce_spill_bytes_read_total").Add(stats.SpillBytesRead)
-	}
-
-	pairsH := m.Histogram("mapreduce_reducer_pairs")
-	keysH := m.Histogram("mapreduce_reducer_keys")
-	var bytesH *metrics.Histogram
-	if bytesPerReducer != nil {
-		bytesH = m.Histogram("mapreduce_reducer_bytes")
-	}
-	for r, pairs := range stats.PairsPerReducer {
-		pairsH.Observe(pairs)
-		keysH.Observe(keyCounts[r])
-		if bytesPerReducer != nil {
-			bytesH.Observe(bytesPerReducer[r])
-		}
-	}
-	// The imbalance factor ×1000, so the log buckets resolve fractions.
-	imb := int64(stats.MaxReducerSkew() * 1000)
-	m.Gauge("mapreduce_last_job_imbalance_x1000").Set(imb)
-	m.Histogram("mapreduce_job_imbalance_x1000").Observe(imb)
-
-	mapH := m.Histogram("mapreduce_map_task_micros")
-	for _, t := range mapRuns {
-		for _, a := range t.log {
-			mapH.Observe(a.end.Sub(a.start).Microseconds())
-		}
-	}
-	redH := m.Histogram("mapreduce_reduce_task_micros")
-	for _, t := range redRuns {
-		for _, a := range t.log {
-			redH.Observe(a.end.Sub(a.start).Microseconds())
-		}
-	}
 }
 
 // taskAttempt is one task attempt's locally measured timing, logged
@@ -798,7 +717,7 @@ type taskAttempt struct {
 }
 
 // taskRun is one task's retry accounting: the attempts it made, how many
-// of them the fault injector failed and, when the job is timed, each
+// of them the fault injector failed and, when the job is traced, each
 // attempt's wall clock in attempt order.
 type taskRun struct {
 	attempts, failures int64
@@ -824,20 +743,20 @@ func logTaskAttempts(tr *trace.Tracer, phase trace.SpanID, kind string, runs []t
 // — after an injected failure with budget left — retry. An injected
 // failure takes precedence over body's own error, which is never
 // retried. A failed task returns the zero T.
-func runAttempts[T any](cfg *Config, role string, task int, fail func(task, attempt int) bool, timed bool, run *taskRun, body func() (T, error), discard func(T)) (T, error) {
+func runAttempts[T any](cfg *Config, role string, task int, fail func(task, attempt int) bool, traced bool, run *taskRun, body func() (T, error), discard func(T)) (T, error) {
 	var zero T
 	for attempt := 1; ; attempt++ {
 		run.attempts++
 		var a taskAttempt
-		if timed {
+		if traced {
 			a.start = time.Now()
 		}
 		res, err := body()
-		if timed {
+		if traced {
 			a.end = time.Now()
 		}
 		a.failed = fail != nil && fail(task, attempt)
-		if timed {
+		if traced {
 			run.log = append(run.log, a)
 		}
 		if !a.failed && err == nil {

@@ -1,26 +1,25 @@
 // Package metrics is the live-observability counterpart of the
 // post-hoc tracing layer (mwsjoin/internal/trace): a concurrency-safe
-// registry of named counters, gauges and streaming histograms that the
-// map-reduce engine, the simulated DFS and the spatial executors update
-// while they run. Where a trace answers "where did this finished run
-// spend its pairs and bytes", the registry answers "what is the system
-// doing right now, and how is the load distributed" — it is what the
-// HTTP exposition endpoints (see http.go) serve and what the
-// EXPLAIN/ANALYZE mode validates the cost model against.
+// registry of named counters, gauges and streaming histograms. The
+// server updates its server_* series as it schedules, and
+// profile.Publish adds each finished execution's Stats — the engine,
+// chain, DFS and spatial series — when the run ends. Where a trace
+// answers "where did this run spend its pairs and bytes", the registry
+// answers "what has the system done so far, and how is the load
+// distributed" — it is what the HTTP exposition endpoints (see http.go)
+// serve.
 //
 // The paper's central claim is distributional: Controlled-Replicate
 // wins because it ships fewer intermediate pairs AND balances them
 // better across reducers (§7.8.3). Histograms here therefore use a
 // fixed logarithmic bucket scheme — bucket i holds values v with
-// 2^(i-1) ≤ v < 2^i — so per-task histograms recorded independently on
-// concurrent goroutines MERGE EXACTLY into the global distribution:
-// same buckets, bucket-wise sum. Quantile estimates are then correct to
-// within one bucket (a factor of 2), which is ample for skew factors.
+// 2^(i-1) ≤ v < 2^i — so quantile estimates are correct to within one
+// bucket (a factor of 2), which is ample for skew factors.
 //
 // A nil *Registry is a valid no-op, mirroring the nil-Tracer idiom:
 // every method on a nil registry (and on the nil Counter/Gauge/
-// Histogram handles it returns) is safe and allocation-free, so hot
-// paths may record unconditionally.
+// Histogram handles it returns) is safe and allocation-free, so callers
+// may record unconditionally.
 package metrics
 
 import (
@@ -132,27 +131,6 @@ func (h *Histogram) Observe(v int64) {
 	h.buckets[bucketOf(v)]++
 }
 
-// merge folds a snapshot into the live histogram (bucket-wise sum; the
-// fixed bucket scheme makes this exact).
-func (h *Histogram) merge(s HistogramSnapshot) {
-	if h == nil || s.Count == 0 {
-		return
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 || s.Min < h.min {
-		h.min = s.Min
-	}
-	if h.count == 0 || s.Max > h.max {
-		h.max = s.Max
-	}
-	h.count += s.Count
-	h.sum += s.Sum
-	for i, n := range s.Buckets {
-		h.buckets[i] += n
-	}
-}
-
 // Snapshot returns a consistent copy of the histogram state.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	if h == nil {
@@ -174,36 +152,6 @@ type HistogramSnapshot struct {
 	Min     int64   `json:"min"`
 	Max     int64   `json:"max"`
 	Buckets []int64 `json:"buckets,omitempty"`
-}
-
-// Merge returns the exact bucket-wise union of two snapshots — the
-// distribution a single histogram would hold had it observed both
-// streams.
-func (s HistogramSnapshot) Merge(o HistogramSnapshot) HistogramSnapshot {
-	if s.Count == 0 {
-		return o
-	}
-	if o.Count == 0 {
-		return s
-	}
-	out := HistogramSnapshot{
-		Count: s.Count + o.Count,
-		Sum:   s.Sum + o.Sum,
-		Min:   min(s.Min, o.Min),
-		Max:   max(s.Max, o.Max),
-	}
-	out.Buckets = make([]int64, numBuckets)
-	for i := range out.Buckets {
-		var a, b int64
-		if i < len(s.Buckets) {
-			a = s.Buckets[i]
-		}
-		if i < len(o.Buckets) {
-			b = o.Buckets[i]
-		}
-		out.Buckets[i] = a + b
-	}
-	return out
 }
 
 // Mean returns the exact mean of the observed values, 0 when empty.
@@ -381,26 +329,6 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Histograms[k] = v.Snapshot()
 	}
 	return s
-}
-
-// Merge folds a snapshot into the registry: counters add, gauges take
-// the snapshot's value, histograms merge bucket-wise. Used to roll
-// per-run registries up into a long-lived serving registry (the bench
-// harness merges each measured cell's registry into the one behind
-// -serve).
-func (r *Registry) Merge(s Snapshot) {
-	if r == nil {
-		return
-	}
-	for name, v := range s.Counters {
-		r.Counter(name).Add(v)
-	}
-	for name, v := range s.Gauges {
-		r.Gauge(name).Set(v)
-	}
-	for name, hs := range s.Histograms {
-		r.Histogram(name).merge(hs)
-	}
 }
 
 // Names returns the sorted keys of a string-keyed map — exposition

@@ -3,14 +3,13 @@ package metrics
 import (
 	"math"
 	"math/rand"
-	"reflect"
 	"sort"
 	"sync"
 	"testing"
 )
 
-// TestBucketScheme pins the fixed log-bucket invariants the mergeability
-// argument rests on: every value lands in exactly one bucket, and the
+// TestBucketScheme pins the fixed log-bucket invariants the quantile
+// estimates rest on: every value lands in exactly one bucket, and the
 // bucket's upper bound is the smallest representative ≥ the value.
 func TestBucketScheme(t *testing.T) {
 	cases := []struct {
@@ -31,35 +30,6 @@ func TestBucketScheme(t *testing.T) {
 			if lo := BucketUpper(bucketOf(c.v) - 1); lo >= c.v {
 				t.Errorf("BucketUpper(%d-1) = %d should be < %d", bucketOf(c.v), lo, c.v)
 			}
-		}
-	}
-}
-
-// TestHistogramMergeEqualsGlobal is the property the tentpole is built
-// on: values split arbitrarily across per-task histograms merge into a
-// snapshot identical (count, sum, min, max, every bucket) to one global
-// histogram that observed the whole stream.
-func TestHistogramMergeEqualsGlobal(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 50; trial++ {
-		global := &Histogram{}
-		tasks := make([]*Histogram, 1+rng.Intn(8))
-		for i := range tasks {
-			tasks[i] = &Histogram{}
-		}
-		n := 1 + rng.Intn(500)
-		for i := 0; i < n; i++ {
-			// Heavy-tailed values, including 0 and negatives.
-			v := int64(rng.Intn(1<<uint(rng.Intn(40)))) - 3
-			global.Observe(v)
-			tasks[rng.Intn(len(tasks))].Observe(v)
-		}
-		merged := HistogramSnapshot{}
-		for _, task := range tasks {
-			merged = merged.Merge(task.Snapshot())
-		}
-		if want := global.Snapshot(); !reflect.DeepEqual(merged, want) {
-			t.Fatalf("trial %d: merged %+v != global %+v", trial, merged, want)
 		}
 	}
 }
@@ -166,7 +136,6 @@ func TestNilSafety(t *testing.T) {
 	reg.Counter("c").Add(5)
 	reg.Gauge("g").Set(5)
 	reg.Histogram("h").Observe(5)
-	reg.Merge(Snapshot{Counters: map[string]int64{"c": 1}})
 	if v := reg.Counter("c").Value(); v != 0 {
 		t.Errorf("nil counter value = %d", v)
 	}
@@ -180,30 +149,6 @@ func TestNilSafety(t *testing.T) {
 	p.Set("k", 1)
 	if got := p.Snapshot(); len(got) != 0 {
 		t.Errorf("nil progress snapshot = %v", got)
-	}
-}
-
-func TestRegistryMerge(t *testing.T) {
-	a := NewRegistry()
-	a.Counter("jobs_total").Add(3)
-	a.Gauge("last").Set(7)
-	a.Histogram("sizes").Observe(4)
-
-	b := NewRegistry()
-	b.Counter("jobs_total").Add(2)
-	b.Gauge("last").Set(9)
-	b.Histogram("sizes").Observe(100)
-
-	a.Merge(b.Snapshot())
-	if got := a.Counter("jobs_total").Value(); got != 5 {
-		t.Errorf("merged counter = %d, want 5", got)
-	}
-	if got := a.Gauge("last").Value(); got != 9 {
-		t.Errorf("merged gauge = %d, want 9", got)
-	}
-	s := a.Histogram("sizes").Snapshot()
-	if s.Count != 2 || s.Sum != 104 || s.Min != 4 || s.Max != 100 {
-		t.Errorf("merged histogram = %+v", s)
 	}
 }
 

@@ -159,3 +159,29 @@ func TestClusterAutoRunsPricedGrid(t *testing.T) {
 		t.Errorf("job ran on %d cells, its price was for %d", ran, pred.Cells)
 	}
 }
+
+// TestClusterJobPublishes: a job that runs on the cluster publishes its
+// Stats into the server's registry like an in-process one, moving the
+// engine series by exactly what the job's Stats record.
+func TestClusterJobPublishes(t *testing.T) {
+	reg := metrics.NewRegistry()
+	s, _ := newTestServer(t, Config{Workers: 1, CacheBytes: -1, Cluster: startTestCoordinator(t, 2, metrics.NewRegistry()), Metrics: reg})
+	runs, pairs := reg.Counter("spatial_runs_total").Value(), reg.Counter("mapreduce_intermediate_pairs_total").Value()
+	st := waitJob(t, s, submit(t, s, SubmitRequest{Query: "A ov B and B ra(40) C", Method: "c-rep"}).ID)
+	if st.State != StateDone {
+		t.Fatalf("cluster job: %s: %s", st.State, st.Error)
+	}
+	if st.Stats.IntermediatePairs() == 0 {
+		t.Fatal("the cluster job shuffled nothing; the test proves nothing")
+	}
+	if got := reg.Counter("spatial_runs_total").Value() - runs; got != 1 {
+		t.Errorf("spatial_runs_total moved by %d, want 1", got)
+	}
+	var ran int64
+	for _, r := range st.Stats.Rounds[st.Stats.Chain.ResumedJobs:] {
+		ran += r.IntermediatePairs
+	}
+	if got := reg.Counter("mapreduce_intermediate_pairs_total").Value() - pairs; got != ran {
+		t.Errorf("mapreduce_intermediate_pairs_total moved by %d, want the Stats' %d", got, ran)
+	}
+}

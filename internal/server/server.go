@@ -92,8 +92,9 @@ type Config struct {
 	// runs per job (spatial.Config.SpillBudget); over-budget runs spill
 	// to uncharged local scratch with bit-identical results.
 	SpillBudget int64
-	// Metrics receives the server_* metrics plus every job's engine and
-	// DFS metrics. May be nil.
+	// Metrics receives the server_* metrics plus the engine, chain and
+	// DFS series of every job that succeeds, in process or on the
+	// cluster, published from its Stats when it ends. May be nil.
 	Metrics *metrics.Registry
 	// Version is the build/version string reported by GET /v1/status and
 	// the server_build_info_* gauge. Empty means "dev".
@@ -833,7 +834,6 @@ func (s *Server) runJob(j *Job) {
 		cfg.Part = j.part
 		cfg.Context = j.ctx
 		cfg.Tracer = j.tracer
-		cfg.Metrics = s.reg
 		cfg.OnChainStep = func(i int, name string) {
 			s.mu.Lock()
 			j.stepsDone = i
@@ -848,13 +848,17 @@ func (s *Server) runJob(j *Job) {
 	}
 	finished := time.Now()
 
-	// Assemble the profile outside the mutex: queryTxt and the tracer
-	// are immutable after submission, and no other goroutine touches the
-	// tracer once Execute has returned. Cluster jobs get none — their
-	// spans live on the workers — and take the ErrNoProfile path.
+	// Publish the Stats and assemble the profile outside the mutex:
+	// queryTxt and the tracer are immutable after submission, and no
+	// other goroutine touches the tracer once Execute has returned.
+	// Cluster jobs publish too but get no profile — their spans live on
+	// the workers — and take the ErrNoProfile path.
 	var prof *profile.Profile
-	if err == nil && s.cfg.Cluster == nil {
-		prof = profile.Build(j.queryTxt, &res.Stats, j.tracer.Spans())
+	if err == nil {
+		profile.Publish(s.reg, &res.Stats)
+		if s.cfg.Cluster == nil {
+			prof = profile.Build(j.queryTxt, &res.Stats, j.tracer.Spans())
+		}
 	}
 
 	s.mu.Lock()

@@ -15,7 +15,6 @@ import (
 	"mwsjoin/internal/geom"
 	"mwsjoin/internal/grid"
 	"mwsjoin/internal/mapreduce"
-	"mwsjoin/internal/metrics"
 	"mwsjoin/internal/query"
 	"mwsjoin/internal/sweep"
 	"mwsjoin/internal/trace"
@@ -171,7 +170,7 @@ func cascade(pl *plan, exec *executor) (*Result, error) {
 					exec.part.ForEachSplit(key, func(c grid.CellID) { emit(c, v) })
 					return nil
 				},
-				Reduce: cascadeReduce(pl, exec.part, in, out, newSlot, edges, primary, discard, &counted, exec.cfg.Metrics),
+				Reduce: cascadeReduce(pl, exec.part, in, out, newSlot, edges, primary, discard, &counted),
 				PairBytes: func(_ grid.CellID, v cascadeVal) int {
 					if v.Slab != itemSlab {
 						return 4 + in.stride
@@ -330,12 +329,10 @@ type cellScratch struct {
 // to one cell with a forward plane sweep over the tuples' key
 // rectangles and the items — the classic SJMR-style in-reducer join
 // (§5). The partials a cell emits form one slab of out.
-func cascadeReduce(pl *plan, part *grid.Partitioning, in, out *partialStore, newSlot int, edges []query.Edge, primary query.Edge, discard bool, counted *atomic.Int64, reg *metrics.Registry) func(grid.CellID, []cascadeVal, func(partialRef)) error {
+func cascadeReduce(pl *plan, part *grid.Partitioning, in, out *partialStore, newSlot int, edges []query.Edge, primary query.Edge, discard bool, counted *atomic.Int64) func(grid.CellID, []cascadeVal, func(partialRef)) error {
 	d := primary.Pred.Weight()
 	scratch := sync.Pool{New: func() any { return new(cellScratch) }}
 	return func(c grid.CellID, vals []cascadeVal, emit func(partialRef)) error {
-		var local int64
-		defer func() { observeCell(reg, int64(len(vals)), local) }()
 		sc := scratch.Get().(*cellScratch)
 		defer scratch.Put(sc)
 
@@ -392,7 +389,6 @@ func cascadeReduce(pl *plan, part *grid.Partitioning, in, out *partialStore, new
 			if part.CellOf(start) != c {
 				return true
 			}
-			local++
 			if discard {
 				counted.Add(1)
 				return true

@@ -8,7 +8,6 @@ import (
 	"mwsjoin/internal/dfs"
 	"mwsjoin/internal/grid"
 	"mwsjoin/internal/mapreduce"
-	"mwsjoin/internal/metrics"
 )
 
 // allReplicate runs the naive one-round All-Replicate baseline (§6.1):
@@ -40,7 +39,7 @@ func allReplicate(pl *plan, exec *executor) (*Result, error) {
 				exec.part.ForEachFourthQuadrant(it.Rect, func(c grid.CellID) { emit(c, it) })
 				return nil
 			},
-			Reduce:       joinReduce(pl, exec.part, exec.cfg.CountOnly, &counted, exec.cfg.Metrics),
+			Reduce:       joinReduce(pl, exec.part, exec.cfg.CountOnly, &counted),
 			PairBytes:    taggedPairBytes,
 			EncodePair:   encodeCellTagged,
 			DecodePair:   cellTaggedDecoder(pl.m),
@@ -217,7 +216,7 @@ func controlledReplicate(pl *plan, exec *executor, limit bool) (*Result, error) 
 				}
 				return nil
 			},
-			Reduce:       joinReduce(pl, exec.part, exec.cfg.CountOnly, &counted, exec.cfg.Metrics),
+			Reduce:       joinReduce(pl, exec.part, exec.cfg.CountOnly, &counted),
 			PairBytes:    taggedPairBytes,
 			EncodePair:   encodeCellTagged,
 			DecodePair:   cellTaggedDecoder(pl.m),
@@ -267,10 +266,7 @@ func controlledReplicate(pl *plan, exec *executor, limit bool) (*Result, error) 
 // assignments, and emit exactly the tuples whose §6.2
 // duplicate-avoidance point falls in this reducer's cell. Every emitted
 // tuple also bumps counted; with countOnly the tuple itself is dropped.
-// A non-nil registry observes each cell's candidate and output counts
-// (spatial_cell_candidates / spatial_cell_tuples), the distributions the
-// skew quantiles come from.
-func joinReduce(pl *plan, part *grid.Partitioning, countOnly bool, counted *atomic.Int64, reg *metrics.Registry) func(grid.CellID, []tagged, func(Tuple)) error {
+func joinReduce(pl *plan, part *grid.Partitioning, countOnly bool, counted *atomic.Int64) func(grid.CellID, []tagged, func(Tuple)) error {
 	return func(c grid.CellID, items []tagged, emit func(Tuple)) error {
 		cd := newCellData(pl.m, items)
 		defer cd.release()
@@ -285,20 +281,8 @@ func joinReduce(pl *plan, part *grid.Partitioning, countOnly bool, counted *atom
 			}
 		})
 		counted.Add(local)
-		observeCell(reg, int64(len(items)), local)
 		return nil
 	}
-}
-
-// observeCell records one reducer cell's candidate input size and
-// locally produced tuple count. Discarded attempts under injected
-// reduce faults observe again, mirroring the work actually performed.
-func observeCell(reg *metrics.Registry, candidates, tuples int64) {
-	if reg == nil {
-		return
-	}
-	reg.Histogram("spatial_cell_candidates").Observe(candidates)
-	reg.Histogram("spatial_cell_tuples").Observe(tuples)
 }
 
 // taggedPairBytes sizes an intermediate (cell, item) pair: 4 bytes of

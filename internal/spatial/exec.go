@@ -7,7 +7,6 @@ import (
 	"mwsjoin/internal/dfs"
 	"mwsjoin/internal/grid"
 	"mwsjoin/internal/mapreduce"
-	"mwsjoin/internal/metrics"
 	"mwsjoin/internal/query"
 	"mwsjoin/internal/trace"
 )
@@ -90,14 +89,6 @@ type Config struct {
 	// beneath. DFS I/O counters are attributed to the active round, so
 	// a traced execution must not share its FS with concurrent runs.
 	Tracer *trace.Tracer
-	// Metrics, when non-nil, receives the execution's live counters and
-	// distributions: the engine's mapreduce_* metrics for every job,
-	// the dfs_* I/O metrics, spatial_* run totals, and per-grid-cell
-	// candidate/output histograms from the join reducers. Like the FS
-	// trace target, the registry is attached to the FS for the duration
-	// of the run, so a metered execution must not share its FS with
-	// concurrent runs.
-	Metrics *metrics.Registry
 	// OptimizeOrder replaces the default connectivity join order with a
 	// cost-based one derived from sampling estimates (footnote 1 of the
 	// paper assumes Cascade runs its 2-way joins in the optimal order).
@@ -221,10 +212,6 @@ func Execute(method Method, q *query.Query, rels []Relation, cfg Config) (*Resul
 		defer fs.SetTrace(nil, 0)
 	}
 	defer exec.tr.End(exec.runSpan)
-	if cfg.Metrics != nil {
-		fs.SetMetrics(cfg.Metrics)
-		defer fs.SetMetrics(nil)
-	}
 
 	before := fs.Stats()
 	stage := exec.tr.Start(exec.runSpan, trace.KindPhase, "stage-inputs")
@@ -260,15 +247,6 @@ func Execute(method Method, q *query.Query, rels []Relation, cfg Config) (*Resul
 		exec.tr.Add(exec.runSpan, "copies", res.Stats.RectanglesAfterReplication)
 		exec.tr.Add(exec.runSpan, "rounds", int64(len(res.Stats.Rounds)))
 	}
-	if reg := cfg.Metrics; reg != nil {
-		reg.Gauge("spatial_partition_cells").Set(int64(part.NumCells()))
-		reg.Counter("spatial_runs_total").Add(1)
-		reg.Counter("spatial_output_tuples_total").Add(res.Stats.OutputTuples)
-		reg.Counter("spatial_intermediate_pairs_total").Add(res.Stats.IntermediatePairs())
-		reg.Counter("spatial_rectangles_replicated_total").Add(res.Stats.RectanglesReplicated)
-		reg.Counter("spatial_rectangle_copies_total").Add(res.Stats.RectanglesAfterReplication)
-		reg.Counter("spatial_rounds_total").Add(int64(len(res.Stats.Rounds)))
-	}
 	return res, nil
 }
 
@@ -286,7 +264,6 @@ func (e *executor) jobConfig(name string) mapreduce.Config {
 		FailReduce:  e.cfg.FailReduce,
 		Tracer:      e.tr,
 		TraceParent: e.cur,
-		Metrics:     e.cfg.Metrics,
 		Pool:        e.pool,
 		Dist:        e.cfg.Dist,
 	}
@@ -299,8 +276,7 @@ func (e *executor) jobConfig(name string) mapreduce.Config {
 
 // chain builds the method's job chain over the execution's FS:
 // checkpoints land under "chk/<name>", kill/resume follow the Config
-// knobs, and the chain's recovery counters flow into the run span and
-// the registry.
+// knobs, and the chain's recovery counters flow into the run span.
 func (e *executor) chain(name string) *mapreduce.Chain {
 	return mapreduce.NewChain(mapreduce.ChainConfig{
 		Name:        name,
@@ -311,7 +287,6 @@ func (e *executor) chain(name string) *mapreduce.Chain {
 		OnStep:      e.cfg.OnChainStep,
 		Tracer:      e.tr,
 		TraceParent: e.runSpan,
-		Metrics:     e.cfg.Metrics,
 	})
 }
 

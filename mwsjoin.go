@@ -174,12 +174,11 @@ type Options struct {
 	// timed spans with counters (run → round → job → phase → task); see
 	// NewTracer. The same tracer may collect several sequential runs.
 	Tracer *Tracer
-	// Metrics, when non-nil, receives live counters, gauges and
-	// reducer-load histograms while the run executes; see
-	// NewMetricsRegistry. The same registry may collect several
-	// sequential runs and be served over HTTP concurrently (see
-	// ServeMetrics), but two concurrent Run calls must not share one
-	// registry-attached FS.
+	// Metrics, when non-nil, receives the run's counters, gauges and
+	// reducer-load histograms once it succeeds, all read off its Stats;
+	// see NewMetricsRegistry. Any number of runs, sequential or
+	// concurrent, may share one registry while it is served over HTTP
+	// (see ServeMetrics).
 	Metrics *MetricsRegistry
 	// CountOnly suppresses materialisation of the output tuples:
 	// Result.Tuples stays nil while Stats.OutputTuples still carries the
@@ -207,9 +206,10 @@ type TraceSpan = trace.Span
 // NewTracer creates an empty tracer ready to record executions.
 func NewTracer() *Tracer { return trace.New() }
 
-// MetricsRegistry is the live metrics collector; pass one via
-// Options.Metrics and inspect it with its Snapshot method, serve it with
-// ServeMetrics, or render it with WritePrometheus.
+// MetricsRegistry is the metrics collector every successful run given
+// one in Options.Metrics publishes its Stats into; inspect it with its
+// Snapshot method, serve it with ServeMetrics, or render it with
+// WritePrometheus.
 type MetricsRegistry = metrics.Registry
 
 // MetricsSnapshot is a point-in-time copy of a registry's metrics.
@@ -365,7 +365,7 @@ func RunPlanContext(ctx context.Context, q *Query, rels []Relation, plan *Plan, 
 		return nil, err
 	}
 	cfg.Context = ctx
-	return spatial.ExecutePlan(plan, q, rels, cfg)
+	return opts.publish(spatial.ExecutePlan(plan, q, rels, cfg))
 }
 
 // Run executes the query with the chosen method. rels[i] binds query
@@ -386,7 +386,16 @@ func RunContext(ctx context.Context, q *Query, rels []Relation, method Method, o
 		return nil, err
 	}
 	cfg.Context = ctx
-	return spatial.Execute(method, q, rels, cfg)
+	return opts.publish(spatial.Execute(method, q, rels, cfg))
+}
+
+// publish hands a successful run's Stats to o.Metrics, if any, and
+// passes the run's outcome through; o may be nil.
+func (o *Options) publish(res *Result, err error) (*Result, error) {
+	if err == nil && o != nil {
+		profile.Publish(o.Metrics, &res.Stats)
+	}
+	return res, err
 }
 
 // buildConfig translates public Options into the executor config shared
@@ -413,7 +422,6 @@ func buildConfig(rels []Relation, opts *Options) (spatial.Config, error) {
 		FailJob:        o.FailJob,
 		Resume:         o.Resume,
 		Tracer:         o.Tracer,
-		Metrics:        o.Metrics,
 		OptimizeOrder:  o.OptimizeOrder,
 		CountOnly:      o.CountOnly,
 		SpillBudget:    o.SpillBudget,

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -127,6 +128,56 @@ func TestSelfJoinThroughPublicAPI(t *testing.T) {
 	}
 }
 
+// TestMetricsConcurrentRuns: runs publish into a shared registry when
+// they end, so concurrent Run calls sharing one sum exactly.
+func TestMetricsConcurrentRuns(t *testing.T) {
+	roads := CaliforniaRoadsRelation("roads", 400, 5)
+	rels := []Relation{roads, roads, roads}
+	q, err := ParseQuery("a ov b and b ov c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := NewMetricsRegistry()
+	methods := []Method{Cascade, ControlledReplicate, AllReplicate, ControlledReplicateLimit}
+	results := make([]*Result, len(methods))
+	errs := make([]error, len(methods))
+	var wg sync.WaitGroup
+	for i, m := range methods {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i], errs[i] = Run(q, rels, m, &Options{Reducers: 16, Metrics: reg})
+		}()
+	}
+	wg.Wait()
+	want := map[string]int64{"spatial_runs_total": int64(len(methods))}
+	var reducers int64
+	for i, res := range results {
+		if errs[i] != nil {
+			t.Fatalf("%v: %v", methods[i], errs[i])
+		}
+		s := res.Stats
+		want["spatial_output_tuples_total"] += s.OutputTuples
+		want["spatial_intermediate_pairs_total"] += s.IntermediatePairs()
+		want["mapreduce_jobs_total"] += int64(len(s.Rounds))
+		want["mapreduce_intermediate_pairs_total"] += s.IntermediatePairs()
+		want["dfs_bytes_read_total"] += s.DFS.BytesRead
+		want["chain_checkpoint_bytes_written_total"] += s.Chain.CheckpointBytesWritten
+		for _, r := range s.Rounds {
+			reducers += int64(len(r.PairsPerReducer))
+		}
+	}
+	snap := reg.Snapshot()
+	for name, v := range want {
+		if got := snap.Counters[name]; got != v {
+			t.Errorf("counter %s = %d, want the runs' sum %d", name, got, v)
+		}
+	}
+	if h := snap.Histograms["mapreduce_reducer_pairs"]; h.Count != reducers || h.Sum != want["mapreduce_intermediate_pairs_total"] {
+		t.Errorf("reducer_pairs count %d sum %d, want %d and %d", h.Count, h.Sum, reducers, want["mapreduce_intermediate_pairs_total"])
+	}
+}
+
 func TestMetricsPublicAPI(t *testing.T) {
 	roads := CaliforniaRoadsRelation("roads", 400, 5)
 	rels := []Relation{roads, roads, roads}
@@ -143,7 +194,7 @@ func TestMetricsPublicAPI(t *testing.T) {
 		t.Fatalf("degenerate run: %+v", res.Stats)
 	}
 
-	// The live registry and the flat Stats must agree exactly.
+	// The published registry and the flat Stats must agree exactly.
 	snap := reg.Snapshot()
 	s := res.Stats
 	for name, want := range map[string]int64{

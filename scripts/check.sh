@@ -26,6 +26,12 @@ go vet ./...
 echo "== go build =="
 go build ./...
 
+echo "== the engine stack writes no registry (Stats is its record; profile.Publish exports it) =="
+if go list -deps ./internal/mapreduce ./internal/dfs ./internal/spatial | grep -qx 'mwsjoin/internal/metrics'; then
+    echo "internal/mapreduce, internal/dfs or internal/spatial depends on mwsjoin/internal/metrics" >&2
+    exit 1
+fi
+
 echo "== benchmark module builds (own go.mod, frozen: fail here, not after the race pass) =="
 # -o /dev/null: the module is one main package, which a bare build
 # would write into benchmark/ as an executable.
