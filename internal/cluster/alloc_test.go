@@ -12,7 +12,7 @@ import (
 // TestClusterAllocationCeiling keeps the cluster's envelope from growing
 // back: a cascade over 3 × 10,000 uniform rectangles through a
 // coordinator and two workers — pack, ship, two SPMD runs, network
-// shuffle, gather — may allocate at most 3.25 × what one spatial.Execute
+// shuffle, gather — may allocate at most 4 × what one spatial.Execute
 // of the same query allocates, and at most 32 MiB.
 //
 // The ratio was 2.00 × when the envelope was binary (with relations and
@@ -24,7 +24,12 @@ import (
 // ratio rose to 2.81 × with no byte added. The ceiling moved with the
 // denominator, keeping about the old headroom over what is measured,
 // and the absolute ceiling, which 22365f4's 34.3 MB fails, holds the
-// cluster's own bytes to the new level.
+// cluster's own bytes to the new level. Laying each relation out for
+// the DFS once, not per query, then took the in-process side from
+// 10.3 MB to 8.4 MB; a worker unpacks its relations per query and lays
+// them out each time, so the clustered side stayed at 28.7 MB (29.0
+// before) and the ratio rose from 2.81 to 3.43. The ceiling moved with
+// the denominator again.
 func TestClusterAllocationCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's bookkeeping allocates")
@@ -75,8 +80,8 @@ func TestClusterAllocationCeiling(t *testing.T) {
 	if tuples == 0 {
 		t.Fatal("query produced no tuples; the ceiling would be vacuous")
 	}
-	if ratio > 3.25 {
-		t.Errorf("two-worker cluster allocates %.2f × the in-process engine, ceiling 3.25", ratio)
+	if ratio > 4 {
+		t.Errorf("two-worker cluster allocates %.2f × the in-process engine, ceiling 4", ratio)
 	}
 	if clustered > 32<<20 {
 		t.Errorf("two-worker cluster allocates %d B, ceiling %d", clustered, 32<<20)

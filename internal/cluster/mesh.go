@@ -54,6 +54,55 @@ func checkFrameLen(n int64) error {
 	return nil
 }
 
+// DuplicateFrameError reports a peer sending a second frame for a
+// sequence number it already sent: one still waiting for its exchange,
+// or one an exchange already took.
+type DuplicateFrameError struct{ Seq uint64 }
+
+func (e *DuplicateFrameError) Error() string {
+	return fmt.Sprintf("cluster: mesh peer sent frame %d twice", e.Seq)
+}
+
+// frameHeaderBytes is a frame's header: the sequence number and the
+// payload length, little-endian.
+const frameHeaderBytes = 8 + 4
+
+// writeFrame writes one frame: the header, then the payload.
+func writeFrame(w io.Writer, seq uint64, payload []byte) error {
+	if err := checkFrameLen(int64(len(payload))); err != nil {
+		return err
+	}
+	var hdr [frameHeaderBytes]byte
+	binary.LittleEndian.PutUint64(hdr[:8], seq)
+	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(payload)))
+	if _, err := w.Write(hdr[:]); err != nil {
+		return err
+	}
+	_, err := w.Write(payload)
+	return err
+}
+
+// readFrame reads one frame as writeFrame wrote it. A header declaring
+// more than maxFrameBytes fails before any payload is read, and the
+// payload's memory follows the bytes that arrive, not the length the
+// header claims: a peer that declares a gigabyte and sends nothing
+// costs one declaredChunk.
+func readFrame(r io.Reader) (seq uint64, payload []byte, err error) {
+	var hdr [frameHeaderBytes]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return 0, nil, err
+	}
+	seq = binary.LittleEndian.Uint64(hdr[:8])
+	n := binary.LittleEndian.Uint32(hdr[8:])
+	if err := checkFrameLen(int64(n)); err != nil {
+		return 0, nil, err
+	}
+	if payload, err = readDeclared(r, int(n)); err != nil {
+		return 0, nil, err
+	}
+	return seq, payload, nil
+}
+
 // meshConn is one peer connection: writes serialized by a mutex, reads
 // demuxed by a single reader goroutine into the seq-keyed pending map.
 type meshConn struct {
@@ -64,8 +113,11 @@ type meshConn struct {
 
 	mu      sync.Mutex
 	pending map[uint64][]byte
-	err     error
-	notify  chan struct{} // cap 1: kicked after every delivery
+	// taken counts the frames await has handed out. Exchanges take one
+	// frame per peer in sequence order, so every seq below it is spent.
+	taken  uint64
+	err    error
+	notify chan struct{} // cap 1: kicked after every delivery
 }
 
 func newMeshConn(c net.Conn) *meshConn {
@@ -75,31 +127,27 @@ func newMeshConn(c net.Conn) *meshConn {
 	return mc
 }
 
-// readLoop pulls frames off the wire until the connection dies.
+// readLoop pulls frames off the wire until the connection dies. A bad
+// header or a repeated sequence number fails the connection: nothing
+// after either can be trusted to be the frame it claims to be.
 func (mc *meshConn) readLoop() {
 	defer mc.wg.Done()
-	var hdr [12]byte
 	for {
-		if _, err := io.ReadFull(mc.c, hdr[:]); err != nil {
-			mc.fail(err)
-			return
+		seq, payload, err := readFrame(mc.c)
+		if err == nil {
+			mc.mu.Lock()
+			if _, parked := mc.pending[seq]; parked || seq < mc.taken {
+				err = &DuplicateFrameError{Seq: seq}
+			} else {
+				mc.pending[seq] = payload
+			}
+			mc.mu.Unlock()
 		}
-		seq := binary.LittleEndian.Uint64(hdr[:8])
-		n := binary.LittleEndian.Uint32(hdr[8:])
-		if err := checkFrameLen(int64(n)); err != nil {
-			// Nothing after a bad header can be trusted to be a frame.
+		if err != nil {
 			mc.fail(err)
 			mc.c.Close()
 			return
 		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(mc.c, payload); err != nil {
-			mc.fail(err)
-			return
-		}
-		mc.mu.Lock()
-		mc.pending[seq] = payload
-		mc.mu.Unlock()
 		mc.kick()
 	}
 }
@@ -122,19 +170,9 @@ func (mc *meshConn) kick() {
 
 // send writes one frame; safe for concurrent use.
 func (mc *meshConn) send(seq uint64, payload []byte) error {
-	if err := checkFrameLen(int64(len(payload))); err != nil {
-		return err
-	}
-	var hdr [12]byte
-	binary.LittleEndian.PutUint64(hdr[:8], seq)
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(payload)))
 	mc.wmu.Lock()
 	defer mc.wmu.Unlock()
-	if _, err := mc.c.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := mc.c.Write(payload)
-	return err
+	return writeFrame(mc.c, seq, payload)
 }
 
 // await blocks until frame seq arrives, the connection fails, or the
@@ -146,6 +184,7 @@ func (mc *meshConn) await(seq uint64, timeout time.Duration) ([]byte, error) {
 		mc.mu.Lock()
 		if p, ok := mc.pending[seq]; ok {
 			delete(mc.pending, seq)
+			mc.taken = max(mc.taken, seq+1)
 			mc.mu.Unlock()
 			return p, nil
 		}

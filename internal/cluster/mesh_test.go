@@ -1,8 +1,11 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
+	"math"
 	"net"
 	"runtime"
 	"testing"
@@ -12,7 +15,9 @@ import (
 // TestMeshFrameBound: a header declaring more than maxFrameBytes fails
 // the connection before any payload buffer is allocated, the exchange
 // waiting on that peer gets the structured error, and a payload over
-// the bound is refused at send rather than truncated to 32 bits.
+// the bound is refused at send rather than truncated to 32 bits. A
+// header just under the bound followed by nothing costs one declaredChunk,
+// not the gigabyte it declares.
 func TestMeshFrameBound(t *testing.T) {
 	local, peer := net.Pipe()
 	defer peer.Close()
@@ -21,7 +26,7 @@ func TestMeshFrameBound(t *testing.T) {
 	mc := newMeshConn(local)
 	defer mc.close()
 
-	var hdr [12]byte
+	var hdr [frameHeaderBytes]byte
 	binary.LittleEndian.PutUint64(hdr[:8], 0)
 	binary.LittleEndian.PutUint32(hdr[8:], 1<<32-1) // 4 GiB - 1
 	if _, err := peer.Write(hdr[:]); err != nil {
@@ -46,4 +51,98 @@ func TestMeshFrameBound(t *testing.T) {
 	if err := checkFrameLen(maxFrameBytes + 1); !errors.As(err, &tooLarge) {
 		t.Errorf("a frame over the limit: err = %v, want a FrameTooLargeError", err)
 	}
+
+	binary.LittleEndian.PutUint32(hdr[8:], maxFrameBytes-1)
+	runtime.ReadMemStats(&before)
+	_, _, err = readFrame(bytes.NewReader(hdr[:]))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("a %d-byte header and then EOF: err = %v, want unexpected EOF", maxFrameBytes-1, err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Errorf("a %d-byte header and then EOF allocated %d bytes", maxFrameBytes-1, grew)
+	}
+}
+
+// TestMeshDuplicateFrame: a second frame with a sequence number the
+// peer already used — one still parked, or one an exchange already
+// took — fails the connection with a DuplicateFrameError instead of
+// replacing a payload or waiting forever to be taken.
+func TestMeshDuplicateFrame(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		taken bool // the first frame is awaited before the second arrives
+	}{{"parked", false}, {"taken", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			local, peer := net.Pipe()
+			defer peer.Close()
+			mc := newMeshConn(local)
+			defer mc.close()
+			if err := writeFrame(peer, 3, []byte("first")); err != nil {
+				t.Fatal(err)
+			}
+			if tc.taken {
+				if p, err := mc.await(3, 10*time.Second); err != nil || string(p) != "first" {
+					t.Fatalf("await(3) = %q, %v", p, err)
+				}
+			}
+			if err := writeFrame(peer, 3, []byte("second")); err != nil {
+				t.Fatal(err)
+			}
+			_, err := mc.await(4, 10*time.Second)
+			var dup *DuplicateFrameError
+			if !errors.As(err, &dup) || dup.Seq != 3 {
+				t.Fatalf("await after a repeated frame 3: err = %v, want a DuplicateFrameError for 3", err)
+			}
+		})
+	}
+}
+
+// FuzzMeshFrame: readFrame over any bytes returns an error or a frame
+// that writeFrame encodes back to exactly the bytes it consumed, and it
+// allocates no more than twice what it was given plus one declaredChunk,
+// whatever the header claims.
+func FuzzMeshFrame(f *testing.F) {
+	frame := func(seq uint64, payload []byte) []byte {
+		var b bytes.Buffer
+		if err := writeFrame(&b, seq, payload); err != nil {
+			f.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	f.Add(frame(0, nil))
+	f.Add(frame(7, []byte("payload")))
+	f.Add(append(frame(1, []byte{1, 2, 3}), frame(2, bytes.Repeat([]byte{9}, 300))...))
+	f.Add(frame(1<<63, bytes.Repeat([]byte{0xff}, 64)))
+	f.Add(frame(5, []byte("truncated"))[:frameHeaderBytes+4])
+	f.Add([]byte{1, 2, 3})
+	f.Add(binary.LittleEndian.AppendUint32(make([]byte, 8), maxFrameBytes-1))
+	f.Add(binary.LittleEndian.AppendUint32(make([]byte, 8), maxFrameBytes+1))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// The fuzzing engine allocates beside the target now and then, so
+		// the least of three identical reads is what readFrame costs; the
+		// slack covers the reader and the error values.
+		grew := uint64(math.MaxUint64)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			readFrame(bytes.NewReader(data))
+			runtime.ReadMemStats(&after)
+			grew = min(grew, after.TotalAlloc-before.TotalAlloc)
+		}
+		if bound := uint64(2*len(data) + declaredChunk + 4096); grew > bound {
+			t.Fatalf("readFrame over %d bytes allocated %d, bound %d", len(data), grew, bound)
+		}
+		seq, payload, err := readFrame(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var again bytes.Buffer
+		if err := writeFrame(&again, seq, payload); err != nil {
+			t.Fatalf("re-encoding frame %d: %v", seq, err)
+		}
+		if !bytes.Equal(again.Bytes(), data[:again.Len()]) {
+			t.Fatalf("frame %d (%d bytes) re-encodes differently from the bytes it came from", seq, len(payload))
+		}
+	})
 }

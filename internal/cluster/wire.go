@@ -8,7 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"slices"
+	"sync"
 
 	"mwsjoin/internal/spatial"
 )
@@ -33,11 +33,12 @@ const (
 	// Stats — kilobytes.
 	maxHeaderBytes = 1 << 20
 
-	// attachChunk is the most an attachment read allocates ahead of the
+	// declaredChunk is the most a read of a declared length — an
+	// attachment here, a mesh frame's payload — allocates ahead of the
 	// bytes that have actually arrived: a header may declare up to
 	// maxFrameBytes, but memory follows the sender's bytes, not its
 	// claims.
-	attachChunk = 2 << 20
+	declaredChunk = 512 << 10
 
 	// controlReadBuffer sizes the bufio.Reader of a control connection:
 	// room for any ordinary header line; attachments larger than it are
@@ -113,7 +114,7 @@ func writeMessage(w io.Writer, m *message) (int64, error) {
 // checked before it sizes an allocation: the header line against
 // maxHeaderBytes, the attachment count against what the message's type
 // and header fields call for, each attachment against maxFrameBytes and
-// then read in attachChunk steps.
+// then read in declaredChunk steps.
 func readMessage(br *bufio.Reader) (*message, error) {
 	line, err := readHeaderLine(br)
 	if err != nil {
@@ -136,7 +137,7 @@ func readMessage(br *bufio.Reader) (*message, error) {
 		if err := checkFrameLen(n); err != nil {
 			return nil, err
 		}
-		if *fields[i], err = readAttachment(br, int(n)); err != nil {
+		if *fields[i], err = readDeclared(br, int(n)); err != nil {
 			return nil, fmt.Errorf("cluster: %s attachment: %w", m.Type, err)
 		}
 		m.wireBytes += n
@@ -174,26 +175,39 @@ func readHeaderLine(br *bufio.Reader) ([]byte, error) {
 	}
 }
 
-// readAttachment reads n declared bytes. Up to attachChunk it is one
-// exact allocation; beyond, chunks are collected as they arrive and
-// joined only once all n bytes have, so a header that lies about a
-// length costs at most one chunk more than was really sent.
-func readAttachment(r io.Reader, n int) ([]byte, error) {
-	if n <= attachChunk {
+// declaredChunks recycles the chunks a long declared read collects its
+// bytes in before it joins them.
+var declaredChunks = sync.Pool{New: func() any { return new([declaredChunk]byte) }}
+
+// readDeclared reads n bytes that a header declared. Up to
+// declaredChunk it is one exact allocation; beyond, the bytes are
+// collected in recycled chunks as they arrive and copied into one
+// allocation only once all n have, so a header that lies about a length
+// costs at most a chunk more than was really sent.
+func readDeclared(r io.Reader, n int) ([]byte, error) {
+	if n <= declaredChunk {
 		buf := make([]byte, n)
 		_, err := io.ReadFull(r, buf)
 		return buf, eofIsUnexpected(err)
 	}
-	var chunks [][]byte
-	for got := 0; got < n; {
-		c := make([]byte, min(n-got, attachChunk))
-		if _, err := io.ReadFull(r, c); err != nil {
+	var chunks []*[declaredChunk]byte
+	defer func() {
+		for _, c := range chunks {
+			declaredChunks.Put(c)
+		}
+	}()
+	for got := 0; got < n; got += declaredChunk {
+		c := declaredChunks.Get().(*[declaredChunk]byte)
+		chunks = append(chunks, c)
+		if _, err := io.ReadFull(r, c[:min(n-got, declaredChunk)]); err != nil {
 			return nil, eofIsUnexpected(err)
 		}
-		chunks = append(chunks, c)
-		got += len(c)
 	}
-	return slices.Concat(chunks...), nil
+	buf := make([]byte, 0, n)
+	for _, c := range chunks {
+		buf = append(buf, c[:min(n-len(buf), declaredChunk)]...)
+	}
+	return buf, nil
 }
 
 // eofIsUnexpected: inside a message, running out of bytes is never a

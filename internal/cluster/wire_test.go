@@ -96,7 +96,7 @@ func TestReadMessageBounds(t *testing.T) {
 	}
 
 	// Past one chunk an attachment is read in pieces and arrives whole.
-	big := make([]byte, 2*attachChunk+17)
+	big := make([]byte, 2*declaredChunk+17)
 	for i := range big {
 		big[i] = byte(i * 7)
 	}
@@ -131,7 +131,7 @@ func FuzzReadMessage(f *testing.F) {
 		// 64 bytes of decoded structure per header byte is beyond what
 		// encoding/json makes of any input; the slack absorbs the fuzz
 		// engine's own goroutines.
-		if limit := uint64(64*len(wire) + attachChunk + 1<<20); allocated > limit {
+		if limit := uint64(64*len(wire) + declaredChunk + 1<<20); allocated > limit {
 			t.Fatalf("reading %d bytes allocated %d, limit %d", len(wire), allocated, limit)
 		}
 		if err != nil {

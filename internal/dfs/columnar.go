@@ -63,17 +63,6 @@ func (c *mbbColumns) appendRow(m MBB) {
 	c.marked = append(c.marked, m.Marked)
 }
 
-// grow reserves room for n more rows in every plane.
-func (c *mbbColumns) grow(n int) {
-	c.slots = slices.Grow(c.slots, n)
-	c.ids = slices.Grow(c.ids, n)
-	c.xs = slices.Grow(c.xs, n)
-	c.ys = slices.Grow(c.ys, n)
-	c.ls = slices.Grow(c.ls, n)
-	c.bs = slices.Grow(c.bs, n)
-	c.marked = slices.Grow(c.marked, n)
-}
-
 func (c *mbbColumns) appendAll(p *mbbColumns) {
 	c.slots = append(c.slots, p.slots...)
 	c.ids = append(c.ids, p.ids...)
@@ -140,6 +129,44 @@ func (fs *FS) CreateMBB(name string) *MBBWriter {
 	return &MBBWriter{fs: fs, f: f}
 }
 
+// MBBPlanes is the contents of a columnar MBB file held outside any
+// file system, so that one set of rows can be staged into many
+// (StageMBB) without being copied: a relation that every query stages
+// is laid out once. It is immutable once built.
+type MBBPlanes struct{ cols mbbColumns }
+
+// NewMBBPlanes takes ownership of a relation's rows, given plane by
+// plane — the ids and the rectangles' x, y, l and b, all of one length
+// — as slot-0, unmarked records: the form a relation is staged in. The
+// caller fills the planes in place, with no per-row call.
+func NewMBBPlanes(ids []int32, xs, ys, ls, bs []float64) *MBBPlanes {
+	n := len(ids)
+	if len(xs) != n || len(ys) != n || len(ls) != n || len(bs) != n {
+		panic(fmt.Sprintf("dfs: MBB planes of lengths %d, %d, %d, %d, %d", n, len(xs), len(ys), len(ls), len(bs)))
+	}
+	return &MBBPlanes{cols: mbbColumns{
+		slots: make([]int8, n), ids: ids,
+		xs: xs, ys: ys, ls: ls, bs: bs,
+		marked: make([]bool, n),
+	}}
+}
+
+// StageMBB makes (or truncates) the named file as a columnar file
+// holding p's rows, charged exactly as CreateMBB, an Append per row and
+// Close would charge them. The file shares p's planes, clipped to their
+// length: a file is never written in place once closed, so neither the
+// file nor another file staged from p can change what the other holds.
+func (fs *FS) StageMBB(name string, p *MBBPlanes) error {
+	w := fs.CreateMBB(name)
+	c := &p.cols
+	w.pending = mbbColumns{
+		slots: slices.Clip(c.slots), ids: slices.Clip(c.ids),
+		xs: slices.Clip(c.xs), ys: slices.Clip(c.ys), ls: slices.Clip(c.ls), bs: slices.Clip(c.bs),
+		marked: slices.Clip(c.marked),
+	}
+	return w.Close()
+}
+
 // MBBWriter appends MBB rows to a columnar file created with
 // CreateMBB. Rows accumulate in private column planes and are
 // published (and charged — MBBRecordBytes per row, exactly what the
@@ -150,10 +177,6 @@ type MBBWriter struct {
 	pending mbbColumns
 	closed  bool
 }
-
-// Grow reserves room for n more rows, so a writer that knows its row
-// count up front fills each plane without regrowing it.
-func (w *MBBWriter) Grow(n int) { w.pending.grow(n) }
 
 // Append adds one row. The value is copied into the column planes, so
 // there is no buffer-ownership question to get wrong.

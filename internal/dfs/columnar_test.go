@@ -284,31 +284,22 @@ func TestColumnarWireFormat(t *testing.T) {
 	}
 }
 
-// TestSizedWritersChargeAlike: a capacity hint and the whole-output
-// append change how the host allocates, never what is charged or read
-// back — and both hand their storage to an empty file uncopied.
+// TestSizedWritersChargeAlike: the whole-output append changes how the
+// host allocates, never what is charged or read back — and it, like a
+// columnar writer's Close, hands its storage to an empty file uncopied.
 func TestSizedWritersChargeAlike(t *testing.T) {
 	rows := testMBBs(137)
-	plain, sized := New(0), New(0)
-	pw, sw := plain.CreateMBB("rel"), sized.CreateMBB("rel")
-	sw.Grow(len(rows))
-	planes := cap(sw.pending.xs)
+	plain := New(0)
+	pw := plain.CreateMBB("rel")
 	for _, m := range rows {
 		pw.Append(m)
-		sw.Append(m)
 	}
-	if cap(sw.pending.xs) != planes {
-		t.Errorf("plane regrew from %d to %d rows despite Grow(%d)", planes, cap(sw.pending.xs), len(rows))
-	}
-	staged := &sw.pending.xs[0]
+	pending := &pw.pending.xs[0]
 	if err := pw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := sw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if &sized.files["rel"].cols.xs[0] != staged {
-		t.Error("Close copied the staged planes into the empty file")
+	if &plain.files["rel"].cols.xs[0] != pending {
+		t.Error("Close copied the pending planes into the empty file")
 	}
 
 	images := make([][]byte, len(rows))
@@ -332,7 +323,7 @@ func TestSizedWritersChargeAlike(t *testing.T) {
 	}
 
 	want := plain.Stats()
-	for name, fs := range map[string]*FS{"Grow": sized, "Append": one, "AppendOwnedAll": all} {
+	for name, fs := range map[string]*FS{"Append": one, "AppendOwnedAll": all} {
 		if got := fs.Stats(); got != want {
 			t.Errorf("%s: write Stats %+v, want %+v", name, got, want)
 		}
@@ -342,6 +333,74 @@ func TestSizedWritersChargeAlike(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, rows) {
 			t.Errorf("%s: rows read back differ from the rows written", name)
+		}
+	}
+}
+
+// TestStageMBBSharesPlanes: staging planes charges what writing their
+// rows through CreateMBB charges and reads the same rows back, every
+// file staged from them shares them uncopied, and a file that is
+// rewritten, deleted or snapshotted leaves the planes and the other
+// files as they were.
+func TestStageMBBSharesPlanes(t *testing.T) {
+	rows := testMBBs(137)
+	for i := range rows {
+		rows[i].Slot, rows[i].Marked = 0, false // the form a relation is staged in
+	}
+	ids := make([]int32, len(rows))
+	xs, ys, ls, bs := make([]float64, len(rows)), make([]float64, len(rows)), make([]float64, len(rows)), make([]float64, len(rows))
+	for i, m := range rows {
+		ids[i], xs[i], ys[i], ls[i], bs[i] = m.ID, m.X, m.Y, m.L, m.B
+	}
+	p := NewMBBPlanes(ids, xs, ys, ls, bs)
+
+	written := New(0)
+	w := written.CreateMBB("rel")
+	for _, m := range rows {
+		w.Append(m)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	a, b := New(0), New(0)
+	for _, fs := range []*FS{a, b} {
+		if err := fs.StageMBB("rel", p); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := fs.Stats(), written.Stats(); got != want {
+			t.Errorf("staging charged %+v, writing the rows %+v", got, want)
+		}
+		if &fs.files["rel"].cols.xs[0] != &xs[0] {
+			t.Error("StageMBB copied the planes")
+		}
+	}
+
+	var snap bytes.Buffer
+	if err := a.WriteSnapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	rw := a.CreateMBB("rel")
+	rw.Append(MBB{ID: -1, X: -1})
+	if err := rw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Delete("rel"); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.StageMBB("rel", p); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := ReadSnapshot(&snap, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, fs := range map[string]*FS{"restaged": b, "restored": restored} {
+		var got []MBB
+		if err := fs.ScanMBB("rel", func(m MBB) error { got = append(got, m); return nil }); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, rows) {
+			t.Errorf("%s: rows read back differ from the rows staged", name)
 		}
 	}
 }

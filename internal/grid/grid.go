@@ -348,10 +348,20 @@ func (p *Partitioning) FourthQuadrantCount(r geom.Rect) int {
 // respect to r that is within distance d of r under the given metric —
 // the replication function f2 of §4 used by Controlled-Replicate-in-
 // Limit. Cells are visited in ascending CellID order.
+//
+// The radius is a bound over the reals, and every step deciding it in
+// float64 rounds: the predicates a tuple's members pass, the diagonals
+// and sums of the radius, a cell's far edges computed as X+L and Y−B,
+// and the clamp of a rectangle that rounding left just outside the
+// grid. A cell therefore qualifies within a slack of 2⁻⁴⁰ of the
+// magnitudes involved, as the mark round's band does (inMarkBand in
+// package spatial): a cell shipped to in excess costs a copy, one
+// missed costs the tuples whose duplicate-avoidance point it owns.
 func (p *Partitioning) ForEachReplicateF2(r geom.Rect, d float64, m Metric, fn func(CellID)) {
 	if d < 0 {
 		return
 	}
+	d += (math.Abs(r.X) + math.Abs(r.Y) + r.L + r.B + d) * 0x1p-40
 	row0, col0 := p.RowCol(p.Project(r))
 	// Cells further than d from r on either axis cannot qualify under
 	// either metric, so restrict the scan to the enlarged bounding box.

@@ -302,9 +302,11 @@ func (q *Query) ReplicationBounds(dmax []float64) ([]float64, error) {
 	if m == 1 {
 		return []float64{0}, nil
 	}
-	// Floyd–Warshall with vertex weights folded into the edges:
-	// w'(u,v) = weight(u,v) + (dmax[u]+dmax[v])/2 makes the path cost
-	// Σ weights + Σ intermediate dmax + (dmax[src]+dmax[dst])/2.
+	// Floyd–Warshall on the path bound itself: passing through k adds
+	// dmax[k]. Nothing is folded into the edges and taken out again, so
+	// a direct edge's bound is its weight exactly; folding the
+	// endpoints' dmax in and subtracting it after can round the bound an
+	// ulp below the weight and lose the tuple of a pair exactly d apart.
 	const inf = math.MaxFloat64
 	dist := make([][]float64, m)
 	for i := range dist {
@@ -316,8 +318,7 @@ func (q *Query) ReplicationBounds(dmax []float64) ([]float64, error) {
 		}
 	}
 	for _, e := range q.edges {
-		w := e.Pred.Weight() + (dmax[e.A]+dmax[e.B])/2
-		if w < dist[e.A][e.B] {
+		if w := e.Pred.Weight(); w < dist[e.A][e.B] {
 			dist[e.A][e.B] = w
 			dist[e.B][e.A] = w
 		}
@@ -331,7 +332,7 @@ func (q *Query) ReplicationBounds(dmax []float64) ([]float64, error) {
 				if dist[k][j] == inf {
 					continue
 				}
-				if d := dist[i][k] + dist[k][j]; d < dist[i][j] {
+				if d := dist[i][k] + dmax[k] + dist[k][j]; d < dist[i][j] {
 					dist[i][j] = d
 				}
 			}
@@ -346,8 +347,7 @@ func (q *Query) ReplicationBounds(dmax []float64) ([]float64, error) {
 			if dist[i][j] == inf {
 				return nil, fmt.Errorf("query: join graph is not connected")
 			}
-			b := dist[i][j] - (dmax[i]+dmax[j])/2
-			bounds[i] = math.Max(bounds[i], b)
+			bounds[i] = math.Max(bounds[i], dist[i][j])
 		}
 	}
 	return bounds, nil

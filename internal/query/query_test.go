@@ -208,6 +208,19 @@ func TestReplicationBoundsTwoWayAndHybrid(t *testing.T) {
 	if !reflect.DeepEqual(got, []float64{4 + 2, 4, 4 + 2}) {
 		t.Errorf("hybrid bounds = %v, want [6 4 6]", got)
 	}
+	// A star of ra(210) edges: the centre's bound is the edge weight
+	// exactly, whatever the leaves' d_max. Folding d_max into the edges
+	// and subtracting it after gave 209.9999999999999 here, and C-Rep-L
+	// lost the tuples whose members are exactly 210 apart.
+	dmax := 846.5370635713475
+	q = New("A", "B", "C").Range(0, 1, 210).Range(0, 2, 210)
+	got, err = q.ReplicationBounds([]float64{dmax, dmax, dmax})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 210 + dmax + 210; !reflect.DeepEqual(got, []float64{210, want, want}) {
+		t.Errorf("star bounds = %v, want [210 %v %v]", got, want, want)
+	}
 	// Single relation: zero bound.
 	got, err = New("A").ReplicationBounds([]float64{5})
 	if err != nil || !reflect.DeepEqual(got, []float64{0}) {

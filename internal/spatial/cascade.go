@@ -119,10 +119,10 @@ func cascade(pl *plan, exec *executor) (*Result, error) {
 				return nil, nil, err
 			}
 			nt := tuples.Len()
-			// The job input is the tuples then the items, in file order,
-			// unsorted: the shuffle delivers a cell's values in (mapper
-			// index, emit order), which is this input order, and each
-			// reducer sorts its own cell.
+			// The job input is the tuples then the items, in file order:
+			// the shuffle delivers a cell's values in (mapper index, emit
+			// order), which is this input order, so a side read from a
+			// staged relation reaches its reducer in sweep order.
 			read := func(lo, hi int, yield func(cascadeVal) error) error {
 				if thi := min(hi, nt); lo < thi {
 					// The split's tuples fill one slab of the input store.
@@ -272,29 +272,39 @@ func sweepOrder(x float64) uint64 {
 // (MinX, arrival position). side holds the side's arrival positions,
 // ascending, and xs sweepOrder of the MinX at every position; on return
 // side holds one word per value in sweep order, with the position in
-// the low 32 bits. A side is the cascade's tuples or its items, or one
-// slot of a multi-way cell.
+// the low 32 bits. buf is scratch the sort grows and keeps. A side is
+// the cascade's tuples or its items, one slot of a multi-way cell, or a
+// whole relation on its way to the DFS (stageRows).
 //
-// The order comes from an ordered sort of the words themselves, no
-// comparator: the high 32 bits are the value's offset from the
-// smallest MinX of its side, shifted right until the largest fits.
-// Where the shift dropped bits, values whose offsets agree above it
-// form a run that is in position order, not MinX order; those runs are
-// re-sorted on the exact (MinX, position), which leaves the
-// permutation a comparator sort of the whole side produces.
-func sortSweepWords(side, xs []uint64) {
+// Relations are staged in sweep order, so a side that carries only
+// staged records arrives sorted; one pass finds that and returns. Any
+// other side is sorted without a comparator: the high 32 bits of a word
+// are the value's offset from the smallest MinX of its side, shifted
+// right until the largest fits, and a stable radix sort on them keeps
+// equal offsets in position order. Where the shift dropped bits, values
+// whose offsets agree above it form a run that is in position order,
+// not MinX order; those runs are re-sorted on the exact (MinX,
+// position), which leaves the permutation a comparator sort of the
+// whole side produces.
+func sortSweepWords(side, xs []uint64, buf *[]uint64) {
 	if len(side) < 2 {
 		return
 	}
-	lo, hi := uint64(math.MaxUint64), uint64(0)
-	for _, i := range side {
-		lo, hi = min(lo, xs[i]), max(hi, xs[i])
+	lo, hi := xs[side[0]], xs[side[0]]
+	sorted := true
+	for k := 1; k < len(side); k++ {
+		x := xs[side[k]]
+		sorted = sorted && x >= xs[side[k-1]]
+		lo, hi = min(lo, x), max(hi, x)
+	}
+	if sorted {
+		return
 	}
 	shift := max(bits.Len64(hi-lo), 32) - 32
 	for k, i := range side {
 		side[k] = (xs[i]-lo)>>shift<<32 | i
 	}
-	slices.Sort(side)
+	radixSortHigh(side, buf)
 	if shift == 0 {
 		return
 	}
@@ -313,11 +323,49 @@ func sortSweepWords(side, xs []uint64) {
 	}
 }
 
+// radixSortHigh sorts words stably by their high 32 bits: one counting
+// pass per byte, least significant first, skipping a byte every word
+// shares. buf is the passes' second array.
+func radixSortHigh(words []uint64, buf *[]uint64) {
+	var count [4][256]uint32
+	for _, w := range words {
+		count[0][byte(w>>32)]++
+		count[1][byte(w>>40)]++
+		count[2][byte(w>>48)]++
+		count[3][byte(w>>56)]++
+	}
+	if cap(*buf) < len(words) {
+		*buf = make([]uint64, len(words))
+	}
+	src, dst := words, (*buf)[:len(words)]
+	for d := range count {
+		shift := 32 + 8*d
+		c := &count[d]
+		if c[byte(src[0]>>shift)] == uint32(len(src)) {
+			continue
+		}
+		var sum uint32
+		for b, n := range c {
+			c[b], sum = sum, sum+n
+		}
+		for _, w := range src {
+			b := byte(w >> shift)
+			dst[c[b]] = w
+			c[b]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &words[0] {
+		copy(words, src)
+	}
+}
+
 // cellScratch is cascadeReduce's per-cell working set, recycled across
 // the cells of a round.
 type cellScratch struct {
 	xs    []uint64    // sweepOrder of every value's MinX, by arrival position
 	order []uint64    // sortSweepWords: the tuples, then the items
+	buf   []uint64    // sortSweepWords' scratch
 	recs  [][]byte    // tuple records and
 	keys  []geom.Rect // their key rectangles, in sweep order
 	ids   []int32     // item ids and
@@ -337,9 +385,12 @@ func cascadeReduce(pl *plan, part *grid.Partitioning, in, out *partialStore, new
 		defer scratch.Put(sc)
 
 		// Sweep order is (MinX, arrival position), tuples and items
-		// apart. A cell's values arrive in job-input order, so this is
-		// the order a stable MinX sort of each whole relation ahead of
-		// the job would deliver, computed per cell on compact keys.
+		// apart. A cell's values arrive in job-input order, and the
+		// relations are staged in sweep order, so the items — and, in
+		// step one, the tuples, which are the first slot's relation —
+		// arrive sorted and sortSweepWords only checks them. The tuples
+		// of later steps come from the previous step's checkpoint, in
+		// reducer order, and are sorted here.
 		sc.xs, sc.order = sc.xs[:0], sc.order[:0]
 		for i := range vals {
 			sc.xs = append(sc.xs, sweepOrder(vals[i].Rect.MinX()))
@@ -356,8 +407,8 @@ func cascadeReduce(pl *plan, part *grid.Partitioning, in, out *partialStore, new
 				sc.order = append(sc.order, uint64(i))
 			}
 		}
-		sortSweepWords(sc.order[:nt], sc.xs)
-		sortSweepWords(sc.order[nt:], sc.xs)
+		sortSweepWords(sc.order[:nt], sc.xs, &sc.buf)
+		sortSweepWords(sc.order[nt:], sc.xs, &sc.buf)
 		sc.recs, sc.keys, sc.ids, sc.rects, sc.out = sc.recs[:0], sc.keys[:0], sc.ids[:0], sc.rects[:0], sc.out[:0]
 		for _, w := range sc.order[:nt] {
 			v := &vals[uint32(w)]

@@ -294,10 +294,15 @@ func (e *executor) chain(name string) *mapreduce.Chain {
 func inputFile(name string) string { return "input/" + name }
 
 // stageInputs writes each distinct relation to the DFS once, as a
-// columnar MBB file: the job input all methods read from.
+// columnar MBB file in sweep order: the job input all methods read
+// from. The rows are laid out once per relation (relStats.stagedRows),
+// and every execution stages the same planes at the full write charge.
+// IDs travel with the records, so the order changes no tuple. A file a
+// caller staged before keeps its own order, and the reducers sort what
+// reaches them from it.
 func (e *executor) stageInputs() error {
 	staged := map[string]bool{}
-	for _, rel := range e.rels {
+	for s, rel := range e.rels {
 		if staged[rel.Name] {
 			continue
 		}
@@ -313,12 +318,7 @@ func (e *executor) stageInputs() error {
 			}
 			continue
 		}
-		w := e.fs.CreateMBB(name)
-		w.Grow(len(rel.Items))
-		for _, it := range rel.Items {
-			w.Append(dfs.MBB{ID: it.ID, X: it.R.X, Y: it.R.Y, L: it.R.L, B: it.R.B})
-		}
-		if err := w.Close(); err != nil {
+		if err := e.fs.StageMBB(name, e.stats[s].stagedRows(rel.Items)); err != nil {
 			return err
 		}
 	}

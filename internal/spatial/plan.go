@@ -224,7 +224,8 @@ type cellData struct {
 	rectBuf []geom.Rect // rects: the arrays ids and rects slice
 	off     []int32     // slot s is positions off[s]:off[s+1] of both
 	xs      []uint64    // sortSweepWords: sweepOrder of each item's MinX,
-	words   []uint64    // and the items of one slot after another
+	words   []uint64    // the items of one slot after another,
+	buf     []uint64    // and the sort's scratch
 	keep    []int32     // matchPruned: the first slot's admitted items
 	as      []geom.Rect // and their rects
 }
@@ -233,7 +234,8 @@ var cellPool = sync.Pool{New: func() any { return new(cellData) }}
 
 // newCellData groups tagged items by slot, each slot in sweep order.
 // Ids and rects are permuted together, so an item's local index names
-// the same record in both.
+// the same record in both. Items read from the staged relations arrive
+// in sweep order slot by slot, and sortSweepWords only checks them.
 func newCellData(m int, items []tagged) *cellData {
 	cd := cellPool.Get().(*cellData)
 	cd.off = append(cd.off[:0], make([]int32, m+1)...)
@@ -261,7 +263,7 @@ func newCellData(m int, items []tagged) *cellData {
 	cd.ids, cd.rects = append(cd.ids[:0], make([][]int32, m)...), append(cd.rects[:0], make([][]geom.Rect, m)...)
 	for s := 0; s < m; s++ {
 		lo, hi := cd.off[s], cd.off[s+1]
-		sortSweepWords(cd.words[lo:hi], cd.xs)
+		sortSweepWords(cd.words[lo:hi], cd.xs, &cd.buf)
 		for k := lo; k < hi; k++ {
 			it := &items[uint32(cd.words[k])]
 			cd.idBuf[k], cd.rectBuf[k] = it.ID, it.Rect

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"mwsjoin/internal/dfs"
 	"mwsjoin/internal/estimate"
 	"mwsjoin/internal/geom"
 	"mwsjoin/internal/grid"
@@ -17,7 +18,8 @@ import (
 // then on (DESIGN.md §4h):
 //
 //   - per relation: relStats — validity, count, extent, largest
-//     diagonal, and the fixed-seed samples, held on the Relation value;
+//     diagonal, the fixed-seed samples and the sweep order the relation
+//     is staged in, held on the Relation value;
 //   - per relation set: gridStats — a reducer grid and the fan-out
 //     means on it that no query's range can change, held on the set's
 //     leading relation in a fixed-size memo;
@@ -70,6 +72,8 @@ type relStats struct {
 	all     []geom.Rect
 	samples map[uint64][]geom.Rect
 	sorted  map[uint64][]geom.Rect
+	// staged is the relation as the DFS holds it (see stagedRows).
+	staged *dfs.MBBPlanes
 	// grids is the memo of the relation sets this relation leads.
 	grids gridMemo
 }
@@ -158,14 +162,59 @@ func (rel Relation) stats() *relStats {
 
 // Summarized returns the relation with its summary computed now rather
 // than on first use, so a caller that registers relations ahead of the
-// queries (the join service) pays the walk at registration. A relation
-// assembled as a literal gains a place to keep the summary.
+// queries (the join service, a cluster worker) pays the walk and the
+// sweep-order sort on arrival. A relation assembled as a literal gains
+// a place to keep the summary.
 func (rel Relation) Summarized() Relation {
 	if rel.sum == nil {
 		rel.sum = &relSummary{}
 	}
-	rel.stats()
+	rel.stats().stagedRows(rel.Items)
 	return rel
+}
+
+// stagedRows returns the relation's rows as every execution stages them
+// (stageInputs): in sweep order — ascending (MinX, position), the order
+// a reducer sweeps. A map split is then a run of that order, and the
+// shuffle concatenates a cell's runs in mapper order, so every side a
+// reducer reads from a staged relation arrives sorted. Laid out on
+// first use; items must be the slice the summary describes.
+func (st *relStats) stagedRows(items []Item) *dfs.MBBPlanes {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.staged == nil {
+		st.staged = stageRows(items)
+	}
+	return st.staged
+}
+
+// stageScratch is stageRows' sort working set. A cluster worker stages
+// every relation of every query it receives, so it is recycled.
+type stageScratch struct{ xs, words, buf []uint64 }
+
+var stageScratchPool = sync.Pool{New: func() any { return new(stageScratch) }}
+
+// stageRows sorts a whole relation with the cells' word sort and lays
+// its rows out in that order.
+func stageRows(items []Item) *dfs.MBBPlanes {
+	sc := stageScratchPool.Get().(*stageScratch)
+	defer stageScratchPool.Put(sc)
+	n := len(items)
+	if cap(sc.words) < n {
+		sc.xs, sc.words = make([]uint64, n), make([]uint64, n)
+	}
+	sc.xs, sc.words = sc.xs[:n], sc.words[:n]
+	for i := range items {
+		sc.xs[i], sc.words[i] = sweepOrder(items[i].R.MinX()), uint64(i)
+	}
+	sortSweepWords(sc.words, sc.xs, &sc.buf)
+	ids := make([]int32, n)
+	xs, ys, ls, bs := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
+	for k, w := range sc.words {
+		it := &items[uint32(w)]
+		ids[k], xs[k], ys[k], ls[k], bs[k] = it.ID, it.R.X, it.R.Y, it.R.L, it.R.B
+	}
+	return dfs.NewMBBPlanes(ids, xs, ys, ls, bs)
 }
 
 // sample returns the relation's fixed-seed draw for a stream, in draw
@@ -254,8 +303,8 @@ func (set relationSet) sortedSample(s int, stream uint64) []geom.Rect {
 }
 
 // bounds is the bounding box of all bound relations, widened to
-// positive area (unit square for empty data, unit extent for degenerate
-// axes).
+// positive area (unit square for empty data) and to an extent a grid
+// can be cut from on every axis (cuttable).
 func (set relationSet) bounds() geom.Rect {
 	minX, minY := math.Inf(1), math.Inf(1)
 	maxX, maxY := math.Inf(-1), math.Inf(-1)
@@ -273,13 +322,22 @@ func (set relationSet) bounds() geom.Rect {
 	if !any {
 		minX, minY, maxX, maxY = 0, 0, 1, 1
 	}
-	if maxX <= minX {
-		maxX = minX + 1
-	}
-	if maxY <= minY {
-		maxY = minY + 1
-	}
+	maxX, maxY = cuttable(minX, maxX), cuttable(minY, maxY)
 	return geom.RectFromCorners(geom.Point{X: minX, Y: minY}, geom.Point{X: maxX, Y: maxY})
+}
+
+// cuttable returns the upper end of an axis from lo to hi, moved up
+// when the axis is too narrow for a grid's cuts to be distinct floats:
+// narrower than 2¹² ulps of its larger end, the width at which 1,024
+// columns are still four ulps apart. Such an axis — a degenerate one
+// among them — becomes one unit wide, or 2¹² ulps where a unit is less
+// than that.
+func cuttable(lo, hi float64) float64 {
+	mag := math.Max(math.Abs(lo), math.Abs(hi))
+	if least := 0x1p12 * (math.Nextafter(mag, math.Inf(1)) - mag); hi-lo < least {
+		return lo + math.Max(1, least)
+	}
+	return hi
 }
 
 // gridMemoSize bounds the grids a relation remembers for the sets it

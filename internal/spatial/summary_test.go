@@ -1,11 +1,15 @@
 package spatial
 
 import (
+	"cmp"
 	"math/rand/v2"
+	"slices"
 	"sync"
 	"testing"
 
+	"mwsjoin/internal/dfs"
 	"mwsjoin/internal/geom"
+	"mwsjoin/internal/grid"
 	"mwsjoin/internal/query"
 )
 
@@ -91,6 +95,73 @@ func TestSummaryFollowsItems(t *testing.T) {
 	for call := 0; call < 2; call++ {
 		if _, err := Predict(Cascade, hybridQuery(), rels, Config{}); err == nil {
 			t.Errorf("call %d: a negative length written in place was accepted", call)
+		}
+	}
+}
+
+// TestStagedInSweepOrder: Execute stages every relation in sweep order
+// — ascending (MinX, position in Items), ties and signed zeros included
+// — with each record as Items holds it, ID and all, and leaves Items as
+// it was. A cell's items arrive in job-input order, so every slot of
+// every cell then arrives in sweep order, and newCellData keeps the
+// arrival order as it is.
+func TestStagedInSweepOrder(t *testing.T) {
+	for _, w := range orderWorkloads() {
+		rels := w.rels
+		before := make([][]Item, len(rels))
+		for s, rel := range rels {
+			before[s] = slices.Clone(rel.Items)
+		}
+		exec := &executor{rels: rels, fs: dfs.New(0)}
+		if _, err := Execute(AllReplicate, w.q, rels, Config{FS: exec.fs, Reducers: 16, NumMappers: 3}); err != nil {
+			t.Fatal(err)
+		}
+		for s, rel := range rels {
+			if !slices.Equal(rel.Items, before[s]) {
+				t.Fatalf("%s: staging rewrote %s's Items", w.name, rel.Name)
+			}
+			// NewRelation numbers the items by position, so the id is the
+			// position the tie-break needs.
+			want := slices.Clone(rel.Items)
+			slices.SortStableFunc(want, func(a, b Item) int { return cmp.Compare(a.R.MinX(), b.R.MinX()) })
+			var got []Item
+			if err := exec.fs.ScanMBB(inputFile(rel.Name), func(m dfs.MBB) error {
+				got = append(got, Item{ID: m.ID, R: mbbRect(m)})
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s: %s is not staged in sweep order", w.name, rel.Name)
+			}
+		}
+
+		input, err := exec.loadAllRelations()
+		if err != nil {
+			t.Fatal(err)
+		}
+		part, err := BuildPartitioning(PartitionUniform, rels, 16, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells := make([][]tagged, part.NumCells())
+		for _, it := range input {
+			part.ForEachSplit(it.Rect, func(c grid.CellID) { cells[c] = append(cells[c], it) })
+		}
+		for c, items := range cells {
+			cd := newCellData(len(rels), items)
+			for s := range rels {
+				var arrived []int32
+				for _, it := range items {
+					if int(it.Slot) == s {
+						arrived = append(arrived, it.ID)
+					}
+				}
+				if !slices.Equal(cd.ids[s], arrived) {
+					t.Errorf("%s cell %d slot %d: newCellData reordered a side that arrived from the staged files", w.name, c, s)
+				}
+			}
+			cd.release()
 		}
 	}
 }

@@ -41,13 +41,14 @@ type Item struct {
 // an output tuple may not bind the same rectangle to both slots.
 //
 // A relation carries a summary of its Items — validity, extent, largest
-// diagonal and the cost model's fixed-seed samples — computed on first
-// use and shared by every copy of the value, so planning and executing
-// many queries over it walk Items once (see summary.go). Items is
-// read-only from that first use on. Appending to it, re-slicing it,
-// replacing it or rewriting it in place is noticed and the relation is
-// summarised afresh; a write to a single element may go unnoticed and
-// leave the old statistics in force.
+// diagonal, the cost model's fixed-seed samples and the rows every
+// execution stages, in sweep order — computed on first use and shared
+// by every copy of the value, so planning and executing many queries
+// over it walk and sort Items once (see summary.go). Items is read-only
+// from that first use on. Appending to it, re-slicing it, replacing it
+// or rewriting it in place is noticed and the relation is summarised
+// afresh; a write to a single element may go unnoticed and leave the
+// old statistics, and the old staged rows, in force.
 type Relation struct {
 	Name  string
 	Items []Item

@@ -63,11 +63,11 @@ echo "== benchmark module tests (own go.mod, invisible to the root go test ./...
 go test -C benchmark ./...
 test -z "$(gofmt -l benchmark)"
 
-echo "== shuffle pipeline, sweep kernel, strip probe, R-tree, mark round, planner and control-plane bench smoke (1 iteration per benchmark) =="
+echo "== shuffle pipeline, sweep kernel, strip probe, R-tree, mark round, planner, sweep order and control-plane bench smoke (1 iteration per benchmark) =="
 go test -run='^$' -bench . -benchtime=1x ./internal/mapreduce
 go test -run='^$' -bench 'BenchmarkJoinSortedCells|BenchmarkStripProbe' -benchtime=1x ./internal/sweep
 go test -run='^$' -bench 'BenchmarkRTree(Build|Probe)$' -benchtime=1x ./internal/index
-go test -run='^$' -bench 'BenchmarkPlanQuery|BenchmarkMarkCell' -benchtime=1x ./internal/spatial
+go test -run='^$' -bench 'BenchmarkPlanQuery|BenchmarkMarkCell|BenchmarkSweepOrder' -benchtime=1x ./internal/spatial
 go test -run='^$' -bench BenchmarkControlPlane -benchtime=1x ./internal/cluster
 
 echo "== check.sh: all green =="
