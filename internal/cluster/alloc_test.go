@@ -12,7 +12,7 @@ import (
 // TestClusterAllocationCeiling keeps the cluster's envelope from growing
 // back: a cascade over 3 × 10,000 uniform rectangles through a
 // coordinator and two workers — pack, ship, two SPMD runs, network
-// shuffle, gather — may allocate at most 4 × what one spatial.Execute
+// shuffle, gather — may allocate at most 8 × what one spatial.Execute
 // of the same query allocates, and at most 32 MiB.
 //
 // The ratio was 2.00 × when the envelope was binary (with relations and
@@ -29,7 +29,16 @@ import (
 // 10.3 MB to 8.4 MB; a worker unpacks its relations per query and lays
 // them out each time, so the clustered side stayed at 28.7 MB (29.0
 // before) and the ratio rose from 2.81 to 3.43. The ceiling moved with
-// the denominator again.
+// the denominator again. Then the process came to share one buffer
+// pool, and the partial stores to take their pages from it: the
+// in-process side, whose input stores go back to the pool (its output
+// stores stay with the checkpoint files of the test's FS), fell to
+// 3.8–4.8 MB, while the clustered side — whose workers also keep their
+// session FS's outputs, and still unpack and lay out the relations per
+// query — fell to 25.0–26.6 MB. The ratio rose to 5.3–7.0 across runs;
+// with the denominator this small, the test cluster's own background
+// allocations move it. The ceiling moved to 8, and the absolute ceiling
+// now has the most to say.
 func TestClusterAllocationCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's bookkeeping allocates")
@@ -80,8 +89,8 @@ func TestClusterAllocationCeiling(t *testing.T) {
 	if tuples == 0 {
 		t.Fatal("query produced no tuples; the ceiling would be vacuous")
 	}
-	if ratio > 4 {
-		t.Errorf("two-worker cluster allocates %.2f × the in-process engine, ceiling 4", ratio)
+	if ratio > 8 {
+		t.Errorf("two-worker cluster allocates %.2f × the in-process engine, ceiling 8", ratio)
 	}
 	if clustered > 32<<20 {
 		t.Errorf("two-worker cluster allocates %d B, ceiling %d", clustered, 32<<20)

@@ -86,8 +86,10 @@ type Config struct {
 	TraceParent trace.SpanID
 	// Pool recycles the engine's large scratch buffers — the map side's
 	// run chunks and the shuffled reducer inputs — across task attempts
-	// and, when callers share one pool, across the jobs of an execution;
-	// see BufferPool for the lifecycle rules. Nil means a pool private to
+	// and, when callers share one pool, across jobs: the spatial
+	// executor passes one pool for the whole process, so concurrent
+	// executions share it. A pool retains at most MaxPoolBytes; see
+	// BufferPool for the lifecycle rules. Nil means a pool private to
 	// this job, dropped when it returns. Results and Stats never depend
 	// on which. On a shared pool Reduce must not retain its values slice
 	// after returning.

@@ -5,36 +5,41 @@ import (
 	"unsafe"
 )
 
-// BufferPool recycles the engine's large scratch buffers across jobs
-// and task attempts: the map side's run chunks and the slab a job's
-// reducer inputs are shuffled into. At paper scale those buffers
-// dominate the allocation profile — a pool turns the per-job churn
-// into a handful of steady-state arrays. Every job runs on one; pass a
-// shared pool via Config.Pool so it serves every job of an execution.
+// BufferPool recycles large scratch buffers across jobs, task attempts
+// and executions: the map side's run chunks, the slab a job's reducer
+// inputs are shuffled into, and fixed-size pages a caller's own stores
+// are built from (GetPage). At paper scale those buffers dominate the
+// allocation profile — a pool turns the per-job churn into a handful of
+// steady-state arrays. Every job runs on one; pass a shared pool via
+// Config.Pool so it serves every job that names it. The spatial
+// executor shares one pool across every execution of the process.
 //
 // Lifecycle rules (DESIGN.md §4g):
 //
-//   - A buffer is recycled only where the engine holds the sole live
+//   - A buffer is recycled only where its user holds the sole live
 //     reference: the chunks of discarded fault-injection attempts, of
-//     runs the shuffle has copied, spilled or shipped, and the reducer
+//     runs the shuffle has copied, spilled or shipped, the reducer
 //     input slab after the whole reduce phase — every retry included —
-//     has committed.
+//     has committed, and a page once nothing reads the store it served.
 //   - Recycled buffers never alias committed output: reducer outputs
 //     are freshly appended []O slices, and on a shared pool Reduce
 //     implementations must not retain the values slice (or subslices
 //     of it) after returning — copy what they keep, which every
 //     reducer in this repository already does.
-//   - Pools are type-erased (free lists of arrays tagged with their
-//     element type): a Get whose element type does not match the
-//     requesting job's V is dropped on the floor, so one pool safely serves
-//     heterogeneous job pipelines; the pool simply converges to the
-//     types that dominate. A Get that names a size is likewise served
-//     only by a buffer at least that large, so the pool converges to
-//     the workload's sizes instead of growing small arrays.
+//   - Pools are type-erased (free lists of arrays kept apart by their
+//     element type): a Get is served only by an array of the requesting
+//     job's V, so one pool safely serves heterogeneous job pipelines. A
+//     Get that names a size is likewise served only by a buffer at least
+//     that large; when none is, the newest buffer of that type is
+//     dropped, so the pool converges to the workload's sizes instead of
+//     holding small arrays.
 //   - A double-Put of the same buffer is dropped, not retained twice:
-//     each free list remembers the backing-array identity of what it
-//     holds, so two later Gets can never return aliasing slices whose
-//     appends would corrupt each other's recycled runs.
+//     the pool remembers the backing-array identity of what it holds,
+//     so two later Gets can never return aliasing slices whose appends
+//     would corrupt each other's recycled runs.
+//   - The pool retains at most MaxPoolBytes in total; a Put beyond that
+//     is dropped for the collector, so a one-off giant job cannot pin
+//     its scratch forever.
 //
 // The free lists are deliberately NOT sync.Pools: a paper-scale shuffle
 // allocates hundreds of megabytes per job, so the garbage collector
@@ -42,37 +47,64 @@ import (
 // the shuffle's Put and the next job's map-phase Get — measured on the
 // 1M-pair bench, that eviction forfeits most of the pooling win.
 // Recycling here is explicit (sole-reference points only), so plain
-// mutex-guarded stacks are safe, and each list is bounded so a one-off
-// giant job cannot pin its scratch forever.
+// mutex-guarded stacks are safe.
 //
 // BufferPool is safe for concurrent use. A job whose Config.Pool is nil
 // runs on a private pool of its own.
 type BufferPool struct {
+	mu       sync.Mutex
+	retained int64                       // bytes the three lists hold
+	held     map[unsafe.Pointer]struct{} // arrays currently held
+
 	chunks freeList // []V — map-side run chunks, chunkBytes each
 	vals   freeList // []V — a job's shuffled reducer inputs, one slab
+	pages  freeList // []byte — PageBytes each, for callers' stores
 }
 
-// maxPoolItems bounds each free list: at most this many buffers are
-// retained per kind (a shuffle's steady state is a few chunks per live
-// (mapper, reducer) run, below the bound at benchmark scale); further
-// Puts are dropped for the collector.
-const maxPoolItems = 2048
+// MaxPoolBytes caps the bytes one pool retains. One cascade_uniform
+// execution (3 × 50,000 rectangles, two rounds) ends holding 23.4 MB:
+// its partial stores' pages, a round's map chunks and the larger
+// round's reducer-input slab. The cap keeps one such working set warm;
+// a second concurrent execution of that size draws fresh memory for the
+// rest. Retained bytes are live heap, which the collector paces on, so
+// a larger cap buys allocation with peak RSS: 32 MiB raised
+// served_mix's peak by a quarter (EXPERIMENTS.md, "One pool per
+// process").
+const MaxPoolBytes = 24 << 20
 
-// freeList is a bounded LIFO of recycled arrays, each held as its
-// element type's token, its address and its capacity — not as a boxed
-// slice, so a Put allocates nothing. The address doubles as the array's
-// identity, which lets Put reject an array the list already holds (a
-// double-Put would otherwise make two later Gets alias the same memory).
+// PageBytes is the size of every page GetPage hands out.
+const PageBytes = 8 << 10
+
+// freeList is a set of LIFO stacks of recycled arrays, one per element
+// type, each array held as its address, capacity and size in bytes —
+// not as a boxed slice, so a Put allocates nothing. The address doubles
+// as the array's identity. A list serves a type or two, so the stacks
+// are found by a scan.
 type freeList struct {
-	mu    sync.Mutex
-	items []poolEntry
-	held  map[unsafe.Pointer]struct{} // arrays currently in items
+	pool   *BufferPool
+	stacks []typedStack
+}
+
+type typedStack struct {
+	elem    any // the element type's typeToken
+	entries []poolEntry
+}
+
+// stack returns elem's stack, creating it on first use.
+func (f *freeList) stack(elem any) *[]poolEntry {
+	for i := range f.stacks {
+		if f.stacks[i].elem == elem {
+			return &f.stacks[i].entries
+		}
+	}
+	f.stacks = append(f.stacks, typedStack{elem: elem})
+	return &f.stacks[len(f.stacks)-1].entries
 }
 
 type poolEntry struct {
-	elem any // typeToken of the element type
-	data unsafe.Pointer
-	cap  int
+	data  unsafe.Pointer
+	cap   int
+	bytes int64
 }
 
 // typeToken[T]{} stored in an interface identifies T: two such
@@ -80,49 +112,96 @@ type poolEntry struct {
 // storing one allocates nothing.
 type typeToken[T any] struct{}
 
-func (f *freeList) get() poolEntry {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	n := len(f.items)
-	if n == 0 {
+// get removes and returns the newest array of elem's type with at least
+// capacity elements, or nil when there is none — dropping, in that
+// case, the newest array of the type, which the caller's fresh one
+// replaces.
+func (f *freeList) get(elem any, capacity int) poolEntry {
+	p := f.pool
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	st := f.stack(elem)
+	s := *st
+	if len(s) == 0 {
 		return poolEntry{}
 	}
-	e := f.items[n-1]
-	f.items[n-1] = poolEntry{}
-	f.items = f.items[:n-1]
-	delete(f.held, e.data)
+	i := len(s) - 1
+	for i >= 0 && s[i].cap < capacity {
+		i--
+	}
+	drop := i < 0
+	if drop {
+		i = len(s) - 1
+	}
+	e := s[i]
+	copy(s[i:], s[i+1:])
+	s[len(s)-1] = poolEntry{}
+	*st = s[:len(s)-1]
+	delete(p.held, e.data)
+	p.retained -= e.bytes
+	if drop {
+		return poolEntry{}
+	}
 	return e
 }
 
-func (f *freeList) put(e poolEntry) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if _, dup := f.held[e.data]; dup || len(f.items) >= maxPoolItems {
+// put adds e under elem's type unless the pool already holds its array
+// or would then exceed MaxPoolBytes.
+func (f *freeList) put(elem any, e poolEntry) {
+	p := f.pool
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if _, dup := p.held[e.data]; dup || p.retained+e.bytes > MaxPoolBytes {
 		return
 	}
-	if f.held == nil {
-		f.held = make(map[unsafe.Pointer]struct{})
+	if p.held == nil {
+		p.held = make(map[unsafe.Pointer]struct{})
 	}
-	f.held[e.data] = struct{}{}
-	f.items = append(f.items, e)
+	p.held[e.data] = struct{}{}
+	st := f.stack(elem)
+	*st = append(*st, e)
+	p.retained += e.bytes
 }
 
 // NewBufferPool returns an empty pool.
-func NewBufferPool() *BufferPool { return &BufferPool{} }
+func NewBufferPool() *BufferPool {
+	p := &BufferPool{}
+	p.chunks.pool, p.vals.pool, p.pages.pool = p, p, p
+	return p
+}
 
-// recycled returns the array f pops, as a zero-length slice, if it holds
-// elements of type T and at least capacity of them; otherwise nil, and
-// the popped array is left to the collector.
+// Retained returns the bytes the pool holds for later Gets.
+func (p *BufferPool) Retained() int64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.retained
+}
+
+// GetPage returns a page of PageBytes for a caller's own store: a
+// recycled one when the pool holds one, a fresh one otherwise. Its
+// contents are arbitrary.
+func (p *BufferPool) GetPage() []byte { return getBufLen[byte](&p.pages, PageBytes) }
+
+// PutPage hands a page from GetPage back. The caller must hold the only
+// reference.
+func (p *BufferPool) PutPage(page []byte) {
+	if cap(page) == PageBytes {
+		putBuf(&p.pages, page)
+	}
+}
+
+// recycled returns an array of T with at least capacity elements that
+// f holds, as a zero-length slice, or nil.
 func recycled[T any](f *freeList, capacity int) []T {
-	if e := f.get(); e.elem == any(typeToken[T]{}) && e.cap >= capacity {
+	if e := f.get(typeToken[T]{}, capacity); e.data != nil {
 		return unsafe.Slice((*T)(e.data), e.cap)[:0]
 	}
 	return nil
 }
 
 // getBuf returns an empty slice for appending with room for capacity
-// elements: the array f recycles if it is one of T that large, a fresh
-// one otherwise.
+// elements: an array f recycles if it holds one of T that large, a
+// fresh one otherwise.
 func getBuf[T any](f *freeList, capacity int) []T {
 	if s := recycled[T](f, capacity); s != nil {
 		return s
@@ -143,6 +222,7 @@ func getBufLen[T any](f *freeList, n int) []T {
 // reference.
 func putBuf[T any](f *freeList, s []T) {
 	if cap(s) > 0 {
-		f.put(poolEntry{typeToken[T]{}, unsafe.Pointer(unsafe.SliceData(s[:1])), cap(s)})
+		var zero T
+		f.put(typeToken[T]{}, poolEntry{unsafe.Pointer(unsafe.SliceData(s[:1])), cap(s), int64(cap(s)) * int64(unsafe.Sizeof(zero))})
 	}
 }

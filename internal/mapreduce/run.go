@@ -40,10 +40,14 @@ func chunkLen[V any](v V) int {
 }
 
 // recycle hands the run's chunks back to the pool, once nothing else
-// holds them.
+// holds them. A run Combine rewrote holds one array of any size, which
+// is left to the collector: every pooled chunk is chunkBytes.
 func (b *run[V]) recycle(pool *BufferPool) {
+	var v V
 	for _, c := range b.chunks {
-		putBuf(&pool.chunks, c)
+		if cap(c) == chunkLen(v) {
+			putBuf(&pool.chunks, c)
+		}
 	}
 	b.chunks, b.n = nil, 0
 }

@@ -27,13 +27,18 @@ import (
 // never scans.
 type cascadeVal struct {
 	Rect geom.Rect // a tuple's key rectangle, not enlarged, or an item's rectangle
-	ID   int32     // an item's id, or a tuple's record index within its slab
-	Slab int32     // the tuple's slab in the input store; itemSlab marks an item
+	ID   int32     // an item's id, or a tuple's record index within its page
+	Page int32     // the tuple's page in the input store; itemPage marks an item
 }
 
-const itemSlab = -1
+const itemPage = -1
 
-func (v cascadeVal) ref() partialRef { return partialRef{Slab: v.Slab, Idx: v.ID} }
+func (v cascadeVal) ref() partialRef { return partialRef{Page: v.Page, Idx: v.ID} }
+
+// tupleVal is the shuffle value of the partial at ref, keyed by key.
+func tupleVal(ref partialRef, key geom.Rect) cascadeVal {
+	return cascadeVal{Rect: key, ID: ref.Idx, Page: ref.Page}
+}
 
 // cascade runs the 2-way Cascade baseline (§6.1): the multi-way query
 // is evaluated as a left-deep sequence of 2-way map-reduce joins in the
@@ -96,7 +101,7 @@ func cascade(pl *plan, exec *executor) (*Result, error) {
 		keyPos := planPos(pl, primary.Other(newSlot))
 		d := primary.Pred.Weight()
 		// The partials the mappers read, and the ones the reducers emit.
-		in, out := newPartialStore(p), newPartialStore(p+1)
+		in, out := newPartialStore(p, exec.pool), exec.outputStore(p+1)
 		codec := &cascadeCodec{in: in, slot: int8(newSlot), keyPos: keyPos}
 
 		stepStart := time.Now()
@@ -125,27 +130,24 @@ func cascade(pl *plan, exec *executor) (*Result, error) {
 			// staged relation reaches its reducer in sweep order.
 			read := func(lo, hi int, yield func(cascadeVal) error) error {
 				if thi := min(hi, nt); lo < thi {
-					// The split's tuples fill one slab of the input store.
-					slab, buf := in.alloc(thi - lo)
-					v := cascadeVal{ID: -1, Slab: slab}
-					next := func(key geom.Rect) error { // the record at the head of buf
-						buf, v.Rect, v.ID = buf[in.stride:], key, v.ID+1
-						return yield(v)
-					}
+					// The split's tuples fill pages of the input store.
+					w := in.writer()
 					var err error
 					if p == 1 {
 						err = tuples.MBBs(lo, thi, func(m dfs.MBB) error {
-							binary.LittleEndian.PutUint16(buf, 1)
-							putMember(buf[2:], m.ID, mbbRect(m))
-							return next(mbbRect(m))
+							ref, rec := w.add()
+							binary.LittleEndian.PutUint16(rec, 1)
+							putMember(rec[2:], m.ID, mbbRect(m))
+							return yield(tupleVal(ref, mbbRect(m)))
 						})
 					} else {
 						err = tuples.Records(lo, thi, func(rec []byte) error {
 							if err := checkPartial(rec, p); err != nil {
 								return err
 							}
-							copy(buf, rec)
-							return next(partialRect(rec, keyPos))
+							ref, dst := w.add()
+							copy(dst, rec)
+							return yield(tupleVal(ref, partialRect(rec, keyPos)))
 						})
 					}
 					if err != nil {
@@ -154,7 +156,7 @@ func cascade(pl *plan, exec *executor) (*Result, error) {
 				}
 				if ilo := max(lo, nt); ilo < hi {
 					return items.MBBs(ilo-nt, hi-nt, func(m dfs.MBB) error {
-						return yield(cascadeVal{Rect: mbbRect(m), ID: m.ID, Slab: itemSlab})
+						return yield(cascadeVal{Rect: mbbRect(m), ID: m.ID, Page: itemPage})
 					})
 				}
 				return nil
@@ -164,7 +166,7 @@ func cascade(pl *plan, exec *executor) (*Result, error) {
 				Config: exec.jobConfig(fmt.Sprintf("cascade-%d-%s", p, pl.q.Slots()[newSlot])),
 				Map: func(v cascadeVal, emit func(grid.CellID, cascadeVal)) error {
 					key := v.Rect
-					if v.Slab != itemSlab && d > 0 {
+					if v.Page != itemPage && d > 0 {
 						key = key.Enlarge(d)
 					}
 					exec.part.ForEachSplit(key, func(c grid.CellID) { emit(c, v) })
@@ -172,7 +174,7 @@ func cascade(pl *plan, exec *executor) (*Result, error) {
 				},
 				Reduce: cascadeReduce(pl, exec.part, in, out, newSlot, edges, primary, discard, &counted),
 				PairBytes: func(_ grid.CellID, v cascadeVal) int {
-					if v.Slab != itemSlab {
+					if v.Page != itemPage {
 						return 4 + in.stride
 					}
 					return 4 + itemRecordBytes
@@ -187,7 +189,7 @@ func cascade(pl *plan, exec *executor) (*Result, error) {
 			refs, st, err := job.RunSplits(nt+items.Len(), read)
 			jobEnd = time.Now()
 			// The emitted records are already in checkpoint layout: the
-			// step's output file is views into the reducers' slabs.
+			// step's output file is views into the reducers' pages.
 			recs := make([][]byte, len(refs))
 			for i, ref := range refs {
 				recs[i] = out.rec(ref)
@@ -207,6 +209,9 @@ func cascade(pl *plan, exec *executor) (*Result, error) {
 		} else {
 			st, err = ch.Step(stepName, runStep)
 		}
+		// The job has returned and its outputs are copies, so nothing
+		// reads the round's input partials any more.
+		in.release()
 		if err != nil {
 			return nil, err
 		}
@@ -361,7 +366,9 @@ func radixSortHigh(words []uint64, buf *[]uint64) {
 }
 
 // cellScratch is cascadeReduce's per-cell working set, recycled across
-// the cells of a round.
+// the cells, rounds and executions of the process through
+// cellScratchPool: a reduce call owns one until it returns, and empties
+// every slice before it reads one.
 type cellScratch struct {
 	xs    []uint64    // sweepOrder of every value's MinX, by arrival position
 	order []uint64    // sortSweepWords: the tuples, then the items
@@ -370,19 +377,19 @@ type cellScratch struct {
 	keys  []geom.Rect // their key rectangles, in sweep order
 	ids   []int32     // item ids and
 	rects []geom.Rect // rectangles, in sweep order
-	out   []byte      // emitted records, before they move to their slab
 }
+
+var cellScratchPool = sync.Pool{New: func() any { return new(cellScratch) }}
 
 // cascadeReduce joins the partial tuples and new-slot items delivered
 // to one cell with a forward plane sweep over the tuples' key
 // rectangles and the items — the classic SJMR-style in-reducer join
-// (§5). The partials a cell emits form one slab of out.
+// (§5). The partials a cell emits fill pages of out of their own.
 func cascadeReduce(pl *plan, part *grid.Partitioning, in, out *partialStore, newSlot int, edges []query.Edge, primary query.Edge, discard bool, counted *atomic.Int64) func(grid.CellID, []cascadeVal, func(partialRef)) error {
 	d := primary.Pred.Weight()
-	scratch := sync.Pool{New: func() any { return new(cellScratch) }}
 	return func(c grid.CellID, vals []cascadeVal, emit func(partialRef)) error {
-		sc := scratch.Get().(*cellScratch)
-		defer scratch.Put(sc)
+		sc := cellScratchPool.Get().(*cellScratch)
+		defer cellScratchPool.Put(sc)
 
 		// Sweep order is (MinX, arrival position), tuples and items
 		// apart. A cell's values arrive in job-input order, and the
@@ -394,7 +401,7 @@ func cascadeReduce(pl *plan, part *grid.Partitioning, in, out *partialStore, new
 		sc.xs, sc.order = sc.xs[:0], sc.order[:0]
 		for i := range vals {
 			sc.xs = append(sc.xs, sweepOrder(vals[i].Rect.MinX()))
-			if vals[i].Slab != itemSlab {
+			if vals[i].Page != itemPage {
 				sc.order = append(sc.order, uint64(i))
 			}
 		}
@@ -403,13 +410,13 @@ func cascadeReduce(pl *plan, part *grid.Partitioning, in, out *partialStore, new
 			return nil
 		}
 		for i := range vals {
-			if vals[i].Slab == itemSlab {
+			if vals[i].Page == itemPage {
 				sc.order = append(sc.order, uint64(i))
 			}
 		}
 		sortSweepWords(sc.order[:nt], sc.xs, &sc.buf)
 		sortSweepWords(sc.order[nt:], sc.xs, &sc.buf)
-		sc.recs, sc.keys, sc.ids, sc.rects, sc.out = sc.recs[:0], sc.keys[:0], sc.ids[:0], sc.rects[:0], sc.out[:0]
+		sc.recs, sc.keys, sc.ids, sc.rects = sc.recs[:0], sc.keys[:0], sc.ids[:0], sc.rects[:0]
 		for _, w := range sc.order[:nt] {
 			v := &vals[uint32(w)]
 			sc.recs = append(sc.recs, in.rec(v.ref()))
@@ -421,6 +428,7 @@ func cascadeReduce(pl *plan, part *grid.Partitioning, in, out *partialStore, new
 			sc.rects = append(sc.rects, v.Rect)
 		}
 
+		w := out.writer()
 		sweep.JoinSorted(sc.keys, sc.rects, d, func(i, j int) bool {
 			t, id, r := sc.recs[i], sc.ids[j], sc.rects[j]
 			if !cascadeAccepts(pl, t, newSlot, id, r, edges, primary) {
@@ -445,18 +453,12 @@ func cascadeReduce(pl *plan, part *grid.Partitioning, in, out *partialStore, new
 				return true
 			}
 			// t's members then the new one, under the grown count.
-			sc.out = binary.LittleEndian.AppendUint16(sc.out, uint16(out.m))
-			sc.out = append(append(sc.out, t[2:]...), make([]byte, memberBytes)...)
-			putMember(sc.out[len(sc.out)-memberBytes:], id, r)
+			ref, rec := w.add()
+			binary.LittleEndian.PutUint16(rec, uint16(out.m))
+			putMember(rec[copy(rec[2:], t[2:])+2:], id, r)
+			emit(ref)
 			return true
 		})
-		if n := len(sc.out) / out.stride; n > 0 {
-			slab, dst := out.alloc(n)
-			copy(dst, sc.out)
-			for i := 0; i < n; i++ {
-				emit(partialRef{Slab: slab, Idx: int32(i)})
-			}
-		}
 		return nil
 	}
 }

@@ -28,11 +28,11 @@ func allReplicate(pl *plan, exec *executor) (*Result, error) {
 	var tuples []Tuple
 	var inputCount int64
 	st, err := ch.FinalStep("join", func(_ *dfs.View) (*mapreduce.Stats, error) {
-		input, err := exec.loadAllRelations()
+		n, read, err := exec.openRelations(nil)
 		if err != nil {
 			return nil, err
 		}
-		inputCount = int64(len(input))
+		inputCount = int64(n)
 		job := &mapreduce.Job[tagged, grid.CellID, tagged, Tuple]{
 			Config: exec.jobConfig("all-replicate"),
 			Map: func(it tagged, emit func(grid.CellID, tagged)) error {
@@ -46,7 +46,7 @@ func allReplicate(pl *plan, exec *executor) (*Result, error) {
 			EncodeOutput: encodeTupleOutput,
 			DecodeOutput: tupleOutputDecoder(pl.m),
 		}
-		out, st, err := job.Run(input)
+		out, st, err := job.RunSplits(n, read)
 		tuples = out
 		return st, err
 	})
@@ -123,7 +123,7 @@ func controlledReplicate(pl *plan, exec *executor, limit bool) (*Result, error) 
 	// ---- round one: split the boundary band, decide replication ----
 	markSpan := exec.beginRound("mark")
 	st1, err := ch.Step("mark", func(_ *dfs.View) ([][]byte, *mapreduce.Stats, error) {
-		input, err := exec.loadAllRelations()
+		n, read, err := exec.openRelations(nil)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -158,7 +158,7 @@ func controlledReplicate(pl *plan, exec *executor, limit bool) (*Result, error) 
 			EncodeOutput: encodeItem,
 			DecodeOutput: decodeItem,
 		}
-		out, st, err := round1.Run(input)
+		out, st, err := round1.RunSplits(n, read)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -191,17 +191,26 @@ func controlledReplicate(pl *plan, exec *executor, limit bool) (*Result, error) 
 		if err != nil {
 			return nil, err
 		}
-		staged, err := exec.loadAllRelations()
+		mark := func(it tagged) bool {
+			return maybe[uint16(it.ID)>>6]&(1<<(it.ID&63)) != 0 && marks[it]
+		}
+		n, read, err := exec.openRelations(mark)
 		if err != nil {
 			return nil, err
 		}
-		for i, it := range staged {
-			if maybe[uint16(it.ID)>>6]&(1<<(it.ID&63)) != 0 && marks[it] {
-				staged[i].Marked = true
+		// The marked count is taken in a pass of its own: the map tasks
+		// read only their splits, once per attempt, and on a cluster only
+		// the worker's own.
+		err = read(0, n, func(it tagged) error {
+			if it.Marked {
 				markedCount++
 			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
-		unmarkedCount = int64(len(staged)) - markedCount
+		unmarkedCount = int64(n) - markedCount
 		round2 := &mapreduce.Job[tagged, grid.CellID, tagged, Tuple]{
 			Config: exec.jobConfig(fmt.Sprintf("%s-join", method)),
 			Map: func(it tagged, emit func(grid.CellID, tagged)) error {
@@ -223,7 +232,7 @@ func controlledReplicate(pl *plan, exec *executor, limit bool) (*Result, error) 
 			EncodeOutput: encodeTupleOutput,
 			DecodeOutput: tupleOutputDecoder(pl.m),
 		}
-		out, st, err := round2.Run(staged)
+		out, st, err := round2.RunSplits(n, read)
 		tuples = out
 		return st, err
 	})

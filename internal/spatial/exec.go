@@ -114,6 +114,13 @@ type Config struct {
 	Dist *mapreduce.DistConfig
 }
 
+// sharedPool is the one buffer pool of the process. It recycles only at
+// sole-reference points (see mapreduce.BufferPool), so sharing it across
+// executions is as safe as sharing it across the jobs of one; and it
+// retains at most mapreduce.MaxPoolBytes, so what an execution leaves
+// behind for the next is bounded.
+var sharedPool = mapreduce.NewBufferPool()
+
 // DefaultPartitioning builds the paper's experimental grid over the
 // bounding box of the given relations: √k × √k cells for k reducers
 // (§5.1), defaulting to 64 reducers (§7.8.1) when k ≤ 0. k must be a
@@ -131,10 +138,13 @@ type executor struct {
 	fs     *dfs.FS
 	cfg    Config
 	metric grid.Metric
-	// pool recycles engine scratch across every job of the execution —
-	// one pool per execution, so buffers never leak between concurrent
-	// Execute calls.
+	// pool recycles engine scratch and partial-store pages: sharedPool,
+	// whose buffers pass between the jobs of every execution of the
+	// process, concurrent ones included.
 	pool *mapreduce.BufferPool
+	// outputs are the stores whose pages back checkpoint files; they go
+	// back to the pool when Execute returns, if the FS was its own.
+	outputs []*partialStore
 
 	tr      *trace.Tracer
 	runSpan trace.SpanID
@@ -198,7 +208,13 @@ func Execute(method Method, q *query.Query, rels []Relation, cfg Config) (*Resul
 	if fs == nil {
 		fs = dfs.New(0)
 	}
-	exec := &executor{part: part, rels: rels, stats: est.set.stats, fs: fs, cfg: cfg, metric: cfg.LimitMetric, tr: cfg.Tracer, pool: mapreduce.NewBufferPool()}
+	exec := &executor{part: part, rels: rels, stats: est.set.stats, fs: fs, cfg: cfg, metric: cfg.LimitMetric, tr: cfg.Tracer, pool: sharedPool}
+	if cfg.FS == nil {
+		// The checkpoint files are views into the output stores' pages,
+		// and nothing outside this call can read a private FS. On a
+		// caller's FS they stay: its files are the caller's to read.
+		defer exec.releaseOutputs()
+	}
 	exec.runSpan = exec.tr.Start(0, trace.KindRun, fmt.Sprintf("%s %s", method, q))
 	exec.cur = exec.runSpan
 	// Registered before the runSpan End so it runs after it (defers are
@@ -248,6 +264,21 @@ func Execute(method Method, q *query.Query, rels []Relation, cfg Config) (*Resul
 		exec.tr.Add(exec.runSpan, "rounds", int64(len(res.Stats.Rounds)))
 	}
 	return res, nil
+}
+
+// outputStore returns a store for a round's output partials, kept until
+// Execute returns.
+func (e *executor) outputStore(m int) *partialStore {
+	s := newPartialStore(m, e.pool)
+	e.outputs = append(e.outputs, s)
+	return s
+}
+
+// releaseOutputs hands the output stores' pages back to the pool.
+func (e *executor) releaseOutputs() {
+	for _, s := range e.outputs {
+		s.release()
+	}
 }
 
 // jobConfig builds the engine config for one job of this execution;
@@ -328,11 +359,7 @@ func (e *executor) stageInputs() error {
 // loadRelation reads one slot's relation from the DFS (charging read
 // cost) and tags the items with the slot number.
 func (e *executor) loadRelation(slot int) ([]tagged, error) {
-	return e.appendRelation(make([]tagged, 0, len(e.rels[slot].Items)), slot)
-}
-
-// appendRelation is loadRelation appending to out.
-func (e *executor) appendRelation(out []tagged, slot int) ([]tagged, error) {
+	out := make([]tagged, 0, len(e.rels[slot].Items))
 	// ScanMBB reads both storage kinds at identical charges — planes of
 	// a columnar file as staged, records of a boxed one (a relation
 	// restored from a snapshot) — so resumes interoperate.
@@ -348,22 +375,45 @@ func (e *executor) appendRelation(out []tagged, slot int) ([]tagged, error) {
 	return out, nil
 }
 
-// loadAllRelations concatenates all slots' items into one slice (each
-// slot reads its relation file, so self-joins charge one read per slot,
-// as a Hadoop job with the dataset listed once per input would).
-func (e *executor) loadAllRelations() ([]tagged, error) {
+// openRelations opens every slot's relation file for a job whose map
+// tasks read their own splits, and returns the record count of their
+// concatenation in slot order and a split reader over it that tags each
+// item with its slot and marks it when mark, if non-nil, says so.
+// Each slot charges one whole-file read, so self-joins charge one read
+// per slot, as a Hadoop job with the dataset listed once per input
+// would.
+func (e *executor) openRelations(mark func(tagged) bool) (int, func(lo, hi int, yield func(tagged) error) error, error) {
+	views := make([]*dfs.View, len(e.rels))
 	n := 0
-	for _, rel := range e.rels {
-		n += len(rel.Items)
-	}
-	out := make([]tagged, 0, n)
-	for s := range e.rels {
-		var err error
-		if out, err = e.appendRelation(out, s); err != nil {
-			return nil, err
+	for s, rel := range e.rels {
+		v, err := e.fs.Open(inputFile(rel.Name))
+		if err != nil {
+			return 0, nil, err
 		}
+		views[s] = v
+		n += v.Len()
 	}
-	return out, nil
+	read := func(lo, hi int, yield func(tagged) error) error {
+		base := 0
+		for s, v := range views {
+			if slo, shi := max(lo, base), min(hi, base+v.Len()); slo < shi {
+				err := v.MBBs(slo-base, shi-base, func(m dfs.MBB) error {
+					it := mbbItem(m)
+					it.Slot = int8(s)
+					if mark != nil && mark(it) {
+						it.Marked = true
+					}
+					return yield(it)
+				})
+				if err != nil {
+					return err
+				}
+			}
+			base += v.Len()
+		}
+		return nil
+	}
+	return n, read, nil
 }
 
 // statsDelta subtracts DFS counter snapshots.

@@ -10,6 +10,7 @@ import (
 	"mwsjoin/internal/dfs"
 	"mwsjoin/internal/geom"
 	"mwsjoin/internal/grid"
+	"mwsjoin/internal/mapreduce"
 )
 
 // Binary record formats for the simulated DFS. Sizes matter: the DFS
@@ -102,8 +103,8 @@ func decodeItem(buf []byte) (tagged, error) {
 // prefix of the plan's slot order, one (id, rect) member per bound slot.
 // They exist only in their DFS record layout; all partials of a cascade
 // round have the same member count, so they are fixed-stride records in
-// a few large pointer-free slabs (partialStore) and the shuffle moves
-// small references into them.
+// pooled pointer-free pages (partialStore) and the shuffle moves small
+// references into them.
 
 // memberBytes is the encoded size of one partial member.
 const memberBytes = 4 + rectBytes
@@ -135,55 +136,97 @@ func putMember(buf []byte, id int32, r geom.Rect) {
 	putRect(buf[4:], r)
 }
 
-// partialRef addresses one record of a partialStore.
+// partialRef addresses one record of a partialStore: a page and the
+// record's index within it.
 type partialRef struct {
-	Slab, Idx int32
+	Page, Idx int32
 }
 
 // partialStore holds one side of a cascade round — the partials its
-// mappers read, or the ones its reducers emit — as m-member records.
-// Each map task, reduce call or run of decoded records owns one slab.
-// A record is written once, before its reference is handed out, and
-// the slab table only grows, so records resolve without a lock.
+// mappers read, or the ones its reducers emit — as m-member records in
+// fixed-size pages from the process's buffer pool. A map task's split,
+// a reduce call's records and the decoded records (spilled runs read
+// back, runs and outputs from other workers) each fill pages of their
+// own in order, and no record straddles a page, so any recycled page
+// serves any store. A record is written once, before its reference is
+// handed out, and a page keeps its slot in the table, so records
+// resolve without a lock.
 type partialStore struct {
 	m, stride int
-	slabs     atomic.Pointer[[][]byte]
+	pool      *mapreduce.BufferPool
+	// pages is the page table, every slot of it readable: a page is
+	// stored into the next free slot before any reference to it exists,
+	// and a full table is replaced by a larger copy.
+	pages atomic.Pointer[[][]byte]
+	mu    sync.Mutex // serialises page additions
+	used  int        // the table's filled slots
 
-	mu sync.Mutex // serialises add and decode
-	// Decoded records (spilled runs read back, runs and outputs from
-	// other workers) go to next, the head of free: the unfilled tail of
-	// a slab whose size is a constant, never read from the input.
-	next partialRef
-	free []byte
+	decMu sync.Mutex // serialises decode, which fills dec
+	dec   pageWriter
 }
 
-const decodeChunkRecords = 256
-
-func newPartialStore(m int) *partialStore {
-	s := &partialStore{m: m, stride: encodedPartialBytes(m)}
-	s.slabs.Store(new([][]byte))
+func newPartialStore(m int, pool *mapreduce.BufferPool) *partialStore {
+	s := &partialStore{m: m, stride: encodedPartialBytes(m), pool: pool}
+	s.pages.Store(new([][]byte))
+	s.dec.s = s
 	return s
 }
 
-// add publishes a slab and returns its number; the caller holds mu.
-func (s *partialStore) add(slab []byte) int32 {
-	table := append(*s.slabs.Load(), slab)
-	s.slabs.Store(&table)
-	return int32(len(table) - 1)
-}
-
-// alloc registers a zeroed slab of n records for the caller to fill.
-func (s *partialStore) alloc(n int) (int32, []byte) {
-	slab := make([]byte, n*s.stride)
+// newPage takes a page from the pool, publishes it and returns its
+// number and its whole records.
+func (s *partialStore) newPage() (int32, []byte) {
+	page := s.pool.GetPage()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.add(slab), slab
+	table := *s.pages.Load()
+	if s.used == len(table) {
+		table = append(table, make([][]byte, len(table)+16)...)
+		s.pages.Store(&table)
+	}
+	table[s.used] = page
+	s.used++
+	return int32(s.used - 1), page[:len(page)/s.stride*s.stride]
 }
 
 // rec resolves a reference to its record.
 func (s *partialStore) rec(ref partialRef) []byte {
 	off := int(ref.Idx) * s.stride
-	return (*s.slabs.Load())[ref.Slab][off : off+s.stride : off+s.stride]
+	return (*s.pages.Load())[ref.Page][off : off+s.stride : off+s.stride]
+}
+
+// release hands every page back to the pool. Nothing may read the store,
+// or a record or reference it handed out, after.
+func (s *partialStore) release() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, page := range (*s.pages.Swap(new([][]byte)))[:s.used] {
+		s.pool.PutPage(page)
+	}
+	s.used = 0
+}
+
+// pageWriter fills pages of one store in order. It is not safe for
+// concurrent use: each map task, reduce call and the store's decoder has
+// its own.
+type pageWriter struct {
+	s    *partialStore
+	next partialRef // the reference of the record free starts with
+	free []byte     // the unfilled records of the current page
+}
+
+func (s *partialStore) writer() pageWriter { return pageWriter{s: s} }
+
+// add returns the next record's reference and its bytes, which the
+// caller must write in full: a recycled page holds stale records.
+func (w *pageWriter) add() (partialRef, []byte) {
+	stride := w.s.stride
+	if len(w.free) == 0 {
+		w.next.Page, w.free = w.s.newPage()
+		w.next.Idx = 0
+	}
+	ref, rec := w.next, w.free[:stride:stride]
+	w.free, w.next.Idx = w.free[stride:], ref.Idx+1
+	return ref, rec
 }
 
 // decode validates one partial record and copies it into the store.
@@ -191,15 +234,10 @@ func (s *partialStore) decode(rec []byte) (partialRef, error) {
 	if err := checkPartial(rec, s.m); err != nil {
 		return partialRef{}, err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.free) == 0 {
-		s.free = make([]byte, decodeChunkRecords*s.stride)
-		s.next = partialRef{Slab: s.add(s.free)}
-	}
-	ref := s.next
-	copy(s.free, rec)
-	s.free, s.next.Idx = s.free[s.stride:], ref.Idx+1
+	s.decMu.Lock()
+	defer s.decMu.Unlock()
+	ref, dst := s.dec.add()
+	copy(dst, rec)
 	return ref, nil
 }
 
@@ -255,7 +293,7 @@ type cascadeCodec struct {
 // encodePair frames a (cell, cascadeVal) pair.
 func (cc *cascadeCodec) encodePair(c grid.CellID, v cascadeVal, buf []byte) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(c))
-	if v.Slab != itemSlab {
+	if v.Page != itemPage {
 		return append(append(buf, cascadeTagTuple), cc.in.rec(v.ref())...)
 	}
 	return encodeItem(tagged{Slot: cc.slot, ID: v.ID, Rect: v.Rect}, append(buf, cascadeTagItem))
@@ -273,7 +311,7 @@ func (cc *cascadeCodec) decodePair(rec []byte) (grid.CellID, cascadeVal, error) 
 		if err != nil {
 			return 0, cascadeVal{}, err
 		}
-		return c, cascadeVal{Rect: partialRect(rec[5:], cc.keyPos), ID: ref.Idx, Slab: ref.Slab}, nil
+		return c, tupleVal(ref, partialRect(rec[5:], cc.keyPos)), nil
 	case cascadeTagItem:
 		t, err := decodeItem(rec[5:])
 		if err != nil {
@@ -282,7 +320,7 @@ func (cc *cascadeCodec) decodePair(rec []byte) (grid.CellID, cascadeVal, error) 
 		if t.Slot != cc.slot || rec[len(rec)-1] != 0 {
 			return 0, cascadeVal{}, fmt.Errorf("spatial: spilled cascade item is not an unmarked slot-%d item", cc.slot)
 		}
-		return c, cascadeVal{Rect: t.Rect, ID: t.ID, Slab: itemSlab}, nil
+		return c, cascadeVal{Rect: t.Rect, ID: t.ID, Page: itemPage}, nil
 	default:
 		return 0, cascadeVal{}, fmt.Errorf("spatial: spilled cascade pair has unknown tag %d", rec[4])
 	}

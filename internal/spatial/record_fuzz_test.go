@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mwsjoin/internal/geom"
+	"mwsjoin/internal/mapreduce"
 )
 
 // fuzzPartial builds a well-formed m-member partial record.
@@ -18,11 +19,11 @@ func fuzzPartial(m int) []byte {
 	return rec
 }
 
-// storeBytes is the memory a store has taken for its slabs.
+// storeBytes is the memory a store has taken for its pages.
 func storeBytes(s *partialStore) int {
 	n := 0
-	for _, slab := range *s.slabs.Load() {
-		n += len(slab)
+	for _, page := range *s.pages.Load() {
+		n += len(page)
 	}
 	return n
 }
@@ -37,7 +38,7 @@ func FuzzDecodePartial(f *testing.F) {
 	f.Add([]byte{0xff, 0xff}, uint8(1))
 	f.Add([]byte{}, uint8(4))
 	f.Fuzz(func(t *testing.T, rec []byte, members uint8) {
-		st := newPartialStore(1 + int(members)%8)
+		st := newPartialStore(1+int(members)%8, mapreduce.NewBufferPool())
 		ref, err := st.decode(rec)
 		if err != nil {
 			if storeBytes(st) != 0 {
@@ -48,7 +49,7 @@ func FuzzDecodePartial(f *testing.F) {
 		if !bytes.Equal(st.rec(ref), rec) {
 			t.Fatalf("decoded %x, stored %x", rec, st.rec(ref))
 		}
-		if got, limit := storeBytes(st), decodeChunkRecords*len(rec); got > limit {
+		if got, limit := storeBytes(st), mapreduce.PageBytes; got > limit {
 			t.Fatalf("store took %d bytes for a %d-byte record, limit %d", got, len(rec), limit)
 		}
 	})
@@ -69,7 +70,7 @@ func FuzzDecodeCascadePair(f *testing.F) {
 	f.Add([]byte{1, 2, 3}, uint8(1), uint8(0))
 	f.Fuzz(func(t *testing.T, rec []byte, members, keyPos uint8) {
 		m := 1 + int(members)%8
-		cc := &cascadeCodec{in: newPartialStore(m), slot: 2, keyPos: int(keyPos) % m}
+		cc := &cascadeCodec{in: newPartialStore(m, mapreduce.NewBufferPool()), slot: 2, keyPos: int(keyPos) % m}
 		c, v, err := cc.decodePair(rec)
 		if err != nil {
 			if storeBytes(cc.in) != 0 {
@@ -80,7 +81,7 @@ func FuzzDecodeCascadePair(f *testing.F) {
 		if again := cc.encodePair(c, v, nil); !bytes.Equal(again, rec) {
 			t.Fatalf("frame %x re-encodes to %x", rec, again)
 		}
-		if v.Slab != itemSlab {
+		if v.Page != itemPage {
 			// Compared as bytes: a fuzzed rectangle may hold NaNs.
 			var key, member [rectBytes]byte
 			putRect(key[:], v.Rect)
@@ -89,7 +90,7 @@ func FuzzDecodeCascadePair(f *testing.F) {
 				t.Fatalf("tuple value keyed by %v, not by its member %d", v.Rect, cc.keyPos)
 			}
 		}
-		if got, limit := storeBytes(cc.in), decodeChunkRecords*len(rec); got > limit {
+		if got, limit := storeBytes(cc.in), mapreduce.PageBytes; got > limit {
 			t.Fatalf("store took %d bytes for a %d-byte frame, limit %d", got, len(rec), limit)
 		}
 	})

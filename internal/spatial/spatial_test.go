@@ -635,7 +635,7 @@ func TestRecordRoundTrip(t *testing.T) {
 	binary.LittleEndian.PutUint16(rec, 2)
 	putMember(rec[2:], 7, rects[0])
 	putMember(rec[2+memberBytes:], 9, rects[1])
-	st := newPartialStore(2)
+	st := newPartialStore(2, sharedPool)
 	ref, err := st.decode(rec)
 	if err != nil {
 		t.Fatal(err)
@@ -651,7 +651,7 @@ func TestRecordRoundTrip(t *testing.T) {
 	if _, err := st.decode([]byte{2, 0, 1}); err == nil {
 		t.Error("truncated partial record must fail")
 	}
-	if _, err := newPartialStore(3).decode(rec); err == nil {
+	if _, err := newPartialStore(3, sharedPool).decode(rec); err == nil {
 		t.Error("a 2-member record must not decode into a 3-member store")
 	}
 }

@@ -136,7 +136,14 @@ func TestStagedInSweepOrder(t *testing.T) {
 			}
 		}
 
-		input, err := exec.loadAllRelations()
+		var input []tagged
+		n, read, err := exec.openRelations(nil)
+		if err == nil {
+			err = read(0, n, func(it tagged) error {
+				input = append(input, it)
+				return nil
+			})
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
