@@ -2,7 +2,6 @@ package main
 
 import (
 	"io"
-	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -15,7 +14,7 @@ import (
 func TestRunJSONReport(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "report.json")
 	var out strings.Builder
-	err := run([]string{"-table", "table6", "-unit", "250", "-q", "-json", path}, &out)
+	err := run([]string{"-table", "table6", "-unit", "250", "-q", "-json", path}, &out, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,52 +168,4 @@ func TestBenchPR3MatchesPR2(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestRunServeSmoke runs a tiny sweep with -serve and scrapes the live
-// endpoints while the server is still up: the merged registry carries
-// the map-reduce counters and the progress board names the sweep.
-func TestRunServeSmoke(t *testing.T) {
-	var metricsBody, progressBody string
-	testAfterTables = func(addr string) {
-		metricsBody = get(t, "http://"+addr+"/metrics")
-		progressBody = get(t, "http://"+addr+"/progress")
-	}
-	defer func() { testAfterTables = nil }()
-
-	var out strings.Builder
-	err := run([]string{"-table", "table6", "-unit", "250", "-q", "-serve", "127.0.0.1:0"}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if metricsBody == "" {
-		t.Fatal("testAfterTables hook was not invoked")
-	}
-	for _, want := range []string{
-		"mapreduce_jobs_total", "mapreduce_reducer_pairs_bucket",
-		"spatial_runs_total", "mapreduce_intermediate_pairs_total",
-	} {
-		if !strings.Contains(metricsBody, want) {
-			t.Errorf("/metrics missing %s:\n%.1000s", want, metricsBody)
-		}
-	}
-	for _, want := range []string{`"table": "table6"`, `"method"`, `"row"`} {
-		if !strings.Contains(progressBody, want) {
-			t.Errorf("/progress missing %s: %s", want, progressBody)
-		}
-	}
-}
-
-func get(t *testing.T, url string) string {
-	t.Helper()
-	resp, err := http.Get(url)
-	if err != nil {
-		t.Fatalf("GET %s: %v", url, err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(body)
 }

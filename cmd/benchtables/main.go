@@ -12,7 +12,6 @@
 //	benchtables -unit 50000         # closer to paper scale (slower)
 //	benchtables -md -o results.md   # markdown output for EXPERIMENTS.md
 //	benchtables -json BENCH.json    # machine-readable report with skew quantiles
-//	benchtables -serve :8080        # live /metrics + /progress while sweeping
 package main
 
 import (
@@ -24,23 +23,19 @@ import (
 	"time"
 
 	"mwsjoin/internal/bench"
-	"mwsjoin/internal/metrics"
 	"mwsjoin/internal/spatial"
 )
 
-// testAfterTables, when set by tests, observes the bound -serve address
-// while the metrics server is still listening.
-var testAfterTables func(addr string)
-
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "benchtables:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string, stdout io.Writer) error {
+func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("benchtables", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
 		table    = fs.String("table", "all", "table to regenerate: all | table2 ... table9")
 		unit     = fs.Int("unit", 0, "rectangles per paper-'million' (default 20000, env MWSJ_SCALE)")
@@ -52,7 +47,6 @@ func run(args []string, stdout io.Writer) error {
 		quiet    = fs.Bool("q", false, "suppress per-run progress on stderr")
 		traceDir = fs.String("tracedir", "", "write per-cell trace files into this directory: <table>-<row>-<method>.json (Chrome trace) and .txt (profile text)")
 		jsonPath = fs.String("json", "", "write the regenerated tables as a JSON report (rows, per-method stats, reducer-skew quantiles) to this file")
-		serve    = fs.String("serve", "", "serve metrics on this address while sweeping (/metrics: every measured cell's series; /progress, /debug/pprof/*); :0 picks a free port")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -60,20 +54,7 @@ func run(args []string, stdout io.Writer) error {
 
 	cfg := bench.Config{Unit: *unit, Seed: *seed, Reducers: *reducers, SkipSlow: *skipSlow, TraceDir: *traceDir}
 	if !*quiet {
-		cfg.Log = os.Stderr
-	}
-	if *serve != "" {
-		cfg.Metrics = metrics.NewRegistry()
-		cfg.Progress = metrics.NewProgress()
-		addr, shutdown, err := metrics.ListenAndServe(*serve, cfg.Metrics, cfg.Progress)
-		if err != nil {
-			return err
-		}
-		defer shutdown() //nolint:errcheck // best-effort on exit
-		fmt.Fprintf(os.Stderr, "serving metrics on http://%s/metrics (progress on /progress)\n", addr)
-		if testAfterTables != nil {
-			defer testAfterTables(addr)
-		}
+		cfg.Log = stderr
 	}
 
 	ids := bench.TableIDs()
@@ -89,7 +70,7 @@ func run(args []string, stdout io.Writer) error {
 	start := time.Now()
 	for _, id := range ids {
 		if !*quiet {
-			fmt.Fprintf(os.Stderr, "== regenerating %s ==\n", id)
+			fmt.Fprintf(stderr, "== regenerating %s ==\n", id)
 		}
 		t, err := bench.Tables()[id](cfg)
 		if err != nil {
@@ -104,7 +85,7 @@ func run(args []string, stdout io.Writer) error {
 		out.WriteString("\n")
 	}
 	if !*quiet {
-		fmt.Fprintf(os.Stderr, "== done in %v ==\n", time.Since(start).Round(time.Second))
+		fmt.Fprintf(stderr, "== done in %v ==\n", time.Since(start).Round(time.Second))
 	}
 
 	if _, err := io.WriteString(stdout, out.String()); err != nil {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,7 +10,7 @@ import (
 
 func TestRunSingleTable(t *testing.T) {
 	var out strings.Builder
-	err := run([]string{"-table", "table6", "-unit", "250", "-q"}, &out)
+	err := run([]string{"-table", "table6", "-unit", "250", "-q"}, &out, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +25,7 @@ func TestRunSingleTable(t *testing.T) {
 func TestRunMarkdownToFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "out.md")
 	var out strings.Builder
-	err := run([]string{"-table", "table6", "-unit", "250", "-q", "-md", "-o", path}, &out)
+	err := run([]string{"-table", "table6", "-unit", "250", "-q", "-md", "-o", path}, &out, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func TestRunMarkdownToFile(t *testing.T) {
 func TestRunTraceDir(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "traces")
 	var out strings.Builder
-	err := run([]string{"-table", "table6", "-unit", "250", "-q", "-tracedir", dir}, &out)
+	err := run([]string{"-table", "table6", "-unit", "250", "-q", "-tracedir", dir}, &out, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,10 +75,10 @@ func TestRunTraceDir(t *testing.T) {
 
 func TestRunErrors(t *testing.T) {
 	var out strings.Builder
-	if err := run([]string{"-table", "table99"}, &out); err == nil {
+	if err := run([]string{"-table", "table99"}, &out, io.Discard); err == nil {
 		t.Error("unknown table must fail")
 	}
-	if err := run([]string{"-badflag"}, &out); err == nil {
+	if err := run([]string{"-badflag"}, &out, io.Discard); err == nil {
 		t.Error("bad flag must fail")
 	}
 }

@@ -14,9 +14,6 @@
 // Output is one tuple per line (the rectangle indices bound to each
 // slot); -stats adds the cost metrics of §7.8.3 on stderr.
 //
-// -serve :8080 serves observability while the command runs: the Go
-// profiler on /debug/pprof/*, and on /metrics the Prometheus text of
-// the run's series, which land when the run ends.
 // -explain skips the normal run and instead predicts every map-reduce
 // method's cost from samples, measures the actuals with suppressed
 // tuple output, and prints a predicted-vs-actual table with relative
@@ -54,11 +51,6 @@ import (
 
 	"mwsjoin"
 )
-
-// testAfterRun, when set by tests, observes the bound -serve address
-// and the final result (nil in -explain mode) while the metrics server
-// is still listening.
-var testAfterRun func(addr string, res *mwsjoin.Result)
 
 // writeFile writes one export to path ("" skips it).
 func writeFile(path string, write func(io.Writer) error) error {
@@ -120,7 +112,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		quiet     = fs.Bool("quiet", false, "suppress tuple output (use with -stats)")
 		euclid    = fs.Bool("euclidean-limit", false, "use the paper's Euclidean C-Rep-L metric")
 		selfPairs = fs.Bool("allow-self-pairs", false, "allow one rectangle in several self-join slots")
-		serveAddr = fs.String("serve", "", "serve metrics on this address while running (/metrics: the run's series, once it ends; /debug/pprof/*); :0 picks a free port")
 		explain   = fs.Bool("explain", false, "predict each map-reduce method's cost, measure the actuals, and print a predicted-vs-actual table (ignores -method and tuple output)")
 		explainPl = fs.Bool("explain-plan", false, "print the grid and the cost-based planner's candidate table (chosen method plus every rejected one with predicted costs) and exit without running the query")
 		failJob   = fs.Int("fail-job", -1, "kill the run before job-chain index N (fault injection); with -checkpoint, the completed checkpoints are saved for -resume")
@@ -163,23 +154,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *profPath != "" || *chromeOut != "" {
 		tracer = mwsjoin.NewTracer()
 	}
-	// The registry exists only to be served by -serve; every run
-	// publishes its Stats into it when it ends. The metrics server starts
-	// before the (potentially large) relation load, so a bad -serve
-	// address fails fast and the profiler can watch the load.
-	var reg *mwsjoin.MetricsRegistry
-	var boundAddr string
-	if *serveAddr != "" {
-		reg = mwsjoin.NewMetricsRegistry()
-		addr, shutdown, err := mwsjoin.ServeMetrics(*serveAddr, reg)
-		if err != nil {
-			return fmt.Errorf("-serve %s: %w", *serveAddr, err)
-		}
-		defer shutdown() //nolint:errcheck // best-effort on exit
-		boundAddr = addr
-		fmt.Fprintf(stderr, "serving metrics on http://%s/metrics\n", addr)
-	}
-
 	// Bind files to slots; identical paths share one relation name so
 	// self-join distinctness applies.
 	bound := make([]mwsjoin.Relation, q.NumSlots())
@@ -207,7 +181,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		EuclideanLimit: *euclid,
 		AllowSelfPairs: *selfPairs,
 		Tracer:         tracer,
-		Metrics:        reg,
 		SpillBudget:    *spillBudg,
 	}
 	if *resume {
@@ -300,9 +273,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-	}
-	if testAfterRun != nil {
-		testAfterRun(boundAddr, res)
 	}
 	if *explain {
 		return nil

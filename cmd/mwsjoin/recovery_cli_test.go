@@ -2,7 +2,6 @@ package main
 
 import (
 	"errors"
-	"net"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,36 +9,6 @@ import (
 
 	"mwsjoin"
 )
-
-// TestServeAddrInUse: a -serve address that is already bound must fail
-// fast — before any relation is loaded — with a clear non-nil error
-// naming the flag, which main translates into a non-zero exit.
-func TestServeAddrInUse(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	addr := ln.Addr().String()
-
-	// The relation path is deliberately bogus: the bind error must
-	// surface before relation loading ever runs.
-	var out, errOut strings.Builder
-	err = run([]string{
-		"-query", "a ov b",
-		"-rel", "a=/nonexistent.csv", "-rel", "b=/nonexistent.csv",
-		"-serve", addr,
-	}, &out, &errOut)
-	if err == nil {
-		t.Fatalf("run with occupied -serve address %s succeeded", addr)
-	}
-	if !strings.Contains(err.Error(), "-serve") || !strings.Contains(err.Error(), addr) {
-		t.Errorf("error does not name the -serve flag and address: %v", err)
-	}
-	if strings.Contains(err.Error(), "nonexistent.csv") {
-		t.Errorf("relation loading ran before the bind check: %v", err)
-	}
-}
 
 // TestKillResumeRoundTrip drives the full CLI recovery workflow: a run
 // killed at a job boundary saves a checkpoint snapshot and exits

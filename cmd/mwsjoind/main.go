@@ -24,6 +24,7 @@
 //	GET    /v1/status              version, go version, uptime, job/state counts
 //	GET    /v1/workers             cluster worker roster (404 without -cluster-listen)
 //	GET    /metrics                Prometheus text (server_*, server_slo_*, server_workers_*, mapreduce_*, dfs_*, spatial_*)
+//	GET    /debug/pprof/*          the Go profiler
 //
 // With -cluster-listen the daemon additionally runs a cluster
 // coordinator: mwsjworker processes register on that address, and every
@@ -180,7 +181,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			info.Name, info.Records, info.Fingerprint)
 	}
 
-	addr, shutdownHTTP, err := metrics.ListenAndServeHandler(*listen, server.NewHandler(srv, reg), *drain)
+	addr, shutdownHTTP, err := server.ListenAndServe(*listen, server.NewHandler(srv, reg), *drain)
 	if err != nil {
 		return fmt.Errorf("-listen %s: %w", *listen, err)
 	}

@@ -245,6 +245,9 @@ func TestDaemonEndToEnd(t *testing.T) {
 	if !strings.Contains(string(metricsBody), "server_cache_hits_total 1") {
 		t.Errorf("/metrics missing server_cache_hits_total 1")
 	}
+	if status, body := a.do("GET", "/debug/pprof/", nil); status != http.StatusOK || !bytes.Contains(body, []byte("goroutine")) {
+		t.Errorf("/debug/pprof/: status %d, index missing the goroutine profile", status)
+	}
 
 	// Error envelope paths.
 	if status, body := a.do("POST", "/v1/jobs", nil); status != http.StatusBadRequest {

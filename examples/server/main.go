@@ -37,7 +37,7 @@ func run(w io.Writer, n int) error {
 
 	// Serve the JSON API (plus /metrics) on a loopback port with a
 	// graceful drain, exactly as the mwsjoind daemon does.
-	addr, shutdown, err := metrics.ListenAndServeHandler("127.0.0.1:0", server.NewHandler(svc, reg), 5*time.Second)
+	addr, shutdown, err := server.ListenAndServe("127.0.0.1:0", server.NewHandler(svc, reg), 5*time.Second)
 	if err != nil {
 		return err
 	}

@@ -53,13 +53,6 @@ type Config struct {
 	// if missing): <table>-<row>-<method>.json (the Chrome trace) and
 	// .txt (the profile text).
 	TraceDir string
-	// Metrics, when non-nil, accumulates every measured cell's counters
-	// and distributions: each cell publishes its Stats into it once
-	// measured, so a -serve scrape sees the whole sweep so far.
-	Metrics *metrics.Registry
-	// Progress, when non-nil, receives the table/row/method currently
-	// being measured (served as /progress JSON by benchtables -serve).
-	Progress *metrics.Progress
 
 	// traceTable is the id stamped into trace filenames; each TableN
 	// sets it on its private copy.
@@ -174,10 +167,7 @@ func runRow(cfg Config, label string, q *query.Query, rels []spatial.Relation, m
 	if err != nil {
 		return row, err
 	}
-	cfg.Progress.Set("table", cfg.traceTable)
-	cfg.Progress.Set("row", label)
 	for _, m := range methods {
-		cfg.Progress.Set("method", m.String())
 		if skip[m] {
 			row.Cells = append(row.Cells, Cell{Method: m, Skipped: true})
 			cfg.logf("  %-14s %-16s skipped", label, m)
@@ -198,7 +188,6 @@ func runRow(cfg Config, label string, q *query.Query, rels []spatial.Relation, m
 				return row, err
 			}
 		}
-		profile.Publish(cfg.Metrics, &res.Stats)
 		var pairBytes, combineIn, combineOut int64
 		// The cell's reducer-skew distribution: every reducer of every round.
 		var reducerPairs metrics.Histogram

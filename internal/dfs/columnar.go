@@ -30,7 +30,7 @@ import (
 // rectangle in the (x, y, l, b) start-point + extents layout of
 // geom.Rect, plus the replication mark. Its wire format is the 38-byte
 // item record: slot(1) id(4) x,y,l,b(8 each, little-endian float64
-// bits) marked(1).
+// bits) marked(1, 0 or 1), written by AppendMBB and read by DecodeMBB.
 type MBB struct {
 	Slot       int8
 	ID         int32
@@ -81,28 +81,32 @@ func (c *mbbColumns) row(i int) MBB {
 	}
 }
 
-// encodeInto renders row i in the boxed wire format; buf must hold
-// MBBRecordBytes. The bytes match the boxed encoder exactly, so a
-// columnar file Scanned record-wise is byte-identical to the boxed
-// file it replaces.
-func (c *mbbColumns) encodeInto(buf []byte, i int) {
-	buf[0] = byte(c.slots[i])
-	binary.LittleEndian.PutUint32(buf[1:], uint32(c.ids[i]))
-	binary.LittleEndian.PutUint64(buf[5:], math.Float64bits(c.xs[i]))
-	binary.LittleEndian.PutUint64(buf[13:], math.Float64bits(c.ys[i]))
-	binary.LittleEndian.PutUint64(buf[21:], math.Float64bits(c.ls[i]))
-	binary.LittleEndian.PutUint64(buf[29:], math.Float64bits(c.bs[i]))
-	if c.marked[i] {
-		buf[37] = 1
-	} else {
-		buf[37] = 0
+// AppendMBB appends m's wire record to buf. It is the one encoder of
+// the layout: a columnar row Scanned record-wise and a spatial item
+// record are both its bytes.
+func AppendMBB(buf []byte, m MBB) []byte {
+	var rec [MBBRecordBytes]byte
+	rec[0] = byte(m.Slot)
+	binary.LittleEndian.PutUint32(rec[1:], uint32(m.ID))
+	binary.LittleEndian.PutUint64(rec[5:], math.Float64bits(m.X))
+	binary.LittleEndian.PutUint64(rec[13:], math.Float64bits(m.Y))
+	binary.LittleEndian.PutUint64(rec[21:], math.Float64bits(m.L))
+	binary.LittleEndian.PutUint64(rec[29:], math.Float64bits(m.B))
+	if m.Marked {
+		rec[37] = 1
 	}
+	return append(buf, rec[:]...)
 }
 
-// decodeMBB parses one boxed wire-format record.
-func decodeMBB(rec []byte) (MBB, error) {
+// DecodeMBB parses one wire record. A mark byte other than 0 or 1 is
+// one AppendMBB cannot have written, so it is rejected, not read as
+// unmarked: every record that decodes re-encodes to its own bytes.
+func DecodeMBB(rec []byte) (MBB, error) {
 	if len(rec) != MBBRecordBytes {
 		return MBB{}, fmt.Errorf("dfs: MBB record has %d bytes, want %d", len(rec), MBBRecordBytes)
+	}
+	if rec[37] > 1 {
+		return MBB{}, fmt.Errorf("dfs: MBB record has mark byte %d, want 0 or 1", rec[37])
 	}
 	return MBB{
 		Slot:   int8(rec[0]),
@@ -247,7 +251,7 @@ func (f *file) forEachMBB(lo, hi int, fn func(MBB) error) (int64, error) {
 	}
 	var bytes int64
 	for _, rec := range f.records[lo:hi] {
-		m, err := decodeMBB(rec)
+		m, err := DecodeMBB(rec)
 		if err != nil {
 			return 0, err
 		}

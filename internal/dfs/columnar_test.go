@@ -25,16 +25,6 @@ func testMBBs(n int) []MBB {
 	return ms
 }
 
-// boxedImage renders one MBB in the boxed wire format via the columnar
-// encoder, the reference layout both storage kinds must agree on.
-func boxedImage(m MBB) []byte {
-	var c mbbColumns
-	c.appendRow(m)
-	buf := make([]byte, MBBRecordBytes)
-	c.encodeInto(buf, 0)
-	return buf
-}
-
 // TestColumnarBoxedEquivalence writes the same rows through the boxed
 // and columnar writers on separate file systems and checks that Scan
 // yields byte-identical records, ScanMBB yields identical rows, and
@@ -45,7 +35,7 @@ func TestColumnarBoxedEquivalence(t *testing.T) {
 	boxed := New(0)
 	bw := boxed.Create("rel")
 	for _, m := range rows {
-		bw.Append(boxedImage(m))
+		bw.Append(AppendMBB(nil, m))
 	}
 	if err := bw.Close(); err != nil {
 		t.Fatal(err)
@@ -120,6 +110,44 @@ func TestScanMBBBoxedErrors(t *testing.T) {
 	}
 	if err := fs.ScanMBB("missing", func(MBB) error { return nil }); err == nil {
 		t.Fatal("ScanMBB on missing file should fail")
+	}
+}
+
+// markSnapshot is a snapshot of one boxed MBB file whose only record
+// carries the given mark byte.
+func markSnapshot(t testing.TB, mark byte) []byte {
+	t.Helper()
+	rec := AppendMBB(nil, MBB{Slot: 1, ID: 7, X: 1, Y: 2, L: 3, B: 4})
+	rec[MBBRecordBytes-1] = mark
+	fs := New(0)
+	if err := fs.WriteFile("rel", [][]byte{rec}); err != nil {
+		t.Fatal(err)
+	}
+	var img bytes.Buffer
+	if err := fs.WriteSnapshot(&img); err != nil {
+		t.Fatal(err)
+	}
+	return img.Bytes()
+}
+
+// TestSnapshotMarkByteRejected: a restored MBB record whose mark byte is
+// neither 0 nor 1 is one AppendMBB cannot have written, so ScanMBB and
+// View.MBBs fail on it instead of reading it as unmarked.
+func TestSnapshotMarkByteRejected(t *testing.T) {
+	for _, mark := range []byte{0, 1, 2, 255} {
+		fs, err := ReadSnapshot(bytes.NewReader(markSnapshot(t, mark)), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scanErr := fs.ScanMBB("rel", func(MBB) error { return nil })
+		v, err := fs.Open("rel")
+		if err != nil {
+			t.Fatal(err)
+		}
+		viewErr := v.MBBs(0, v.Len(), func(MBB) error { return nil })
+		if valid := mark <= 1; (scanErr == nil) != valid || (viewErr == nil) != valid {
+			t.Errorf("mark byte %d: ScanMBB err = %v, View.MBBs err = %v; want errors only for a byte other than 0 or 1", mark, scanErr, viewErr)
+		}
 	}
 }
 
@@ -260,16 +288,15 @@ func TestColumnarSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestColumnarWireFormat pins the exact byte layout so the spatial
-// package's item records and the columnar encoder can never drift
-// apart silently.
+// TestColumnarWireFormat pins the exact byte layout of the one MBB
+// codec, which snapshots and the spatial package's item records share.
 func TestColumnarWireFormat(t *testing.T) {
 	m := MBB{Slot: 2, ID: -7, X: 1.5, Y: -2.25, L: 3, B: 0.125, Marked: true}
-	rec := boxedImage(m)
+	rec := AppendMBB(nil, m)
 	if len(rec) != MBBRecordBytes {
 		t.Fatalf("record is %d bytes, want %d", len(rec), MBBRecordBytes)
 	}
-	back, err := decodeMBB(rec)
+	back, err := DecodeMBB(rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +331,7 @@ func TestSizedWritersChargeAlike(t *testing.T) {
 
 	images := make([][]byte, len(rows))
 	for i, m := range rows {
-		images[i] = boxedImage(m)
+		images[i] = AppendMBB(nil, m)
 	}
 	one, all := New(0), New(0)
 	ow, aw := one.Create("rel"), all.Create("rel")
@@ -413,7 +440,7 @@ func TestViewChargesOnceAndRanges(t *testing.T) {
 	boxed, col := New(0), New(0)
 	bw, cw := boxed.Create("rel"), col.CreateMBB("rel")
 	for _, m := range rows {
-		bw.Append(boxedImage(m))
+		bw.Append(AppendMBB(nil, m))
 		cw.Append(m)
 	}
 	if err := bw.Close(); err != nil {
@@ -441,7 +468,7 @@ func TestViewChargesOnceAndRanges(t *testing.T) {
 				t.Fatal(err)
 			}
 			if err := v.Records(r[0], r[1], func(rec []byte) error {
-				m, err := decodeMBB(rec)
+				m, err := DecodeMBB(rec)
 				viaRec = append(viaRec, m)
 				return err
 			}); err != nil {

@@ -116,9 +116,9 @@ func (f *file) forEachRange(lo, hi int64, fn func(record []byte) error) (int64, 
 	if f.cols != nil {
 		var scratch [MBBRecordBytes]byte
 		for i := lo; i < hi; i++ {
-			f.cols.encodeInto(scratch[:], int(i))
+			rec := AppendMBB(scratch[:0], f.cols.row(int(i)))
 			bytes += MBBRecordBytes
-			if err := fn(scratch[:]); err != nil {
+			if err := fn(rec); err != nil {
 				return bytes, err
 			}
 		}

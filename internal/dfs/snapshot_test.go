@@ -118,9 +118,13 @@ func snapshotFiles(t *testing.T, fs *FS) map[string][][]byte {
 // any bytes either fail to load with an error or load into a file
 // system that WriteSnapshot and ReadSnapshot carry over unchanged —
 // never a panic, and never more memory than the bytes present justify.
+// A loaded file either fails to scan as MBB records or each of its
+// records is the AppendMBB encoding of the row it decodes to.
 func FuzzReadSnapshot(f *testing.F) {
 	f.Add(sampleSnapshot(f))
 	f.Add(hugeNameSnapshot())
+	f.Add(markSnapshot(f, 1))
+	f.Add(markSnapshot(f, 2))
 	f.Fuzz(func(t *testing.T, img []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -143,8 +147,20 @@ func FuzzReadSnapshot(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-serialised snapshot does not load: %v", err)
 		}
-		if want, have := snapshotFiles(t, got), snapshotFiles(t, back); !reflect.DeepEqual(have, want) {
-			t.Fatalf("round trip changed the files:\n got %v\nwant %v", have, want)
+		files := snapshotFiles(t, got)
+		if have := snapshotFiles(t, back); !reflect.DeepEqual(have, files) {
+			t.Fatalf("round trip changed the files:\n got %v\nwant %v", have, files)
+		}
+		for name, recs := range files {
+			var rows []MBB
+			if got.ScanMBB(name, func(m MBB) error { rows = append(rows, m); return nil }) != nil {
+				continue
+			}
+			for i, m := range rows {
+				if enc := AppendMBB(nil, m); !bytes.Equal(enc, recs[i]) {
+					t.Fatalf("%s record %d decodes to %+v, which encodes to %x, not %x", name, i, m, enc, recs[i])
+				}
+			}
 		}
 	})
 }

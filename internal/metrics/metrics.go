@@ -6,8 +6,8 @@
 // chain, DFS and spatial series — when the run ends. Where a trace
 // answers "where did this run spend its pairs and bytes", the registry
 // answers "what has the system done so far, and how is the load
-// distributed" — it is what the HTTP exposition endpoints (see http.go)
-// serve.
+// distributed". WritePrometheus renders it; the package serves nothing
+// over HTTP itself (the join daemon's handler, internal/server, does).
 //
 // The paper's central claim is distributional: Controlled-Replicate
 // wins because it ships fewer intermediate pairs AND balances them
@@ -24,6 +24,7 @@ package metrics
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"math/bits"
 	"sort"
@@ -359,53 +360,40 @@ func SanitizeName(s string) string {
 	return string(out)
 }
 
-// Progress is a tiny concurrency-safe key→value map served as the
-// /progress JSON snapshot: long bench runs publish their current
-// table/row/method so an operator can see where a multi-minute sweep
-// is without attaching a debugger. A nil Progress ignores updates.
-type Progress struct {
-	mu     sync.Mutex
-	fields map[string]any
-}
-
-// NewProgress creates an empty progress board.
-func NewProgress() *Progress {
-	return &Progress{fields: make(map[string]any)}
-}
-
-// Set publishes one field; nil-safe.
-func (p *Progress) Set(key string, value any) {
-	if p == nil {
-		return
+// WritePrometheus renders the registry in the Prometheus text
+// exposition format (version 0.0.4): counters and gauges as single
+// samples, histograms as cumulative le-labelled bucket series plus
+// _sum and _count, all in sorted name order so output is deterministic
+// for a fixed registry state.
+func (r *Registry) WritePrometheus(w io.Writer) {
+	s := r.Snapshot()
+	for _, name := range names(s.Counters) {
+		n := SanitizeName(name)
+		fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", n, n, s.Counters[name])
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.fields[key] = value
-}
-
-// Snapshot returns a copy of the current fields.
-func (p *Progress) Snapshot() map[string]any {
-	out := make(map[string]any)
-	if p == nil {
-		return out
+	for _, name := range names(s.Gauges) {
+		n := SanitizeName(name)
+		fmt.Fprintf(w, "# TYPE %s gauge\n%s %d\n", n, n, s.Gauges[name])
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for k, v := range p.fields {
-		out[k] = v
-	}
-	return out
-}
-
-// String renders the progress fields as "k=v" pairs in key order.
-func (p *Progress) String() string {
-	snap := p.Snapshot()
-	var out string
-	for i, k := range names(snap) {
-		if i > 0 {
-			out += " "
+	for _, name := range names(s.Histograms) {
+		n := SanitizeName(name)
+		h := s.Histograms[name]
+		fmt.Fprintf(w, "# TYPE %s histogram\n", n)
+		// Cumulative buckets, emitted up to the last non-empty one; the
+		// +Inf bucket always equals the total count.
+		last := -1
+		for i, c := range h.Buckets {
+			if c > 0 {
+				last = i
+			}
 		}
-		out += fmt.Sprintf("%s=%v", k, snap[k])
+		var cum int64
+		for i := 0; i <= last; i++ {
+			cum += h.Buckets[i]
+			fmt.Fprintf(w, "%s_bucket{le=\"%d\"} %d\n", n, BucketUpper(i), cum)
+		}
+		fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", n, h.Count)
+		fmt.Fprintf(w, "%s_sum %d\n", n, h.Sum)
+		fmt.Fprintf(w, "%s_count %d\n", n, h.Count)
 	}
-	return out
 }

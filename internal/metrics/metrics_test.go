@@ -1,9 +1,11 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -145,11 +147,6 @@ func TestNilSafety(t *testing.T) {
 	if s := reg.Snapshot(); len(s.Counters) != 0 {
 		t.Errorf("nil registry snapshot = %+v", s)
 	}
-	var p *Progress
-	p.Set("k", 1)
-	if got := p.Snapshot(); len(got) != 0 {
-		t.Errorf("nil progress snapshot = %v", got)
-	}
 }
 
 func TestSanitizeName(t *testing.T) {
@@ -167,11 +164,60 @@ func TestSanitizeName(t *testing.T) {
 	}
 }
 
-func TestProgress(t *testing.T) {
-	p := NewProgress()
-	p.Set("table", "table2")
-	p.Set("row", 3)
-	if got := p.String(); got != "row=3 table=table2" {
-		t.Errorf("progress string = %q", got)
+func TestWritePrometheus(t *testing.T) {
+	reg := NewRegistry()
+	reg.Counter("jobs_total").Add(3)
+	reg.Gauge("last_imbalance_x1000").Set(1500)
+	h := reg.Histogram("reducer_pairs")
+	h.Observe(1) // bucket 1 (le 1)
+	h.Observe(3) // bucket 2 (le 3)
+	h.Observe(3)
+
+	var b strings.Builder
+	reg.WritePrometheus(&b)
+	got := b.String()
+	want := `# TYPE jobs_total counter
+jobs_total 3
+# TYPE last_imbalance_x1000 gauge
+last_imbalance_x1000 1500
+# TYPE reducer_pairs histogram
+reducer_pairs_bucket{le="0"} 0
+reducer_pairs_bucket{le="1"} 1
+reducer_pairs_bucket{le="3"} 3
+reducer_pairs_bucket{le="+Inf"} 3
+reducer_pairs_sum 7
+reducer_pairs_count 3
+`
+	if got != want {
+		t.Errorf("exposition mismatch:\ngot:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestPrometheusCumulative checks the le-buckets are cumulative and the
+// +Inf bucket equals the count for a spread-out distribution.
+func TestPrometheusCumulative(t *testing.T) {
+	reg := NewRegistry()
+	h := reg.Histogram("d")
+	for _, v := range []int64{0, 1, 5, 1000, 1 << 20} {
+		h.Observe(v)
+	}
+	var b strings.Builder
+	reg.WritePrometheus(&b)
+	out := b.String()
+	if !strings.Contains(out, `d_bucket{le="+Inf"} 5`) {
+		t.Errorf("missing +Inf bucket with total count:\n%s", out)
+	}
+	// Cumulative counts never decrease down the bucket list.
+	prev := int64(-1)
+	for _, line := range strings.Split(out, "\n") {
+		var le string
+		var c int64
+		if _, err := fmt.Sscanf(strings.ReplaceAll(line, `{le="`, " "), "d_bucket %s %d", &le, &c); err != nil {
+			continue
+		}
+		if c < prev {
+			t.Fatalf("bucket counts not cumulative at %q:\n%s", line, out)
+		}
+		prev = c
 	}
 }

@@ -1,9 +1,13 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"net"
 	"net/http"
+	"net/http/pprof"
 	"strconv"
 	"time"
 
@@ -25,9 +29,10 @@ import (
 //	GET    /v1/status         service status  → 200 ServiceStatus
 //	GET    /v1/workers        cluster roster  → 200 ClusterWorkers (404 without a cluster)
 //
-// plus the observability surface of metrics.NewServeMux (/metrics,
-// /debug/pprof/*, /progress) when reg is non-nil; scraping
-// any of those paths refreshes the server_uptime_seconds gauge. Errors
+// plus, when reg is non-nil, the observability surface: /metrics (the
+// registry in Prometheus text; a scrape refreshes the
+// server_uptime_seconds gauge) and /debug/pprof/* (the Go profiler,
+// routed explicitly on this handler's own mux). Errors
 // are JSON envelopes {"error": {"code", "message"}}: 400 for malformed
 // requests, 404 for unknown jobs, 409 for state conflicts (no result
 // yet, no profile yet, cancel after finish), 413 for a submit body over
@@ -131,18 +136,49 @@ func NewHandler(s *Server, reg *metrics.Registry) http.Handler {
 		writeJSON(w, http.StatusOK, cw)
 	})
 	if reg != nil {
-		obs := metrics.NewServeMux(reg, nil)
-		// Wrap the scrape surface so every scrape sees a fresh uptime
-		// gauge (a plain gauge would freeze at its last Set).
-		wrapped := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
+			// Every scrape sees a fresh uptime (a plain gauge would freeze
+			// at its last Set).
 			reg.Gauge("server_uptime_seconds").Set(int64(time.Since(s.start).Seconds()))
-			obs.ServeHTTP(w, r)
+			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+			reg.WritePrometheus(w)
 		})
-		for _, p := range []string{"/metrics", "/debug/pprof/", "/progress"} {
-			mux.Handle(p, wrapped)
-		}
+		mux.HandleFunc("/debug/pprof/", pprof.Index)
+		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
 	return mux
+}
+
+// ListenAndServe starts an HTTP server for h on addr (":0" picks a free
+// port) and returns the bound address plus a shutdown function with a
+// bounded graceful drain: it closes the listener, waits up to drain for
+// in-flight requests to finish, then forcibly closes whatever remains
+// and reports the drain failure. A non-positive drain closes
+// immediately. An operator shutdown therefore never truncates an
+// in-flight long-poll mid-response.
+func ListenAndServe(addr string, h http.Handler, drain time.Duration) (bound string, shutdown func() error, err error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return "", nil, fmt.Errorf("server: listen %s: %w", addr, err)
+	}
+	srv := &http.Server{Handler: h}
+	go srv.Serve(ln) //nolint:errcheck // closed by shutdown
+	shutdown = func() error {
+		if drain <= 0 {
+			return srv.Close()
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), drain)
+		defer cancel()
+		if err := srv.Shutdown(ctx); err != nil {
+			srv.Close() //nolint:errcheck // the drain already failed; force-close the stragglers
+			return fmt.Errorf("server: graceful drain incomplete after %v: %w", drain, err)
+		}
+		return nil
+	}
+	return ln.Addr().String(), shutdown, nil
 }
 
 // maxSubmitBytes bounds the body of POST /v1/jobs. A SubmitRequest is a

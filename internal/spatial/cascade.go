@@ -177,7 +177,7 @@ func cascade(pl *plan, exec *executor) (*Result, error) {
 					if v.Page != itemPage {
 						return 4 + in.stride
 					}
-					return 4 + itemRecordBytes
+					return 4 + dfs.MBBRecordBytes
 				},
 				EncodePair: codec.encodePair,
 				DecodePair: codec.decodePair,

@@ -296,7 +296,7 @@ func joinReduce(pl *plan, part *grid.Partitioning, countOnly bool, counted *atom
 
 // taggedPairBytes sizes an intermediate (cell, item) pair: 4 bytes of
 // key plus the 38-byte item record.
-func taggedPairBytes(_ grid.CellID, _ tagged) int { return 4 + itemRecordBytes }
+func taggedPairBytes(_ grid.CellID, _ tagged) int { return 4 + dfs.MBBRecordBytes }
 
 // dedupSplitRun is the mark round's combiner: it drops adjacent exact
 // duplicates from one mapper's per-cell run. The mark round has set

@@ -17,13 +17,10 @@ import (
 // byte counters are the paper's reading/writing-cost metric, so records
 // use a compact fixed layout rather than a generic codec.
 //
-//	item record:  slot(1) id(4) rect(32) marked(1)      = 38 bytes
+//	item record:  dfs.MBB's 38-byte record (dfs.AppendMBB, dfs.DecodeMBB)
 //	tuple record: count(2) then per member id(4) rect(32)
 
-const (
-	rectBytes       = 32
-	itemRecordBytes = 1 + 4 + rectBytes + 1
-)
+const rectBytes = 32
 
 // tagged is an item annotated with its query slot; it is the value
 // flowing through every spatial map-reduce job. Marked carries the
@@ -54,24 +51,18 @@ func getRect(buf []byte) geom.Rect {
 // encodeItem appends a tagged item's DFS record to buf — also the
 // output codec of jobs that emit items (c-rep round 1).
 func encodeItem(t tagged, buf []byte) []byte {
-	var rec [itemRecordBytes]byte
-	rec[0] = byte(t.Slot)
-	binary.LittleEndian.PutUint32(rec[1:], uint32(t.ID))
-	putRect(rec[5:], t.Rect)
-	if t.Marked {
-		rec[37] = 1
-	}
-	return append(buf, rec[:]...)
+	return dfs.AppendMBB(buf, dfs.MBB{Slot: t.Slot, ID: t.ID, X: t.Rect.X, Y: t.Rect.Y, L: t.Rect.L, B: t.Rect.B, Marked: t.Marked})
 }
 
 // itemRecords renders tagged items as DFS records: views into one
 // buffer, in the form Chain.Step takes over.
 func itemRecords(items []tagged) [][]byte {
-	buf := make([]byte, 0, len(items)*itemRecordBytes)
+	const n = dfs.MBBRecordBytes
+	buf := make([]byte, 0, len(items)*n)
 	recs := make([][]byte, len(items))
 	for i, it := range items {
 		buf = encodeItem(it, buf)
-		recs[i] = buf[i*itemRecordBytes : (i+1)*itemRecordBytes : (i+1)*itemRecordBytes]
+		recs[i] = buf[i*n : (i+1)*n : (i+1)*n]
 	}
 	return recs
 }
@@ -81,22 +72,11 @@ func mbbRect(m dfs.MBB) geom.Rect { return geom.Rect{X: m.X, Y: m.Y, L: m.L, B: 
 
 func mbbItem(m dfs.MBB) tagged { return tagged{m.Slot, m.ID, mbbRect(m), m.Marked} }
 
-// decodeItem parses a DFS item record. A mark byte other than 0 or 1 is
-// one encodeItem cannot have written, so it is rejected, not read as
-// unmarked.
+// decodeItem parses a DFS item record (dfs.DecodeMBB's checks: length,
+// and a mark byte of 0 or 1).
 func decodeItem(buf []byte) (tagged, error) {
-	if len(buf) != itemRecordBytes {
-		return tagged{}, fmt.Errorf("spatial: item record has %d bytes, want %d", len(buf), itemRecordBytes)
-	}
-	if buf[37] > 1 {
-		return tagged{}, fmt.Errorf("spatial: item record has mark byte %d, want 0 or 1", buf[37])
-	}
-	return tagged{
-		Slot:   int8(buf[0]),
-		ID:     int32(binary.LittleEndian.Uint32(buf[1:])),
-		Rect:   getRect(buf[5:]),
-		Marked: buf[37] == 1,
-	}, nil
+	m, err := dfs.DecodeMBB(buf)
+	return mbbItem(m), err
 }
 
 // Partial tuples — the cascade's intermediates — are tuples over a
@@ -258,8 +238,8 @@ func encodeCellTagged(c grid.CellID, t tagged, buf []byte) []byte {
 // tables, so it is rejected here, as a decode error.
 func cellTaggedDecoder(m int) func(rec []byte) (grid.CellID, tagged, error) {
 	return func(rec []byte) (grid.CellID, tagged, error) {
-		if len(rec) != 4+itemRecordBytes {
-			return 0, tagged{}, fmt.Errorf("spatial: spilled item pair has %d bytes, want %d", len(rec), 4+itemRecordBytes)
+		if len(rec) != 4+dfs.MBBRecordBytes {
+			return 0, tagged{}, fmt.Errorf("spatial: spilled item pair has %d bytes, want %d", len(rec), 4+dfs.MBBRecordBytes)
 		}
 		t, err := decodeItem(rec[4:])
 		if err != nil {
@@ -317,7 +297,7 @@ func (cc *cascadeCodec) decodePair(rec []byte) (grid.CellID, cascadeVal, error) 
 		if err != nil {
 			return 0, cascadeVal{}, err
 		}
-		if t.Slot != cc.slot || rec[len(rec)-1] != 0 {
+		if t.Slot != cc.slot || t.Marked {
 			return 0, cascadeVal{}, fmt.Errorf("spatial: spilled cascade item is not an unmarked slot-%d item", cc.slot)
 		}
 		return c, cascadeVal{Rect: t.Rect, ID: t.ID, Page: itemPage}, nil

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"testing"
 
+	"mwsjoin/internal/dfs"
 	"mwsjoin/internal/geom"
 	"mwsjoin/internal/mapreduce"
 )
@@ -105,7 +106,7 @@ func FuzzDecodeCellTagged(f *testing.F) {
 	f.Add(frame(tagged{Slot: 0, ID: -1}), uint8(1))
 	f.Add(frame(tagged{Slot: 3}), uint8(3))
 	f.Add(frame(tagged{Slot: -1}), uint8(3))
-	f.Add(append(frame(tagged{Slot: 1})[:4+itemRecordBytes-1], 2), uint8(2))
+	f.Add(append(frame(tagged{Slot: 1})[:4+dfs.MBBRecordBytes-1], 2), uint8(2))
 	f.Add(encodeTupleOutput(Tuple{IDs: []int32{4, 0, 7}}, nil), uint8(3))
 	f.Add(encodeTupleOutput(Tuple{IDs: []int32{4, 0}}, nil), uint8(3))
 	f.Add([]byte{0xff, 0xff, 1}, uint8(1))

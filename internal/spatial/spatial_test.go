@@ -619,17 +619,10 @@ func TestTupleKey(t *testing.T) {
 	}
 }
 
+// TestRecordRoundTrip decodes a 2-member partial, in the layout the
+// cascade checkpoints. (Item records are dfs.MBB records, whose codec
+// internal/dfs tests.)
 func TestRecordRoundTrip(t *testing.T) {
-	it := tagged{Slot: 3, ID: 12345, Rect: geom.Rect{X: 1.5, Y: -2.25, L: 10, B: 0.125}, Marked: true}
-	got, err := decodeItem(encodeItem(it, nil))
-	if err != nil || got != it {
-		t.Errorf("item round trip = %+v, %v", got, err)
-	}
-	if _, err := decodeItem([]byte{1, 2, 3}); err == nil {
-		t.Error("short item record must fail")
-	}
-
-	// A 2-member partial, in the layout the cascade checkpoints.
 	rects := []geom.Rect{{X: 1, Y: 2, L: 3, B: 4}, {X: 5, Y: 6, L: 7, B: 8}}
 	rec := make([]byte, encodedPartialBytes(2))
 	binary.LittleEndian.PutUint16(rec, 2)
@@ -640,10 +633,10 @@ func TestRecordRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got2 := st.rec(ref)
-	if !bytes.Equal(got2, rec) || partialID(got2, 0) != 7 || partialID(got2, 1) != 9 ||
-		partialRect(got2, 0) != rects[0] || partialRect(got2, 1) != rects[1] {
-		t.Errorf("partial round trip = %v", got2)
+	got := st.rec(ref)
+	if !bytes.Equal(got, rec) || partialID(got, 0) != 7 || partialID(got, 1) != 9 ||
+		partialRect(got, 0) != rects[0] || partialRect(got, 1) != rects[1] {
+		t.Errorf("partial round trip = %v", got)
 	}
 	if _, err := st.decode([]byte{9}); err == nil {
 		t.Error("short partial record must fail")

@@ -177,8 +177,7 @@ type Options struct {
 	// Metrics, when non-nil, receives the run's counters, gauges and
 	// reducer-load histograms once it succeeds, all read off its Stats;
 	// see NewMetricsRegistry. Any number of runs, sequential or
-	// concurrent, may share one registry while it is served over HTTP
-	// (see ServeMetrics).
+	// concurrent, may share one registry.
 	Metrics *MetricsRegistry
 	// CountOnly suppresses materialisation of the output tuples:
 	// Result.Tuples stays nil while Stats.OutputTuples still carries the
@@ -208,8 +207,8 @@ func NewTracer() *Tracer { return trace.New() }
 
 // MetricsRegistry is the metrics collector every successful run given
 // one in Options.Metrics publishes its Stats into; inspect it with its
-// Snapshot method, serve it with ServeMetrics, or render it with
-// WritePrometheus.
+// Snapshot method or render it with WritePrometheus. The package serves
+// nothing over HTTP.
 type MetricsRegistry = metrics.Registry
 
 // MetricsSnapshot is a point-in-time copy of a registry's metrics.
@@ -217,14 +216,6 @@ type MetricsSnapshot = metrics.Snapshot
 
 // NewMetricsRegistry creates an empty metrics registry.
 func NewMetricsRegistry() *MetricsRegistry { return metrics.NewRegistry() }
-
-// ServeMetrics starts an HTTP observability server for the registry on
-// addr (":0" picks a free port): Prometheus text on /metrics and the Go
-// profiler on /debug/pprof/*. It returns the bound address and a
-// shutdown function.
-func ServeMetrics(addr string, reg *MetricsRegistry) (bound string, shutdown func() error, err error) {
-	return metrics.ListenAndServe(addr, reg, nil)
-}
 
 // FileSystem is the simulated distributed file system executions stage
 // their inputs, intermediates and chain checkpoints on. Pass one via

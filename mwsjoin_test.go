@@ -2,6 +2,8 @@ package mwsjoin
 
 import (
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -190,7 +192,7 @@ func TestMetricsPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.OutputTuples == 0 || res.Stats.IntermediatePairs() == 0 {
+	if res.Stats.OutputTuples == 0 || res.Stats.IntermediatePairs() == 0 || res.Stats.RectanglesReplicated == 0 {
 		t.Fatalf("degenerate run: %+v", res.Stats)
 	}
 
@@ -198,11 +200,13 @@ func TestMetricsPublicAPI(t *testing.T) {
 	snap := reg.Snapshot()
 	s := res.Stats
 	for name, want := range map[string]int64{
-		"spatial_runs_total":                 1,
-		"spatial_output_tuples_total":        s.OutputTuples,
-		"spatial_intermediate_pairs_total":   s.IntermediatePairs(),
-		"mapreduce_jobs_total":               int64(len(s.Rounds)),
-		"mapreduce_intermediate_pairs_total": s.IntermediatePairs(),
+		"spatial_runs_total":                  1,
+		"spatial_output_tuples_total":         s.OutputTuples,
+		"spatial_intermediate_pairs_total":    s.IntermediatePairs(),
+		"spatial_rectangles_replicated_total": s.RectanglesReplicated,
+		"spatial_rectangle_copies_total":      s.RectanglesAfterReplication,
+		"mapreduce_jobs_total":                int64(len(s.Rounds)),
+		"mapreduce_intermediate_pairs_total":  s.IntermediatePairs(),
 	} {
 		if got := snap.Counters[name]; got != want {
 			t.Errorf("counter %s = %d, want %d", name, got, want)
@@ -244,6 +248,17 @@ func TestMetricsPublicAPI(t *testing.T) {
 	}
 	if p1.Rounds != 2 || p1.Pairs <= 0 || p1.Tuples <= 0 {
 		t.Errorf("c-rep prediction = %+v", p1)
+	}
+}
+
+// TestNoProfilerOnDefaultMux: linking the library registers nothing on
+// http.DefaultServeMux, so a program that serves the default mux does
+// not expose the Go profiler by importing mwsjoin.
+func TestNoProfilerOnDefaultMux(t *testing.T) {
+	for _, path := range []string{"/debug/pprof/", "/debug/pprof/profile", "/metrics"} {
+		if _, pattern := http.DefaultServeMux.Handler(httptest.NewRequest("GET", path, nil)); pattern != "" {
+			t.Errorf("http.DefaultServeMux routes %s to pattern %q", path, pattern)
+		}
 	}
 }
 

@@ -32,6 +32,19 @@ if go list -deps ./internal/mapreduce ./internal/dfs ./internal/spatial | grep -
     exit 1
 fi
 
+echo "== one HTTP surface: only the daemon's handler links the profiler; the registry links no net/http =="
+pprof_users=$(go list -f '{{.ImportPath}} {{join .Deps " "}}' ./... |
+    awk '$1 != "mwsjoin/internal/server" && $1 != "mwsjoin/cmd/mwsjoind" && $1 != "mwsjoin/examples/server" && / net\/http\/pprof( |$)/ { print $1 }')
+if [ -n "$pprof_users" ]; then
+    echo "these packages depend on net/http/pprof, which registers /debug/pprof/ on http.DefaultServeMux:" >&2
+    echo "$pprof_users" >&2
+    exit 1
+fi
+if go list -deps ./internal/metrics | grep -qx 'net/http'; then
+    echo "internal/metrics depends on net/http" >&2
+    exit 1
+fi
+
 echo "== benchmark module builds (own go.mod, frozen: fail here, not after the race pass) =="
 # -o /dev/null: the module is one main package, which a bare build
 # would write into benchmark/ as an executable.
