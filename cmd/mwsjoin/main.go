@@ -119,7 +119,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		chkPath   = fs.String("checkpoint", "", "host file holding the simulated file-system snapshot: written when -fail-job kills the run, read by -resume")
 		timeout   = fs.Duration("timeout", 0, "abort the run after this duration (0 = no limit); the execution stops at its next job boundary and the command exits with status 3")
 		profPath  = fs.String("profile", "", `write the structured query profile (per-round map/shuffle/reduce breakdown, skew, combiner and chain accounting) to this file after the run; "-" prints it to stderr`)
-		chromeOut = fs.String("trace-chrome", "", "write a Chrome trace-event JSON timeline of the execution to this file (load in chrome://tracing or Perfetto); each event's args carry its span's counters, span_id and parent_id")
+		chromeOut = fs.String("trace-chrome", "", "write a Chrome trace-event JSON timeline of the execution to this file (load in chrome://tracing or Perfetto); each event's args carry its span_id and parent_id")
 		spillBudg = fs.Int64("spill-budget", 0, "per-run in-memory byte budget for each mapper's runs; runs over budget spill to uncharged local scratch and results are unchanged (0 = never spill)")
 	)
 	fs.Var(rels, "rel", "slot binding <slot>=<file>; repeat once per slot")

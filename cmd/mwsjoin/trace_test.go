@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -46,8 +45,9 @@ func (s chromeSpan) parent() int64 { return s.Args["parent_id"] }
 
 // TestRunTraceMatchesStats is the CLI acceptance check: -trace-chrome on
 // a Controlled-Replicate query writes a trace whose span_id/parent_id
-// args rebuild the run → round → job → phase tree, and whose per-job
-// pair/byte counters exactly equal the Stats totals -stats prints.
+// args rebuild the run → round → job → phase tree, whose job spans are
+// the rounds -stats prints, in order, each with a shuffle phase, and
+// whose events carry no counts — those are the Stats -stats prints.
 func TestRunTraceMatchesStats(t *testing.T) {
 	r1 := traceDataset(t, "r1.csv", 11, 150)
 	r2 := traceDataset(t, "r2.csv", 12, 150)
@@ -90,6 +90,9 @@ func TestRunTraceMatchesStats(t *testing.T) {
 		if _, dup := byID[s.id()]; dup || s.id() <= 0 {
 			t.Fatalf("span %q has a missing or duplicate span_id: %v", s.Name, s.Args)
 		}
+		if len(s.Args) != 2 {
+			t.Errorf("span %q args = %v, want span_id and parent_id only", s.Name, s.Args)
+		}
 		byID[s.id()] = s
 		children[s.parent()] = append(children[s.parent()], s)
 	}
@@ -110,40 +113,22 @@ func TestRunTraceMatchesStats(t *testing.T) {
 		}
 	}
 
-	// Collect per-job pairs from the -stats report...
-	statPairs := map[string]int64{}
+	// The -stats report's rounds, in order...
 	var statOrder []string
 	for _, m := range statRe.FindAllStringSubmatch(errOut.String(), -1) {
-		n, err := strconv.ParseInt(m[2], 10, 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		statPairs[m[1]] = n
 		statOrder = append(statOrder, m[1])
 	}
 	if len(statOrder) != 2 {
 		t.Fatalf("want 2 C-Rep rounds in stats, got %v", statOrder)
 	}
 
-	// ...and compare with the job spans' counters.
+	// ...are the job spans, each timing its shuffle.
 	var jobOrder []string
-	var total int64
 	for _, s := range spans {
 		if s.Cat != "job" {
 			continue
 		}
 		jobOrder = append(jobOrder, s.Name)
-		want, ok := statPairs[s.Name]
-		if !ok {
-			t.Errorf("job span %q missing from stats report", s.Name)
-			continue
-		}
-		if got := s.Args["pairs"]; got != want {
-			t.Errorf("job %q: trace pairs=%d, stats pairs=%d", s.Name, got, want)
-		}
-		if s.Args["bytes"] <= 0 {
-			t.Errorf("job %q: no bytes counter in trace", s.Name)
-		}
 		var phases []string
 		for _, c := range children[s.id()] {
 			phases = append(phases, c.Name)
@@ -151,41 +136,10 @@ func TestRunTraceMatchesStats(t *testing.T) {
 		if !strings.Contains(fmt.Sprint(phases), "shuffle") {
 			t.Errorf("job %q: no shuffle phase among %v", s.Name, phases)
 		}
-		total += s.Args["pairs"]
 	}
 	if fmt.Sprint(jobOrder) != fmt.Sprint(statOrder) {
 		t.Errorf("job order: trace %v, stats %v", jobOrder, statOrder)
 	}
-
-	// The totals printed by -stats must equal the span sums.
-	wantTotal := statLine(t, errOut.String(), "intermediate pairs:")
-	if total != wantTotal {
-		t.Errorf("summed trace pairs=%d, stats total=%d", total, wantTotal)
-	}
-	wantW := statLine(t, errOut.String(), "dfs bytes written:")
-	var traceW int64
-	for _, s := range spans {
-		traceW += s.Args["dfs_bytes_written"]
-	}
-	if traceW != wantW {
-		t.Errorf("summed trace dfs writes=%d, stats=%d", traceW, wantW)
-	}
-}
-
-// statLine extracts the integer value of one "label:  N" stats line.
-func statLine(t *testing.T, report, label string) int64 {
-	t.Helper()
-	for _, line := range strings.Split(report, "\n") {
-		if rest, ok := strings.CutPrefix(strings.TrimSpace(line), label); ok {
-			n, err := strconv.ParseInt(strings.TrimSpace(rest), 10, 64)
-			if err != nil {
-				t.Fatalf("bad stats line %q: %v", line, err)
-			}
-			return n
-		}
-	}
-	t.Fatalf("stats report has no %q line:\n%s", label, report)
-	return 0
 }
 
 // TestRunTraceFileError: an unwritable trace path surfaces as an error.

@@ -1,9 +1,9 @@
 // Tracing walks through the structured tracing layer: attach a Tracer
-// to a Controlled-Replicate run, print the query profile built from its
-// spans (run → mark/join rounds → map/shuffle/reduce phases with
-// per-phase counters and each round's reducer skew), export the same
-// spans as a Chrome trace, and show how the job spans decompose the
-// flat Stats totals.
+// to a Controlled-Replicate run, print the query profile (run →
+// mark/join rounds → map/shuffle/reduce phases, counted by Stats and
+// timed by the spans, with each round's reducer skew), export the spans
+// as a Chrome trace, and set each job span's wall time beside the pairs
+// its round's Stats counted.
 //
 //	go run ./examples/tracing
 package main
@@ -14,6 +14,7 @@ import (
 	"io"
 	"log"
 	"os"
+	"time"
 
 	"mwsjoin"
 	"mwsjoin/internal/trace"
@@ -60,8 +61,8 @@ func run(w io.Writer, n int) error {
 	}
 
 	// The Chrome trace carries every span (load it in chrome://tracing
-	// or Perfetto); each job span's counters mirror the Stats entry of
-	// its round exactly.
+	// or Perfetto). Spans carry time only: job span i is round i of
+	// Stats, which holds its counts.
 	var chrome bytes.Buffer
 	if err := mwsjoin.WriteChromeTrace(&chrome, spans); err != nil {
 		return err
@@ -69,16 +70,17 @@ func run(w io.Writer, n int) error {
 	if err := mwsjoin.ValidateChromeTrace(chrome.Bytes()); err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "\n── Chrome trace: %d spans in %d bytes, job counters vs Stats ──\n", len(spans), chrome.Len())
+	fmt.Fprintf(w, "\n── Chrome trace: %d spans in %d bytes; job walls beside Stats ──\n", len(spans), chrome.Len())
 	jobIdx := 0
 	for _, s := range spans {
 		if s.Kind != trace.KindJob {
 			continue
 		}
-		st := res.Stats.Rounds[jobIdx]
-		fmt.Fprintf(w, "job %-12s trace pairs=%-8d stats pairs=%-8d match=%v\n",
-			s.Name, s.Counter("pairs"), st.IntermediatePairs,
-			s.Counter("pairs") == st.IntermediatePairs)
+		if jobIdx >= len(res.Stats.Rounds) || s.Name != res.Stats.Rounds[jobIdx].Job {
+			return fmt.Errorf("job span %d (%s) is not round %d of Stats", s.ID, s.Name, jobIdx+1)
+		}
+		fmt.Fprintf(w, "job %-12s wall=%-10v stats pairs=%d\n",
+			s.Name, s.Dur.Round(time.Microsecond), res.Stats.Rounds[jobIdx].IntermediatePairs)
 		jobIdx++
 	}
 	return nil

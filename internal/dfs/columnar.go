@@ -211,7 +211,6 @@ func (w *MBBWriter) Close() error {
 	w.fs.mu.Unlock()
 	w.fs.bytesWritten.Add(bytes)
 	w.fs.recordsWritten.Add(n)
-	w.fs.traceIO("dfs_bytes_written", "dfs_records_written", bytes, n)
 	w.pending = mbbColumns{}
 	return nil
 }

@@ -16,8 +16,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-
-	"mwsjoin/internal/trace"
 )
 
 // DefaultBlockSize mirrors the 64 MiB HDFS block size of the paper's
@@ -52,36 +50,6 @@ type FS struct {
 	recordsRead    atomic.Int64
 	filesCreated   atomic.Int64
 	filesDeleted   atomic.Int64
-
-	// traceTo, when set, receives dfs_* I/O counters for every read
-	// and write, attributing DFS traffic to the currently executing
-	// span (the executor points it at the active round span).
-	traceTo atomic.Pointer[traceTarget]
-}
-
-// traceTarget pairs a tracer with the span DFS counters flow into.
-type traceTarget struct {
-	tr   *trace.Tracer
-	span trace.SpanID
-}
-
-// SetTrace attributes subsequent I/O counters to the given span;
-// a nil tracer (or span 0) detaches. The target is swapped atomically,
-// so it may be repointed between jobs while other goroutines do I/O.
-func (fs *FS) SetTrace(tr *trace.Tracer, span trace.SpanID) {
-	if tr == nil || span == 0 {
-		fs.traceTo.Store(nil)
-		return
-	}
-	fs.traceTo.Store(&traceTarget{tr: tr, span: span})
-}
-
-// traceIO charges one read or write to the attached span, if any.
-func (fs *FS) traceIO(counterBytes, counterRecords string, bytes, records int64) {
-	if t := fs.traceTo.Load(); t != nil {
-		t.tr.Add(t.span, counterBytes, bytes)
-		t.tr.Add(t.span, counterRecords, records)
-	}
 }
 
 type file struct {
@@ -141,7 +109,6 @@ func (fs *FS) chargeRead(f *file, bytes, records int64) {
 	}
 	fs.bytesRead.Add(bytes)
 	fs.recordsRead.Add(records)
-	fs.traceIO("dfs_bytes_read", "dfs_records_read", bytes, records)
 }
 
 // New creates a file system with the given block size; sizes ≤ 0 fall
@@ -426,7 +393,6 @@ func (w *Writer) Close() error {
 	if !w.f.local {
 		w.fs.bytesWritten.Add(w.bytes)
 		w.fs.recordsWritten.Add(int64(len(w.pending)))
-		w.fs.traceIO("dfs_bytes_written", "dfs_records_written", w.bytes, int64(len(w.pending)))
 	}
 	w.pending = nil
 	return nil

@@ -7,7 +7,6 @@ import (
 	"fmt"
 
 	"mwsjoin/internal/dfs"
-	"mwsjoin/internal/trace"
 )
 
 // Chain runs a sequence of dependent jobs with Hadoop-style chain-level
@@ -72,11 +71,6 @@ type ChainConfig struct {
 	// progress; it must be safe for whatever concurrency the caller's
 	// progress sink needs.
 	OnStep func(jobIndex int, name string)
-	// Tracer/TraceParent receive the chain's recovery counters
-	// (checkpoint_bytes_written, checkpoint_bytes_read, resumed_jobs).
-	// Both optional.
-	Tracer      *trace.Tracer
-	TraceParent trace.SpanID
 }
 
 // ChainStats counts what a chain did. Checkpoint counters include the
@@ -264,7 +258,6 @@ func (c *Chain) maybeKill(i int, name string) error {
 		return nil
 	}
 	c.killed = true
-	c.traceAdd("chain_kills", 1)
 	return &ChainKilledError{Chain: c.cfg.Name, Job: i, Step: name}
 }
 
@@ -313,8 +306,6 @@ func (c *Chain) tryResume(i int, name, file string) (*Stats, bool, error) {
 	c.stats.ResumedJobs++
 	c.stats.CheckpointBytesRead += metaBytes
 	c.stats.CheckpointRecordsRead++
-	c.traceAdd("resumed_jobs", 1)
-	c.traceAdd("checkpoint_bytes_read", metaBytes)
 	return meta.Stats, true, nil
 }
 
@@ -333,7 +324,6 @@ func (c *Chain) openPending() (*dfs.View, error) {
 	}
 	c.stats.CheckpointBytesRead += in.Bytes()
 	c.stats.CheckpointRecordsRead += int64(in.Len())
-	c.traceAdd("checkpoint_bytes_read", in.Bytes())
 	return in, nil
 }
 
@@ -382,10 +372,5 @@ func (c *Chain) writeCheckpoint(i int, name, file string, out [][]byte, st *Stat
 	written := bytes + int64(len(js))
 	c.stats.CheckpointBytesWritten += written
 	c.stats.CheckpointRecordsWritten += int64(len(out)) + 1
-	c.traceAdd("checkpoint_bytes_written", written)
 	return nil
-}
-
-func (c *Chain) traceAdd(counter string, v int64) {
-	c.cfg.Tracer.Add(c.cfg.TraceParent, counter, v)
 }

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"mwsjoin/internal/dfs"
-	"mwsjoin/internal/trace"
 )
 
 // testChainSteps builds a deterministic 3-step synthetic chain over
@@ -331,8 +330,9 @@ func TestChainValidation(t *testing.T) {
 	NewChain(ChainConfig{Name: "nilfs"}) // panics; recovered above
 }
 
-// TestChainObservability: the chain's trace counters mirror ChainStats
-// exactly.
+// TestChainObservability: ChainStats is the chain's record of what
+// recovery cost, so a fully resumed chain's checkpoint reads are exactly
+// the DFS bytes and records it read.
 func TestChainObservability(t *testing.T) {
 	fs := dfs.New(0)
 	var calls [3]int
@@ -340,27 +340,24 @@ func TestChainObservability(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tr := trace.New()
-	root := tr.Start(0, trace.KindRun, "chainrun")
+	before := fs.Stats()
 	var resumeCalls [3]int
-	_, cs, err := runTestChain(t, ChainConfig{
-		Name: "t", FS: fs, Resume: true,
-		Tracer: tr, TraceParent: root,
-	}, &resumeCalls)
-	tr.End(root)
+	_, cs, err := runTestChain(t, ChainConfig{Name: "t", FS: fs, Resume: true}, &resumeCalls)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cs.ResumedJobs != 3 {
 		t.Fatalf("resumed jobs = %d, want 3", cs.ResumedJobs)
 	}
-	spans := tr.Spans()
-	counters := spans[0].Counters
-	if counters["resumed_jobs"] != cs.ResumedJobs {
-		t.Errorf("trace resumed_jobs = %d, want %d", counters["resumed_jobs"], cs.ResumedJobs)
+	after := fs.Stats()
+	if read := after.BytesRead - before.BytesRead; cs.CheckpointBytesRead != read {
+		t.Errorf("checkpoint bytes read = %d, the DFS read %d", cs.CheckpointBytesRead, read)
 	}
-	if counters["checkpoint_bytes_read"] != cs.CheckpointBytesRead {
-		t.Errorf("trace checkpoint_bytes_read = %d, want %d", counters["checkpoint_bytes_read"], cs.CheckpointBytesRead)
+	if read := after.RecordsRead - before.RecordsRead; cs.CheckpointRecordsRead != read {
+		t.Errorf("checkpoint records read = %d, the DFS read %d", cs.CheckpointRecordsRead, read)
+	}
+	if after.BytesWritten != before.BytesWritten || cs.CheckpointBytesWritten != 0 {
+		t.Errorf("a fully resumed chain wrote %d DFS bytes, %d checkpoint bytes", after.BytesWritten-before.BytesWritten, cs.CheckpointBytesWritten)
 	}
 }
 

@@ -32,8 +32,8 @@
 // reduce attempts reuse the immutable shuffled input.
 //
 // When Config.Tracer is set, every run emits a span tree — job →
-// map/shuffle/reduce phases → task attempts — with counters that
-// mirror the Stats totals exactly (see mwsjoin/internal/trace).
+// map/shuffle/reduce phases → task attempts — that times what Stats
+// counts (see mwsjoin/internal/trace).
 package mapreduce
 
 import (
@@ -80,8 +80,8 @@ type Config struct {
 	// counters, ...) cannot be rolled back by the engine.
 	FailReduce func(reducer, attempt int) bool
 	// Tracer, when non-nil, receives job → phase → task-attempt spans
-	// and counters for this job; TraceParent is the span they nest
-	// under (0 for a root job span). A nil Tracer costs nothing.
+	// for this job; TraceParent is the span they nest under (0 for a
+	// root job span). A nil Tracer costs nothing.
 	Tracer      *trace.Tracer
 	TraceParent trace.SpanID
 	// Pool recycles the engine's large scratch buffers — the map side's
@@ -476,18 +476,9 @@ func (j *Job[I, K, V, O]) RunSplits(n int, read func(lo, hi int, yield func(I) e
 		}
 	}
 	stats.MapWall = time.Since(mapStart)
-	if traced {
-		// Task-attempt spans are logged in task order after the phase,
-		// so span IDs stay deterministic despite concurrent execution.
-		logTaskAttempts(tr, mapSpan, "map", mapRuns)
-		tr.Add(mapSpan, "records_in", stats.MapInputRecords)
-		tr.Add(mapSpan, "attempts", stats.MapAttempts)
-		tr.Add(mapSpan, "injected_failures", stats.MapFailures)
-		if j.Combine != nil {
-			tr.Add(mapSpan, "combine_in", stats.CombineInputPairs)
-			tr.Add(mapSpan, "combine_out", stats.CombineOutputPairs)
-		}
-	}
+	// Task-attempt spans are logged in task order after the phase, so
+	// span IDs stay deterministic despite concurrent execution.
+	logTaskAttempts(tr, mapSpan, "map", mapRuns)
 	tr.End(mapSpan)
 	// discardSpills removes committed mappers' scratch on the abort
 	// paths below, where the shuffle will never consume it.
@@ -586,25 +577,7 @@ func (j *Job[I, K, V, O]) RunSplits(n int, read func(lo, hi int, yield func(I) e
 	}
 	runs = nil
 	if traced {
-		shuffleSpan := tr.Observe(jobSpan, trace.KindPhase, "shuffle", shuffleStart, time.Now())
-		var maxPairs, hot int64
-		for r, n := range stats.PairsPerReducer {
-			if n > maxPairs {
-				maxPairs, hot = n, int64(r)
-			}
-		}
-		tr.Add(shuffleSpan, "pairs", stats.IntermediatePairs)
-		tr.Add(shuffleSpan, "bytes", stats.IntermediateBytes)
-		tr.Add(shuffleSpan, "reducers", int64(nr))
-		tr.Add(shuffleSpan, "max_reducer_pairs", maxPairs)
-		tr.Add(shuffleSpan, "hot_reducer", hot)
-		if stats.SpilledRuns > 0 {
-			// Attached only when something spilled, so traces of
-			// in-memory shuffles are byte-identical to before.
-			tr.Add(shuffleSpan, "spilled_runs", stats.SpilledRuns)
-			tr.Add(shuffleSpan, "spill_bytes_written", stats.SpillBytesWritten)
-			tr.Add(shuffleSpan, "spill_bytes_read", stats.SpillBytesRead)
-		}
+		tr.Observe(jobSpan, trace.KindPhase, "shuffle", shuffleStart, time.Now())
 	}
 
 	// ---- reduce phase ----
@@ -674,13 +647,7 @@ func (j *Job[I, K, V, O]) RunSplits(n int, read func(lo, hi int, yield func(I) e
 		out = append(out, outputs[r]...)
 	}
 	stats.ReduceOutputRecords = int64(len(out))
-	if traced {
-		logTaskAttempts(tr, reduceSpan, "reduce", redRuns)
-		tr.Add(reduceSpan, "keys", stats.ReduceInputKeys)
-		tr.Add(reduceSpan, "records_out", stats.ReduceOutputRecords)
-		tr.Add(reduceSpan, "attempts", stats.ReduceAttempts)
-		tr.Add(reduceSpan, "injected_failures", stats.ReduceFailures)
-	}
+	logTaskAttempts(tr, reduceSpan, "reduce", redRuns)
 	tr.End(reduceSpan)
 	for _, err := range redErrs {
 		if err != nil {
@@ -689,24 +656,6 @@ func (j *Job[I, K, V, O]) RunSplits(n int, read func(lo, hi int, yield func(I) e
 	}
 
 	stats.TotalWall = time.Since(start)
-	if traced {
-		// Job-level counters mirror the Stats totals exactly, so a
-		// trace can be cross-checked against (and decomposes) the flat
-		// per-job accounting.
-		tr.Add(jobSpan, "pairs", stats.IntermediatePairs)
-		tr.Add(jobSpan, "bytes", stats.IntermediateBytes)
-		tr.Add(jobSpan, "records_in", stats.MapInputRecords)
-		tr.Add(jobSpan, "keys", stats.ReduceInputKeys)
-		tr.Add(jobSpan, "records_out", stats.ReduceOutputRecords)
-		tr.Add(jobSpan, "map_attempts", stats.MapAttempts)
-		tr.Add(jobSpan, "map_failures", stats.MapFailures)
-		tr.Add(jobSpan, "reduce_attempts", stats.ReduceAttempts)
-		tr.Add(jobSpan, "reduce_failures", stats.ReduceFailures)
-		if j.Combine != nil {
-			tr.Add(jobSpan, "combine_in", stats.CombineInputPairs)
-			tr.Add(jobSpan, "combine_out", stats.CombineOutputPairs)
-		}
-	}
 	return out, stats, nil
 }
 
@@ -715,7 +664,6 @@ func (j *Job[I, K, V, O]) RunSplits(n int, read func(lo, hi int, yield func(I) e
 // in deterministic task order.
 type taskAttempt struct {
 	start, end time.Time
-	failed     bool
 }
 
 // taskRun is one task's retry accounting: the attempts it made, how many
@@ -726,14 +674,12 @@ type taskRun struct {
 	log                []taskAttempt
 }
 
-// logTaskAttempts records the per-task attempt spans of one phase.
+// logTaskAttempts records the per-task attempt spans of one phase. A
+// task's attempt #k+1 exists only because attempt #k failed.
 func logTaskAttempts(tr *trace.Tracer, phase trace.SpanID, kind string, runs []taskRun) {
 	for t := range runs {
 		for i, a := range runs[t].log {
-			id := tr.Observe(phase, trace.KindTask, fmt.Sprintf("%s-%d#%d", kind, t, i+1), a.start, a.end)
-			if a.failed {
-				tr.Add(id, "injected_failure", 1)
-			}
+			tr.Observe(phase, trace.KindTask, fmt.Sprintf("%s-%d#%d", kind, t, i+1), a.start, a.end)
 		}
 	}
 }
@@ -749,23 +695,20 @@ func runAttempts[T any](cfg *Config, role string, task int, fail func(task, atte
 	var zero T
 	for attempt := 1; ; attempt++ {
 		run.attempts++
-		var a taskAttempt
+		var start time.Time
 		if traced {
-			a.start = time.Now()
+			start = time.Now()
 		}
 		res, err := body()
 		if traced {
-			a.end = time.Now()
+			run.log = append(run.log, taskAttempt{start: start, end: time.Now()})
 		}
-		a.failed = fail != nil && fail(task, attempt)
-		if traced {
-			run.log = append(run.log, a)
-		}
-		if !a.failed && err == nil {
+		failed := fail != nil && fail(task, attempt)
+		if !failed && err == nil {
 			return res, nil
 		}
 		discard(res)
-		if !a.failed {
+		if !failed {
 			return zero, err
 		}
 		run.failures++

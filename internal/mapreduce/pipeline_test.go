@@ -50,12 +50,12 @@ func pipelineJob(par int, inject bool) (*Job[int64, int64, int64, string], []int
 	return job, input
 }
 
-// spanSummary flattens a trace into comparable (kind, name, counters)
+// spanSummary flattens a trace into comparable (parent, kind, name)
 // tuples, dropping wall-clock times.
 func spanSummary(tr *trace.Tracer) []string {
 	var out []string
 	for _, s := range tr.Spans() {
-		out = append(out, fmt.Sprintf("%d|%s|%s|%v", s.Parent, s.Kind, s.Name, s.Counters))
+		out = append(out, fmt.Sprintf("%d|%s|%s", s.Parent, s.Kind, s.Name))
 	}
 	return out
 }
@@ -136,10 +136,10 @@ func contractStats(s *Stats) Stats {
 
 // TestPipelineEquivalence is the shuffle's core property: outputs and
 // the contract Stats (including PairsPerReducer and IntermediateBytes)
-// equal referenceRun's, and full Stats and trace-span totals are
-// bit-identical across Parallelism ∈ {1, 2, 8}, with and without
-// simultaneous map+reduce fault injection — for the plain shuffle, with
-// a Combine hook, with every run spilled, and with both.
+// equal referenceRun's, and full Stats and span trees are bit-identical
+// across Parallelism ∈ {1, 2, 8}, with and without simultaneous
+// map+reduce fault injection — for the plain shuffle, with a Combine
+// hook, with every run spilled, and with both.
 func TestPipelineEquivalence(t *testing.T) {
 	codec := spillTestJob(Config{})
 	for _, shape := range []string{"plain", "combine", "spill", "combine+spill"} {
@@ -402,8 +402,9 @@ func TestCombinerDropAndExpand(t *testing.T) {
 
 // TestCombinerDeterminismAndTrace: under fault injection a combiner's
 // accounting covers committed map attempts only and is what the shuffle
-// then moves, and the job span exposes it. (Determinism across
-// parallelism is TestPipelineEquivalence's combine shape.)
+// then moves, and the span tree times every attempt Stats counts: one
+// task span per map and reduce attempt, under its phase. (Determinism
+// across parallelism is TestPipelineEquivalence's combine shape.)
 func TestCombinerDeterminismAndTrace(t *testing.T) {
 	job, input := pipelineJob(2, true)
 	job.Combine = sumCombine
@@ -419,15 +420,28 @@ func TestCombinerDeterminismAndTrace(t *testing.T) {
 	if stats.IntermediatePairs != stats.CombineOutputPairs {
 		t.Errorf("IntermediatePairs = %d, want CombineOutputPairs %d", stats.IntermediatePairs, stats.CombineOutputPairs)
 	}
-	jobSpans := tr.Find(trace.KindJob, "prop")
-	if len(jobSpans) != 1 {
-		t.Fatalf("want 1 job span, got %d", len(jobSpans))
+	if stats.MapFailures == 0 || stats.ReduceFailures == 0 {
+		t.Fatalf("no injected failure fired: %+v", stats)
 	}
-	jobSpan := jobSpans[0]
-	if jobSpan.Counters["combine_in"] != stats.CombineInputPairs || jobSpan.Counters["combine_out"] != stats.CombineOutputPairs {
-		t.Errorf("job span combine counters = %d/%d, want %d/%d",
-			jobSpan.Counters["combine_in"], jobSpan.Counters["combine_out"],
-			stats.CombineInputPairs, stats.CombineOutputPairs)
+	phases := map[trace.SpanID]string{}
+	tasks := map[string]int64{}
+	for _, s := range tr.Spans() {
+		switch s.Kind {
+		case trace.KindJob:
+			if s.ID != 1 || s.Name != "prop" {
+				t.Errorf("job span = %+v", s)
+			}
+		case trace.KindPhase:
+			if s.Parent != 1 {
+				t.Errorf("phase %s not under the job span", s.Name)
+			}
+			phases[s.ID] = s.Name
+		case trace.KindTask:
+			tasks[phases[s.Parent]]++
+		}
+	}
+	if tasks["map"] != stats.MapAttempts || tasks["reduce"] != stats.ReduceAttempts || len(tasks) != 2 {
+		t.Errorf("task spans per phase = %v, want map %d and reduce %d", tasks, stats.MapAttempts, stats.ReduceAttempts)
 	}
 }
 

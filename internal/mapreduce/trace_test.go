@@ -115,92 +115,6 @@ func TestCombinedMapReduceFaults(t *testing.T) {
 	}
 }
 
-// TestTraceCountersMatchStats: the job span's counters must equal the
-// flat Stats totals exactly, and the span tree must have the job →
-// phase → task shape.
-func TestTraceCountersMatchStats(t *testing.T) {
-	tr := trace.New()
-	cfg := Config{
-		Name: "traced", NumReducers: 4, NumMappers: 2, MaxAttempts: 2, Tracer: tr,
-		FailMap:    func(mapper, attempt int) bool { return mapper == 0 && attempt == 1 },
-		FailReduce: func(reducer, attempt int) bool { return reducer == 1 && attempt == 1 },
-	}
-	job := wordCountJob(cfg)
-	_, stats, err := job.Run([]string{"a b a", "c b d", "a e"})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	jobs := tr.Find(trace.KindJob, "traced")
-	if len(jobs) != 1 {
-		t.Fatalf("got %d job spans, want 1", len(jobs))
-	}
-	js := jobs[0]
-	for counter, want := range map[string]int64{
-		"pairs":           stats.IntermediatePairs,
-		"bytes":           stats.IntermediateBytes,
-		"records_in":      stats.MapInputRecords,
-		"keys":            stats.ReduceInputKeys,
-		"records_out":     stats.ReduceOutputRecords,
-		"map_attempts":    stats.MapAttempts,
-		"map_failures":    stats.MapFailures,
-		"reduce_attempts": stats.ReduceAttempts,
-		"reduce_failures": stats.ReduceFailures,
-	} {
-		if got := js.Counter(counter); got != want {
-			t.Errorf("job counter %s = %d, want %d (stats %+v)", counter, got, want, stats)
-		}
-	}
-	if js.Dur < 0 {
-		t.Error("job span left open")
-	}
-
-	phases := tr.Find(trace.KindPhase, "")
-	names := map[string]trace.Span{}
-	for _, p := range phases {
-		if p.Parent != js.ID {
-			t.Errorf("phase %s not under job span", p.Name)
-		}
-		names[p.Name] = p
-	}
-	for _, want := range []string{"map", "shuffle", "reduce"} {
-		if _, ok := names[want]; !ok {
-			t.Fatalf("missing phase span %q (have %v)", want, phases)
-		}
-	}
-	if got := names["shuffle"].Counter("pairs"); got != stats.IntermediatePairs {
-		t.Errorf("shuffle pairs = %d, want %d", got, stats.IntermediatePairs)
-	}
-	if got := names["shuffle"].Counter("reducers"); got != 4 {
-		t.Errorf("shuffle reducers = %d, want 4", got)
-	}
-
-	// Task attempts: every map/reduce attempt appears as a task span
-	// under its phase, failed attempts flagged.
-	tasks := tr.Find(trace.KindTask, "")
-	var mapTasks, redTasks, flagged int64
-	for _, task := range tasks {
-		switch task.Parent {
-		case names["map"].ID:
-			mapTasks++
-		case names["reduce"].ID:
-			redTasks++
-		default:
-			t.Errorf("task %s under unexpected parent %d", task.Name, task.Parent)
-		}
-		flagged += task.Counter("injected_failure")
-	}
-	if mapTasks != stats.MapAttempts {
-		t.Errorf("map task spans = %d, want %d", mapTasks, stats.MapAttempts)
-	}
-	if redTasks != stats.ReduceAttempts {
-		t.Errorf("reduce task spans = %d, want %d", redTasks, stats.ReduceAttempts)
-	}
-	if flagged != stats.MapFailures+stats.ReduceFailures {
-		t.Errorf("flagged failures = %d, want %d", flagged, stats.MapFailures+stats.ReduceFailures)
-	}
-}
-
 // TestTracedRunSameResults: tracing must be semantics-transparent —
 // identical output and stats with and without a tracer.
 func TestTracedRunSameResults(t *testing.T) {

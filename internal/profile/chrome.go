@@ -39,21 +39,19 @@ const hierarchyTID = 1
 
 // WriteChromeTrace exports a span snapshot as Chrome trace-event JSON
 // loadable by chrome://tracing and Perfetto. Every span becomes one
-// complete event: the span kind is the category, and the args are the
-// span's counters plus its "span_id" and "parent_id", so the span tree
-// can be rebuilt from the trace alone. A span still open in the
-// snapshot is emitted with duration 0 and an "open" arg — the format
-// rejects negative durations — and spans closed by FinishOpen carry
-// their unfinished arg as a counter.
+// complete event: the span kind is the category, and the args are its
+// "span_id" and "parent_id", so the span tree can be rebuilt from the
+// trace alone. A span still open in the snapshot is emitted with
+// duration 0 and an "open" arg — the format rejects negative durations
+// — and a span FinishOpen closed carries an "unfinished" arg. Counts
+// are not in the trace: they are the run's Stats.
 func WriteChromeTrace(w io.Writer, spans []trace.Span) error {
 	out := chromeTrace{DisplayTimeUnit: "ms", TraceEvents: make([]chromeEvent, 0, len(spans))}
 	for _, s := range spans {
-		args := make(map[string]int64, len(s.Counters)+3)
-		for k, v := range s.Counters {
-			args[k] = v
+		args := map[string]int64{"span_id": int64(s.ID), "parent_id": int64(s.Parent)}
+		if s.Unfinished {
+			args["unfinished"] = 1
 		}
-		args["span_id"] = int64(s.ID)
-		args["parent_id"] = int64(s.Parent)
 		ev := chromeEvent{
 			Name: s.Name,
 			Cat:  string(s.Kind),

@@ -16,8 +16,8 @@ import (
 // TestChromeTraceExportValidates is the acceptance check: a real
 // traced execution exports to trace-event JSON that passes the schema
 // validator — every span becomes a complete event with non-negative
-// times, tasks land on their own lanes, and counters ride along as
-// args.
+// times, tasks land on their own lanes, and the args are the span's
+// identity and nothing else.
 func TestChromeTraceExportValidates(t *testing.T) {
 	q := query.New("R1", "R2", "R3").Overlap(0, 1).Overlap(1, 2)
 	rels := testRelations(21, 3, 200, 1000, 60)
@@ -48,6 +48,9 @@ func TestChromeTraceExportValidates(t *testing.T) {
 		if ev.TS != spans[i].Start.Microseconds() {
 			t.Errorf("event %d ts %d != span start %d", i, ev.TS, spans[i].Start.Microseconds())
 		}
+		if len(ev.Args) != 2 {
+			t.Errorf("event %d (%s) args = %v, want span_id and parent_id only", i, ev.Name, ev.Args)
+		}
 	}
 	for _, kind := range []string{"run", "round", "job", "phase", "task"} {
 		if cats[kind] == 0 {
@@ -60,9 +63,9 @@ func TestChromeTraceExportValidates(t *testing.T) {
 }
 
 // spansFromChrome rebuilds the span snapshot a trace was written from:
-// identity from the span_id/parent_id args, counters from the rest, and
-// Dur == -1 for an event flagged open. Times come back in whole
-// microseconds, the format's unit.
+// identity from the span_id/parent_id args, Dur == -1 for an event
+// flagged open, and Unfinished for one flagged unfinished. Times come
+// back in whole microseconds, the format's unit.
 func spansFromChrome(t *testing.T, data []byte) []trace.Span {
 	t.Helper()
 	var doc chromeTrace
@@ -84,15 +87,7 @@ func spansFromChrome(t *testing.T, data []byte) []trace.Span {
 		if ev.Args["open"] == 1 {
 			s.Dur = -1
 		}
-		for k, v := range ev.Args {
-			if k == "span_id" || k == "parent_id" || k == "open" {
-				continue
-			}
-			if s.Counters == nil {
-				s.Counters = map[string]int64{}
-			}
-			s.Counters[k] = v
-		}
+		s.Unfinished = ev.Args["unfinished"] == 1
 		spans[i] = s
 	}
 	return spans
@@ -100,8 +95,8 @@ func spansFromChrome(t *testing.T, data []byte) []trace.Span {
 
 // TestChromeTraceRebuildsSpanTree: the Chrome trace is the timeline's
 // only export, so it must be lossless — one event per span of a traced
-// C-Rep run plus an open one, and the tree rebuilt from the events
-// equals Tracer.Spans() up to microsecond rounding.
+// C-Rep run, an unfinished one and an open one, and the tree rebuilt
+// from the events equals Tracer.Spans() up to microsecond rounding.
 func TestChromeTraceRebuildsSpanTree(t *testing.T) {
 	q := query.New("R1", "R2", "R3").Overlap(0, 1).Overlap(1, 2)
 	rels := testRelations(21, 3, 200, 1000, 60)
@@ -109,7 +104,9 @@ func TestChromeTraceRebuildsSpanTree(t *testing.T) {
 	if _, err := spatial.Execute(spatial.ControlledReplicate, q, rels, spatial.Config{Tracer: tr}); err != nil {
 		t.Fatal(err)
 	}
-	tr.Add(tr.Start(0, trace.KindRun, "abandoned"), "pairs", 3)
+	tr.Start(0, trace.KindRun, "orphaned")
+	tr.FinishOpen()
+	tr.Start(0, trace.KindRun, "abandoned")
 	var buf bytes.Buffer
 	if err := WriteChromeTrace(&buf, tr.Spans()); err != nil {
 		t.Fatal(err)
@@ -132,8 +129,11 @@ func TestChromeTraceRebuildsSpanTree(t *testing.T) {
 			}
 		}
 	}
-	if open := got[len(got)-1]; open.Dur != -1 || open.Counter("pairs") != 3 {
+	if open := got[len(got)-1]; open.Dur != -1 || open.Unfinished {
 		t.Errorf("open span rebuilt as %+v", open)
+	}
+	if orphan := got[len(got)-2]; orphan.Dur < 0 || !orphan.Unfinished {
+		t.Errorf("unfinished span rebuilt as %+v", orphan)
 	}
 }
 
@@ -141,8 +141,7 @@ func TestChromeTraceRebuildsSpanTree(t *testing.T) {
 // and an "open" arg — never a negative duration — and still validates.
 func TestChromeTraceOpenSpanFlagged(t *testing.T) {
 	tr := trace.New()
-	run := tr.Start(0, trace.KindRun, "abandoned")
-	tr.Add(run, "pairs", 3)
+	tr.Start(0, trace.KindRun, "abandoned")
 	var buf bytes.Buffer
 	if err := WriteChromeTrace(&buf, tr.Spans()); err != nil {
 		t.Fatal(err)

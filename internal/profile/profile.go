@@ -1,14 +1,13 @@
 // Package profile assembles per-query execution profiles. The paper's
 // experimental argument is per-phase cost attribution — map vs shuffle
 // vs reduce pairs/bytes/time per round (§6.4, §7.8.3) — and the flat
-// Stats structs plus the raw span tree each hold half of that picture.
-// A Profile joins them: the deterministic counters come from
-// spatial.Stats (authoritative, bit-identical across parallelism), the
-// per-phase wall times come from the tracer's span tree, and Normalize
-// zeroes the wall fields so profiles are property-testable (two runs of
-// the same query produce byte-identical normalized profiles). chrome.go
-// exports the span tree as Chrome trace-event JSON for
-// chrome://tracing/Perfetto.
+// Stats structs plus the span timeline each hold half of that picture.
+// A Profile joins them: every count comes from spatial.Stats (the one
+// record, bit-identical across parallelism), the shuffle wall times
+// come from the tracer's spans, and Normalize zeroes the wall fields so
+// profiles are property-testable (two runs of the same query produce
+// byte-identical normalized profiles). chrome.go exports the timeline
+// as Chrome trace-event JSON for chrome://tracing/Perfetto.
 package profile
 
 import (
@@ -77,8 +76,9 @@ type RoundProfile struct {
 type Profile struct {
 	Query  string `json:"query"`
 	Method string `json:"method"`
-	// Cells is the reducer-cell count of the partitioning, read from
-	// the run span (0 when the execution was not traced).
+	// Cells is the reducer-cell count of the partitioning: the reducers
+	// of the first round (0 when no map-reduce job ran, as in
+	// BruteForce).
 	Cells  int64          `json:"cells,omitempty"`
 	WallUS int64          `json:"wall_us"`
 	Rounds []RoundProfile `json:"rounds,omitempty"`
@@ -92,19 +92,19 @@ type Profile struct {
 	DFS   dfs.Stats             `json:"dfs"`
 	Chain *mapreduce.ChainStats `json:"chain,omitempty"`
 
-	// UnfinishedSpans counts spans in the run's subtree that were
-	// closed by FinishOpen (or were still open at Build time) — 0 on a
+	// UnfinishedSpans counts spans in the run's subtree that FinishOpen
+	// marked Unfinished (or that were still open at Build time) — 0 on a
 	// clean run, non-zero when a panic/cancel/error unwound past span
 	// Ends.
 	UnfinishedSpans int64 `json:"unfinished_spans,omitempty"`
 }
 
 // Build assembles a Profile from an execution's Stats and its span
-// snapshot (nil when the run was not traced). Counters come from
-// Stats; the tracer contributes the shuffle wall times, the cell
-// count, and the unfinished-span tally. The spans of the *last* run
-// span in the snapshot are used, so a tracer reused across sequential
-// executions profiles the most recent one.
+// snapshot (nil when the run was not traced). Counts come from Stats;
+// the tracer contributes the shuffle wall times and the unfinished-span
+// tally. The spans of the *last* run span in the snapshot are used, so
+// a tracer reused across sequential executions profiles the most
+// recent one.
 func Build(queryText string, st *spatial.Stats, spans []trace.Span) *Profile {
 	p := &Profile{
 		Query:                      queryText,
@@ -124,19 +124,18 @@ func Build(queryText string, st *spatial.Stats, spans []trace.Span) *Profile {
 	for _, rst := range st.Rounds {
 		p.Rounds = append(p.Rounds, roundFromStats(rst))
 	}
-
-	run, sub := lastRunSubtree(spans)
-	if run == nil {
-		return p
+	if len(p.Rounds) > 0 {
+		p.Cells = p.Rounds[0].Shuffle.Reducers
 	}
-	p.Cells = run.Counter("cells")
+
+	sub := lastRunSubtree(spans)
 	// Attach span-measured walls. Job spans appear in ID (execution)
 	// order; rounds resumed from checkpoints re-use recorded Stats but
 	// ran no engine job, so advance through the job spans by matching
 	// names rather than assuming one span per round.
 	var jobs []trace.Span
 	for _, s := range sub {
-		if s.Counter(trace.UnfinishedCounter) > 0 || s.Dur < 0 {
+		if s.Unfinished || s.Dur < 0 {
 			p.UnfinishedSpans++
 		}
 		if s.Kind == trace.KindJob {
@@ -201,27 +200,27 @@ func roundFromStats(st *mapreduce.Stats) RoundProfile {
 	return r
 }
 
-// lastRunSubtree returns the last run span in the snapshot and all
-// spans of its subtree (itself included) in ID order.
-func lastRunSubtree(spans []trace.Span) (*trace.Span, []trace.Span) {
-	var run *trace.Span
-	for i := range spans {
-		if spans[i].Kind == trace.KindRun {
-			run = &spans[i]
+// lastRunSubtree returns the spans of the last run span's subtree
+// (itself included) in ID order, nil when the snapshot has no run.
+func lastRunSubtree(spans []trace.Span) []trace.Span {
+	var run trace.SpanID
+	for _, s := range spans {
+		if s.Kind == trace.KindRun {
+			run = s.ID
 		}
 	}
-	if run == nil {
-		return nil, nil
+	if run == 0 {
+		return nil
 	}
-	in := map[trace.SpanID]bool{run.ID: true}
+	in := map[trace.SpanID]bool{run: true}
 	var sub []trace.Span
 	for _, s := range spans {
-		if s.ID == run.ID || in[s.Parent] {
+		if s.ID == run || in[s.Parent] {
 			in[s.ID] = true
 			sub = append(sub, s)
 		}
 	}
-	return run, sub
+	return sub
 }
 
 // Normalize returns a deep copy with every wall-time field zeroed —

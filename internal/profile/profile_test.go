@@ -235,21 +235,52 @@ func TestProfileBuildFields(t *testing.T) {
 	}
 }
 
-// TestProfileWithoutTracer: Build degrades gracefully when the run was
-// not traced — counters and stats walls are still populated.
+// TestProfileWithoutTracer: every count of a profile comes from Stats,
+// so an untraced run's profile has them all — the cell count included,
+// which spatial_partition_cells reports for the same Stats — and only
+// the shuffle walls, which the spans time, stay zero.
 func TestProfileWithoutTracer(t *testing.T) {
 	q := query.New("R1", "R2").Overlap(0, 1)
 	rels := testRelations(14, 2, 150, 1000, 60)
-	res, err := spatial.Execute(spatial.ControlledReplicate, q, rels, spatial.Config{})
+	res, err := spatial.Execute(spatial.ControlledReplicate, q, rels, spatial.Config{Reducers: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := Build(q.String(), &res.Stats, nil)
-	if p.Cells != 0 || len(p.Rounds) != len(res.Stats.Rounds) {
-		t.Errorf("untraced profile = %+v", p)
+	if p.Cells != 16 || len(p.Rounds) != len(res.Stats.Rounds) {
+		t.Errorf("untraced profile = %+v, want 16 cells", p)
 	}
 	if p.IntermediatePairs != res.Stats.IntermediatePairs() {
 		t.Error("untraced profile lost counters")
+	}
+	for i, r := range p.Rounds {
+		if r.Shuffle.WallUS != 0 {
+			t.Errorf("round %d: untraced shuffle wall %d", i, r.Shuffle.WallUS)
+		}
+	}
+	var buf bytes.Buffer
+	if err := p.WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "cells 16 ") {
+		t.Errorf("untraced profile text:\n%s", buf.String())
+	}
+}
+
+// TestProfileBruteForceHasNoCells: BruteForce runs no map-reduce job and
+// so no reducer grid; its profile reports no cells, traced or not.
+func TestProfileBruteForceHasNoCells(t *testing.T) {
+	q := query.New("R1", "R2").Overlap(0, 1)
+	rels := testRelations(14, 2, 150, 1000, 60)
+	tr := trace.New()
+	res, err := spatial.Execute(spatial.BruteForce, q, rels, spatial.Config{Reducers: 16, Tracer: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spans := range [][]trace.Span{nil, tr.Spans()} {
+		if p := Build(q.String(), &res.Stats, spans); p.Cells != 0 || len(p.Rounds) != 0 {
+			t.Errorf("brute-force profile = %+v, want no cells and no rounds", p)
+		}
 	}
 }
 

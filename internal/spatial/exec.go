@@ -82,12 +82,11 @@ type Config struct {
 	// checkpoint is complete are skipped (their recorded Stats are
 	// reused), and only the checkpoint re-read cost is charged.
 	Resume bool
-	// Tracer, when non-nil, receives the execution's span tree: a run
+	// Tracer, when non-nil, receives the execution's timeline: a run
 	// span over the whole call, one round span per algorithm step
 	// (cascade steps, C-Rep's mark/join rounds) covering the step's
 	// jobs and DFS staging, and the engine's job/phase/task spans
-	// beneath. DFS I/O counters are attributed to the active round, so
-	// a traced execution must not share its FS with concurrent runs.
+	// beneath. Spans carry time only; the counts are in Result.Stats.
 	Tracer *trace.Tracer
 	// OptimizeOrder replaces the default connectivity join order with a
 	// cost-based one derived from sampling estimates (footnote 1 of the
@@ -148,28 +147,26 @@ type executor struct {
 
 	tr      *trace.Tracer
 	runSpan trace.SpanID
-	// cur is the span job and DFS costs currently flow into: the open
-	// round span, or the run span between rounds.
+	// cur is the span job spans nest under: the open round span, or the
+	// run span between rounds.
 	cur trace.SpanID
 }
 
-// beginRound opens a round span (one algorithm step) and points job
-// and DFS accounting at it.
+// beginRound opens a round span (one algorithm step) and nests the
+// following jobs under it.
 func (e *executor) beginRound(name string) trace.SpanID {
 	id := e.tr.Start(e.runSpan, trace.KindRound, name)
 	if id != 0 {
 		e.cur = id
-		e.fs.SetTrace(e.tr, id)
 	}
 	return id
 }
 
-// endRound closes a round span and reattaches accounting to the run.
+// endRound closes a round span; later jobs nest under the run again.
 func (e *executor) endRound(id trace.SpanID) {
 	e.tr.End(id)
 	if id != 0 {
 		e.cur = e.runSpan
-		e.fs.SetTrace(e.tr, e.runSpan)
 	}
 }
 
@@ -203,12 +200,11 @@ func Execute(method Method, q *query.Query, rels []Relation, cfg Config) (*Resul
 	if err != nil {
 		return nil, err
 	}
-	part := g.part
 	fs := cfg.FS
 	if fs == nil {
 		fs = dfs.New(0)
 	}
-	exec := &executor{part: part, rels: rels, stats: est.set.stats, fs: fs, cfg: cfg, metric: cfg.LimitMetric, tr: cfg.Tracer, pool: sharedPool}
+	exec := &executor{part: g.part, rels: rels, stats: est.set.stats, fs: fs, cfg: cfg, metric: cfg.LimitMetric, tr: cfg.Tracer, pool: sharedPool}
 	if cfg.FS == nil {
 		// The checkpoint files are views into the output stores' pages,
 		// and nothing outside this call can read a private FS. On a
@@ -220,13 +216,9 @@ func Execute(method Method, q *query.Query, rels []Relation, cfg Config) (*Resul
 	// Registered before the runSpan End so it runs after it (defers are
 	// LIFO): on a clean return every span is already ended and this is a
 	// no-op; on a panic, cancellation or error return it closes the
-	// round/job/phase spans whose End was skipped, flagging each with
-	// the unfinished counter so exporters never see a dangling span.
+	// round/job/phase spans whose End was skipped, flagging each
+	// Unfinished so exporters never see a dangling span.
 	defer exec.tr.FinishOpen()
-	if exec.runSpan != 0 {
-		fs.SetTrace(exec.tr, exec.runSpan)
-		defer fs.SetTrace(nil, 0)
-	}
 	defer exec.tr.End(exec.runSpan)
 
 	before := fs.Stats()
@@ -255,14 +247,6 @@ func Execute(method Method, q *query.Query, rels []Relation, cfg Config) (*Resul
 		return nil, err
 	}
 	res.Stats.DFS = statsDelta(before, fs.Stats())
-	if exec.runSpan != 0 {
-		exec.tr.Add(exec.runSpan, "cells", int64(part.NumCells()))
-		exec.tr.Add(exec.runSpan, "tuples", res.Stats.OutputTuples)
-		exec.tr.Add(exec.runSpan, "pairs", res.Stats.IntermediatePairs())
-		exec.tr.Add(exec.runSpan, "marked", res.Stats.RectanglesReplicated)
-		exec.tr.Add(exec.runSpan, "copies", res.Stats.RectanglesAfterReplication)
-		exec.tr.Add(exec.runSpan, "rounds", int64(len(res.Stats.Rounds)))
-	}
 	return res, nil
 }
 
@@ -306,18 +290,16 @@ func (e *executor) jobConfig(name string) mapreduce.Config {
 }
 
 // chain builds the method's job chain over the execution's FS:
-// checkpoints land under "chk/<name>", kill/resume follow the Config
-// knobs, and the chain's recovery counters flow into the run span.
+// checkpoints land under "chk/<name>", and kill/resume follow the
+// Config knobs.
 func (e *executor) chain(name string) *mapreduce.Chain {
 	return mapreduce.NewChain(mapreduce.ChainConfig{
-		Name:        name,
-		FS:          e.fs,
-		Resume:      e.cfg.Resume,
-		FailJob:     e.cfg.FailJob,
-		Context:     e.cfg.Context,
-		OnStep:      e.cfg.OnChainStep,
-		Tracer:      e.tr,
-		TraceParent: e.runSpan,
+		Name:    name,
+		FS:      e.fs,
+		Resume:  e.cfg.Resume,
+		FailJob: e.cfg.FailJob,
+		Context: e.cfg.Context,
+		OnStep:  e.cfg.OnChainStep,
 	})
 }
 

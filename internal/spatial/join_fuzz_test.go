@@ -10,6 +10,7 @@ import (
 	"mwsjoin/internal/dfs"
 	"mwsjoin/internal/geom"
 	"mwsjoin/internal/query"
+	"mwsjoin/internal/trace"
 )
 
 // joinFrame is the side of the square the fuzzed coordinates are laid
@@ -31,6 +32,7 @@ const (
 	joinMappersLo = 3      // bits 3–4: NumMappers − 1
 	joinFramed    = 1 << 5 // slot 0's relation leads with the frame rectangle
 	joinSelfPairs = 1 << 6 // AllowSelfPairs
+	joinFaults    = 1 << 7 // the first attempt of mapper 0 and of one reducer fails
 )
 
 // joinRepeat as a rectangle's first byte repeats the relation's previous
@@ -42,12 +44,15 @@ type joinCase struct {
 	q    *query.Query
 	rels []Relation
 	cfg  Config
+	// traced is the method FuzzJoin also runs with a Tracer.
+	traced Method
 }
 
 // decodeJoinCase turns any bytes into a join (missing bytes read as 0):
 //
-//	shape:  m = 2 + b%3 slots; b/3%3 picks a chain, a star or (m ≥ 3) a cycle
-//	config: the joinAdaptive … joinSelfPairs bits
+//	shape:  m = 2 + b%3 slots; b/3%3 picks a chain, a star or (m ≥ 3) a
+//	        cycle; b/9 picks the traced method
+//	config: the joinAdaptive … joinFaults bits
 //	cells:  the uniform grid's side 1 + b%8, or 1 + b%64 adaptive cells
 //	per edge: b%5 = 0 is ov, else ra(d) for d ∈ {0, one lattice ulp,
 //	        a lattice step, 1e9 + 0.3}
@@ -150,7 +155,16 @@ func decodeJoinCase(data []byte) joinCase {
 	if c&joinAdaptive != 0 {
 		cfg.Scheme, cfg.Reducers = PartitionAdaptive, 1+int(cells%64)
 	}
-	return joinCase{q: q, rels: rels, cfg: cfg}
+	if c&joinFaults != 0 {
+		// The reducer is the middle cell of the configured grid; an
+		// adaptive grid may cut fewer cells, and then no reducer fails.
+		failed := cfg.Reducers / 2
+		cfg.MaxAttempts = 3
+		cfg.FailMap = func(mapper, attempt int) bool { return mapper == 0 && attempt == 1 }
+		cfg.FailReduce = func(reducer, attempt int) bool { return reducer == failed && attempt == 1 }
+	}
+	methods := Methods()
+	return joinCase{q: q, rels: rels, cfg: cfg, traced: methods[int(h/9)%len(methods)]}
 }
 
 // stageInItemsOrder writes each relation to fs the way a caller that
@@ -191,7 +205,10 @@ func joinSeed(shape, config, cells byte, edges []byte, slots ...[]byte) []byte {
 // order, each reducer only checking its sides — and on an FS the
 // caller staged in Items order, where the reducers sort. A two-worker
 // SPMD run over distHub must return what the one-process run returns,
-// tuples in order and Stats alike.
+// tuples in order and Stats alike. Task failures may be injected
+// (joinFaults), and one method runs once more with a Tracer: tracing
+// must change neither its tuples nor its Stats, and must leave every
+// span closed and finished, job spans matching the Stats' rounds.
 //
 // The seeds are the regressions found by hand: verbatim-repeated
 // records under C-Rep's mark round, the ±1e9 range join every method
@@ -239,6 +256,8 @@ func FuzzJoin(f *testing.F) {
 	// it, and C-Rep-L's f2 replication, measuring from the rounded cell,
 	// sent the segment nowhere, not even to its own cell.
 	f.Add([]byte("1A022000100000010000\xfb$"))
+	// The repeats seed with injected task failures, traced under C-Rep.
+	f.Add(joinSeed(27, joinFramed|joinFaults|1<<joinMappersLo, 1, []byte{0}, []byte{0}, repeats, []byte{1, 3}, rect(2, 3, 3, 3), rect(0, 0, 4, 4), rect(3, 1, 3, 3)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		jc := decodeJoinCase(data)
@@ -270,6 +289,20 @@ func FuzzJoin(f *testing.F) {
 				}
 			}
 		}
+		cfg := jc.cfg
+		cfg.FS, cfg.Tracer = dfs.New(0), trace.New()
+		traced, err := Execute(jc.traced, jc.q, jc.rels, cfg)
+		if err != nil {
+			t.Fatalf("%v on %s, traced: %v", jc.traced, jc.q, err)
+		}
+		plain := oneWorker[jc.traced]
+		if !reflect.DeepEqual(traced.Tuples, plain.Tuples) {
+			t.Fatalf("%v on %s: tracing changed the tuples", jc.traced, jc.q)
+		}
+		if got, want := normalizeSpatialStats(traced.Stats), normalizeSpatialStats(plain.Stats); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v on %s: tracing changed Stats:\n got %+v\nwant %+v", jc.traced, jc.q, got, want)
+		}
+		checkTimeline(t, jc.traced.String(), cfg.Tracer.Spans(), &traced.Stats)
 		for _, m := range distMethods() {
 			results, errs := executeDistributed(t, 2, m, jc.q, jc.rels, jc.cfg)
 			for w, res := range results {

@@ -1,7 +1,6 @@
 package spatial
 
 import (
-	"fmt"
 	"math/rand/v2"
 	"reflect"
 	"testing"
@@ -92,8 +91,9 @@ func TestPropertyMethodsMatchBruteForceUnderFaults(t *testing.T) {
 }
 
 // TestPropertyFaultCountersConsistent cross-checks the engine's retry
-// accounting on one traced, fault-injected run: attempts = tasks +
-// failures on both sides, for every round.
+// accounting on one traced, fault-injected run: every round saw failures
+// and succeeded after them, and its timeline holds one task span per
+// attempt Stats counts (checkTimeline).
 func TestPropertyFaultCountersConsistent(t *testing.T) {
 	rng := rand.New(rand.NewPCG(405, 2013))
 	rels := randomRelations(rng, 3, 60, 500, 50)
@@ -109,23 +109,10 @@ func TestPropertyFaultCountersConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobs := tr.Find(trace.KindJob, "")
-	if len(jobs) != len(res.Stats.Rounds) {
-		t.Fatalf("%d job spans for %d rounds", len(jobs), len(res.Stats.Rounds))
-	}
+	checkTimeline(t, "c-rep", tr.Spans(), &res.Stats)
 	for i, st := range res.Stats.Rounds {
 		if st.MapFailures == 0 {
 			t.Errorf("round %d: no injected map failures", i)
-		}
-		for name, pair := range map[string][2]int64{
-			"map_attempts":    {jobs[i].Counter("map_attempts"), st.MapAttempts},
-			"map_failures":    {jobs[i].Counter("map_failures"), st.MapFailures},
-			"reduce_attempts": {jobs[i].Counter("reduce_attempts"), st.ReduceAttempts},
-			"reduce_failures": {jobs[i].Counter("reduce_failures"), st.ReduceFailures},
-		} {
-			if pair[0] != pair[1] {
-				t.Errorf("round %d: span %s=%d, stats=%d", i, name, pair[0], pair[1])
-			}
 		}
 		if st.MapAttempts <= st.MapFailures {
 			t.Errorf("round %d: %d map attempts vs %d failures — no attempt succeeded?", i, st.MapAttempts, st.MapFailures)
@@ -133,8 +120,5 @@ func TestPropertyFaultCountersConsistent(t *testing.T) {
 		if st.ReduceAttempts <= st.ReduceFailures {
 			t.Errorf("round %d: %d reduce attempts vs %d failures", i, st.ReduceAttempts, st.ReduceFailures)
 		}
-	}
-	if testing.Verbose() {
-		t.Log(fmt.Sprintf("rounds=%d jobs=%d", len(res.Stats.Rounds), len(jobs)))
 	}
 }

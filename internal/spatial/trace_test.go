@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"mwsjoin/internal/dfs"
 	"mwsjoin/internal/query"
 	"mwsjoin/internal/trace"
 )
@@ -18,11 +17,70 @@ func traceWorkload(t *testing.T) (*query.Query, []Relation) {
 	return q, randomRelations(rng, 3, 120, 1000, 80)
 }
 
-// TestTraceJobCountersMatchRoundStats: for every executed method, each
-// engine round's Stats must appear as a job span whose pair/byte
-// counters match exactly — the trace decomposes, never contradicts,
-// the flat accounting.
-func TestTraceJobCountersMatchRoundStats(t *testing.T) {
+// jobTimeline is one job span of a snapshot with the task spans (one
+// per attempt) under its map and reduce phases.
+type jobTimeline struct {
+	span                  trace.Span
+	mapTasks, reduceTasks int64
+}
+
+// jobTimelines returns a snapshot's job spans in ID order, each with
+// its task counts.
+func jobTimelines(spans []trace.Span) []jobTimeline {
+	var jobs []jobTimeline
+	jobAt := map[trace.SpanID]int{}
+	phaseOf := map[trace.SpanID]trace.Span{}
+	for _, s := range spans {
+		switch s.Kind {
+		case trace.KindJob:
+			jobAt[s.ID] = len(jobs)
+			jobs = append(jobs, jobTimeline{span: s})
+		case trace.KindPhase:
+			phaseOf[s.ID] = s
+		case trace.KindTask:
+			ph := phaseOf[s.Parent]
+			if i, ok := jobAt[ph.Parent]; ok && ph.Name == "map" {
+				jobs[i].mapTasks++
+			} else if ok && ph.Name == "reduce" {
+				jobs[i].reduceTasks++
+			}
+		}
+	}
+	return jobs
+}
+
+// checkTimeline reconciles a traced execution's spans with its Stats,
+// the record of every count: every span is closed and finished, job
+// span i is round i of Stats (every round ran; none was resumed), and
+// its map and reduce phases hold one task span per attempt Stats counts.
+func checkTimeline(t testing.TB, label string, spans []trace.Span, st *Stats) {
+	t.Helper()
+	for _, s := range spans {
+		if s.Dur < 0 || s.Unfinished {
+			t.Errorf("%s: span %d (%s %s) open or unfinished: %+v", label, s.ID, s.Kind, s.Name, s)
+		}
+	}
+	jobs := jobTimelines(spans)
+	if len(jobs) != len(st.Rounds) {
+		t.Fatalf("%s: %d job spans for %d rounds", label, len(jobs), len(st.Rounds))
+	}
+	for i, r := range st.Rounds {
+		j := jobs[i]
+		if j.span.Name != r.Job {
+			t.Errorf("%s: job span %d named %q, round %d of Stats is %q", label, i, j.span.Name, i, r.Job)
+		}
+		if j.mapTasks != r.MapAttempts || j.reduceTasks != r.ReduceAttempts {
+			t.Errorf("%s: round %d (%s): %d map and %d reduce task spans, Stats counts %d and %d attempts",
+				label, i, r.Job, j.mapTasks, j.reduceTasks, r.MapAttempts, r.ReduceAttempts)
+		}
+	}
+}
+
+// TestTraceHierarchy checks the span tree shape for a
+// Controlled-Replicate run — run → {mark, join} rounds → jobs → phases
+// — and, for every map-reduce method, that the job spans are Stats'
+// rounds in order.
+func TestTraceHierarchy(t *testing.T) {
 	q, rels := traceWorkload(t)
 	for _, m := range []Method{Cascade, AllReplicate, ControlledReplicate, ControlledReplicateLimit} {
 		tr := trace.New()
@@ -30,88 +88,39 @@ func TestTraceJobCountersMatchRoundStats(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
-		jobs := tr.Find(trace.KindJob, "")
-		if len(jobs) != len(res.Stats.Rounds) {
-			t.Fatalf("%v: %d job spans for %d rounds", m, len(jobs), len(res.Stats.Rounds))
+		checkTimeline(t, m.String(), tr.Spans(), &res.Stats)
+		if m != ControlledReplicate {
+			continue
 		}
-		for i, st := range res.Stats.Rounds {
-			js := jobs[i]
-			if js.Name != st.Job {
-				t.Errorf("%v: job span %d named %q, stats say %q", m, i, js.Name, st.Job)
-			}
-			if js.Counter("pairs") != st.IntermediatePairs {
-				t.Errorf("%v %s: span pairs=%d stats=%d", m, st.Job, js.Counter("pairs"), st.IntermediatePairs)
-			}
-			if js.Counter("bytes") != st.IntermediateBytes {
-				t.Errorf("%v %s: span bytes=%d stats=%d", m, st.Job, js.Counter("bytes"), st.IntermediateBytes)
+		var run trace.Span
+		var rounds []trace.Span
+		for _, s := range tr.Spans() {
+			switch s.Kind {
+			case trace.KindRun:
+				run = s
+			case trace.KindRound:
+				rounds = append(rounds, s)
 			}
 		}
-	}
-}
-
-// TestTraceHierarchyAndDFSAttribution checks the span tree shape for a
-// Controlled-Replicate run — run → {mark, join} rounds → jobs →
-// phases — and that DFS I/O is attributed to rounds and run, summing
-// to the execution's DFS stats delta.
-func TestTraceHierarchyAndDFSAttribution(t *testing.T) {
-	q, rels := traceWorkload(t)
-	tr := trace.New()
-	fs := dfs.New(0)
-	res, err := Execute(ControlledReplicate, q, rels, Config{Tracer: tr, FS: fs})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	runs := tr.Find(trace.KindRun, "")
-	if len(runs) != 1 {
-		t.Fatalf("got %d run spans, want 1", len(runs))
-	}
-	run := runs[0]
-	if run.Parent != 0 || run.Dur < 0 {
-		t.Errorf("run span malformed: %+v", run)
-	}
-	if !strings.HasPrefix(run.Name, "c-rep ") {
-		t.Errorf("run span name %q lacks method prefix", run.Name)
-	}
-	if run.Counter("tuples") != res.Stats.OutputTuples {
-		t.Errorf("run tuples=%d, stats=%d", run.Counter("tuples"), res.Stats.OutputTuples)
-	}
-	if run.Counter("pairs") != res.Stats.IntermediatePairs() {
-		t.Errorf("run pairs=%d, stats=%d", run.Counter("pairs"), res.Stats.IntermediatePairs())
-	}
-
-	rounds := tr.Find(trace.KindRound, "")
-	if len(rounds) != 2 || rounds[0].Name != "mark" || rounds[1].Name != "join" {
-		t.Fatalf("rounds = %+v, want mark + join", rounds)
-	}
-	for _, r := range rounds {
-		if r.Parent != run.ID {
-			t.Errorf("round %s not under run", r.Name)
+		if run.ID != 1 || run.Parent != 0 {
+			t.Errorf("run span malformed: %+v", run)
 		}
-	}
-	for _, j := range tr.Find(trace.KindJob, "") {
-		if j.Parent != rounds[0].ID && j.Parent != rounds[1].ID {
-			t.Errorf("job %s not under a round span", j.Name)
+		if !strings.HasPrefix(run.Name, "c-rep ") {
+			t.Errorf("run span name %q lacks method prefix", run.Name)
 		}
-	}
-
-	// DFS attribution: staging reads/writes land on the run span (input
-	// staging) and round spans (intermediate materialisation); their sum
-	// must equal the execution's DFS delta.
-	var gotW, gotR int64
-	for _, s := range append(rounds, run) {
-		gotW += s.Counter("dfs_bytes_written")
-		gotR += s.Counter("dfs_bytes_read")
-	}
-	if gotW != res.Stats.DFS.BytesWritten {
-		t.Errorf("traced dfs writes=%d, stats=%d", gotW, res.Stats.DFS.BytesWritten)
-	}
-	if gotR != res.Stats.DFS.BytesRead {
-		t.Errorf("traced dfs reads=%d, stats=%d", gotR, res.Stats.DFS.BytesRead)
-	}
-	// The mark round materialises the marked file: it must own some I/O.
-	if rounds[0].Counter("dfs_bytes_written") == 0 {
-		t.Error("mark round attributed no DFS writes")
+		if len(rounds) != 2 || rounds[0].Name != "mark" || rounds[1].Name != "join" {
+			t.Fatalf("rounds = %+v, want mark + join", rounds)
+		}
+		for _, r := range rounds {
+			if r.Parent != run.ID {
+				t.Errorf("round %s not under run", r.Name)
+			}
+		}
+		for _, j := range jobTimelines(tr.Spans()) {
+			if j.span.Parent != rounds[0].ID && j.span.Parent != rounds[1].ID {
+				t.Errorf("job %s not under a round span", j.span.Name)
+			}
+		}
 	}
 }
 

@@ -6,14 +6,11 @@ import (
 	"time"
 )
 
-func TestSpanHierarchyAndCounters(t *testing.T) {
+func TestSpanHierarchy(t *testing.T) {
 	tr := New()
 	run := tr.Start(0, KindRun, "c-rep q2")
 	round := tr.Start(run, KindRound, "mark")
 	job := tr.Start(round, KindJob, "c-rep-mark")
-	tr.Add(job, "pairs", 40)
-	tr.Add(job, "pairs", 2)
-	tr.Add(job, "bytes", 1600)
 	tr.End(job)
 	tr.End(round)
 	tr.End(run)
@@ -28,16 +25,12 @@ func TestSpanHierarchyAndCounters(t *testing.T) {
 	if spans[1].Parent != spans[0].ID || spans[2].Parent != spans[1].ID {
 		t.Errorf("parent chain broken: %+v", spans)
 	}
-	js := spans[2]
-	if js.Counter("pairs") != 42 || js.Counter("bytes") != 1600 {
-		t.Errorf("counters = %v", js.Counters)
-	}
-	if js.Counter("missing") != 0 {
-		t.Error("missing counter must read 0")
+	if js := spans[2]; js.Kind != KindJob || js.Name != "c-rep-mark" {
+		t.Errorf("job span = %+v", js)
 	}
 	for _, s := range spans {
-		if s.Dur < 0 {
-			t.Errorf("span %d not ended", s.ID)
+		if s.Dur < 0 || s.Unfinished {
+			t.Errorf("span %d not ended cleanly: %+v", s.ID, s)
 		}
 		if s.Start < 0 {
 			t.Errorf("span %d negative start", s.ID)
@@ -77,7 +70,6 @@ func TestNilTracerNoOp(t *testing.T) {
 	}
 	tr.End(0)
 	tr.End(7)
-	tr.Add(3, "pairs", 1)
 	if tr.Observe(0, KindTask, "t", time.Now(), time.Now()) != 0 {
 		t.Error("nil Observe must return 0")
 	}
@@ -87,7 +79,6 @@ func TestNilTracerNoOp(t *testing.T) {
 
 	allocs := testing.AllocsPerRun(200, func() {
 		id := tr.Start(0, KindJob, "job")
-		tr.Add(id, "pairs", 1)
 		tr.End(id)
 	})
 	if allocs != 0 {
@@ -103,6 +94,7 @@ func TestEndIdempotentAndUnknown(t *testing.T) {
 	time.Sleep(time.Millisecond)
 	tr.End(id) // second End must not stretch the duration
 	tr.End(99) // unknown is a no-op
+	tr.End(-1)
 	if d2 := tr.Spans()[0].Dur; d2 != d1 {
 		t.Errorf("duration changed on double End: %v -> %v", d1, d2)
 	}
@@ -118,8 +110,6 @@ func TestConcurrentUse(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
 				id := tr.Start(run, KindTask, "t")
-				tr.Add(id, "n", 1)
-				tr.Add(run, "total", 1)
 				tr.End(id)
 			}
 		}()
@@ -130,14 +120,10 @@ func TestConcurrentUse(t *testing.T) {
 	if len(spans) != 801 {
 		t.Fatalf("got %d spans, want 801", len(spans))
 	}
-	var root Span
-	for _, s := range spans {
-		if s.Kind == KindRun {
-			root = s
+	for i, s := range spans {
+		if s.ID != SpanID(i+1) || s.Dur < 0 || (i > 0 && s.Parent != run) {
+			t.Errorf("span %d = %+v", i, s)
 		}
-	}
-	if root.Counter("total") != 800 {
-		t.Errorf("total = %d, want 800", root.Counter("total"))
 	}
 }
 
@@ -163,12 +149,12 @@ func TestFinishOpenFlagsOrphans(t *testing.T) {
 		}
 		byID[s.ID] = s
 	}
-	if byID[done].Counter(UnfinishedCounter) != 0 {
+	if byID[done].Unfinished {
 		t.Error("cleanly ended span wrongly flagged unfinished")
 	}
 	for _, id := range []SpanID{run, orphanRound, orphanPhase} {
-		if byID[id].Counter(UnfinishedCounter) != 1 {
-			t.Errorf("span %d missing %s counter: %v", id, UnfinishedCounter, byID[id].Counters)
+		if !byID[id].Unfinished {
+			t.Errorf("span %d not flagged unfinished: %+v", id, byID[id])
 		}
 	}
 	// Idempotent: nothing left to close.
@@ -181,6 +167,8 @@ func TestFinishOpenFlagsOrphans(t *testing.T) {
 	}
 }
 
+// TestFindAndObserve: an observed span is found in the snapshot by its
+// kind and name, under its parent, with the duration it was given.
 func TestFindAndObserve(t *testing.T) {
 	tr := New()
 	run := tr.Start(0, KindRun, "run")
@@ -190,11 +178,13 @@ func TestFindAndObserve(t *testing.T) {
 		t.Fatal("Observe returned 0 on live tracer")
 	}
 	tr.End(run)
-	tasks := tr.Find(KindTask, "map-0#1")
-	if len(tasks) != 1 || tasks[0].Dur != 5*time.Millisecond {
-		t.Errorf("Find = %+v", tasks)
+	var found []Span
+	for _, s := range tr.Spans() {
+		if s.Kind == KindTask && s.Name == "map-0#1" {
+			found = append(found, s)
+		}
 	}
-	if got := tr.Find(KindJob, ""); got != nil {
-		t.Errorf("Find(job) = %+v, want none", got)
+	if len(found) != 1 || found[0].ID != id || found[0].Parent != run || found[0].Dur != 5*time.Millisecond {
+		t.Errorf("found %+v", found)
 	}
 }

@@ -170,9 +170,10 @@ type Options struct {
 	// reused) and only the checkpoint re-read cost is charged. The
 	// final output is bit-identical to an unkilled run's.
 	Resume bool
-	// Tracer, when non-nil, records the execution as a hierarchy of
-	// timed spans with counters (run → round → job → phase → task); see
-	// NewTracer. The same tracer may collect several sequential runs.
+	// Tracer, when non-nil, records the execution's timeline as a
+	// hierarchy of timed spans (run → round → job → phase → task); see
+	// NewTracer. Spans carry time only: the counts are in Result.Stats.
+	// The same tracer may collect several sequential runs.
 	Tracer *Tracer
 	// Metrics, when non-nil, receives the run's counters, gauges and
 	// reducer-load histograms once it succeeds, all read off its Stats;
@@ -270,7 +271,8 @@ func Predict(q *Query, rels []Relation, method Method, opts *Options) (*Predicti
 type Profile = profile.Profile
 
 // BuildProfile assembles a Profile from a finished run's Stats and the
-// spans its Tracer recorded (pass nil spans to profile counters only).
+// spans its Tracer recorded. Every count comes from Stats; the spans
+// add the shuffle wall times (pass nil spans for an untraced run).
 func BuildProfile(q *Query, st *Stats, spans []TraceSpan) *Profile {
 	text := ""
 	if q != nil {

@@ -45,6 +45,12 @@ if go list -deps ./internal/metrics | grep -qx 'net/http'; then
     exit 1
 fi
 
+echo "== spans carry time, Stats carry counts: the DFS attributes no I/O to a span =="
+if go list -deps ./internal/dfs | grep -qx 'mwsjoin/internal/trace'; then
+    echo "internal/dfs depends on mwsjoin/internal/trace" >&2
+    exit 1
+fi
+
 echo "== benchmark module builds (own go.mod, frozen: fail here, not after the race pass) =="
 # -o /dev/null: the module is one main package, which a bare build
 # would write into benchmark/ as an executable.
