@@ -79,11 +79,11 @@ func pr9Matrix(unit int) (map[string][]Relation, []struct{ name, query string },
 	zipf := func(names ...string) ([]Relation, error) {
 		rels := make([]Relation, len(names))
 		for i, name := range names {
-			rel, err := dataset.ZipfClusteredRelation(name, dataset.SkewedDefaults(unit), pr9Seed)
+			rects, err := dataset.ZipfClustered(dataset.SkewedDefaults(unit), pr9Seed)
 			if err != nil {
 				return nil, err
 			}
-			rels[i] = rel
+			rels[i] = NewRelation(name, rects)
 		}
 		return rels, nil
 	}

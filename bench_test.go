@@ -159,11 +159,11 @@ func BenchmarkAdaptivePartitioningSkew(b *testing.B) {
 	n := benchUnit()
 	rels := make([]Relation, 3)
 	for i, name := range []string{"R1", "R2", "R3"} {
-		rel, err := dataset.ZipfClusteredRelation(name, dataset.SkewedDefaults(n), 2013)
+		rects, err := dataset.ZipfClustered(dataset.SkewedDefaults(n), 2013)
 		if err != nil {
 			b.Fatal(err)
 		}
-		rels[i] = rel
+		rels[i] = NewRelation(name, rects)
 	}
 	q := NewQuery("R1", "R2", "R3").Overlap(0, 1).Overlap(1, 2)
 	for _, partition := range []string{"uniform", "adaptive"} {

@@ -118,9 +118,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		resume    = fs.Bool("resume", false, "resume a killed run from the -checkpoint snapshot; completed jobs are skipped and only the checkpoint re-read is charged")
 		chkPath   = fs.String("checkpoint", "", "host file holding the simulated file-system snapshot: written when -fail-job kills the run, read by -resume")
 		timeout   = fs.Duration("timeout", 0, "abort the run after this duration (0 = no limit); the execution stops at its next job boundary and the command exits with status 3")
-		profPath  = fs.String("profile", "", `write the structured query profile (per-round map/shuffle/reduce breakdown, skew, combiner and chain accounting) to this file after the run; "-" prints it to stderr`)
+		profPath  = fs.String("profile", "", `write the structured query profile (per-round map/shuffle/reduce breakdown, skew and chain accounting) to this file after the run; "-" prints it to stderr`)
 		chromeOut = fs.String("trace-chrome", "", "write a Chrome trace-event JSON timeline of the execution to this file (load in chrome://tracing or Perfetto); each event's args carry its span_id and parent_id")
-		spillBudg = fs.Int64("spill-budget", 0, "per-run in-memory byte budget for each mapper's runs; runs over budget spill to uncharged local scratch and results are unchanged (0 = never spill)")
 	)
 	fs.Var(rels, "rel", "slot binding <slot>=<file>; repeat once per slot")
 	if err := fs.Parse(args); err != nil {
@@ -181,7 +180,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		EuclideanLimit: *euclid,
 		AllowSelfPairs: *selfPairs,
 		Tracer:         tracer,
-		SpillBudget:    *spillBudg,
 	}
 	if *resume {
 		f, err := os.Open(*chkPath)
@@ -307,22 +305,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if s.Chain != nil {
 			fmt.Fprintf(stderr, "chain jobs run/resumed:  %d/%d\n", s.Chain.JobsRun, s.Chain.ResumedJobs)
 			fmt.Fprintf(stderr, "checkpoint bytes w/r:    %d/%d\n", s.Chain.CheckpointBytesWritten, s.Chain.CheckpointBytesRead)
-		}
-		var combineIn, combineOut int64
-		for _, r := range s.Rounds {
-			combineIn += r.CombineInputPairs
-			combineOut += r.CombineOutputPairs
-		}
-		if combineIn > 0 {
-			fmt.Fprintf(stderr, "combiner pairs in/out:   %d/%d\n", combineIn, combineOut)
-		}
-		var spillRuns, spillBytes int64
-		for _, r := range s.Rounds {
-			spillRuns += r.SpilledRuns
-			spillBytes += r.SpillBytesWritten
-		}
-		if spillRuns > 0 {
-			fmt.Fprintf(stderr, "spilled runs/bytes:      %d/%d\n", spillRuns, spillBytes)
 		}
 		for i, r := range s.Rounds {
 			fmt.Fprintf(stderr, "round %d (%s): pairs=%d keys=%d skew=%.2f map=%v reduce=%v\n",

@@ -132,14 +132,7 @@ type Cell struct {
 	ReducerPairsP95 int64   `json:"reducer_pairs_p95"`
 	ReducerPairsMax int64   `json:"reducer_pairs_max"`
 	Imbalance       float64 `json:"imbalance"`
-	// Map-side combiner traffic over all rounds: pairs entering and
-	// leaving combiners. Equal counts mean the combiners never fired
-	// (the expected state on well-formed inputs — the mark round's
-	// dedup combiner is a pure pass-through there). Omitted for rounds
-	// without a combiner.
-	CombineIn  int64 `json:"combine_in,omitempty"`
-	CombineOut int64 `json:"combine_out,omitempty"`
-	Skipped    bool  `json:"skipped,omitempty"`
+	Skipped         bool    `json:"skipped,omitempty"`
 }
 
 // Row is one sweep point of a table.
@@ -188,13 +181,11 @@ func runRow(cfg Config, label string, q *query.Query, rels []spatial.Relation, m
 				return row, err
 			}
 		}
-		var pairBytes, combineIn, combineOut int64
+		var pairBytes int64
 		// The cell's reducer-skew distribution: every reducer of every round.
 		var reducerPairs metrics.Histogram
 		for _, r := range res.Stats.Rounds {
 			pairBytes += r.IntermediateBytes
-			combineIn += r.CombineInputPairs
-			combineOut += r.CombineOutputPairs
 			for _, n := range r.PairsPerReducer {
 				reducerPairs.Observe(n)
 			}
@@ -214,8 +205,6 @@ func runRow(cfg Config, label string, q *query.Query, rels []spatial.Relation, m
 			ReducerPairsP95:  pairsH.Quantile(0.95),
 			ReducerPairsMax:  pairsH.Max,
 			Imbalance:        pairsH.Imbalance(),
-			CombineIn:        combineIn,
-			CombineOut:       combineOut,
 		}
 		row.Cells = append(row.Cells, cell)
 		row.Tuples = res.Stats.OutputTuples

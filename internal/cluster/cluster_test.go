@@ -115,7 +115,6 @@ func inProcessReference(t *testing.T, spec SessionSpec) *spatial.Result {
 		NumMappers:     spec.NumMappers,
 		Parallelism:    spec.Parallelism,
 		OptimizeOrder:  spec.OptimizeOrder,
-		SpillBudget:    spec.SpillBudget,
 		AllowSelfPairs: spec.AllowSelfPairs,
 		FS:             dfs.New(0),
 	}

@@ -121,7 +121,6 @@ type SessionSpec struct {
 	NumMappers     int            `json:"num_mappers"`
 	Parallelism    int            `json:"parallelism,omitempty"`
 	OptimizeOrder  bool           `json:"optimize_order,omitempty"`
-	SpillBudget    int64          `json:"spill_budget,omitempty"`
 	// AllowSelfPairs and EuclideanLimit (Config.LimitMetric ==
 	// grid.MetricEuclidean) change the answer — the tuple set; C-Rep-L's
 	// pairs and replication counters — so a worker must run under the
@@ -199,7 +198,6 @@ func SpecFromConfig(method spatial.Method, queryText string, rels []spatial.Rela
 		NumMappers:     cfg.NumMappers,
 		Parallelism:    cfg.Parallelism,
 		OptimizeOrder:  cfg.OptimizeOrder,
-		SpillBudget:    cfg.SpillBudget,
 		AllowSelfPairs: cfg.AllowSelfPairs,
 		EuclideanLimit: cfg.LimitMetric == grid.MetricEuclidean,
 	}

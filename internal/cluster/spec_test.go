@@ -25,6 +25,7 @@ var notCarried = map[string]string{
 	"FailJob":     "fault hooks are functions of the calling process",
 	"CountOnly":   "Execute rejects it on a multi-worker run",
 	"Columnar":    "read by nothing",
+	"SpillBudget": "read by nothing",
 }
 
 // setNonZero gives a Config field some value other than its zero.

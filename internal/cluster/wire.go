@@ -26,7 +26,7 @@ const (
 	// a start does, so a stale worker binary fails at registration
 	// instead of mid-session — or, ignoring a spec field it never heard
 	// of, answering a different question.
-	protocolVersion = 3
+	protocolVersion = 4
 
 	// maxHeaderBytes caps the JSON header line. Every bulk field rides as
 	// an attachment, so a header holds names, counters and the run's

@@ -242,8 +242,10 @@ func BenchmarkControlPlane(b *testing.B) {
 
 // TestRegisterProtocolVersion: a worker built against another framing is
 // turned away at registration — with a log line naming both versions —
-// instead of mis-parsing an attachment mid-session. The line sent here
-// is exactly what the JSON-lines workers before protocol 2 sent.
+// instead of mis-parsing an attachment mid-session. The first line sent
+// here is exactly what the JSON-lines workers before protocol 2 sent;
+// the second is a worker one version behind, whose map-barrier report
+// and session spec differ from this one's.
 func TestRegisterProtocolVersion(t *testing.T) {
 	logged := make(chan string, 16)
 	coord, err := StartCoordinator(CoordinatorConfig{Logf: func(format string, args ...any) {
@@ -256,30 +258,37 @@ func TestRegisterProtocolVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer coord.Close()
-	conn, err := net.Dial("tcp", coord.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := io.WriteString(conn, `{"type":"register","name":"stale","data_addr":"127.0.0.1:1"}`+"\n"); err != nil {
-		t.Fatal(err)
-	}
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
-		t.Errorf("stale worker's connection: read err = %v, want EOF (closed by the coordinator)", err)
-	}
-	if ws := coord.Workers(); len(ws) != 0 {
-		t.Errorf("stale worker joined the roster: %+v", ws)
-	}
-	want := fmt.Sprintf("control protocol 0, this coordinator speaks %d", protocolVersion)
-	for {
-		select {
-		case line := <-logged:
-			if strings.Contains(line, want) && strings.Contains(line, `"stale"`) {
-				return
+	for _, stale := range []int{0, protocolVersion - 1} {
+		conn, err := net.Dial("tcp", coord.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		hello := fmt.Sprintf(`{"type":"register","proto":%d,"name":"stale","data_addr":"127.0.0.1:1"}`, stale)
+		if stale == 0 {
+			hello = `{"type":"register","name":"stale","data_addr":"127.0.0.1:1"}`
+		}
+		if _, err := io.WriteString(conn, hello+"\n"); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
+			t.Errorf("protocol %d worker's connection: read err = %v, want EOF (closed by the coordinator)", stale, err)
+		}
+		conn.Close()
+		if ws := coord.Workers(); len(ws) != 0 {
+			t.Errorf("protocol %d worker joined the roster: %+v", stale, ws)
+		}
+		want := fmt.Sprintf("control protocol %d, this coordinator speaks %d", stale, protocolVersion)
+	wait:
+		for {
+			select {
+			case line := <-logged:
+				if strings.Contains(line, want) && strings.Contains(line, `"stale"`) {
+					break wait
+				}
+			default:
+				t.Fatalf("no log line naming both protocol versions (want %q)", want)
 			}
-		default:
-			t.Fatalf("no log line naming both protocol versions (want %q)", want)
 		}
 	}
 }

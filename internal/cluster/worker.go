@@ -324,7 +324,6 @@ func (w *Worker) executeAttempt(m *message) (*spatial.Result, error) {
 		NumMappers:     spec.NumMappers,
 		Parallelism:    spec.Parallelism,
 		OptimizeOrder:  spec.OptimizeOrder,
-		SpillBudget:    spec.SpillBudget,
 		AllowSelfPairs: spec.AllowSelfPairs,
 		Resume:         spec.Resume,
 		FS:             s.fs,

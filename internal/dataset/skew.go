@@ -6,7 +6,6 @@ import (
 	"math/rand/v2"
 
 	"mwsjoin/internal/geom"
-	"mwsjoin/internal/spatial"
 )
 
 // SkewedParams parameterises the Zipf-clustered skewed workload the
@@ -124,13 +123,4 @@ func ZipfClustered(p SkewedParams, seed uint64) ([]geom.Rect, error) {
 		rects[i] = geom.Rect{X: x, Y: y, L: l, B: b}
 	}
 	return rects, nil
-}
-
-// ZipfClusteredRelation wraps ZipfClustered into a named relation.
-func ZipfClusteredRelation(name string, p SkewedParams, seed uint64) (spatial.Relation, error) {
-	rects, err := ZipfClustered(p, seed)
-	if err != nil {
-		return spatial.Relation{}, err
-	}
-	return spatial.NewRelation(name, rects), nil
 }

@@ -90,13 +90,3 @@ func TestZipfClusteredErrors(t *testing.T) {
 		t.Errorf("N=0: got %d rects, err %v", len(rects), err)
 	}
 }
-
-func TestZipfClusteredRelation(t *testing.T) {
-	rel, err := ZipfClusteredRelation("R", SkewedDefaults(10), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rel.Name != "R" || len(rel.Items) != 10 {
-		t.Errorf("relation %q with %d records, want R with 10", rel.Name, len(rel.Items))
-	}
-}

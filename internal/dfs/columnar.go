@@ -232,7 +232,7 @@ func (fs *FS) ScanMBB(name string, fn func(MBB) error) error {
 	if err != nil {
 		return err
 	}
-	fs.chargeRead(f, bytes, n)
+	fs.chargeRead(bytes, n)
 	return nil
 }
 

@@ -169,14 +169,15 @@ func TestMBBWriterDoubleClose(t *testing.T) {
 	w.Append(MBB{})
 }
 
-// TestAppendOwnedTransfersOwnership checks the no-copy append: the file
-// stores the exact buffer (mutations show through, proving no copy was
-// taken — which is why callers must not reuse the buffer).
+// TestAppendOwnedTransfersOwnership checks AppendOwnedAll's no-copy
+// append: the file stores the exact buffer (mutations show through,
+// proving no copy was taken — which is why callers must not reuse the
+// buffer).
 func TestAppendOwnedTransfersOwnership(t *testing.T) {
 	fs := New(0)
 	w := fs.Create("a")
 	buf := []byte("abc")
-	w.AppendOwned(buf)
+	w.AppendOwnedAll([][]byte{buf})
 	buf[0] = 'X'
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -190,64 +191,6 @@ func TestAppendOwnedTransfersOwnership(t *testing.T) {
 	st := fs.Stats()
 	if st.BytesWritten != 3 || st.RecordsWritten != 1 {
 		t.Errorf("Stats = %+v, want 3 bytes / 1 record written", st)
-	}
-}
-
-// TestLocalFilesUncharged checks CreateLocal semantics: full read/write
-// round-trip with zero charged Stats, no file-count charges on create
-// or delete, and exclusion from snapshots.
-func TestLocalFilesUncharged(t *testing.T) {
-	fs := New(0)
-	w := fs.CreateLocal("spill/j/run-1")
-	w.Append([]byte("pair1"))
-	w.AppendOwned([]byte("pair2!"))
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if st := fs.Stats(); st != (Stats{}) {
-		t.Errorf("local write charged Stats %+v, want all zero", st)
-	}
-	var got []string
-	if err := fs.Scan("spill/j/run-1", func(rec []byte) error {
-		got = append(got, string(rec))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, []string{"pair1", "pair2!"}) {
-		t.Errorf("local Scan = %q", got)
-	}
-	if st := fs.Stats(); st != (Stats{}) {
-		t.Errorf("local read charged Stats %+v, want all zero", st)
-	}
-
-	// A charged file alongside, to prove the snapshot keeps it while
-	// skipping the local scratch.
-	cw := fs.Create("kept")
-	cw.Append([]byte("data"))
-	if err := cw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	var img bytes.Buffer
-	if err := fs.WriteSnapshot(&img); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := ReadSnapshot(&img, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored.Exists("spill/j/run-1") {
-		t.Error("snapshot restored local scratch file")
-	}
-	if !restored.Exists("kept") {
-		t.Error("snapshot lost the charged file")
-	}
-
-	if err := fs.Delete("spill/j/run-1"); err != nil {
-		t.Fatal(err)
-	}
-	if st := fs.Stats(); st.FilesDeleted != 0 {
-		t.Errorf("local delete charged FilesDeleted = %d, want 0", st.FilesDeleted)
 	}
 }
 

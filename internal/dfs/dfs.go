@@ -23,7 +23,7 @@ import (
 const DefaultBlockSize = 64 << 20
 
 // Stats aggregates I/O counters for a file system. All fields count
-// since creation (or the last ResetStats).
+// since creation.
 type Stats struct {
 	BytesWritten   int64
 	BytesRead      int64
@@ -59,11 +59,6 @@ type file struct {
 	// columnar.go): rows live in structs-of-arrays planes and records
 	// stays nil. A file's storage kind is fixed at creation.
 	cols *mbbColumns
-	// local marks simulated *local-disk* scratch (shuffle spill runs):
-	// its I/O is never charged to the Stats counters — Hadoop spills
-	// runs to the tasktracker's local filesystem, not HDFS —
-	// and it is excluded from snapshots.
-	local bool
 }
 
 // count returns the number of records in the file.
@@ -101,12 +96,8 @@ func (f *file) forEachRange(lo, hi int64, fn func(record []byte) error) (int64, 
 	return bytes, nil
 }
 
-// chargeRead charges one whole read operation against the counters,
-// unless the file is local scratch.
-func (fs *FS) chargeRead(f *file, bytes, records int64) {
-	if f.local {
-		return
-	}
+// chargeRead charges one whole read operation against the counters.
+func (fs *FS) chargeRead(bytes, records int64) {
 	fs.bytesRead.Add(bytes)
 	fs.recordsRead.Add(records)
 }
@@ -119,9 +110,6 @@ func New(blockSize int64) *FS {
 	}
 	return &FS{blockSize: blockSize, files: make(map[string]*file)}
 }
-
-// BlockSize returns the configured block size.
-func (fs *FS) BlockSize() int64 { return fs.blockSize }
 
 // Create makes (or truncates) the named file and returns a writer for
 // it. The writer is not safe for concurrent use; create one writer per
@@ -137,34 +125,16 @@ func (fs *FS) Create(name string) *Writer {
 	return &Writer{fs: fs, f: f}
 }
 
-// CreateLocal makes (or truncates) the named file as *local-disk*
-// scratch: none of its I/O — create, write, read, delete — is charged
-// to the Stats counters, and snapshots skip it. The map-reduce engine
-// uses local files for spilled runs, which in a real cluster
-// live on the tasktracker's local filesystem, not the DFS; keeping
-// them out of the counters keeps the paper's reading/writing-cost
-// metric identical whether a shuffle spilled or stayed in memory.
-func (fs *FS) CreateLocal(name string) *Writer {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	f := &file{local: true}
-	fs.files[name] = f
-	return &Writer{fs: fs, f: f}
-}
-
 // Delete removes the named file; deleting a missing file is an error so
 // that lifecycle bugs in job chains surface.
 func (fs *FS) Delete(name string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	f, ok := fs.files[name]
-	if !ok {
+	if _, ok := fs.files[name]; !ok {
 		return fmt.Errorf("dfs: delete %q: no such file", name)
 	}
 	delete(fs.files, name)
-	if !f.local {
-		fs.filesDeleted.Add(1)
-	}
+	fs.filesDeleted.Add(1)
 	return nil
 }
 
@@ -224,7 +194,7 @@ func (fs *FS) Scan(name string, fn func(record []byte) error) error {
 	if err != nil {
 		return err
 	}
-	fs.chargeRead(f, bytes, n)
+	fs.chargeRead(bytes, n)
 	return nil
 }
 
@@ -248,7 +218,7 @@ func (fs *FS) Open(name string) (*View, error) {
 		return nil, err
 	}
 	n := f.count()
-	fs.chargeRead(f, f.bytes, n)
+	fs.chargeRead(f.bytes, n)
 	return &View{f: f, n: int(n)}, nil
 }
 
@@ -313,16 +283,6 @@ func (fs *FS) Stats() Stats {
 	}
 }
 
-// ResetStats zeroes the I/O counters without touching file contents.
-func (fs *FS) ResetStats() {
-	fs.bytesWritten.Store(0)
-	fs.bytesRead.Store(0)
-	fs.recordsWritten.Store(0)
-	fs.recordsRead.Store(0)
-	fs.filesCreated.Store(0)
-	fs.filesDeleted.Store(0)
-}
-
 // Writer appends records to a file created with Create.
 type Writer struct {
 	fs      *FS
@@ -343,24 +303,12 @@ func (w *Writer) Append(record []byte) {
 	w.bytes += int64(len(cp))
 }
 
-// AppendOwned adds one record, taking ownership of the buffer: no
-// defensive copy is made, so the caller must not reuse or mutate the
-// slice afterwards. Use it when the record was freshly encoded for
-// this writer — it removes the dominant per-record allocation on the
-// staging and checkpoint write paths.
-func (w *Writer) AppendOwned(record []byte) {
-	if w.closed {
-		panic("dfs: AppendOwned on closed writer")
-	}
-	w.pending = append(w.pending, record)
-	w.bytes += int64(len(record))
-}
-
 // AppendOwnedAll adds the records in order, taking ownership of every
-// buffer and of the slice that holds them — the whole-output form of
-// AppendOwned, for a step that built its records as views into a few
-// large buffers. On a fresh writer the slice becomes the file's record
-// table without a copy.
+// buffer and of the slice that holds them: no defensive copy is made,
+// so the caller must not reuse or mutate them afterwards. It is for a
+// step that built its records as views into a few large buffers. On a
+// fresh writer the slice becomes the file's record table without a
+// copy.
 func (w *Writer) AppendOwnedAll(records [][]byte) {
 	if w.closed {
 		panic("dfs: AppendOwnedAll on closed writer")
@@ -390,10 +338,8 @@ func (w *Writer) Close() error {
 	}
 	w.f.bytes += w.bytes
 	w.fs.mu.Unlock()
-	if !w.f.local {
-		w.fs.bytesWritten.Add(w.bytes)
-		w.fs.recordsWritten.Add(int64(len(w.pending)))
-	}
+	w.fs.bytesWritten.Add(w.bytes)
+	w.fs.recordsWritten.Add(int64(len(w.pending)))
 	w.pending = nil
 	return nil
 }

@@ -10,9 +10,6 @@ import (
 
 func TestCreateWriteScan(t *testing.T) {
 	fs := New(0)
-	if fs.BlockSize() != DefaultBlockSize {
-		t.Errorf("BlockSize = %d, want default", fs.BlockSize())
-	}
 	w := fs.Create("a")
 	w.Append([]byte("hello"))
 	w.Append([]byte("world!"))
@@ -162,10 +159,6 @@ func TestBlockAccounting(t *testing.T) {
 	fs.Scan("f", func([]byte) error { return nil })
 	if st := fs.Stats(); st.BlocksRead != 3 {
 		t.Errorf("BlocksRead = %d, want 3", st.BlocksRead)
-	}
-	fs.ResetStats()
-	if st := fs.Stats(); st != (Stats{}) {
-		t.Errorf("after reset, Stats = %+v", st)
 	}
 }
 

@@ -26,22 +26,13 @@ const snapshotMagic = "mwsdfs1\n"
 // Columnar MBB files are serialised as their boxed record images (the
 // wire formats are byte-identical), so the snapshot format is
 // independent of the storage kind; they restore as boxed files, which
-// ScanMBB reads just as well. Local spill scratch (CreateLocal) is
-// transient shuffle state, not chain state, and is skipped.
+// ScanMBB reads just as well.
 func (fs *FS) WriteSnapshot(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(snapshotMagic); err != nil {
 		return err
 	}
-	var names []string
-	for _, name := range fs.List() {
-		fs.mu.RLock()
-		local := fs.files[name].local
-		fs.mu.RUnlock()
-		if !local {
-			names = append(names, name)
-		}
-	}
+	names := fs.List()
 	var buf [binary.MaxVarintLen64]byte
 	putUvarint := func(v uint64) error {
 		n := binary.PutUvarint(buf[:], v)

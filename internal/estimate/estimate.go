@@ -125,13 +125,3 @@ func (s *Sampler) JoinCardinality(r1, r2 []geom.Rect, pred query.Predicate) floa
 	SortByMinX(s2)
 	return SampledCardinality(len(r1), s1, len(r2), s2, pred.Weight())
 }
-
-// Selectivity estimates the fraction of rectangle pairs satisfying the
-// predicate (cardinality / (|r1|·|r2|)); it returns 0 for empty inputs.
-func (s *Sampler) Selectivity(r1, r2 []geom.Rect, pred query.Predicate) float64 {
-	n := float64(len(r1)) * float64(len(r2))
-	if n == 0 {
-		return 0
-	}
-	return s.JoinCardinality(r1, r2, pred) / n
-}

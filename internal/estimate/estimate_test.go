@@ -69,9 +69,6 @@ func TestJoinCardinalityEdgeCases(t *testing.T) {
 	if got := s.JoinCardinality(nil, uniformRects(5, rand.New(rand.NewPCG(1, 1)), 10, 1), query.Ov()); got != 0 {
 		t.Errorf("empty side: %v", got)
 	}
-	if got := s.Selectivity(nil, nil, query.Ov()); got != 0 {
-		t.Errorf("empty selectivity: %v", got)
-	}
 }
 
 func TestSelectivityMatchesTheory(t *testing.T) {
@@ -82,7 +79,7 @@ func TestSelectivityMatchesTheory(t *testing.T) {
 	r1 := uniformRects(5000, rng, space, dim)
 	r2 := uniformRects(5000, rng, space, dim)
 	s := NewSampler(2048, 3)
-	got := s.Selectivity(r1, r2, query.Ov())
+	got := s.JoinCardinality(r1, r2, query.Ov()) / (float64(len(r1)) * float64(len(r2)))
 	want := math.Pow(dim/space, 2) // (20+20)/1000 squared
 	if got < want/2 || got > want*2 {
 		t.Errorf("selectivity %.2g vs theoretical ≈%.2g", got, want)

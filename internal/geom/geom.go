@@ -102,13 +102,6 @@ func (r Rect) Area() float64 { return r.L * r.B }
 // maximum diagonal d_max over a relation (§7.9).
 func (r Rect) Diagonal() float64 { return math.Hypot(r.L, r.B) }
 
-// ContainsRect reports whether s lies entirely inside the closed
-// rectangle r.
-func (r Rect) ContainsRect(s Rect) bool {
-	return s.MinX() >= r.MinX() && s.MaxX() <= r.MaxX() &&
-		s.MinY() >= r.MinY() && s.MaxY() <= r.MaxY()
-}
-
 // Overlaps implements the paper's Overlap predicate on closed
 // rectangles: true when the two rectangles share at least one point,
 // including boundary contact.

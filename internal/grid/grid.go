@@ -236,14 +236,6 @@ func (p *Partitioning) CellRect(c CellID) geom.Rect {
 	return geom.Rect{X: p.xCuts[col], Y: top, L: p.xCuts[col+1] - p.xCuts[col], B: top - bottom}
 }
 
-// CellStart returns the start-point (top-left corner) of cell c. Note
-// that every cell owns its own start-point under the half-open
-// ownership rule.
-func (p *Partitioning) CellStart(c CellID) geom.Point {
-	row, col := p.RowCol(c)
-	return geom.Point{X: p.xCuts[col], Y: p.yCuts[p.rows-row]}
-}
-
 // Project implements the Project transform of §4: it returns the cell
 // containing the start-point of the rectangle, written c_u in the
 // paper.
@@ -413,12 +405,6 @@ func (p *Partitioning) OtherCellWithin(r geom.Rect, exclude CellID, d float64) b
 		}
 	}
 	return false
-}
-
-// DistToCell returns the Euclidean distance between cell c and the
-// rectangle, the dist(c, r) of the paper's Equation 2.
-func (p *Partitioning) DistToCell(c CellID, r geom.Rect) float64 {
-	return p.CellRect(c).Dist(r)
 }
 
 // String describes the partitioning.

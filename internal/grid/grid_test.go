@@ -84,10 +84,6 @@ func TestCellGeometry(t *testing.T) {
 	if r != (geom.Rect{X: 75, Y: 25, L: 25, B: 25}) {
 		t.Errorf("cell 16 rect = %v", r)
 	}
-	// Start point of cell 6 (row 1, col 1) is (25, 75).
-	if s := p.CellStart(cell(6)); s != (geom.Point{X: 25, Y: 75}) {
-		t.Errorf("cell 6 start = %v", s)
-	}
 	if b := p.Bounds(); b != (geom.Rect{X: 0, Y: 100, L: 100, B: 100}) {
 		t.Errorf("Bounds = %v", b)
 	}
@@ -105,8 +101,8 @@ func TestCellOfOwnership(t *testing.T) {
 		{geom.Point{X: 25, Y: 90}, cell(2)},
 		// A horizontal grid line belongs to the cell below it.
 		{geom.Point{X: 10, Y: 75}, cell(5)},
-		// Every cell owns its own start point.
-		{p.CellStart(cell(6)), cell(6)},
+		// Every cell owns its own start point: cell 6's is (25, 75).
+		{geom.Point{X: 25, Y: 75}, cell(6)},
 		// Outer boundary points are clamped into edge cells.
 		{geom.Point{X: 100, Y: 100}, cell(4)},
 		{geom.Point{X: 0, Y: 0}, cell(13)},
@@ -248,23 +244,6 @@ func TestOtherCellWithin(t *testing.T) {
 	}
 	if p.OtherCellWithin(center, own, -1) {
 		t.Error("negative d must be false")
-	}
-}
-
-func TestDistToCell(t *testing.T) {
-	p := paperGrid(t)
-	r := geom.Rect{X: 30, Y: 70, L: 5, B: 5}
-	if got := p.DistToCell(cell(6), r); got != 0 {
-		t.Errorf("dist to own cell = %v, want 0", got)
-	}
-	// Cell 8 spans [75,100] x [50,75]; r's right edge is at x=35.
-	if got := p.DistToCell(cell(8), r); got != 40 {
-		t.Errorf("dist to cell 8 = %v, want 40", got)
-	}
-	// Cell 11 spans [50,75] x [25,50]: diagonal gap (15, 15).
-	want := math.Hypot(15, 15)
-	if got := p.DistToCell(cell(11), r); math.Abs(got-want) > 1e-12 {
-		t.Errorf("dist to cell 11 = %v, want %v", got, want)
 	}
 }
 

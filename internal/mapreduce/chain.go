@@ -346,18 +346,13 @@ func (c *Chain) writeCheckpoint(i int, name, file string, out [][]byte, st *Stat
 	// checkpoint byte counter — vary run to run. They are zeroed so
 	// recovery cost reconciles exactly against a clean run; a resumed
 	// job therefore reports zero walls, which is also what it spent.
-	// The Spill* counters are likewise excluded: they record local,
-	// DFS-uncharged scratch traffic, and persisting them would make the
-	// charged meta-record length — a paper-level cost figure — depend on
-	// whether the run spilled, breaking the contract that SpillBudget
-	// never changes any charged byte.
-	// The ShuffleNetwork* counters are excluded for the same reason:
-	// they depend on the cluster width the job happened to run at, and
-	// persisting them would make the charged meta-record length differ
-	// between distributed and in-process runs of the same chain.
+	// The ShuffleNetwork* counters are excluded too: they depend on the
+	// cluster width the job happened to run at, and persisting them
+	// would make the charged meta-record length — a paper-level cost
+	// figure — differ between distributed and in-process runs of the
+	// same chain.
 	ms := *st
 	ms.MapWall, ms.ReduceWall, ms.TotalWall = 0, 0, 0
-	ms.SpilledRuns, ms.SpillBytesWritten, ms.SpillBytesRead = 0, 0, 0
 	ms.ShuffleNetworkBytes, ms.ShuffleNetworkRuns = 0, 0
 	js, err := json.Marshal(chainMeta{Step: i, Name: name, Records: int64(len(out)), Stats: &ms})
 	if err != nil {

@@ -6,8 +6,8 @@ package mapreduce
 // r mod W — and only three things ever cross the wire:
 //
 //  1. a map barrier gathering per-worker map accounting and errors, so
-//     every worker agrees on the job's MapAttempts/Combine*/Spill*
-//     totals and on whether (and how) the map phase failed;
+//     every worker agrees on the job's MapAttempts/MapFailures totals
+//     and on whether (and how) the map phase failed;
 //  2. the network shuffle: each worker ships the EncodePair-framed runs
 //     destined for remotely-owned reducers and receives the
 //     remotely-produced runs of its own reducers, so the shuffle sees
@@ -202,9 +202,8 @@ func distGather(d *DistConfig, tag string, payload []byte) ([][]byte, error) {
 }
 
 // mapBarrierCounters are the per-worker map-phase contributions summed
-// by the barrier, in wire order: map attempts and failures, combine
-// input and output pairs, spilled runs, spill bytes written and read.
-const mapBarrierCounters = 7
+// by the barrier, in wire order: map attempts and failures.
+const mapBarrierCounters = 2
 
 // appendMapReport encodes one worker's map-barrier payload: its
 // counters, then its lowest-index map error.
@@ -235,12 +234,11 @@ func parseMapReport(buf []byte, tasks int) (c [mapBarrierCounters]int64, e taskE
 }
 
 // distMapBarrier is exchange stage 1: gather every worker's map-phase
-// accounting (attempt/failure/combine/spill counters over the mappers
-// it owns) and error state, overwrite the local partial sums in stats
-// with the global totals, and surface the globally lowest-index map
-// error (or nil). spilledRuns and spillBytes are this worker's spill
-// counters over the runs it committed.
-func distMapBarrier(d *DistConfig, stats *Stats, mapErrs []error, spilledRuns, spillBytes int64) error {
+// accounting (attempt/failure counters over the mappers it owns) and
+// error state, overwrite the local partial sums in stats with the
+// global totals, and surface the globally lowest-index map error (or
+// nil).
+func distMapBarrier(d *DistConfig, stats *Stats, mapErrs []error) error {
 	locErr := taskError{idx: -1}
 	for m, err := range mapErrs {
 		if err != nil {
@@ -250,10 +248,7 @@ func distMapBarrier(d *DistConfig, stats *Stats, mapErrs []error, spilledRuns, s
 			break // mapErrs is index-ordered; the first is the lowest
 		}
 	}
-	payload := appendMapReport(nil, [mapBarrierCounters]int64{
-		stats.MapAttempts, stats.MapFailures, stats.CombineInputPairs, stats.CombineOutputPairs,
-		spilledRuns, spillBytes, spillBytes, // written == read for committed runs
-	}, locErr)
+	payload := appendMapReport(nil, [mapBarrierCounters]int64{stats.MapAttempts, stats.MapFailures}, locErr)
 
 	incoming, err := distGather(d, "map-stats", payload)
 	if err != nil {
@@ -273,21 +268,16 @@ func distMapBarrier(d *DistConfig, stats *Stats, mapErrs []error, spilledRuns, s
 	}
 	stats.MapAttempts = totals[0]
 	stats.MapFailures = totals[1]
-	stats.CombineInputPairs = totals[2]
-	stats.CombineOutputPairs = totals[3]
-	stats.SpilledRuns = totals[4]
-	stats.SpillBytesWritten = totals[5]
-	stats.SpillBytesRead = totals[6]
 	if globErr.idx >= 0 {
 		return errors.New(globErr.msg)
 	}
 	return nil
 }
 
-// runPairSlack is what a shipped or spilled pair may take beyond its
-// PairBytes price without regrowing the buffer it is encoded into: the
-// record's length prefix and a codec's framing byte. A codec that
-// exceeds it costs a reallocation, nothing else.
+// runPairSlack is what a shipped pair may take beyond its PairBytes
+// price without regrowing the buffer it is encoded into: the record's
+// length prefix and a codec's framing byte. A codec that exceeds it
+// costs a reallocation, nothing else.
 const runPairSlack = 4
 
 // distExchangeRuns is exchange stage 2, the network shuffle: ship each
@@ -307,13 +297,13 @@ func distExchangeRuns[I any, K ReducerKey, V any, O any](j *Job[I, K, V, O], cfg
 		if u == d.Self {
 			continue
 		}
-		// Sized before the first append: a run's priced bytes (its exact
-		// encoded size, if it spilled) plus runPairSlack per pair.
+		// Sized before the first append: a run's priced bytes plus
+		// runPairSlack per pair.
 		size := 0
 		for m := d.Self; m < nm; m += W {
 			for r := u; r < cfg.NumReducers; r += W {
 				b := &runs[m][r]
-				size += int(max(b.bytes, b.spillBytes)) + b.n*runPairSlack + 4*binary.MaxVarintLen32
+				size += int(b.bytes) + b.n*runPairSlack + 4*binary.MaxVarintLen32
 			}
 		}
 		buf := make([]byte, 0, size)
@@ -323,10 +313,7 @@ func distExchangeRuns[I any, K ReducerKey, V any, O any](j *Job[I, K, V, O], cfg
 				if b.n > 0 {
 					sentRuns++
 				}
-				var err error
-				if buf, rec, err = appendRun(buf, rec, m, K(r), b, j.EncodePair, cfg.SpillFS); err != nil {
-					return 0, 0, err
-				}
+				buf, rec = appendRun(buf, rec, m, K(r), b, j.EncodePair)
 				// The shipped run's memory is dead locally: its reducer
 				// runs elsewhere.
 				b.recycle(pool)
@@ -359,30 +346,19 @@ func distExchangeRuns[I any, K ReducerKey, V any, O any](j *Job[I, K, V, O], cfg
 
 // appendRun frames mapper m's run for reducer key: m, the reducer, the
 // run's priced bytes and its pair count, then one length-prefixed
-// EncodePair record per pair (rec is the caller's encoding scratch). A
-// spilled run's records are its scratch file's, forwarded as they are
-// and deleted, which is the one read its spill accounting counts.
-func appendRun[K ReducerKey, V any](buf, rec []byte, m int, key K, b *run[V], encode func(K, V, []byte) []byte, fs spillStore) ([]byte, []byte, error) {
+// EncodePair record per pair (rec is the caller's encoding scratch).
+func appendRun[K ReducerKey, V any](buf, rec []byte, m int, key K, b *run[V], encode func(K, V, []byte) []byte) ([]byte, []byte) {
 	buf = appendUvarint(buf, uint64(m))
 	buf = appendUvarint(buf, uint64(key))
 	buf = appendUvarint(buf, uint64(b.bytes))
 	buf = appendUvarint(buf, uint64(b.n))
-	if b.spill != "" {
-		err := fs.Scan(b.spill, func(r []byte) error {
-			buf = append(appendUvarint(buf, uint64(len(r))), r...)
-			return nil
-		})
-		_ = fs.Delete(b.spill)
-		b.spill = ""
-		return buf, rec, err
-	}
 	for _, c := range b.chunks {
 		for i := range c {
 			rec = encode(key, c[i], rec[:0])
 			buf = append(appendUvarint(buf, uint64(len(rec))), rec...)
 		}
 	}
-	return buf, rec, nil
+	return buf, rec
 }
 
 // decodeRuns parses worker from's run-exchange payload to this worker

@@ -11,8 +11,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"mwsjoin/internal/dfs"
 )
 
 // chanHub is an in-memory Exchanger fabric: chans[from][to] carries the
@@ -63,10 +61,10 @@ func (e *chanExchanger) AllToAll(tag string, outgoing [][]byte) ([][]byte, error
 // distTestJob builds the reference job the distributed equivalence
 // tests run: integer inputs fan out to two reducers each, reducers fold
 // the values into order-sensitive strings, and the full pair/output
-// codec is wired so the job can both spill and distribute.
-func distTestJob(cfg Config, combine bool) *Job[int, int, int, string] {
+// codec is wired so the job can distribute.
+func distTestJob(cfg Config) *Job[int, int, int, string] {
 	nr := cfg.NumReducers
-	j := &Job[int, int, int, string]{
+	return &Job[int, int, int, string]{
 		Config: cfg,
 		Map: func(in int, emit func(int, int)) error {
 			emit(in%97%nr, in)
@@ -101,14 +99,6 @@ func distTestJob(cfg Config, combine bool) *Job[int, int, int, string] {
 		EncodeOutput: func(o string, buf []byte) []byte { return append(buf, o...) },
 		DecodeOutput: func(rec []byte) (string, error) { return string(rec), nil },
 	}
-	if combine {
-		j.Combine = func(k int, vs []int) []int {
-			// Order-preserving pass-through keeps reduce semantics while
-			// exercising the combine accounting.
-			return vs
-		}
-	}
-	return j
 }
 
 // runDistributed executes the job on W SPMD workers over a chanHub and
@@ -153,78 +143,34 @@ func TestDistBitIdenticalToInProcess(t *testing.T) {
 	}
 	base := Config{Name: "dist-eq", NumReducers: 13, NumMappers: 8, Parallelism: 4}
 
-	for _, combine := range []bool{false, true} {
-		want, wantSt, err := distTestJob(base, combine).Run(input)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, w := range []int{1, 2, 3, 5} {
-			outs, sts, errs := runDistributed(t, w, input, func(int) *Job[int, int, int, string] {
-				return distTestJob(base, combine)
-			})
-			for self := 0; self < w; self++ {
-				if errs[self] != nil {
-					t.Fatalf("combine=%v W=%d worker %d: %v", combine, w, self, errs[self])
-				}
-				if !reflect.DeepEqual(outs[self], want) {
-					t.Errorf("combine=%v W=%d worker %d: outputs diverge from in-process", combine, w, self)
-				}
-				got := normalizeDistStats(sts[self])
-				if !reflect.DeepEqual(got, normalizeDistStats(wantSt)) {
-					t.Errorf("combine=%v W=%d worker %d: stats diverge:\n got %+v\nwant %+v", combine, w, self, got, normalizeDistStats(wantSt))
-				}
-				if w > 1 && sts[self].ShuffleNetworkBytes <= 0 {
-					t.Errorf("combine=%v W=%d worker %d: no network bytes recorded", combine, w, self)
-				}
-				if w == 1 && sts[self].ShuffleNetworkBytes != 0 {
-					t.Errorf("combine=%v W=1: network bytes %d on the degenerate case", combine, sts[self].ShuffleNetworkBytes)
-				}
-				if sts[self].ShuffleNetworkBytes != sts[0].ShuffleNetworkBytes {
-					t.Errorf("combine=%v W=%d: workers disagree on network bytes", combine, w)
-				}
+	want, wantSt, err := distTestJob(base).Run(input)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []int{1, 2, 3, 5} {
+		outs, sts, errs := runDistributed(t, w, input, func(int) *Job[int, int, int, string] {
+			return distTestJob(base)
+		})
+		for self := 0; self < w; self++ {
+			if errs[self] != nil {
+				t.Fatalf("W=%d worker %d: %v", w, self, errs[self])
 			}
-		}
-	}
-}
-
-func TestDistSpillEquivalence(t *testing.T) {
-	input := make([]int, 500)
-	for i := range input {
-		input[i] = i * 11
-	}
-	mkCfg := func() Config {
-		return Config{Name: "dist-spill", NumReducers: 7, NumMappers: 6, Parallelism: 3,
-			SpillBudget: 1, SpillFS: dfs.New(0)}
-	}
-	plain := mkCfg()
-	plain.SpillBudget, plain.SpillFS = 0, nil
-	want, _, err := distTestJob(plain, false).Run(input)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spilled, spilledSt, err := distTestJob(mkCfg(), false).Run(input)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(spilled, want) {
-		t.Fatal("in-process spill run diverges")
-	}
-	if spilledSt.SpilledRuns == 0 {
-		t.Fatal("1-byte budget spilled nothing; test is vacuous")
-	}
-	outs, sts, errs := runDistributed(t, 3, input, func(int) *Job[int, int, int, string] {
-		return distTestJob(mkCfg(), false)
-	})
-	for self := 0; self < 3; self++ {
-		if errs[self] != nil {
-			t.Fatalf("worker %d: %v", self, errs[self])
-		}
-		if !reflect.DeepEqual(outs[self], want) {
-			t.Errorf("worker %d: spilled distributed outputs diverge", self)
-		}
-		got := normalizeDistStats(sts[self])
-		if !reflect.DeepEqual(got, normalizeDistStats(spilledSt)) {
-			t.Errorf("worker %d: spilled distributed stats diverge:\n got %+v\nwant %+v", self, got, normalizeDistStats(spilledSt))
+			if !reflect.DeepEqual(outs[self], want) {
+				t.Errorf("W=%d worker %d: outputs diverge from in-process", w, self)
+			}
+			got := normalizeDistStats(sts[self])
+			if !reflect.DeepEqual(got, normalizeDistStats(wantSt)) {
+				t.Errorf("W=%d worker %d: stats diverge:\n got %+v\nwant %+v", w, self, got, normalizeDistStats(wantSt))
+			}
+			if w > 1 && sts[self].ShuffleNetworkBytes <= 0 {
+				t.Errorf("W=%d worker %d: no network bytes recorded", w, self)
+			}
+			if w == 1 && sts[self].ShuffleNetworkBytes != 0 {
+				t.Errorf("W=1: network bytes %d on the degenerate case", sts[self].ShuffleNetworkBytes)
+			}
+			if sts[self].ShuffleNetworkBytes != sts[0].ShuffleNetworkBytes {
+				t.Errorf("W=%d: workers disagree on network bytes", w)
+			}
 		}
 	}
 }
@@ -241,12 +187,12 @@ func TestDistFaultInjectionEquivalence(t *testing.T) {
 			FailReduce:  func(r, attempt int) bool { return r == 4 && attempt < 3 },
 		}
 	}
-	want, wantSt, err := distTestJob(mkCfg(), false).Run(input)
+	want, wantSt, err := distTestJob(mkCfg()).Run(input)
 	if err != nil {
 		t.Fatal(err)
 	}
 	outs, sts, errs := runDistributed(t, 3, input, func(int) *Job[int, int, int, string] {
-		return distTestJob(mkCfg(), false)
+		return distTestJob(mkCfg())
 	})
 	for self := 0; self < 3; self++ {
 		if errs[self] != nil {
@@ -273,12 +219,12 @@ func TestDistErrorIdentity(t *testing.T) {
 			FailMap:     func(m, attempt int) bool { return m >= 1 }, // mappers 1..3 always fail
 		}
 	}
-	_, _, inErr := distTestJob(mkCfg(), false).Run(input)
+	_, _, inErr := distTestJob(mkCfg()).Run(input)
 	if inErr == nil {
 		t.Fatal("in-process run unexpectedly succeeded")
 	}
 	_, _, errs := runDistributed(t, 3, input, func(int) *Job[int, int, int, string] {
-		return distTestJob(mkCfg(), false)
+		return distTestJob(mkCfg())
 	})
 	for self, err := range errs {
 		if err == nil {
@@ -333,7 +279,7 @@ func runForgedPeer(t *testing.T, tag string, forged []byte, decodeOutput func([]
 	for i := range input {
 		input[i] = i
 	}
-	j := distTestJob(Config{Name: "forged", NumReducers: 4, NumMappers: 4}, false)
+	j := distTestJob(Config{Name: "forged", NumReducers: 4, NumMappers: 4})
 	if decodeOutput != nil {
 		j.DecodeOutput = decodeOutput
 	}
@@ -418,8 +364,8 @@ func TestDistGatherOwnership(t *testing.T) {
 		{"outputs", "bytes after the last reducer", cat(counters, noErr, uv(2), empty(1), empty(3), uv(0))},
 		{"outputs", "an error of task 4, of 4 tasks", cat(counters, uv(5, 1), []byte("x"), uv(2), empty(1), empty(3))},
 		{"outputs", "an error message without a task", cat(counters, uv(0, 1), []byte("x"), uv(2), empty(1), empty(3))},
-		{"map-stats", "bytes after the map report", cat(uv(1, 0, 0, 0, 0, 0, 0), noErr, uv(0))},
-		{"map-stats", "an error of task 7, of 4 tasks", cat(uv(1, 0, 0, 0, 0, 0, 0), uv(8, 1), []byte("x"))},
+		{"map-stats", "bytes after the map report", cat(uv(1, 0), noErr, uv(0))},
+		{"map-stats", "an error of task 7, of 4 tasks", cat(uv(1, 0), uv(8, 1), []byte("x"))},
 	} {
 		_, err := runForgedPeer(t, c.tag, c.forged, nil)
 		switch {
@@ -439,10 +385,10 @@ func TestDistGatherOwnership(t *testing.T) {
 // barriers' own encoders, so each decodes to what was encoded.
 func FuzzDistGathers(f *testing.F) {
 	const nm, nr = 4, 4
-	mapSeed := appendMapReport(nil, [mapBarrierCounters]int64{3, 1, 9, 7, 2, 640, 640}, taskError{idx: -1})
+	mapSeed := appendMapReport(nil, [mapBarrierCounters]int64{3, 1}, taskError{idx: -1})
 	pairs, priced, keys := []int64{0, 5, 0, 2}, []int64{0, 80, 0, 32}, []int64{0, 1, 0, 1}
 	outs := [][]string{nil, {"1:2,3,", ""}, nil, {"3:9,"}}
-	outSeed := appendReduceReport([reduceBarrierCounters]int64{2, 0, 123, 4}, taskError{idx: -1}, 1, 2, pairs, priced, keys, outs, distTestJob(Config{}, false).EncodeOutput)
+	outSeed := appendReduceReport([reduceBarrierCounters]int64{2, 0, 123, 4}, taskError{idx: -1}, 1, 2, pairs, priced, keys, outs, distTestJob(Config{}).EncodeOutput)
 	f.Add(false, mapSeed)
 	f.Add(true, outSeed)
 	f.Add(false, appendMapReport(nil, [mapBarrierCounters]int64{}, taskError{idx: 3, msg: "mapper 3 failed"}))
@@ -453,7 +399,7 @@ func FuzzDistGathers(f *testing.F) {
 			tag = "outputs"
 		}
 		d := &DistConfig{NumWorkers: 2, Self: 0, Exchanger: &forgingExchanger{forgeTag: tag, forged: payload}}
-		j := distTestJob(Config{Name: "fuzz", NumReducers: nr, NumMappers: nm, Dist: d}, false)
+		j := distTestJob(Config{Name: "fuzz", NumReducers: nr, NumMappers: nm, Dist: d})
 		// Worker 0 contributes nothing, so what it ends with is worker 1's.
 		stats := &Stats{Job: "fuzz", PairsPerReducer: make([]int64, nr)}
 		outputs, keyCounts, bytesPerReducer := make([][]string, nr), make([]int64, nr), make([]int64, nr)
@@ -463,7 +409,7 @@ func FuzzDistGathers(f *testing.F) {
 		if gatherOutputs {
 			err = distReduceBarrier(j, &j.Config, stats, outputs, keyCounts, bytesPerReducer, make([]error, nr), 0, 0)
 		} else {
-			err = distMapBarrier(d, stats, make([]error, nm), 0, 0)
+			err = distMapBarrier(d, stats, make([]error, nm))
 		}
 		runtime.ReadMemStats(&m1)
 		if grew := m1.TotalAlloc - m0.TotalAlloc; grew > 4*uint64(len(payload))+64<<10 {
@@ -477,8 +423,7 @@ func FuzzDistGathers(f *testing.F) {
 			c := [reduceBarrierCounters]int64{stats.ReduceAttempts, stats.ReduceFailures, stats.ShuffleNetworkBytes, stats.ShuffleNetworkRuns}
 			got = appendReduceReport(c, taskError{idx: -1}, 1, 2, stats.PairsPerReducer, bytesPerReducer, keyCounts, outputs, j.EncodeOutput)
 		} else {
-			got = appendMapReport(nil, [mapBarrierCounters]int64{stats.MapAttempts, stats.MapFailures, stats.CombineInputPairs,
-				stats.CombineOutputPairs, stats.SpilledRuns, stats.SpillBytesWritten, stats.SpillBytesRead}, taskError{idx: -1})
+			got = appendMapReport(nil, [mapBarrierCounters]int64{stats.MapAttempts, stats.MapFailures}, taskError{idx: -1})
 		}
 		if !bytes.Equal(got, payload) {
 			t.Fatalf("%s payload %x decoded, but re-encodes as %x", tag, payload, got)
@@ -488,7 +433,7 @@ func FuzzDistGathers(f *testing.F) {
 
 // fuzzRunCodec is the fixed-width pair codec FuzzDistRuns decodes with:
 // a frame it accepts re-encodes to the same bytes.
-var fuzzRunCodec = spillTestJob(Config{})
+var fuzzRunCodec = sumTestJob(Config{})
 
 // appendFuzzRuns encodes runs as worker 1's payload to worker 0 of a
 // two-worker job with four mappers and four reducers.
@@ -496,7 +441,7 @@ func appendFuzzRuns(runs [][]run[int64]) []byte {
 	var buf, rec []byte
 	for m := 1; m < len(runs); m += 2 {
 		for r := 0; r < len(runs[m]); r += 2 {
-			buf, rec, _ = appendRun(buf, rec, m, int64(r), &runs[m][r], fuzzRunCodec.EncodePair, nil)
+			buf, rec = appendRun(buf, rec, m, int64(r), &runs[m][r], fuzzRunCodec.EncodePair)
 		}
 	}
 	return buf
@@ -548,32 +493,32 @@ func TestDistValidation(t *testing.T) {
 	input := []int{1, 2, 3}
 	hub := newChanHub(2)
 	// Missing NumMappers.
-	j := distTestJob(Config{Name: "v", NumReducers: 2}, false)
+	j := distTestJob(Config{Name: "v", NumReducers: 2})
 	j.Config.Dist = &DistConfig{NumWorkers: 2, Self: 0, Exchanger: hub.exchanger(0)}
 	if _, _, err := j.Run(input); err == nil || !strings.Contains(err.Error(), "NumMappers") {
 		t.Errorf("missing NumMappers: err = %v", err)
 	}
 	// Missing exchanger.
-	j = distTestJob(Config{Name: "v", NumReducers: 2, NumMappers: 2}, false)
+	j = distTestJob(Config{Name: "v", NumReducers: 2, NumMappers: 2})
 	j.Config.Dist = &DistConfig{NumWorkers: 2, Self: 0}
 	if _, _, err := j.Run(input); err == nil || !strings.Contains(err.Error(), "Exchanger") {
 		t.Errorf("missing exchanger: err = %v", err)
 	}
 	// Missing output codec.
-	j = distTestJob(Config{Name: "v", NumReducers: 2, NumMappers: 2}, false)
+	j = distTestJob(Config{Name: "v", NumReducers: 2, NumMappers: 2})
 	j.Config.Dist = &DistConfig{NumWorkers: 2, Self: 0, Exchanger: hub.exchanger(0)}
 	j.EncodeOutput = nil
 	if _, _, err := j.Run(input); err == nil || !strings.Contains(err.Error(), "EncodeOutput") {
 		t.Errorf("missing output codec: err = %v", err)
 	}
 	// Self out of range.
-	j = distTestJob(Config{Name: "v", NumReducers: 2, NumMappers: 2}, false)
+	j = distTestJob(Config{Name: "v", NumReducers: 2, NumMappers: 2})
 	j.Config.Dist = &DistConfig{NumWorkers: 2, Self: 2, Exchanger: hub.exchanger(0)}
 	if _, _, err := j.Run(input); err == nil || !strings.Contains(err.Error(), "Self") {
 		t.Errorf("self out of range: err = %v", err)
 	}
 	// NumWorkers == 1 needs no exchanger and no explicit NumMappers.
-	j = distTestJob(Config{Name: "v", NumReducers: 2}, false)
+	j = distTestJob(Config{Name: "v", NumReducers: 2})
 	j.Config.Dist = &DistConfig{NumWorkers: 1, Self: 0}
 	if _, _, err := j.Run(input); err != nil {
 		t.Errorf("degenerate single worker: %v", err)

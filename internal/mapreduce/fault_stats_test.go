@@ -6,31 +6,6 @@ import (
 	"testing"
 )
 
-// combineWordCountJob is wordCountJob plus a combiner that sums each
-// word's counts within a run, so the combine counters and
-// combiner-reduced IntermediateBytes are live — the counters the
-// fault-accounting sweep must keep honest.
-func combineWordCountJob(cfg Config) *Job[string, int, wordN, string] {
-	j := wordCountJob(cfg)
-	j.Combine = func(_ int, vs []wordN) []wordN {
-		// Fold each word into its first occurrence, in place: the
-		// output never overtakes the input it reads.
-		out := vs[:0]
-	next:
-		for _, v := range vs {
-			for i := range out {
-				if out[i].w == v.w {
-					out[i].n += v.n
-					continue next
-				}
-			}
-			out = append(out, v)
-		}
-		return out
-	}
-	return j
-}
-
 func wordInput() []string {
 	var input []string
 	for i := 0; i < 40; i++ {
@@ -49,8 +24,7 @@ func zeroWalls(st *Stats) {
 // MaxAttempts−1 times must report bit-identical Stats to a clean run,
 // except for the attempt/failure counters (which must equal exactly
 // their documented values) and wall times. In particular the discarded
-// attempts' Combine work must not leak into
-// CombineInputPairs/CombineOutputPairs/IntermediateBytes.
+// attempts' byte accounting must not leak into IntermediateBytes.
 func TestFaultInjectionStatsBitEqual(t *testing.T) {
 	input := wordInput()
 	const maxAttempts = 3
@@ -58,7 +32,7 @@ func TestFaultInjectionStatsBitEqual(t *testing.T) {
 		base := Config{Name: "acct", NumReducers: 5, NumMappers: 4,
 			Parallelism: par, MaxAttempts: maxAttempts}
 
-		cleanOut, clean, err := combineWordCountJob(base).Run(input)
+		cleanOut, clean, err := wordCountJob(base).Run(input)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +40,7 @@ func TestFaultInjectionStatsBitEqual(t *testing.T) {
 		faulty := base
 		faulty.FailMap = func(_, attempt int) bool { return attempt < maxAttempts }
 		faulty.FailReduce = func(_, attempt int) bool { return attempt < maxAttempts }
-		out, st, err := combineWordCountJob(faulty).Run(input)
+		out, st, err := wordCountJob(faulty).Run(input)
 		if err != nil {
 			t.Fatalf("par=%d: %v", par, err)
 		}

@@ -16,8 +16,7 @@
 //     by its own mapper (RunSplits; Run is the in-memory special case);
 //   - each mapper applies Map to its records and emits (K, V) pairs;
 //     value v of key k is appended to the mapper's run for reducer k;
-//   - each mapper applies the optional Combine hook once per run and
-//     folds the PairBytes accounting in;
+//   - each mapper folds the PairBytes accounting into its runs;
 //   - the shuffle concatenates every reducer's runs in mapper order, in
 //     parallel across reducers;
 //   - Reduce runs once per reducer that received values;
@@ -27,8 +26,8 @@
 // reducer's values arrive in (mapper index, emit order) and outputs are
 // assembled in reducer order. Task fault injection (Config.FailMap /
 // Config.FailReduce with MaxAttempts) deterministically re-runs failed
-// attempts, discarding their partial output (including its combine and
-// byte accounting), to mirror Hadoop's task retry semantics; retried
+// attempts, discarding their partial output (including its byte
+// accounting), to mirror Hadoop's task retry semantics; retried
 // reduce attempts reuse the immutable shuffled input.
 //
 // When Config.Tracer is set, every run emits a span tree — job →
@@ -45,7 +44,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"mwsjoin/internal/dfs"
 	"mwsjoin/internal/trace"
 )
 
@@ -94,18 +92,6 @@ type Config struct {
 	// on which. On a shared pool Reduce must not retain its values slice
 	// after returning.
 	Pool *BufferPool
-	// SpillBudget, when positive, bounds the bytes (as measured by
-	// Job.PairBytes) a mapper keeps in memory for one finalized run: a
-	// run over the budget is written to local-disk scratch on SpillFS
-	// and read back by the shuffle, so larger-than-RAM shuffles complete
-	// instead of OOMing. Spilling requires SpillFS
-	// plus the job's EncodePair/DecodePair codec and PairBytes; jobs
-	// missing any of those never spill. Results and every non-Spill*
-	// Stats field are bit-identical with and without spilling.
-	SpillBudget int64
-	// SpillFS hosts spilled runs as uncharged local scratch (see
-	// dfs.CreateLocal); required when SpillBudget is positive.
-	SpillFS *dfs.FS
 	// Dist, when non-nil, runs the job as one SPMD worker of a cluster:
 	// task ownership is partitioned by index modulo Dist.NumWorkers,
 	// runs destined for remote reducers ship over Dist.Exchanger,
@@ -136,9 +122,6 @@ func (c *Config) withDefaults() (Config, error) {
 	if cfg.MaxAttempts <= 0 {
 		cfg.MaxAttempts = 1
 	}
-	if cfg.SpillBudget > 0 && cfg.SpillFS == nil {
-		return cfg, fmt.Errorf("mapreduce: job %q: SpillBudget set without SpillFS", cfg.Name)
-	}
 	return cfg, nil
 }
 
@@ -147,7 +130,7 @@ func (c *Config) withDefaults() (Config, error) {
 type Stats struct {
 	Job                 string
 	MapInputRecords     int64
-	IntermediatePairs   int64 // total (K, V) pairs shuffled to reducers (post-combine)
+	IntermediatePairs   int64 // total (K, V) pairs shuffled to reducers
 	IntermediateBytes   int64 // as measured by Job.PairBytes, 0 if unset
 	ReduceInputKeys     int64
 	ReduceOutputRecords int64
@@ -155,22 +138,13 @@ type Stats struct {
 	MapFailures         int64
 	ReduceAttempts      int64 // includes failed attempts
 	ReduceFailures      int64
-	// CombineInputPairs / CombineOutputPairs measure the Combine hook's
-	// effect: pairs fed to it versus pairs it kept, summed over the
-	// successful map attempts. Both are 0 when the job has no combiner;
-	// their difference is the shuffle traffic the combiner saved.
-	CombineInputPairs  int64
-	CombineOutputPairs int64
-	// SpilledRuns, SpillBytesWritten and SpillBytesRead count the
-	// map-side runs that exceeded Config.SpillBudget and were staged on
-	// local-disk scratch until the shuffle read them back. Spill
-	// I/O is local traffic, uncharged to the DFS counters, so every
-	// other field is identical whether a shuffle spilled or stayed in
-	// memory. Omitted from JSON when zero, so non-spilling runs (and
-	// their chain-checkpoint metadata) serialize exactly as before.
+	// Deprecated: SpilledRuns and SpillBytesWritten are always zero — a
+	// map run stays in memory until the shuffle copies it. The fields
+	// remain, omitted from JSON, only because benchmark/layers.go, frozen
+	// for this change, still reads them; the next benchmark change drops
+	// both.
 	SpilledRuns       int64 `json:",omitempty"`
 	SpillBytesWritten int64 `json:",omitempty"`
-	SpillBytesRead    int64 `json:",omitempty"`
 	// ShuffleNetworkBytes and ShuffleNetworkRuns count what the
 	// distributed run exchange actually shipped between workers: the
 	// framed bytes and non-empty runs sent to remotely-owned
@@ -240,11 +214,6 @@ func (s *Stats) Add(o *Stats) {
 	s.MapFailures += o.MapFailures
 	s.ReduceAttempts += o.ReduceAttempts
 	s.ReduceFailures += o.ReduceFailures
-	s.CombineInputPairs += o.CombineInputPairs
-	s.CombineOutputPairs += o.CombineOutputPairs
-	s.SpilledRuns += o.SpilledRuns
-	s.SpillBytesWritten += o.SpillBytesWritten
-	s.SpillBytesRead += o.SpillBytesRead
 	s.ShuffleNetworkBytes += o.ShuffleNetworkBytes
 	s.ShuffleNetworkRuns += o.ShuffleNetworkRuns
 	s.MapWall += o.MapWall
@@ -281,30 +250,16 @@ type Job[I any, K ReducerKey, V any, O any] struct {
 	// Reduce folds all values of one reducer — its key — into output
 	// records; it runs once per reducer that received values.
 	Reduce func(key K, values []V, emit func(O)) error
-	// Combine, when non-nil, is a Hadoop-style combiner applied once to
-	// each map attempt's run for a reducer before the shuffle:
-	// Combine(key, values) gets the run's values in emit order and the
-	// run ships what it returns instead (an empty result ships nothing).
-	// It must be semantics-preserving for Reduce — reducing over any
-	// concatenation of combined runs must yield the same output as
-	// reducing the raw pairs. values is the run's own storage: Combine
-	// may rewrite it and return it or a subslice of it, or return a new
-	// slice, and retains neither. Stats.CombineInputPairs /
-	// Stats.CombineOutputPairs report its effect; IntermediatePairs,
-	// PairsPerReducer and all byte counters measure what is actually
-	// shuffled, i.e. the post-combine runs.
-	Combine func(key K, values []V) []V
 	// PairBytes sizes an intermediate pair for the byte counters; nil
 	// counts pairs only.
 	PairBytes func(key K, value V) int
 	// EncodePair appends the wire encoding of one intermediate pair to
 	// buf and returns the extended slice; DecodePair parses one such
-	// record back. Together they are the codec that lets map-side runs
-	// spill to local disk under Config.SpillBudget and ship between
-	// workers — the engine frames records itself, one per pair,
-	// preserving run order. A decoded pair whose key is not the reducer
-	// of the run it arrived in is an error. Jobs without the codec never
-	// spill.
+	// record back. Together they are the codec that ships map-side runs
+	// between workers (Config.Dist with NumWorkers > 1 requires them) —
+	// the engine frames records itself, one per pair, preserving run
+	// order. A decoded pair whose key is not the reducer of the run it
+	// arrived in is an error.
 	EncodePair func(key K, value V, buf []byte) []byte
 	DecodePair func(rec []byte) (K, V, error)
 	// EncodeOutput appends the wire encoding of one reducer output
@@ -390,11 +345,6 @@ func (j *Job[I, K, V, O]) RunSplits(n int, read func(lo, hi int, yield func(I) e
 		// is ever handed out again after RunSplits returns.
 		pool = NewBufferPool()
 	}
-	// Spilling needs the pair codec to stage runs on disk and PairBytes
-	// to size the budget decision.
-	spilling := cfg.SpillBudget > 0 && j.EncodePair != nil && j.DecodePair != nil &&
-		j.PairBytes != nil
-	var spillSeq atomic.Int64 // attempt-unique scratch file names
 	nr := cfg.NumReducers
 	start := time.Now()
 	tr := cfg.Tracer
@@ -433,87 +383,47 @@ func (j *Job[I, K, V, O]) RunSplits(n int, read func(lo, hi int, yield func(I) e
 			if err := safeSplit(read, lo, hi, func(in I) error { return j.Map(in, emit) }); err != nil {
 				return out, fmt.Errorf("mapreduce: job %q: mapper %d: %w", cfg.Name, m, err)
 			}
-			// Combining and byte accounting run inside every attempt —
-			// including ones later discarded by fault injection, which
-			// crash after their spill like a real Hadoop task — so the
-			// attempt timing covers the work and a discarded attempt's
-			// combine and byte accounting is discarded with its runs,
-			// never leaked into Stats.
-			for r := range out {
-				finalizeRun(&out[r], K(r), j.Combine, j.PairBytes, pool)
-				if spilling && out[r].bytes > cfg.SpillBudget && out[r].n > 0 {
-					// Over-budget runs move to local scratch right here,
-					// inside the attempt, so the mapper's memory is
-					// bounded no matter how often it retries; the
-					// sequence number keeps the scratch names of
-					// concurrent mappers and of retries apart.
-					name := fmt.Sprintf("spill/%s/run-%d", cfg.Name, spillSeq.Add(1))
-					spillRun(&out[r], K(r), cfg.SpillFS, name, j.EncodePair, pool)
+			// Byte accounting runs inside every attempt — including ones
+			// later discarded by fault injection — so the attempt timing
+			// covers the work and a discarded attempt's accounting is
+			// discarded with its runs, never leaked into Stats.
+			if j.PairBytes != nil {
+				for r := range out {
+					priceRun(&out[r], K(r), j.PairBytes)
 				}
 			}
 			return out, nil
 		}
 		runs[m], mapErrs[m] = runAttempts(&cfg, "mapper", m, cfg.FailMap, traced, &mapRuns[m], body,
-			func(out []run[V]) { recycleRuns(pool, cfg.SpillFS, out) })
+			func(out []run[V]) { recycleRuns(pool, out) })
 	})
 	for m := range mapRuns {
 		stats.MapAttempts += mapRuns[m].attempts
 		stats.MapFailures += mapRuns[m].failures
-	}
-	// Spill accounting is committed-run-scoped like every other counter:
-	// discarded attempts deleted their scratch, and each surviving run is
-	// written and read exactly once. It is counted here, before the
-	// shuffle and the run exchange consume the spill fields.
-	var spilledRuns, spillBytes int64
-	for _, rm := range runs { // nil for failed mappers: skipped
-		for r := range rm {
-			stats.CombineInputPairs += rm[r].combineIn
-			stats.CombineOutputPairs += rm[r].combineOut
-			if rm[r].spill != "" {
-				spilledRuns++
-				spillBytes += rm[r].spillBytes
-			}
-		}
 	}
 	stats.MapWall = time.Since(mapStart)
 	// Task-attempt spans are logged in task order after the phase, so
 	// span IDs stay deterministic despite concurrent execution.
 	logTaskAttempts(tr, mapSpan, "map", mapRuns)
 	tr.End(mapSpan)
-	// discardSpills removes committed mappers' scratch on the abort
-	// paths below, where the shuffle will never consume it.
-	discardSpills := func() {
-		for m := range runs {
-			for r := range runs[m] {
-				if runs[m][r].spill != "" {
-					_ = cfg.SpillFS.Delete(runs[m][r].spill)
-					runs[m][r].spill = ""
-				}
-			}
-		}
-	}
 	if dist {
 		// Exchange stage 1, the map barrier: gather every worker's map
 		// accounting and error state so all workers agree on the totals
 		// and on whether the map phase failed.
-		if err := distMapBarrier(cfg.Dist, stats, mapErrs, spilledRuns, spillBytes); err != nil {
-			discardSpills()
+		if err := distMapBarrier(cfg.Dist, stats, mapErrs); err != nil {
 			return nil, nil, err
 		}
 	} else {
 		for m, err := range mapErrs {
 			if err != nil {
-				discardSpills()
 				return nil, nil, fmt.Errorf("%w (mapper %d)", err, m)
 			}
 		}
-		stats.SpilledRuns, stats.SpillBytesWritten, stats.SpillBytesRead = spilledRuns, spillBytes, spillBytes
 	}
 
 	// A cancellation landing between phases stops before the shuffle, so
 	// no intermediate pair of this job is ever counted as shuffled.
 	if err := cancelled(); err != nil {
-		discardSpills()
 		return nil, nil, err
 	}
 	var netBytes, netRuns int64
@@ -522,7 +432,6 @@ func (j *Job[I, K, V, O]) RunSplits(n int, read func(lo, hi int, yield func(I) e
 		// remotely-owned reducers, receive the remote runs of our own.
 		var err error
 		if netBytes, netRuns, err = distExchangeRuns(j, &cfg, runs, nm, pool); err != nil {
-			discardSpills()
 			return nil, nil, err
 		}
 	}
@@ -563,18 +472,11 @@ func (j *Job[I, K, V, O]) RunSplits(n int, read func(lo, hi int, yield func(I) e
 	if off[nr] > 0 {
 		in = getBufLen[V](&pool.vals, off[nr])
 	}
-	shufErrs := make([]error, nr)
 	runTasks(cfg.Parallelism, nr, func(r int) {
 		if owned(r) {
-			shufErrs[r] = gatherInput(in[off[r]:off[r+1]], runs, K(r), cfg.SpillFS, j.DecodePair, pool)
+			gatherInput(in[off[r]:off[r+1]], runs, r, pool)
 		}
 	})
-	for _, err := range shufErrs {
-		if err != nil {
-			discardSpills()
-			return nil, nil, err
-		}
-	}
 	runs = nil
 	if traced {
 		tr.Observe(jobSpan, trace.KindPhase, "shuffle", shuffleStart, time.Now())

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"mwsjoin/internal/dfs"
 	"mwsjoin/internal/trace"
 )
 
@@ -63,8 +62,7 @@ func spanSummary(tr *trace.Tracer) []string {
 // referenceRun states the engine's contract directly, serially and
 // without the engine's data structures — it is the oracle the shuffle
 // is tested against. Mapper m of nm = min(NumMappers, n) reads the split
-// [n·m/nm, n·(m+1)/nm); a pair's key is its reducer; Combine sees each
-// non-empty (mapper, reducer) run once, in emit order; reducers run in
+// [n·m/nm, n·(m+1)/nm); a pair's key is its reducer; reducers run in
 // index order, each once over its values in (mapper, emit) order. Only
 // the fields that contract determines are filled in: attempt counters
 // and walls depend on the fault schedule.
@@ -82,14 +80,6 @@ func referenceRun[I any, K ReducerKey, V any, O any](t *testing.T, j *Job[I, K, 
 			}
 		}
 		for r, vs := range runs {
-			if len(vs) == 0 {
-				continue
-			}
-			if j.Combine != nil {
-				st.CombineInputPairs += int64(len(vs))
-				vs = slices.Clone(j.Combine(K(r), vs))
-				st.CombineOutputPairs += int64(len(vs))
-			}
 			in[r] = append(in[r], vs...)
 			st.PairsPerReducer[r] += int64(len(vs))
 			st.IntermediatePairs += int64(len(vs))
@@ -130,7 +120,6 @@ func contractStats(s *Stats) Stats {
 		IntermediatePairs: s.IntermediatePairs, IntermediateBytes: s.IntermediateBytes,
 		PairsPerReducer: s.PairsPerReducer, ReduceInputKeys: s.ReduceInputKeys,
 		ReduceOutputRecords: s.ReduceOutputRecords,
-		CombineInputPairs:   s.CombineInputPairs, CombineOutputPairs: s.CombineOutputPairs,
 	}
 }
 
@@ -138,112 +127,77 @@ func contractStats(s *Stats) Stats {
 // the contract Stats (including PairsPerReducer and IntermediateBytes)
 // equal referenceRun's, and full Stats and span trees are bit-identical
 // across Parallelism ∈ {1, 2, 8}, with and without simultaneous
-// map+reduce fault injection — for the plain shuffle, with a Combine
-// hook, with every run spilled, and with both.
+// map+reduce fault injection.
 func TestPipelineEquivalence(t *testing.T) {
-	codec := spillTestJob(Config{})
-	for _, shape := range []string{"plain", "combine", "spill", "combine+spill"} {
-		for _, inject := range []bool{false, true} {
-			var refStats *Stats
-			var refSpans []string
-			for _, par := range []int{1, 2, 8} {
-				name := fmt.Sprintf("%s/inject=%v/par=%d", shape, inject, par)
-				job, input := pipelineJob(par, inject)
-				fs := dfs.New(0)
-				if strings.Contains(shape, "combine") {
-					job.Combine = sumCombine
-				}
-				if strings.Contains(shape, "spill") {
-					job.Config.SpillBudget, job.Config.SpillFS = 1, fs
-					job.EncodePair, job.DecodePair = codec.EncodePair, codec.DecodePair
-				}
-				tr := trace.New()
-				job.Config.Tracer = tr
-				out, stats, err := job.Run(input)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				if strings.Contains(shape, "spill") && (stats.SpilledRuns == 0 || len(fs.List()) != 0) {
-					t.Errorf("%s: %d spilled runs, scratch left %v", name, stats.SpilledRuns, fs.List())
-				}
-				wantOut, wantStats := referenceRun(t, job, input)
-				if !reflect.DeepEqual(out, wantOut) {
-					t.Errorf("%s: outputs differ from the reference\n got %v\nwant %v", name, out, wantOut)
-				}
-				if got := contractStats(stats); !reflect.DeepEqual(got, *wantStats) {
-					t.Errorf("%s: stats differ from the reference\n got %+v\nwant %+v", name, got, *wantStats)
-				}
-				// Wall-clock fields can never be identical; zero them
-				// before comparing.
-				stats.MapWall, stats.ReduceWall, stats.TotalWall = 0, 0, 0
-				spans := spanSummary(tr)
-				if refStats == nil {
-					refStats, refSpans = stats, spans
-					continue
-				}
-				if !reflect.DeepEqual(stats, refStats) {
-					t.Errorf("%s: stats differ across parallelism\n got %+v\nwant %+v", name, stats, refStats)
-				}
-				if !reflect.DeepEqual(spans, refSpans) {
-					t.Errorf("%s: trace spans differ\n got %v\nwant %v", name, spans, refSpans)
-				}
+	for _, inject := range []bool{false, true} {
+		var refStats *Stats
+		var refSpans []string
+		for _, par := range []int{1, 2, 8} {
+			name := fmt.Sprintf("inject=%v/par=%d", inject, par)
+			job, input := pipelineJob(par, inject)
+			tr := trace.New()
+			job.Config.Tracer = tr
+			out, stats, err := job.Run(input)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			wantOut, wantStats := referenceRun(t, job, input)
+			if !reflect.DeepEqual(out, wantOut) {
+				t.Errorf("%s: outputs differ from the reference\n got %v\nwant %v", name, out, wantOut)
+			}
+			if got := contractStats(stats); !reflect.DeepEqual(got, *wantStats) {
+				t.Errorf("%s: stats differ from the reference\n got %+v\nwant %+v", name, got, *wantStats)
+			}
+			// Wall-clock fields can never be identical; zero them
+			// before comparing.
+			stats.MapWall, stats.ReduceWall, stats.TotalWall = 0, 0, 0
+			spans := spanSummary(tr)
+			if refStats == nil {
+				refStats, refSpans = stats, spans
+				continue
+			}
+			if !reflect.DeepEqual(stats, refStats) {
+				t.Errorf("%s: stats differ across parallelism\n got %+v\nwant %+v", name, stats, refStats)
+			}
+			if !reflect.DeepEqual(spans, refSpans) {
+				t.Errorf("%s: trace spans differ\n got %v\nwant %v", name, spans, refSpans)
 			}
 		}
 	}
 }
 
 // TestRunsSpanChunks: runs thousands of values long — many chunks each —
-// reach Combine, the spill file and the reducer as one sequence in emit
-// order. An order-sensitive reducer and a combiner that keeps every
-// other value hold every path to referenceRun.
+// reach the reducer as one sequence in emit order. An order-sensitive
+// reducer holds the path to referenceRun.
 func TestRunsSpanChunks(t *testing.T) {
-	codec := spillTestJob(Config{})
-	input := spillInput(5000) // ≈ 3,300 values per (mapper, reducer) run
-	for _, shape := range []string{"plain", "combine", "spill", "combine+spill"} {
-		fs := dfs.New(0)
-		job := &Job[int64, int64, int64, string]{
-			Config: Config{Name: "long", NumReducers: 3, NumMappers: 2, Parallelism: 2},
-			Map: func(x int64, emit func(int64, int64)) error {
-				emit(x%3, x)
-				emit((x+1)%3, -x)
-				return nil
-			},
-			Reduce: func(k int64, vs []int64, emit func(string)) error {
-				var weighted int64
-				for i, v := range vs {
-					weighted += v * int64(i+1)
-				}
-				emit(fmt.Sprintf("%d:%d:%d", k, len(vs), weighted))
-				return nil
-			},
-			PairBytes: func(int64, int64) int { return 16 },
-		}
-		if strings.Contains(shape, "combine") {
-			job.Combine = func(_ int64, vs []int64) []int64 {
-				kept := vs[:0]
-				for i, v := range vs {
-					if i%2 == 0 {
-						kept = append(kept, v)
-					}
-				}
-				return kept
+	input := seqInput(5000) // ≈ 3,300 values per (mapper, reducer) run
+	job := &Job[int64, int64, int64, string]{
+		Config: Config{Name: "long", NumReducers: 3, NumMappers: 2, Parallelism: 2},
+		Map: func(x int64, emit func(int64, int64)) error {
+			emit(x%3, x)
+			emit((x+1)%3, -x)
+			return nil
+		},
+		Reduce: func(k int64, vs []int64, emit func(string)) error {
+			var weighted int64
+			for i, v := range vs {
+				weighted += v * int64(i+1)
 			}
-		}
-		if strings.Contains(shape, "spill") {
-			job.Config.SpillBudget, job.Config.SpillFS = 1, fs
-			job.EncodePair, job.DecodePair = codec.EncodePair, codec.DecodePair
-		}
-		out, stats, err := job.Run(input)
-		if err != nil {
-			t.Fatalf("%s: %v", shape, err)
-		}
-		wantOut, wantStats := referenceRun(t, job, input)
-		if !reflect.DeepEqual(out, wantOut) {
-			t.Errorf("%s: outputs differ from the reference\n got %v\nwant %v", shape, out, wantOut)
-		}
-		if got := contractStats(stats); !reflect.DeepEqual(got, *wantStats) {
-			t.Errorf("%s: stats differ from the reference\n got %+v\nwant %+v", shape, got, *wantStats)
-		}
+			emit(fmt.Sprintf("%d:%d:%d", k, len(vs), weighted))
+			return nil
+		},
+		PairBytes: func(int64, int64) int { return 16 },
+	}
+	out, stats, err := job.Run(input)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantOut, wantStats := referenceRun(t, job, input)
+	if !reflect.DeepEqual(out, wantOut) {
+		t.Errorf("outputs differ from the reference\n got %v\nwant %v", out, wantOut)
+	}
+	if got := contractStats(stats); !reflect.DeepEqual(got, *wantStats) {
+		t.Errorf("stats differ from the reference\n got %+v\nwant %+v", got, *wantStats)
 	}
 }
 
@@ -294,131 +248,16 @@ func TestMergeMatchesLegacyRandom(t *testing.T) {
 	}
 }
 
-// TestCombinerSum checks the combiner contract end to end: grouped
-// pre-aggregation per mapper run, correct final outputs, and the
-// CombineInputPairs / CombineOutputPairs accounting.
-func TestCombinerSum(t *testing.T) {
-	input := make([]int64, 60)
-	for i := range input {
-		input[i] = int64(i)
-	}
-	job := &Job[int64, int64, int64, string]{
-		Config: Config{Name: "combine", NumReducers: 5, NumMappers: 4, Parallelism: 2},
-		Map: func(x int64, emit func(int64, int64)) error {
-			emit(x%5, 1) // 60 pairs over 5 keys
-			return nil
-		},
-		Combine: func(k int64, vs []int64) []int64 {
-			var sum int64
-			for _, v := range vs {
-				sum += v
-			}
-			vs[0] = sum
-			return vs[:1]
-		},
-		Reduce: func(k int64, vs []int64, emit func(string)) error {
-			var sum int64
-			for _, v := range vs {
-				sum += v
-			}
-			emit(fmt.Sprintf("%d=%d", k, sum))
-			return nil
-		},
-		PairBytes: func(k, v int64) int { return 16 },
-	}
-	out, stats, err := job.Run(input)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"0=12", "1=12", "2=12", "3=12", "4=12"}
-	if !reflect.DeepEqual(out, want) {
-		t.Errorf("outputs = %v, want %v", out, want)
-	}
-	if stats.CombineInputPairs != 60 {
-		t.Errorf("CombineInputPairs = %d, want 60", stats.CombineInputPairs)
-	}
-	// 4 mappers × 5 keys, one post-combine pair per (mapper, key).
-	if stats.CombineOutputPairs != 20 || stats.IntermediatePairs != 20 {
-		t.Errorf("CombineOutputPairs = %d, IntermediatePairs = %d, want 20, 20", stats.CombineOutputPairs, stats.IntermediatePairs)
-	}
-	// Bytes are measured post-combine.
-	if stats.IntermediateBytes != 20*16 {
-		t.Errorf("IntermediateBytes = %d, want %d", stats.IntermediateBytes, 20*16)
-	}
-}
-
-// TestCombinerDropAndExpand exercises the two tricky combiner shapes:
-// returning nothing (the run ships nothing) and returning more values
-// than it was given (the run becomes the combiner's new slice).
-func TestCombinerDropAndExpand(t *testing.T) {
-	input := []int64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-	job := &Job[int64, int64, int64, int64]{
-		Config: Config{Name: "drop-expand", NumReducers: 4, NumMappers: 1, Parallelism: 1},
-		Map: func(x int64, emit func(int64, int64)) error {
-			emit(x%4, x)
-			return nil
-		},
-		Combine: func(k int64, vs []int64) []int64 {
-			if k == 0 {
-				return nil // drop key 0 entirely
-			}
-			if k == 1 {
-				// Expand: duplicate every value.
-				out := make([]int64, 0, 2*len(vs))
-				for _, v := range vs {
-					out = append(out, v, v)
-				}
-				return out
-			}
-			return vs
-		},
-		Reduce: func(k int64, vs []int64, emit func(int64)) error {
-			var sum int64
-			for _, v := range vs {
-				sum += v
-			}
-			emit(k*1000 + sum)
-			return nil
-		},
-	}
-	out, stats, err := job.Run(input)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// key 0 dropped; key 1 doubled: (1+5+9)*2=30; key 2: 2+6=8; key 3:
-	// 3+7=10.
-	want := []int64{1030, 2008, 3010}
-	if !reflect.DeepEqual(out, want) {
-		t.Errorf("outputs = %v, want %v", out, want)
-	}
-	if stats.CombineInputPairs != 10 {
-		t.Errorf("CombineInputPairs = %d, want 10", stats.CombineInputPairs)
-	}
-	// key 0: 3 -> 0, key 1: 3 -> 6, keys 2 and 3: 2 -> 2 each.
-	if stats.CombineOutputPairs != 10 || stats.IntermediatePairs != 10 {
-		t.Errorf("CombineOutputPairs = %d, IntermediatePairs = %d, want 10, 10", stats.CombineOutputPairs, stats.IntermediatePairs)
-	}
-}
-
-// TestCombinerDeterminismAndTrace: under fault injection a combiner's
-// accounting covers committed map attempts only and is what the shuffle
-// then moves, and the span tree times every attempt Stats counts: one
-// task span per map and reduce attempt, under its phase. (Determinism
-// across parallelism is TestPipelineEquivalence's combine shape.)
-func TestCombinerDeterminismAndTrace(t *testing.T) {
+// TestTraceTaskSpanPerAttempt: under fault injection the span tree
+// times every attempt Stats counts: one task span per map and reduce
+// attempt, under its phase.
+func TestTraceTaskSpanPerAttempt(t *testing.T) {
 	job, input := pipelineJob(2, true)
-	job.Combine = sumCombine
 	tr := trace.New()
 	job.Config.Tracer = tr
 	_, stats, err := job.Run(input)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if stats.CombineInputPairs <= stats.CombineOutputPairs {
-		t.Errorf("combiner did not shrink: in=%d out=%d", stats.CombineInputPairs, stats.CombineOutputPairs)
-	}
-	if stats.IntermediatePairs != stats.CombineOutputPairs {
-		t.Errorf("IntermediatePairs = %d, want CombineOutputPairs %d", stats.IntermediatePairs, stats.CombineOutputPairs)
 	}
 	if stats.MapFailures == 0 || stats.ReduceFailures == 0 {
 		t.Fatalf("no injected failure fired: %+v", stats)

@@ -18,9 +18,9 @@ import (
 //
 //   - A buffer is recycled only where its user holds the sole live
 //     reference: the chunks of discarded fault-injection attempts, of
-//     runs the shuffle has copied, spilled or shipped, the reducer
-//     input slab after the whole reduce phase — every retry included —
-//     has committed, and a page once nothing reads the store it served.
+//     runs the shuffle has copied or shipped, the reducer input slab
+//     after the whole reduce phase — every retry included — has
+//     committed, and a page once nothing reads the store it served.
 //   - Recycled buffers never alias committed output: reducer outputs
 //     are freshly appended []O slices, and on a shared pool Reduce
 //     implementations must not retain the values slice (or subslices

@@ -76,11 +76,11 @@ func poisonPool(p *BufferPool) {
 // double-puts must still produce bit-identical output and Stats — the
 // scenario a leaked alias would corrupt nondeterministically.
 func TestPoolDoublePutJobEquivalence(t *testing.T) {
-	input := spillInput(300)
+	input := seqInput(300)
 	for _, par := range []int{1, 4} {
 		t.Run(fmt.Sprintf("par=%d", par), func(t *testing.T) {
 			base := Config{Name: "poisoned", NumReducers: 5, NumMappers: 4, Parallelism: par}
-			wantOut, wantSt, err := spillTestJob(base).Run(input)
+			wantOut, wantSt, err := sumTestJob(base).Run(input)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -88,7 +88,7 @@ func TestPoolDoublePutJobEquivalence(t *testing.T) {
 			pooled.Pool = NewBufferPool()
 			poisonPool(pooled.Pool)
 			for round := 0; round < 3; round++ {
-				out, st, err := spillTestJob(pooled).Run(input)
+				out, st, err := sumTestJob(pooled).Run(input)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -107,21 +107,21 @@ func TestPoolDoublePutJobEquivalence(t *testing.T) {
 }
 
 // TestPoolCrossJobReuse: one pool serving jobs of different K/V
-// instantiations back to back — the int64 spill job and the string
+// instantiations back to back — the int64 sum job and the string
 // word-count job — must keep every run bit-identical to clean
 // references. Mismatched recycled buffers are dropped, matching ones
 // are reused, and neither direction may corrupt the other's runs.
 func TestPoolCrossJobReuse(t *testing.T) {
-	intInput := spillInput(200)
+	intInput := seqInput(200)
 	wcInput := wordInput()
 	intBase := Config{Name: "ints", NumReducers: 5, NumMappers: 4, Parallelism: 4}
 	wcBase := Config{Name: "words", NumReducers: 3, NumMappers: 3, Parallelism: 4}
 
-	wantInt, _, err := spillTestJob(intBase).Run(intInput)
+	wantInt, _, err := sumTestJob(intBase).Run(intInput)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantWC, _, err := combineWordCountJob(wcBase).Run(wcInput)
+	wantWC, _, err := wordCountJob(wcBase).Run(wcInput)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,14 +131,14 @@ func TestPoolCrossJobReuse(t *testing.T) {
 	intCfg, wcCfg := intBase, wcBase
 	intCfg.Pool, wcCfg.Pool = pool, pool
 	for round := 0; round < 3; round++ {
-		gotInt, _, err := spillTestJob(intCfg).Run(intInput)
+		gotInt, _, err := sumTestJob(intCfg).Run(intInput)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(gotInt, wantInt) {
 			t.Errorf("round %d: int job corrupted by shared pool", round)
 		}
-		gotWC, _, err := combineWordCountJob(wcCfg).Run(wcInput)
+		gotWC, _, err := wordCountJob(wcCfg).Run(wcInput)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -22,19 +22,12 @@ import (
 	"mwsjoin/internal/trace"
 )
 
-// MapPhase is the map side of one round: input, retries and combiner
-// effectiveness.
+// MapPhase is the map side of one round: input and retries.
 type MapPhase struct {
-	WallUS     int64 `json:"wall_us"`
-	Records    int64 `json:"records"`
-	Attempts   int64 `json:"attempts"`
-	Failures   int64 `json:"failures"`
-	CombineIn  int64 `json:"combine_in"`
-	CombineOut int64 `json:"combine_out"`
-	// CombineRatio is CombineOut/CombineIn — the fraction of pairs the
-	// combiner kept (1 = no reduction, 0.25 = 4× shuffle saving); 0
-	// when the job has no combiner.
-	CombineRatio float64 `json:"combine_ratio,omitempty"`
+	WallUS   int64 `json:"wall_us"`
+	Records  int64 `json:"records"`
+	Attempts int64 `json:"attempts"`
+	Failures int64 `json:"failures"`
 }
 
 // ShufflePhase is the communication side of one round — the paper's
@@ -69,10 +62,10 @@ type RoundProfile struct {
 }
 
 // Profile is the structured record of one Execute call: per-round/
-// per-phase wall time, bytes, pairs, skew, combiner effectiveness and
-// chain/checkpoint accounting. Every field except the *_us wall times
-// is derived from deterministic counters, so Normalize (wall fields
-// zeroed) yields a byte-stable JSON encoding for identical executions.
+// per-phase wall time, bytes, pairs, skew and chain/checkpoint
+// accounting. Every field except the *_us wall times is derived from
+// deterministic counters, so Normalize (wall fields zeroed) yields a
+// byte-stable JSON encoding for identical executions.
 type Profile struct {
 	Query  string `json:"query"`
 	Method string `json:"method"`
@@ -168,12 +161,10 @@ func roundFromStats(st *mapreduce.Stats) RoundProfile {
 		Job:    st.Job,
 		WallUS: st.TotalWall.Microseconds(),
 		Map: MapPhase{
-			WallUS:     st.MapWall.Microseconds(),
-			Records:    st.MapInputRecords,
-			Attempts:   st.MapAttempts,
-			Failures:   st.MapFailures,
-			CombineIn:  st.CombineInputPairs,
-			CombineOut: st.CombineOutputPairs,
+			WallUS:   st.MapWall.Microseconds(),
+			Records:  st.MapInputRecords,
+			Attempts: st.MapAttempts,
+			Failures: st.MapFailures,
 		},
 		Shuffle: ShufflePhase{
 			Pairs:    st.IntermediatePairs,
@@ -188,9 +179,6 @@ func roundFromStats(st *mapreduce.Stats) RoundProfile {
 			Attempts: st.ReduceAttempts,
 			Failures: st.ReduceFailures,
 		},
-	}
-	if st.CombineInputPairs > 0 {
-		r.Map.CombineRatio = float64(st.CombineOutputPairs) / float64(st.CombineInputPairs)
 	}
 	for _, n := range st.PairsPerReducer {
 		if n > r.Shuffle.MaxReducerPairs {
@@ -255,12 +243,8 @@ func (p *Profile) WriteText(w io.Writer) error {
 		p.RectanglesAfterReplication-p.ReplicationCopies)
 	for i, r := range p.Rounds {
 		fmt.Fprintf(bw, "  round %d %s  wall %s\n", i+1, r.Job, us(r.WallUS))
-		fmt.Fprintf(bw, "    map     %-9s records=%d attempts=%d failures=%d",
+		fmt.Fprintf(bw, "    map     %-9s records=%d attempts=%d failures=%d\n",
 			us(r.Map.WallUS), r.Map.Records, r.Map.Attempts, r.Map.Failures)
-		if r.Map.CombineIn > 0 {
-			fmt.Fprintf(bw, " combine %d→%d (%.1f%%)", r.Map.CombineIn, r.Map.CombineOut, 100*r.Map.CombineRatio)
-		}
-		fmt.Fprintln(bw)
 		fmt.Fprintf(bw, "    shuffle %-9s pairs=%d bytes=%d reducers=%d max=%d skew=%.2f\n",
 			us(r.Shuffle.WallUS), r.Shuffle.Pairs, r.Shuffle.Bytes,
 			r.Shuffle.Reducers, r.Shuffle.MaxReducerPairs, r.Shuffle.Skew)

@@ -23,8 +23,7 @@ const ReducerPairsHistogram = "mapreduce_reducer_pairs"
 // mapreduce_* ones; they are the prefix Chain.ResumedJobs of Rounds.
 // spatial_cell_candidates observes the input of every non-empty reducer
 // of the join rounds that ran: each cascade round, All-Replicate's round
-// and C-Rep's round two. The combiner and spill counters appear once a
-// job has combined or spilled something.
+// and C-Rep's round two.
 func Publish(reg *metrics.Registry, st *spatial.Stats) {
 	if reg == nil || st == nil {
 		return
@@ -83,15 +82,6 @@ func publishJob(add func(string, int64), reg *metrics.Registry, js *mapreduce.St
 	add("mapreduce_map_failures_total", js.MapFailures)
 	add("mapreduce_reduce_attempts_total", js.ReduceAttempts)
 	add("mapreduce_reduce_failures_total", js.ReduceFailures)
-	if js.CombineInputPairs > 0 {
-		add("mapreduce_combine_input_pairs_total", js.CombineInputPairs)
-		add("mapreduce_combine_output_pairs_total", js.CombineOutputPairs)
-	}
-	if js.SpilledRuns > 0 {
-		add("mapreduce_spilled_runs_total", js.SpilledRuns)
-		add("mapreduce_spill_bytes_written_total", js.SpillBytesWritten)
-		add("mapreduce_spill_bytes_read_total", js.SpillBytesRead)
-	}
 	pairs := reg.Histogram(ReducerPairsHistogram)
 	for _, n := range js.PairsPerReducer {
 		pairs.Observe(n)

@@ -161,37 +161,6 @@ func (q *Query) Neighbors(i int) []int {
 	return out
 }
 
-// AllOverlap reports whether every condition is an overlap predicate
-// (the pure multi-way overlap join of §7).
-func (q *Query) AllOverlap() bool {
-	for _, e := range q.edges {
-		if e.Pred.Kind != Overlap {
-			return false
-		}
-	}
-	return true
-}
-
-// AllRange reports whether every condition is a range predicate (§8).
-func (q *Query) AllRange() bool {
-	for _, e := range q.edges {
-		if e.Pred.Kind != Range {
-			return false
-		}
-	}
-	return true
-}
-
-// MaxRange returns the largest range distance parameter in the query,
-// 0 for pure overlap queries.
-func (q *Query) MaxRange() float64 {
-	d := 0.0
-	for _, e := range q.edges {
-		d = math.Max(d, e.Pred.Weight())
-	}
-	return d
-}
-
 // Validate checks that the query is well formed: at least one slot,
 // unique slot names, edges within range, no self-loop conditions,
 // non-negative finite range parameters and a connected join graph.
@@ -249,23 +218,6 @@ func (q *Query) connected() bool {
 		}
 	}
 	return count == len(q.slots)
-}
-
-// Consistent implements the §7.3 consistency test for a partial
-// assignment of rectangles to slots: present[i] marks the slots that
-// hold a rectangle, rects[i] is the rectangle bound to slot i. The
-// assignment is consistent when every query edge whose two endpoints
-// are both present is satisfied.
-func (q *Query) Consistent(rects []geom.Rect, present []bool) bool {
-	for _, e := range q.edges {
-		if !present[e.A] || !present[e.B] {
-			continue
-		}
-		if !e.Pred.Eval(rects[e.A], rects[e.B]) {
-			return false
-		}
-	}
-	return true
 }
 
 // SatisfiedTuple reports whether a full assignment satisfies every join

@@ -58,18 +58,6 @@ func TestQueryAccessors(t *testing.T) {
 	if got := len(q.EdgesAt(1)); got != 2 {
 		t.Errorf("EdgesAt(1) = %d edges", got)
 	}
-	if q.AllOverlap() || q.AllRange() {
-		t.Error("hybrid query must be neither AllOverlap nor AllRange")
-	}
-	if !q2().AllOverlap() || !q3(5).AllRange() {
-		t.Error("pure queries misclassified")
-	}
-	if got := q.MaxRange(); got != 100 {
-		t.Errorf("MaxRange = %v", got)
-	}
-	if got := q2().MaxRange(); got != 0 {
-		t.Errorf("overlap MaxRange = %v", got)
-	}
 }
 
 func TestEdgeOther(t *testing.T) {
@@ -113,38 +101,20 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestConsistent(t *testing.T) {
+func TestSatisfiedTuple(t *testing.T) {
 	// Chain query Q2 with rectangles u, v, w: u overlaps v, v overlaps
-	// w, but u does not overlap w. The paper's §7.3 example: sets are
-	// consistent exactly when all *present* edge conditions hold.
+	// w, but u does not overlap w — there is no R1~R3 condition.
 	q := q2()
 	u := geom.Rect{X: 0, Y: 10, L: 5, B: 5}
 	v := geom.Rect{X: 4, Y: 10, L: 5, B: 5}
 	w := geom.Rect{X: 8, Y: 10, L: 5, B: 5}
-	rects := []geom.Rect{u, v, w}
-
-	all := []bool{true, true, true}
-	if !q.Consistent(rects, all) {
-		t.Error("full chain assignment must be consistent")
-	}
-	if !q.SatisfiedTuple(rects) {
+	if !q.SatisfiedTuple([]geom.Rect{u, v, w}) {
 		t.Error("full chain assignment must satisfy the query")
 	}
-	// (u, w) without v is consistent: there is no R1-R3 condition.
-	if !q.Consistent(rects, []bool{true, false, true}) {
-		t.Error("{u,w} must be consistent — no R1~R3 edge exists")
-	}
-	// Replace v by a far-away rectangle: {u, v'} is inconsistent.
+	// Replace v by a far-away rectangle: the chain breaks.
 	far := geom.Rect{X: 50, Y: 50, L: 1, B: 1}
-	if q.Consistent([]geom.Rect{u, far, w}, []bool{true, true, false}) {
-		t.Error("{u, far} must be inconsistent")
-	}
 	if q.SatisfiedTuple([]geom.Rect{u, far, w}) {
 		t.Error("broken chain must not satisfy the query")
-	}
-	// Empty and singleton sets are vacuously consistent.
-	if !q.Consistent(rects, []bool{false, false, false}) || !q.Consistent(rects, []bool{false, true, false}) {
-		t.Error("empty/singleton sets are vacuously consistent")
 	}
 }
 

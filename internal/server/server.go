@@ -88,10 +88,6 @@ type Config struct {
 	// Parallelism bounds each job's concurrent map/reduce tasks
 	// (mapreduce.Config.Parallelism); 0 uses the engine default.
 	Parallelism int
-	// SpillBudget, when positive, bounds each mapper's in-memory sorted
-	// runs per job (spatial.Config.SpillBudget); over-budget runs spill
-	// to uncharged local scratch with bit-identical results.
-	SpillBudget int64
 	// Metrics receives the server_* metrics plus the engine, chain and
 	// DFS series of every job that succeeds, in process or on the
 	// cluster, published from its Stats when it ends. May be nil.
@@ -818,7 +814,6 @@ func (s *Server) runJob(j *Job) {
 	var err error
 	cfg := s.gridConfig()
 	cfg.Parallelism = s.cfg.Parallelism
-	cfg.SpillBudget = s.cfg.SpillBudget
 	// A planned job runs as ExecutePlan would run it.
 	cfg.OptimizeOrder = j.planned
 	if coord := s.cfg.Cluster; coord != nil {

@@ -137,7 +137,6 @@ func controlledReplicate(pl *plan, exec *executor, limit bool) (*Result, error) 
 				}
 				return nil
 			},
-			Combine: dedupSplitRun,
 			Reduce: func(c grid.CellID, items []tagged, emit func(tagged)) error {
 				cd := newCellData(pl.m, items)
 				defer cd.release()
@@ -297,26 +296,3 @@ func joinReduce(pl *plan, part *grid.Partitioning, countOnly bool, counted *atom
 // taggedPairBytes sizes an intermediate (cell, item) pair: 4 bytes of
 // key plus the 38-byte item record.
 func taggedPairBytes(_ grid.CellID, _ tagged) int { return 4 + dfs.MBBRecordBytes }
-
-// dedupSplitRun is the mark round's combiner: it drops adjacent exact
-// duplicates from one mapper's per-cell run. The mark round has set
-// semantics — markCell depends only on which rectangles reached a cell,
-// and round two looks its marks up by the whole record — so shipping a
-// duplicate copy can only waste shuffle bytes, never change a mark or
-// drop a record: round two reads the relations themselves, repeats
-// included. On well-formed inputs (NewRelation assigns distinct
-// sequential IDs, ForEachSplit visits each cell once) no duplicates
-// exist and the combiner is a pure pass-through; it pays off when an
-// upstream data source repeats records. The join rounds deliberately
-// have no combiner: there, duplicate input records must multiply output
-// tuples to match the brute-force reference.
-func dedupSplitRun(_ grid.CellID, items []tagged) []tagged {
-	w := 1
-	for i := 1; i < len(items); i++ {
-		if items[i] != items[w-1] {
-			items[w] = items[i]
-			w++
-		}
-	}
-	return items[:w]
-}

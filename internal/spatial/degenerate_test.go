@@ -110,8 +110,7 @@ func TestDegenerateBoundaryRects(t *testing.T) {
 // TestRepeatedItemsMatchBruteForce binds relations whose Items repeat a
 // record verbatim — one that C-Rep marks and one it does not — and give
 // one ID to two different rectangles. Every method must report each
-// repeat as often as brute force does: the mark round may collapse
-// repeats (its combiner does), the join round must not.
+// repeat as often as brute force does.
 func TestRepeatedItemsMatchBruteForce(t *testing.T) {
 	part, err := grid.NewFromCuts([]float64{0, 2, 4}, []float64{0, 2, 4})
 	if err != nil {

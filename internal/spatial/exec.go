@@ -48,12 +48,10 @@ type Config struct {
 	// only because benchmark/workload.go, frozen for this change, still
 	// sets it; the next benchmark change drops both.
 	Columnar bool
-	// SpillBudget, when positive, bounds the bytes (PairBytes-priced,
-	// the same pricing the shuffle accounting uses) a mapper may hold in
-	// memory per per-reducer run; runs exceeding it are spilled to
-	// uncharged local DFS scratch and read back by the shuffle.
-	// Results, Stats and every non-Spill* counter are bit-identical to
-	// an in-memory run (see mapreduce.Config.SpillBudget).
+	// Deprecated: SpillBudget is read by nothing — a map run stays in
+	// memory until the shuffle copies it. The field remains only because
+	// benchmark/workload.go, frozen for this change, still sets it; the
+	// next benchmark change drops both.
 	SpillBudget int64
 	// MaxAttempts, FailMap and FailReduce pass fault injection through
 	// to every job (see mapreduce.Config).
@@ -268,7 +266,7 @@ func (e *executor) releaseOutputs() {
 // jobConfig builds the engine config for one job of this execution;
 // the job's spans nest under the currently open round.
 func (e *executor) jobConfig(name string) mapreduce.Config {
-	c := mapreduce.Config{
+	return mapreduce.Config{
 		Name:        name,
 		Context:     e.cfg.Context,
 		NumReducers: e.part.NumCells(),
@@ -282,11 +280,6 @@ func (e *executor) jobConfig(name string) mapreduce.Config {
 		Pool:        e.pool,
 		Dist:        e.cfg.Dist,
 	}
-	if e.cfg.SpillBudget > 0 {
-		c.SpillBudget = e.cfg.SpillBudget
-		c.SpillFS = e.fs
-	}
-	return c
 }
 
 // chain builds the method's job chain over the execution's FS:

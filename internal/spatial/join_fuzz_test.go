@@ -28,7 +28,7 @@ var joinSpecials = [8]float64{1e9, -1e9 - 1, 0.29999996, -0.29999996, math.Copys
 const (
 	joinAdaptive  = 1 << 0 // the adaptive grid, not the uniform one
 	joinPar2      = 1 << 1 // Parallelism 2
-	joinSpill     = 1 << 2 // SpillBudget 1: every run spills
+	joinOptimize  = 1 << 2 // OptimizeOrder: the cost-based join order
 	joinMappersLo = 3      // bits 3–4: NumMappers − 1
 	joinFramed    = 1 << 5 // slot 0's relation leads with the frame rectangle
 	joinSelfPairs = 1 << 6 // AllowSelfPairs
@@ -149,7 +149,7 @@ func decodeJoinCase(data []byte) joinCase {
 		Reducers:       side * side,
 		Parallelism:    1 + int(c&joinPar2)/joinPar2,
 		NumMappers:     1 + int(c>>joinMappersLo&3),
-		SpillBudget:    int64(c&joinSpill) / joinSpill,
+		OptimizeOrder:  c&joinOptimize != 0,
 		AllowSelfPairs: c&joinSelfPairs != 0,
 	}
 	if c&joinAdaptive != 0 {
@@ -225,7 +225,7 @@ func FuzzJoin(f *testing.F) {
 	// over the repeats.
 	repeats := cat([]byte{4}, rect(1, 3, 4, 3), []byte{joinRepeat}, rect(0, 0, 3, 3), []byte{joinRepeat})
 	f.Add(joinSeed(0, joinFramed, 1, []byte{0}, []byte{0}, repeats, []byte{1, 3}, rect(2, 3, 3, 3), rect(0, 0, 4, 4), rect(3, 1, 3, 3)))
-	f.Add(joinSeed(1, joinFramed|joinSpill|1<<joinMappersLo, 1, []byte{0, 1}, []byte{0}, repeats, []byte{0}, []byte{2, 2}, rect(2, 3, 3, 3), rect(0, 0, 4, 4)))
+	f.Add(joinSeed(1, joinFramed|joinOptimize|1<<joinMappersLo, 1, []byte{0, 1}, []byte{0}, repeats, []byte{0}, []byte{2, 2}, rect(2, 3, 3, 3), rect(0, 0, 4, 4)))
 	// ±1e9: one box at x = 1e9 and points at x = −0.29999996 under
 	// ra(1e9 + 0.3), whose gap rounds to the stored distance.
 	points := []byte{20}

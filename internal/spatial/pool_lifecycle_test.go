@@ -107,7 +107,7 @@ func TestCallerFSCheckpointsSurviveLaterQueries(t *testing.T) {
 
 // TestSharedPoolConcurrentExecutions runs executions that share the
 // process pool at once — every map-reduce method, with and without
-// spilling and injected reduce failures, beside a two-worker run over
+// injected reduce failures, beside a two-worker run over
 // distHub — twice over, so the second wave draws on what the first
 // returned. Each must return referenceTuples; under -race this is the
 // pool's sharing check. The pool ends within its cap.
@@ -126,15 +126,13 @@ func TestSharedPoolConcurrentExecutions(t *testing.T) {
 	}
 	var runs []run
 	for _, m := range distMethods() {
-		for _, spill := range []int64{0, 1 << 10} {
-			for _, fail := range []bool{false, true} {
-				cfg := Config{Reducers: 16, NumMappers: 3, Parallelism: 2, SpillBudget: spill}
-				if fail {
-					cfg.MaxAttempts = 2
-					cfg.FailReduce = func(r, attempt int) bool { return attempt == 0 && r%3 == 0 }
-				}
-				runs = append(runs, run{m, cfg})
+		for _, fail := range []bool{false, true} {
+			cfg := Config{Reducers: 16, NumMappers: 3, Parallelism: 2}
+			if fail {
+				cfg.MaxAttempts = 2
+				cfg.FailReduce = func(r, attempt int) bool { return attempt == 1 && r%3 == 0 }
 			}
+			runs = append(runs, run{m, cfg})
 		}
 	}
 	for wave := 0; wave < 2; wave++ {
@@ -147,7 +145,7 @@ func TestSharedPoolConcurrentExecutions(t *testing.T) {
 				if err != nil {
 					t.Errorf("wave %d %v: %v", wave, r.m, err)
 				} else if got := sortedKeys(res); !slices.Equal(got, want) {
-					t.Errorf("wave %d %v spill=%d fail=%v: %d tuples, reference %d", wave, r.m, r.cfg.SpillBudget, r.cfg.FailReduce != nil, len(got), len(want))
+					t.Errorf("wave %d %v fail=%v: %d tuples, reference %d", wave, r.m, r.cfg.FailReduce != nil, len(got), len(want))
 				}
 			}()
 		}

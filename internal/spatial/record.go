@@ -125,9 +125,8 @@ type partialRef struct {
 // partialStore holds one side of a cascade round — the partials its
 // mappers read, or the ones its reducers emit — as m-member records in
 // fixed-size pages from the process's buffer pool. A map task's split,
-// a reduce call's records and the decoded records (spilled runs read
-// back, runs and outputs from other workers) each fill pages of their
-// own in order, and no record straddles a page, so any recycled page
+// a reduce call's records and the decoded records (runs and outputs
+// from other workers) each fill pages of their own in order, and no record straddles a page, so any recycled page
 // serves any store. A record is written once, before its reference is
 // handed out, and a page keeps its slot in the table, so records
 // resolve without a lock.
@@ -221,12 +220,12 @@ func (s *partialStore) decode(rec []byte) (partialRef, error) {
 	return ref, nil
 }
 
-// Spill codecs: frame one intermediate (cell, value) pair for the
-// engine's map-side spill files (mapreduce.Job.EncodePair/DecodePair).
-// Layout is the 4-byte little-endian cell id followed by the value in
-// its existing DFS record encoding, so a spilled run re-reads to the
-// exact pairs that were written — bit-identical shuffle results are
-// the acceptance criterion, not a nice-to-have.
+// Pair codecs: frame one intermediate (cell, value) pair for the
+// engine's run exchange between workers (mapreduce.Job.EncodePair/
+// DecodePair). Layout is the 4-byte little-endian cell id followed by
+// the value in its existing DFS record encoding, so a shipped run
+// decodes to the exact pairs that were written — bit-identical shuffle
+// results are the acceptance criterion, not a nice-to-have.
 
 // encodeCellTagged frames a (cell, item) pair: cell(4) item(38).
 func encodeCellTagged(c grid.CellID, t tagged, buf []byte) []byte {
@@ -239,28 +238,28 @@ func encodeCellTagged(c grid.CellID, t tagged, buf []byte) []byte {
 func cellTaggedDecoder(m int) func(rec []byte) (grid.CellID, tagged, error) {
 	return func(rec []byte) (grid.CellID, tagged, error) {
 		if len(rec) != 4+dfs.MBBRecordBytes {
-			return 0, tagged{}, fmt.Errorf("spatial: spilled item pair has %d bytes, want %d", len(rec), 4+dfs.MBBRecordBytes)
+			return 0, tagged{}, fmt.Errorf("spatial: item pair has %d bytes, want %d", len(rec), 4+dfs.MBBRecordBytes)
 		}
 		t, err := decodeItem(rec[4:])
 		if err != nil {
 			return 0, tagged{}, err
 		}
 		if t.Slot < 0 || int(t.Slot) >= m {
-			return 0, tagged{}, fmt.Errorf("spatial: spilled item pair has slot %d, want [0, %d)", t.Slot, m)
+			return 0, tagged{}, fmt.Errorf("spatial: item pair has slot %d, want [0, %d)", t.Slot, m)
 		}
 		return grid.CellID(binary.LittleEndian.Uint32(rec)), t, nil
 	}
 }
 
-// cascadeTag distinguishes the two cascadeVal shapes in a spill frame:
+// cascadeTag distinguishes the two cascadeVal shapes in a pair frame:
 // cell(4) tag(1) then a partial-tuple or item record.
 const (
 	cascadeTagItem  = 0
 	cascadeTagTuple = 1
 )
 
-// cascadeCodec frames one cascade round's shuffled pairs for spill files
-// and the network. A tuple's reference is resolved through the round's
+// cascadeCodec frames one cascade round's shuffled pairs for the
+// network. A tuple's reference is resolved through the round's
 // input store on the way out and decoded into it on the way in, so the
 // frame carries the partial record itself and costs the same however a
 // process holds its partials in memory.
@@ -282,7 +281,7 @@ func (cc *cascadeCodec) encodePair(c grid.CellID, v cascadeVal, buf []byte) []by
 // decodePair parses an encodePair frame.
 func (cc *cascadeCodec) decodePair(rec []byte) (grid.CellID, cascadeVal, error) {
 	if len(rec) < 5 {
-		return 0, cascadeVal{}, fmt.Errorf("spatial: spilled cascade pair too short (%d bytes)", len(rec))
+		return 0, cascadeVal{}, fmt.Errorf("spatial: cascade pair too short (%d bytes)", len(rec))
 	}
 	c := grid.CellID(binary.LittleEndian.Uint32(rec))
 	switch rec[4] {
@@ -298,17 +297,17 @@ func (cc *cascadeCodec) decodePair(rec []byte) (grid.CellID, cascadeVal, error) 
 			return 0, cascadeVal{}, err
 		}
 		if t.Slot != cc.slot || t.Marked {
-			return 0, cascadeVal{}, fmt.Errorf("spatial: spilled cascade item is not an unmarked slot-%d item", cc.slot)
+			return 0, cascadeVal{}, fmt.Errorf("spatial: cascade item is not an unmarked slot-%d item", cc.slot)
 		}
 		return c, cascadeVal{Rect: t.Rect, ID: t.ID, Page: itemPage}, nil
 	default:
-		return 0, cascadeVal{}, fmt.Errorf("spatial: spilled cascade pair has unknown tag %d", rec[4])
+		return 0, cascadeVal{}, fmt.Errorf("spatial: cascade pair has unknown tag %d", rec[4])
 	}
 }
 
 // Output codecs: frame one job output record so a distributed run can
 // gather reducer outputs across workers (mapreduce.Job.EncodeOutput/
-// DecodeOutput). Each mirrors the value's spill/DFS layout.
+// DecodeOutput). Each mirrors the value's DFS layout.
 
 // encodeTupleOutput frames a result tuple: count(2) then 4 bytes per id.
 func encodeTupleOutput(t Tuple, buf []byte) []byte {

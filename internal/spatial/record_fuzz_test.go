@@ -56,7 +56,7 @@ func FuzzDecodePartial(f *testing.F) {
 	})
 }
 
-// FuzzDecodeCascadePair: a spill or mesh frame is rejected or decodes
+// FuzzDecodeCascadePair: a mesh frame is rejected or decodes
 // to a pair that encodes back to the same bytes.
 func FuzzDecodeCascadePair(f *testing.F) {
 	frame := func(tag byte, body []byte) []byte {
@@ -97,7 +97,7 @@ func FuzzDecodeCascadePair(f *testing.F) {
 	})
 }
 
-// FuzzDecodeCellTagged: a C-Rep / All-Replicate spill or mesh frame is
+// FuzzDecodeCellTagged: a C-Rep / All-Replicate mesh frame is
 // rejected or decodes to an in-range slot and a pair that encodes back
 // to the same bytes; the same holds for the jobs' tuple output records.
 func FuzzDecodeCellTagged(f *testing.F) {

@@ -1,6 +1,7 @@
 package spatial
 
 import (
+	"bytes"
 	"errors"
 	"math/rand/v2"
 	"reflect"
@@ -145,6 +146,51 @@ func TestKillResumeEveryJobBoundary(t *testing.T) {
 				t.Errorf("%v k=%d: kill+resume read %d records, want clean %d + %d metas",
 					m, k, got, cleanIO.RecordsRead, len(metas))
 			}
+		}
+	}
+}
+
+// TestColumnarKillResume kills a chain before its last job and resumes
+// it on an FS restored from a snapshot of the killed one, where the
+// columnar staged relations come back as boxed files: input from
+// outside the process that the readers must keep decoding, not
+// restage. The final output must be bit-identical to a clean run's.
+// (TestKillResumeEveryJobBoundary resumes every boundary on the same
+// FS.)
+func TestColumnarKillResume(t *testing.T) {
+	part := grid2x2(t)
+	q := chain4()
+	rels := figure4Relations()
+
+	for _, m := range mrMethods {
+		clean, err := Execute(m, q, rels, Config{Part: part, FS: dfs.New(0)})
+		if err != nil {
+			t.Fatalf("%v: clean run: %v", m, err)
+		}
+		last := int(clean.Stats.Chain.Jobs) - 1
+		fs := dfs.New(0)
+		_, err = Execute(m, q, rels, Config{Part: part, FS: fs,
+			FailJob: func(i int) bool { return i == last }})
+		var killed *mapreduce.ChainKilledError
+		if !errors.As(err, &killed) {
+			t.Fatalf("%v: killed run: err = %v, want ChainKilledError", m, err)
+		}
+		var img bytes.Buffer
+		if err := fs.WriteSnapshot(&img); err != nil {
+			t.Fatal(err)
+		}
+		if fs, err = dfs.ReadSnapshot(&img, 0); err != nil {
+			t.Fatal(err)
+		}
+		res, err := Execute(m, q, rels, Config{Part: part, FS: fs, Resume: true})
+		if err != nil {
+			t.Fatalf("%v: resume: %v", m, err)
+		}
+		if !reflect.DeepEqual(res.Tuples, clean.Tuples) {
+			t.Errorf("%v: resumed tuples differ from the clean run", m)
+		}
+		if cs := res.Stats.Chain; cs == nil || cs.ResumedJobs != int64(last) {
+			t.Errorf("%v: resume chain stats = %+v, want %d resumed", m, cs, last)
 		}
 	}
 }

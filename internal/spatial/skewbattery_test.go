@@ -32,11 +32,11 @@ func skewedTriple(tb testing.TB, n int) []spatial.Relation {
 	tb.Helper()
 	rels := make([]spatial.Relation, 3)
 	for i, name := range []string{"R1", "R2", "R3"} {
-		rel, err := dataset.ZipfClusteredRelation(name, dataset.SkewedDefaults(n), 2013)
+		rects, err := dataset.ZipfClustered(dataset.SkewedDefaults(n), 2013)
 		if err != nil {
 			tb.Fatal(err)
 		}
-		rels[i] = rel
+		rels[i] = spatial.NewRelation(name, rects)
 	}
 	return rels
 }

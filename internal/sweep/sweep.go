@@ -393,41 +393,6 @@ func sweepOne(as, bs []geom.Rect, d float64, fn func(i, j int) bool) {
 	}
 }
 
-// JoinSelf finds every unordered pair i < j within rs satisfying the
-// predicate and calls fn for each. The inner loop uses the same
-// inlined gap predicate as JoinSorted.
-func JoinSelf(rs []geom.Rect, d float64, fn func(i, j int) bool) {
-	if len(rs) < 2 || d < 0 {
-		return
-	}
-	d2 := d * d
-	order := sortedByMinX(rs)
-	for p, i := range order {
-		a := rs[i]
-		aMin, aMax := a.X, a.X+a.L
-		aTop, aBot := a.Y, a.Y-a.B
-		for q := p + 1; q < len(order); q++ {
-			j := order[q]
-			b := rs[j]
-			// Same gap arithmetic as JoinSorted.
-			if b.X-aMax > d {
-				break
-			}
-			dx := max(b.X-aMax, aMin-(b.X+b.L), 0)
-			dy := max((b.Y-b.B)-aTop, aBot-b.Y, 0)
-			if dx <= d && dy <= d && dx*dx+dy*dy <= d2 {
-				lo, hi := i, j
-				if lo > hi {
-					lo, hi = hi, lo
-				}
-				if !fn(lo, hi) {
-					return
-				}
-			}
-		}
-	}
-}
-
 // sortedByMinX returns index order of rs ascending by MinX, breaking
 // ties by index for determinism.
 func sortedByMinX(rs []geom.Rect) []int {

@@ -121,47 +121,6 @@ func TestJoinEarlyStop(t *testing.T) {
 	}
 }
 
-func TestJoinSelf(t *testing.T) {
-	rng := rand.New(rand.NewPCG(9, 2))
-	rs := randRects(80, rng, 100, 25)
-	for _, d := range []float64{0, 10} {
-		want := map[[2]int]bool{}
-		for i := 0; i < len(rs); i++ {
-			for j := i + 1; j < len(rs); j++ {
-				ok := rs[i].Overlaps(rs[j])
-				if d > 0 {
-					ok = rs[i].WithinDist(rs[j], d)
-				}
-				if ok {
-					want[[2]int{i, j}] = true
-				}
-			}
-		}
-		got := map[[2]int]bool{}
-		JoinSelf(rs, d, func(i, j int) bool {
-			if i >= j {
-				t.Fatalf("JoinSelf emitted unordered pair (%d,%d)", i, j)
-			}
-			key := [2]int{i, j}
-			if got[key] {
-				t.Fatalf("duplicate pair %v", key)
-			}
-			got[key] = true
-			return true
-		})
-		if !equalPairs(got, want) {
-			t.Fatalf("d=%v: got %d pairs, want %d", d, len(got), len(want))
-		}
-	}
-	// Early stop.
-	count := 0
-	JoinSelf(rs, 0, func(i, j int) bool { count++; return false })
-	if count != 1 {
-		t.Errorf("early stop visited %d, want 1", count)
-	}
-	JoinSelf(rs[:1], 0, func(i, j int) bool { t.Error("single rect has no pairs"); return true })
-}
-
 func TestJoinDeterministicOrder(t *testing.T) {
 	rng := rand.New(rand.NewPCG(4, 4))
 	as := randRects(40, rng, 50, 20)
@@ -290,26 +249,6 @@ func TestJoinWindowFloatConsistency(t *testing.T) {
 		if got := sweepPairs(as, bs, d); !equalPairs(got, want) {
 			t.Fatalf("trial %d: as=%v bs=%v d=%v: got %d pairs, want %d",
 				trial, as, bs, d, len(got), len(want))
-		}
-		// JoinSelf shares the break condition.
-		rs := mk(2 + rng.IntN(4))
-		wantSelf := map[[2]int]bool{}
-		for i := 0; i < len(rs); i++ {
-			for j := i + 1; j < len(rs); j++ {
-				ok := rs[i].Overlaps(rs[j])
-				if d > 0 {
-					ok = rs[i].WithinDist(rs[j], d)
-				}
-				if ok {
-					wantSelf[[2]int{i, j}] = true
-				}
-			}
-		}
-		gotSelf := map[[2]int]bool{}
-		JoinSelf(rs, d, func(i, j int) bool { gotSelf[[2]int{i, j}] = true; return true })
-		if !equalPairs(gotSelf, wantSelf) {
-			t.Fatalf("trial %d: JoinSelf rs=%v d=%v: got %d pairs, want %d",
-				trial, rs, d, len(gotSelf), len(wantSelf))
 		}
 	}
 }

@@ -185,14 +185,6 @@ type Options struct {
 	// exact count. Use for cost measurement (the -explain mode) where
 	// only the counters matter.
 	CountOnly bool
-	// SpillBudget, when positive, bounds the in-memory bytes of each
-	// mapper's per-reducer run (priced exactly like the shuffle byte
-	// accounting); runs over budget spill to uncharged local disk
-	// scratch and are read back by the shuffle. Results and all
-	// charged Stats are bit-identical to an unbounded run — only the
-	// SpilledRuns/SpillBytes* job counters record that spilling
-	// happened.
-	SpillBudget int64
 }
 
 // Tracer is the structured tracing collector; pass one via
@@ -254,7 +246,7 @@ type Prediction = spatial.Prediction
 // deterministic, so repeated calls agree. Compare against an actual
 // Run's Stats to validate the paper's cost model (§7.8.3) on your data.
 func Predict(q *Query, rels []Relation, method Method, opts *Options) (*Prediction, error) {
-	cfg, err := buildConfig(rels, opts)
+	cfg, err := buildConfig(opts)
 	if err != nil {
 		return nil, err
 	}
@@ -262,12 +254,12 @@ func Predict(q *Query, rels []Relation, method Method, opts *Options) (*Predicti
 }
 
 // Profile is the structured post-execution query profile: per-round
-// map/shuffle/reduce wall times and counters, skew, combiner
-// effectiveness, replication and chain/checkpoint accounting. Assemble
-// one with BuildProfile; render with its WriteText method or export its
-// tracer's spans with WriteChromeTrace. Normalize() returns a copy with
-// every wall-time field zeroed — byte-identical across runs that differ
-// only in scheduling.
+// map/shuffle/reduce wall times and counters, skew, replication and
+// chain/checkpoint accounting. Assemble one with BuildProfile; render
+// with its WriteText method or export its tracer's spans with
+// WriteChromeTrace. Normalize() returns a copy with every wall-time
+// field zeroed — byte-identical across runs that differ only in
+// scheduling.
 type Profile = profile.Profile
 
 // BuildProfile assembles a Profile from a finished run's Stats and the
@@ -335,7 +327,7 @@ type PlannerOptions = spatial.PlannerOptions
 // always produce the same plan. Every method returns the same tuples,
 // so a planner pick can only change cost, never the answer.
 func PlanQuery(q *Query, rels []Relation, opts *Options, popts PlannerOptions) (*Plan, error) {
-	cfg, err := buildConfig(rels, opts)
+	cfg, err := buildConfig(opts)
 	if err != nil {
 		return nil, err
 	}
@@ -353,7 +345,7 @@ func RunPlan(q *Query, rels []Relation, plan *Plan, opts *Options) (*Result, err
 // RunPlanContext is RunPlan with cooperative cancellation (see
 // RunContext).
 func RunPlanContext(ctx context.Context, q *Query, rels []Relation, plan *Plan, opts *Options) (*Result, error) {
-	cfg, err := buildConfig(rels, opts)
+	cfg, err := buildConfig(opts)
 	if err != nil {
 		return nil, err
 	}
@@ -374,7 +366,7 @@ func Run(q *Query, rels []Relation, method Method, opts *Options) (*Result, erro
 // returns an error wrapping context.Cause(ctx) (context.Canceled or
 // context.DeadlineExceeded, distinguishable with errors.Is).
 func RunContext(ctx context.Context, q *Query, rels []Relation, method Method, opts *Options) (*Result, error) {
-	cfg, err := buildConfig(rels, opts)
+	cfg, err := buildConfig(opts)
 	if err != nil {
 		return nil, err
 	}
@@ -392,8 +384,9 @@ func (o *Options) publish(res *Result, err error) (*Result, error) {
 }
 
 // buildConfig translates public Options into the executor config shared
-// by Run and Predict.
-func buildConfig(rels []Relation, opts *Options) (spatial.Config, error) {
+// by Run and Predict. The grid stays unresolved (Part is the caller's
+// Partitioning or nil), so spatial resolves it once per relation set.
+func buildConfig(opts *Options) (spatial.Config, error) {
 	var o Options
 	if opts != nil {
 		o = *opts
@@ -405,6 +398,7 @@ func buildConfig(rels []Relation, opts *Options) (spatial.Config, error) {
 	cfg := spatial.Config{
 		Part:           o.Partitioning,
 		Scheme:         scheme,
+		Reducers:       o.Reducers,
 		SplitThreshold: o.SplitThreshold,
 		Parallelism:    o.Parallelism,
 		AllowSelfPairs: o.AllowSelfPairs,
@@ -417,17 +411,9 @@ func buildConfig(rels []Relation, opts *Options) (spatial.Config, error) {
 		Tracer:         o.Tracer,
 		OptimizeOrder:  o.OptimizeOrder,
 		CountOnly:      o.CountOnly,
-		SpillBudget:    o.SpillBudget,
 	}
 	if o.EuclideanLimit {
 		cfg.LimitMetric = grid.MetricEuclidean
-	}
-	if cfg.Part == nil && o.Reducers > 0 {
-		part, err := spatial.BuildPartitioning(scheme, rels, o.Reducers, o.SplitThreshold)
-		if err != nil {
-			return spatial.Config{}, err
-		}
-		cfg.Part = part
 	}
 	return cfg, nil
 }

@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -263,13 +262,12 @@ func TestNoProfilerOnDefaultMux(t *testing.T) {
 }
 
 // TestPaperScaleSmoke is the gate's one paper-scale execution: the Q2
-// chain through C-Rep-L at the unit MWSJ_BENCH_UNIT names, with a 1-byte
-// spill budget so every run of both rounds goes through local
-// scratch. scripts/check.sh sets 200,000 — three 200k-rectangle
-// relations, 10× the EXPERIMENTS.md tables — under a -timeout. Without
-// the variable it is skipped: at small units the spill batteries of
-// internal/spatial cover the same path. The space shrinks by
-// √(unit/10⁶) as in internal/bench, so density stays the paper's.
+// chain through C-Rep-L, in memory, at the unit MWSJ_BENCH_UNIT names.
+// scripts/check.sh sets 200,000 — three 200k-rectangle relations, 10×
+// the EXPERIMENTS.md tables — under a -timeout. Without the variable it
+// is skipped: at small units the batteries of internal/spatial cover
+// the same path. The space shrinks by √(unit/10⁶) as in internal/bench,
+// so density stays the paper's.
 func TestPaperScaleSmoke(t *testing.T) {
 	if os.Getenv("MWSJ_BENCH_UNIT") == "" {
 		t.Skip("MWSJ_BENCH_UNIT is not set")
@@ -288,25 +286,12 @@ func TestPaperScaleSmoke(t *testing.T) {
 		rels[i] = rel
 	}
 	q := NewQuery("R1", "R2", "R3").Overlap(0, 1).Overlap(1, 2)
-	fs := NewFileSystem()
-	res, err := Run(q, rels, ControlledReplicateLimit, &Options{CountOnly: true, SpillBudget: 1, FS: fs})
+	res, err := Run(q, rels, ControlledReplicateLimit, &Options{CountOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var spilled int64
-	for _, st := range res.Stats.Rounds {
-		spilled += st.SpilledRuns
-	}
-	t.Logf("unit %d: %d tuples, %d spilled runs, wall %v", unit, res.Stats.OutputTuples, spilled, res.Stats.Wall)
+	t.Logf("unit %d: %d tuples, %d pairs, wall %v", unit, res.Stats.OutputTuples, res.Stats.IntermediatePairs(), res.Stats.Wall)
 	if res.Stats.OutputTuples == 0 {
 		t.Error("no tuples — the run is vacuous")
-	}
-	if spilled == 0 {
-		t.Error("a 1-byte spill budget never spilled")
-	}
-	for _, name := range fs.List() {
-		if strings.HasPrefix(name, "spill/") {
-			t.Errorf("spill scratch %q left on the FS", name)
-		}
 	}
 }

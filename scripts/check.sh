@@ -59,7 +59,7 @@ go vet -C benchmark ./...
 
 echo "== go test -race (every package but the table harness) =="
 # -count=1 defeats the test cache so the race detector re-exercises the
-# spill/recycle, exchange and server goroutines every run.
+# recycle, exchange and server goroutines every run.
 # cmd/benchtables and internal/bench are left out: a single-goroutine
 # sweep over an engine whose own packages are race-tested here, and
 # under -race their 366 CPU-seconds starve the timing-sensitive daemon
@@ -67,13 +67,13 @@ echo "== go test -race (every package but the table harness) =="
 go test -race -count=1 $(go list ./... | grep -v -e '/cmd/benchtables$' -e '/internal/bench$')
 
 echo "== allocation guards (they skip under -race, whose shadow memory allocates) =="
-go test -count=1 -run '^(TestCascadeAllocationBudget|TestExecuteWarmAllocation|TestClusterAllocationCeiling|TestSortedRunAllocationBudget)$' \
+go test -count=1 -run '^(TestCascadeAllocationBudget|TestCRepLAllocationBudget|TestExecuteWarmAllocation|TestClusterAllocationCeiling|TestSortedRunAllocationBudget)$' \
     ./internal/spatial ./internal/cluster ./internal/mapreduce
 
 echo "== go test (table harness: paper tables at tiny scale, Table 2 against BENCH_PR2.json) =="
 go test -count=1 ./cmd/benchtables ./internal/bench
 
-echo "== unit-200,000 smoke (10x table scale through the spilling memory path; timeout-guarded) =="
+echo "== unit-200,000 smoke (10x table scale through C-Rep-L, in memory; timeout-guarded) =="
 # The timeout keeps a pathological regression from hanging CI.
 MWSJ_BENCH_UNIT=200000 go test -count=1 -timeout 300s -run 'TestPaperScaleSmoke' .
 
