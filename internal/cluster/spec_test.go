@@ -15,9 +15,9 @@ var notCarried = map[string]string{
 	"FS":          "worker-set: its retained per-session file system",
 	"Dist":        "worker-set: built from the start message's roster",
 	"Resume":      "worker-set: from SessionSpec.Resume, which the coordinator sets on a retry attempt",
-	"Part":        "the cluster derives the grid from Scheme/Reducers/SplitThreshold and the shipped relations",
+	"Part":        "the cluster derives the grid from Scheme/Reducers/SplitThreshold and the named relations",
 	"Tracer":      "a span tree belongs to one process; cluster jobs have no profile",
-	"Context":     "cancellation is the coordinator's session timeout",
+	"Context":     "worker-set: the session's, cancelled when the session ends or the worker closes",
 	"OnChainStep": "a progress callback cannot cross the wire",
 	"MaxAttempts": "fault hooks are functions of the calling process",
 	"FailMap":     "fault hooks are functions of the calling process",

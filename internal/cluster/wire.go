@@ -15,10 +15,10 @@ import (
 
 // The control plane's one wire form: a JSON header line, then the
 // message's bulk fields as binary attachments whose lengths the header
-// declares. Small verbs (register, heartbeat, list_chk, end) are a line
-// and nothing else; start, result, chk_data and install_chk carry their
-// bytes as bytes. Both ends use writeMessage/readMessage and nothing
-// else.
+// declares. Small verbs (register, heartbeat, start, need, list_chk,
+// end) are a line and nothing else; ship, result, chk_data and
+// install_chk carry their bytes as bytes. Both ends use
+// writeMessage/readMessage and nothing else.
 
 const (
 	// protocolVersion is what register declares and the coordinator
@@ -26,7 +26,7 @@ const (
 	// a start does, so a stale worker binary fails at registration
 	// instead of mid-session — or, ignoring a spec field it never heard
 	// of, answering a different question.
-	protocolVersion = 4
+	protocolVersion = 5
 
 	// maxHeaderBytes caps the JSON header line. Every bulk field rides as
 	// an attachment, so a header holds names, counters and the run's
@@ -58,18 +58,18 @@ type wireHeader struct {
 }
 
 // bulk returns the message's bulk fields in wire order, one attachment
-// each: a start's relations, a result's tuple slab (when it has
-// tuples), a checkpoint transfer's record file. The writer sends what
-// they hold; the reader fills them.
+// each: a ship's relations, one per digest it names, a result's tuple
+// slab (when it has tuples), a checkpoint transfer's record file. The
+// writer sends what they hold; the reader fills them.
 func (m *message) bulk() []*[]byte {
 	switch m.Type {
-	case msgStart:
-		if m.Spec == nil {
-			return nil
+	case msgShip:
+		if len(m.Rels) != len(m.Digests) {
+			m.Rels = make([][]byte, len(m.Digests))
 		}
-		fields := make([]*[]byte, len(m.Spec.Relations))
-		for i := range m.Spec.Relations {
-			fields[i] = &m.Spec.Relations[i].Items
+		fields := make([]*[]byte, len(m.Rels))
+		for i := range m.Rels {
+			fields[i] = &m.Rels[i]
 		}
 		return fields
 	case msgResult:
@@ -85,7 +85,7 @@ func (m *message) bulk() []*[]byte {
 // writeMessage writes one message — header line, then attachments — and
 // returns the bytes it put on the wire. Callers serialize writers of one
 // connection. The attachments are written from the message's own
-// slices, so one spec can be sent to a whole roster without a copy.
+// slices, without a copy.
 func writeMessage(w io.Writer, m *message) (int64, error) {
 	fields := m.bulk()
 	hdr := wireHeader{message: m}

@@ -43,6 +43,9 @@ type FS struct {
 
 	mu    sync.RWMutex
 	files map[string]*file
+	// onClose are the releases Close runs; closed is set once it has.
+	onClose []func()
+	closed  bool
 
 	bytesWritten   atomic.Int64
 	bytesRead      atomic.Int64
@@ -109,6 +112,37 @@ func New(blockSize int64) *FS {
 		blockSize = DefaultBlockSize
 	}
 	return &FS{blockSize: blockSize, files: make(map[string]*file)}
+}
+
+// OnClose registers release to run when the file system closes. A store
+// whose buffers back the FS's files registers the hand-back of those
+// buffers here: the files are the buffers' last readers, so the buffers
+// go back when the files go. On a closed FS release never runs, and the
+// buffers are left to the garbage collector.
+func (fs *FS) OnClose(release func()) {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	if !fs.closed {
+		fs.onClose = append(fs.onClose, release)
+	}
+}
+
+// Close drops every file and runs the releases OnClose registered, in
+// registration order. Nothing may read the FS, or a record it handed
+// out, once Close has begun; a second Close does nothing.
+func (fs *FS) Close() {
+	fs.mu.Lock()
+	if fs.closed {
+		fs.mu.Unlock()
+		return
+	}
+	fs.closed = true
+	releases := fs.onClose
+	fs.onClose, fs.files = nil, map[string]*file{}
+	fs.mu.Unlock()
+	for _, release := range releases {
+		release()
+	}
 }
 
 // Create makes (or truncates) the named file and returns a writer for

@@ -209,3 +209,26 @@ func TestConcurrentWritersAndReaders(t *testing.T) {
 		t.Errorf("RecordsRead = %d, want %d", st.RecordsRead, n)
 	}
 }
+
+// TestCloseRunsReleases: Close drops every file and runs each release
+// OnClose registered once, in order; a second Close and a release
+// registered after the first run nothing.
+func TestCloseRunsReleases(t *testing.T) {
+	fs := New(0)
+	if err := fs.WriteFile("chk/a", [][]byte{[]byte("x")}); err != nil {
+		t.Fatal(err)
+	}
+	var ran []int
+	fs.OnClose(func() { ran = append(ran, 1) })
+	fs.OnClose(func() { ran = append(ran, 2) })
+	fs.Close()
+	fs.Close()
+	fs.OnClose(func() { ran = append(ran, 3) })
+	fs.Close()
+	if len(ran) != 2 || ran[0] != 1 || ran[1] != 2 {
+		t.Errorf("releases ran %v, want [1 2]", ran)
+	}
+	if fs.Exists("chk/a") || len(fs.List()) != 0 {
+		t.Errorf("files left after Close: %v", fs.List())
+	}
+}

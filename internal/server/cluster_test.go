@@ -3,8 +3,11 @@ package server
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http/httptest"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -121,6 +124,64 @@ func TestServerClusterDispatch(t *testing.T) {
 	hPlain.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/workers", nil))
 	if rec.Code != 404 {
 		t.Errorf("GET /v1/workers without cluster = %d", rec.Code)
+	}
+}
+
+// TestClusterWarmJobShipsDigestsOnly: the service's cluster path names
+// its registered relations by digest, so its first job ships them to
+// each worker and a later job's starts carry the digest lists alone
+// (the coordinator logs each session's spec bytes).
+func TestClusterWarmJobShipsDigestsOnly(t *testing.T) {
+	var mu sync.Mutex
+	var specBytes []int64
+	coord, err := cluster.StartCoordinator(cluster.CoordinatorConfig{
+		HeartbeatTimeout: 500 * time.Millisecond,
+		SessionTimeout:   time.Minute,
+		Logf: func(format string, args ...any) {
+			line := fmt.Sprintf(format, args...)
+			t.Log(line)
+			if i := strings.Index(line, "; spec "); i >= 0 {
+				var n int64
+				if _, err := fmt.Sscanf(line[i:], "; spec %d B", &n); err == nil {
+					mu.Lock()
+					specBytes = append(specBytes, n)
+					mu.Unlock()
+				}
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { coord.Close() })
+	for _, name := range []string{"cw0", "cw1"} {
+		w, err := cluster.StartWorker(cluster.WorkerConfig{Coordinator: coord.Addr(), Name: name, HeartbeatInterval: 100 * time.Millisecond, Logf: t.Logf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { w.Close() })
+	}
+	if err := coord.WaitForWorkers(2, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	s, _ := newTestServer(t, Config{Workers: 1, CacheBytes: -1, Cluster: coord})
+	req := SubmitRequest{Query: "A ov B and B ra(40) C", Method: "c-rep"}
+	for i := 0; i < 2; i++ {
+		if st := waitJob(t, s, submit(t, s, req).ID); st.State != StateDone {
+			t.Fatalf("cluster job %d: %+v (err %s)", i, st, st.Error)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(specBytes) != 2 {
+		t.Fatalf("logged spec bytes of %d sessions, want 2", len(specBytes))
+	}
+	// Three relations of 150 rectangles, 36 bytes each, to two workers.
+	if cold := specBytes[0]; cold < 2*3*150*36 {
+		t.Errorf("first job wrote %d spec bytes, fewer than its relations to both workers", cold)
+	}
+	if warm := specBytes[1]; warm > 4<<10 {
+		t.Errorf("second job wrote %d spec bytes, want only the digest lists (≤ 4 KiB)", warm)
 	}
 }
 

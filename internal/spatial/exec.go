@@ -139,9 +139,6 @@ type executor struct {
 	// whose buffers pass between the jobs of every execution of the
 	// process, concurrent ones included.
 	pool *mapreduce.BufferPool
-	// outputs are the stores whose pages back checkpoint files; they go
-	// back to the pool when Execute returns, if the FS was its own.
-	outputs []*partialStore
 
 	tr      *trace.Tracer
 	runSpan trace.SpanID
@@ -200,15 +197,13 @@ func Execute(method Method, q *query.Query, rels []Relation, cfg Config) (*Resul
 	}
 	fs := cfg.FS
 	if fs == nil {
+		// Nothing outside this call can read a private FS, so its pages
+		// go back when the call returns. A caller's FS hands them back
+		// when the caller closes it (outputStore).
 		fs = dfs.New(0)
+		defer fs.Close()
 	}
 	exec := &executor{part: g.part, rels: rels, stats: est.set.stats, fs: fs, cfg: cfg, metric: cfg.LimitMetric, tr: cfg.Tracer, pool: sharedPool}
-	if cfg.FS == nil {
-		// The checkpoint files are views into the output stores' pages,
-		// and nothing outside this call can read a private FS. On a
-		// caller's FS they stay: its files are the caller's to read.
-		defer exec.releaseOutputs()
-	}
 	exec.runSpan = exec.tr.Start(0, trace.KindRun, fmt.Sprintf("%s %s", method, q))
 	exec.cur = exec.runSpan
 	// Registered before the runSpan End so it runs after it (defers are
@@ -248,19 +243,13 @@ func Execute(method Method, q *query.Query, rels []Relation, cfg Config) (*Resul
 	return res, nil
 }
 
-// outputStore returns a store for a round's output partials, kept until
-// Execute returns.
+// outputStore returns a store for a round's output partials. Its pages
+// back the round's checkpoint file, so they go back to the pool when the
+// FS closes.
 func (e *executor) outputStore(m int) *partialStore {
 	s := newPartialStore(m, e.pool)
-	e.outputs = append(e.outputs, s)
+	e.fs.OnClose(s.release)
 	return s
-}
-
-// releaseOutputs hands the output stores' pages back to the pool.
-func (e *executor) releaseOutputs() {
-	for _, s := range e.outputs {
-		s.release()
-	}
 }
 
 // jobConfig builds the engine config for one job of this execution;
