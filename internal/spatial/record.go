@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -19,6 +20,8 @@ import (
 //
 //	item record:  dfs.MBB's 38-byte record (dfs.AppendMBB, dfs.DecodeMBB)
 //	tuple record: count(2) then per member id(4) rect(32)
+//	packed items: per item id(4) rect(32) — a relation's contents as
+//	              Relation.Digest hashes them and a cluster ships them
 
 const rectBytes = 32
 
@@ -114,6 +117,36 @@ func partialRect(rec []byte, pos int) geom.Rect {
 func putMember(buf []byte, id int32, r geom.Rect) {
 	binary.LittleEndian.PutUint32(buf, uint32(id))
 	putRect(buf[4:], r)
+}
+
+// PackedItemBytes is the size of one packed item: a partial's member,
+// its id then its rectangle.
+const PackedItemBytes = memberBytes
+
+// AppendPacked appends items to buf packed, in order: the one encoding
+// of a relation's contents, which Relation.Digest hashes and a cluster
+// coordinator ships.
+func AppendPacked(buf []byte, items []Item) []byte {
+	off := len(buf)
+	buf = slices.Grow(buf, len(items)*PackedItemBytes)[:off+len(items)*PackedItemBytes]
+	for _, it := range items {
+		putMember(buf[off:], it.ID, it.R)
+		off += PackedItemBytes
+	}
+	return buf
+}
+
+// UnpackItems parses packed items (AppendPacked) into a fresh slice.
+func UnpackItems(packed []byte) ([]Item, error) {
+	if len(packed)%PackedItemBytes != 0 {
+		return nil, fmt.Errorf("spatial: %d packed item bytes, not a multiple of %d", len(packed), PackedItemBytes)
+	}
+	items := make([]Item, len(packed)/PackedItemBytes)
+	for i := range items {
+		rec := packed[i*PackedItemBytes:]
+		items[i] = Item{ID: int32(binary.LittleEndian.Uint32(rec)), R: getRect(rec[4:])}
+	}
+	return items, nil
 }
 
 // partialRef addresses one record of a partialStore: a page and the

@@ -2,6 +2,9 @@ package spatial
 
 import (
 	"cmp"
+	"crypto/sha256"
+	"encoding/binary"
+	"math"
 	"math/rand/v2"
 	"slices"
 	"sync"
@@ -211,6 +214,34 @@ func TestSummaryBuiltOnce(t *testing.T) {
 	}
 	if got := statsIDs.Load() - built; got != uint64(len(rels)) {
 		t.Errorf("a warm plan summarised again: %d summaries for %d relations", got, len(rels))
+	}
+}
+
+// TestDigestHashesPackedItems: a relation's digest is the sha-256 of its
+// items packed, and the packing is id then x, y, l, b, little-endian,
+// which UnpackItems reads back bit for bit, over several hash blocks and
+// none.
+func TestDigestHashesPackedItems(t *testing.T) {
+	for _, n := range []int{0, 1, 129, 3000} {
+		rel := Relation{Name: "R", Items: summaryRelations(5)[0].Items[:n], sum: &relSummary{}}
+		packed := AppendPacked(nil, rel.Items)
+		if rel.Digest() != sha256.Sum256(packed) {
+			t.Errorf("%d items: the digest is not the hash of the packed items", n)
+		}
+		for i, it := range rel.Items {
+			rec := packed[i*PackedItemBytes:]
+			if int32(binary.LittleEndian.Uint32(rec)) != it.ID || math.Float64frombits(binary.LittleEndian.Uint64(rec[4:])) != it.R.X ||
+				math.Float64frombits(binary.LittleEndian.Uint64(rec[28:])) != it.R.B {
+				t.Fatalf("%d items: item %d packs as % x", n, i, rec[:PackedItemBytes])
+			}
+		}
+		back, err := UnpackItems(packed)
+		if err != nil || len(back) != n || (n > 0 && !slices.EqualFunc(back, rel.Items, sameItem)) {
+			t.Errorf("%d items did not round-trip (err %v)", n, err)
+		}
+	}
+	if _, err := UnpackItems(make([]byte, PackedItemBytes+1)); err == nil {
+		t.Error("a ragged packing unpacked without error")
 	}
 }
 
