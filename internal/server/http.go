@@ -86,12 +86,16 @@ func NewHandler(s *Server, reg *metrics.Registry) http.Handler {
 			writeError(w, http.StatusBadRequest, "bad_request", err.Error())
 			return
 		}
-		page, err := s.Result(r.PathValue("id"), offset, limit)
+		id := r.PathValue("id")
+		tuples, err := s.resultTuples(id)
 		if err != nil {
 			writeJobError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, page)
+		off, hi := pageBounds(len(tuples), offset, limit)
+		w.Header().Set("Content-Type", "application/json; charset=utf-8")
+		w.WriteHeader(http.StatusOK)
+		writeResultPage(w, id, tuples, off, hi) //nolint:errcheck // best-effort over HTTP
 	})
 	mux.HandleFunc("DELETE /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		st, err := s.Cancel(r.PathValue("id"))

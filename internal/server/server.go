@@ -598,66 +598,6 @@ func (s *Server) Wait(ctx context.Context, id string) (*JobStatus, error) {
 	return j.status(), nil
 }
 
-// ResultPage is one page of a done job's tuples.
-type ResultPage struct {
-	ID     string `json:"id"`
-	Total  int    `json:"total"`
-	Offset int    `json:"offset"`
-	Count  int    `json:"count"`
-	// Tuples holds the page's output rows: rectangle IDs in query-slot
-	// order.
-	Tuples [][]int32 `json:"tuples"`
-	// NextOffset is the offset of the next page, absent on the last.
-	NextOffset *int `json:"next_offset,omitempty"`
-}
-
-// DefaultPageLimit and MaxPageLimit bound result pagination.
-const (
-	DefaultPageLimit = 1000
-	MaxPageLimit     = 100_000
-)
-
-// Result returns one page of a done job's tuples. Jobs that failed,
-// were cancelled, or are still in flight have no result (ErrJobNotDone).
-func (s *Server) Result(id string, offset, limit int) (*ResultPage, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	if !ok {
-		return nil, ErrNotFound
-	}
-	if j.state != StateDone {
-		return nil, fmt.Errorf("%w (state %s)", ErrJobNotDone, j.state)
-	}
-	tuples := j.res.Tuples
-	if offset < 0 {
-		offset = 0
-	}
-	if limit <= 0 {
-		limit = DefaultPageLimit
-	}
-	if limit > MaxPageLimit {
-		limit = MaxPageLimit
-	}
-	page := &ResultPage{ID: id, Total: len(tuples), Offset: offset}
-	if offset < len(tuples) {
-		hi := offset + limit
-		if hi > len(tuples) {
-			hi = len(tuples)
-		}
-		page.Tuples = make([][]int32, 0, hi-offset)
-		for _, t := range tuples[offset:hi] {
-			page.Tuples = append(page.Tuples, t.IDs)
-		}
-		page.Count = hi - offset
-		if hi < len(tuples) {
-			next := hi
-			page.NextOffset = &next
-		}
-	}
-	return page, nil
-}
-
 // Cancel cancels a job: a queued job is finalised immediately, a
 // running job's context is cancelled and the chain stops at its next
 // job boundary (the job transitions to StateCancelled when it does).
