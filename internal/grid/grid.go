@@ -349,11 +349,15 @@ func (p *Partitioning) FourthQuadrantCount(r geom.Rect) int {
 // magnitudes involved, as the mark round's band does (inMarkBand in
 // package spatial): a cell shipped to in excess costs a copy, one
 // missed costs the tuples whose duplicate-avoidance point it owns.
+// The magnitudes are the grid's as well as r's: a cell edge and the
+// grid's own extent round by ulps of the cuts, which can be far larger
+// than r's (a segment near the origin on a grid reaching 1e9).
 func (p *Partitioning) ForEachReplicateF2(r geom.Rect, d float64, m Metric, fn func(CellID)) {
 	if d < 0 {
 		return
 	}
-	d += (math.Abs(r.X) + math.Abs(r.Y) + r.L + r.B + d) * 0x1p-40
+	cuts := math.Abs(p.xCuts[0]) + math.Abs(p.xCuts[p.cols]) + math.Abs(p.yCuts[0]) + math.Abs(p.yCuts[p.rows])
+	d += (math.Abs(r.X) + math.Abs(r.Y) + r.L + r.B + cuts + d) * 0x1p-40
 	row0, col0 := p.RowCol(p.Project(r))
 	// Cells further than d from r on either axis cannot qualify under
 	// either metric, so restrict the scan to the enlarged bounding box.

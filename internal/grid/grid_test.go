@@ -227,6 +227,33 @@ func TestReplicateF2Metrics(t *testing.T) {
 	}
 }
 
+// TestReplicateF2ReachesOwnCellOnWideGrid: on a grid reaching 1e9, the
+// bottom row's computed bottom edge and the grid's rounded extent sit
+// ulps of 5e8 above a segment lying on the data's lowest y. f2 with
+// d = 0 must still send the segment to its own cell and to the cell
+// its far end touches (FuzzJoin found the miss: C-Rep-L lost both
+// orders of the segment paired with a point at its start).
+func TestReplicateF2ReachesOwnCellOnWideGrid(t *testing.T) {
+	bottom := -0.29999996
+	bounds := geom.RectFromCorners(geom.Point{X: 0, Y: bottom}, geom.Point{X: 840, Y: 1e9})
+	p, err := NewUniform(bounds, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg := geom.Rect{X: 0, Y: bottom, L: 420, B: 0}
+	if gap := p.CellRect(2).MinY() - seg.MinY(); !(gap > 0) {
+		t.Fatalf("cell 2 reaches down to %v: the rounding this test is about did not happen (gap %g)", p.CellRect(2).MinY(), gap)
+	}
+	for _, m := range []Metric{MetricChebyshev, MetricEuclidean} {
+		if got := p.ReplicateF2(seg, 0, m); !reflect.DeepEqual(got, []CellID{2, 3}) {
+			t.Errorf("%v f2 of the segment = %v, want cells 2 and 3", m, got)
+		}
+		if got := p.ReplicateF2(geom.Rect{X: 0, Y: bottom}, 0, m); !reflect.DeepEqual(got, []CellID{2}) {
+			t.Errorf("%v f2 of the point at its start = %v, want cell 2", m, got)
+		}
+	}
+}
+
 func TestOtherCellWithin(t *testing.T) {
 	p := paperGrid(t)
 	center := geom.Rect{X: 35, Y: 65, L: 5, B: 5} // interior of cell 6
