@@ -82,11 +82,19 @@ func writeFrame(w io.Writer, seq uint64, payload []byte) error {
 	return err
 }
 
+// lentFrameMin is the smallest payload readFrame reads into a recycled
+// declaredChunk rather than an allocation of its own: a chunk then
+// holds at most four times the bytes it carries, and the mesh takes it
+// back once the engine is done with the payload (lend). Barrier frames
+// — counters and an error — stay exact allocations.
+const lentFrameMin = declaredChunk / 4
+
 // readFrame reads one frame as writeFrame wrote it. A header declaring
 // more than maxFrameBytes fails before any payload is read, and the
 // payload's memory follows the bytes that arrive, not the length the
 // header claims: a peer that declares a gigabyte and sends nothing
-// costs one declaredChunk.
+// costs one declaredChunk. A payload of lentFrameMin to declaredChunk
+// bytes is read into a recycled chunk, which recycleFrame takes back.
 func readFrame(r io.Reader) (seq uint64, payload []byte, err error) {
 	var hdr [frameHeaderBytes]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -97,10 +105,27 @@ func readFrame(r io.Reader) (seq uint64, payload []byte, err error) {
 	if err := checkFrameLen(int64(n)); err != nil {
 		return 0, nil, err
 	}
+	if n >= lentFrameMin && n <= declaredChunk {
+		c := declaredChunks.Get().(*[declaredChunk]byte)
+		if _, err := io.ReadFull(r, c[:n]); err != nil {
+			declaredChunks.Put(c)
+			return 0, nil, eofIsUnexpected(err)
+		}
+		return seq, c[:n], nil
+	}
 	if payload, err = readDeclared(r, int(n)); err != nil {
 		return 0, nil, err
 	}
 	return seq, payload, nil
+}
+
+// recycleFrame hands a payload readFrame read into a declaredChunk back
+// to declaredChunks; any other payload is left to the collector. The
+// caller must hold the only reference to the payload's bytes.
+func recycleFrame(payload []byte) {
+	if cap(payload) == declaredChunk {
+		declaredChunks.Put((*[declaredChunk]byte)(payload[:declaredChunk]))
+	}
 }
 
 // meshConn is one peer connection: writes serialized by a mutex, reads
@@ -138,6 +163,7 @@ func (mc *meshConn) readLoop() {
 			mc.mu.Lock()
 			if _, parked := mc.pending[seq]; parked || seq < mc.taken {
 				err = &DuplicateFrameError{Seq: seq}
+				recycleFrame(payload)
 			} else {
 				mc.pending[seq] = payload
 			}
@@ -201,9 +227,16 @@ func (mc *meshConn) await(seq uint64, timeout time.Duration) ([]byte, error) {
 	}
 }
 
+// close ends the connection and recycles the frames no exchange took.
 func (mc *meshConn) close() {
 	mc.c.Close()
 	mc.wg.Wait()
+	mc.mu.Lock()
+	for seq, payload := range mc.pending {
+		delete(mc.pending, seq)
+		recycleFrame(payload)
+	}
+	mc.mu.Unlock()
 }
 
 // mesh implements mapreduce.Exchanger over one connection per peer.
@@ -220,6 +253,11 @@ type mesh struct {
 	exchanges int
 	dieAfter  int
 	onDie     func()
+
+	// lent holds the peers' payloads the last AllToAll returned. The
+	// engine is done with them by its next call (mapreduce.Exchanger),
+	// which recycles them, as recycleLent does once the engine returns.
+	lent [][]byte
 }
 
 // dialMesh connects this worker to the session roster: the lower
@@ -273,6 +311,7 @@ func (m *mesh) AllToAll(tag string, outgoing [][]byte) ([][]byte, error) {
 	if len(outgoing) != len(m.conns) {
 		return nil, fmt.Errorf("cluster: AllToAll %s: %d payloads for a %d-worker mesh", tag, len(outgoing), len(m.conns))
 	}
+	m.recycleLent()
 	m.exchanges++
 	if m.dieAfter > 0 && m.exchanges >= m.dieAfter && m.onDie != nil {
 		m.onDie()
@@ -313,8 +352,20 @@ func (m *mesh) AllToAll(tag string, outgoing [][]byte) ([][]byte, error) {
 			return nil, fmt.Errorf("cluster: AllToAll %s: receive from peer %d: %w", tag, p, err)
 		}
 		in[p] = payload
+		m.lent = append(m.lent, payload)
 	}
 	return in, nil
+}
+
+// recycleLent recycles the payloads the last AllToAll returned. Only
+// the goroutine that runs the engine may call it, after the engine has
+// returned or from its next AllToAll.
+func (m *mesh) recycleLent() {
+	for i, payload := range m.lent {
+		recycleFrame(payload)
+		m.lent[i] = nil
+	}
+	m.lent = m.lent[:0]
 }
 
 func (m *mesh) close() {

@@ -146,3 +146,115 @@ func FuzzMeshFrame(f *testing.F) {
 		}
 	})
 }
+
+// meshPair connects two one-peer meshes over an in-memory pipe.
+func meshPair(t *testing.T) (a, b *mesh) {
+	t.Helper()
+	ca, cb := net.Pipe()
+	a = &mesh{self: 0, conns: []*meshConn{nil, newMeshConn(ca)}, timeout: 10 * time.Second}
+	b = &mesh{self: 1, conns: []*meshConn{newMeshConn(cb), nil}, timeout: 10 * time.Second}
+	t.Cleanup(func() { a.close(); b.close() })
+	return a, b
+}
+
+// TestMeshPayloadOutlivesPeersNextFrame: a payload read into a recycled
+// chunk stays intact until the engine's next exchange, even when the
+// peer's next frame has already arrived and been read into a chunk of
+// its own.
+func TestMeshPayloadOutlivesPeersNextFrame(t *testing.T) {
+	a, b := meshPair(t)
+	const n = lentFrameMin + 1000
+	first, second := bytes.Repeat([]byte{0xaa}, n), bytes.Repeat([]byte{0xbb}, n)
+	done := make(chan error, 1)
+	go func() {
+		for _, p := range [][]byte{first, second} {
+			if _, err := b.AllToAll("x", [][]byte{p, nil}); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	in, err := a.AllToAll("x", [][]byte{nil, nil})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := in[1]
+	if cap(got) != declaredChunk {
+		t.Fatalf("a %d-byte payload has capacity %d, want a declaredChunk", n, cap(got))
+	}
+	mc := a.conns[1]
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		mc.mu.Lock()
+		_, parked := mc.pending[1]
+		mc.mu.Unlock()
+		if parked {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the peer's second frame never arrived")
+		}
+	}
+	if !bytes.Equal(got, first) {
+		t.Fatal("the first payload changed when the peer's second frame arrived")
+	}
+	if in, err = a.AllToAll("x", [][]byte{nil, nil}); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(in[1], second) {
+		t.Fatal("the second payload arrived changed")
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMeshRecyclesFrameChunks: payloads of lentFrameMin to declaredChunk
+// bytes go back to declaredChunks when the engine's next exchange
+// starts, so a warm mesh reads them into the same chunks instead of
+// allocating each one.
+func TestMeshRecyclesFrameChunks(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's bookkeeping allocates, and sync.Pool drops entries under it")
+	}
+	a, b := meshPair(t)
+	const n, rounds = 300 << 10, 10
+	pa, pb := bytes.Repeat([]byte{1}, n), bytes.Repeat([]byte{2}, n)
+	exchange := func(k int) {
+		done := make(chan error, 1)
+		go func() {
+			for range k {
+				if _, err := b.AllToAll("x", [][]byte{pb, nil}); err != nil {
+					done <- err
+					return
+				}
+			}
+			done <- nil
+		}()
+		for range k {
+			in, err := a.AllToAll("x", [][]byte{nil, pa})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(in[1], pb) {
+				t.Fatal("payload arrived changed")
+			}
+		}
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	exchange(2) // warm: the chunks
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	exchange(rounds)
+	runtime.ReadMemStats(&after)
+	// Unrecycled, the rounds read 2 × rounds × n = 6 MB into fresh
+	// buffers; a pool emptied by a collection mid-loop costs a chunk or
+	// two per side.
+	grew := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d exchanges of %d-byte payloads each way allocated %d B", rounds, n, grew)
+	if bound := uint64(4 * declaredChunk); grew > bound {
+		t.Errorf("%d exchanges of %d-byte payloads each way allocated %d B, bound %d", rounds, n, grew, bound)
+	}
+}

@@ -421,7 +421,10 @@ func (w *Worker) executeAttempt(m *message, s *workerSession) (*spatial.Result, 
 		}
 		s.meshes = append(s.meshes, mh)
 		w.mu.Unlock()
-		defer mh.close()
+		defer func() {
+			mh.close()
+			mh.recycleLent() // Execute has returned: no payload is read any more
+		}()
 		cfg.Dist = &mapreduce.DistConfig{NumWorkers: len(m.Roster), Self: m.Self, Exchanger: mh}
 	} else {
 		cfg.Dist = &mapreduce.DistConfig{NumWorkers: 1, Self: 0}

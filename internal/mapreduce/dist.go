@@ -29,7 +29,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"unsafe"
 )
 
 // Exchanger is one collective data-plane primitive connecting the W
@@ -40,7 +39,10 @@ type Exchanger interface {
 	// AllToAll sends outgoing[w] to worker w (outgoing[self] is returned
 	// locally without touching the network) and returns the payloads
 	// received from every worker, indexed by worker. tag labels the
-	// exchange for diagnostics only.
+	// exchange for diagnostics only. The engine decodes what a call
+	// returns before it makes its next call and keeps no byte of it
+	// (DecodePair and DecodeOutput copy), so an implementation may reuse
+	// the memory of the payloads it returned from its next call on.
 	AllToAll(tag string, outgoing [][]byte) ([][]byte, error)
 }
 
@@ -133,15 +135,6 @@ func checkCount(what string, n uint64, remaining int) error {
 		return fmt.Errorf("mapreduce: dist frame: %d %s declared with %d bytes left", n, what, remaining)
 	}
 	return nil
-}
-
-// frameCap is the capacity to reserve for n decoded values of type T
-// that a frame claims with remaining bytes left: the claim, cut to what
-// remaining bytes of T would hold, so a count that lies about
-// undecodable records costs no more memory than the frame itself.
-func frameCap[T any](n uint64, remaining int) int {
-	var zero T
-	return int(min(n, uint64(remaining)/uint64(max(unsafe.Sizeof(zero), 1))))
 }
 
 // taskError is one worker's lowest-index failed task, flattened for the
@@ -423,29 +416,31 @@ func ownedReducers(w, W, nr int) int {
 
 // reducerReport is one reducer's entry in its owner's reduce-barrier
 // payload: the pairs shuffled to it, their priced bytes, its keys, and
-// its nout outputs as length-prefixed EncodeOutput records.
+// its outputs as length-prefixed EncodeOutput records.
 type reducerReport struct {
 	r                  int
 	pairs, bytes, keys int64
-	nout               uint64
 	recs               []byte
 }
 
 // appendReduceReport encodes worker w's reduce-barrier payload: its
 // counters and lowest-index reduce error, the count of reducers it owns,
 // then one reducerReport per owned reducer r ≡ w (mod W), ascending, read
-// from the per-reducer pairs, bytes, keys and outputs slices.
-func appendReduceReport[O any](c [reduceBarrierCounters]int64, e taskError, w, W int, pairs, bytes, keys []int64, outputs [][]O, encode func(O, []byte) []byte) []byte {
-	// A sizing pass fixes the payload's capacity before the first append:
-	// the all-gathered outputs are the job's whole result, and growing a
-	// buffer that large by doubling allocates it twice over.
+// from the per-reducer pairs, bytes and keys slices and output runs.
+func appendReduceReport[O any](c [reduceBarrierCounters]int64, e taskError, w, W int, pairs, bytes, keys []int64, outputs []run[O], encode func(O, []byte) []byte) []byte {
+	// The payload's capacity is fixed before the first append: the
+	// all-gathered outputs are the job's whole result, and growing a
+	// buffer that large by doubling allocates it twice over. A run is
+	// sized as its count times its first record: every output codec of
+	// the spatial jobs is fixed-width per job, and append grows the
+	// buffer for one that is not.
 	var rec []byte
 	size := (reduceBarrierCounters+3)*binary.MaxVarintLen64 + len(e.msg)
 	for r := w; r < len(outputs); r += W {
 		size += 5 * binary.MaxVarintLen64
-		for i := range outputs[r] {
-			rec = encode(outputs[r][i], rec[:0])
-			size += uvarintLen(uint64(len(rec))) + len(rec)
+		if b := &outputs[r]; b.n > 0 {
+			rec = encode(b.chunks[0][0], rec[:0])
+			size += b.n * (uvarintLen(uint64(len(rec))) + len(rec))
 		}
 	}
 	buf := make([]byte, 0, size)
@@ -455,14 +450,17 @@ func appendReduceReport[O any](c [reduceBarrierCounters]int64, e taskError, w, W
 	buf = e.append(buf)
 	buf = appendUvarint(buf, uint64(ownedReducers(w, W, len(outputs))))
 	for r := w; r < len(outputs); r += W {
+		b := &outputs[r]
 		buf = appendUvarint(buf, uint64(r))
 		buf = appendUvarint(buf, uint64(pairs[r]))
 		buf = appendUvarint(buf, uint64(bytes[r]))
 		buf = appendUvarint(buf, uint64(keys[r]))
-		buf = appendUvarint(buf, uint64(len(outputs[r])))
-		for i := range outputs[r] {
-			rec = encode(outputs[r][i], rec[:0])
-			buf = append(appendUvarint(buf, uint64(len(rec))), rec...)
+		buf = appendUvarint(buf, uint64(b.n))
+		for _, ch := range b.chunks {
+			for i := range ch {
+				rec = encode(ch[i], rec[:0])
+				buf = append(appendUvarint(buf, uint64(len(rec))), rec...)
+			}
 		}
 	}
 	return buf
@@ -509,7 +507,7 @@ func parseReduceReport(buf []byte, w, W, nr int, entry func(reducerReport) error
 				return c, e, err
 			}
 		}
-		rep := reducerReport{r: r, pairs: int64(hdr[1]), bytes: int64(hdr[2]), keys: int64(hdr[3]), nout: hdr[4], recs: recs[:len(recs)-len(buf)]}
+		rep := reducerReport{r: r, pairs: int64(hdr[1]), bytes: int64(hdr[2]), keys: int64(hdr[3]), recs: recs[:len(recs)-len(buf)]}
 		if err = entry(rep); err != nil {
 			return c, e, err
 		}
@@ -524,9 +522,11 @@ func parseReduceReport(buf []byte, w, W, nr int, entry func(reducerReport) error
 // reduce accounting, per-owned-reducer shuffle/keys/bytes figures, the
 // EncodeOutput-framed outputs, and its stage-2 network counters. After
 // it, outputs/keyCounts/bytesPerReducer/stats are globally complete and
-// identical on every worker; a reduce failure anywhere surfaces the
-// same lowest-reducer error everywhere.
-func distReduceBarrier[I any, K ReducerKey, V any, O any](j *Job[I, K, V, O], cfg *Config, stats *Stats, outputs [][]O, keyCounts []int64, bytesPerReducer []int64, redErrs []error, netBytes, netRuns int64) error {
+// identical on every worker — a remote reducer's outputs decoded into
+// its run, in chunks from pool, so the job assembles local and adopted
+// runs alike; a reduce failure anywhere surfaces the same
+// lowest-reducer error everywhere.
+func distReduceBarrier[I any, K ReducerKey, V any, O any](j *Job[I, K, V, O], cfg *Config, stats *Stats, outputs []run[O], keyCounts []int64, bytesPerReducer []int64, redErrs []error, netBytes, netRuns int64, pool *BufferPool) error {
 	d := cfg.Dist
 	locErr := taskError{idx: -1}
 	for r, err := range redErrs {
@@ -546,7 +546,9 @@ func distReduceBarrier[I any, K ReducerKey, V any, O any](j *Job[I, K, V, O], cf
 	globErr := taskError{idx: -1}
 	for w, buf := range incoming {
 		// adopt takes a remote reducer's figures and outputs; this
-		// worker's own payload round-trips and holds nothing new.
+		// worker's own payload round-trips and holds nothing new. Outputs
+		// land in the reducer's run as they decode, so what a payload
+		// costs follows the records it holds, never a count it claims.
 		adopt := func(rep reducerReport) error {
 			if w == d.Self {
 				return nil
@@ -556,7 +558,7 @@ func distReduceBarrier[I any, K ReducerKey, V any, O any](j *Job[I, K, V, O], cf
 			stats.IntermediateBytes += rep.bytes
 			keyCounts[rep.r] = rep.keys
 			bytesPerReducer[rep.r] = rep.bytes
-			out := make([]O, 0, frameCap[O](rep.nout, len(rep.recs)))
+			b := &outputs[rep.r]
 			for recs := rep.recs; len(recs) > 0; {
 				raw, rest, _ := readBytes(recs) // framing checked by the parser
 				recs = rest
@@ -564,9 +566,8 @@ func distReduceBarrier[I any, K ReducerKey, V any, O any](j *Job[I, K, V, O], cf
 				if err != nil {
 					return err
 				}
-				out = append(out, o)
+				b.add(o, pool)
 			}
-			outputs[rep.r] = out
 			return nil
 		}
 		c, e, err := parseReduceReport(buf, w, d.NumWorkers, cfg.NumReducers, adopt)

@@ -295,8 +295,9 @@ func runForgedPeer(t *testing.T, tag string, forged []byte, decodeOutput func([]
 // sends. What it allocates follows the bytes it was sent: a payload
 // claiming 2^40 entries is an error before anything is sized from it,
 // and a 1 MiB payload claiming 2^20 entries that do not decode costs the
-// job less than 4 MiB — the run decoder keeps values only as they
-// decode, the output decoder reserves at most the frame's size. And a
+// job less than 4 MiB of runs and less than its own size of outputs —
+// both decoders keep a value only once it decodes, in the run it
+// belongs to, and reserve nothing from a count. And a
 // run payload is the sender's runs for this worker's reducers, in order,
 // each holding pairs of its own reducer: a pair keyed to another reducer
 // — which would hand reducer 0 a value meant for reducer 2 — a run out
@@ -324,7 +325,7 @@ func TestDistWireCountsBounded(t *testing.T) {
 		{"outputs", "outputs declared", append(uv(1, 0, 0, 0, 0, 0, 2, 1, 0, 0, 0, 1<<40), 0), nil, 16 << 20},
 		// the same headers claiming 2^20 entries, with 2^20 empty records.
 		{"runs", "bad pair", append(uv(1, 0, 16, mib), undecodable...), nil, 4 << 20},
-		{"outputs", "empty output record", append(append(uv(1, 0, 0, 0, 0, 0, 2, 1, 0, 0, 0, mib), undecodable...), uv(3, 0, 0, 0, 0)...), rejectEmpty, 4 << 20},
+		{"outputs", "empty output record", append(append(uv(1, 0, 0, 0, 0, 0, 2, 1, 0, 0, 0, mib), undecodable...), uv(3, 0, 0, 0, 0)...), rejectEmpty, mib},
 		// well-formed runs but for the one thing named.
 		{"runs", "keyed 2 in reducer 0's run", append(append(uv(1, 0, 16, 1), pair(2, 7)...), forgedNoRuns[4:]...), nil, 1 << 20},
 		{"runs", "mapper 1 reducer 2 where mapper 1 reducer 0's belongs", uv(1, 2, 0, 0, 1, 0, 0, 0, 3, 0, 0, 0, 3, 2, 0, 0), nil, 1 << 20},
@@ -377,17 +378,28 @@ func TestDistGatherOwnership(t *testing.T) {
 	}
 }
 
+// outputRuns builds one output run per reducer from outs.
+func outputRuns(outs [][]string, pool *BufferPool) []run[string] {
+	runs := make([]run[string], len(outs))
+	for r, rs := range outs {
+		for _, o := range rs {
+			runs[r].add(o, pool)
+		}
+	}
+	return runs
+}
+
 // FuzzDistGathers: whatever bytes worker 1 ships as its map-stats or
 // outputs payload, worker 0's barrier fails or learns exactly what the
 // payload encodes — its counters, error and per-reducer figures and
-// outputs re-encode to the same bytes — never panics, and allocates no
-// more than a small multiple of the payload. The seeds are built by the
-// barriers' own encoders, so each decodes to what was encoded.
+// output runs re-encode to the same bytes — never panics, and allocates
+// no more than a small multiple of the payload. The seeds are built by
+// the barriers' own encoders, so each decodes to what was encoded.
 func FuzzDistGathers(f *testing.F) {
 	const nm, nr = 4, 4
 	mapSeed := appendMapReport(nil, [mapBarrierCounters]int64{3, 1}, taskError{idx: -1})
 	pairs, priced, keys := []int64{0, 5, 0, 2}, []int64{0, 80, 0, 32}, []int64{0, 1, 0, 1}
-	outs := [][]string{nil, {"1:2,3,", ""}, nil, {"3:9,"}}
+	outs := outputRuns([][]string{nil, {"1:2,3,", ""}, nil, {"3:9,"}}, NewBufferPool())
 	outSeed := appendReduceReport([reduceBarrierCounters]int64{2, 0, 123, 4}, taskError{idx: -1}, 1, 2, pairs, priced, keys, outs, distTestJob(Config{}).EncodeOutput)
 	f.Add(false, mapSeed)
 	f.Add(true, outSeed)
@@ -402,12 +414,12 @@ func FuzzDistGathers(f *testing.F) {
 		j := distTestJob(Config{Name: "fuzz", NumReducers: nr, NumMappers: nm, Dist: d})
 		// Worker 0 contributes nothing, so what it ends with is worker 1's.
 		stats := &Stats{Job: "fuzz", PairsPerReducer: make([]int64, nr)}
-		outputs, keyCounts, bytesPerReducer := make([][]string, nr), make([]int64, nr), make([]int64, nr)
+		outputs, keyCounts, bytesPerReducer := make([]run[string], nr), make([]int64, nr), make([]int64, nr)
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
 		var err error
 		if gatherOutputs {
-			err = distReduceBarrier(j, &j.Config, stats, outputs, keyCounts, bytesPerReducer, make([]error, nr), 0, 0)
+			err = distReduceBarrier(j, &j.Config, stats, outputs, keyCounts, bytesPerReducer, make([]error, nr), 0, 0, NewBufferPool())
 		} else {
 			err = distMapBarrier(d, stats, make([]error, nm))
 		}

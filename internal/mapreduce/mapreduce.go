@@ -19,8 +19,10 @@
 //   - each mapper folds the PairBytes accounting into its runs;
 //   - the shuffle concatenates every reducer's runs in mapper order, in
 //     parallel across reducers;
-//   - Reduce runs once per reducer that received values;
-//   - reducer outputs are concatenated in reducer-index order.
+//   - Reduce runs once per reducer that received values, its outputs
+//     appended to a run of pooled chunks like a map run's;
+//   - the job's output is one slice of exactly the runs' total length,
+//     each run copied into it once, in reducer-index order.
 //
 // The engine is deterministic regardless of goroutine scheduling: a
 // reducer's values arrive in (mapper index, emit order) and outputs are
@@ -82,11 +84,12 @@ type Config struct {
 	// root job span). A nil Tracer costs nothing.
 	Tracer      *trace.Tracer
 	TraceParent trace.SpanID
-	// Pool recycles the engine's large scratch buffers — the map side's
-	// run chunks and the shuffled reducer inputs — across task attempts
-	// and, when callers share one pool, across jobs: the spatial
-	// executor passes one pool for the whole process, so concurrent
-	// executions share it. A pool retains at most MaxPoolBytes; see
+	// Pool recycles the engine's large scratch buffers — the chunks map
+	// runs and reducer outputs live in, and the shuffled reducer inputs —
+	// across task attempts and, when callers share one pool, across
+	// jobs: the spatial executor passes one pool for the whole process,
+	// so concurrent executions share it. A pool retains at most
+	// MaxPoolBytes; see
 	// BufferPool for the lifecycle rules. Nil means a pool private to
 	// this job, dropped when it returns. Results and Stats never depend
 	// on which. On a shared pool Reduce must not retain its values slice
@@ -259,14 +262,20 @@ type Job[I any, K ReducerKey, V any, O any] struct {
 	// between workers (Config.Dist with NumWorkers > 1 requires them) —
 	// the engine frames records itself, one per pair, preserving run
 	// order. A decoded pair whose key is not the reducer of the run it
-	// arrived in is an error.
+	// arrived in is an error. rec is valid only during the call: a
+	// value that keeps bytes of it must copy them.
 	EncodePair func(key K, value V, buf []byte) []byte
 	DecodePair func(rec []byte) (K, V, error)
 	// EncodeOutput appends the wire encoding of one reducer output
-	// record to buf; DecodeOutput parses one back. They are the codec
-	// the distributed reduce barrier uses to all-gather reducer outputs
+	// record to buf; DecodeOutput parses one back, copying what it
+	// keeps of rec as DecodePair does. They are the codec the
+	// distributed reduce barrier uses to all-gather reducer outputs
 	// across workers (Config.Dist with NumWorkers > 1 requires them);
-	// in-process jobs never call them.
+	// in-process jobs never call them. The barrier sizes its payload as
+	// each reducer's output count times the encoded length of its first
+	// output, so the codec should be fixed-width within a job: a
+	// variable-width one still round-trips, but its payload may regrow
+	// (a short first record) or reserve more than it fills (a long one).
 	EncodeOutput func(out O, buf []byte) []byte
 	DecodeOutput func(rec []byte) (O, error)
 }
@@ -483,9 +492,12 @@ func (j *Job[I, K, V, O]) RunSplits(n int, read func(lo, hi int, yield func(I) e
 	}
 
 	// ---- reduce phase ----
+	// Each reducer's outputs go into a run of pooled chunks, so a large
+	// reducer's output is never copied while it grows; the job's output
+	// is assembled from the runs once, at its exact size.
 	reduceSpan := tr.Start(jobSpan, trace.KindPhase, "reduce")
 	reduceStart := time.Now()
-	outputs := make([][]O, nr)
+	outputs := make([]run[O], nr)
 	keyCounts := make([]int64, nr)
 	redErrs := make([]error, nr)
 	redRuns := make([]taskRun, nr)
@@ -499,25 +511,24 @@ func (j *Job[I, K, V, O]) RunSplits(n int, read func(lo, hi int, yield func(I) e
 		if len(vs) == 0 {
 			return
 		}
-		body := func() ([]O, error) {
-			// An estimate, capped so a selective reducer wastes little.
-			out := make([]O, 0, min(len(vs)/2, 4096))
-			emit := func(o O) { out = append(out, o) }
+		body := func() (run[O], error) {
+			var out run[O]
+			emit := func(o O) { out.add(o, pool) }
 			if err := safeReduce(j.Reduce, K(r), vs, emit); err != nil {
 				return out, fmt.Errorf("mapreduce: job %q: reducer %d: %w", cfg.Name, r, err)
 			}
 			return out, nil
 		}
-		// A discarded reduce attempt holds no pooled buffer: its partial
-		// output is simply dropped.
-		outputs[r], redErrs[r] = runAttempts(&cfg, "reducer", r, cfg.FailReduce, traced, &redRuns[r], body, func([]O) {})
+		outputs[r], redErrs[r] = runAttempts(&cfg, "reducer", r, cfg.FailReduce, traced, &redRuns[r], body,
+			func(out run[O]) { out.recycle(pool) })
 		if redErrs[r] == nil {
 			keyCounts[r] = 1
 		}
 	})
 	// The reduce phase — every retry included — has committed; the
-	// shuffled input is dead (outputs are freshly appended []O and Reduce
-	// must not retain its values on a shared pool), so it recycles here.
+	// shuffled input is dead (outputs are copies in their own chunks, and
+	// Reduce must not retain its values on a shared pool), so it recycles
+	// here.
 	putBuf(&pool.vals, in)
 	for r := range redRuns {
 		stats.ReduceAttempts += redRuns[r].attempts
@@ -530,31 +541,34 @@ func (j *Job[I, K, V, O]) RunSplits(n int, read func(lo, hi int, yield func(I) e
 		// reduce accounting so every worker assembles the complete,
 		// bit-identical result and identical global Stats (including the
 		// ShuffleNetworkBytes/Runs totals of stage 2).
-		if err := distReduceBarrier(j, &cfg, stats, outputs, keyCounts, bytesPerReducer, redErrs, netBytes, netRuns); err != nil {
+		if err := distReduceBarrier(j, &cfg, stats, outputs, keyCounts, bytesPerReducer, redErrs, netBytes, netRuns, pool); err != nil {
+			recycleRuns(pool, outputs)
 			tr.End(reduceSpan)
 			return nil, nil, err
 		}
 	}
 
-	total := 0
-	for r := range outputs {
-		total += len(outputs[r])
+	var redErr error
+	for _, err := range redErrs {
+		if err != nil {
+			redErr = err
+			break
+		}
 	}
-	var out []O // stays nil when nothing was emitted
-	if total > 0 {
-		out = make([]O, 0, total)
+	var out []O
+	if redErr != nil {
+		recycleRuns(pool, outputs)
+	} else {
+		out = gatherOutput(outputs, pool)
 	}
-	for r := 0; r < cfg.NumReducers; r++ {
+	for r := range keyCounts {
 		stats.ReduceInputKeys += keyCounts[r]
-		out = append(out, outputs[r]...)
 	}
 	stats.ReduceOutputRecords = int64(len(out))
 	logTaskAttempts(tr, reduceSpan, "reduce", redRuns)
 	tr.End(reduceSpan)
-	for _, err := range redErrs {
-		if err != nil {
-			return nil, nil, err
-		}
+	if redErr != nil {
+		return nil, nil, redErr
 	}
 
 	stats.TotalWall = time.Since(start)

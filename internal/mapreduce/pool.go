@@ -6,9 +6,9 @@ import (
 )
 
 // BufferPool recycles large scratch buffers across jobs, task attempts
-// and executions: the map side's run chunks, the slab a job's reducer
-// inputs are shuffled into, and fixed-size pages a caller's own stores
-// are built from (GetPage). At paper scale those buffers dominate the
+// and executions: the chunks map runs and reducer outputs live in, the
+// slab a job's reducer inputs are shuffled into, and fixed-size pages a
+// caller's own stores are built from (GetPage). At paper scale those buffers dominate the
 // allocation profile — a pool turns the per-job churn into a handful of
 // steady-state arrays. Every job runs on one; pass a shared pool via
 // Config.Pool so it serves every job that names it. The spatial
@@ -18,14 +18,18 @@ import (
 //
 //   - A buffer is recycled only where its user holds the sole live
 //     reference: the chunks of discarded fault-injection attempts, of
-//     runs the shuffle has copied or shipped, the reducer input slab
+//     map runs the shuffle has copied or shipped and of output runs
+//     the job has copied into its result, the reducer input slab
 //     after the whole reduce phase — every retry included — has
 //     committed, and a page once nothing reads the store it served.
+//   - A chunk is cleared before it goes back, so a pooled chunk keeps
+//     nothing alive that its values pointed to (a result tuple's IDs).
 //   - Recycled buffers never alias committed output: reducer outputs
-//     are freshly appended []O slices, and on a shared pool Reduce
-//     implementations must not retain the values slice (or subslices
-//     of it) after returning — copy what they keep, which every
-//     reducer in this repository already does.
+//     live in pooled chunks until the job's output, a fresh slice of
+//     exactly their total length, is assembled from them, and on a
+//     shared pool Reduce implementations must not retain the values
+//     slice (or subslices of it) after returning — copy what they
+//     keep, which every reducer in this repository already does.
 //   - Pools are type-erased (free lists of arrays kept apart by their
 //     element type): a Get is served only by an array of the requesting
 //     job's V, so one pool safely serves heterogeneous job pipelines. A
@@ -56,18 +60,18 @@ type BufferPool struct {
 	retained int64                       // bytes the three lists hold
 	held     map[unsafe.Pointer]struct{} // arrays currently held
 
-	chunks freeList // []V — map-side run chunks, chunkBytes each
+	chunks freeList // []V and []O — map and output run chunks, chunkBytes each
 	vals   freeList // []V — a job's shuffled reducer inputs, one slab
 	pages  freeList // []byte — PageBytes each, for callers' stores
 }
 
 // MaxPoolBytes caps the bytes one pool retains. One cascade_uniform
-// execution (3 × 50,000 rectangles, two rounds) ends holding 23.4 MB:
-// its partial stores' pages, a round's map chunks and the larger
-// round's reducer-input slab. The cap keeps one such working set warm;
-// a second concurrent execution of that size draws fresh memory for the
-// rest. Retained bytes are live heap, which the collector paces on, so
-// a larger cap buys allocation with peak RSS: 32 MiB raised
+// execution (3 × 50,000 rectangles, two rounds) ends holding 24.0 MB:
+// its partial stores' pages, a round's map and output chunks and the
+// larger round's reducer-input slab. The cap keeps one such working set
+// warm; a second concurrent execution of that size draws fresh memory
+// for the rest. Retained bytes are live heap, which the collector paces
+// on, so a larger cap buys allocation with peak RSS: 32 MiB raised
 // served_mix's peak by a quarter (EXPERIMENTS.md, "One pool per
 // process").
 const MaxPoolBytes = 24 << 20

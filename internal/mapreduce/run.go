@@ -7,10 +7,11 @@ import "unsafe"
 // thousands takes few.
 const chunkBytes = 4 << 10
 
-// run is one map attempt's values for one reducer, in emit order. The
-// values live in fixed-size pooled chunks, every one full but the last,
-// so a growing run is never copied; the shuffle copies each value once,
-// into its reducer's input.
+// run is one map attempt's values for one reducer, or one reduce
+// attempt's outputs, in emit order. The values live in fixed-size pooled
+// chunks, every one full but the last, so a growing run is never copied;
+// the shuffle copies each map value once, into its reducer's input, and
+// the job copies each output once, into its result.
 type run[V any] struct {
 	chunks [][]V
 	n      int   // values held
@@ -33,12 +34,24 @@ func chunkLen[V any](v V) int {
 }
 
 // recycle hands the run's chunks back to the pool, once nothing else
-// holds them.
+// holds them. Each is cleared first, so a pooled chunk keeps nothing
+// its values pointed to alive — a result's ID slab, say.
 func (b *run[V]) recycle(pool *BufferPool) {
 	for _, c := range b.chunks {
+		clear(c)
 		putBuf(&pool.chunks, c)
 	}
 	b.chunks, b.n = nil, 0
+}
+
+// drain copies the run's values, in order, to the front of dst, recycles
+// its chunks and returns the rest of dst.
+func (b *run[V]) drain(dst []V, pool *BufferPool) []V {
+	for _, c := range b.chunks {
+		dst = dst[copy(dst, c):]
+	}
+	b.recycle(pool)
+	return dst
 }
 
 // priceRun sums PairBytes over one map attempt's run for reducer key,
@@ -57,18 +70,33 @@ func priceRun[K ReducerKey, V any](b *run[V], key K, pairBytes func(K, V) int) {
 // its runs in mapper order, recycling each run's chunks once copied.
 func gatherInput[V any](dst []V, runs [][]run[V], r int, pool *BufferPool) {
 	for m := range runs {
-		b := &runs[m][r]
-		at := dst[:b.n]
-		for _, c := range b.chunks {
-			at = at[copy(at, c):]
-		}
-		dst = dst[b.n:]
-		b.recycle(pool)
+		dst = runs[m][r].drain(dst, pool)
 	}
 }
 
-// recycleRuns returns a discarded attempt's chunks to the pool: the
-// failed attempt has returned, so the engine holds the only reference.
+// gatherOutput assembles a job's output from its reducers' runs: one
+// fresh slice of exactly their total length, holding them in reducer
+// order, each run's chunks recycled once copied. It is nil when no
+// reducer emitted.
+func gatherOutput[O any](runs []run[O], pool *BufferPool) []O {
+	total := 0
+	for r := range runs {
+		total += runs[r].n
+	}
+	if total == 0 {
+		return nil
+	}
+	out := make([]O, total)
+	at := out
+	for r := range runs {
+		at = runs[r].drain(at, pool)
+	}
+	return out
+}
+
+// recycleRuns returns runs nothing will read to the pool — a discarded
+// map attempt's, or the outputs of a job that failed: their attempts
+// have returned, so the engine holds the only reference.
 func recycleRuns[V any](pool *BufferPool, runs []run[V]) {
 	for r := range runs {
 		runs[r].recycle(pool)
