@@ -8,6 +8,9 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"mwsjoin/internal/mapreduce"
+	"mwsjoin/internal/spatial"
 )
 
 // The data plane: each pair of workers in a session's roster shares one
@@ -82,57 +85,60 @@ func writeFrame(w io.Writer, seq uint64, payload []byte) error {
 	return err
 }
 
-// lentFrameMin is the smallest payload readFrame reads into a recycled
-// declaredChunk rather than an allocation of its own: a chunk then
-// holds at most four times the bytes it carries, and the mesh takes it
-// back once the engine is done with the payload (lend). Barrier frames
-// — counters and an error — stay exact allocations.
-const lentFrameMin = declaredChunk / 4
+// lentFrameMin is the smallest payload readFrame reads into a frame
+// from the process pool rather than an allocation of its own, and
+// recycleFrame hands back: the run exchanges and gathered outputs.
+// Barrier frames — counters and an error — stay exact allocations, so a
+// pooled frame never carries a few dozen bytes.
+const lentFrameMin = 128 << 10
 
 // readFrame reads one frame as writeFrame wrote it. A header declaring
-// more than maxFrameBytes fails before any payload is read, and the
-// payload's memory follows the bytes that arrive, not the length the
-// header claims: a peer that declares a gigabyte and sends nothing
-// costs one declaredChunk. A payload of lentFrameMin to declaredChunk
-// bytes is read into a recycled chunk, which recycleFrame takes back.
-func readFrame(r io.Reader) (seq uint64, payload []byte, err error) {
+// more than maxFrameBytes fails before any payload is read. A payload of
+// lentFrameMin bytes or more is read into a frame from pool when pool
+// holds one that large; the frame goes back to pool if the read fails.
+// Otherwise the payload's memory follows the bytes that arrive, not the
+// length the header claims (readDeclared): a peer that declares a
+// gigabyte and sends nothing costs one declaredChunk.
+func readFrame(r io.Reader, pool *mapreduce.BufferPool) (seq uint64, payload []byte, err error) {
 	var hdr [frameHeaderBytes]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
 	}
 	seq = binary.LittleEndian.Uint64(hdr[:8])
-	n := binary.LittleEndian.Uint32(hdr[8:])
+	n := int(binary.LittleEndian.Uint32(hdr[8:]))
 	if err := checkFrameLen(int64(n)); err != nil {
 		return 0, nil, err
 	}
-	if n >= lentFrameMin && n <= declaredChunk {
-		c := declaredChunks.Get().(*[declaredChunk]byte)
-		if _, err := io.ReadFull(r, c[:n]); err != nil {
-			declaredChunks.Put(c)
-			return 0, nil, eofIsUnexpected(err)
+	if n < lentFrameMin {
+		payload, err = readDeclared(r, n, n)
+	} else if payload = pool.GetFrame(n); payload != nil {
+		if _, err = io.ReadFull(r, payload); err != nil {
+			pool.PutFrame(payload)
+			err = eofIsUnexpected(err)
 		}
-		return seq, c[:n], nil
+	} else {
+		payload, err = readDeclared(r, n, mapreduce.FrameCap(n))
 	}
-	if payload, err = readDeclared(r, int(n)); err != nil {
+	if err != nil {
 		return 0, nil, err
 	}
 	return seq, payload, nil
 }
 
-// recycleFrame hands a payload readFrame read into a declaredChunk back
-// to declaredChunks; any other payload is left to the collector. The
-// caller must hold the only reference to the payload's bytes.
-func recycleFrame(payload []byte) {
-	if cap(payload) == declaredChunk {
-		declaredChunks.Put((*[declaredChunk]byte)(payload[:declaredChunk]))
+// recycleFrame hands a payload of lentFrameMin bytes or more back to
+// pool. The caller must hold the only reference to its bytes.
+func recycleFrame(pool *mapreduce.BufferPool, payload []byte) {
+	if len(payload) >= lentFrameMin {
+		pool.PutFrame(payload)
 	}
 }
 
 // meshConn is one peer connection: writes serialized by a mutex, reads
 // demuxed by a single reader goroutine into the seq-keyed pending map.
 type meshConn struct {
-	c  net.Conn
-	wg sync.WaitGroup
+	c    net.Conn
+	pool *mapreduce.BufferPool // frames are read into and recycled to
+	wg   sync.WaitGroup
 
 	wmu sync.Mutex // serializes frame writes
 
@@ -145,8 +151,8 @@ type meshConn struct {
 	notify chan struct{} // cap 1: kicked after every delivery
 }
 
-func newMeshConn(c net.Conn) *meshConn {
-	mc := &meshConn{c: c, pending: make(map[uint64][]byte), notify: make(chan struct{}, 1)}
+func newMeshConn(c net.Conn, pool *mapreduce.BufferPool) *meshConn {
+	mc := &meshConn{c: c, pool: pool, pending: make(map[uint64][]byte), notify: make(chan struct{}, 1)}
 	mc.wg.Add(1)
 	go mc.readLoop()
 	return mc
@@ -158,12 +164,12 @@ func newMeshConn(c net.Conn) *meshConn {
 func (mc *meshConn) readLoop() {
 	defer mc.wg.Done()
 	for {
-		seq, payload, err := readFrame(mc.c)
+		seq, payload, err := readFrame(mc.c, mc.pool)
 		if err == nil {
 			mc.mu.Lock()
 			if _, parked := mc.pending[seq]; parked || seq < mc.taken {
 				err = &DuplicateFrameError{Seq: seq}
-				recycleFrame(payload)
+				recycleFrame(mc.pool, payload)
 			} else {
 				mc.pending[seq] = payload
 			}
@@ -234,7 +240,7 @@ func (mc *meshConn) close() {
 	mc.mu.Lock()
 	for seq, payload := range mc.pending {
 		delete(mc.pending, seq)
-		recycleFrame(payload)
+		recycleFrame(mc.pool, payload)
 	}
 	mc.mu.Unlock()
 }
@@ -245,6 +251,9 @@ type mesh struct {
 	conns   []*meshConn // indexed by peer; nil at self
 	seq     uint64
 	timeout time.Duration
+	// pool is where the peers' payloads are read into and go back to:
+	// the process pool, whose frames the engine encodes its own in.
+	pool *mapreduce.BufferPool
 
 	// exchanges counts completed AllToAll entries; when dieAfter is
 	// positive and the counter reaches it, onDie fires before the
@@ -266,7 +275,7 @@ func dialMesh(self int, roster []string, session string, attempt int, reg *meshR
 	if timeout <= 0 {
 		timeout = defaultExchangeTimeout
 	}
-	m := &mesh{self: self, conns: make([]*meshConn, len(roster)), timeout: timeout}
+	m := &mesh{self: self, conns: make([]*meshConn, len(roster)), timeout: timeout, pool: spatial.SharedPool()}
 	for p := range roster {
 		var c net.Conn
 		var err error
@@ -282,7 +291,7 @@ func dialMesh(self int, roster []string, session string, attempt int, reg *meshR
 			m.close()
 			return nil, fmt.Errorf("cluster: mesh setup with peer %d: %w", p, err)
 		}
-		m.conns[p] = newMeshConn(c)
+		m.conns[p] = newMeshConn(c, m.pool)
 	}
 	return m, nil
 }
@@ -362,7 +371,7 @@ func (m *mesh) AllToAll(tag string, outgoing [][]byte) ([][]byte, error) {
 // returned or from its next AllToAll.
 func (m *mesh) recycleLent() {
 	for i, payload := range m.lent {
-		recycleFrame(payload)
+		recycleFrame(m.pool, payload)
 		m.lent[i] = nil
 	}
 	m.lent = m.lent[:0]

@@ -137,7 +137,7 @@ func readMessage(br *bufio.Reader) (*message, error) {
 		if err := checkFrameLen(n); err != nil {
 			return nil, err
 		}
-		if *fields[i], err = readDeclared(br, int(n)); err != nil {
+		if *fields[i], err = readDeclared(br, int(n), int(n)); err != nil {
 			return nil, fmt.Errorf("cluster: %s attachment: %w", m.Type, err)
 		}
 		m.wireBytes += n
@@ -179,14 +179,15 @@ func readHeaderLine(br *bufio.Reader) ([]byte, error) {
 // bytes in before it joins them.
 var declaredChunks = sync.Pool{New: func() any { return new([declaredChunk]byte) }}
 
-// readDeclared reads n bytes that a header declared. Up to
-// declaredChunk it is one exact allocation; beyond, the bytes are
-// collected in recycled chunks as they arrive and copied into one
-// allocation only once all n have, so a header that lies about a length
-// costs at most a chunk more than was really sent.
-func readDeclared(r io.Reader, n int) ([]byte, error) {
+// readDeclared reads n bytes that a header declared into a buffer of
+// capacity capacity (at least n). Up to declaredChunk it is one
+// allocation; beyond, the bytes are collected in recycled chunks as they
+// arrive and copied into one allocation only once all n have, so a
+// header that lies about a length costs at most a chunk more than was
+// really sent.
+func readDeclared(r io.Reader, n, capacity int) ([]byte, error) {
 	if n <= declaredChunk {
-		buf := make([]byte, n)
+		buf := make([]byte, n, capacity)
 		_, err := io.ReadFull(r, buf)
 		return buf, eofIsUnexpected(err)
 	}
@@ -203,7 +204,7 @@ func readDeclared(r io.Reader, n int) ([]byte, error) {
 			return nil, eofIsUnexpected(err)
 		}
 	}
-	buf := make([]byte, 0, n)
+	buf := make([]byte, 0, capacity)
 	for _, c := range chunks {
 		buf = append(buf, c[:min(n-len(buf), declaredChunk)]...)
 	}

@@ -39,10 +39,14 @@ type Exchanger interface {
 	// AllToAll sends outgoing[w] to worker w (outgoing[self] is returned
 	// locally without touching the network) and returns the payloads
 	// received from every worker, indexed by worker. tag labels the
-	// exchange for diagnostics only. The engine decodes what a call
-	// returns before it makes its next call and keeps no byte of it
-	// (DecodePair and DecodeOutput copy), so an implementation may reuse
-	// the memory of the payloads it returned from its next call on.
+	// exchange for diagnostics only. An implementation keeps no reference
+	// to outgoing once it returns: the engine puts its payloads back in
+	// its pool then, to be encoded over by its next exchange, so a fabric
+	// that delivers after returning must copy what it carries. The engine
+	// decodes what a call returns before it makes its next call and keeps
+	// no byte of it (DecodePair and DecodeOutput copy), so an
+	// implementation may reuse the memory of the payloads it returned
+	// from its next call on.
 	AllToAll(tag string, outgoing [][]byte) ([][]byte, error)
 }
 
@@ -278,8 +282,10 @@ const runPairSlack = 4
 // the remote runs of the reducers this worker owns. On return,
 // runs[m][r] is populated for every locally-owned reducer column r
 // exactly as an in-process run would have built it; remote mappers'
-// rows are materialized so the shuffle can index them. Returns the
-// bytes and non-empty runs shipped to remote workers.
+// rows are materialized so the shuffle can index them. Each payload is
+// encoded into a frame from pool, which goes back once the exchange
+// returns. Returns the bytes and non-empty runs shipped to remote
+// workers.
 func distExchangeRuns[I any, K ReducerKey, V any, O any](j *Job[I, K, V, O], cfg *Config, runs [][]run[V], nm int, pool *BufferPool) (int64, int64, error) {
 	d := cfg.Dist
 	W := d.NumWorkers
@@ -299,7 +305,7 @@ func distExchangeRuns[I any, K ReducerKey, V any, O any](j *Job[I, K, V, O], cfg
 				size += int(b.bytes) + b.n*runPairSlack + 4*binary.MaxVarintLen32
 			}
 		}
-		buf := make([]byte, 0, size)
+		buf := getFrame(&pool.frames, size)
 		for m := d.Self; m < nm; m += W {
 			for r := u; r < cfg.NumReducers; r += W {
 				b := &runs[m][r]
@@ -316,6 +322,9 @@ func distExchangeRuns[I any, K ReducerKey, V any, O any](j *Job[I, K, V, O], cfg
 		sentBytes += int64(len(buf))
 	}
 	incoming, err := d.Exchanger.AllToAll("runs", outgoing)
+	for _, buf := range outgoing {
+		putBuf(&pool.frames, buf)
+	}
 	if err != nil {
 		return 0, 0, fmt.Errorf("mapreduce: job %q: run exchange: %w", cfg.Name, err)
 	}
@@ -423,17 +432,18 @@ type reducerReport struct {
 	recs               []byte
 }
 
-// appendReduceReport encodes worker w's reduce-barrier payload: its
-// counters and lowest-index reduce error, the count of reducers it owns,
-// then one reducerReport per owned reducer r ≡ w (mod W), ascending, read
-// from the per-reducer pairs, bytes and keys slices and output runs.
-func appendReduceReport[O any](c [reduceBarrierCounters]int64, e taskError, w, W int, pairs, bytes, keys []int64, outputs []run[O], encode func(O, []byte) []byte) []byte {
+// appendReduceReport encodes worker w's reduce-barrier payload into a
+// frame from pool: its counters and lowest-index reduce error, the count
+// of reducers it owns, then one reducerReport per owned reducer
+// r ≡ w (mod W), ascending, read from the per-reducer pairs, bytes and
+// keys slices and output runs.
+func appendReduceReport[O any](pool *BufferPool, c [reduceBarrierCounters]int64, e taskError, w, W int, pairs, bytes, keys []int64, outputs []run[O], encode func(O, []byte) []byte) []byte {
 	// The payload's capacity is fixed before the first append: the
 	// all-gathered outputs are the job's whole result, and growing a
 	// buffer that large by doubling allocates it twice over. A run is
 	// sized as its count times its first record: every output codec of
-	// the spatial jobs is fixed-width per job, and append grows the
-	// buffer for one that is not.
+	// the spatial jobs is fixed-width per job (Job.EncodeOutput), and
+	// append grows the frame for one that is not.
 	var rec []byte
 	size := (reduceBarrierCounters+3)*binary.MaxVarintLen64 + len(e.msg)
 	for r := w; r < len(outputs); r += W {
@@ -443,7 +453,7 @@ func appendReduceReport[O any](c [reduceBarrierCounters]int64, e taskError, w, W
 			size += b.n * (uvarintLen(uint64(len(rec))) + len(rec))
 		}
 	}
-	buf := make([]byte, 0, size)
+	buf := getFrame(&pool.frames, size)
 	for _, v := range c {
 		buf = appendUvarint(buf, uint64(v))
 	}
@@ -525,7 +535,9 @@ func parseReduceReport(buf []byte, w, W, nr int, entry func(reducerReport) error
 // identical on every worker — a remote reducer's outputs decoded into
 // its run, in chunks from pool, so the job assembles local and adopted
 // runs alike; a reduce failure anywhere surfaces the same
-// lowest-reducer error everywhere.
+// lowest-reducer error everywhere. The payload is encoded into a frame
+// from pool, which goes back once every gathered payload is decoded: the
+// exchange returns this worker's own payload as its own entry.
 func distReduceBarrier[I any, K ReducerKey, V any, O any](j *Job[I, K, V, O], cfg *Config, stats *Stats, outputs []run[O], keyCounts []int64, bytesPerReducer []int64, redErrs []error, netBytes, netRuns int64, pool *BufferPool) error {
 	d := cfg.Dist
 	locErr := taskError{idx: -1}
@@ -535,8 +547,9 @@ func distReduceBarrier[I any, K ReducerKey, V any, O any](j *Job[I, K, V, O], cf
 			break
 		}
 	}
-	payload := appendReduceReport([reduceBarrierCounters]int64{stats.ReduceAttempts, stats.ReduceFailures, netBytes, netRuns},
+	payload := appendReduceReport(pool, [reduceBarrierCounters]int64{stats.ReduceAttempts, stats.ReduceFailures, netBytes, netRuns},
 		locErr, d.Self, d.NumWorkers, stats.PairsPerReducer, bytesPerReducer, keyCounts, outputs, j.EncodeOutput)
+	defer putBuf(&pool.frames, payload)
 
 	incoming, err := distGather(d, "outputs", payload)
 	if err != nil {

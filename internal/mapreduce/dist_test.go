@@ -15,10 +15,15 @@ import (
 
 // chanHub is an in-memory Exchanger fabric: chans[from][to] carries the
 // framed payloads of one worker pair, so W goroutine workers can run
-// the SPMD engine without a network.
+// the SPMD engine without a network. A payload is delivered after its
+// sender's AllToAll returns, so the hub carries a copy of it: a fresh
+// one, or, when pool is set, one in a frame from pool that the
+// receiving exchanger puts back at its next exchange (or recycle), as
+// the cluster's mesh does.
 type chanHub struct {
 	w     int
 	chans [][]chan []byte
+	pool  *BufferPool
 }
 
 func newChanHub(w int) *chanHub {
@@ -32,20 +37,35 @@ func newChanHub(w int) *chanHub {
 	return h
 }
 
-func (h *chanHub) exchanger(self int) Exchanger { return &chanExchanger{h: h, self: self} }
+func (h *chanHub) exchanger(self int) *chanExchanger { return &chanExchanger{h: h, self: self} }
+
+// carry copies payload for delivery.
+func (h *chanHub) carry(payload []byte) []byte {
+	if h.pool == nil {
+		return bytes.Clone(payload)
+	}
+	frame := h.pool.GetFrame(len(payload))
+	if frame == nil {
+		frame = make([]byte, len(payload), FrameCap(len(payload)))
+	}
+	copy(frame, payload)
+	return frame
+}
 
 type chanExchanger struct {
 	h    *chanHub
 	self int
+	lent [][]byte // the pooled payloads the last AllToAll returned
 }
 
 func (e *chanExchanger) AllToAll(tag string, outgoing [][]byte) ([][]byte, error) {
 	if len(outgoing) != e.h.w {
 		return nil, fmt.Errorf("AllToAll %s: %d payloads for %d workers", tag, len(outgoing), e.h.w)
 	}
+	e.recycle()
 	for w := 0; w < e.h.w; w++ {
 		if w != e.self {
-			e.h.chans[e.self][w] <- outgoing[w]
+			e.h.chans[e.self][w] <- e.h.carry(outgoing[w])
 		}
 	}
 	in := make([][]byte, e.h.w)
@@ -53,9 +73,23 @@ func (e *chanExchanger) AllToAll(tag string, outgoing [][]byte) ([][]byte, error
 	for w := 0; w < e.h.w; w++ {
 		if w != e.self {
 			in[w] = <-e.h.chans[w][e.self]
+			if e.h.pool != nil {
+				e.lent = append(e.lent, in[w])
+			}
 		}
 	}
 	return in, nil
+}
+
+// recycle puts the payloads the last AllToAll returned back in the
+// hub's pool. The engine has decoded them by its next exchange, or once
+// its job returns.
+func (e *chanExchanger) recycle() {
+	for i, p := range e.lent {
+		e.h.pool.PutFrame(p)
+		e.lent[i] = nil
+	}
+	e.lent = e.lent[:0]
 }
 
 // distTestJob builds the reference job the distributed equivalence
@@ -400,7 +434,7 @@ func FuzzDistGathers(f *testing.F) {
 	mapSeed := appendMapReport(nil, [mapBarrierCounters]int64{3, 1}, taskError{idx: -1})
 	pairs, priced, keys := []int64{0, 5, 0, 2}, []int64{0, 80, 0, 32}, []int64{0, 1, 0, 1}
 	outs := outputRuns([][]string{nil, {"1:2,3,", ""}, nil, {"3:9,"}}, NewBufferPool())
-	outSeed := appendReduceReport([reduceBarrierCounters]int64{2, 0, 123, 4}, taskError{idx: -1}, 1, 2, pairs, priced, keys, outs, distTestJob(Config{}).EncodeOutput)
+	outSeed := appendReduceReport(NewBufferPool(), [reduceBarrierCounters]int64{2, 0, 123, 4}, taskError{idx: -1}, 1, 2, pairs, priced, keys, outs, distTestJob(Config{}).EncodeOutput)
 	f.Add(false, mapSeed)
 	f.Add(true, outSeed)
 	f.Add(false, appendMapReport(nil, [mapBarrierCounters]int64{}, taskError{idx: 3, msg: "mapper 3 failed"}))
@@ -433,7 +467,7 @@ func FuzzDistGathers(f *testing.F) {
 		var got []byte
 		if gatherOutputs {
 			c := [reduceBarrierCounters]int64{stats.ReduceAttempts, stats.ReduceFailures, stats.ShuffleNetworkBytes, stats.ShuffleNetworkRuns}
-			got = appendReduceReport(c, taskError{idx: -1}, 1, 2, stats.PairsPerReducer, bytesPerReducer, keyCounts, outputs, j.EncodeOutput)
+			got = appendReduceReport(NewBufferPool(), c, taskError{idx: -1}, 1, 2, stats.PairsPerReducer, bytesPerReducer, keyCounts, outputs, j.EncodeOutput)
 		} else {
 			got = appendMapReport(nil, [mapBarrierCounters]int64{stats.MapAttempts, stats.MapFailures}, taskError{idx: -1})
 		}
@@ -534,5 +568,118 @@ func TestDistValidation(t *testing.T) {
 	j.Config.Dist = &DistConfig{NumWorkers: 1, Self: 0}
 	if _, _, err := j.Run(input); err != nil {
 		t.Errorf("degenerate single worker: %v", err)
+	}
+}
+
+// paddedRecordBytes is the width of every record paddedTestJob encodes:
+// a value and zero padding, so its exchanges carry megabytes while
+// everything else the job allocates stays small.
+const paddedRecordBytes = 512
+
+// paddedTestJob routes value v to reducer v mod NumReducers and emits
+// every value it reduces, so both the run exchange and the reduce
+// barrier carry one padded record per input value.
+func paddedTestJob(cfg Config) *Job[int, int, int, int] {
+	nr := cfg.NumReducers
+	encode := func(v int, buf []byte) []byte {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
+		return append(buf, make([]byte, paddedRecordBytes-8)...)
+	}
+	decode := func(rec []byte) (int, error) {
+		if len(rec) != paddedRecordBytes {
+			return 0, fmt.Errorf("record of %d bytes, want %d", len(rec), paddedRecordBytes)
+		}
+		return int(binary.LittleEndian.Uint64(rec)), nil
+	}
+	return &Job[int, int, int, int]{
+		Config: cfg,
+		Map: func(in int, emit func(int, int)) error {
+			emit(in%nr, in)
+			return nil
+		},
+		Reduce: func(_ int, vs []int, emit func(int)) error {
+			for _, v := range vs {
+				emit(v)
+			}
+			return nil
+		},
+		PairBytes:  func(int, int) int { return paddedRecordBytes },
+		EncodePair: func(_, v int, buf []byte) []byte { return encode(v, buf) },
+		DecodePair: func(rec []byte) (int, int, error) {
+			v, err := decode(rec)
+			return v % nr, v, err
+		},
+		EncodeOutput: encode,
+		DecodeOutput: decode,
+	}
+}
+
+// TestDistPayloadsRecycled: a distributed job encodes its run-exchange
+// and reduce-barrier payloads into frames from its pool and puts them
+// back once the exchange returns, so a warm run draws them from what
+// the run before returned. Two workers share one pool over a chanHub
+// that carries payloads in frames of that pool, as the mesh reads them.
+// Everything else a worker allocates is what an in-process run of the
+// same job allocates (its output, the run matrix, the tasks), so the
+// warm two-worker run may allocate at most two warm in-process runs'
+// bytes plus 64 KiB. Unpooled, its payloads and the hub's copies of
+// them come to 6 MB.
+func TestDistPayloadsRecycled(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's bookkeeping allocates")
+	}
+	const n, nr, nm = 4096, 8, 4
+	input := make([]int, n)
+	for i := range input {
+		input[i] = i
+	}
+	pool := NewBufferPool()
+	hub := newChanHub(2)
+	hub.pool = pool
+	var netBytes int64
+	distributed := func() {
+		var wg sync.WaitGroup
+		for self := 0; self < 2; self++ {
+			wg.Add(1)
+			go func(self int) {
+				defer wg.Done()
+				ex := hub.exchanger(self)
+				defer ex.recycle()
+				j := paddedTestJob(Config{Name: "padded", NumReducers: nr, NumMappers: nm, Pool: pool})
+				j.Config.Dist = &DistConfig{NumWorkers: 2, Self: self, Exchanger: ex}
+				out, st, err := j.Run(input)
+				if err != nil || len(out) != n {
+					t.Errorf("worker %d: %d outputs, %v", self, len(out), err)
+					return
+				}
+				if self == 0 {
+					netBytes = st.ShuffleNetworkBytes
+				}
+			}(self)
+		}
+		wg.Wait()
+	}
+	inProcess := func() {
+		j := paddedTestJob(Config{Name: "padded", NumReducers: nr, NumMappers: nm, Pool: pool})
+		if out, _, err := j.Run(input); err != nil || len(out) != n {
+			t.Fatalf("in-process: %d outputs, %v", len(out), err)
+		}
+	}
+	allocated := func(fn func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	inProcess()
+	distributed() // warm: the chunks, the slab, the frames
+	local, dist := allocated(inProcess), allocated(distributed)
+	t.Logf("warm in-process run %d B, warm two-worker run %d B; the workers shipped %d B of runs, the pool retains %d B", local, dist, netBytes, pool.Retained())
+	if netBytes < n/2*paddedRecordBytes {
+		t.Fatalf("the workers shipped %d B of runs; the check is vacuous", netBytes)
+	}
+	if bound := 2*local + 64<<10; dist > bound {
+		t.Errorf("the warm two-worker run allocated %d B, bound %d (two in-process runs and 64 KiB)", dist, bound)
 	}
 }

@@ -275,7 +275,10 @@ type Job[I any, K ReducerKey, V any, O any] struct {
 	// each reducer's output count times the encoded length of its first
 	// output, so the codec should be fixed-width within a job: a
 	// variable-width one still round-trips, but its payload may regrow
-	// (a short first record) or reserve more than it fills (a long one).
+	// (a short first record) or reserve more than it fills (a long one),
+	// and the payload's frame goes back to the pool's frames list, so an
+	// over-reservation stays there, within the list's budget
+	// (MaxPoolBytes), until a larger payload takes it.
 	EncodeOutput func(out O, buf []byte) []byte
 	DecodeOutput func(rec []byte) (O, error)
 }

@@ -1,18 +1,22 @@
 package mapreduce
 
 import (
+	"math/bits"
 	"sync"
 	"unsafe"
 )
 
 // BufferPool recycles large scratch buffers across jobs, task attempts
 // and executions: the chunks map runs and reducer outputs live in, the
-// slab a job's reducer inputs are shuffled into, and fixed-size pages a
-// caller's own stores are built from (GetPage). At paper scale those buffers dominate the
-// allocation profile — a pool turns the per-job churn into a handful of
-// steady-state arrays. Every job runs on one; pass a shared pool via
-// Config.Pool so it serves every job that names it. The spatial
-// executor shares one pool across every execution of the process.
+// slab a job's reducer inputs are shuffled into, fixed-size pages a
+// caller's own stores are built from (GetPage), and the frames a
+// distributed job's exchange payloads are encoded into and an Exchanger
+// reads its peers' payloads into (GetFrame). At paper scale those
+// buffers dominate the allocation profile — a pool turns the per-job
+// churn into a handful of steady-state arrays. Every job runs on one;
+// pass a shared pool via Config.Pool so it serves every job that names
+// it. The spatial executor shares one pool across every execution of
+// the process.
 //
 // Lifecycle rules (DESIGN.md §4g):
 //
@@ -21,7 +25,11 @@ import (
 //     map runs the shuffle has copied or shipped and of output runs
 //     the job has copied into its result, the reducer input slab
 //     after the whole reduce phase — every retry included — has
-//     committed, and a page once nothing reads the store it served.
+//     committed, a page once nothing reads the store it served, a sent
+//     payload once AllToAll has returned and what it returned is
+//     decoded (the sender's own payload comes back as its own entry),
+//     and a received payload at the engine's next exchange or the
+//     attempt's end (the Exchanger contract).
 //   - A chunk is cleared before it goes back, so a pooled chunk keeps
 //     nothing alive that its values pointed to (a result tuple's IDs).
 //   - Recycled buffers never alias committed output: reducer outputs
@@ -41,9 +49,11 @@ import (
 //     the pool remembers the backing-array identity of what it holds,
 //     so two later Gets can never return aliasing slices whose appends
 //     would corrupt each other's recycled runs.
-//   - The pool retains at most MaxPoolBytes in total; a Put beyond that
-//     is dropped for the collector, so a one-off giant job cannot pin
-//     its scratch forever.
+//   - The chunks, slabs and pages together retain at most MaxPoolBytes,
+//     and the frames as much again on a budget of their own; a Put
+//     beyond its budget is dropped for the collector, so a one-off
+//     giant job cannot pin its scratch forever. An execution that never
+//     exchanges leaves the frames list empty.
 //
 // The free lists are deliberately NOT sync.Pools: a paper-scale shuffle
 // allocates hundreds of megabytes per job, so the garbage collector
@@ -56,24 +66,31 @@ import (
 // BufferPool is safe for concurrent use. A job whose Config.Pool is nil
 // runs on a private pool of its own.
 type BufferPool struct {
-	mu       sync.Mutex
-	retained int64                       // bytes the three lists hold
-	held     map[unsafe.Pointer]struct{} // arrays currently held
+	mu sync.Mutex
+	// scratch counts the bytes chunks, vals and pages hold; framed the
+	// bytes frames holds. Each is capped at MaxPoolBytes.
+	scratch, framed int64
+	held            map[unsafe.Pointer]struct{} // arrays currently held
 
 	chunks freeList // []V and []O — map and output run chunks, chunkBytes each
 	vals   freeList // []V — a job's shuffled reducer inputs, one slab
 	pages  freeList // []byte — PageBytes each, for callers' stores
+	frames freeList // []byte of any size — exchange payloads, sent and received
 }
 
-// MaxPoolBytes caps the bytes one pool retains. One cascade_uniform
-// execution (3 × 50,000 rectangles, two rounds) ends holding 24.0 MB:
-// its partial stores' pages, a round's map and output chunks and the
-// larger round's reducer-input slab. The cap keeps one such working set
-// warm; a second concurrent execution of that size draws fresh memory
-// for the rest. Retained bytes are live heap, which the collector paces
-// on, so a larger cap buys allocation with peak RSS: 32 MiB raised
-// served_mix's peak by a quarter (EXPERIMENTS.md, "One pool per
-// process").
+// MaxPoolBytes caps the bytes one pool retains in its scratch lists
+// (chunks, slabs, pages), and separately in its frames. One
+// cascade_uniform execution (3 × 50,000 rectangles, two rounds) ends
+// holding 24.0 MB: its partial stores' pages, a round's map and output
+// chunks and the larger round's reducer-input slab. The cap keeps one
+// such working set warm; a second concurrent execution of that size
+// draws fresh memory for the rest. Retained bytes are live heap, which
+// the collector paces on, so a larger cap buys allocation with peak
+// RSS: 32 MiB raised served_mix's peak by a quarter (EXPERIMENTS.md,
+// "One pool per process"). Frames have a budget of their own because
+// the two workers of a loopback cluster already fill the scratch one
+// with their pages: sharing it, cluster_w2's shape kept a third of what
+// pooled frames save (EXPERIMENTS.md, "Exchange payloads in the pool").
 const MaxPoolBytes = 24 << 20
 
 // PageBytes is the size of every page GetPage hands out.
@@ -85,8 +102,9 @@ const PageBytes = 8 << 10
 // as the array's identity. A list serves a type or two, so the stacks
 // are found by a scan.
 type freeList struct {
-	pool   *BufferPool
-	stacks []typedStack
+	pool     *BufferPool
+	retained *int64 // the pool's count this list's bytes go to
+	stacks   []typedStack
 }
 
 type typedStack struct {
@@ -142,7 +160,7 @@ func (f *freeList) get(elem any, capacity int) poolEntry {
 	s[len(s)-1] = poolEntry{}
 	*st = s[:len(s)-1]
 	delete(p.held, e.data)
-	p.retained -= e.bytes
+	*f.retained -= e.bytes
 	if drop {
 		return poolEntry{}
 	}
@@ -150,12 +168,12 @@ func (f *freeList) get(elem any, capacity int) poolEntry {
 }
 
 // put adds e under elem's type unless the pool already holds its array
-// or would then exceed MaxPoolBytes.
+// or f's budget would then exceed MaxPoolBytes.
 func (f *freeList) put(elem any, e poolEntry) {
 	p := f.pool
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if _, dup := p.held[e.data]; dup || p.retained+e.bytes > MaxPoolBytes {
+	if _, dup := p.held[e.data]; dup || *f.retained+e.bytes > MaxPoolBytes {
 		return
 	}
 	if p.held == nil {
@@ -164,21 +182,25 @@ func (f *freeList) put(elem any, e poolEntry) {
 	p.held[e.data] = struct{}{}
 	st := f.stack(elem)
 	*st = append(*st, e)
-	p.retained += e.bytes
+	*f.retained += e.bytes
 }
 
 // NewBufferPool returns an empty pool.
 func NewBufferPool() *BufferPool {
 	p := &BufferPool{}
-	p.chunks.pool, p.vals.pool, p.pages.pool = p, p, p
+	for _, f := range []*freeList{&p.chunks, &p.vals, &p.pages} {
+		f.pool, f.retained = p, &p.scratch
+	}
+	p.frames.pool, p.frames.retained = p, &p.framed
 	return p
 }
 
-// Retained returns the bytes the pool holds for later Gets.
+// Retained returns the bytes the pool holds for later Gets, frames
+// included.
 func (p *BufferPool) Retained() int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.retained
+	return p.scratch + p.framed
 }
 
 // GetPage returns a page of PageBytes for a caller's own store: a
@@ -193,6 +215,45 @@ func (p *BufferPool) PutPage(page []byte) {
 		putBuf(&p.pages, page)
 	}
 }
+
+// GetFrame returns a length-n frame for an exchange payload when the
+// pool holds one at least that large, and nil otherwise: the caller then
+// allocates one of FrameCap(n) as the bytes arrive, so a peer's declared
+// length never sizes memory of its own. Its contents are arbitrary.
+func (p *BufferPool) GetFrame(n int) []byte {
+	if s := recycled[byte](&p.frames, n); s != nil {
+		return s[:n]
+	}
+	return nil
+}
+
+// getFrame returns an empty frame from f with room for n bytes, a fresh
+// one of FrameCap(n) when f holds none that large.
+func getFrame(f *freeList, n int) []byte {
+	if s := recycled[byte](f, n); s != nil {
+		return s
+	}
+	return make([]byte, 0, FrameCap(n))
+}
+
+// FrameCap is the capacity a fresh frame for an n-byte payload is
+// allocated at: n rounded up to a sixteenth of its power of two. Two
+// workers' payloads of one exchange differ by a few bytes, and a frame
+// exactly one's size cannot hold the other: a Get that misses drops a
+// frame and allocates, so exact frames would keep trading places with
+// fresh ones. Rounded, they fit each other, at most 1/16 over.
+func FrameCap(n int) int {
+	shift := bits.Len(uint(n)) - 5
+	if shift <= 0 {
+		return n
+	}
+	step := 1 << shift
+	return (n + step - 1) &^ (step - 1)
+}
+
+// PutFrame hands an exchange payload's frame back — one from GetFrame or
+// one the caller allocated. The caller must hold the only reference.
+func (p *BufferPool) PutFrame(frame []byte) { putBuf(&p.frames, frame) }
 
 // recycled returns an array of T with at least capacity elements that
 // f holds, as a zero-length slice, or nil.

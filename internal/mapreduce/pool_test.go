@@ -49,3 +49,40 @@ func TestPoolRetainsAtMostCap(t *testing.T) {
 		t.Errorf("after a second job the pool retains %d bytes, cap %d", got, MaxPoolBytes)
 	}
 }
+
+// TestPoolFramesBudget: exchange frames count against a budget of their
+// own, so a pool whose scratch lists are full still keeps them, and
+// keeps at most MaxPoolBytes of them. GetFrame hands out only a frame
+// at least as large as asked for — a miss drops the newest frame — and
+// FrameCap sizes a fresh frame at most a sixteenth over its payload.
+func TestPoolFramesBudget(t *testing.T) {
+	pool := NewBufferPool()
+	for range MaxPoolBytes / PageBytes {
+		pool.PutPage(make([]byte, PageBytes))
+	}
+	scratch := pool.Retained()
+	if scratch != MaxPoolBytes {
+		t.Fatalf("the pages fill %d bytes, want the cap %d", scratch, MaxPoolBytes)
+	}
+	const frame = 4 << 20
+	for range MaxPoolBytes/frame + 1 {
+		pool.PutFrame(make([]byte, frame))
+	}
+	if got := pool.Retained() - scratch; got != MaxPoolBytes {
+		t.Errorf("the pool keeps %d bytes of frames beside full scratch lists, want their own cap %d", got, MaxPoolBytes)
+	}
+	if f := pool.GetFrame(frame + 1); f != nil {
+		t.Errorf("a %d-byte frame served a %d-byte request", cap(f), frame+1)
+	}
+	if got := pool.Retained() - scratch; got != MaxPoolBytes-frame {
+		t.Errorf("after a miss the pool keeps %d bytes of frames, want %d", got, MaxPoolBytes-frame)
+	}
+	if f := pool.GetFrame(100); len(f) != 100 || cap(f) != frame {
+		t.Errorf("GetFrame(100) = a frame of length %d and capacity %d, want 100 and %d", len(f), cap(f), frame)
+	}
+	for _, n := range []int{0, 1, 31, 1000, 128 << 10, 1<<20 + 1, 3<<20 - 5} {
+		if c := FrameCap(n); c < n || c-n > n/16 {
+			t.Errorf("FrameCap(%d) = %d", n, c)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package spatial
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand/v2"
 	"reflect"
@@ -15,7 +16,9 @@ import (
 
 // distHub is an in-memory Exchanger fabric for SPMD tests: W workers
 // exchange framed payloads over per-pair buffered channels, the same
-// contract internal/cluster implements over TCP.
+// contract internal/cluster implements over TCP. A payload is delivered
+// after its sender's AllToAll returns and its frame goes back to the
+// pool, so the hub carries a copy.
 type distHub struct {
 	w     int
 	chans [][]chan []byte
@@ -47,7 +50,7 @@ func (e *distHubExchanger) AllToAll(tag string, outgoing [][]byte) ([][]byte, er
 	}
 	for w := 0; w < e.h.w; w++ {
 		if w != e.self {
-			e.h.chans[e.self][w] <- outgoing[w]
+			e.h.chans[e.self][w] <- bytes.Clone(outgoing[w])
 		}
 	}
 	in := make([][]byte, e.h.w)

@@ -118,6 +118,11 @@ type Config struct {
 // behind for the next is bounded.
 var sharedPool = mapreduce.NewBufferPool()
 
+// SharedPool returns the process's buffer pool, for a data plane that
+// reads and recycles exchange payloads in the frames the engine encodes
+// them into.
+func SharedPool() *mapreduce.BufferPool { return sharedPool }
+
 // DefaultPartitioning builds the paper's experimental grid over the
 // bounding box of the given relations: √k × √k cells for k reducers
 // (§5.1), defaulting to 64 reducers (§7.8.1) when k ≤ 0. k must be a

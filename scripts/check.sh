@@ -67,7 +67,7 @@ echo "== go test -race (every package but the table harness) =="
 go test -race -count=1 $(go list ./... | grep -v -e '/cmd/benchtables$' -e '/internal/bench$')
 
 echo "== allocation guards (they skip under -race, whose shadow memory allocates) =="
-go test -count=1 -run '^(TestCascadeAllocationBudget|TestCRepLAllocationBudget|TestExecuteWarmAllocation|TestClusterAllocationCeiling|TestSortedRunAllocationBudget|TestReduceOutputAllocation|TestMeshRecyclesFrameChunks)$' \
+go test -count=1 -run '^(TestCascadeAllocationBudget|TestCRepLAllocationBudget|TestExecuteWarmAllocation|TestClusterAllocationCeiling|TestSortedRunAllocationBudget|TestReduceOutputAllocation|TestMeshRecyclesFrameChunks|TestDistPayloadsRecycled)$' \
     ./internal/spatial ./internal/cluster ./internal/mapreduce
 
 echo "== go test (table harness: paper tables at tiny scale, Table 2 against BENCH_PR2.json) =="
