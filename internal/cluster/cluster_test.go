@@ -429,42 +429,6 @@ func TestRelationPackRoundTrip(t *testing.T) {
 	if _, _, err := packTuples([]spatial.Tuple{{IDs: []int32{1, 2}}, {IDs: []int32{3}}}); err == nil {
 		t.Error("tuples of two widths packed into one slab")
 	}
-
-	// chk_data / install_chk: one attachment however many records.
-	for _, recs := range [][][]byte{nil, {{}}, manyRecords(10000)} {
-		var chk []byte
-		for _, r := range recs {
-			chk = appendRecord(chk, r)
-		}
-		for _, typ := range []string{msgChkData, msgInstallChk} {
-			got := pipeRoundTrip(t, &message{Type: typ, Session: "s1", File: "chk/c/0", Chk: chk})
-			back, err := splitRecords(got.Chk)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(back) != len(recs) {
-				t.Fatalf("%s with %d records arrived with %d", typ, len(recs), len(back))
-			}
-			for i := range recs {
-				if !bytes.Equal(back[i], recs[i]) {
-					t.Fatalf("%s: record %d differs", typ, i)
-				}
-			}
-		}
-	}
-	if _, err := splitRecords([]byte{5, 'a'}); err == nil {
-		t.Error("truncated checkpoint attachment split without error")
-	}
-}
-
-// manyRecords builds n records of varying length, some empty, some past
-// the one-byte length prefix.
-func manyRecords(n int) [][]byte {
-	recs := make([][]byte, n)
-	for i := range recs {
-		recs[i] = bytes.Repeat([]byte{byte(i)}, i%200)
-	}
-	return recs
 }
 
 // sampleMessages is one message of every control-plane type, bulk
@@ -472,22 +436,20 @@ func manyRecords(n int) [][]byte {
 func sampleMessages() []*message {
 	spec := SpecFromConfig(mustMethod("2-way-cascade"), "R1 ov R2", testRelations(3, 2, 10), spatial.Config{Reducers: 4, NumMappers: 2})
 	_, slab, _ := packTuples([]spatial.Tuple{{IDs: []int32{1, 2}}, {IDs: []int32{3, 4}}})
-	chk := appendRecord(appendRecord(nil, []byte("rec-a")), nil)
+	resume := spec
+	resume.Resume = true
+	empty := spatial.NewRelation("E", nil)
 	return []*message{
 		{Type: msgRegister, Proto: protocolVersion, Name: "w0", DataAddr: "127.0.0.1:1"},
 		{Type: msgHeartbeat},
 		{Type: msgResult, Session: "s1", Attempt: 1, OK: true, Hash: "ab", Stats: json.RawMessage(`{"OutputTuples":2}`), Arity: 2, Count: 2, Slab: slab},
 		{Type: msgResult, Session: "s1", Error: "boom"},
-		{Type: msgChkList, Session: "s1", Files: []string{"chk/a", "chk/b"}},
-		{Type: msgChkData, Session: "s1", File: "chk/a", Chk: chk},
-		{Type: msgChkOK, Session: "s1", File: "chk/a"},
 		{Type: msgNeed, Session: "s1", Attempt: 1, Digests: []string{spec.Relations[1].Digest}},
 		{Type: msgShip, Session: "s1", Attempt: 1, Digests: []string{spec.Relations[0].Digest, spec.Relations[1].Digest}, Rels: [][]byte{packRelation(spec.rels[0]), packRelation(spec.rels[1])}},
 		{Type: msgShip, Session: "s1", Attempt: 1, Error: "session s1 names no relation 0123456789ab"},
+		{Type: msgShip, Session: "s1", Attempt: 1, Digests: []string{digestOf(empty)}, Rels: [][]byte{packRelation(empty)}},
 		{Type: msgStart, Session: "s1", Attempt: 1, Self: 1, Roster: []string{"x:1", "y:2"}, Spec: &spec},
-		{Type: msgListChk, Session: "s1"},
-		{Type: msgFetchChk, Session: "s1", File: "chk/a"},
-		{Type: msgInstallChk, Session: "s1", File: "chk/a", Chk: chk},
+		{Type: msgStart, Session: "s1", Attempt: 2, Roster: []string{"x:1", "y:2"}, Spec: &resume},
 		{Type: msgEnd, Session: "s1"},
 	}
 }
@@ -545,36 +507,4 @@ func pipeRoundTrip(t *testing.T, m *message) *message {
 		t.Errorf("%s: reader counted %d bytes, writer %d", m.Type, got.wireBytes, w.n)
 	}
 	return got
-}
-
-// TestCheckpointSyncOverWire: a checkpoint one survivor holds and the
-// other lacks is fetched from the first and installed on the second
-// through chk_data/install_chk — record for record, empty records and
-// records past the one-byte length prefix included.
-func TestCheckpointSyncOverWire(t *testing.T) {
-	tc := startTestCluster(t, 2, nil)
-	const session, file = "s-sync", checkpointPrefix + "chain/step-0"
-	recs := manyRecords(3000)
-	if err := sessionOf(tc.workers[0], session, true).fs.WriteFile(file, recs); err != nil {
-		t.Fatal(err)
-	}
-	if err := tc.coord.syncCheckpoints(session, tc.coord.aliveMembers()); err != nil {
-		t.Fatal(err)
-	}
-	var got [][]byte
-	err := sessionOf(tc.workers[1], session, false).fs.Scan(file, func(rec []byte) error {
-		got = append(got, append([]byte{}, rec...))
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(recs) {
-		t.Fatalf("installed checkpoint has %d records, donor's has %d", len(got), len(recs))
-	}
-	for i := range recs {
-		if !bytes.Equal(got[i], recs[i]) {
-			t.Fatalf("installed checkpoint record %d differs", i)
-		}
-	}
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
-	"sort"
 	"sync"
 	"time"
 
@@ -96,7 +95,7 @@ type member struct {
 	alive    bool
 	inFlight int
 	sessions int64
-	// inbox receives result/need/chk messages routed by the member's
+	// inbox receives result and need messages routed by the member's
 	// reader goroutine; dead closes when the connection drops.
 	inbox chan *message
 	dead  chan struct{}
@@ -363,7 +362,8 @@ func (c *Coordinator) aliveMembers() []*member {
 
 // Run executes one query session across the currently alive workers,
 // recovering from worker death by retrying the session on the
-// survivors with checkpoints synchronised and Resume set.
+// survivors with Resume set: they agree among themselves on the chain
+// prefix to resume (mapreduce.Chain.AgreeResume).
 func (c *Coordinator) Run(spec SessionSpec) (*RunResult, error) {
 	c.runMu.Lock()
 	defer c.runMu.Unlock()
@@ -393,11 +393,6 @@ func (c *Coordinator) Run(spec SessionSpec) (*RunResult, error) {
 			return res, nil
 		}
 		c.cfg.Logf("coordinator: session %s attempt %d failed (%s), recovering", session, attempt, failure)
-		if attempt+1 < c.cfg.MaxAttempts {
-			if err := c.syncCheckpoints(session, c.aliveMembers()); err != nil {
-				return nil, fmt.Errorf("cluster: checkpoint sync after failed attempt: %w", err)
-			}
-		}
 	}
 	return nil, fmt.Errorf("cluster: session %s failed after %d attempts", session, c.cfg.MaxAttempts)
 }
@@ -566,86 +561,6 @@ func (c *Coordinator) ship(m *member, session string, attempt int, spec *Session
 		out.Rels = append(out.Rels, packRelation(rel))
 	}
 	return m.send(out)
-}
-
-// request sends one control message and awaits the reply of the given
-// type for the session, tolerating stale inbox chatter.
-func (c *Coordinator) request(m *member, out *message, wantType string) (*message, error) {
-	if _, err := m.send(out); err != nil {
-		return nil, fmt.Errorf("cluster: %s to %s: %w", out.Type, m.name, err)
-	}
-	deadline := time.NewTimer(c.cfg.HeartbeatTimeout * 5)
-	defer deadline.Stop()
-	for {
-		select {
-		case msg := <-m.inbox:
-			if msg.Type == wantType && msg.Session == out.Session {
-				if msg.Error != "" {
-					return nil, fmt.Errorf("cluster: %s on %s: %s", out.Type, m.name, msg.Error)
-				}
-				return msg, nil
-			}
-		case <-m.dead:
-			return nil, fmt.Errorf("cluster: worker %s died during %s", m.name, out.Type)
-		case <-deadline.C:
-			return nil, fmt.Errorf("cluster: %s to %s timed out", out.Type, m.name)
-		}
-	}
-}
-
-// syncCheckpoints equalises the session's chain checkpoints across the
-// survivors: the union of everyone's files is installed everywhere, so
-// the resumed attempt finds the same committed prefix on every worker
-// and the SPMD chains stay in lockstep. (A checkpoint file is written
-// atomically after its job completes on every worker identically, so
-// same-named files hold identical bytes; union by name is safe.)
-func (c *Coordinator) syncCheckpoints(session string, survivors []*member) error {
-	if len(survivors) < 2 {
-		return nil
-	}
-	lists := make([][]string, len(survivors))
-	have := make([]map[string]bool, len(survivors))
-	union := map[string]int{} // file -> index of a holder
-	for i, m := range survivors {
-		reply, err := c.request(m, &message{Type: msgListChk, Session: session}, msgChkList)
-		if err != nil {
-			return err
-		}
-		lists[i] = reply.Files
-		have[i] = make(map[string]bool, len(reply.Files))
-		for _, f := range reply.Files {
-			have[i][f] = true
-			if _, ok := union[f]; !ok {
-				union[f] = i
-			}
-		}
-	}
-	files := make([]string, 0, len(union))
-	for f := range union {
-		files = append(files, f)
-	}
-	sort.Strings(files)
-	for _, f := range files {
-		donor := survivors[union[f]]
-		var data *message
-		for i, m := range survivors {
-			if have[i][f] {
-				continue
-			}
-			if data == nil {
-				var err error
-				data, err = c.request(donor, &message{Type: msgFetchChk, Session: session, File: f}, msgChkData)
-				if err != nil {
-					return err
-				}
-			}
-			if _, err := c.request(m, &message{Type: msgInstallChk, Session: session, File: f, Chk: data.Chk}, msgChkOK); err != nil {
-				return err
-			}
-			c.cfg.Logf("coordinator: session %s: installed %s on %s (from %s)", session, f, m.name, donor.name)
-		}
-	}
-	return nil
 }
 
 // endSession releases the session state on the given workers.

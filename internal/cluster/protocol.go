@@ -21,27 +21,26 @@
 // (this file and wire.go, coordinator to worker): per session, a start
 // that names the input relations by content digest, and the whole
 // result from worker 0 in result — megabytes, not "small control
-// messages" — plus, during recovery, checkpoint files. Relations live on
-// the workers as the paper's live in HDFS: a worker keeps the ones it
-// has been shipped, summarised and staged, in a byte-capped cache
-// (resident.go), and asks for one (need) only when a start names a
-// digest it does not keep — never shipped to it, or evicted since — and
-// the coordinator answers with a ship. Each control message is a JSON
-// header line followed by its bulk fields as binary attachments (packed
-// relation items, one int32 tuple slab, one framed record file), so
+// messages". Relations live on the workers as the paper's live in HDFS:
+// a worker keeps the ones it has been shipped, summarised and staged,
+// in a byte-capped cache (resident.go), and asks for one (need) only
+// when a start names a digest it does not keep — never shipped to it,
+// or evicted since — and the coordinator answers with a ship. Each
+// control message is a JSON header line followed by its bulk fields as
+// binary attachments (packed relation items, one int32 tuple slab), so
 // bulk bytes are never quoted, escaped or base64'd; the verbs without
-// bulk (register, heartbeat, start, need, list_chk, end, …) are a line
-// and nothing else.
+// bulk (register, heartbeat, start, need, end) are a line and nothing
+// else.
 //
 // Recovery: the coordinator detects worker death via heartbeats and
 // dead control connections. Survivors of a failed attempt fail fast
 // (their mesh exchanges error out), keep their per-session DFS — the
 // staged inputs and every chain checkpoint committed before the crash
-// — and re-run the session with Resume set after the coordinator has
-// synchronised checkpoints across the surviving roster (a straggler
-// that crashed mid-job may hold fewer checkpoints than its peers; the
-// chain prefix must agree before a resumed run can proceed in
-// lockstep).
+// — and re-run the session with Resume set. A survivor may have
+// committed one step more than another before the peer died
+// mid-exchange, so a resumed chain first agrees over the mesh on the
+// prefix every survivor holds (mapreduce.Chain.AgreeResume) and re-runs
+// from there in lockstep.
 package cluster
 
 import (
@@ -64,16 +63,10 @@ const (
 	msgHeartbeat = "heartbeat" //
 	msgNeed      = "need"      // Session, Attempt, Digests — relations the start named and the worker lacks
 	msgResult    = "result"    // Session, Attempt, OK, Error, Hash, Stats, Arity, Count, Slab [att] (self 0)
-	msgChkList   = "chk_list"  // Session, Files
-	msgChkData   = "chk_data"  // Session, File, Chk [att]
-	msgChkOK     = "chk_ok"    // Session
 	// coordinator → worker
-	msgShip       = "ship"        // Session, Attempt, Error, Digests, Rels[i] [att] — answering a need
-	msgStart      = "start"       // Session, Attempt, Self, Roster, Spec
-	msgListChk    = "list_chk"    // Session
-	msgFetchChk   = "fetch_chk"   // Session, File
-	msgInstallChk = "install_chk" // Session, File, Chk [att]
-	msgEnd        = "end"         // Session — release session state
+	msgShip  = "ship"  // Session, Attempt, Error, Digests, Rels[i] [att] — answering a need
+	msgStart = "start" // Session, Attempt, Self, Roster, Spec
+	msgEnd   = "end"   // Session — release session state
 )
 
 // message is the single wire envelope of the control plane; Type
@@ -99,12 +92,6 @@ type message struct {
 	Arity int    `json:"arity,omitempty"`
 	Count int    `json:"count,omitempty"`
 	Slab  []byte `json:"-"`
-
-	Files []string `json:"files,omitempty"`
-	File  string   `json:"file,omitempty"`
-	// Chk is one checkpoint file, its records appendRecord-framed. The
-	// coordinator forwards it from donor to receiver unopened.
-	Chk []byte `json:"-"`
 
 	// Digests names relations by content (RelationRef.Digest); on a
 	// ship, Rels[i] is the relation Digests[i] names, packed
@@ -142,8 +129,8 @@ type SessionSpec struct {
 	EuclideanLimit bool `json:"euclidean_limit,omitempty"`
 	// Resume is set by the coordinator on retry attempts: the worker
 	// re-runs the session against its retained per-session DFS, so
-	// checkpointed chain steps committed before the failure are not
-	// re-executed.
+	// the chain steps every survivor committed before the failure are
+	// not re-executed.
 	Resume bool `json:"resume,omitempty"`
 
 	// rels are the relations Relations names, slot by slot: what the

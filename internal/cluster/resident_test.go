@@ -6,6 +6,7 @@ import (
 	"net"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -233,47 +234,18 @@ func TestShippedRelationDigestMismatch(t *testing.T) {
 	}
 }
 
-// TestCheckpointRequestsCreateNoSession: list_chk and fetch_chk for a
-// session the worker never ran answer an empty list and an error and
-// leave no session behind; install_chk creates one, as a survivor new to
-// the roster needs.
-func TestCheckpointRequestsCreateNoSession(t *testing.T) {
-	sc := startScripted(t)
-	sc.send(&message{Type: msgListChk, Session: "ghost"})
-	if m := sc.next(msgChkList); len(m.Files) != 0 || m.Error != "" {
-		t.Errorf("list_chk of an unknown session: %+v", m)
-	}
-	sc.send(&message{Type: msgFetchChk, Session: "ghost", File: "chk/x"})
-	if m := sc.next(msgChkData); m.Error == "" || len(m.Chk) != 0 {
-		t.Errorf("fetch_chk of an unknown session: %+v", m)
-	}
-	if s := sessionOf(sc.w, "ghost", false); s != nil {
-		t.Fatal("checkpoint requests created a session")
-	}
-	sc.send(&message{Type: msgInstallChk, Session: "s2", File: "chk/x", Chk: appendRecord(nil, []byte("r"))})
-	if m := sc.next(msgChkOK); m.Error != "" {
-		t.Fatalf("install_chk: %+v", m)
-	}
-	if sessionOf(sc.w, "s2", false) == nil {
-		t.Fatal("install_chk created no session")
-	}
-	sc.send(&message{Type: msgEnd, Session: "s2"})
-}
-
-// sessionOf returns a worker's state for a session, creating it when
-// create is set; nil when the worker holds none.
-func sessionOf(w *Worker, id string, create bool) *workerSession {
-	s := w.holdSession(id, create)
-	if s != nil {
-		s.inUse.Done()
-	}
-	return s
+// sessionOf returns a worker's state for a session; nil when the worker
+// holds none.
+func sessionOf(w *Worker, id string) *workerSession {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.sessions[id]
 }
 
 // awaitClosed returns a channel closed when the session's FS closes.
 func awaitClosed(t *testing.T, w *Worker, session string) <-chan struct{} {
 	t.Helper()
-	s := sessionOf(w, session, false)
+	s := sessionOf(w, session)
 	if s == nil {
 		t.Fatalf("worker holds no session %s", session)
 	}
@@ -284,8 +256,8 @@ func awaitClosed(t *testing.T, w *Worker, session string) <-chan struct{} {
 
 // TestSessionReleaseMidAttempt ends a session, and closes a worker,
 // while an attempt is in flight — waiting for relations, or inside
-// spatial.Execute — and kills a worker while checkpoint reads are, and
-// checks that the session's FS closes only after the attempt or read
+// spatial.Execute — and kills a worker while the session is held, and
+// checks that the session's FS closes only after the attempt or hold
 // has returned, and that no goroutine outlives the worker. Run it under
 // -race.
 func TestSessionReleaseMidAttempt(t *testing.T) {
@@ -311,7 +283,7 @@ func TestSessionReleaseMidAttempt(t *testing.T) {
 		sc.send(shipOf("s2", 0, digest, packRelation(rel)))
 		sc.send(&message{Type: msgEnd, Session: "s2"})
 		sc.next(msgResult) // cancelled or done: either way it returned
-		for deadline := time.Now().Add(5 * time.Second); sessionOf(sc.w, "s2", false) != nil; time.Sleep(time.Millisecond) {
+		for deadline := time.Now().Add(5 * time.Second); sessionOf(sc.w, "s2") != nil; time.Sleep(time.Millisecond) {
 			if time.Now().After(deadline) {
 				t.Fatal("ended session still held")
 			}
@@ -330,10 +302,9 @@ func TestSessionReleaseMidAttempt(t *testing.T) {
 		}
 		sc.conn.Close()
 
-		// Kill, from another goroutine than the control loop, while
-		// fetch_chk reads the session's checkpoint files out of pooled
-		// pages. The test's own hold stands in for a read Kill must wait
-		// for.
+		// Kill, from another goroutine than the control loop, while the
+		// session is held. The test's own hold stands in for a use of
+		// the session's checkpoint pages Kill must wait for.
 		sc = startScripted(t)
 		sc.send(selfJoin(sc, "s4", 0, rel))
 		sc.next(msgNeed)
@@ -341,27 +312,22 @@ func TestSessionReleaseMidAttempt(t *testing.T) {
 		if res := sc.next(msgResult); !res.OK {
 			t.Fatalf("s4: %+v", res)
 		}
-		sc.send(&message{Type: msgListChk, Session: "s4"})
-		files := sc.next(msgChkList).Files
-		if len(files) == 0 {
+		if !slices.ContainsFunc(sessionOf(sc.w, "s4").fs.List(), func(f string) bool { return strings.HasPrefix(f, "chk/") }) {
 			t.Fatal("s4 left no checkpoint files")
 		}
-		for i := 0; i < 8; i++ {
-			sc.send(&message{Type: msgFetchChk, Session: "s4", File: files[i%len(files)]})
-		}
 		closed = awaitClosed(t, sc.w, "s4")
-		held := sc.w.holdSession("s4", false)
+		held := sc.w.holdSession("s4")
 		sc.w.Kill()
 		select {
 		case <-closed:
-			t.Error("Kill closed the session's FS while a read of it was in flight")
+			t.Error("Kill closed the session's FS while it was held")
 		case <-time.After(20 * time.Millisecond):
 		}
 		held.inUse.Done()
 		select {
 		case <-closed:
 		case <-time.After(5 * time.Second):
-			t.Fatal("the session's FS never closed once its reads were done")
+			t.Fatal("the session's FS never closed once its hold was done")
 		}
 		sc.w.Close()
 		sc.conn.Close()

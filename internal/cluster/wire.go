@@ -15,10 +15,9 @@ import (
 
 // The control plane's one wire form: a JSON header line, then the
 // message's bulk fields as binary attachments whose lengths the header
-// declares. Small verbs (register, heartbeat, start, need, list_chk,
-// end) are a line and nothing else; ship, result, chk_data and
-// install_chk carry their bytes as bytes. Both ends use
-// writeMessage/readMessage and nothing else.
+// declares. Small verbs (register, heartbeat, start, need, end) are a
+// line and nothing else; ship and result carry their bytes as bytes.
+// Both ends use writeMessage/readMessage and nothing else.
 
 const (
 	// protocolVersion is what register declares and the coordinator
@@ -26,7 +25,7 @@ const (
 	// a start does, so a stale worker binary fails at registration
 	// instead of mid-session — or, ignoring a spec field it never heard
 	// of, answering a different question.
-	protocolVersion = 5
+	protocolVersion = 6
 
 	// maxHeaderBytes caps the JSON header line. Every bulk field rides as
 	// an attachment, so a header holds names, counters and the run's
@@ -58,9 +57,9 @@ type wireHeader struct {
 }
 
 // bulk returns the message's bulk fields in wire order, one attachment
-// each: a ship's relations, one per digest it names, a result's tuple
-// slab (when it has tuples), a checkpoint transfer's record file. The
-// writer sends what they hold; the reader fills them.
+// each: a ship's relations, one per digest it names, and a result's
+// tuple slab (when it has tuples). The writer sends what they hold; the
+// reader fills them.
 func (m *message) bulk() []*[]byte {
 	switch m.Type {
 	case msgShip:
@@ -76,8 +75,6 @@ func (m *message) bulk() []*[]byte {
 		if m.Count > 0 {
 			return []*[]byte{&m.Slab}
 		}
-	case msgChkData, msgInstallChk:
-		return []*[]byte{&m.Chk}
 	}
 	return nil
 }
@@ -274,27 +271,4 @@ func unpackTuples(arity, count int, slab []byte) ([]spatial.Tuple, error) {
 		tuples[i].IDs = ids[i*arity : (i+1)*arity : (i+1)*arity]
 	}
 	return tuples, nil
-}
-
-// appendRecord frames one checkpoint record onto a chk_data attachment:
-// uvarint length, then the bytes. A whole file is one attachment, so a
-// message's attachment count never grows with its record count.
-func appendRecord(buf, rec []byte) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(rec)))
-	return append(buf, rec...)
-}
-
-// splitRecords parses an appendRecord-framed attachment into views of
-// it.
-func splitRecords(buf []byte) ([][]byte, error) {
-	var recs [][]byte
-	for len(buf) > 0 {
-		n, w := binary.Uvarint(buf)
-		if w <= 0 || n > uint64(len(buf)-w) {
-			return nil, fmt.Errorf("cluster: checkpoint attachment truncated after %d records", len(recs))
-		}
-		recs = append(recs, buf[w:w+int(n):w+int(n)])
-		buf = buf[w+int(n):]
-	}
-	return recs, nil
 }

@@ -50,17 +50,17 @@ func TestReadMessageBounds(t *testing.T) {
 		t.Errorf("writing a header over the cap: err = %v", err)
 	}
 
-	if _, err := readFrom([]byte(`{"type":"chk_data","att":[-1]}` + "\n")); err == nil || !strings.Contains(err.Error(), "-1-byte") {
+	if _, err := readFrom([]byte(`{"type":"ship","digests":["a"],"att":[-1]}` + "\n")); err == nil || !strings.Contains(err.Error(), "-1-byte") {
 		t.Errorf("negative attachment length: err = %v", err)
 	}
 	var tooLarge *FrameTooLargeError
-	over := fmt.Sprintf(`{"type":"chk_data","att":[%d]}`+"\n", int64(maxFrameBytes)+1)
+	over := fmt.Sprintf(`{"type":"ship","digests":["a"],"att":[%d]}`+"\n", int64(maxFrameBytes)+1)
 	if _, err := readFrom([]byte(over)); !errors.As(err, &tooLarge) {
 		t.Errorf("attachment over maxFrameBytes: err = %v", err)
 	}
 	for _, wire := range []string{
 		`{"type":"heartbeat","att":[0]}`,
-		`{"type":"chk_data"}`,
+		`{"type":"ship","digests":["a"]}`,
 		`{"type":"start","spec":{"relations":[{"name":"a"},{"name":"b"}]},"att":[0,0]}`,
 		`{"type":"ship","digests":["a","b"],"att":[0]}`,
 		`{"type":"ship","att":[0]}`,
@@ -74,7 +74,7 @@ func TestReadMessageBounds(t *testing.T) {
 
 	// A header that declares 1 GiB and delivers 10 bytes costs a chunk,
 	// not a gigabyte.
-	liar := []byte(fmt.Sprintf(`{"type":"chk_data","att":[%d]}`+"\n0123456789", int64(maxFrameBytes)))
+	liar := []byte(fmt.Sprintf(`{"type":"ship","digests":["a"],"att":[%d]}`+"\n0123456789", int64(maxFrameBytes)))
 	var err error
 	allocated := allocatedBy(func() { _, err = readFrom(liar) })
 	if !errors.Is(err, io.ErrUnexpectedEOF) {
@@ -104,10 +104,10 @@ func TestReadMessageBounds(t *testing.T) {
 		big[i] = byte(i * 7)
 	}
 	var wire bytes.Buffer
-	if _, err := writeMessage(&wire, &message{Type: msgChkData, Chk: big}); err != nil {
+	if _, err := writeMessage(&wire, &message{Type: msgShip, Digests: []string{"a"}, Rels: [][]byte{big}}); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := readFrom(wire.Bytes()); err != nil || !bytes.Equal(got.Chk, big) {
+	if got, err := readFrom(wire.Bytes()); err != nil || len(got.Rels) != 1 || !bytes.Equal(got.Rels[0], big) {
 		t.Errorf("multi-chunk attachment did not round-trip (err %v)", err)
 	}
 }
@@ -125,7 +125,7 @@ func FuzzReadMessage(f *testing.F) {
 		}
 		f.Add(wire.Bytes())
 	}
-	f.Add([]byte(fmt.Sprintf(`{"type":"chk_data","att":[%d]}`+"\nxx", int64(maxFrameBytes))))
+	f.Add([]byte(fmt.Sprintf(`{"type":"ship","digests":["a"],"att":[%d]}`+"\nxx", int64(maxFrameBytes))))
 	f.Fuzz(func(t *testing.T, wire []byte) {
 		br := bufio.NewReaderSize(bytes.NewReader(wire), controlReadBuffer)
 		var m *message
@@ -277,8 +277,9 @@ func BenchmarkControlPlane(b *testing.B) {
 // turned away at registration — with a log line naming both versions —
 // instead of mis-parsing an attachment mid-session. The first line sent
 // here is exactly what the JSON-lines workers before protocol 2 sent;
-// the second is a worker one version behind, whose start carries every
-// relation where this one's names them by digest.
+// the second is a worker one version behind, which waits for the
+// coordinator to copy checkpoints between survivors where this one's
+// agree on a resume prefix among themselves.
 func TestRegisterProtocolVersion(t *testing.T) {
 	logged := make(chan string, 16)
 	coord, err := StartCoordinator(CoordinatorConfig{Logf: func(format string, args ...any) {

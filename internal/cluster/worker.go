@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"net"
 	"slices"
-	"strings"
 	"sync"
 	"syscall"
 	"time"
@@ -67,8 +66,8 @@ type workerSession struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 	// inUse counts what reads or writes the FS in flight — the session's
-	// attempts and checkpoint requests (holdSession): the FS, whose pages
-	// they touch, closes only once it is zero.
+	// attempts (holdSession): the FS, whose pages they touch, closes only
+	// once it is zero.
 	inUse    sync.WaitGroup
 	released bool
 }
@@ -204,10 +203,10 @@ func (w *Worker) shutdown() bool {
 }
 
 // release ends a session the worker no longer keeps: its attempts are
-// cancelled and their meshes closed, and once every attempt and
-// checkpoint request has returned, its FS closes, which hands the pages
-// of its checkpoint files back to the process pool. The caller has
-// already taken s out of w.sessions.
+// cancelled and their meshes closed, and once every attempt has
+// returned, its FS closes, which hands the pages of its checkpoint
+// files back to the process pool. The caller has already taken s out of
+// w.sessions.
 func (w *Worker) release(s *workerSession) {
 	w.mu.Lock()
 	s.released = true
@@ -265,7 +264,7 @@ func (w *Worker) controlLoop() {
 		}
 		switch m.Type {
 		case msgStart:
-			if s := w.holdSession(m.Session, true); s != nil {
+			if s := w.holdSession(m.Session); s != nil {
 				w.wg.Add(1)
 				go func() {
 					defer w.wg.Done()
@@ -275,12 +274,6 @@ func (w *Worker) controlLoop() {
 			}
 		case msgShip:
 			w.acceptShip(m)
-		case msgListChk:
-			w.handleListChk(m)
-		case msgFetchChk:
-			w.handleFetchChk(m)
-		case msgInstallChk:
-			w.handleInstallChk(m)
 		case msgEnd:
 			w.mu.Lock()
 			s := w.sessions[m.Session]
@@ -295,12 +288,11 @@ func (w *Worker) controlLoop() {
 	}
 }
 
-// holdSession returns the retained state for a session and counts one
-// use of it in flight (inUse), which the caller ends with Done; release
-// closes the session's FS only after it. A session the worker does not
-// hold is created when create is set, and otherwise nil is returned, as
-// it is once the worker is closed.
-func (w *Worker) holdSession(id string, create bool) *workerSession {
+// holdSession returns the retained state for a session, creating it
+// when the worker holds none, and counts one use of it in flight
+// (inUse), which the caller ends with Done; release closes the
+// session's FS only after it. Once the worker is closed it returns nil.
+func (w *Worker) holdSession(id string) *workerSession {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
@@ -308,9 +300,6 @@ func (w *Worker) holdSession(id string, create bool) *workerSession {
 	}
 	s, ok := w.sessions[id]
 	if !ok {
-		if !create {
-			return nil
-		}
 		s = &workerSession{fs: dfs.New(0)}
 		s.ctx, s.cancel = context.WithCancel(context.Background())
 		w.sessions[id] = s
@@ -338,7 +327,9 @@ func (w *Worker) runSession(m *message, s *workerSession) {
 		// the coordinator must still hear that the attempt failed.
 	}
 	w.cfg.Logf("worker %s: session %s attempt %d failed: %v", w.cfg.Name, m.Session, m.Attempt, err)
-	w.reply(&message{Type: msgResult, Session: m.Session, Attempt: m.Attempt, Error: err.Error()})
+	if err := w.send(&message{Type: msgResult, Session: m.Session, Attempt: m.Attempt, Error: err.Error()}); err != nil {
+		w.cfg.Logf("worker %s: result send failed: %v", w.cfg.Name, err)
+	}
 }
 
 // attemptResult executes one attempt and frames its outcome: the hash
@@ -535,78 +526,6 @@ func (w *Worker) acceptShip(m *message) {
 	select {
 	case ch <- d:
 	default: // a second ship for one need: the first answered it
-	}
-}
-
-// checkpointPrefix scopes the files the coordinator synchronises
-// between attempts: the chain checkpoints (mapreduce.ChainConfig
-// defaults "chk/<chain>/...").
-const checkpointPrefix = "chk/"
-
-// handleListChk lists a session's checkpoint files: none for a session
-// the worker does not hold, which it does not create.
-func (w *Worker) handleListChk(m *message) {
-	var files []string
-	if s := w.holdSession(m.Session, false); s != nil {
-		defer s.inUse.Done()
-		for _, name := range s.fs.List() {
-			if strings.HasPrefix(name, checkpointPrefix) {
-				files = append(files, name)
-			}
-		}
-	}
-	w.reply(&message{Type: msgChkList, Session: m.Session, Files: files})
-}
-
-// handleFetchChk sends one checkpoint file. It holds the session while
-// it reads, so a Close or Kill from another goroutine cannot hand the
-// file's pages back to the pool mid-read.
-func (w *Worker) handleFetchChk(m *message) {
-	out := &message{Type: msgChkData, Session: m.Session, File: m.File}
-	s := w.holdSession(m.Session, false)
-	if s == nil {
-		out.Error = fmt.Sprintf("cluster: worker %s holds no session %s", w.cfg.Name, m.Session)
-		w.reply(out)
-		return
-	}
-	err := s.fs.Scan(m.File, func(rec []byte) error {
-		out.Chk = appendRecord(out.Chk, rec)
-		return nil
-	})
-	s.inUse.Done()
-	if err != nil {
-		out.Error = err.Error()
-	}
-	w.reply(out)
-}
-
-// handleInstallChk writes a checkpoint file another worker committed. It
-// may create the session: a survivor newly in the roster receives the
-// checkpoints before its first attempt.
-func (w *Worker) handleInstallChk(m *message) {
-	out := &message{Type: msgChkOK, Session: m.Session, File: m.File}
-	s := w.holdSession(m.Session, true)
-	if s == nil {
-		return // closed: the coordinator sees the connection drop
-	}
-	// WriteFile copies each record, so the views into m.Chk do not pin it.
-	recs, err := splitRecords(m.Chk)
-	if err == nil {
-		err = s.fs.WriteFile(m.File, recs)
-	}
-	s.inUse.Done()
-	if err != nil {
-		out.Error = err.Error()
-	}
-	w.reply(out)
-}
-
-// reply answers a coordinator request. A failed write means the control
-// connection is gone, which controlLoop reports; the coordinator's
-// request times out or sees the death on its own.
-func (w *Worker) reply(m *message) {
-	if err := w.send(m); err != nil {
-		w.cfg.Logf("worker %s: %s send failed: %v", w.cfg.Name, m.Type, err)
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strconv"
+	"strings"
 
 	"mwsjoin/internal/dfs"
 )
@@ -49,10 +51,11 @@ type ChainConfig struct {
 	// Prefix is the DFS directory for checkpoint files; defaults to
 	// "chk/<Name>".
 	Prefix string
-	// Resume skips every checkpointing step whose checkpoint is already
-	// complete on the FS, charging only its meta-record read; the first
-	// incomplete step re-reads its predecessor's checkpoint and the
-	// chain continues normally from there.
+	// Resume skips the chain's committed prefix: each checkpointing step
+	// whose checkpoint is already complete on the FS, charging only its
+	// meta-record read, up to the first step that runs. That step
+	// re-reads its predecessor's checkpoint, and it and every step after
+	// it run, whatever checkpoints the FS holds for them.
 	Resume bool
 	// FailJob, when non-nil, is consulted before running job i;
 	// returning true kills the chain with a *ChainKilledError. Steps
@@ -102,8 +105,8 @@ func (e *ChainKilledError) Error() string {
 
 // CheckpointMetaError reports a checkpoint meta file a chain cannot
 // have written: not exactly one record, not JSON, or without the step's
-// Stats. Checkpoints also arrive from snapshot files and over the
-// cluster's wire, so resuming validates the meta instead of trusting it.
+// Stats. Checkpoints also arrive from snapshot files, so resuming
+// validates the meta instead of trusting it.
 type CheckpointMetaError struct {
 	Chain string
 	Job   int
@@ -152,9 +155,10 @@ func (c *Chain) Stats() ChainStats { return c.stats }
 // become the checkpoint file without a copy, so run must not reuse or
 // mutate either after returning.
 //
-// Under Resume, a step whose checkpoint is already complete is skipped
-// entirely — run is not called, none of its input is read — and the
-// Stats recorded in its meta file are returned instead.
+// Under Resume, a step of the committed prefix — its checkpoint and
+// every earlier one complete — is skipped entirely: run is not called,
+// none of its input is read, and the Stats recorded in its meta file
+// are returned instead.
 func (c *Chain) Step(name string, run func(in *dfs.View) (out [][]byte, st *Stats, err error)) (*Stats, error) {
 	i, err := c.begin(name)
 	if err != nil {
@@ -171,6 +175,8 @@ func (c *Chain) Step(name string, run func(in *dfs.View) (out [][]byte, st *Stat
 			return st, nil
 		}
 	}
+	// The committed prefix ends at the first step that runs.
+	c.cfg.Resume = false
 	if err := c.maybeKill(i, name); err != nil {
 		return nil, err
 	}
@@ -201,6 +207,7 @@ func (c *Chain) FinalStep(name string, run func(in *dfs.View) (*Stats, error)) (
 	if err != nil {
 		return nil, err
 	}
+	c.cfg.Resume = false
 	if err := c.maybeKill(i, name); err != nil {
 		return nil, err
 	}
@@ -268,6 +275,64 @@ func (c *Chain) checkpointFile(i int, name string) string {
 }
 
 const metaSuffix = ".meta"
+
+// stepOf returns the step a DFS file is one of the chain's checkpoint
+// files of, data or meta; ok is false for any other file.
+func (c *Chain) stepOf(name string) (step int, ok bool) {
+	rest, ok := strings.CutPrefix(name, c.cfg.Prefix+"/")
+	digits, _, _ := strings.Cut(rest, "-")
+	step, err := strconv.Atoi(digits)
+	return step, ok && err == nil
+}
+
+// AgreeResume makes the workers of a distributed chain resume from one
+// step. Every worker writes byte-identical checkpoints of all-gathered
+// outputs, so survivors of a failed attempt differ only in how many
+// trailing steps they committed before a peer died mid-exchange. Each
+// worker all-gathers the length of its committed prefix, one uvarint,
+// and deletes its own checkpoints, data and meta, at or beyond the
+// least; every worker's Resume then skips the same steps and the SPMD
+// exchanges stay in lockstep. Call it once, before the first step, on
+// every worker of d.
+func (c *Chain) AgreeResume(d *DistConfig) error {
+	files := c.cfg.FS.List()
+	// A step is committed when its meta, which is written last, and its
+	// data are both on the FS: the test tryResume makes.
+	committed := map[int]bool{}
+	for _, name := range files {
+		data, isMeta := strings.CutSuffix(name, metaSuffix)
+		if i, ok := c.stepOf(name); ok && isMeta && c.cfg.FS.Exists(data) {
+			committed[i] = true
+		}
+	}
+	var local uint64
+	for committed[int(local)] {
+		local++
+	}
+	incoming, err := distGather(d, "resume-prefix", appendUvarint(nil, local))
+	if err != nil {
+		return fmt.Errorf("mapreduce: chain %q: resume agreement: %w", c.cfg.Name, err)
+	}
+	agreed := local
+	for w, buf := range incoming {
+		n, rest, err := readUvarint(buf)
+		if err == nil && len(rest) > 0 {
+			err = fmt.Errorf("mapreduce: dist frame: %d bytes after the resume prefix", len(rest))
+		}
+		if err != nil {
+			return fmt.Errorf("mapreduce: chain %q: resume agreement: worker %d: %w", c.cfg.Name, w, err)
+		}
+		agreed = min(agreed, n)
+	}
+	for _, name := range files {
+		if i, ok := c.stepOf(name); ok && uint64(i) >= agreed {
+			if err := c.cfg.FS.Delete(name); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
 
 // tryResume checks whether job i's checkpoint is complete and, if so,
 // returns the Stats recorded in its meta file. The meta read is charged

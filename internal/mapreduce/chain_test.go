@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -276,6 +277,99 @@ func TestChainFinalStepNeverResumed(t *testing.T) {
 	}
 }
 
+// TestChainResumesPrefixOnly: a chain resumes its committed prefix and
+// nothing past it. With checkpoints for steps 0 and 2 but not 1, step 0
+// is resumed and steps 1 and 2 run, so step 2 reads what step 1 wrote,
+// not a checkpoint of some other run.
+func TestChainResumesPrefixOnly(t *testing.T) {
+	fs := dfs.New(0)
+	var calls [3]int
+	cleanOut, _, err := runTestChain(t, ChainConfig{Name: "t", FS: fs}, &calls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"chk/t/001-s1", "chk/t/001-s1" + metaSuffix} {
+		if err := fs.Delete(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	calls = [3]int{}
+	out, cs, err := runTestChain(t, ChainConfig{Name: "t", FS: fs, Resume: true}, &calls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(out, cleanOut) {
+		t.Errorf("output = %v, want %v", out, cleanOut)
+	}
+	if calls != [3]int{0, 1, 1} || cs.ResumedJobs != 1 || cs.JobsRun != 2 {
+		t.Errorf("step calls %v, chain stats %+v; want step 0 resumed and steps 1 and 2 run", calls, cs)
+	}
+}
+
+// committedChain returns a resuming chain over a fresh FS on which an
+// earlier run of it committed steps 0..k-1.
+func committedChain(t testing.TB, name string, k int) *Chain {
+	t.Helper()
+	fs := dfs.New(0)
+	ch := NewChain(ChainConfig{Name: name, FS: fs})
+	for i := 0; i < k; i++ {
+		if _, err := ch.Step(fmt.Sprintf("s%d", i), func(*dfs.View) ([][]byte, *Stats, error) {
+			return [][]byte{{byte(i)}}, &Stats{}, nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return NewChain(ChainConfig{Name: name, FS: fs, Resume: true})
+}
+
+// TestChainAgreeResume: two workers that committed three steps, and
+// steps 0 and 2 only, agree on a prefix of one step; each deletes its
+// checkpoints past it, data and meta, and keeps the rest. A peer's
+// payload that is not one shortest-form uvarint fails the agreement
+// with an error naming the chain and the worker.
+func TestChainAgreeResume(t *testing.T) {
+	chains := []*Chain{committedChain(t, "a", 3), committedChain(t, "a", 3)}
+	for _, name := range []string{"chk/a/001-s1", "chk/a/001-s1" + metaSuffix} {
+		if err := chains[1].cfg.FS.Delete(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hub := newChanHub(2)
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for self, ch := range chains {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[self] = ch.AgreeResume(&DistConfig{NumWorkers: 2, Self: self, Exchanger: hub.exchanger(self)})
+		}()
+	}
+	wg.Wait()
+	for self, ch := range chains {
+		if errs[self] != nil {
+			t.Fatalf("worker %d: %v", self, errs[self])
+		}
+		if got, want := ch.cfg.FS.List(), []string{"chk/a/000-s0", "chk/a/000-s0" + metaSuffix}; !reflect.DeepEqual(got, want) {
+			t.Errorf("worker %d keeps %v, want %v", self, got, want)
+		}
+	}
+
+	for _, c := range []struct {
+		forged []byte
+		want   string
+	}{
+		{nil, "truncated varint"},
+		{[]byte{0x81, 0x00}, "overlong varint"},
+		{uv(1, 0), "1 bytes after the resume prefix"},
+	} {
+		d := &DistConfig{NumWorkers: 2, Self: 0, Exchanger: &forgingExchanger{forgeTag: "resume-prefix", forged: c.forged}}
+		err := committedChain(t, "a", 1).AgreeResume(d)
+		if err == nil || !strings.Contains(err.Error(), c.want) || !strings.Contains(err.Error(), `chain "a"`) || !strings.Contains(err.Error(), "worker 1") {
+			t.Errorf("forged prefix %x: err = %v, want %q naming the chain and worker 1", c.forged, err, c.want)
+		}
+	}
+}
+
 func TestChainValidation(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -386,7 +480,7 @@ func resumeStep(t testing.TB, fs *dfs.FS) (*Stats, error) {
 
 // TestResumeRejectsMetaWithoutStats: a checkpoint meta file that is not
 // exactly one record carrying the step's stats — which no chain writes,
-// but a snapshot file or a shipped checkpoint can hold — fails the
+// but a snapshot file can hold — fails the
 // resume with an error naming the chain, the job and the file, instead
 // of resuming as a success with a nil round.
 func TestResumeRejectsMetaWithoutStats(t *testing.T) {

@@ -423,39 +423,46 @@ func outputRuns(outs [][]string, pool *BufferPool) []run[string] {
 	return runs
 }
 
-// FuzzDistGathers: whatever bytes worker 1 ships as its map-stats or
-// outputs payload, worker 0's barrier fails or learns exactly what the
-// payload encodes — its counters, error and per-reducer figures and
-// output runs re-encode to the same bytes — never panics, and allocates
-// no more than a small multiple of the payload. The seeds are built by
-// the barriers' own encoders, so each decodes to what was encoded.
+// FuzzDistGathers: whatever bytes worker 1 ships as its map-stats,
+// outputs or resume-prefix payload, worker 0's barrier or agreement
+// fails or learns exactly what the payload encodes — its counters,
+// error and per-reducer figures and output runs, or its prefix,
+// re-encode to the same bytes — never panics, and allocates no more
+// than a small multiple of the payload. The seeds are built by the
+// gathers' own encoders, so each decodes to what was encoded.
 func FuzzDistGathers(f *testing.F) {
 	const nm, nr = 4, 4
 	mapSeed := appendMapReport(nil, [mapBarrierCounters]int64{3, 1}, taskError{idx: -1})
 	pairs, priced, keys := []int64{0, 5, 0, 2}, []int64{0, 80, 0, 32}, []int64{0, 1, 0, 1}
 	outs := outputRuns([][]string{nil, {"1:2,3,", ""}, nil, {"3:9,"}}, NewBufferPool())
 	outSeed := appendReduceReport(NewBufferPool(), [reduceBarrierCounters]int64{2, 0, 123, 4}, taskError{idx: -1}, 1, 2, pairs, priced, keys, outs, distTestJob(Config{}).EncodeOutput)
-	f.Add(false, mapSeed)
-	f.Add(true, outSeed)
-	f.Add(false, appendMapReport(nil, [mapBarrierCounters]int64{}, taskError{idx: 3, msg: "mapper 3 failed"}))
-	f.Add(true, append(slices.Clone(outSeed[:len(outSeed)-5]), uv(1<<40)...))
-	f.Fuzz(func(t *testing.T, gatherOutputs bool, payload []byte) {
-		tag := "map-stats"
-		if gatherOutputs {
-			tag = "outputs"
-		}
+	f.Add(uint8(0), mapSeed)
+	f.Add(uint8(1), outSeed)
+	f.Add(uint8(0), appendMapReport(nil, [mapBarrierCounters]int64{}, taskError{idx: 3, msg: "mapper 3 failed"}))
+	f.Add(uint8(1), append(slices.Clone(outSeed[:len(outSeed)-5]), uv(1<<40)...))
+	f.Add(uint8(2), uv(1))
+	f.Add(uint8(2), uv(1<<40))
+	tags := []string{"map-stats", "outputs", "resume-prefix"}
+	f.Fuzz(func(t *testing.T, gather uint8, payload []byte) {
+		tag := tags[int(gather)%len(tags)]
 		d := &DistConfig{NumWorkers: 2, Self: 0, Exchanger: &forgingExchanger{forgeTag: tag, forged: payload}}
 		j := distTestJob(Config{Name: "fuzz", NumReducers: nr, NumMappers: nm, Dist: d})
 		// Worker 0 contributes nothing, so what it ends with is worker 1's.
 		stats := &Stats{Job: "fuzz", PairsPerReducer: make([]int64, nr)}
 		outputs, keyCounts, bytesPerReducer := make([]run[string], nr), make([]int64, nr), make([]int64, nr)
+		// Worker 0's chain has committed two steps, so it agrees on a
+		// prefix of at most two.
+		ch := committedChain(t, "fuzz", 2)
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
 		var err error
-		if gatherOutputs {
-			err = distReduceBarrier(j, &j.Config, stats, outputs, keyCounts, bytesPerReducer, make([]error, nr), 0, 0, NewBufferPool())
-		} else {
+		switch tag {
+		case "map-stats":
 			err = distMapBarrier(d, stats, make([]error, nm))
+		case "outputs":
+			err = distReduceBarrier(j, &j.Config, stats, outputs, keyCounts, bytesPerReducer, make([]error, nr), 0, 0, NewBufferPool())
+		case "resume-prefix":
+			err = ch.AgreeResume(d)
 		}
 		runtime.ReadMemStats(&m1)
 		if grew := m1.TotalAlloc - m0.TotalAlloc; grew > 4*uint64(len(payload))+64<<10 {
@@ -465,11 +472,19 @@ func FuzzDistGathers(f *testing.F) {
 			return
 		}
 		var got []byte
-		if gatherOutputs {
+		switch tag {
+		case "map-stats":
+			got = appendMapReport(nil, [mapBarrierCounters]int64{stats.MapAttempts, stats.MapFailures}, taskError{idx: -1})
+		case "outputs":
 			c := [reduceBarrierCounters]int64{stats.ReduceAttempts, stats.ReduceFailures, stats.ShuffleNetworkBytes, stats.ShuffleNetworkRuns}
 			got = appendReduceReport(NewBufferPool(), c, taskError{idx: -1}, 1, 2, stats.PairsPerReducer, bytesPerReducer, keyCounts, outputs, j.EncodeOutput)
-		} else {
-			got = appendMapReport(nil, [mapBarrierCounters]int64{stats.MapAttempts, stats.MapFailures}, taskError{idx: -1})
+		case "resume-prefix":
+			// Each committed step is a data file and a meta file.
+			n, _, _ := readUvarint(payload)
+			if kept := len(ch.cfg.FS.List()); uint64(kept) != 2*min(n, 2) {
+				t.Fatalf("worker 1 committed %d steps, worker 0 two, and worker 0 kept %d files", n, kept)
+			}
+			got = appendUvarint(nil, n)
 		}
 		if !bytes.Equal(got, payload) {
 			t.Fatalf("%s payload %x decoded, but re-encodes as %x", tag, payload, got)

@@ -81,7 +81,10 @@ func cascade(pl *plan, exec *executor) (*Result, error) {
 	// them back as its input. A run killed by Config.FailJob leaves the
 	// completed checkpoints behind, and a Resume run on the same FS
 	// skips every completed round, reusing its recorded Stats.
-	ch := exec.chain("cascade")
+	ch, err := exec.chain("cascade")
+	if err != nil {
+		return nil, err
+	}
 	var rounds []*mapreduce.Stats
 	var counted atomic.Int64
 	for p := 1; p < pl.m; p++ {

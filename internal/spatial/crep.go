@@ -22,7 +22,10 @@ import (
 func allReplicate(pl *plan, exec *executor) (*Result, error) {
 	start := time.Now()
 
-	ch := exec.chain("all-replicate")
+	ch, err := exec.chain("all-replicate")
+	if err != nil {
+		return nil, err
+	}
 	roundSpan := exec.beginRound("join")
 	var counted atomic.Int64
 	var tuples []Tuple
@@ -118,7 +121,10 @@ func controlledReplicate(pl *plan, exec *executor, limit bool) (*Result, error) 
 		}
 	}
 
-	ch := exec.chain(method.String())
+	ch, err := exec.chain(method.String())
+	if err != nil {
+		return nil, err
+	}
 
 	// ---- round one: split the boundary band, decide replication ----
 	markSpan := exec.beginRound("mark")

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"mwsjoin/internal/dfs"
 	"mwsjoin/internal/mapreduce"
@@ -167,6 +168,71 @@ func TestDistributedExecuteEquivalence(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestDistributedResumeAgreesOnPrefix: two workers resume a cascade
+// from FSs that hold different checkpoint prefixes — worker 1 lacks the
+// last step's checkpoint, as a survivor does whose peer died mid-way
+// through the step's output gather after worker 0 had committed it.
+// Both must resume the prefix both hold, re-run the rest in lockstep
+// and return the clean run's tuples. Should the workers skip different
+// steps, one waits on an exchange its peer never makes, so the run has
+// a deadline.
+func TestDistributedResumeAgreesOnPrefix(t *testing.T) {
+	rng := rand.New(rand.NewPCG(2013, 40))
+	q := query.New("R1", "R2", "R3", "R4").Overlap(0, 1).Overlap(1, 2).Overlap(2, 3)
+	rels := randomRelations(rng, 4, 150, 1000, 90)
+	fss := []*dfs.FS{dfs.New(0), dfs.New(0)}
+	run := func(resume bool) []*Result {
+		t.Helper()
+		hub := newDistHub(2)
+		results, errs := make([]*Result, 2), make([]error, 2)
+		done := make(chan int, 2)
+		for self := range fss {
+			go func() {
+				results[self], errs[self] = Execute(Cascade, q, rels, Config{Reducers: 16, NumMappers: 4, Resume: resume, FS: fss[self],
+					Dist: &mapreduce.DistConfig{NumWorkers: 2, Self: self, Exchanger: hub.exchanger(self)}})
+				done <- self
+			}()
+		}
+		deadline := time.After(30 * time.Second)
+		for range fss {
+			select {
+			case self := <-done:
+				if errs[self] != nil {
+					t.Fatalf("resume=%v worker %d: %v", resume, self, errs[self])
+				}
+			case <-deadline:
+				t.Fatalf("resume=%v: the workers did not finish within 30s; they fell out of lockstep", resume)
+			}
+		}
+		return results
+	}
+
+	clean := run(false)
+	if len(clean[0].Tuples) == 0 {
+		t.Fatal("the clean run found no tuples; the test needs some")
+	}
+	metas := chainMetaFiles(fss[1])
+	if len(metas) != 3 {
+		t.Fatalf("a 4-relation cascade left %d checkpoints, want 3: %v", len(metas), metas)
+	}
+	last := metas[len(metas)-1]
+	for _, name := range []string{last, strings.TrimSuffix(last, ".meta")} {
+		if err := fss[1].Delete(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	const agreed = 2
+	for self, res := range run(true) {
+		if !reflect.DeepEqual(res.Tuples, clean[0].Tuples) {
+			t.Errorf("worker %d: resumed tuples diverge from the clean run (%d vs %d)", self, len(res.Tuples), len(clean[0].Tuples))
+		}
+		if cs := res.Stats.Chain; cs.ResumedJobs != agreed || cs.JobsRun != 3-agreed {
+			t.Errorf("worker %d: resumed %d jobs and ran %d, want %d and %d", self, cs.ResumedJobs, cs.JobsRun, agreed, 3-agreed)
+		}
 	}
 }
 

@@ -278,9 +278,10 @@ func (e *executor) jobConfig(name string) mapreduce.Config {
 
 // chain builds the method's job chain over the execution's FS:
 // checkpoints land under "chk/<name>", and kill/resume follow the
-// Config knobs.
-func (e *executor) chain(name string) *mapreduce.Chain {
-	return mapreduce.NewChain(mapreduce.ChainConfig{
+// Config knobs. A resumed distributed chain first agrees with its peers
+// on the prefix every worker resumes (Chain.AgreeResume).
+func (e *executor) chain(name string) (*mapreduce.Chain, error) {
+	ch := mapreduce.NewChain(mapreduce.ChainConfig{
 		Name:    name,
 		FS:      e.fs,
 		Resume:  e.cfg.Resume,
@@ -288,6 +289,12 @@ func (e *executor) chain(name string) *mapreduce.Chain {
 		Context: e.cfg.Context,
 		OnStep:  e.cfg.OnChainStep,
 	})
+	if d := e.cfg.Dist; e.cfg.Resume && d != nil && d.NumWorkers > 1 {
+		if err := ch.AgreeResume(d); err != nil {
+			return nil, err
+		}
+	}
+	return ch, nil
 }
 
 // inputFile names the staged DFS file of a relation.
