@@ -109,8 +109,9 @@ func TestDaemonClusterEndToEnd(t *testing.T) {
 	}
 
 	// Three real worker processes; w1 SIGKILLs itself right before its
-	// 4th shuffle exchange — mid round 2 of the cascade, after the
-	// round-1 checkpoint exists on every worker.
+	// 4th mesh exchange. A job makes two, its run shuffle and its output
+	// gather, so that is round 2's output gather — mid round 2 of the
+	// cascade, after the round-1 checkpoint exists on every worker.
 	workers := make(map[string]*exec.Cmd)
 	for _, w := range []struct {
 		name     string

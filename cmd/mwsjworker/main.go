@@ -11,7 +11,8 @@
 //
 // The process exits when the coordinator connection drops or on
 // SIGINT/SIGTERM. -die-after-exchanges N SIGKILLs the process right
-// before its N-th shuffle exchange of a session — the deterministic
+// before its N-th mesh exchange of a session — a map-reduce job makes
+// two, its run shuffle and its output gather — the deterministic
 // mid-round crash the recovery CI stanza injects.
 package main
 
@@ -43,7 +44,7 @@ func run(args []string, stderr io.Writer) error {
 		dataListen  = fs.String("data-listen", "127.0.0.1:0", "data-plane listen address for the network shuffle")
 		heartbeat   = fs.Duration("heartbeat", 500*time.Millisecond, "heartbeat interval; the coordinator's timeout should be a small multiple")
 		exchangeTO  = fs.Duration("exchange-timeout", 0, "per-exchange shuffle rendezvous timeout, and how long a session waits for relations it asked for (0 = 60s)")
-		dieAfter    = fs.Int("die-after-exchanges", 0, "testing: SIGKILL this process right before its n-th shuffle exchange of a session (0 = never)")
+		dieAfter    = fs.Int("die-after-exchanges", 0, "testing: SIGKILL this process right before its n-th mesh exchange of a session, two per job (0 = never)")
 		quiet       = fs.Bool("quiet", false, "suppress per-session logs")
 	)
 	if err := fs.Parse(args); err != nil {

@@ -201,9 +201,10 @@ func TestClusterRecovery(t *testing.T) {
 	victim := 2
 	tc := startTestCluster(t, 3, func(i int, wc *WorkerConfig) {
 		if i == victim {
-			// A 3-relation cascade is two jobs of three exchanges each;
-			// dying on the fourth is mid round two, after the step-one
-			// checkpoint committed.
+			// A 3-relation cascade is two jobs of two exchanges each (the
+			// run shuffle, then the output gather); dying before the
+			// fourth is before round two's output gather, after the
+			// step-one checkpoint committed.
 			wc.DieAfterExchanges = 4
 			wc.DieInProcess = true
 		}
@@ -255,7 +256,7 @@ func TestClusterRecoveryAllMethods(t *testing.T) {
 			victim := 1
 			tc := startTestCluster(t, 3, func(i int, wc *WorkerConfig) {
 				if i == victim {
-					wc.DieAfterExchanges = 2 // mid shuffle of the first job
+					wc.DieAfterExchanges = 2 // before the first job's output gather
 					wc.DieInProcess = true
 				}
 			})

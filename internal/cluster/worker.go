@@ -41,17 +41,14 @@ type WorkerConfig struct {
 	// DieAfterExchanges, when positive, kills the worker right before
 	// its n-th mesh exchange of a session — the deterministic
 	// mid-round fault the recovery tests and TestDaemonClusterEndToEnd
-	// inject. The default death is SIGKILL of the whole
-	// process; OnDie overrides it for in-process tests.
+	// inject. The death is SIGKILL of the whole process, unless
+	// DieInProcess is set.
 	DieAfterExchanges int
 	// DieInProcess makes DieAfterExchanges call Worker.Kill — dropping
 	// every connection at once — instead of SIGKILLing the process, so
 	// in-process tests observe exactly what peers and coordinator see
 	// when a real worker process dies.
 	DieInProcess bool
-	// OnDie replaces the death behaviour entirely (rarely needed;
-	// DieInProcess covers the in-process case).
-	OnDie func()
 	// Logf receives worker lifecycle logs. May be nil.
 	Logf func(format string, args ...any)
 }
@@ -396,13 +393,9 @@ func (w *Worker) executeAttempt(m *message, s *workerSession) (*spatial.Result, 
 			return nil, err
 		}
 		mh.dieAfter = w.cfg.DieAfterExchanges
-		switch {
-		case w.cfg.OnDie != nil:
-			mh.onDie = w.cfg.OnDie
-		case w.cfg.DieInProcess:
+		mh.onDie = func() { syscall.Kill(syscall.Getpid(), syscall.SIGKILL) }
+		if w.cfg.DieInProcess {
 			mh.onDie = w.Kill
-		default:
-			mh.onDie = func() { syscall.Kill(syscall.Getpid(), syscall.SIGKILL) }
 		}
 		w.mu.Lock()
 		if s.released {

@@ -309,7 +309,7 @@ func (c *Chain) AgreeResume(d *DistConfig) error {
 	for committed[int(local)] {
 		local++
 	}
-	incoming, err := distGather(d, "resume-prefix", appendUvarint(nil, local))
+	incoming, err := distGather(d, "resume-prefix", appendUvarints(nil, local))
 	if err != nil {
 		return fmt.Errorf("mapreduce: chain %q: resume agreement: %w", c.cfg.Name, err)
 	}

@@ -3,27 +3,28 @@ package mapreduce
 // Distributed execution (SPMD): every worker of a cluster runs the same
 // deterministic Job over the same input, but task *ownership* is
 // partitioned — mapper m belongs to worker m mod W, reducer r to worker
-// r mod W — and only three things ever cross the wire:
+// r mod W — and a job makes two exchanges:
 //
-//  1. a map barrier gathering per-worker map accounting and errors, so
-//     every worker agrees on the job's MapAttempts/MapFailures totals
-//     and on whether (and how) the map phase failed;
-//  2. the network shuffle: each worker ships the EncodePair-framed runs
-//     destined for remotely-owned reducers and receives the
-//     remotely-produced runs of its own reducers, so the shuffle sees
-//     exactly the runs[m][r] matrix an in-process run builds;
-//  3. a reduce barrier all-gathering the EncodeOutput-framed reducer
-//     outputs plus per-reducer accounting, so every worker finishes the
-//     job with the complete output slice and identical Stats.
+//  1. the network shuffle: each worker's payload to a peer starts with
+//     its map report (map attempts, map failures, its lowest-index map
+//     error), so every worker agrees on the job's MapAttempts/MapFailures
+//     totals and on whether (and how) the map phase failed; then come
+//     the EncodePair-framed runs destined for the peer's reducers, none
+//     when the sender's map phase failed, so the shuffle sees exactly
+//     the runs[m][r] matrix an in-process run builds;
+//  2. a reduce barrier all-gathering the EncodeOutput-framed reducer
+//     outputs, each reducer's pair count and the reduce accounting, so
+//     every worker finishes the job with the complete output slice and
+//     identical Stats.
 //
 // Because the shuffle delivers a reducer's values in (mapper index,
 // emit order) no matter which worker produced the run, and outputs are
 // assembled in reducer-index order, a distributed run is bit-identical
 // to the in-process engine; the only new Stats are the
-// ShuffleNetworkBytes/ShuffleNetworkRuns family counting what stage 2
-// actually shipped. A DistConfig with NumWorkers == 1 degenerates to
-// the in-process engine exactly (no exchange runs, network counters
-// stay zero).
+// ShuffleNetworkBytes/ShuffleNetworkRuns family counting the run
+// records the shuffle actually shipped. A DistConfig with
+// NumWorkers == 1 degenerates to the in-process engine exactly (no
+// exchange runs, network counters stay zero).
 
 import (
 	"encoding/binary"
@@ -63,11 +64,9 @@ type DistConfig struct {
 	Exchanger Exchanger
 }
 
-// ownsMapper reports whether this worker executes mapper m.
-func (d *DistConfig) ownsMapper(m int) bool { return m%d.NumWorkers == d.Self }
-
-// ownsReducer reports whether this worker executes reducer r.
-func (d *DistConfig) ownsReducer(r int) bool { return r%d.NumWorkers == d.Self }
+// owns reports whether this worker executes task t, a mapper or a
+// reducer: the one ownership rule of both phases.
+func (d *DistConfig) owns(t int) bool { return t%d.NumWorkers == d.Self }
 
 // validate checks the distributed knobs at config time. numMappers is
 // the pre-default value: a W>1 job must pin NumMappers explicitly,
@@ -91,13 +90,16 @@ func (d *DistConfig) validate(job string, numMappers int) error {
 	return nil
 }
 
-// appendUvarint appends v in varint encoding.
-func appendUvarint(buf []byte, v uint64) []byte {
-	return binary.AppendUvarint(buf, v)
+// appendUvarints appends each of vs in varint encoding.
+func appendUvarints(buf []byte, vs ...uint64) []byte {
+	for _, v := range vs {
+		buf = binary.AppendUvarint(buf, v)
+	}
+	return buf
 }
 
 // readUvarint consumes one varint from buf. Only the shortest encoding
-// of a value is accepted, the one appendUvarint writes, so a frame that
+// of a value is accepted, the one appendUvarints writes, so a frame that
 // decodes re-encodes to the same bytes.
 func readUvarint(buf []byte) (uint64, []byte, error) {
 	v, n := binary.Uvarint(buf)
@@ -122,7 +124,7 @@ func readBytes(buf []byte) ([]byte, []byte, error) {
 	return rest[:n], rest[n:], nil
 }
 
-// uvarintLen is the number of bytes appendUvarint writes for v.
+// uvarintLen is the number of bytes appendUvarints writes for v.
 func uvarintLen(v uint64) int {
 	n := 1
 	for ; v >= 0x80; v >>= 7 {
@@ -142,7 +144,7 @@ func checkCount(what string, n uint64, remaining int) error {
 }
 
 // taskError is one worker's lowest-index failed task, flattened for the
-// wire. The barrier returns the globally lowest index so every worker
+// wire. Each exchange returns the globally lowest index so every worker
 // surfaces the same error the in-process engine would (it reports the
 // lowest-index failed task).
 type taskError struct {
@@ -150,19 +152,26 @@ type taskError struct {
 	msg string
 }
 
-// merge keeps the lower-index error.
-func (e *taskError) merge(idx int, msg string) {
-	if idx < 0 {
-		return
+// firstError is the lowest-index error of errs, a phase's per-task
+// errors, its message written by msg; idx is -1 when no task failed.
+func firstError(errs []error, msg func(task int, err error) string) taskError {
+	for t, err := range errs {
+		if err != nil {
+			return taskError{t, msg(t, err)}
+		}
 	}
-	if e.idx < 0 || idx < e.idx {
-		e.idx, e.msg = idx, msg
+	return taskError{idx: -1}
+}
+
+// merge keeps the lower-index error.
+func (e *taskError) merge(o taskError) {
+	if o.idx >= 0 && (e.idx < 0 || o.idx < e.idx) {
+		*e = o
 	}
 }
 
 func (e *taskError) append(buf []byte) []byte {
-	buf = appendUvarint(buf, uint64(int64(e.idx)+1)) // -1 (none) encodes as 0
-	buf = appendUvarint(buf, uint64(len(e.msg)))
+	buf = appendUvarints(buf, uint64(int64(e.idx)+1), uint64(len(e.msg))) // idx -1 (none) encodes as 0
 	return append(buf, e.msg...)
 }
 
@@ -188,6 +197,36 @@ func (e *taskError) parse(buf []byte, tasks int) ([]byte, error) {
 	return buf, nil
 }
 
+// reportLen bounds the bytes appendReport writes for n counters and e.
+func reportLen(n int, e taskError) int {
+	return (n+2)*binary.MaxVarintLen64 + len(e.msg)
+}
+
+// appendReport encodes one worker's report of a phase it ran part of:
+// its counters, then its lowest-index failed task. Both exchanges of a
+// job carry one: the run payloads the map report, the reduce barrier's
+// payload the reduce report.
+func appendReport(buf []byte, c []int64, e taskError) []byte {
+	for _, v := range c {
+		buf = appendUvarints(buf, uint64(v))
+	}
+	return e.append(buf)
+}
+
+// parseReport decodes the report at the head of buf, of len(c) counters
+// and a phase of tasks tasks, into c and e, and returns the bytes after
+// it.
+func parseReport(buf []byte, c []int64, e *taskError, tasks int) ([]byte, error) {
+	for i := range c {
+		v, rest, err := readUvarint(buf)
+		if err != nil {
+			return nil, err
+		}
+		c[i], buf = int64(v), rest
+	}
+	return e.parse(buf, tasks)
+}
+
 // distGather all-gathers one payload: every worker receives every
 // worker's payload, indexed by worker.
 func distGather(d *DistConfig, tag string, payload []byte) ([][]byte, error) {
@@ -198,119 +237,73 @@ func distGather(d *DistConfig, tag string, payload []byte) ([][]byte, error) {
 	return d.Exchanger.AllToAll(tag, outgoing)
 }
 
-// mapBarrierCounters are the per-worker map-phase contributions summed
-// by the barrier, in wire order: map attempts and failures.
-const mapBarrierCounters = 2
-
-// appendMapReport encodes one worker's map-barrier payload: its
-// counters, then its lowest-index map error.
-func appendMapReport(buf []byte, c [mapBarrierCounters]int64, e taskError) []byte {
-	for _, v := range c {
-		buf = appendUvarint(buf, uint64(v))
-	}
-	return e.append(buf)
-}
-
-// parseMapReport decodes one worker's whole map-barrier payload for a
-// job of tasks mappers.
-func parseMapReport(buf []byte, tasks int) (c [mapBarrierCounters]int64, e taskError, err error) {
-	for i := range c {
-		var v uint64
-		if v, buf, err = readUvarint(buf); err != nil {
-			return c, e, err
-		}
-		c[i] = int64(v)
-	}
-	if buf, err = e.parse(buf, tasks); err != nil {
-		return c, e, err
-	}
-	if len(buf) > 0 {
-		err = fmt.Errorf("mapreduce: dist frame: %d bytes after the map report", len(buf))
-	}
-	return c, e, err
-}
-
-// distMapBarrier is exchange stage 1: gather every worker's map-phase
-// accounting (attempt/failure counters over the mappers it owns) and
-// error state, overwrite the local partial sums in stats with the
-// global totals, and surface the globally lowest-index map error (or
-// nil).
-func distMapBarrier(d *DistConfig, stats *Stats, mapErrs []error) error {
-	locErr := taskError{idx: -1}
-	for m, err := range mapErrs {
-		if err != nil {
-			// Mirror the in-process surface error exactly:
-			// fmt.Errorf("%w (mapper %d)", err, m).
-			locErr.merge(m, fmt.Sprintf("%s (mapper %d)", err.Error(), m))
-			break // mapErrs is index-ordered; the first is the lowest
-		}
-	}
-	payload := appendMapReport(nil, [mapBarrierCounters]int64{stats.MapAttempts, stats.MapFailures}, locErr)
-
-	incoming, err := distGather(d, "map-stats", payload)
-	if err != nil {
-		return fmt.Errorf("mapreduce: job %q: map barrier: %w", stats.Job, err)
-	}
-	var totals [mapBarrierCounters]int64
-	globErr := taskError{idx: -1}
-	for w, buf := range incoming {
-		c, e, err := parseMapReport(buf, len(mapErrs))
-		if err != nil {
-			return fmt.Errorf("mapreduce: job %q: map barrier: worker %d: %w", stats.Job, w, err)
-		}
-		for i, v := range c {
-			totals[i] += v
-		}
-		globErr.merge(e.idx, e.msg)
-	}
-	stats.MapAttempts = totals[0]
-	stats.MapFailures = totals[1]
-	if globErr.idx >= 0 {
-		return errors.New(globErr.msg)
-	}
-	return nil
-}
-
 // runPairSlack is what a shipped pair may take beyond its PairBytes
 // price without regrowing the buffer it is encoded into: the record's
 // length prefix and a codec's framing byte. A codec that exceeds it
 // costs a reallocation, nothing else.
 const runPairSlack = 4
 
-// distExchangeRuns is exchange stage 2, the network shuffle: ship each
-// owned mapper's runs destined for remotely-owned reducers and receive
-// the remote runs of the reducers this worker owns. On return,
-// runs[m][r] is populated for every locally-owned reducer column r
-// exactly as an in-process run would have built it; remote mappers'
-// rows are materialized so the shuffle can index them. Each payload is
-// encoded into a frame from pool, which goes back once the exchange
-// returns. Returns the bytes and non-empty runs shipped to remote
-// workers.
-func distExchangeRuns[I any, K ReducerKey, V any, O any](j *Job[I, K, V, O], cfg *Config, runs [][]run[V], nm int, pool *BufferPool) (int64, int64, error) {
+// mapReportCounters are the counters of the map report that heads a
+// run payload, in wire order: map attempts and failures.
+const mapReportCounters = 2
+
+// parseRunHead decodes the map report at the head of a run payload, of
+// a job with tasks mappers, into c and e, and returns the runs after
+// it: none when the report carries an error, because a worker whose map
+// phase failed ships no runs.
+func parseRunHead(buf []byte, c []int64, e *taskError, tasks int) ([]byte, error) {
+	rest, err := parseReport(buf, c, e, tasks)
+	if err == nil && e.idx >= 0 && len(rest) > 0 {
+		err = fmt.Errorf("mapreduce: dist frame: %d bytes after the report of a failed map phase", len(rest))
+	}
+	return rest, err
+}
+
+// distExchangeRuns is the first exchange, the network shuffle. Every
+// payload starts with this worker's map report; unless its map phase
+// failed, a payload to a peer goes on with each owned mapper's runs for
+// the peer's reducers. The reports make the MapAttempts/MapFailures
+// totals in stats global and surface the globally lowest-index map
+// error, before any run is decoded. On success, runs[m][r] is populated
+// for every locally-owned reducer column r exactly as an in-process run
+// would have built it; remote mappers' rows are materialized so the
+// shuffle can index them. Each payload to a peer is encoded into a frame
+// from pool, which goes back once the exchange returns; the report to
+// itself is too small to take one. stats.ShuffleNetworkBytes and
+// ShuffleNetworkRuns are left at this worker's share, the bytes of runs
+// and the non-empty runs it shipped, which the reduce barrier sums.
+func distExchangeRuns[I any, K ReducerKey, V any, O any](j *Job[I, K, V, O], cfg *Config, stats *Stats, runs [][]run[V], mapErrs []error, pool *BufferPool) error {
 	d := cfg.Dist
 	W := d.NumWorkers
+	nm := len(runs)
+	// Mirror the in-process surface error exactly:
+	// fmt.Errorf("%w (mapper %d)", err, m).
+	locErr := firstError(mapErrs, func(m int, err error) string { return fmt.Sprintf("%s (mapper %d)", err, m) })
+	c := [mapReportCounters]int64{stats.MapAttempts, stats.MapFailures}
 	outgoing := make([][]byte, W)
-	var sentBytes, sentRuns int64
+	outgoing[d.Self] = appendReport(nil, c[:], locErr)
+	shipRuns := locErr.idx < 0
 	var rec []byte
 	for u := 0; u < W; u++ {
 		if u == d.Self {
 			continue
 		}
-		// Sized before the first append: a run's priced bytes plus
-		// runPairSlack per pair.
-		size := 0
-		for m := d.Self; m < nm; m += W {
+		// Sized before the first append: the report, then a run's priced
+		// bytes plus runPairSlack per pair.
+		size := reportLen(mapReportCounters, locErr)
+		for m := d.Self; shipRuns && m < nm; m += W {
 			for r := u; r < cfg.NumReducers; r += W {
 				b := &runs[m][r]
 				size += int(b.bytes) + b.n*runPairSlack + 4*binary.MaxVarintLen32
 			}
 		}
-		buf := getFrame(&pool.frames, size)
-		for m := d.Self; m < nm; m += W {
+		buf := appendReport(getFrame(&pool.frames, size), c[:], locErr)
+		head := len(buf)
+		for m := d.Self; shipRuns && m < nm; m += W {
 			for r := u; r < cfg.NumReducers; r += W {
 				b := &runs[m][r]
 				if b.n > 0 {
-					sentRuns++
+					stats.ShuffleNetworkRuns++
 				}
 				buf, rec = appendRun(buf, rec, m, K(r), b, j.EncodePair)
 				// The shipped run's memory is dead locally: its reducer
@@ -319,14 +312,33 @@ func distExchangeRuns[I any, K ReducerKey, V any, O any](j *Job[I, K, V, O], cfg
 			}
 		}
 		outgoing[u] = buf
-		sentBytes += int64(len(buf))
+		stats.ShuffleNetworkBytes += int64(len(buf) - head)
 	}
 	incoming, err := d.Exchanger.AllToAll("runs", outgoing)
-	for _, buf := range outgoing {
-		putBuf(&pool.frames, buf)
+	for u, buf := range outgoing {
+		if u != d.Self {
+			putBuf(&pool.frames, buf)
+		}
 	}
 	if err != nil {
-		return 0, 0, fmt.Errorf("mapreduce: job %q: run exchange: %w", cfg.Name, err)
+		return fmt.Errorf("mapreduce: job %q: run exchange: %w", cfg.Name, err)
+	}
+	var totals [mapReportCounters]int64
+	globErr := taskError{idx: -1}
+	for w, buf := range incoming {
+		var e taskError
+		// c, encoded already, takes each worker's counters in turn.
+		if incoming[w], err = parseRunHead(buf, c[:], &e, nm); err != nil {
+			return fmt.Errorf("mapreduce: job %q: run exchange: worker %d: %w", cfg.Name, w, err)
+		}
+		for i, v := range c {
+			totals[i] += v
+		}
+		globErr.merge(e)
+	}
+	stats.MapAttempts, stats.MapFailures = totals[0], totals[1]
+	if globErr.idx >= 0 {
+		return errors.New(globErr.msg)
 	}
 	// Materialize every remote mapper's row — the shuffle indexes
 	// runs[m][r] for all m, empty runs included.
@@ -340,24 +352,21 @@ func distExchangeRuns[I any, K ReducerKey, V any, O any](j *Job[I, K, V, O], cfg
 			continue
 		}
 		if err := decodeRuns(incoming[w], d, w, runs, j.DecodePair, pool); err != nil {
-			return 0, 0, fmt.Errorf("mapreduce: job %q: run exchange: worker %d: %w", cfg.Name, w, err)
+			return fmt.Errorf("mapreduce: job %q: run exchange: worker %d: %w", cfg.Name, w, err)
 		}
 	}
-	return sentBytes, sentRuns, nil
+	return nil
 }
 
 // appendRun frames mapper m's run for reducer key: m, the reducer, the
 // run's priced bytes and its pair count, then one length-prefixed
 // EncodePair record per pair (rec is the caller's encoding scratch).
 func appendRun[K ReducerKey, V any](buf, rec []byte, m int, key K, b *run[V], encode func(K, V, []byte) []byte) ([]byte, []byte) {
-	buf = appendUvarint(buf, uint64(m))
-	buf = appendUvarint(buf, uint64(key))
-	buf = appendUvarint(buf, uint64(b.bytes))
-	buf = appendUvarint(buf, uint64(b.n))
+	buf = appendUvarints(buf, uint64(m), uint64(key), uint64(b.bytes), uint64(b.n))
 	for _, c := range b.chunks {
 		for i := range c {
 			rec = encode(key, c[i], rec[:0])
-			buf = append(appendUvarint(buf, uint64(len(rec))), rec...)
+			buf = append(appendUvarints(buf, uint64(len(rec))), rec...)
 		}
 	}
 	return buf, rec
@@ -410,10 +419,12 @@ func decodeRuns[K ReducerKey, V any](buf []byte, d *DistConfig, from int, runs [
 	return nil
 }
 
-// reduceBarrierCounters are the per-worker reduce-phase contributions
-// summed by the reduce barrier, in wire order: reduce attempts and
-// failures, then the bytes and non-empty runs its run exchange shipped.
-const reduceBarrierCounters = 4
+// reduceReportCounters are the counters of the reduce barrier's report,
+// in wire order: reduce attempts and failures, the priced bytes
+// shuffled to the worker's reducers, then the bytes and non-empty runs
+// it shipped in the run exchange — the worker's share of each of these
+// Stats.
+const reduceReportCounters = 5
 
 // ownedReducers is the number of reducers worker w of W owns among nr.
 func ownedReducers(w, W, nr int) int {
@@ -424,20 +435,19 @@ func ownedReducers(w, W, nr int) int {
 }
 
 // reducerReport is one reducer's entry in its owner's reduce-barrier
-// payload: the pairs shuffled to it, their priced bytes, its keys, and
-// its outputs as length-prefixed EncodeOutput records.
+// payload: the pairs shuffled to it and its outputs as length-prefixed
+// EncodeOutput records.
 type reducerReport struct {
-	r                  int
-	pairs, bytes, keys int64
-	recs               []byte
+	r     int
+	pairs int64
+	recs  []byte
 }
 
 // appendReduceReport encodes worker w's reduce-barrier payload into a
-// frame from pool: its counters and lowest-index reduce error, the count
-// of reducers it owns, then one reducerReport per owned reducer
-// r ≡ w (mod W), ascending, read from the per-reducer pairs, bytes and
-// keys slices and output runs.
-func appendReduceReport[O any](pool *BufferPool, c [reduceBarrierCounters]int64, e taskError, w, W int, pairs, bytes, keys []int64, outputs []run[O], encode func(O, []byte) []byte) []byte {
+// frame from pool: its report, the count of reducers it owns, then one
+// reducerReport per owned reducer r ≡ w (mod W), ascending, read from
+// the per-reducer pairs and output runs.
+func appendReduceReport[O any](pool *BufferPool, c [reduceReportCounters]int64, e taskError, w, W int, pairs []int64, outputs []run[O], encode func(O, []byte) []byte) []byte {
 	// The payload's capacity is fixed before the first append: the
 	// all-gathered outputs are the job's whole result, and growing a
 	// buffer that large by doubling allocates it twice over. A run is
@@ -445,31 +455,23 @@ func appendReduceReport[O any](pool *BufferPool, c [reduceBarrierCounters]int64,
 	// the spatial jobs is fixed-width per job (Job.EncodeOutput), and
 	// append grows the frame for one that is not.
 	var rec []byte
-	size := (reduceBarrierCounters+3)*binary.MaxVarintLen64 + len(e.msg)
+	size := reportLen(reduceReportCounters+1, e) // the report, then the owned count
 	for r := w; r < len(outputs); r += W {
-		size += 5 * binary.MaxVarintLen64
+		size += 3 * binary.MaxVarintLen64
 		if b := &outputs[r]; b.n > 0 {
 			rec = encode(b.chunks[0][0], rec[:0])
 			size += b.n * (uvarintLen(uint64(len(rec))) + len(rec))
 		}
 	}
-	buf := getFrame(&pool.frames, size)
-	for _, v := range c {
-		buf = appendUvarint(buf, uint64(v))
-	}
-	buf = e.append(buf)
-	buf = appendUvarint(buf, uint64(ownedReducers(w, W, len(outputs))))
+	buf := appendReport(getFrame(&pool.frames, size), c[:], e)
+	buf = appendUvarints(buf, uint64(ownedReducers(w, W, len(outputs))))
 	for r := w; r < len(outputs); r += W {
 		b := &outputs[r]
-		buf = appendUvarint(buf, uint64(r))
-		buf = appendUvarint(buf, uint64(pairs[r]))
-		buf = appendUvarint(buf, uint64(bytes[r]))
-		buf = appendUvarint(buf, uint64(keys[r]))
-		buf = appendUvarint(buf, uint64(b.n))
+		buf = appendUvarints(buf, uint64(r), uint64(pairs[r]), uint64(b.n))
 		for _, ch := range b.chunks {
 			for i := range ch {
 				rec = encode(ch[i], rec[:0])
-				buf = append(appendUvarint(buf, uint64(len(rec))), rec...)
+				buf = append(appendUvarints(buf, uint64(len(rec))), rec...)
 			}
 		}
 	}
@@ -481,17 +483,11 @@ func appendReduceReport[O any](pool *BufferPool, c [reduceBarrierCounters]int64,
 // must be exactly the reducers w owns, ascending, each once: an entry
 // for another worker's reducer would overwrite that reducer's outputs
 // and count its pairs twice.
-func parseReduceReport(buf []byte, w, W, nr int, entry func(reducerReport) error) (c [reduceBarrierCounters]int64, e taskError, err error) {
-	var v uint64
-	for i := range c {
-		if v, buf, err = readUvarint(buf); err != nil {
-			return c, e, err
-		}
-		c[i] = int64(v)
-	}
-	if buf, err = e.parse(buf, nr); err != nil {
+func parseReduceReport(buf []byte, w, W, nr int, entry func(reducerReport) error) (c [reduceReportCounters]int64, e taskError, err error) {
+	if buf, err = parseReport(buf, c[:], &e, nr); err != nil {
 		return c, e, err
 	}
+	var v uint64
 	if v, buf, err = readUvarint(buf); err != nil {
 		return c, e, err
 	}
@@ -499,7 +495,7 @@ func parseReduceReport(buf []byte, w, W, nr int, entry func(reducerReport) error
 		return c, e, fmt.Errorf("mapreduce: dist frame: %d reducers reported, worker %d owns %d", v, w, owned)
 	}
 	for r := w; r < nr; r += W {
-		var hdr [5]uint64 // reducer, pairs, priced bytes, keys, outputs
+		var hdr [3]uint64 // reducer, pairs, outputs
 		for i := range hdr {
 			if hdr[i], buf, err = readUvarint(buf); err != nil {
 				return c, e, err
@@ -508,17 +504,16 @@ func parseReduceReport(buf []byte, w, W, nr int, entry func(reducerReport) error
 		if hdr[0] != uint64(r) {
 			return c, e, fmt.Errorf("mapreduce: dist frame: reducer %d reported where worker %d's reducer %d belongs", hdr[0], w, r)
 		}
-		if err = checkCount("outputs", hdr[4], len(buf)); err != nil {
+		if err = checkCount("outputs", hdr[2], len(buf)); err != nil {
 			return c, e, err
 		}
 		recs := buf
-		for i := uint64(0); i < hdr[4]; i++ {
+		for i := uint64(0); i < hdr[2]; i++ {
 			if _, buf, err = readBytes(buf); err != nil {
 				return c, e, err
 			}
 		}
-		rep := reducerReport{r: r, pairs: int64(hdr[1]), bytes: int64(hdr[2]), keys: int64(hdr[3]), recs: recs[:len(recs)-len(buf)]}
-		if err = entry(rep); err != nil {
+		if err = entry(reducerReport{r: r, pairs: int64(hdr[1]), recs: recs[:len(recs)-len(buf)]}); err != nil {
 			return c, e, err
 		}
 	}
@@ -528,37 +523,32 @@ func parseReduceReport(buf []byte, w, W, nr int, entry func(reducerReport) error
 	return c, e, err
 }
 
-// distReduceBarrier is exchange stage 3: all-gather each worker's
-// reduce accounting, per-owned-reducer shuffle/keys/bytes figures, the
-// EncodeOutput-framed outputs, and its stage-2 network counters. After
-// it, outputs/keyCounts/bytesPerReducer/stats are globally complete and
+// distReduceBarrier is the second exchange: all-gather each worker's
+// reduce report (its counters, among them its share of the priced
+// bytes and the run exchange's network counters), each owned reducer's
+// pair count, and the EncodeOutput-framed outputs. After it, outputs,
+// stats.PairsPerReducer and the counters are globally complete and
 // identical on every worker — a remote reducer's outputs decoded into
 // its run, in chunks from pool, so the job assembles local and adopted
 // runs alike; a reduce failure anywhere surfaces the same
 // lowest-reducer error everywhere. The payload is encoded into a frame
 // from pool, which goes back once every gathered payload is decoded: the
 // exchange returns this worker's own payload as its own entry.
-func distReduceBarrier[I any, K ReducerKey, V any, O any](j *Job[I, K, V, O], cfg *Config, stats *Stats, outputs []run[O], keyCounts []int64, bytesPerReducer []int64, redErrs []error, netBytes, netRuns int64, pool *BufferPool) error {
+func distReduceBarrier[I any, K ReducerKey, V any, O any](j *Job[I, K, V, O], cfg *Config, stats *Stats, outputs []run[O], redErrs []error, pool *BufferPool) error {
 	d := cfg.Dist
-	locErr := taskError{idx: -1}
-	for r, err := range redErrs {
-		if err != nil {
-			locErr.merge(r, err.Error())
-			break
-		}
-	}
-	payload := appendReduceReport(pool, [reduceBarrierCounters]int64{stats.ReduceAttempts, stats.ReduceFailures, netBytes, netRuns},
-		locErr, d.Self, d.NumWorkers, stats.PairsPerReducer, bytesPerReducer, keyCounts, outputs, j.EncodeOutput)
+	locErr := firstError(redErrs, func(_ int, err error) string { return err.Error() })
+	c := [reduceReportCounters]int64{stats.ReduceAttempts, stats.ReduceFailures, stats.IntermediateBytes, stats.ShuffleNetworkBytes, stats.ShuffleNetworkRuns}
+	payload := appendReduceReport(pool, c, locErr, d.Self, d.NumWorkers, stats.PairsPerReducer, outputs, j.EncodeOutput)
 	defer putBuf(&pool.frames, payload)
 
 	incoming, err := distGather(d, "outputs", payload)
 	if err != nil {
 		return fmt.Errorf("mapreduce: job %q: reduce barrier: %w", cfg.Name, err)
 	}
-	var totals [reduceBarrierCounters]int64
+	var totals [reduceReportCounters]int64
 	globErr := taskError{idx: -1}
 	for w, buf := range incoming {
-		// adopt takes a remote reducer's figures and outputs; this
+		// adopt takes a remote reducer's pair count and outputs; this
 		// worker's own payload round-trips and holds nothing new. Outputs
 		// land in the reducer's run as they decode, so what a payload
 		// costs follows the records it holds, never a count it claims.
@@ -567,10 +557,6 @@ func distReduceBarrier[I any, K ReducerKey, V any, O any](j *Job[I, K, V, O], cf
 				return nil
 			}
 			stats.PairsPerReducer[rep.r] = rep.pairs
-			stats.IntermediatePairs += rep.pairs
-			stats.IntermediateBytes += rep.bytes
-			keyCounts[rep.r] = rep.keys
-			bytesPerReducer[rep.r] = rep.bytes
 			b := &outputs[rep.r]
 			for recs := rep.recs; len(recs) > 0; {
 				raw, rest, _ := readBytes(recs) // framing checked by the parser
@@ -590,12 +576,11 @@ func distReduceBarrier[I any, K ReducerKey, V any, O any](j *Job[I, K, V, O], cf
 		for i, v := range c {
 			totals[i] += v
 		}
-		globErr.merge(e.idx, e.msg)
+		globErr.merge(e)
 	}
-	stats.ReduceAttempts = totals[0]
-	stats.ReduceFailures = totals[1]
-	stats.ShuffleNetworkBytes = totals[2]
-	stats.ShuffleNetworkRuns = totals[3]
+	stats.ReduceAttempts, stats.ReduceFailures = totals[0], totals[1]
+	stats.IntermediateBytes = totals[2]
+	stats.ShuffleNetworkBytes, stats.ShuffleNetworkRuns = totals[3], totals[4]
 	if globErr.idx >= 0 {
 		return errors.New(globErr.msg)
 	}

@@ -19,15 +19,17 @@ import (
 // sender's AllToAll returns, so the hub carries a copy of it: a fresh
 // one, or, when pool is set, one in a frame from pool that the
 // receiving exchanger puts back at its next exchange (or recycle), as
-// the cluster's mesh does.
+// the cluster's mesh does. tags[w] lists the tags of worker w's
+// exchanges, in call order.
 type chanHub struct {
 	w     int
 	chans [][]chan []byte
 	pool  *BufferPool
+	tags  [][]string
 }
 
 func newChanHub(w int) *chanHub {
-	h := &chanHub{w: w, chans: make([][]chan []byte, w)}
+	h := &chanHub{w: w, chans: make([][]chan []byte, w), tags: make([][]string, w)}
 	for i := range h.chans {
 		h.chans[i] = make([]chan []byte, w)
 		for j := range h.chans[i] {
@@ -63,6 +65,7 @@ func (e *chanExchanger) AllToAll(tag string, outgoing [][]byte) ([][]byte, error
 		return nil, fmt.Errorf("AllToAll %s: %d payloads for %d workers", tag, len(outgoing), e.h.w)
 	}
 	e.recycle()
+	e.h.tags[e.self] = append(e.h.tags[e.self], tag)
 	for w := 0; w < e.h.w; w++ {
 		if w != e.self {
 			e.h.chans[e.self][w] <- e.h.carry(outgoing[w])
@@ -136,8 +139,8 @@ func distTestJob(cfg Config) *Job[int, int, int, string] {
 }
 
 // runDistributed executes the job on W SPMD workers over a chanHub and
-// returns each worker's result.
-func runDistributed(t *testing.T, w int, input []int, mk func(self int) *Job[int, int, int, string]) ([][]string, []*Stats, []error) {
+// returns each worker's result and the tags of its exchanges.
+func runDistributed(t *testing.T, w int, input []int, mk func(self int) *Job[int, int, int, string]) ([][]string, []*Stats, []error, [][]string) {
 	t.Helper()
 	hub := newChanHub(w)
 	outs := make([][]string, w)
@@ -154,7 +157,7 @@ func runDistributed(t *testing.T, w int, input []int, mk func(self int) *Job[int
 		}(self)
 	}
 	wg.Wait()
-	return outs, sts, errs
+	return outs, sts, errs, hub.tags
 }
 
 // normalizeDistStats zeroes the fields that legitimately differ between
@@ -182,7 +185,7 @@ func TestDistBitIdenticalToInProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, w := range []int{1, 2, 3, 5} {
-		outs, sts, errs := runDistributed(t, w, input, func(int) *Job[int, int, int, string] {
+		outs, sts, errs, tags := runDistributed(t, w, input, func(int) *Job[int, int, int, string] {
 			return distTestJob(base)
 		})
 		for self := 0; self < w; self++ {
@@ -205,6 +208,9 @@ func TestDistBitIdenticalToInProcess(t *testing.T) {
 			if sts[self].ShuffleNetworkBytes != sts[0].ShuffleNetworkBytes {
 				t.Errorf("W=%d: workers disagree on network bytes", w)
 			}
+			if want := []string{"runs", "outputs"}; w > 1 && !slices.Equal(tags[self], want) {
+				t.Errorf("W=%d worker %d: exchanges %q, want %q", w, self, tags[self], want)
+			}
 		}
 	}
 }
@@ -225,7 +231,7 @@ func TestDistFaultInjectionEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outs, sts, errs := runDistributed(t, 3, input, func(int) *Job[int, int, int, string] {
+	outs, sts, errs, _ := runDistributed(t, 3, input, func(int) *Job[int, int, int, string] {
 		return distTestJob(mkCfg())
 	})
 	for self := 0; self < 3; self++ {
@@ -257,7 +263,7 @@ func TestDistErrorIdentity(t *testing.T) {
 	if inErr == nil {
 		t.Fatal("in-process run unexpectedly succeeded")
 	}
-	_, _, errs := runDistributed(t, 3, input, func(int) *Job[int, int, int, string] {
+	_, _, errs, tags := runDistributed(t, 3, input, func(int) *Job[int, int, int, string] {
 		return distTestJob(mkCfg())
 	})
 	for self, err := range errs {
@@ -267,14 +273,19 @@ func TestDistErrorIdentity(t *testing.T) {
 		if err.Error() != inErr.Error() {
 			t.Errorf("worker %d: error %q, in-process %q", self, err, inErr)
 		}
+		// The map reports ride in the run exchange; a failed map phase
+		// ends the job there.
+		if want := []string{"runs"}; !slices.Equal(tags[self], want) {
+			t.Errorf("worker %d: exchanges %q, want %q", self, tags[self], want)
+		}
 	}
 }
 
 // forgingExchanger plays worker 1 of a two-worker group to a real
-// worker 0 of a job with four mappers and four reducers: it echoes
-// worker 0's own payload back (a well-formed peer) and ships empty runs
-// of its mappers 1 and 3 (forgedNoRuns), except on the exchange named
-// forgeTag, where it answers forged.
+// worker 0 of a job with four mappers and four reducers: it ships a
+// clean map report and empty runs of its mappers 1 and 3 (forgedNoRuns)
+// and echoes worker 0's own payload on any other exchange, except on the
+// exchange named forgeTag, where it answers forged.
 type forgingExchanger struct {
 	forgeTag string
 	forged   []byte
@@ -289,10 +300,18 @@ func uv(vs ...uint64) []byte {
 	return buf
 }
 
+// cleanReport is worker 1's map report when its two mappers ran once
+// each: two attempts, no failure, no error.
+var cleanReport = uv(2, 0, 0, 0)
+
+// noRuns is worker 1's runs when its mappers emitted nothing: (mapper,
+// reducer, bytes, pairs) for mappers 1 and 3 and worker 0's reducers 0
+// and 2.
+var noRuns = uv(1, 0, 0, 0, 1, 2, 0, 0, 3, 0, 0, 0, 3, 2, 0, 0)
+
 // forgedNoRuns is worker 1's run payload when its mappers emitted
-// nothing: (mapper, reducer, bytes, pairs) for mappers 1 and 3 and
-// worker 0's reducers 0 and 2.
-var forgedNoRuns = uv(1, 0, 0, 0, 1, 2, 0, 0, 3, 0, 0, 0, 3, 2, 0, 0)
+// nothing: its clean report, then its empty runs.
+var forgedNoRuns = slices.Concat(cleanReport, noRuns)
 
 func (e *forgingExchanger) AllToAll(tag string, outgoing [][]byte) ([][]byte, error) {
 	peer := outgoing[0]
@@ -346,25 +365,27 @@ func TestDistWireCountsBounded(t *testing.T) {
 		return string(rec), nil
 	}
 	pair := func(k, v uint64) []byte { return append(uv(2), uv(k, v)...) }
+	cat := func(parts ...[]byte) []byte { return slices.Concat(parts...) }
 	for _, c := range []struct {
 		tag, want    string
 		forged       []byte
 		decodeOutput func([]byte) (string, error)
 		budget       uint64
 	}{
-		// stage 2: mapper 1, reducer 0, 16 priced bytes, 2^40 pairs, one byte of them.
-		{"runs", "pairs declared", append(uv(1, 0, 16, 1<<40), 0), nil, 16 << 20},
-		// stage 3: the four counters, no error, worker 1's two reducers, the
-		// first r=1 pairs=0 bytes=0 keys=0 nout=2^40, one byte of outputs.
-		{"outputs", "outputs declared", append(uv(1, 0, 0, 0, 0, 0, 2, 1, 0, 0, 0, 1<<40), 0), nil, 16 << 20},
+		// runs: the clean report, then mapper 1, reducer 0, 16 priced
+		// bytes, 2^40 pairs, one byte of them.
+		{"runs", "pairs declared", cat(cleanReport, uv(1, 0, 16, 1<<40), uv(0)), nil, 16 << 20},
+		// outputs: the five counters, no error, worker 1's two reducers,
+		// the first r=1 pairs=0 nout=2^40, one byte of outputs.
+		{"outputs", "outputs declared", append(uv(1, 0, 0, 0, 0, 0, 0, 2, 1, 0, 1<<40), 0), nil, 16 << 20},
 		// the same headers claiming 2^20 entries, with 2^20 empty records.
-		{"runs", "bad pair", append(uv(1, 0, 16, mib), undecodable...), nil, 4 << 20},
-		{"outputs", "empty output record", append(append(uv(1, 0, 0, 0, 0, 0, 2, 1, 0, 0, 0, mib), undecodable...), uv(3, 0, 0, 0, 0)...), rejectEmpty, mib},
+		{"runs", "bad pair", cat(cleanReport, uv(1, 0, 16, mib), undecodable), nil, 4 << 20},
+		{"outputs", "empty output record", cat(uv(1, 0, 0, 0, 0, 0, 0, 2, 1, 0, mib), undecodable, uv(3, 0, 0)), rejectEmpty, mib},
 		// well-formed runs but for the one thing named.
-		{"runs", "keyed 2 in reducer 0's run", append(append(uv(1, 0, 16, 1), pair(2, 7)...), forgedNoRuns[4:]...), nil, 1 << 20},
-		{"runs", "mapper 1 reducer 2 where mapper 1 reducer 0's belongs", uv(1, 2, 0, 0, 1, 0, 0, 0, 3, 0, 0, 0, 3, 2, 0, 0), nil, 1 << 20},
-		{"runs", "after the last run", append(slices.Clone(forgedNoRuns), 0), nil, 1 << 20},
-		{"runs", "overlong varint", append([]byte{0x81, 0x00}, forgedNoRuns[1:]...), nil, 1 << 20},
+		{"runs", "keyed 2 in reducer 0's run", cat(cleanReport, uv(1, 0, 16, 1), pair(2, 7), noRuns[4:]), nil, 1 << 20},
+		{"runs", "mapper 1 reducer 2 where mapper 1 reducer 0's belongs", cat(cleanReport, uv(1, 2, 0, 0, 1, 0, 0, 0, 3, 0, 0, 0, 3, 2, 0, 0)), nil, 1 << 20},
+		{"runs", "after the last run", cat(forgedNoRuns, uv(0)), nil, 1 << 20},
+		{"runs", "overlong varint", cat(cleanReport, []byte{0x81, 0x00}, noRuns[1:]), nil, 1 << 20},
 	} {
 		grew, err := runForgedPeer(t, c.tag, c.forged, c.decodeOutput)
 		if err == nil || !strings.Contains(err.Error(), c.want) {
@@ -379,19 +400,21 @@ func TestDistWireCountsBounded(t *testing.T) {
 // TestDistGatherOwnership: a gathered payload speaks only for its
 // sender. Worker 1's outputs are its own reducers 1 and 3, ascending,
 // each once — a claim on worker 0's reducer 0 would overwrite worker 0's
-// outputs and count that reducer's pairs twice — and a task error names
-// one of the job's tasks. Anything else fails the job on worker 0.
+// outputs and count that reducer's pairs twice — a task error names one
+// of the job's tasks, and a map report carrying an error ends its run
+// payload. Anything else fails the job on worker 0; a well-formed map
+// error fails it with that error.
 func TestDistGatherOwnership(t *testing.T) {
-	counters := uv(1, 0, 0, 0) // reduce attempts, failures, network bytes and runs
+	counters := uv(1, 0, 0, 0, 0) // reduce attempts, failures, priced bytes, network bytes and runs
 	noErr := uv(0, 0)
-	empty := func(r uint64) []byte { return uv(r, 0, 0, 0, 0) }
+	empty := func(r uint64) []byte { return uv(r, 0, 0) }
 	cat := func(parts ...[]byte) []byte { return slices.Concat(parts...) }
 	for _, c := range []struct {
 		tag, want string
 		forged    []byte
 	}{
 		{"outputs", "", cat(counters, noErr, uv(2), empty(1), empty(3))},
-		{"outputs", "reducer 0 reported where worker 1's reducer 1 belongs", cat(counters, noErr, uv(2), uv(0, 1000, 0, 1, 0), empty(3))},
+		{"outputs", "reducer 0 reported where worker 1's reducer 1 belongs", cat(counters, noErr, uv(2), uv(0, 1000, 0), empty(3))},
 		{"outputs", "reducer 1 reported where worker 1's reducer 3 belongs", cat(counters, noErr, uv(2), empty(1), empty(1))},
 		{"outputs", "reducer 3 reported where worker 1's reducer 1 belongs", cat(counters, noErr, uv(2), empty(3), empty(1))},
 		{"outputs", "1 reducers reported, worker 1 owns 2", cat(counters, noErr, uv(1), empty(1))},
@@ -399,8 +422,11 @@ func TestDistGatherOwnership(t *testing.T) {
 		{"outputs", "bytes after the last reducer", cat(counters, noErr, uv(2), empty(1), empty(3), uv(0))},
 		{"outputs", "an error of task 4, of 4 tasks", cat(counters, uv(5, 1), []byte("x"), uv(2), empty(1), empty(3))},
 		{"outputs", "an error message without a task", cat(counters, uv(0, 1), []byte("x"), uv(2), empty(1), empty(3))},
-		{"map-stats", "bytes after the map report", cat(uv(1, 0), noErr, uv(0))},
-		{"map-stats", "an error of task 7, of 4 tasks", cat(uv(1, 0), uv(8, 1), []byte("x"))},
+		// runs: map attempts and failures, then the error.
+		{"runs", "bytes after the report", cat(uv(2, 1), uv(2, 1), []byte("x"), uv(0))},
+		{"runs", "bytes after the report", cat(uv(2, 1), uv(2, 1), []byte("x"), noRuns)},
+		{"runs", "an error of task 7, of 4 tasks", cat(uv(2, 1), uv(8, 1), []byte("x"))},
+		{"runs", "mapper 1 failed", cat(uv(2, 1), uv(2, 15), []byte("mapper 1 failed"))},
 	} {
 		_, err := runForgedPeer(t, c.tag, c.forged, nil)
 		switch {
@@ -423,33 +449,32 @@ func outputRuns(outs [][]string, pool *BufferPool) []run[string] {
 	return runs
 }
 
-// FuzzDistGathers: whatever bytes worker 1 ships as its map-stats,
-// outputs or resume-prefix payload, worker 0's barrier or agreement
-// fails or learns exactly what the payload encodes — its counters,
-// error and per-reducer figures and output runs, or its prefix,
-// re-encode to the same bytes — never panics, and allocates no more
-// than a small multiple of the payload. The seeds are built by the
-// gathers' own encoders, so each decodes to what was encoded.
+// FuzzDistGathers: whatever bytes worker 1 ships as its outputs or
+// resume-prefix payload, worker 0's barrier or agreement fails or
+// learns exactly what the payload encodes — its counters, error,
+// per-reducer pair counts and output runs, or its prefix, re-encode to
+// the same bytes — never panics, and allocates no more than a small
+// multiple of the payload. The seeds are built by the gathers' own
+// encoders, so each decodes to what was encoded.
 func FuzzDistGathers(f *testing.F) {
 	const nm, nr = 4, 4
-	mapSeed := appendMapReport(nil, [mapBarrierCounters]int64{3, 1}, taskError{idx: -1})
-	pairs, priced, keys := []int64{0, 5, 0, 2}, []int64{0, 80, 0, 32}, []int64{0, 1, 0, 1}
+	pairs := []int64{0, 5, 0, 2}
 	outs := outputRuns([][]string{nil, {"1:2,3,", ""}, nil, {"3:9,"}}, NewBufferPool())
-	outSeed := appendReduceReport(NewBufferPool(), [reduceBarrierCounters]int64{2, 0, 123, 4}, taskError{idx: -1}, 1, 2, pairs, priced, keys, outs, distTestJob(Config{}).EncodeOutput)
-	f.Add(uint8(0), mapSeed)
-	f.Add(uint8(1), outSeed)
-	f.Add(uint8(0), appendMapReport(nil, [mapBarrierCounters]int64{}, taskError{idx: 3, msg: "mapper 3 failed"}))
-	f.Add(uint8(1), append(slices.Clone(outSeed[:len(outSeed)-5]), uv(1<<40)...))
-	f.Add(uint8(2), uv(1))
-	f.Add(uint8(2), uv(1<<40))
-	tags := []string{"map-stats", "outputs", "resume-prefix"}
+	outSeed := appendReduceReport(NewBufferPool(), [reduceReportCounters]int64{2, 0, 112, 123, 4}, taskError{idx: -1}, 1, 2, pairs, outs, distTestJob(Config{}).EncodeOutput)
+	f.Add(uint8(0), outSeed)
+	f.Add(uint8(0), append(slices.Clone(outSeed[:len(outSeed)-5]), uv(1<<40)...))
+	f.Add(uint8(0), appendReduceReport(NewBufferPool(), [reduceReportCounters]int64{}, taskError{idx: 3, msg: "reducer 3 failed"}, 1, 2, pairs, outs, distTestJob(Config{}).EncodeOutput))
+	f.Add(uint8(1), uv(1))
+	f.Add(uint8(1), uv(1<<40))
+	f.Add(uint8(1), uv(2))
+	tags := []string{"outputs", "resume-prefix"}
 	f.Fuzz(func(t *testing.T, gather uint8, payload []byte) {
 		tag := tags[int(gather)%len(tags)]
 		d := &DistConfig{NumWorkers: 2, Self: 0, Exchanger: &forgingExchanger{forgeTag: tag, forged: payload}}
 		j := distTestJob(Config{Name: "fuzz", NumReducers: nr, NumMappers: nm, Dist: d})
 		// Worker 0 contributes nothing, so what it ends with is worker 1's.
 		stats := &Stats{Job: "fuzz", PairsPerReducer: make([]int64, nr)}
-		outputs, keyCounts, bytesPerReducer := make([]run[string], nr), make([]int64, nr), make([]int64, nr)
+		outputs := make([]run[string], nr)
 		// Worker 0's chain has committed two steps, so it agrees on a
 		// prefix of at most two.
 		ch := committedChain(t, "fuzz", 2)
@@ -457,10 +482,8 @@ func FuzzDistGathers(f *testing.F) {
 		runtime.ReadMemStats(&m0)
 		var err error
 		switch tag {
-		case "map-stats":
-			err = distMapBarrier(d, stats, make([]error, nm))
 		case "outputs":
-			err = distReduceBarrier(j, &j.Config, stats, outputs, keyCounts, bytesPerReducer, make([]error, nr), 0, 0, NewBufferPool())
+			err = distReduceBarrier(j, &j.Config, stats, outputs, make([]error, nr), NewBufferPool())
 		case "resume-prefix":
 			err = ch.AgreeResume(d)
 		}
@@ -473,18 +496,16 @@ func FuzzDistGathers(f *testing.F) {
 		}
 		var got []byte
 		switch tag {
-		case "map-stats":
-			got = appendMapReport(nil, [mapBarrierCounters]int64{stats.MapAttempts, stats.MapFailures}, taskError{idx: -1})
 		case "outputs":
-			c := [reduceBarrierCounters]int64{stats.ReduceAttempts, stats.ReduceFailures, stats.ShuffleNetworkBytes, stats.ShuffleNetworkRuns}
-			got = appendReduceReport(NewBufferPool(), c, taskError{idx: -1}, 1, 2, stats.PairsPerReducer, bytesPerReducer, keyCounts, outputs, j.EncodeOutput)
+			c := [reduceReportCounters]int64{stats.ReduceAttempts, stats.ReduceFailures, stats.IntermediateBytes, stats.ShuffleNetworkBytes, stats.ShuffleNetworkRuns}
+			got = appendReduceReport(NewBufferPool(), c, taskError{idx: -1}, 1, 2, stats.PairsPerReducer, outputs, j.EncodeOutput)
 		case "resume-prefix":
 			// Each committed step is a data file and a meta file.
 			n, _, _ := readUvarint(payload)
 			if kept := len(ch.cfg.FS.List()); uint64(kept) != 2*min(n, 2) {
 				t.Fatalf("worker 1 committed %d steps, worker 0 two, and worker 0 kept %d files", n, kept)
 			}
-			got = appendUvarint(nil, n)
+			got = appendUvarints(nil, n)
 		}
 		if !bytes.Equal(got, payload) {
 			t.Fatalf("%s payload %x decoded, but re-encodes as %x", tag, payload, got)
@@ -496,10 +517,15 @@ func FuzzDistGathers(f *testing.F) {
 // a frame it accepts re-encodes to the same bytes.
 var fuzzRunCodec = sumTestJob(Config{})
 
-// appendFuzzRuns encodes runs as worker 1's payload to worker 0 of a
-// two-worker job with four mappers and four reducers.
-func appendFuzzRuns(runs [][]run[int64]) []byte {
-	var buf, rec []byte
+// appendFuzzRuns encodes worker 1's run payload to worker 0 of a
+// two-worker job with four mappers and four reducers: its map report of
+// counters c and error e, then, unless e names a failed mapper, runs.
+func appendFuzzRuns(c [mapReportCounters]int64, e taskError, runs [][]run[int64]) []byte {
+	buf := appendReport(nil, c[:], e)
+	if e.idx >= 0 {
+		return buf
+	}
+	var rec []byte
 	for m := 1; m < len(runs); m += 2 {
 		for r := 0; r < len(runs[m]); r += 2 {
 			buf, rec = appendRun(buf, rec, m, int64(r), &runs[m][r], fuzzRunCodec.EncodePair)
@@ -508,10 +534,11 @@ func appendFuzzRuns(runs [][]run[int64]) []byte {
 	return buf
 }
 
-// FuzzDistRuns: whatever bytes a peer ships as its run payload, the run
-// decoder returns an error or runs that re-encode to exactly those
-// bytes; it never panics, never keeps a pair under another reducer, and
-// allocates no more than a small multiple of the payload.
+// FuzzDistRuns: whatever bytes a peer ships as its run payload, the
+// decoder of its map report and runs returns an error or a report and
+// runs that re-encode to exactly those bytes; it never panics, never
+// keeps a pair under another reducer, and allocates no more than a
+// small multiple of the payload.
 func FuzzDistRuns(f *testing.F) {
 	pool := NewBufferPool()
 	seed := make([][]run[int64], 4)
@@ -524,10 +551,14 @@ func FuzzDistRuns(f *testing.F) {
 			seed[m][r].bytes = int64(16 * m * r)
 		}
 	}
-	f.Add(appendFuzzRuns(seed))
+	noErr := taskError{idx: -1}
+	f.Add(appendFuzzRuns([mapReportCounters]int64{2, 0}, noErr, seed))
 	f.Add(forgedNoRuns)
-	f.Add(append(uv(1, 0, 16, 1<<20), 0))
-	f.Add(append(append(uv(1, 0, 16, 1), append(uv(16), make([]byte, 16)...)...), uv(1, 2, 0, 0, 3, 0, 0, 0, 3, 2, 0, 0)...))
+	f.Add(slices.Concat(cleanReport, uv(1, 0, 16, 1<<20), uv(0)))
+	f.Add(slices.Concat(cleanReport, uv(1, 0, 16, 1, 16), make([]byte, 16), uv(1, 2, 0, 0, 3, 0, 0, 0, 3, 2, 0, 0)))
+	// A clean report of a retried mapper, and a failed map phase's report.
+	f.Add(appendFuzzRuns([mapReportCounters]int64{3, 1}, noErr, seed))
+	f.Add(appendFuzzRuns([mapReportCounters]int64{2, 2}, taskError{3, "mapper 3 failed"}, seed))
 	d := &DistConfig{NumWorkers: 2, Self: 0}
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		runs := make([][]run[int64], 4)
@@ -536,7 +567,12 @@ func FuzzDistRuns(f *testing.F) {
 		}
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
-		err := decodeRuns(payload, d, 1, runs, fuzzRunCodec.DecodePair, NewBufferPool())
+		var c [mapReportCounters]int64
+		var e taskError
+		rest, err := parseRunHead(payload, c[:], &e, len(runs))
+		if err == nil && e.idx < 0 {
+			err = decodeRuns(rest, d, 1, runs, fuzzRunCodec.DecodePair, NewBufferPool())
+		}
 		runtime.ReadMemStats(&m1)
 		if grew := m1.TotalAlloc - m0.TotalAlloc; grew > 2*uint64(len(payload))+64<<10 {
 			t.Fatalf("a %d-byte payload allocated %d bytes", len(payload), grew)
@@ -544,7 +580,7 @@ func FuzzDistRuns(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if got := appendFuzzRuns(runs); !bytes.Equal(got, payload) {
+		if got := appendFuzzRuns(c, e, runs); !bytes.Equal(got, payload) {
 			t.Fatalf("payload %x decoded, but re-encodes as %x", payload, got)
 		}
 	})

@@ -321,13 +321,8 @@ func (j *Job[I, K, V, O]) RunSplits(n int, read func(lo, hi int, yield func(I) e
 	// dist is true only for genuinely multi-worker execution; a
 	// DistConfig with NumWorkers == 1 takes the in-process path whole.
 	dist := cfg.Dist != nil && cfg.Dist.NumWorkers > 1
-	if dist {
-		if j.EncodePair == nil || j.DecodePair == nil {
-			return nil, nil, fmt.Errorf("mapreduce: job %q: distributed execution requires the EncodePair/DecodePair codec", cfg.Name)
-		}
-		if j.EncodeOutput == nil || j.DecodeOutput == nil {
-			return nil, nil, fmt.Errorf("mapreduce: job %q: distributed execution requires the EncodeOutput/DecodeOutput codec", cfg.Name)
-		}
+	if dist && (j.EncodePair == nil || j.DecodePair == nil || j.EncodeOutput == nil || j.DecodeOutput == nil) {
+		return nil, nil, fmt.Errorf("mapreduce: job %q: distributed execution requires the EncodePair/DecodePair and EncodeOutput/DecodeOutput codecs", cfg.Name)
 	}
 	// cancelled reports the job's cancellation error, nil while the
 	// context (if any) is live. Checked before each task attempt and at
@@ -373,7 +368,7 @@ func (j *Job[I, K, V, O]) RunSplits(n int, read func(lo, hi int, yield func(I) e
 	mapErrs := make([]error, nm)
 	mapRuns := make([]taskRun, nm)
 	runTasks(cfg.Parallelism, nm, func(m int) {
-		if dist && !cfg.Dist.ownsMapper(m) {
+		if dist && !cfg.Dist.owns(m) {
 			// A remotely-owned mapper runs on its owner; its runs arrive
 			// through the network shuffle below.
 			return
@@ -418,14 +413,9 @@ func (j *Job[I, K, V, O]) RunSplits(n int, read func(lo, hi int, yield func(I) e
 	// span IDs stay deterministic despite concurrent execution.
 	logTaskAttempts(tr, mapSpan, "map", mapRuns)
 	tr.End(mapSpan)
-	if dist {
-		// Exchange stage 1, the map barrier: gather every worker's map
-		// accounting and error state so all workers agree on the totals
-		// and on whether the map phase failed.
-		if err := distMapBarrier(cfg.Dist, stats, mapErrs); err != nil {
-			return nil, nil, err
-		}
-	} else {
+	if !dist {
+		// A distributed run learns whether the map phase failed anywhere
+		// from the map reports of the run exchange below.
 		for m, err := range mapErrs {
 			if err != nil {
 				return nil, nil, fmt.Errorf("%w (mapper %d)", err, m)
@@ -438,12 +428,11 @@ func (j *Job[I, K, V, O]) RunSplits(n int, read func(lo, hi int, yield func(I) e
 	if err := cancelled(); err != nil {
 		return nil, nil, err
 	}
-	var netBytes, netRuns int64
 	if dist {
-		// Exchange stage 2, the network shuffle: ship the runs of
-		// remotely-owned reducers, receive the remote runs of our own.
-		var err error
-		if netBytes, netRuns, err = distExchangeRuns(j, &cfg, runs, nm, pool); err != nil {
+		// The first exchange, the network shuffle: every worker's map
+		// report, then the runs of remotely-owned reducers out and the
+		// remote runs of our own in.
+		if err := distExchangeRuns(j, &cfg, stats, runs, mapErrs, pool); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -455,12 +444,8 @@ func (j *Job[I, K, V, O]) RunSplits(n int, read func(lo, hi int, yield func(I) e
 	// were folded into the runs by the map phase, and the tracer is
 	// untouched per pair: shuffle counters are attached once below.
 	shuffleStart := time.Now()
-	owned := func(r int) bool { return !dist || cfg.Dist.ownsReducer(r) }
+	owned := func(r int) bool { return !dist || cfg.Dist.owns(r) }
 	off := make([]int, nr+1)
-	var bytesPerReducer []int64 // what the reduce barrier reports per owned reducer
-	if dist {
-		bytesPerReducer = make([]int64, nr)
-	}
 	for r := 0; r < nr; r++ {
 		off[r+1] = off[r]
 		if !owned(r) {
@@ -468,18 +453,12 @@ func (j *Job[I, K, V, O]) RunSplits(n int, read func(lo, hi int, yield func(I) e
 			// arrive through the reduce barrier.
 			continue
 		}
-		var nb int64
 		for m := range runs {
 			off[r+1] += runs[m][r].n
-			nb += runs[m][r].bytes
+			stats.IntermediateBytes += runs[m][r].bytes
 		}
 		stats.PairsPerReducer[r] = int64(off[r+1] - off[r])
-		stats.IntermediateBytes += nb
-		if dist {
-			bytesPerReducer[r] = nb
-		}
 	}
-	stats.IntermediatePairs = int64(off[nr])
 	var in []V
 	if off[nr] > 0 {
 		in = getBufLen[V](&pool.vals, off[nr])
@@ -501,7 +480,6 @@ func (j *Job[I, K, V, O]) RunSplits(n int, read func(lo, hi int, yield func(I) e
 	reduceSpan := tr.Start(jobSpan, trace.KindPhase, "reduce")
 	reduceStart := time.Now()
 	outputs := make([]run[O], nr)
-	keyCounts := make([]int64, nr)
 	redErrs := make([]error, nr)
 	redRuns := make([]taskRun, nr)
 	runTasks(cfg.Parallelism, nr, func(r int) {
@@ -524,9 +502,6 @@ func (j *Job[I, K, V, O]) RunSplits(n int, read func(lo, hi int, yield func(I) e
 		}
 		outputs[r], redErrs[r] = runAttempts(&cfg, "reducer", r, cfg.FailReduce, traced, &redRuns[r], body,
 			func(out run[O]) { out.recycle(pool) })
-		if redErrs[r] == nil {
-			keyCounts[r] = 1
-		}
 	})
 	// The reduce phase — every retry included — has committed; the
 	// shuffled input is dead (outputs are copies in their own chunks, and
@@ -540,11 +515,11 @@ func (j *Job[I, K, V, O]) RunSplits(n int, read func(lo, hi int, yield func(I) e
 	stats.ReduceWall = time.Since(reduceStart)
 
 	if dist {
-		// Exchange stage 3, the reduce barrier: all-gather outputs and
+		// The second exchange, the reduce barrier: all-gather outputs and
 		// reduce accounting so every worker assembles the complete,
 		// bit-identical result and identical global Stats (including the
-		// ShuffleNetworkBytes/Runs totals of stage 2).
-		if err := distReduceBarrier(j, &cfg, stats, outputs, keyCounts, bytesPerReducer, redErrs, netBytes, netRuns, pool); err != nil {
+		// ShuffleNetworkBytes/Runs totals of the run exchange).
+		if err := distReduceBarrier(j, &cfg, stats, outputs, redErrs, pool); err != nil {
 			recycleRuns(pool, outputs)
 			tr.End(reduceSpan)
 			return nil, nil, err
@@ -564,8 +539,12 @@ func (j *Job[I, K, V, O]) RunSplits(n int, read func(lo, hi int, yield func(I) e
 	} else {
 		out = gatherOutput(outputs, pool)
 	}
-	for r := range keyCounts {
-		stats.ReduceInputKeys += keyCounts[r]
+	// A reducer's one key is an input key when pairs reached it.
+	for _, p := range stats.PairsPerReducer {
+		stats.IntermediatePairs += p
+		if p > 0 {
+			stats.ReduceInputKeys++
+		}
 	}
 	stats.ReduceOutputRecords = int64(len(out))
 	logTaskAttempts(tr, reduceSpan, "reduce", redRuns)

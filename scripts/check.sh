@@ -67,8 +67,17 @@ echo "== go test -race (every package but the table harness) =="
 go test -race -count=1 $(go list ./... | grep -v -e '/cmd/benchtables$' -e '/internal/bench$')
 
 echo "== allocation guards (they skip under -race, whose shadow memory allocates) =="
-go test -count=1 -run '^(TestCascadeAllocationBudget|TestCRepLAllocationBudget|TestExecuteWarmAllocation|TestClusterAllocationCeiling|TestSortedRunAllocationBudget|TestReduceOutputAllocation|TestMeshRecyclesFrameChunks|TestDistPayloadsRecycled)$' \
-    ./internal/spatial ./internal/cluster ./internal/mapreduce
+guards='TestCascadeAllocationBudget|TestCRepLAllocationBudget|TestExecuteWarmAllocation|TestClusterAllocationCeiling|TestSortedRunAllocationBudget|TestReduceOutputAllocation|TestMeshRecyclesFrameChunks|TestDistPayloadsRecycled'
+guard_pkgs='./internal/spatial ./internal/cluster ./internal/mapreduce'
+# A renamed guard matches nothing, and go test passes "no tests to run":
+# every name must be one the packages list.
+want=$(echo "$guards" | tr '|' '\n' | wc -l)
+found=$(go test -list "^($guards)\$" $guard_pkgs | grep -c '^Test' || true)
+if [ "$found" -lt "$want" ]; then
+    echo "allocation guards: the packages list $found of the $want guard names" >&2
+    exit 1
+fi
+go test -count=1 -run "^($guards)\$" $guard_pkgs
 
 echo "== go test (table harness: paper tables at tiny scale, Table 2 against BENCH_PR2.json) =="
 go test -count=1 ./cmd/benchtables ./internal/bench
