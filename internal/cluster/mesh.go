@@ -265,7 +265,8 @@ type mesh struct {
 
 	// lent holds the peers' payloads the last AllToAll returned. The
 	// engine is done with them by its next call (mapreduce.Exchanger),
-	// which recycles them, as recycleLent does once the engine returns.
+	// which recycles them; the worker takes the last ones over once the
+	// engine returns (executeAttempt).
 	lent [][]byte
 }
 
@@ -366,9 +367,8 @@ func (m *mesh) AllToAll(tag string, outgoing [][]byte) ([][]byte, error) {
 	return in, nil
 }
 
-// recycleLent recycles the payloads the last AllToAll returned. Only
-// the goroutine that runs the engine may call it, after the engine has
-// returned or from its next AllToAll.
+// recycleLent recycles the payloads the last AllToAll returned; only
+// the engine's next AllToAll may call it.
 func (m *mesh) recycleLent() {
 	for i, payload := range m.lent {
 		recycleFrame(m.pool, payload)

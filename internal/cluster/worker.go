@@ -67,6 +67,9 @@ type workerSession struct {
 	// once it is zero.
 	inUse    sync.WaitGroup
 	released bool
+	// lent holds the peers' last payloads of the attempts that have
+	// returned, which go back to the pool when the FS closes.
+	lent [][]byte
 }
 
 // Worker is one member of the cluster: it registers with the
@@ -202,8 +205,8 @@ func (w *Worker) shutdown() bool {
 // release ends a session the worker no longer keeps: its attempts are
 // cancelled and their meshes closed, and once every attempt has
 // returned, its FS closes, which hands the pages of its checkpoint
-// files back to the process pool. The caller has already taken s out of
-// w.sessions.
+// files back to the process pool, and the attempts' last received
+// frames go back too. The caller has already taken s out of w.sessions.
 func (w *Worker) release(s *workerSession) {
 	w.mu.Lock()
 	s.released = true
@@ -219,6 +222,9 @@ func (w *Worker) release(s *workerSession) {
 		defer w.wg.Done()
 		s.inUse.Wait()
 		s.fs.Close()
+		for _, payload := range s.lent {
+			recycleFrame(spatial.SharedPool(), payload)
+		}
 	}()
 }
 
@@ -407,7 +413,15 @@ func (w *Worker) executeAttempt(m *message, s *workerSession) (*spatial.Result, 
 		w.mu.Unlock()
 		defer func() {
 			mh.close()
-			mh.recycleLent() // Execute has returned: no payload is read any more
+			// Execute has returned and reads no payload any more, but
+			// the peers' last payloads go back only when the session
+			// ends: a peer may not yet have taken a frame to read this
+			// worker's last payload into, and in a process whose
+			// workers share one pool it would take these.
+			w.mu.Lock()
+			s.lent = append(s.lent, mh.lent...)
+			w.mu.Unlock()
+			mh.lent = nil
 		}()
 		cfg.Dist = &mapreduce.DistConfig{NumWorkers: len(m.Roster), Self: m.Self, Exchanger: mh}
 	} else {

@@ -227,37 +227,29 @@ func (fs *FS) ScanMBB(name string, fn func(MBB) error) error {
 	if err != nil {
 		return err
 	}
-	n := f.count()
-	bytes, err := f.forEachMBB(0, int(n), fn)
-	if err != nil {
+	if err := f.forEachMBB(0, int(f.count()), fn); err != nil {
 		return err
 	}
-	fs.chargeRead(bytes, n)
+	fs.chargeRead(f.bytes, f.count())
 	return nil
 }
 
-// forEachMBB streams records [lo, hi) as decoded rows and returns the
-// bytes they are charged at. A boxed record must be a well-formed
-// 38-byte MBB record.
-func (f *file) forEachMBB(lo, hi int, fn func(MBB) error) (int64, error) {
+// forEachMBB streams records [lo, hi) as decoded rows. A row-wise
+// record must be a well-formed 38-byte MBB record.
+func (f *file) forEachMBB(lo, hi int, fn func(MBB) error) error {
 	if c := f.cols; c != nil {
 		for i := lo; i < hi; i++ {
 			if err := fn(c.row(i)); err != nil {
-				return 0, err
+				return err
 			}
 		}
-		return int64(hi-lo) * MBBRecordBytes, nil
+		return nil
 	}
-	var bytes int64
-	for _, rec := range f.records[lo:hi] {
+	return f.forEachRange(int64(lo), int64(hi), func(rec []byte) error {
 		m, err := DecodeMBB(rec)
 		if err != nil {
-			return 0, err
+			return err
 		}
-		bytes += int64(len(rec))
-		if err := fn(m); err != nil {
-			return 0, err
-		}
-	}
-	return bytes, nil
+		return fn(m)
+	})
 }

@@ -169,28 +169,31 @@ func TestMBBWriterDoubleClose(t *testing.T) {
 	w.Append(MBB{})
 }
 
-// TestAppendOwnedTransfersOwnership checks AppendOwnedAll's no-copy
-// append: the file stores the exact buffer (mutations show through,
-// proving no copy was taken — which is why callers must not reuse the
-// buffer).
-func TestAppendOwnedTransfersOwnership(t *testing.T) {
-	fs := New(0)
-	w := fs.Create("a")
-	buf := []byte("abc")
-	w.AppendOwnedAll([][]byte{buf})
-	buf[0] = 'X'
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	fs.Scan("a", func(rec []byte) error {
-		if string(rec) != "Xbc" {
-			t.Errorf("record = %q, want Xbc (ownership transferred, no copy)", rec)
+// TestWriteSegmentsTransfersOwnership checks WriteSegments' no-copy
+// write: the file stores the exact buffers (mutations show through,
+// proving no copy was taken — which is why callers must not reuse
+// them), at stride 0 and at a positive stride alike.
+func TestWriteSegmentsTransfersOwnership(t *testing.T) {
+	for _, stride := range []int{0, 3} {
+		fs := New(0)
+		buf := []byte("abcdef")
+		segs := Segments{Stride: stride, Segs: [][]byte{buf[:3], buf[3:]}}
+		if err := fs.WriteSegments("a", segs); err != nil {
+			t.Fatal(err)
 		}
-		return nil
-	})
-	st := fs.Stats()
-	if st.BytesWritten != 3 || st.RecordsWritten != 1 {
-		t.Errorf("Stats = %+v, want 3 bytes / 1 record written", st)
+		buf[0] = 'X'
+		var got []string
+		fs.Scan("a", func(rec []byte) error {
+			got = append(got, string(rec))
+			return nil
+		})
+		if want := []string{"Xbc", "def"}; !reflect.DeepEqual(got, want) {
+			t.Errorf("stride %d: records = %q, want %q (ownership transferred, no copy)", stride, got, want)
+		}
+		st := fs.Stats()
+		if st.BytesWritten != 6 || st.RecordsWritten != 2 || st.FilesCreated != 1 {
+			t.Errorf("stride %d: Stats = %+v, want 6 bytes / 2 records / 1 file written", stride, st)
+		}
 	}
 }
 
@@ -254,9 +257,9 @@ func TestColumnarWireFormat(t *testing.T) {
 	}
 }
 
-// TestSizedWritersChargeAlike: the whole-output append changes how the
-// host allocates, never what is charged or read back — and it, like a
-// columnar writer's Close, hands its storage to an empty file uncopied.
+// TestSizedWritersChargeAlike: writing segments changes how the host
+// allocates, never what is charged or read back — and it, like a
+// columnar writer's Close, hands its storage to the file uncopied.
 func TestSizedWritersChargeAlike(t *testing.T) {
 	rows := testMBBs(137)
 	plain := New(0)
@@ -276,24 +279,33 @@ func TestSizedWritersChargeAlike(t *testing.T) {
 	for i, m := range rows {
 		images[i] = AppendMBB(nil, m)
 	}
-	one, all := New(0), New(0)
-	ow, aw := one.Create("rel"), all.Create("rel")
+	var packed []byte
+	for _, img := range images {
+		packed = append(packed, img...)
+	}
+	one, all, strided := New(0), New(0), New(0)
+	ow := one.Create("rel")
 	for _, img := range images {
 		ow.Append(img)
 	}
-	aw.AppendOwnedAll(images)
 	if err := ow.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := aw.Close(); err != nil {
+	if err := all.WriteSegments("rel", Segments{Segs: images}); err != nil {
 		t.Fatal(err)
 	}
-	if &all.files["rel"].records[0] != &images[0] {
-		t.Error("AppendOwnedAll + Close copied the record table")
+	if &all.files["rel"].segs[0] != &images[0] {
+		t.Error("WriteSegments copied the record table")
+	}
+	if err := strided.WriteSegments("rel", Segments{Stride: MBBRecordBytes, Segs: [][]byte{packed[:5*MBBRecordBytes], packed[5*MBBRecordBytes:]}}); err != nil {
+		t.Fatal(err)
+	}
+	if &strided.files["rel"].segs[0][0] != &packed[0] {
+		t.Error("WriteSegments copied a segment")
 	}
 
 	want := plain.Stats()
-	for name, fs := range map[string]*FS{"Append": one, "AppendOwnedAll": all} {
+	for name, fs := range map[string]*FS{"Append": one, "WriteSegments": all, "WriteSegments/38": strided} {
 		if got := fs.Stats(); got != want {
 			t.Errorf("%s: write Stats %+v, want %+v", name, got, want)
 		}

@@ -56,47 +56,71 @@ type FS struct {
 }
 
 type file struct {
-	records [][]byte
-	bytes   int64
+	// segs holds a row-wise file's records. At stride 0 each segment is
+	// one record of its own length (the boxed kind); at a positive
+	// stride each holds whole stride-byte records, so a writer that
+	// built its records in a few large buffers hands those over instead
+	// of one slice header per record.
+	segs   [][]byte
+	stride int
+	bytes  int64
 	// cols, when non-nil, makes this a columnar MBB file (see
-	// columnar.go): rows live in structs-of-arrays planes and records
+	// columnar.go): rows live in structs-of-arrays planes and segs
 	// stays nil. A file's storage kind is fixed at creation.
 	cols *mbbColumns
 }
 
 // count returns the number of records in the file.
 func (f *file) count() int64 {
-	if f.cols != nil {
+	switch {
+	case f.cols != nil:
 		return int64(len(f.cols.ids))
+	case f.stride > 0:
+		return f.bytes / int64(f.stride)
 	}
-	return int64(len(f.records))
+	return int64(len(f.segs))
 }
 
 // forEachRange streams records [lo, hi) in the boxed wire format,
 // synthesising columnar rows into a reused scratch buffer (callers
-// must not retain the slice — the Scan contract). It returns the bytes
-// delivered before fn's first error, mirroring Scan's
-// charge-nothing-on-error behaviour.
-func (f *file) forEachRange(lo, hi int64, fn func(record []byte) error) (int64, error) {
-	var bytes int64
+// must not retain the slice — the Scan contract).
+func (f *file) forEachRange(lo, hi int64, fn func(record []byte) error) error {
 	if f.cols != nil {
 		var scratch [MBBRecordBytes]byte
 		for i := lo; i < hi; i++ {
-			rec := AppendMBB(scratch[:0], f.cols.row(int(i)))
-			bytes += MBBRecordBytes
-			if err := fn(rec); err != nil {
-				return bytes, err
+			if err := fn(AppendMBB(scratch[:0], f.cols.row(int(i)))); err != nil {
+				return err
 			}
 		}
-		return bytes, nil
+		return nil
 	}
-	for _, rec := range f.records[lo:hi] {
-		bytes += int64(len(rec))
-		if err := fn(rec); err != nil {
-			return bytes, err
+	if f.stride == 0 {
+		for _, rec := range f.segs[lo:hi] {
+			if err := fn(rec); err != nil {
+				return err
+			}
 		}
+		return nil
 	}
-	return bytes, nil
+	if lo == hi {
+		return nil
+	}
+	// Skip the segments wholly before lo, then walk records in place.
+	stride, n, k := int64(f.stride), hi-lo, 0
+	for ; lo >= int64(len(f.segs[k]))/stride; k++ {
+		lo -= int64(len(f.segs[k])) / stride
+	}
+	for ; n > 0; k++ {
+		seg := f.segs[k]
+		for off := lo * stride; off < int64(len(seg)) && n > 0; off += stride {
+			if err := fn(seg[off : off+stride : off+stride]); err != nil {
+				return err
+			}
+			n--
+		}
+		lo = 0
+	}
+	return nil
 }
 
 // chargeRead charges one whole read operation against the counters.
@@ -223,12 +247,10 @@ func (fs *FS) Scan(name string, fn func(record []byte) error) error {
 	if err != nil {
 		return err
 	}
-	n := f.count()
-	bytes, err := f.forEachRange(0, n, fn)
-	if err != nil {
+	if err := f.forEachRange(0, f.count(), fn); err != nil {
 		return err
 	}
-	fs.chargeRead(bytes, n)
+	fs.chargeRead(f.bytes, f.count())
 	return nil
 }
 
@@ -278,8 +300,7 @@ func (v *View) Records(lo, hi int, fn func(record []byte) error) error {
 	if err := v.checkRange(lo, hi); err != nil || lo == hi {
 		return err
 	}
-	_, err := v.f.forEachRange(int64(lo), int64(hi), fn)
-	return err
+	return v.f.forEachRange(int64(lo), int64(hi), fn)
 }
 
 func (v *View) checkRange(lo, hi int) error {
@@ -295,8 +316,7 @@ func (v *View) MBBs(lo, hi int, fn func(MBB) error) error {
 	if err := v.checkRange(lo, hi); err != nil || lo == hi {
 		return err
 	}
-	_, err := v.f.forEachMBB(lo, hi, fn)
-	return err
+	return v.f.forEachMBB(lo, hi, fn)
 }
 
 // Stats returns a snapshot of the I/O counters. Block counts are
@@ -337,26 +357,6 @@ func (w *Writer) Append(record []byte) {
 	w.bytes += int64(len(cp))
 }
 
-// AppendOwnedAll adds the records in order, taking ownership of every
-// buffer and of the slice that holds them: no defensive copy is made,
-// so the caller must not reuse or mutate them afterwards. It is for a
-// step that built its records as views into a few large buffers. On a
-// fresh writer the slice becomes the file's record table without a
-// copy.
-func (w *Writer) AppendOwnedAll(records [][]byte) {
-	if w.closed {
-		panic("dfs: AppendOwnedAll on closed writer")
-	}
-	for _, rec := range records {
-		w.bytes += int64(len(rec))
-	}
-	if w.pending == nil {
-		w.pending = records
-	} else {
-		w.pending = append(w.pending, records...)
-	}
-}
-
 // Close publishes the appended records to the file and charges the
 // write counters. A writer must be closed exactly once.
 func (w *Writer) Close() error {
@@ -365,12 +365,7 @@ func (w *Writer) Close() error {
 	}
 	w.closed = true
 	w.fs.mu.Lock()
-	if len(w.f.records) == 0 {
-		w.f.records = w.pending
-	} else {
-		w.f.records = append(w.f.records, w.pending...)
-	}
-	w.f.bytes += w.bytes
+	w.f.segs, w.f.bytes = w.pending, w.bytes
 	w.fs.mu.Unlock()
 	w.fs.bytesWritten.Add(w.bytes)
 	w.fs.recordsWritten.Add(int64(len(w.pending)))
@@ -386,4 +381,61 @@ func (fs *FS) WriteFile(name string, records [][]byte) error {
 		w.Append(r)
 	}
 	return w.Close()
+}
+
+// Segments is a file's records as a writer built them: each segment
+// holds whole Stride-byte records, back to back, or, at Stride 0, is
+// one record of any length. A step whose records are fixed-size and
+// already laid out in a few large buffers hands over those buffers,
+// not a slice header per record.
+type Segments struct {
+	Stride int
+	Segs   [][]byte
+}
+
+// Len returns the number of records.
+func (s Segments) Len() int64 {
+	if s.Stride == 0 {
+		return int64(len(s.Segs))
+	}
+	return s.Bytes() / int64(s.Stride)
+}
+
+// Bytes returns the records' total size.
+func (s Segments) Bytes() int64 {
+	var n int64
+	for _, seg := range s.Segs {
+		n += int64(len(seg))
+	}
+	return n
+}
+
+// WriteSegments makes (or truncates) the named file holding s's
+// records, charged exactly as Create, an Append per record and Close
+// would charge them. It takes ownership of every segment and of the
+// slice holding them: they become the file's storage uncopied, so the
+// caller must not reuse or mutate either. A negative stride, or a
+// segment that is not a whole number of records, is an error that
+// creates no file and charges nothing.
+func (fs *FS) WriteSegments(name string, s Segments) error {
+	if s.Stride < 0 {
+		return fmt.Errorf("dfs: write %q: negative stride %d", name, s.Stride)
+	}
+	if s.Stride > 0 {
+		for i, seg := range s.Segs {
+			if len(seg)%s.Stride != 0 {
+				return fmt.Errorf("dfs: write %q: segment %d holds %d bytes, not a whole number of %d-byte records", name, i, len(seg), s.Stride)
+			}
+		}
+	}
+	bytes := s.Bytes()
+	fs.mu.Lock()
+	if _, exists := fs.files[name]; !exists {
+		fs.filesCreated.Add(1)
+	}
+	fs.files[name] = &file{segs: s.Segs, stride: s.Stride, bytes: bytes}
+	fs.mu.Unlock()
+	fs.bytesWritten.Add(bytes)
+	fs.recordsWritten.Add(s.Len())
+	return nil
 }

@@ -24,9 +24,10 @@ const snapshotMagic = "mwsdfs1\n"
 // each record uvarint-length-prefixed.
 //
 // Columnar MBB files are serialised as their boxed record images (the
-// wire formats are byte-identical), so the snapshot format is
-// independent of the storage kind; they restore as boxed files, which
-// ScanMBB reads just as well.
+// wire formats are byte-identical) and segmented files record by
+// record, so the snapshot format is independent of the storage kind;
+// every file restores as a boxed (stride 0) file, which Scan and
+// ScanMBB read just as well.
 func (fs *FS) WriteSnapshot(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(snapshotMagic); err != nil {
@@ -55,7 +56,7 @@ func (fs *FS) WriteSnapshot(w io.Writer) error {
 		if err := putUvarint(uint64(f.count())); err != nil {
 			return err
 		}
-		if _, err := f.forEachRange(0, f.count(), func(rec []byte) error {
+		if err := f.forEachRange(0, f.count(), func(rec []byte) error {
 			if err := putUvarint(uint64(len(rec))); err != nil {
 				return err
 			}
@@ -148,7 +149,7 @@ func ReadSnapshot(r io.Reader, blockSize int64) (*FS, error) {
 			if err != nil {
 				return nil, fmt.Errorf("dfs: snapshot %q record %d of %d: %d bytes declared: %w", name, j, nRecs, recLen, truncated(err))
 			}
-			f.records = append(f.records, rec)
+			f.segs = append(f.segs, rec)
 			f.bytes += int64(len(rec))
 		}
 		fs.files[name] = f

@@ -149,17 +149,18 @@ func (c *Chain) Stats() ChainStats { return c.stats }
 // the previous step's checkpoint file (nil, the empty view, for the
 // first step), already charged as one whole-file read — its records are
 // immutable, so the step's map tasks may read their own splits of it —
-// and returns the step's output records plus the job's Stats. The
-// output is committed to the DFS before Step returns. The chain takes
-// ownership of the returned records and of the slice holding them: they
-// become the checkpoint file without a copy, so run must not reuse or
-// mutate either after returning.
+// and returns the step's output records, as segments of one stride
+// (stride 0 for variable-length records, one per segment), plus the
+// job's Stats. The output is committed to the DFS before Step returns.
+// The chain takes ownership of the returned segments and of the slice
+// holding them: they become the checkpoint file without a copy, so run
+// must not reuse or mutate either after returning.
 //
 // Under Resume, a step of the committed prefix — its checkpoint and
 // every earlier one complete — is skipped entirely: run is not called,
 // none of its input is read, and the Stats recorded in its meta file
 // are returned instead.
-func (c *Chain) Step(name string, run func(in *dfs.View) (out [][]byte, st *Stats, err error)) (*Stats, error) {
+func (c *Chain) Step(name string, run func(in *dfs.View) (out dfs.Segments, st *Stats, err error)) (*Stats, error) {
 	i, err := c.begin(name)
 	if err != nil {
 		return nil, err
@@ -393,17 +394,11 @@ func (c *Chain) openPending() (*dfs.View, error) {
 }
 
 // writeCheckpoint commits job i's output records and meta record.
-func (c *Chain) writeCheckpoint(i int, name, file string, out [][]byte, st *Stats) error {
+func (c *Chain) writeCheckpoint(i int, name, file string, out dfs.Segments, st *Stats) error {
 	fs := c.cfg.FS
-	var bytes int64
-	for _, rec := range out {
-		bytes += int64(len(rec))
-	}
-	// The chain owns step output records and their slice (see Step), so
+	// The chain owns the step's segments and their slice (see Step), so
 	// both move into the file uncopied.
-	w := fs.Create(file)
-	w.AppendOwnedAll(out)
-	if err := w.Close(); err != nil {
+	if err := fs.WriteSegments(file, out); err != nil {
 		return err
 	}
 	// Wall times are the one nondeterministic Stats field; persisting
@@ -419,7 +414,8 @@ func (c *Chain) writeCheckpoint(i int, name, file string, out [][]byte, st *Stat
 	ms := *st
 	ms.MapWall, ms.ReduceWall, ms.TotalWall = 0, 0, 0
 	ms.ShuffleNetworkBytes, ms.ShuffleNetworkRuns = 0, 0
-	js, err := json.Marshal(chainMeta{Step: i, Name: name, Records: int64(len(out)), Stats: &ms})
+	records := out.Len()
+	js, err := json.Marshal(chainMeta{Step: i, Name: name, Records: records, Stats: &ms})
 	if err != nil {
 		return err
 	}
@@ -429,8 +425,7 @@ func (c *Chain) writeCheckpoint(i int, name, file string, out [][]byte, st *Stat
 	if err := fs.WriteFile(file+metaSuffix, [][]byte{js}); err != nil {
 		return err
 	}
-	written := bytes + int64(len(js))
-	c.stats.CheckpointBytesWritten += written
-	c.stats.CheckpointRecordsWritten += int64(len(out)) + 1
+	c.stats.CheckpointBytesWritten += out.Bytes() + int64(len(js))
+	c.stats.CheckpointRecordsWritten += records + 1
 	return nil
 }

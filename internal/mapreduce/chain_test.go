@@ -30,7 +30,7 @@ func runTestChain(t *testing.T, cfg ChainConfig, calls *[3]int) ([][]byte, Chain
 	}
 	for i := 0; i < 3; i++ {
 		i := i
-		_, err := ch.Step(fmt.Sprintf("s%d", i), func(in *dfs.View) ([][]byte, *Stats, error) {
+		_, err := ch.Step(fmt.Sprintf("s%d", i), func(in *dfs.View) (dfs.Segments, *Stats, error) {
 			calls[i]++
 			if i == 0 && in != nil {
 				t.Errorf("step 0 received non-nil input %v", in)
@@ -40,7 +40,7 @@ func runTestChain(t *testing.T, cfg ChainConfig, calls *[3]int) ([][]byte, Chain
 				out = append(out, append(rec, byte(i)))
 			}
 			out = append(out, []byte{byte(100 + i)})
-			return out, mkStats(i), nil
+			return dfs.Segments{Segs: out}, mkStats(i), nil
 		})
 		if err != nil {
 			return nil, ch.Stats(), err
@@ -215,15 +215,15 @@ func TestChainResumedStatsRoundTrip(t *testing.T) {
 		ReduceInputKeys: 7, PairsPerReducer: []int64{40, 2}, MapAttempts: 3,
 		MapWall: time.Second, TotalWall: 2 * time.Second}
 	ch := NewChain(ChainConfig{Name: "rt", FS: fs})
-	if _, err := ch.Step("s0", func(_ *dfs.View) ([][]byte, *Stats, error) {
-		return [][]byte{{1}}, orig, nil
+	if _, err := ch.Step("s0", func(_ *dfs.View) (dfs.Segments, *Stats, error) {
+		return dfs.Segments{Segs: [][]byte{{1}}}, orig, nil
 	}); err != nil {
 		t.Fatal(err)
 	}
 	ch2 := NewChain(ChainConfig{Name: "rt", FS: fs, Resume: true})
-	st, err := ch2.Step("s0", func(_ *dfs.View) ([][]byte, *Stats, error) {
+	st, err := ch2.Step("s0", func(_ *dfs.View) (dfs.Segments, *Stats, error) {
 		t.Fatal("resumed step must not run")
-		return nil, nil, nil
+		return dfs.Segments{}, nil, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -252,9 +252,9 @@ func TestChainFinalStepNeverResumed(t *testing.T) {
 	fs := dfs.New(0)
 	run := func(resume bool) (stepRan, finalRan int) {
 		ch := NewChain(ChainConfig{Name: "f", FS: fs, Resume: resume})
-		if _, err := ch.Step("s0", func(_ *dfs.View) ([][]byte, *Stats, error) {
+		if _, err := ch.Step("s0", func(_ *dfs.View) (dfs.Segments, *Stats, error) {
 			stepRan++
-			return [][]byte{{7}}, &Stats{}, nil
+			return dfs.Segments{Segs: [][]byte{{7}}}, &Stats{}, nil
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -313,8 +313,8 @@ func committedChain(t testing.TB, name string, k int) *Chain {
 	fs := dfs.New(0)
 	ch := NewChain(ChainConfig{Name: name, FS: fs})
 	for i := 0; i < k; i++ {
-		if _, err := ch.Step(fmt.Sprintf("s%d", i), func(*dfs.View) ([][]byte, *Stats, error) {
-			return [][]byte{{byte(i)}}, &Stats{}, nil
+		if _, err := ch.Step(fmt.Sprintf("s%d", i), func(*dfs.View) (dfs.Segments, *Stats, error) {
+			return dfs.Segments{Segs: [][]byte{{byte(i)}}}, &Stats{}, nil
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -380,8 +380,8 @@ func TestChainValidation(t *testing.T) {
 	fs := dfs.New(0)
 	// Resuming against a mismatched checkpoint layout fails loudly.
 	ch := NewChain(ChainConfig{Name: "v", FS: fs})
-	if _, err := ch.Step("alpha", func(_ *dfs.View) ([][]byte, *Stats, error) {
-		return [][]byte{{1}}, &Stats{}, nil
+	if _, err := ch.Step("alpha", func(_ *dfs.View) (dfs.Segments, *Stats, error) {
+		return dfs.Segments{Segs: [][]byte{{1}}}, &Stats{}, nil
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -395,8 +395,8 @@ func TestChainValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	ch2 := NewChain(ChainConfig{Name: "v", FS: fs, Resume: true})
-	_, err := ch2.Step("alpha", func(_ *dfs.View) ([][]byte, *Stats, error) {
-		return nil, nil, fmt.Errorf("should not run")
+	_, err := ch2.Step("alpha", func(_ *dfs.View) (dfs.Segments, *Stats, error) {
+		return dfs.Segments{}, nil, fmt.Errorf("should not run")
 	})
 	if err == nil || !strings.Contains(err.Error(), "use a fresh FS or prefix") {
 		t.Errorf("record-count mismatch: err = %v", err)
@@ -404,13 +404,13 @@ func TestChainValidation(t *testing.T) {
 
 	// Stepping after a kill is a chain-state error.
 	ch3 := NewChain(ChainConfig{Name: "k", FS: fs, FailJob: func(int) bool { return true }})
-	if _, err := ch3.Step("s", func(_ *dfs.View) ([][]byte, *Stats, error) {
-		return nil, &Stats{}, nil
+	if _, err := ch3.Step("s", func(_ *dfs.View) (dfs.Segments, *Stats, error) {
+		return dfs.Segments{}, &Stats{}, nil
 	}); err == nil {
 		t.Fatal("expected kill")
 	}
-	if _, err := ch3.Step("s2", func(_ *dfs.View) ([][]byte, *Stats, error) {
-		return nil, &Stats{}, nil
+	if _, err := ch3.Step("s2", func(_ *dfs.View) (dfs.Segments, *Stats, error) {
+		return dfs.Segments{}, &Stats{}, nil
 	}); err == nil || !strings.Contains(err.Error(), "after kill") {
 		t.Errorf("step after kill: err = %v", err)
 	}
@@ -461,8 +461,8 @@ func writeResumableStep(t testing.TB) (*dfs.FS, string) {
 	t.Helper()
 	fs := dfs.New(0)
 	ch := NewChain(ChainConfig{Name: "m", FS: fs})
-	if _, err := ch.Step("s0", func(_ *dfs.View) ([][]byte, *Stats, error) {
-		return [][]byte{{1}, {2}}, &Stats{Job: "s0", PairsPerReducer: []int64{2}}, nil
+	if _, err := ch.Step("s0", func(_ *dfs.View) (dfs.Segments, *Stats, error) {
+		return dfs.Segments{Segs: [][]byte{{1}, {2}}}, &Stats{Job: "s0", PairsPerReducer: []int64{2}}, nil
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -473,8 +473,8 @@ func writeResumableStep(t testing.TB) (*dfs.FS, string) {
 func resumeStep(t testing.TB, fs *dfs.FS) (*Stats, error) {
 	t.Helper()
 	ch := NewChain(ChainConfig{Name: "m", FS: fs, Resume: true})
-	return ch.Step("s0", func(_ *dfs.View) ([][]byte, *Stats, error) {
-		return nil, nil, fmt.Errorf("resumed step ran")
+	return ch.Step("s0", func(_ *dfs.View) (dfs.Segments, *Stats, error) {
+		return dfs.Segments{}, nil, fmt.Errorf("resumed step ran")
 	})
 }
 

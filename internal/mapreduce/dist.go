@@ -297,7 +297,7 @@ func distExchangeRuns[I any, K ReducerKey, V any, O any](j *Job[I, K, V, O], cfg
 				size += int(b.bytes) + b.n*runPairSlack + 4*binary.MaxVarintLen32
 			}
 		}
-		buf := appendReport(getFrame(&pool.frames, size), c[:], locErr)
+		buf := appendReport(getFrame(&pool.sent, size), c[:], locErr)
 		head := len(buf)
 		for m := d.Self; shipRuns && m < nm; m += W {
 			for r := u; r < cfg.NumReducers; r += W {
@@ -317,7 +317,7 @@ func distExchangeRuns[I any, K ReducerKey, V any, O any](j *Job[I, K, V, O], cfg
 	incoming, err := d.Exchanger.AllToAll("runs", outgoing)
 	for u, buf := range outgoing {
 		if u != d.Self {
-			putBuf(&pool.frames, buf)
+			putBuf(&pool.sent, buf)
 		}
 	}
 	if err != nil {
@@ -463,7 +463,7 @@ func appendReduceReport[O any](pool *BufferPool, c [reduceReportCounters]int64, 
 			size += b.n * (uvarintLen(uint64(len(rec))) + len(rec))
 		}
 	}
-	buf := appendReport(getFrame(&pool.frames, size), c[:], e)
+	buf := appendReport(getFrame(&pool.sent, size), c[:], e)
 	buf = appendUvarints(buf, uint64(ownedReducers(w, W, len(outputs))))
 	for r := w; r < len(outputs); r += W {
 		b := &outputs[r]
@@ -539,7 +539,7 @@ func distReduceBarrier[I any, K ReducerKey, V any, O any](j *Job[I, K, V, O], cf
 	locErr := firstError(redErrs, func(_ int, err error) string { return err.Error() })
 	c := [reduceReportCounters]int64{stats.ReduceAttempts, stats.ReduceFailures, stats.IntermediateBytes, stats.ShuffleNetworkBytes, stats.ShuffleNetworkRuns}
 	payload := appendReduceReport(pool, c, locErr, d.Self, d.NumWorkers, stats.PairsPerReducer, outputs, j.EncodeOutput)
-	defer putBuf(&pool.frames, payload)
+	defer putBuf(&pool.sent, payload)
 
 	incoming, err := distGather(d, "outputs", payload)
 	if err != nil {

@@ -42,18 +42,19 @@ import (
 //     element type): a Get is served only by an array of the requesting
 //     job's V, so one pool safely serves heterogeneous job pipelines. A
 //     Get that names a size is likewise served only by a buffer at least
-//     that large; when none is, the newest buffer of that type is
-//     dropped, so the pool converges to the workload's sizes instead of
-//     holding small arrays.
+//     that large, the smallest that is; when none is, the newest buffer
+//     of that type is dropped (in a frame list, only if it is under half
+//     that size or the budget has no room beside it), so the pool
+//     converges to the workload's sizes instead of holding small arrays.
 //   - A double-Put of the same buffer is dropped, not retained twice:
 //     the pool remembers the backing-array identity of what it holds,
 //     so two later Gets can never return aliasing slices whose appends
 //     would corrupt each other's recycled runs.
 //   - The chunks, slabs and pages together retain at most MaxPoolBytes,
-//     and the frames as much again on a budget of their own; a Put
+//     and each frame list as much again on a budget of its own; a Put
 //     beyond its budget is dropped for the collector, so a one-off
 //     giant job cannot pin its scratch forever. An execution that never
-//     exchanges leaves the frames list empty.
+//     exchanges leaves the frame lists empty.
 //
 // The free lists are deliberately NOT sync.Pools: a paper-scale shuffle
 // allocates hundreds of megabytes per job, so the garbage collector
@@ -67,19 +68,27 @@ import (
 // runs on a private pool of its own.
 type BufferPool struct {
 	mu sync.Mutex
-	// scratch counts the bytes chunks, vals and pages hold; framed the
-	// bytes frames holds. Each is capped at MaxPoolBytes.
-	scratch, framed int64
-	held            map[unsafe.Pointer]struct{} // arrays currently held
+	// scratch counts the bytes chunks, vals and pages hold, sentBytes
+	// and receivedBytes those of each frame list. Each is capped at
+	// MaxPoolBytes.
+	scratch, sentBytes, receivedBytes int64
+	held                              map[unsafe.Pointer]struct{} // arrays currently held
 
 	chunks freeList // []V and []O — map and output run chunks, chunkBytes each
 	vals   freeList // []V — a job's shuffled reducer inputs, one slab
 	pages  freeList // []byte — PageBytes each, for callers' stores
-	frames freeList // []byte of any size — exchange payloads, sent and received
+	// The frames: exchange payloads of any size, the ones the engine
+	// encodes apart from the ones an Exchanger reads from peers
+	// (GetFrame). Two workers of one process exchange through one pool,
+	// and a frame one had sent could go back before the other read the
+	// matching payload, so in a shared list how many frames an exchange
+	// holds at once would hang on goroutine scheduling. Apart, each list
+	// holds one frame per worker and exchange, whatever the timing.
+	sent, received freeList
 }
 
 // MaxPoolBytes caps the bytes one pool retains in its scratch lists
-// (chunks, slabs, pages), and separately in its frames. One
+// (chunks, slabs, pages), and separately in each frame list. One
 // cascade_uniform execution (3 × 50,000 rectangles, two rounds) ends
 // holding 24.0 MB: its partial stores' pages, a round's map and output
 // chunks and the larger round's reducer-input slab. The cap keeps one
@@ -91,6 +100,10 @@ type BufferPool struct {
 // the two workers of a loopback cluster already fill the scratch one
 // with their pages: sharing it, cluster_w2's shape kept a third of what
 // pooled frames save (EXPERIMENTS.md, "Exchange payloads in the pool").
+// The two frame lists have a budget each because each holds a frame per
+// worker and exchange: on cluster_w2's shape, sharing one, the received
+// list's largest frame was dropped on every query (EXPERIMENTS.md,
+// "Checkpoints are pages").
 const MaxPoolBytes = 24 << 20
 
 // PageBytes is the size of every page GetPage hands out.
@@ -104,7 +117,10 @@ const PageBytes = 8 << 10
 type freeList struct {
 	pool     *BufferPool
 	retained *int64 // the pool's count this list's bytes go to
-	stacks   []typedStack
+	// mixed marks a frame list, whose arrays serve requests of many
+	// sizes at once: a miss there keeps a near miss (get).
+	mixed  bool
+	stacks []typedStack
 }
 
 type typedStack struct {
@@ -134,10 +150,22 @@ type poolEntry struct {
 // storing one allocates nothing.
 type typeToken[T any] struct{}
 
-// get removes and returns the newest array of elem's type with at least
-// capacity elements, or nil when there is none — dropping, in that
-// case, the newest array of the type, which the caller's fresh one
-// replaces.
+// get removes and returns the smallest array of elem's type with at
+// least capacity elements, the newest of equals, or nil when there is
+// none. Best fit keeps a large array for the request that needs it: two
+// workers' slabs or payloads of one job differ by a few percent, and an
+// array taken by the smaller request leaves the larger one a miss.
+//
+// On a miss the caller makes a fresh array, and the newest array of the
+// type is dropped: the workload has outgrown it. A slab or chunk list
+// serves one size at a time per job, so one large array serves every
+// smaller request after it. A frame list is different: each exchange
+// of a job has a payload size of its own, and a worker holds frames of
+// two exchanges at once. There a near miss — the newest array at least
+// half the request, with room in the budget for both — is kept, so the
+// list grows until it covers the sizes in flight at once; dropping it
+// would trade one frame for another of the same count, and the same
+// interleaving of exchanges would miss again on every later query.
 func (f *freeList) get(elem any, capacity int) poolEntry {
 	p := f.pool
 	p.mu.Lock()
@@ -147,13 +175,20 @@ func (f *freeList) get(elem any, capacity int) poolEntry {
 	if len(s) == 0 {
 		return poolEntry{}
 	}
-	i := len(s) - 1
-	for i >= 0 && s[i].cap < capacity {
-		i--
+	i := -1
+	for j := len(s) - 1; j >= 0 && (i < 0 || s[i].cap > capacity); j-- {
+		if s[j].cap >= capacity && (i < 0 || s[j].cap < s[i].cap) {
+			i = j
+		}
 	}
 	drop := i < 0
 	if drop {
 		i = len(s) - 1
+		newest := s[i]
+		fresh := int64(capacity) * (newest.bytes / int64(newest.cap))
+		if f.mixed && newest.cap >= capacity/2 && *f.retained+fresh <= MaxPoolBytes {
+			return poolEntry{}
+		}
 	}
 	e := s[i]
 	copy(s[i:], s[i+1:])
@@ -191,7 +226,8 @@ func NewBufferPool() *BufferPool {
 	for _, f := range []*freeList{&p.chunks, &p.vals, &p.pages} {
 		f.pool, f.retained = p, &p.scratch
 	}
-	p.frames.pool, p.frames.retained = p, &p.framed
+	p.sent.pool, p.sent.retained, p.sent.mixed = p, &p.sentBytes, true
+	p.received.pool, p.received.retained, p.received.mixed = p, &p.receivedBytes, true
 	return p
 }
 
@@ -200,7 +236,7 @@ func NewBufferPool() *BufferPool {
 func (p *BufferPool) Retained() int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.scratch + p.framed
+	return p.scratch + p.sentBytes + p.receivedBytes
 }
 
 // GetPage returns a page of PageBytes for a caller's own store: a
@@ -221,7 +257,7 @@ func (p *BufferPool) PutPage(page []byte) {
 // allocates one of FrameCap(n) as the bytes arrive, so a peer's declared
 // length never sizes memory of its own. Its contents are arbitrary.
 func (p *BufferPool) GetFrame(n int) []byte {
-	if s := recycled[byte](&p.frames, n); s != nil {
+	if s := recycled[byte](&p.received, n); s != nil {
 		return s[:n]
 	}
 	return nil
@@ -253,7 +289,7 @@ func FrameCap(n int) int {
 
 // PutFrame hands an exchange payload's frame back — one from GetFrame or
 // one the caller allocated. The caller must hold the only reference.
-func (p *BufferPool) PutFrame(frame []byte) { putBuf(&p.frames, frame) }
+func (p *BufferPool) PutFrame(frame []byte) { putBuf(&p.received, frame) }
 
 // recycled returns an array of T with at least capacity elements that
 // f holds, as a zero-length slice, or nil.

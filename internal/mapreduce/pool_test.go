@@ -53,8 +53,9 @@ func TestPoolRetainsAtMostCap(t *testing.T) {
 // TestPoolFramesBudget: exchange frames count against a budget of their
 // own, so a pool whose scratch lists are full still keeps them, and
 // keeps at most MaxPoolBytes of them. GetFrame hands out only a frame
-// at least as large as asked for — a miss drops the newest frame — and
-// FrameCap sizes a fresh frame at most a sixteenth over its payload.
+// at least as large as asked for — a miss with the budget full drops
+// the newest frame — and FrameCap sizes a fresh frame at most a
+// sixteenth over its payload.
 func TestPoolFramesBudget(t *testing.T) {
 	pool := NewBufferPool()
 	for range MaxPoolBytes / PageBytes {
@@ -84,5 +85,53 @@ func TestPoolFramesBudget(t *testing.T) {
 		if c := FrameCap(n); c < n || c-n > n/16 {
 			t.Errorf("FrameCap(%d) = %d", n, c)
 		}
+	}
+}
+
+// TestPoolGetRule: a Get takes the smallest array that fits, so the
+// larger of two close requests still finds its array after the smaller
+// one is served. On a miss a slab list drops its newest array, while a
+// frame list keeps a near miss (at least half the request) and drops a
+// frame under half of it. Sent and received frames live in lists of
+// their own.
+func TestPoolGetRule(t *testing.T) {
+	pool := NewBufferPool()
+	small, large := make([]int64, 0, 1000), make([]int64, 0, 1010)
+	putBuf(&pool.vals, large)
+	putBuf(&pool.vals, small)
+	putBuf(&pool.vals, make([]int64, 0, 4000))
+	if got := cap(getBuf[int64](&pool.vals, 990)); got != 1000 {
+		t.Errorf("a 990-value request took a slab of %d, want the smallest that fits, 1000", got)
+	}
+	if got := cap(getBuf[int64](&pool.vals, 1005)); got != 1010 {
+		t.Errorf("a 1005-value request took a slab of %d, want 1010", got)
+	}
+	if s := recycled[int64](&pool.vals, 8000); s != nil {
+		t.Fatalf("an 8000-value request was served by a slab of %d", cap(s))
+	}
+	if s := recycled[int64](&pool.vals, 1); s != nil {
+		t.Errorf("the slab list kept its newest slab after a miss: %d values", cap(s))
+	}
+
+	pool.PutFrame(make([]byte, 300))
+	if f := pool.GetFrame(500); f != nil {
+		t.Fatalf("a 500-byte request was served by a %d-byte frame", cap(f))
+	}
+	if f := pool.GetFrame(300); cap(f) != 300 {
+		t.Errorf("the received list dropped its near-miss frame: GetFrame(300) = %d bytes", cap(f))
+	}
+	pool.PutFrame(make([]byte, 200))
+	if f := pool.GetFrame(500); f != nil {
+		t.Fatalf("a 500-byte request was served by a %d-byte frame", cap(f))
+	}
+	if f := pool.GetFrame(1); f != nil {
+		t.Errorf("the received list kept a frame under half the request that missed: %d bytes", cap(f))
+	}
+	putBuf(&pool.sent, make([]byte, 100))
+	if f := pool.GetFrame(1); f != nil {
+		t.Errorf("GetFrame was served from the sent list: %d bytes", cap(f))
+	}
+	if got := pool.Retained(); got != 100 {
+		t.Errorf("the pool retains %d bytes, want the sent list's 100", got)
 	}
 }

@@ -109,7 +109,7 @@ func cascade(pl *plan, exec *executor) (*Result, error) {
 
 		stepStart := time.Now()
 		var jobEnd time.Time
-		runStep := func(prev *dfs.View) ([][]byte, *mapreduce.Stats, error) {
+		runStep := func(prev *dfs.View) (dfs.Segments, *mapreduce.Stats, error) {
 			// The driver only opens the round's inputs — inside the step
 			// closure, so a resumed run charges none of the reads — and
 			// every map task reads its own split. The tuple side is the
@@ -119,12 +119,12 @@ func cascade(pl *plan, exec *executor) (*Result, error) {
 			if p == 1 {
 				var err error
 				if tuples, err = exec.fs.Open(inputFile(exec.rels[pl.order[0]].Name)); err != nil {
-					return nil, nil, err
+					return dfs.Segments{}, nil, err
 				}
 			}
 			items, err := exec.fs.Open(inputFile(exec.rels[newSlot].Name))
 			if err != nil {
-				return nil, nil, err
+				return dfs.Segments{}, nil, err
 			}
 			nt := tuples.Len()
 			// The job input is the tuples then the items, in file order:
@@ -192,12 +192,9 @@ func cascade(pl *plan, exec *executor) (*Result, error) {
 			refs, st, err := job.RunSplits(nt+items.Len(), read)
 			jobEnd = time.Now()
 			// The emitted records are already in checkpoint layout: the
-			// step's output file is views into the reducers' pages.
-			recs := make([][]byte, len(refs))
-			for i, ref := range refs {
-				recs[i] = out.rec(ref)
-			}
-			return recs, st, err
+			// step's output file is the reducers' pages, segment by
+			// segment.
+			return out.segments(refs), st, err
 		}
 
 		var st *mapreduce.Stats

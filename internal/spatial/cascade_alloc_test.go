@@ -30,10 +30,13 @@ const (
 // outputs grow in pooled chunks and each job's output is one copy at
 // its exact size, it allocates 0.69 MB (1,330 mallocs; 0.79 MB once in
 // 25 runs), what is left being the checkpoint record tables, the jobs'
-// outputs and the result tuples, each allocated once. The budget keeps
-// 70 % headroom over 0.7 MB and fails every commit before the process
-// pool.
-const warmBytesBudget = 1_200_000
+// outputs and the result tuples, each allocated once, under a 1.2 MB
+// budget. Since a checkpoint is its reducers' pages — the chain takes
+// over runs of consecutive records in the output store's pages, not a
+// slice header per record — the record tables are gone: 0.43 MB
+// (1,340 mallocs), the jobs' outputs and the result tuples. The budget
+// keeps 70 % headroom over 0.44 MB.
+const warmBytesBudget = 750_000
 
 // TestCascadeAllocationBudget holds the cascade's data path to its
 // allocation claims on one cascade_uniform-shaped query (the benchmark

@@ -128,10 +128,10 @@ func controlledReplicate(pl *plan, exec *executor, limit bool) (*Result, error) 
 
 	// ---- round one: split the boundary band, decide replication ----
 	markSpan := exec.beginRound("mark")
-	st1, err := ch.Step("mark", func(_ *dfs.View) ([][]byte, *mapreduce.Stats, error) {
+	st1, err := ch.Step("mark", func(_ *dfs.View) (dfs.Segments, *mapreduce.Stats, error) {
 		n, read, err := exec.openRelations(nil)
 		if err != nil {
-			return nil, nil, err
+			return dfs.Segments{}, nil, err
 		}
 		round1 := &mapreduce.Job[tagged, grid.CellID, tagged, tagged]{
 			Config: exec.jobConfig(fmt.Sprintf("%s-mark", method)),
@@ -165,9 +165,9 @@ func controlledReplicate(pl *plan, exec *executor, limit bool) (*Result, error) 
 		}
 		out, st, err := round1.RunSplits(n, read)
 		if err != nil {
-			return nil, nil, err
+			return dfs.Segments{}, nil, err
 		}
-		return itemRecords(out), st, nil
+		return itemSegments(out), st, nil
 	})
 	if err != nil {
 		return nil, err

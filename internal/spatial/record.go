@@ -57,17 +57,14 @@ func encodeItem(t tagged, buf []byte) []byte {
 	return dfs.AppendMBB(buf, dfs.MBB{Slot: t.Slot, ID: t.ID, X: t.Rect.X, Y: t.Rect.Y, L: t.Rect.L, B: t.Rect.B, Marked: t.Marked})
 }
 
-// itemRecords renders tagged items as DFS records: views into one
-// buffer, in the form Chain.Step takes over.
-func itemRecords(items []tagged) [][]byte {
-	const n = dfs.MBBRecordBytes
-	buf := make([]byte, 0, len(items)*n)
-	recs := make([][]byte, len(items))
-	for i, it := range items {
+// itemSegments renders tagged items as DFS records in one buffer: the
+// one segment Chain.Step takes over.
+func itemSegments(items []tagged) dfs.Segments {
+	buf := make([]byte, 0, len(items)*dfs.MBBRecordBytes)
+	for _, it := range items {
 		buf = encodeItem(it, buf)
-		recs[i] = buf[i*n : (i+1)*n : (i+1)*n]
 	}
-	return recs
+	return dfs.Segments{Stride: dfs.MBBRecordBytes, Segs: [][]byte{buf}}
 }
 
 // mbbRect and mbbItem convert a row read from the DFS.
@@ -239,6 +236,25 @@ func (w *pageWriter) add() (partialRef, []byte) {
 	ref, rec := w.next, w.free[:stride:stride]
 	w.free, w.next.Idx = w.free[stride:], ref.Idx+1
 	return ref, rec
+}
+
+// segments returns the records refs address, in order, as the runs of
+// consecutive records they make in the store's pages. A reduce call
+// fills pages of its own in emit order, so a job's output of n records
+// is about one segment per page, not n slices.
+func (s *partialStore) segments(refs []partialRef) dfs.Segments {
+	table := *s.pages.Load()
+	var segs [][]byte
+	for i := 0; i < len(refs); {
+		j := i + 1
+		for j < len(refs) && refs[j].Page == refs[i].Page && refs[j].Idx == refs[j-1].Idx+1 {
+			j++
+		}
+		lo, hi := int(refs[i].Idx)*s.stride, (int(refs[j-1].Idx)+1)*s.stride
+		segs = append(segs, table[refs[i].Page][lo:hi:hi])
+		i = j
+	}
+	return dfs.Segments{Stride: s.stride, Segs: segs}
 }
 
 // decode validates one partial record and copies it into the store.
