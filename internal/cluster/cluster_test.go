@@ -18,6 +18,7 @@ import (
 	"mwsjoin/internal/dfs"
 	"mwsjoin/internal/geom"
 	"mwsjoin/internal/grid"
+	"mwsjoin/internal/mapreduce"
 	"mwsjoin/internal/metrics"
 	"mwsjoin/internal/query"
 	"mwsjoin/internal/spatial"
@@ -191,6 +192,33 @@ func TestClusterEquivalence(t *testing.T) {
 				t.Errorf("N=3 %s: no network shuffle bytes recorded", method)
 			}
 		}
+	}
+}
+
+// TestWorkersOwnTheirPools: each worker runs its executions on a buffer
+// pool of its own, as each worker process of a deployment owns its
+// memory. After a two-worker cascade session the workers hold distinct
+// pools, and each has taken back its checkpoint pages when the session
+// ended.
+func TestWorkersOwnTheirPools(t *testing.T) {
+	tc := startTestCluster(t, 2, nil)
+	if _, err := tc.coord.Run(testSpec("2-way-cascade")); err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range tc.workers {
+		w.Close() // waits for the session's release, which closes its FS
+	}
+	a, b := tc.workers[0].pool, tc.workers[1].pool
+	if a == nil || a == b {
+		t.Fatalf("the workers' pools are %p and %p, want two", a, b)
+	}
+	for i, p := range []*mapreduce.BufferPool{a, b} {
+		held := p.Retained()
+		page := p.GetPage()
+		if got := held - p.Retained(); got != mapreduce.PageBytes {
+			t.Errorf("worker %d's pool retains %d B and gave out %d B of them for a page; want a page it held", i, held, got)
+		}
+		p.PutPage(page)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"mwsjoin/internal/mapreduce"
-	"mwsjoin/internal/spatial"
 )
 
 // The data plane: each pair of workers in a session's roster shares one
@@ -86,7 +85,7 @@ func writeFrame(w io.Writer, seq uint64, payload []byte) error {
 }
 
 // lentFrameMin is the smallest payload readFrame reads into a frame
-// from the process pool rather than an allocation of its own, and
+// from the worker's pool rather than an allocation of its own, and
 // recycleFrame hands back: the run exchanges and gathered outputs.
 // Barrier frames — counters and an error — stay exact allocations, so a
 // pooled frame never carries a few dozen bytes.
@@ -252,7 +251,7 @@ type mesh struct {
 	seq     uint64
 	timeout time.Duration
 	// pool is where the peers' payloads are read into and go back to:
-	// the process pool, whose frames the engine encodes its own in.
+	// the worker's pool, whose frames the engine encodes its own in.
 	pool *mapreduce.BufferPool
 
 	// exchanges counts completed AllToAll entries; when dieAfter is
@@ -265,18 +264,19 @@ type mesh struct {
 
 	// lent holds the peers' payloads the last AllToAll returned. The
 	// engine is done with them by its next call (mapreduce.Exchanger),
-	// which recycles them; the worker takes the last ones over once the
-	// engine returns (executeAttempt).
+	// which recycles them, as the worker does once the engine returns
+	// (executeAttempt).
 	lent [][]byte
 }
 
 // dialMesh connects this worker to the session roster: the lower
-// session index dials the higher, the higher accepts through reg.
-func dialMesh(self int, roster []string, session string, attempt int, reg *meshRegistry, timeout time.Duration) (*mesh, error) {
+// session index dials the higher, the higher accepts through reg. The
+// peers' payloads are read into frames of pool.
+func dialMesh(self int, roster []string, session string, attempt int, reg *meshRegistry, pool *mapreduce.BufferPool, timeout time.Duration) (*mesh, error) {
 	if timeout <= 0 {
 		timeout = defaultExchangeTimeout
 	}
-	m := &mesh{self: self, conns: make([]*meshConn, len(roster)), timeout: timeout, pool: spatial.SharedPool()}
+	m := &mesh{self: self, conns: make([]*meshConn, len(roster)), timeout: timeout, pool: pool}
 	for p := range roster {
 		var c net.Conn
 		var err error
@@ -367,8 +367,9 @@ func (m *mesh) AllToAll(tag string, outgoing [][]byte) ([][]byte, error) {
 	return in, nil
 }
 
-// recycleLent recycles the payloads the last AllToAll returned; only
-// the engine's next AllToAll may call it.
+// recycleLent recycles the payloads the last AllToAll returned. Only
+// the goroutine that runs the engine may call it, after the engine has
+// returned or from its next AllToAll.
 func (m *mesh) recycleLent() {
 	for i, payload := range m.lent {
 		recycleFrame(m.pool, payload)

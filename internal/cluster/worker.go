@@ -67,9 +67,6 @@ type workerSession struct {
 	// once it is zero.
 	inUse    sync.WaitGroup
 	released bool
-	// lent holds the peers' last payloads of the attempts that have
-	// returned, which go back to the pool when the FS closes.
-	lent [][]byte
 }
 
 // Worker is one member of the cluster: it registers with the
@@ -81,6 +78,10 @@ type Worker struct {
 	sendMu sync.Mutex
 	dataLn net.Listener
 	reg    *meshRegistry
+	// pool is the worker's own buffer pool: its mesh reads the peers'
+	// payloads into it, and every job of its executions runs on it, as
+	// each worker process of a deployment owns its memory.
+	pool *mapreduce.BufferPool
 
 	// resident holds the relations shipped to this worker.
 	resident *residentSet
@@ -142,6 +143,7 @@ func StartWorker(cfg WorkerConfig) (*Worker, error) {
 		ctrl:     ctrl,
 		dataLn:   dataLn,
 		reg:      newMeshRegistry(),
+		pool:     mapreduce.NewBufferPool(),
 		resident: newResidentSet(residentCap),
 		sessions: make(map[string]*workerSession),
 		shipWait: make(map[string]chan shipDelivery),
@@ -205,8 +207,8 @@ func (w *Worker) shutdown() bool {
 // release ends a session the worker no longer keeps: its attempts are
 // cancelled and their meshes closed, and once every attempt has
 // returned, its FS closes, which hands the pages of its checkpoint
-// files back to the process pool, and the attempts' last received
-// frames go back too. The caller has already taken s out of w.sessions.
+// files back to the worker's pool. The caller has already taken s out
+// of w.sessions.
 func (w *Worker) release(s *workerSession) {
 	w.mu.Lock()
 	s.released = true
@@ -222,9 +224,6 @@ func (w *Worker) release(s *workerSession) {
 		defer w.wg.Done()
 		s.inUse.Wait()
 		s.fs.Close()
-		for _, payload := range s.lent {
-			recycleFrame(spatial.SharedPool(), payload)
-		}
 	}()
 }
 
@@ -394,7 +393,7 @@ func (w *Worker) executeAttempt(m *message, s *workerSession) (*spatial.Result, 
 		cfg.LimitMetric = grid.MetricEuclidean
 	}
 	if len(m.Roster) > 1 {
-		mh, err := dialMesh(m.Self, m.Roster, m.Session, m.Attempt, w.reg, w.cfg.ExchangeTimeout)
+		mh, err := dialMesh(m.Self, m.Roster, m.Session, m.Attempt, w.reg, w.pool, w.cfg.ExchangeTimeout)
 		if err != nil {
 			return nil, err
 		}
@@ -413,19 +412,11 @@ func (w *Worker) executeAttempt(m *message, s *workerSession) (*spatial.Result, 
 		w.mu.Unlock()
 		defer func() {
 			mh.close()
-			// Execute has returned and reads no payload any more, but
-			// the peers' last payloads go back only when the session
-			// ends: a peer may not yet have taken a frame to read this
-			// worker's last payload into, and in a process whose
-			// workers share one pool it would take these.
-			w.mu.Lock()
-			s.lent = append(s.lent, mh.lent...)
-			w.mu.Unlock()
-			mh.lent = nil
+			mh.recycleLent() // Execute has returned: no payload is read any more
 		}()
-		cfg.Dist = &mapreduce.DistConfig{NumWorkers: len(m.Roster), Self: m.Self, Exchanger: mh}
+		cfg.Dist = &mapreduce.DistConfig{NumWorkers: len(m.Roster), Self: m.Self, Exchanger: mh, Pool: w.pool}
 	} else {
-		cfg.Dist = &mapreduce.DistConfig{NumWorkers: 1, Self: 0}
+		cfg.Dist = &mapreduce.DistConfig{NumWorkers: 1, Self: 0, Pool: w.pool}
 	}
 	return spatial.Execute(method, q, rels, cfg)
 }

@@ -63,16 +63,6 @@ func (c *mbbColumns) appendRow(m MBB) {
 	c.marked = append(c.marked, m.Marked)
 }
 
-func (c *mbbColumns) appendAll(p *mbbColumns) {
-	c.slots = append(c.slots, p.slots...)
-	c.ids = append(c.ids, p.ids...)
-	c.xs = append(c.xs, p.xs...)
-	c.ys = append(c.ys, p.ys...)
-	c.ls = append(c.ls, p.ls...)
-	c.bs = append(c.bs, p.bs...)
-	c.marked = append(c.marked, p.marked...)
-}
-
 func (c *mbbColumns) row(i int) MBB {
 	return MBB{
 		Slot: c.slots[i], ID: c.ids[i],
@@ -201,13 +191,10 @@ func (w *MBBWriter) Close() error {
 	n := int64(len(w.pending.ids))
 	bytes := n * MBBRecordBytes
 	w.fs.mu.Lock()
-	if len(w.f.cols.ids) == 0 {
-		// First publication: the planes become the file's, uncopied.
-		*w.f.cols = w.pending
-	} else {
-		w.f.cols.appendAll(&w.pending)
-	}
-	w.f.bytes += bytes
+	// CreateMBB made the file empty and a writer closes once, so the
+	// planes become the file's, uncopied.
+	*w.f.cols = w.pending
+	w.f.bytes = bytes
 	w.fs.mu.Unlock()
 	w.fs.bytesWritten.Add(bytes)
 	w.fs.recordsWritten.Add(n)

@@ -62,6 +62,12 @@ type DistConfig struct {
 	Self int
 	// Exchanger is the data plane; required when NumWorkers > 1.
 	Exchanger Exchanger
+	// Pool is the buffer pool of the worker this config runs on, the one
+	// its Exchanger reads peers' payloads into; only a cluster worker
+	// sets it. spatial.Execute runs every job of the execution on it,
+	// naming it in each job's Config.Pool, which is all the engine reads;
+	// nil leaves the process pool.
+	Pool *BufferPool
 }
 
 // owns reports whether this worker executes task t, a mapper or a
@@ -297,7 +303,7 @@ func distExchangeRuns[I any, K ReducerKey, V any, O any](j *Job[I, K, V, O], cfg
 				size += int(b.bytes) + b.n*runPairSlack + 4*binary.MaxVarintLen32
 			}
 		}
-		buf := appendReport(getFrame(&pool.sent, size), c[:], locErr)
+		buf := appendReport(pool.getFrame(size), c[:], locErr)
 		head := len(buf)
 		for m := d.Self; shipRuns && m < nm; m += W {
 			for r := u; r < cfg.NumReducers; r += W {
@@ -317,7 +323,7 @@ func distExchangeRuns[I any, K ReducerKey, V any, O any](j *Job[I, K, V, O], cfg
 	incoming, err := d.Exchanger.AllToAll("runs", outgoing)
 	for u, buf := range outgoing {
 		if u != d.Self {
-			putBuf(&pool.sent, buf)
+			pool.PutFrame(buf)
 		}
 	}
 	if err != nil {
@@ -463,7 +469,7 @@ func appendReduceReport[O any](pool *BufferPool, c [reduceReportCounters]int64, 
 			size += b.n * (uvarintLen(uint64(len(rec))) + len(rec))
 		}
 	}
-	buf := appendReport(getFrame(&pool.sent, size), c[:], e)
+	buf := appendReport(pool.getFrame(size), c[:], e)
 	buf = appendUvarints(buf, uint64(ownedReducers(w, W, len(outputs))))
 	for r := w; r < len(outputs); r += W {
 		b := &outputs[r]
@@ -539,7 +545,7 @@ func distReduceBarrier[I any, K ReducerKey, V any, O any](j *Job[I, K, V, O], cf
 	locErr := firstError(redErrs, func(_ int, err error) string { return err.Error() })
 	c := [reduceReportCounters]int64{stats.ReduceAttempts, stats.ReduceFailures, stats.IntermediateBytes, stats.ShuffleNetworkBytes, stats.ShuffleNetworkRuns}
 	payload := appendReduceReport(pool, c, locErr, d.Self, d.NumWorkers, stats.PairsPerReducer, outputs, j.EncodeOutput)
-	defer putBuf(&pool.sent, payload)
+	defer pool.PutFrame(payload)
 
 	incoming, err := distGather(d, "outputs", payload)
 	if err != nil {

@@ -276,7 +276,7 @@ type Job[I any, K ReducerKey, V any, O any] struct {
 	// output, so the codec should be fixed-width within a job: a
 	// variable-width one still round-trips, but its payload may regrow
 	// (a short first record) or reserve more than it fills (a long one),
-	// and the payload's frame goes back to the pool's sent list, so an
+	// and the payload's frame goes back to the pool's frames list, so an
 	// over-reservation stays there, within the list's budget
 	// (MaxPoolBytes), until a larger payload takes it.
 	EncodeOutput func(out O, buf []byte) []byte
@@ -503,32 +503,27 @@ func (j *Job[I, K, V, O]) RunSplits(n int, read func(lo, hi int, yield func(I) e
 		outputs[r], redErrs[r] = runAttempts(&cfg, "reducer", r, cfg.FailReduce, traced, &redRuns[r], body,
 			func(out run[O]) { out.recycle(pool) })
 	})
+	// The reduce phase — every retry included — has committed; the
+	// shuffled input is dead (outputs are copies in their own chunks, and
+	// Reduce must not retain its values on a shared pool), so it recycles
+	// here.
+	putBuf(&pool.vals, in)
 	for r := range redRuns {
 		stats.ReduceAttempts += redRuns[r].attempts
 		stats.ReduceFailures += redRuns[r].failures
 	}
 	stats.ReduceWall = time.Since(reduceStart)
 
-	var barrierErr error
 	if dist {
 		// The second exchange, the reduce barrier: all-gather outputs and
 		// reduce accounting so every worker assembles the complete,
 		// bit-identical result and identical global Stats (including the
 		// ShuffleNetworkBytes/Runs totals of the run exchange).
-		barrierErr = distReduceBarrier(j, &cfg, stats, outputs, redErrs, pool)
-	}
-	// The reduce phase — every retry included — has committed; the
-	// shuffled input is dead (outputs are copies in their own chunks, and
-	// Reduce must not retain its values on a shared pool), so it recycles
-	// here. On a cluster that is after the barrier, which returns only
-	// once every peer has reduced: the workers' slabs of one job are in
-	// use at once whatever the timing, so workers that share a pool
-	// teach it one slab each on their first job.
-	putBuf(&pool.vals, in)
-	if barrierErr != nil {
-		recycleRuns(pool, outputs)
-		tr.End(reduceSpan)
-		return nil, nil, barrierErr
+		if err := distReduceBarrier(j, &cfg, stats, outputs, redErrs, pool); err != nil {
+			recycleRuns(pool, outputs)
+			tr.End(reduceSpan)
+			return nil, nil, err
+		}
 	}
 
 	var redErr error

@@ -15,8 +15,9 @@ import (
 // buffers dominate the allocation profile — a pool turns the per-job
 // churn into a handful of steady-state arrays. Every job runs on one;
 // pass a shared pool via Config.Pool so it serves every job that names
-// it. The spatial executor shares one pool across every execution of
-// the process.
+// it. A pool has one owner: the spatial executor shares one across
+// every in-process execution of the process, and a cluster worker owns
+// one for its executions and its data plane (DistConfig.Pool).
 //
 // Lifecycle rules (DESIGN.md §4g):
 //
@@ -43,18 +44,18 @@ import (
 //     job's V, so one pool safely serves heterogeneous job pipelines. A
 //     Get that names a size is likewise served only by a buffer at least
 //     that large, the smallest that is; when none is, the newest buffer
-//     of that type is dropped (in a frame list, only if it is under half
-//     that size or the budget has no room beside it), so the pool
+//     of that type is dropped (in the frame list, only if it is under
+//     half that size or the budget has no room beside it), so the pool
 //     converges to the workload's sizes instead of holding small arrays.
 //   - A double-Put of the same buffer is dropped, not retained twice:
 //     the pool remembers the backing-array identity of what it holds,
 //     so two later Gets can never return aliasing slices whose appends
 //     would corrupt each other's recycled runs.
 //   - The chunks, slabs and pages together retain at most MaxPoolBytes,
-//     and each frame list as much again on a budget of its own; a Put
+//     and the frames as much again on a budget of their own; a Put
 //     beyond its budget is dropped for the collector, so a one-off
 //     giant job cannot pin its scratch forever. An execution that never
-//     exchanges leaves the frame lists empty.
+//     exchanges leaves the frame list empty.
 //
 // The free lists are deliberately NOT sync.Pools: a paper-scale shuffle
 // allocates hundreds of megabytes per job, so the garbage collector
@@ -68,27 +69,19 @@ import (
 // runs on a private pool of its own.
 type BufferPool struct {
 	mu sync.Mutex
-	// scratch counts the bytes chunks, vals and pages hold, sentBytes
-	// and receivedBytes those of each frame list. Each is capped at
-	// MaxPoolBytes.
-	scratch, sentBytes, receivedBytes int64
-	held                              map[unsafe.Pointer]struct{} // arrays currently held
+	// scratch counts the bytes chunks, vals and pages hold; framed the
+	// bytes frames holds. Each is capped at MaxPoolBytes.
+	scratch, framed int64
+	held            map[unsafe.Pointer]struct{} // arrays currently held
 
 	chunks freeList // []V and []O — map and output run chunks, chunkBytes each
 	vals   freeList // []V — a job's shuffled reducer inputs, one slab
 	pages  freeList // []byte — PageBytes each, for callers' stores
-	// The frames: exchange payloads of any size, the ones the engine
-	// encodes apart from the ones an Exchanger reads from peers
-	// (GetFrame). Two workers of one process exchange through one pool,
-	// and a frame one had sent could go back before the other read the
-	// matching payload, so in a shared list how many frames an exchange
-	// holds at once would hang on goroutine scheduling. Apart, each list
-	// holds one frame per worker and exchange, whatever the timing.
-	sent, received freeList
+	frames freeList // []byte of any size — exchange payloads, sent and received
 }
 
 // MaxPoolBytes caps the bytes one pool retains in its scratch lists
-// (chunks, slabs, pages), and separately in each frame list. One
+// (chunks, slabs, pages), and separately in its frames. One
 // cascade_uniform execution (3 × 50,000 rectangles, two rounds) ends
 // holding 24.0 MB: its partial stores' pages, a round's map and output
 // chunks and the larger round's reducer-input slab. The cap keeps one
@@ -96,14 +89,11 @@ type BufferPool struct {
 // draws fresh memory for the rest. Retained bytes are live heap, which
 // the collector paces on, so a larger cap buys allocation with peak
 // RSS: 32 MiB raised served_mix's peak by a quarter (EXPERIMENTS.md,
-// "One pool per process"). Frames have a budget of their own because
-// the two workers of a loopback cluster already fill the scratch one
-// with their pages: sharing it, cluster_w2's shape kept a third of what
-// pooled frames save (EXPERIMENTS.md, "Exchange payloads in the pool").
-// The two frame lists have a budget each because each holds a frame per
-// worker and exchange: on cluster_w2's shape, sharing one, the received
-// list's largest frame was dropped on every query (EXPERIMENTS.md,
-// "Checkpoints are pages").
+// "One pool per process"). Frames have a budget of their own because a
+// cluster worker's own pages, chunks and slab already fill the scratch
+// one: with frames on it, a worker's frames and pages crowd each other
+// out, and cluster_w2 allocated 27.1–28.2 MB a query against 10.9–11.2
+// with a budget apiece (EXPERIMENTS.md, "Workers own their pools").
 const MaxPoolBytes = 24 << 20
 
 // PageBytes is the size of every page GetPage hands out.
@@ -117,10 +107,7 @@ const PageBytes = 8 << 10
 type freeList struct {
 	pool     *BufferPool
 	retained *int64 // the pool's count this list's bytes go to
-	// mixed marks a frame list, whose arrays serve requests of many
-	// sizes at once: a miss there keeps a near miss (get).
-	mixed  bool
-	stacks []typedStack
+	stacks   []typedStack
 }
 
 type typedStack struct {
@@ -152,20 +139,25 @@ type typeToken[T any] struct{}
 
 // get removes and returns the smallest array of elem's type with at
 // least capacity elements, the newest of equals, or nil when there is
-// none. Best fit keeps a large array for the request that needs it: two
-// workers' slabs or payloads of one job differ by a few percent, and an
-// array taken by the smaller request leaves the larger one a miss.
+// none. Best fit keeps a large array for the request that needs it: a
+// worker's sent and received payloads of one exchange differ by a few
+// percent and share its one frame list, and a frame taken by the
+// smaller request leaves the larger one a miss.
 //
 // On a miss the caller makes a fresh array, and the newest array of the
 // type is dropped: the workload has outgrown it. A slab or chunk list
 // serves one size at a time per job, so one large array serves every
-// smaller request after it. A frame list is different: each exchange
+// smaller request after it. The frame list is different: each exchange
 // of a job has a payload size of its own, and a worker holds frames of
-// two exchanges at once. There a near miss — the newest array at least
-// half the request, with room in the budget for both — is kept, so the
-// list grows until it covers the sizes in flight at once; dropping it
-// would trade one frame for another of the same count, and the same
-// interleaving of exchanges would miss again on every later query.
+// two exchanges at once (it encodes the next while the last one's
+// received payloads are still out). There a near miss — the newest
+// array at least half the request, with room in the budget for both —
+// is kept, so the list grows until it covers the sizes in flight at
+// once; dropping it would trade one frame for another of the same
+// count, and the same interleaving of exchanges would miss again on
+// every later query. Without best fit, or without the near miss, the
+// cluster's allocation guards went over their ceilings in 3 to 5 of 10
+// runs (EXPERIMENTS.md, "Workers own their pools").
 func (f *freeList) get(elem any, capacity int) poolEntry {
 	p := f.pool
 	p.mu.Lock()
@@ -186,7 +178,7 @@ func (f *freeList) get(elem any, capacity int) poolEntry {
 		i = len(s) - 1
 		newest := s[i]
 		fresh := int64(capacity) * (newest.bytes / int64(newest.cap))
-		if f.mixed && newest.cap >= capacity/2 && *f.retained+fresh <= MaxPoolBytes {
+		if f == &p.frames && newest.cap >= capacity/2 && *f.retained+fresh <= MaxPoolBytes {
 			return poolEntry{}
 		}
 	}
@@ -226,8 +218,7 @@ func NewBufferPool() *BufferPool {
 	for _, f := range []*freeList{&p.chunks, &p.vals, &p.pages} {
 		f.pool, f.retained = p, &p.scratch
 	}
-	p.sent.pool, p.sent.retained, p.sent.mixed = p, &p.sentBytes, true
-	p.received.pool, p.received.retained, p.received.mixed = p, &p.receivedBytes, true
+	p.frames.pool, p.frames.retained = p, &p.framed
 	return p
 }
 
@@ -236,7 +227,7 @@ func NewBufferPool() *BufferPool {
 func (p *BufferPool) Retained() int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.scratch + p.sentBytes + p.receivedBytes
+	return p.scratch + p.framed
 }
 
 // GetPage returns a page of PageBytes for a caller's own store: a
@@ -257,27 +248,30 @@ func (p *BufferPool) PutPage(page []byte) {
 // allocates one of FrameCap(n) as the bytes arrive, so a peer's declared
 // length never sizes memory of its own. Its contents are arbitrary.
 func (p *BufferPool) GetFrame(n int) []byte {
-	if s := recycled[byte](&p.received, n); s != nil {
+	if s := recycled[byte](&p.frames, n); s != nil {
 		return s[:n]
 	}
 	return nil
 }
 
-// getFrame returns an empty frame from f with room for n bytes, a fresh
-// one of FrameCap(n) when f holds none that large.
-func getFrame(f *freeList, n int) []byte {
-	if s := recycled[byte](f, n); s != nil {
+// getFrame returns an empty frame with room for n bytes to encode a
+// payload into, a fresh one of FrameCap(n) when the pool holds none
+// that large.
+func (p *BufferPool) getFrame(n int) []byte {
+	if s := recycled[byte](&p.frames, n); s != nil {
 		return s
 	}
 	return make([]byte, 0, FrameCap(n))
 }
 
 // FrameCap is the capacity a fresh frame for an n-byte payload is
-// allocated at: n rounded up to a sixteenth of its power of two. Two
-// workers' payloads of one exchange differ by a few bytes, and a frame
-// exactly one's size cannot hold the other: a Get that misses drops a
-// frame and allocates, so exact frames would keep trading places with
-// fresh ones. Rounded, they fit each other, at most 1/16 over.
+// allocated at: n rounded up to a sixteenth of its power of two. A
+// worker's sent and received payloads of one exchange differ by a few
+// bytes and share its frame list, as do one exchange's payloads from
+// query to query, and a frame exactly one's size cannot hold the
+// other's. Rounded, one frame fits them all, at most 1/16 over. On a
+// repeated query, whose sizes repeat to the byte, exact frames measured
+// the same (EXPERIMENTS.md, "Workers own their pools").
 func FrameCap(n int) int {
 	shift := bits.Len(uint(n)) - 5
 	if shift <= 0 {
@@ -289,7 +283,7 @@ func FrameCap(n int) int {
 
 // PutFrame hands an exchange payload's frame back — one from GetFrame or
 // one the caller allocated. The caller must hold the only reference.
-func (p *BufferPool) PutFrame(frame []byte) { putBuf(&p.received, frame) }
+func (p *BufferPool) PutFrame(frame []byte) { putBuf(&p.frames, frame) }
 
 // recycled returns an array of T with at least capacity elements that
 // f holds, as a zero-length slice, or nil.

@@ -90,10 +90,10 @@ func TestPoolFramesBudget(t *testing.T) {
 
 // TestPoolGetRule: a Get takes the smallest array that fits, so the
 // larger of two close requests still finds its array after the smaller
-// one is served. On a miss a slab list drops its newest array, while a
-// frame list keeps a near miss (at least half the request) and drops a
-// frame under half of it. Sent and received frames live in lists of
-// their own.
+// one is served — in a slab list, and in the one frame list a worker's
+// sent and received payloads share. On a miss a slab list drops its
+// newest array, while the frame list keeps a near miss (at least half
+// the request) and drops a frame under half of it.
 func TestPoolGetRule(t *testing.T) {
 	pool := NewBufferPool()
 	small, large := make([]int64, 0, 1000), make([]int64, 0, 1010)
@@ -113,25 +113,31 @@ func TestPoolGetRule(t *testing.T) {
 		t.Errorf("the slab list kept its newest slab after a miss: %d values", cap(s))
 	}
 
+	// A received frame serves an encoded payload and the other way round.
+	pool.PutFrame(make([]byte, 1010))
+	pool.PutFrame(make([]byte, 0, 1000))
+	if got := cap(pool.getFrame(990)); got != 1000 {
+		t.Errorf("a 990-byte payload was encoded into a frame of %d, want the smallest that fits, 1000", got)
+	}
+	if f := pool.GetFrame(1005); cap(f) != 1010 {
+		t.Errorf("a 1005-byte read took a frame of %d, want 1010", cap(f))
+	}
+
 	pool.PutFrame(make([]byte, 300))
 	if f := pool.GetFrame(500); f != nil {
 		t.Fatalf("a 500-byte request was served by a %d-byte frame", cap(f))
 	}
 	if f := pool.GetFrame(300); cap(f) != 300 {
-		t.Errorf("the received list dropped its near-miss frame: GetFrame(300) = %d bytes", cap(f))
+		t.Errorf("the frame list dropped its near-miss frame: GetFrame(300) = %d bytes", cap(f))
 	}
 	pool.PutFrame(make([]byte, 200))
 	if f := pool.GetFrame(500); f != nil {
 		t.Fatalf("a 500-byte request was served by a %d-byte frame", cap(f))
 	}
 	if f := pool.GetFrame(1); f != nil {
-		t.Errorf("the received list kept a frame under half the request that missed: %d bytes", cap(f))
+		t.Errorf("the frame list kept a frame under half the request that missed: %d bytes", cap(f))
 	}
-	putBuf(&pool.sent, make([]byte, 100))
-	if f := pool.GetFrame(1); f != nil {
-		t.Errorf("GetFrame was served from the sent list: %d bytes", cap(f))
-	}
-	if got := pool.Retained(); got != 100 {
-		t.Errorf("the pool retains %d bytes, want the sent list's 100", got)
+	if got := pool.Retained(); got != 0 {
+		t.Errorf("the pool retains %d bytes, want none", got)
 	}
 }

@@ -107,21 +107,18 @@ type Config struct {
 	// Result is bit-identical on every worker (see mapreduce.DistConfig).
 	// NumWorkers == 1 is the in-process engine, verbatim. Incompatible
 	// with CountOnly: distributed tallies are per-worker and would
-	// undercount.
+	// undercount. Dist.Pool, which only a cluster worker sets, is the
+	// pool every job of the execution runs on.
 	Dist *mapreduce.DistConfig
 }
 
-// sharedPool is the one buffer pool of the process. It recycles only at
-// sole-reference points (see mapreduce.BufferPool), so sharing it across
-// executions is as safe as sharing it across the jobs of one; and it
-// retains at most mapreduce.MaxPoolBytes, so what an execution leaves
-// behind for the next is bounded.
+// sharedPool is the buffer pool of the process's in-process executions;
+// a cluster worker's executions run on its own (DistConfig.Pool). It
+// recycles only at sole-reference points (see mapreduce.BufferPool), so
+// sharing it across executions is as safe as sharing it across the jobs
+// of one; and it retains at most mapreduce.MaxPoolBytes, so what an
+// execution leaves behind for the next is bounded.
 var sharedPool = mapreduce.NewBufferPool()
-
-// SharedPool returns the process's buffer pool, for a data plane that
-// reads and recycles exchange payloads in the frames the engine encodes
-// them into.
-func SharedPool() *mapreduce.BufferPool { return sharedPool }
 
 // DefaultPartitioning builds the paper's experimental grid over the
 // bounding box of the given relations: √k × √k cells for k reducers
@@ -140,9 +137,9 @@ type executor struct {
 	fs     *dfs.FS
 	cfg    Config
 	metric grid.Metric
-	// pool recycles engine scratch and partial-store pages: sharedPool,
-	// whose buffers pass between the jobs of every execution of the
-	// process, concurrent ones included.
+	// pool recycles engine scratch and partial-store pages: the cluster
+	// worker's (Dist.Pool), or else sharedPool, whose buffers pass between
+	// the jobs of every in-process execution, concurrent ones included.
 	pool *mapreduce.BufferPool
 
 	tr      *trace.Tracer
@@ -209,6 +206,9 @@ func Execute(method Method, q *query.Query, rels []Relation, cfg Config) (*Resul
 		defer fs.Close()
 	}
 	exec := &executor{part: g.part, rels: rels, stats: est.set.stats, fs: fs, cfg: cfg, metric: cfg.LimitMetric, tr: cfg.Tracer, pool: sharedPool}
+	if cfg.Dist != nil && cfg.Dist.Pool != nil {
+		exec.pool = cfg.Dist.Pool
+	}
 	exec.runSpan = exec.tr.Start(0, trace.KindRun, fmt.Sprintf("%s %s", method, q))
 	exec.cur = exec.runSpan
 	// Registered before the runSpan End so it runs after it (defers are
