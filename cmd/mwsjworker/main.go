@@ -1,9 +1,10 @@
 // Command mwsjworker is one worker of the distributed join runtime: it
 // registers with a coordinator (mwsjoind -cluster-listen), heartbeats,
-// and executes its share of every query session the coordinator places
-// — running the map and reduce tasks it owns against local scratch and
-// streaming pre-sorted, EncodePair-framed runs to the reducers on its
-// peer workers over persistent TCP connections (the network shuffle).
+// and executes its share of every query session the coordinator places.
+// Each session attempt dials a TCP mesh to its peers, over which every
+// job makes two exchanges: its map runs for the peers' reducers
+// (unsorted values in emit order), then its reducers' outputs (for the
+// 2-way Cascade, the page segments of the round's checkpoint).
 //
 // Usage:
 //

@@ -441,7 +441,7 @@ func TestRelationPackRoundTrip(t *testing.T) {
 		for i := range tuples {
 			tuples[i] = spatial.Tuple{IDs: []int32{rng.Int32(), -rng.Int32(), int32(i)}}
 		}
-		arity, slab, err := packTuples(tuples)
+		arity, slab, err := packTuples(mapreduce.NewBufferPool(), tuples)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -455,7 +455,7 @@ func TestRelationPackRoundTrip(t *testing.T) {
 			t.Errorf("result with %d tuples did not round-trip (got %d, nil=%v)", n, len(back), back == nil)
 		}
 	}
-	if _, _, err := packTuples([]spatial.Tuple{{IDs: []int32{1, 2}}, {IDs: []int32{3}}}); err == nil {
+	if _, _, err := packTuples(mapreduce.NewBufferPool(), []spatial.Tuple{{IDs: []int32{1, 2}}, {IDs: []int32{3}}}); err == nil {
 		t.Error("tuples of two widths packed into one slab")
 	}
 }
@@ -464,7 +464,7 @@ func TestRelationPackRoundTrip(t *testing.T) {
 // fields populated where the type has them.
 func sampleMessages() []*message {
 	spec := SpecFromConfig(mustMethod("2-way-cascade"), "R1 ov R2", testRelations(3, 2, 10), spatial.Config{Reducers: 4, NumMappers: 2})
-	_, slab, _ := packTuples([]spatial.Tuple{{IDs: []int32{1, 2}}, {IDs: []int32{3, 4}}})
+	_, slab, _ := packTuples(mapreduce.NewBufferPool(), []spatial.Tuple{{IDs: []int32{1, 2}}, {IDs: []int32{3, 4}}})
 	resume := spec
 	resume.Resume = true
 	empty := spatial.NewRelation("E", nil)

@@ -262,10 +262,8 @@ type mesh struct {
 	dieAfter  int
 	onDie     func()
 
-	// lent holds the peers' payloads the last AllToAll returned. The
-	// engine is done with them by its next call (mapreduce.Exchanger),
-	// which recycles them, as the worker does once the engine returns
-	// (executeAttempt).
+	// lent holds the peers' payloads the last AllToAll returned, until
+	// the engine (or, after it returns, executeAttempt) calls Recycle.
 	lent [][]byte
 }
 
@@ -321,7 +319,6 @@ func (m *mesh) AllToAll(tag string, outgoing [][]byte) ([][]byte, error) {
 	if len(outgoing) != len(m.conns) {
 		return nil, fmt.Errorf("cluster: AllToAll %s: %d payloads for a %d-worker mesh", tag, len(outgoing), len(m.conns))
 	}
-	m.recycleLent()
 	m.exchanges++
 	if m.dieAfter > 0 && m.exchanges >= m.dieAfter && m.onDie != nil {
 		m.onDie()
@@ -367,10 +364,10 @@ func (m *mesh) AllToAll(tag string, outgoing [][]byte) ([][]byte, error) {
 	return in, nil
 }
 
-// recycleLent recycles the payloads the last AllToAll returned. Only
-// the goroutine that runs the engine may call it, after the engine has
-// returned or from its next AllToAll.
-func (m *mesh) recycleLent() {
+// Recycle implements mapreduce.Exchanger: it recycles the payloads the
+// last AllToAll returned. Only the engine's goroutine may call it: the
+// engine once it has decoded them, the worker once the engine returns.
+func (m *mesh) Recycle() {
 	for i, payload := range m.lent {
 		recycleFrame(m.pool, payload)
 		m.lent[i] = nil

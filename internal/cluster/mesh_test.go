@@ -191,7 +191,7 @@ func meshPair(t *testing.T, pool *mapreduce.BufferPool) (a, b *mesh) {
 }
 
 // TestMeshPayloadOutlivesPeersNextFrame: a payload read into a frame the
-// pool lent stays intact until the engine's next exchange, even when the
+// pool lent stays intact until the engine recycles it, even when the
 // peer's next frame has already arrived and been read into a pooled
 // frame of its own — at the smallest size the mesh lends a frame for and
 // at one over a declaredChunk.
@@ -243,6 +243,7 @@ func TestMeshPayloadOutlivesPeersNextFrame(t *testing.T) {
 			if !bytes.Equal(got, first) {
 				t.Fatal("the first payload changed when the peer's second frame arrived")
 			}
+			a.Recycle()
 			if in, err = a.AllToAll("x", [][]byte{nil, nil}); err != nil {
 				t.Fatal(err)
 			}
@@ -257,9 +258,9 @@ func TestMeshPayloadOutlivesPeersNextFrame(t *testing.T) {
 }
 
 // TestMeshRecyclesFrameChunks: payloads of lentFrameMin bytes or more go
-// back to the pool when the engine's next exchange starts, so a warm
-// mesh reads them into the same frames instead of allocating each one —
-// under a declaredChunk and over one.
+// back to the pool when the engine recycles them, as it does after each
+// exchange, so a warm mesh reads them into the same frames instead of
+// allocating each one — under a declaredChunk and over one.
 func TestMeshRecyclesFrameChunks(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's bookkeeping allocates")
@@ -277,6 +278,7 @@ func TestMeshRecyclesFrameChunks(t *testing.T) {
 						if err == nil && !bytes.Equal(in[0], pa) {
 							err = errors.New("payload arrived changed")
 						}
+						b.Recycle()
 						if err != nil {
 							done <- err
 							return
@@ -292,6 +294,7 @@ func TestMeshRecyclesFrameChunks(t *testing.T) {
 					if !bytes.Equal(in[1], pb) {
 						t.Fatal("payload arrived changed")
 					}
+					a.Recycle()
 				}
 				if err := <-done; err != nil {
 					t.Fatal(err)

@@ -1,8 +1,8 @@
 // Package cluster turns the in-process map-reduce engine into a real
 // coordinator/worker runtime: N worker processes execute every job of a
 // query in SPMD lockstep — each worker owns its share of map and reduce
-// tasks and ships EncodePair-framed runs destined for remote
-// reducers over persistent loopback/LAN connections (the network
+// tasks and ships the runs destined for remote reducers over a mesh of
+// loopback/LAN connections dialed for each session attempt (the network
 // shuffle) — while a coordinator owns worker membership, heartbeats,
 // session placement, and recovery.
 //
@@ -16,8 +16,13 @@
 // coordinator compares across the roster.
 //
 // What crosses the wire, and how. Data plane (mesh.go, worker to
-// worker): the shuffle runs, the per-job barriers and the all-gathered
-// reducer outputs, as length-prefixed binary frames. Control plane
+// worker), as length-prefixed binary frames, two exchanges per job: the
+// sender's map report, then its runs for the receiver's reducers (a
+// mapper's values for one reducer, unsorted, in emit order); its reduce
+// report, then its reducers' pair counts and outputs (for the 2-way
+// Cascade, page segments of the round's checkpoint, not one record per
+// tuple). A resumed attempt first agrees on the committed checkpoint
+// prefix in one more exchange. Control plane
 // (this file and wire.go, coordinator to worker): per session, a start
 // that names the input relations by content digest, and the whole
 // result from worker 0 in result — megabytes, not "small control

@@ -10,6 +10,7 @@ import (
 	"net"
 	"sync"
 
+	"mwsjoin/internal/mapreduce"
 	"mwsjoin/internal/spatial"
 )
 
@@ -235,9 +236,10 @@ func checkSlab(arity, count, slabBytes int) error {
 }
 
 // packTuples renders a result's tuples as one flat little-endian int32
-// slab. A query's tuples all have its relation count as their width; a
-// set that does not cannot be framed and is reported.
-func packTuples(tuples []spatial.Tuple) (arity int, slab []byte, err error) {
+// slab, in a frame from pool that the caller puts back once it is sent.
+// A query's tuples all have its relation count as their width; a set
+// that does not cannot be framed and is reported.
+func packTuples(pool *mapreduce.BufferPool, tuples []spatial.Tuple) (arity int, slab []byte, err error) {
 	if len(tuples) == 0 {
 		return 0, nil, nil
 	}
@@ -245,9 +247,14 @@ func packTuples(tuples []spatial.Tuple) (arity int, slab []byte, err error) {
 	if arity == 0 {
 		return 0, nil, fmt.Errorf("cluster: result tuple 0 is empty")
 	}
-	slab = make([]byte, 0, 4*arity*len(tuples))
+	n := 4 * arity * len(tuples)
+	if slab = pool.GetFrame(n); slab == nil {
+		slab = make([]byte, n, mapreduce.FrameCap(n))
+	}
+	slab = slab[:0]
 	for i, t := range tuples {
 		if len(t.IDs) != arity {
+			pool.PutFrame(slab)
 			return 0, nil, fmt.Errorf("cluster: result tuple %d has %d ids, tuple 0 has %d", i, len(t.IDs), arity)
 		}
 		for _, id := range t.IDs {

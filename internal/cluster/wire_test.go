@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"mwsjoin/internal/mapreduce"
 	"mwsjoin/internal/spatial"
 )
 
@@ -213,6 +214,7 @@ func BenchmarkControlPlane(b *testing.B) {
 			name = "cold"
 		}
 		b.Run(name, func(b *testing.B) {
+			pool := mapreduce.NewBufferPool() // the worker's, which its result slab comes from
 			var wire bytes.Buffer
 			var total int64
 			for i := 0; i < b.N; i++ {
@@ -236,11 +238,12 @@ func BenchmarkControlPlane(b *testing.B) {
 					b.Fatal(err)
 				}
 				total += n
-				arity, slab, err := packTuples(tuples)
+				arity, slab, err := packTuples(pool, tuples)
 				if err != nil {
 					b.Fatal(err)
 				}
 				n, err = writeMessage(&wire, &message{Type: msgResult, Session: "s0001", OK: true, Hash: "h", Stats: stats, Arity: arity, Count: len(tuples), Slab: slab})
+				pool.PutFrame(slab)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -318,7 +318,9 @@ func (w *Worker) runSession(m *message, s *workerSession) {
 	if err == nil {
 		w.cfg.Logf("worker %s: session %s attempt %d done (%d tuples, hash %s)",
 			w.cfg.Name, m.Session, m.Attempt, out.Count, out.Hash[:8])
-		if err = w.send(out); err == nil {
+		err = w.send(out)
+		w.pool.PutFrame(out.Slab) // sent or not, nothing reads it any more
+		if err == nil {
 			return
 		}
 		if !errors.Is(err, errHeaderTooLarge) {
@@ -346,7 +348,7 @@ func (w *Worker) attemptResult(m *message, s *workerSession) (*message, error) {
 		return nil, fmt.Errorf("cluster: encode stats: %w", err)
 	}
 	if m.Self == 0 {
-		if out.Arity, out.Slab, err = packTuples(res.Tuples); err != nil {
+		if out.Arity, out.Slab, err = packTuples(w.pool, res.Tuples); err != nil {
 			return nil, err
 		}
 		out.Count = len(res.Tuples)
@@ -412,7 +414,7 @@ func (w *Worker) executeAttempt(m *message, s *workerSession) (*spatial.Result, 
 		w.mu.Unlock()
 		defer func() {
 			mh.close()
-			mh.recycleLent() // Execute has returned: no payload is read any more
+			mh.Recycle() // Execute has returned: no payload is read any more
 		}()
 		cfg.Dist = &mapreduce.DistConfig{NumWorkers: len(m.Roster), Self: m.Self, Exchanger: mh, Pool: w.pool}
 	} else {

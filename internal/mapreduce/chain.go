@@ -314,6 +314,7 @@ func (c *Chain) AgreeResume(d *DistConfig) error {
 	if err != nil {
 		return fmt.Errorf("mapreduce: chain %q: resume agreement: %w", c.cfg.Name, err)
 	}
+	defer d.Exchanger.Recycle()
 	agreed := local
 	for w, buf := range incoming {
 		n, rest, err := readUvarint(buf)

@@ -44,11 +44,13 @@ type Exchanger interface {
 	// to outgoing once it returns: the engine puts its payloads back in
 	// its pool then, to be encoded over by its next exchange, so a fabric
 	// that delivers after returning must copy what it carries. The engine
-	// decodes what a call returns before it makes its next call and keeps
-	// no byte of it (DecodePair and DecodeOutput copy), so an
-	// implementation may reuse the memory of the payloads it returned
-	// from its next call on.
+	// decodes what a call returns, keeping no byte of it (DecodePair and
+	// DecodeOutput copy), and then calls Recycle.
 	AllToAll(tag string, outgoing [][]byte) ([][]byte, error)
+	// Recycle reports that the engine has decoded what AllToAll returned,
+	// so an implementation may reuse that memory from then on: for a
+	// peer's next payload, which can arrive before the engine's next call.
+	Recycle()
 }
 
 // DistConfig distributes a job across a cluster of SPMD workers. All
@@ -329,6 +331,7 @@ func distExchangeRuns[I any, K ReducerKey, V any, O any](j *Job[I, K, V, O], cfg
 	if err != nil {
 		return fmt.Errorf("mapreduce: job %q: run exchange: %w", cfg.Name, err)
 	}
+	defer d.Exchanger.Recycle()
 	var totals [mapReportCounters]int64
 	globErr := taskError{idx: -1}
 	for w, buf := range incoming {
@@ -454,19 +457,20 @@ type reducerReport struct {
 // reducerReport per owned reducer r ≡ w (mod W), ascending, read from
 // the per-reducer pairs and output runs.
 func appendReduceReport[O any](pool *BufferPool, c [reduceReportCounters]int64, e taskError, w, W int, pairs []int64, outputs []run[O], encode func(O, []byte) []byte) []byte {
-	// The payload's capacity is fixed before the first append: the
-	// all-gathered outputs are the job's whole result, and growing a
-	// buffer that large by doubling allocates it twice over. A run is
-	// sized as its count times its first record: every output codec of
-	// the spatial jobs is fixed-width per job (Job.EncodeOutput), and
-	// append grows the frame for one that is not.
+	// The payload's capacity is fixed before the first append, at its
+	// size (each output encoded once to measure it): the gathered outputs
+	// are the job's whole result, doubling a buffer that large allocates
+	// it twice over, and a frame asked for beyond the payload's size may
+	// miss the one the peer's payload of this exchange leaves.
 	var rec []byte
 	size := reportLen(reduceReportCounters+1, e) // the report, then the owned count
 	for r := w; r < len(outputs); r += W {
 		size += 3 * binary.MaxVarintLen64
-		if b := &outputs[r]; b.n > 0 {
-			rec = encode(b.chunks[0][0], rec[:0])
-			size += b.n * (uvarintLen(uint64(len(rec))) + len(rec))
+		for _, ch := range outputs[r].chunks {
+			for i := range ch {
+				rec = encode(ch[i], rec[:0])
+				size += uvarintLen(uint64(len(rec))) + len(rec)
+			}
 		}
 	}
 	buf := appendReport(pool.getFrame(size), c[:], e)
@@ -551,6 +555,7 @@ func distReduceBarrier[I any, K ReducerKey, V any, O any](j *Job[I, K, V, O], cf
 	if err != nil {
 		return fmt.Errorf("mapreduce: job %q: reduce barrier: %w", cfg.Name, err)
 	}
+	defer d.Exchanger.Recycle()
 	var totals [reduceReportCounters]int64
 	globErr := taskError{idx: -1}
 	for w, buf := range incoming {

@@ -18,9 +18,8 @@ import (
 // the SPMD engine without a network. A payload is delivered after its
 // sender's AllToAll returns, so the hub carries a copy of it: a fresh
 // one, or, when pool is set, one in a frame from pool that the
-// receiving exchanger puts back at its next exchange (or recycle), as
-// the cluster's mesh does. tags[w] lists the tags of worker w's
-// exchanges, in call order.
+// receiving exchanger puts back on Recycle, as the cluster's mesh does.
+// tags[w] lists the tags of worker w's exchanges, in call order.
 type chanHub struct {
 	w     int
 	chans [][]chan []byte
@@ -64,7 +63,6 @@ func (e *chanExchanger) AllToAll(tag string, outgoing [][]byte) ([][]byte, error
 	if len(outgoing) != e.h.w {
 		return nil, fmt.Errorf("AllToAll %s: %d payloads for %d workers", tag, len(outgoing), e.h.w)
 	}
-	e.recycle()
 	e.h.tags[e.self] = append(e.h.tags[e.self], tag)
 	for w := 0; w < e.h.w; w++ {
 		if w != e.self {
@@ -84,10 +82,9 @@ func (e *chanExchanger) AllToAll(tag string, outgoing [][]byte) ([][]byte, error
 	return in, nil
 }
 
-// recycle puts the payloads the last AllToAll returned back in the
-// hub's pool. The engine has decoded them by its next exchange, or once
-// its job returns.
-func (e *chanExchanger) recycle() {
+// Recycle puts the payloads the last AllToAll returned back in the
+// hub's pool, as the cluster's mesh does.
+func (e *chanExchanger) Recycle() {
 	for i, p := range e.lent {
 		e.h.pool.PutFrame(p)
 		e.lent[i] = nil
@@ -215,6 +212,62 @@ func TestDistBitIdenticalToInProcess(t *testing.T) {
 	}
 }
 
+// recycleCheck counts the exchanges whose payloads the engine did not
+// hand back (Exchanger.Recycle) before its next exchange.
+type recycleCheck struct {
+	Exchanger
+	held   bool // the last AllToAll's payloads are not recycled yet
+	missed int
+}
+
+func (c *recycleCheck) AllToAll(tag string, outgoing [][]byte) ([][]byte, error) {
+	if c.held {
+		c.missed++
+	}
+	in, err := c.Exchanger.AllToAll(tag, outgoing)
+	c.held = err == nil
+	return in, err
+}
+
+func (c *recycleCheck) Recycle() {
+	c.held = false
+	c.Exchanger.Recycle()
+}
+
+// TestDistRecyclesEachExchange: the engine hands back each exchange's
+// payloads once it has decoded them, before its next exchange and
+// before the job returns, so a peer's next payload, arriving early, can
+// be read into the same frame.
+func TestDistRecyclesEachExchange(t *testing.T) {
+	input := make([]int, 1000)
+	for i := range input {
+		input[i] = i * 7
+	}
+	hub := newChanHub(2)
+	hub.pool = NewBufferPool()
+	checks := []*recycleCheck{{Exchanger: hub.exchanger(0)}, {Exchanger: hub.exchanger(1)}}
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	for self, c := range checks {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			j := distTestJob(Config{Name: "recycle", NumReducers: 13, NumMappers: 8, Pool: hub.pool})
+			j.Config.Dist = &DistConfig{NumWorkers: 2, Self: self, Exchanger: c}
+			_, _, errs[self] = j.Run(input)
+		}()
+	}
+	wg.Wait()
+	for self, c := range checks {
+		if errs[self] != nil {
+			t.Fatalf("worker %d: %v", self, errs[self])
+		}
+		if c.missed > 0 || c.held {
+			t.Errorf("worker %d: %d exchanges not recycled before the next, the last held at return: %v", self, c.missed, c.held)
+		}
+	}
+}
+
 func TestDistFaultInjectionEquivalence(t *testing.T) {
 	input := make([]int, 300)
 	for i := range input {
@@ -312,6 +365,8 @@ var noRuns = uv(1, 0, 0, 0, 1, 2, 0, 0, 3, 0, 0, 0, 3, 2, 0, 0)
 // forgedNoRuns is worker 1's run payload when its mappers emitted
 // nothing: its clean report, then its empty runs.
 var forgedNoRuns = slices.Concat(cleanReport, noRuns)
+
+func (e *forgingExchanger) Recycle() {}
 
 func (e *forgingExchanger) AllToAll(tag string, outgoing [][]byte) ([][]byte, error) {
 	peer := outgoing[0]
@@ -695,7 +750,7 @@ func TestDistPayloadsRecycled(t *testing.T) {
 			go func(self int) {
 				defer wg.Done()
 				ex := hub.exchanger(self)
-				defer ex.recycle()
+				defer ex.Recycle()
 				j := paddedTestJob(Config{Name: "padded", NumReducers: nr, NumMappers: nm, Pool: pool})
 				j.Config.Dist = &DistConfig{NumWorkers: 2, Self: self, Exchanger: ex}
 				out, st, err := j.Run(input)

@@ -271,14 +271,11 @@ type Job[I any, K ReducerKey, V any, O any] struct {
 	// keeps of rec as DecodePair does. They are the codec the
 	// distributed reduce barrier uses to all-gather reducer outputs
 	// across workers (Config.Dist with NumWorkers > 1 requires them);
-	// in-process jobs never call them. The barrier sizes its payload as
-	// each reducer's output count times the encoded length of its first
-	// output, so the codec should be fixed-width within a job: a
-	// variable-width one still round-trips, but its payload may regrow
-	// (a short first record) or reserve more than it fills (a long one),
-	// and the payload's frame goes back to the pool's frames list, so an
-	// over-reservation stays there, within the list's budget
-	// (MaxPoolBytes), until a larger payload takes it.
+	// in-process jobs never call them. Outputs may encode to any length
+	// (the cascade's are page segments of its checkpoint records): the
+	// barrier encodes each output once to size its payload exactly, then
+	// again into it, so EncodeOutput must append the same bytes for the
+	// same output every time.
 	EncodeOutput func(out O, buf []byte) []byte
 	DecodeOutput func(rec []byte) (O, error)
 }

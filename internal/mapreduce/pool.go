@@ -29,8 +29,8 @@ import (
 //     committed, a page once nothing reads the store it served, a sent
 //     payload once AllToAll has returned and what it returned is
 //     decoded (the sender's own payload comes back as its own entry),
-//     and a received payload at the engine's next exchange or the
-//     attempt's end (the Exchanger contract).
+//     and a received payload once the engine has decoded it
+//     (Exchanger.Recycle) or the attempt ends.
 //   - A chunk is cleared before it goes back, so a pooled chunk keeps
 //     nothing alive that its values pointed to (a result tuple's IDs).
 //   - Recycled buffers never alias committed output: reducer outputs

@@ -138,7 +138,7 @@ func cascade(pl *plan, exec *executor) (*Result, error) {
 					var err error
 					if p == 1 {
 						err = tuples.MBBs(lo, thi, func(m dfs.MBB) error {
-							ref, rec := w.add()
+							ref, rec := w.take(1)
 							binary.LittleEndian.PutUint16(rec, 1)
 							putMember(rec[2:], m.ID, mbbRect(m))
 							return yield(tupleVal(ref, mbbRect(m)))
@@ -148,7 +148,7 @@ func cascade(pl *plan, exec *executor) (*Result, error) {
 							if err := checkPartial(rec, p); err != nil {
 								return err
 							}
-							ref, dst := w.add()
+							ref, dst := w.take(1)
 							copy(dst, rec)
 							return yield(tupleVal(ref, partialRect(rec, keyPos)))
 						})
@@ -165,7 +165,7 @@ func cascade(pl *plan, exec *executor) (*Result, error) {
 				return nil
 			}
 
-			job := &mapreduce.Job[cascadeVal, grid.CellID, cascadeVal, partialRef]{
+			job := &mapreduce.Job[cascadeVal, grid.CellID, cascadeVal, []byte]{
 				Config: exec.jobConfig(fmt.Sprintf("cascade-%d-%s", p, pl.q.Slots()[newSlot])),
 				Map: func(v cascadeVal, emit func(grid.CellID, cascadeVal)) error {
 					key := v.Rect
@@ -184,17 +184,22 @@ func cascade(pl *plan, exec *executor) (*Result, error) {
 				},
 				EncodePair: codec.encodePair,
 				DecodePair: codec.decodePair,
-				// An emitted partial travels as its checkpoint record.
-				EncodeOutput: func(ref partialRef, buf []byte) []byte { return append(buf, out.rec(ref)...) },
-				DecodeOutput: out.decode,
+				// An emitted segment travels as its checkpoint records.
+				EncodeOutput: func(seg, buf []byte) []byte { return append(buf, seg...) },
+				DecodeOutput: func(seg []byte) ([]byte, error) { _, dst, err := out.decode(seg); return dst, err },
 			}
 			exec.tr.Observe(roundSpan, trace.KindPhase, "load-inputs", stepStart, time.Now())
-			refs, st, err := job.RunSplits(nt+items.Len(), read)
+			segs, st, err := job.RunSplits(nt+items.Len(), read)
 			jobEnd = time.Now()
+			if err != nil {
+				return dfs.Segments{}, nil, err
+			}
 			// The emitted records are already in checkpoint layout: the
 			// step's output file is the reducers' pages, segment by
-			// segment.
-			return out.segments(refs), st, err
+			// segment, and its Stats count records, not segments.
+			chk := dfs.Segments{Stride: out.stride, Segs: segs}
+			st.ReduceOutputRecords = chk.Len()
+			return chk, st, nil
 		}
 
 		var st *mapreduce.Stats
@@ -381,13 +386,13 @@ type cellScratch struct {
 
 var cellScratchPool = sync.Pool{New: func() any { return new(cellScratch) }}
 
-// cascadeReduce joins the partial tuples and new-slot items delivered
-// to one cell with a forward plane sweep over the tuples' key
-// rectangles and the items — the classic SJMR-style in-reducer join
-// (§5). The partials a cell emits fill pages of out of their own.
-func cascadeReduce(pl *plan, part *grid.Partitioning, in, out *partialStore, newSlot int, edges []query.Edge, primary query.Edge, discard bool, counted *atomic.Int64) func(grid.CellID, []cascadeVal, func(partialRef)) error {
+// cascadeReduce joins the partial tuples and new-slot items delivered to
+// one cell with a forward plane sweep over the tuples' key rectangles and
+// the items — the classic SJMR-style in-reducer join (§5). A cell's
+// partials fill pages of out of its own, each emitted as one segment.
+func cascadeReduce(pl *plan, part *grid.Partitioning, in, out *partialStore, newSlot int, edges []query.Edge, primary query.Edge, discard bool, counted *atomic.Int64) func(grid.CellID, []cascadeVal, func([]byte)) error {
 	d := primary.Pred.Weight()
-	return func(c grid.CellID, vals []cascadeVal, emit func(partialRef)) error {
+	return func(c grid.CellID, vals []cascadeVal, emit func([]byte)) error {
 		sc := cellScratchPool.Get().(*cellScratch)
 		defer cellScratchPool.Put(sc)
 
@@ -429,6 +434,7 @@ func cascadeReduce(pl *plan, part *grid.Partitioning, in, out *partialStore, new
 		}
 
 		w := out.writer()
+		w.emit = emit
 		sweep.JoinSorted(sc.keys, sc.rects, d, func(i, j int) bool {
 			t, id, r := sc.recs[i], sc.ids[j], sc.rects[j]
 			if !cascadeAccepts(pl, t, newSlot, id, r, edges, primary) {
@@ -453,12 +459,12 @@ func cascadeReduce(pl *plan, part *grid.Partitioning, in, out *partialStore, new
 				return true
 			}
 			// t's members then the new one, under the grown count.
-			ref, rec := w.add()
+			_, rec := w.take(1)
 			binary.LittleEndian.PutUint16(rec, uint16(out.m))
 			putMember(rec[copy(rec[2:], t[2:])+2:], id, r)
-			emit(ref)
 			return true
 		})
+		w.flush()
 		return nil
 	}
 }

@@ -45,6 +45,8 @@ func (h *distHub) exchanger(self int) mapreduce.Exchanger {
 	return &distHubExchanger{h: h, self: self}
 }
 
+func (e *distHubExchanger) Recycle() {}
+
 func (e *distHubExchanger) AllToAll(tag string, outgoing [][]byte) ([][]byte, error) {
 	if len(outgoing) != e.h.w {
 		return nil, fmt.Errorf("AllToAll %s: %d payloads for %d workers", tag, len(outgoing), e.h.w)

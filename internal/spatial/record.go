@@ -156,10 +156,10 @@ type partialRef struct {
 // mappers read, or the ones its reducers emit — as m-member records in
 // fixed-size pages from the process's buffer pool. A map task's split,
 // a reduce call's records and the decoded records (runs and outputs
-// from other workers) each fill pages of their own in order, and no record straddles a page, so any recycled page
-// serves any store. A record is written once, before its reference is
-// handed out, and a page keeps its slot in the table, so records
-// resolve without a lock.
+// from other workers) each fill pages of their own in order, and no
+// record straddles a page, so any recycled page serves any store. A
+// record is written once, before its reference is handed out, and a
+// page keeps its slot in the table, so records resolve without a lock.
 type partialStore struct {
 	m, stride int
 	pool      *mapreduce.BufferPool
@@ -194,7 +194,7 @@ func (s *partialStore) newPage() (int32, []byte) {
 	}
 	table[s.used] = page
 	s.used++
-	return int32(s.used - 1), page[:len(page)/s.stride*s.stride]
+	return int32(s.used - 1), page[:pageRecords(s.stride)*s.stride]
 }
 
 // rec resolves a reference to its record.
@@ -219,54 +219,58 @@ func (s *partialStore) release() {
 // its own.
 type pageWriter struct {
 	s    *partialStore
-	next partialRef // the reference of the record free starts with
-	free []byte     // the unfilled records of the current page
+	page []byte       // the current page's whole records
+	next partialRef   // the next record's reference; next.Idx records of page are filled
+	emit func([]byte) // if set, gets each page's records as the writer leaves it
 }
 
 func (s *partialStore) writer() pageWriter { return pageWriter{s: s} }
 
-// add returns the next record's reference and its bytes, which the
-// caller must write in full: a recycled page holds stale records.
-func (w *pageWriter) add() (partialRef, []byte) {
-	stride := w.s.stride
-	if len(w.free) == 0 {
-		w.next.Page, w.free = w.s.newPage()
-		w.next.Idx = 0
+// take returns the reference and bytes of the next n records, all in
+// one page: a new one when the current page has no room for them. n is
+// at most a page's records, and the caller must write them in full: a
+// recycled page holds stale records.
+func (w *pageWriter) take(n int) (partialRef, []byte) {
+	off, size := int(w.next.Idx)*w.s.stride, n*w.s.stride
+	if off+size > len(w.page) {
+		w.flush()
+		w.next.Page, w.page = w.s.newPage()
+		w.next.Idx, off = 0, 0
 	}
-	ref, rec := w.next, w.free[:stride:stride]
-	w.free, w.next.Idx = w.free[stride:], ref.Idx+1
-	return ref, rec
+	ref := w.next
+	w.next.Idx += int32(n)
+	return ref, w.page[off : off+size : off+size]
 }
 
-// segments returns the records refs address, in order, as the runs of
-// consecutive records they make in the store's pages. A reduce call
-// fills pages of its own in emit order, so a job's output of n records
-// is about one segment per page, not n slices.
-func (s *partialStore) segments(refs []partialRef) dfs.Segments {
-	table := *s.pages.Load()
-	var segs [][]byte
-	for i := 0; i < len(refs); {
-		j := i + 1
-		for j < len(refs) && refs[j].Page == refs[i].Page && refs[j].Idx == refs[j-1].Idx+1 {
-			j++
+// flush hands the current page's records to emit, if set. A writer
+// fills each page before it takes the next.
+func (w *pageWriter) flush() {
+	if n := int(w.next.Idx) * w.s.stride; n > 0 && w.emit != nil {
+		w.emit(w.page[:n:n])
+	}
+}
+
+// pageRecords is the most records of stride bytes one page holds.
+func pageRecords(stride int) int { return mapreduce.PageBytes / stride }
+
+// decode validates whole partial records — a shuffled tuple, or a
+// reduce call's output segment — and copies them into one page of the
+// store, returning the first one's reference and the copy.
+func (s *partialStore) decode(recs []byte) (partialRef, []byte, error) {
+	n := len(recs) / s.stride
+	if n == 0 || len(recs)%s.stride != 0 || n > pageRecords(s.stride) {
+		return partialRef{}, nil, fmt.Errorf("spatial: %d bytes of partials, want 1 to %d whole %d-byte records", len(recs), pageRecords(s.stride), s.stride)
+	}
+	for off := 0; off < len(recs); off += s.stride {
+		if err := checkPartial(recs[off:off+s.stride], s.m); err != nil {
+			return partialRef{}, nil, err
 		}
-		lo, hi := int(refs[i].Idx)*s.stride, (int(refs[j-1].Idx)+1)*s.stride
-		segs = append(segs, table[refs[i].Page][lo:hi:hi])
-		i = j
-	}
-	return dfs.Segments{Stride: s.stride, Segs: segs}
-}
-
-// decode validates one partial record and copies it into the store.
-func (s *partialStore) decode(rec []byte) (partialRef, error) {
-	if err := checkPartial(rec, s.m); err != nil {
-		return partialRef{}, err
 	}
 	s.decMu.Lock()
 	defer s.decMu.Unlock()
-	ref, dst := s.dec.add()
-	copy(dst, rec)
-	return ref, nil
+	ref, dst := s.dec.take(n)
+	copy(dst, recs)
+	return ref, dst, nil
 }
 
 // Pair codecs: frame one intermediate (cell, value) pair for the
@@ -335,7 +339,10 @@ func (cc *cascadeCodec) decodePair(rec []byte) (grid.CellID, cascadeVal, error) 
 	c := grid.CellID(binary.LittleEndian.Uint32(rec))
 	switch rec[4] {
 	case cascadeTagTuple:
-		ref, err := cc.in.decode(rec[5:])
+		if len(rec) != 5+cc.in.stride {
+			return 0, cascadeVal{}, fmt.Errorf("spatial: cascade tuple pair has %d bytes, want %d", len(rec), 5+cc.in.stride)
+		}
+		ref, _, err := cc.in.decode(rec[5:])
 		if err != nil {
 			return 0, cascadeVal{}, err
 		}

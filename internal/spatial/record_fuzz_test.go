@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"testing"
+	"unsafe"
 
 	"mwsjoin/internal/dfs"
 	"mwsjoin/internal/geom"
@@ -29,31 +30,76 @@ func storeBytes(s *partialStore) int {
 	return n
 }
 
-// FuzzDecodePartial: a store either rejects a record or holds an exact
-// copy of it, and what it allocates never depends on the member count
-// the record claims.
+// FuzzDecodePartial: a store rejects what is not one to a page of
+// whole, well-formed records — a shuffled tuple is one, a reducer's
+// output segment up to a page — without growing, whatever member count
+// the records claim, and holds what it accepts as an exact copy within
+// one page. Each input is decoded twice, so the second copy shares the
+// first's page or takes the next.
 func FuzzDecodePartial(f *testing.F) {
+	segment := func(m, n int) []byte {
+		var seg []byte
+		for i := 0; i < n; i++ {
+			seg = append(seg, fuzzPartial(m)...)
+		}
+		return seg
+	}
+	full := pageRecords(encodedPartialBytes(2))
+	malformed := segment(2, 3)
+	malformed[encodedPartialBytes(2)] = 3 // the second record claims 3 members
 	f.Add(fuzzPartial(1), uint8(1))
 	f.Add(fuzzPartial(3), uint8(3))
 	f.Add(fuzzPartial(3), uint8(2))
 	f.Add([]byte{0xff, 0xff}, uint8(1))
 	f.Add([]byte{}, uint8(4))
-	f.Fuzz(func(t *testing.T, rec []byte, members uint8) {
+	// From here on, members is the store's member count less one.
+	f.Add(segment(2, 1), uint8(1))
+	f.Add(segment(3, 5), uint8(2))
+	f.Add(segment(2, full), uint8(1))
+	f.Add(segment(2, full+1), uint8(1))
+	f.Add(malformed, uint8(1))
+	f.Add(segment(2, 4)[1:], uint8(1))
+	f.Fuzz(func(t *testing.T, recs []byte, members uint8) {
 		st := newPartialStore(1+int(members)%8, mapreduce.NewBufferPool())
-		ref, err := st.decode(rec)
-		if err != nil {
-			if storeBytes(st) != 0 {
-				t.Fatalf("a rejected record grew the store to %d bytes", storeBytes(st))
+		for range 2 {
+			ref, got, err := st.decode(recs)
+			if err != nil {
+				if storeBytes(st) != 0 {
+					t.Fatalf("rejected records grew the store to %d bytes", storeBytes(st))
+				}
+				return
 			}
-			return
+			if len(recs)%st.stride != 0 || len(recs)/st.stride > pageRecords(st.stride) {
+				t.Fatalf("accepted %d bytes of %d-byte records", len(recs), st.stride)
+			}
+			for off := 0; off < len(recs); off += st.stride {
+				if err := checkPartial(recs[off:off+st.stride], st.m); err != nil {
+					t.Fatalf("accepted a malformed record: %v", err)
+				}
+			}
+			if !bytes.Equal(got, recs) || !bytes.Equal(st.rec(ref), recs[:st.stride]) {
+				t.Fatalf("decoded %x, stored %x", recs, got)
+			}
+			if !inOnePage(st, got) {
+				t.Fatalf("%d bytes of records not stored within one page", len(got))
+			}
 		}
-		if !bytes.Equal(st.rec(ref), rec) {
-			t.Fatalf("decoded %x, stored %x", rec, st.rec(ref))
-		}
-		if got, limit := storeBytes(st), mapreduce.PageBytes; got > limit {
-			t.Fatalf("store took %d bytes for a %d-byte record, limit %d", got, len(rec), limit)
+		if got, limit := storeBytes(st), 2*mapreduce.PageBytes; got > limit {
+			t.Fatalf("store took %d bytes for %d bytes of records decoded twice, limit %d", got, len(recs), limit)
 		}
 	})
+}
+
+// inOnePage reports whether b lies within one of s's pages.
+func inOnePage(s *partialStore, b []byte) bool {
+	at := uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+	for _, page := range *s.pages.Load() {
+		lo := uintptr(unsafe.Pointer(unsafe.SliceData(page)))
+		if len(page) > 0 && at >= lo && at+uintptr(len(b)) <= lo+uintptr(len(page)) {
+			return true
+		}
+	}
+	return false
 }
 
 // FuzzDecodeCascadePair: a mesh frame is rejected or decodes
@@ -69,6 +115,7 @@ func FuzzDecodeCascadePair(f *testing.F) {
 	f.Add(frame(9, item), uint8(1), uint8(0))
 	f.Add(frame(cascadeTagTuple, []byte{0xff, 0xff, 1}), uint8(1), uint8(0))
 	f.Add([]byte{1, 2, 3}, uint8(1), uint8(0))
+	f.Add(frame(cascadeTagTuple, append(fuzzPartial(2), fuzzPartial(2)...)), uint8(1), uint8(0))
 	f.Fuzz(func(t *testing.T, rec []byte, members, keyPos uint8) {
 		m := 1 + int(members)%8
 		cc := &cascadeCodec{in: newPartialStore(m, mapreduce.NewBufferPool()), slot: 2, keyPos: int(keyPos) % m}

@@ -629,7 +629,7 @@ func TestRecordRoundTrip(t *testing.T) {
 	putMember(rec[2:], 7, rects[0])
 	putMember(rec[2+memberBytes:], 9, rects[1])
 	st := newPartialStore(2, sharedPool)
-	ref, err := st.decode(rec)
+	ref, _, err := st.decode(rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -638,13 +638,13 @@ func TestRecordRoundTrip(t *testing.T) {
 		partialRect(got, 0) != rects[0] || partialRect(got, 1) != rects[1] {
 		t.Errorf("partial round trip = %v", got)
 	}
-	if _, err := st.decode([]byte{9}); err == nil {
+	if _, _, err := st.decode([]byte{9}); err == nil {
 		t.Error("short partial record must fail")
 	}
-	if _, err := st.decode([]byte{2, 0, 1}); err == nil {
+	if _, _, err := st.decode([]byte{2, 0, 1}); err == nil {
 		t.Error("truncated partial record must fail")
 	}
-	if _, err := newPartialStore(3, sharedPool).decode(rec); err == nil {
+	if _, _, err := newPartialStore(3, sharedPool).decode(rec); err == nil {
 		t.Error("a 2-member record must not decode into a 3-member store")
 	}
 }
