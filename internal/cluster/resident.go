@@ -10,8 +10,8 @@ import (
 )
 
 // maxResidentBytes caps the relations one worker keeps between
-// sessions: their items and the planes they are staged from, 78 bytes
-// per rectangle, so 256 MiB holds some 3.4 million rectangles — 17
+// sessions: their items and the MBB records they are staged as, 78
+// bytes per rectangle, so 256 MiB holds some 3.4 million rectangles — 17
 // relations of the paper-scale unit of 200,000. Beyond it the least
 // recently used relation goes, and a later start that names it has it
 // shipped again (need).
@@ -21,7 +21,7 @@ const maxResidentBytes = 256 << 20
 var residentCap int64 = maxResidentBytes
 
 // residentItemBytes is what one rectangle of a resident relation holds
-// on to: its Item and its row of the staged planes.
+// on to: its Item and its staged record.
 const residentItemBytes = int64(unsafe.Sizeof(spatial.Item{})) + dfs.MBBRecordBytes
 
 // residentSet is a worker's relations by content digest, each

@@ -1,8 +1,9 @@
 // Package dfs simulates the distributed file system underneath the
 // map-reduce engine (§2 of the paper: "Input data is distributed across
 // several physical locations on a distributed file system"). Files hold
-// sequences of encoded records, split into fixed-size blocks, and every
-// read and write is charged to byte/record/block counters.
+// whole records of one length, held in segments and split into
+// fixed-size blocks, and every read and write is charged to
+// byte/record/block counters.
 //
 // The point of the simulation is cost accounting, not durability: the
 // paper's 2-way Cascade baseline loses precisely because each cascaded
@@ -55,70 +56,42 @@ type FS struct {
 	filesDeleted   atomic.Int64
 }
 
+// file holds whole records of one stride, at least 1, back to back
+// in segments: a writer that built its records in a few large buffers
+// hands those over instead of one slice header per record.
 type file struct {
-	// segs holds a row-wise file's records. At stride 0 each segment is
-	// one record of its own length (the boxed kind); at a positive
-	// stride each holds whole stride-byte records, so a writer that
-	// built its records in a few large buffers hands those over instead
-	// of one slice header per record.
 	segs   [][]byte
 	stride int
 	bytes  int64
-	// cols, when non-nil, makes this a columnar MBB file (see
-	// columnar.go): rows live in structs-of-arrays planes and segs
-	// stays nil. A file's storage kind is fixed at creation.
-	cols *mbbColumns
 }
 
 // count returns the number of records in the file.
-func (f *file) count() int64 {
-	switch {
-	case f.cols != nil:
-		return int64(len(f.cols.ids))
-	case f.stride > 0:
-		return f.bytes / int64(f.stride)
+func (f *file) count() int64 { return f.bytes / int64(f.stride) }
+
+// seek returns the segment holding record i, i < count, and i's byte
+// offset in it.
+func (f *file) seek(i int64) (k int, off int) {
+	for stride := int64(f.stride); i >= int64(len(f.segs[k]))/stride; k++ {
+		i -= int64(len(f.segs[k])) / stride
 	}
-	return int64(len(f.segs))
+	return k, int(i) * f.stride
 }
 
-// forEachRange streams records [lo, hi) in the boxed wire format,
-// synthesising columnar rows into a reused scratch buffer (callers
-// must not retain the slice — the Scan contract).
+// forEachRange streams records [lo, hi) in place (callers must not
+// retain or mutate the slice — the Scan contract).
 func (f *file) forEachRange(lo, hi int64, fn func(record []byte) error) error {
-	if f.cols != nil {
-		var scratch [MBBRecordBytes]byte
-		for i := lo; i < hi; i++ {
-			if err := fn(AppendMBB(scratch[:0], f.cols.row(int(i)))); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if f.stride == 0 {
-		for _, rec := range f.segs[lo:hi] {
-			if err := fn(rec); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	if lo == hi {
 		return nil
 	}
-	// Skip the segments wholly before lo, then walk records in place.
-	stride, n, k := int64(f.stride), hi-lo, 0
-	for ; lo >= int64(len(f.segs[k]))/stride; k++ {
-		lo -= int64(len(f.segs[k])) / stride
-	}
-	for ; n > 0; k++ {
+	k, off := f.seek(lo)
+	for n := hi - lo; n > 0; k, off = k+1, 0 {
 		seg := f.segs[k]
-		for off := lo * stride; off < int64(len(seg)) && n > 0; off += stride {
-			if err := fn(seg[off : off+stride : off+stride]); err != nil {
+		for ; off < len(seg) && n > 0; off += f.stride {
+			if err := fn(seg[off : off+f.stride : off+f.stride]); err != nil {
 				return err
 			}
 			n--
 		}
-		lo = 0
 	}
 	return nil
 }
@@ -167,20 +140,6 @@ func (fs *FS) Close() {
 	for _, release := range releases {
 		release()
 	}
-}
-
-// Create makes (or truncates) the named file and returns a writer for
-// it. The writer is not safe for concurrent use; create one writer per
-// goroutine (e.g. one per reducer output partition).
-func (fs *FS) Create(name string) *Writer {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if _, exists := fs.files[name]; !exists {
-		fs.filesCreated.Add(1)
-	}
-	f := &file{}
-	fs.files[name] = f
-	return &Writer{fs: fs, f: f}
 }
 
 // Delete removes the named file; deleting a missing file is an error so
@@ -240,8 +199,7 @@ func (fs *FS) lookup(name string) (*file, error) {
 
 // Scan reads every record of the named file in order, charging the read
 // counters, and invokes fn on each. The callback receives the stored
-// byte slice (or, on a columnar file, a reused scratch rendering of the
-// row); callers must not retain or mutate it.
+// bytes; callers must not retain or mutate them.
 func (fs *FS) Scan(name string, fn func(record []byte) error) error {
 	f, err := fs.lookup(name)
 	if err != nil {
@@ -294,8 +252,8 @@ func (v *View) Bytes() int64 {
 	return v.f.bytes
 }
 
-// Records streams records [lo, hi) in the boxed wire format. As with
-// Scan, fn must not retain or mutate the slice.
+// Records streams records [lo, hi). As with Scan, fn must not retain
+// or mutate the slice.
 func (v *View) Records(lo, hi int, fn func(record []byte) error) error {
 	if err := v.checkRange(lo, hi); err != nil || lo == hi {
 		return err
@@ -310,13 +268,13 @@ func (v *View) checkRange(lo, hi int) error {
 	return nil
 }
 
-// MBBs streams records [lo, hi) as decoded MBB rows: straight out of
-// the planes of a columnar file, decoded from a boxed one.
+// MBBs streams records [lo, hi) as decoded MBB rows. The file's
+// records must be MBB records.
 func (v *View) MBBs(lo, hi int, fn func(MBB) error) error {
 	if err := v.checkRange(lo, hi); err != nil || lo == hi {
 		return err
 	}
-	return v.f.forEachMBB(lo, hi, fn)
+	return v.f.forEachMBB(int64(lo), int64(hi), fn)
 }
 
 // Stats returns a snapshot of the I/O counters. Block counts are
@@ -337,69 +295,17 @@ func (fs *FS) Stats() Stats {
 	}
 }
 
-// Writer appends records to a file created with Create.
-type Writer struct {
-	fs      *FS
-	f       *file
-	pending [][]byte
-	bytes   int64
-	closed  bool
-}
-
-// Append adds one record. The bytes are copied, so the caller may reuse
-// the buffer.
-func (w *Writer) Append(record []byte) {
-	if w.closed {
-		panic("dfs: Append on closed writer")
-	}
-	cp := append([]byte(nil), record...)
-	w.pending = append(w.pending, cp)
-	w.bytes += int64(len(cp))
-}
-
-// Close publishes the appended records to the file and charges the
-// write counters. A writer must be closed exactly once.
-func (w *Writer) Close() error {
-	if w.closed {
-		return fmt.Errorf("dfs: writer closed twice")
-	}
-	w.closed = true
-	w.fs.mu.Lock()
-	w.f.segs, w.f.bytes = w.pending, w.bytes
-	w.fs.mu.Unlock()
-	w.fs.bytesWritten.Add(w.bytes)
-	w.fs.recordsWritten.Add(int64(len(w.pending)))
-	w.pending = nil
-	return nil
-}
-
-// WriteFile is a convenience that creates the file and writes all the
-// given records at once.
-func (fs *FS) WriteFile(name string, records [][]byte) error {
-	w := fs.Create(name)
-	for _, r := range records {
-		w.Append(r)
-	}
-	return w.Close()
-}
-
 // Segments is a file's records as a writer built them: each segment
-// holds whole Stride-byte records, back to back, or, at Stride 0, is
-// one record of any length. A step whose records are fixed-size and
-// already laid out in a few large buffers hands over those buffers,
+// holds whole Stride-byte records, back to back. A writer whose records
+// are already laid out in a few large buffers hands over those buffers,
 // not a slice header per record.
 type Segments struct {
 	Stride int
 	Segs   [][]byte
 }
 
-// Len returns the number of records.
-func (s Segments) Len() int64 {
-	if s.Stride == 0 {
-		return int64(len(s.Segs))
-	}
-	return s.Bytes() / int64(s.Stride)
-}
+// Len returns the number of records; Stride must be positive.
+func (s Segments) Len() int64 { return s.Bytes() / int64(s.Stride) }
 
 // Bytes returns the records' total size.
 func (s Segments) Bytes() int64 {
@@ -411,21 +317,21 @@ func (s Segments) Bytes() int64 {
 }
 
 // WriteSegments makes (or truncates) the named file holding s's
-// records, charged exactly as Create, an Append per record and Close
-// would charge them. It takes ownership of every segment and of the
+// records, charging their bytes and records and, when the name is new,
+// one file created. It takes ownership of every segment and of the
 // slice holding them: they become the file's storage uncopied, so the
-// caller must not reuse or mutate either. A negative stride, or a
-// segment that is not a whole number of records, is an error that
-// creates no file and charges nothing.
+// caller must not reuse or mutate either. Several files may share one
+// segment, as every execution's staged relation does, since none is
+// ever written in place. A stride below 1, or a segment that is not a
+// whole number of records, is an error that creates no file and
+// charges nothing.
 func (fs *FS) WriteSegments(name string, s Segments) error {
-	if s.Stride < 0 {
-		return fmt.Errorf("dfs: write %q: negative stride %d", name, s.Stride)
+	if s.Stride < 1 {
+		return fmt.Errorf("dfs: write %q: stride %d, want at least 1", name, s.Stride)
 	}
-	if s.Stride > 0 {
-		for i, seg := range s.Segs {
-			if len(seg)%s.Stride != 0 {
-				return fmt.Errorf("dfs: write %q: segment %d holds %d bytes, not a whole number of %d-byte records", name, i, len(seg), s.Stride)
-			}
+	for i, seg := range s.Segs {
+		if len(seg)%s.Stride != 0 {
+			return fmt.Errorf("dfs: write %q: segment %d holds %d bytes, not a whole number of %d-byte records", name, i, len(seg), s.Stride)
 		}
 	}
 	bytes := s.Bytes()

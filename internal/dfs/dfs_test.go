@@ -8,52 +8,50 @@ import (
 	"testing"
 )
 
+// writeRecords writes records of one length to the named file as one
+// segment, at stride 1 when there are none.
+func writeRecords(t testing.TB, fs *FS, name string, records ...[]byte) {
+	t.Helper()
+	stride := 1
+	if len(records) > 0 {
+		stride = len(records[0])
+	}
+	if err := fs.WriteSegments(name, Segments{Stride: stride, Segs: [][]byte{bytes.Join(records, nil)}}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestCreateWriteScan(t *testing.T) {
 	fs := New(0)
-	w := fs.Create("a")
-	w.Append([]byte("hello"))
-	w.Append([]byte("world!"))
+	rows := testMBBs(2)
+	w := fs.CreateMBB("a")
+	for _, m := range rows {
+		w.Append(m)
+	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	var got [][]byte
 	if err := fs.Scan("a", func(rec []byte) error {
-		got = append(got, append([]byte(nil), rec...))
+		got = append(got, bytes.Clone(rec))
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 2 || !bytes.Equal(got[0], []byte("hello")) || !bytes.Equal(got[1], []byte("world!")) {
-		t.Errorf("Scan returned %q", got)
+	if want := [][]byte{AppendMBB(nil, rows[0]), AppendMBB(nil, rows[1])}; !reflect.DeepEqual(got, want) {
+		t.Errorf("Scan returned %x, want %x", got, want)
 	}
 
 	b, n, err := fs.Size("a")
-	if err != nil || b != 11 || n != 2 {
-		t.Errorf("Size = (%d, %d, %v), want (11, 2, nil)", b, n, err)
+	if err != nil || b != 2*MBBRecordBytes || n != 2 {
+		t.Errorf("Size = (%d, %d, %v), want (%d, 2, nil)", b, n, err, 2*MBBRecordBytes)
 	}
 
 	st := fs.Stats()
-	if st.BytesWritten != 11 || st.RecordsWritten != 2 || st.BytesRead != 11 || st.RecordsRead != 2 || st.FilesCreated != 1 {
+	if st.BytesWritten != 2*MBBRecordBytes || st.RecordsWritten != 2 || st.BytesRead != 2*MBBRecordBytes || st.RecordsRead != 2 || st.FilesCreated != 1 {
 		t.Errorf("Stats = %+v", st)
 	}
-}
-
-func TestAppendCopiesBuffer(t *testing.T) {
-	fs := New(0)
-	w := fs.Create("a")
-	buf := []byte("abc")
-	w.Append(buf)
-	buf[0] = 'X' // mutate after append; stored record must be unchanged
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	fs.Scan("a", func(rec []byte) error {
-		if string(rec) != "abc" {
-			t.Errorf("record = %q, want abc", rec)
-		}
-		return nil
-	})
 }
 
 // TestViewRecordsRange: a View hands out any in-bounds range of a file
@@ -64,9 +62,7 @@ func TestViewRecordsRange(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		records = append(records, []byte{byte(i)})
 	}
-	if err := fs.WriteFile("f", records); err != nil {
-		t.Fatal(err)
-	}
+	writeRecords(t, fs, "f", records...)
 	v, err := fs.Open("f")
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +86,7 @@ func TestViewRecordsRange(t *testing.T) {
 
 func TestScanErrorPropagation(t *testing.T) {
 	fs := New(0)
-	fs.WriteFile("f", [][]byte{{1}, {2}})
+	writeRecords(t, fs, "f", []byte{1}, []byte{2})
 	wantErr := fmt.Errorf("boom")
 	count := 0
 	err := fs.Scan("f", func([]byte) error {
@@ -107,8 +103,8 @@ func TestScanErrorPropagation(t *testing.T) {
 
 func TestDeleteAndList(t *testing.T) {
 	fs := New(0)
-	fs.WriteFile("b", nil)
-	fs.WriteFile("a", nil)
+	writeRecords(t, fs, "b")
+	writeRecords(t, fs, "a")
 	if got := fs.List(); !reflect.DeepEqual(got, []string{"a", "b"}) {
 		t.Errorf("List = %v", got)
 	}
@@ -130,10 +126,12 @@ func TestDeleteAndList(t *testing.T) {
 	}
 }
 
+// TestCreateTruncates: writing a file again, or creating it for MBB
+// rows, replaces what it held, and counts one file created.
 func TestCreateTruncates(t *testing.T) {
 	fs := New(0)
-	fs.WriteFile("f", [][]byte{[]byte("old")})
-	fs.WriteFile("f", [][]byte{[]byte("new")})
+	writeRecords(t, fs, "f", []byte("old"))
+	writeRecords(t, fs, "f", []byte("new"))
 	var got []string
 	fs.Scan("f", func(rec []byte) error {
 		got = append(got, string(rec))
@@ -141,6 +139,10 @@ func TestCreateTruncates(t *testing.T) {
 	})
 	if !reflect.DeepEqual(got, []string{"new"}) {
 		t.Errorf("after truncate, records = %v", got)
+	}
+	fs.CreateMBB("f")
+	if _, n, err := fs.Size("f"); err != nil || n != 0 {
+		t.Errorf("after CreateMBB, Size = %d records, %v; want an empty file", n, err)
 	}
 	// Re-creating the same name does not double-count file creation.
 	if st := fs.Stats(); st.FilesCreated != 1 {
@@ -150,8 +152,7 @@ func TestCreateTruncates(t *testing.T) {
 
 func TestBlockAccounting(t *testing.T) {
 	fs := New(10)
-	rec := make([]byte, 25)
-	fs.WriteFile("f", [][]byte{rec})
+	writeRecords(t, fs, "f", make([]byte, 25))
 	st := fs.Stats()
 	if st.BlocksWritten != 3 { // ceil(25/10)
 		t.Errorf("BlocksWritten = %d, want 3", st.BlocksWritten)
@@ -162,35 +163,38 @@ func TestBlockAccounting(t *testing.T) {
 	}
 }
 
+// TestWriterMisuse: a stride below 1, or a segment that is not a whole
+// number of records, fails the write, which creates no file and charges
+// nothing.
 func TestWriterMisuse(t *testing.T) {
 	fs := New(0)
-	w := fs.Create("f")
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err == nil {
-		t.Error("double close must fail")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Append after Close must panic")
+	for _, s := range []Segments{
+		{Stride: 0},
+		{Stride: 0, Segs: [][]byte{{1}}},
+		{Stride: -3, Segs: [][]byte{{1, 2, 3}}},
+		{Stride: 2, Segs: [][]byte{{1, 2}, {3}}},
+	} {
+		if err := fs.WriteSegments("f", s); err == nil {
+			t.Errorf("WriteSegments(%+v) succeeded", s)
 		}
-	}()
-	w.Append([]byte("x"))
+	}
+	if fs.Exists("f") || fs.Stats() != (Stats{}) {
+		t.Errorf("failed writes left a file or charged %+v", fs.Stats())
+	}
 }
 
 func TestConcurrentWritersAndReaders(t *testing.T) {
 	fs := New(0)
-	fs.WriteFile("input", [][]byte{[]byte("seed")})
+	writeRecords(t, fs, "input", []byte("seed"))
 	const n = 16
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			w := fs.Create(fmt.Sprintf("out-%d", i))
+			w := fs.CreateMBB(fmt.Sprintf("out-%d", i))
 			for j := 0; j < 100; j++ {
-				w.Append([]byte{byte(j)})
+				w.Append(MBB{ID: int32(j)})
 			}
 			if err := w.Close(); err != nil {
 				t.Error(err)
@@ -215,9 +219,7 @@ func TestConcurrentWritersAndReaders(t *testing.T) {
 // registered after the first run nothing.
 func TestCloseRunsReleases(t *testing.T) {
 	fs := New(0)
-	if err := fs.WriteFile("chk/a", [][]byte{[]byte("x")}); err != nil {
-		t.Fatal(err)
-	}
+	writeRecords(t, fs, "chk/a", []byte("x"))
 	var ran []int
 	fs.OnClose(func() { ran = append(ran, 1) })
 	fs.OnClose(func() { ran = append(ran, 2) })

@@ -25,104 +25,46 @@ func testMBBs(n int) []MBB {
 	return ms
 }
 
-// TestColumnarBoxedEquivalence writes the same rows through the boxed
-// and columnar writers on separate file systems and checks that Scan
-// yields byte-identical records, ScanMBB yields identical rows, and
-// every Stats counter matches exactly.
-func TestColumnarBoxedEquivalence(t *testing.T) {
-	rows := testMBBs(137)
-
-	boxed := New(0)
-	bw := boxed.Create("rel")
+// mbbRecords encodes rows into one buffer of records.
+func mbbRecords(rows []MBB) []byte {
+	var buf []byte
 	for _, m := range rows {
-		bw.Append(AppendMBB(nil, m))
+		buf = AppendMBB(buf, m)
 	}
-	if err := bw.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	col := New(0)
-	cw := col.CreateMBB("rel")
-	for _, m := range rows {
-		cw.Append(m)
-	}
-	if err := cw.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	if b, c := boxed.Stats(), col.Stats(); b != c {
-		t.Errorf("write Stats differ: boxed %+v, columnar %+v", b, c)
-	}
-
-	scanAll := func(fs *FS) [][]byte {
-		var out [][]byte
-		if err := fs.Scan("rel", func(rec []byte) error {
-			out = append(out, append([]byte(nil), rec...))
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	br, cr := scanAll(boxed), scanAll(col)
-	if len(br) != len(cr) {
-		t.Fatalf("Scan record counts differ: %d vs %d", len(br), len(cr))
-	}
-	for i := range br {
-		if !bytes.Equal(br[i], cr[i]) {
-			t.Fatalf("record %d differs between boxed and columnar Scan", i)
-		}
-	}
-
-	mbbAll := func(fs *FS) []MBB {
-		var out []MBB
-		if err := fs.ScanMBB("rel", func(m MBB) error {
-			out = append(out, m)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	bm, cm := mbbAll(boxed), mbbAll(col)
-	if !reflect.DeepEqual(bm, rows) || !reflect.DeepEqual(cm, rows) {
-		t.Fatal("ScanMBB rows differ from the written rows")
-	}
-
-	if b, c := boxed.Stats(), col.Stats(); b != c {
-		t.Errorf("read Stats differ: boxed %+v, columnar %+v", b, c)
-	} else if want := int64(len(rows)) * MBBRecordBytes * 2; b.BytesRead != want {
-		t.Errorf("BytesRead = %d, want %d (Scan + ScanMBB)", b.BytesRead, want)
-	}
+	return buf
 }
 
-// TestScanMBBBoxedErrors checks that a boxed file with a malformed
-// record fails ScanMBB with a decode error.
-func TestScanMBBBoxedErrors(t *testing.T) {
+// TestScanMBBErrors: a file of records that are not MBB records, or
+// one that is missing, fails ScanMBB and View.MBBs.
+func TestScanMBBErrors(t *testing.T) {
 	fs := New(0)
-	w := fs.Create("bad")
-	w.Append([]byte("short"))
-	if err := w.Close(); err != nil {
+	writeRecords(t, fs, "bad", []byte("short"))
+	if err := fs.ScanMBB("bad", func(MBB) error { return nil }); err == nil {
+		t.Fatal("ScanMBB of 5-byte records should fail")
+	}
+	v, err := fs.Open("bad")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.ScanMBB("bad", func(MBB) error { return nil }); err == nil {
-		t.Fatal("ScanMBB on malformed boxed record should fail")
+	if err := v.MBBs(0, 1, func(MBB) error { return nil }); err == nil {
+		t.Fatal("View.MBBs of 5-byte records should fail")
 	}
 	if err := fs.ScanMBB("missing", func(MBB) error { return nil }); err == nil {
 		t.Fatal("ScanMBB on missing file should fail")
 	}
+	if _, err := DecodeMBB(make([]byte, MBBRecordBytes+1)); err == nil {
+		t.Fatal("DecodeMBB of a 39-byte record should fail")
+	}
 }
 
-// markSnapshot is a snapshot of one boxed MBB file whose only record
-// carries the given mark byte.
+// markSnapshot is a snapshot of one MBB file whose only record carries
+// the given mark byte.
 func markSnapshot(t testing.TB, mark byte) []byte {
 	t.Helper()
 	rec := AppendMBB(nil, MBB{Slot: 1, ID: 7, X: 1, Y: 2, L: 3, B: 4})
 	rec[MBBRecordBytes-1] = mark
 	fs := New(0)
-	if err := fs.WriteFile("rel", [][]byte{rec}); err != nil {
-		t.Fatal(err)
-	}
+	writeRecords(t, fs, "rel", rec)
 	var img bytes.Buffer
 	if err := fs.WriteSnapshot(&img); err != nil {
 		t.Fatal(err)
@@ -151,7 +93,7 @@ func TestSnapshotMarkByteRejected(t *testing.T) {
 	}
 }
 
-// TestMBBWriterDoubleClose mirrors the boxed writer's close contract.
+// TestMBBWriterDoubleClose: a writer closes once and takes no row after.
 func TestMBBWriterDoubleClose(t *testing.T) {
 	fs := New(0)
 	w := fs.CreateMBB("rel")
@@ -172,34 +114,32 @@ func TestMBBWriterDoubleClose(t *testing.T) {
 // TestWriteSegmentsTransfersOwnership checks WriteSegments' no-copy
 // write: the file stores the exact buffers (mutations show through,
 // proving no copy was taken — which is why callers must not reuse
-// them), at stride 0 and at a positive stride alike.
+// them).
 func TestWriteSegmentsTransfersOwnership(t *testing.T) {
-	for _, stride := range []int{0, 3} {
-		fs := New(0)
-		buf := []byte("abcdef")
-		segs := Segments{Stride: stride, Segs: [][]byte{buf[:3], buf[3:]}}
-		if err := fs.WriteSegments("a", segs); err != nil {
-			t.Fatal(err)
-		}
-		buf[0] = 'X'
-		var got []string
-		fs.Scan("a", func(rec []byte) error {
-			got = append(got, string(rec))
-			return nil
-		})
-		if want := []string{"Xbc", "def"}; !reflect.DeepEqual(got, want) {
-			t.Errorf("stride %d: records = %q, want %q (ownership transferred, no copy)", stride, got, want)
-		}
-		st := fs.Stats()
-		if st.BytesWritten != 6 || st.RecordsWritten != 2 || st.FilesCreated != 1 {
-			t.Errorf("stride %d: Stats = %+v, want 6 bytes / 2 records / 1 file written", stride, st)
-		}
+	fs := New(0)
+	buf := []byte("abcdef")
+	if err := fs.WriteSegments("a", Segments{Stride: 3, Segs: [][]byte{buf[:3], buf[3:]}}); err != nil {
+		t.Fatal(err)
+	}
+	buf[0] = 'X'
+	var got []string
+	fs.Scan("a", func(rec []byte) error {
+		got = append(got, string(rec))
+		return nil
+	})
+	if want := []string{"Xbc", "def"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("records = %q, want %q (ownership transferred, no copy)", got, want)
+	}
+	st := fs.Stats()
+	if st.BytesWritten != 6 || st.RecordsWritten != 2 || st.FilesCreated != 1 {
+		t.Errorf("Stats = %+v, want 6 bytes / 2 records / 1 file written", st)
 	}
 }
 
-// TestColumnarSnapshotRoundTrip snapshots a columnar file and checks it
-// restores as a readable (boxed) file with identical records under both
-// Scan and ScanMBB.
+// TestColumnarSnapshotRoundTrip snapshots an MBB file, the kind
+// relations were once staged in as column planes, and checks it
+// restores at its stride, with identical records under both Scan and
+// ScanMBB.
 func TestColumnarSnapshotRoundTrip(t *testing.T) {
 	rows := testMBBs(23)
 	fs := New(0)
@@ -232,10 +172,14 @@ func TestColumnarSnapshotRoundTrip(t *testing.T) {
 	if err != nil || n != int64(len(rows)) || b != int64(len(rows))*MBBRecordBytes {
 		t.Errorf("restored Size = (%d, %d, %v)", b, n, err)
 	}
+	if stride := restored.files["rel"].stride; stride != MBBRecordBytes {
+		t.Errorf("restored at stride %d, want %d", stride, MBBRecordBytes)
+	}
 }
 
 // TestColumnarWireFormat pins the exact byte layout of the one MBB
-// codec, which snapshots and the spatial package's item records share.
+// codec, which staged relations, snapshots and the spatial package's
+// item records share.
 func TestColumnarWireFormat(t *testing.T) {
 	m := MBB{Slot: 2, ID: -7, X: 1.5, Y: -2.25, L: 3, B: 0.125, Marked: true}
 	rec := AppendMBB(nil, m)
@@ -257,9 +201,9 @@ func TestColumnarWireFormat(t *testing.T) {
 	}
 }
 
-// TestSizedWritersChargeAlike: writing segments changes how the host
-// allocates, never what is charged or read back — and it, like a
-// columnar writer's Close, hands its storage to the file uncopied.
+// TestSizedWritersChargeAlike: an MBBWriter and segments of any cut
+// charge alike and read back the same rows, and each hands its storage
+// to the file uncopied.
 func TestSizedWritersChargeAlike(t *testing.T) {
 	rows := testMBBs(137)
 	plain := New(0)
@@ -267,45 +211,28 @@ func TestSizedWritersChargeAlike(t *testing.T) {
 	for _, m := range rows {
 		pw.Append(m)
 	}
-	pending := &pw.pending.xs[0]
+	pending := &pw.pending[0]
 	if err := pw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if &plain.files["rel"].cols.xs[0] != pending {
-		t.Error("Close copied the pending planes into the empty file")
+	if &plain.files["rel"].segs[0][0] != pending {
+		t.Error("Close copied the pending rows into the file")
 	}
 
-	images := make([][]byte, len(rows))
-	for i, m := range rows {
-		images[i] = AppendMBB(nil, m)
-	}
-	var packed []byte
-	for _, img := range images {
-		packed = append(packed, img...)
-	}
-	one, all, strided := New(0), New(0), New(0)
-	ow := one.Create("rel")
-	for _, img := range images {
-		ow.Append(img)
-	}
-	if err := ow.Close(); err != nil {
+	packed := mbbRecords(rows)
+	one, cut := New(0), New(0)
+	if err := one.WriteSegments("rel", Segments{Stride: MBBRecordBytes, Segs: [][]byte{packed}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := all.WriteSegments("rel", Segments{Segs: images}); err != nil {
+	if err := cut.WriteSegments("rel", Segments{Stride: MBBRecordBytes, Segs: [][]byte{packed[:5*MBBRecordBytes], {}, packed[5*MBBRecordBytes:]}}); err != nil {
 		t.Fatal(err)
 	}
-	if &all.files["rel"].segs[0] != &images[0] {
-		t.Error("WriteSegments copied the record table")
-	}
-	if err := strided.WriteSegments("rel", Segments{Stride: MBBRecordBytes, Segs: [][]byte{packed[:5*MBBRecordBytes], packed[5*MBBRecordBytes:]}}); err != nil {
-		t.Fatal(err)
-	}
-	if &strided.files["rel"].segs[0][0] != &packed[0] {
+	if &cut.files["rel"].segs[0][0] != &packed[0] {
 		t.Error("WriteSegments copied a segment")
 	}
 
 	want := plain.Stats()
-	for name, fs := range map[string]*FS{"Append": one, "WriteSegments": all, "WriteSegments/38": strided} {
+	for name, fs := range map[string]*FS{"MBBWriter": plain, "one segment": one, "three segments": cut} {
 		if got := fs.Stats(); got != want {
 			t.Errorf("%s: write Stats %+v, want %+v", name, got, want)
 		}
@@ -319,22 +246,15 @@ func TestSizedWritersChargeAlike(t *testing.T) {
 	}
 }
 
-// TestStageMBBSharesPlanes: staging planes charges what writing their
-// rows through CreateMBB charges and reads the same rows back, every
-// file staged from them shares them uncopied, and a file that is
-// rewritten, deleted or snapshotted leaves the planes and the other
-// files as they were.
-func TestStageMBBSharesPlanes(t *testing.T) {
+// TestSharedSegmentsStayPut: files on several file systems may share
+// one segment, as every execution's staged relation shares its one
+// buffer. Each charges a full write and reads the rows back, and a file
+// that is rewritten, deleted or snapshotted leaves the buffer and the
+// other files as they were.
+func TestSharedSegmentsStayPut(t *testing.T) {
 	rows := testMBBs(137)
-	for i := range rows {
-		rows[i].Slot, rows[i].Marked = 0, false // the form a relation is staged in
-	}
-	ids := make([]int32, len(rows))
-	xs, ys, ls, bs := make([]float64, len(rows)), make([]float64, len(rows)), make([]float64, len(rows)), make([]float64, len(rows))
-	for i, m := range rows {
-		ids[i], xs[i], ys[i], ls[i], bs[i] = m.ID, m.X, m.Y, m.L, m.B
-	}
-	p := NewMBBPlanes(ids, xs, ys, ls, bs)
+	shared := mbbRecords(rows)
+	kept := bytes.Clone(shared)
 
 	written := New(0)
 	w := written.CreateMBB("rel")
@@ -344,16 +264,16 @@ func TestStageMBBSharesPlanes(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	a, b := New(0), New(0)
-	for _, fs := range []*FS{a, b} {
-		if err := fs.StageMBB("rel", p); err != nil {
+	stage := func(fs *FS) {
+		if err := fs.WriteSegments("rel", Segments{Stride: MBBRecordBytes, Segs: [][]byte{shared}}); err != nil {
 			t.Fatal(err)
 		}
+	}
+	a, b := New(0), New(0)
+	for _, fs := range []*FS{a, b} {
+		stage(fs)
 		if got, want := fs.Stats(), written.Stats(); got != want {
 			t.Errorf("staging charged %+v, writing the rows %+v", got, want)
-		}
-		if &fs.files["rel"].cols.xs[0] != &xs[0] {
-			t.Error("StageMBB copied the planes")
 		}
 	}
 
@@ -369,12 +289,13 @@ func TestStageMBBSharesPlanes(t *testing.T) {
 	if err := b.Delete("rel"); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.StageMBB("rel", p); err != nil {
-		t.Fatal(err)
-	}
+	stage(b)
 	restored, err := ReadSnapshot(&snap, 0)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !bytes.Equal(shared, kept) {
+		t.Fatal("the shared segment changed")
 	}
 	for name, fs := range map[string]*FS{"restaged": b, "restored": restored} {
 		var got []MBB
@@ -389,22 +310,28 @@ func TestStageMBBSharesPlanes(t *testing.T) {
 
 // TestViewChargesOnceAndRanges: Open charges exactly what a Scan does,
 // whatever is read through the View afterwards, and both range forms
-// deliver the same rows from either storage kind.
+// deliver the same rows however the file's records are cut into
+// segments.
 func TestViewChargesOnceAndRanges(t *testing.T) {
 	rows := testMBBs(20)
-	boxed, col := New(0), New(0)
-	bw, cw := boxed.Create("rel"), col.CreateMBB("rel")
+	whole, cut := New(0), New(0)
+	w := whole.CreateMBB("rel")
 	for _, m := range rows {
-		bw.Append(AppendMBB(nil, m))
-		cw.Append(m)
+		w.Append(m)
 	}
-	if err := bw.Close(); err != nil {
+	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := cw.Close(); err != nil {
+	packed := mbbRecords(rows)
+	var segs [][]byte
+	for len(packed) > 0 {
+		n := min(len(packed), 7*MBBRecordBytes)
+		segs, packed = append(segs, packed[:n]), packed[n:]
+	}
+	if err := cut.WriteSegments("rel", Segments{Stride: MBBRecordBytes, Segs: segs}); err != nil {
 		t.Fatal(err)
 	}
-	for name, fs := range map[string]*FS{"boxed": boxed, "columnar": col} {
+	for name, fs := range map[string]*FS{"one segment": whole, "segments of 7": cut} {
 		before := fs.Stats()
 		v, err := fs.Open("rel")
 		if err != nil {
@@ -441,11 +368,41 @@ func TestViewChargesOnceAndRanges(t *testing.T) {
 			t.Errorf("%s: out-of-bounds range accepted", name)
 		}
 	}
-	if _, err := col.Open("missing"); err == nil {
+	if _, err := cut.Open("missing"); err == nil {
 		t.Error("Open of a missing file succeeded")
 	}
 	var none *View
 	if none.Len() != 0 || none.Bytes() != 0 || none.Records(0, 0, nil) != nil {
 		t.Error("the nil View is not the empty input")
+	}
+}
+
+// BenchmarkViewMBBs reads a 50,000-row relation whole through Open and
+// View.MBBs, the read every map task of a join makes of its staged
+// relations, and reports ns per row.
+func BenchmarkViewMBBs(b *testing.B) {
+	const n = 50_000
+	fs := New(0)
+	w := fs.CreateMBB("rel")
+	for _, m := range testMBBs(n) {
+		w.Append(m)
+	}
+	if err := w.Close(); err != nil {
+		b.Fatal(err)
+	}
+	var sum float64
+	b.ResetTimer()
+	for range b.N {
+		v, err := fs.Open("rel")
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := v.MBBs(0, v.Len(), func(m MBB) error { sum += m.X; return nil }); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
+	if sum == 0 {
+		b.Fatal("read no rows")
 	}
 }

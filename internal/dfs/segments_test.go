@@ -2,21 +2,19 @@ package dfs
 
 import (
 	"bytes"
-	"reflect"
+	"slices"
 	"testing"
 )
 
 // FuzzSegmentedFile: a file written as segments of one stride reads back
-// exactly like the stride-0 file of the same records — through Size,
-// Scan, View.Records on any range, View.MBBs and ScanMBB, Stats and the
-// snapshot bytes — however the records are cut into segments, empty and
-// one-record segments included. A segment that is not a whole number of
-// records is an error that creates no file and charges nothing.
+// as exactly the records the test wrote — through Size, Scan,
+// View.Records on any range, View.MBBs and ScanMBB, Stats and the
+// snapshot bytes, built here from the documented format — however the
+// records are cut into segments, empty and one-record segments
+// included. A segment that is not a whole number of records is an
+// error that creates no file and charges nothing.
 func FuzzSegmentedFile(f *testing.F) {
-	var mbbs []byte
-	for _, m := range testMBBs(7) {
-		mbbs = AppendMBB(mbbs, m)
-	}
+	mbbs := mbbRecords(testMBBs(7))
 	f.Add(uint8(MBBRecordBytes-1), mbbs, []byte{1, 1, 2, 0, 3}, uint16(2), uint16(6), false)
 	f.Add(uint8(MBBRecordBytes-1), mbbs, []byte{}, uint16(0), uint16(7), false)
 	f.Add(uint8(0), []byte{}, []byte{}, uint16(0), uint16(0), false)
@@ -30,8 +28,8 @@ func FuzzSegmentedFile(f *testing.F) {
 		for i := range records {
 			records[i] = data[i*stride : (i+1)*stride]
 		}
-		// The segmented file owns its bytes, so it gets a copy; each cut
-		// byte is one segment of 0–5 records, the rest is the last one.
+		// The file owns its bytes, so it gets a copy; each cut byte is
+		// one segment of 0–5 records, the rest is the last one.
 		owned := bytes.Clone(data[:n*stride])
 		var segs [][]byte
 		for _, c := range cuts {
@@ -43,72 +41,95 @@ func FuzzSegmentedFile(f *testing.F) {
 			segs = append(segs, owned)
 		}
 
-		got := New(64)
+		fs := New(64)
 		if torn && stride > 1 {
 			for i, seg := range segs {
 				if len(seg) > 0 {
 					segs[i] = seg[:len(seg)-1]
-					if err := got.WriteSegments("f", Segments{Stride: stride, Segs: segs}); err == nil {
+					if err := fs.WriteSegments("f", Segments{Stride: stride, Segs: segs}); err == nil {
 						t.Fatalf("a %d-byte segment at stride %d was written", len(seg)-1, stride)
 					}
-					if got.Exists("f") || got.Stats() != (Stats{}) {
-						t.Fatalf("a failed write left a file or charged %+v", got.Stats())
+					if fs.Exists("f") || fs.Stats() != (Stats{}) {
+						t.Fatalf("a failed write left a file or charged %+v", fs.Stats())
 					}
 					return
 				}
 			}
 		}
-		want := New(64)
-		if err := want.WriteFile("f", records); err != nil {
-			t.Fatal(err)
-		}
-		if err := got.WriteSegments("f", Segments{Stride: stride, Segs: segs}); err != nil {
+		if err := fs.WriteSegments("f", Segments{Stride: stride, Segs: segs}); err != nil {
 			t.Fatal(err)
 		}
 
-		wb, wn, _ := want.Size("f")
-		gb, gn, err := got.Size("f")
-		if err != nil || gb != wb || gn != wn {
-			t.Fatalf("Size = (%d, %d, %v), want (%d, %d)", gb, gn, err, wb, wn)
+		size := int64(n * stride)
+		if b, m, err := fs.Size("f"); err != nil || b != size || m != int64(n) {
+			t.Fatalf("Size = (%d, %d, %v), want (%d, %d)", b, m, err, size, n)
 		}
-		if g, w := scanAll(t, got), scanAll(t, want); !reflect.DeepEqual(g, w) {
-			t.Fatalf("Scan read %q, want %q", g, w)
+		if got := scanAll(t, fs); !slices.EqualFunc(got, records, bytes.Equal) {
+			t.Fatalf("Scan read %q, want %q", got, records)
 		}
-		wv, _ := want.Open("f")
-		gv, err := got.Open("f")
-		if err != nil || gv.Len() != n || gv.Bytes() != wv.Bytes() {
-			t.Fatalf("Open: %d records, %d bytes, %v; want %d, %d", gv.Len(), gv.Bytes(), err, n, wv.Bytes())
+		v, err := fs.Open("f")
+		if err != nil || v.Len() != n || v.Bytes() != size {
+			t.Fatalf("Open: %d records, %d bytes, %v; want %d, %d", v.Len(), v.Bytes(), err, n, size)
 		}
 		rlo, rhi := int(lo)%(n+1), int(hi)%(n+1)
 		if rlo > rhi {
 			rlo, rhi = rhi, rlo
 		}
-		if g, w := viewRange(gv, rlo, rhi), viewRange(wv, rlo, rhi); !reflect.DeepEqual(g, w) {
-			t.Fatalf("Records(%d, %d) read %q, want %q", rlo, rhi, g, w)
+		if got, ok := viewRange(v, rlo, rhi).([][]byte); !ok || !slices.EqualFunc(got, records[rlo:rhi], bytes.Equal) {
+			t.Fatalf("Records(%d, %d) read %q, want %q", rlo, rhi, viewRange(v, rlo, rhi), records[rlo:rhi])
 		}
-		if g, w := viewRange(gv, rlo, n+1), viewRange(wv, rlo, n+1); !reflect.DeepEqual(g, w) {
-			t.Fatalf("Records(%d, %d) past the end read %q, want %q", rlo, n+1, g, w)
+		if _, ok := viewRange(v, rlo, n+1).(string); !ok {
+			t.Fatalf("Records(%d, %d) past the end succeeded", rlo, n+1)
 		}
-		if g, w := viewMBBs(gv, rlo, rhi), viewMBBs(wv, rlo, rhi); !reflect.DeepEqual(g, w) {
-			t.Fatalf("MBBs(%d, %d) read %x, want %x", rlo, rhi, g, w)
+		if got, want := viewMBBs(v, rlo, rhi), wantMBBs(records[rlo:rhi]); !sameMBBs(got, want) {
+			t.Fatalf("MBBs(%d, %d) read %x, want %x", rlo, rhi, got, want)
 		}
-		if g, w := scanMBBs(got), scanMBBs(want); !reflect.DeepEqual(g, w) {
-			t.Fatalf("ScanMBB read %x, want %x", g, w)
+		reads := int64(2) // the Scan and the Open
+		got, want := scanMBBs(fs), wantMBBs(records)
+		if !sameMBBs(got, want) {
+			t.Fatalf("ScanMBB read %x, want %x", got, want)
 		}
-		if g, w := got.Stats(), want.Stats(); g != w {
-			t.Fatalf("Stats = %+v, want %+v", g, w)
+		if _, failed := got.(string); !failed {
+			reads++
 		}
-		var gs, ws bytes.Buffer
-		if err := got.WriteSnapshot(&gs); err != nil {
+		if st, br := fs.Stats(), reads*size; st != (Stats{
+			BytesWritten: size, BytesRead: br, RecordsWritten: int64(n), RecordsRead: reads * int64(n),
+			BlocksWritten: (size + 63) / 64, BlocksRead: (br + 63) / 64, FilesCreated: 1,
+		}) {
+			t.Fatalf("Stats = %+v after %d reads of %d records, %d bytes", st, reads, n, size)
+		}
+		var snap bytes.Buffer
+		if err := fs.WriteSnapshot(&snap); err != nil {
 			t.Fatal(err)
 		}
-		if err := want.WriteSnapshot(&ws); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(gs.Bytes(), ws.Bytes()) {
-			t.Fatal("snapshot bytes differ from the stride-0 file's")
+		if want := snapshotImage(snapshotFile{"f", records}); !bytes.Equal(snap.Bytes(), want) {
+			t.Fatalf("snapshot\n%x\nwant\n%x", snap.Bytes(), want)
 		}
 	})
+}
+
+// wantMBBs is what viewMBBs must read of records: their bytes when every
+// one is an MBB record AppendMBB can have written, "error" otherwise.
+func wantMBBs(records [][]byte) any {
+	var rows []byte
+	for _, rec := range records {
+		if len(rec) != MBBRecordBytes || rec[MBBRecordBytes-1] > 1 {
+			return "error"
+		}
+		rows = append(rows, rec...)
+	}
+	return rows
+}
+
+// sameMBBs compares a read with wantMBBs' answer: the same rows, or an
+// error for "error".
+func sameMBBs(got, want any) bool {
+	if want == "error" {
+		_, failed := got.(string)
+		return failed
+	}
+	rows, ok := got.([]byte)
+	return ok && bytes.Equal(rows, want.([]byte))
 }
 
 // scanAll copies every record Scan delivers.

@@ -21,13 +21,8 @@ const snapshotMagic = "mwsdfs1\n"
 //
 // Format: magic, uvarint file count, then per file (lexical name
 // order) a uvarint-length-prefixed name, a uvarint record count, and
-// each record uvarint-length-prefixed.
-//
-// Columnar MBB files are serialised as their boxed record images (the
-// wire formats are byte-identical) and segmented files record by
-// record, so the snapshot format is independent of the storage kind;
-// every file restores as a boxed (stride 0) file, which Scan and
-// ScanMBB read just as well.
+// each record uvarint-length-prefixed. Every varint is in its shortest
+// form, and a file's records are all of one length, its stride.
 func (fs *FS) WriteSnapshot(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(snapshotMagic); err != nil {
@@ -105,12 +100,50 @@ func truncated(err error) error {
 	return err
 }
 
-// ReadSnapshot reconstructs a file system from a WriteSnapshot image.
-// Counters start at zero — the snapshot restores state, and only the
-// resumed run's own I/O should be charged to it. The image is input
-// from outside the process: a truncated or lying one is an error
-// wrapping io.ErrUnexpectedEOF, and memory is allocated only for bytes
-// that arrived.
+// readUvarint reads one varint in the shortest form, the only form
+// WriteSnapshot writes, so an image that loads re-serialises to its own
+// bytes.
+func readUvarint(r io.ByteReader) (uint64, error) {
+	var v uint64
+	for i := 0; ; i++ {
+		b, err := r.ReadByte()
+		if err != nil {
+			return 0, err
+		}
+		if i == binary.MaxVarintLen64-1 && b > 1 {
+			return 0, errors.New("varint overflows 64 bits")
+		}
+		v |= uint64(b&0x7f) << (7 * i)
+		if b < 0x80 {
+			if b == 0 && i > 0 {
+				return 0, errors.New("varint not in its shortest form")
+			}
+			return v, nil
+		}
+	}
+}
+
+// SnapshotFileError reports a file a snapshot image holds but no file
+// system can: a name repeated or out of lexical order, an empty record,
+// or records of different lengths.
+type SnapshotFileError struct {
+	File   string
+	Reason string
+}
+
+func (e *SnapshotFileError) Error() string {
+	return fmt.Sprintf("dfs: snapshot file %q: %s", e.File, e.Reason)
+}
+
+// ReadSnapshot reconstructs a file system from a WriteSnapshot image,
+// each file at the stride of its first record. Counters start at zero —
+// the snapshot restores state, and only the resumed run's own I/O
+// should be charged to it. The image is input from outside the
+// process: a truncated or lying one is an error wrapping
+// io.ErrUnexpectedEOF, a file no WriteSnapshot can have written is a
+// *SnapshotFileError, and memory is allocated only for bytes that
+// arrived. An image that loads is the one WriteSnapshot writes of it,
+// byte for byte.
 func ReadSnapshot(r io.Reader, blockSize int64) (*FS, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(snapshotMagic))
@@ -121,12 +154,13 @@ func ReadSnapshot(r io.Reader, blockSize int64) (*FS, error) {
 		return nil, fmt.Errorf("dfs: not a dfs snapshot (bad magic %q)", magic)
 	}
 	fs := New(blockSize)
-	nFiles, err := binary.ReadUvarint(br)
+	nFiles, err := readUvarint(br)
 	if err != nil {
 		return nil, fmt.Errorf("dfs: reading snapshot file count: %w", truncated(err))
 	}
+	prev := ""
 	for i := uint64(0); i < nFiles; i++ {
-		nameLen, err := binary.ReadUvarint(br)
+		nameLen, err := readUvarint(br)
 		if err != nil {
 			return nil, fmt.Errorf("dfs: snapshot file %d of %d: %w", i, nFiles, truncated(err))
 		}
@@ -135,24 +169,62 @@ func ReadSnapshot(r io.Reader, blockSize int64) (*FS, error) {
 			return nil, fmt.Errorf("dfs: snapshot file %d of %d: %d-byte name: %w", i, nFiles, nameLen, truncated(err))
 		}
 		name := string(nameBuf)
-		nRecs, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("dfs: snapshot %q record count: %w", name, truncated(err))
+		switch {
+		case i > 0 && name == prev:
+			return nil, &SnapshotFileError{File: name, Reason: "name repeated"}
+		case i > 0 && name < prev:
+			return nil, &SnapshotFileError{File: name, Reason: fmt.Sprintf("name out of lexical order, after %q", prev)}
 		}
-		f := &file{}
-		for j := uint64(0); j < nRecs; j++ {
-			recLen, err := binary.ReadUvarint(br)
-			if err != nil {
-				return nil, fmt.Errorf("dfs: snapshot %q record %d of %d: %w", name, j, nRecs, truncated(err))
-			}
-			rec, err := readSized(br, recLen)
-			if err != nil {
-				return nil, fmt.Errorf("dfs: snapshot %q record %d of %d: %d bytes declared: %w", name, j, nRecs, recLen, truncated(err))
-			}
-			f.segs = append(f.segs, rec)
-			f.bytes += int64(len(rec))
+		prev = name
+		f, err := readFile(br, name)
+		if err != nil {
+			return nil, err
 		}
 		fs.files[name] = f
 	}
+	if _, err := br.ReadByte(); err != io.EOF {
+		if err == nil {
+			err = errors.New("bytes after the last file")
+		}
+		return nil, fmt.Errorf("dfs: snapshot: %w", err)
+	}
 	return fs, nil
+}
+
+// readFile reads the named file's record count and records into one
+// segment. An empty file has stride 1: with no records its stride reads
+// as nothing.
+func readFile(br *bufio.Reader, name string) (*file, error) {
+	nRecs, err := readUvarint(br)
+	if err != nil {
+		return nil, fmt.Errorf("dfs: snapshot %q record count: %w", name, truncated(err))
+	}
+	f := &file{stride: 1}
+	var seg []byte
+	for j := uint64(0); j < nRecs; j++ {
+		recLen, err := readUvarint(br)
+		if err != nil {
+			return nil, fmt.Errorf("dfs: snapshot %q record %d of %d: %w", name, j, nRecs, truncated(err))
+		}
+		switch {
+		case j == 0 && recLen == 0:
+			return nil, &SnapshotFileError{File: name, Reason: "record 0 is empty"}
+		case j == 0:
+			seg, err = readSized(br, recLen)
+			f.stride = len(seg)
+		case recLen != uint64(f.stride):
+			return nil, &SnapshotFileError{File: name, Reason: fmt.Sprintf("record %d holds %d bytes, record 0 %d", j, recLen, f.stride)}
+		default:
+			seg = slices.Grow(seg, f.stride)
+			_, err = io.ReadFull(br, seg[len(seg):len(seg)+f.stride])
+			seg = seg[:len(seg)+f.stride]
+		}
+		if err != nil {
+			return nil, fmt.Errorf("dfs: snapshot %q record %d of %d: %d bytes declared: %w", name, j, nRecs, recLen, truncated(err))
+		}
+	}
+	if len(seg) > 0 {
+		f.segs, f.bytes = [][]byte{seg}, int64(len(seg))
+	}
+	return f, nil
 }

@@ -43,14 +43,12 @@ type Chain struct {
 
 // ChainConfig configures a job chain.
 type ChainConfig struct {
-	// Name identifies the chain in errors and checkpoint paths.
+	// Name identifies the chain in errors and names the DFS directory
+	// of its checkpoint files, "chk/<Name>".
 	Name string
 	// FS holds the chain's checkpoints. Required; resuming requires
 	// the same FS contents the killed run left behind.
 	FS *dfs.FS
-	// Prefix is the DFS directory for checkpoint files; defaults to
-	// "chk/<Name>".
-	Prefix string
 	// Resume skips the chain's committed prefix: each checkpointing step
 	// whose checkpoint is already complete on the FS, charging only its
 	// meta-record read, up to the first step that runs. That step
@@ -136,9 +134,6 @@ func NewChain(cfg ChainConfig) *Chain {
 	if cfg.FS == nil {
 		panic("mapreduce: NewChain requires a dfs.FS")
 	}
-	if cfg.Prefix == "" {
-		cfg.Prefix = "chk/" + cfg.Name
-	}
 	return &Chain{cfg: cfg}
 }
 
@@ -149,10 +144,9 @@ func (c *Chain) Stats() ChainStats { return c.stats }
 // the previous step's checkpoint file (nil, the empty view, for the
 // first step), already charged as one whole-file read — its records are
 // immutable, so the step's map tasks may read their own splits of it —
-// and returns the step's output records, as segments of one stride
-// (stride 0 for variable-length records, one per segment), plus the
-// job's Stats. The output is committed to the DFS before Step returns.
-// The chain takes ownership of the returned segments and of the slice
+// and returns the step's output records, as segments of one stride,
+// plus the job's Stats. The output is committed to the DFS before Step
+// returns. The chain takes ownership of the returned segments and of the slice
 // holding them: they become the checkpoint file without a copy, so run
 // must not reuse or mutate either after returning.
 //
@@ -272,15 +266,18 @@ func (c *Chain) maybeKill(i int, name string) error {
 // checkpointFile names job i's checkpoint data file; the meta record
 // lives next to it under metaSuffix.
 func (c *Chain) checkpointFile(i int, name string) string {
-	return fmt.Sprintf("%s/%03d-%s", c.cfg.Prefix, i, name)
+	return fmt.Sprintf("%s/%03d-%s", c.dir(), i, name)
 }
 
 const metaSuffix = ".meta"
 
+// dir is the DFS directory of the chain's checkpoint files.
+func (c *Chain) dir() string { return "chk/" + c.cfg.Name }
+
 // stepOf returns the step a DFS file is one of the chain's checkpoint
 // files of, data or meta; ok is false for any other file.
 func (c *Chain) stepOf(name string) (step int, ok bool) {
-	rest, ok := strings.CutPrefix(name, c.cfg.Prefix+"/")
+	rest, ok := strings.CutPrefix(name, c.dir()+"/")
 	digits, _, _ := strings.Cut(rest, "-")
 	step, err := strconv.Atoi(digits)
 	return step, ok && err == nil
@@ -363,12 +360,12 @@ func (c *Chain) tryResume(i int, name, file string) (*Stats, bool, error) {
 		return nil, false, &CheckpointMetaError{Chain: c.cfg.Name, Job: i, File: file + metaSuffix, Err: err}
 	}
 	if meta.Step != i || meta.Name != name {
-		return nil, false, fmt.Errorf("mapreduce: chain %q: checkpoint %q records job %d (%s), want job %d (%s); use a fresh FS or prefix", c.cfg.Name, file, meta.Step, meta.Name, i, name)
+		return nil, false, fmt.Errorf("mapreduce: chain %q: checkpoint %q records job %d (%s), want job %d (%s); use a fresh FS", c.cfg.Name, file, meta.Step, meta.Name, i, name)
 	}
 	if _, records, err := fs.Size(file); err != nil {
 		return nil, false, err
 	} else if records != meta.Records {
-		return nil, false, fmt.Errorf("mapreduce: chain %q: checkpoint %q has %d records, meta says %d; use a fresh FS or prefix", c.cfg.Name, file, records, meta.Records)
+		return nil, false, fmt.Errorf("mapreduce: chain %q: checkpoint %q has %d records, meta says %d; use a fresh FS", c.cfg.Name, file, records, meta.Records)
 	}
 	c.stats.ResumedJobs++
 	c.stats.CheckpointBytesRead += metaBytes
@@ -423,7 +420,8 @@ func (c *Chain) writeCheckpoint(i int, name, file string, out dfs.Segments, st *
 	// The meta record is committed after the data file, so a crash
 	// between the two writes leaves an incomplete (ignorable)
 	// checkpoint rather than a meta record pointing at missing data.
-	if err := fs.WriteFile(file+metaSuffix, [][]byte{js}); err != nil {
+	// It is a file of one record, so its stride is its length.
+	if err := fs.WriteSegments(file+metaSuffix, dfs.Segments{Stride: len(js), Segs: [][]byte{js}}); err != nil {
 		return err
 	}
 	c.stats.CheckpointBytesWritten += out.Bytes() + int64(len(js))

@@ -15,8 +15,8 @@ import (
 
 // testChainSteps builds a deterministic 3-step synthetic chain over
 // cfg's FS: step i transforms its input records by appending byte i
-// and adds one fresh record, so the final output encodes exactly which
-// steps ran and in what order. calls[i] counts how often step i's
+// and adds one fresh record of the same length, i+1 bytes of 100+i, so
+// the final output encodes exactly which steps ran and in what order. calls[i] counts how often step i's
 // closure actually executed (0 for resumed steps).
 func runTestChain(t *testing.T, cfg ChainConfig, calls *[3]int) ([][]byte, ChainStats, error) {
 	t.Helper()
@@ -35,12 +35,12 @@ func runTestChain(t *testing.T, cfg ChainConfig, calls *[3]int) ([][]byte, Chain
 			if i == 0 && in != nil {
 				t.Errorf("step 0 received non-nil input %v", in)
 			}
-			var out [][]byte
+			var out []byte
 			for _, rec := range viewRecords(t, in) {
-				out = append(out, append(rec, byte(i)))
+				out = append(append(out, rec...), byte(i))
 			}
-			out = append(out, []byte{byte(100 + i)})
-			return dfs.Segments{Segs: out}, mkStats(i), nil
+			out = append(out, bytes.Repeat([]byte{byte(100 + i)}, i+1)...)
+			return dfs.Segments{Stride: i + 1, Segs: [][]byte{out}}, mkStats(i), nil
 		})
 		if err != nil {
 			return nil, ch.Stats(), err
@@ -71,7 +71,7 @@ func TestChainCleanRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := [][]byte{{100, 1, 2}, {101, 2}, {102}}
+	want := [][]byte{{100, 1, 2}, {101, 101, 2}, {102, 102, 102}}
 	if !reflect.DeepEqual(out, want) {
 		t.Errorf("output = %v, want %v", out, want)
 	}
@@ -81,7 +81,7 @@ func TestChainCleanRun(t *testing.T) {
 	if cs.Jobs != 3 || cs.JobsRun != 3 || cs.ResumedJobs != 0 {
 		t.Errorf("chain stats = %+v", cs)
 	}
-	// Every checkpoint and meta file exists under the default prefix.
+	// Every checkpoint and meta file exists under chk/<Name>.
 	for i := 0; i < 3; i++ {
 		name := fmt.Sprintf("chk/t/%03d-s%d", i, i)
 		if !fs.Exists(name) || !fs.Exists(name+".meta") {
@@ -216,7 +216,7 @@ func TestChainResumedStatsRoundTrip(t *testing.T) {
 		MapWall: time.Second, TotalWall: 2 * time.Second}
 	ch := NewChain(ChainConfig{Name: "rt", FS: fs})
 	if _, err := ch.Step("s0", func(_ *dfs.View) (dfs.Segments, *Stats, error) {
-		return dfs.Segments{Segs: [][]byte{{1}}}, orig, nil
+		return dfs.Segments{Stride: 1, Segs: [][]byte{{1}}}, orig, nil
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestChainFinalStepNeverResumed(t *testing.T) {
 		ch := NewChain(ChainConfig{Name: "f", FS: fs, Resume: resume})
 		if _, err := ch.Step("s0", func(_ *dfs.View) (dfs.Segments, *Stats, error) {
 			stepRan++
-			return dfs.Segments{Segs: [][]byte{{7}}}, &Stats{}, nil
+			return dfs.Segments{Stride: 1, Segs: [][]byte{{7}}}, &Stats{}, nil
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -314,7 +314,7 @@ func committedChain(t testing.TB, name string, k int) *Chain {
 	ch := NewChain(ChainConfig{Name: name, FS: fs})
 	for i := 0; i < k; i++ {
 		if _, err := ch.Step(fmt.Sprintf("s%d", i), func(*dfs.View) (dfs.Segments, *Stats, error) {
-			return dfs.Segments{Segs: [][]byte{{byte(i)}}}, &Stats{}, nil
+			return dfs.Segments{Stride: 1, Segs: [][]byte{{byte(i)}}}, &Stats{}, nil
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -381,7 +381,7 @@ func TestChainValidation(t *testing.T) {
 	// Resuming against a mismatched checkpoint layout fails loudly.
 	ch := NewChain(ChainConfig{Name: "v", FS: fs})
 	if _, err := ch.Step("alpha", func(_ *dfs.View) (dfs.Segments, *Stats, error) {
-		return dfs.Segments{Segs: [][]byte{{1}}}, &Stats{}, nil
+		return dfs.Segments{Stride: 1, Segs: [][]byte{{1}}}, &Stats{}, nil
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -391,14 +391,14 @@ func TestChainValidation(t *testing.T) {
 	if err := fs.Delete("chk/v/000-alpha"); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.WriteFile("chk/v/000-alpha", [][]byte{{1}, {2}}); err != nil {
+	if err := fs.WriteSegments("chk/v/000-alpha", dfs.Segments{Stride: 1, Segs: [][]byte{{1, 2}}}); err != nil {
 		t.Fatal(err)
 	}
 	ch2 := NewChain(ChainConfig{Name: "v", FS: fs, Resume: true})
 	_, err := ch2.Step("alpha", func(_ *dfs.View) (dfs.Segments, *Stats, error) {
 		return dfs.Segments{}, nil, fmt.Errorf("should not run")
 	})
-	if err == nil || !strings.Contains(err.Error(), "use a fresh FS or prefix") {
+	if err == nil || !strings.Contains(err.Error(), "use a fresh FS") {
 		t.Errorf("record-count mismatch: err = %v", err)
 	}
 
@@ -462,7 +462,7 @@ func writeResumableStep(t testing.TB) (*dfs.FS, string) {
 	fs := dfs.New(0)
 	ch := NewChain(ChainConfig{Name: "m", FS: fs})
 	if _, err := ch.Step("s0", func(_ *dfs.View) (dfs.Segments, *Stats, error) {
-		return dfs.Segments{Segs: [][]byte{{1}, {2}}}, &Stats{Job: "s0", PairsPerReducer: []int64{2}}, nil
+		return dfs.Segments{Stride: 1, Segs: [][]byte{{1, 2}}}, &Stats{Job: "s0", PairsPerReducer: []int64{2}}, nil
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -491,12 +491,7 @@ func TestResumeRejectsMetaWithoutStats(t *testing.T) {
 		"two records": {[]byte(`{"step":0,"name":"s0","records":2,"stats":{}}`), []byte(`{"step":0,"name":"s0","records":2,"stats":{}}`)},
 	} {
 		fs, meta := writeResumableStep(t)
-		if err := fs.Delete(meta); err != nil {
-			t.Fatal(err)
-		}
-		if err := fs.WriteFile(meta, recs); err != nil {
-			t.Fatal(err)
-		}
+		writeMeta(t, fs, meta, recs)
 		st, err := resumeStep(t, fs)
 		if err == nil {
 			t.Errorf("%s: resume succeeded with stats %+v", name, st)
@@ -510,27 +505,43 @@ func TestResumeRejectsMetaWithoutStats(t *testing.T) {
 	}
 }
 
+// writeMeta replaces a checkpoint's meta file with records, all of the
+// first one's length.
+func writeMeta(t testing.TB, fs *dfs.FS, meta string, recs [][]byte) {
+	t.Helper()
+	if err := fs.Delete(meta); err != nil {
+		t.Fatal(err)
+	}
+	stride := 1
+	if len(recs) > 0 {
+		stride = len(recs[0])
+	}
+	if err := fs.WriteSegments(meta, dfs.Segments{Stride: stride, Segs: [][]byte{bytes.Join(recs, nil)}}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // FuzzResumeMeta: whatever bytes stand in a checkpoint's meta file —
-// split at newlines into records — resuming the step returns an error
-// or non-nil Stats, and never panics.
+// cut into records of its first line's length, newline included, and a
+// short tail dropped — resuming the step returns an error or non-nil
+// Stats, and never panics.
 func FuzzResumeMeta(f *testing.F) {
 	f.Add([]byte(`{"step":0,"name":"s0","records":2,"stats":{"Job":"s0"}}`))
 	f.Add([]byte(`{"step":0,"name":"s0","records":2}`))
-	f.Add([]byte(`{"step":0,"name":"s0","records":2,"stats":{}}` + "\n" + `{"step":0}`))
+	f.Add([]byte(`{"step":0,"name":"s0","records":2,"stats":{}}` + "\n" + `{"step":0,"name":"s0","records":2,"stats":{}}` + "\n"))
 	f.Add([]byte(`{"step":0,"name":"s0","records":2,"stats":{"PairsPerReducer":[1,-1]}}`))
 	f.Add([]byte(``))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fs, meta := writeResumableStep(t)
-		if err := fs.Delete(meta); err != nil {
-			t.Fatal(err)
-		}
 		var recs [][]byte
-		if len(data) > 0 {
-			recs = bytes.Split(data, []byte("\n"))
+		stride := bytes.IndexByte(data, '\n') + 1
+		if stride == 0 {
+			stride = len(data)
 		}
-		if err := fs.WriteFile(meta, recs); err != nil {
-			t.Fatal(err)
+		for ; stride > 0 && len(data) >= stride; data = data[stride:] {
+			recs = append(recs, data[:stride])
 		}
+		writeMeta(t, fs, meta, recs)
 		if st, err := resumeStep(t, fs); err == nil && st == nil {
 			t.Fatalf("meta %q resumed with nil stats", data)
 		}

@@ -59,19 +59,22 @@ func cascade(pl *plan, exec *executor) (*Result, error) {
 	countOnly := exec.cfg.CountOnly
 	if pl.m == 1 {
 		// A single-slot query has no join to cascade: emit everything.
-		items, err := exec.loadRelation(0)
+		n, read, err := exec.openRelations(nil)
 		if err != nil {
 			return nil, err
 		}
 		var tuples []Tuple
 		if !countOnly {
-			tuples = make([]Tuple, len(items))
-			for i, it := range items {
-				tuples[i] = Tuple{IDs: []int32{it.ID}}
+			tuples = make([]Tuple, 0, n)
+			if err := read(0, n, func(it tagged) error {
+				tuples = append(tuples, Tuple{IDs: []int32{it.ID}})
+				return nil
+			}); err != nil {
+				return nil, err
 			}
 		}
 		return &Result{Tuples: tuples, Stats: Stats{
-			Method: Cascade, OutputTuples: int64(len(items)), Wall: time.Since(start),
+			Method: Cascade, OutputTuples: int64(n), Wall: time.Since(start),
 		}}, nil
 	}
 

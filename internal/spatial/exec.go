@@ -44,9 +44,9 @@ type Config struct {
 	// created when nil.
 	FS *dfs.FS
 	// Deprecated: Columnar is read by nothing — relation inputs are
-	// always staged in the DFS's columnar MBB storage. The field remains
-	// only because benchmark/workload.go, frozen for this change, still
-	// sets it; the next benchmark change drops both.
+	// always staged as MBB records, laid out once per relation. The
+	// field remains only because benchmark/workload.go, frozen for this
+	// change, still sets it; the next benchmark change drops both.
 	Columnar bool
 	// Deprecated: SpillBudget is read by nothing — a map run stays in
 	// memory until the shuffle copies it. The field remains only because
@@ -300,10 +300,11 @@ func (e *executor) chain(name string) (*mapreduce.Chain, error) {
 // inputFile names the staged DFS file of a relation.
 func inputFile(name string) string { return "input/" + name }
 
-// stageInputs writes each distinct relation to the DFS once, as a
-// columnar MBB file in sweep order: the job input all methods read
-// from. The rows are laid out once per relation (relStats.stagedRows),
-// and every execution stages the same planes at the full write charge.
+// stageInputs writes each distinct relation to the DFS once, as an MBB
+// file in sweep order: the job input all methods read from. The records
+// are laid out once per relation (relStats.stagedRows), and every
+// execution's file is that one buffer as its one segment, charged as a
+// full write; no file is written in place, so they share it safely.
 // IDs travel with the records, so the order changes no tuple. A file a
 // caller staged before keeps its own order, and the reducers sort what
 // reaches them from it.
@@ -325,30 +326,12 @@ func (e *executor) stageInputs() error {
 			}
 			continue
 		}
-		if err := e.fs.StageMBB(name, e.stats[s].stagedRows(rel.Items)); err != nil {
+		rows := e.stats[s].stagedRows(rel.Items)
+		if err := e.fs.WriteSegments(name, dfs.Segments{Stride: dfs.MBBRecordBytes, Segs: [][]byte{rows}}); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// loadRelation reads one slot's relation from the DFS (charging read
-// cost) and tags the items with the slot number.
-func (e *executor) loadRelation(slot int) ([]tagged, error) {
-	out := make([]tagged, 0, len(e.rels[slot].Items))
-	// ScanMBB reads both storage kinds at identical charges — planes of
-	// a columnar file as staged, records of a boxed one (a relation
-	// restored from a snapshot) — so resumes interoperate.
-	err := e.fs.ScanMBB(inputFile(e.rels[slot].Name), func(m dfs.MBB) error {
-		it := mbbItem(m)
-		it.Slot = int8(slot)
-		out = append(out, it)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // openRelations opens every slot's relation file for a job whose map

@@ -151,10 +151,10 @@ func TestKillResumeEveryJobBoundary(t *testing.T) {
 }
 
 // TestColumnarKillResume kills a chain before its last job and resumes
-// it on an FS restored from a snapshot of the killed one, where the
-// columnar staged relations come back as boxed files: input from
-// outside the process that the readers must keep decoding, not
-// restage. The final output must be bit-identical to a clean run's.
+// it on an FS restored from a snapshot of the killed one, whose staged
+// relations and checkpoints come back as files read from outside the
+// process: the readers must decode them, not restage. The final output
+// must be bit-identical to a clean run's.
 // (TestKillResumeEveryJobBoundary resumes every boundary on the same
 // FS.)
 func TestColumnarKillResume(t *testing.T) {

@@ -489,6 +489,11 @@ func TestEmptyAndSingleRelation(t *testing.T) {
 		if len(res.Tuples) != 2 {
 			t.Errorf("%v: single-slot query returned %d tuples, want 2", method, len(res.Tuples))
 		}
+		// The cascade reads its one slot as every join reads a slot:
+		// one whole read of the staged relation.
+		if d := res.Stats.DFS; method == Cascade && (d.BytesRead != 2*dfs.MBBRecordBytes || d.RecordsRead != 2) {
+			t.Errorf("single-slot Cascade read %d bytes, %d records; want one read of the staged relation, %d bytes, 2 records", d.BytesRead, d.RecordsRead, 2*dfs.MBBRecordBytes)
+		}
 	}
 }
 

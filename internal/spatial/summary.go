@@ -74,7 +74,7 @@ type relStats struct {
 	samples map[uint64][]geom.Rect
 	sorted  map[uint64][]geom.Rect
 	// staged is the relation as the DFS holds it (see stagedRows).
-	staged *dfs.MBBPlanes
+	staged []byte
 	// digest is the contents' hash (see Digest), set once hashed is.
 	digest [sha256.Size]byte
 	hashed bool
@@ -178,12 +178,13 @@ func (rel Relation) Summarized() Relation {
 }
 
 // stagedRows returns the relation's rows as every execution stages them
-// (stageInputs): in sweep order — ascending (MinX, position), the order
-// a reducer sweeps. A map split is then a run of that order, and the
-// shuffle concatenates a cell's runs in mapper order, so every side a
-// reducer reads from a staged relation arrives sorted. Laid out on
-// first use; items must be the slice the summary describes.
-func (st *relStats) stagedRows(items []Item) *dfs.MBBPlanes {
+// (stageInputs): MBB records in sweep order — ascending (MinX,
+// position), the order a reducer sweeps. A map split is then a run of
+// that order, and the shuffle concatenates a cell's runs in mapper
+// order, so every side a reducer reads from a staged relation arrives
+// sorted. Laid out on first use; items must be the slice the summary
+// describes.
+func (st *relStats) stagedRows(items []Item) []byte {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.staged == nil {
@@ -229,8 +230,9 @@ type stageScratch struct{ xs, words, buf []uint64 }
 var stageScratchPool = sync.Pool{New: func() any { return new(stageScratch) }}
 
 // stageRows sorts a whole relation with the cells' word sort and lays
-// its rows out in that order.
-func stageRows(items []Item) *dfs.MBBPlanes {
+// its rows out in that order, as slot-0 unmarked MBB records in one
+// buffer of exactly their size.
+func stageRows(items []Item) []byte {
 	sc := stageScratchPool.Get().(*stageScratch)
 	defer stageScratchPool.Put(sc)
 	n := len(items)
@@ -242,13 +244,12 @@ func stageRows(items []Item) *dfs.MBBPlanes {
 		sc.xs[i], sc.words[i] = sweepOrder(items[i].R.MinX()), uint64(i)
 	}
 	sortSweepWords(sc.words, sc.xs, &sc.buf)
-	ids := make([]int32, n)
-	xs, ys, ls, bs := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
-	for k, w := range sc.words {
+	rows := make([]byte, 0, n*dfs.MBBRecordBytes)
+	for _, w := range sc.words {
 		it := &items[uint32(w)]
-		ids[k], xs[k], ys[k], ls[k], bs[k] = it.ID, it.R.X, it.R.Y, it.R.L, it.R.B
+		rows = dfs.AppendMBB(rows, dfs.MBB{ID: it.ID, X: it.R.X, Y: it.R.Y, L: it.R.L, B: it.R.B})
 	}
-	return dfs.NewMBBPlanes(ids, xs, ys, ls, bs)
+	return rows
 }
 
 // sample returns the relation's fixed-seed draw for a stream, in draw
