@@ -235,37 +235,28 @@ func checkSlab(arity, count, slabBytes int) error {
 	return nil
 }
 
-// packTuples renders a result's tuples as one flat little-endian int32
-// slab, in a frame from pool that the caller puts back once it is sent.
-// A query's tuples all have its relation count as their width; a set
-// that does not cannot be framed and is reported.
-func packTuples(pool *mapreduce.BufferPool, tuples []spatial.Tuple) (arity int, slab []byte, err error) {
-	if len(tuples) == 0 {
-		return 0, nil, nil
+// packTuples renders a result's rows as the attachment they travel in:
+// the slab's IDs, flat little-endian int32, in a frame from pool that
+// the caller puts back once it is sent. An empty result packs to arity
+// 0 and no slab.
+func packTuples(pool *mapreduce.BufferPool, rows spatial.Rows) (arity int, slab []byte) {
+	if rows.Len() == 0 {
+		return 0, nil
 	}
-	arity = len(tuples[0].IDs)
-	if arity == 0 {
-		return 0, nil, fmt.Errorf("cluster: result tuple 0 is empty")
-	}
-	n := 4 * arity * len(tuples)
+	n := 4 * len(rows.IDs)
 	if slab = pool.GetFrame(n); slab == nil {
 		slab = make([]byte, n, mapreduce.FrameCap(n))
 	}
-	slab = slab[:0]
-	for i, t := range tuples {
-		if len(t.IDs) != arity {
-			pool.PutFrame(slab)
-			return 0, nil, fmt.Errorf("cluster: result tuple %d has %d ids, tuple 0 has %d", i, len(t.IDs), arity)
-		}
-		for _, id := range t.IDs {
-			slab = binary.LittleEndian.AppendUint32(slab, uint32(id))
-		}
+	slab = slab[:n]
+	for i, id := range rows.IDs {
+		binary.LittleEndian.PutUint32(slab[4*i:], uint32(id))
 	}
-	return arity, slab, nil
+	return rows.Arity, slab
 }
 
 // unpackTuples decodes a slab into one []int32 and carves the tuples
-// from it. The result is non-nil even when empty.
+// from it (Rows.Tuples), the one carve a clustered result takes. The
+// result is non-nil even when empty.
 func unpackTuples(arity, count int, slab []byte) ([]spatial.Tuple, error) {
 	if err := checkSlab(arity, count, len(slab)); err != nil {
 		return nil, err
@@ -274,9 +265,5 @@ func unpackTuples(arity, count int, slab []byte) ([]spatial.Tuple, error) {
 	for i := range ids {
 		ids[i] = int32(binary.LittleEndian.Uint32(slab[4*i:]))
 	}
-	tuples := make([]spatial.Tuple, count)
-	for i := range tuples {
-		tuples[i].IDs = ids[i*arity : (i+1)*arity : (i+1)*arity]
-	}
-	return tuples, nil
+	return spatial.Rows{Arity: arity, IDs: ids}.Tuples(), nil
 }

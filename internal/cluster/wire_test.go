@@ -157,8 +157,9 @@ func FuzzReadMessage(f *testing.F) {
 }
 
 // TestHashTuplesPinned pins hashTuples to its definition — sha-256 over
-// uvarint(len) ‖ Tuple.Key() per tuple — so RunResult.Hash for a tuple
-// set stays what every earlier build computed.
+// uvarint(len) ‖ Tuple.Key() per tuple of the carved result — so
+// RunResult.Hash for a tuple set stays what every earlier build
+// computed. The sets are rows of one arity each, as a result's are.
 func TestHashTuplesPinned(t *testing.T) {
 	reference := func(tuples []spatial.Tuple) string {
 		h := sha256.New()
@@ -171,21 +172,20 @@ func TestHashTuplesPinned(t *testing.T) {
 		return hex.EncodeToString(h.Sum(nil))
 	}
 	rng := rand.New(rand.NewPCG(20, 13))
-	sets := [][]spatial.Tuple{nil, {}, {{}}, {{IDs: []int32{-1}}}}
+	sets := []spatial.Rows{{Arity: 3}, {Arity: 3, IDs: []int32{}}, {Arity: 1, IDs: []int32{-1}}}
 	for _, n := range []int{1, 7, 600, 5000} {
-		uniform, mixed := make([]spatial.Tuple, n), make([]spatial.Tuple, n)
-		for i := range uniform {
-			uniform[i].IDs = []int32{rng.Int32(), -rng.Int32(), rng.Int32N(100)}
-			mixed[i].IDs = make([]int32, rng.IntN(200))
-			for k := range mixed[i].IDs {
-				mixed[i].IDs[k] = int32(rng.Uint32())
+		narrow, wide := spatial.Rows{Arity: 3}, spatial.Rows{Arity: 1 + rng.IntN(200)}
+		for range n {
+			narrow.IDs = append(narrow.IDs, rng.Int32(), -rng.Int32(), rng.Int32N(100))
+			for range wide.Arity {
+				wide.IDs = append(wide.IDs, int32(rng.Uint32()))
 			}
 		}
-		sets = append(sets, uniform, mixed)
+		sets = append(sets, narrow, wide)
 	}
 	for i, set := range sets {
-		if got, want := hashTuples(set), reference(set); got != want {
-			t.Errorf("set %d (%d tuples): hash %s, definition gives %s", i, len(set), got, want)
+		if got, want := hashTuples(set), reference(set.Tuples()); got != want {
+			t.Errorf("set %d (%d rows of %d): hash %s, definition gives %s", i, set.Len(), set.Arity, got, want)
 		}
 	}
 }
@@ -199,11 +199,11 @@ func TestHashTuplesPinned(t *testing.T) {
 func BenchmarkControlPlane(b *testing.B) {
 	spec := SpecFromConfig(mustMethod("2-way-cascade"), "R1 ov R2 and R2 ov R3",
 		testRelations(2013, 3, 50000), spatial.Config{Reducers: 64, NumMappers: 8, Parallelism: 1})
-	tuples := make([]spatial.Tuple, 60000)
-	for i := range tuples {
-		tuples[i] = spatial.Tuple{IDs: []int32{int32(i), int32(2 * i), int32(3 * i)}}
+	rows := spatial.Rows{Arity: 3}
+	for i := range 60000 {
+		rows.IDs = append(rows.IDs, int32(i), int32(2*i), int32(3*i))
 	}
-	stats, err := json.Marshal(spatial.Stats{OutputTuples: int64(len(tuples))})
+	stats, err := json.Marshal(spatial.Stats{OutputTuples: int64(rows.Len())})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -238,11 +238,8 @@ func BenchmarkControlPlane(b *testing.B) {
 					b.Fatal(err)
 				}
 				total += n
-				arity, slab, err := packTuples(pool, tuples)
-				if err != nil {
-					b.Fatal(err)
-				}
-				n, err = writeMessage(&wire, &message{Type: msgResult, Session: "s0001", OK: true, Hash: "h", Stats: stats, Arity: arity, Count: len(tuples), Slab: slab})
+				arity, slab := packTuples(pool, rows)
+				n, err = writeMessage(&wire, &message{Type: msgResult, Session: "s0001", OK: true, Hash: "h", Stats: stats, Arity: arity, Count: rows.Len(), Slab: slab})
 				pool.PutFrame(slab)
 				if err != nil {
 					b.Fatal(err)
@@ -267,7 +264,7 @@ func BenchmarkControlPlane(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if back, err := unpackTuples(res.Arity, res.Count, res.Slab); err != nil || len(back) != len(tuples) {
+				if back, err := unpackTuples(res.Arity, res.Count, res.Slab); err != nil || len(back) != rows.Len() {
 					b.Fatalf("result: %d tuples, err %v", len(back), err)
 				}
 			}

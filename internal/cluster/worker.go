@@ -337,46 +337,47 @@ func (w *Worker) runSession(m *message, s *workerSession) {
 }
 
 // attemptResult executes one attempt and frames its outcome: the hash
-// every member reports, the run's Stats, and on worker 0 the tuples.
+// every member reports, the run's Stats, and on worker 0 the packed
+// rows. Both are read straight from the engine's ID slab; no worker
+// builds a tuple.
 func (w *Worker) attemptResult(m *message, s *workerSession) (*message, error) {
-	res, err := w.executeAttempt(m, s)
+	rows, st, err := w.executeAttempt(m, s)
 	if err != nil {
 		return nil, err
 	}
-	out := &message{Type: msgResult, Session: m.Session, Attempt: m.Attempt, OK: true, Hash: hashTuples(res.Tuples)}
-	if out.Stats, err = json.Marshal(res.Stats); err != nil {
+	out := &message{Type: msgResult, Session: m.Session, Attempt: m.Attempt, OK: true, Hash: hashTuples(rows)}
+	if out.Stats, err = json.Marshal(st); err != nil {
 		return nil, fmt.Errorf("cluster: encode stats: %w", err)
 	}
 	if m.Self == 0 {
-		if out.Arity, out.Slab, err = packTuples(w.pool, res.Tuples); err != nil {
-			return nil, err
-		}
-		out.Count = len(res.Tuples)
+		out.Arity, out.Slab = packTuples(w.pool, rows)
+		out.Count = rows.Len()
 	}
 	return out, nil
 }
 
 // executeAttempt runs the spec on this worker's share of the roster.
-func (w *Worker) executeAttempt(m *message, s *workerSession) (*spatial.Result, error) {
+func (w *Worker) executeAttempt(m *message, s *workerSession) (spatial.Rows, spatial.Stats, error) {
+	fail := func(err error) (spatial.Rows, spatial.Stats, error) { return spatial.Rows{}, spatial.Stats{}, err }
 	if m.Spec == nil {
-		return nil, fmt.Errorf("cluster: start without a spec")
+		return fail(fmt.Errorf("cluster: start without a spec"))
 	}
 	spec := *m.Spec
 	method, err := spatial.ParseMethod(spec.Method)
 	if err != nil {
-		return nil, err
+		return fail(err)
 	}
 	q, err := query.Parse(spec.Query)
 	if err != nil {
-		return nil, err
+		return fail(err)
 	}
 	scheme, err := spatial.ParsePartitionScheme(spec.Scheme)
 	if err != nil {
-		return nil, err
+		return fail(err)
 	}
 	rels, err := w.resolveRelations(m, s)
 	if err != nil {
-		return nil, err
+		return fail(err)
 	}
 
 	cfg := spatial.Config{
@@ -397,7 +398,7 @@ func (w *Worker) executeAttempt(m *message, s *workerSession) (*spatial.Result, 
 	if len(m.Roster) > 1 {
 		mh, err := dialMesh(m.Self, m.Roster, m.Session, m.Attempt, w.reg, w.pool, w.cfg.ExchangeTimeout)
 		if err != nil {
-			return nil, err
+			return fail(err)
 		}
 		mh.dieAfter = w.cfg.DieAfterExchanges
 		mh.onDie = func() { syscall.Kill(syscall.Getpid(), syscall.SIGKILL) }
@@ -408,7 +409,7 @@ func (w *Worker) executeAttempt(m *message, s *workerSession) (*spatial.Result, 
 		if s.released {
 			w.mu.Unlock()
 			mh.close()
-			return nil, fmt.Errorf("cluster: session %s released", m.Session)
+			return fail(fmt.Errorf("cluster: session %s released", m.Session))
 		}
 		s.meshes = append(s.meshes, mh)
 		w.mu.Unlock()
@@ -420,7 +421,7 @@ func (w *Worker) executeAttempt(m *message, s *workerSession) (*spatial.Result, 
 	} else {
 		cfg.Dist = &mapreduce.DistConfig{NumWorkers: 1, Self: 0, Pool: w.pool}
 	}
-	return spatial.Execute(method, q, rels, cfg)
+	return spatial.ExecuteRows(method, q, rels, cfg)
 }
 
 // resolveRelations finds the relations the start names, slot by slot:
@@ -529,20 +530,22 @@ func (w *Worker) acceptShip(m *message) {
 	}
 }
 
-// hashTuples renders the canonical sha-256 of a tuple set; the
-// coordinator compares it across the roster — the cheap distributed
-// bit-identity check that guards every clustered run, not only the
-// ones a test happens to cover.
+// hashTuples renders the canonical sha-256 of a result; the coordinator
+// compares it across the roster — the cheap distributed bit-identity
+// check that guards every clustered run, not only the ones a test
+// happens to cover.
 //
-// The digest is over uvarint(len(IDs)) ‖ Tuple.Key() per tuple — each id
-// as 4 little-endian bytes — fed from one reused buffer, not a string
-// per tuple.
-func hashTuples(tuples []spatial.Tuple) string {
+// The digest is over uvarint(arity) ‖ the row's IDs, each as 4
+// little-endian bytes, per row — the bytes uvarint(len(IDs)) ‖
+// Tuple.Key() gives per tuple of the carved result — fed from the slab
+// through one reused buffer.
+func hashTuples(rows spatial.Rows) string {
 	h := sha256.New()
+	prefix := binary.AppendUvarint(nil, uint64(rows.Arity))
 	buf := make([]byte, 0, 4096)
-	for _, t := range tuples {
-		buf = binary.AppendUvarint(buf, uint64(len(t.IDs)))
-		for _, id := range t.IDs {
+	for i := range rows.Len() {
+		buf = append(buf, prefix...)
+		for _, id := range rows.At(i) {
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(id))
 		}
 		if len(buf) >= 2048 {

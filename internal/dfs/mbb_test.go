@@ -136,11 +136,10 @@ func TestWriteSegmentsTransfersOwnership(t *testing.T) {
 	}
 }
 
-// TestColumnarSnapshotRoundTrip snapshots an MBB file, the kind
-// relations were once staged in as column planes, and checks it
-// restores at its stride, with identical records under both Scan and
-// ScanMBB.
-func TestColumnarSnapshotRoundTrip(t *testing.T) {
+// TestMBBSnapshotRoundTrip snapshots a file of MBB records, as a
+// relation is staged, and checks it restores at its stride, with
+// identical records under both Scan and ScanMBB.
+func TestMBBSnapshotRoundTrip(t *testing.T) {
 	rows := testMBBs(23)
 	fs := New(0)
 	w := fs.CreateMBB("rel")
@@ -177,10 +176,10 @@ func TestColumnarSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestColumnarWireFormat pins the exact byte layout of the one MBB
+// TestMBBRecordWireFormat pins the exact byte layout of the one MBB
 // codec, which staged relations, snapshots and the spatial package's
 // item records share.
-func TestColumnarWireFormat(t *testing.T) {
+func TestMBBRecordWireFormat(t *testing.T) {
 	m := MBB{Slot: 2, ID: -7, X: 1.5, Y: -2.25, L: 3, B: 0.125, Marked: true}
 	rec := AppendMBB(nil, m)
 	if len(rec) != MBBRecordBytes {

@@ -174,3 +174,30 @@ func TestAdaptiveMergeKeepsHotResolution(t *testing.T) {
 		t.Errorf("cold band kept %d cuts (want ≤ 1): %v", mid, p.xCuts)
 	}
 }
+
+// BenchmarkBuildAdaptive is the adaptive grid's construction, the
+// engine's side of the benchmark's grid.build_adaptive_ms: NewAdaptive
+// over what the partitioner samples for a three-relation query (1,024
+// rectangles a relation), at 64 cells, on uniform rectangles at the
+// paper's density and on the clustered sample.
+func BenchmarkBuildAdaptive(b *testing.B) {
+	const n, side = 3 * 1024, 22_360
+	rng := rand.New(rand.NewPCG(2013, 64))
+	uniform := make([]geom.Rect, n)
+	for i := range uniform {
+		uniform[i] = geom.Rect{X: rng.Float64() * side, Y: rng.Float64() * side, L: 100 * rng.Float64(), B: 100 * rng.Float64()}
+	}
+	for _, bc := range []struct {
+		name   string
+		sample []geom.Rect
+	}{{"uniform", uniform}, {"clustered", clusteredSample(n, 7)}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := NewAdaptive(bc.sample, AdaptiveOptions{Target: 64}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

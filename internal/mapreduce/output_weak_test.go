@@ -14,7 +14,8 @@ import (
 // TestPooledOutputChunksPinNothing: a job's output chunks go back to a
 // shared pool once its output is assembled, cleared, so they keep
 // nothing the outputs pointed to alive. Each reducer emits tuples whose
-// IDs are views into one slab of its own, as C-Rep's do; once the result
+// IDs are views into one slab of its own, as the cascade's page segments
+// point into its pages; once the result
 // is dropped every slab is collectable, while the chunks that held the
 // tuples still sit in the pool.
 func TestPooledOutputChunksPinNothing(t *testing.T) {

@@ -7,7 +7,7 @@ import "time"
 // centralised baseline for small inputs and the reference the
 // distributed methods are tested against; the kernel-free reference
 // the matcher itself is tested against lives in the tests.
-func bruteForce(pl *plan, rels []Relation, countOnly bool) (*Result, error) {
+func bruteForce(pl *plan, rels []Relation, countOnly bool) (Rows, Stats) {
 	start := time.Now()
 	n := 0
 	for _, rel := range rels {
@@ -21,21 +21,19 @@ func bruteForce(pl *plan, rels []Relation, countOnly bool) (*Result, error) {
 	}
 	data := newCellData(pl.m, items)
 	defer data.release()
-	var tuples []Tuple
-	var slab tupleSlab
+	rows := Rows{Arity: pl.m}
 	var count int64
 	pl.match(data, func(assign []int) {
 		count++
 		if !countOnly {
-			tuples = append(tuples, slab.tupleOf(data, assign))
+			for s, j := range assign {
+				rows.IDs = append(rows.IDs, data.ids[s][j])
+			}
 		}
 	})
-	return &Result{
-		Tuples: tuples,
-		Stats: Stats{
-			Method:       BruteForce,
-			OutputTuples: count,
-			Wall:         time.Since(start),
-		},
-	}, nil
+	return rows, Stats{
+		Method:       BruteForce,
+		OutputTuples: count,
+		Wall:         time.Since(start),
+	}
 }

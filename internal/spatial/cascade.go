@@ -53,29 +53,27 @@ func tupleVal(ref partialRef, key geom.Rect) cascadeVal {
 // de-duplicates with the §5.2/§5.3 rule: the cell containing the
 // start-point of the intersection between the (enlarged) key rectangle
 // and the new rectangle reports the pair.
-func cascade(pl *plan, exec *executor) (*Result, error) {
+func cascade(pl *plan, exec *executor) (Rows, Stats, error) {
 	start := time.Now()
 
 	countOnly := exec.cfg.CountOnly
+	rows := Rows{Arity: pl.m}
 	if pl.m == 1 {
 		// A single-slot query has no join to cascade: emit everything.
 		n, read, err := exec.openRelations(nil)
 		if err != nil {
-			return nil, err
+			return Rows{}, Stats{}, err
 		}
-		var tuples []Tuple
 		if !countOnly {
-			tuples = make([]Tuple, 0, n)
+			rows.IDs = make([]int32, 0, n)
 			if err := read(0, n, func(it tagged) error {
-				tuples = append(tuples, Tuple{IDs: []int32{it.ID}})
+				rows.IDs = append(rows.IDs, it.ID)
 				return nil
 			}); err != nil {
-				return nil, err
+				return Rows{}, Stats{}, err
 			}
 		}
-		return &Result{Tuples: tuples, Stats: Stats{
-			Method: Cascade, OutputTuples: int64(n), Wall: time.Since(start),
-		}}, nil
+		return rows, Stats{Method: Cascade, OutputTuples: int64(n), Wall: time.Since(start)}, nil
 	}
 
 	// The cascade is a checkpointed chain: step p-1 of the chain runs
@@ -86,7 +84,7 @@ func cascade(pl *plan, exec *executor) (*Result, error) {
 	// skips every completed round, reusing its recorded Stats.
 	ch, err := exec.chain("cascade")
 	if err != nil {
-		return nil, err
+		return Rows{}, Stats{}, err
 	}
 	var rounds []*mapreduce.Stats
 	var counted atomic.Int64
@@ -221,7 +219,7 @@ func cascade(pl *plan, exec *executor) (*Result, error) {
 		// reads the round's input partials any more.
 		in.release()
 		if err != nil {
-			return nil, err
+			return Rows{}, Stats{}, err
 		}
 		rounds = append(rounds, st)
 		if !jobEnd.IsZero() {
@@ -230,44 +228,41 @@ func cascade(pl *plan, exec *executor) (*Result, error) {
 		exec.endRound(roundSpan)
 	}
 
-	// Convert plan-ordered partials to slot-ordered tuples, reading the
+	// Convert plan-ordered partials to slot-ordered rows, reading the
 	// final checkpoint back from the DFS — the read a consumer of the
-	// cascade's materialised result pays. All tuples share one id slab.
-	var tuples []Tuple
+	// cascade's materialised result pays — into one ID slab.
 	if !countOnly {
 		assemble := exec.tr.Start(exec.runSpan, trace.KindPhase, "assemble-tuples")
 		final, err := ch.Output()
 		if err != nil {
-			return nil, err
+			return Rows{}, Stats{}, err
 		}
-		tuples = make([]Tuple, 0, final.Len())
-		ids := make([]int32, final.Len()*pl.m)
+		rows.IDs = make([]int32, final.Len()*pl.m)
+		row := rows.IDs
 		err = final.Records(0, final.Len(), func(rec []byte) error {
 			if err := checkPartial(rec, pl.m); err != nil {
 				return err
 			}
-			t := ids[:pl.m:pl.m]
-			ids = ids[pl.m:]
 			for pos, slot := range pl.order {
-				t[slot] = partialID(rec, pos)
+				row[slot] = partialID(rec, pos)
 			}
-			tuples = append(tuples, Tuple{IDs: t})
+			row = row[pl.m:]
 			return nil
 		})
 		if err != nil {
-			return nil, err
+			return Rows{}, Stats{}, err
 		}
-		counted.Store(int64(len(tuples)))
+		counted.Store(int64(rows.Len()))
 		exec.tr.End(assemble)
 	}
 	cs := ch.Stats()
-	return &Result{Tuples: tuples, Stats: Stats{
+	return rows, Stats{
 		Method:       Cascade,
 		Rounds:       rounds,
 		Chain:        &cs,
 		OutputTuples: counted.Load(),
 		Wall:         time.Since(start),
-	}}, nil
+	}, nil
 }
 
 // sweepOrder maps a finite float64 to a uint64 that compares the way

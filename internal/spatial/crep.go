@@ -19,16 +19,16 @@ import (
 // The single job runs as a one-step chain so Config.FailJob addresses
 // it uniformly with the multi-job methods (job index 0); with nothing
 // checkpointed before it, a resume is a full re-run.
-func allReplicate(pl *plan, exec *executor) (*Result, error) {
+func allReplicate(pl *plan, exec *executor) (Rows, Stats, error) {
 	start := time.Now()
 
 	ch, err := exec.chain("all-replicate")
 	if err != nil {
-		return nil, err
+		return Rows{}, Stats{}, err
 	}
 	roundSpan := exec.beginRound("join")
 	var counted atomic.Int64
-	var tuples []Tuple
+	rows := Rows{Arity: pl.m}
 	var inputCount int64
 	st, err := ch.FinalStep("join", func(_ *dfs.View) (*mapreduce.Stats, error) {
 		n, read, err := exec.openRelations(nil)
@@ -36,7 +36,7 @@ func allReplicate(pl *plan, exec *executor) (*Result, error) {
 			return nil, err
 		}
 		inputCount = int64(n)
-		job := &mapreduce.Job[tagged, grid.CellID, tagged, Tuple]{
+		job := &mapreduce.Job[tagged, grid.CellID, tagged, int32]{
 			Config: exec.jobConfig("all-replicate"),
 			Map: func(it tagged, emit func(grid.CellID, tagged)) error {
 				exec.part.ForEachFourthQuadrant(it.Rect, func(c grid.CellID) { emit(c, it) })
@@ -46,20 +46,17 @@ func allReplicate(pl *plan, exec *executor) (*Result, error) {
 			PairBytes:    taggedPairBytes,
 			EncodePair:   encodeCellTagged,
 			DecodePair:   cellTaggedDecoder(pl.m),
-			EncodeOutput: encodeTupleOutput,
-			DecodeOutput: tupleOutputDecoder(pl.m),
+			EncodeOutput: encodeIDOutput,
+			DecodeOutput: decodeIDOutput,
 		}
-		out, st, err := job.RunSplits(n, read)
-		tuples = out
-		return st, err
+		return runJoinJob(job, n, read, &rows)
 	})
 	if err != nil {
-		return nil, err
+		return Rows{}, Stats{}, err
 	}
 	exec.endRound(roundSpan)
 	cs := ch.Stats()
-	res := &Result{Tuples: tuples}
-	res.Stats = Stats{
+	return rows, Stats{
 		Method: AllReplicate,
 		Rounds: []*mapreduce.Stats{st},
 		Chain:  &cs,
@@ -71,21 +68,36 @@ func allReplicate(pl *plan, exec *executor) (*Result, error) {
 		RectanglesReplicated:       inputCount,
 		RectanglesAfterReplication: st.IntermediatePairs,
 		ReplicationCopies:          st.IntermediatePairs,
-		OutputTuples:               outputCount(exec.cfg.CountOnly, &counted, len(tuples)),
+		OutputTuples:               outputCount(exec.cfg.CountOnly, &counted, rows),
 		Wall:                       time.Since(start),
+	}, nil
+}
+
+// runJoinJob runs a join round whose reducers emit each tuple as its
+// IDs (joinReduce) and leaves the gathered slab in rows: the job's
+// output is the slab, so its Stats count tuples, not IDs.
+func runJoinJob(job *mapreduce.Job[tagged, grid.CellID, tagged, int32], n int, read func(lo, hi int, yield func(tagged) error) error, rows *Rows) (*mapreduce.Stats, error) {
+	ids, st, err := job.RunSplits(n, read)
+	if err != nil {
+		return nil, err
 	}
-	return res, nil
+	if len(ids)%rows.Arity != 0 {
+		return nil, fmt.Errorf("spatial: job %q gathered %d ids, not whole %d-id tuples", job.Config.Name, len(ids), rows.Arity)
+	}
+	rows.IDs = ids
+	st.ReduceOutputRecords = int64(rows.Len())
+	return st, nil
 }
 
 // outputCount picks the tuple count: the committed reducer outputs
 // when materialising (discarded retry attempts of injected reduce
 // faults re-run the counting closure, so the atomic may overshoot),
 // the atomic tally when CountOnly suppressed materialisation.
-func outputCount(countOnly bool, counted *atomic.Int64, materialised int) int64 {
+func outputCount(countOnly bool, counted *atomic.Int64, materialised Rows) int64 {
 	if countOnly {
 		return counted.Load()
 	}
-	return int64(materialised)
+	return int64(materialised.Len())
 }
 
 // controlledReplicate runs the paper's Controlled-Replicate framework
@@ -100,7 +112,7 @@ func outputCount(countOnly bool, counted *atomic.Int64, materialised int) int64 
 // with Cascade's), and the join round reads them back beside the staged
 // relations. A run killed between the rounds resumes by re-reading the
 // mark checkpoint and the relations.
-func controlledReplicate(pl *plan, exec *executor, limit bool) (*Result, error) {
+func controlledReplicate(pl *plan, exec *executor, limit bool) (Rows, Stats, error) {
 	start := time.Now()
 
 	dmax := make([]float64, pl.m)
@@ -109,7 +121,7 @@ func controlledReplicate(pl *plan, exec *executor, limit bool) (*Result, error) 
 	}
 	band, err := markBand(pl.q, dmax)
 	if err != nil {
-		return nil, err
+		return Rows{}, Stats{}, err
 	}
 	method := ControlledReplicate
 	var bounds []float64
@@ -117,13 +129,13 @@ func controlledReplicate(pl *plan, exec *executor, limit bool) (*Result, error) 
 		method = ControlledReplicateLimit
 		bounds, err = pl.q.ReplicationBounds(dmax)
 		if err != nil {
-			return nil, err
+			return Rows{}, Stats{}, err
 		}
 	}
 
 	ch, err := exec.chain(method.String())
 	if err != nil {
-		return nil, err
+		return Rows{}, Stats{}, err
 	}
 
 	// ---- round one: split the boundary band, decide replication ----
@@ -170,14 +182,14 @@ func controlledReplicate(pl *plan, exec *executor, limit bool) (*Result, error) 
 		return itemSegments(out), st, nil
 	})
 	if err != nil {
-		return nil, err
+		return Rows{}, Stats{}, err
 	}
 	exec.endRound(markSpan)
 
 	// ---- round two: replicate marked, project the rest, join ----
 	joinSpan := exec.beginRound("join")
 	var counted atomic.Int64
-	var tuples []Tuple
+	rows := Rows{Arity: pl.m}
 	var markedCount, unmarkedCount int64
 	st2, err := ch.FinalStep("join", func(in *dfs.View) (*mapreduce.Stats, error) {
 		// The checkpoint holds the marked records; a relation record is
@@ -203,20 +215,12 @@ func controlledReplicate(pl *plan, exec *executor, limit bool) (*Result, error) 
 		if err != nil {
 			return nil, err
 		}
-		// The marked count is taken in a pass of its own: the map tasks
-		// read only their splits, once per attempt, and on a cluster only
-		// the worker's own.
-		err = read(0, n, func(it tagged) error {
-			if it.Marked {
-				markedCount++
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
+		// Round one emits each marked record once, from its start cell,
+		// so the checkpoint holds exactly the relation records the map
+		// tasks will mark.
+		markedCount = int64(in.Len())
 		unmarkedCount = int64(n) - markedCount
-		round2 := &mapreduce.Job[tagged, grid.CellID, tagged, Tuple]{
+		round2 := &mapreduce.Job[tagged, grid.CellID, tagged, int32]{
 			Config: exec.jobConfig(fmt.Sprintf("%s-join", method)),
 			Map: func(it tagged, emit func(grid.CellID, tagged)) error {
 				if !it.Marked {
@@ -234,27 +238,24 @@ func controlledReplicate(pl *plan, exec *executor, limit bool) (*Result, error) 
 			PairBytes:    taggedPairBytes,
 			EncodePair:   encodeCellTagged,
 			DecodePair:   cellTaggedDecoder(pl.m),
-			EncodeOutput: encodeTupleOutput,
-			DecodeOutput: tupleOutputDecoder(pl.m),
+			EncodeOutput: encodeIDOutput,
+			DecodeOutput: decodeIDOutput,
 		}
-		out, st, err := round2.RunSplits(n, read)
-		tuples = out
-		return st, err
+		return runJoinJob(round2, n, read, &rows)
 	})
 	if err != nil {
-		return nil, err
+		return Rows{}, Stats{}, err
 	}
 	exec.endRound(joinSpan)
 
 	cs := ch.Stats()
-	res := &Result{Tuples: tuples}
-	res.Stats = Stats{
+	return rows, Stats{
 		Method: method,
 		Rounds: []*mapreduce.Stats{st1, st2},
 		Chain:  &cs,
 		// Both replication counters derive from exactly-once quantities
-		// — the relation records the mark checkpoint names and the join
-		// job's committed IntermediatePairs — rather than atomics bumped
+		// — the mark checkpoint's record count and the join job's
+		// committed IntermediatePairs — rather than atomics bumped
 		// in the Map closure, which over-count when retried attempts
 		// re-run the mapper.
 		RectanglesReplicated: markedCount,
@@ -269,29 +270,29 @@ func controlledReplicate(pl *plan, exec *executor, limit bool) (*Result, error) 
 		// rectangle contributes exactly one projection pair, so the
 		// replicate-produced copies are the remainder.
 		ReplicationCopies: st2.IntermediatePairs - unmarkedCount,
-		OutputTuples:      outputCount(exec.cfg.CountOnly, &counted, len(tuples)),
+		OutputTuples:      outputCount(exec.cfg.CountOnly, &counted, rows),
 		Wall:              time.Since(start),
-	}
-	return res, nil
+	}, nil
 }
 
 // joinReduce builds the reducer shared by All-Replicate and C-Rep round
 // two: group the received rectangles by slot, enumerate matching
 // assignments, and emit exactly the tuples whose §6.2
-// duplicate-avoidance point falls in this reducer's cell. Every emitted
-// tuple also bumps counted; with countOnly the tuple itself is dropped.
-func joinReduce(pl *plan, part *grid.Partitioning, countOnly bool, counted *atomic.Int64) func(grid.CellID, []tagged, func(Tuple)) error {
-	return func(c grid.CellID, items []tagged, emit func(Tuple)) error {
+// duplicate-avoidance point falls in this reducer's cell, each as its
+// IDs in slot order, one output per ID, into the job's pooled output
+// runs. Every emitted tuple also bumps counted; with countOnly the
+// tuple itself is dropped.
+func joinReduce(pl *plan, part *grid.Partitioning, countOnly bool, counted *atomic.Int64) func(grid.CellID, []tagged, func(int32)) error {
+	return func(c grid.CellID, items []tagged, emit func(int32)) error {
 		cd := newCellData(pl.m, items)
 		defer cd.release()
-		// The slab lives for this call: an attempt the engine discards
-		// and retries leaves its chunks behind as garbage.
-		var slab tupleSlab
 		var local int64
 		pl.matchInCell(cd, part, c, func(assign []int) {
 			local++
 			if !countOnly {
-				emit(slab.tupleOf(cd, assign))
+				for s, j := range assign {
+					emit(cd.ids[s][j])
+				}
 			}
 		})
 		counted.Add(local)

@@ -169,19 +169,32 @@ func (e *executor) endRound(id trace.SpanID) {
 
 // Execute runs the query bound to the given relations (rels[i] binds
 // query slot i) with the chosen method and returns the tuples plus cost
-// statistics. All methods return the same tuple set.
+// statistics. All methods return the same tuple set. It is ExecuteRows
+// with the rows carved into tuples (Rows.Tuples); CountOnly leaves
+// Tuples nil.
 func Execute(method Method, q *query.Query, rels []Relation, cfg Config) (*Result, error) {
+	rows, st, err := ExecuteRows(method, q, rels, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Tuples: rows.Tuples(), Stats: st}, nil
+}
+
+// ExecuteRows runs the query as Execute does and returns its result as
+// the methods write it: one ID slab, no tuple built. Under CountOnly
+// the rows are empty with a nil slab, and Stats.OutputTuples counts.
+func ExecuteRows(method Method, q *query.Query, rels []Relation, cfg Config) (Rows, Stats, error) {
 	if ctx := cfg.Context; ctx != nil {
 		if cause := context.Cause(ctx); cause != nil {
-			return nil, fmt.Errorf("spatial: %v execution cancelled before start: %w", method, cause)
+			return Rows{}, Stats{}, fmt.Errorf("spatial: %v execution cancelled before start: %w", method, cause)
 		}
 	}
 	if cfg.Dist != nil && cfg.Dist.NumWorkers > 1 {
 		if cfg.CountOnly {
-			return nil, fmt.Errorf("spatial: CountOnly is incompatible with a %d-worker distributed run (per-worker tallies undercount)", cfg.Dist.NumWorkers)
+			return Rows{}, Stats{}, fmt.Errorf("spatial: CountOnly is incompatible with a %d-worker distributed run (per-worker tallies undercount)", cfg.Dist.NumWorkers)
 		}
 		if cfg.NumMappers <= 0 {
-			return nil, fmt.Errorf("spatial: a distributed run needs an explicit NumMappers (the GOMAXPROCS default differs across workers)")
+			return Rows{}, Stats{}, fmt.Errorf("spatial: a distributed run needs an explicit NumMappers (the GOMAXPROCS default differs across workers)")
 		}
 	}
 	// The estimator is how Execute reads the relations' summaries: the
@@ -190,12 +203,12 @@ func Execute(method Method, q *query.Query, rels []Relation, cfg Config) (*Resul
 	// relations have been summarised.
 	est, err := newEstimator(q, rels, cfg)
 	if err != nil {
-		return nil, err
+		return Rows{}, Stats{}, err
 	}
 	pl := est.plan(cfg.OptimizeOrder)
 	g, err := est.configuredGrid(cfg)
 	if err != nil {
-		return nil, err
+		return Rows{}, Stats{}, err
 	}
 	fs := cfg.FS
 	if fs == nil {
@@ -222,30 +235,31 @@ func Execute(method Method, q *query.Query, rels []Relation, cfg Config) (*Resul
 	before := fs.Stats()
 	stage := exec.tr.Start(exec.runSpan, trace.KindPhase, "stage-inputs")
 	if err := exec.stageInputs(); err != nil {
-		return nil, err
+		return Rows{}, Stats{}, err
 	}
 	exec.tr.End(stage)
 
-	var res *Result
+	var rows Rows
+	var st Stats
 	switch method {
 	case BruteForce:
-		res, err = bruteForce(pl, rels, cfg.CountOnly)
+		rows, st = bruteForce(pl, rels, cfg.CountOnly)
 	case Cascade:
-		res, err = cascade(pl, exec)
+		rows, st, err = cascade(pl, exec)
 	case AllReplicate:
-		res, err = allReplicate(pl, exec)
+		rows, st, err = allReplicate(pl, exec)
 	case ControlledReplicate:
-		res, err = controlledReplicate(pl, exec, false)
+		rows, st, err = controlledReplicate(pl, exec, false)
 	case ControlledReplicateLimit:
-		res, err = controlledReplicate(pl, exec, true)
+		rows, st, err = controlledReplicate(pl, exec, true)
 	default:
 		err = fmt.Errorf("spatial: unknown method %v", method)
 	}
 	if err != nil {
-		return nil, err
+		return Rows{}, Stats{}, err
 	}
-	res.Stats.DFS = statsDelta(before, fs.Stats())
-	return res, nil
+	st.DFS = statsDelta(before, fs.Stats())
+	return rows, st, nil
 }
 
 // outputStore returns a store for a round's output partials. Its pages

@@ -203,7 +203,9 @@ func joinSeed(shape, config, cells byte, edges []byte, slots ...[]byte) []byte {
 // must return exactly the kernel-free reference's tuple multiset
 // (referenceTuples), on a fresh FS — the staged relations in sweep
 // order, each reducer only checking its sides — and on an FS the
-// caller staged in Items order, where the reducers sort. A two-worker
+// caller staged in Items order, where the reducers sort. C-Rep's
+// RectanglesReplicated must equal a pass over the relations against
+// its mark checkpoint (markedByRelationPass). A two-worker
 // SPMD run over distHub must return what the one-process run returns,
 // tuples in order and Stats alike. Task failures may be injected
 // (joinFaults), and one method runs once more with a Tracer: tracing
@@ -283,6 +285,12 @@ func FuzzJoin(f *testing.F) {
 				if got := tupleMultiset(res); !slices.Equal(got, want) {
 					t.Fatalf("%v on %s (pre-staged %v, %+v): %d tuples, the reference %d",
 						m, jc.q, prestaged, jc.cfg, len(got), len(want))
+				}
+				if m == ControlledReplicate || m == ControlledReplicateLimit {
+					if want := markedByRelationPass(t, cfg.FS, m, jc.rels); res.Stats.RectanglesReplicated != want {
+						t.Fatalf("%v on %s (pre-staged %v): RectanglesReplicated %d, a pass over the relations marks %d",
+							m, jc.q, prestaged, res.Stats.RectanglesReplicated, want)
+					}
 				}
 				if !prestaged {
 					oneWorker[m] = res

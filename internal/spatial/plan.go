@@ -579,27 +579,3 @@ func dupPoint(cd *cellData, assign []int) geom.Point {
 	}
 	return pt
 }
-
-// tupleSlab carves output tuples from chunks of one []int32 instead of
-// allocating each tuple: the first chunk holds 64 tuples, each further
-// one twice the last up to 8,192, so a sparse cell wastes little and a
-// hot one allocates rarely. The zero value is ready to use.
-type tupleSlab struct {
-	free  []int32
-	chunk int // tuples the last chunk was sized for
-}
-
-// tupleOf materialises the output tuple of an assignment.
-func (sl *tupleSlab) tupleOf(cd *cellData, assign []int) Tuple {
-	m := len(assign)
-	if len(sl.free) < m {
-		sl.chunk = min(max(64, 2*sl.chunk), 8192)
-		sl.free = make([]int32, sl.chunk*m)
-	}
-	ids := sl.free[:m:m]
-	sl.free = sl.free[m:]
-	for s, j := range assign {
-		ids[s] = cd.ids[s][j]
-	}
-	return Tuple{IDs: ids}
-}

@@ -95,7 +95,7 @@ func TestCompatibleSelfJoin(t *testing.T) {
 	}
 }
 
-func TestDupPointAndTupleOf(t *testing.T) {
+func TestDupPointAndRowCaps(t *testing.T) {
 	items := []tagged{
 		{Slot: 0, ID: 7, Rect: geom.Rect{X: 10, Y: 50, L: 5, B: 5}},
 		{Slot: 1, ID: 9, Rect: geom.Rect{X: 30, Y: 80, L: 5, B: 5}},
@@ -107,15 +107,29 @@ func TestDupPointAndTupleOf(t *testing.T) {
 	if got := dupPoint(cd, assign); got != (geom.Point{X: 30, Y: 40}) {
 		t.Errorf("dupPoint = %v, want (30, 40)", got)
 	}
-	// Tuples carved from one slab are neighbours in memory: each must be
-	// capped at its own m ids, so appending to one cannot reach the next.
-	var slab tupleSlab
-	first, second := slab.tupleOf(cd, assign), slab.tupleOf(cd, assign)
-	_ = append(first.IDs, 99)
-	for _, got := range []Tuple{first, second} {
-		if !reflect.DeepEqual(got.IDs, []int32{7, 9, 3}) {
-			t.Errorf("tupleOf = %v", got)
+	// Rows of one slab are neighbours in memory: each row At returns, and
+	// each tuple Tuples carves, must be capped at its own m ids, so
+	// appending to one cannot reach the next.
+	rows := Rows{Arity: 3}
+	for range 2 {
+		for s, j := range assign {
+			rows.IDs = append(rows.IDs, cd.ids[s][j])
 		}
+	}
+	_ = append(rows.At(0), 99)
+	tuples := rows.Tuples()
+	_ = append(tuples[0].IDs, 98)
+	for i, got := range [][]int32{rows.At(0), rows.At(1), tuples[0].IDs, tuples[1].IDs} {
+		if !reflect.DeepEqual(got, []int32{7, 9, 3}) {
+			t.Errorf("row %d = %v", i, got)
+		}
+	}
+	// A nil slab carves nil, an empty one an empty, non-nil result.
+	if got := (Rows{Arity: 3}).Tuples(); got != nil {
+		t.Errorf("nil slab carved %v", got)
+	}
+	if got := (Rows{Arity: 3, IDs: []int32{}}).Tuples(); got == nil || len(got) != 0 {
+		t.Errorf("empty slab carved %#v", got)
 	}
 }
 

@@ -363,32 +363,19 @@ func (cc *cascadeCodec) decodePair(rec []byte) (grid.CellID, cascadeVal, error) 
 
 // Output codecs: frame one job output record so a distributed run can
 // gather reducer outputs across workers (mapreduce.Job.EncodeOutput/
-// DecodeOutput). Each mirrors the value's DFS layout.
+// DecodeOutput). Items travel as their DFS records (encodeItem).
 
-// encodeTupleOutput frames a result tuple: count(2) then 4 bytes per id.
-func encodeTupleOutput(t Tuple, buf []byte) []byte {
-	var hdr [2]byte
-	binary.LittleEndian.PutUint16(hdr[:], uint16(len(t.IDs)))
-	buf = append(buf, hdr[:]...)
-	for _, id := range t.IDs {
-		var b [4]byte
-		binary.LittleEndian.PutUint32(b[:], uint32(id))
-		buf = append(buf, b[:]...)
-	}
-	return buf
+// encodeIDOutput frames one ID of a join round's output: 4 bytes,
+// little-endian. A reducer emits a tuple as its IDs in slot order, so
+// the gathered outputs are the result's ID slab.
+func encodeIDOutput(id int32, buf []byte) []byte {
+	return binary.LittleEndian.AppendUint32(buf, uint32(id))
 }
 
-// tupleOutputDecoder parses encodeTupleOutput records of a query of m
-// slots: a tuple of any other width is one the job cannot have emitted.
-func tupleOutputDecoder(m int) func(rec []byte) (Tuple, error) {
-	return func(rec []byte) (Tuple, error) {
-		if len(rec) != 2+4*m || int(binary.LittleEndian.Uint16(rec)) != m {
-			return Tuple{}, fmt.Errorf("spatial: malformed tuple record (%d bytes), want %d bytes for %d ids", len(rec), 2+4*m, m)
-		}
-		t := Tuple{IDs: make([]int32, m)}
-		for i := range t.IDs {
-			t.IDs[i] = int32(binary.LittleEndian.Uint32(rec[2+4*i:]))
-		}
-		return t, nil
+// decodeIDOutput parses an encodeIDOutput record.
+func decodeIDOutput(rec []byte) (int32, error) {
+	if len(rec) != 4 {
+		return 0, fmt.Errorf("spatial: malformed id record (%d bytes), want 4", len(rec))
 	}
+	return int32(binary.LittleEndian.Uint32(rec)), nil
 }

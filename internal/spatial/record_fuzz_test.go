@@ -146,7 +146,7 @@ func FuzzDecodeCascadePair(f *testing.F) {
 
 // FuzzDecodeCellTagged: a C-Rep / All-Replicate mesh frame is
 // rejected or decodes to an in-range slot and a pair that encodes back
-// to the same bytes; the same holds for the jobs' tuple output records.
+// to the same bytes; the same holds for the jobs' ID output records.
 func FuzzDecodeCellTagged(f *testing.F) {
 	frame := func(t tagged) []byte { return encodeCellTagged(11, t, nil) }
 	f.Add(frame(tagged{Slot: 2, ID: 5, Rect: geom.Rect{X: 1, Y: 9, L: 2, B: 2}, Marked: true}), uint8(3))
@@ -154,8 +154,8 @@ func FuzzDecodeCellTagged(f *testing.F) {
 	f.Add(frame(tagged{Slot: 3}), uint8(3))
 	f.Add(frame(tagged{Slot: -1}), uint8(3))
 	f.Add(append(frame(tagged{Slot: 1})[:4+dfs.MBBRecordBytes-1], 2), uint8(2))
-	f.Add(encodeTupleOutput(Tuple{IDs: []int32{4, 0, 7}}, nil), uint8(3))
-	f.Add(encodeTupleOutput(Tuple{IDs: []int32{4, 0}}, nil), uint8(3))
+	f.Add(encodeIDOutput(-7, nil), uint8(3))
+	f.Add(encodeIDOutput(4, nil)[:3], uint8(3))
 	f.Add([]byte{0xff, 0xff, 1}, uint8(1))
 	f.Fuzz(func(t *testing.T, rec []byte, slots uint8) {
 		m := 1 + int(slots)%8
@@ -167,9 +167,9 @@ func FuzzDecodeCellTagged(f *testing.F) {
 				t.Fatalf("frame %x re-encodes to %x", rec, again)
 			}
 		}
-		if tu, err := tupleOutputDecoder(m)(rec); err == nil {
-			if again := encodeTupleOutput(tu, nil); !bytes.Equal(again, rec) {
-				t.Fatalf("tuple record %x re-encodes to %x", rec, again)
+		if id, err := decodeIDOutput(rec); err == nil {
+			if again := encodeIDOutput(id, nil); !bytes.Equal(again, rec) {
+				t.Fatalf("id record %x re-encodes to %x", rec, again)
 			}
 		}
 	})

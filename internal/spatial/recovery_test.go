@@ -150,14 +150,14 @@ func TestKillResumeEveryJobBoundary(t *testing.T) {
 	}
 }
 
-// TestColumnarKillResume kills a chain before its last job and resumes
+// TestKillResumeFromSnapshot kills a chain before its last job and resumes
 // it on an FS restored from a snapshot of the killed one, whose staged
 // relations and checkpoints come back as files read from outside the
 // process: the readers must decode them, not restage. The final output
 // must be bit-identical to a clean run's.
 // (TestKillResumeEveryJobBoundary resumes every boundary on the same
 // FS.)
-func TestColumnarKillResume(t *testing.T) {
+func TestKillResumeFromSnapshot(t *testing.T) {
 	part := grid2x2(t)
 	q := chain4()
 	rels := figure4Relations()

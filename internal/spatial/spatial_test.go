@@ -749,3 +749,66 @@ func TestExecuteDeterministicTupleOrder(t *testing.T) {
 		}
 	}
 }
+
+// markedByRelationPass counts C-Rep's marked rows the way its join round
+// once did, in a pass of its own: every slot's staged relation read
+// whole, a row marked iff the mark checkpoint holds it — slot, ID and
+// rectangle. The round now takes the checkpoint's length instead.
+func markedByRelationPass(t *testing.T, fs *dfs.FS, m Method, rels []Relation) int64 {
+	t.Helper()
+	chk, err := fs.Open("chk/" + m.String() + "/000-mark")
+	if err != nil {
+		t.Fatal(err)
+	}
+	marks := map[tagged]bool{}
+	if err := chk.MBBs(0, chk.Len(), func(r dfs.MBB) error {
+		r.Marked = false
+		marks[mbbItem(r)] = true
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var n int64
+	for s, rel := range rels {
+		v, err := fs.Open(inputFile(rel.Name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := v.MBBs(0, v.Len(), func(r dfs.MBB) error {
+			it := mbbItem(r)
+			it.Slot = int8(s)
+			if marks[it] {
+				n++
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return n
+}
+
+// TestCRepMarkedCountIsCheckpointLength holds RectanglesReplicated, the
+// mark checkpoint's record count, to a pass over the relations, on rows
+// repeated verbatim (ID included) and a self-join, where a count by ID
+// alone would go wrong.
+func TestCRepMarkedCountIsCheckpointLength(t *testing.T) {
+	rng := rand.New(rand.NewPCG(46, 2))
+	rels := randomRelations(rng, 2, 120, 100, 30)
+	for i := 0; i < 120; i += 4 {
+		rels[0].Items = append(rels[0].Items, rels[0].Items[i])
+	}
+	q := query.New("a", "b", "c").Overlap(0, 1).Overlap(1, 2)
+	bound := []Relation{rels[0], rels[0], rels[1]}
+	for _, m := range []Method{ControlledReplicate, ControlledReplicateLimit} {
+		fs := dfs.New(0)
+		res, err := Execute(m, q, bound, Config{Reducers: 16, FS: fs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := markedByRelationPass(t, fs, m, bound)
+		if got := res.Stats.RectanglesReplicated; got != want || got == 0 {
+			t.Errorf("%v: RectanglesReplicated %d, a pass over the relations marks %d", m, got, want)
+		}
+	}
+}

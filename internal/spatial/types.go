@@ -88,6 +88,44 @@ func (t Tuple) Key() string {
 
 func (t Tuple) String() string { return fmt.Sprint(t.IDs) }
 
+// Rows is a join result as one flat slab of IDs: row i binds
+// IDs[i*Arity:(i+1)*Arity] to the query's slots, in slot order. Every
+// method writes its result this way, and a cluster worker hashes and
+// ships it as it stands; Tuples carves it into the public form.
+type Rows struct {
+	Arity int
+	IDs   []int32
+}
+
+// Len is the number of rows.
+func (r Rows) Len() int {
+	if r.Arity == 0 {
+		return 0
+	}
+	return len(r.IDs) / r.Arity
+}
+
+// At returns row i without a copy, capped at Arity, so appending to it
+// cannot reach row i+1.
+func (r Rows) At(i int) []int32 {
+	lo := i * r.Arity
+	return r.IDs[lo : lo+r.Arity : lo+r.Arity]
+}
+
+// Tuples carves the rows into tuples that share the slab, one slice
+// header each: the one place a Tuple is built. It is nil when IDs is
+// nil, and non-nil, if empty, otherwise.
+func (r Rows) Tuples() []Tuple {
+	if r.IDs == nil {
+		return nil
+	}
+	tuples := make([]Tuple, r.Len())
+	for i := range tuples {
+		tuples[i].IDs = r.At(i)
+	}
+	return tuples
+}
+
 // Method selects a join algorithm.
 type Method uint8
 
