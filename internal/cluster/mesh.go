@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"mwsjoin/internal/dfs"
 	"mwsjoin/internal/mapreduce"
 )
 
@@ -96,8 +97,8 @@ const lentFrameMin = 128 << 10
 // lentFrameMin bytes or more is read into a frame from pool when pool
 // holds one that large; the frame goes back to pool if the read fails.
 // Otherwise the payload's memory follows the bytes that arrive, not the
-// length the header claims (readDeclared): a peer that declares a
-// gigabyte and sends nothing costs one declaredChunk.
+// length the header claims (dfs.ReadDeclared): a peer that declares a
+// gigabyte and sends nothing costs one dfs.DeclaredChunk.
 func readFrame(r io.Reader, pool *mapreduce.BufferPool) (seq uint64, payload []byte, err error) {
 	var hdr [frameHeaderBytes]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -109,14 +110,14 @@ func readFrame(r io.Reader, pool *mapreduce.BufferPool) (seq uint64, payload []b
 		return 0, nil, err
 	}
 	if n < lentFrameMin {
-		payload, err = readDeclared(r, n, n)
+		payload, err = dfs.ReadDeclared(r, n, n)
 	} else if payload = pool.GetFrame(n); payload != nil {
 		if _, err = io.ReadFull(r, payload); err != nil {
 			pool.PutFrame(payload)
-			err = eofIsUnexpected(err)
+			err = dfs.Truncated(err)
 		}
 	} else {
-		payload, err = readDeclared(r, n, mapreduce.FrameCap(n))
+		payload, err = dfs.ReadDeclared(r, n, mapreduce.FrameCap(n))
 	}
 	if err != nil {
 		return 0, nil, err

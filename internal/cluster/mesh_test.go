@@ -13,6 +13,7 @@ import (
 	"time"
 	"unsafe"
 
+	"mwsjoin/internal/dfs"
 	"mwsjoin/internal/mapreduce"
 )
 
@@ -20,8 +21,8 @@ import (
 // the connection before any payload buffer is allocated, the exchange
 // waiting on that peer gets the structured error, and a payload over
 // the bound is refused at send rather than truncated to 32 bits. A
-// header just under the bound followed by nothing costs one declaredChunk,
-// not the gigabyte it declares.
+// header just under the bound followed by nothing costs one
+// dfs.DeclaredChunk, not the gigabyte it declares.
 func TestMeshFrameBound(t *testing.T) {
 	local, peer := net.Pipe()
 	defer peer.Close()
@@ -105,8 +106,8 @@ func TestMeshDuplicateFrame(t *testing.T) {
 
 // FuzzMeshFrame: readFrame over any bytes returns an error or a frame
 // that writeFrame encodes back to exactly the bytes it consumed, and it
-// allocates no more than twice what it was given plus one declaredChunk,
-// whatever the header claims. Each payload read goes back to the pool,
+// allocates no more than twice what it was given plus one
+// dfs.DeclaredChunk, whatever the header claims. Each payload read goes back to the pool,
 // so the second and third reads of the same bytes take a pooled frame;
 // and a header claiming more bytes than arrive fails with
 // io.ErrUnexpectedEOF, its pooled frame (the pool is handed one that
@@ -173,7 +174,7 @@ func FuzzMeshFrame(f *testing.F) {
 			}
 			recycleFrame(pool, payload)
 		}
-		if bound := uint64(2*len(data) + declaredChunk + 4096); grew > bound {
+		if bound := uint64(2*len(data) + dfs.DeclaredChunk + 4096); grew > bound {
 			t.Fatalf("readFrame over %d bytes allocated %d, bound %d", len(data), grew, bound)
 		}
 	})
@@ -194,7 +195,7 @@ func meshPair(t *testing.T, pool *mapreduce.BufferPool) (a, b *mesh) {
 // pool lent stays intact until the engine recycles it, even when the
 // peer's next frame has already arrived and been read into a pooled
 // frame of its own — at the smallest size the mesh lends a frame for and
-// at one over a declaredChunk.
+// at 2 MiB.
 func TestMeshPayloadOutlivesPeersNextFrame(t *testing.T) {
 	for _, n := range []int{lentFrameMin + 1000, 2 << 20} {
 		t.Run(fmt.Sprint(n), func(t *testing.T) {
@@ -260,7 +261,7 @@ func TestMeshPayloadOutlivesPeersNextFrame(t *testing.T) {
 // TestMeshRecyclesFrameChunks: payloads of lentFrameMin bytes or more go
 // back to the pool when the engine recycles them, as it does after each
 // exchange, so a warm mesh reads them into the same frames instead of
-// allocating each one — under a declaredChunk and over one.
+// allocating each one — at 300 KiB and at 2 MiB.
 func TestMeshRecyclesFrameChunks(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's bookkeeping allocates")
@@ -309,7 +310,7 @@ func TestMeshRecyclesFrameChunks(t *testing.T) {
 			// 42 MB — into fresh buffers.
 			grew := after.TotalAlloc - before.TotalAlloc
 			t.Logf("%d exchanges of %d-byte payloads each way allocated %d B", rounds, n, grew)
-			if bound := uint64(4 * declaredChunk); grew > bound {
+			if bound := uint64(4 * dfs.DeclaredChunk); grew > bound {
 				t.Errorf("%d exchanges of %d-byte payloads each way allocated %d B, bound %d", rounds, n, grew, bound)
 			}
 		})

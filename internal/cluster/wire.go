@@ -8,8 +8,8 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sync"
 
+	"mwsjoin/internal/dfs"
 	"mwsjoin/internal/mapreduce"
 	"mwsjoin/internal/spatial"
 )
@@ -27,19 +27,12 @@ const (
 	// stale worker binary fails at registration instead of mid-session —
 	// or, ignoring a spec field it never heard of, answering a different
 	// question.
-	protocolVersion = 7
+	protocolVersion = 8
 
 	// maxHeaderBytes caps the JSON header line. Every bulk field rides as
 	// an attachment, so a header holds names, counters and the run's
 	// Stats — kilobytes.
 	maxHeaderBytes = 1 << 20
-
-	// declaredChunk is the most a read of a declared length — an
-	// attachment here, a mesh frame's payload — allocates ahead of the
-	// bytes that have actually arrived: a header may declare up to
-	// maxFrameBytes, but memory follows the sender's bytes, not its
-	// claims.
-	declaredChunk = 512 << 10
 
 	// controlReadBuffer sizes the bufio.Reader of a control connection:
 	// room for any ordinary header line; attachments larger than it are
@@ -113,7 +106,7 @@ func writeMessage(w io.Writer, m *message) (int64, error) {
 // checked before it sizes an allocation: the header line against
 // maxHeaderBytes, the attachment count against what the message's type
 // and header fields call for, each attachment against maxFrameBytes and
-// then read in declaredChunk steps.
+// then read in dfs.DeclaredChunk steps.
 func readMessage(br *bufio.Reader) (*message, error) {
 	line, err := readHeaderLine(br)
 	if err != nil {
@@ -136,7 +129,7 @@ func readMessage(br *bufio.Reader) (*message, error) {
 		if err := checkFrameLen(n); err != nil {
 			return nil, err
 		}
-		if *fields[i], err = readDeclared(br, int(n), int(n)); err != nil {
+		if *fields[i], err = dfs.ReadDeclared(br, int(n), int(n)); err != nil {
 			return nil, fmt.Errorf("cluster: %s attachment: %w", m.Type, err)
 		}
 		m.wireBytes += n
@@ -172,51 +165,6 @@ func readHeaderLine(br *bufio.Reader) ([]byte, error) {
 			return nil, err
 		}
 	}
-}
-
-// declaredChunks recycles the chunks a long declared read collects its
-// bytes in before it joins them.
-var declaredChunks = sync.Pool{New: func() any { return new([declaredChunk]byte) }}
-
-// readDeclared reads n bytes that a header declared into a buffer of
-// capacity capacity (at least n). Up to declaredChunk it is one
-// allocation; beyond, the bytes are collected in recycled chunks as they
-// arrive and copied into one allocation only once all n have, so a
-// header that lies about a length costs at most a chunk more than was
-// really sent.
-func readDeclared(r io.Reader, n, capacity int) ([]byte, error) {
-	if n <= declaredChunk {
-		buf := make([]byte, n, capacity)
-		_, err := io.ReadFull(r, buf)
-		return buf, eofIsUnexpected(err)
-	}
-	var chunks []*[declaredChunk]byte
-	defer func() {
-		for _, c := range chunks {
-			declaredChunks.Put(c)
-		}
-	}()
-	for got := 0; got < n; got += declaredChunk {
-		c := declaredChunks.Get().(*[declaredChunk]byte)
-		chunks = append(chunks, c)
-		if _, err := io.ReadFull(r, c[:min(n-got, declaredChunk)]); err != nil {
-			return nil, eofIsUnexpected(err)
-		}
-	}
-	buf := make([]byte, 0, capacity)
-	for _, c := range chunks {
-		buf = append(buf, c[:min(n-len(buf), declaredChunk)]...)
-	}
-	return buf, nil
-}
-
-// eofIsUnexpected: inside a message, running out of bytes is never a
-// clean end of stream.
-func eofIsUnexpected(err error) error {
-	if errors.Is(err, io.EOF) {
-		return io.ErrUnexpectedEOF
-	}
-	return err
 }
 
 // checkSlab verifies that a result's header and tuple slab agree:

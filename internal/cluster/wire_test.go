@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"mwsjoin/internal/dfs"
 	"mwsjoin/internal/mapreduce"
 	"mwsjoin/internal/spatial"
 )
@@ -100,7 +101,7 @@ func TestReadMessageBounds(t *testing.T) {
 	}
 
 	// Past one chunk an attachment is read in pieces and arrives whole.
-	big := make([]byte, 2*declaredChunk+17)
+	big := make([]byte, 2*dfs.DeclaredChunk+17)
 	for i := range big {
 		big[i] = byte(i * 7)
 	}
@@ -135,7 +136,7 @@ func FuzzReadMessage(f *testing.F) {
 		// 64 bytes of decoded structure per header byte is beyond what
 		// encoding/json makes of any input; the slack absorbs the fuzz
 		// engine's own goroutines.
-		if limit := uint64(64*len(wire) + declaredChunk + 1<<20); allocated > limit {
+		if limit := uint64(64*len(wire) + dfs.DeclaredChunk + 1<<20); allocated > limit {
 			t.Fatalf("reading %d bytes allocated %d, limit %d", len(wire), allocated, limit)
 		}
 		if err != nil {

@@ -6,7 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"slices"
+	"sync"
 )
 
 // snapshotMagic heads every serialised FS image so a stray file is
@@ -64,36 +66,52 @@ func (fs *FS) WriteSnapshot(w io.Writer) error {
 	return bw.Flush()
 }
 
-// snapshotChunk is the most ReadSnapshot allocates ahead of the bytes
-// that have arrived: every length in a snapshot is a claim by whoever
-// wrote the file, so nothing is sized from one beyond this.
-const snapshotChunk = 64 << 10
+// DeclaredChunk is the most ReadDeclared allocates ahead of the bytes
+// that have arrived: a length read from a snapshot image or a
+// connection is a claim by whoever wrote it, so nothing is sized from
+// one beyond this.
+const DeclaredChunk = 64 << 10
 
-// readSized reads n declared bytes. Up to snapshotChunk it is one exact
-// allocation; beyond, chunks are collected as they arrive and joined
-// only once all n bytes have, so a length that lies costs at most one
-// chunk more than the file really holds.
-func readSized(r io.Reader, n uint64) ([]byte, error) {
-	if n <= snapshotChunk {
-		buf := make([]byte, n)
+// declaredChunks recycles the chunks a long declared read collects its
+// bytes in before it joins them.
+var declaredChunks = sync.Pool{New: func() any { return new([DeclaredChunk]byte) }}
+
+// ReadDeclared reads n bytes whose length was declared ahead of them
+// into a buffer of capacity capacity (at least n). Up to DeclaredChunk
+// it is one exact allocation; beyond, the bytes are collected in
+// recycled chunks as they arrive and copied into one allocation only
+// once all n have, so a length that lies costs at most a chunk more
+// than was really sent. Running out of bytes is io.ErrUnexpectedEOF.
+func ReadDeclared(r io.Reader, n, capacity int) ([]byte, error) {
+	if n <= DeclaredChunk {
+		buf := make([]byte, n, capacity)
 		_, err := io.ReadFull(r, buf)
-		return buf, err
+		return buf, Truncated(err)
 	}
-	var chunks [][]byte
-	for got := uint64(0); got < n; {
-		c := make([]byte, min(n-got, snapshotChunk))
-		if _, err := io.ReadFull(r, c); err != nil {
-			return nil, err
+	var chunks []*[DeclaredChunk]byte
+	defer func() {
+		for _, c := range chunks {
+			declaredChunks.Put(c)
 		}
+	}()
+	for got := 0; got < n; got += DeclaredChunk {
+		c := declaredChunks.Get().(*[DeclaredChunk]byte)
 		chunks = append(chunks, c)
-		got += uint64(len(c))
+		if _, err := io.ReadFull(r, c[:min(n-got, DeclaredChunk)]); err != nil {
+			return nil, Truncated(err)
+		}
 	}
-	return slices.Concat(chunks...), nil
+	buf := make([]byte, 0, capacity)
+	for _, c := range chunks {
+		buf = append(buf, c[:min(n-len(buf), DeclaredChunk)]...)
+	}
+	return buf, nil
 }
 
-// truncated names what a snapshot that ends mid-structure is: past the
-// magic, running out of bytes is never a clean end of file.
-func truncated(err error) error {
+// Truncated names what a structure that ends part-way is: inside a
+// snapshot image or a message, running out of bytes is never a clean end
+// of stream.
+func Truncated(err error) error {
 	if errors.Is(err, io.EOF) {
 		return io.ErrUnexpectedEOF
 	}
@@ -156,17 +174,18 @@ func ReadSnapshot(r io.Reader, blockSize int64) (*FS, error) {
 	fs := New(blockSize)
 	nFiles, err := readUvarint(br)
 	if err != nil {
-		return nil, fmt.Errorf("dfs: reading snapshot file count: %w", truncated(err))
+		return nil, fmt.Errorf("dfs: reading snapshot file count: %w", Truncated(err))
 	}
 	prev := ""
 	for i := uint64(0); i < nFiles; i++ {
 		nameLen, err := readUvarint(br)
 		if err != nil {
-			return nil, fmt.Errorf("dfs: snapshot file %d of %d: %w", i, nFiles, truncated(err))
+			return nil, fmt.Errorf("dfs: snapshot file %d of %d: %w", i, nFiles, Truncated(err))
 		}
-		nameBuf, err := readSized(br, nameLen)
+		n := int(min(nameLen, math.MaxInt))
+		nameBuf, err := ReadDeclared(br, n, n)
 		if err != nil {
-			return nil, fmt.Errorf("dfs: snapshot file %d of %d: %d-byte name: %w", i, nFiles, nameLen, truncated(err))
+			return nil, fmt.Errorf("dfs: snapshot file %d of %d: %d-byte name: %w", i, nFiles, nameLen, Truncated(err))
 		}
 		name := string(nameBuf)
 		switch {
@@ -197,20 +216,21 @@ func ReadSnapshot(r io.Reader, blockSize int64) (*FS, error) {
 func readFile(br *bufio.Reader, name string) (*file, error) {
 	nRecs, err := readUvarint(br)
 	if err != nil {
-		return nil, fmt.Errorf("dfs: snapshot %q record count: %w", name, truncated(err))
+		return nil, fmt.Errorf("dfs: snapshot %q record count: %w", name, Truncated(err))
 	}
 	f := &file{stride: 1}
 	var seg []byte
 	for j := uint64(0); j < nRecs; j++ {
 		recLen, err := readUvarint(br)
 		if err != nil {
-			return nil, fmt.Errorf("dfs: snapshot %q record %d of %d: %w", name, j, nRecs, truncated(err))
+			return nil, fmt.Errorf("dfs: snapshot %q record %d of %d: %w", name, j, nRecs, Truncated(err))
 		}
 		switch {
 		case j == 0 && recLen == 0:
 			return nil, &SnapshotFileError{File: name, Reason: "record 0 is empty"}
 		case j == 0:
-			seg, err = readSized(br, recLen)
+			n := int(min(recLen, math.MaxInt))
+			seg, err = ReadDeclared(br, n, n)
 			f.stride = len(seg)
 		case recLen != uint64(f.stride):
 			return nil, &SnapshotFileError{File: name, Reason: fmt.Sprintf("record %d holds %d bytes, record 0 %d", j, recLen, f.stride)}
@@ -220,7 +240,7 @@ func readFile(br *bufio.Reader, name string) (*file, error) {
 			seg = seg[:len(seg)+f.stride]
 		}
 		if err != nil {
-			return nil, fmt.Errorf("dfs: snapshot %q record %d of %d: %d bytes declared: %w", name, j, nRecs, recLen, truncated(err))
+			return nil, fmt.Errorf("dfs: snapshot %q record %d of %d: %d bytes declared: %w", name, j, nRecs, recLen, Truncated(err))
 		}
 	}
 	if len(seg) > 0 {

@@ -209,7 +209,7 @@ func FuzzReadSnapshot(f *testing.F) {
 		// A record costs its bytes plus a slice header, a file a struct
 		// and a map slot, each for at least one byte of input; the slack
 		// absorbs the bufio buffer and the fuzz engine's own goroutines.
-		if allocated, limit := after.TotalAlloc-before.TotalAlloc, uint64(128*len(img)+snapshotChunk+1<<20); allocated > limit {
+		if allocated, limit := after.TotalAlloc-before.TotalAlloc, uint64(128*len(img)+DeclaredChunk+1<<20); allocated > limit {
 			t.Fatalf("reading %d bytes allocated %d, limit %d", len(img), allocated, limit)
 		}
 		if err != nil {

@@ -9,22 +9,28 @@ package mapreduce
 //     its map report (map attempts, map failures, its lowest-index map
 //     error), so every worker agrees on the job's MapAttempts/MapFailures
 //     totals and on whether (and how) the map phase failed; then come
-//     the EncodePair-framed runs destined for the peer's reducers, none
-//     when the sender's map phase failed, so the shuffle sees exactly
-//     the runs[m][r] matrix an in-process run builds;
-//  2. a reduce barrier all-gathering the EncodeOutput-framed reducer
-//     outputs, each reducer's pair count and the reduce accounting, so
-//     every worker finishes the job with the complete output slice and
-//     identical Stats.
+//     the runs destined for the peer's reducers, none when the sender's
+//     map phase failed, so the shuffle sees exactly the runs[m][r]
+//     matrix an in-process run builds;
+//  2. a reduce barrier all-gathering the reducer outputs, each
+//     reducer's pair count and the reduce accounting, so every worker
+//     finishes the job with the complete output slice and identical
+//     Stats.
+//
+// Both frame their records alike: a header — a run's mapper, reducer,
+// priced bytes and count; a reducer entry's reducer, pairs and count —
+// then count records of the job's codec (Job.Values, Job.Outputs) back
+// to back. A pair ships as its value alone, since the header names its
+// reducer.
 //
 // Because the shuffle delivers a reducer's values in (mapper index,
 // emit order) no matter which worker produced the run, and outputs are
 // assembled in reducer-index order, a distributed run is bit-identical
 // to the in-process engine; the only new Stats are the
-// ShuffleNetworkBytes/ShuffleNetworkRuns family counting the run
-// records the shuffle actually shipped. A DistConfig with
-// NumWorkers == 1 degenerates to the in-process engine exactly (no
-// exchange runs, network counters stay zero).
+// ShuffleNetworkBytes/ShuffleNetworkRuns family counting the runs the
+// shuffle actually shipped, their headers and value records. A
+// DistConfig with NumWorkers == 1 degenerates to the in-process engine
+// exactly (no exchange runs, network counters stay zero).
 
 import (
 	"encoding/binary"
@@ -44,8 +50,8 @@ type Exchanger interface {
 	// to outgoing once it returns: the engine puts its payloads back in
 	// its pool then, to be encoded over by its next exchange, so a fabric
 	// that delivers after returning must copy what it carries. The engine
-	// decodes what a call returns, keeping no byte of it (DecodePair and
-	// DecodeOutput copy), and then calls Recycle.
+	// decodes what a call returns, keeping no byte of it (a Codec's Read
+	// copies), and then calls Recycle.
 	AllToAll(tag string, outgoing [][]byte) ([][]byte, error)
 	// Recycle reports that the engine has decoded what AllToAll returned,
 	// so an implementation may reuse that memory from then on: for a
@@ -141,9 +147,9 @@ func uvarintLen(v uint64) int {
 	return n
 }
 
-// checkCount rejects an entry count a payload cannot hold: every entry
-// (a length-prefixed record) takes at least one byte, so a claim beyond
-// the bytes that remain is a lie.
+// checkCount rejects a record count a payload cannot hold: every record
+// takes at least one byte, so a claim beyond the bytes that remain is a
+// lie.
 func checkCount(what string, n uint64, remaining int) error {
 	if n > uint64(remaining) {
 		return fmt.Errorf("mapreduce: dist frame: %d %s declared with %d bytes left", n, what, remaining)
@@ -245,12 +251,6 @@ func distGather(d *DistConfig, tag string, payload []byte) ([][]byte, error) {
 	return d.Exchanger.AllToAll(tag, outgoing)
 }
 
-// runPairSlack is what a shipped pair may take beyond its PairBytes
-// price without regrowing the buffer it is encoded into: the record's
-// length prefix and a codec's framing byte. A codec that exceeds it
-// costs a reallocation, nothing else.
-const runPairSlack = 4
-
 // mapReportCounters are the counters of the map report that heads a
 // run payload, in wire order: map attempts and failures.
 const mapReportCounters = 2
@@ -291,18 +291,15 @@ func distExchangeRuns[I any, K ReducerKey, V any, O any](j *Job[I, K, V, O], cfg
 	outgoing := make([][]byte, W)
 	outgoing[d.Self] = appendReport(nil, c[:], locErr)
 	shipRuns := locErr.idx < 0
-	var rec []byte
 	for u := 0; u < W; u++ {
 		if u == d.Self {
 			continue
 		}
-		// Sized before the first append: the report, then a run's priced
-		// bytes plus runPairSlack per pair.
+		// Sized before the first append: the report, then the runs.
 		size := reportLen(mapReportCounters, locErr)
 		for m := d.Self; shipRuns && m < nm; m += W {
 			for r := u; r < cfg.NumReducers; r += W {
-				b := &runs[m][r]
-				size += int(b.bytes) + b.n*runPairSlack + 4*binary.MaxVarintLen32
+				size += runLen(m, r, &runs[m][r], &j.Values)
 			}
 		}
 		buf := appendReport(pool.getFrame(size), c[:], locErr)
@@ -313,7 +310,7 @@ func distExchangeRuns[I any, K ReducerKey, V any, O any](j *Job[I, K, V, O], cfg
 				if b.n > 0 {
 					stats.ShuffleNetworkRuns++
 				}
-				buf, rec = appendRun(buf, rec, m, K(r), b, j.EncodePair)
+				buf = appendRun(buf, m, r, b, &j.Values)
 				// The shipped run's memory is dead locally: its reducer
 				// runs elsewhere.
 				b.recycle(pool)
@@ -360,34 +357,69 @@ func distExchangeRuns[I any, K ReducerKey, V any, O any](j *Job[I, K, V, O], cfg
 		if w == d.Self {
 			continue
 		}
-		if err := decodeRuns(incoming[w], d, w, runs, j.DecodePair, pool); err != nil {
+		if err := decodeRuns(incoming[w], d, w, runs, &j.Values, pool); err != nil {
 			return fmt.Errorf("mapreduce: job %q: run exchange: worker %d: %w", cfg.Name, w, err)
 		}
 	}
 	return nil
 }
 
-// appendRun frames mapper m's run for reducer key: m, the reducer, the
-// run's priced bytes and its pair count, then one length-prefixed
-// EncodePair record per pair (rec is the caller's encoding scratch).
-func appendRun[K ReducerKey, V any](buf, rec []byte, m int, key K, b *run[V], encode func(K, V, []byte) []byte) ([]byte, []byte) {
-	buf = appendUvarints(buf, uint64(m), uint64(key), uint64(b.bytes), uint64(b.n))
+// runLen is the number of bytes appendRun writes for mapper m's run b
+// for reducer r.
+func runLen[V any](m, r int, b *run[V], codec *Codec[V]) int {
+	n := uvarintLen(uint64(m)) + uvarintLen(uint64(r)) + uvarintLen(uint64(b.bytes)) + uvarintLen(uint64(b.n))
+	return n + recordsLen(b, codec)
+}
+
+// recordsLen is the number of bytes b's records take.
+func recordsLen[T any](b *run[T], codec *Codec[T]) int {
+	n := 0
 	for _, c := range b.chunks {
 		for i := range c {
-			rec = encode(key, c[i], rec[:0])
-			buf = append(appendUvarints(buf, uint64(len(rec))), rec...)
+			n += codec.Size(c[i])
 		}
 	}
-	return buf, rec
+	return n
+}
+
+// appendRecords appends b's records back to back.
+func appendRecords[T any](buf []byte, b *run[T], codec *Codec[T]) []byte {
+	for _, c := range b.chunks {
+		for i := range c {
+			buf = codec.Append(buf, c[i])
+		}
+	}
+	return buf
+}
+
+// readRecords decodes n records from the front of buf into b and
+// returns the bytes after them. Each lands in b as it decodes, so what
+// a payload costs follows the records it holds, never the count it
+// claims.
+func readRecords[T any](buf []byte, n uint64, b *run[T], codec *Codec[T], pool *BufferPool) ([]byte, error) {
+	for i := uint64(0); i < n; i++ {
+		v, rest, err := codec.read(buf)
+		if err != nil {
+			return nil, err
+		}
+		buf = rest
+		b.add(v, pool)
+	}
+	return buf, nil
+}
+
+// appendRun frames mapper m's run b for reducer r: m, r, the run's
+// priced bytes and its pair count, then its values' records.
+func appendRun[V any](buf []byte, m, r int, b *run[V], codec *Codec[V]) []byte {
+	buf = appendUvarints(buf, uint64(m), uint64(r), uint64(b.bytes), uint64(b.n))
+	return appendRecords(buf, b, codec)
 }
 
 // decodeRuns parses worker from's run-exchange payload to this worker
 // into runs: one appendRun frame for every mapper from owns and every
-// reducer this worker owns, in that order and nothing else. Values land
-// in their run as they decode, so what a payload costs follows the
-// pairs it holds, never a count it claims; a pair keyed to another
-// reducer, like a run out of place, is an error.
-func decodeRuns[K ReducerKey, V any](buf []byte, d *DistConfig, from int, runs [][]run[V], decode func([]byte) (K, V, error), pool *BufferPool) error {
+// reducer this worker owns, in that order and nothing else. A run out
+// of place is an error.
+func decodeRuns[V any](buf []byte, d *DistConfig, from int, runs [][]run[V], codec *Codec[V], pool *BufferPool) error {
 	for m := from; m < len(runs); m += d.NumWorkers {
 		for r := d.Self; r < len(runs[m]); r += d.NumWorkers {
 			var hdr [4]uint64 // mapper, reducer, priced bytes, pairs
@@ -405,20 +437,9 @@ func decodeRuns[K ReducerKey, V any](buf []byte, d *DistConfig, from int, runs [
 			}
 			b := &runs[m][r]
 			b.bytes = int64(hdr[2])
-			for i := uint64(0); i < hdr[3]; i++ {
-				raw, rest, err := readBytes(buf)
-				if err != nil {
-					return err
-				}
-				buf = rest
-				k, v, err := decode(raw)
-				if err != nil {
-					return err
-				}
-				if k != K(r) {
-					return fmt.Errorf("mapreduce: dist frame: a pair keyed %v in reducer %d's run", k, r)
-				}
-				b.add(v, pool)
+			var err error
+			if buf, err = readRecords(buf, hdr[3], b, codec, pool); err != nil {
+				return err
 			}
 		}
 	}
@@ -443,57 +464,41 @@ func ownedReducers(w, W, nr int) int {
 	return (nr-1-w)/W + 1
 }
 
-// reducerReport is one reducer's entry in its owner's reduce-barrier
-// payload: the pairs shuffled to it and its outputs as length-prefixed
-// EncodeOutput records.
-type reducerReport struct {
-	r     int
-	pairs int64
-	recs  []byte
-}
-
 // appendReduceReport encodes worker w's reduce-barrier payload into a
-// frame from pool: its report, the count of reducers it owns, then one
-// reducerReport per owned reducer r ≡ w (mod W), ascending, read from
-// the per-reducer pairs and output runs.
-func appendReduceReport[O any](pool *BufferPool, c [reduceReportCounters]int64, e taskError, w, W int, pairs []int64, outputs []run[O], encode func(O, []byte) []byte) []byte {
+// frame from pool: its report, the count of reducers it owns, then for
+// each owned reducer r ≡ w (mod W), ascending, an entry of r, the pairs
+// shuffled to it and its output count, followed by its outputs'
+// records.
+func appendReduceReport[O any](pool *BufferPool, c [reduceReportCounters]int64, e taskError, w, W int, pairs []int64, outputs []run[O], codec *Codec[O]) []byte {
 	// The payload's capacity is fixed before the first append, at its
-	// size (each output encoded once to measure it): the gathered outputs
-	// are the job's whole result, doubling a buffer that large allocates
-	// it twice over, and a frame asked for beyond the payload's size may
-	// miss the one the peer's payload of this exchange leaves.
-	var rec []byte
-	size := reportLen(reduceReportCounters+1, e) // the report, then the owned count
+	// size: the gathered outputs are the job's whole result, doubling a
+	// buffer that large allocates it twice over, and a frame asked for
+	// beyond the payload's size may miss the one the peer's payload of
+	// this exchange leaves.
+	owned := ownedReducers(w, W, len(outputs))
+	size := reportLen(reduceReportCounters, e) + uvarintLen(uint64(owned))
 	for r := w; r < len(outputs); r += W {
-		size += 3 * binary.MaxVarintLen64
-		for _, ch := range outputs[r].chunks {
-			for i := range ch {
-				rec = encode(ch[i], rec[:0])
-				size += uvarintLen(uint64(len(rec))) + len(rec)
-			}
-		}
+		b := &outputs[r]
+		size += uvarintLen(uint64(r)) + uvarintLen(uint64(pairs[r])) + uvarintLen(uint64(b.n)) + recordsLen(b, codec)
 	}
 	buf := appendReport(pool.getFrame(size), c[:], e)
-	buf = appendUvarints(buf, uint64(ownedReducers(w, W, len(outputs))))
+	buf = appendUvarints(buf, uint64(owned))
 	for r := w; r < len(outputs); r += W {
 		b := &outputs[r]
 		buf = appendUvarints(buf, uint64(r), uint64(pairs[r]), uint64(b.n))
-		for _, ch := range b.chunks {
-			for i := range ch {
-				rec = encode(ch[i], rec[:0])
-				buf = append(appendUvarints(buf, uint64(len(rec))), rec...)
-			}
-		}
+		buf = appendRecords(buf, b, codec)
 	}
 	return buf
 }
 
 // parseReduceReport decodes worker w's whole reduce-barrier payload for
-// a job of nr reducers, handing each reducer entry to entry. The entries
-// must be exactly the reducers w owns, ascending, each once: an entry
-// for another worker's reducer would overwrite that reducer's outputs
-// and count its pairs twice.
-func parseReduceReport(buf []byte, w, W, nr int, entry func(reducerReport) error) (c [reduceReportCounters]int64, e taskError, err error) {
+// a job of len(outputs) reducers: each reducer entry's pair count into
+// pairs, its outputs into its run of outputs. The entries must be
+// exactly the reducers w owns, ascending, each once: an entry for
+// another worker's reducer would overwrite that reducer's outputs and
+// count its pairs twice.
+func parseReduceReport[O any](buf []byte, w, W int, pairs []int64, outputs []run[O], codec *Codec[O], pool *BufferPool) (c [reduceReportCounters]int64, e taskError, err error) {
+	nr := len(outputs)
 	if buf, err = parseReport(buf, c[:], &e, nr); err != nil {
 		return c, e, err
 	}
@@ -517,13 +522,8 @@ func parseReduceReport(buf []byte, w, W, nr int, entry func(reducerReport) error
 		if err = checkCount("outputs", hdr[2], len(buf)); err != nil {
 			return c, e, err
 		}
-		recs := buf
-		for i := uint64(0); i < hdr[2]; i++ {
-			if _, buf, err = readBytes(buf); err != nil {
-				return c, e, err
-			}
-		}
-		if err = entry(reducerReport{r: r, pairs: int64(hdr[1]), recs: recs[:len(recs)-len(buf)]}); err != nil {
+		pairs[r] = int64(hdr[1])
+		if buf, err = readRecords(buf, hdr[2], &outputs[r], codec, pool); err != nil {
 			return c, e, err
 		}
 	}
@@ -536,19 +536,20 @@ func parseReduceReport(buf []byte, w, W, nr int, entry func(reducerReport) error
 // distReduceBarrier is the second exchange: all-gather each worker's
 // reduce report (its counters, among them its share of the priced
 // bytes and the run exchange's network counters), each owned reducer's
-// pair count, and the EncodeOutput-framed outputs. After it, outputs,
+// pair count, and its outputs. After it, outputs,
 // stats.PairsPerReducer and the counters are globally complete and
 // identical on every worker — a remote reducer's outputs decoded into
 // its run, in chunks from pool, so the job assembles local and adopted
 // runs alike; a reduce failure anywhere surfaces the same
 // lowest-reducer error everywhere. The payload is encoded into a frame
-// from pool, which goes back once every gathered payload is decoded: the
-// exchange returns this worker's own payload as its own entry.
+// from pool, which goes back once every gathered payload is decoded.
+// The exchange returns this worker's own payload as its own entry,
+// which holds nothing new and is not decoded.
 func distReduceBarrier[I any, K ReducerKey, V any, O any](j *Job[I, K, V, O], cfg *Config, stats *Stats, outputs []run[O], redErrs []error, pool *BufferPool) error {
 	d := cfg.Dist
 	locErr := firstError(redErrs, func(_ int, err error) string { return err.Error() })
 	c := [reduceReportCounters]int64{stats.ReduceAttempts, stats.ReduceFailures, stats.IntermediateBytes, stats.ShuffleNetworkBytes, stats.ShuffleNetworkRuns}
-	payload := appendReduceReport(pool, c, locErr, d.Self, d.NumWorkers, stats.PairsPerReducer, outputs, j.EncodeOutput)
+	payload := appendReduceReport(pool, c, locErr, d.Self, d.NumWorkers, stats.PairsPerReducer, outputs, &j.Outputs)
 	defer pool.PutFrame(payload)
 
 	incoming, err := distGather(d, "outputs", payload)
@@ -556,31 +557,12 @@ func distReduceBarrier[I any, K ReducerKey, V any, O any](j *Job[I, K, V, O], cf
 		return fmt.Errorf("mapreduce: job %q: reduce barrier: %w", cfg.Name, err)
 	}
 	defer d.Exchanger.Recycle()
-	var totals [reduceReportCounters]int64
-	globErr := taskError{idx: -1}
+	totals, globErr := c, locErr
 	for w, buf := range incoming {
-		// adopt takes a remote reducer's pair count and outputs; this
-		// worker's own payload round-trips and holds nothing new. Outputs
-		// land in the reducer's run as they decode, so what a payload
-		// costs follows the records it holds, never a count it claims.
-		adopt := func(rep reducerReport) error {
-			if w == d.Self {
-				return nil
-			}
-			stats.PairsPerReducer[rep.r] = rep.pairs
-			b := &outputs[rep.r]
-			for recs := rep.recs; len(recs) > 0; {
-				raw, rest, _ := readBytes(recs) // framing checked by the parser
-				recs = rest
-				o, err := j.DecodeOutput(raw)
-				if err != nil {
-					return err
-				}
-				b.add(o, pool)
-			}
-			return nil
+		if w == d.Self {
+			continue
 		}
-		c, e, err := parseReduceReport(buf, w, d.NumWorkers, cfg.NumReducers, adopt)
+		c, e, err := parseReduceReport(buf, w, d.NumWorkers, stats.PairsPerReducer, outputs, &j.Outputs, pool)
 		if err != nil {
 			return fmt.Errorf("mapreduce: job %q: reduce barrier: worker %d: %w", cfg.Name, w, err)
 		}

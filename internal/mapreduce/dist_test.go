@@ -3,7 +3,6 @@ package mapreduce
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -115,24 +114,36 @@ func distTestJob(cfg Config) *Job[int, int, int, string] {
 			return nil
 		},
 		PairBytes: func(int, int) int { return 16 },
-		EncodePair: func(k, v int, buf []byte) []byte {
-			buf = binary.AppendUvarint(buf, uint64(k))
-			return binary.AppendUvarint(buf, uint64(v))
-		},
-		DecodePair: func(rec []byte) (int, int, error) {
-			k, n := binary.Uvarint(rec)
-			if n <= 0 {
-				return 0, 0, errors.New("bad pair")
-			}
-			v, n2 := binary.Uvarint(rec[n:])
-			if n2 <= 0 {
-				return 0, 0, errors.New("bad pair")
-			}
-			return int(k), int(v), nil
-		},
-		EncodeOutput: func(o string, buf []byte) []byte { return append(buf, o...) },
-		DecodeOutput: func(rec []byte) (string, error) { return string(rec), nil },
+		Values:    uvarintCodec,
+		Outputs:   stringCodec,
 	}
+}
+
+// uvarintCodec ships an int as its shortest varint, so a record that
+// decodes re-encodes to the same bytes.
+var uvarintCodec = Codec[int]{
+	Size:   func(v int) int { return uvarintLen(uint64(v)) },
+	Append: func(buf []byte, v int) []byte { return binary.AppendUvarint(buf, uint64(v)) },
+	Read: func(buf []byte) (int, []byte, error) {
+		v, rest, err := readUvarint(buf)
+		if err != nil {
+			return 0, nil, fmt.Errorf("an int record: %w", err)
+		}
+		return int(v), rest, nil
+	},
+}
+
+// stringCodec ships a string as its length, then its bytes.
+var stringCodec = Codec[string]{
+	Size:   func(s string) int { return uvarintLen(uint64(len(s))) + len(s) },
+	Append: func(buf []byte, s string) []byte { return append(binary.AppendUvarint(buf, uint64(len(s))), s...) },
+	Read: func(buf []byte) (string, []byte, error) {
+		b, rest, err := readBytes(buf)
+		if err != nil {
+			return "", nil, fmt.Errorf("a string record: %w", err)
+		}
+		return string(b), rest, nil
+	},
 }
 
 // runDistributed executes the job on W SPMD workers over a chanHub and
@@ -381,16 +392,13 @@ func (e *forgingExchanger) AllToAll(tag string, outgoing [][]byte) ([][]byte, er
 
 // runForgedPeer runs distTestJob as worker 0 against a forgingExchanger
 // and returns the bytes the job allocated and its error.
-func runForgedPeer(t *testing.T, tag string, forged []byte, decodeOutput func([]byte) (string, error)) (uint64, error) {
+func runForgedPeer(t *testing.T, tag string, forged []byte) (uint64, error) {
 	t.Helper()
 	input := make([]int, 64)
 	for i := range input {
 		input[i] = i
 	}
 	j := distTestJob(Config{Name: "forged", NumReducers: 4, NumMappers: 4})
-	if decodeOutput != nil {
-		j.DecodeOutput = decodeOutput
-	}
 	j.Config.Dist = &DistConfig{NumWorkers: 2, Self: 0, Exchanger: &forgingExchanger{forgeTag: tag, forged: forged}}
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
@@ -399,50 +407,44 @@ func runForgedPeer(t *testing.T, tag string, forged []byte, decodeOutput func([]
 	return m1.TotalAlloc - m0.TotalAlloc, err
 }
 
-// TestDistWireCountsBounded: a decoder trusts no count and no key a peer
-// sends. What it allocates follows the bytes it was sent: a payload
-// claiming 2^40 entries is an error before anything is sized from it,
-// and a 1 MiB payload claiming 2^20 entries that do not decode costs the
-// job less than 4 MiB of runs and less than its own size of outputs —
-// both decoders keep a value only once it decodes, in the run it
-// belongs to, and reserve nothing from a count. And a
-// run payload is the sender's runs for this worker's reducers, in order,
-// each holding pairs of its own reducer: a pair keyed to another reducer
-// — which would hand reducer 0 a value meant for reducer 2 — a run out
-// of place, bytes after the last run and an overlong varint are errors.
+// TestDistWireCountsBounded: a decoder trusts no count a peer sends.
+// What it allocates follows the bytes it was sent: a payload claiming
+// 2^40 records is an error before anything is sized from it, and a
+// 1 MiB payload claiming 2^20 records the codec rejects costs the job
+// less than 4 MiB of runs and less than its own size of outputs — both
+// decoders keep a value only once it decodes, in the run it belongs to,
+// and reserve nothing from a count. A record cut short by the end of
+// the payload is an error. And a run payload is the sender's runs for
+// this worker's reducers, in order: a run out of place, bytes after the
+// last run and an overlong varint are errors.
 func TestDistWireCountsBounded(t *testing.T) {
 	const mib = 1 << 20
-	undecodable := make([]byte, mib) // 2^20 records of length 0
-	rejectEmpty := func(rec []byte) (string, error) {
-		if len(rec) == 0 {
-			return "", errors.New("empty output record")
-		}
-		return string(rec), nil
-	}
-	pair := func(k, v uint64) []byte { return append(uv(2), uv(k, v)...) }
+	rejected := bytes.Repeat([]byte{0x80}, mib) // no varint ends in it
 	cat := func(parts ...[]byte) []byte { return slices.Concat(parts...) }
 	for _, c := range []struct {
-		tag, want    string
-		forged       []byte
-		decodeOutput func([]byte) (string, error)
-		budget       uint64
+		tag, want string
+		forged    []byte
+		budget    uint64
 	}{
 		// runs: the clean report, then mapper 1, reducer 0, 16 priced
 		// bytes, 2^40 pairs, one byte of them.
-		{"runs", "pairs declared", cat(cleanReport, uv(1, 0, 16, 1<<40), uv(0)), nil, 16 << 20},
+		{"runs", "pairs declared", cat(cleanReport, uv(1, 0, 16, 1<<40), uv(0)), 16 << 20},
 		// outputs: the five counters, no error, worker 1's two reducers,
 		// the first r=1 pairs=0 nout=2^40, one byte of outputs.
-		{"outputs", "outputs declared", append(uv(1, 0, 0, 0, 0, 0, 0, 2, 1, 0, 1<<40), 0), nil, 16 << 20},
-		// the same headers claiming 2^20 entries, with 2^20 empty records.
-		{"runs", "bad pair", cat(cleanReport, uv(1, 0, 16, mib), undecodable), nil, 4 << 20},
-		{"outputs", "empty output record", cat(uv(1, 0, 0, 0, 0, 0, 0, 2, 1, 0, mib), undecodable, uv(3, 0, 0)), rejectEmpty, mib},
+		{"outputs", "outputs declared", append(uv(1, 0, 0, 0, 0, 0, 0, 2, 1, 0, 1<<40), 0), 16 << 20},
+		// the same headers claiming 2^20 records, with 2^20 bytes the
+		// codec rejects.
+		{"runs", "an int record", cat(cleanReport, uv(1, 0, 16, mib), rejected), 4 << 20},
+		{"outputs", "a string record", cat(uv(1, 0, 0, 0, 0, 0, 0, 2, 1, 0, mib), rejected, uv(3, 0, 0)), mib},
+		// reducer 3's one output claims 5 bytes, and the payload ends 2
+		// bytes into it.
+		{"outputs", "a string record: mapreduce: dist frame: truncated record", cat(uv(1, 0, 0, 0, 0, 0, 0, 2), uv(1, 0, 0), uv(3, 0, 1, 5), []byte("ab")), 1 << 20},
 		// well-formed runs but for the one thing named.
-		{"runs", "keyed 2 in reducer 0's run", cat(cleanReport, uv(1, 0, 16, 1), pair(2, 7), noRuns[4:]), nil, 1 << 20},
-		{"runs", "mapper 1 reducer 2 where mapper 1 reducer 0's belongs", cat(cleanReport, uv(1, 2, 0, 0, 1, 0, 0, 0, 3, 0, 0, 0, 3, 2, 0, 0)), nil, 1 << 20},
-		{"runs", "after the last run", cat(forgedNoRuns, uv(0)), nil, 1 << 20},
-		{"runs", "overlong varint", cat(cleanReport, []byte{0x81, 0x00}, noRuns[1:]), nil, 1 << 20},
+		{"runs", "mapper 1 reducer 2 where mapper 1 reducer 0's belongs", cat(cleanReport, uv(1, 2, 0, 0, 1, 0, 0, 0, 3, 0, 0, 0, 3, 2, 0, 0)), 1 << 20},
+		{"runs", "after the last run", cat(forgedNoRuns, uv(0)), 1 << 20},
+		{"runs", "overlong varint", cat(cleanReport, []byte{0x81, 0x00}, noRuns[1:]), 1 << 20},
 	} {
-		grew, err := runForgedPeer(t, c.tag, c.forged, c.decodeOutput)
+		grew, err := runForgedPeer(t, c.tag, c.forged)
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("forged %s payload: err = %v, want %q", c.tag, err, c.want)
 		}
@@ -483,7 +485,7 @@ func TestDistGatherOwnership(t *testing.T) {
 		{"runs", "an error of task 7, of 4 tasks", cat(uv(2, 1), uv(8, 1), []byte("x"))},
 		{"runs", "mapper 1 failed", cat(uv(2, 1), uv(2, 15), []byte("mapper 1 failed"))},
 	} {
-		_, err := runForgedPeer(t, c.tag, c.forged, nil)
+		_, err := runForgedPeer(t, c.tag, c.forged)
 		switch {
 		case c.want == "" && err != nil:
 			t.Errorf("well-formed %s payload: %v", c.tag, err)
@@ -515,10 +517,10 @@ func FuzzDistGathers(f *testing.F) {
 	const nm, nr = 4, 4
 	pairs := []int64{0, 5, 0, 2}
 	outs := outputRuns([][]string{nil, {"1:2,3,", ""}, nil, {"3:9,"}}, NewBufferPool())
-	outSeed := appendReduceReport(NewBufferPool(), [reduceReportCounters]int64{2, 0, 112, 123, 4}, taskError{idx: -1}, 1, 2, pairs, outs, distTestJob(Config{}).EncodeOutput)
+	outSeed := appendReduceReport(NewBufferPool(), [reduceReportCounters]int64{2, 0, 112, 123, 4}, taskError{idx: -1}, 1, 2, pairs, outs, &stringCodec)
 	f.Add(uint8(0), outSeed)
 	f.Add(uint8(0), append(slices.Clone(outSeed[:len(outSeed)-5]), uv(1<<40)...))
-	f.Add(uint8(0), appendReduceReport(NewBufferPool(), [reduceReportCounters]int64{}, taskError{idx: 3, msg: "reducer 3 failed"}, 1, 2, pairs, outs, distTestJob(Config{}).EncodeOutput))
+	f.Add(uint8(0), appendReduceReport(NewBufferPool(), [reduceReportCounters]int64{}, taskError{idx: 3, msg: "reducer 3 failed"}, 1, 2, pairs, outs, &stringCodec))
 	f.Add(uint8(1), uv(1))
 	f.Add(uint8(1), uv(1<<40))
 	f.Add(uint8(1), uv(2))
@@ -553,7 +555,7 @@ func FuzzDistGathers(f *testing.F) {
 		switch tag {
 		case "outputs":
 			c := [reduceReportCounters]int64{stats.ReduceAttempts, stats.ReduceFailures, stats.IntermediateBytes, stats.ShuffleNetworkBytes, stats.ShuffleNetworkRuns}
-			got = appendReduceReport(NewBufferPool(), c, taskError{idx: -1}, 1, 2, stats.PairsPerReducer, outputs, j.EncodeOutput)
+			got = appendReduceReport(NewBufferPool(), c, taskError{idx: -1}, 1, 2, stats.PairsPerReducer, outputs, &j.Outputs)
 		case "resume-prefix":
 			// Each committed step is a data file and a meta file.
 			n, _, _ := readUvarint(payload)
@@ -568,7 +570,8 @@ func FuzzDistGathers(f *testing.F) {
 	})
 }
 
-// fuzzRunCodec is the fixed-width pair codec FuzzDistRuns decodes with:
+// fuzzRunCodec is the job whose fixed-width value codec FuzzDistRuns
+// decodes with:
 // a frame it accepts re-encodes to the same bytes.
 var fuzzRunCodec = sumTestJob(Config{})
 
@@ -580,10 +583,9 @@ func appendFuzzRuns(c [mapReportCounters]int64, e taskError, runs [][]run[int64]
 	if e.idx >= 0 {
 		return buf
 	}
-	var rec []byte
 	for m := 1; m < len(runs); m += 2 {
 		for r := 0; r < len(runs[m]); r += 2 {
-			buf, rec = appendRun(buf, rec, m, int64(r), &runs[m][r], fuzzRunCodec.EncodePair)
+			buf = appendRun(buf, m, r, &runs[m][r], &fuzzRunCodec.Values)
 		}
 	}
 	return buf
@@ -610,7 +612,7 @@ func FuzzDistRuns(f *testing.F) {
 	f.Add(appendFuzzRuns([mapReportCounters]int64{2, 0}, noErr, seed))
 	f.Add(forgedNoRuns)
 	f.Add(slices.Concat(cleanReport, uv(1, 0, 16, 1<<20), uv(0)))
-	f.Add(slices.Concat(cleanReport, uv(1, 0, 16, 1, 16), make([]byte, 16), uv(1, 2, 0, 0, 3, 0, 0, 0, 3, 2, 0, 0)))
+	f.Add(slices.Concat(cleanReport, uv(1, 0, 16, 1), make([]byte, 8), uv(1, 2, 0, 0, 3, 0, 0, 0, 3, 2, 0, 0)))
 	// A clean report of a retried mapper, and a failed map phase's report.
 	f.Add(appendFuzzRuns([mapReportCounters]int64{3, 1}, noErr, seed))
 	f.Add(appendFuzzRuns([mapReportCounters]int64{2, 2}, taskError{3, "mapper 3 failed"}, seed))
@@ -626,7 +628,7 @@ func FuzzDistRuns(f *testing.F) {
 		var e taskError
 		rest, err := parseRunHead(payload, c[:], &e, len(runs))
 		if err == nil && e.idx < 0 {
-			err = decodeRuns(rest, d, 1, runs, fuzzRunCodec.DecodePair, NewBufferPool())
+			err = decodeRuns(rest, d, 1, runs, &fuzzRunCodec.Values, NewBufferPool())
 		}
 		runtime.ReadMemStats(&m1)
 		if grew := m1.TotalAlloc - m0.TotalAlloc; grew > 2*uint64(len(payload))+64<<10 {
@@ -659,8 +661,8 @@ func TestDistValidation(t *testing.T) {
 	// Missing output codec.
 	j = distTestJob(Config{Name: "v", NumReducers: 2, NumMappers: 2})
 	j.Config.Dist = &DistConfig{NumWorkers: 2, Self: 0, Exchanger: hub.exchanger(0)}
-	j.EncodeOutput = nil
-	if _, _, err := j.Run(input); err == nil || !strings.Contains(err.Error(), "EncodeOutput") {
+	j.Outputs = Codec[string]{}
+	if _, _, err := j.Run(input); err == nil || !strings.Contains(err.Error(), "Outputs") {
 		t.Errorf("missing output codec: err = %v", err)
 	}
 	// Self out of range.
@@ -687,15 +689,18 @@ const paddedRecordBytes = 512
 // barrier carry one padded record per input value.
 func paddedTestJob(cfg Config) *Job[int, int, int, int] {
 	nr := cfg.NumReducers
-	encode := func(v int, buf []byte) []byte {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
-		return append(buf, make([]byte, paddedRecordBytes-8)...)
-	}
-	decode := func(rec []byte) (int, error) {
-		if len(rec) != paddedRecordBytes {
-			return 0, fmt.Errorf("record of %d bytes, want %d", len(rec), paddedRecordBytes)
-		}
-		return int(binary.LittleEndian.Uint64(rec)), nil
+	codec := Codec[int]{
+		Size: func(int) int { return paddedRecordBytes },
+		Append: func(buf []byte, v int) []byte {
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
+			return append(buf, make([]byte, paddedRecordBytes-8)...)
+		},
+		Read: func(buf []byte) (int, []byte, error) {
+			if len(buf) < paddedRecordBytes {
+				return 0, nil, fmt.Errorf("a record cut short at %d bytes, want %d", len(buf), paddedRecordBytes)
+			}
+			return int(binary.LittleEndian.Uint64(buf)), buf[paddedRecordBytes:], nil
+		},
 	}
 	return &Job[int, int, int, int]{
 		Config: cfg,
@@ -709,14 +714,9 @@ func paddedTestJob(cfg Config) *Job[int, int, int, int] {
 			}
 			return nil
 		},
-		PairBytes:  func(int, int) int { return paddedRecordBytes },
-		EncodePair: func(_, v int, buf []byte) []byte { return encode(v, buf) },
-		DecodePair: func(rec []byte) (int, int, error) {
-			v, err := decode(rec)
-			return v % nr, v, err
-		},
-		EncodeOutput: encode,
-		DecodeOutput: decode,
+		PairBytes: func(int, int) int { return paddedRecordBytes },
+		Values:    codec,
+		Outputs:   codec,
 	}
 }
 
@@ -787,5 +787,30 @@ func TestDistPayloadsRecycled(t *testing.T) {
 	}
 	if bound := 2*local + 64<<10; dist > bound {
 		t.Errorf("the warm two-worker run allocated %d B, bound %d (two in-process runs and 64 KiB)", dist, bound)
+	}
+}
+
+// TestCodecReadContract: the engine holds a codec's Read to taking at
+// least one byte from the front of what it was given and returning the
+// rest of it, so a Read that takes nothing cannot spin on a count, and
+// one that returns other bytes cannot read past its payload.
+func TestCodecReadContract(t *testing.T) {
+	buf := []byte{1, 2, 3}
+	other := []byte{9}
+	for _, c := range []struct {
+		name string
+		rest func([]byte) []byte
+		ok   bool
+	}{
+		{"takes one byte", func(b []byte) []byte { return b[1:] }, true},
+		{"takes every byte", func(b []byte) []byte { return b[len(b):] }, true},
+		{"takes nothing", func(b []byte) []byte { return b }, false},
+		{"returns other bytes", func([]byte) []byte { return other }, false},
+		{"returns bytes before the front", func(b []byte) []byte { return b[:1] }, false},
+	} {
+		codec := Codec[int]{Read: func(b []byte) (int, []byte, error) { return 0, c.rest(b), nil }}
+		if _, _, err := codec.read(buf); (err == nil) != c.ok {
+			t.Errorf("a Read that %s: err = %v", c.name, err)
+		}
 	}
 }

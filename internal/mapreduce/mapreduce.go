@@ -101,8 +101,8 @@ type Config struct {
 	// and the reduce barrier all-gathers outputs so every worker returns
 	// the complete, bit-identical result (see dist.go). NumWorkers == 1
 	// is exactly the in-process engine. Distribution with NumWorkers > 1
-	// requires the EncodePair/DecodePair/EncodeOutput/DecodeOutput
-	// codecs and an explicit NumMappers.
+	// requires the Job's Values and Outputs codecs and an explicit
+	// NumMappers.
 	Dist *DistConfig
 }
 
@@ -256,28 +256,42 @@ type Job[I any, K ReducerKey, V any, O any] struct {
 	// PairBytes sizes an intermediate pair for the byte counters; nil
 	// counts pairs only.
 	PairBytes func(key K, value V) int
-	// EncodePair appends the wire encoding of one intermediate pair to
-	// buf and returns the extended slice; DecodePair parses one such
-	// record back. Together they are the codec that ships map-side runs
-	// between workers (Config.Dist with NumWorkers > 1 requires them) —
-	// the engine frames records itself, one per pair, preserving run
-	// order. A decoded pair whose key is not the reducer of the run it
-	// arrived in is an error. rec is valid only during the call: a
-	// value that keeps bytes of it must copy them.
-	EncodePair func(key K, value V, buf []byte) []byte
-	DecodePair func(rec []byte) (K, V, error)
-	// EncodeOutput appends the wire encoding of one reducer output
-	// record to buf; DecodeOutput parses one back, copying what it
-	// keeps of rec as DecodePair does. They are the codec the
-	// distributed reduce barrier uses to all-gather reducer outputs
-	// across workers (Config.Dist with NumWorkers > 1 requires them);
-	// in-process jobs never call them. Outputs may encode to any length
-	// (the cascade's are page segments of its checkpoint records): the
-	// barrier encodes each output once to size its payload exactly, then
-	// again into it, so EncodeOutput must append the same bytes for the
-	// same output every time.
-	EncodeOutput func(out O, buf []byte) []byte
-	DecodeOutput func(rec []byte) (O, error)
+	// Values and Outputs are the wire forms of the job's intermediate
+	// values and of its outputs: what a distributed run ships in its run
+	// exchange and gathers at its reduce barrier (Config.Dist with
+	// NumWorkers > 1 requires both). A pair travels as its value alone:
+	// its key is the reducer its run names. In-process jobs never call
+	// them.
+	Values  Codec[V]
+	Outputs Codec[O]
+}
+
+// Codec is the wire form of one type a distributed job ships. Records
+// delimit themselves, so the engine frames a run or a reducer's outputs
+// as a count followed by that many records back to back; the three
+// functions must agree with one another.
+type Codec[T any] struct {
+	// Size is the number of bytes Append writes for v.
+	Size func(v T) int
+	// Append appends v's record to buf and returns the extended slice.
+	Append func(buf []byte, v T) []byte
+	// Read parses the record at the front of buf and returns it and the
+	// bytes after it. It takes at least one byte, and what it keeps of
+	// buf it copies: the engine reuses a payload once it is decoded.
+	Read func(buf []byte) (T, []byte, error)
+}
+
+// complete reports whether every function of c is set.
+func (c *Codec[T]) complete() bool { return c.Size != nil && c.Append != nil && c.Read != nil }
+
+// read parses one record from the front of buf, holding Read to its
+// contract: a record takes at least one byte and no more than buf holds.
+func (c *Codec[T]) read(buf []byte) (T, []byte, error) {
+	v, rest, err := c.Read(buf)
+	if err == nil && (len(rest) >= len(buf) || len(rest) > 0 && &rest[0] != &buf[len(buf)-len(rest)]) {
+		err = fmt.Errorf("mapreduce: dist frame: a record read took %d of %d bytes", len(buf)-len(rest), len(buf))
+	}
+	return v, rest, err
 }
 
 // IdentityPartition returns key as a reducer index.
@@ -318,8 +332,8 @@ func (j *Job[I, K, V, O]) RunSplits(n int, read func(lo, hi int, yield func(I) e
 	// dist is true only for genuinely multi-worker execution; a
 	// DistConfig with NumWorkers == 1 takes the in-process path whole.
 	dist := cfg.Dist != nil && cfg.Dist.NumWorkers > 1
-	if dist && (j.EncodePair == nil || j.DecodePair == nil || j.EncodeOutput == nil || j.DecodeOutput == nil) {
-		return nil, nil, fmt.Errorf("mapreduce: job %q: distributed execution requires the EncodePair/DecodePair and EncodeOutput/DecodeOutput codecs", cfg.Name)
+	if dist && (!j.Values.complete() || !j.Outputs.complete()) {
+		return nil, nil, fmt.Errorf("mapreduce: job %q: distributed execution requires the Values and Outputs codecs", cfg.Name)
 	}
 	// cancelled reports the job's cancellation error, nil while the
 	// context (if any) is live. Checked before each task attempt and at

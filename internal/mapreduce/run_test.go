@@ -9,7 +9,7 @@ import (
 )
 
 // sumTestJob builds an integer aggregation job with PairBytes pricing
-// and the pair codec. Every record fans out to four reducers, values
+// and a value codec. Every record fans out to four reducers, values
 // sum per reducer, so output correctness is easy to cross-check between
 // configurations.
 func sumTestJob(cfg Config) *Job[int64, int64, int64, string] {
@@ -30,20 +30,20 @@ func sumTestJob(cfg Config) *Job[int64, int64, int64, string] {
 			return nil
 		},
 		PairBytes: func(int64, int64) int { return 16 },
-		EncodePair: func(k, v int64, buf []byte) []byte {
-			var rec [16]byte
-			binary.LittleEndian.PutUint64(rec[0:], uint64(k))
-			binary.LittleEndian.PutUint64(rec[8:], uint64(v))
-			return append(buf, rec[:]...)
-		},
-		DecodePair: func(rec []byte) (int64, int64, error) {
-			if len(rec) != 16 {
-				return 0, 0, fmt.Errorf("pair record has %d bytes, want 16", len(rec))
-			}
-			return int64(binary.LittleEndian.Uint64(rec[0:])),
-				int64(binary.LittleEndian.Uint64(rec[8:])), nil
-		},
+		Values:    int64Codec,
 	}
+}
+
+// int64Codec ships an int64 as 8 little-endian bytes.
+var int64Codec = Codec[int64]{
+	Size:   func(int64) int { return 8 },
+	Append: func(buf []byte, v int64) []byte { return binary.LittleEndian.AppendUint64(buf, uint64(v)) },
+	Read: func(buf []byte) (int64, []byte, error) {
+		if len(buf) < 8 {
+			return 0, nil, fmt.Errorf("an int64 record cut short at %d bytes", len(buf))
+		}
+		return int64(binary.LittleEndian.Uint64(buf)), buf[8:], nil
+	},
 }
 
 func seqInput(n int) []int64 {

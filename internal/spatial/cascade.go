@@ -183,11 +183,8 @@ func cascade(pl *plan, exec *executor) (Rows, Stats, error) {
 					}
 					return 4 + dfs.MBBRecordBytes
 				},
-				EncodePair: codec.encodePair,
-				DecodePair: codec.decodePair,
-				// An emitted segment travels as its checkpoint records.
-				EncodeOutput: func(seg, buf []byte) []byte { return append(buf, seg...) },
-				DecodeOutput: func(seg []byte) ([]byte, error) { _, dst, err := out.decode(seg); return dst, err },
+				Values:  codec.values(),
+				Outputs: segmentCodec(out),
 			}
 			exec.tr.Observe(roundSpan, trace.KindPhase, "load-inputs", stepStart, time.Now())
 			segs, st, err := job.RunSplits(nt+items.Len(), read)

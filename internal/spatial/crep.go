@@ -42,12 +42,10 @@ func allReplicate(pl *plan, exec *executor) (Rows, Stats, error) {
 				exec.part.ForEachFourthQuadrant(it.Rect, func(c grid.CellID) { emit(c, it) })
 				return nil
 			},
-			Reduce:       joinReduce(pl, exec.part, exec.cfg.CountOnly, &counted),
-			PairBytes:    taggedPairBytes,
-			EncodePair:   encodeCellTagged,
-			DecodePair:   cellTaggedDecoder(pl.m),
-			EncodeOutput: encodeIDOutput,
-			DecodeOutput: decodeIDOutput,
+			Reduce:    joinReduce(pl, exec.part, exec.cfg.CountOnly, &counted),
+			PairBytes: taggedPairBytes,
+			Values:    itemCodec(pl.m),
+			Outputs:   idCodec,
 		}
 		return runJoinJob(job, n, read, &rows)
 	})
@@ -169,11 +167,9 @@ func controlledReplicate(pl *plan, exec *executor, limit bool) (Rows, Stats, err
 				}
 				return nil
 			},
-			PairBytes:    taggedPairBytes,
-			EncodePair:   encodeCellTagged,
-			DecodePair:   cellTaggedDecoder(pl.m),
-			EncodeOutput: encodeItem,
-			DecodeOutput: decodeItem,
+			PairBytes: taggedPairBytes,
+			Values:    itemCodec(pl.m),
+			Outputs:   itemCodec(pl.m),
 		}
 		out, st, err := round1.RunSplits(n, read)
 		if err != nil {
@@ -234,12 +230,10 @@ func controlledReplicate(pl *plan, exec *executor, limit bool) (Rows, Stats, err
 				}
 				return nil
 			},
-			Reduce:       joinReduce(pl, exec.part, exec.cfg.CountOnly, &counted),
-			PairBytes:    taggedPairBytes,
-			EncodePair:   encodeCellTagged,
-			DecodePair:   cellTaggedDecoder(pl.m),
-			EncodeOutput: encodeIDOutput,
-			DecodeOutput: decodeIDOutput,
+			Reduce:    joinReduce(pl, exec.part, exec.cfg.CountOnly, &counted),
+			PairBytes: taggedPairBytes,
+			Values:    itemCodec(pl.m),
+			Outputs:   idCodec,
 		}
 		return runJoinJob(round2, n, read, &rows)
 	})

@@ -262,3 +262,96 @@ func TestDistributedConfigValidation(t *testing.T) {
 		t.Errorf("single-worker degenerate case: %v", err)
 	}
 }
+
+// slotForgingExchanger rewrites the first reduce-barrier payload a
+// worker receives from its peer — the C-Rep mark round's gathered
+// outputs — so that the first of marks' records it holds names slot m,
+// one past the query's last.
+type slotForgingExchanger struct {
+	mapreduce.Exchanger
+	self   int
+	marks  [][]byte // the mark round's records, as an in-process run checkpoints them
+	m      int
+	forged bool // the first reduce barrier has passed
+	hit    bool // a record was rewritten in it
+}
+
+func (e *slotForgingExchanger) AllToAll(tag string, outgoing [][]byte) ([][]byte, error) {
+	in, err := e.Exchanger.AllToAll(tag, outgoing)
+	if err != nil || tag != "outputs" || e.forged {
+		return in, err
+	}
+	e.forged = true
+	for w, p := range in {
+		if w == e.self {
+			continue
+		}
+		for _, rec := range e.marks {
+			if at := bytes.Index(p, rec); at >= 0 {
+				p[at] = byte(e.m) // the record's slot byte
+				e.hit = true
+				return in, nil
+			}
+		}
+	}
+	return in, nil
+}
+
+// TestDistributedMarkOutsideSlots: a mark record a peer gathers into
+// the C-Rep mark checkpoint names one of the query's slots. One that
+// names slot m would land in the checkpoint and count as a replicated
+// rectangle without changing a tuple, so the gather rejects it and both
+// workers of a W = 2 run end in an error that names the slot. Should
+// only one worker fail, its peer waits on an exchange it never makes,
+// so the run has a deadline.
+func TestDistributedMarkOutsideSlots(t *testing.T) {
+	rng := rand.New(rand.NewPCG(2013, 47))
+	q := query.New("R1", "R2", "R3").Overlap(0, 1).Overlap(1, 2)
+	rels := randomRelations(rng, 3, 300, 1000, 80)
+	cfg := Config{Reducers: 16, NumMappers: 4}
+	ref := cfg
+	ref.FS = dfs.New(0)
+	if _, err := Execute(ControlledReplicate, q, rels, ref); err != nil {
+		t.Fatal(err)
+	}
+	var marks [][]byte
+	for _, name := range chainMetaFiles(ref.FS) {
+		v, err := ref.FS.Open(strings.TrimSuffix(name, ".meta"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := v.Records(0, v.Len(), func(rec []byte) error { marks = append(marks, bytes.Clone(rec)); return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hub := newDistHub(2)
+	errs := make([]error, 2)
+	exs := make([]*slotForgingExchanger, 2)
+	done := make(chan int, 2)
+	for self := range exs {
+		exs[self] = &slotForgingExchanger{Exchanger: hub.exchanger(self), self: self, marks: marks, m: q.NumSlots()}
+		go func() {
+			wcfg := cfg
+			wcfg.FS = dfs.New(0)
+			wcfg.Dist = &mapreduce.DistConfig{NumWorkers: 2, Self: self, Exchanger: exs[self]}
+			_, errs[self] = Execute(ControlledReplicate, q, rels, wcfg)
+			done <- self
+		}()
+	}
+	deadline := time.After(30 * time.Second)
+	for range exs {
+		select {
+		case <-done:
+		case <-deadline:
+			t.Fatal("the workers did not finish within 30s: one failed at the mark round and the other did not")
+		}
+	}
+	for self, err := range errs {
+		if !exs[self].hit {
+			t.Fatalf("worker %d: its peer gathered none of the in-process run's %d marks; the check is vacuous", self, len(marks))
+		}
+		if err == nil || !strings.Contains(err.Error(), "slot") {
+			t.Errorf("worker %d: a gathered mark record of slot %d: err = %v, want one naming the slot", self, q.NumSlots(), err)
+		}
+	}
+}

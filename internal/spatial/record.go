@@ -2,6 +2,7 @@ package spatial
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -10,7 +11,6 @@ import (
 
 	"mwsjoin/internal/dfs"
 	"mwsjoin/internal/geom"
-	"mwsjoin/internal/grid"
 	"mwsjoin/internal/mapreduce"
 )
 
@@ -51,9 +51,8 @@ func getRect(buf []byte) geom.Rect {
 	}
 }
 
-// encodeItem appends a tagged item's DFS record to buf — also the
-// output codec of jobs that emit items (c-rep round 1).
-func encodeItem(t tagged, buf []byte) []byte {
+// appendItem appends a tagged item's DFS record to buf.
+func appendItem(buf []byte, t tagged) []byte {
 	return dfs.AppendMBB(buf, dfs.MBB{Slot: t.Slot, ID: t.ID, X: t.Rect.X, Y: t.Rect.Y, L: t.Rect.L, B: t.Rect.B, Marked: t.Marked})
 }
 
@@ -62,7 +61,7 @@ func encodeItem(t tagged, buf []byte) []byte {
 func itemSegments(items []tagged) dfs.Segments {
 	buf := make([]byte, 0, len(items)*dfs.MBBRecordBytes)
 	for _, it := range items {
-		buf = encodeItem(it, buf)
+		buf = appendItem(buf, it)
 	}
 	return dfs.Segments{Stride: dfs.MBBRecordBytes, Segs: [][]byte{buf}}
 }
@@ -72,10 +71,13 @@ func mbbRect(m dfs.MBB) geom.Rect { return geom.Rect{X: m.X, Y: m.Y, L: m.L, B: 
 
 func mbbItem(m dfs.MBB) tagged { return tagged{m.Slot, m.ID, mbbRect(m), m.Marked} }
 
-// decodeItem parses a DFS item record (dfs.DecodeMBB's checks: length,
-// and a mark byte of 0 or 1).
-func decodeItem(buf []byte) (tagged, error) {
-	m, err := dfs.DecodeMBB(buf)
+// readItem parses the item record at the front of buf (dfs.DecodeMBB's
+// checks: a mark byte of 0 or 1).
+func readItem(buf []byte) (tagged, error) {
+	if len(buf) < dfs.MBBRecordBytes {
+		return tagged{}, fmt.Errorf("spatial: an item record cut short at %d bytes, want %d", len(buf), dfs.MBBRecordBytes)
+	}
+	m, err := dfs.DecodeMBB(buf[:dfs.MBBRecordBytes])
 	return mbbItem(m), err
 }
 
@@ -273,109 +275,137 @@ func (s *partialStore) decode(recs []byte) (partialRef, []byte, error) {
 	return ref, dst, nil
 }
 
-// Pair codecs: frame one intermediate (cell, value) pair for the
-// engine's run exchange between workers (mapreduce.Job.EncodePair/
-// DecodePair). Layout is the 4-byte little-endian cell id followed by
-// the value in its existing DFS record encoding, so a shipped run
-// decodes to the exact pairs that were written — bit-identical shuffle
-// results are the acceptance criterion, not a nice-to-have.
+// Wire codecs: the one form each type a spatial job ships between
+// workers takes (mapreduce.Codec). A value record carries no cell, since
+// the run it travels in names its reducer, and every record is in the
+// encoding the DFS already holds it in, so a shipped run decodes to the
+// exact values that were written — bit-identical shuffle results are
+// the acceptance criterion, not a nice-to-have.
 
-// encodeCellTagged frames a (cell, item) pair: cell(4) item(38).
-func encodeCellTagged(c grid.CellID, t tagged, buf []byte) []byte {
-	return encodeItem(t, binary.LittleEndian.AppendUint32(buf, uint32(c)))
-}
-
-// cellTaggedDecoder parses encodeCellTagged records of a query of m
-// slots. A slot outside [0, m) would index past a reducer's per-slot
-// tables, so it is rejected here, as a decode error.
-func cellTaggedDecoder(m int) func(rec []byte) (grid.CellID, tagged, error) {
-	return func(rec []byte) (grid.CellID, tagged, error) {
-		if len(rec) != 4+dfs.MBBRecordBytes {
-			return 0, tagged{}, fmt.Errorf("spatial: item pair has %d bytes, want %d", len(rec), 4+dfs.MBBRecordBytes)
-		}
-		t, err := decodeItem(rec[4:])
-		if err != nil {
-			return 0, tagged{}, err
-		}
-		if t.Slot < 0 || int(t.Slot) >= m {
-			return 0, tagged{}, fmt.Errorf("spatial: item pair has slot %d, want [0, %d)", t.Slot, m)
-		}
-		return grid.CellID(binary.LittleEndian.Uint32(rec)), t, nil
+// itemCodec is the wire form of an item of a query of m slots: its
+// 38-byte DFS record. It carries All-Replicate's values, both C-Rep
+// rounds' values and the mark round's outputs. A slot outside [0, m)
+// would index past a reducer's per-slot tables, or count a mark no
+// relation holds, so Read rejects it.
+func itemCodec(m int) mapreduce.Codec[tagged] {
+	return mapreduce.Codec[tagged]{
+		Size:   func(tagged) int { return dfs.MBBRecordBytes },
+		Append: appendItem,
+		Read: func(buf []byte) (tagged, []byte, error) {
+			t, err := readItem(buf)
+			if err != nil {
+				return tagged{}, nil, err
+			}
+			if t.Slot < 0 || int(t.Slot) >= m {
+				return tagged{}, nil, fmt.Errorf("spatial: item record has slot %d, want [0, %d)", t.Slot, m)
+			}
+			return t, buf[dfs.MBBRecordBytes:], nil
+		},
 	}
 }
 
-// cascadeTag distinguishes the two cascadeVal shapes in a pair frame:
-// cell(4) tag(1) then a partial-tuple or item record.
+// idCodec is the wire form of one ID of a join round's output: 4 bytes,
+// little-endian. A reducer emits a tuple as its IDs in slot order, so
+// the gathered outputs are the result's ID slab.
+var idCodec = mapreduce.Codec[int32]{
+	Size:   func(int32) int { return 4 },
+	Append: func(buf []byte, id int32) []byte { return binary.LittleEndian.AppendUint32(buf, uint32(id)) },
+	Read: func(buf []byte) (int32, []byte, error) {
+		if len(buf) < 4 {
+			return 0, nil, fmt.Errorf("spatial: an id record cut short at %d bytes, want 4", len(buf))
+		}
+		return int32(binary.LittleEndian.Uint32(buf)), buf[4:], nil
+	},
+}
+
+// cascadeTag distinguishes the two cascadeVal shapes on the wire: the
+// tag byte, then a partial-tuple or an item record.
 const (
 	cascadeTagItem  = 0
 	cascadeTagTuple = 1
 )
 
-// cascadeCodec frames one cascade round's shuffled pairs for the
-// network. A tuple's reference is resolved through the round's
-// input store on the way out and decoded into it on the way in, so the
-// frame carries the partial record itself and costs the same however a
-// process holds its partials in memory.
+// cascadeCodec is the wire form of one cascade round's shuffled values.
+// A tuple's reference is resolved through the round's input store on
+// the way out and decoded into it on the way in, so the record carries
+// the partial itself and costs the same however a process holds its
+// partials in memory.
 type cascadeCodec struct {
 	in     *partialStore
 	slot   int8 // the round's new slot, stamped on item records
 	keyPos int  // plan position of the member whose rectangle keys a tuple
 }
 
-// encodePair frames a (cell, cascadeVal) pair.
-func (cc *cascadeCodec) encodePair(c grid.CellID, v cascadeVal, buf []byte) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(c))
+// values is the round's value codec.
+func (cc *cascadeCodec) values() mapreduce.Codec[cascadeVal] {
+	return mapreduce.Codec[cascadeVal]{Size: cc.size, Append: cc.append, Read: cc.read}
+}
+
+func (cc *cascadeCodec) size(v cascadeVal) int {
+	if v.Page != itemPage {
+		return 1 + cc.in.stride
+	}
+	return 1 + dfs.MBBRecordBytes
+}
+
+func (cc *cascadeCodec) append(buf []byte, v cascadeVal) []byte {
 	if v.Page != itemPage {
 		return append(append(buf, cascadeTagTuple), cc.in.rec(v.ref())...)
 	}
-	return encodeItem(tagged{Slot: cc.slot, ID: v.ID, Rect: v.Rect}, append(buf, cascadeTagItem))
+	return appendItem(append(buf, cascadeTagItem), tagged{Slot: cc.slot, ID: v.ID, Rect: v.Rect})
 }
 
-// decodePair parses an encodePair frame.
-func (cc *cascadeCodec) decodePair(rec []byte) (grid.CellID, cascadeVal, error) {
-	if len(rec) < 5 {
-		return 0, cascadeVal{}, fmt.Errorf("spatial: cascade pair too short (%d bytes)", len(rec))
+func (cc *cascadeCodec) read(buf []byte) (cascadeVal, []byte, error) {
+	if len(buf) == 0 {
+		return cascadeVal{}, nil, errors.New("spatial: a cascade record cut short at its tag")
 	}
-	c := grid.CellID(binary.LittleEndian.Uint32(rec))
-	switch rec[4] {
+	switch body := buf[1:]; buf[0] {
 	case cascadeTagTuple:
-		if len(rec) != 5+cc.in.stride {
-			return 0, cascadeVal{}, fmt.Errorf("spatial: cascade tuple pair has %d bytes, want %d", len(rec), 5+cc.in.stride)
+		if len(body) < cc.in.stride {
+			return cascadeVal{}, nil, fmt.Errorf("spatial: a cascade tuple record cut short at %d bytes, want %d", len(body), cc.in.stride)
 		}
-		ref, _, err := cc.in.decode(rec[5:])
+		ref, _, err := cc.in.decode(body[:cc.in.stride])
 		if err != nil {
-			return 0, cascadeVal{}, err
+			return cascadeVal{}, nil, err
 		}
-		return c, tupleVal(ref, partialRect(rec[5:], cc.keyPos)), nil
+		return tupleVal(ref, partialRect(body, cc.keyPos)), body[cc.in.stride:], nil
 	case cascadeTagItem:
-		t, err := decodeItem(rec[5:])
+		t, err := readItem(body)
 		if err != nil {
-			return 0, cascadeVal{}, err
+			return cascadeVal{}, nil, err
 		}
 		if t.Slot != cc.slot || t.Marked {
-			return 0, cascadeVal{}, fmt.Errorf("spatial: cascade item is not an unmarked slot-%d item", cc.slot)
+			return cascadeVal{}, nil, fmt.Errorf("spatial: cascade item is not an unmarked slot-%d item", cc.slot)
 		}
-		return c, cascadeVal{Rect: t.Rect, ID: t.ID, Page: itemPage}, nil
+		return cascadeVal{Rect: t.Rect, ID: t.ID, Page: itemPage}, body[dfs.MBBRecordBytes:], nil
 	default:
-		return 0, cascadeVal{}, fmt.Errorf("spatial: cascade pair has unknown tag %d", rec[4])
+		return cascadeVal{}, nil, fmt.Errorf("spatial: cascade record has unknown tag %d", buf[0])
 	}
 }
 
-// Output codecs: frame one job output record so a distributed run can
-// gather reducer outputs across workers (mapreduce.Job.EncodeOutput/
-// DecodeOutput). Items travel as their DFS records (encodeItem).
-
-// encodeIDOutput frames one ID of a join round's output: 4 bytes,
-// little-endian. A reducer emits a tuple as its IDs in slot order, so
-// the gathered outputs are the result's ID slab.
-func encodeIDOutput(id int32, buf []byte) []byte {
-	return binary.LittleEndian.AppendUint32(buf, uint32(id))
-}
-
-// decodeIDOutput parses an encodeIDOutput record.
-func decodeIDOutput(rec []byte) (int32, error) {
-	if len(rec) != 4 {
-		return 0, fmt.Errorf("spatial: malformed id record (%d bytes), want 4", len(rec))
+// segmentCodec is the wire form of a cascade reduce call's output
+// segment: its record count (2 bytes, little-endian: a page holds fewer
+// than 2¹⁶ records), then its records. Read decodes them into one page
+// of out.
+func segmentCodec(out *partialStore) mapreduce.Codec[[]byte] {
+	return mapreduce.Codec[[]byte]{
+		Size: func(seg []byte) int { return 2 + len(seg) },
+		Append: func(buf, seg []byte) []byte {
+			return append(binary.LittleEndian.AppendUint16(buf, uint16(len(seg)/out.stride)), seg...)
+		},
+		Read: func(buf []byte) ([]byte, []byte, error) {
+			if len(buf) < 2 {
+				return nil, nil, fmt.Errorf("spatial: a segment record cut short at %d bytes", len(buf))
+			}
+			n := int(binary.LittleEndian.Uint16(buf)) * out.stride
+			if n > len(buf)-2 {
+				return nil, nil, fmt.Errorf("spatial: a segment of %d bytes cut short at %d", n, len(buf)-2)
+			}
+			_, seg, err := out.decode(buf[2 : 2+n])
+			if err != nil {
+				return nil, nil, err
+			}
+			return seg, buf[2+n:], nil
+		},
 	}
-	return int32(binary.LittleEndian.Uint32(rec)), nil
 }
