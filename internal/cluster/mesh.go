@@ -16,11 +16,11 @@ import (
 // The data plane: each pair of workers in a session's roster shares one
 // persistent TCP connection carrying sequence-numbered frames. Every
 // engine exchange (mapreduce.Exchanger.AllToAll) happens in the same
-// order on every worker, so frame seq N from peer p is exactly the
-// payload of the worker's own N-th AllToAll call — the receiver
-// rendezvouses on the sequence number, never on timing, and a peer
-// racing one exchange ahead parks its frame in the pending map until
-// the local engine catches up.
+// order on every worker, and an exchange reads its peers' frames
+// itself, so frame seq N from peer p is the payload of the worker's own
+// N-th AllToAll call, and the seq only checks that. Nothing reads a
+// connection between exchanges: a peer racing one exchange ahead waits
+// in its own send until this worker enters that exchange.
 
 // meshMagic prefixes the hello line of every data connection.
 const meshMagic = "MWSJ-MESH1 "
@@ -32,7 +32,7 @@ type meshHello struct {
 	From    int    `json:"from"`
 }
 
-// defaultExchangeTimeout bounds one AllToAll rendezvous; it is a
+// defaultExchangeTimeout bounds one AllToAll, sends included; it is a
 // backstop — a killed peer resets its connections and surfaces as a
 // read error long before this fires.
 const defaultExchangeTimeout = 60 * time.Second
@@ -57,20 +57,22 @@ func checkFrameLen(n int64) error {
 	return nil
 }
 
-// DuplicateFrameError reports a peer sending a second frame for a
-// sequence number it already sent: one still waiting for its exchange,
-// or one an exchange already took.
-type DuplicateFrameError struct{ Seq uint64 }
+// FrameSequenceError reports a peer frame whose sequence number is not
+// that of the exchange reading it: a repeated frame, or one that skips
+// ahead. Nothing after it can be trusted to be the frame it claims to be.
+type FrameSequenceError struct{ Got, Want uint64 }
 
-func (e *DuplicateFrameError) Error() string {
-	return fmt.Sprintf("cluster: mesh peer sent frame %d twice", e.Seq)
+func (e *FrameSequenceError) Error() string {
+	return fmt.Sprintf("cluster: mesh peer sent frame %d where frame %d was due", e.Got, e.Want)
 }
 
 // frameHeaderBytes is a frame's header: the sequence number and the
 // payload length, little-endian.
 const frameHeaderBytes = 8 + 4
 
-// writeFrame writes one frame: the header, then the payload.
+// writeFrame writes one frame: the header, then the payload. An empty
+// payload is no second write, which on a synchronous pipe would wait for
+// a read that never comes.
 func writeFrame(w io.Writer, seq uint64, payload []byte) error {
 	if err := checkFrameLen(int64(len(payload))); err != nil {
 		return err
@@ -78,7 +80,7 @@ func writeFrame(w io.Writer, seq uint64, payload []byte) error {
 	var hdr [frameHeaderBytes]byte
 	binary.LittleEndian.PutUint64(hdr[:8], seq)
 	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	if _, err := w.Write(hdr[:]); err != nil || len(payload) == 0 {
 		return err
 	}
 	_, err := w.Write(payload)
@@ -133,122 +135,10 @@ func recycleFrame(pool *mapreduce.BufferPool, payload []byte) {
 	}
 }
 
-// meshConn is one peer connection: writes serialized by a mutex, reads
-// demuxed by a single reader goroutine into the seq-keyed pending map.
-type meshConn struct {
-	c    net.Conn
-	pool *mapreduce.BufferPool // frames are read into and recycled to
-	wg   sync.WaitGroup
-
-	wmu sync.Mutex // serializes frame writes
-
-	mu      sync.Mutex
-	pending map[uint64][]byte
-	// taken counts the frames await has handed out. Exchanges take one
-	// frame per peer in sequence order, so every seq below it is spent.
-	taken  uint64
-	err    error
-	notify chan struct{} // cap 1: kicked after every delivery
-}
-
-func newMeshConn(c net.Conn, pool *mapreduce.BufferPool) *meshConn {
-	mc := &meshConn{c: c, pool: pool, pending: make(map[uint64][]byte), notify: make(chan struct{}, 1)}
-	mc.wg.Add(1)
-	go mc.readLoop()
-	return mc
-}
-
-// readLoop pulls frames off the wire until the connection dies. A bad
-// header or a repeated sequence number fails the connection: nothing
-// after either can be trusted to be the frame it claims to be.
-func (mc *meshConn) readLoop() {
-	defer mc.wg.Done()
-	for {
-		seq, payload, err := readFrame(mc.c, mc.pool)
-		if err == nil {
-			mc.mu.Lock()
-			if _, parked := mc.pending[seq]; parked || seq < mc.taken {
-				err = &DuplicateFrameError{Seq: seq}
-				recycleFrame(mc.pool, payload)
-			} else {
-				mc.pending[seq] = payload
-			}
-			mc.mu.Unlock()
-		}
-		if err != nil {
-			mc.fail(err)
-			mc.c.Close()
-			return
-		}
-		mc.kick()
-	}
-}
-
-func (mc *meshConn) fail(err error) {
-	mc.mu.Lock()
-	if mc.err == nil {
-		mc.err = err
-	}
-	mc.mu.Unlock()
-	mc.kick()
-}
-
-func (mc *meshConn) kick() {
-	select {
-	case mc.notify <- struct{}{}:
-	default:
-	}
-}
-
-// send writes one frame; safe for concurrent use.
-func (mc *meshConn) send(seq uint64, payload []byte) error {
-	mc.wmu.Lock()
-	defer mc.wmu.Unlock()
-	return writeFrame(mc.c, seq, payload)
-}
-
-// await blocks until frame seq arrives, the connection fails, or the
-// deadline passes.
-func (mc *meshConn) await(seq uint64, timeout time.Duration) ([]byte, error) {
-	deadline := time.NewTimer(timeout)
-	defer deadline.Stop()
-	for {
-		mc.mu.Lock()
-		if p, ok := mc.pending[seq]; ok {
-			delete(mc.pending, seq)
-			mc.taken = max(mc.taken, seq+1)
-			mc.mu.Unlock()
-			return p, nil
-		}
-		err := mc.err
-		mc.mu.Unlock()
-		if err != nil {
-			return nil, fmt.Errorf("cluster: mesh peer lost: %w", err)
-		}
-		select {
-		case <-mc.notify:
-		case <-deadline.C:
-			return nil, fmt.Errorf("cluster: mesh exchange timed out after %v waiting for frame %d", timeout, seq)
-		}
-	}
-}
-
-// close ends the connection and recycles the frames no exchange took.
-func (mc *meshConn) close() {
-	mc.c.Close()
-	mc.wg.Wait()
-	mc.mu.Lock()
-	for seq, payload := range mc.pending {
-		delete(mc.pending, seq)
-		recycleFrame(mc.pool, payload)
-	}
-	mc.mu.Unlock()
-}
-
 // mesh implements mapreduce.Exchanger over one connection per peer.
 type mesh struct {
 	self    int
-	conns   []*meshConn // indexed by peer; nil at self
+	conns   []net.Conn // indexed by peer; nil at self
 	seq     uint64
 	timeout time.Duration
 	// pool is where the peers' payloads are read into and go back to:
@@ -275,7 +165,7 @@ func dialMesh(self int, roster []string, session string, attempt int, reg *meshR
 	if timeout <= 0 {
 		timeout = defaultExchangeTimeout
 	}
-	m := &mesh{self: self, conns: make([]*meshConn, len(roster)), timeout: timeout, pool: pool}
+	m := &mesh{self: self, conns: make([]net.Conn, len(roster)), timeout: timeout, pool: pool}
 	for p := range roster {
 		var c net.Conn
 		var err error
@@ -291,7 +181,7 @@ func dialMesh(self int, roster []string, session string, attempt int, reg *meshR
 			m.close()
 			return nil, fmt.Errorf("cluster: mesh setup with peer %d: %w", p, err)
 		}
-		m.conns[p] = newMeshConn(c, m.pool)
+		m.conns[p] = c
 	}
 	return m, nil
 }
@@ -315,7 +205,13 @@ func dialPeer(addr, session string, attempt, from int, timeout time.Duration) (n
 
 // AllToAll implements mapreduce.Exchanger: outgoing[p] goes to peer p,
 // the returned slice holds what every peer addressed to this worker on
-// its own matching call.
+// its own matching call. One deadline, the mesh's timeout from entry,
+// bounds the whole exchange on every connection, sends included. Each
+// peer's send and receive run side by side, so two workers pushing
+// frames larger than the socket buffers at each other still make
+// progress, and the call returns once all of them have finished. A
+// failure closes its peer's connection, whose stream may have stopped
+// mid-frame, and puts back the frames the exchange has read.
 func (m *mesh) AllToAll(tag string, outgoing [][]byte) ([][]byte, error) {
 	if len(outgoing) != len(m.conns) {
 		return nil, fmt.Errorf("cluster: AllToAll %s: %d payloads for a %d-worker mesh", tag, len(outgoing), len(m.conns))
@@ -327,41 +223,63 @@ func (m *mesh) AllToAll(tag string, outgoing [][]byte) ([][]byte, error) {
 	seq := m.seq
 	m.seq++
 
-	// Writes go out concurrently so a large fan-out cannot deadlock
-	// against peers that are also mid-write: every conn's reads drain in
-	// its reader goroutine regardless of write progress.
-	var wg sync.WaitGroup
-	sendErrs := make([]error, len(m.conns))
-	for p, mc := range m.conns {
-		if mc == nil {
+	deadline := time.Now().Add(m.timeout)
+	in := make([][]byte, len(m.conns))
+	var (
+		wg     sync.WaitGroup
+		mu     sync.Mutex
+		failed error // the exchange's first failure
+	)
+	fail := func(c net.Conn, err error) {
+		mu.Lock()
+		if failed == nil {
+			failed = fmt.Errorf("cluster: AllToAll %s: %w", tag, err)
+		}
+		mu.Unlock()
+		c.Close() // after the error is kept: it fails this peer's other half
+	}
+	for p, c := range m.conns {
+		if c == nil {
 			continue
 		}
-		wg.Add(1)
-		go func(p int, mc *meshConn) {
+		if err := c.SetDeadline(deadline); err != nil {
+			fail(c, fmt.Errorf("peer %d: %w", p, err))
+			continue
+		}
+		wg.Add(2)
+		go func() {
 			defer wg.Done()
-			sendErrs[p] = mc.send(seq, outgoing[p])
-		}(p, mc)
+			if err := writeFrame(c, seq, outgoing[p]); err != nil {
+				fail(c, fmt.Errorf("send to peer %d: %w", p, err))
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			got, payload, err := readFrame(c, m.pool)
+			if err == nil && got != seq {
+				recycleFrame(m.pool, payload)
+				err = &FrameSequenceError{Got: got, Want: seq}
+			}
+			if err != nil {
+				fail(c, fmt.Errorf("receive from peer %d: %w", p, err))
+				return
+			}
+			in[p] = payload
+		}()
 	}
 	wg.Wait()
-	for p, err := range sendErrs {
-		if err != nil {
-			return nil, fmt.Errorf("cluster: AllToAll %s: send to peer %d: %w", tag, p, err)
+	if failed != nil {
+		for _, payload := range in {
+			recycleFrame(m.pool, payload)
+		}
+		return nil, failed
+	}
+	for p, payload := range in {
+		if p != m.self {
+			m.lent = append(m.lent, payload)
 		}
 	}
-
-	in := make([][]byte, len(m.conns))
 	in[m.self] = outgoing[m.self]
-	for p, mc := range m.conns {
-		if mc == nil {
-			continue
-		}
-		payload, err := mc.await(seq, m.timeout)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: AllToAll %s: receive from peer %d: %w", tag, p, err)
-		}
-		in[p] = payload
-		m.lent = append(m.lent, payload)
-	}
 	return in, nil
 }
 
@@ -376,10 +294,12 @@ func (m *mesh) Recycle() {
 	m.lent = m.lent[:0]
 }
 
+// close ends every peer connection; an AllToAll running on another
+// goroutine fails at once.
 func (m *mesh) close() {
-	for _, mc := range m.conns {
-		if mc != nil {
-			mc.close()
+	for _, c := range m.conns {
+		if c != nil {
+			c.Close()
 		}
 	}
 }

@@ -8,7 +8,9 @@ import (
 	"io"
 	"math"
 	"net"
+	"os"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 	"unsafe"
@@ -17,32 +19,37 @@ import (
 	"mwsjoin/internal/mapreduce"
 )
 
-// TestMeshFrameBound: a header declaring more than maxFrameBytes fails
-// the connection before any payload buffer is allocated, the exchange
-// waiting on that peer gets the structured error, and a payload over
-// the bound is refused at send rather than truncated to 32 bits. A
-// header just under the bound followed by nothing costs one
-// dfs.DeclaredChunk, not the gigabyte it declares.
-func TestMeshFrameBound(t *testing.T) {
+// pipeMesh makes a one-peer mesh, self 0, whose peer is the returned end
+// of an in-memory pipe, for a test to drive by hand.
+func pipeMesh(t *testing.T, pool *mapreduce.BufferPool, timeout time.Duration) (*mesh, net.Conn) {
 	local, peer := net.Pipe()
-	defer peer.Close()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
+	m := &mesh{self: 0, conns: []net.Conn{nil, local}, timeout: timeout, pool: pool}
+	t.Cleanup(func() { m.close(); peer.Close() })
+	return m, peer
+}
+
+// TestMeshFrameBound: a header declaring more than maxFrameBytes fails
+// the exchange reading it before any payload buffer is allocated, with
+// the structured error, and a payload over the bound is refused at send
+// rather than truncated to 32 bits. A header just under the bound
+// followed by nothing costs one dfs.DeclaredChunk, not the gigabyte it
+// declares.
+func TestMeshFrameBound(t *testing.T) {
 	pool := mapreduce.NewBufferPool()
-	mc := newMeshConn(local, pool)
-	defer mc.close()
+	m, peer := pipeMesh(t, pool, 10*time.Second)
+	go io.Copy(io.Discard, peer) // takes this worker's frame
 
 	var hdr [frameHeaderBytes]byte
 	binary.LittleEndian.PutUint64(hdr[:8], 0)
 	binary.LittleEndian.PutUint32(hdr[8:], 1<<32-1) // 4 GiB - 1
-	if _, err := peer.Write(hdr[:]); err != nil {
-		t.Fatal(err)
-	}
-	_, err := mc.await(0, 10*time.Second)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	go peer.Write(hdr[:])
+	_, err := m.AllToAll("x", [][]byte{nil, nil})
 	runtime.ReadMemStats(&after)
 	var tooLarge *FrameTooLargeError
 	if !errors.As(err, &tooLarge) {
-		t.Fatalf("await after a 4 GiB header: err = %v, want a FrameTooLargeError", err)
+		t.Fatalf("AllToAll after a 4 GiB header: err = %v, want a FrameTooLargeError", err)
 	}
 	if tooLarge.Bytes != 1<<32-1 {
 		t.Errorf("error reports a %d-byte frame", tooLarge.Bytes)
@@ -70,37 +77,77 @@ func TestMeshFrameBound(t *testing.T) {
 	}
 }
 
-// TestMeshDuplicateFrame: a second frame with a sequence number the
-// peer already used — one still parked, or one an exchange already
-// took — fails the connection with a DuplicateFrameError instead of
-// replacing a payload or waiting forever to be taken.
+// TestMeshDuplicateFrame: a peer frame whose sequence number is not the
+// exchange's fails that exchange with a FrameSequenceError naming both,
+// instead of standing in for the frame that was due: frame 0 sent twice,
+// the second straight after the first (parked) or only once exchange 0
+// has returned (taken), and a first frame numbered 1 (skipped).
 func TestMeshDuplicateFrame(t *testing.T) {
 	for _, tc := range []struct {
-		name  string
-		taken bool // the first frame is awaited before the second arrives
-	}{{"parked", false}, {"taken", true}} {
+		name string
+		seqs [2]uint64 // the peer's two frames
+		wait bool      // the second is written once exchange 0 has returned
+		want FrameSequenceError
+	}{
+		{"parked", [2]uint64{0, 0}, false, FrameSequenceError{Got: 0, Want: 1}},
+		{"taken", [2]uint64{0, 0}, true, FrameSequenceError{Got: 0, Want: 1}},
+		{"skipped", [2]uint64{1, 2}, false, FrameSequenceError{Got: 1, Want: 0}},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
-			local, peer := net.Pipe()
-			defer peer.Close()
-			mc := newMeshConn(local, mapreduce.NewBufferPool())
-			defer mc.close()
-			if err := writeFrame(peer, 3, []byte("first")); err != nil {
-				t.Fatal(err)
-			}
-			if tc.taken {
-				if p, err := mc.await(3, 10*time.Second); err != nil || string(p) != "first" {
-					t.Fatalf("await(3) = %q, %v", p, err)
+			m, peer := pipeMesh(t, mapreduce.NewBufferPool(), 10*time.Second)
+			go io.Copy(io.Discard, peer) // takes this worker's frames
+			returned := make(chan struct{})
+			go func() {
+				if writeFrame(peer, tc.seqs[0], []byte("first")) != nil {
+					return
 				}
+				if tc.wait {
+					<-returned
+				}
+				writeFrame(peer, tc.seqs[1], []byte("second"))
+			}()
+			for x := range tc.want.Want {
+				if in, err := m.AllToAll("x", [][]byte{nil, nil}); err != nil || string(in[1]) != "first" {
+					t.Fatalf("exchange %d = %q, %v", x, in, err)
+				}
+				m.Recycle()
+				close(returned)
 			}
-			if err := writeFrame(peer, 3, []byte("second")); err != nil {
-				t.Fatal(err)
-			}
-			_, err := mc.await(4, 10*time.Second)
-			var dup *DuplicateFrameError
-			if !errors.As(err, &dup) || dup.Seq != 3 {
-				t.Fatalf("await after a repeated frame 3: err = %v, want a DuplicateFrameError for 3", err)
+			_, err := m.AllToAll("x", [][]byte{nil, nil})
+			var seqErr *FrameSequenceError
+			if !errors.As(err, &seqErr) || *seqErr != tc.want {
+				t.Fatalf("exchange %d after frames %v: err = %v, want %v", tc.want.Want, tc.seqs, err, &tc.want)
 			}
 		})
+	}
+}
+
+// TestMeshExchangeTimesOutOnSilentPeer: a peer that neither reads nor
+// writes holds an exchange no longer than its timeout, even with a frame
+// to send it larger than anything on the way can buffer: AllToAll fails
+// with the deadline's error, and once the mesh is closed none of its
+// goroutines is left.
+func TestMeshExchangeTimesOutOnSilentPeer(t *testing.T) {
+	goroutines := runtime.NumGoroutine()
+	m, _ := pipeMesh(t, mapreduce.NewBufferPool(), 200*time.Millisecond)
+	errc := make(chan error, 1)
+	go func() {
+		_, err := m.AllToAll("x", [][]byte{nil, make([]byte, 1<<20)})
+		errc <- err
+	}()
+	select {
+	case err := <-errc:
+		if !errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("AllToAll to a silent peer: err = %v, want the deadline's", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("AllToAll to a silent peer was still blocked after 5 s")
+	}
+	m.close()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > goroutines; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the mesh closed, %d before it was made", runtime.NumGoroutine(), goroutines)
+		}
 	}
 }
 
@@ -185,17 +232,17 @@ func FuzzMeshFrame(f *testing.F) {
 func meshPair(t *testing.T, pool *mapreduce.BufferPool) (a, b *mesh) {
 	t.Helper()
 	ca, cb := net.Pipe()
-	a = &mesh{self: 0, conns: []*meshConn{nil, newMeshConn(ca, pool)}, timeout: 10 * time.Second, pool: pool}
-	b = &mesh{self: 1, conns: []*meshConn{newMeshConn(cb, pool), nil}, timeout: 10 * time.Second, pool: pool}
+	a = &mesh{self: 0, conns: []net.Conn{nil, ca}, timeout: 10 * time.Second, pool: pool}
+	b = &mesh{self: 1, conns: []net.Conn{cb, nil}, timeout: 10 * time.Second, pool: pool}
 	t.Cleanup(func() { a.close(); b.close() })
 	return a, b
 }
 
 // TestMeshPayloadOutlivesPeersNextFrame: a payload read into a frame the
-// pool lent stays intact until the engine recycles it, even when the
-// peer's next frame has already arrived and been read into a pooled
-// frame of its own — at the smallest size the mesh lends a frame for and
-// at 2 MiB.
+// pool lent stays intact until the engine recycles it, and the peer's
+// next frame, which the peer is already sending, is not read before
+// this worker's next exchange: the pool keeps the frame it would be read
+// into — at the smallest size the mesh lends a frame for and at 2 MiB.
 func TestMeshPayloadOutlivesPeersNextFrame(t *testing.T) {
 	for _, n := range []int{lentFrameMin + 1000, 2 << 20} {
 		t.Run(fmt.Sprint(n), func(t *testing.T) {
@@ -208,9 +255,13 @@ func TestMeshPayloadOutlivesPeersNextFrame(t *testing.T) {
 			}
 			a, b := meshPair(t, pool)
 			first, second := bytes.Repeat([]byte{0xaa}, n), bytes.Repeat([]byte{0xbb}, n)
+			sending := make(chan struct{}) // the peer has entered its second exchange
 			done := make(chan error, 1)
 			go func() {
-				for _, p := range [][]byte{first, second} {
+				for i, p := range [][]byte{first, second} {
+					if i == 1 {
+						close(sending)
+					}
 					if _, err := b.AllToAll("x", [][]byte{p, nil}); err != nil {
 						done <- err
 						return
@@ -226,27 +277,20 @@ func TestMeshPayloadOutlivesPeersNextFrame(t *testing.T) {
 			if !lent[unsafe.SliceData(got)] {
 				t.Fatalf("a %d-byte payload sits in a frame the pool did not lend", n)
 			}
-			mc := a.conns[1]
-			for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-				mc.mu.Lock()
-				p, parked := mc.pending[1]
-				mc.mu.Unlock()
-				if parked {
-					if !lent[unsafe.SliceData(p)] {
-						t.Fatalf("the peer's second %d-byte frame sits in a frame the pool did not lend", n)
-					}
-					break
-				}
-				if time.Now().After(deadline) {
-					t.Fatal("the peer's second frame never arrived")
-				}
+			<-sending
+			time.Sleep(50 * time.Millisecond) // time enough for a reader, were there one
+			if held := pool.Retained(); held != int64(n) {
+				t.Fatalf("the pool holds %d bytes before the next exchange, want its one %d-byte frame", held, n)
 			}
 			if !bytes.Equal(got, first) {
-				t.Fatal("the first payload changed when the peer's second frame arrived")
+				t.Fatal("the first payload changed while the peer sent its second")
 			}
 			a.Recycle()
 			if in, err = a.AllToAll("x", [][]byte{nil, nil}); err != nil {
 				t.Fatal(err)
+			}
+			if !lent[unsafe.SliceData(in[1])] {
+				t.Fatalf("the peer's second %d-byte frame sits in a frame the pool did not lend", n)
 			}
 			if !bytes.Equal(in[1], second) {
 				t.Fatal("the second payload arrived changed")
@@ -314,5 +358,147 @@ func TestMeshRecyclesFrameChunks(t *testing.T) {
 				t.Errorf("%d exchanges of %d-byte payloads each way allocated %d B, bound %d", rounds, n, grew, bound)
 			}
 		})
+	}
+}
+
+// tcpMeshes dials a w-worker mesh over loopback TCP, each worker with a
+// data listener, registry and pool of its own, as StartWorker sets them
+// up.
+func tcpMeshes(tb testing.TB, w int, timeout time.Duration) []*mesh {
+	tb.Helper()
+	roster := make([]string, w)
+	regs := make([]*meshRegistry, w)
+	for i := range w {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			tb.Fatal(err)
+		}
+		tb.Cleanup(func() { ln.Close() })
+		regs[i] = newMeshRegistry()
+		roster[i] = ln.Addr().String()
+		go serveData(ln, regs[i])
+	}
+	meshes := make([]*mesh, w)
+	errs := make([]error, w)
+	var wg sync.WaitGroup
+	for i := range w {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			meshes[i], errs[i] = dialMesh(i, roster, "s", 0, regs[i], mapreduce.NewBufferPool(), timeout)
+		}()
+	}
+	wg.Wait()
+	tb.Cleanup(func() {
+		for _, m := range meshes {
+			if m != nil {
+				m.close()
+			}
+		}
+	})
+	for _, err := range errs {
+		if err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return meshes
+}
+
+// BenchmarkMeshAllToAll times one exchange between two workers over
+// loopback TCP, one payload each way, at 256 KiB and at 4 MiB. B/op
+// counts both workers' allocations.
+func BenchmarkMeshAllToAll(b *testing.B) {
+	for _, n := range []int{256 << 10, 4 << 20} {
+		b.Run(fmt.Sprintf("%dKiB", n>>10), func(b *testing.B) {
+			ms := tcpMeshes(b, 2, 10*time.Second)
+			pa, pb := bytes.Repeat([]byte{1}, n), bytes.Repeat([]byte{2}, n)
+			b.SetBytes(int64(2 * n))
+			b.ReportAllocs()
+			b.ResetTimer()
+			done := make(chan error, 1)
+			go func() {
+				for range b.N {
+					_, err := ms[1].AllToAll("x", [][]byte{pb, nil})
+					ms[1].Recycle()
+					if err != nil {
+						done <- err
+						return
+					}
+				}
+				done <- nil
+			}()
+			for range b.N {
+				if _, err := ms[0].AllToAll("x", [][]byte{nil, pa}); err != nil {
+					b.Fatal(err)
+				}
+				ms[0].Recycle()
+			}
+			if err := <-done; err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+}
+
+// fillPayload fills b with what worker from sends worker to in an
+// exchange: words that name all three and their own position.
+func fillPayload(b []byte, from, to, exchange int) {
+	key := uint32(from<<28 | to<<24 | exchange<<20)
+	for i := 0; i+4 <= len(b); i += 4 {
+		binary.LittleEndian.PutUint32(b[i:], key^uint32(i/4))
+	}
+}
+
+// TestMeshThreeWorkersOneLagging: three workers over loopback TCP swap
+// 4 MiB payloads, more than the socket buffers hold, in 6 exchanges,
+// one of them delayed before each. The other two run into their sends
+// to it and wait there, and every payload arrives intact.
+func TestMeshThreeWorkersOneLagging(t *testing.T) {
+	const workers, exchanges, n, lagging = 3, 6, 4 << 20, 2
+	ms := tcpMeshes(t, workers, 10*time.Second)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for self, m := range ms {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out := make([][]byte, workers)
+			for to := range out {
+				if to != self {
+					out[to] = make([]byte, n)
+				}
+			}
+			want := make([]byte, n)
+			for x := range exchanges {
+				for to, b := range out {
+					if b != nil {
+						fillPayload(b, self, to, x)
+					}
+				}
+				if self == lagging {
+					time.Sleep(30 * time.Millisecond)
+				}
+				in, err := m.AllToAll(fmt.Sprint("exchange ", x), out)
+				if err != nil {
+					errs[self] = err
+					return
+				}
+				for from, p := range in {
+					if from == self {
+						continue
+					}
+					fillPayload(want, from, self, x)
+					if !bytes.Equal(p, want) {
+						errs[self] = fmt.Errorf("worker %d, exchange %d: the %d-byte payload from worker %d arrived changed", self, x, len(p), from)
+						return
+					}
+				}
+				m.Recycle()
+			}
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		t.Fatal(err)
 	}
 }

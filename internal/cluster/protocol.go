@@ -16,7 +16,9 @@
 // coordinator compares across the roster.
 //
 // What crosses the wire, and how. Data plane (mesh.go, worker to
-// worker), as length-prefixed binary frames, two exchanges per job: the
+// worker), as length-prefixed binary frames, each read by the exchange
+// it belongs to under one deadline that bounds the whole exchange, its
+// sends included; two exchanges per job: the
 // sender's map report, then its runs for the receiver's reducers (a
 // mapper's values for one reducer, unsorted, in emit order); its reduce
 // report, then its reducers' pair counts and outputs (for the 2-way

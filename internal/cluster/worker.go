@@ -35,8 +35,9 @@ type WorkerConfig struct {
 	// HeartbeatInterval paces the control-plane heartbeats (default
 	// 500ms; the coordinator's timeout should be a small multiple).
 	HeartbeatInterval time.Duration
-	// ExchangeTimeout bounds one mesh rendezvous, and the wait for the
-	// relations an attempt asked for (default 60s).
+	// ExchangeTimeout bounds one whole mesh exchange, its sends
+	// included, and the wait for the relations an attempt asked for
+	// (default 60s).
 	ExchangeTimeout time.Duration
 	// DieAfterExchanges, when positive, kills the worker right before
 	// its n-th mesh exchange of a session — the deterministic

@@ -4,6 +4,8 @@
 package estimate_test
 
 import (
+	"cmp"
+	"slices"
 	"testing"
 
 	"mwsjoin/internal/dataset"
@@ -34,6 +36,14 @@ func skewedRects(t *testing.T, n int, seed uint64) []geom.Rect {
 	return rects
 }
 
+// byMinX returns a copy of rs sorted ascending by MinX, as
+// sweep.JoinSorted wants its inputs.
+func byMinX(rs []geom.Rect) []geom.Rect {
+	out := slices.Clone(rs)
+	slices.SortStableFunc(out, func(a, b geom.Rect) int { return cmp.Compare(a.MinX(), b.MinX()) })
+	return out
+}
+
 func TestJoinCardinalitySkewedBound(t *testing.T) {
 	r1, err := dataset.ZipfClustered(dataset.SkewedDefaults(6000), 2013)
 	if err != nil {
@@ -56,7 +66,7 @@ func TestJoinCardinalitySkewedBound(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			truth := 0
-			sweep.Join(r1, r2, tc.pred.Weight(), func(_, _ int) bool {
+			sweep.JoinSorted(byMinX(r1), byMinX(r2), tc.pred.Weight(), func(_, _ int) bool {
 				truth++
 				return true
 			})

@@ -44,9 +44,8 @@ import (
 //     job's V, so one pool safely serves heterogeneous job pipelines. A
 //     Get that names a size is likewise served only by a buffer at least
 //     that large, the smallest that is; when none is, the newest buffer
-//     of that type is dropped (in the frame list, only if it is under
-//     half that size or the budget has no room beside it), so the pool
-//     converges to the workload's sizes instead of holding small arrays.
+//     of that type is dropped, so the pool converges to the workload's
+//     sizes instead of holding small arrays.
 //   - A double-Put of the same buffer is dropped, not retained twice:
 //     the pool remembers the backing-array identity of what it holds,
 //     so two later Gets can never return aliasing slices whose appends
@@ -145,19 +144,14 @@ type typeToken[T any] struct{}
 // smaller request leaves the larger one a miss.
 //
 // On a miss the caller makes a fresh array, and the newest array of the
-// type is dropped: the workload has outgrown it. A slab or chunk list
-// serves one size at a time per job, so one large array serves every
-// smaller request after it. The frame list is different: each exchange
-// of a job has a payload size of its own, and a worker holds frames of
-// two exchanges at once (it encodes the next while the last one's
-// received payloads are still out). There a near miss — the newest
-// array at least half the request, with room in the budget for both —
-// is kept, so the list grows until it covers the sizes in flight at
-// once; dropping it would trade one frame for another of the same
-// count, and the same interleaving of exchanges would miss again on
-// every later query. Without best fit, or without the near miss, the
-// cluster's allocation guards went over their ceilings in 3 to 5 of 10
-// runs (EXPERIMENTS.md, "Workers own their pools").
+// type is dropped: the workload has outgrown it. One large array then
+// serves every smaller request after it. That holds for frames too: no
+// worker holds frames of two exchanges at once, since the engine
+// recycles an exchange's received payloads before it encodes the next
+// and an exchange reads its peers' frames itself, and both cluster
+// allocation guards pass 30 of 30 fresh runs at their ceilings without
+// keeping a near miss (EXPERIMENTS.md, "A mesh frame is read by its
+// exchange").
 func (f *freeList) get(elem any, capacity int) poolEntry {
 	p := f.pool
 	p.mu.Lock()
@@ -176,11 +170,6 @@ func (f *freeList) get(elem any, capacity int) poolEntry {
 	drop := i < 0
 	if drop {
 		i = len(s) - 1
-		newest := s[i]
-		fresh := int64(capacity) * (newest.bytes / int64(newest.cap))
-		if f == &p.frames && newest.cap >= capacity/2 && *f.retained+fresh <= MaxPoolBytes {
-			return poolEntry{}
-		}
 	}
 	e := s[i]
 	copy(s[i:], s[i+1:])

@@ -91,9 +91,8 @@ func TestPoolFramesBudget(t *testing.T) {
 // TestPoolGetRule: a Get takes the smallest array that fits, so the
 // larger of two close requests still finds its array after the smaller
 // one is served — in a slab list, and in the one frame list a worker's
-// sent and received payloads share. On a miss a slab list drops its
-// newest array, while the frame list keeps a near miss (at least half
-// the request) and drops a frame under half of it.
+// sent and received payloads share. On a miss either list drops its
+// newest array.
 func TestPoolGetRule(t *testing.T) {
 	pool := NewBufferPool()
 	small, large := make([]int64, 0, 1000), make([]int64, 0, 1010)
@@ -123,19 +122,13 @@ func TestPoolGetRule(t *testing.T) {
 		t.Errorf("a 1005-byte read took a frame of %d, want 1010", cap(f))
 	}
 
+	pool.PutFrame(make([]byte, 200))
 	pool.PutFrame(make([]byte, 300))
 	if f := pool.GetFrame(500); f != nil {
 		t.Fatalf("a 500-byte request was served by a %d-byte frame", cap(f))
 	}
-	if f := pool.GetFrame(300); cap(f) != 300 {
-		t.Errorf("the frame list dropped its near-miss frame: GetFrame(300) = %d bytes", cap(f))
-	}
-	pool.PutFrame(make([]byte, 200))
-	if f := pool.GetFrame(500); f != nil {
-		t.Fatalf("a 500-byte request was served by a %d-byte frame", cap(f))
-	}
-	if f := pool.GetFrame(1); f != nil {
-		t.Errorf("the frame list kept a frame under half the request that missed: %d bytes", cap(f))
+	if f := pool.GetFrame(1); cap(f) != 200 {
+		t.Errorf("after a miss GetFrame(1) = %d bytes, want the older 200-byte frame: the miss drops the newest", cap(f))
 	}
 	if got := pool.Retained(); got != 0 {
 		t.Errorf("the pool retains %d bytes, want none", got)

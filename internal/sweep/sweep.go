@@ -11,44 +11,17 @@ package sweep
 import (
 	"math"
 	"slices"
-	"sort"
 	"sync"
 
 	"mwsjoin/internal/geom"
 )
 
-// Join finds every pair (i, j) with as[i] within distance d of bs[j]
-// (d = 0 means overlap) and calls fn for each. Pairs are emitted in
-// deterministic order: ascending by the sorted x-order of as, then bs.
-// The callback returning false stops the join early.
-//
-// The algorithm sorts both sides by MinX and, for each a, scans only
-// the b's whose x-extent is within d of a's — the classic forward
-// sweep. Its worst case is quadratic (all rectangles stacked in one x
-// column) but on the paper's workloads the window stays small.
-func Join(as, bs []geom.Rect, d float64, fn func(i, j int) bool) {
-	if len(as) == 0 || len(bs) == 0 || d < 0 {
-		return
-	}
-	ai := sortedByMinX(as)
-	bi := sortedByMinX(bs)
-	sa := make([]geom.Rect, len(ai))
-	for p, i := range ai {
-		sa[p] = as[i]
-	}
-	sb := make([]geom.Rect, len(bi))
-	for q, j := range bi {
-		sb[q] = bs[j]
-	}
-	JoinSorted(sa, sb, d, func(p, q int) bool { return fn(ai[p], bi[q]) })
-}
-
-// JoinSorted is Join for pre-sorted inputs: both as and bs must
-// already be in ascending MinX order (equal MinX in any fixed order).
-// It skips the per-call sort — callers that sort each relation once
-// and sweep it many times (the cascade executor sorts once per round)
-// use this entry point. Pairs are emitted ascending by position in as,
-// then bs, exactly as Join emits them for the same orders.
+// JoinSorted finds every pair (i, j) with as[i] within distance d of
+// bs[j] (d = 0 means overlap) and calls fn for each; the callback
+// returning false stops the join early. Both as and bs must already be
+// in ascending MinX order (equal MinX in any fixed order): callers sort
+// each relation once and sweep it many times (a relation is staged in
+// sweep order). Pairs are emitted ascending by position in as, then bs.
 //
 // It is a striped plane sweep. The y-extent of bs is cut into
 // horizontal strips about two mean rectangle heights + d tall (the
@@ -391,21 +364,4 @@ func sweepOne(as, bs []geom.Rect, d float64, fn func(i, j int) bool) {
 			}
 		}
 	}
-}
-
-// sortedByMinX returns index order of rs ascending by MinX, breaking
-// ties by index for determinism.
-func sortedByMinX(rs []geom.Rect) []int {
-	order := make([]int, len(rs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		ra, rb := rs[order[a]].MinX(), rs[order[b]].MinX()
-		if ra != rb {
-			return ra < rb
-		}
-		return order[a] < order[b]
-	})
-	return order
 }

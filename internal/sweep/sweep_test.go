@@ -39,13 +39,17 @@ func bruteJoin(as, bs []geom.Rect, d float64) map[[2]int]bool {
 	return out
 }
 
+// sweepPairs collects JoinSorted's pairs of as and bs, which must be in
+// MinX order, and panics unless they come ascending by i, then j.
 func sweepPairs(as, bs []geom.Rect, d float64) map[[2]int]bool {
 	out := map[[2]int]bool{}
-	Join(as, bs, d, func(i, j int) bool {
+	last := [2]int{-1, -1}
+	JoinSorted(as, bs, d, func(i, j int) bool {
 		key := [2]int{i, j}
-		if out[key] {
-			panic(fmt.Sprintf("duplicate pair %v", key))
+		if i < last[0] || i == last[0] && j <= last[1] {
+			panic(fmt.Sprintf("pair %v after %v", key, last))
 		}
+		last = key
 		out[key] = true
 		return true
 	})
@@ -64,12 +68,14 @@ func equalPairs(a, b map[[2]int]bool) bool {
 	return true
 }
 
+// TestJoinAgainstBrute: JoinSorted emits exactly the pairs the nested
+// loop accepts, each once, ascending by position in as, then bs.
 func TestJoinAgainstBrute(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 33))
 	for trial := 0; trial < 30; trial++ {
-		as := randRects(60, rng, 100, 25)
-		bs := randRects(80, rng, 100, 25)
-		for _, d := range []float64{0, 5, 40} {
+		as := sortRectsByMinX(randRects(60, rng, 100, 25))
+		bs := sortRectsByMinX(randRects(80, rng, 100, 25))
+		for _, d := range []float64{0, 3, 5, 40} {
 			want := bruteJoin(as, bs, d)
 			got := sweepPairs(as, bs, d)
 			if !equalPairs(got, want) {
@@ -96,7 +102,7 @@ func TestJoinEdgeCases(t *testing.T) {
 		t.Errorf("touching rects: %d pairs, want 1", len(got))
 	}
 	// Identical x stacks (worst case) still work.
-	var stackA, stackB []geom.Rect
+	var stackA, stackB []geom.Rect // already in MinX order
 	for i := 0; i < 30; i++ {
 		stackA = append(stackA, geom.Rect{X: 0, Y: float64(3 * i), L: 1, B: 1})
 		stackB = append(stackB, geom.Rect{X: 0, Y: float64(3*i) + 1, L: 1, B: 1})
@@ -109,10 +115,10 @@ func TestJoinEdgeCases(t *testing.T) {
 
 func TestJoinEarlyStop(t *testing.T) {
 	rng := rand.New(rand.NewPCG(5, 5))
-	as := randRects(50, rng, 10, 10)
-	bs := randRects(50, rng, 10, 10)
+	as := sortRectsByMinX(randRects(50, rng, 10, 10))
+	bs := sortRectsByMinX(randRects(50, rng, 10, 10))
 	count := 0
-	Join(as, bs, 0, func(i, j int) bool {
+	JoinSorted(as, bs, 0, func(i, j int) bool {
 		count++
 		return count < 4
 	})
@@ -123,13 +129,13 @@ func TestJoinEarlyStop(t *testing.T) {
 
 func TestJoinDeterministicOrder(t *testing.T) {
 	rng := rand.New(rand.NewPCG(4, 4))
-	as := randRects(40, rng, 50, 20)
-	bs := randRects(40, rng, 50, 20)
+	as := sortRectsByMinX(randRects(40, rng, 50, 20))
+	bs := sortRectsByMinX(randRects(40, rng, 50, 20))
 	var first [][2]int
-	Join(as, bs, 0, func(i, j int) bool { first = append(first, [2]int{i, j}); return true })
+	JoinSorted(as, bs, 0, func(i, j int) bool { first = append(first, [2]int{i, j}); return true })
 	for trial := 0; trial < 3; trial++ {
 		var again [][2]int
-		Join(as, bs, 0, func(i, j int) bool { again = append(again, [2]int{i, j}); return true })
+		JoinSorted(as, bs, 0, func(i, j int) bool { again = append(again, [2]int{i, j}); return true })
 		if len(again) != len(first) {
 			t.Fatal("pair count changed between runs")
 		}
@@ -152,18 +158,6 @@ func TestJoinDeterministicOrder(t *testing.T) {
 			}
 		}
 	}
-	_ = sort.SearchInts // keep sort imported for clarity of intent
-}
-
-func BenchmarkJoin5k(b *testing.B) {
-	rng := rand.New(rand.NewPCG(1, 2))
-	as := randRects(5000, rng, 100000, 100)
-	bs := randRects(5000, rng, 100000, 100)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n := 0
-		Join(as, bs, 0, func(int, int) bool { n++; return true })
-	}
 }
 
 // sortRectsByMinX returns a copy of rs sorted ascending by MinX — the
@@ -175,14 +169,21 @@ func sortRectsByMinX(rs []geom.Rect) []geom.Rect {
 }
 
 // TestJoinSortedMatchesJoin checks that JoinSorted on pre-sorted
-// inputs emits exactly the pairs Join emits, in the same order.
+// inputs emits exactly the pairs of the nested loop over as, then bs,
+// in the same order.
 func TestJoinSortedMatchesJoin(t *testing.T) {
 	rng := rand.New(rand.NewPCG(9, 9))
 	for _, d := range []float64{0, 3} {
 		as := sortRectsByMinX(randRects(60, rng, 80, 25))
 		bs := sortRectsByMinX(randRects(60, rng, 80, 25))
 		var want, got [][2]int
-		Join(as, bs, d, func(i, j int) bool { want = append(want, [2]int{i, j}); return true })
+		for i, a := range as {
+			for j, b := range bs {
+				if d == 0 && a.Overlaps(b) || d > 0 && a.WithinDist(b, d) {
+					want = append(want, [2]int{i, j})
+				}
+			}
+		}
 		JoinSorted(as, bs, d, func(i, j int) bool { got = append(got, [2]int{i, j}); return true })
 		if len(got) != len(want) {
 			t.Fatalf("d=%v: %d pairs, want %d", d, len(got), len(want))
@@ -243,7 +244,7 @@ func TestJoinWindowFloatConsistency(t *testing.T) {
 			}
 			return rs
 		}
-		as, bs := mk(1+rng.IntN(4)), mk(1+rng.IntN(4))
+		as, bs := sortRectsByMinX(mk(1+rng.IntN(4))), sortRectsByMinX(mk(1+rng.IntN(4)))
 		d := pick()
 		want := bruteJoin(as, bs, d)
 		if got := sweepPairs(as, bs, d); !equalPairs(got, want) {
@@ -253,9 +254,8 @@ func TestJoinWindowFloatConsistency(t *testing.T) {
 	}
 }
 
-// BenchmarkJoinSorted5k is the regression benchmark for the cascade
-// pre-sort: the same workload as BenchmarkJoin5k minus the per-call
-// index sorts.
+// BenchmarkJoinSorted5k joins two sorted sets of 5,000 small rectangles
+// scattered over a wide plane.
 func BenchmarkJoinSorted5k(b *testing.B) {
 	rng := rand.New(rand.NewPCG(1, 2))
 	as := sortRectsByMinX(randRects(5000, rng, 100000, 100))

@@ -95,13 +95,13 @@ echo "== benchmark module tests (own go.mod, invisible to the root go test ./...
 go test -C benchmark ./...
 test -z "$(gofmt -l benchmark)"
 
-echo "== DFS row read, grid routing and adaptive build, shuffle pipeline, sweep kernel, strip probe, R-tree, mark round, planner, sweep order, relation staging and control-plane bench smoke (1 iteration per benchmark) =="
+echo "== DFS row read, grid routing and adaptive build, shuffle pipeline, sweep kernel, strip probe, R-tree, mark round, planner, sweep order, relation staging, control-plane and mesh bench smoke (1 iteration per benchmark) =="
 go test -run='^$' -bench BenchmarkViewMBBs -benchtime=1x ./internal/dfs
 go test -run='^$' -bench 'BenchmarkSplit|BenchmarkReplicateF2|BenchmarkBuildAdaptive' -benchtime=1x ./internal/grid
 go test -run='^$' -bench . -benchtime=1x ./internal/mapreduce
 go test -run='^$' -bench 'BenchmarkJoinSortedCells|BenchmarkStripProbe' -benchtime=1x ./internal/sweep
 go test -run='^$' -bench 'BenchmarkRTree(Build|Probe)$' -benchtime=1x ./internal/index
 go test -run='^$' -bench 'BenchmarkPlanQuery|BenchmarkMarkCell|BenchmarkSweepOrder|BenchmarkStageRows' -benchtime=1x ./internal/spatial
-go test -run='^$' -bench BenchmarkControlPlane -benchtime=1x ./internal/cluster
+go test -run='^$' -bench 'BenchmarkControlPlane|BenchmarkMeshAllToAll' -benchtime=1x ./internal/cluster
 
 echo "== check.sh: all green =="
