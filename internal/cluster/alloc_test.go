@@ -28,7 +28,7 @@ func TestClusterAllocationCeiling(t *testing.T) {
 	const n = 10000
 	p := dataset.PaperDefaults(n)
 	p.XMax, p.YMax = 10_000, 10_000 // the paper's density at this n
-	direct, clustered := measureClusterAllocation(t, p, func(i int) uint64 { return uint64(2013 + 101*i) })
+	direct, clustered := measureClusterAllocation(t, syntheticRelations(t, p, func(i int) uint64 { return uint64(2013 + 101*i) }))
 	if ratio := float64(clustered) / float64(direct); ratio > 3.8 {
 		t.Errorf("two-worker cluster allocates %.2f × the in-process engine, ceiling 3.8", ratio)
 	}
@@ -46,11 +46,7 @@ func TestClusterAllocationCeiling(t *testing.T) {
 // slab, 170 read 2.56–3.09 MB, 5.12–5.53 MB and 1.65–2.13 ×. The
 // ceilings, 2.4 × and 6.5 MB, sit between the two.
 func TestClusterAllocationAtBenchmarkShape(t *testing.T) {
-	const n = 50000
-	p := dataset.PaperDefaults(n)
-	side := 100_000 * math.Sqrt(float64(n)/1e6)
-	p.XMax, p.YMax = side, side
-	direct, clustered := measureClusterAllocation(t, p, func(i int) uint64 { return uint64(2013 + 101*(i+1)) })
+	direct, clustered := measureClusterAllocation(t, benchmarkShapeRelations(t))
 	if ratio := float64(clustered) / float64(direct); ratio > 2.4 {
 		t.Errorf("two-worker cluster allocates %.2f × the in-process engine, ceiling 2.4", ratio)
 	}
@@ -59,17 +55,10 @@ func TestClusterAllocationAtBenchmarkShape(t *testing.T) {
 	}
 }
 
-// measureClusterAllocation returns what one warm cascade of R1 ov R2 and
-// R2 ov R3 allocates in-process and through a coordinator and two
-// workers that keep the relations, over three relations drawn from p,
-// relation i with seed(i). The in-process side is measured before the
-// cluster starts, on an FS private to the execution as the daemon's
-// in-process path runs it, so each side recycles only its own pages.
-func measureClusterAllocation(t *testing.T, p dataset.SyntheticParams, seed func(i int) uint64) (direct, clustered uint64) {
+// syntheticRelations draws the three relations R1, R2 and R3 from p,
+// relation i with seed(i).
+func syntheticRelations(t *testing.T, p dataset.SyntheticParams, seed func(i int) uint64) []spatial.Relation {
 	t.Helper()
-	if raceEnabled {
-		t.Skip("the race detector's bookkeeping allocates")
-	}
 	rels := make([]spatial.Relation, 3)
 	for i, name := range []string{"R1", "R2", "R3"} {
 		rel, err := dataset.SyntheticRelation(name, p, seed(i))
@@ -78,16 +67,45 @@ func measureClusterAllocation(t *testing.T, p dataset.SyntheticParams, seed func
 		}
 		rels[i] = rel
 	}
-	const queryText = "R1 ov R2 and R2 ov R3"
-	cfg := spatial.Config{Reducers: 64, NumMappers: 8, Parallelism: 1}
-	q, err := query.Parse(queryText)
+	return rels
+}
+
+// benchmarkShapeRelations are cluster_w2's relations: 3 × 50,000
+// uniform rectangles at the paper's density, seeded as the benchmark
+// seeds them from 2013.
+func benchmarkShapeRelations(t *testing.T) []spatial.Relation {
+	const n = 50000
+	p := dataset.PaperDefaults(n)
+	side := 100_000 * math.Sqrt(float64(n)/1e6)
+	p.XMax, p.YMax = side, side
+	return syntheticRelations(t, p, func(i int) uint64 { return uint64(2013 + 101*(i+1)) })
+}
+
+// clusterQuery and clusterConfig are the query and config the cluster's
+// guards run at the benchmark's cluster_w2 shape.
+const clusterQuery = "R1 ov R2 and R2 ov R3"
+
+var clusterConfig = spatial.Config{Reducers: 64, NumMappers: 8, Parallelism: 1}
+
+// measureClusterAllocation returns what one warm cascade of clusterQuery
+// over rels allocates in-process and through a coordinator and two
+// workers that keep the relations. The in-process side is measured
+// before the cluster starts, on an FS private to the execution as the
+// daemon's in-process path runs it, so each side recycles only its own
+// pages.
+func measureClusterAllocation(t *testing.T, rels []spatial.Relation) (direct, clustered uint64) {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("the race detector's bookkeeping allocates")
+	}
+	q, err := query.Parse(clusterQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	var tuples int
 	inProcess := func() {
-		res, err := spatial.Execute(spatial.Cascade, q, rels, cfg)
+		res, err := spatial.Execute(spatial.Cascade, q, rels, clusterConfig)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +116,7 @@ func measureClusterAllocation(t *testing.T, p dataset.SyntheticParams, seed func
 
 	tc := startTestCluster(t, 2, func(_ int, wc *WorkerConfig) { wc.Logf = nil })
 	onCluster := func() {
-		res, err := tc.coord.Run(SpecFromConfig(spatial.Cascade, queryText, rels, cfg))
+		res, err := tc.coord.Run(SpecFromConfig(spatial.Cascade, clusterQuery, rels, clusterConfig))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,4 +131,56 @@ func measureClusterAllocation(t *testing.T, p dataset.SyntheticParams, seed func
 		t.Fatal("query produced no tuples; the ceiling would be vacuous")
 	}
 	return direct, clustered
+}
+
+// TestClusterShipsBoundaryPairsAtBenchmarkShape holds what a two-worker
+// cascade ships between its workers at the benchmark's cluster_w2 shape
+// to the pairs whose reducer runs on the other worker: each reducer is
+// placed on the worker whose mappers emitted most of its bytes, and
+// since relations are staged in MinX order a mapper's split is an
+// x-strip of the grid, so only the strips' boundary cells cross. Σ
+// rounds ShuffleNetworkBytes must stay at most 1,500,000 B; with
+// reducer r dealt to worker r mod 2 it was 4,984,566 B. The result must
+// be the one worker's: the roster hash and tuple count of a one-worker
+// cluster. C-Rep and C-Rep-L at the same shape may not ship more than
+// they did under r mod 2, 4,911,218 B and 2,467,025 B; placed, they
+// ship 266 B less each, and the cascade 1,138,551 B.
+func TestClusterShipsBoundaryPairsAtBenchmarkShape(t *testing.T) {
+	rels := benchmarkShapeRelations(t)
+	shipped := func(res *RunResult) (n int64) {
+		for _, r := range res.Stats.Rounds {
+			n += r.ShuffleNetworkBytes
+		}
+		return n
+	}
+	one := startTestCluster(t, 1, func(_ int, wc *WorkerConfig) { wc.Logf = nil })
+	want, err := one.coord.Run(SpecFromConfig(spatial.Cascade, clusterQuery, rels, clusterConfig))
+	if err != nil {
+		t.Fatal(err)
+	}
+	two := startTestCluster(t, 2, func(_ int, wc *WorkerConfig) { wc.Logf = nil })
+	for _, c := range []struct {
+		method  spatial.Method
+		ceiling int64
+	}{
+		{spatial.Cascade, 1_500_000},
+		{spatial.ControlledReplicate, 4_911_218},
+		{spatial.ControlledReplicateLimit, 2_467_025},
+	} {
+		res, err := two.coord.Run(SpecFromConfig(c.method, clusterQuery, rels, clusterConfig))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Workers != 2 {
+			t.Fatalf("%v ran on %d workers, want 2", c.method, res.Workers)
+		}
+		n := shipped(res)
+		t.Logf("%v: %d tuples, %d B shipped over %d rounds", c.method, len(res.Tuples), n, len(res.Stats.Rounds))
+		if n > c.ceiling {
+			t.Errorf("%v: the two workers shipped %d B, ceiling %d", c.method, n, c.ceiling)
+		}
+		if c.method == spatial.Cascade && (res.Hash != want.Hash || len(res.Tuples) != len(want.Tuples)) {
+			t.Errorf("two workers: hash %s over %d tuples; one worker: %s over %d", res.Hash, len(res.Tuples), want.Hash, len(want.Tuples))
+		}
+	}
 }

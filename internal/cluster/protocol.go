@@ -18,12 +18,13 @@
 // What crosses the wire, and how. Data plane (mesh.go, worker to
 // worker), as length-prefixed binary frames, each read by the exchange
 // it belongs to under one deadline that bounds the whole exchange, its
-// sends included; two exchanges per job: the
-// sender's map report, then its runs for the receiver's reducers (a
-// mapper's values for one reducer, unsorted, in emit order); its reduce
-// report, then its reducers' pair counts and outputs (for the 2-way
-// Cascade, page segments of the round's checkpoint, not one record per
-// tuple). A resumed attempt first agrees on the committed checkpoint
+// sends included; three exchanges per job: the
+// sender's map report (its counters and each of its map runs' priced
+// bytes, from which every worker computes the same reducer placement);
+// its runs for the reducers placed on the receiver (a mapper's values
+// for one reducer, unsorted, in emit order); its reduce report, then
+// its reducers' pair counts and outputs (for the 2-way Cascade, page
+// segments of the round's checkpoint, not one record per tuple). A resumed attempt first agrees on the committed checkpoint
 // prefix in one more exchange. Control plane
 // (this file and wire.go, coordinator to worker): per session, a start
 // that names the input relations by content digest, and the whole

@@ -362,7 +362,7 @@ func TestChainAgreeResume(t *testing.T) {
 		{[]byte{0x81, 0x00}, "overlong varint"},
 		{uv(1, 0), "1 bytes after the resume prefix"},
 	} {
-		d := &DistConfig{NumWorkers: 2, Self: 0, Exchanger: &forgingExchanger{forgeTag: "resume-prefix", forged: c.forged}}
+		d := &DistConfig{NumWorkers: 2, Self: 0, Exchanger: &forgingExchanger{forged: map[string][]byte{"resume-prefix": c.forged}}}
 		err := committedChain(t, "a", 1).AgreeResume(d)
 		if err == nil || !strings.Contains(err.Error(), c.want) || !strings.Contains(err.Error(), `chain "a"`) || !strings.Contains(err.Error(), "worker 1") {
 			t.Errorf("forged prefix %x: err = %v, want %q naming the chain and worker 1", c.forged, err, c.want)

@@ -2,40 +2,48 @@ package mapreduce
 
 // Distributed execution (SPMD): every worker of a cluster runs the same
 // deterministic Job over the same input, but task *ownership* is
-// partitioned — mapper m belongs to worker m mod W, reducer r to worker
-// r mod W — and a job makes two exchanges:
+// partitioned — mapper m belongs to worker m mod W, and each reducer to
+// the worker the job's placement table names — and a job makes three
+// exchanges:
 //
-//  1. the network shuffle: each worker's payload to a peer starts with
-//     its map report (map attempts, map failures, its lowest-index map
-//     error), so every worker agrees on the job's MapAttempts/MapFailures
-//     totals and on whether (and how) the map phase failed; then come
-//     the runs destined for the peer's reducers, none when the sender's
-//     map phase failed, so the shuffle sees exactly the runs[m][r]
-//     matrix an in-process run builds;
-//  2. a reduce barrier all-gathering the reducer outputs, each
+//  1. the map report, all-gathered: each worker's map attempts, map
+//     failures and lowest-index map error, then, unless its map phase
+//     failed, one vector per mapper it owns of each of that mapper's
+//     runs' priced bytes (its pair count when the job prices none). So
+//     every worker agrees on the job's MapAttempts/MapFailures totals,
+//     on whether (and how) the map phase failed, and on the placement
+//     table (placeReducers), which it computes from the same vectors;
+//  2. the network shuffle: a worker's payload to a peer is the runs of
+//     its mappers for the reducers the table gives the peer, so the
+//     shuffle sees exactly the runs[m][r] matrix an in-process run
+//     builds;
+//  3. a reduce barrier all-gathering the reducer outputs, each
 //     reducer's pair count and the reduce accounting, so every worker
 //     finishes the job with the complete output slice and identical
 //     Stats.
 //
-// Both frame their records alike: a header — a run's mapper, reducer,
-// priced bytes and count; a reducer entry's reducer, pairs and count —
-// then count records of the job's codec (Job.Values, Job.Outputs) back
-// to back. A pair ships as its value alone, since the header names its
-// reducer.
+// The last two frame their records alike: a header — a run's mapper,
+// reducer, priced bytes and count; a reducer entry's reducer, pairs and
+// count — then count records of the job's codec (Job.Values,
+// Job.Outputs) back to back. A pair ships as its value alone, since the
+// header names its reducer.
 //
 // Because the shuffle delivers a reducer's values in (mapper index,
 // emit order) no matter which worker produced the run, and outputs are
 // assembled in reducer-index order, a distributed run is bit-identical
-// to the in-process engine; the only new Stats are the
-// ShuffleNetworkBytes/ShuffleNetworkRuns family counting the runs the
-// shuffle actually shipped, their headers and value records. A
-// DistConfig with NumWorkers == 1 degenerates to the in-process engine
-// exactly (no exchange runs, network counters stay zero).
+// to the in-process engine wherever the table places a reducer; the
+// only new Stats are the ShuffleNetworkBytes/ShuffleNetworkRuns family
+// counting the runs the shuffle actually shipped, their headers and
+// value records. A DistConfig with NumWorkers == 1 degenerates to the
+// in-process engine exactly (no exchange runs, network counters stay
+// zero).
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Exchanger is one collective data-plane primitive connecting the W
@@ -78,9 +86,9 @@ type DistConfig struct {
 	Pool *BufferPool
 }
 
-// owns reports whether this worker executes task t, a mapper or a
-// reducer: the one ownership rule of both phases.
-func (d *DistConfig) owns(t int) bool { return t%d.NumWorkers == d.Self }
+// owns reports whether this worker runs mapper m. Reducers go where the
+// job's placement table puts them.
+func (d *DistConfig) owns(m int) bool { return m%d.NumWorkers == d.Self }
 
 // validate checks the distributed knobs at config time. numMappers is
 // the pre-default value: a W>1 job must pin NumMappers explicitly,
@@ -217,9 +225,9 @@ func reportLen(n int, e taskError) int {
 }
 
 // appendReport encodes one worker's report of a phase it ran part of:
-// its counters, then its lowest-index failed task. Both exchanges of a
-// job carry one: the run payloads the map report, the reduce barrier's
-// payload the reduce report.
+// its counters, then its lowest-index failed task. Two exchanges of a
+// job carry one: the map report heads its own, the reduce report the
+// reduce barrier's payload.
 func appendReport(buf []byte, c []int64, e taskError) []byte {
 	for _, v := range c {
 		buf = appendUvarints(buf, uint64(v))
@@ -251,61 +259,241 @@ func distGather(d *DistConfig, tag string, payload []byte) ([][]byte, error) {
 	return d.Exchanger.AllToAll(tag, outgoing)
 }
 
-// mapReportCounters are the counters of the map report that heads a
-// run payload, in wire order: map attempts and failures.
+// mapReportCounters are the counters of the map report, in wire order:
+// map attempts and failures.
 const mapReportCounters = 2
 
-// parseRunHead decodes the map report at the head of a run payload, of
-// a job with tasks mappers, into c and e, and returns the runs after
-// it: none when the report carries an error, because a worker whose map
-// phase failed ships no runs.
-func parseRunHead(buf []byte, c []int64, e *taskError, tasks int) ([]byte, error) {
-	rest, err := parseReport(buf, c, e, tasks)
-	if err == nil && e.idx >= 0 && len(rest) > 0 {
-		err = fmt.Errorf("mapreduce: dist frame: %d bytes after the report of a failed map phase", len(rest))
+// ownedMappers is the number of mappers worker w of W owns among nm.
+func ownedMappers(w, W, nm int) int {
+	if w >= nm {
+		return 0
 	}
-	return rest, err
+	return (nm-1-w)/W + 1
 }
 
-// distExchangeRuns is the first exchange, the network shuffle. Every
-// payload starts with this worker's map report; unless its map phase
-// failed, a payload to a peer goes on with each owned mapper's runs for
-// the peer's reducers. The reports make the MapAttempts/MapFailures
-// totals in stats global and surface the globally lowest-index map
-// error, before any run is decoded. On success, runs[m][r] is populated
-// for every locally-owned reducer column r exactly as an in-process run
-// would have built it; remote mappers' rows are materialized so the
-// shuffle can index them. Each payload to a peer is encoded into a frame
-// from pool, which goes back once the exchange returns; the report to
-// itself is too small to take one. stats.ShuffleNetworkBytes and
-// ShuffleNetworkRuns are left at this worker's share, the bytes of runs
-// and the non-empty runs it shipped, which the reduce barrier sums.
-func distExchangeRuns[I any, K ReducerKey, V any, O any](j *Job[I, K, V, O], cfg *Config, stats *Stats, runs [][]run[V], mapErrs []error, pool *BufferPool) error {
+// appendMapReport encodes worker w's map report: its counters c and
+// lowest-index map error e, then — unless e names a failed mapper, whose
+// report is the report alone — the count of mappers w owns and, for each
+// of them ascending, its nr weights, weights[m*nr+r] for reducer r.
+func appendMapReport(buf []byte, c []int64, e taskError, w, W, nr int, weights []int64) []byte {
+	buf = appendReport(buf, c, e)
+	if e.idx >= 0 {
+		return buf
+	}
+	nm := len(weights) / nr
+	buf = appendUvarints(buf, uint64(ownedMappers(w, W, nm)))
+	for m := w; m < nm; m += W {
+		for _, v := range weights[m*nr : (m+1)*nr] {
+			buf = appendUvarints(buf, uint64(v))
+		}
+	}
+	return buf
+}
+
+// parseMapReport decodes the map report at the head of worker w's
+// payload, of a job of len(weights)/nr mappers and nr reducers, into c,
+// e and w's mappers' rows of weights, and returns the bytes after it.
+// A report carrying an error ends there; any other holds exactly one
+// vector for each mapper w owns.
+func parseMapReport(buf []byte, c []int64, e *taskError, w, W, nr int, weights []int64) ([]byte, error) {
+	nm := len(weights) / nr
+	buf, err := parseReport(buf, c, e, nm)
+	if err != nil || e.idx >= 0 {
+		return buf, err
+	}
+	k, buf, err := readUvarint(buf)
+	if err != nil {
+		return nil, err
+	}
+	// Every weight takes at least a byte.
+	if k > uint64(len(buf)/nr) {
+		return nil, fmt.Errorf("mapreduce: dist frame: %d mapper vectors of %d reducers declared with %d bytes left", k, nr, len(buf))
+	}
+	if owned := ownedMappers(w, W, nm); k != uint64(owned) {
+		return nil, fmt.Errorf("mapreduce: dist frame: %d mapper vectors reported, worker %d owns %d mappers", k, w, owned)
+	}
+	for m := w; m < nm; m += W {
+		for r := range nr {
+			var v uint64
+			if v, buf, err = readUvarint(buf); err != nil {
+				return nil, err
+			}
+			weights[m*nr+r] = int64(v)
+		}
+	}
+	return buf, nil
+}
+
+// placeReducers is a job's placement table: entry r is the worker that
+// runs reducer r, given load[w][r], the bytes worker w's mappers emitted
+// for it. A reducer should run where most of its bytes already are, so
+// each goes to its best worker — the most bytes; among equals, the one
+// holding the fewest bytes so far, then the lower index — unless that
+// would lift the worker's total above ⌈total/W⌉ plus the largest
+// reducer's bytes; then it goes to the best worker that still has room.
+// A reducer whose bytes are split evenly ships the same wherever it
+// runs, so equals take turns instead of filling the lower worker. Reducers are placed in descending order of the margin
+// between their best and second-best worker's bytes, the lower index
+// first on a tie, so those with the most to lose from moving choose
+// first. A reducer with no bytes stays at r mod W. Every worker computes
+// the same table from the same map reports.
+func placeReducers(load [][]int64) []int {
+	W, nr := len(load), len(load[0])
+	owner := make([]int, nr)
+	sum := make([]int64, nr)
+	margin := make([]int64, nr)
+	order := make([]int, 0, nr)
+	var total, largest int64
+	for r := range owner {
+		owner[r] = r % W
+		var first, second int64
+		for w := range load {
+			v := load[w][r]
+			sum[r] += v
+			if v > first {
+				first, second = v, first
+			} else if v > second {
+				second = v
+			}
+		}
+		if sum[r] != 0 {
+			margin[r] = first - second
+			order = append(order, r)
+		}
+		total += sum[r]
+		largest = max(largest, sum[r])
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(margin[b], margin[a]) })
+	room := (total+int64(W)-1)/int64(W) + largest
+	held := make([]int64, W)
+	for _, r := range order {
+		// The least-held worker has room: before r it holds at most
+		// (total − sum[r])/W.
+		best := -1
+		for w := range load {
+			if held[w]+sum[r] > room {
+				continue
+			}
+			if best < 0 || load[w][r] > load[best][r] || load[w][r] == load[best][r] && held[w] < held[best] {
+				best = w
+			}
+		}
+		if best < 0 {
+			// Only a peer's claims that overflow the sums get here.
+			best = owner[r]
+		}
+		owner[r] = best
+		held[best] += sum[r]
+	}
+	return owner
+}
+
+// distMapReport is the first exchange: it all-gathers every worker's
+// map report and returns the job's placement table. The reports make
+// the MapAttempts/MapFailures totals in stats global and surface the
+// globally lowest-index map error, which ends the job here; otherwise
+// each worker's weights — a run's priced bytes, or its pairs when the
+// job prices none — place the reducers.
+func distMapReport[I any, K ReducerKey, V any, O any](j *Job[I, K, V, O], cfg *Config, stats *Stats, runs [][]run[V], mapErrs []error) ([]int, error) {
 	d := cfg.Dist
-	W := d.NumWorkers
-	nm := len(runs)
+	W, nm, nr := d.NumWorkers, len(runs), cfg.NumReducers
 	// Mirror the in-process surface error exactly:
 	// fmt.Errorf("%w (mapper %d)", err, m).
 	locErr := firstError(mapErrs, func(m int, err error) string { return fmt.Sprintf("%s (mapper %d)", err, m) })
 	c := [mapReportCounters]int64{stats.MapAttempts, stats.MapFailures}
+	weights := make([]int64, nm*nr)
+	for m := d.Self; locErr.idx < 0 && m < nm; m += W {
+		for r := range runs[m] {
+			b := &runs[m][r]
+			weights[m*nr+r] = int64(b.n)
+			if j.PairBytes != nil {
+				weights[m*nr+r] = b.bytes
+			}
+		}
+	}
+	// A few bytes a reducer per mapper: too small to take a frame.
+	payload := appendMapReport(nil, c[:], locErr, d.Self, W, nr, weights)
+	incoming, err := distGather(d, "map-report", payload)
+	if err != nil {
+		return nil, fmt.Errorf("mapreduce: job %q: map report: %w", cfg.Name, err)
+	}
+	defer d.Exchanger.Recycle()
+	totals, globErr := c, locErr
+	for w, buf := range incoming {
+		if w == d.Self {
+			continue
+		}
+		var c [mapReportCounters]int64
+		var e taskError
+		rest, err := parseMapReport(buf, c[:], &e, w, W, nr, weights)
+		if err == nil && len(rest) > 0 {
+			err = fmt.Errorf("mapreduce: dist frame: %d bytes after the map report", len(rest))
+		}
+		if err != nil {
+			return nil, fmt.Errorf("mapreduce: job %q: map report: worker %d: %w", cfg.Name, w, err)
+		}
+		for i, v := range c {
+			totals[i] += v
+		}
+		globErr.merge(e)
+	}
+	stats.MapAttempts, stats.MapFailures = totals[0], totals[1]
+	if globErr.idx >= 0 {
+		return nil, errors.New(globErr.msg)
+	}
+	return placement(weights, W, nr), nil
+}
+
+// placement is the placement table of a job of W workers and nr
+// reducers whose mapper m emitted weights[m*nr+r] for reducer r: each
+// worker's mappers' weights summed, then placed by placeReducers.
+func placement(weights []int64, W, nr int) []int {
+	load := make([][]int64, W)
+	for w := range load {
+		load[w] = make([]int64, nr)
+	}
+	for m := 0; m < len(weights)/nr; m++ {
+		for r, v := range weights[m*nr : (m+1)*nr] {
+			load[m%W][r] += v
+		}
+	}
+	return placeReducers(load)
+}
+
+// distExchangeRuns is the second exchange, the network shuffle: the
+// payload to a peer is each owned mapper's runs for the reducers owner,
+// the job's placement table, gives the peer. On success, runs[m][r] is
+// populated for every locally-owned reducer column r exactly as an
+// in-process run would have built it; remote mappers' rows are
+// materialized so the shuffle can index them. Each payload to a peer is
+// encoded into a frame from pool, which goes back once the exchange
+// returns. stats.ShuffleNetworkBytes and ShuffleNetworkRuns are left at
+// this worker's share, the bytes of runs and the non-empty runs it
+// shipped, which the reduce barrier sums.
+func distExchangeRuns[I any, K ReducerKey, V any, O any](j *Job[I, K, V, O], cfg *Config, stats *Stats, runs [][]run[V], owner []int, pool *BufferPool) error {
+	d := cfg.Dist
+	W := d.NumWorkers
+	nm := len(runs)
 	outgoing := make([][]byte, W)
-	outgoing[d.Self] = appendReport(nil, c[:], locErr)
-	shipRuns := locErr.idx < 0
 	for u := 0; u < W; u++ {
 		if u == d.Self {
 			continue
 		}
-		// Sized before the first append: the report, then the runs.
-		size := reportLen(mapReportCounters, locErr)
-		for m := d.Self; shipRuns && m < nm; m += W {
-			for r := u; r < cfg.NumReducers; r += W {
-				size += runLen(m, r, &runs[m][r], &j.Values)
+		// Sized before the first append.
+		size := 0
+		for m := d.Self; m < nm; m += W {
+			for r, o := range owner {
+				if o == u {
+					size += runLen(m, r, &runs[m][r], &j.Values)
+				}
 			}
 		}
-		buf := appendReport(pool.getFrame(size), c[:], locErr)
-		head := len(buf)
-		for m := d.Self; shipRuns && m < nm; m += W {
-			for r := u; r < cfg.NumReducers; r += W {
+		buf := pool.getFrame(size)
+		for m := d.Self; m < nm; m += W {
+			for r, o := range owner {
+				if o != u {
+					continue
+				}
 				b := &runs[m][r]
 				if b.n > 0 {
 					stats.ShuffleNetworkRuns++
@@ -317,7 +505,7 @@ func distExchangeRuns[I any, K ReducerKey, V any, O any](j *Job[I, K, V, O], cfg
 			}
 		}
 		outgoing[u] = buf
-		stats.ShuffleNetworkBytes += int64(len(buf) - head)
+		stats.ShuffleNetworkBytes += int64(len(buf))
 	}
 	incoming, err := d.Exchanger.AllToAll("runs", outgoing)
 	for u, buf := range outgoing {
@@ -329,23 +517,6 @@ func distExchangeRuns[I any, K ReducerKey, V any, O any](j *Job[I, K, V, O], cfg
 		return fmt.Errorf("mapreduce: job %q: run exchange: %w", cfg.Name, err)
 	}
 	defer d.Exchanger.Recycle()
-	var totals [mapReportCounters]int64
-	globErr := taskError{idx: -1}
-	for w, buf := range incoming {
-		var e taskError
-		// c, encoded already, takes each worker's counters in turn.
-		if incoming[w], err = parseRunHead(buf, c[:], &e, nm); err != nil {
-			return fmt.Errorf("mapreduce: job %q: run exchange: worker %d: %w", cfg.Name, w, err)
-		}
-		for i, v := range c {
-			totals[i] += v
-		}
-		globErr.merge(e)
-	}
-	stats.MapAttempts, stats.MapFailures = totals[0], totals[1]
-	if globErr.idx >= 0 {
-		return errors.New(globErr.msg)
-	}
 	// Materialize every remote mapper's row — the shuffle indexes
 	// runs[m][r] for all m, empty runs included.
 	for m := 0; m < nm; m++ {
@@ -357,7 +528,7 @@ func distExchangeRuns[I any, K ReducerKey, V any, O any](j *Job[I, K, V, O], cfg
 		if w == d.Self {
 			continue
 		}
-		if err := decodeRuns(incoming[w], d, w, runs, &j.Values, pool); err != nil {
+		if err := decodeRuns(incoming[w], d, w, owner, runs, &j.Values, pool); err != nil {
 			return fmt.Errorf("mapreduce: job %q: run exchange: worker %d: %w", cfg.Name, w, err)
 		}
 	}
@@ -417,11 +588,14 @@ func appendRun[V any](buf []byte, m, r int, b *run[V], codec *Codec[V]) []byte {
 
 // decodeRuns parses worker from's run-exchange payload to this worker
 // into runs: one appendRun frame for every mapper from owns and every
-// reducer this worker owns, in that order and nothing else. A run out
-// of place is an error.
-func decodeRuns[V any](buf []byte, d *DistConfig, from int, runs [][]run[V], codec *Codec[V], pool *BufferPool) error {
+// reducer owner gives this worker, in that order and nothing else. A
+// run out of place is an error.
+func decodeRuns[V any](buf []byte, d *DistConfig, from int, owner []int, runs [][]run[V], codec *Codec[V], pool *BufferPool) error {
 	for m := from; m < len(runs); m += d.NumWorkers {
-		for r := d.Self; r < len(runs[m]); r += d.NumWorkers {
+		for r, o := range owner {
+			if o != d.Self {
+				continue
+			}
 			var hdr [4]uint64 // mapper, reducer, priced bytes, pairs
 			for i := range hdr {
 				var err error
@@ -456,34 +630,44 @@ func decodeRuns[V any](buf []byte, d *DistConfig, from int, runs [][]run[V], cod
 // Stats.
 const reduceReportCounters = 5
 
-// ownedReducers is the number of reducers worker w of W owns among nr.
-func ownedReducers(w, W, nr int) int {
-	if w >= nr {
-		return 0
+// ownedReducers is the number of reducers owner, a placement table,
+// gives worker w.
+func ownedReducers(w int, owner []int) int {
+	n := 0
+	for _, o := range owner {
+		if o == w {
+			n++
+		}
 	}
-	return (nr-1-w)/W + 1
+	return n
 }
 
 // appendReduceReport encodes worker w's reduce-barrier payload into a
-// frame from pool: its report, the count of reducers it owns, then for
-// each owned reducer r ≡ w (mod W), ascending, an entry of r, the pairs
+// frame from pool: its report, the count of reducers it owns under
+// owner, then for each of them, ascending, an entry of r, the pairs
 // shuffled to it and its output count, followed by its outputs'
 // records.
-func appendReduceReport[O any](pool *BufferPool, c [reduceReportCounters]int64, e taskError, w, W int, pairs []int64, outputs []run[O], codec *Codec[O]) []byte {
+func appendReduceReport[O any](pool *BufferPool, c [reduceReportCounters]int64, e taskError, w int, owner []int, pairs []int64, outputs []run[O], codec *Codec[O]) []byte {
 	// The payload's capacity is fixed before the first append, at its
 	// size: the gathered outputs are the job's whole result, doubling a
 	// buffer that large allocates it twice over, and a frame asked for
 	// beyond the payload's size may miss the one the peer's payload of
 	// this exchange leaves.
-	owned := ownedReducers(w, W, len(outputs))
+	owned := ownedReducers(w, owner)
 	size := reportLen(reduceReportCounters, e) + uvarintLen(uint64(owned))
-	for r := w; r < len(outputs); r += W {
+	for r, o := range owner {
+		if o != w {
+			continue
+		}
 		b := &outputs[r]
 		size += uvarintLen(uint64(r)) + uvarintLen(uint64(pairs[r])) + uvarintLen(uint64(b.n)) + recordsLen(b, codec)
 	}
 	buf := appendReport(pool.getFrame(size), c[:], e)
 	buf = appendUvarints(buf, uint64(owned))
-	for r := w; r < len(outputs); r += W {
+	for r, o := range owner {
+		if o != w {
+			continue
+		}
 		b := &outputs[r]
 		buf = appendUvarints(buf, uint64(r), uint64(pairs[r]), uint64(b.n))
 		buf = appendRecords(buf, b, codec)
@@ -494,10 +678,10 @@ func appendReduceReport[O any](pool *BufferPool, c [reduceReportCounters]int64, 
 // parseReduceReport decodes worker w's whole reduce-barrier payload for
 // a job of len(outputs) reducers: each reducer entry's pair count into
 // pairs, its outputs into its run of outputs. The entries must be
-// exactly the reducers w owns, ascending, each once: an entry for
-// another worker's reducer would overwrite that reducer's outputs and
-// count its pairs twice.
-func parseReduceReport[O any](buf []byte, w, W int, pairs []int64, outputs []run[O], codec *Codec[O], pool *BufferPool) (c [reduceReportCounters]int64, e taskError, err error) {
+// exactly the reducers w owns under owner, ascending, each once: an
+// entry for another worker's reducer would overwrite that reducer's
+// outputs and count its pairs twice.
+func parseReduceReport[O any](buf []byte, w int, owner []int, pairs []int64, outputs []run[O], codec *Codec[O], pool *BufferPool) (c [reduceReportCounters]int64, e taskError, err error) {
 	nr := len(outputs)
 	if buf, err = parseReport(buf, c[:], &e, nr); err != nil {
 		return c, e, err
@@ -506,10 +690,13 @@ func parseReduceReport[O any](buf []byte, w, W int, pairs []int64, outputs []run
 	if v, buf, err = readUvarint(buf); err != nil {
 		return c, e, err
 	}
-	if owned := ownedReducers(w, W, nr); v != uint64(owned) {
+	if owned := ownedReducers(w, owner); v != uint64(owned) {
 		return c, e, fmt.Errorf("mapreduce: dist frame: %d reducers reported, worker %d owns %d", v, w, owned)
 	}
-	for r := w; r < nr; r += W {
+	for r, o := range owner {
+		if o != w {
+			continue
+		}
 		var hdr [3]uint64 // reducer, pairs, outputs
 		for i := range hdr {
 			if hdr[i], buf, err = readUvarint(buf); err != nil {
@@ -533,7 +720,7 @@ func parseReduceReport[O any](buf []byte, w, W int, pairs []int64, outputs []run
 	return c, e, err
 }
 
-// distReduceBarrier is the second exchange: all-gather each worker's
+// distReduceBarrier is the third exchange: all-gather each worker's
 // reduce report (its counters, among them its share of the priced
 // bytes and the run exchange's network counters), each owned reducer's
 // pair count, and its outputs. After it, outputs,
@@ -545,11 +732,11 @@ func parseReduceReport[O any](buf []byte, w, W int, pairs []int64, outputs []run
 // from pool, which goes back once every gathered payload is decoded.
 // The exchange returns this worker's own payload as its own entry,
 // which holds nothing new and is not decoded.
-func distReduceBarrier[I any, K ReducerKey, V any, O any](j *Job[I, K, V, O], cfg *Config, stats *Stats, outputs []run[O], redErrs []error, pool *BufferPool) error {
+func distReduceBarrier[I any, K ReducerKey, V any, O any](j *Job[I, K, V, O], cfg *Config, stats *Stats, outputs []run[O], redErrs []error, owner []int, pool *BufferPool) error {
 	d := cfg.Dist
 	locErr := firstError(redErrs, func(_ int, err error) string { return err.Error() })
 	c := [reduceReportCounters]int64{stats.ReduceAttempts, stats.ReduceFailures, stats.IntermediateBytes, stats.ShuffleNetworkBytes, stats.ShuffleNetworkRuns}
-	payload := appendReduceReport(pool, c, locErr, d.Self, d.NumWorkers, stats.PairsPerReducer, outputs, &j.Outputs)
+	payload := appendReduceReport(pool, c, locErr, d.Self, owner, stats.PairsPerReducer, outputs, &j.Outputs)
 	defer pool.PutFrame(payload)
 
 	incoming, err := distGather(d, "outputs", payload)
@@ -562,7 +749,7 @@ func distReduceBarrier[I any, K ReducerKey, V any, O any](j *Job[I, K, V, O], cf
 		if w == d.Self {
 			continue
 		}
-		c, e, err := parseReduceReport(buf, w, d.NumWorkers, stats.PairsPerReducer, outputs, &j.Outputs, pool)
+		c, e, err := parseReduceReport(buf, w, owner, stats.PairsPerReducer, outputs, &j.Outputs, pool)
 		if err != nil {
 			return fmt.Errorf("mapreduce: job %q: reduce barrier: worker %d: %w", cfg.Name, w, err)
 		}

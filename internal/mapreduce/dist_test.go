@@ -216,7 +216,7 @@ func TestDistBitIdenticalToInProcess(t *testing.T) {
 			if sts[self].ShuffleNetworkBytes != sts[0].ShuffleNetworkBytes {
 				t.Errorf("W=%d: workers disagree on network bytes", w)
 			}
-			if want := []string{"runs", "outputs"}; w > 1 && !slices.Equal(tags[self], want) {
+			if want := []string{"map-report", "runs", "outputs"}; w > 1 && !slices.Equal(tags[self], want) {
 				t.Errorf("W=%d worker %d: exchanges %q, want %q", w, self, tags[self], want)
 			}
 		}
@@ -337,22 +337,22 @@ func TestDistErrorIdentity(t *testing.T) {
 		if err.Error() != inErr.Error() {
 			t.Errorf("worker %d: error %q, in-process %q", self, err, inErr)
 		}
-		// The map reports ride in the run exchange; a failed map phase
+		// The map reports are the first exchange; a failed map phase
 		// ends the job there.
-		if want := []string{"runs"}; !slices.Equal(tags[self], want) {
+		if want := []string{"map-report"}; !slices.Equal(tags[self], want) {
 			t.Errorf("worker %d: exchanges %q, want %q", self, tags[self], want)
 		}
 	}
 }
 
 // forgingExchanger plays worker 1 of a two-worker group to a real
-// worker 0 of a job with four mappers and four reducers: it ships a
-// clean map report and empty runs of its mappers 1 and 3 (forgedNoRuns)
-// and echoes worker 0's own payload on any other exchange, except on the
-// exchange named forgeTag, where it answers forged.
+// worker 0 of a job with four mappers and four reducers. It answers
+// forged[tag] on the exchange of that tag; otherwise it ships a clean map
+// report that places reducers 1 and 3 on worker 1 (cleanReport) and empty
+// runs of its mappers 1 and 3 for worker 0's reducers 0 and 2 (noRuns),
+// and echoes worker 0's own payload on any other exchange.
 type forgingExchanger struct {
-	forgeTag string
-	forged   []byte
+	forged map[string][]byte
 }
 
 // uv concatenates the varint encodings of vs.
@@ -365,41 +365,53 @@ func uv(vs ...uint64) []byte {
 }
 
 // cleanReport is worker 1's map report when its two mappers ran once
-// each: two attempts, no failure, no error.
-var cleanReport = uv(2, 0, 0, 0)
+// each: two attempts, no failure, no error, then two mapper vectors
+// that each claim 500 bytes for reducers 1 and 3. Worker 0's mappers 0
+// and 2 of 64 inputs emit 128 bytes for every reducer each, so the
+// table gives reducers 1 and 3 to worker 1 and 0 and 2 to worker 0.
+var cleanReport = uv(2, 0, 0, 0, 2, 0, 500, 0, 500, 0, 500, 0, 500)
+
+// swappedReport is cleanReport with its claims on reducers 0 and 2,
+// which the table then gives worker 1, and 1 and 3 to worker 0.
+var swappedReport = uv(2, 0, 0, 0, 2, 500, 0, 500, 0, 500, 0, 500, 0)
 
 // noRuns is worker 1's runs when its mappers emitted nothing: (mapper,
 // reducer, bytes, pairs) for mappers 1 and 3 and worker 0's reducers 0
 // and 2.
 var noRuns = uv(1, 0, 0, 0, 1, 2, 0, 0, 3, 0, 0, 0, 3, 2, 0, 0)
 
-// forgedNoRuns is worker 1's run payload when its mappers emitted
-// nothing: its clean report, then its empty runs.
+// forgedNoRuns is worker 1's map report and runs when its mappers
+// emitted nothing but claimed cleanReport's bytes: FuzzDistRuns decodes
+// the two back to back.
 var forgedNoRuns = slices.Concat(cleanReport, noRuns)
 
 func (e *forgingExchanger) Recycle() {}
 
 func (e *forgingExchanger) AllToAll(tag string, outgoing [][]byte) ([][]byte, error) {
-	peer := outgoing[0]
+	peer, ok := e.forged[tag]
 	switch {
-	case tag == e.forgeTag:
-		peer = e.forged
+	case ok:
+	case tag == "map-report":
+		peer = cleanReport
 	case tag == "runs":
-		peer = forgedNoRuns
+		peer = noRuns
+	default:
+		peer = outgoing[0]
 	}
 	return [][]byte{outgoing[0], peer}, nil
 }
 
 // runForgedPeer runs distTestJob as worker 0 against a forgingExchanger
-// and returns the bytes the job allocated and its error.
-func runForgedPeer(t *testing.T, tag string, forged []byte) (uint64, error) {
+// that answers forged by tag, and returns the bytes the job allocated
+// and its error.
+func runForgedPeer(t *testing.T, forged map[string][]byte) (uint64, error) {
 	t.Helper()
 	input := make([]int, 64)
 	for i := range input {
 		input[i] = i
 	}
 	j := distTestJob(Config{Name: "forged", NumReducers: 4, NumMappers: 4})
-	j.Config.Dist = &DistConfig{NumWorkers: 2, Self: 0, Exchanger: &forgingExchanger{forgeTag: tag, forged: forged}}
+	j.Config.Dist = &DistConfig{NumWorkers: 2, Self: 0, Exchanger: &forgingExchanger{forged: forged}}
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	_, _, err := j.Run(input)
@@ -409,14 +421,14 @@ func runForgedPeer(t *testing.T, tag string, forged []byte) (uint64, error) {
 
 // TestDistWireCountsBounded: a decoder trusts no count a peer sends.
 // What it allocates follows the bytes it was sent: a payload claiming
-// 2^40 records is an error before anything is sized from it, and a
-// 1 MiB payload claiming 2^20 records the codec rejects costs the job
-// less than 4 MiB of runs and less than its own size of outputs — both
-// decoders keep a value only once it decodes, in the run it belongs to,
-// and reserve nothing from a count. A record cut short by the end of
-// the payload is an error. And a run payload is the sender's runs for
-// this worker's reducers, in order: a run out of place, bytes after the
-// last run and an overlong varint are errors.
+// 2^40 records or mapper vectors is an error before anything is sized
+// from it, and a 1 MiB payload claiming 2^20 records the codec rejects
+// costs the job less than 4 MiB of runs and less than its own size of
+// outputs — both decoders keep a value only once it decodes, in the run
+// it belongs to, and reserve nothing from a count. A record cut short
+// by the end of the payload is an error. And a run payload is the
+// sender's runs for this worker's reducers, in order: a run out of
+// place, bytes after the last run and an overlong varint are errors.
 func TestDistWireCountsBounded(t *testing.T) {
 	const mib = 1 << 20
 	rejected := bytes.Repeat([]byte{0x80}, mib) // no varint ends in it
@@ -426,25 +438,28 @@ func TestDistWireCountsBounded(t *testing.T) {
 		forged    []byte
 		budget    uint64
 	}{
-		// runs: the clean report, then mapper 1, reducer 0, 16 priced
-		// bytes, 2^40 pairs, one byte of them.
-		{"runs", "pairs declared", cat(cleanReport, uv(1, 0, 16, 1<<40), uv(0)), 16 << 20},
+		// runs: mapper 1, reducer 0, 16 priced bytes, 2^40 pairs, one
+		// byte of them.
+		{"runs", "pairs declared", cat(uv(1, 0, 16, 1<<40), uv(0)), 16 << 20},
 		// outputs: the five counters, no error, worker 1's two reducers,
 		// the first r=1 pairs=0 nout=2^40, one byte of outputs.
 		{"outputs", "outputs declared", append(uv(1, 0, 0, 0, 0, 0, 0, 2, 1, 0, 1<<40), 0), 16 << 20},
 		// the same headers claiming 2^20 records, with 2^20 bytes the
 		// codec rejects.
-		{"runs", "an int record", cat(cleanReport, uv(1, 0, 16, mib), rejected), 4 << 20},
+		{"runs", "an int record", cat(uv(1, 0, 16, mib), rejected), 4 << 20},
 		{"outputs", "a string record", cat(uv(1, 0, 0, 0, 0, 0, 0, 2, 1, 0, mib), rejected, uv(3, 0, 0)), mib},
 		// reducer 3's one output claims 5 bytes, and the payload ends 2
 		// bytes into it.
 		{"outputs", "a string record: mapreduce: dist frame: truncated record", cat(uv(1, 0, 0, 0, 0, 0, 0, 2), uv(1, 0, 0), uv(3, 0, 1, 5), []byte("ab")), 1 << 20},
 		// well-formed runs but for the one thing named.
-		{"runs", "mapper 1 reducer 2 where mapper 1 reducer 0's belongs", cat(cleanReport, uv(1, 2, 0, 0, 1, 0, 0, 0, 3, 0, 0, 0, 3, 2, 0, 0)), 1 << 20},
-		{"runs", "after the last run", cat(forgedNoRuns, uv(0)), 1 << 20},
-		{"runs", "overlong varint", cat(cleanReport, []byte{0x81, 0x00}, noRuns[1:]), 1 << 20},
+		{"runs", "mapper 1 reducer 2 where mapper 1 reducer 0's belongs", uv(1, 2, 0, 0, 1, 0, 0, 0, 3, 0, 0, 0, 3, 2, 0, 0), 1 << 20},
+		{"runs", "after the last run", cat(noRuns, uv(0)), 1 << 20},
+		{"runs", "overlong varint", cat([]byte{0x81, 0x00}, noRuns[1:]), 1 << 20},
+		// map report: two attempts, no error, 2^40 mapper vectors of four
+		// weights each, one byte of them.
+		{"map-report", "1099511627776 mapper vectors of 4 reducers declared with 1 bytes left", uv(2, 0, 0, 0, 1<<40, 0), 1 << 20},
 	} {
-		grew, err := runForgedPeer(t, c.tag, c.forged)
+		grew, err := runForgedPeer(t, map[string][]byte{c.tag: c.forged})
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("forged %s payload: err = %v, want %q", c.tag, err, c.want)
 		}
@@ -454,43 +469,61 @@ func TestDistWireCountsBounded(t *testing.T) {
 	}
 }
 
-// TestDistGatherOwnership: a gathered payload speaks only for its
-// sender. Worker 1's outputs are its own reducers 1 and 3, ascending,
-// each once — a claim on worker 0's reducer 0 would overwrite worker 0's
-// outputs and count that reducer's pairs twice — a task error names one
-// of the job's tasks, and a map report carrying an error ends its run
-// payload. Anything else fails the job on worker 0; a well-formed map
-// error fails it with that error.
+// TestDistGatherOwnership: a payload speaks only for its sender, under
+// the placement table every worker computes from the map reports. Under
+// cleanReport's table worker 1's outputs are its own reducers 1 and 3,
+// ascending, each once — a claim on worker 0's reducer 0 would
+// overwrite worker 0's outputs and count that reducer's pairs twice;
+// under swappedReport's they are 0 and 2, so the entries r mod 2 would
+// give worker 1, and runs for reducers 0 and 2, are claims on reducers
+// it does not own. A task error names one of the job's tasks, a map
+// report holds one vector per mapper its sender owns, and one carrying
+// an error is the report alone. Anything else fails the job on the
+// worker that reads it; a well-formed map error fails it with that
+// error.
 func TestDistGatherOwnership(t *testing.T) {
 	counters := uv(1, 0, 0, 0, 0) // reduce attempts, failures, priced bytes, network bytes and runs
 	noErr := uv(0, 0)
 	empty := func(r uint64) []byte { return uv(r, 0, 0) }
 	cat := func(parts ...[]byte) []byte { return slices.Concat(parts...) }
+	outputs := func(p []byte) map[string][]byte { return map[string][]byte{"outputs": p} }
+	report := func(p []byte) map[string][]byte { return map[string][]byte{"map-report": p} }
+	swapped := func(runs, outputs []byte) map[string][]byte {
+		return map[string][]byte{"map-report": swappedReport, "runs": runs, "outputs": outputs}
+	}
+	swappedNoRuns := uv(1, 1, 0, 0, 1, 3, 0, 0, 3, 1, 0, 0, 3, 3, 0, 0)
 	for _, c := range []struct {
-		tag, want string
-		forged    []byte
+		want   string
+		forged map[string][]byte
 	}{
-		{"outputs", "", cat(counters, noErr, uv(2), empty(1), empty(3))},
-		{"outputs", "reducer 0 reported where worker 1's reducer 1 belongs", cat(counters, noErr, uv(2), uv(0, 1000, 0), empty(3))},
-		{"outputs", "reducer 1 reported where worker 1's reducer 3 belongs", cat(counters, noErr, uv(2), empty(1), empty(1))},
-		{"outputs", "reducer 3 reported where worker 1's reducer 1 belongs", cat(counters, noErr, uv(2), empty(3), empty(1))},
-		{"outputs", "1 reducers reported, worker 1 owns 2", cat(counters, noErr, uv(1), empty(1))},
-		{"outputs", "3 reducers reported, worker 1 owns 2", cat(counters, noErr, uv(3), empty(1), empty(3), empty(5))},
-		{"outputs", "bytes after the last reducer", cat(counters, noErr, uv(2), empty(1), empty(3), uv(0))},
-		{"outputs", "an error of task 4, of 4 tasks", cat(counters, uv(5, 1), []byte("x"), uv(2), empty(1), empty(3))},
-		{"outputs", "an error message without a task", cat(counters, uv(0, 1), []byte("x"), uv(2), empty(1), empty(3))},
-		// runs: map attempts and failures, then the error.
-		{"runs", "bytes after the report", cat(uv(2, 1), uv(2, 1), []byte("x"), uv(0))},
-		{"runs", "bytes after the report", cat(uv(2, 1), uv(2, 1), []byte("x"), noRuns)},
-		{"runs", "an error of task 7, of 4 tasks", cat(uv(2, 1), uv(8, 1), []byte("x"))},
-		{"runs", "mapper 1 failed", cat(uv(2, 1), uv(2, 15), []byte("mapper 1 failed"))},
+		{"", outputs(cat(counters, noErr, uv(2), empty(1), empty(3)))},
+		{"reducer 0 reported where worker 1's reducer 1 belongs", outputs(cat(counters, noErr, uv(2), uv(0, 1000, 0), empty(3)))},
+		{"reducer 1 reported where worker 1's reducer 3 belongs", outputs(cat(counters, noErr, uv(2), empty(1), empty(1)))},
+		{"reducer 3 reported where worker 1's reducer 1 belongs", outputs(cat(counters, noErr, uv(2), empty(3), empty(1)))},
+		{"1 reducers reported, worker 1 owns 2", outputs(cat(counters, noErr, uv(1), empty(1)))},
+		{"3 reducers reported, worker 1 owns 2", outputs(cat(counters, noErr, uv(3), empty(1), empty(3), empty(5)))},
+		{"bytes after the last reducer", outputs(cat(counters, noErr, uv(2), empty(1), empty(3), uv(0)))},
+		{"an error of task 4, of 4 tasks", outputs(cat(counters, uv(5, 1), []byte("x"), uv(2), empty(1), empty(3)))},
+		{"an error message without a task", outputs(cat(counters, uv(0, 1), []byte("x"), uv(2), empty(1), empty(3)))},
+		// The table moves worker 1's reducers to 0 and 2.
+		{"", swapped(swappedNoRuns, cat(counters, noErr, uv(2), empty(0), empty(2)))},
+		{"reducer 1 reported where worker 1's reducer 0 belongs", swapped(swappedNoRuns, cat(counters, noErr, uv(2), empty(1), empty(3)))},
+		{"run of mapper 1 reducer 0 where mapper 1 reducer 1's belongs", swapped(noRuns, cat(counters, noErr, uv(2), empty(0), empty(2)))},
+		// map report: map attempts and failures, then the error.
+		{"bytes after the map report", report(cat(uv(2, 1), uv(2, 1), []byte("x"), uv(0)))},
+		{"bytes after the map report", report(cat(uv(2, 1), uv(2, 1), []byte("x"), noRuns))},
+		{"an error of task 7, of 4 tasks", report(cat(uv(2, 1), uv(8, 1), []byte("x")))},
+		{"mapper 1 failed", report(cat(uv(2, 1), uv(2, 15), []byte("mapper 1 failed")))},
+		{"bytes after the map report", report(cat(cleanReport, uv(0)))},
+		{"3 mapper vectors reported, worker 1 owns 2 mappers", report(cat(uv(2, 0, 0, 0, 3), make([]byte, 12)))},
+		{"1 mapper vectors reported, worker 1 owns 2 mappers", report(cat(uv(2, 0, 0, 0, 1), make([]byte, 8)))},
 	} {
-		_, err := runForgedPeer(t, c.tag, c.forged)
+		_, err := runForgedPeer(t, c.forged)
 		switch {
 		case c.want == "" && err != nil:
-			t.Errorf("well-formed %s payload: %v", c.tag, err)
+			t.Errorf("well-formed payloads %x: %v", c.forged, err)
 		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
-			t.Errorf("forged %s payload: err = %v, want %q", c.tag, err, c.want)
+			t.Errorf("forged payloads %x: err = %v, want %q", c.forged, err, c.want)
 		}
 	}
 }
@@ -517,17 +550,20 @@ func FuzzDistGathers(f *testing.F) {
 	const nm, nr = 4, 4
 	pairs := []int64{0, 5, 0, 2}
 	outs := outputRuns([][]string{nil, {"1:2,3,", ""}, nil, {"3:9,"}}, NewBufferPool())
-	outSeed := appendReduceReport(NewBufferPool(), [reduceReportCounters]int64{2, 0, 112, 123, 4}, taskError{idx: -1}, 1, 2, pairs, outs, &stringCodec)
+	// The table cleanReport places, by which worker 1 owns reducers 1
+	// and 3.
+	owner := []int{0, 1, 0, 1}
+	outSeed := appendReduceReport(NewBufferPool(), [reduceReportCounters]int64{2, 0, 112, 123, 4}, taskError{idx: -1}, 1, owner, pairs, outs, &stringCodec)
 	f.Add(uint8(0), outSeed)
 	f.Add(uint8(0), append(slices.Clone(outSeed[:len(outSeed)-5]), uv(1<<40)...))
-	f.Add(uint8(0), appendReduceReport(NewBufferPool(), [reduceReportCounters]int64{}, taskError{idx: 3, msg: "reducer 3 failed"}, 1, 2, pairs, outs, &stringCodec))
+	f.Add(uint8(0), appendReduceReport(NewBufferPool(), [reduceReportCounters]int64{}, taskError{idx: 3, msg: "reducer 3 failed"}, 1, owner, pairs, outs, &stringCodec))
 	f.Add(uint8(1), uv(1))
 	f.Add(uint8(1), uv(1<<40))
 	f.Add(uint8(1), uv(2))
 	tags := []string{"outputs", "resume-prefix"}
 	f.Fuzz(func(t *testing.T, gather uint8, payload []byte) {
 		tag := tags[int(gather)%len(tags)]
-		d := &DistConfig{NumWorkers: 2, Self: 0, Exchanger: &forgingExchanger{forgeTag: tag, forged: payload}}
+		d := &DistConfig{NumWorkers: 2, Self: 0, Exchanger: &forgingExchanger{forged: map[string][]byte{tag: payload}}}
 		j := distTestJob(Config{Name: "fuzz", NumReducers: nr, NumMappers: nm, Dist: d})
 		// Worker 0 contributes nothing, so what it ends with is worker 1's.
 		stats := &Stats{Job: "fuzz", PairsPerReducer: make([]int64, nr)}
@@ -540,7 +576,7 @@ func FuzzDistGathers(f *testing.F) {
 		var err error
 		switch tag {
 		case "outputs":
-			err = distReduceBarrier(j, &j.Config, stats, outputs, make([]error, nr), NewBufferPool())
+			err = distReduceBarrier(j, &j.Config, stats, outputs, make([]error, nr), owner, NewBufferPool())
 		case "resume-prefix":
 			err = ch.AgreeResume(d)
 		}
@@ -555,7 +591,7 @@ func FuzzDistGathers(f *testing.F) {
 		switch tag {
 		case "outputs":
 			c := [reduceReportCounters]int64{stats.ReduceAttempts, stats.ReduceFailures, stats.IntermediateBytes, stats.ShuffleNetworkBytes, stats.ShuffleNetworkRuns}
-			got = appendReduceReport(NewBufferPool(), c, taskError{idx: -1}, 1, 2, stats.PairsPerReducer, outputs, &j.Outputs)
+			got = appendReduceReport(NewBufferPool(), c, taskError{idx: -1}, 1, owner, stats.PairsPerReducer, outputs, &j.Outputs)
 		case "resume-prefix":
 			// Each committed step is a data file and a meta file.
 			n, _, _ := readUvarint(payload)
@@ -575,27 +611,51 @@ func FuzzDistGathers(f *testing.F) {
 // a frame it accepts re-encodes to the same bytes.
 var fuzzRunCodec = sumTestJob(Config{})
 
-// appendFuzzRuns encodes worker 1's run payload to worker 0 of a
-// two-worker job with four mappers and four reducers: its map report of
-// counters c and error e, then, unless e names a failed mapper, runs.
-func appendFuzzRuns(c [mapReportCounters]int64, e taskError, runs [][]run[int64]) []byte {
-	buf := appendReport(nil, c[:], e)
+// fuzzWorker0Weights are worker 0's mapper vectors in FuzzDistRuns,
+// rows 0 and 2 of a four-mapper, four-reducer weight matrix: 200 bytes
+// each for reducer 2, so the table the fuzzed report meets is not
+// worker 1's alone.
+var fuzzWorker0Weights = []int64{0, 0, 200, 0, 0, 0, 0, 0, 0, 0, 200, 0, 0, 0, 0, 0}
+
+// appendFuzzRuns encodes worker 1's map report and then its run payload
+// to worker 0 of a two-worker job with four mappers and four reducers:
+// its counters c and error e and, unless e names a failed mapper, the
+// vectors of its mappers 1 and 3 in weights, then their runs for the
+// reducers the table of weights gives worker 0.
+func appendFuzzRuns(c [mapReportCounters]int64, e taskError, weights []int64, runs [][]run[int64]) []byte {
+	buf := appendMapReport(nil, c[:], e, 1, 2, len(runs[0]), weights)
 	if e.idx >= 0 {
 		return buf
 	}
+	owner := placement(weights, 2, len(runs[0]))
 	for m := 1; m < len(runs); m += 2 {
-		for r := 0; r < len(runs[m]); r += 2 {
-			buf = appendRun(buf, m, r, &runs[m][r], &fuzzRunCodec.Values)
+		for r, o := range owner {
+			if o == 0 {
+				buf = appendRun(buf, m, r, &runs[m][r], &fuzzRunCodec.Values)
+			}
 		}
 	}
 	return buf
 }
 
-// FuzzDistRuns: whatever bytes a peer ships as its run payload, the
-// decoder of its map report and runs returns an error or a report and
-// runs that re-encode to exactly those bytes; it never panics, never
-// keeps a pair under another reducer, and allocates no more than a
-// small multiple of the payload.
+// fuzzWeights is the weight matrix FuzzDistRuns's worker 0 holds with
+// worker 1's rows from runs' priced bytes, as worker 1's map attempts
+// would report them.
+func fuzzWeights(runs [][]run[int64]) []int64 {
+	weights := slices.Clone(fuzzWorker0Weights)
+	for m := 1; m < len(runs); m += 2 {
+		for r := range runs[m] {
+			weights[m*len(runs[m])+r] = runs[m][r].bytes
+		}
+	}
+	return weights
+}
+
+// FuzzDistRuns: whatever bytes a peer ships as its map report and run
+// payload, back to back, the decoders of the report and of the runs it
+// places return an error or a report and runs that re-encode to exactly
+// those bytes; they never panic, never keep a pair under another
+// reducer, and allocate no more than a small multiple of the payload.
 func FuzzDistRuns(f *testing.F) {
 	pool := NewBufferPool()
 	seed := make([][]run[int64], 4)
@@ -609,26 +669,38 @@ func FuzzDistRuns(f *testing.F) {
 		}
 	}
 	noErr := taskError{idx: -1}
-	f.Add(appendFuzzRuns([mapReportCounters]int64{2, 0}, noErr, seed))
+	seedWeights := fuzzWeights(seed)
+	f.Add(appendFuzzRuns([mapReportCounters]int64{2, 0}, noErr, seedWeights, seed))
 	f.Add(forgedNoRuns)
 	f.Add(slices.Concat(cleanReport, uv(1, 0, 16, 1<<20), uv(0)))
 	f.Add(slices.Concat(cleanReport, uv(1, 0, 16, 1), make([]byte, 8), uv(1, 2, 0, 0, 3, 0, 0, 0, 3, 2, 0, 0)))
 	// A clean report of a retried mapper, and a failed map phase's report.
-	f.Add(appendFuzzRuns([mapReportCounters]int64{3, 1}, noErr, seed))
-	f.Add(appendFuzzRuns([mapReportCounters]int64{2, 2}, taskError{3, "mapper 3 failed"}, seed))
+	f.Add(appendFuzzRuns([mapReportCounters]int64{3, 1}, noErr, seedWeights, seed))
+	f.Add(appendFuzzRuns([mapReportCounters]int64{2, 2}, taskError{3, "mapper 3 failed"}, seedWeights, seed))
+	// Worker 1 claims reducer 0 only, so the table keeps reducer 2 on
+	// worker 0 and gives worker 1 the empty reducers 1 and 3 by index.
+	claims := fuzzWeights(seed)
+	for m := 1; m < 4; m += 2 {
+		copy(claims[4*m:4*m+4], []int64{300, 0, 0, 0})
+	}
+	f.Add(appendFuzzRuns([mapReportCounters]int64{2, 0}, noErr, claims, seed))
 	d := &DistConfig{NumWorkers: 2, Self: 0}
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		runs := make([][]run[int64], 4)
 		for m := range runs {
 			runs[m] = make([]run[int64], 4)
 		}
+		weights := slices.Clone(fuzzWorker0Weights)
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
 		var c [mapReportCounters]int64
 		var e taskError
-		rest, err := parseRunHead(payload, c[:], &e, len(runs))
+		rest, err := parseMapReport(payload, c[:], &e, 1, 2, 4, weights)
+		if err == nil && e.idx >= 0 && len(rest) > 0 {
+			err = fmt.Errorf("%d bytes after a failed map phase's report", len(rest))
+		}
 		if err == nil && e.idx < 0 {
-			err = decodeRuns(rest, d, 1, runs, &fuzzRunCodec.Values, NewBufferPool())
+			err = decodeRuns(rest, d, 1, placement(weights, 2, 4), runs, &fuzzRunCodec.Values, NewBufferPool())
 		}
 		runtime.ReadMemStats(&m1)
 		if grew := m1.TotalAlloc - m0.TotalAlloc; grew > 2*uint64(len(payload))+64<<10 {
@@ -637,7 +709,7 @@ func FuzzDistRuns(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if got := appendFuzzRuns(c, e, runs); !bytes.Equal(got, payload) {
+		if got := appendFuzzRuns(c, e, weights, runs); !bytes.Equal(got, payload) {
 			t.Fatalf("payload %x decoded, but re-encodes as %x", payload, got)
 		}
 	})

@@ -96,8 +96,9 @@ type Config struct {
 	// after returning.
 	Pool *BufferPool
 	// Dist, when non-nil, runs the job as one SPMD worker of a cluster:
-	// task ownership is partitioned by index modulo Dist.NumWorkers,
-	// runs destined for remote reducers ship over Dist.Exchanger,
+	// mappers are partitioned by index modulo Dist.NumWorkers, each
+	// reducer runs on the worker whose mappers emitted most of its
+	// bytes, runs destined for remote reducers ship over Dist.Exchanger,
 	// and the reduce barrier all-gathers outputs so every worker returns
 	// the complete, bit-identical result (see dist.go). NumWorkers == 1
 	// is exactly the in-process engine. Distribution with NumWorkers > 1
@@ -426,7 +427,7 @@ func (j *Job[I, K, V, O]) RunSplits(n int, read func(lo, hi int, yield func(I) e
 	tr.End(mapSpan)
 	if !dist {
 		// A distributed run learns whether the map phase failed anywhere
-		// from the map reports of the run exchange below.
+		// from the map reports of its first exchange below.
 		for m, err := range mapErrs {
 			if err != nil {
 				return nil, nil, fmt.Errorf("%w (mapper %d)", err, m)
@@ -439,11 +440,18 @@ func (j *Job[I, K, V, O]) RunSplits(n int, read func(lo, hi int, yield func(I) e
 	if err := cancelled(); err != nil {
 		return nil, nil, err
 	}
+	// owner is a distributed job's placement table: reducer r runs on
+	// worker owner[r].
+	var owner []int
 	if dist {
-		// The first exchange, the network shuffle: every worker's map
-		// report, then the runs of remotely-owned reducers out and the
-		// remote runs of our own in.
-		if err := distExchangeRuns(j, &cfg, stats, runs, mapErrs, pool); err != nil {
+		// The first exchange, the map report, places the reducers; the
+		// second, the network shuffle, sends the runs of remotely-owned
+		// reducers out and brings the remote runs of our own in.
+		var err error
+		if owner, err = distMapReport(j, &cfg, stats, runs, mapErrs); err != nil {
+			return nil, nil, err
+		}
+		if err := distExchangeRuns(j, &cfg, stats, runs, owner, pool); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -455,7 +463,7 @@ func (j *Job[I, K, V, O]) RunSplits(n int, read func(lo, hi int, yield func(I) e
 	// were folded into the runs by the map phase, and the tracer is
 	// untouched per pair: shuffle counters are attached once below.
 	shuffleStart := time.Now()
-	owned := func(r int) bool { return !dist || cfg.Dist.owns(r) }
+	owned := func(r int) bool { return !dist || owner[r] == cfg.Dist.Self }
 	off := make([]int, nr+1)
 	for r := 0; r < nr; r++ {
 		off[r+1] = off[r]
@@ -526,11 +534,11 @@ func (j *Job[I, K, V, O]) RunSplits(n int, read func(lo, hi int, yield func(I) e
 	stats.ReduceWall = time.Since(reduceStart)
 
 	if dist {
-		// The second exchange, the reduce barrier: all-gather outputs and
+		// The third exchange, the reduce barrier: all-gather outputs and
 		// reduce accounting so every worker assembles the complete,
 		// bit-identical result and identical global Stats (including the
 		// ShuffleNetworkBytes/Runs totals of the run exchange).
-		if err := distReduceBarrier(j, &cfg, stats, outputs, redErrs, pool); err != nil {
+		if err := distReduceBarrier(j, &cfg, stats, outputs, redErrs, owner, pool); err != nil {
 			recycleRuns(pool, outputs)
 			tr.End(reduceSpan)
 			return nil, nil, err

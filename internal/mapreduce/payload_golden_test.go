@@ -11,8 +11,9 @@ import (
 
 // payloadGoldenFile pins the exact bytes worker 0 of a fixed small
 // two-worker distTestJob sends worker 1 in each of its exchanges: the
-// run-exchange payload ("runs") and the reduce-barrier payload
-// ("outputs"). Any change to either framing fails here; a change made on
+// map report ("map-report"), the run-exchange payload ("runs") and the
+// reduce-barrier payload ("outputs"). Any change to one of the framings
+// fails here; a change made on
 // purpose must raise cluster.protocolVersion with it, so a worker built
 // before it is turned away at registration instead of misreading a
 // peer's payload.

@@ -66,15 +66,15 @@ echo "== go test -race (every package but the table harness) =="
 # and cluster tests of this pass on a small host.
 go test -race -count=1 $(go list ./... | grep -v -e '/cmd/benchtables$' -e '/internal/bench$')
 
-echo "== allocation guards (they skip under -race, whose shadow memory allocates) =="
-guards='TestCascadeAllocationBudget|TestCascadeAllocationAtBenchmarkShape|TestCRepLAllocationBudget|TestExecuteWarmAllocation|TestClusterAllocationCeiling|TestClusterAllocationAtBenchmarkShape|TestSortedRunAllocationBudget|TestReduceOutputAllocation|TestMeshRecyclesFrameChunks|TestDistPayloadsRecycled|TestCheckpointAllocatesPerSegment'
+echo "== allocation and traffic guards (the allocation ones skip under -race, whose shadow memory allocates) =="
+guards='TestCascadeAllocationBudget|TestCascadeAllocationAtBenchmarkShape|TestCRepLAllocationBudget|TestExecuteWarmAllocation|TestClusterAllocationCeiling|TestClusterAllocationAtBenchmarkShape|TestSortedRunAllocationBudget|TestReduceOutputAllocation|TestMeshRecyclesFrameChunks|TestDistPayloadsRecycled|TestCheckpointAllocatesPerSegment|TestClusterShipsBoundaryPairsAtBenchmarkShape'
 guard_pkgs='./internal/spatial ./internal/cluster ./internal/mapreduce'
 # A renamed guard matches nothing, and go test passes "no tests to run":
 # every name must be one the packages list.
 want=$(echo "$guards" | tr '|' '\n' | wc -l)
 found=$(go test -list "^($guards)\$" $guard_pkgs | grep -c '^Test' || true)
 if [ "$found" -lt "$want" ]; then
-    echo "allocation guards: the packages list $found of the $want guard names" >&2
+    echo "allocation and traffic guards: the packages list $found of the $want guard names" >&2
     exit 1
 fi
 go test -count=1 -run "^($guards)\$" $guard_pkgs
