@@ -143,8 +143,12 @@ func measureClusterAllocation(t *testing.T, rels []spatial.Relation) (direct, cl
 // reducer r dealt to worker r mod 2 it was 4,984,566 B. The result must
 // be the one worker's: the roster hash and tuple count of a one-worker
 // cluster. C-Rep and C-Rep-L at the same shape may not ship more than
-// they did under r mod 2, 4,911,218 B and 2,467,025 B; placed, they
-// ship 266 B less each, and the cascade 1,138,551 B.
+// they did under r mod 2, 4,911,218 B and 2,467,025 B. Placed, with run
+// headers that leave the priced bytes to the map report, they ship
+// 4,909,980 B and 2,465,910 B, and the cascade, whose partials keep only
+// the rectangles a later round reads, 1,075,101 B (1,138,551 B while
+// every partial kept every rectangle and run headers repeated the
+// priced bytes).
 func TestClusterShipsBoundaryPairsAtBenchmarkShape(t *testing.T) {
 	rels := benchmarkShapeRelations(t)
 	shipped := func(res *RunResult) (n int64) {

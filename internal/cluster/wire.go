@@ -27,7 +27,7 @@ const (
 	// stale worker binary fails at registration instead of mid-session —
 	// or, ignoring a spec field it never heard of, answering a different
 	// question.
-	protocolVersion = 9
+	protocolVersion = 10
 
 	// maxHeaderBytes caps the JSON header line. Every bulk field rides as
 	// an attachment, so a header holds names, counters and the run's

@@ -218,6 +218,11 @@ func (c *Chain) FinalStep(name string, run func(in *dfs.View) (*Stats, error)) (
 	return st, nil
 }
 
+// LastCheckpoint names the most recent checkpoint file: inside a step's
+// run, the file its input view reads; after the last step, the one
+// Output opens. It is "" before the first checkpointing step.
+func (c *Chain) LastCheckpoint() string { return c.last }
+
 // Output opens the last checkpointed step's records on the DFS
 // (charging the read — the final read-back a consumer of the chain's
 // result pays). Valid after the last Step, including when every step

@@ -389,12 +389,14 @@ func placeReducers(load [][]int64) []int {
 }
 
 // distMapReport is the first exchange: it all-gathers every worker's
-// map report and returns the job's placement table. The reports make
-// the MapAttempts/MapFailures totals in stats global and surface the
+// map report and returns the job's placement table and every mapper's
+// weights, weights[m*nr+r] for reducer r. The reports make the
+// MapAttempts/MapFailures totals in stats global and surface the
 // globally lowest-index map error, which ends the job here; otherwise
 // each worker's weights — a run's priced bytes, or its pairs when the
-// job prices none — place the reducers.
-func distMapReport[I any, K ReducerKey, V any, O any](j *Job[I, K, V, O], cfg *Config, stats *Stats, runs [][]run[V], mapErrs []error) ([]int, error) {
+// job prices none — place the reducers, and price the runs the next
+// exchange brings in.
+func distMapReport[I any, K ReducerKey, V any, O any](j *Job[I, K, V, O], cfg *Config, stats *Stats, runs [][]run[V], mapErrs []error) ([]int, []int64, error) {
 	d := cfg.Dist
 	W, nm, nr := d.NumWorkers, len(runs), cfg.NumReducers
 	// Mirror the in-process surface error exactly:
@@ -415,7 +417,7 @@ func distMapReport[I any, K ReducerKey, V any, O any](j *Job[I, K, V, O], cfg *C
 	payload := appendMapReport(nil, c[:], locErr, d.Self, W, nr, weights)
 	incoming, err := distGather(d, "map-report", payload)
 	if err != nil {
-		return nil, fmt.Errorf("mapreduce: job %q: map report: %w", cfg.Name, err)
+		return nil, nil, fmt.Errorf("mapreduce: job %q: map report: %w", cfg.Name, err)
 	}
 	defer d.Exchanger.Recycle()
 	totals, globErr := c, locErr
@@ -430,7 +432,7 @@ func distMapReport[I any, K ReducerKey, V any, O any](j *Job[I, K, V, O], cfg *C
 			err = fmt.Errorf("mapreduce: dist frame: %d bytes after the map report", len(rest))
 		}
 		if err != nil {
-			return nil, fmt.Errorf("mapreduce: job %q: map report: worker %d: %w", cfg.Name, w, err)
+			return nil, nil, fmt.Errorf("mapreduce: job %q: map report: worker %d: %w", cfg.Name, w, err)
 		}
 		for i, v := range c {
 			totals[i] += v
@@ -439,9 +441,9 @@ func distMapReport[I any, K ReducerKey, V any, O any](j *Job[I, K, V, O], cfg *C
 	}
 	stats.MapAttempts, stats.MapFailures = totals[0], totals[1]
 	if globErr.idx >= 0 {
-		return nil, errors.New(globErr.msg)
+		return nil, nil, errors.New(globErr.msg)
 	}
-	return placement(weights, W, nr), nil
+	return placement(weights, W, nr), weights, nil
 }
 
 // placement is the placement table of a job of W workers and nr
@@ -464,13 +466,14 @@ func placement(weights []int64, W, nr int) []int {
 // payload to a peer is each owned mapper's runs for the reducers owner,
 // the job's placement table, gives the peer. On success, runs[m][r] is
 // populated for every locally-owned reducer column r exactly as an
-// in-process run would have built it; remote mappers' rows are
+// in-process run would have built it, its priced bytes taken from
+// weights, the map reports' (distMapReport); remote mappers' rows are
 // materialized so the shuffle can index them. Each payload to a peer is
 // encoded into a frame from pool, which goes back once the exchange
 // returns. stats.ShuffleNetworkBytes and ShuffleNetworkRuns are left at
 // this worker's share, the bytes of runs and the non-empty runs it
 // shipped, which the reduce barrier sums.
-func distExchangeRuns[I any, K ReducerKey, V any, O any](j *Job[I, K, V, O], cfg *Config, stats *Stats, runs [][]run[V], owner []int, pool *BufferPool) error {
+func distExchangeRuns[I any, K ReducerKey, V any, O any](j *Job[I, K, V, O], cfg *Config, stats *Stats, runs [][]run[V], owner []int, weights []int64, pool *BufferPool) error {
 	d := cfg.Dist
 	W := d.NumWorkers
 	nm := len(runs)
@@ -528,7 +531,7 @@ func distExchangeRuns[I any, K ReducerKey, V any, O any](j *Job[I, K, V, O], cfg
 		if w == d.Self {
 			continue
 		}
-		if err := decodeRuns(incoming[w], d, w, owner, runs, &j.Values, pool); err != nil {
+		if err := decodeRuns(incoming[w], d, w, owner, weights, j.PairBytes != nil, runs, &j.Values, pool); err != nil {
 			return fmt.Errorf("mapreduce: job %q: run exchange: worker %d: %w", cfg.Name, w, err)
 		}
 	}
@@ -538,7 +541,7 @@ func distExchangeRuns[I any, K ReducerKey, V any, O any](j *Job[I, K, V, O], cfg
 // runLen is the number of bytes appendRun writes for mapper m's run b
 // for reducer r.
 func runLen[V any](m, r int, b *run[V], codec *Codec[V]) int {
-	n := uvarintLen(uint64(m)) + uvarintLen(uint64(r)) + uvarintLen(uint64(b.bytes)) + uvarintLen(uint64(b.n))
+	n := uvarintLen(uint64(m)) + uvarintLen(uint64(r)) + uvarintLen(uint64(b.n))
 	return n + recordsLen(b, codec)
 }
 
@@ -579,24 +582,40 @@ func readRecords[T any](buf []byte, n uint64, b *run[T], codec *Codec[T], pool *
 	return buf, nil
 }
 
-// appendRun frames mapper m's run b for reducer r: m, r, the run's
-// priced bytes and its pair count, then its values' records.
+// appendRun frames mapper m's run b for reducer r: m, r and its pair
+// count, then its values' records. Its priced bytes are not repeated:
+// the map report gave every worker them.
 func appendRun[V any](buf []byte, m, r int, b *run[V], codec *Codec[V]) []byte {
-	buf = appendUvarints(buf, uint64(m), uint64(r), uint64(b.bytes), uint64(b.n))
+	buf = appendUvarints(buf, uint64(m), uint64(r), uint64(b.n))
 	return appendRecords(buf, b, codec)
+}
+
+// RunCountError reports a shipped run whose pair count is not the one
+// its mapper's map report gave, in a job that prices no bytes, whose
+// reports' weights are pair counts.
+type RunCountError struct {
+	Mapper, Reducer int
+	Pairs, Reported uint64
+}
+
+func (e *RunCountError) Error() string {
+	return fmt.Sprintf("mapreduce: dist frame: run of mapper %d reducer %d holds %d pairs, its map report %d", e.Mapper, e.Reducer, e.Pairs, e.Reported)
 }
 
 // decodeRuns parses worker from's run-exchange payload to this worker
 // into runs: one appendRun frame for every mapper from owns and every
 // reducer owner gives this worker, in that order and nothing else. A
-// run out of place is an error.
-func decodeRuns[V any](buf []byte, d *DistConfig, from int, owner []int, runs [][]run[V], codec *Codec[V], pool *BufferPool) error {
+// run out of place is an error. weights are the map reports'
+// (distMapReport): a run's priced bytes where priced, else its pair
+// count, which the run must hold.
+func decodeRuns[V any](buf []byte, d *DistConfig, from int, owner []int, weights []int64, priced bool, runs [][]run[V], codec *Codec[V], pool *BufferPool) error {
+	nr := len(owner)
 	for m := from; m < len(runs); m += d.NumWorkers {
 		for r, o := range owner {
 			if o != d.Self {
 				continue
 			}
-			var hdr [4]uint64 // mapper, reducer, priced bytes, pairs
+			var hdr [3]uint64 // mapper, reducer, pairs
 			for i := range hdr {
 				var err error
 				if hdr[i], buf, err = readUvarint(buf); err != nil {
@@ -606,13 +625,19 @@ func decodeRuns[V any](buf []byte, d *DistConfig, from int, owner []int, runs []
 			if hdr[0] != uint64(m) || hdr[1] != uint64(r) {
 				return fmt.Errorf("mapreduce: dist frame: run of mapper %d reducer %d where mapper %d reducer %d's belongs", hdr[0], hdr[1], m, r)
 			}
-			if err := checkCount("pairs", hdr[3], len(buf)); err != nil {
+			weight := weights[m*nr+r]
+			if !priced && hdr[2] != uint64(weight) {
+				return &RunCountError{Mapper: m, Reducer: r, Pairs: hdr[2], Reported: uint64(weight)}
+			}
+			if err := checkCount("pairs", hdr[2], len(buf)); err != nil {
 				return err
 			}
 			b := &runs[m][r]
-			b.bytes = int64(hdr[2])
+			if priced {
+				b.bytes = weight
+			}
 			var err error
-			if buf, err = readRecords(buf, hdr[3], b, codec, pool); err != nil {
+			if buf, err = readRecords(buf, hdr[2], b, codec, pool); err != nil {
 				return err
 			}
 		}

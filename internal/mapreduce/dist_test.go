@@ -3,6 +3,7 @@ package mapreduce
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -376,9 +377,8 @@ var cleanReport = uv(2, 0, 0, 0, 2, 0, 500, 0, 500, 0, 500, 0, 500)
 var swappedReport = uv(2, 0, 0, 0, 2, 500, 0, 500, 0, 500, 0, 500, 0)
 
 // noRuns is worker 1's runs when its mappers emitted nothing: (mapper,
-// reducer, bytes, pairs) for mappers 1 and 3 and worker 0's reducers 0
-// and 2.
-var noRuns = uv(1, 0, 0, 0, 1, 2, 0, 0, 3, 0, 0, 0, 3, 2, 0, 0)
+// reducer, pairs) for mappers 1 and 3 and worker 0's reducers 0 and 2.
+var noRuns = uv(1, 0, 0, 1, 2, 0, 3, 0, 0, 3, 2, 0)
 
 // forgedNoRuns is worker 1's map report and runs when its mappers
 // emitted nothing but claimed cleanReport's bytes: FuzzDistRuns decodes
@@ -438,21 +438,20 @@ func TestDistWireCountsBounded(t *testing.T) {
 		forged    []byte
 		budget    uint64
 	}{
-		// runs: mapper 1, reducer 0, 16 priced bytes, 2^40 pairs, one
-		// byte of them.
-		{"runs", "pairs declared", cat(uv(1, 0, 16, 1<<40), uv(0)), 16 << 20},
+		// runs: mapper 1, reducer 0, 2^40 pairs, one byte of them.
+		{"runs", "pairs declared", cat(uv(1, 0, 1<<40), uv(0)), 16 << 20},
 		// outputs: the five counters, no error, worker 1's two reducers,
 		// the first r=1 pairs=0 nout=2^40, one byte of outputs.
 		{"outputs", "outputs declared", append(uv(1, 0, 0, 0, 0, 0, 0, 2, 1, 0, 1<<40), 0), 16 << 20},
 		// the same headers claiming 2^20 records, with 2^20 bytes the
 		// codec rejects.
-		{"runs", "an int record", cat(uv(1, 0, 16, mib), rejected), 4 << 20},
+		{"runs", "an int record", cat(uv(1, 0, mib), rejected), 4 << 20},
 		{"outputs", "a string record", cat(uv(1, 0, 0, 0, 0, 0, 0, 2, 1, 0, mib), rejected, uv(3, 0, 0)), mib},
 		// reducer 3's one output claims 5 bytes, and the payload ends 2
 		// bytes into it.
 		{"outputs", "a string record: mapreduce: dist frame: truncated record", cat(uv(1, 0, 0, 0, 0, 0, 0, 2), uv(1, 0, 0), uv(3, 0, 1, 5), []byte("ab")), 1 << 20},
 		// well-formed runs but for the one thing named.
-		{"runs", "mapper 1 reducer 2 where mapper 1 reducer 0's belongs", uv(1, 2, 0, 0, 1, 0, 0, 0, 3, 0, 0, 0, 3, 2, 0, 0), 1 << 20},
+		{"runs", "mapper 1 reducer 2 where mapper 1 reducer 0's belongs", uv(1, 2, 0, 1, 0, 0, 3, 0, 0, 3, 2, 0), 1 << 20},
 		{"runs", "after the last run", cat(noRuns, uv(0)), 1 << 20},
 		{"runs", "overlong varint", cat([]byte{0x81, 0x00}, noRuns[1:]), 1 << 20},
 		// map report: two attempts, no error, 2^40 mapper vectors of four
@@ -491,7 +490,7 @@ func TestDistGatherOwnership(t *testing.T) {
 	swapped := func(runs, outputs []byte) map[string][]byte {
 		return map[string][]byte{"map-report": swappedReport, "runs": runs, "outputs": outputs}
 	}
-	swappedNoRuns := uv(1, 1, 0, 0, 1, 3, 0, 0, 3, 1, 0, 0, 3, 3, 0, 0)
+	swappedNoRuns := uv(1, 1, 0, 1, 3, 0, 3, 1, 0, 3, 3, 0)
 	for _, c := range []struct {
 		want   string
 		forged map[string][]byte
@@ -672,8 +671,8 @@ func FuzzDistRuns(f *testing.F) {
 	seedWeights := fuzzWeights(seed)
 	f.Add(appendFuzzRuns([mapReportCounters]int64{2, 0}, noErr, seedWeights, seed))
 	f.Add(forgedNoRuns)
-	f.Add(slices.Concat(cleanReport, uv(1, 0, 16, 1<<20), uv(0)))
-	f.Add(slices.Concat(cleanReport, uv(1, 0, 16, 1), make([]byte, 8), uv(1, 2, 0, 0, 3, 0, 0, 0, 3, 2, 0, 0)))
+	f.Add(slices.Concat(cleanReport, uv(1, 0, 1<<20), uv(0)))
+	f.Add(slices.Concat(cleanReport, uv(1, 0, 1), make([]byte, 8), uv(1, 2, 0, 3, 0, 0, 3, 2, 0)))
 	// A clean report of a retried mapper, and a failed map phase's report.
 	f.Add(appendFuzzRuns([mapReportCounters]int64{3, 1}, noErr, seedWeights, seed))
 	f.Add(appendFuzzRuns([mapReportCounters]int64{2, 2}, taskError{3, "mapper 3 failed"}, seedWeights, seed))
@@ -700,7 +699,7 @@ func FuzzDistRuns(f *testing.F) {
 			err = fmt.Errorf("%d bytes after a failed map phase's report", len(rest))
 		}
 		if err == nil && e.idx < 0 {
-			err = decodeRuns(rest, d, 1, placement(weights, 2, 4), runs, &fuzzRunCodec.Values, NewBufferPool())
+			err = decodeRuns(rest, d, 1, placement(weights, 2, 4), weights, true, runs, &fuzzRunCodec.Values, NewBufferPool())
 		}
 		runtime.ReadMemStats(&m1)
 		if grew := m1.TotalAlloc - m0.TotalAlloc; grew > 2*uint64(len(payload))+64<<10 {
@@ -712,7 +711,49 @@ func FuzzDistRuns(f *testing.F) {
 		if got := appendFuzzRuns(c, e, weights, runs); !bytes.Equal(got, payload) {
 			t.Fatalf("payload %x decoded, but re-encodes as %x", payload, got)
 		}
+		// A run worker 0 took in is priced at its mapper's reported weight.
+		for r, o := range placement(weights, 2, 4) {
+			for m := 1; e.idx < 0 && o == 0 && m < 4; m += 2 {
+				if b := runs[m][r].bytes; b != weights[m*4+r] {
+					t.Fatalf("mapper %d reducer %d's run priced at %d bytes, its report says %d", m, r, b, weights[m*4+r])
+				}
+			}
+		}
 	})
+}
+
+// TestDistRunCountMatchesReport: a shipped run's header carries no
+// priced bytes; the receiver takes them from the map report's weights.
+// In a job that prices none, those weights are pair counts, and a run
+// holding another count than its mapper reported is a *RunCountError.
+func TestDistRunCountMatchesReport(t *testing.T) {
+	d := &DistConfig{NumWorkers: 2, Self: 0}
+	owner := []int{0, 1}
+	// Two mappers, two reducers: mapper 1 reported 2 for reducer 0.
+	weights := []int64{0, 0, 2, 0}
+	codec := &fuzzRunCodec.Values
+	frame := func(n int) []byte {
+		buf := uv(1, 0, uint64(n))
+		for i := range n {
+			buf = codec.Append(buf, int64(i))
+		}
+		return buf
+	}
+	decode := func(n int, priced bool) (run[int64], error) {
+		runs := [][]run[int64]{make([]run[int64], 2), make([]run[int64], 2)}
+		err := decodeRuns(frame(n), d, 1, owner, weights, priced, runs, codec, NewBufferPool())
+		return runs[1][0], err
+	}
+	if b, err := decode(2, false); err != nil || b.n != 2 || b.bytes != 0 {
+		t.Errorf("unpriced run of the reported 2 pairs: %d pairs, %d bytes, err = %v", b.n, b.bytes, err)
+	}
+	var countErr *RunCountError
+	if _, err := decode(1, false); !errors.As(err, &countErr) || *countErr != (RunCountError{Mapper: 1, Reducer: 0, Pairs: 1, Reported: 2}) {
+		t.Errorf("unpriced run of 1 pair, 2 reported: err = %v", err)
+	}
+	if b, err := decode(1, true); err != nil || b.n != 1 || b.bytes != 2 {
+		t.Errorf("priced run of 1 pair reported at 2 bytes: %d pairs, %d bytes, err = %v", b.n, b.bytes, err)
+	}
 }
 
 func TestDistValidation(t *testing.T) {

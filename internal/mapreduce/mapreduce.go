@@ -447,11 +447,12 @@ func (j *Job[I, K, V, O]) RunSplits(n int, read func(lo, hi int, yield func(I) e
 		// The first exchange, the map report, places the reducers; the
 		// second, the network shuffle, sends the runs of remotely-owned
 		// reducers out and brings the remote runs of our own in.
+		var weights []int64
 		var err error
-		if owner, err = distMapReport(j, &cfg, stats, runs, mapErrs); err != nil {
+		if owner, weights, err = distMapReport(j, &cfg, stats, runs, mapErrs); err != nil {
 			return nil, nil, err
 		}
-		if err := distExchangeRuns(j, &cfg, stats, runs, owner, pool); err != nil {
+		if err := distExchangeRuns(j, &cfg, stats, runs, owner, weights, pool); err != nil {
 			return nil, nil, err
 		}
 	}

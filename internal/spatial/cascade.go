@@ -88,6 +88,12 @@ func cascade(pl *plan, exec *executor) (Rows, Stats, error) {
 	}
 	var rounds []*mapreduce.Stats
 	var counted atomic.Int64
+	// layouts[p] is the record layout of p-member partials: round p's
+	// input, and round p-1's output.
+	layouts := make([]*partialLayout, pl.m+1)
+	for p := 1; p <= pl.m; p++ {
+		layouts[p] = pl.layout(p)
+	}
 	for p := 1; p < pl.m; p++ {
 		newSlot := pl.order[p]
 		// One round span per cascade step: the 2-way join job plus its
@@ -105,7 +111,7 @@ func cascade(pl *plan, exec *executor) (Rows, Stats, error) {
 		keyPos := planPos(pl, primary.Other(newSlot))
 		d := primary.Pred.Weight()
 		// The partials the mappers read, and the ones the reducers emit.
-		in, out := newPartialStore(p, exec.pool), exec.outputStore(p+1)
+		in, out := newPartialStore(layouts[p], exec.pool), exec.outputStore(layouts[p+1])
 		codec := &cascadeCodec{in: in, slot: int8(newSlot), keyPos: keyPos}
 
 		stepStart := time.Now()
@@ -122,6 +128,8 @@ func cascade(pl *plan, exec *executor) (Rows, Stats, error) {
 				if tuples, err = exec.fs.Open(inputFile(exec.rels[pl.order[0]].Name)); err != nil {
 					return dfs.Segments{}, nil, err
 				}
+			} else if err := checkLayout(ch.LastCheckpoint(), prev, in.layout); err != nil {
+				return dfs.Segments{}, nil, err
 			}
 			items, err := exec.fs.Open(inputFile(exec.rels[newSlot].Name))
 			if err != nil {
@@ -141,17 +149,17 @@ func cascade(pl *plan, exec *executor) (Rows, Stats, error) {
 						err = tuples.MBBs(lo, thi, func(m dfs.MBB) error {
 							ref, rec := w.take(1)
 							binary.LittleEndian.PutUint16(rec, 1)
-							putMember(rec[2:], m.ID, mbbRect(m))
+							putPartialMember(in.layout, rec, 0, m.ID, mbbRect(m))
 							return yield(tupleVal(ref, mbbRect(m)))
 						})
 					} else {
 						err = tuples.Records(lo, thi, func(rec []byte) error {
-							if err := checkPartial(rec, p); err != nil {
+							if err := checkPartial(rec, in.layout); err != nil {
 								return err
 							}
 							ref, dst := w.take(1)
 							copy(dst, rec)
-							return yield(tupleVal(ref, partialRect(rec, keyPos)))
+							return yield(tupleVal(ref, partialRect(in.layout, rec, keyPos)))
 						})
 					}
 					if err != nil {
@@ -234,14 +242,18 @@ func cascade(pl *plan, exec *executor) (Rows, Stats, error) {
 		if err != nil {
 			return Rows{}, Stats{}, err
 		}
+		l := layouts[pl.m]
+		if err := checkLayout(ch.LastCheckpoint(), final, l); err != nil {
+			return Rows{}, Stats{}, err
+		}
 		rows.IDs = make([]int32, final.Len()*pl.m)
 		row := rows.IDs
 		err = final.Records(0, final.Len(), func(rec []byte) error {
-			if err := checkPartial(rec, pl.m); err != nil {
+			if err := checkPartial(rec, l); err != nil {
 				return err
 			}
 			for pos, slot := range pl.order {
-				row[slot] = partialID(rec, pos)
+				row[slot] = partialID(l, rec, pos)
 			}
 			row = row[pl.m:]
 			return nil
@@ -432,7 +444,7 @@ func cascadeReduce(pl *plan, part *grid.Partitioning, in, out *partialStore, new
 		w.emit = emit
 		sweep.JoinSorted(sc.keys, sc.rects, d, func(i, j int) bool {
 			t, id, r := sc.recs[i], sc.ids[j], sc.rects[j]
-			if !cascadeAccepts(pl, t, newSlot, id, r, edges, primary) {
+			if !cascadeAccepts(pl, in.layout, t, newSlot, id, r, edges, primary) {
 				return true
 			}
 			// §5.2/§5.3 duplicate avoidance: only the cell owning the
@@ -453,10 +465,12 @@ func cascadeReduce(pl *plan, part *grid.Partitioning, in, out *partialStore, new
 				counted.Add(1)
 				return true
 			}
-			// t's members then the new one, under the grown count.
+			// t's members, their rectangles no later round reads
+			// dropped, then the new one, under the grown count.
 			_, rec := w.take(1)
-			binary.LittleEndian.PutUint16(rec, uint16(out.m))
-			putMember(rec[copy(rec[2:], t[2:])+2:], id, r)
+			binary.LittleEndian.PutUint16(rec, uint16(out.layout.members()))
+			project(in.layout, out.layout, t, rec)
+			putPartialMember(out.layout, rec, in.layout.members(), id, r)
 			return true
 		})
 		w.flush()
@@ -466,26 +480,64 @@ func cascadeReduce(pl *plan, part *grid.Partitioning, in, out *partialStore, new
 
 // cascadeAccepts verifies the non-primary connecting edges and
 // self-join distinctness for appending item (id, r) to the partial
-// record t.
-func cascadeAccepts(pl *plan, t []byte, newSlot int, id int32, r geom.Rect, edges []query.Edge, primary query.Edge) bool {
+// record t, of layout l.
+func cascadeAccepts(pl *plan, l *partialLayout, t []byte, newSlot int, id int32, r geom.Rect, edges []query.Edge, primary query.Edge) bool {
 	for _, e := range edges {
 		if e == primary {
 			continue // guaranteed by the index probe
 		}
 		pos := planPos(pl, e.Other(newSlot))
-		if !e.Pred.Eval(r, partialRect(t, pos)) {
+		if !e.Pred.Eval(r, partialRect(l, t, pos)) {
 			return false
 		}
 	}
 	if pl.distinct {
-		members := int(binary.LittleEndian.Uint16(t))
-		for pos, slot := range pl.order[:members] {
-			if !pl.compatible(slot, partialID(t, pos), newSlot, id) {
+		for pos, slot := range pl.order[:l.members()] {
+			if !pl.compatible(slot, partialID(l, t, pos), newSlot, id) {
 				return false
 			}
 		}
 	}
 	return true
+}
+
+// layout is the record layout of the plan's p-member partials, round
+// p's input (1 ≤ p ≤ m): every member keeps its id, and its rectangle
+// only if an edge into a slot that round p or a later one binds reads
+// it — that round's key or one of its filters, all in edgesToPrev.
+func (pl *plan) layout(p int) *partialLayout {
+	rect := make([]bool, p)
+	for q := p; q < pl.m; q++ {
+		for _, e := range pl.edgesToPrev[q] {
+			if pos := planPos(pl, e.Other(pl.order[q])); pos < p {
+				rect[pos] = true
+			}
+		}
+	}
+	return newPartialLayout(rect)
+}
+
+// CheckpointLayoutError reports a cascade checkpoint whose records are
+// not the layout of the round that reads it, as a checkpoint written by
+// code that laid partials out otherwise is: File holds RecordBytes-byte
+// records, the round's layout is LayoutBytes. No record of it is read.
+type CheckpointLayoutError struct {
+	File        string
+	RecordBytes int
+	LayoutBytes int
+}
+
+func (e *CheckpointLayoutError) Error() string {
+	return fmt.Sprintf("spatial: checkpoint %q holds %d-byte records, this round's layout is %d bytes; use a fresh FS", e.File, e.RecordBytes, e.LayoutBytes)
+}
+
+// checkLayout fails a checkpoint, the view v of file, whose records are
+// not l's.
+func checkLayout(file string, v *dfs.View, l *partialLayout) error {
+	if n := v.Len(); n > 0 && v.Bytes() != int64(n)*int64(l.stride) {
+		return &CheckpointLayoutError{File: file, RecordBytes: int(v.Bytes() / int64(n)), LayoutBytes: l.stride}
+	}
+	return nil
 }
 
 // planPos returns the position of slot within the plan order.

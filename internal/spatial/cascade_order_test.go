@@ -31,18 +31,25 @@ import (
 // relations whose rectangles share a handful of MinX values (±0 among
 // them).
 //
-// The golden's Stats halves were rewritten once, when the engine's
-// combiner and spill went: the Stats JSON, and with it every checkpoint
+// The golden's Stats halves were rewritten twice: when the engine's
+// combiner and spill went (the Stats JSON, and with it every checkpoint
 // meta record, lost two combine keys, and the spill1 config lost its
-// subject. Every tuple half stayed the parent's.
+// subject), and when partials stopped carrying the rectangles no later
+// round reads (the DFS, checkpoint and IntermediateBytes counts fell).
+// Every tuple half stayed the parent's.
 //
-// MWSJ_WRITE_CASCADE_GOLDEN=1 rewrites both files from the current
-// code, which is only meaningful on a commit whose order is the
-// reference.
+// MWSJ_WRITE_CASCADE_GOLDEN=1 rewrites the golden and orderSnapshotFile
+// from the current code, which is only meaningful on a commit whose
+// order is the reference.
 
 const (
 	orderGoldenFile   = "testdata/cascade_order_golden.json"
-	orderSnapshotFile = "testdata/cascade_parent_snapshot.bin"
+	orderSnapshotFile = "testdata/cascade_snapshot.bin"
+	// parentSnapshotFile is a DFS image the commit before projected
+	// layouts wrote after its first cascade step: its checkpoint holds
+	// 74-byte partials that keep both rectangles, where the second round
+	// reads 42-byte ones.
+	parentSnapshotFile = "testdata/cascade_parent_snapshot.bin"
 )
 
 type orderWorkload struct {
@@ -213,9 +220,11 @@ func readOrderGolden(t *testing.T) map[string]string {
 	return want
 }
 
-// TestCascadeResumesParentSnapshot resumes from a DFS image the parent
-// commit's code wrote after its first cascade step: the checkpoint
-// bytes on it must read back unchanged, into the same final answer.
+// TestCascadeResumesParentSnapshot resumes from DFS images written after
+// the first cascade step. The one this code wrote (orderSnapshotFile)
+// must read back unchanged, into the same final answer; the one the
+// commit before projected layouts wrote (parentSnapshotFile) must be
+// refused as a whole, before any record of its checkpoint is decoded.
 func TestCascadeResumesParentSnapshot(t *testing.T) {
 	w := orderWorkloads()[0]
 	cfg := orderConfigs()["par2"]
@@ -235,16 +244,26 @@ func TestCascadeResumesParentSnapshot(t *testing.T) {
 		}
 		return
 	}
-	img, err := os.ReadFile(orderSnapshotFile)
-	if err != nil {
-		t.Fatal(err)
+	resume := func(file string) (*Result, error) {
+		t.Helper()
+		img, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs, err := dfs.ReadSnapshot(bytes.NewReader(img), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.FS, cfg.Resume = fs, true
+		return Execute(Cascade, w.q, w.rels, cfg)
 	}
-	fs, err := dfs.ReadSnapshot(bytes.NewReader(img), 0)
-	if err != nil {
-		t.Fatal(err)
+	_, err := resume(parentSnapshotFile)
+	var layoutErr *CheckpointLayoutError
+	want := CheckpointLayoutError{File: "chk/cascade/000-step-1-R2", RecordBytes: 74, LayoutBytes: 42}
+	if !errors.As(err, &layoutErr) || *layoutErr != want {
+		t.Errorf("resumed from the parent's snapshot: err = %v, want %v", err, &want)
 	}
-	cfg.FS, cfg.Resume = fs, true
-	res, err := Execute(Cascade, w.q, w.rels, cfg)
+	res, err := resume(orderSnapshotFile)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,8 +273,8 @@ func TestCascadeResumesParentSnapshot(t *testing.T) {
 	// Same tuples, in the same order, as the clean run; Stats differ by
 	// the recovery accounting, which par2/resume@1 above already pins.
 	got, _, _ := strings.Cut(orderHash(t, res), "/")
-	want, _, _ := strings.Cut(readOrderGolden(t)[w.name+"/base"], "/")
-	if got != want {
-		t.Errorf("resumed from the parent's snapshot: tuples %s, clean run %s", got, want)
+	wantTuples, _, _ := strings.Cut(readOrderGolden(t)[w.name+"/base"], "/")
+	if got != wantTuples {
+		t.Errorf("resumed from the snapshot: tuples %s, clean run %s", got, wantTuples)
 	}
 }

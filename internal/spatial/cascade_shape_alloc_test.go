@@ -17,17 +17,11 @@ import (
 // segments, 2.56–3.10 MB. The budget sits between the two.
 const cascadeShapeBudget = 3_300_000
 
-// TestCascadeAllocationAtBenchmarkShape holds one warm in-process
-// cascade, after one warm-up on a fresh pool, to cascadeShapeBudget at
-// the benchmark's cascade_uniform shape: 3 × 50,000 uniform rectangles
-// at the paper's density, seeded as the benchmark seeds them from 2013,
-// under its query and config. It is TestClusterAllocationAtBenchmarkShape's
-// in-process side (internal/cluster), measured alone.
-func TestCascadeAllocationAtBenchmarkShape(t *testing.T) {
-	if spatial.RaceEnabled {
-		t.Skip("the race detector's shadow memory allocates")
-	}
-	spatial.FreshSharedPool(t)
+// benchmarkShape is the benchmark's cascade_uniform shape: 3 × 50,000
+// uniform rectangles at the paper's density, seeded as the benchmark
+// seeds them from 2013, its query and its config (one worker thread).
+func benchmarkShape(t *testing.T) (*query.Query, []spatial.Relation, spatial.Config) {
+	t.Helper()
 	const n = 50000
 	p := dataset.PaperDefaults(n)
 	side := 100_000 * math.Sqrt(float64(n)/1e6)
@@ -44,7 +38,21 @@ func TestCascadeAllocationAtBenchmarkShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := spatial.Config{Reducers: 64, NumMappers: 8, Parallelism: 1}
+	return q, rels, spatial.Config{Reducers: 64, NumMappers: 8, Parallelism: 1}
+}
+
+// TestCascadeAllocationAtBenchmarkShape holds one warm in-process
+// cascade, after one warm-up on a fresh pool, to cascadeShapeBudget at
+// the benchmark's cascade_uniform shape: 3 × 50,000 uniform rectangles
+// at the paper's density, seeded as the benchmark seeds them from 2013,
+// under its query and config. It is TestClusterAllocationAtBenchmarkShape's
+// in-process side (internal/cluster), measured alone.
+func TestCascadeAllocationAtBenchmarkShape(t *testing.T) {
+	if spatial.RaceEnabled {
+		t.Skip("the race detector's shadow memory allocates")
+	}
+	spatial.FreshSharedPool(t)
+	q, rels, cfg := benchmarkShape(t)
 	var tuples int
 	run := func() {
 		res, err := spatial.Execute(spatial.Cascade, q, rels, cfg)

@@ -262,11 +262,11 @@ func ExecuteRows(method Method, q *query.Query, rels []Relation, cfg Config) (Ro
 	return rows, st, nil
 }
 
-// outputStore returns a store for a round's output partials. Its pages
-// back the round's checkpoint file, so they go back to the pool when the
-// FS closes.
-func (e *executor) outputStore(m int) *partialStore {
-	s := newPartialStore(m, e.pool)
+// outputStore returns a store for a round's output partials, of layout
+// l. Its pages back the round's checkpoint file, so they go back to the
+// pool when the FS closes.
+func (e *executor) outputStore(l *partialLayout) *partialStore {
+	s := newPartialStore(l, e.pool)
 	e.fs.OnClose(s.release)
 	return s
 }

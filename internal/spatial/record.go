@@ -19,7 +19,10 @@ import (
 // use a compact fixed layout rather than a generic codec.
 //
 //	item record:  dfs.MBB's 38-byte record (dfs.AppendMBB, dfs.DecodeMBB)
-//	tuple record: count(2) then per member id(4) rect(32)
+//	tuple record: count(2) then per member id(4), followed by rect(32)
+//	              only while a later cascade round reads it: the
+//	              round's partialLayout, so the final checkpoint holds
+//	              count(2) and ids alone
 //	packed items: per item id(4) rect(32) — a relation's contents as
 //	              Relation.Digest hashes them and a cluster ships them
 
@@ -82,45 +85,85 @@ func readItem(buf []byte) (tagged, error) {
 }
 
 // Partial tuples — the cascade's intermediates — are tuples over a
-// prefix of the plan's slot order, one (id, rect) member per bound slot.
-// They exist only in their DFS record layout; all partials of a cascade
-// round have the same member count, so they are fixed-stride records in
-// pooled pointer-free pages (partialStore) and the shuffle moves small
-// references into them.
+// prefix of the plan's slot order. They exist only in their DFS record
+// layout; all partials of a cascade round share one partialLayout, so
+// they are fixed-stride records in pooled pointer-free pages
+// (partialStore) and the shuffle moves small references into them.
 
-// memberBytes is the encoded size of one partial member.
-const memberBytes = 4 + rectBytes
+// partialLayout is the record layout of the partials of one cascade
+// round: the member count (2 bytes), then per plan position the
+// member's id (4 bytes), followed by its rectangle (32 bytes) only
+// where the layout keeps it. plan.layout keeps a rectangle only while a
+// later round reads it, so a layout that keeps every rectangle is
+// 2 + 36·members bytes, and the final checkpoint's is 2 + 4·members.
+type partialLayout struct {
+	off    []int  // byte offset of each member's id
+	rect   []bool // whether each member's rectangle follows its id
+	stride int    // the record's length
+}
 
-// encodedPartialBytes is the record size of a partial with n members.
-func encodedPartialBytes(n int) int { return 2 + n*memberBytes }
+// newPartialLayout lays out len(rect) members, keeping the rectangles
+// rect marks.
+func newPartialLayout(rect []bool) *partialLayout {
+	l := &partialLayout{off: make([]int, len(rect)), rect: rect, stride: 2}
+	for pos, kept := range rect {
+		l.off[pos] = l.stride
+		l.stride += 4
+		if kept {
+			l.stride += rectBytes
+		}
+	}
+	return l
+}
 
-// checkPartial reports whether rec is a well-formed partial record of
-// exactly m members, before anything is sized from the count it claims.
-func checkPartial(rec []byte, m int) error {
-	if len(rec) < 2 || int(binary.LittleEndian.Uint16(rec)) != m || len(rec) != encodedPartialBytes(m) {
-		return fmt.Errorf("spatial: malformed partial record (%d bytes), want %d bytes for %d members", len(rec), encodedPartialBytes(m), m)
+// members is the member count every record of l holds.
+func (l *partialLayout) members() int { return len(l.off) }
+
+// checkPartial reports whether rec is a well-formed record of layout l,
+// before anything is sized from the count it claims.
+func checkPartial(rec []byte, l *partialLayout) error {
+	if len(rec) != l.stride || int(binary.LittleEndian.Uint16(rec)) != l.members() {
+		return fmt.Errorf("spatial: malformed partial record (%d bytes), want %d bytes for %d members", len(rec), l.stride, l.members())
 	}
 	return nil
 }
 
-// partialID and partialRect read the member at plan position pos.
-func partialID(rec []byte, pos int) int32 {
-	return int32(binary.LittleEndian.Uint32(rec[2+pos*memberBytes:]))
+// partialID reads the id of the member at plan position pos of a record
+// of layout l, and partialRect its rectangle, which l must keep.
+func partialID(l *partialLayout, rec []byte, pos int) int32 {
+	return int32(binary.LittleEndian.Uint32(rec[l.off[pos]:]))
 }
 
-func partialRect(rec []byte, pos int) geom.Rect {
-	return getRect(rec[2+pos*memberBytes+4:])
+func partialRect(l *partialLayout, rec []byte, pos int) geom.Rect {
+	return getRect(rec[l.off[pos]+4:])
 }
 
-// putMember writes one (id, rect) member into buf[:memberBytes].
-func putMember(buf []byte, id int32, r geom.Rect) {
-	binary.LittleEndian.PutUint32(buf, uint32(id))
-	putRect(buf[4:], r)
+// putPartialMember writes the member at plan position pos into rec, a
+// record of layout l: its id, and its rectangle where l keeps it.
+func putPartialMember(l *partialLayout, rec []byte, pos int, id int32, r geom.Rect) {
+	binary.LittleEndian.PutUint32(rec[l.off[pos]:], uint32(id))
+	if l.rect[pos] {
+		putRect(rec[l.off[pos]+4:], r)
+	}
 }
 
-// PackedItemBytes is the size of one packed item: a partial's member,
-// its id then its rectangle.
-const PackedItemBytes = memberBytes
+// project writes the members of t, a record of layout from, into rec, a
+// record of layout to, which has one member more and keeps no rectangle
+// from drops: every id, and every rectangle to keeps. The count and the
+// new member are the caller's.
+func project(from, to *partialLayout, t, rec []byte) {
+	for pos, src := range from.off {
+		n := 4
+		if to.rect[pos] {
+			n += rectBytes
+		}
+		copy(rec[to.off[pos]:to.off[pos]+n], t[src:])
+	}
+}
+
+// PackedItemBytes is the size of one packed item: its id, then its
+// rectangle.
+const PackedItemBytes = 4 + rectBytes
 
 // AppendPacked appends items to buf packed, in order: the one encoding
 // of a relation's contents, which Relation.Digest hashes and a cluster
@@ -129,7 +172,8 @@ func AppendPacked(buf []byte, items []Item) []byte {
 	off := len(buf)
 	buf = slices.Grow(buf, len(items)*PackedItemBytes)[:off+len(items)*PackedItemBytes]
 	for _, it := range items {
-		putMember(buf[off:], it.ID, it.R)
+		binary.LittleEndian.PutUint32(buf[off:], uint32(it.ID))
+		putRect(buf[off+4:], it.R)
 		off += PackedItemBytes
 	}
 	return buf
@@ -155,7 +199,7 @@ type partialRef struct {
 }
 
 // partialStore holds one side of a cascade round — the partials its
-// mappers read, or the ones its reducers emit — as m-member records in
+// mappers read, or the ones its reducers emit — as records of one layout in
 // fixed-size pages from the process's buffer pool. A map task's split,
 // a reduce call's records and the decoded records (runs and outputs
 // from other workers) each fill pages of their own in order, and no
@@ -163,8 +207,9 @@ type partialRef struct {
 // record is written once, before its reference is handed out, and a
 // page keeps its slot in the table, so records resolve without a lock.
 type partialStore struct {
-	m, stride int
-	pool      *mapreduce.BufferPool
+	layout *partialLayout
+	stride int // layout.stride
+	pool   *mapreduce.BufferPool
 	// pages is the page table, every slot of it readable: a page is
 	// stored into the next free slot before any reference to it exists,
 	// and a full table is replaced by a larger copy.
@@ -176,8 +221,8 @@ type partialStore struct {
 	dec   pageWriter
 }
 
-func newPartialStore(m int, pool *mapreduce.BufferPool) *partialStore {
-	s := &partialStore{m: m, stride: encodedPartialBytes(m), pool: pool}
+func newPartialStore(l *partialLayout, pool *mapreduce.BufferPool) *partialStore {
+	s := &partialStore{layout: l, stride: l.stride, pool: pool}
 	s.pages.Store(new([][]byte))
 	s.dec.s = s
 	return s
@@ -264,7 +309,7 @@ func (s *partialStore) decode(recs []byte) (partialRef, []byte, error) {
 		return partialRef{}, nil, fmt.Errorf("spatial: %d bytes of partials, want 1 to %d whole %d-byte records", len(recs), pageRecords(s.stride), s.stride)
 	}
 	for off := 0; off < len(recs); off += s.stride {
-		if err := checkPartial(recs[off:off+s.stride], s.m); err != nil {
+		if err := checkPartial(recs[off:off+s.stride], s.layout); err != nil {
 			return partialRef{}, nil, err
 		}
 	}
@@ -333,7 +378,7 @@ const (
 type cascadeCodec struct {
 	in     *partialStore
 	slot   int8 // the round's new slot, stamped on item records
-	keyPos int  // plan position of the member whose rectangle keys a tuple
+	keyPos int  // plan position of the member whose rectangle keys a tuple; in's layout keeps it
 }
 
 // values is the round's value codec.
@@ -368,7 +413,7 @@ func (cc *cascadeCodec) read(buf []byte) (cascadeVal, []byte, error) {
 		if err != nil {
 			return cascadeVal{}, nil, err
 		}
-		return tupleVal(ref, partialRect(body, cc.keyPos)), body[cc.in.stride:], nil
+		return tupleVal(ref, partialRect(cc.in.layout, body, cc.keyPos)), body[cc.in.stride:], nil
 	case cascadeTagItem:
 		t, err := readItem(body)
 		if err != nil {

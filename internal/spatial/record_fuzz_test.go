@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"runtime"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -12,15 +13,47 @@ import (
 	"mwsjoin/internal/mapreduce"
 )
 
-// fuzzPartial builds a well-formed m-member partial record.
-func fuzzPartial(m int) []byte {
-	rec := binary.LittleEndian.AppendUint16(nil, uint16(m))
-	for i := 0; i < m; i++ {
-		rec = append(rec, make([]byte, memberBytes)...)
-		putMember(rec[len(rec)-memberBytes:], int32(7*i+1), geom.Rect{X: float64(i), Y: 2, L: 3, B: 0.5})
+// allKept is the layout of m members that keeps every rectangle.
+func allKept(m int) *partialLayout {
+	rect := make([]bool, m)
+	for pos := range rect {
+		rect[pos] = true
+	}
+	return newPartialLayout(rect)
+}
+
+// fuzzLayout is the layout of a fuzzed store: 1+members%8 members, the
+// set bits of members>>3 dropping the rectangles of positions 0–4. A
+// members below 8 keeps every rectangle.
+func fuzzLayout(members uint8) *partialLayout {
+	rect := make([]bool, 1+int(members)%8)
+	for pos := range rect {
+		rect[pos] = members>>3>>pos&1 == 0
+	}
+	return newPartialLayout(rect)
+}
+
+// fuzzRecord builds a well-formed partial record of layout l.
+func fuzzRecord(l *partialLayout) []byte {
+	rec := make([]byte, l.stride)
+	binary.LittleEndian.PutUint16(rec, uint16(l.members()))
+	for i := range l.members() {
+		putPartialMember(l, rec, i, int32(7*i+1), geom.Rect{X: float64(i), Y: 2, L: 3, B: 0.5})
 	}
 	return rec
 }
+
+// fuzzPartial builds a well-formed m-member partial record that keeps
+// every rectangle.
+func fuzzPartial(m int) []byte { return fuzzRecord(allKept(m)) }
+
+// The projected layouts the fuzzers' last seeds are in: two members,
+// the first one's rectangle dropped (what cascade_uniform's first round
+// writes), and three members as ids alone (a final checkpoint's).
+const (
+	fuzzOneRect = 1 | 1<<3
+	fuzzIDsOnly = 2 | 7<<3
+)
 
 // storeBytes is the memory a store has taken for its pages.
 func storeBytes(s *partialStore) int {
@@ -45,9 +78,9 @@ func FuzzDecodePartial(f *testing.F) {
 		}
 		return seg
 	}
-	full := pageRecords(encodedPartialBytes(2))
+	full := pageRecords(allKept(2).stride)
 	malformed := segment(2, 3)
-	malformed[encodedPartialBytes(2)] = 3 // the second record claims 3 members
+	malformed[allKept(2).stride] = 3 // the second record claims 3 members
 	f.Add(fuzzPartial(1), uint8(1))
 	f.Add(fuzzPartial(3), uint8(3))
 	f.Add(fuzzPartial(3), uint8(2))
@@ -60,8 +93,12 @@ func FuzzDecodePartial(f *testing.F) {
 	f.Add(segment(2, full+1), uint8(1))
 	f.Add(malformed, uint8(1))
 	f.Add(segment(2, 4)[1:], uint8(1))
+	// From here on, members also drops rectangles (fuzzLayout).
+	f.Add(fuzzRecord(fuzzLayout(fuzzOneRect)), uint8(fuzzOneRect))
+	f.Add(fuzzRecord(fuzzLayout(fuzzIDsOnly)), uint8(fuzzIDsOnly))
+	f.Add(fuzzPartial(2), uint8(fuzzOneRect))
 	f.Fuzz(func(t *testing.T, recs []byte, members uint8) {
-		st := newPartialStore(1+int(members)%8, mapreduce.NewBufferPool())
+		st := newPartialStore(fuzzLayout(members), mapreduce.NewBufferPool())
 		for range 2 {
 			ref, got, err := st.decode(recs)
 			if err != nil {
@@ -74,7 +111,7 @@ func FuzzDecodePartial(f *testing.F) {
 				t.Fatalf("accepted %d bytes of %d-byte records", len(recs), st.stride)
 			}
 			for off := 0; off < len(recs); off += st.stride {
-				if err := checkPartial(recs[off:off+st.stride], st.m); err != nil {
+				if err := checkPartial(recs[off:off+st.stride], st.layout); err != nil {
 					t.Fatalf("accepted a malformed record: %v", err)
 				}
 			}
@@ -112,8 +149,9 @@ func inOnePage(s *partialStore, b []byte) bool {
 
 // FuzzDecodeCascadePair: a cascade round's value codec over 1–8 members
 // keyed by member keyPos, and its output segment codec, each on a store
-// of its own. Beside the property, a tuple value is keyed by its
-// member's rectangle.
+// of its own, in members' fuzzLayout — the value store's keeping keyPos's
+// rectangle, as every round's input layout does. Beside the property, a
+// tuple value is keyed by its member's rectangle.
 func FuzzDecodeCascadePair(f *testing.F) {
 	value := func(tag byte, body []byte) []byte { return append([]byte{tag}, body...) }
 	segment := func(m, n int) []byte {
@@ -134,26 +172,34 @@ func FuzzDecodeCascadePair(f *testing.F) {
 	f.Add(value(cascadeTagTuple, append(fuzzPartial(2), fuzzPartial(2)...)), uint8(1), uint8(0))
 	// Output segments.
 	f.Add(segment(2, 3), uint8(1), uint8(0))
-	f.Add(segment(3, pageRecords(encodedPartialBytes(3))), uint8(2), uint8(0))
-	f.Add(segment(2, pageRecords(encodedPartialBytes(2))+1), uint8(1), uint8(0))
+	f.Add(segment(3, pageRecords(allKept(3).stride)), uint8(2), uint8(0))
+	f.Add(segment(2, pageRecords(allKept(2).stride)+1), uint8(1), uint8(0))
 	f.Add(segment(2, 4)[:50], uint8(1), uint8(0))
 	f.Add(segment(2, 0), uint8(1), uint8(0))
+	// Projected layouts: a tuple keeping its key's rectangle alone, and an
+	// output segment of ids-only records.
+	f.Add(value(cascadeTagTuple, fuzzRecord(fuzzLayout(fuzzOneRect))), uint8(fuzzOneRect), uint8(1))
+	ids := fuzzRecord(fuzzLayout(fuzzIDsOnly))
+	f.Add(slices.Concat(binary.LittleEndian.AppendUint16(nil, 2), ids, ids), uint8(fuzzIDsOnly), uint8(0))
 	f.Fuzz(func(t *testing.T, rec []byte, members, keyPos uint8) {
-		m := 1 + int(members)%8
-		st := newPartialStore(m, mapreduce.NewBufferPool())
+		l := fuzzLayout(members)
+		m := l.members()
+		keyed := slices.Clone(l.rect)
+		keyed[int(keyPos)%m] = true
+		st := newPartialStore(newPartialLayout(keyed), mapreduce.NewBufferPool())
 		cc := &cascadeCodec{in: st, slot: 2, keyPos: int(keyPos) % m}
 		v, ok := checkCodec(t, cc.values(), rec)
 		if ok && v.Page != itemPage {
 			// Compared as bytes: a fuzzed rectangle may hold NaNs.
 			var key, member [rectBytes]byte
 			putRect(key[:], v.Rect)
-			putRect(member[:], partialRect(st.rec(v.ref()), cc.keyPos))
+			putRect(member[:], partialRect(st.layout, st.rec(v.ref()), cc.keyPos))
 			if key != member {
 				t.Fatalf("tuple value keyed by %v, not by its member %d", v.Rect, cc.keyPos)
 			}
 		}
 		checkStore(t, st, rec, ok)
-		seg := newPartialStore(m, mapreduce.NewBufferPool())
+		seg := newPartialStore(l, mapreduce.NewBufferPool())
 		_, ok = checkCodec(t, segmentCodec(seg), rec)
 		checkStore(t, seg, rec, ok)
 	})

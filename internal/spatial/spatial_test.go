@@ -625,32 +625,39 @@ func TestTupleKey(t *testing.T) {
 }
 
 // TestRecordRoundTrip decodes a 2-member partial, in the layout the
-// cascade checkpoints. (Item records are dfs.MBB records, whose codec
-// internal/dfs tests.)
+// cascade checkpoints when both rectangles are read later, and in the
+// one where the first is not. (Item records are dfs.MBB records, whose
+// codec internal/dfs tests.)
 func TestRecordRoundTrip(t *testing.T) {
 	rects := []geom.Rect{{X: 1, Y: 2, L: 3, B: 4}, {X: 5, Y: 6, L: 7, B: 8}}
-	rec := make([]byte, encodedPartialBytes(2))
-	binary.LittleEndian.PutUint16(rec, 2)
-	putMember(rec[2:], 7, rects[0])
-	putMember(rec[2+memberBytes:], 9, rects[1])
-	st := newPartialStore(2, sharedPool)
-	ref, _, err := st.decode(rec)
-	if err != nil {
-		t.Fatal(err)
+	for _, kept := range [][]bool{{true, true}, {false, true}} {
+		l := newPartialLayout(kept)
+		rec := make([]byte, l.stride)
+		binary.LittleEndian.PutUint16(rec, 2)
+		putPartialMember(l, rec, 0, 7, rects[0])
+		putPartialMember(l, rec, 1, 9, rects[1])
+		st := newPartialStore(l, sharedPool)
+		ref, _, err := st.decode(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := st.rec(ref)
+		if !bytes.Equal(got, rec) || partialID(l, got, 0) != 7 || partialID(l, got, 1) != 9 ||
+			kept[0] && partialRect(l, got, 0) != rects[0] || partialRect(l, got, 1) != rects[1] {
+			t.Errorf("%v: partial round trip = %v", kept, got)
+		}
+		if _, _, err := st.decode([]byte{9}); err == nil {
+			t.Errorf("%v: short partial record must fail", kept)
+		}
+		if _, _, err := st.decode([]byte{2, 0, 1}); err == nil {
+			t.Errorf("%v: truncated partial record must fail", kept)
+		}
+		if _, _, err := newPartialStore(newPartialLayout(append(kept, true)), sharedPool).decode(rec); err == nil {
+			t.Errorf("%v: a 2-member record must not decode into a 3-member store", kept)
+		}
 	}
-	got := st.rec(ref)
-	if !bytes.Equal(got, rec) || partialID(got, 0) != 7 || partialID(got, 1) != 9 ||
-		partialRect(got, 0) != rects[0] || partialRect(got, 1) != rects[1] {
-		t.Errorf("partial round trip = %v", got)
-	}
-	if _, _, err := st.decode([]byte{9}); err == nil {
-		t.Error("short partial record must fail")
-	}
-	if _, _, err := st.decode([]byte{2, 0, 1}); err == nil {
-		t.Error("truncated partial record must fail")
-	}
-	if _, _, err := newPartialStore(3, sharedPool).decode(rec); err == nil {
-		t.Error("a 2-member record must not decode into a 3-member store")
+	if _, _, err := newPartialStore(newPartialLayout([]bool{false, true}), sharedPool).decode(fuzzPartial(2)); err == nil {
+		t.Error("a record keeping both rectangles must not decode into a store that keeps one")
 	}
 }
 
