@@ -12,28 +12,31 @@ import (
 // TestClusterAllocationCeiling keeps the cluster's envelope from growing
 // back: a warm cascade over 3 × 10,000 uniform rectangles through a
 // coordinator and two workers that keep the relations — start, two SPMD
-// runs, network shuffle, gather — may allocate at most 3.8 × what one
-// spatial.Execute of the same query allocates, and at most 2.2 MB. While
+// runs, network shuffle, gather — may allocate at most 2.2 × what one
+// spatial.Execute of the same query allocates, and at most 1.2 MB. While
 // every worker carved the result into tuples, 100 fresh runs read
 // 0.57–0.68 MB in-process and 1.74–2.52 MB clustered, a ratio of
 // 2.58–4.42 (median 3.23); since workers hash and pack the engine's ID
 // slab, 220 read 0.57–0.71 MB, 1.19–1.96 MB and 1.81–3.40 (median
-// 2.25). The two ranges meet only in their tails — two of the 220 read
-// 2.89 and 3.40, the second query's pool missing pages the first did
-// not need — so the ceilings sit above every run of the slab and below
-// the tuples' worst. How they got here is in EXPERIMENTS.md ("Exchange
-// payloads in the pool", "Workers own their pools", "One ID slab from
-// reducer to coordinator").
+// 2.25). Re-measured at PR 50, 35 fresh runs read 0.55–0.66 MB,
+// 1.54–1.56 MB and 2.35–2.84 (median 2.82); since no worker keeps its
+// own slab and the coordinator decodes the attachment straight into the
+// slab it carves, 35 read 0.55–0.66 MB, 1.12–1.14 MB and 1.71–2.07
+// (median 2.06). One of the removed copies of the 11,560-tuple result,
+// 0.14 MB, coming back would read above 1.2 MB. How they got here is in
+// EXPERIMENTS.md ("Exchange payloads in the pool", "Workers own their
+// pools", "One ID slab from reducer to coordinator", "A clustered
+// result is built once").
 func TestClusterAllocationCeiling(t *testing.T) {
 	const n = 10000
 	p := dataset.PaperDefaults(n)
 	p.XMax, p.YMax = 10_000, 10_000 // the paper's density at this n
 	direct, clustered := measureClusterAllocation(t, syntheticRelations(t, p, func(i int) uint64 { return uint64(2013 + 101*i) }))
-	if ratio := float64(clustered) / float64(direct); ratio > 3.8 {
-		t.Errorf("two-worker cluster allocates %.2f × the in-process engine, ceiling 3.8", ratio)
+	if ratio := float64(clustered) / float64(direct); ratio > 2.2 {
+		t.Errorf("two-worker cluster allocates %.2f × the in-process engine, ceiling 2.2", ratio)
 	}
-	if clustered > 2_200_000 {
-		t.Errorf("two-worker cluster allocates %d B, ceiling %d", clustered, 2_200_000)
+	if clustered > 1_200_000 {
+		t.Errorf("two-worker cluster allocates %d B, ceiling %d", clustered, 1_200_000)
 	}
 }
 
@@ -43,15 +46,20 @@ func TestClusterAllocationCeiling(t *testing.T) {
 // seeds them from 2013. While every worker carved the result into
 // tuples, 30 fresh runs read 2.56–3.09 MB in-process and 7.99–8.29 MB
 // clustered, 2.60–3.23 ×; since workers hash and pack the engine's ID
-// slab, 170 read 2.56–3.09 MB, 5.12–5.53 MB and 1.65–2.13 ×. The
-// ceilings, 2.4 × and 6.5 MB, sit between the two.
+// slab, 170 read 2.56–3.09 MB, 5.12–5.53 MB and 1.65–2.13 ×. Re-measured
+// at PR 50, 35 fresh runs read 2.47–3.50 MB, 4.91–5.18 MB and
+// 1.44–2.05 ×; since no worker keeps its own slab and the coordinator
+// decodes the attachment straight into the slab it carves, 35 read
+// 2.47–3.50 MB, 2.75–2.89 MB and 0.83–1.17 ×. The ceilings, 1.3 × and
+// 3.3 MB, sit between the two, and one of the removed copies of the
+// 59,448-tuple result (0.71 MB) coming back would read above 3.3 MB.
 func TestClusterAllocationAtBenchmarkShape(t *testing.T) {
 	direct, clustered := measureClusterAllocation(t, benchmarkShapeRelations(t))
-	if ratio := float64(clustered) / float64(direct); ratio > 2.4 {
-		t.Errorf("two-worker cluster allocates %.2f × the in-process engine, ceiling 2.4", ratio)
+	if ratio := float64(clustered) / float64(direct); ratio > 1.3 {
+		t.Errorf("two-worker cluster allocates %.2f × the in-process engine, ceiling 1.3", ratio)
 	}
-	if clustered > 6_500_000 {
-		t.Errorf("two-worker cluster allocates %d B, ceiling %d", clustered, 6_500_000)
+	if clustered > 3_300_000 {
+		t.Errorf("two-worker cluster allocates %d B, ceiling %d", clustered, 3_300_000)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"math/rand/v2"
 	"net"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -433,23 +434,39 @@ func TestRelationPackRoundTrip(t *testing.T) {
 		}
 	}
 
-	// result: the rows come back as tuples carved from one slab, non-nil
-	// even when there are none.
+	// result: the IDs come back as the slab they were written from, and a
+	// decoded result re-encodes to the bytes it was read from; the
+	// coordinator's carve of it is the rows' tuples.
 	rng := rand.New(rand.NewPCG(5, 5))
 	for _, n := range []int{0, 1, 60000} {
 		rows := spatial.Rows{Arity: 3, IDs: []int32{}}
 		for i := range n {
 			rows.IDs = append(rows.IDs, rng.Int32(), -rng.Int32(), int32(i))
 		}
-		arity, slab := packTuples(mapreduce.NewBufferPool(), rows)
-		got := pipeRoundTrip(t, &message{Type: msgResult, Session: "s1", OK: true, Hash: hashTuples(rows),
-			Stats: json.RawMessage(`{"OutputTuples":1}`), Arity: arity, Count: n, Slab: slab})
-		back, err := unpackTuples(got.Arity, got.Count, got.Slab)
+		out := &message{Type: msgResult, Session: "s1", OK: true, Hash: hashTuples(rows), Stats: json.RawMessage(`{"OutputTuples":1}`)}
+		if n > 0 {
+			out.Arity, out.Count, out.IDs = rows.Arity, rows.Len(), rows.IDs
+		}
+		got := pipeRoundTrip(t, out)
+		if !slices.Equal(got.IDs, rows.IDs) || (n == 0) != (got.IDs == nil) {
+			t.Errorf("result with %d tuples: %d ids came back (nil=%v)", n, len(got.IDs), got.IDs == nil)
+		}
+		if n > 0 && !reflect.DeepEqual(spatial.Rows{Arity: got.Arity, IDs: got.IDs}.Tuples(), rows.Tuples()) {
+			t.Errorf("result with %d tuples: the carve differs from the rows' tuples", n)
+		}
+		var wire, again bytes.Buffer
+		if _, err := writeMessage(&wire, out); err != nil {
+			t.Fatal(err)
+		}
+		back, err := readFrom(wire.Bytes())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if back == nil || !reflect.DeepEqual(back, rows.Tuples()) {
-			t.Errorf("result with %d tuples did not round-trip (got %d, nil=%v)", n, len(back), back == nil)
+		if _, err := writeMessage(&again, back); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), wire.Bytes()) {
+			t.Errorf("result with %d tuples: the decoded message re-encodes to %d bytes that differ from the %d it was read from", n, again.Len(), wire.Len())
 		}
 	}
 }
@@ -458,14 +475,13 @@ func TestRelationPackRoundTrip(t *testing.T) {
 // fields populated where the type has them.
 func sampleMessages() []*message {
 	spec := SpecFromConfig(mustMethod("2-way-cascade"), "R1 ov R2", testRelations(3, 2, 10), spatial.Config{Reducers: 4, NumMappers: 2})
-	_, slab := packTuples(mapreduce.NewBufferPool(), spatial.Rows{Arity: 2, IDs: []int32{1, 2, 3, 4}})
 	resume := spec
 	resume.Resume = true
 	empty := spatial.NewRelation("E", nil)
 	return []*message{
 		{Type: msgRegister, Proto: protocolVersion, Name: "w0", DataAddr: "127.0.0.1:1"},
 		{Type: msgHeartbeat},
-		{Type: msgResult, Session: "s1", Attempt: 1, OK: true, Hash: "ab", Stats: json.RawMessage(`{"OutputTuples":2}`), Arity: 2, Count: 2, Slab: slab},
+		{Type: msgResult, Session: "s1", Attempt: 1, OK: true, Hash: "ab", Stats: json.RawMessage(`{"OutputTuples":2}`), Arity: 2, Count: 2, IDs: []int32{1, 2, 3, 4}},
 		{Type: msgResult, Session: "s1", Error: "boom"},
 		{Type: msgNeed, Session: "s1", Attempt: 1, Digests: []string{spec.Relations[1].Digest}},
 		{Type: msgShip, Session: "s1", Attempt: 1, Digests: []string{spec.Relations[0].Digest, spec.Relations[1].Digest}, Rels: [][]byte{packRelation(spec.rels[0]), packRelation(spec.rels[1])}},
@@ -483,7 +499,7 @@ func sameMessage(a, b *message) bool {
 	ha, errA := json.Marshal(wireHeader{message: a})
 	hb, errB := json.Marshal(wireHeader{message: b})
 	fa, fb := a.bulk(), b.bulk()
-	if errA != nil || errB != nil || !bytes.Equal(ha, hb) || len(fa) != len(fb) {
+	if errA != nil || errB != nil || !bytes.Equal(ha, hb) || len(fa) != len(fb) || !slices.Equal(a.IDs, b.IDs) {
 		return false
 	}
 	for i := range fa {

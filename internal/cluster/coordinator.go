@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"time"
@@ -43,8 +44,9 @@ type WorkerStatus struct {
 	// InFlight counts the session attempts currently placed on the
 	// worker.
 	InFlight int `json:"in_flight"`
-	// LastHeartbeatMillis is the age of the last heartbeat (or any
-	// control message) from the worker.
+	// LastHeartbeatMillis is the age of the last bytes the worker's
+	// control connection delivered: a heartbeat, or any part of any
+	// other message.
 	LastHeartbeatMillis int64 `json:"last_heartbeat_ms"`
 	// Sessions counts the session attempts the worker has completed.
 	Sessions int64 `json:"sessions"`
@@ -194,7 +196,8 @@ func (c *Coordinator) acceptLoop() {
 // register message first, then routes heartbeats into liveness and
 // everything else into the member's inbox.
 func (c *Coordinator) serveWorker(conn net.Conn) {
-	br := bufio.NewReaderSize(conn, controlReadBuffer)
+	beats := &beatReader{r: conn}
+	br := bufio.NewReaderSize(beats, controlReadBuffer)
 	conn.SetReadDeadline(time.Now().Add(c.cfg.HeartbeatTimeout))
 	hello, err := readMessage(br)
 	if err != nil || hello.Type != msgRegister || hello.Name == "" {
@@ -233,6 +236,7 @@ func (c *Coordinator) serveWorker(conn net.Conn) {
 	}
 	c.members = append(c.members, m)
 	c.mu.Unlock()
+	beats.m = m
 	c.publishGauges()
 	c.cfg.Logf("coordinator: worker %s registered (data %s)", m.name, m.dataAddr)
 
@@ -242,9 +246,6 @@ reading:
 		if err != nil {
 			break
 		}
-		m.mu.Lock()
-		m.lastBeat = time.Now()
-		m.mu.Unlock()
 		if msg.Type == msgHeartbeat {
 			continue
 		}
@@ -261,6 +262,27 @@ reading:
 	conn.Close()
 	c.publishGauges()
 	c.cfg.Logf("coordinator: worker %s lost", m.name)
+}
+
+// beatReader is what a control connection's bufio.Reader reads
+// through: every read that returns bytes stamps the member's lastBeat,
+// so a worker is alive while any message of its is arriving — a result
+// that takes longer than HeartbeatTimeout to cross the wire, with the
+// worker's heartbeats queued behind it, included. m is nil until the
+// worker has registered.
+type beatReader struct {
+	r io.Reader
+	m *member
+}
+
+func (b *beatReader) Read(p []byte) (int, error) {
+	n, err := b.r.Read(p)
+	if n > 0 && b.m != nil {
+		b.m.mu.Lock()
+		b.m.lastBeat = time.Now()
+		b.m.mu.Unlock()
+	}
+	return n, err
 }
 
 // livenessLoop enforces the heartbeat timeout: a silent worker's
@@ -500,10 +522,14 @@ func (c *Coordinator) runAttempt(session string, attempt int, spec *SessionSpec,
 	if err := json.Unmarshal(first.Stats, &res.Stats); err != nil {
 		return nil, "", fmt.Errorf("cluster: session %s: bad stats from worker %s: %w", session, roster[0].name, err)
 	}
-	var err error
-	if res.Tuples, err = unpackTuples(first.Arity, first.Count, first.Slab); err != nil {
-		return nil, "", fmt.Errorf("cluster: session %s: bad tuples from worker %s: %w", session, roster[0].name, err)
+	// readMessage decoded the slab and matched it to its header; the
+	// carve is the one copy the caller's tuples take, and an empty result
+	// is no tuples, not none.
+	ids := first.IDs
+	if ids == nil {
+		ids = []int32{}
 	}
+	res.Tuples = spatial.Rows{Arity: first.Arity, IDs: ids}.Tuples()
 	for i, o := range outcomes {
 		res.SpecBytes += specBytes[i] + o.shipBytes
 		res.ResultBytes += o.msg.wireBytes

@@ -70,7 +70,7 @@ const (
 	msgRegister  = "register"  // Proto, Name, DataAddr
 	msgHeartbeat = "heartbeat" //
 	msgNeed      = "need"      // Session, Attempt, Digests — relations the start named and the worker lacks
-	msgResult    = "result"    // Session, Attempt, OK, Error, Hash, Stats, Arity, Count, Slab [att] (self 0)
+	msgResult    = "result"    // Session, Attempt, OK, Error, Hash, Stats, Arity, Count, IDs [att] (self 0)
 	// coordinator → worker
 	msgShip  = "ship"  // Session, Attempt, Error, Digests, Rels[i] [att] — answering a need
 	msgStart = "start" // Session, Attempt, Self, Roster, Spec
@@ -95,11 +95,13 @@ type message struct {
 	Error string          `json:"error,omitempty"`
 	Hash  string          `json:"hash,omitempty"`
 	Stats json.RawMessage `json:"stats,omitempty"`
-	// Slab is Count result tuples of Arity ids each, flat little-endian
-	// int32 (packTuples/unpackTuples).
-	Arity int    `json:"arity,omitempty"`
-	Count int    `json:"count,omitempty"`
-	Slab  []byte `json:"-"`
+	// IDs is Count result tuples of Arity ids each, the engine's ID slab
+	// as it stands (spatial.Rows). It travels as one attachment, flat
+	// little-endian int32, encoded as it is written and decoded as it
+	// arrives (writeIDs, readIDs).
+	Arity int     `json:"arity,omitempty"`
+	Count int     `json:"count,omitempty"`
+	IDs   []int32 `json:"-"`
 
 	// Digests names relations by content (RelationRef.Digest); on a
 	// ship, Rels[i] is the relation Digests[i] names, packed

@@ -10,8 +10,6 @@ import (
 	"net"
 
 	"mwsjoin/internal/dfs"
-	"mwsjoin/internal/mapreduce"
-	"mwsjoin/internal/spatial"
 )
 
 // The control plane's one wire form: a JSON header line, then the
@@ -51,44 +49,49 @@ type wireHeader struct {
 	Att []int64 `json:"att,omitempty"`
 }
 
-// bulk returns the message's bulk fields in wire order, one attachment
-// each: a ship's relations, one per digest it names, and a result's
-// tuple slab (when it has tuples). The writer sends what they hold; the
-// reader fills them.
+// bulk returns a ship's relations in wire order, one attachment each,
+// one per digest the ship names. The writer sends what they hold; the
+// reader fills them. A result's one attachment, its ID slab, has a
+// codec of its own (writeIDs, readIDs).
 func (m *message) bulk() []*[]byte {
-	switch m.Type {
-	case msgShip:
-		if len(m.Rels) != len(m.Digests) {
-			m.Rels = make([][]byte, len(m.Digests))
-		}
-		fields := make([]*[]byte, len(m.Rels))
-		for i := range m.Rels {
-			fields[i] = &m.Rels[i]
-		}
-		return fields
-	case msgResult:
-		if m.Count > 0 {
-			return []*[]byte{&m.Slab}
-		}
+	if m.Type != msgShip {
+		return nil
 	}
-	return nil
+	if len(m.Rels) != len(m.Digests) {
+		m.Rels = make([][]byte, len(m.Digests))
+	}
+	fields := make([]*[]byte, len(m.Rels))
+	for i := range m.Rels {
+		fields[i] = &m.Rels[i]
+	}
+	return fields
 }
+
+// carriesSlab reports whether m is a result with tuples, whose IDs
+// follow its header line as its one attachment.
+func (m *message) carriesSlab() bool { return m.Type == msgResult && m.Count > 0 }
 
 // writeMessage writes one message — header line, then attachments — and
 // returns the bytes it put on the wire. Callers serialize writers of one
-// connection. The attachments are written from the message's own
-// slices, without a copy.
+// connection. A ship's relations are written from their own slices, and
+// a result's IDs are encoded as they are written (writeIDs): no
+// attachment is copied whole.
 func writeMessage(w io.Writer, m *message) (int64, error) {
 	fields := m.bulk()
 	hdr := wireHeader{message: m}
 	bufs := make(net.Buffers, 1, 1+len(fields))
 	for _, f := range fields {
-		if err := checkFrameLen(int64(len(*f))); err != nil {
-			return 0, err
-		}
 		hdr.Att = append(hdr.Att, int64(len(*f)))
 		if len(*f) > 0 {
 			bufs = append(bufs, *f)
+		}
+	}
+	if m.carriesSlab() {
+		hdr.Att = append(hdr.Att, 4*int64(len(m.IDs)))
+	}
+	for _, n := range hdr.Att {
+		if err := checkFrameLen(n); err != nil {
+			return 0, err
 		}
 	}
 	line, err := json.Marshal(hdr)
@@ -99,14 +102,20 @@ func writeMessage(w io.Writer, m *message) (int64, error) {
 		return 0, errHeaderTooLarge
 	}
 	bufs[0] = append(line, '\n')
-	return bufs.WriteTo(w)
+	n, err := bufs.WriteTo(w)
+	if err != nil || !m.carriesSlab() {
+		return n, err
+	}
+	k, err := writeIDs(w, m.IDs)
+	return n + k, err
 }
 
 // readMessage reads one message. Every length it takes from the wire is
 // checked before it sizes an allocation: the header line against
 // maxHeaderBytes, the attachment count against what the message's type
 // and header fields call for, each attachment against maxFrameBytes and
-// then read in dfs.DeclaredChunk steps.
+// a result's against its count and arity (checkSlab), and then read in
+// dfs.DeclaredChunk steps.
 func readMessage(br *bufio.Reader) (*message, error) {
 	line, err := readHeaderLine(br)
 	if err != nil {
@@ -119,24 +128,37 @@ func readMessage(br *bufio.Reader) (*message, error) {
 	}
 	m.wireBytes = int64(len(line)) + 1
 	fields := m.bulk()
-	if len(hdr.Att) != len(fields) {
-		return nil, fmt.Errorf("cluster: %s message declares %d attachments, want %d", m.Type, len(hdr.Att), len(fields))
+	want := len(fields)
+	if m.carriesSlab() {
+		want = 1
 	}
-	for i, n := range hdr.Att {
+	if len(hdr.Att) != want {
+		return nil, fmt.Errorf("cluster: %s message declares %d attachments, want %d", m.Type, len(hdr.Att), want)
+	}
+	for _, n := range hdr.Att {
 		if n < 0 {
 			return nil, fmt.Errorf("cluster: %s message declares a %d-byte attachment", m.Type, n)
 		}
 		if err := checkFrameLen(n); err != nil {
 			return nil, err
 		}
-		if *fields[i], err = dfs.ReadDeclared(br, int(n), int(n)); err != nil {
-			return nil, fmt.Errorf("cluster: %s attachment: %w", m.Type, err)
-		}
 		m.wireBytes += n
 	}
+	for i, f := range fields {
+		if *f, err = dfs.ReadDeclared(br, int(hdr.Att[i]), int(hdr.Att[i])); err != nil {
+			return nil, fmt.Errorf("cluster: %s attachment: %w", m.Type, err)
+		}
+	}
 	if m.Type == msgResult {
-		if err := checkSlab(m.Arity, m.Count, len(m.Slab)); err != nil {
+		var slab int
+		if m.carriesSlab() {
+			slab = int(hdr.Att[0])
+		}
+		if err := checkSlab(m.Arity, m.Count, slab); err != nil {
 			return nil, err
+		}
+		if m.IDs, err = readIDs(br, slab); err != nil {
+			return nil, fmt.Errorf("cluster: %s attachment: %w", m.Type, err)
 		}
 	}
 	return m, nil
@@ -183,35 +205,35 @@ func checkSlab(arity, count, slabBytes int) error {
 	return nil
 }
 
-// packTuples renders a result's rows as the attachment they travel in:
-// the slab's IDs, flat little-endian int32, in a frame from pool that
-// the caller puts back once it is sent. An empty result packs to arity
-// 0 and no slab.
-func packTuples(pool *mapreduce.BufferPool, rows spatial.Rows) (arity int, slab []byte) {
-	if rows.Len() == 0 {
-		return 0, nil
-	}
-	n := 4 * len(rows.IDs)
-	if slab = pool.GetFrame(n); slab == nil {
-		slab = make([]byte, n, mapreduce.FrameCap(n))
-	}
-	slab = slab[:n]
-	for i, id := range rows.IDs {
-		binary.LittleEndian.PutUint32(slab[4*i:], uint32(id))
-	}
-	return rows.Arity, slab
+// writeIDs writes a result's slab — its IDs, flat little-endian int32 —
+// rendering them a recycled chunk at a time (dfs.WriteChunked), so no
+// packed copy of the result is ever whole. It returns the bytes written.
+func writeIDs(w io.Writer, ids []int32) (int64, error) {
+	return dfs.WriteChunked(w, 4*len(ids), func(chunk []byte) {
+		for i := range len(chunk) / 4 {
+			binary.LittleEndian.PutUint32(chunk[4*i:], uint32(ids[i]))
+		}
+		ids = ids[len(chunk)/4:]
+	})
 }
 
-// unpackTuples decodes a slab into one []int32 and carves the tuples
-// from it (Rows.Tuples), the one carve a clustered result takes. The
-// result is non-nil even when empty.
-func unpackTuples(arity, count int, slab []byte) ([]spatial.Tuple, error) {
-	if err := checkSlab(arity, count, len(slab)); err != nil {
+// readIDs decodes a slab of n bytes, which checkSlab has matched to its
+// header, straight into one []int32 of n/4 IDs: the bytes are collected
+// in recycled chunks as they arrive (dfs.ReadDeclaredChunks), and the
+// IDs are allocated only once all n have, so a slab that is cut short
+// costs a chunk, not what its header declared. An empty slab is nil.
+func readIDs(r io.Reader, n int) ([]int32, error) {
+	var ids []int32
+	err := dfs.ReadDeclaredChunks(r, n, func(chunk []byte) {
+		if ids == nil {
+			ids = make([]int32, 0, n/4)
+		}
+		for i := 0; i < len(chunk); i += 4 {
+			ids = append(ids, int32(binary.LittleEndian.Uint32(chunk[i:])))
+		}
+	})
+	if err != nil {
 		return nil, err
 	}
-	ids := make([]int32, arity*count)
-	for i := range ids {
-		ids[i] = int32(binary.LittleEndian.Uint32(slab[4*i:]))
-	}
-	return spatial.Rows{Arity: arity, IDs: ids}.Tuples(), nil
+	return ids, nil
 }

@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"mwsjoin/internal/dfs"
-	"mwsjoin/internal/mapreduce"
 	"mwsjoin/internal/spatial"
 )
 
@@ -114,6 +113,26 @@ func TestReadMessageBounds(t *testing.T) {
 	}
 }
 
+// TestResultSlabBound: a result's IDs are allocated only once its slab
+// has arrived. A header that declares a 1 GiB slab — 2²⁷ tuples of
+// arity 2, which checkSlab accepts — followed by 10 bytes fails with
+// io.ErrUnexpectedEOF, having allocated less than two dfs.DeclaredChunk:
+// the chunk the bytes arrived in and the header's decoding, not the
+// gigabyte.
+func TestResultSlabBound(t *testing.T) {
+	const slab = maxFrameBytes
+	wire := fmt.Sprintf(`{"type":"result","ok":true,"arity":2,"count":%d,"att":[%d]}`+"\n0123456789", slab/8, slab)
+	br := bufio.NewReaderSize(strings.NewReader(wire), controlReadBuffer)
+	var err error
+	allocated := allocatedBy(func() { _, err = readMessage(br) })
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("a 1 GiB slab declared, 10 bytes sent: err = %v, want unexpected EOF", err)
+	}
+	if allocated >= 2*dfs.DeclaredChunk {
+		t.Errorf("a 1 GiB slab declared, 10 bytes sent: the reader allocated %d bytes, bound %d", allocated, 2*dfs.DeclaredChunk)
+	}
+}
+
 // FuzzReadMessage: whatever bytes arrive on a control connection,
 // readMessage returns an error or a message that re-encodes to one that
 // decodes equal; it never panics and never allocates beyond the input's
@@ -128,6 +147,11 @@ func FuzzReadMessage(f *testing.F) {
 		f.Add(wire.Bytes())
 	}
 	f.Add([]byte(fmt.Sprintf(`{"type":"ship","digests":["a"],"att":[%d]}`+"\nxx", int64(maxFrameBytes))))
+	// Results whose slab is not 4-byte ids, does not hold count × arity
+	// of them, or is cut short.
+	f.Add([]byte(`{"type":"result","ok":true,"arity":1,"count":1,"att":[5]}` + "\n\x01\x00\x00\x00\x02"))
+	f.Add([]byte(`{"type":"result","ok":true,"arity":2,"count":3,"att":[16]}` + "\n" + strings.Repeat("\x07", 16)))
+	f.Add([]byte(`{"type":"result","ok":true,"arity":2,"count":2,"att":[16]}` + "\n" + strings.Repeat("\x07", 10)))
 	f.Fuzz(func(t *testing.T, wire []byte) {
 		br := bufio.NewReaderSize(bytes.NewReader(wire), controlReadBuffer)
 		var m *message
@@ -215,7 +239,6 @@ func BenchmarkControlPlane(b *testing.B) {
 			name = "cold"
 		}
 		b.Run(name, func(b *testing.B) {
-			pool := mapreduce.NewBufferPool() // the worker's, which its result slab comes from
 			var wire bytes.Buffer
 			var total int64
 			for i := 0; i < b.N; i++ {
@@ -239,9 +262,7 @@ func BenchmarkControlPlane(b *testing.B) {
 					b.Fatal(err)
 				}
 				total += n
-				arity, slab := packTuples(pool, rows)
-				n, err = writeMessage(&wire, &message{Type: msgResult, Session: "s0001", OK: true, Hash: "h", Stats: stats, Arity: arity, Count: rows.Len(), Slab: slab})
-				pool.PutFrame(slab)
+				n, err = writeMessage(&wire, &message{Type: msgResult, Session: "s0001", OK: true, Hash: "h", Stats: stats, Arity: rows.Arity, Count: rows.Len(), IDs: rows.IDs})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -265,8 +286,8 @@ func BenchmarkControlPlane(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if back, err := unpackTuples(res.Arity, res.Count, res.Slab); err != nil || len(back) != rows.Len() {
-					b.Fatalf("result: %d tuples, err %v", len(back), err)
+				if back := (spatial.Rows{Arity: res.Arity, IDs: res.IDs}).Tuples(); len(back) != rows.Len() {
+					b.Fatalf("result: %d tuples", len(back))
 				}
 			}
 			b.SetBytes(total)

@@ -316,12 +316,12 @@ func (w *Worker) holdSession(id string) *workerSession {
 
 // runSession executes one session attempt and reports the result.
 func (w *Worker) runSession(m *message, s *workerSession) {
-	out, err := w.attemptResult(m, s)
+	out, slab, err := w.attemptResult(m, s)
 	if err == nil {
 		w.cfg.Logf("worker %s: session %s attempt %d done (%d tuples, hash %s)",
 			w.cfg.Name, m.Session, m.Attempt, out.Count, out.Hash[:8])
 		err = w.send(out)
-		w.pool.PutFrame(out.Slab) // sent or not, nothing reads it any more
+		mapreduce.PutSlab(w.pool, slab) // hashed and, sent or not, read no more
 		if err == nil {
 			return
 		}
@@ -339,23 +339,24 @@ func (w *Worker) runSession(m *message, s *workerSession) {
 }
 
 // attemptResult executes one attempt and frames its outcome: the hash
-// every member reports, the run's Stats, and on worker 0 the packed
-// rows. Both are read straight from the engine's ID slab; no worker
-// builds a tuple.
-func (w *Worker) attemptResult(m *message, s *workerSession) (*message, error) {
+// every member reports, the run's Stats, and on worker 0 the rows,
+// which writeMessage encodes as it sends them. Both are read straight
+// from the engine's ID slab; no worker builds a tuple or a packed copy.
+// The slab came from the worker's pool (DistConfig.Pool), and it is
+// returned for the caller to put back once the result is sent.
+func (w *Worker) attemptResult(m *message, s *workerSession) (*message, []int32, error) {
 	rows, st, err := w.executeAttempt(m, s)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	out := &message{Type: msgResult, Session: m.Session, Attempt: m.Attempt, OK: true, Hash: hashTuples(rows)}
 	if out.Stats, err = json.Marshal(st); err != nil {
-		return nil, fmt.Errorf("cluster: encode stats: %w", err)
+		return nil, nil, fmt.Errorf("cluster: encode stats: %w", err)
 	}
-	if m.Self == 0 {
-		out.Arity, out.Slab = packTuples(w.pool, rows)
-		out.Count = rows.Len()
+	if m.Self == 0 && rows.Len() > 0 {
+		out.Arity, out.Count, out.IDs = rows.Arity, rows.Len(), rows.IDs
 	}
-	return out, nil
+	return out, rows.IDs, nil
 }
 
 // executeAttempt runs the spec on this worker's share of the roster.

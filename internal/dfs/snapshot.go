@@ -73,21 +73,44 @@ func (fs *FS) WriteSnapshot(w io.Writer) error {
 const DeclaredChunk = 64 << 10
 
 // declaredChunks recycles the chunks a long declared read collects its
-// bytes in before it joins them.
+// bytes in before they are used, and the one a chunked write renders
+// its bytes into.
 var declaredChunks = sync.Pool{New: func() any { return new([DeclaredChunk]byte) }}
 
 // ReadDeclared reads n bytes whose length was declared ahead of them
 // into a buffer of capacity capacity (at least n). Up to DeclaredChunk
 // it is one exact allocation; beyond, the bytes are collected in
-// recycled chunks as they arrive and copied into one allocation only
-// once all n have, so a length that lies costs at most a chunk more
-// than was really sent. Running out of bytes is io.ErrUnexpectedEOF.
+// recycled chunks (ReadDeclaredChunks) and copied into one allocation
+// only once all n have arrived, so a length that lies costs at most a
+// chunk more than was really sent. Running out of bytes is
+// io.ErrUnexpectedEOF.
 func ReadDeclared(r io.Reader, n, capacity int) ([]byte, error) {
 	if n <= DeclaredChunk {
 		buf := make([]byte, n, capacity)
 		_, err := io.ReadFull(r, buf)
 		return buf, Truncated(err)
 	}
+	var buf []byte
+	err := ReadDeclaredChunks(r, n, func(chunk []byte) {
+		if buf == nil {
+			buf = make([]byte, 0, capacity)
+		}
+		buf = append(buf, chunk...)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return buf, nil
+}
+
+// ReadDeclaredChunks reads n bytes whose length was declared ahead of
+// them in DeclaredChunk steps, each into a chunk recycled across calls,
+// and only once all n have arrived hands the chunks to each, in order:
+// every one DeclaredChunk bytes long but the last. So whatever each
+// sizes from n is sized after the bytes are there, and a length that
+// lies costs one chunk. each must not keep a chunk. Running out of
+// bytes is io.ErrUnexpectedEOF, and each then sees nothing.
+func ReadDeclaredChunks(r io.Reader, n int, each func(chunk []byte)) error {
 	var chunks []*[DeclaredChunk]byte
 	defer func() {
 		for _, c := range chunks {
@@ -98,14 +121,34 @@ func ReadDeclared(r io.Reader, n, capacity int) ([]byte, error) {
 		c := declaredChunks.Get().(*[DeclaredChunk]byte)
 		chunks = append(chunks, c)
 		if _, err := io.ReadFull(r, c[:min(n-got, DeclaredChunk)]); err != nil {
-			return nil, Truncated(err)
+			return Truncated(err)
 		}
 	}
-	buf := make([]byte, 0, capacity)
-	for _, c := range chunks {
-		buf = append(buf, c[:min(n-len(buf), DeclaredChunk)]...)
+	for i, c := range chunks {
+		each(c[:min(n-i*DeclaredChunk, DeclaredChunk)])
 	}
-	return buf, nil
+	return nil
+}
+
+// WriteChunked writes n bytes to w in DeclaredChunk steps through one
+// recycled chunk, which fill renders each step's bytes into — the
+// writing twin of ReadDeclaredChunks, for bytes that exist only in
+// another form. fill is called with the steps in order, every one
+// DeclaredChunk bytes long but the last. It returns the bytes written.
+func WriteChunked(w io.Writer, n int, fill func(chunk []byte)) (int64, error) {
+	c := declaredChunks.Get().(*[DeclaredChunk]byte)
+	defer declaredChunks.Put(c)
+	var written int64
+	for written < int64(n) {
+		step := c[:min(n-int(written), DeclaredChunk)]
+		fill(step)
+		k, err := w.Write(step)
+		written += int64(k)
+		if err != nil {
+			return written, err
+		}
+	}
+	return written, nil
 }
 
 // Truncated names what a structure that ends part-way is: inside a

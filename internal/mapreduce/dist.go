@@ -81,9 +81,21 @@ type DistConfig struct {
 	// Pool is the buffer pool of the worker this config runs on, the one
 	// its Exchanger reads peers' payloads into; only a cluster worker
 	// sets it. spatial.Execute runs every job of the execution on it,
-	// naming it in each job's Config.Pool, which is all the engine reads;
-	// nil leaves the process pool.
+	// naming it in each job's Config.Pool; the engine reads it itself
+	// only to draw the job's output from it (Slabs). nil leaves the
+	// process pool and a fresh output.
 	Pool *BufferPool
+}
+
+// Slabs is the pool a job's output and an execution's result are drawn
+// from (Slab): a worker's Pool, which takes its result back once sent,
+// and nil — a fresh result, the caller's own — off a worker. d may be
+// nil.
+func (d *DistConfig) Slabs() *BufferPool {
+	if d == nil {
+		return nil
+	}
+	return d.Pool
 }
 
 // owns reports whether this worker runs mapper m. Reducers go where the

@@ -557,7 +557,7 @@ func (j *Job[I, K, V, O]) RunSplits(n int, read func(lo, hi int, yield func(I) e
 	if redErr != nil {
 		recycleRuns(pool, outputs)
 	} else {
-		out = gatherOutput(outputs, pool)
+		out = gatherOutput(outputs, pool, cfg.Dist.Slabs())
 	}
 	// A reducer's one key is an input key when pairs reached it.
 	for _, p := range stats.PairsPerReducer {

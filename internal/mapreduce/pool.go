@@ -9,9 +9,10 @@ import (
 // BufferPool recycles large scratch buffers across jobs, task attempts
 // and executions: the chunks map runs and reducer outputs live in, the
 // slab a job's reducer inputs are shuffled into, fixed-size pages a
-// caller's own stores are built from (GetPage), and the frames a
+// caller's own stores are built from (GetPage), the frames a
 // distributed job's exchange payloads are encoded into and an Exchanger
-// reads its peers' payloads into (GetFrame). At paper scale those
+// reads its peers' payloads into (GetFrame), and on a cluster worker
+// the slab each result is gathered into (Slab). At paper scale those
 // buffers dominate the allocation profile — a pool turns the per-job
 // churn into a handful of steady-state arrays. Every job runs on one;
 // pass a shared pool via Config.Pool so it serves every job that names
@@ -29,8 +30,10 @@ import (
 //     committed, a page once nothing reads the store it served, a sent
 //     payload once AllToAll has returned and what it returned is
 //     decoded (the sender's own payload comes back as its own entry),
-//     and a received payload once the engine has decoded it
-//     (Exchanger.Recycle) or the attempt ends.
+//     a received payload once the engine has decoded it
+//     (Exchanger.Recycle) or the attempt ends, and a worker's result
+//     slab once the worker has hashed it and, on worker 0, sent it
+//     (PutSlab).
 //   - A chunk is cleared before it goes back, so a pooled chunk keeps
 //     nothing alive that its values pointed to (a result tuple's IDs).
 //   - Recycled buffers never alias committed output: reducer outputs
@@ -38,7 +41,12 @@ import (
 //     exactly their total length, is assembled from them, and on a
 //     shared pool Reduce implementations must not retain the values
 //     slice (or subslices of it) after returning — copy what they
-//     keep, which every reducer in this repository already does.
+//     keep, which every reducer in this repository already does. On a
+//     cluster worker (DistConfig.Pool) the output is instead a Slab of
+//     that pool, since the worker sends its result and keeps nothing of
+//     it: its holder puts it back (PutSlab) once nothing reads it, or
+//     leaves it to the collector, as a checkpoint that keeps a job's
+//     segments does.
 //   - Pools are type-erased (free lists of arrays kept apart by their
 //     element type): a Get is served only by an array of the requesting
 //     job's V, so one pool safely serves heterogeneous job pipelines. A
@@ -273,6 +281,28 @@ func FrameCap(n int) int {
 // PutFrame hands an exchange payload's frame back — one from GetFrame or
 // one the caller allocated. The caller must hold the only reference.
 func (p *BufferPool) PutFrame(frame []byte) { putBuf(&p.frames, frame) }
+
+// Slab returns a length-n slice of T for a result that its holder
+// hands on and forgets — a job's output, an execution's ID slab — from
+// pool's slab list when pool holds one that large, its contents
+// arbitrary, and a fresh one otherwise. pool is a worker's
+// (DistConfig.Pool), whose result is hashed, sent and then read no
+// more; nil allocates, as a result that escapes to its caller must be.
+// T holds no pointers: PutSlab does not clear what it takes back.
+func Slab[T any](pool *BufferPool, n int) []T {
+	if pool == nil {
+		return make([]T, n)
+	}
+	return getBufLen[T](&pool.vals, n)
+}
+
+// PutSlab hands a slice from Slab back to pool once nothing reads it; a
+// nil pool drops it. The caller must hold the only reference.
+func PutSlab[T any](pool *BufferPool, s []T) {
+	if pool != nil {
+		putBuf(&pool.vals, s)
+	}
+}
 
 // recycled returns an array of T with at least capacity elements that
 // f holds, as a zero-length slice, or nil.

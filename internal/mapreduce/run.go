@@ -75,10 +75,11 @@ func gatherInput[V any](dst []V, runs [][]run[V], r int, pool *BufferPool) {
 }
 
 // gatherOutput assembles a job's output from its reducers' runs: one
-// fresh slice of exactly their total length, holding them in reducer
-// order, each run's chunks recycled once copied. It is nil when no
-// reducer emitted.
-func gatherOutput[O any](runs []run[O], pool *BufferPool) []O {
+// slice of exactly their total length (Slab from slabs, a worker's
+// pool, or fresh when slabs is nil), holding them in reducer order,
+// each run's chunks recycled once copied. It is nil when no reducer
+// emitted.
+func gatherOutput[O any](runs []run[O], pool, slabs *BufferPool) []O {
 	total := 0
 	for r := range runs {
 		total += runs[r].n
@@ -86,7 +87,7 @@ func gatherOutput[O any](runs []run[O], pool *BufferPool) []O {
 	if total == 0 {
 		return nil
 	}
-	out := make([]O, total)
+	out := Slab[O](slabs, total)
 	at := out
 	for r := range runs {
 		at = runs[r].drain(at, pool)

@@ -65,7 +65,7 @@ func cascade(pl *plan, exec *executor) (Rows, Stats, error) {
 			return Rows{}, Stats{}, err
 		}
 		if !countOnly {
-			rows.IDs = make([]int32, 0, n)
+			rows.IDs = mapreduce.Slab[int32](exec.cfg.Dist.Slabs(), n)[:0]
 			if err := read(0, n, func(it tagged) error {
 				rows.IDs = append(rows.IDs, it.ID)
 				return nil
@@ -246,7 +246,7 @@ func cascade(pl *plan, exec *executor) (Rows, Stats, error) {
 		if err := checkLayout(ch.LastCheckpoint(), final, l); err != nil {
 			return Rows{}, Stats{}, err
 		}
-		rows.IDs = make([]int32, final.Len()*pl.m)
+		rows.IDs = mapreduce.Slab[int32](exec.cfg.Dist.Slabs(), final.Len()*pl.m)
 		row := rows.IDs
 		err = final.Records(0, final.Len(), func(rec []byte) error {
 			if err := checkPartial(rec, l); err != nil {

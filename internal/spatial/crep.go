@@ -175,7 +175,9 @@ func controlledReplicate(pl *plan, exec *executor, limit bool) (Rows, Stats, err
 		if err != nil {
 			return dfs.Segments{}, nil, err
 		}
-		return itemSegments(out), st, nil
+		chk := itemSegments(out)
+		mapreduce.PutSlab(exec.cfg.Dist.Slabs(), out) // copied into the checkpoint
+		return chk, st, nil
 	})
 	if err != nil {
 		return Rows{}, Stats{}, err

@@ -183,6 +183,9 @@ func Execute(method Method, q *query.Query, rels []Relation, cfg Config) (*Resul
 // ExecuteRows runs the query as Execute does and returns its result as
 // the methods write it: one ID slab, no tuple built. Under CountOnly
 // the rows are empty with a nil slab, and Stats.OutputTuples counts.
+// On a cluster worker (Dist.Pool set) the slab is drawn from that pool,
+// and the worker puts it back once the result is sent
+// (mapreduce.PutSlab); otherwise it is the caller's own.
 func ExecuteRows(method Method, q *query.Query, rels []Relation, cfg Config) (Rows, Stats, error) {
 	if ctx := cfg.Context; ctx != nil {
 		if cause := context.Cause(ctx); cause != nil {

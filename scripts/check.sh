@@ -67,7 +67,7 @@ echo "== go test -race (every package but the table harness) =="
 go test -race -count=1 $(go list ./... | grep -v -e '/cmd/benchtables$' -e '/internal/bench$')
 
 echo "== allocation and traffic guards (the allocation ones skip under -race, whose shadow memory allocates) =="
-guards='TestCascadeAllocationBudget|TestCascadeAllocationAtBenchmarkShape|TestCRepLAllocationBudget|TestExecuteWarmAllocation|TestClusterAllocationCeiling|TestClusterAllocationAtBenchmarkShape|TestSortedRunAllocationBudget|TestReduceOutputAllocation|TestMeshRecyclesFrameChunks|TestDistPayloadsRecycled|TestCheckpointAllocatesPerSegment|TestClusterShipsBoundaryPairsAtBenchmarkShape|TestCascadeBytesAtBenchmarkShape'
+guards='TestCascadeAllocationBudget|TestCascadeAllocationAtBenchmarkShape|TestCRepLAllocationBudget|TestExecuteWarmAllocation|TestClusterAllocationCeiling|TestClusterAllocationAtBenchmarkShape|TestSortedRunAllocationBudget|TestReduceOutputAllocation|TestMeshRecyclesFrameChunks|TestDistPayloadsRecycled|TestCheckpointAllocatesPerSegment|TestResultSlabBound|TestClusterShipsBoundaryPairsAtBenchmarkShape|TestCascadeBytesAtBenchmarkShape'
 guard_pkgs='./internal/spatial ./internal/cluster ./internal/mapreduce'
 # A renamed guard matches nothing, and go test passes "no tests to run":
 # every name must be one the packages list.
