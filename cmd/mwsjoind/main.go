@@ -120,7 +120,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		clListen   = fs.String("cluster-listen", "", "coordinator control address for mwsjworker processes; empty = in-process engine")
 		clWorkers  = fs.Int("cluster-workers", 1, "with -cluster-listen, wait for this many workers before serving")
 		clMappers  = fs.Int("cluster-mappers", 0, "with -cluster-listen, mappers per job (must be explicit across workers; 0 = 8)")
-		clBeatTO   = fs.Duration("cluster-heartbeat-timeout", 2*time.Second, "with -cluster-listen, a worker silent this long is declared dead and its sessions re-executed")
+		clBeatTO   = fs.Duration("cluster-heartbeat-timeout", 2*time.Second, "with -cluster-listen, a worker whose control connection delivers no bytes this long is declared dead and its sessions re-executed (at least 400ms: four of the workers' 100ms heartbeats)")
 	)
 	fs.Var(rels, "rel", "relation binding <name>=<file>; repeat once per relation")
 	if err := fs.Parse(args); err != nil {
@@ -146,7 +146,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			},
 		})
 		if err != nil {
-			return fmt.Errorf("-cluster-listen %s: %w", *clListen, err)
+			return err // names the listen address or the heartbeat timeout it refused
 		}
 		defer coord.Close()
 		fmt.Fprintf(stderr, "mwsjoind: coordinator on %s, waiting for %d worker(s)\n", coord.Addr(), *clWorkers)

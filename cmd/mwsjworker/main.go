@@ -26,7 +26,6 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"mwsjoin/internal/cluster"
 )
@@ -45,7 +44,6 @@ func run(args []string, stderr io.Writer) error {
 		coordinator = fs.String("coordinator", "127.0.0.1:9090", "coordinator control address (mwsjoind -cluster-listen)")
 		name        = fs.String("name", "", "unique worker name (required)")
 		dataListen  = fs.String("data-listen", "127.0.0.1:0", "data-plane listen address for the network shuffle")
-		heartbeat   = fs.Duration("heartbeat", 500*time.Millisecond, "heartbeat interval; the coordinator's timeout should be a small multiple")
 		exchangeTO  = fs.Duration("exchange-timeout", 0, "bound on one whole shuffle exchange, its sends included, and on how long a session waits for relations it asked for (0 = 60s)")
 		dieAfter    = fs.Int("die-after-exchanges", 0, "testing: SIGKILL this process right before its n-th mesh exchange of a session, three per job (0 = never)")
 		quiet       = fs.Bool("quiet", false, "suppress per-session logs")
@@ -65,7 +63,6 @@ func run(args []string, stderr io.Writer) error {
 		Coordinator:       *coordinator,
 		Name:              *name,
 		DataAddr:          *dataListen,
-		HeartbeatInterval: *heartbeat,
 		ExchangeTimeout:   *exchangeTO,
 		DieAfterExchanges: *dieAfter,
 		Logf:              logf,

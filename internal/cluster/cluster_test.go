@@ -52,10 +52,9 @@ func startTestCluster(t *testing.T, n int, mut func(i int, wc *WorkerConfig)) *t
 	})
 	for i := 0; i < n; i++ {
 		wc := WorkerConfig{
-			Coordinator:       coord.Addr(),
-			Name:              []string{"w0", "w1", "w2", "w3", "w4"}[i],
-			HeartbeatInterval: 100 * time.Millisecond,
-			Logf:              t.Logf,
+			Coordinator: coord.Addr(),
+			Name:        []string{"w0", "w1", "w2", "w3", "w4"}[i],
+			Logf:        t.Logf,
 		}
 		if mut != nil {
 			mut(i, &wc)
@@ -316,7 +315,7 @@ func TestClusterWorkerStatusAndGauges(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer coord.Close()
-	w, err := StartWorker(WorkerConfig{Coordinator: coord.Addr(), Name: "w0", HeartbeatInterval: 50 * time.Millisecond, Logf: t.Logf})
+	w, err := StartWorker(WorkerConfig{Coordinator: coord.Addr(), Name: "w0", Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +348,8 @@ func TestClusterWorkerStatusAndGauges(t *testing.T) {
 		}
 	}
 
-	// Death by silence: kill the worker, the heartbeat monitor reaps it.
+	// Death: kill the worker; its connection drops and the coordinator's
+	// reader marks it dead.
 	w.Kill()
 	deadlineOK := false
 	for i := 0; i < 100; i++ {

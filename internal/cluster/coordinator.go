@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
@@ -18,9 +17,10 @@ type CoordinatorConfig struct {
 	// Listen is the control-plane listen address (default
 	// "127.0.0.1:0").
 	Listen string
-	// HeartbeatTimeout is how stale a worker's heartbeat may grow
-	// before the coordinator declares it dead and drops its connection
-	// (default 2s).
+	// HeartbeatTimeout is how long a worker's control connection may
+	// deliver no bytes before the coordinator declares the worker dead
+	// and drops the connection (default 2s; at least 4 × the workers'
+	// 100 ms heartbeat).
 	HeartbeatTimeout time.Duration
 	// SessionTimeout bounds one session attempt end to end (default
 	// 10min).
@@ -139,6 +139,9 @@ func StartCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if cfg.HeartbeatTimeout <= 0 {
 		cfg.HeartbeatTimeout = 2 * time.Second
 	}
+	if cfg.HeartbeatTimeout < 4*heartbeatInterval {
+		return nil, fmt.Errorf("cluster: heartbeat timeout %v is below 4 × the workers' %v heartbeat", cfg.HeartbeatTimeout, heartbeatInterval)
+	}
 	if cfg.SessionTimeout <= 0 {
 		cfg.SessionTimeout = 10 * time.Minute
 	}
@@ -153,9 +156,8 @@ func StartCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		return nil, fmt.Errorf("cluster: coordinator listen: %w", err)
 	}
 	c := &Coordinator{cfg: cfg, ln: ln, done: make(chan struct{})}
-	c.wg.Add(2)
+	c.wg.Add(1)
 	go func() { defer c.wg.Done(); c.acceptLoop() }()
-	go func() { defer c.wg.Done(); c.livenessLoop() }()
 	c.cfg.Logf("coordinator: control plane on %s", ln.Addr())
 	return c, nil
 }
@@ -193,12 +195,13 @@ func (c *Coordinator) acceptLoop() {
 }
 
 // serveWorker owns one worker's control connection: it requires a
-// register message first, then routes heartbeats into liveness and
-// everything else into the member's inbox.
+// register message first, then drops heartbeats and routes everything
+// else into the member's inbox. Every read waits at most
+// HeartbeatTimeout for bytes (beatReader), so the loop ends — and the
+// member is dead — when the connection drops or falls silent.
 func (c *Coordinator) serveWorker(conn net.Conn) {
-	beats := &beatReader{r: conn}
+	beats := &beatReader{conn: conn, timeout: c.cfg.HeartbeatTimeout}
 	br := bufio.NewReaderSize(beats, controlReadBuffer)
-	conn.SetReadDeadline(time.Now().Add(c.cfg.HeartbeatTimeout))
 	hello, err := readMessage(br)
 	if err != nil || hello.Type != msgRegister || hello.Name == "" {
 		conn.Close()
@@ -210,7 +213,6 @@ func (c *Coordinator) serveWorker(conn net.Conn) {
 		conn.Close()
 		return
 	}
-	conn.SetReadDeadline(time.Time{})
 
 	m := &member{
 		name:     hello.Name,
@@ -242,8 +244,8 @@ func (c *Coordinator) serveWorker(conn net.Conn) {
 
 reading:
 	for {
-		msg, err := readMessage(br)
-		if err != nil {
+		var msg *message
+		if msg, err = readMessage(br); err != nil {
 			break
 		}
 		if msg.Type == msgHeartbeat {
@@ -252,6 +254,7 @@ reading:
 		select {
 		case m.inbox <- msg:
 		case <-c.done:
+			err = net.ErrClosed
 			break reading
 		}
 	}
@@ -261,54 +264,32 @@ reading:
 	close(m.dead)
 	conn.Close()
 	c.publishGauges()
-	c.cfg.Logf("coordinator: worker %s lost", m.name)
+	c.cfg.Logf("coordinator: worker %s lost: %v", m.name, err)
 }
 
 // beatReader is what a control connection's bufio.Reader reads
-// through: every read that returns bytes stamps the member's lastBeat,
+// through: each read of the connection waits at most timeout for bytes,
 // so a worker is alive while any message of its is arriving — a result
-// that takes longer than HeartbeatTimeout to cross the wire, with the
-// worker's heartbeats queued behind it, included. m is nil until the
-// worker has registered.
+// that takes longer than the timeout to cross the wire, with the
+// worker's heartbeats queued behind it, included — and the time the
+// reader spends handing a message on is not the worker's silence.
+// Every read that returns bytes stamps the member's lastBeat, which
+// WorkerStatus reports. m is nil until the worker has registered.
 type beatReader struct {
-	r io.Reader
-	m *member
+	conn    net.Conn
+	timeout time.Duration
+	m       *member
 }
 
 func (b *beatReader) Read(p []byte) (int, error) {
-	n, err := b.r.Read(p)
+	b.conn.SetReadDeadline(time.Now().Add(b.timeout))
+	n, err := b.conn.Read(p)
 	if n > 0 && b.m != nil {
 		b.m.mu.Lock()
 		b.m.lastBeat = time.Now()
 		b.m.mu.Unlock()
 	}
 	return n, err
-}
-
-// livenessLoop enforces the heartbeat timeout: a silent worker's
-// connection is dropped, which drives its reader loop to mark it dead.
-func (c *Coordinator) livenessLoop() {
-	t := time.NewTicker(c.cfg.HeartbeatTimeout / 4)
-	defer t.Stop()
-	for {
-		select {
-		case <-c.done:
-			return
-		case <-t.C:
-			now := time.Now()
-			c.mu.Lock()
-			for _, m := range c.members {
-				m.mu.Lock()
-				stale := m.alive && now.Sub(m.lastBeat) > c.cfg.HeartbeatTimeout
-				m.mu.Unlock()
-				if stale {
-					c.cfg.Logf("coordinator: worker %s heartbeat stale, dropping", m.name)
-					m.conn.Close()
-				}
-			}
-			c.mu.Unlock()
-		}
-	}
 }
 
 // Workers reports the observability rows for every worker the

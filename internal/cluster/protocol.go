@@ -40,15 +40,16 @@
 // bulk (register, heartbeat, start, need, end) are a line and nothing
 // else.
 //
-// Recovery: the coordinator detects worker death via heartbeats and
-// dead control connections. Survivors of a failed attempt fail fast
-// (their mesh exchanges error out), keep their per-session DFS — the
-// staged inputs and every chain checkpoint committed before the crash
-// — and re-run the session with Resume set. A survivor may have
-// committed one step more than another before the peer died
-// mid-exchange, so a resumed chain first agrees over the mesh on the
-// prefix every survivor holds (mapreduce.Chain.AgreeResume) and re-runs
-// from there in lockstep.
+// Recovery: the coordinator declares a worker dead when its control
+// connection drops or delivers no bytes for HeartbeatTimeout — each
+// read waits that long, and an idle worker heartbeats to stay heard.
+// Survivors of a failed attempt fail fast (their mesh exchanges error
+// out), keep their per-session DFS — the staged inputs and every chain
+// checkpoint committed before the crash — and re-run the session with
+// Resume set. A survivor may have committed one step more than another
+// before the peer died mid-exchange, so a resumed chain first agrees
+// over the mesh on the prefix every survivor holds
+// (mapreduce.Chain.AgreeResume) and re-runs from there in lockstep.
 package cluster
 
 import (

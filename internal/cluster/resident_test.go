@@ -80,7 +80,7 @@ func TestReplacedWorkerIsReshipped(t *testing.T) {
 			t.Fatal("closed worker never marked dead")
 		}
 	}
-	w, err := StartWorker(WorkerConfig{Coordinator: tc.coord.Addr(), Name: "w1", HeartbeatInterval: 100 * time.Millisecond, Logf: t.Logf})
+	w, err := StartWorker(WorkerConfig{Coordinator: tc.coord.Addr(), Name: "w1", Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func startScripted(t *testing.T) *scriptedCoordinator {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	w, err := StartWorker(WorkerConfig{Coordinator: ln.Addr().String(), Name: "solo", HeartbeatInterval: 50 * time.Millisecond, Logf: t.Logf})
+	w, err := StartWorker(WorkerConfig{Coordinator: ln.Addr().String(), Name: "solo", Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}

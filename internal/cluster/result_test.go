@@ -4,6 +4,7 @@ import (
 	"io"
 	"net"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -36,7 +37,7 @@ func TestSlowResultKeepsWorkerAlive(t *testing.T) {
 	}
 	t.Cleanup(func() { coord.Close() })
 	proxy := throttledProxy(t, coord.Addr(), max(attachment/pieces, 1), gap)
-	w, err := StartWorker(WorkerConfig{Coordinator: proxy, Name: "slow", HeartbeatInterval: 100 * time.Millisecond, Logf: t.Logf})
+	w, err := StartWorker(WorkerConfig{Coordinator: proxy, Name: "slow", Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,6 +61,119 @@ func TestSlowResultKeepsWorkerAlive(t *testing.T) {
 	if ws := coord.Workers(); len(ws) != 1 || !ws[0].Alive {
 		t.Errorf("after the slow result the roster reads %+v, want the worker alive", ws)
 	}
+}
+
+// TestSilentWorkerDeclaredDead: a worker whose control connection stays
+// open but delivers no bytes is dead once HeartbeatTimeout has passed,
+// as one whose connection drops is. A raw client registers and then
+// says nothing; the roster and the gauges must read it dead within the
+// timeout and a small slack.
+func TestSilentWorkerDeclaredDead(t *testing.T) {
+	const timeout, slack = 500 * time.Millisecond, 500 * time.Millisecond
+	reg := metrics.NewRegistry()
+	coord := rawCoordinator(t, timeout, reg)
+	registerRaw(t, coord, "silent")
+	start := time.Now()
+	for {
+		if ws := coord.Workers(); len(ws) == 1 && !ws[0].Alive && reg.Gauge("server_workers_alive").Value() == 0 {
+			break
+		}
+		if time.Since(start) > timeout+slack {
+			t.Fatalf("a worker silent for %v still reads %+v, server_workers_alive %d", time.Since(start), coord.Workers(), reg.Gauge("server_workers_alive").Value())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	t.Logf("declared dead %v after registering", time.Since(start))
+}
+
+// TestStalledReaderKeepsWorkerAlive: the time the coordinator's reader
+// of a control connection spends blocked handing a message on is not
+// the worker's silence. A raw client registers and sends 17 needs for a
+// session no attempt awaits: 16 fill the member's inbox and the 17th
+// blocks the reader. It then heartbeats every 100 ms for 3 ×
+// HeartbeatTimeout, and must still be alive at the end.
+func TestStalledReaderKeepsWorkerAlive(t *testing.T) {
+	const timeout = 500 * time.Millisecond
+	coord := rawCoordinator(t, timeout, metrics.NewRegistry())
+	conn := registerRaw(t, coord, "stalled")
+	for range 17 {
+		if _, err := writeMessage(conn, &message{Type: msgNeed, Session: "s9999", Digests: []string{"none"}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for end := time.Now().Add(3 * timeout); time.Now().Before(end); time.Sleep(heartbeatInterval) {
+		if _, err := writeMessage(conn, &message{Type: msgHeartbeat}); err != nil {
+			t.Fatalf("heartbeat: %v", err)
+		}
+	}
+	if ws := coord.Workers(); len(ws) != 1 || !ws[0].Alive {
+		t.Errorf("a heartbeating worker whose reader is stalled reads %+v, want alive", ws)
+	}
+}
+
+// TestHeartbeatTimeoutFloor: a coordinator refuses a HeartbeatTimeout
+// shorter than four worker heartbeats, under which an idle worker would
+// be dropped between two of them.
+func TestHeartbeatTimeoutFloor(t *testing.T) {
+	if c, err := StartCoordinator(CoordinatorConfig{HeartbeatTimeout: 4*heartbeatInterval - time.Millisecond}); err == nil {
+		c.Close()
+		t.Fatalf("a %v heartbeat timeout was accepted", 4*heartbeatInterval-time.Millisecond)
+	}
+	c, err := StartCoordinator(CoordinatorConfig{HeartbeatTimeout: 4 * heartbeatInterval})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+}
+
+// TestOversizedResultReportsFailure: a result that cannot be framed —
+// its IDs exceed maxFrameBytes, so writeMessage fails before it writes a
+// byte — is followed by a failed result naming why, so the coordinator
+// fails the attempt at once instead of waiting out its SessionTimeout.
+// The IDs are made and never written: they cost address space, not
+// memory.
+func TestOversizedResultReportsFailure(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow memory would back the 1 GiB of IDs")
+	}
+	sc := startScripted(t)
+	start := &message{Type: msgStart, Session: "s1", Attempt: 2}
+	ids := make([]int32, maxFrameBytes/4+1)
+	sc.w.report(start, &message{Type: msgResult, Session: "s1", Attempt: 2, OK: true, Hash: "h", Arity: 1, Count: len(ids), IDs: ids}, nil)
+	got := sc.next(msgResult)
+	if got.OK || got.Session != "s1" || got.Attempt != 2 || !strings.Contains(got.Error, "exceeds the") {
+		t.Errorf("after an unframeable result the worker sent %+v, want a failed result naming the frame limit", got)
+	}
+}
+
+// rawCoordinator starts a coordinator a test speaks to as a worker,
+// message by message.
+func rawCoordinator(t *testing.T, timeout time.Duration, reg *metrics.Registry) *Coordinator {
+	t.Helper()
+	coord, err := StartCoordinator(CoordinatorConfig{HeartbeatTimeout: timeout, Metrics: reg, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { coord.Close() })
+	return coord
+}
+
+// registerRaw dials coord, registers under name and returns once the
+// coordinator lists the worker.
+func registerRaw(t *testing.T, coord *Coordinator, name string) net.Conn {
+	t.Helper()
+	conn, err := net.Dial("tcp", coord.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	if _, err := writeMessage(conn, &message{Type: msgRegister, Proto: protocolVersion, Name: name, DataAddr: "127.0.0.1:1"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := coord.WaitForWorkers(1, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	return conn
 }
 
 // throttledProxy relays one connection accepted on its own address to

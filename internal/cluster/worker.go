@@ -7,7 +7,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net"
 	"slices"
@@ -22,6 +21,11 @@ import (
 	"mwsjoin/internal/spatial"
 )
 
+// heartbeatInterval paces a worker's heartbeats: what keeps an idle
+// worker's control connection delivering bytes, so the coordinator's
+// HeartbeatTimeout must be a few of them.
+const heartbeatInterval = 100 * time.Millisecond
+
 // WorkerConfig configures one cluster worker.
 type WorkerConfig struct {
 	// Coordinator is the coordinator's control address (host:port).
@@ -32,9 +36,6 @@ type WorkerConfig struct {
 	// DataAddr is the listen address of the worker's data plane
 	// (default "127.0.0.1:0").
 	DataAddr string
-	// HeartbeatInterval paces the control-plane heartbeats (default
-	// 500ms; the coordinator's timeout should be a small multiple).
-	HeartbeatInterval time.Duration
 	// ExchangeTimeout bounds one whole mesh exchange, its sends
 	// included, and the wait for the relations an attempt asked for
 	// (default 60s).
@@ -122,9 +123,6 @@ func StartWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.Name == "" {
 		return nil, fmt.Errorf("cluster: worker needs a name")
 	}
-	if cfg.HeartbeatInterval <= 0 {
-		cfg.HeartbeatInterval = 500 * time.Millisecond
-	}
 	if cfg.DataAddr == "" {
 		cfg.DataAddr = "127.0.0.1:0"
 	}
@@ -152,7 +150,7 @@ func StartWorker(cfg WorkerConfig) (*Worker, error) {
 		done:     make(chan struct{}),
 		ctrlDone: make(chan struct{}),
 	}
-	if err := w.send(&message{Type: msgRegister, Proto: protocolVersion, Name: cfg.Name, DataAddr: dataLn.Addr().String()}); err != nil {
+	if _, err := w.send(&message{Type: msgRegister, Proto: protocolVersion, Name: cfg.Name, DataAddr: dataLn.Addr().String()}); err != nil {
 		w.Close()
 		return nil, fmt.Errorf("cluster: register: %w", err)
 	}
@@ -229,22 +227,22 @@ func (w *Worker) release(s *workerSession) {
 	}()
 }
 
-func (w *Worker) send(m *message) error {
+// send writes one message and returns the bytes it put on the wire.
+func (w *Worker) send(m *message) (int64, error) {
 	w.sendMu.Lock()
 	defer w.sendMu.Unlock()
-	_, err := writeMessage(w.ctrl, m)
-	return err
+	return writeMessage(w.ctrl, m)
 }
 
 func (w *Worker) heartbeatLoop() {
-	t := time.NewTicker(w.cfg.HeartbeatInterval)
+	t := time.NewTicker(heartbeatInterval)
 	defer t.Stop()
 	for {
 		select {
 		case <-w.done:
 			return
 		case <-t.C:
-			if err := w.send(&message{Type: msgHeartbeat}); err != nil {
+			if _, err := w.send(&message{Type: msgHeartbeat}); err != nil {
 				return
 			}
 		}
@@ -320,20 +318,30 @@ func (w *Worker) runSession(m *message, s *workerSession) {
 	if err == nil {
 		w.cfg.Logf("worker %s: session %s attempt %d done (%d tuples, hash %s)",
 			w.cfg.Name, m.Session, m.Attempt, out.Count, out.Hash[:8])
-		err = w.send(out)
-		mapreduce.PutSlab(w.pool, slab) // hashed and, sent or not, read no more
-		if err == nil {
+	}
+	w.report(m, out, err)
+	mapreduce.PutSlab(w.pool, slab) // hashed and, sent or not, read no more
+}
+
+// report sends the result of the attempt m started: out, or when the
+// attempt failed (err) or out could not be sent whole, a failed result.
+// A send that wrote nothing — out did not frame: its Stats outgrew the
+// header line, or its IDs a frame — leaves the connection as it was,
+// and the coordinator must still hear that the attempt failed; a send
+// that wrote part of out leaves a connection that is gone.
+func (w *Worker) report(m, out *message, err error) {
+	if err == nil {
+		var n int64
+		if n, err = w.send(out); err == nil {
 			return
 		}
-		if !errors.Is(err, errHeaderTooLarge) {
+		if n > 0 {
 			w.cfg.Logf("worker %s: result send failed: %v", w.cfg.Name, err)
-			return // the connection is gone
+			return
 		}
-		// The run's Stats outgrew the header line and nothing was written:
-		// the coordinator must still hear that the attempt failed.
 	}
 	w.cfg.Logf("worker %s: session %s attempt %d failed: %v", w.cfg.Name, m.Session, m.Attempt, err)
-	if err := w.send(&message{Type: msgResult, Session: m.Session, Attempt: m.Attempt, Error: err.Error()}); err != nil {
+	if _, err := w.send(&message{Type: msgResult, Session: m.Session, Attempt: m.Attempt, Error: err.Error()}); err != nil {
 		w.cfg.Logf("worker %s: result send failed: %v", w.cfg.Name, err)
 	}
 }
@@ -472,7 +480,7 @@ func (w *Worker) need(ctx context.Context, session string, attempt int, digests 
 		delete(w.shipWait, key)
 		w.mu.Unlock()
 	}()
-	if err := w.send(&message{Type: msgNeed, Session: session, Attempt: attempt, Digests: digests}); err != nil {
+	if _, err := w.send(&message{Type: msgNeed, Session: session, Attempt: attempt, Digests: digests}); err != nil {
 		return nil, fmt.Errorf("cluster: need: %w", err)
 	}
 	timeout := w.cfg.ExchangeTimeout

@@ -33,10 +33,9 @@ func startTestCoordinator(t *testing.T, n int, reg *metrics.Registry) *cluster.C
 	t.Cleanup(func() { coord.Close() })
 	for i := 0; i < n; i++ {
 		w, err := cluster.StartWorker(cluster.WorkerConfig{
-			Coordinator:       coord.Addr(),
-			Name:              []string{"cw0", "cw1", "cw2"}[i],
-			HeartbeatInterval: 100 * time.Millisecond,
-			Logf:              t.Logf,
+			Coordinator: coord.Addr(),
+			Name:        []string{"cw0", "cw1", "cw2"}[i],
+			Logf:        t.Logf,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -155,7 +154,7 @@ func TestClusterWarmJobShipsDigestsOnly(t *testing.T) {
 	}
 	t.Cleanup(func() { coord.Close() })
 	for _, name := range []string{"cw0", "cw1"} {
-		w, err := cluster.StartWorker(cluster.WorkerConfig{Coordinator: coord.Addr(), Name: name, HeartbeatInterval: 100 * time.Millisecond, Logf: t.Logf})
+		w, err := cluster.StartWorker(cluster.WorkerConfig{Coordinator: coord.Addr(), Name: name, Logf: t.Logf})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -66,18 +66,30 @@ echo "== go test -race (every package but the table harness) =="
 # and cluster tests of this pass on a small host.
 go test -race -count=1 $(go list ./... | grep -v -e '/cmd/benchtables$' -e '/internal/bench$')
 
+# require_tests NAMES PKGS...: a renamed test matches nothing, and go
+# test passes "no tests to run": every name of the |-list NAMES must be
+# one the packages list.
+require_tests() {
+    names=$1
+    shift
+    want=$(echo "$names" | tr '|' '\n' | wc -l)
+    found=$(go test -list "^($names)\$" "$@" | grep -c '^Test' || true)
+    if [ "$found" -lt "$want" ]; then
+        echo "the packages list $found of the $want test names $names" >&2
+        exit 1
+    fi
+}
+
 echo "== allocation and traffic guards (the allocation ones skip under -race, whose shadow memory allocates) =="
 guards='TestCascadeAllocationBudget|TestCascadeAllocationAtBenchmarkShape|TestCRepLAllocationBudget|TestExecuteWarmAllocation|TestClusterAllocationCeiling|TestClusterAllocationAtBenchmarkShape|TestSortedRunAllocationBudget|TestReduceOutputAllocation|TestMeshRecyclesFrameChunks|TestDistPayloadsRecycled|TestCheckpointAllocatesPerSegment|TestResultSlabBound|TestClusterShipsBoundaryPairsAtBenchmarkShape|TestCascadeBytesAtBenchmarkShape'
 guard_pkgs='./internal/spatial ./internal/cluster ./internal/mapreduce'
-# A renamed guard matches nothing, and go test passes "no tests to run":
-# every name must be one the packages list.
-want=$(echo "$guards" | tr '|' '\n' | wc -l)
-found=$(go test -list "^($guards)\$" $guard_pkgs | grep -c '^Test' || true)
-if [ "$found" -lt "$want" ]; then
-    echo "allocation and traffic guards: the packages list $found of the $want guard names" >&2
-    exit 1
-fi
+require_tests "$guards" $guard_pkgs
 go test -count=1 -run "^($guards)\$" $guard_pkgs
+
+echo "== liveness (a worker is alive while its control connection delivers bytes; five race runs) =="
+liveness='TestSilentWorkerDeclaredDead|TestStalledReaderKeepsWorkerAlive|TestSlowResultKeepsWorkerAlive|TestClusterWorkerStatusAndGauges|TestReplacedWorkerIsReshipped'
+require_tests "$liveness" ./internal/cluster
+go test -race -count=5 -run "^($liveness)\$" ./internal/cluster
 
 echo "== go test (table harness: paper tables at tiny scale, Table 2 against BENCH_PR2.json) =="
 go test -count=1 ./cmd/benchtables ./internal/bench
@@ -86,7 +98,7 @@ echo "== unit-200,000 smoke (10x table scale through C-Rep-L, in memory; timeout
 # The timeout keeps a pathological regression from hanging CI.
 MWSJ_BENCH_UNIT=200000 go test -count=1 -timeout 300s -run 'TestPaperScaleSmoke' .
 
-echo "== fuzz (every target `go test -list '^Fuzz' ./...` finds, 5s each) =="
+echo "== fuzz (every target go test -list '^Fuzz' ./... finds, 5s each) =="
 # The loop lives in the Makefile (`make fuzz` runs it at 30s): it lists
 # the targets, so one added tomorrow is fuzzed here without an edit.
 make fuzz-5s
