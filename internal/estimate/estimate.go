@@ -101,14 +101,18 @@ func SortByMinX(rects []geom.Rect) {
 // SampledCardinality is JoinCardinality's second half: the estimate
 // from two samples already drawn (streams 1 and 2) and ordered by
 // SortByMinX, of datasets holding n1 and n2 rectangles, for a predicate
-// of weight d. Callers that keep a dataset's samples pay the draw and
-// the sort once, not once per estimate.
-func SampledCardinality(n1 int, s1 []geom.Rect, n2 int, s2 []geom.Rect, d float64) float64 {
+// of weight d, joined in sc's storage (nil: storage of its own). Callers
+// that keep a dataset's samples pay the draw and the sort once, not once
+// per estimate.
+func SampledCardinality(sc *sweep.Strips, n1 int, s1 []geom.Rect, n2 int, s2 []geom.Rect, d float64) float64 {
 	if len(s1) == 0 || len(s2) == 0 {
 		return 0
 	}
+	if sc == nil {
+		sc = new(sweep.Strips)
+	}
 	matches := 0
-	sweep.JoinSorted(s1, s2, d, func(_, _ int) bool {
+	sc.JoinSorted(s1, s2, d, func(_, _ int) bool {
 		matches++
 		return true
 	})
@@ -123,5 +127,5 @@ func (s *Sampler) JoinCardinality(r1, r2 []geom.Rect, pred query.Predicate) floa
 	s2 := slices.Clone(s.Sample(r2, 2))
 	SortByMinX(s1)
 	SortByMinX(s2)
-	return SampledCardinality(len(r1), s1, len(r2), s2, pred.Weight())
+	return SampledCardinality(nil, len(r1), s1, len(r2), s2, pred.Weight())
 }

@@ -536,7 +536,7 @@ func distExchangeRuns[I any, K ReducerKey, V any, O any](j *Job[I, K, V, O], cfg
 	// runs[m][r] for all m, empty runs included.
 	for m := 0; m < nm; m++ {
 		if runs[m] == nil {
-			runs[m] = make([]run[V], cfg.NumReducers)
+			runs[m] = getRuns[V](pool, cfg.NumReducers)
 		}
 	}
 	for w := 0; w < W; w++ {

@@ -392,7 +392,7 @@ func (j *Job[I, K, V, O]) RunSplits(n int, read func(lo, hi int, yield func(I) e
 		lo := n * m / nm
 		hi := n * (m + 1) / nm
 		body := func() ([]run[V], error) {
-			out := make([]run[V], nr)
+			out := getRuns[V](pool, nr)
 			emit := func(k K, v V) {
 				if uint(k) >= uint(nr) {
 					panic(fmt.Sprintf("mapreduce: job %q: emitted key %v, outside reducers [0, %d)", cfg.Name, k, nr))
@@ -488,6 +488,9 @@ func (j *Job[I, K, V, O]) RunSplits(n int, read func(lo, hi int, yield func(I) e
 			gatherInput(in[off[r]:off[r+1]], runs, r, pool)
 		}
 	})
+	for _, rs := range runs {
+		putBuf(&pool.sets, rs) // every run drained or shipped: empty
+	}
 	runs = nil
 	if traced {
 		tr.Observe(jobSpan, trace.KindPhase, "shuffle", shuffleStart, time.Now())

@@ -79,8 +79,9 @@ func TestReduceOutputAllocation(t *testing.T) {
 
 // TestDiscardedReduceAttemptRecycles: a reduce attempt the fault
 // injector fails hands its output chunks to the pool before the retry
-// starts, the pool never holds more than MaxPoolBytes — with room for
-// every chunk and with room for a few — and the result and Stats are
+// starts, the pool's scratch lists never hold more than MaxPoolBytes —
+// with room for every chunk and with room for a few — and the result
+// and Stats are
 // those of an unfailed run but for the attempt counters.
 func TestDiscardedReduceAttemptRecycles(t *testing.T) {
 	base := Config{Name: "discard", NumReducers: 4, NumMappers: 2, Parallelism: 1, MaxAttempts: 2}
@@ -117,7 +118,7 @@ func TestDiscardedReduceAttemptRecycles(t *testing.T) {
 			var atFail, atRetry int64
 			cfg.FailReduce = func(r, attempt int) bool {
 				if r == 0 && attempt == 1 {
-					atFail = pool.Retained()
+					atFail = pool.scratchRetained()
 					return true
 				}
 				return false
@@ -127,7 +128,7 @@ func TestDiscardedReduceAttemptRecycles(t *testing.T) {
 			job.Reduce = func(r int, vs []int, emit func(int64)) error {
 				if r == 0 {
 					if calls++; calls == 2 {
-						atRetry = pool.Retained()
+						atRetry = pool.scratchRetained()
 					}
 				}
 				return reduce(r, vs, emit)
@@ -139,7 +140,7 @@ func TestDiscardedReduceAttemptRecycles(t *testing.T) {
 			if back := (atRetry - atFail) / chunkBytes; back != c.returned {
 				t.Errorf("the discarded attempt's %d chunks: %d back in the pool before the retry, want %d", chunks, back, c.returned)
 			}
-			if got := pool.Retained(); got > MaxPoolBytes || atRetry > MaxPoolBytes {
+			if got := pool.scratchRetained(); got > MaxPoolBytes || atRetry > MaxPoolBytes {
 				t.Errorf("the pool retains %d bytes (%d at the retry), cap %d", got, atRetry, MaxPoolBytes)
 			}
 			if !reflect.DeepEqual(got, want) {

@@ -46,7 +46,7 @@ func TestPooledOutputChunksPinNothing(t *testing.T) {
 	for r := range slabs {
 		slabs[r] = weak.Make(&out[r*perReducer].IDs[0])
 	}
-	pooled := func() int { return len(*pool.chunks.stack(typeToken[tuple]{})) }
+	pooled := func() int { return len(pool.chunks.stack(typeToken[tuple]{}).entries) }
 	want := nr * ((perReducer + chunkLen(tuple{}) - 1) / chunkLen(tuple{}))
 	if got := pooled(); got != want {
 		t.Fatalf("the pool holds %d chunks of tuples after the job, want its %d", got, want)

@@ -12,7 +12,8 @@ import (
 // caller's own stores are built from (GetPage), the frames a
 // distributed job's exchange payloads are encoded into and an Exchanger
 // reads its peers' payloads into (GetFrame), and on a cluster worker
-// the slab each result is gathered into (Slab). At paper scale those
+// the slab each result is gathered into (Slab), and the working sets
+// reducers keep between calls (GetScratch). At paper scale those
 // buffers dominate the allocation profile — a pool turns the per-job
 // churn into a handful of steady-state arrays. Every job runs on one;
 // pass a shared pool via Config.Pool so it serves every job that names
@@ -59,7 +60,9 @@ import (
 //     so two later Gets can never return aliasing slices whose appends
 //     would corrupt each other's recycled runs.
 //   - The chunks, slabs and pages together retain at most MaxPoolBytes,
-//     and the frames as much again on a budget of their own; a Put
+//     and the frames and working sets as much again on budgets of their
+//     own (a set goes back as its reduce call ends, when a job's chunks
+//     and slab fill the scratch budget); a Put
 //     beyond its budget is dropped for the collector, so a one-off
 //     giant job cannot pin its scratch forever. An execution that never
 //     exchanges leaves the frame list empty.
@@ -76,15 +79,16 @@ import (
 // runs on a private pool of its own.
 type BufferPool struct {
 	mu sync.Mutex
-	// scratch counts the bytes chunks, vals and pages hold; framed the
-	// bytes frames holds. Each is capped at MaxPoolBytes.
-	scratch, framed int64
-	held            map[unsafe.Pointer]struct{} // arrays currently held
+	// scratch counts the bytes chunks, vals and pages hold; framed and
+	// working those frames and sets hold. Each is capped at MaxPoolBytes.
+	scratch, framed, working int64
+	held                     map[unsafe.Pointer]struct{} // arrays currently held
 
 	chunks freeList // []V and []O — map and output run chunks, chunkBytes each
 	vals   freeList // []V — a job's shuffled reducer inputs, one slab
 	pages  freeList // []byte — PageBytes each, for callers' stores
 	frames freeList // []byte of any size — exchange payloads, sent and received
+	sets   freeList // *T, as an array of one — reducers' working sets; map tasks' runs
 }
 
 // MaxPoolBytes caps the bytes one pool retains in its scratch lists
@@ -120,17 +124,18 @@ type freeList struct {
 type typedStack struct {
 	elem    any // the element type's typeToken
 	entries []poolEntry
+	most    int // sets: the largest input a set of the type was asked for
 }
 
 // stack returns elem's stack, creating it on first use.
-func (f *freeList) stack(elem any) *[]poolEntry {
+func (f *freeList) stack(elem any) *typedStack {
 	for i := range f.stacks {
 		if f.stacks[i].elem == elem {
-			return &f.stacks[i].entries
+			return &f.stacks[i]
 		}
 	}
 	f.stacks = append(f.stacks, typedStack{elem: elem})
-	return &f.stacks[len(f.stacks)-1].entries
+	return &f.stacks[len(f.stacks)-1]
 }
 
 type poolEntry struct {
@@ -164,7 +169,7 @@ func (f *freeList) get(elem any, capacity int) poolEntry {
 	p := f.pool
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	st := f.stack(elem)
+	st := &f.stack(elem).entries
 	s := *st
 	if len(s) == 0 {
 		return poolEntry{}
@@ -192,21 +197,28 @@ func (f *freeList) get(elem any, capacity int) poolEntry {
 }
 
 // put adds e under elem's type unless the pool already holds its array
-// or f's budget would then exceed MaxPoolBytes.
-func (f *freeList) put(elem any, e poolEntry) {
+// or f's budget would then exceed MaxPoolBytes. It keeps nothing, and
+// reports false, for a working set grown for less than a set of its
+// type was since asked for (keep).
+func (f *freeList) put(elem any, e poolEntry) bool {
 	p := f.pool
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if e.cap < f.stack(elem).most {
+		return false
+	}
 	if _, dup := p.held[e.data]; dup || *f.retained+e.bytes > MaxPoolBytes {
-		return
+		f.stack(elem).most = 0 // a set grown past the budget sizes no other
+		return true
 	}
 	if p.held == nil {
 		p.held = make(map[unsafe.Pointer]struct{})
 	}
 	p.held[e.data] = struct{}{}
-	st := f.stack(elem)
+	st := &f.stack(elem).entries
 	*st = append(*st, e)
 	*f.retained += e.bytes
+	return true
 }
 
 // NewBufferPool returns an empty pool.
@@ -216,15 +228,16 @@ func NewBufferPool() *BufferPool {
 		f.pool, f.retained = p, &p.scratch
 	}
 	p.frames.pool, p.frames.retained = p, &p.framed
+	p.sets.pool, p.sets.retained = p, &p.working
 	return p
 }
 
-// Retained returns the bytes the pool holds for later Gets, frames
-// included.
+// Retained returns the bytes the pool holds for later Gets, frames and
+// working sets included.
 func (p *BufferPool) Retained() int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.scratch + p.framed
+	return p.scratch + p.framed + p.working
 }
 
 // GetPage returns a page of PageBytes for a caller's own store: a
@@ -302,6 +315,84 @@ func PutSlab[T any](pool *BufferPool, s []T) {
 	if pool != nil {
 		putBuf(&pool.vals, s)
 	}
+}
+
+// WorkingSet is a reducer's scratch, which a pool keeps between the
+// calls that hold it: Reserve grows it to take an input of n, and
+// Bytes is the memory it holds.
+type WorkingSet interface {
+	Reserve(n int)
+	Bytes() int64
+}
+
+// setOf[T] is *T, a WorkingSet.
+type setOf[T any] interface {
+	*T
+	WorkingSet
+}
+
+// GetScratch returns a working set of T for an input of n, one pool
+// holds or a new one, grown to take the largest input a set of T has
+// been asked for on pool. Every other set grows to that too: those the
+// pool holds at once, those away as they come back (PutScratch). So a
+// reducer's scratch grows to its input once — in one query, whichever
+// set meets the input — unless a set so grown is past the pool's
+// budget, which drops it and sizes sets by their own inputs again.
+// Unlike a sync.Pool, a pool keeps its sets through a collection. The
+// holder owns the set until PutScratch.
+func GetScratch[T any, S setOf[T]](pool *BufferPool, n int) S {
+	if pool == nil {
+		return new(T)
+	}
+	s := S((*T)(pool.sets.get(typeToken[T]{}, 0).data))
+	if s == nil {
+		s = new(T)
+	}
+	most, idle := pool.sets.raise(typeToken[T]{}, n)
+	for _, e := range idle {
+		keep[T, S](pool, (*T)(e.data))
+	}
+	s.Reserve(most)
+	return s
+}
+
+// PutScratch hands a working set from GetScratch back to pool, which
+// nil drops. The caller must hold the only reference, and clear what s
+// points to outside itself, since the pool keeps s alive.
+func PutScratch[T any, S setOf[T]](pool *BufferPool, s S) {
+	if pool != nil {
+		keep[T, S](pool, s)
+	}
+}
+
+// keep grows s to the largest input a set of T was asked for on pool
+// and hands it to pool, again if a set is asked for more meanwhile.
+func keep[T any, S setOf[T]](pool *BufferPool, s S) {
+	for {
+		most, _ := pool.sets.raise(typeToken[T]{}, 0)
+		s.Reserve(most)
+		if pool.sets.put(typeToken[T]{}, poolEntry{unsafe.Pointer(s), most, s.Bytes()}) {
+			return
+		}
+	}
+}
+
+// raise records that a set of elem's type was asked to take n, and
+// returns the most any was; when that is n, the sets f holds are taken
+// out as idle, to be grown to it and put back.
+func (f *freeList) raise(elem any, n int) (most int, idle []poolEntry) {
+	p := f.pool
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	st := f.stack(elem)
+	if n > st.most {
+		st.most, idle, st.entries = n, st.entries, nil
+		for _, e := range idle {
+			delete(p.held, e.data)
+			*f.retained -= e.bytes
+		}
+	}
+	return st.most, idle
 }
 
 // recycled returns an array of T with at least capacity elements that

@@ -1,11 +1,24 @@
 package mapreduce
 
-import "testing"
+import (
+	"runtime"
+	"sync"
+	"testing"
+)
+
+// scratchRetained is what the pool's scratch lists hold — chunks, slabs
+// and pages — which MaxPoolBytes caps; Retained adds frames and working
+// sets, on budgets of their own.
+func (p *BufferPool) scratchRetained() int64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.scratch
+}
 
 // TestPoolRetainsAtMostCap: a job whose map chunks and reducer-input
-// slab each outgrow MaxPoolBytes leaves its pool holding at most the
-// cap — chunks up to it, the slab not at all — and the pool serves the
-// next job from what it kept.
+// slab each outgrow MaxPoolBytes leaves its pool's scratch lists
+// holding at most the cap — chunks up to it, the slab not at all — and
+// the pool serves the next job from what it kept.
 func TestPoolRetainsAtMostCap(t *testing.T) {
 	type wide [64]byte
 	n := MaxPoolBytes/64 + MaxPoolBytes/256 // 1.25 caps of values
@@ -36,7 +49,7 @@ func TestPoolRetainsAtMostCap(t *testing.T) {
 	if out[0]+out[1] != n {
 		t.Fatalf("reducers saw %d values, want %d", out[0]+out[1], n)
 	}
-	if got := pool.Retained(); got > MaxPoolBytes || got < MaxPoolBytes/2 {
+	if got := pool.scratchRetained(); got > MaxPoolBytes || got < MaxPoolBytes/2 {
 		t.Errorf("after the giant job the pool retains %d bytes, want at most the cap %d and at least half of it", got, MaxPoolBytes)
 	}
 	if s := recycled[wide](&pool.vals, 1); s != nil {
@@ -45,7 +58,7 @@ func TestPoolRetainsAtMostCap(t *testing.T) {
 	if _, _, err := job.RunSplits(1000, read); err != nil {
 		t.Fatal(err)
 	}
-	if got := pool.Retained(); got > MaxPoolBytes {
+	if got := pool.scratchRetained(); got > MaxPoolBytes {
 		t.Errorf("after a second job the pool retains %d bytes, cap %d", got, MaxPoolBytes)
 	}
 }
@@ -133,4 +146,87 @@ func TestPoolGetRule(t *testing.T) {
 	if got := pool.Retained(); got != 0 {
 		t.Errorf("the pool retains %d bytes, want none", got)
 	}
+}
+
+// scratchSet is a working set for TestWorkingSets: room for len(buf)
+// inputs.
+type scratchSet struct{ buf []int64 }
+
+func (s *scratchSet) Reserve(n int) {
+	if cap(s.buf) < n {
+		s.buf = make([]int64, 0, n)
+	}
+}
+
+func (s *scratchSet) Bytes() int64 { return 8 * int64(cap(s.buf)) }
+
+// TestWorkingSets: a pool keeps its working sets through a collection;
+// every set it holds, hands out or takes back is grown to the largest
+// input a set of its type was asked for, so one that was away while
+// another met that input comes back grown; and the sets count against a
+// budget of their own, beside full scratch lists. Sets grown past that
+// budget are dropped, and size no later one.
+func TestWorkingSets(t *testing.T) {
+	pool := NewBufferPool()
+	for range MaxPoolBytes / PageBytes {
+		pool.PutPage(make([]byte, PageBytes))
+	}
+	a, b := GetScratch[scratchSet](pool, 10), GetScratch[scratchSet](pool, 1000)
+	if a == b || cap(a.buf) != 10 || cap(b.buf) != 1000 {
+		t.Fatalf("two sets drawn at once: %p with room %d and %p with room %d", a, cap(a.buf), b, cap(b.buf))
+	}
+	PutScratch(pool, a)
+	PutScratch(pool, b)
+	if cap(a.buf) != 1000 {
+		t.Errorf("a set put back after another met 1000 inputs has room %d", cap(a.buf))
+	}
+	c := GetScratch[scratchSet](pool, 2000)
+	if cap(c.buf) != 2000 || (cap(a.buf) != 2000 && c != a) || (cap(b.buf) != 2000 && c != b) {
+		t.Errorf("a set drawn for 2000 inputs has room %d, and the one the pool held %d and %d", cap(c.buf), cap(a.buf), cap(b.buf))
+	}
+	PutScratch(pool, c)
+	if got := pool.Retained() - MaxPoolBytes; got != 2*16000 {
+		t.Errorf("the pool keeps %d bytes of working sets beside full scratch lists, want %d", got, 2*16000)
+	}
+	runtime.GC()
+	c, d := GetScratch[scratchSet](pool, 1), GetScratch[scratchSet](pool, 1)
+	if (c != a && c != b) || (d != a && d != b) || c == d {
+		t.Errorf("after a collection the pool handed out %p and %p, not the sets %p and %p it kept", c, d, a, b)
+	}
+	PutScratch(pool, c)
+	PutScratch(pool, d)
+	PutScratch(pool, GetScratch[scratchSet](pool, MaxPoolBytes/8+1))
+	if got := pool.Retained() - MaxPoolBytes; got != 0 {
+		t.Errorf("sets grown past the budget left %d bytes held", got)
+	}
+	if e := GetScratch[scratchSet](pool, 1); cap(e.buf) != 1 {
+		t.Errorf("after sets grown past the budget were dropped, a set drawn for 1 input has room %d", cap(e.buf))
+	}
+}
+
+// TestWorkingSetsConcurrent: reduce calls draw and return sets from
+// many goroutines at once, each set with room for its input and held by
+// one goroutine at a time (run under -race).
+func TestWorkingSetsConcurrent(t *testing.T) {
+	pool := NewBufferPool()
+	var wg sync.WaitGroup
+	for g := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 200 {
+				n := (g*37 + i*11) % 500
+				s := GetScratch[scratchSet](pool, n)
+				if cap(s.buf) < n {
+					t.Errorf("a set drawn for %d inputs has room %d", n, cap(s.buf))
+				}
+				s.buf = append(s.buf[:0], make([]int64, n)...)
+				for k := range s.buf {
+					s.buf[k] = int64(g)
+				}
+				PutScratch(pool, s)
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -35,13 +35,27 @@ func chunkLen[V any](v V) int {
 
 // recycle hands the run's chunks back to the pool, once nothing else
 // holds them. Each is cleared first, so a pooled chunk keeps nothing
-// its values pointed to alive — a result's ID slab, say.
+// its values pointed to alive — a result's ID slab, say. The run keeps
+// its emptied chunk list.
 func (b *run[V]) recycle(pool *BufferPool) {
 	for _, c := range b.chunks {
 		clear(c)
 		putBuf(&pool.chunks, c)
 	}
-	b.chunks, b.n = nil, 0
+	clear(b.chunks)
+	b.chunks, b.n = b.chunks[:0], 0
+}
+
+// getRuns returns n empty runs for a map task: an array a finished
+// shuffle handed back, its runs' chunk lists kept, or a fresh one. The
+// arrays are task scratch, kept with the working sets.
+func getRuns[V any](pool *BufferPool, n int) []run[V] {
+	rs := getBufLen[run[V]](&pool.sets, n)
+	for r := range rs {
+		clear(rs[r].chunks)
+		rs[r] = run[V]{chunks: rs[r].chunks[:0]}
+	}
+	return rs
 }
 
 // drain copies the run's values, in order, to the front of dst, recycles

@@ -20,7 +20,6 @@ func bruteForce(pl *plan, rels []Relation, countOnly bool) (Rows, Stats) {
 		}
 	}
 	data := newCellData(pl.m, items)
-	defer data.release()
 	rows := Rows{Arity: pl.m}
 	var count int64
 	pl.match(data, func(assign []int) {

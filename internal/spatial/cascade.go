@@ -7,7 +7,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -16,7 +15,6 @@ import (
 	"mwsjoin/internal/grid"
 	"mwsjoin/internal/mapreduce"
 	"mwsjoin/internal/query"
-	"mwsjoin/internal/sweep"
 	"mwsjoin/internal/trace"
 )
 
@@ -184,7 +182,7 @@ func cascade(pl *plan, exec *executor) (Rows, Stats, error) {
 					exec.part.ForEachSplit(key, func(c grid.CellID) { emit(c, v) })
 					return nil
 				},
-				Reduce: cascadeReduce(pl, exec.part, in, out, newSlot, edges, primary, discard, &counted),
+				Reduce: cascadeReduce(pl, exec.part, exec.pool, in, out, newSlot, edges, primary, discard, &counted),
 				PairBytes: func(_ grid.CellID, v cascadeVal) int {
 					if v.Page != itemPage {
 						return 4 + in.stride
@@ -377,31 +375,16 @@ func radixSortHigh(words []uint64, buf *[]uint64) {
 	}
 }
 
-// cellScratch is cascadeReduce's per-cell working set, recycled across
-// the cells, rounds and executions of the process through
-// cellScratchPool: a reduce call owns one until it returns, and empties
-// every slice before it reads one.
-type cellScratch struct {
-	xs    []uint64    // sweepOrder of every value's MinX, by arrival position
-	order []uint64    // sortSweepWords: the tuples, then the items
-	buf   []uint64    // sortSweepWords' scratch
-	recs  [][]byte    // tuple records and
-	keys  []geom.Rect // their key rectangles, in sweep order
-	ids   []int32     // item ids and
-	rects []geom.Rect // rectangles, in sweep order
-}
-
-var cellScratchPool = sync.Pool{New: func() any { return new(cellScratch) }}
-
 // cascadeReduce joins the partial tuples and new-slot items delivered to
 // one cell with a forward plane sweep over the tuples' key rectangles and
-// the items — the classic SJMR-style in-reducer join (§5). A cell's
-// partials fill pages of out of its own, each emitted as one segment.
-func cascadeReduce(pl *plan, part *grid.Partitioning, in, out *partialStore, newSlot int, edges []query.Edge, primary query.Edge, discard bool, counted *atomic.Int64) func(grid.CellID, []cascadeVal, func([]byte)) error {
+// the items — the classic SJMR-style in-reducer join (§5), in a cellData
+// drawn from pool as its working set. A cell's partials fill pages of
+// out of its own, each emitted as one segment.
+func cascadeReduce(pl *plan, part *grid.Partitioning, pool *mapreduce.BufferPool, in, out *partialStore, newSlot int, edges []query.Edge, primary query.Edge, discard bool, counted *atomic.Int64) func(grid.CellID, []cascadeVal, func([]byte)) error {
 	d := primary.Pred.Weight()
 	return func(c grid.CellID, vals []cascadeVal, emit func([]byte)) error {
-		sc := cellScratchPool.Get().(*cellScratch)
-		defer cellScratchPool.Put(sc)
+		cd := mapreduce.GetScratch[cellData](pool, len(vals))
+		defer cd.release(pool)
 
 		// Sweep order is (MinX, arrival position), tuples and items
 		// apart. A cell's values arrive in job-input order, and the
@@ -410,40 +393,40 @@ func cascadeReduce(pl *plan, part *grid.Partitioning, in, out *partialStore, new
 		// arrive sorted and sortSweepWords only checks them. The tuples
 		// of later steps come from the previous step's checkpoint, in
 		// reducer order, and are sorted here.
-		sc.xs, sc.order = sc.xs[:0], sc.order[:0]
+		cd.xs, cd.words = cd.xs[:0], cd.words[:0]
 		for i := range vals {
-			sc.xs = append(sc.xs, sweepOrder(vals[i].Rect.MinX()))
+			cd.xs = append(cd.xs, sweepOrder(vals[i].Rect.MinX()))
 			if vals[i].Page != itemPage {
-				sc.order = append(sc.order, uint64(i))
+				cd.words = append(cd.words, uint64(i))
 			}
 		}
-		nt := len(sc.order)
+		nt := len(cd.words)
 		if nt == 0 || nt == len(vals) {
 			return nil
 		}
 		for i := range vals {
 			if vals[i].Page == itemPage {
-				sc.order = append(sc.order, uint64(i))
+				cd.words = append(cd.words, uint64(i))
 			}
 		}
-		sortSweepWords(sc.order[:nt], sc.xs, &sc.buf)
-		sortSweepWords(sc.order[nt:], sc.xs, &sc.buf)
-		sc.recs, sc.keys, sc.ids, sc.rects = sc.recs[:0], sc.keys[:0], sc.ids[:0], sc.rects[:0]
-		for _, w := range sc.order[:nt] {
+		sortSweepWords(cd.words[:nt], cd.xs, &cd.buf)
+		sortSweepWords(cd.words[nt:], cd.xs, &cd.buf)
+		cd.recs, cd.as, cd.idBuf, cd.rectBuf = cd.recs[:0], cd.as[:0], cd.idBuf[:0], cd.rectBuf[:0]
+		for _, w := range cd.words[:nt] {
 			v := &vals[uint32(w)]
-			sc.recs = append(sc.recs, in.rec(v.ref()))
-			sc.keys = append(sc.keys, v.Rect)
+			cd.recs = append(cd.recs, in.rec(v.ref()))
+			cd.as = append(cd.as, v.Rect)
 		}
-		for _, w := range sc.order[nt:] {
+		for _, w := range cd.words[nt:] {
 			v := &vals[uint32(w)]
-			sc.ids = append(sc.ids, v.ID)
-			sc.rects = append(sc.rects, v.Rect)
+			cd.idBuf = append(cd.idBuf, v.ID)
+			cd.rectBuf = append(cd.rectBuf, v.Rect)
 		}
 
 		w := out.writer()
 		w.emit = emit
-		sweep.JoinSorted(sc.keys, sc.rects, d, func(i, j int) bool {
-			t, id, r := sc.recs[i], sc.ids[j], sc.rects[j]
+		cd.join.JoinSorted(cd.as, cd.rectBuf, d, func(i, j int) bool {
+			t, id, r := cd.recs[i], cd.idBuf[j], cd.rectBuf[j]
 			if !cascadeAccepts(pl, in.layout, t, newSlot, id, r, edges, primary) {
 				return true
 			}
@@ -453,7 +436,7 @@ func cascadeReduce(pl *plan, part *grid.Partitioning, in, out *partialStore, new
 			// sweep accepted the pair on its exact gaps, and where the
 			// float enlargement falls an ulp short of the item the
 			// intersection is empty and the pair would be lost.
-			enlKey := sc.keys[i]
+			enlKey := cd.as[i]
 			if d > 0 {
 				enlKey = enlKey.Enlarge(d)
 			}

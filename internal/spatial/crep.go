@@ -1,7 +1,9 @@
 package spatial
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -42,7 +44,7 @@ func allReplicate(pl *plan, exec *executor) (Rows, Stats, error) {
 				exec.part.ForEachFourthQuadrant(it.Rect, func(c grid.CellID) { emit(c, it) })
 				return nil
 			},
-			Reduce:    joinReduce(pl, exec.part, exec.cfg.CountOnly, &counted),
+			Reduce:    joinReduce(pl, exec.part, exec.pool, exec.cfg.CountOnly, &counted),
 			PairBytes: taggedPairBytes,
 			Values:    itemCodec(pl.m),
 			Outputs:   idCodec,
@@ -143,7 +145,7 @@ func controlledReplicate(pl *plan, exec *executor, limit bool) (Rows, Stats, err
 		if err != nil {
 			return dfs.Segments{}, nil, err
 		}
-		round1 := &mapreduce.Job[tagged, grid.CellID, tagged, tagged]{
+		round1 := &mapreduce.Job[tagged, grid.CellID, tagged, itemRecord]{
 			Config: exec.jobConfig(fmt.Sprintf("%s-mark", method)),
 			Map: func(it tagged, emit func(grid.CellID, tagged)) error {
 				// A rectangle outside the band can neither be marked nor
@@ -153,15 +155,17 @@ func controlledReplicate(pl *plan, exec *executor, limit bool) (Rows, Stats, err
 				}
 				return nil
 			},
-			Reduce: func(c grid.CellID, items []tagged, emit func(tagged)) error {
-				cd := newCellData(pl.m, items)
-				defer cd.release()
+			Reduce: func(c grid.CellID, items []tagged, emit func(itemRecord)) error {
+				cd := takeCellData(exec.pool, pl, items)
+				defer cd.release(exec.pool)
 				// markCell marks only rectangles starting in c, so each
 				// marked rectangle is output once, by its start cell.
 				for s, marked := range markCell(pl, exec.part, c, cd) {
 					for j, ok := range marked {
 						if ok {
-							emit(tagged{Slot: int8(s), ID: cd.ids[s][j], Rect: cd.rects[s][j], Marked: true})
+							var rec itemRecord
+							appendItem(rec[:0], tagged{Slot: int8(s), ID: cd.ids[s][j], Rect: cd.rects[s][j], Marked: true})
+							emit(rec)
 						}
 					}
 				}
@@ -169,15 +173,18 @@ func controlledReplicate(pl *plan, exec *executor, limit bool) (Rows, Stats, err
 			},
 			PairBytes: taggedPairBytes,
 			Values:    itemCodec(pl.m),
-			Outputs:   itemCodec(pl.m),
+			Outputs:   itemRecordCodec(pl.m),
 		}
 		out, st, err := round1.RunSplits(n, read)
 		if err != nil {
 			return dfs.Segments{}, nil, err
 		}
-		chk := itemSegments(out)
-		mapreduce.PutSlab(exec.cfg.Dist.Slabs(), out) // copied into the checkpoint
-		return chk, st, nil
+		// The outputs are item records back to back, the checkpoint as
+		// it stands; a worker's slab goes back when nothing can read it.
+		if slabs := exec.cfg.Dist.Slabs(); slabs != nil {
+			exec.fs.OnClose(func() { mapreduce.PutSlab(slabs, out) })
+		}
+		return dfs.Segments{Stride: dfs.MBBRecordBytes, Segs: [][]byte{recordBytes(out)}}, st, nil
 	})
 	if err != nil {
 		return Rows{}, Stats{}, err
@@ -191,25 +198,13 @@ func controlledReplicate(pl *plan, exec *executor, limit bool) (Rows, Stats, err
 	var markedCount, unmarkedCount int64
 	st2, err := ch.FinalStep("join", func(in *dfs.View) (*mapreduce.Stats, error) {
 		// The checkpoint holds the marked records; a relation record is
-		// marked iff the checkpoint holds it, whole — slot, ID and
-		// rectangle — so repeated records and IDs that are not indices
-		// resolve exactly. Few records are marked: one bit per ID mod
-		// 2¹⁶ turns most away before the map hashes a rectangle.
-		marks := make(map[tagged]bool, in.Len())
-		var maybe [1 << 10]uint64
-		err := in.MBBs(0, in.Len(), func(m dfs.MBB) error {
-			m.Marked = false // the key is the relation record
-			marks[mbbItem(m)] = true
-			maybe[uint16(m.ID)>>6] |= 1 << (m.ID & 63)
-			return nil
-		})
-		if err != nil {
+		// marked iff the checkpoint holds it (markSet.has).
+		ms := mapreduce.GetScratch[markSet](exec.pool, in.Len())
+		defer mapreduce.PutScratch(exec.pool, ms)
+		if err := ms.read(in); err != nil {
 			return nil, err
 		}
-		mark := func(it tagged) bool {
-			return maybe[uint16(it.ID)>>6]&(1<<(it.ID&63)) != 0 && marks[it]
-		}
-		n, read, err := exec.openRelations(mark)
+		n, read, err := exec.openRelations(ms.has)
 		if err != nil {
 			return nil, err
 		}
@@ -232,7 +227,7 @@ func controlledReplicate(pl *plan, exec *executor, limit bool) (Rows, Stats, err
 				}
 				return nil
 			},
-			Reduce:    joinReduce(pl, exec.part, exec.cfg.CountOnly, &counted),
+			Reduce:    joinReduce(pl, exec.part, exec.pool, exec.cfg.CountOnly, &counted),
 			PairBytes: taggedPairBytes,
 			Values:    itemCodec(pl.m),
 			Outputs:   idCodec,
@@ -278,10 +273,10 @@ func controlledReplicate(pl *plan, exec *executor, limit bool) (Rows, Stats, err
 // IDs in slot order, one output per ID, into the job's pooled output
 // runs. Every emitted tuple also bumps counted; with countOnly the
 // tuple itself is dropped.
-func joinReduce(pl *plan, part *grid.Partitioning, countOnly bool, counted *atomic.Int64) func(grid.CellID, []tagged, func(int32)) error {
+func joinReduce(pl *plan, part *grid.Partitioning, pool *mapreduce.BufferPool, countOnly bool, counted *atomic.Int64) func(grid.CellID, []tagged, func(int32)) error {
 	return func(c grid.CellID, items []tagged, emit func(int32)) error {
-		cd := newCellData(pl.m, items)
-		defer cd.release()
+		cd := takeCellData(pool, pl, items)
+		defer cd.release(pool)
 		var local int64
 		pl.matchInCell(cd, part, c, func(assign []int) {
 			local++
@@ -294,6 +289,57 @@ func joinReduce(pl *plan, part *grid.Partitioning, countOnly bool, counted *atom
 		counted.Add(local)
 		return nil
 	}
+}
+
+// markSet is the join round's marked set: the mark checkpoint's
+// records in buckets of 16 IDs mod 2¹⁶, behind one bit per ID mod 2¹⁶.
+// Few records are marked, so the bit turns most relation records away,
+// and a bucket holds a record or two. It is a working set of the
+// execution's pool.
+type markSet struct {
+	maybe [1 << 10]uint64
+	start [1<<12 + 1]int32 // bucket b is recs[start[b]:start[b+1]]
+	recs  []tagged
+}
+
+func markBucket(id int32) int { return int(uint16(id) >> 4) }
+
+func (ms *markSet) Reserve(n int) { ms.recs = reserve(ms.recs, n) }
+func (ms *markSet) Bytes() int64  { return 24<<10 + 48*int64(cap(ms.recs)) }
+
+// read fills ms with the records of chk, the mark checkpoint.
+func (ms *markSet) read(chk *dfs.View) error {
+	ms.maybe, ms.recs = [1 << 10]uint64{}, ms.recs[:0]
+	err := chk.MBBs(0, chk.Len(), func(m dfs.MBB) error {
+		ms.recs = append(ms.recs, mbbItem(m))
+		ms.maybe[uint16(m.ID)>>6] |= 1 << (m.ID & 63)
+		return nil
+	})
+	slices.SortFunc(ms.recs, func(a, b tagged) int { return cmp.Compare(markBucket(a.ID), markBucket(b.ID)) })
+	clear(ms.start[:])
+	for _, r := range ms.recs {
+		ms.start[markBucket(r.ID)+1]++
+	}
+	for b := 1; b < len(ms.start); b++ {
+		ms.start[b] += ms.start[b-1]
+	}
+	return err
+}
+
+// has reports whether the checkpoint holds it whole — slot, ID and
+// rectangle — so repeated records and IDs that are not indices resolve
+// exactly.
+func (ms *markSet) has(it tagged) bool {
+	if ms.maybe[uint16(it.ID)>>6]&(1<<(it.ID&63)) == 0 {
+		return false
+	}
+	b := markBucket(it.ID)
+	for _, r := range ms.recs[ms.start[b]:ms.start[b+1]] {
+		if r.ID == it.ID && r.Slot == it.Slot && r.Rect == it.Rect {
+			return true
+		}
+	}
+	return false
 }
 
 // taggedPairBytes sizes an intermediate (cell, item) pair: 4 bytes of

@@ -221,10 +221,7 @@ func ExecuteRows(method Method, q *query.Query, rels []Relation, cfg Config) (Ro
 		fs = dfs.New(0)
 		defer fs.Close()
 	}
-	exec := &executor{part: g.part, rels: rels, stats: est.set.stats, fs: fs, cfg: cfg, metric: cfg.LimitMetric, tr: cfg.Tracer, pool: sharedPool}
-	if cfg.Dist != nil && cfg.Dist.Pool != nil {
-		exec.pool = cfg.Dist.Pool
-	}
+	exec := &executor{part: g.part, rels: rels, stats: est.set.stats, fs: fs, cfg: cfg, metric: cfg.LimitMetric, tr: cfg.Tracer, pool: est.pool}
 	exec.runSpan = exec.tr.Start(0, trace.KindRun, fmt.Sprintf("%s %s", method, q))
 	exec.cur = exec.runSpan
 	// Registered before the runSpan End so it runs after it (defers are

@@ -6,7 +6,9 @@ import (
 
 	"mwsjoin/internal/estimate"
 	"mwsjoin/internal/grid"
+	"mwsjoin/internal/mapreduce"
 	"mwsjoin/internal/query"
+	"mwsjoin/internal/sweep"
 )
 
 // maxFiniteCost caps every predicted cost field. The cap is large
@@ -133,6 +135,7 @@ type estimator struct {
 	// bounds are C-Rep-L's per-slot replication radii.
 	bounds    []float64
 	boundsErr error
+	pool      *mapreduce.BufferPool // the execution's: a cluster worker's, or sharedPool
 }
 
 // newEstimator validates the query/relation binding and the relations'
@@ -147,8 +150,12 @@ func newEstimator(q *query.Query, rels []Relation, cfg Config) (*estimator, erro
 	if err := set.validate(); err != nil {
 		return nil, err
 	}
+	pool := sharedPool
+	if cfg.Dist != nil && cfg.Dist.Pool != nil {
+		pool = cfg.Dist.Pool
+	}
 	return &estimator{
-		set: set, metric: cfg.LimitMetric, base: pl,
+		set: set, metric: cfg.LimitMetric, base: pl, pool: pool,
 		cards:  map[cardKey]float64{},
 		chains: map[*plan][]float64{},
 		means:  map[planMeanKey]float64{},
@@ -195,9 +202,10 @@ func (est *estimator) card(first, second int, pred query.Predicate) float64 {
 		return c
 	}
 	set := est.set
-	c := estimate.SampledCardinality(
-		set.stats[first].n, set.sortedSample(first, 1),
-		set.stats[second].n, set.sortedSample(second, 2), k.weight)
+	s2 := set.sortedSample(second, 2)
+	sc := mapreduce.GetScratch[sweep.Strips](est.pool, len(s2))
+	defer mapreduce.PutScratch(est.pool, sc)
+	c := estimate.SampledCardinality(sc, set.stats[first].n, set.sortedSample(first, 1), set.stats[second].n, s2, k.weight)
 	est.cards[k] = c
 	return c
 }

@@ -38,30 +38,31 @@ import (
 // boundary (markBand below), and its output is the marked rectangles
 // alone: round two reads the relations themselves.
 
-// marker is the per-cell marking engine. It is rebuilt per reducer call
-// (cheap: slices over the already-grouped cell data).
+// marker is the per-cell marking engine. It lives in the cell's working
+// set (cellData.mark), so its slices outlive the cell.
 type marker struct {
 	pl   *plan
 	part *grid.Partitioning
 	cell grid.CellID
 	cd   *cellData
 
-	// escape[s][e][j] caches whether item j of slot s can escape the
-	// cell via incident edge e (ordering per slotEdges[s]).
-	slotEdges [][]query.Edge
-	escape    [][][]bool
+	// escape[(off[s]+j)·maxEdges + e] caches whether item j of slot s
+	// can escape the cell via incident edge e (ordering per
+	// plan.slotEdges[s]): 0 not known yet, 1 no, 2 yes.
+	escape []uint8
 
-	strips cellStrips
 	assign []int
 	// forcedBy[s] counts how many assigned members currently force
 	// slot s in; a slot is pending while forcedBy > 0 and unassigned.
 	forcedBy []int
 	assigned int
 	marked   [][]bool
+	markBuf  []bool // the array marked's slots slice
 
 	// try[t] is the probe callback binding a candidate to slot t, built
-	// once per cell so the search allocates nothing per probe; found
-	// carries the innermost finished witness call's result out of it.
+	// once per working set so the search allocates nothing per probe;
+	// found carries the innermost finished witness call's result out of
+	// it.
 	try   []func(j int) bool
 	found bool
 }
@@ -69,32 +70,24 @@ type marker struct {
 // markCell computes the marked flag for every item of cd that starts in
 // cell c. The returned matrix is indexed [slot][local item index].
 func markCell(pl *plan, part *grid.Partitioning, c grid.CellID, cd *cellData) [][]bool {
-	mk := &marker{
-		pl:       pl,
-		part:     part,
-		cell:     c,
-		cd:       cd,
-		strips:   cellStrips{rects: cd.rects},
-		assign:   make([]int, pl.m),
-		forcedBy: make([]int, pl.m),
-		marked:   make([][]bool, pl.m),
+	mk := &cd.mark
+	*mk = marker{
+		pl: pl, part: part, cell: c, cd: cd,
+		escape: zeroed(mk.escape, len(cd.idBuf)*pl.maxEdges),
+		assign: zeroed(mk.assign, pl.m), forcedBy: zeroed(mk.forcedBy, pl.m),
+		marked: zeroed(mk.marked, pl.m), markBuf: zeroed(mk.markBuf, len(cd.idBuf)),
+		try: mk.try,
 	}
 	for s := 0; s < pl.m; s++ {
 		mk.assign[s] = -1
-		mk.marked[s] = make([]bool, len(cd.ids[s]))
+		mk.marked[s] = mk.markBuf[cd.off[s]:cd.off[s+1]]
 	}
 	if pl.m < 2 {
 		return mk.marked // single-relation queries never replicate
 	}
-	mk.slotEdges = make([][]query.Edge, pl.m)
-	mk.escape = make([][][]bool, pl.m)
-	mk.try = make([]func(int) bool, pl.m)
-	for s := 0; s < pl.m; s++ {
-		mk.slotEdges[s] = pl.q.EdgesAt(s)
-		mk.escape[s] = make([][]bool, len(mk.slotEdges[s]))
-		mk.try[s] = func(j int) bool { return mk.tryCandidate(s, j) }
+	for s := len(mk.try); s < pl.m; s++ {
+		mk.try = append(mk.try, func(j int) bool { return mk.tryCandidate(s, j) })
 	}
-	defer mk.strips.release()
 
 	for s := 0; s < pl.m; s++ {
 		for j := range cd.ids[s] {
@@ -172,16 +165,14 @@ func inMarkBand(part *grid.Partitioning, r geom.Rect, w float64) bool {
 // escapeOK reports (with caching) whether item j of slot s satisfies
 // the C2 escape test for its incident edge index ei.
 func (mk *marker) escapeOK(s, ei, j int) bool {
-	col := mk.escape[s][ei]
-	if col == nil {
-		col = make([]bool, len(mk.cd.ids[s]))
-		e := mk.slotEdges[s][ei]
-		for k := range col {
-			col[k] = mk.itemEscapes(mk.cd.rects[s][k], e)
+	k := (int(mk.cd.off[s])+j)*mk.pl.maxEdges + ei
+	if mk.escape[k] == 0 {
+		mk.escape[k] = 1
+		if mk.itemEscapes(mk.cd.rects[s][j], mk.pl.slotEdges[s][ei]) {
+			mk.escape[k] = 2
 		}
-		mk.escape[s][ei] = col
 	}
-	return col[j]
+	return mk.escape[k] == 2
 }
 
 // itemEscapes is the uncached C2 test for one rectangle and edge.
@@ -207,7 +198,7 @@ func (mk *marker) unbind(s, j int) {
 }
 
 func (mk *marker) force(s, j, delta int) {
-	for ei, e := range mk.slotEdges[s] {
+	for ei, e := range mk.pl.slotEdges[s] {
 		if !mk.escapeOK(s, ei, j) {
 			mk.forcedBy[e.Other(s)] += delta
 		}
@@ -248,10 +239,10 @@ func (mk *marker) witness() bool {
 	// along an edge to an assigned neighbour — there is one, the member
 	// that forced the slot in.
 	mk.found = false
-	for _, e := range mk.slotEdges[t] {
+	for _, e := range mk.pl.slotEdges[t] {
 		if k := mk.assign[e.Other(t)]; k >= 0 {
 			d := e.Pred.Weight()
-			mk.strips.of(t, d).Probe(mk.cd.rects[e.Other(t)][k], d, mk.try[t])
+			mk.cd.strips.of(t, d).Probe(mk.cd.rects[e.Other(t)][k], d, mk.try[t])
 			break
 		}
 	}
@@ -275,7 +266,7 @@ func (mk *marker) tryCandidate(t, j int) bool {
 // consistentWithAssigned verifies C1 (all edges into the assigned set)
 // and self-join distinctness for binding item j to slot t.
 func (mk *marker) consistentWithAssigned(t, j int) bool {
-	for _, e := range mk.slotEdges[t] {
+	for _, e := range mk.pl.slotEdges[t] {
 		u := e.Other(t)
 		k := mk.assign[u]
 		if k < 0 {

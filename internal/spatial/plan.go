@@ -3,10 +3,10 @@ package spatial
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"mwsjoin/internal/geom"
 	"mwsjoin/internal/grid"
+	"mwsjoin/internal/mapreduce"
 	"mwsjoin/internal/query"
 	"mwsjoin/internal/sweep"
 )
@@ -19,7 +19,7 @@ import (
 type plan struct {
 	q        *query.Query
 	m        int
-	distinct bool // forbid binding one rectangle to two slots of the same dataset
+	distinct bool // forbid binding one rectangle to two slots of one dataset, where two slots bind one
 
 	// order is a connected visit order over slots: every slot after
 	// the first has at least one edge to an earlier slot.
@@ -31,6 +31,9 @@ type plan struct {
 	primary     []int
 	// sameDataset[i][j] marks slot pairs bound to the same dataset.
 	sameDataset [][]bool
+	slotEdges   [][]query.Edge // slotEdges[s] = q.EdgesAt(s)
+	maxEdges    int            // the most edges at one slot
+	edgeEnds    int            // the edges at all slots
 }
 
 // newPlan validates the query/relation binding and builds the plan.
@@ -42,15 +45,20 @@ func newPlan(q *query.Query, rels []Relation, distinct bool) (*plan, error) {
 	if len(rels) != m {
 		return nil, fmt.Errorf("spatial: query has %d slots but %d relations were bound", m, len(rels))
 	}
-	pl := &plan{q: q, m: m, distinct: distinct}
+	pl := &plan{q: q, m: m}
 
 	// Same-dataset groups, by relation name.
 	pl.sameDataset = make([][]bool, m)
+	pl.slotEdges = make([][]query.Edge, m)
 	for i := range pl.sameDataset {
 		pl.sameDataset[i] = make([]bool, m)
 		for j := range pl.sameDataset[i] {
 			pl.sameDataset[i][j] = i != j && rels[i].Name == rels[j].Name
+			pl.distinct = pl.distinct || distinct && pl.sameDataset[i][j]
 		}
+		pl.slotEdges[i] = q.EdgesAt(i)
+		pl.maxEdges = max(pl.maxEdges, len(pl.slotEdges[i]))
+		pl.edgeEnds += len(pl.slotEdges[i])
 	}
 
 	// Visit order: start at slot 0, greedily append the unvisited slot
@@ -214,8 +222,12 @@ func (pl *plan) compatible(si int, idI int32, sj int, idJ int32) bool {
 // cellData is the per-reducer view of the shuffled rectangles: ids and
 // rects per slot, parallel slices, each slot in sweep order — ascending
 // (MinX, arrival position) — which is what sweep.JoinSorted and
-// sweep.Build read. A cellData is recycled through cellPool together
-// with the scratch below; release hands it back.
+// Strips.Build read. It is every reducer's working set, drawn from the
+// execution's pool and handed back as the reduce call returns
+// (release): the searches over the cell keep their strip layouts,
+// matchState and marker in it, and cascadeReduce sorts its sides in
+// xs, words and buf, and sweeps recs and as (its tuples) against idBuf
+// and rectBuf (its items).
 type cellData struct {
 	ids   [][]int32
 	rects [][]geom.Rect
@@ -228,16 +240,72 @@ type cellData struct {
 	buf     []uint64    // and the sort's scratch
 	keep    []int32     // matchPruned: the first slot's admitted items
 	as      []geom.Rect // and their rects
+	recs    [][]byte
+	join    sweep.Strips // the sweep along the plan's first edge
+	strips  cellStrips
+	match   matchState
+	mark    marker
 }
-
-var cellPool = sync.Pool{New: func() any { return new(cellData) }}
 
 // newCellData groups tagged items by slot, each slot in sweep order.
 // Ids and rects are permuted together, so an item's local index names
 // the same record in both. Items read from the staged relations arrive
 // in sweep order slot by slot, and sortSweepWords only checks them.
-func newCellData(m int, items []tagged) *cellData {
-	cd := cellPool.Get().(*cellData)
+func newCellData(m int, items []tagged) *cellData { return new(cellData).fill(m, items) }
+
+// takeCellData is newCellData in a working set drawn from pool, with a
+// strip layout for every edge end of pl, as many as a search over one
+// of its cells can probe, so a set meets no cell it lacks one for.
+func takeCellData(pool *mapreduce.BufferPool, pl *plan, items []tagged) *cellData {
+	cd := mapreduce.GetScratch[cellData](pool, len(items))
+	for len(cd.strips.built) < pl.edgeEnds {
+		st := new(sweep.Strips)
+		st.Reserve(cap(cd.idBuf))
+		cd.strips.built = append(cd.strips.built, builtStrips{s: st})
+	}
+	return cd.fill(pl.m, items)
+}
+
+// release hands cd back to pool; nothing may read it after. What the
+// pool would keep alive through it — a plan, a grid, an emit, pages —
+// is dropped first.
+func (cd *cellData) release(pool *mapreduce.BufferPool) {
+	cd.match.pl, cd.match.emit, cd.mark.pl, cd.mark.part = nil, nil, nil, nil
+	clear(cd.recs)
+	mapreduce.PutScratch(pool, cd)
+}
+
+// Reserve grows cd to take a cell of n items, its layouts to n entries.
+func (cd *cellData) Reserve(n int) {
+	cd.idBuf, cd.rectBuf, cd.keep, cd.as, cd.recs = reserve(cd.idBuf, n), reserve(cd.rectBuf, n), reserve(cd.keep, n), reserve(cd.as, n), reserve(cd.recs, n)
+	cd.xs, cd.words, cd.buf, cd.mark.markBuf = reserve(cd.xs, n), reserve(cd.words, n), reserve(cd.buf, n), reserve(cd.mark.markBuf, n)
+	cd.join.Reserve(n)
+	for _, b := range cd.strips.built {
+		b.s.Reserve(n)
+	}
+}
+
+// Bytes is the memory cd's slices and layouts hold.
+func (cd *cellData) Bytes() int64 {
+	b := int64(4*(cap(cd.idBuf)+cap(cd.keep)) + 32*(cap(cd.rectBuf)+cap(cd.as)) + 8*(cap(cd.xs)+cap(cd.words)+cap(cd.buf)) + 24*cap(cd.recs))
+	for _, l := range cd.strips.built {
+		b += l.s.Bytes()
+	}
+	return b + cd.join.Bytes() + int64(cap(cd.mark.markBuf))
+}
+
+// reserve returns s, or an empty slice with room for n when s has less.
+func reserve[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, 0, n)
+	}
+	return s
+}
+
+// zeroed returns n zero values, in s's array if it has room.
+func zeroed[T any](s []T, n int) []T { return append(s[:0], make([]T, n)...) }
+
+func (cd *cellData) fill(m int, items []tagged) *cellData {
 	cd.off = append(cd.off[:0], make([]int32, m+1)...)
 	cd.xs = cd.xs[:0]
 	for i := range items {
@@ -270,19 +338,18 @@ func newCellData(m int, items []tagged) *cellData {
 		}
 		cd.ids[s], cd.rects[s] = cd.idBuf[lo:hi:hi], cd.rectBuf[lo:hi:hi]
 	}
+	cd.strips.rects, cd.strips.n = cd.rects, 0
 	return cd
 }
-
-// release returns cd to cellPool; nothing may read it after.
-func (cd *cellData) release() { cellPool.Put(cd) }
 
 // cellStrips holds the strip layouts a search over one cell probes,
 // each built on first use. A strip is cut from the distance it serves,
 // so there is one per slot and probe distance; few distances meet one
-// slot, and the list stays short.
+// slot, and the list stays short. The next cell's layouts reuse these.
 type cellStrips struct {
 	rects [][]geom.Rect // the cell's slots
-	built []builtStrips
+	built []builtStrips // the cell's layouts are built[:n]
+	n     int
 }
 
 type builtStrips struct {
@@ -293,22 +360,18 @@ type builtStrips struct {
 
 // of returns slot s's layout for probes at distance d.
 func (cs *cellStrips) of(s int, d float64) *sweep.Strips {
-	for _, b := range cs.built {
+	for _, b := range cs.built[:cs.n] {
 		if b.slot == s && b.d == d {
 			return b.s
 		}
 	}
-	st := sweep.Build(cs.rects[s], d)
-	cs.built = append(cs.built, builtStrips{slot: s, d: d, s: st})
-	return st
-}
-
-// release hands every layout back to the sweep package's pool.
-func (cs *cellStrips) release() {
-	for _, b := range cs.built {
-		b.s.Release()
+	if cs.n == len(cs.built) {
+		cs.built = append(cs.built, builtStrips{s: new(sweep.Strips)})
 	}
-	cs.built = cs.built[:0]
+	b := &cs.built[cs.n]
+	b.slot, b.d, cs.n = s, d, cs.n+1
+	b.s.Build(cs.rects[s], d)
+	return b.s
 }
 
 // match enumerates every assignment of local items to slots that
@@ -381,36 +444,28 @@ func (pl *plan) matchPruned(cd *cellData, pruneX, pruneY, needX, needY float64, 
 			return // some slot has no local items: no tuples here
 		}
 	}
-	st := &matchState{
-		pl: pl, cd: cd,
-		strips:  cellStrips{rects: cd.rects},
-		assign:  make([]int, pl.m),
-		runX:    make([]float64, pl.m),
-		runY:    make([]float64, pl.m),
-		onProbe: make([]func(int) bool, pl.m),
-		emit:    emit,
-		pruneX:  pruneX,
-		pruneY:  pruneY,
-		needX:   needX,
-		needY:   needY,
+	st := &cd.match
+	*st = matchState{
+		pl: pl, cd: cd, emit: emit,
+		assign: zeroed(st.assign, pl.m), runX: zeroed(st.runX, pl.m), runY: zeroed(st.runY, pl.m),
+		onProbe: st.onProbe, sufMaxX: st.sufMaxX[:0], sufMinY: st.sufMinY[:0],
+		pruneX: pruneX, pruneY: pruneY, needX: needX, needY: needY,
 	}
-	defer st.strips.release()
 	for i := range st.assign {
 		st.assign[i] = -1
 	}
-	for p := 2; p < pl.m; p++ {
-		st.onProbe[p] = func(j int) bool {
+	for p := len(st.onProbe); p < pl.m; p++ {
+		st.onProbe = append(st.onProbe, func(j int) bool {
 			if st.accepts(p, j) {
 				st.step(p, j)
 			}
 			return true
-		}
+		})
 	}
 	if !math.IsInf(needX, -1) || !math.IsInf(needY, 1) {
 		// Suffix maxima/minima over the plan order bound what later
 		// positions can still contribute to the dup point.
-		st.sufMaxX = make([]float64, pl.m+1)
-		st.sufMinY = make([]float64, pl.m+1)
+		st.sufMaxX, st.sufMinY = zeroed(st.sufMaxX, pl.m+1), zeroed(st.sufMinY, pl.m+1)
 		st.sufMaxX[pl.m] = math.Inf(-1)
 		st.sufMinY[pl.m] = math.Inf(1)
 		for p := pl.m - 1; p >= 0; p-- {
@@ -443,7 +498,7 @@ func (pl *plan) matchPruned(cd *cellData, pruneX, pruneY, needX, needY float64, 
 	}
 	e := pl.edgesToPrev[1][pl.primary[1]]
 	bound := -1
-	sweep.JoinSorted(cd.as, cd.rects[pl.order[1]], e.Pred.Weight(), func(i, k int) bool {
+	cd.join.JoinSorted(cd.as, cd.rects[pl.order[1]], e.Pred.Weight(), func(i, k int) bool {
 		if i != bound {
 			bound = i
 			j := int(cd.keep[i])
@@ -457,21 +512,21 @@ func (pl *plan) matchPruned(cd *cellData, pruneX, pruneY, needX, needY float64, 
 	})
 }
 
+// matchState is the search over one cell, kept in its cellData.
 type matchState struct {
 	pl     *plan
 	cd     *cellData
 	assign []int
-	strips cellStrips
 	// runX[p], runY[p] carry the running duplicate-avoidance point of
 	// the members assigned before position p of the plan order.
 	runX, runY []float64
 	// onProbe[p] is position p's strip-probe callback, built once per
-	// cell so the search allocates nothing per probe.
+	// working set so the search allocates nothing per probe.
 	onProbe        []func(j int) bool
 	emit           func([]int)
 	pruneX, pruneY float64
 	// needX/needY with sufMaxX/sufMinY implement the suffix-bound
-	// prune; sufMaxX nil disables it.
+	// prune; an empty sufMaxX disables it.
 	needX, needY     float64
 	sufMaxX, sufMinY []float64
 }
@@ -512,7 +567,7 @@ func (st *matchState) extend(p int) {
 	e := pl.edgesToPrev[p][pl.primary[p]]
 	t := e.Other(s)
 	d := e.Pred.Weight()
-	st.strips.of(s, d).Probe(st.cd.rects[t][st.assign[t]], d, st.onProbe[p])
+	st.cd.strips.of(s, d).Probe(st.cd.rects[t][st.assign[t]], d, st.onProbe[p])
 }
 
 // admit computes the running dup point with item j bound at position
@@ -532,7 +587,7 @@ func (st *matchState) admit(p, j int) (nx, ny float64, ok bool) {
 	}
 	// Even the best remaining members cannot pull the dup point into the
 	// cell's column/row.
-	if st.sufMaxX != nil && (math.Max(nx, st.sufMaxX[p+1]) < st.needX || math.Min(ny, st.sufMinY[p+1]) > st.needY) {
+	if len(st.sufMaxX) != 0 && (math.Max(nx, st.sufMaxX[p+1]) < st.needX || math.Min(ny, st.sufMinY[p+1]) > st.needY) {
 		return nx, ny, false
 	}
 	return nx, ny, true

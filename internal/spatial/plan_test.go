@@ -95,6 +95,33 @@ func TestCompatibleSelfJoin(t *testing.T) {
 	}
 }
 
+// TestDistinctOnlyWithSelfJoin: distinctness is checked only where it
+// can refuse a binding, between two slots of one dataset. A plan whose
+// slots bind three relations checks nothing; a self-join plan does,
+// unless self pairs are allowed.
+func TestDistinctOnlyWithSelfJoin(t *testing.T) {
+	q := query.New("a", "b", "c").Overlap(0, 1).Overlap(1, 2)
+	r, s, u := NewRelation("R", nil), NewRelation("S", nil), NewRelation("U", nil)
+	for _, c := range []struct {
+		rels []Relation
+		self bool
+		want bool
+	}{
+		{[]Relation{r, s, u}, false, false},
+		{[]Relation{r, r, s}, false, true},
+		{[]Relation{r, s, r}, false, true},
+		{[]Relation{r, r, r}, true, false},
+	} {
+		pl, err := newPlan(q, c.rels, !c.self)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pl.distinct != c.want {
+			t.Errorf("relations %s, %s, %s (self pairs allowed: %v): distinct %v, want %v", c.rels[0].Name, c.rels[1].Name, c.rels[2].Name, c.self, pl.distinct, c.want)
+		}
+	}
+}
+
 func TestDupPointAndRowCaps(t *testing.T) {
 	items := []tagged{
 		{Slot: 0, ID: 7, Rect: geom.Rect{X: 10, Y: 50, L: 5, B: 5}},

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"mwsjoin/internal/dfs"
 	"mwsjoin/internal/geom"
@@ -59,14 +60,16 @@ func appendItem(buf []byte, t tagged) []byte {
 	return dfs.AppendMBB(buf, dfs.MBB{Slot: t.Slot, ID: t.ID, X: t.Rect.X, Y: t.Rect.Y, L: t.Rect.L, B: t.Rect.B, Marked: t.Marked})
 }
 
-// itemSegments renders tagged items as DFS records in one buffer: the
-// one segment Chain.Step takes over.
-func itemSegments(items []tagged) dfs.Segments {
-	buf := make([]byte, 0, len(items)*dfs.MBBRecordBytes)
-	for _, it := range items {
-		buf = appendItem(buf, it)
+// itemRecord is an item's DFS record as a value: what the mark round's
+// reducers emit, so its gathered outputs are its checkpoint's bytes.
+type itemRecord [dfs.MBBRecordBytes]byte
+
+// recordBytes is the memory of recs as bytes, uncopied.
+func recordBytes(recs []itemRecord) []byte {
+	if len(recs) == 0 {
+		return nil
 	}
-	return dfs.Segments{Stride: dfs.MBBRecordBytes, Segs: [][]byte{buf}}
+	return unsafe.Slice(&recs[0][0], len(recs)*dfs.MBBRecordBytes)
 }
 
 // mbbRect and mbbItem convert a row read from the DFS.
@@ -329,7 +332,8 @@ func (s *partialStore) decode(recs []byte) (partialRef, []byte, error) {
 
 // itemCodec is the wire form of an item of a query of m slots: its
 // 38-byte DFS record. It carries All-Replicate's values, both C-Rep
-// rounds' values and the mark round's outputs. A slot outside [0, m)
+// rounds' values and, as itemRecordCodec, the mark round's outputs.
+// A slot outside [0, m)
 // would index past a reducer's per-slot tables, or count a mark no
 // relation holds, so Read rejects it.
 func itemCodec(m int) mapreduce.Codec[tagged] {
@@ -345,6 +349,21 @@ func itemCodec(m int) mapreduce.Codec[tagged] {
 				return tagged{}, nil, fmt.Errorf("spatial: item record has slot %d, want [0, %d)", t.Slot, m)
 			}
 			return t, buf[dfs.MBBRecordBytes:], nil
+		},
+	}
+}
+
+func itemRecordCodec(m int) mapreduce.Codec[itemRecord] {
+	items := itemCodec(m)
+	return mapreduce.Codec[itemRecord]{
+		Size:   func(itemRecord) int { return dfs.MBBRecordBytes },
+		Append: func(buf []byte, rec itemRecord) []byte { return append(buf, rec[:]...) },
+		Read: func(buf []byte) (itemRecord, []byte, error) {
+			_, rest, err := items.Read(buf)
+			if err != nil {
+				return itemRecord{}, nil, err
+			}
+			return itemRecord(buf), rest, nil
 		},
 	}
 }

@@ -206,9 +206,10 @@ func FuzzDecodeCascadePair(f *testing.F) {
 }
 
 // FuzzDecodeCellTagged: the item codec C-Rep / All-Replicate ship their
-// cell-keyed values with, of a query of 1–8 slots, and the ID codec of
-// their output records. Beside the property, an item holds one of the
-// query's slots.
+// cell-keyed values with, of a query of 1–8 slots, the record codec of
+// the mark round's outputs, and the ID codec of the join rounds'. Beside
+// the property, an item holds one of the query's slots, and the record
+// codec reads what the item codec reads.
 func FuzzDecodeCellTagged(f *testing.F) {
 	f.Add(appendItem(nil, tagged{Slot: 2, ID: 5, Rect: geom.Rect{X: 1, Y: 9, L: 2, B: 2}, Marked: true}), uint8(3))
 	f.Add(appendItem(nil, tagged{Slot: 0, ID: -1}), uint8(1))
@@ -221,8 +222,12 @@ func FuzzDecodeCellTagged(f *testing.F) {
 	f.Add(appendItem(appendItem(nil, tagged{Slot: 1}), tagged{Slot: 0}), uint8(2))
 	f.Fuzz(func(t *testing.T, rec []byte, slots uint8) {
 		m := 1 + int(slots)%8
-		if v, ok := checkCodec(t, itemCodec(m), rec); ok && (v.Slot < 0 || int(v.Slot) >= m) {
+		v, ok := checkCodec(t, itemCodec(m), rec)
+		if ok && (v.Slot < 0 || int(v.Slot) >= m) {
 			t.Fatalf("record %x read as slot %d of %d", rec, v.Slot, m)
+		}
+		if _, rok := checkCodec(t, itemRecordCodec(m), rec); rok != ok {
+			t.Fatalf("record %x: the item codec accepts it %v, the record codec %v", rec, ok, rok)
 		}
 		checkCodec(t, idCodec, rec)
 	})

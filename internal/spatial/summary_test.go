@@ -171,7 +171,6 @@ func TestStagedInSweepOrder(t *testing.T) {
 					t.Errorf("%s cell %d slot %d: newCellData reordered a side that arrived from the staged files", w.name, c, s)
 				}
 			}
-			cd.release()
 		}
 	}
 }

@@ -150,14 +150,16 @@ func cellShapes(tb testing.TB) []cellShape {
 
 // BenchmarkJoinSortedCells reports ns per a of the striped JoinSorted
 // beside the two kernels it replaced in the cascade's reducer, on the
-// cell shapes the repository's workloads produce. EXPERIMENTS.md
-// "Striped sweep" has the table.
+// cell shapes the repository's workloads produce. The strips are laid
+// out in one kept Strips, as a reducer's are. EXPERIMENTS.md "Striped
+// sweep" has the table.
 func BenchmarkJoinSortedCells(b *testing.B) {
+	kept := new(sweep.Strips)
 	kernels := []struct {
 		name string
 		join func(as, bs []geom.Rect, d float64, fn func(i, j int) bool)
 	}{
-		{"strips", sweep.JoinSorted},
+		{"strips", kept.JoinSorted},
 		{"loop", unstripedLoop},
 		{"rtree", rtreeProbe},
 	}
@@ -191,14 +193,14 @@ func BenchmarkStripProbe(b *testing.B) {
 		b.Run(sh.name, func(b *testing.B) {
 			matches := 0
 			count := func(int) bool { matches++; return true }
+			var st sweep.Strips
 			b.ReportAllocs()
 			b.ResetTimer()
 			for n := 0; n < b.N; n++ {
-				st := sweep.Build(sh.bs, sh.d)
+				st.Build(sh.bs, sh.d)
 				for i := range sh.as {
 					st.Probe(sh.as[i], sh.d, count)
 				}
-				st.Release()
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(sh.as)), "ns/probe")
 			b.ReportMetric(float64(len(sh.bs)), "bs")

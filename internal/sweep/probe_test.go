@@ -92,10 +92,10 @@ func FuzzStripProbe(f *testing.F) {
 		}
 		bs := probeRects(seed, n, shape)
 		probe := geom.Rect{X: px, Y: py, L: math.Abs(pl), B: math.Abs(pb)}
-		sc := Build(bs, max(d, 0))
-		defer sc.Release()
+		var sc Strips
+		sc.Build(bs, max(d, 0))
 		for _, d := range []float64{d, 0} {
-			if got, want := probeAll(sc, probe, d), probeReference(bs, probe, d); !slices.Equal(got, want) {
+			if got, want := probeAll(&sc, probe, d), probeReference(bs, probe, d); !slices.Equal(got, want) {
 				t.Fatalf("seed=%d n=%d shape=%d probe=%v d=%v: strips %v, reference %v", seed, n, shape%4, probe, d, got, want)
 			}
 		}
@@ -137,11 +137,11 @@ func TestStripProbeRoundsLikeWithinDist(t *testing.T) {
 		// Built for d the layout is one strip; built for overlap probes
 		// the 40 points lie in strips of their own.
 		for _, buildD := range []float64{d, 0} {
-			sc := Build(bs, buildD)
-			if got := probeAll(sc, c.probe, d); !slices.Equal(got, want) {
+			var sc Strips
+			sc.Build(bs, buildD)
+			if got := probeAll(&sc, c.probe, d); !slices.Equal(got, want) {
 				t.Errorf("%s, built for d=%v: strips report %d of the %d rectangles WithinDist accepts", c.name, buildD, len(got), len(want))
 			}
-			sc.Release()
 		}
 	}
 }
@@ -153,8 +153,8 @@ func TestStripProbeEarlyStop(t *testing.T) {
 	bs := randRects(300, rng, 100, 10)
 	slices.SortStableFunc(bs, func(a, b geom.Rect) int { return cmp.Compare(a.X, b.X) })
 	probe := geom.Rect{X: -10, Y: 120, L: 130, B: 130} // covers everything
-	sc := Build(bs, 0)
-	defer sc.Release()
+	sc := new(Strips)
+	sc.Build(bs, 0)
 	if got := len(probeAll(sc, probe, 0)); got != len(bs) {
 		t.Fatalf("the covering probe matched %d of %d", got, len(bs))
 	}

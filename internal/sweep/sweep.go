@@ -11,7 +11,6 @@ package sweep
 import (
 	"math"
 	"slices"
-	"sync"
 
 	"mwsjoin/internal/geom"
 )
@@ -43,7 +42,16 @@ import (
 // extent past the rounding of a.Y+d against b.MinY−a.Y (DESIGN.md
 // §4e). The layout is a Strips, cut from the heights of both sides;
 // Build cuts one from bs's alone, for Probe.
+//
+// JoinSorted lays the strips out in memory of its own; a caller that
+// joins many times keeps a Strips and calls its JoinSorted instead.
 func JoinSorted(as, bs []geom.Rect, d float64, fn func(i, j int) bool) {
+	var sc Strips
+	sc.JoinSorted(as, bs, d, fn)
+}
+
+// JoinSorted is JoinSorted in sc's storage, which it grows and keeps.
+func (sc *Strips) JoinSorted(as, bs []geom.Rect, d float64, fn func(i, j int) bool) {
 	if len(as) == 0 || len(bs) == 0 || d < 0 {
 		return
 	}
@@ -57,8 +65,6 @@ func JoinSorted(as, bs []geom.Rect, d float64, fn func(i, j int) bool) {
 		return
 	}
 
-	sc := pool.Get().(*Strips)
-	defer pool.Put(sc)
 	sc.deal(bs, lo, hi, n)
 	// The sweep advances cursor[s] past the entries of strip s that
 	// ended left of its front.
@@ -136,8 +142,9 @@ func reach(top, bot, d float64) (lo, hi float64) {
 // strip a run ascending by MinX. JoinSorted sweeps such a layout with
 // one monotone cursor per strip; Build makes one for Probe, which finds
 // the rectangles near one probe rectangle at a time, in any order of
-// probes. A Strips is recycled through a pool of the package, so a
-// Build is allocation-free once the pool holds one of its size.
+// probes. A Strips keeps the storage it grew, so a Build or JoinSorted
+// in one that has laid out as many rectangles before allocates nothing;
+// its zero value is empty and ready for either.
 type Strips struct {
 	lo, inv, top float64 // stripOf's origin, strips per unit of y, last strip
 	entries      []stripEntry
@@ -158,17 +165,14 @@ type stripEntry struct {
 	first                  int32 // the lowest strip holding this b
 }
 
-var pool = sync.Pool{New: func() any { return new(Strips) }}
-
-// Build lays bs, ascending by MinX, out in strips for probes at
-// distance d. A strip is cut from bs's own mean height and d as
-// JoinSorted cuts it, so no size or option enters the layout. The
-// slice is read, not retained; Release returns the layout to the pool.
-func Build(bs []geom.Rect, d float64) *Strips {
-	sc := pool.Get().(*Strips)
+// Build lays bs, ascending by MinX, out in sc's strips for probes at
+// distance d, replacing the layout sc held. A strip is cut from bs's
+// own mean height and d as JoinSorted cuts it, so no size or option
+// enters the layout. The slice is read, not retained.
+func (sc *Strips) Build(bs []geom.Rect, d float64) {
 	if len(bs) == 0 {
 		sc.entries = sc.entries[:0]
-		return sc
+		return
 	}
 	lo, hi, heights := extent(bs)
 	sc.deal(bs, lo, hi, stripCount(lo, hi, heights, len(bs), d, len(bs)))
@@ -180,11 +184,21 @@ func Build(bs []geom.Rect, d float64) *Strips {
 		}
 		sc.width = append(sc.width, w)
 	}
-	return sc
 }
 
-// Release hands the layout back for reuse; sc must not be used after.
-func (sc *Strips) Release() { pool.Put(sc) }
+// Reserve grows sc to n strip entries (one per strip a rectangle lies
+// in) if it holds fewer; its layout is then gone.
+func (sc *Strips) Reserve(n int) {
+	if cap(sc.entries) < n {
+		sc.entries = make([]stripEntry, 0, n)
+	}
+}
+
+// Bytes is the memory sc's storage holds, its 40-byte strip entries
+// (four float64 and two int32) the most of it.
+func (sc *Strips) Bytes() int64 {
+	return 40*int64(cap(sc.entries)) + 4*int64(cap(sc.start)+cap(sc.end)+cap(sc.cursor)+cap(sc.matches)+2*cap(sc.width))
+}
 
 // Probe calls fn with the position in bs of every b within distance d
 // of a (d = 0: overlapping it), and stops when fn returns false. Each b

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"testing"
 
@@ -69,9 +70,13 @@ func equalPairs(a, b map[[2]int]bool) bool {
 }
 
 // TestJoinAgainstBrute: JoinSorted emits exactly the pairs the nested
-// loop accepts, each once, ascending by position in as, then bs.
+// loop accepts, each once, ascending by position in as, then bs — and
+// so does a Strips kept across the joins, as a reducer keeps one, its
+// storage reserved for more rectangles than it lays out.
 func TestJoinAgainstBrute(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 33))
+	var kept Strips
+	kept.Reserve(500)
 	for trial := 0; trial < 30; trial++ {
 		as := sortRectsByMinX(randRects(60, rng, 100, 25))
 		bs := sortRectsByMinX(randRects(80, rng, 100, 25))
@@ -80,6 +85,12 @@ func TestJoinAgainstBrute(t *testing.T) {
 			got := sweepPairs(as, bs, d)
 			if !equalPairs(got, want) {
 				t.Fatalf("trial %d d=%v: got %d pairs, want %d", trial, d, len(got), len(want))
+			}
+			var fresh, inKept [][2]int
+			JoinSorted(as, bs, d, func(i, j int) bool { fresh = append(fresh, [2]int{i, j}); return true })
+			kept.JoinSorted(as, bs, d, func(i, j int) bool { inKept = append(inKept, [2]int{i, j}); return true })
+			if !slices.Equal(inKept, fresh) {
+				t.Fatalf("trial %d d=%v: a kept Strips joined %d pairs, a fresh one %d", trial, d, len(inKept), len(fresh))
 			}
 		}
 	}
