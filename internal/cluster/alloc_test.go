@@ -143,56 +143,80 @@ func measureClusterAllocation(t *testing.T, rels []spatial.Relation) (direct, cl
 
 // TestClusterShipsBoundaryPairsAtBenchmarkShape holds what a two-worker
 // cascade ships between its workers at the benchmark's cluster_w2 shape
-// to the pairs whose reducer runs on the other worker: each reducer is
-// placed on the worker whose mappers emitted most of its bytes, and
-// since relations are staged in MinX order a mapper's split is an
-// x-strip of the grid, so only the strips' boundary cells cross. Σ
-// rounds ShuffleNetworkBytes must stay at most 1,500,000 B; with
-// reducer r dealt to worker r mod 2 it was 4,984,566 B. The result must
-// be the one worker's: the roster hash and tuple count of a one-worker
-// cluster. C-Rep and C-Rep-L at the same shape may not ship more than
-// they did under r mod 2, 4,911,218 B and 2,467,025 B. Placed, with run
-// headers that leave the priced bytes to the map report, they ship
-// 4,909,980 B and 2,465,910 B, and the cascade, whose partials keep only
-// the rectangles a later round reads, 1,075,101 B (1,138,551 B while
-// every partial kept every rectangle and run headers repeated the
-// priced bytes).
+// to the pairs that cross a worker boundary: a mapper's split is a block
+// of grid columns of every input side — the relations are staged in MinX
+// order, and a cascade checkpoint's records are placed by the cells
+// that emitted them — each worker maps a contiguous range of blocks, and
+// each reducer is placed on the worker whose mappers emitted most of its
+// bytes, so only the rectangles crossing the one boundary between the
+// workers' columns travel. The result must be the one worker's: the
+// roster hash and tuple count of a one-worker cluster. The ceilings are
+// the figures measured when splits first followed the grid plus a margin
+// of a tenth (Cascade 20,484 B, C-Rep 2,467,988 B, C-Rep-L 28,516 B). With
+// x-strip count splits dealt m mod W the three shipped 1,075,101 B,
+// 4,909,980 B and 2,465,910 B, and with reducers dealt r mod W as well
+// 4,984,566 B, 4,911,218 B and 2,467,025 B.
 func TestClusterShipsBoundaryPairsAtBenchmarkShape(t *testing.T) {
+	checkShippedAtBenchmarkShape(t, 2, []shipCeiling{
+		{spatial.Cascade, 22_500},
+		{spatial.ControlledReplicate, 2_715_000},
+		{spatial.ControlledReplicateLimit, 31_400},
+	})
+}
+
+// TestThreeWorkersShipBoundaryPairsAtBenchmarkShape is
+// TestClusterShipsBoundaryPairsAtBenchmarkShape on three workers. The
+// grid's eight columns fall to them three, three and two, so besides the
+// pairs crossing the two boundaries the placement's balance bound moves
+// a few of the first two workers' cells, whole, to the third. The
+// ceilings are the figures measured when splits first followed the grid
+// plus a tenth (Cascade 554,699 B, C-Rep 3,305,553 B, C-Rep-L 472,868 B).
+func TestThreeWorkersShipBoundaryPairsAtBenchmarkShape(t *testing.T) {
+	checkShippedAtBenchmarkShape(t, 3, []shipCeiling{
+		{spatial.Cascade, 610_000},
+		{spatial.ControlledReplicate, 3_636_000},
+		{spatial.ControlledReplicateLimit, 520_000},
+	})
+}
+
+// shipCeiling is the most a method may ship between workers in one query.
+type shipCeiling struct {
+	method  spatial.Method
+	ceiling int64
+}
+
+// checkShippedAtBenchmarkShape runs each method of cases at the
+// benchmark's cluster_w2 shape on a cluster of w workers and holds Σ
+// rounds ShuffleNetworkBytes to the method's ceiling and the cascade's
+// result to a one-worker cluster's hash and count.
+func checkShippedAtBenchmarkShape(t *testing.T, w int, cases []shipCeiling) {
 	rels := benchmarkShapeRelations(t)
-	shipped := func(res *RunResult) (n int64) {
-		for _, r := range res.Stats.Rounds {
-			n += r.ShuffleNetworkBytes
-		}
-		return n
-	}
 	one := startTestCluster(t, 1, func(_ int, wc *WorkerConfig) { wc.Logf = nil })
 	want, err := one.coord.Run(SpecFromConfig(spatial.Cascade, clusterQuery, rels, clusterConfig))
 	if err != nil {
 		t.Fatal(err)
 	}
-	two := startTestCluster(t, 2, func(_ int, wc *WorkerConfig) { wc.Logf = nil })
-	for _, c := range []struct {
-		method  spatial.Method
-		ceiling int64
-	}{
-		{spatial.Cascade, 1_500_000},
-		{spatial.ControlledReplicate, 4_911_218},
-		{spatial.ControlledReplicateLimit, 2_467_025},
-	} {
-		res, err := two.coord.Run(SpecFromConfig(c.method, clusterQuery, rels, clusterConfig))
+	cluster := startTestCluster(t, w, func(_ int, wc *WorkerConfig) { wc.Logf = nil })
+	for _, c := range cases {
+		res, err := cluster.coord.Run(SpecFromConfig(c.method, clusterQuery, rels, clusterConfig))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Workers != 2 {
-			t.Fatalf("%v ran on %d workers, want 2", c.method, res.Workers)
+		if res.Workers != w {
+			t.Fatalf("%v ran on %d workers, want %d", c.method, res.Workers, w)
 		}
-		n := shipped(res)
-		t.Logf("%v: %d tuples, %d B shipped over %d rounds", c.method, len(res.Tuples), n, len(res.Stats.Rounds))
+		var n int64
+		rounds := make([]int64, len(res.Stats.Rounds))
+		for i, r := range res.Stats.Rounds {
+			rounds[i] = r.ShuffleNetworkBytes
+			n += r.ShuffleNetworkBytes
+		}
+		t.Logf("%v: %d tuples, %d B shipped, by round %v", c.method, len(res.Tuples), n, rounds)
 		if n > c.ceiling {
-			t.Errorf("%v: the two workers shipped %d B, ceiling %d", c.method, n, c.ceiling)
+			t.Errorf("%v: the %d workers shipped %d B, ceiling %d", c.method, w, n, c.ceiling)
 		}
 		if c.method == spatial.Cascade && (res.Hash != want.Hash || len(res.Tuples) != len(want.Tuples)) {
-			t.Errorf("two workers: hash %s over %d tuples; one worker: %s over %d", res.Hash, len(res.Tuples), want.Hash, len(want.Tuples))
+			t.Errorf("%d workers: hash %s over %d tuples; one worker: %s over %d", w, res.Hash, len(res.Tuples), want.Hash, len(want.Tuples))
 		}
 	}
 }

@@ -2,9 +2,11 @@ package mapreduce
 
 // Distributed execution (SPMD): every worker of a cluster runs the same
 // deterministic Job over the same input, but task *ownership* is
-// partitioned — mapper m belongs to worker m mod W, and each reducer to
-// the worker the job's placement table names — and a job makes three
-// exchanges:
+// partitioned — of nm mappers, mapper m belongs to worker ⌊m·W/nm⌋, so
+// each worker runs a contiguous range of them (a block of neighbouring
+// grid columns where the caller's splits follow the grid, RunBlocks),
+// and each reducer to the worker the job's placement table names — and
+// a job makes three exchanges:
 //
 //  1. the map report, all-gathered: each worker's map attempts, map
 //     failures and lowest-index map error, then, unless its map phase
@@ -79,11 +81,12 @@ type DistConfig struct {
 	// Exchanger is the data plane; required when NumWorkers > 1.
 	Exchanger Exchanger
 	// Pool is the buffer pool of the worker this config runs on, the one
-	// its Exchanger reads peers' payloads into; only a cluster worker
-	// sets it. spatial.Execute runs every job of the execution on it,
-	// naming it in each job's Config.Pool; the engine reads it itself
-	// only to draw the job's output from it (Slabs). nil leaves the
-	// process pool and a fresh output.
+	// its Exchanger reads peers' payloads into; a cluster worker sets
+	// it. spatial.Execute runs every job of the execution on it, naming
+	// it in each job's Config.Pool; the engine reads it itself only to
+	// draw the job's output from it (Slabs). nil leaves the process pool
+	// and a fresh output. A job whose output its caller hands back may
+	// set it with NumWorkers 1, as C-Rep's mark round does in-process.
 	Pool *BufferPool
 }
 
@@ -98,9 +101,12 @@ func (d *DistConfig) Slabs() *BufferPool {
 	return d.Pool
 }
 
-// owns reports whether this worker runs mapper m. Reducers go where the
+// mapperOwner is the worker that runs mapper m of a job of nm mappers:
+// each worker runs a contiguous range of them, mapper m on worker
+// ⌊m·W/nm⌋, so where a caller's splits follow the grid's columns a
+// worker maps a block of neighbouring columns. Reducers go where the
 // job's placement table puts them.
-func (d *DistConfig) owns(m int) bool { return m%d.NumWorkers == d.Self }
+func (d *DistConfig) mapperOwner(m, nm int) int { return m * d.NumWorkers / nm }
 
 // validate checks the distributed knobs at config time. numMappers is
 // the pre-default value: a W>1 job must pin NumMappers explicitly,
@@ -275,12 +281,10 @@ func distGather(d *DistConfig, tag string, payload []byte) ([][]byte, error) {
 // map attempts and failures.
 const mapReportCounters = 2
 
-// ownedMappers is the number of mappers worker w of W owns among nm.
-func ownedMappers(w, W, nm int) int {
-	if w >= nm {
-		return 0
-	}
-	return (nm-1-w)/W + 1
+// ownedMappers is the range [lo, hi) of the mappers worker w of W owns
+// among nm: those m with ⌊m·W/nm⌋ = w (mapperOwner).
+func ownedMappers(w, W, nm int) (lo, hi int) {
+	return (w*nm + W - 1) / W, ((w+1)*nm + W - 1) / W
 }
 
 // appendMapReport encodes worker w's map report: its counters c and
@@ -292,9 +296,9 @@ func appendMapReport(buf []byte, c []int64, e taskError, w, W, nr int, weights [
 	if e.idx >= 0 {
 		return buf
 	}
-	nm := len(weights) / nr
-	buf = appendUvarints(buf, uint64(ownedMappers(w, W, nm)))
-	for m := w; m < nm; m += W {
+	lo, hi := ownedMappers(w, W, len(weights)/nr)
+	buf = appendUvarints(buf, uint64(hi-lo))
+	for m := lo; m < hi; m++ {
 		for _, v := range weights[m*nr : (m+1)*nr] {
 			buf = appendUvarints(buf, uint64(v))
 		}
@@ -321,10 +325,11 @@ func parseMapReport(buf []byte, c []int64, e *taskError, w, W, nr int, weights [
 	if k > uint64(len(buf)/nr) {
 		return nil, fmt.Errorf("mapreduce: dist frame: %d mapper vectors of %d reducers declared with %d bytes left", k, nr, len(buf))
 	}
-	if owned := ownedMappers(w, W, nm); k != uint64(owned) {
-		return nil, fmt.Errorf("mapreduce: dist frame: %d mapper vectors reported, worker %d owns %d mappers", k, w, owned)
+	lo, hi := ownedMappers(w, W, nm)
+	if k != uint64(hi-lo) {
+		return nil, fmt.Errorf("mapreduce: dist frame: %d mapper vectors reported, worker %d owns %d mappers", k, w, hi-lo)
 	}
-	for m := w; m < nm; m += W {
+	for m := lo; m < hi; m++ {
 		for r := range nr {
 			var v uint64
 			if v, buf, err = readUvarint(buf); err != nil {
@@ -416,7 +421,8 @@ func distMapReport[I any, K ReducerKey, V any, O any](j *Job[I, K, V, O], cfg *C
 	locErr := firstError(mapErrs, func(m int, err error) string { return fmt.Sprintf("%s (mapper %d)", err, m) })
 	c := [mapReportCounters]int64{stats.MapAttempts, stats.MapFailures}
 	weights := make([]int64, nm*nr)
-	for m := d.Self; locErr.idx < 0 && m < nm; m += W {
+	lo, hi := ownedMappers(d.Self, W, nm)
+	for m := lo; locErr.idx < 0 && m < hi; m++ {
 		for r := range runs[m] {
 			b := &runs[m][r]
 			weights[m*nr+r] = int64(b.n)
@@ -466,9 +472,10 @@ func placement(weights []int64, W, nr int) []int {
 	for w := range load {
 		load[w] = make([]int64, nr)
 	}
-	for m := 0; m < len(weights)/nr; m++ {
+	nm := len(weights) / nr
+	for m := 0; m < nm; m++ {
 		for r, v := range weights[m*nr : (m+1)*nr] {
-			load[m%W][r] += v
+			load[m*W/nm][r] += v
 		}
 	}
 	return placeReducers(load)
@@ -488,7 +495,7 @@ func placement(weights []int64, W, nr int) []int {
 func distExchangeRuns[I any, K ReducerKey, V any, O any](j *Job[I, K, V, O], cfg *Config, stats *Stats, runs [][]run[V], owner []int, weights []int64, pool *BufferPool) error {
 	d := cfg.Dist
 	W := d.NumWorkers
-	nm := len(runs)
+	lo, hi := ownedMappers(d.Self, W, len(runs))
 	outgoing := make([][]byte, W)
 	for u := 0; u < W; u++ {
 		if u == d.Self {
@@ -496,7 +503,7 @@ func distExchangeRuns[I any, K ReducerKey, V any, O any](j *Job[I, K, V, O], cfg
 		}
 		// Sized before the first append.
 		size := 0
-		for m := d.Self; m < nm; m += W {
+		for m := lo; m < hi; m++ {
 			for r, o := range owner {
 				if o == u {
 					size += runLen(m, r, &runs[m][r], &j.Values)
@@ -504,7 +511,7 @@ func distExchangeRuns[I any, K ReducerKey, V any, O any](j *Job[I, K, V, O], cfg
 			}
 		}
 		buf := pool.getFrame(size)
-		for m := d.Self; m < nm; m += W {
+		for m := lo; m < hi; m++ {
 			for r, o := range owner {
 				if o != u {
 					continue
@@ -534,7 +541,7 @@ func distExchangeRuns[I any, K ReducerKey, V any, O any](j *Job[I, K, V, O], cfg
 	defer d.Exchanger.Recycle()
 	// Materialize every remote mapper's row — the shuffle indexes
 	// runs[m][r] for all m, empty runs included.
-	for m := 0; m < nm; m++ {
+	for m := range runs {
 		if runs[m] == nil {
 			runs[m] = getRuns[V](pool, cfg.NumReducers)
 		}
@@ -622,7 +629,8 @@ func (e *RunCountError) Error() string {
 // count, which the run must hold.
 func decodeRuns[V any](buf []byte, d *DistConfig, from int, owner []int, weights []int64, priced bool, runs [][]run[V], codec *Codec[V], pool *BufferPool) error {
 	nr := len(owner)
-	for m := from; m < len(runs); m += d.NumWorkers {
+	lo, hi := ownedMappers(from, d.NumWorkers, len(runs))
+	for m := lo; m < hi; m++ {
 		for r, o := range owner {
 			if o != d.Self {
 				continue

@@ -350,7 +350,7 @@ func TestDistErrorIdentity(t *testing.T) {
 // worker 0 of a job with four mappers and four reducers. It answers
 // forged[tag] on the exchange of that tag; otherwise it ships a clean map
 // report that places reducers 1 and 3 on worker 1 (cleanReport) and empty
-// runs of its mappers 1 and 3 for worker 0's reducers 0 and 2 (noRuns),
+// runs of its mappers 2 and 3 for worker 0's reducers 0 and 2 (noRuns),
 // and echoes worker 0's own payload on any other exchange.
 type forgingExchanger struct {
 	forged map[string][]byte
@@ -368,7 +368,7 @@ func uv(vs ...uint64) []byte {
 // cleanReport is worker 1's map report when its two mappers ran once
 // each: two attempts, no failure, no error, then two mapper vectors
 // that each claim 500 bytes for reducers 1 and 3. Worker 0's mappers 0
-// and 2 of 64 inputs emit 128 bytes for every reducer each, so the
+// and 1 of 64 inputs emit 128 bytes for every reducer each, so the
 // table gives reducers 1 and 3 to worker 1 and 0 and 2 to worker 0.
 var cleanReport = uv(2, 0, 0, 0, 2, 0, 500, 0, 500, 0, 500, 0, 500)
 
@@ -377,8 +377,8 @@ var cleanReport = uv(2, 0, 0, 0, 2, 0, 500, 0, 500, 0, 500, 0, 500)
 var swappedReport = uv(2, 0, 0, 0, 2, 500, 0, 500, 0, 500, 0, 500, 0)
 
 // noRuns is worker 1's runs when its mappers emitted nothing: (mapper,
-// reducer, pairs) for mappers 1 and 3 and worker 0's reducers 0 and 2.
-var noRuns = uv(1, 0, 0, 1, 2, 0, 3, 0, 0, 3, 2, 0)
+// reducer, pairs) for mappers 2 and 3 and worker 0's reducers 0 and 2.
+var noRuns = uv(2, 0, 0, 2, 2, 0, 3, 0, 0, 3, 2, 0)
 
 // forgedNoRuns is worker 1's map report and runs when its mappers
 // emitted nothing but claimed cleanReport's bytes: FuzzDistRuns decodes
@@ -438,22 +438,22 @@ func TestDistWireCountsBounded(t *testing.T) {
 		forged    []byte
 		budget    uint64
 	}{
-		// runs: mapper 1, reducer 0, 2^40 pairs, one byte of them.
-		{"runs", "pairs declared", cat(uv(1, 0, 1<<40), uv(0)), 16 << 20},
+		// runs: mapper 2, reducer 0, 2^40 pairs, one byte of them.
+		{"runs", "pairs declared", cat(uv(2, 0, 1<<40), uv(0)), 16 << 20},
 		// outputs: the five counters, no error, worker 1's two reducers,
 		// the first r=1 pairs=0 nout=2^40, one byte of outputs.
 		{"outputs", "outputs declared", append(uv(1, 0, 0, 0, 0, 0, 0, 2, 1, 0, 1<<40), 0), 16 << 20},
 		// the same headers claiming 2^20 records, with 2^20 bytes the
 		// codec rejects.
-		{"runs", "an int record", cat(uv(1, 0, mib), rejected), 4 << 20},
+		{"runs", "an int record", cat(uv(2, 0, mib), rejected), 4 << 20},
 		{"outputs", "a string record", cat(uv(1, 0, 0, 0, 0, 0, 0, 2, 1, 0, mib), rejected, uv(3, 0, 0)), mib},
 		// reducer 3's one output claims 5 bytes, and the payload ends 2
 		// bytes into it.
 		{"outputs", "a string record: mapreduce: dist frame: truncated record", cat(uv(1, 0, 0, 0, 0, 0, 0, 2), uv(1, 0, 0), uv(3, 0, 1, 5), []byte("ab")), 1 << 20},
 		// well-formed runs but for the one thing named.
-		{"runs", "mapper 1 reducer 2 where mapper 1 reducer 0's belongs", uv(1, 2, 0, 1, 0, 0, 3, 0, 0, 3, 2, 0), 1 << 20},
+		{"runs", "mapper 2 reducer 2 where mapper 2 reducer 0's belongs", uv(2, 2, 0, 2, 0, 0, 3, 0, 0, 3, 2, 0), 1 << 20},
 		{"runs", "after the last run", cat(noRuns, uv(0)), 1 << 20},
-		{"runs", "overlong varint", cat([]byte{0x81, 0x00}, noRuns[1:]), 1 << 20},
+		{"runs", "overlong varint", cat([]byte{0x82, 0x00}, noRuns[1:]), 1 << 20},
 		// map report: two attempts, no error, 2^40 mapper vectors of four
 		// weights each, one byte of them.
 		{"map-report", "1099511627776 mapper vectors of 4 reducers declared with 1 bytes left", uv(2, 0, 0, 0, 1<<40, 0), 1 << 20},
@@ -490,7 +490,7 @@ func TestDistGatherOwnership(t *testing.T) {
 	swapped := func(runs, outputs []byte) map[string][]byte {
 		return map[string][]byte{"map-report": swappedReport, "runs": runs, "outputs": outputs}
 	}
-	swappedNoRuns := uv(1, 1, 0, 1, 3, 0, 3, 1, 0, 3, 3, 0)
+	swappedNoRuns := uv(2, 1, 0, 2, 3, 0, 3, 1, 0, 3, 3, 0)
 	for _, c := range []struct {
 		want   string
 		forged map[string][]byte
@@ -507,7 +507,7 @@ func TestDistGatherOwnership(t *testing.T) {
 		// The table moves worker 1's reducers to 0 and 2.
 		{"", swapped(swappedNoRuns, cat(counters, noErr, uv(2), empty(0), empty(2)))},
 		{"reducer 1 reported where worker 1's reducer 0 belongs", swapped(swappedNoRuns, cat(counters, noErr, uv(2), empty(1), empty(3)))},
-		{"run of mapper 1 reducer 0 where mapper 1 reducer 1's belongs", swapped(noRuns, cat(counters, noErr, uv(2), empty(0), empty(2)))},
+		{"run of mapper 2 reducer 0 where mapper 2 reducer 1's belongs", swapped(noRuns, cat(counters, noErr, uv(2), empty(0), empty(2)))},
 		// map report: map attempts and failures, then the error.
 		{"bytes after the map report", report(cat(uv(2, 1), uv(2, 1), []byte("x"), uv(0)))},
 		{"bytes after the map report", report(cat(uv(2, 1), uv(2, 1), []byte("x"), noRuns))},
@@ -611,15 +611,15 @@ func FuzzDistGathers(f *testing.F) {
 var fuzzRunCodec = sumTestJob(Config{})
 
 // fuzzWorker0Weights are worker 0's mapper vectors in FuzzDistRuns,
-// rows 0 and 2 of a four-mapper, four-reducer weight matrix: 200 bytes
+// rows 0 and 1 of a four-mapper, four-reducer weight matrix: 200 bytes
 // each for reducer 2, so the table the fuzzed report meets is not
 // worker 1's alone.
-var fuzzWorker0Weights = []int64{0, 0, 200, 0, 0, 0, 0, 0, 0, 0, 200, 0, 0, 0, 0, 0}
+var fuzzWorker0Weights = []int64{0, 0, 200, 0, 0, 0, 200, 0, 0, 0, 0, 0, 0, 0, 0, 0}
 
 // appendFuzzRuns encodes worker 1's map report and then its run payload
 // to worker 0 of a two-worker job with four mappers and four reducers:
 // its counters c and error e and, unless e names a failed mapper, the
-// vectors of its mappers 1 and 3 in weights, then their runs for the
+// vectors of its mappers 2 and 3 in weights, then their runs for the
 // reducers the table of weights gives worker 0.
 func appendFuzzRuns(c [mapReportCounters]int64, e taskError, weights []int64, runs [][]run[int64]) []byte {
 	buf := appendMapReport(nil, c[:], e, 1, 2, len(runs[0]), weights)
@@ -627,7 +627,7 @@ func appendFuzzRuns(c [mapReportCounters]int64, e taskError, weights []int64, ru
 		return buf
 	}
 	owner := placement(weights, 2, len(runs[0]))
-	for m := 1; m < len(runs); m += 2 {
+	for m := 2; m < len(runs); m++ {
 		for r, o := range owner {
 			if o == 0 {
 				buf = appendRun(buf, m, r, &runs[m][r], &fuzzRunCodec.Values)
@@ -642,7 +642,7 @@ func appendFuzzRuns(c [mapReportCounters]int64, e taskError, weights []int64, ru
 // would report them.
 func fuzzWeights(runs [][]run[int64]) []int64 {
 	weights := slices.Clone(fuzzWorker0Weights)
-	for m := 1; m < len(runs); m += 2 {
+	for m := 2; m < len(runs); m++ {
 		for r := range runs[m] {
 			weights[m*len(runs[m])+r] = runs[m][r].bytes
 		}
@@ -671,15 +671,15 @@ func FuzzDistRuns(f *testing.F) {
 	seedWeights := fuzzWeights(seed)
 	f.Add(appendFuzzRuns([mapReportCounters]int64{2, 0}, noErr, seedWeights, seed))
 	f.Add(forgedNoRuns)
-	f.Add(slices.Concat(cleanReport, uv(1, 0, 1<<20), uv(0)))
-	f.Add(slices.Concat(cleanReport, uv(1, 0, 1), make([]byte, 8), uv(1, 2, 0, 3, 0, 0, 3, 2, 0)))
+	f.Add(slices.Concat(cleanReport, uv(2, 0, 1<<20), uv(0)))
+	f.Add(slices.Concat(cleanReport, uv(2, 0, 1), make([]byte, 8), uv(2, 2, 0, 3, 0, 0, 3, 2, 0)))
 	// A clean report of a retried mapper, and a failed map phase's report.
 	f.Add(appendFuzzRuns([mapReportCounters]int64{3, 1}, noErr, seedWeights, seed))
 	f.Add(appendFuzzRuns([mapReportCounters]int64{2, 2}, taskError{3, "mapper 3 failed"}, seedWeights, seed))
 	// Worker 1 claims reducer 0 only, so the table keeps reducer 2 on
 	// worker 0 and gives worker 1 the empty reducers 1 and 3 by index.
 	claims := fuzzWeights(seed)
-	for m := 1; m < 4; m += 2 {
+	for m := 2; m < 4; m++ {
 		copy(claims[4*m:4*m+4], []int64{300, 0, 0, 0})
 	}
 	f.Add(appendFuzzRuns([mapReportCounters]int64{2, 0}, noErr, claims, seed))
@@ -713,7 +713,7 @@ func FuzzDistRuns(f *testing.F) {
 		}
 		// A run worker 0 took in is priced at its mapper's reported weight.
 		for r, o := range placement(weights, 2, 4) {
-			for m := 1; e.idx < 0 && o == 0 && m < 4; m += 2 {
+			for m := 2; e.idx < 0 && o == 0 && m < 4; m++ {
 				if b := runs[m][r].bytes; b != weights[m*4+r] {
 					t.Fatalf("mapper %d reducer %d's run priced at %d bytes, its report says %d", m, r, b, weights[m*4+r])
 				}

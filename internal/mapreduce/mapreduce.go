@@ -13,7 +13,8 @@
 // model:
 //
 //   - the input is divided into NumMappers contiguous splits, each read
-//     by its own mapper (RunSplits; Run is the in-memory special case);
+//     by its own mapper: even ones (RunSplits; Run is the in-memory
+//     special case) or ones the caller cuts (RunBlocks);
 //   - each mapper applies Map to its records and emits (K, V) pairs;
 //     value v of key k is appended to the mapper's run for reducer k;
 //   - each mapper folds the PairBytes accounting into its runs;
@@ -96,7 +97,7 @@ type Config struct {
 	// after returning.
 	Pool *BufferPool
 	// Dist, when non-nil, runs the job as one SPMD worker of a cluster:
-	// mappers are partitioned by index modulo Dist.NumWorkers, each
+	// each worker runs a contiguous range of the mappers, each
 	// reducer runs on the worker whose mappers emitted most of its
 	// bytes, runs destined for remote reducers ship over Dist.Exchanger,
 	// and the reduce barrier all-gathers outputs so every worker returns
@@ -317,24 +318,51 @@ func (j *Job[I, K, V, O]) Run(input []I) ([]O, *Stats, error) {
 // RunSplits executes the job over n input records that the map tasks
 // read themselves — a mapper is handed a split and parses its own
 // records — and returns the concatenated reducer outputs plus counters.
-// Every attempt of a mapper calls read with its split [lo, hi), and
-// read passes the split's records, in order, to yield; map tasks call
-// it concurrently, a distributed run only for the splits it owns. Map,
-// Reduce or read errors abort the job; when several tasks fail, the
-// error of the lowest-index task is returned so failures reproduce.
+// The splits are even: of nm mappers, mapper m reads [n·m/nm,
+// n·(m+1)/nm). Every attempt of a mapper calls read with its split
+// [lo, hi), and read passes the split's records, in order, to yield; map
+// tasks call it concurrently, a distributed run only for the splits it
+// owns. Map, Reduce or read errors abort the job; when several tasks
+// fail, the error of the lowest-index task is returned so failures
+// reproduce.
 func (j *Job[I, K, V, O]) RunSplits(n int, read func(lo, hi int, yield func(I) error) error) ([]O, *Stats, error) {
+	out, _, st, err := j.RunBlocks(n, EvenSplits(n), read)
+	return out, st, err
+}
+
+// EvenSplits is RunSplits' cut of n records: the nm+1 bounds of nm
+// splits as even as whole records allow.
+func EvenSplits(n int) func(nm int) []int {
+	return func(nm int) []int {
+		bounds := make([]int, nm+1)
+		for m := 1; m <= nm; m++ {
+			bounds[m] = n * m / nm
+		}
+		return bounds
+	}
+}
+
+// RunBlocks is RunSplits over splits the caller cuts: split(nm) returns
+// the bounds of the job's nm map splits — NumMappers, or its default, at
+// most n — nm+1 of them, ascending from 0 to n, mapper m reading
+// [bounds[m], bounds[m+1]); a split may be empty. A distributed run
+// calls split on every worker and must get the same bounds everywhere.
+// Beside the outputs, it returns where each reducer's end: reducer r's
+// outputs are out[ends[r-1]:ends[r]], from 0 for reducer 0. Bounds that
+// are not nm+1 ascending ones from 0 to n fail the job.
+func (j *Job[I, K, V, O]) RunBlocks(n int, split func(nm int) []int, read func(lo, hi int, yield func(I) error) error) ([]O, []int, *Stats, error) {
 	cfg, err := j.Config.withDefaults()
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	if j.Map == nil || j.Reduce == nil {
-		return nil, nil, fmt.Errorf("mapreduce: job %q: Map and Reduce are required", cfg.Name)
+		return nil, nil, nil, fmt.Errorf("mapreduce: job %q: Map and Reduce are required", cfg.Name)
 	}
 	// dist is true only for genuinely multi-worker execution; a
 	// DistConfig with NumWorkers == 1 takes the in-process path whole.
 	dist := cfg.Dist != nil && cfg.Dist.NumWorkers > 1
 	if dist && (!j.Values.complete() || !j.Outputs.complete()) {
-		return nil, nil, fmt.Errorf("mapreduce: job %q: distributed execution requires the Values and Outputs codecs", cfg.Name)
+		return nil, nil, nil, fmt.Errorf("mapreduce: job %q: distributed execution requires the Values and Outputs codecs", cfg.Name)
 	}
 	// cancelled reports the job's cancellation error, nil while the
 	// context (if any) is live. Checked before each task attempt and at
@@ -350,7 +378,13 @@ func (j *Job[I, K, V, O]) RunSplits(n int, read func(lo, hi int, yield func(I) e
 		return nil
 	}
 	if err := cancelled(); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
+	}
+
+	nm := min(cfg.NumMappers, n)
+	bounds := split(nm)
+	if err := checkSplits(bounds, nm, n); err != nil {
+		return nil, nil, nil, fmt.Errorf("mapreduce: job %q: %w", cfg.Name, err)
 	}
 
 	stats := &Stats{
@@ -374,13 +408,12 @@ func (j *Job[I, K, V, O]) RunSplits(n int, read func(lo, hi int, yield func(I) e
 	// ---- map phase ----
 	mapSpan := tr.Start(jobSpan, trace.KindPhase, "map")
 	mapStart := time.Now()
-	nm := min(cfg.NumMappers, n)
 	// runs[m][r] holds mapper m's run for reducer r.
 	runs := make([][]run[V], nm)
 	mapErrs := make([]error, nm)
 	mapRuns := make([]taskRun, nm)
 	runTasks(cfg.Parallelism, nm, func(m int) {
-		if dist && !cfg.Dist.owns(m) {
+		if dist && cfg.Dist.mapperOwner(m, nm) != cfg.Dist.Self {
 			// A remotely-owned mapper runs on its owner; its runs arrive
 			// through the network shuffle below.
 			return
@@ -389,8 +422,7 @@ func (j *Job[I, K, V, O]) RunSplits(n int, read func(lo, hi int, yield func(I) e
 			mapErrs[m] = err
 			return
 		}
-		lo := n * m / nm
-		hi := n * (m + 1) / nm
+		lo, hi := bounds[m], bounds[m+1]
 		body := func() ([]run[V], error) {
 			out := getRuns[V](pool, nr)
 			emit := func(k K, v V) {
@@ -430,7 +462,7 @@ func (j *Job[I, K, V, O]) RunSplits(n int, read func(lo, hi int, yield func(I) e
 		// from the map reports of its first exchange below.
 		for m, err := range mapErrs {
 			if err != nil {
-				return nil, nil, fmt.Errorf("%w (mapper %d)", err, m)
+				return nil, nil, nil, fmt.Errorf("%w (mapper %d)", err, m)
 			}
 		}
 	}
@@ -438,7 +470,7 @@ func (j *Job[I, K, V, O]) RunSplits(n int, read func(lo, hi int, yield func(I) e
 	// A cancellation landing between phases stops before the shuffle, so
 	// no intermediate pair of this job is ever counted as shuffled.
 	if err := cancelled(); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	// owner is a distributed job's placement table: reducer r runs on
 	// worker owner[r].
@@ -450,10 +482,10 @@ func (j *Job[I, K, V, O]) RunSplits(n int, read func(lo, hi int, yield func(I) e
 		var weights []int64
 		var err error
 		if owner, weights, err = distMapReport(j, &cfg, stats, runs, mapErrs); err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		if err := distExchangeRuns(j, &cfg, stats, runs, owner, weights, pool); err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 	}
 
@@ -502,7 +534,9 @@ func (j *Job[I, K, V, O]) RunSplits(n int, read func(lo, hi int, yield func(I) e
 	// is assembled from the runs once, at its exact size.
 	reduceSpan := tr.Start(jobSpan, trace.KindPhase, "reduce")
 	reduceStart := time.Now()
-	outputs := make([]run[O], nr)
+	// The runs array and each run's chunk list are a finished job's,
+	// from the pool.
+	outputs := getRuns[O](pool, nr)
 	redErrs := make([]error, nr)
 	redRuns := make([]taskRun, nr)
 	runTasks(cfg.Parallelism, nr, func(r int) {
@@ -515,8 +549,9 @@ func (j *Job[I, K, V, O]) RunSplits(n int, read func(lo, hi int, yield func(I) e
 		if len(vs) == 0 {
 			return
 		}
+		spare := outputs[r].chunks
 		body := func() (run[O], error) {
-			var out run[O]
+			out := run[O]{chunks: spare}
 			emit := func(o O) { out.add(o, pool) }
 			if err := safeReduce(j.Reduce, K(r), vs, emit); err != nil {
 				return out, fmt.Errorf("mapreduce: job %q: reducer %d: %w", cfg.Name, r, err)
@@ -524,7 +559,7 @@ func (j *Job[I, K, V, O]) RunSplits(n int, read func(lo, hi int, yield func(I) e
 			return out, nil
 		}
 		outputs[r], redErrs[r] = runAttempts(&cfg, "reducer", r, cfg.FailReduce, traced, &redRuns[r], body,
-			func(out run[O]) { out.recycle(pool) })
+			func(out run[O]) { out.recycle(pool); spare = out.chunks })
 	})
 	// The reduce phase — every retry included — has committed; the
 	// shuffled input is dead (outputs are copies in their own chunks, and
@@ -544,8 +579,9 @@ func (j *Job[I, K, V, O]) RunSplits(n int, read func(lo, hi int, yield func(I) e
 		// ShuffleNetworkBytes/Runs totals of the run exchange).
 		if err := distReduceBarrier(j, &cfg, stats, outputs, redErrs, owner, pool); err != nil {
 			recycleRuns(pool, outputs)
+			putBuf(&pool.sets, outputs)
 			tr.End(reduceSpan)
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 	}
 
@@ -557,11 +593,18 @@ func (j *Job[I, K, V, O]) RunSplits(n int, read func(lo, hi int, yield func(I) e
 		}
 	}
 	var out []O
+	var ends []int
 	if redErr != nil {
 		recycleRuns(pool, outputs)
 	} else {
+		ends = make([]int, nr)
+		for r, at := 0, 0; r < nr; r++ {
+			at += outputs[r].n
+			ends[r] = at
+		}
 		out = gatherOutput(outputs, pool, cfg.Dist.Slabs())
 	}
+	putBuf(&pool.sets, outputs) // every run drained or recycled: empty
 	// A reducer's one key is an input key when pairs reached it.
 	for _, p := range stats.PairsPerReducer {
 		stats.IntermediatePairs += p
@@ -573,11 +616,25 @@ func (j *Job[I, K, V, O]) RunSplits(n int, read func(lo, hi int, yield func(I) e
 	logTaskAttempts(tr, reduceSpan, "reduce", redRuns)
 	tr.End(reduceSpan)
 	if redErr != nil {
-		return nil, nil, redErr
+		return nil, nil, nil, redErr
 	}
 
 	stats.TotalWall = time.Since(start)
-	return out, stats, nil
+	return out, ends, stats, nil
+}
+
+// checkSplits reports bounds that are not the nm+1 ascending split
+// bounds of n records.
+func checkSplits(bounds []int, nm, n int) error {
+	if len(bounds) != nm+1 || bounds[0] != 0 || bounds[nm] != n {
+		return fmt.Errorf("%d split bounds %v, want %d from 0 to %d", len(bounds), bounds, nm+1, n)
+	}
+	for m := 1; m < len(bounds); m++ {
+		if bounds[m] < bounds[m-1] {
+			return fmt.Errorf("split bounds %v descend", bounds)
+		}
+	}
+	return nil
 }
 
 // taskAttempt is one task attempt's locally measured timing, logged

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -423,6 +424,50 @@ func BenchmarkShuffleThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, _, err := job.Run(input); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestRunBlocksCallerSplits: splits the caller cuts — uneven, some empty
+// — deliver each reducer its values in input order, as even splits do,
+// so the outputs are RunSplits'; ends marks where each reducer's outputs
+// end; and bounds that are not nm+1 ascending ones from 0 to n fail the
+// job before any mapper runs.
+func TestRunBlocksCallerSplits(t *testing.T) {
+	input := make([]int, 100)
+	for i := range input {
+		input[i] = i * 7
+	}
+	read := func(lo, hi int, yield func(int) error) error {
+		for _, v := range input[lo:hi] {
+			if err := yield(v); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	cfg := Config{Name: "blocks", NumReducers: 5, NumMappers: 4, Parallelism: 2}
+	want, _, err := distTestJob(cfg).Run(input)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, ends, _, err := distTestJob(cfg).RunBlocks(len(input), func(nm int) []int { return []int{0, 0, 37, 37, 100} }, read)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("uneven splits: outputs %q, even ones %q", got, want)
+	}
+	// distTestJob's reducers emit one output each, and all five get values.
+	if wantEnds := []int{1, 2, 3, 4, 5}; !slices.Equal(ends, wantEnds) {
+		t.Errorf("ends %v, want %v", ends, wantEnds)
+	}
+	for _, bounds := range [][]int{{0, 37, 100}, {0, 50, 40, 60, 100}, {1, 2, 3, 4, 100}, {0, 10, 20, 30, 99}} {
+		mapped := false
+		j := distTestJob(cfg)
+		j.Map = func(int, func(int, int)) error { mapped = true; return nil }
+		if _, _, _, err := j.RunBlocks(len(input), func(int) []int { return bounds }, read); err == nil || mapped {
+			t.Errorf("bounds %v: err = %v, mapped = %v", bounds, err, mapped)
 		}
 	}
 }

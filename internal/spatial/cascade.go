@@ -19,23 +19,22 @@ import (
 )
 
 // cascadeVal is the value every cascade step shuffles: a partial tuple,
-// as its key rectangle plus a reference into the round's input store,
-// or an item of the new slot's relation. It is small and pointer-free,
-// so the engine's runs and reducer inputs are memory the collector
-// never scans.
+// as its key rectangle, its slot in the round's input store and its
+// position in the round's tuple file, or an item of the new slot's
+// relation. It is small and pointer-free, so the engine's runs and
+// reducer inputs are memory the collector never scans.
 type cascadeVal struct {
 	Rect geom.Rect // a tuple's key rectangle, not enlarged, or an item's rectangle
-	ID   int32     // an item's id, or a tuple's record index within its page
-	Page int32     // the tuple's page in the input store; itemPage marks an item
+	ID   int32     // an item's id, or a tuple's slot in the input store (partialStore.slot)
+	Pos  int32     // a tuple's record index in the round's tuple file, its tie-break in sweep order; itemPos marks an item
 }
 
-const itemPage = -1
+const itemPos = -1
 
-func (v cascadeVal) ref() partialRef { return partialRef{Page: v.Page, Idx: v.ID} }
-
-// tupleVal is the shuffle value of the partial at ref, keyed by key.
-func tupleVal(ref partialRef, key geom.Rect) cascadeVal {
-	return cascadeVal{Rect: key, ID: ref.Idx, Page: ref.Page}
+// tupleVal is the shuffle value of the partial at ref in s, record pos
+// of the round's tuple file, keyed by key.
+func (s *partialStore) tupleVal(ref partialRef, key geom.Rect, pos int32) cascadeVal {
+	return cascadeVal{Rect: key, ID: s.slot(ref), Pos: pos}
 }
 
 // cascade runs the 2-way Cascade baseline (§6.1): the multi-way query
@@ -58,10 +57,11 @@ func cascade(pl *plan, exec *executor) (Rows, Stats, error) {
 	rows := Rows{Arity: pl.m}
 	if pl.m == 1 {
 		// A single-slot query has no join to cascade: emit everything.
-		n, read, err := exec.openRelations(nil)
+		in, read, err := exec.openRelations(nil)
 		if err != nil {
 			return Rows{}, Stats{}, err
 		}
+		n := in.n
 		if !countOnly {
 			rows.IDs = mapreduce.Slab[int32](exec.cfg.Dist.Slabs(), n)[:0]
 			if err := read(0, n, func(it tagged) error {
@@ -92,6 +92,10 @@ func cascade(pl *plan, exec *executor) (Rows, Stats, error) {
 	for p := 1; p <= pl.m; p++ {
 		layouts[p] = pl.layout(p)
 	}
+	// cellEnds are where each cell's records end in the last step's
+	// checkpoint, the cells in CellID order; nil when that step did not
+	// run here.
+	var cellEnds []int
 	for p := 1; p < pl.m; p++ {
 		newSlot := pl.order[p]
 		// One round span per cascade step: the 2-way join job plus its
@@ -114,69 +118,81 @@ func cascade(pl *plan, exec *executor) (Rows, Stats, error) {
 
 		stepStart := time.Now()
 		var jobEnd time.Time
+		// prevEnds places the records of the step's input checkpoint in
+		// their cells, when the previous step ran in this execution.
+		prevEnds := cellEnds
+		cellEnds = nil
 		runStep := func(prev *dfs.View) (dfs.Segments, *mapreduce.Stats, error) {
 			// The driver only opens the round's inputs — inside the step
 			// closure, so a resumed run charges none of the reads — and
 			// every map task reads its own split. The tuple side is the
 			// previous step's checkpoint or, on the first step, the
 			// first slot's relation as 1-member partials.
-			tuples := prev
+			var tuples inputSide
 			if p == 1 {
 				var err error
-				if tuples, err = exec.fs.Open(inputFile(exec.rels[pl.order[0]].Name)); err != nil {
+				if tuples, err = exec.openRelation(exec.rels[pl.order[0]].Name); err != nil {
 					return dfs.Segments{}, nil, err
 				}
 			} else if err := checkLayout(ch.LastCheckpoint(), prev, in.layout); err != nil {
 				return dfs.Segments{}, nil, err
+			} else {
+				tuples = inputSide{v: prev}
+				if len(prevEnds) > 0 && prevEnds[len(prevEnds)-1] == prev.Len() {
+					tuples.cellEnds = prevEnds
+				}
 			}
-			items, err := exec.fs.Open(inputFile(exec.rels[newSlot].Name))
+			if tuples.v.Len() > math.MaxInt32 {
+				return dfs.Segments{}, nil, fmt.Errorf("spatial: %d partials, more than a tuple position counts", tuples.v.Len())
+			}
+			items, err := exec.openRelation(exec.rels[newSlot].Name)
 			if err != nil {
 				return dfs.Segments{}, nil, err
 			}
-			nt := tuples.Len()
-			// The job input is the tuples then the items, in file order:
-			// the shuffle delivers a cell's values in (mapper index, emit
-			// order), which is this input order, so a side read from a
-			// staged relation reaches its reducer in sweep order.
+			input := exec.newJobInput([]inputSide{tuples, items})
+			// Every split holds tuples then items, each side in file
+			// order: the shuffle delivers a cell's values in (mapper
+			// index, emit order), so a side read from a staged relation
+			// reaches its reducer in sweep order, and a tuple carries
+			// its position in the tuple file, the tie-break of its
+			// reducer's sweep order.
 			read := func(lo, hi int, yield func(cascadeVal) error) error {
-				if thi := min(hi, nt); lo < thi {
-					// The split's tuples fill pages of the input store.
-					w := in.writer()
-					var err error
-					if p == 1 {
-						err = tuples.MBBs(lo, thi, func(m dfs.MBB) error {
+				// The split's tuples fill pages of the input store.
+				w := in.writer()
+				return input.each(lo, hi, func(side, lo, hi int) error {
+					pos := int32(lo)
+					switch {
+					case side == 1:
+						return items.v.MBBs(lo, hi, func(m dfs.MBB) error {
+							return yield(cascadeVal{Rect: mbbRect(m), ID: m.ID, Pos: itemPos})
+						})
+					case p == 1:
+						return tuples.v.MBBs(lo, hi, func(m dfs.MBB) error {
 							ref, rec := w.take(1)
 							binary.LittleEndian.PutUint16(rec, 1)
 							putPartialMember(in.layout, rec, 0, m.ID, mbbRect(m))
-							return yield(tupleVal(ref, mbbRect(m)))
+							pos++
+							return yield(in.tupleVal(ref, mbbRect(m), pos-1))
 						})
-					} else {
-						err = tuples.Records(lo, thi, func(rec []byte) error {
+					default:
+						return tuples.v.Records(lo, hi, func(rec []byte) error {
 							if err := checkPartial(rec, in.layout); err != nil {
 								return err
 							}
 							ref, dst := w.take(1)
 							copy(dst, rec)
-							return yield(tupleVal(ref, partialRect(in.layout, rec, keyPos)))
+							pos++
+							return yield(in.tupleVal(ref, partialRect(in.layout, rec, keyPos), pos-1))
 						})
 					}
-					if err != nil {
-						return err
-					}
-				}
-				if ilo := max(lo, nt); ilo < hi {
-					return items.MBBs(ilo-nt, hi-nt, func(m dfs.MBB) error {
-						return yield(cascadeVal{Rect: mbbRect(m), ID: m.ID, Page: itemPage})
-					})
-				}
-				return nil
+				})
 			}
 
 			job := &mapreduce.Job[cascadeVal, grid.CellID, cascadeVal, []byte]{
 				Config: exec.jobConfig(fmt.Sprintf("cascade-%d-%s", p, pl.q.Slots()[newSlot])),
 				Map: func(v cascadeVal, emit func(grid.CellID, cascadeVal)) error {
 					key := v.Rect
-					if v.Page != itemPage && d > 0 {
+					if v.Pos != itemPos && d > 0 {
 						key = key.Enlarge(d)
 					}
 					exec.part.ForEachSplit(key, func(c grid.CellID) { emit(c, v) })
@@ -184,7 +200,7 @@ func cascade(pl *plan, exec *executor) (Rows, Stats, error) {
 				},
 				Reduce: cascadeReduce(pl, exec.part, exec.pool, in, out, newSlot, edges, primary, discard, &counted),
 				PairBytes: func(_ grid.CellID, v cascadeVal) int {
-					if v.Page != itemPage {
+					if v.Pos != itemPos {
 						return 4 + in.stride
 					}
 					return 4 + dfs.MBBRecordBytes
@@ -193,7 +209,7 @@ func cascade(pl *plan, exec *executor) (Rows, Stats, error) {
 				Outputs: segmentCodec(out),
 			}
 			exec.tr.Observe(roundSpan, trace.KindPhase, "load-inputs", stepStart, time.Now())
-			segs, st, err := job.RunSplits(nt+items.Len(), read)
+			segs, ends, st, err := job.RunBlocks(input.n, input.split, read)
 			jobEnd = time.Now()
 			if err != nil {
 				return dfs.Segments{}, nil, err
@@ -203,6 +219,13 @@ func cascade(pl *plan, exec *executor) (Rows, Stats, error) {
 			// segment, and its Stats count records, not segments.
 			chk := dfs.Segments{Stride: out.stride, Segs: segs}
 			st.ReduceOutputRecords = chk.Len()
+			cellEnds = make([]int, len(ends))
+			for c, at, k := 0, 0, 0; c < len(ends); c++ {
+				for ; k < ends[c]; k++ {
+					at += len(segs[k]) / out.stride
+				}
+				cellEnds[c] = at
+			}
 			return chk, st, nil
 		}
 
@@ -284,32 +307,33 @@ func sweepOrder(x float64) uint64 {
 }
 
 // sortSweepWords puts one side of a cell into sweep order — ascending
-// (MinX, arrival position). side holds the side's arrival positions,
-// ascending, and xs sweepOrder of the MinX at every position; on return
-// side holds one word per value in sweep order, with the position in
-// the low 32 bits. buf is scratch the sort grows and keeps. A side is
-// the cascade's tuples or its items, one slot of a multi-way cell, or a
-// whole relation on its way to the DFS (stageRows).
+// (MinX, tie), where the tie-break of the value at arrival position i is
+// tie(i), or i itself when tie is nil. side holds the side's arrival
+// positions, ascending, and xs sweepOrder of the MinX at every position;
+// on return side holds one word per value in sweep order, with the
+// position in the low 32 bits. buf is scratch the sort grows and keeps.
+// A side is the cascade's tuples or its items, one slot of a multi-way
+// cell, or a whole relation on its way to the DFS (stageRows).
 //
 // Relations are staged in sweep order, so a side that carries only
 // staged records arrives sorted; one pass finds that and returns. Any
 // other side is sorted without a comparator: the high 32 bits of a word
 // are the value's offset from the smallest MinX of its side, shifted
 // right until the largest fits, and a stable radix sort on them keeps
-// equal offsets in position order. Where the shift dropped bits, values
-// whose offsets agree above it form a run that is in position order,
-// not MinX order; those runs are re-sorted on the exact (MinX,
-// position), which leaves the permutation a comparator sort of the
-// whole side produces.
-func sortSweepWords(side, xs []uint64, buf *[]uint64) {
+// equal offsets in position order. Where the shift dropped bits, or a
+// tie-break other than the position is asked for, values whose offsets
+// agree above it form a run that is in position order, not sweep order;
+// those runs are re-sorted on the exact (MinX, tie), which leaves the
+// permutation a comparator sort of the whole side produces.
+func sortSweepWords(side, xs []uint64, tie func(i uint64) uint32, buf *[]uint64) {
 	if len(side) < 2 {
 		return
 	}
 	lo, hi := xs[side[0]], xs[side[0]]
 	sorted := true
 	for k := 1; k < len(side); k++ {
-		x := xs[side[k]]
-		sorted = sorted && x >= xs[side[k-1]]
+		x, prev := xs[side[k]], xs[side[k-1]]
+		sorted = sorted && (x > prev || x == prev && (tie == nil || tie(side[k]) > tie(side[k-1])))
 		lo, hi = min(lo, x), max(hi, x)
 	}
 	if sorted {
@@ -320,11 +344,18 @@ func sortSweepWords(side, xs []uint64, buf *[]uint64) {
 		side[k] = (xs[i]-lo)>>shift<<32 | i
 	}
 	radixSortHigh(side, buf)
-	if shift == 0 {
+	if shift == 0 && tie == nil {
 		return
 	}
+	key := func(w uint64) uint64 {
+		i := uint64(uint32(w))
+		if tie != nil {
+			return uint64(tie(i))
+		}
+		return i
+	}
 	exact := func(a, b uint64) int {
-		return cmp.Or(cmp.Compare(xs[uint32(a)], xs[uint32(b)]), cmp.Compare(a, b))
+		return cmp.Or(cmp.Compare(xs[uint32(a)], xs[uint32(b)]), cmp.Compare(key(a), key(b)))
 	}
 	for from := 0; from < len(side); {
 		to := from + 1
@@ -386,17 +417,20 @@ func cascadeReduce(pl *plan, part *grid.Partitioning, pool *mapreduce.BufferPool
 		cd := mapreduce.GetScratch[cellData](pool, len(vals))
 		defer cd.release(pool)
 
-		// Sweep order is (MinX, arrival position), tuples and items
-		// apart. A cell's values arrive in job-input order, and the
-		// relations are staged in sweep order, so the items — and, in
-		// step one, the tuples, which are the first slot's relation —
-		// arrive sorted and sortSweepWords only checks them. The tuples
-		// of later steps come from the previous step's checkpoint, in
-		// reducer order, and are sorted here.
+		// Sweep order is (MinX, position in the round's input file),
+		// tuples and items apart. Items reach a cell in file order, and
+		// the relations are staged in sweep order, so they arrive sorted
+		// and sortSweepWords only checks them. Tuples arrive in file
+		// order from each mapper, mapper after mapper, and carry their
+		// positions (Pos), which break their MinX ties: the order one
+		// pass over the file would give them, however the map splits
+		// cut it. In step one they are the first slot's relation and are
+		// only checked; in later steps, the previous step's checkpoint in
+		// reducer order, they are sorted here.
 		cd.xs, cd.words = cd.xs[:0], cd.words[:0]
 		for i := range vals {
 			cd.xs = append(cd.xs, sweepOrder(vals[i].Rect.MinX()))
-			if vals[i].Page != itemPage {
+			if vals[i].Pos != itemPos {
 				cd.words = append(cd.words, uint64(i))
 			}
 		}
@@ -405,16 +439,16 @@ func cascadeReduce(pl *plan, part *grid.Partitioning, pool *mapreduce.BufferPool
 			return nil
 		}
 		for i := range vals {
-			if vals[i].Page == itemPage {
+			if vals[i].Pos == itemPos {
 				cd.words = append(cd.words, uint64(i))
 			}
 		}
-		sortSweepWords(cd.words[:nt], cd.xs, &cd.buf)
-		sortSweepWords(cd.words[nt:], cd.xs, &cd.buf)
+		sortSweepWords(cd.words[:nt], cd.xs, func(i uint64) uint32 { return uint32(vals[i].Pos) }, &cd.buf)
+		sortSweepWords(cd.words[nt:], cd.xs, nil, &cd.buf)
 		cd.recs, cd.as, cd.idBuf, cd.rectBuf = cd.recs[:0], cd.as[:0], cd.idBuf[:0], cd.rectBuf[:0]
 		for _, w := range cd.words[:nt] {
 			v := &vals[uint32(w)]
-			cd.recs = append(cd.recs, in.rec(v.ref()))
+			cd.recs = append(cd.recs, in.at(v.ID))
 			cd.as = append(cd.as, v.Rect)
 		}
 		for _, w := range cd.words[nt:] {

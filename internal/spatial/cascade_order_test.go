@@ -12,11 +12,13 @@ import (
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"mwsjoin/internal/dfs"
 	"mwsjoin/internal/geom"
+	"mwsjoin/internal/grid"
 	"mwsjoin/internal/mapreduce"
 	"mwsjoin/internal/query"
 )
@@ -276,5 +278,54 @@ func TestCascadeResumesParentSnapshot(t *testing.T) {
 	wantTuples, _, _ := strings.Cut(readOrderGolden(t)[w.name+"/base"], "/")
 	if got != wantTuples {
 		t.Errorf("resumed from the snapshot: tuples %s, clean run %s", got, wantTuples)
+	}
+}
+
+// TestCascadeTieBreakAcrossBlocks: two round-1 partials, P = (a1, b)
+// and Q = (a2, b), share their round-2 key b, so they tie on MinX in
+// every round-2 cell, and their round-1 cells are in opposite orders
+// row-major and by column block: P's cell 1 (top right) comes before
+// Q's cell 2 (bottom left) in the checkpoint, while the mapper of the
+// left column block reads Q before the right one's reads P. The sweep
+// must break the tie by position in the checkpoint, as a single pass
+// over it would, whatever the splits: P's tuple first, at W = 1, 2 and
+// 3 as in-process.
+func TestCascadeTieBreakAcrossBlocks(t *testing.T) {
+	rect := func(x, top, l, b float64) geom.Rect { return geom.Rect{X: x, Y: top, L: l, B: b} }
+	a1, a2 := rect(55, 70, 3, 15), rect(30, 45, 15, 15)
+	b, c := rect(40, 60, 20, 20), rect(45, 48, 3, 3)
+	rels := []Relation{NewRelation("R1", []geom.Rect{a1, a2}), NewRelation("R2", []geom.Rect{b}), NewRelation("R3", []geom.Rect{c})}
+	q := query.New("R1", "R2", "R3").Overlap(0, 1).Overlap(1, 2)
+	part, err := grid.NewUniform(geom.Rect{X: 0, Y: 100, L: 100, B: 100}, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The duplicate-avoidance point of a round-1 pair names its cell.
+	cell := func(a, b geom.Rect) grid.CellID {
+		return part.CellOf(geom.Point{X: max(a.MinX(), b.MinX()), Y: min(a.MaxY(), b.MaxY())})
+	}
+	if p, q := cell(a1, b), cell(a2, b); p != 1 || q != 2 {
+		t.Fatalf("P is reported by cell %d and Q by cell %d, want 1 and 2", p, q)
+	}
+	want := []Tuple{{IDs: []int32{0, 0, 0}}, {IDs: []int32{1, 0, 0}}}
+	same := func(a, b Tuple) bool { return slices.Equal(a.IDs, b.IDs) }
+	cfg := Config{Part: part, NumMappers: 2, Parallelism: 2}
+	res, err := Execute(Cascade, q, rels, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.EqualFunc(res.Tuples, want, same) {
+		t.Errorf("in-process: tuples %v, want %v", res.Tuples, want)
+	}
+	for _, w := range []int{1, 2, 3} {
+		results, errs := executeDistributed(t, w, Cascade, q, rels, cfg)
+		for self := range w {
+			if errs[self] != nil {
+				t.Fatalf("W=%d worker %d: %v", w, self, errs[self])
+			}
+			if got := results[self].Tuples; !slices.EqualFunc(got, want, same) {
+				t.Errorf("W=%d worker %d: tuples %v, want %v", w, self, got, want)
+			}
+		}
 	}
 }

@@ -33,11 +33,11 @@ func allReplicate(pl *plan, exec *executor) (Rows, Stats, error) {
 	rows := Rows{Arity: pl.m}
 	var inputCount int64
 	st, err := ch.FinalStep("join", func(_ *dfs.View) (*mapreduce.Stats, error) {
-		n, read, err := exec.openRelations(nil)
+		in, read, err := exec.openRelations(nil)
 		if err != nil {
 			return nil, err
 		}
-		inputCount = int64(n)
+		inputCount = int64(in.n)
 		job := &mapreduce.Job[tagged, grid.CellID, tagged, int32]{
 			Config: exec.jobConfig("all-replicate"),
 			Map: func(it tagged, emit func(grid.CellID, tagged)) error {
@@ -49,7 +49,7 @@ func allReplicate(pl *plan, exec *executor) (Rows, Stats, error) {
 			Values:    itemCodec(pl.m),
 			Outputs:   idCodec,
 		}
-		return runJoinJob(job, n, read, &rows)
+		return runJoinJob(job, in, read, &rows)
 	})
 	if err != nil {
 		return Rows{}, Stats{}, err
@@ -76,8 +76,8 @@ func allReplicate(pl *plan, exec *executor) (Rows, Stats, error) {
 // runJoinJob runs a join round whose reducers emit each tuple as its
 // IDs (joinReduce) and leaves the gathered slab in rows: the job's
 // output is the slab, so its Stats count tuples, not IDs.
-func runJoinJob(job *mapreduce.Job[tagged, grid.CellID, tagged, int32], n int, read func(lo, hi int, yield func(tagged) error) error, rows *Rows) (*mapreduce.Stats, error) {
-	ids, st, err := job.RunSplits(n, read)
+func runJoinJob(job *mapreduce.Job[tagged, grid.CellID, tagged, int32], in *jobInput, read func(lo, hi int, yield func(tagged) error) error, rows *Rows) (*mapreduce.Stats, error) {
+	ids, _, st, err := job.RunBlocks(in.n, in.split, read)
 	if err != nil {
 		return nil, err
 	}
@@ -141,12 +141,22 @@ func controlledReplicate(pl *plan, exec *executor, limit bool) (Rows, Stats, err
 	// ---- round one: split the boundary band, decide replication ----
 	markSpan := exec.beginRound("mark")
 	st1, err := ch.Step("mark", func(_ *dfs.View) (dfs.Segments, *mapreduce.Stats, error) {
-		n, read, err := exec.openRelations(nil)
+		in, read, err := exec.openRelations(nil)
 		if err != nil {
 			return dfs.Segments{}, nil, err
 		}
+		// The outputs are the checkpoint, which the FS holds until it
+		// closes: they are drawn from the execution's pool, a worker's or
+		// the process's, and go back to it then.
+		slabs := mapreduce.DistConfig{NumWorkers: 1}
+		if d := exec.cfg.Dist; d != nil {
+			slabs = *d
+		}
+		slabs.Pool = exec.pool
+		cfg := exec.jobConfig(fmt.Sprintf("%s-mark", method))
+		cfg.Dist = &slabs
 		round1 := &mapreduce.Job[tagged, grid.CellID, tagged, itemRecord]{
-			Config: exec.jobConfig(fmt.Sprintf("%s-mark", method)),
+			Config: cfg,
 			Map: func(it tagged, emit func(grid.CellID, tagged)) error {
 				// A rectangle outside the band can neither be marked nor
 				// serve in a witness, so no reducer needs it.
@@ -175,15 +185,13 @@ func controlledReplicate(pl *plan, exec *executor, limit bool) (Rows, Stats, err
 			Values:    itemCodec(pl.m),
 			Outputs:   itemRecordCodec(pl.m),
 		}
-		out, st, err := round1.RunSplits(n, read)
+		out, _, st, err := round1.RunBlocks(in.n, in.split, read)
 		if err != nil {
 			return dfs.Segments{}, nil, err
 		}
 		// The outputs are item records back to back, the checkpoint as
-		// it stands; a worker's slab goes back when nothing can read it.
-		if slabs := exec.cfg.Dist.Slabs(); slabs != nil {
-			exec.fs.OnClose(func() { mapreduce.PutSlab(slabs, out) })
-		}
+		// it stands.
+		exec.fs.OnClose(func() { mapreduce.PutSlab(exec.pool, out) })
 		return dfs.Segments{Stride: dfs.MBBRecordBytes, Segs: [][]byte{recordBytes(out)}}, st, nil
 	})
 	if err != nil {
@@ -204,7 +212,7 @@ func controlledReplicate(pl *plan, exec *executor, limit bool) (Rows, Stats, err
 		if err := ms.read(in); err != nil {
 			return nil, err
 		}
-		n, read, err := exec.openRelations(ms.has)
+		input, read, err := exec.openRelations(ms.has)
 		if err != nil {
 			return nil, err
 		}
@@ -212,7 +220,7 @@ func controlledReplicate(pl *plan, exec *executor, limit bool) (Rows, Stats, err
 		// so the checkpoint holds exactly the relation records the map
 		// tasks will mark.
 		markedCount = int64(in.Len())
-		unmarkedCount = int64(n) - markedCount
+		unmarkedCount = int64(input.n) - markedCount
 		round2 := &mapreduce.Job[tagged, grid.CellID, tagged, int32]{
 			Config: exec.jobConfig(fmt.Sprintf("%s-join", method)),
 			Map: func(it tagged, emit func(grid.CellID, tagged)) error {
@@ -232,7 +240,7 @@ func controlledReplicate(pl *plan, exec *executor, limit bool) (Rows, Stats, err
 			Values:    itemCodec(pl.m),
 			Outputs:   idCodec,
 		}
-		return runJoinJob(round2, n, read, &rows)
+		return runJoinJob(round2, input, read, &rows)
 	})
 	if err != nil {
 		return Rows{}, Stats{}, err

@@ -3,6 +3,8 @@ package spatial
 import (
 	"context"
 	"fmt"
+	"math"
+	"sort"
 
 	"mwsjoin/internal/dfs"
 	"mwsjoin/internal/grid"
@@ -141,6 +143,9 @@ type executor struct {
 	// worker's (Dist.Pool), or else sharedPool, whose buffers pass between
 	// the jobs of every in-process execution, concurrent ones included.
 	pool *mapreduce.BufferPool
+	// sweepOrdered says of each staged relation file met whether its
+	// records are in MinX order: those stageInputs writes are.
+	sweepOrdered map[string]bool
 
 	tr      *trace.Tracer
 	runSpan trace.SpanID
@@ -324,6 +329,7 @@ func inputFile(name string) string { return "input/" + name }
 // reaches them from it.
 func (e *executor) stageInputs() error {
 	staged := map[string]bool{}
+	e.sweepOrdered = map[string]bool{}
 	for s, rel := range e.rels {
 		if staged[rel.Name] {
 			continue
@@ -344,49 +350,184 @@ func (e *executor) stageInputs() error {
 		if err := e.fs.WriteSegments(name, dfs.Segments{Stride: dfs.MBBRecordBytes, Segs: [][]byte{rows}}); err != nil {
 			return err
 		}
+		e.sweepOrdered[name] = true
 	}
 	return nil
 }
 
 // openRelations opens every slot's relation file for a job whose map
-// tasks read their own splits, and returns the record count of their
-// concatenation in slot order and a split reader over it that tags each
-// item with its slot and marks it when mark, if non-nil, says so.
-// Each slot charges one whole-file read, so self-joins charge one read
-// per slot, as a Hadoop job with the dataset listed once per input
-// would.
-func (e *executor) openRelations(mark func(tagged) bool) (int, func(lo, hi int, yield func(tagged) error) error, error) {
-	views := make([]*dfs.View, len(e.rels))
-	n := 0
+// tasks read their own splits, and returns them as the job's input, one
+// side per slot, and a split reader over it that tags each item with its
+// slot and marks it when mark, if non-nil, says so. Each slot charges
+// one whole-file read, so self-joins charge one read per slot, as a
+// Hadoop job with the dataset listed once per input would.
+func (e *executor) openRelations(mark func(tagged) bool) (*jobInput, func(lo, hi int, yield func(tagged) error) error, error) {
+	sides := make([]inputSide, len(e.rels))
 	for s, rel := range e.rels {
-		v, err := e.fs.Open(inputFile(rel.Name))
-		if err != nil {
-			return 0, nil, err
+		var err error
+		if sides[s], err = e.openRelation(rel.Name); err != nil {
+			return nil, nil, err
 		}
-		views[s] = v
-		n += v.Len()
 	}
+	in := e.newJobInput(sides)
 	read := func(lo, hi int, yield func(tagged) error) error {
-		base := 0
-		for s, v := range views {
-			if slo, shi := max(lo, base), min(hi, base+v.Len()); slo < shi {
-				err := v.MBBs(slo-base, shi-base, func(m dfs.MBB) error {
-					it := mbbItem(m)
-					it.Slot = int8(s)
-					if mark != nil && mark(it) {
-						it.Marked = true
-					}
-					return yield(it)
-				})
-				if err != nil {
-					return err
+		return in.each(lo, hi, func(s, lo, hi int) error {
+			return sides[s].v.MBBs(lo, hi, func(m dfs.MBB) error {
+				it := mbbItem(m)
+				it.Slot = int8(s)
+				if mark != nil && mark(it) {
+					it.Marked = true
 				}
-			}
-			base += v.Len()
-		}
-		return nil
+				return yield(it)
+			})
+		})
 	}
-	return n, read, nil
+	return in, read, nil
+}
+
+// openRelation opens the staged file of the named relation as a side of
+// a job's input, charging one whole-file read.
+func (e *executor) openRelation(name string) (inputSide, error) {
+	file := inputFile(name)
+	v, err := e.fs.Open(file)
+	if err != nil {
+		return inputSide{}, err
+	}
+	sorted, known := e.sweepOrdered[file]
+	if !known {
+		// A file a caller staged: its order is whatever the caller wrote.
+		// The view reads it free of charge, and what it holds decides,
+		// so every worker of a cluster decides alike.
+		sorted = true
+		last := math.Inf(-1)
+		err := v.MBBs(0, v.Len(), func(m dfs.MBB) error {
+			sorted = sorted && m.X >= last
+			last = m.X
+			return nil
+		})
+		if err != nil {
+			return inputSide{}, err
+		}
+		if e.sweepOrdered == nil {
+			e.sweepOrdered = map[string]bool{}
+		}
+		e.sweepOrdered[file] = sorted
+	}
+	return inputSide{v: v, byMinX: sorted}, nil
+}
+
+// inputSide is one file a job's map tasks read, and what places its
+// records in the grid's columns: a relation staged in MinX order
+// (byMinX), or a cascade checkpoint with the cells its records came from
+// (cellEnds: cell c's records end at cellEnds[c], the cells in CellID
+// order). A side with neither cannot be cut by column.
+type inputSide struct {
+	v        *dfs.View
+	byMinX   bool
+	cellEnds []int
+}
+
+// jobInput is a job's input: its sides, read in order within every map
+// split. When every side can be cut by column, split m is column block
+// m of the grid — columns [m·C/nm, (m+1)·C/nm) of C — of every side: the
+// relation records whose MinX lies in those columns, the checkpoint
+// records their cells emitted. A mapper then emits most of its pairs to
+// the cells of its own columns, and on a cluster, whose workers each map
+// a range of neighbouring blocks (mapreduce.DistConfig), only the
+// rectangles that cross a block boundary leave their worker. Otherwise
+// the splits are even, over the sides one after another. Either way,
+// each side's records reach every reducer in file order.
+type jobInput struct {
+	part  *grid.Partitioning
+	sides []inputSide
+	n     int
+	// pieces are the splits' record ranges in job-input order.
+	pieces []inputPiece
+}
+
+// inputPiece is records [lo, hi) of one side, the job-input records
+// from at on.
+type inputPiece struct {
+	side, lo, hi, at int
+}
+
+func (e *executor) newJobInput(sides []inputSide) *jobInput {
+	in := &jobInput{part: e.part, sides: sides}
+	for s := range sides {
+		in.pieces = append(in.pieces, inputPiece{side: s, lo: 0, hi: sides[s].v.Len(), at: in.n})
+		in.n += sides[s].v.Len()
+	}
+	return in
+}
+
+// split is the job's cut (mapreduce.Job.RunBlocks) into nm map splits.
+func (in *jobInput) split(nm int) []int {
+	for _, sd := range in.sides {
+		if !sd.byMinX && sd.cellEnds == nil {
+			return mapreduce.EvenSplits(in.n)(nm)
+		}
+	}
+	cols, rows := in.part.Cols(), in.part.Rows()
+	bounds := make([]int, 1, nm+1)
+	in.pieces = in.pieces[:0]
+	at := 0
+	add := func(s, lo, hi int) {
+		if lo < hi {
+			in.pieces = append(in.pieces, inputPiece{side: s, lo: lo, hi: hi, at: at})
+			at += hi - lo
+		}
+	}
+	for m := 0; m < nm; m++ {
+		c0, c1 := m*cols/nm, (m+1)*cols/nm
+		for s, sd := range in.sides {
+			if sd.cellEnds == nil {
+				add(s, in.colStart(sd.v, c0), in.colStart(sd.v, c1))
+				continue
+			}
+			for row := 0; c0 < c1 && row < rows; row++ {
+				first := row*cols + c0
+				lo := 0
+				if first > 0 {
+					lo = sd.cellEnds[first-1]
+				}
+				add(s, lo, sd.cellEnds[row*cols+c1-1])
+			}
+		}
+		bounds = append(bounds, at)
+	}
+	return bounds
+}
+
+// colStart is the first record of v, a relation in MinX order, whose
+// MinX lies in column col or right of it.
+func (in *jobInput) colStart(v *dfs.View, col int) int {
+	switch col {
+	case 0:
+		return 0
+	case in.part.Cols():
+		return v.Len()
+	}
+	cut := in.part.CellRect(grid.CellID(col)).MinX()
+	return sort.Search(v.Len(), func(i int) bool {
+		var x float64
+		// A record that does not decode fails the read of its map task.
+		_ = v.MBBs(i, i+1, func(m dfs.MBB) error { x = m.X; return nil })
+		return x >= cut
+	})
+}
+
+// each calls fn with every side range of job-input records [lo, hi), in
+// job-input order.
+func (in *jobInput) each(lo, hi int, fn func(side, lo, hi int) error) error {
+	k := sort.Search(len(in.pieces), func(k int) bool { return in.pieces[k].at+in.pieces[k].hi-in.pieces[k].lo > lo })
+	for ; k < len(in.pieces) && in.pieces[k].at < hi; k++ {
+		p := in.pieces[k]
+		from, to := p.lo+max(lo-p.at, 0), p.lo+min(hi-p.at, p.hi-p.lo)
+		if err := fn(p.side, from, to); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // statsDelta subtracts DFS counter snapshots.

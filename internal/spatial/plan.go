@@ -331,7 +331,7 @@ func (cd *cellData) fill(m int, items []tagged) *cellData {
 	cd.ids, cd.rects = append(cd.ids[:0], make([][]int32, m)...), append(cd.rects[:0], make([][]geom.Rect, m)...)
 	for s := 0; s < m; s++ {
 		lo, hi := cd.off[s], cd.off[s+1]
-		sortSweepWords(cd.words[lo:hi], cd.xs, &cd.buf)
+		sortSweepWords(cd.words[lo:hi], cd.xs, nil, &cd.buf)
 		for k := lo; k < hi; k++ {
 			it := &items[uint32(cd.words[k])]
 			cd.idBuf[k], cd.rectBuf[k] = it.ID, it.Rect

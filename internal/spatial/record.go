@@ -210,9 +210,10 @@ type partialRef struct {
 // record is written once, before its reference is handed out, and a
 // page keeps its slot in the table, so records resolve without a lock.
 type partialStore struct {
-	layout *partialLayout
-	stride int // layout.stride
-	pool   *mapreduce.BufferPool
+	layout  *partialLayout
+	stride  int   // layout.stride
+	perPage int32 // pageRecords(stride)
+	pool    *mapreduce.BufferPool
 	// pages is the page table, every slot of it readable: a page is
 	// stored into the next free slot before any reference to it exists,
 	// and a full table is replaced by a larger copy.
@@ -225,7 +226,7 @@ type partialStore struct {
 }
 
 func newPartialStore(l *partialLayout, pool *mapreduce.BufferPool) *partialStore {
-	s := &partialStore{layout: l, stride: l.stride, pool: pool}
+	s := &partialStore{layout: l, stride: l.stride, perPage: int32(pageRecords(l.stride)), pool: pool}
 	s.pages.Store(new([][]byte))
 	s.dec.s = s
 	return s
@@ -237,6 +238,10 @@ func (s *partialStore) newPage() (int32, []byte) {
 	page := s.pool.GetPage()
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if int64(s.used+1)*int64(s.perPage) > math.MaxInt32 {
+		// A map or reduce task reports it as its error.
+		panic("spatial: a partial store past 2³¹ records")
+	}
 	table := *s.pages.Load()
 	if s.used == len(table) {
 		table = append(table, make([][]byte, len(table)+16)...)
@@ -244,13 +249,23 @@ func (s *partialStore) newPage() (int32, []byte) {
 	}
 	table[s.used] = page
 	s.used++
-	return int32(s.used - 1), page[:pageRecords(s.stride)*s.stride]
+	return int32(s.used - 1), page[:int(s.perPage)*s.stride]
 }
 
 // rec resolves a reference to its record.
 func (s *partialStore) rec(ref partialRef) []byte {
 	off := int(ref.Idx) * s.stride
 	return (*s.pages.Load())[ref.Page][off : off+s.stride : off+s.stride]
+}
+
+// slot numbers the record at ref: every record of its page's
+// predecessors in the page table comes before it. newPage keeps the
+// slots within an int32.
+func (s *partialStore) slot(ref partialRef) int32 { return ref.Page*s.perPage + ref.Idx }
+
+// at resolves a slot to its record.
+func (s *partialStore) at(slot int32) []byte {
+	return s.rec(partialRef{Page: slot / s.perPage, Idx: slot % s.perPage})
 }
 
 // release hands every page back to the pool. Nothing may read the store,
@@ -383,7 +398,8 @@ var idCodec = mapreduce.Codec[int32]{
 }
 
 // cascadeTag distinguishes the two cascadeVal shapes on the wire: the
-// tag byte, then a partial-tuple or an item record.
+// tag byte, then a partial-tuple record and its position (4 bytes,
+// little-endian), or an item record.
 const (
 	cascadeTagItem  = 0
 	cascadeTagTuple = 1
@@ -393,7 +409,8 @@ const (
 // A tuple's reference is resolved through the round's input store on
 // the way out and decoded into it on the way in, so the record carries
 // the partial itself and costs the same however a process holds its
-// partials in memory.
+// partials in memory; its position in the round's tuple file, which
+// orders it in its reducer's sweep, travels beside it.
 type cascadeCodec struct {
 	in     *partialStore
 	slot   int8 // the round's new slot, stamped on item records
@@ -406,15 +423,16 @@ func (cc *cascadeCodec) values() mapreduce.Codec[cascadeVal] {
 }
 
 func (cc *cascadeCodec) size(v cascadeVal) int {
-	if v.Page != itemPage {
-		return 1 + cc.in.stride
+	if v.Pos != itemPos {
+		return 1 + cc.in.stride + 4
 	}
 	return 1 + dfs.MBBRecordBytes
 }
 
 func (cc *cascadeCodec) append(buf []byte, v cascadeVal) []byte {
-	if v.Page != itemPage {
-		return append(append(buf, cascadeTagTuple), cc.in.rec(v.ref())...)
+	if v.Pos != itemPos {
+		buf = append(append(buf, cascadeTagTuple), cc.in.at(v.ID)...)
+		return binary.LittleEndian.AppendUint32(buf, uint32(v.Pos))
 	}
 	return appendItem(append(buf, cascadeTagItem), tagged{Slot: cc.slot, ID: v.ID, Rect: v.Rect})
 }
@@ -425,14 +443,20 @@ func (cc *cascadeCodec) read(buf []byte) (cascadeVal, []byte, error) {
 	}
 	switch body := buf[1:]; buf[0] {
 	case cascadeTagTuple:
-		if len(body) < cc.in.stride {
-			return cascadeVal{}, nil, fmt.Errorf("spatial: a cascade tuple record cut short at %d bytes, want %d", len(body), cc.in.stride)
+		n := cc.in.stride + 4
+		if len(body) < n {
+			return cascadeVal{}, nil, fmt.Errorf("spatial: a cascade tuple record cut short at %d bytes, want %d", len(body), n)
+		}
+		// Checked first: a record decode rejects must not grow the store.
+		pos := binary.LittleEndian.Uint32(body[cc.in.stride:])
+		if pos > math.MaxInt32 {
+			return cascadeVal{}, nil, fmt.Errorf("spatial: a cascade tuple at position %d", pos)
 		}
 		ref, _, err := cc.in.decode(body[:cc.in.stride])
 		if err != nil {
 			return cascadeVal{}, nil, err
 		}
-		return tupleVal(ref, partialRect(cc.in.layout, body, cc.keyPos)), body[cc.in.stride:], nil
+		return cc.in.tupleVal(ref, partialRect(cc.in.layout, body, cc.keyPos), int32(pos)), body[n:], nil
 	case cascadeTagItem:
 		t, err := readItem(body)
 		if err != nil {
@@ -441,7 +465,7 @@ func (cc *cascadeCodec) read(buf []byte) (cascadeVal, []byte, error) {
 		if t.Slot != cc.slot || t.Marked {
 			return cascadeVal{}, nil, fmt.Errorf("spatial: cascade item is not an unmarked slot-%d item", cc.slot)
 		}
-		return cascadeVal{Rect: t.Rect, ID: t.ID, Page: itemPage}, body[dfs.MBBRecordBytes:], nil
+		return cascadeVal{Rect: t.Rect, ID: t.ID, Pos: itemPos}, body[dfs.MBBRecordBytes:], nil
 	default:
 		return cascadeVal{}, nil, fmt.Errorf("spatial: cascade record has unknown tag %d", buf[0])
 	}

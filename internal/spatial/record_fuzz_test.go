@@ -151,7 +151,8 @@ func inOnePage(s *partialStore, b []byte) bool {
 // keyed by member keyPos, and its output segment codec, each on a store
 // of its own, in members' fuzzLayout — the value store's keeping keyPos's
 // rectangle, as every round's input layout does. Beside the property, a
-// tuple value is keyed by its member's rectangle.
+// tuple value is keyed by its member's rectangle. A tuple value's record
+// is its partial and then its position, 4 bytes.
 func FuzzDecodeCascadePair(f *testing.F) {
 	value := func(tag byte, body []byte) []byte { return append([]byte{tag}, body...) }
 	segment := func(m, n int) []byte {
@@ -181,6 +182,10 @@ func FuzzDecodeCascadePair(f *testing.F) {
 	f.Add(value(cascadeTagTuple, fuzzRecord(fuzzLayout(fuzzOneRect))), uint8(fuzzOneRect), uint8(1))
 	ids := fuzzRecord(fuzzLayout(fuzzIDsOnly))
 	f.Add(slices.Concat(binary.LittleEndian.AppendUint16(nil, 2), ids, ids), uint8(fuzzIDsOnly), uint8(0))
+	// A tuple and its position in the round's tuple file: one an int32
+	// holds, and one past it.
+	f.Add(value(cascadeTagTuple, binary.LittleEndian.AppendUint32(fuzzPartial(2), 7)), uint8(1), uint8(1))
+	f.Add(value(cascadeTagTuple, binary.LittleEndian.AppendUint32(fuzzPartial(2), 1<<31)), uint8(1), uint8(1))
 	f.Fuzz(func(t *testing.T, rec []byte, members, keyPos uint8) {
 		l := fuzzLayout(members)
 		m := l.members()
@@ -189,11 +194,11 @@ func FuzzDecodeCascadePair(f *testing.F) {
 		st := newPartialStore(newPartialLayout(keyed), mapreduce.NewBufferPool())
 		cc := &cascadeCodec{in: st, slot: 2, keyPos: int(keyPos) % m}
 		v, ok := checkCodec(t, cc.values(), rec)
-		if ok && v.Page != itemPage {
+		if ok && v.Pos != itemPos {
 			// Compared as bytes: a fuzzed rectangle may hold NaNs.
 			var key, member [rectBytes]byte
 			putRect(key[:], v.Rect)
-			putRect(member[:], partialRect(st.layout, st.rec(v.ref()), cc.keyPos))
+			putRect(member[:], partialRect(st.layout, st.at(v.ID), cc.keyPos))
 			if key != member {
 				t.Fatalf("tuple value keyed by %v, not by its member %d", v.Rect, cc.keyPos)
 			}

@@ -243,7 +243,7 @@ func stageRows(items []Item) []byte {
 	for i := range items {
 		sc.xs[i], sc.words[i] = sweepOrder(items[i].R.MinX()), uint64(i)
 	}
-	sortSweepWords(sc.words, sc.xs, &sc.buf)
+	sortSweepWords(sc.words, sc.xs, nil, &sc.buf)
 	rows := make([]byte, 0, n*dfs.MBBRecordBytes)
 	for _, w := range sc.words {
 		it := &items[uint32(w)]

@@ -140,9 +140,9 @@ func TestStagedInSweepOrder(t *testing.T) {
 		}
 
 		var input []tagged
-		n, read, err := exec.openRelations(nil)
+		in, read, err := exec.openRelations(nil)
 		if err == nil {
-			err = read(0, n, func(it tagged) error {
+			err = read(0, in.n, func(it tagged) error {
 				input = append(input, it)
 				return nil
 			})

@@ -57,7 +57,7 @@ func BenchmarkSweepOrder(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				copy(words, positions)
-				sortSweepWords(words, xs, &buf)
+				sortSweepWords(words, xs, nil, &buf)
 			}
 		})
 	}

@@ -35,8 +35,11 @@ const (
 // finite MinX values. Positions start at an offset, as the cascade's
 // item side starts after its tuples, and with shape bit 2 set the
 // values split into two interleaved sides sorted apart, tuples and
-// items as a shuffle delivers them. The seeds are the comparator
-// battery the word sort was first held to.
+// items as a shuffle delivers them. With shape bit 3 set, MinX ties
+// break by a key other than the position — the positions reversed, as a
+// cascade tuple's file position can run against its arrival — and the
+// comparator sorts on (MinX, that key). The seeds are the comparator
+// battery the word sort was first held to, and three with a tie key.
 func FuzzSweepWords(f *testing.F) {
 	rng := rand.New(rand.NewPCG(2013, 37))
 	draw := func(n int, x func() float64) []float64 {
@@ -78,6 +81,13 @@ func FuzzSweepWords(f *testing.F) {
 		f.Add(raw, uint16(len(minXs)), uint8(sweepAscending))
 		f.Add(raw, uint16(3), uint8(sweepDescending|4))
 	}
+	tied := binary.LittleEndian.AppendUint64(nil, math.Float64bits(7.25))
+	for _, x := range []float64{7.25, 1, 7.25, 0, 7.25, 1} {
+		tied = binary.LittleEndian.AppendUint64(tied, math.Float64bits(x))
+	}
+	f.Add(tied, uint16(0), uint8(sweepAsGiven|8))
+	f.Add(tied, uint16(2), uint8(sweepAscending|8))
+	f.Add(tied, uint16(1), uint8(sweepDescending|4|8))
 	f.Fuzz(func(t *testing.T, raw []byte, offset uint16, shape uint8) {
 		var minXs []float64
 		for ; len(raw) >= 8; raw = raw[8:] {
@@ -103,20 +113,26 @@ func FuzzSweepWords(f *testing.F) {
 			xs[base+i] = sweepOrder(x)
 		}
 		sides := 1 + int(shape>>2&1)
+		var tie func(i uint64) uint32
+		key := func(i int) int32 { return int32(i) }
+		if shape>>3&1 != 0 {
+			tie = func(i uint64) uint32 { return uint32(len(xs)) - uint32(i) }
+			key = func(i int) int32 { return int32(len(xs) - i) }
+		}
 		var buf []uint64
 		for s := range sides {
 			var side []uint64
 			var want []sweepKey
 			for i := base + s; i < len(xs); i += sides {
 				side = append(side, uint64(i))
-				want = append(want, sweepKey{xs[i], int32(i)})
+				want = append(want, sweepKey{xs[i], key(i)})
 			}
 			slices.SortFunc(want, compareSweepKeys)
-			sortSweepWords(side, xs, &buf)
+			sortSweepWords(side, xs, tie, &buf)
 			for k := range want {
-				if int32(uint32(side[k])) != want[k].i {
-					t.Fatalf("side %d of %d: position %d holds value %d, the comparator sort puts %d there",
-						s, sides, k, uint32(side[k]), want[k].i)
+				if got := key(int(uint32(side[k]))); got != want[k].i {
+					t.Fatalf("side %d of %d: position %d holds the value keyed %d, the comparator sort puts %d there",
+						s, sides, k, got, want[k].i)
 				}
 			}
 		}

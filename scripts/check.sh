@@ -81,10 +81,13 @@ require_tests() {
 }
 
 echo "== allocation and traffic guards (the allocation ones skip under -race, whose shadow memory allocates) =="
-guards='TestCascadeAllocationBudget|TestCascadeAllocationAtBenchmarkShape|TestCRepLAllocationBudget|TestCRepLAllocationAtBenchmarkShape|TestExecuteWarmAllocation|TestClusterAllocationCeiling|TestClusterAllocationAtBenchmarkShape|TestSortedRunAllocationBudget|TestReduceOutputAllocation|TestMeshRecyclesFrameChunks|TestDistPayloadsRecycled|TestCheckpointAllocatesPerSegment|TestResultSlabBound|TestClusterShipsBoundaryPairsAtBenchmarkShape|TestCascadeBytesAtBenchmarkShape'
+guards='TestCascadeAllocationBudget|TestCascadeAllocationAtBenchmarkShape|TestCRepLAllocationBudget|TestCRepLAllocationAtBenchmarkShape|TestExecuteWarmAllocation|TestClusterAllocationCeiling|TestClusterAllocationAtBenchmarkShape|TestSortedRunAllocationBudget|TestReduceOutputAllocation|TestMeshRecyclesFrameChunks|TestDistPayloadsRecycled|TestCheckpointAllocatesPerSegment|TestResultSlabBound|TestClusterShipsBoundaryPairsAtBenchmarkShape|TestThreeWorkersShipBoundaryPairsAtBenchmarkShape|TestCascadeBytesAtBenchmarkShape'
 guard_pkgs='./internal/spatial ./internal/cluster ./internal/mapreduce'
 require_tests "$guards" $guard_pkgs
 go test -count=1 -run "^($guards)\$" $guard_pkgs
+
+echo "== sweep order across map splits (the race pass above ran it; a rename must not drop it) =="
+require_tests 'TestCascadeTieBreakAcrossBlocks' ./internal/spatial
 
 echo "== liveness (a worker is alive while its control connection delivers bytes; five race runs) =="
 liveness='TestSilentWorkerDeclaredDead|TestStalledReaderKeepsWorkerAlive|TestSlowResultKeepsWorkerAlive|TestClusterWorkerStatusAndGauges|TestReplacedWorkerIsReshipped'
