@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"mwsjoin/internal/dataset"
@@ -23,10 +24,19 @@ import (
 // own slab and the coordinator decodes the attachment straight into the
 // slab it carves, 35 read 0.55–0.66 MB, 1.12–1.14 MB and 1.71–2.07
 // (median 2.06). One of the removed copies of the 11,560-tuple result,
-// 0.14 MB, coming back would read above 1.2 MB. How they got here is in
+// 0.14 MB, coming back would read above 1.2 MB. The clustered side used
+// to jump now and then to 0.85–1.33 MB, alone or beside
+// TestClusterAllocationAtBenchmarkShape: the chunks the coordinator
+// reads a result into came from a sync.Pool, which misses whenever the
+// reading goroutine runs on another processor than the one that put the
+// chunk back, and a collection inside the measured query made that
+// likelier. Since those chunks are a free list and each side is
+// measured right after a collection, 300 runs beside that guard under a
+// concurrent load read 0.78–0.79 MB. How they got here is in
 // EXPERIMENTS.md ("Exchange payloads in the pool", "Workers own their
 // pools", "One ID slab from reducer to coordinator", "A clustered
-// result is built once").
+// result is built once", "A served result stays the engine's ID
+// slab").
 func TestClusterAllocationCeiling(t *testing.T) {
 	const n = 10000
 	p := dataset.PaperDefaults(n)
@@ -100,7 +110,9 @@ var clusterConfig = spatial.Config{Reducers: 64, NumMappers: 8, Parallelism: 1}
 // workers that keep the relations. The in-process side is measured
 // before the cluster starts, on an FS private to the execution as the
 // daemon's in-process path runs it, so each side recycles only its own
-// pages.
+// pages. Each side is measured right after a collection: whatever a
+// test before this one left on the heap cannot then bring a collection
+// into the measured query.
 func measureClusterAllocation(t *testing.T, rels []spatial.Relation) (direct, clustered uint64) {
 	t.Helper()
 	if raceEnabled {
@@ -120,6 +132,7 @@ func measureClusterAllocation(t *testing.T, rels []spatial.Relation) (direct, cl
 		tuples = len(res.Tuples)
 	}
 	inProcess() // warm: lazy summaries, the pool
+	runtime.GC()
 	direct = allocatedBy(inProcess)
 
 	tc := startTestCluster(t, 2, func(_ int, wc *WorkerConfig) { wc.Logf = nil })
@@ -133,6 +146,7 @@ func measureClusterAllocation(t *testing.T, rels []spatial.Relation) (direct, cl
 		}
 	}
 	onCluster() // warm: mesh buffers, the workers' relations and pools
+	runtime.GC()
 	clustered = allocatedBy(onCluster)
 	t.Logf("%d tuples: in-process %d B, two-worker cluster %d B, ratio %.2f", tuples, direct, clustered, float64(clustered)/float64(direct))
 	if tuples == 0 {

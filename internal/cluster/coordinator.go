@@ -54,6 +54,9 @@ type WorkerStatus struct {
 
 // RunResult is one completed cluster query.
 type RunResult struct {
+	// Rows is the result as worker 0 sent it: one ID slab, empty but
+	// non-nil for an empty result. Tuples carves it, sharing the slab.
+	Rows   spatial.Rows
 	Tuples []spatial.Tuple
 	// Stats is worker 0's view of the run; under SPMD every worker
 	// reports identical totals (walls aside), so one view is the
@@ -510,7 +513,8 @@ func (c *Coordinator) runAttempt(session string, attempt int, spec *SessionSpec,
 	if ids == nil {
 		ids = []int32{}
 	}
-	res.Tuples = spatial.Rows{Arity: first.Arity, IDs: ids}.Tuples()
+	res.Rows = spatial.Rows{Arity: first.Arity, IDs: ids}
+	res.Tuples = res.Rows.Tuples()
 	for i, o := range outcomes {
 		res.SpecBytes += specBytes[i] + o.shipBytes
 		res.ResultBytes += o.msg.wireBytes

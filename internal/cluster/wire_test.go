@@ -348,3 +348,20 @@ func TestRegisterProtocolVersion(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkHashTuples hashes a cluster_w2-sized result: 59,448 rows of
+// three IDs.
+func BenchmarkHashTuples(b *testing.B) {
+	rows := spatial.Rows{Arity: 3, IDs: make([]int32, 3*59448)}
+	for i := range rows.IDs {
+		rows.IDs[i] = int32(i * 7919)
+	}
+	b.SetBytes(int64(4 * len(rows.IDs)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		hashSink = hashTuples(rows)
+	}
+}
+
+var hashSink string

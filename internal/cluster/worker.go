@@ -548,20 +548,23 @@ func (w *Worker) acceptShip(m *message) {
 //
 // The digest is over uvarint(arity) ‖ the row's IDs, each as 4
 // little-endian bytes, per row — the bytes uvarint(len(IDs)) ‖
-// Tuple.Key() gives per tuple of the carved result — fed from the slab
-// through one reused buffer.
+// Tuple.Key() gives per tuple of the carved result. Each row is
+// appended at its fixed length to one buffer, and the hash takes the
+// buffer in whole hashBlock steps, so it never copies a partial block.
 func hashTuples(rows spatial.Rows) string {
+	const hashBlock = 8 << 10
 	h := sha256.New()
 	prefix := binary.AppendUvarint(nil, uint64(rows.Arity))
-	buf := make([]byte, 0, 4096)
+	var spare [hashBlock + 1024]byte // one row past a block, up to arity 255, without growing
+	buf := spare[:0]
 	for i := range rows.Len() {
 		buf = append(buf, prefix...)
 		for _, id := range rows.At(i) {
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(id))
 		}
-		if len(buf) >= 2048 {
-			h.Write(buf)
-			buf = buf[:0]
+		if len(buf) >= hashBlock {
+			h.Write(buf[:hashBlock])
+			buf = buf[:copy(buf, buf[hashBlock:])]
 		}
 	}
 	h.Write(buf)

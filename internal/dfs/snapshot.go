@@ -8,7 +8,6 @@ import (
 	"io"
 	"math"
 	"slices"
-	"sync"
 )
 
 // snapshotMagic heads every serialised FS image so a stray file is
@@ -74,8 +73,33 @@ const DeclaredChunk = 64 << 10
 
 // declaredChunks recycles the chunks a long declared read collects its
 // bytes in before they are used, and the one a chunked write renders
-// its bytes into.
-var declaredChunks = sync.Pool{New: func() any { return new([DeclaredChunk]byte) }}
+// its bytes into. It is a free list, not a sync.Pool: a sync.Pool hands
+// a chunk back to the processor that put it, or loses it to a
+// collection, so whether a warm read allocated its chunks depended on
+// where its goroutine was scheduled. It keeps at most 32 chunks
+// (2 MiB); a warm cluster_w2 query holds about 12 at once, for its
+// 0.7 MB result.
+var declaredChunks = make(chan *[DeclaredChunk]byte, 32)
+
+// getChunk takes a chunk from the free list, or a new one when it is
+// empty.
+func getChunk() *[DeclaredChunk]byte {
+	select {
+	case c := <-declaredChunks:
+		return c
+	default:
+		return new([DeclaredChunk]byte)
+	}
+}
+
+// putChunk hands a chunk back to the free list, which drops it when
+// full.
+func putChunk(c *[DeclaredChunk]byte) {
+	select {
+	case declaredChunks <- c:
+	default:
+	}
+}
 
 // ReadDeclared reads n bytes whose length was declared ahead of them
 // into a buffer of capacity capacity (at least n). Up to DeclaredChunk
@@ -114,11 +138,11 @@ func ReadDeclaredChunks(r io.Reader, n int, each func(chunk []byte)) error {
 	var chunks []*[DeclaredChunk]byte
 	defer func() {
 		for _, c := range chunks {
-			declaredChunks.Put(c)
+			putChunk(c)
 		}
 	}()
 	for got := 0; got < n; got += DeclaredChunk {
-		c := declaredChunks.Get().(*[DeclaredChunk]byte)
+		c := getChunk()
 		chunks = append(chunks, c)
 		if _, err := io.ReadFull(r, c[:min(n-got, DeclaredChunk)]); err != nil {
 			return Truncated(err)
@@ -136,8 +160,8 @@ func ReadDeclaredChunks(r io.Reader, n int, each func(chunk []byte)) error {
 // another form. fill is called with the steps in order, every one
 // DeclaredChunk bytes long but the last. It returns the bytes written.
 func WriteChunked(w io.Writer, n int, fill func(chunk []byte)) (int64, error) {
-	c := declaredChunks.Get().(*[DeclaredChunk]byte)
-	defer declaredChunks.Put(c)
+	c := getChunk()
+	defer putChunk(c)
 	var written int64
 	for written < int64(n) {
 		step := c[:min(n-int(written), DeclaredChunk)]

@@ -24,7 +24,7 @@ type cacheKey struct {
 // cacheEntry is one cached result plus its accounted size.
 type cacheEntry struct {
 	key   cacheKey
-	res   *spatial.Result
+	res   *result
 	bytes int64
 }
 
@@ -67,7 +67,7 @@ func newResultCache(budget int64, reg *metrics.Registry) *resultCache {
 // get returns the cached result for the key, if any, promoting it to
 // most-recently-used. The cached result is shared and must be treated
 // as immutable by all readers (the HTTP layer only paginates over it).
-func (c *resultCache) get(key cacheKey) (*spatial.Result, bool) {
+func (c *resultCache) get(key cacheKey) (*result, bool) {
 	if c == nil {
 		return nil, false
 	}
@@ -97,7 +97,7 @@ func (c *resultCache) holds(key cacheKey) bool {
 // put stores a result under the key, evicting least-recently-used
 // entries until the byte budget holds. A result larger than the whole
 // budget is not stored (it would evict everything and still not fit).
-func (c *resultCache) put(key cacheKey, res *spatial.Result) {
+func (c *resultCache) put(key cacheKey, res *result) {
 	if c == nil || res == nil {
 		return
 	}
@@ -135,20 +135,16 @@ func (c *resultCache) put(key cacheKey, res *spatial.Result) {
 }
 
 // resultBytes accounts a result's in-memory footprint for the byte
-// budget: per tuple the IDs payload plus the slice header, plus a flat
-// allowance for the Stats block and per-round engine stats.
-func resultBytes(res *spatial.Result) int64 {
+// budget: the slab's IDs, 4 B each, plus a flat allowance for the Stats
+// block and per-round engine stats.
+func resultBytes(res *result) int64 {
 	const (
-		tupleOverhead = 24  // slice header per tuple
 		statsOverhead = 512 // Stats struct + DFS/Chain blocks
 		roundOverhead = 256 // one mapreduce.Stats per round
 	)
-	n := int64(statsOverhead) + int64(len(res.Stats.Rounds))*roundOverhead
-	for _, r := range res.Stats.Rounds {
+	n := int64(statsOverhead) + int64(len(res.stats.Rounds))*roundOverhead
+	for _, r := range res.stats.Rounds {
 		n += int64(len(r.PairsPerReducer)) * 8
 	}
-	for _, t := range res.Tuples {
-		n += tupleOverhead + int64(len(t.IDs))*4
-	}
-	return n
+	return n + 4*int64(len(res.rows.IDs))
 }

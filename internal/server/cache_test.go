@@ -10,11 +10,11 @@ import (
 
 // fakeResult builds a result whose accounted size is controlled by its
 // tuple count (resultBytes is monotone in it).
-func fakeResult(tuples int) *spatial.Result {
-	res := &spatial.Result{}
-	res.Stats.OutputTuples = int64(tuples)
+func fakeResult(tuples int) *result {
+	res := &result{rows: spatial.Rows{Arity: 2}}
+	res.stats.OutputTuples = int64(tuples)
 	for i := 0; i < tuples; i++ {
-		res.Tuples = append(res.Tuples, spatial.Tuple{IDs: []int32{int32(i), int32(i + 1)}})
+		res.rows.IDs = append(res.rows.IDs, int32(i), int32(i+1))
 	}
 	return res
 }
@@ -84,7 +84,7 @@ func TestCacheRefreshInPlace(t *testing.T) {
 		t.Fatalf("refresh miscounted bytes: used %d", c.used)
 	}
 	res, ok := c.get(key(1))
-	if !ok || res.Stats.OutputTuples != 20 {
+	if !ok || res.stats.OutputTuples != 20 {
 		t.Fatalf("refresh kept the old result: %+v", res)
 	}
 }
@@ -97,5 +97,31 @@ func TestCacheDisabled(t *testing.T) {
 	c.put(key(1), fakeResult(1)) // must not panic on the nil cache
 	if _, ok := c.get(key(1)); ok {
 		t.Fatal("nil cache returned a hit")
+	}
+}
+
+// TestCacheChargesSlabBytes: a done job is charged to the cache at its
+// slab's exact bytes, 4 B an ID, plus the Stats allowance, with no
+// per-row header.
+func TestCacheChargesSlabBytes(t *testing.T) {
+	s, reg := newTestServer(t, Config{Workers: 1})
+	st := waitJob(t, s, submit(t, s, SubmitRequest{Query: "A ov B and B ov C", Method: "c-rep-l"}).ID)
+	if st.State != StateDone || st.OutputTuples == 0 {
+		t.Fatalf("job %s with %d tuples, want done with some", st.State, st.OutputTuples)
+	}
+	allowance := int64(512 + 256*len(st.Stats.Rounds))
+	for _, r := range st.Stats.Rounds {
+		allowance += 8 * int64(len(r.PairsPerReducer))
+	}
+	want := 4*3*st.OutputTuples + allowance
+	s.mu.Lock()
+	res := s.jobs[st.ID].res
+	s.mu.Unlock()
+	t.Logf("%d tuples: %d IDs, capacity %d; charged %d B", st.OutputTuples, len(res.rows.IDs), cap(res.rows.IDs), resultBytes(res))
+	if got := resultBytes(res); got != want {
+		t.Errorf("resultBytes = %d, want 4 B × 3 × %d IDs + %d allowance = %d", got, st.OutputTuples, allowance, want)
+	}
+	if got := reg.Gauge("server_cache_bytes").Value(); got != want {
+		t.Errorf("server_cache_bytes = %d, want %d", got, want)
 	}
 }

@@ -87,15 +87,15 @@ func NewHandler(s *Server, reg *metrics.Registry) http.Handler {
 			return
 		}
 		id := r.PathValue("id")
-		tuples, err := s.resultTuples(id)
+		rows, err := s.resultRows(id)
 		if err != nil {
 			writeJobError(w, err)
 			return
 		}
-		off, hi := pageBounds(len(tuples), offset, limit)
+		off, hi := pageBounds(rows.Len(), offset, limit)
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
 		w.WriteHeader(http.StatusOK)
-		writeResultPage(w, id, tuples, off, hi) //nolint:errcheck // best-effort over HTTP
+		writeResultPage(w, id, rows, off, hi) //nolint:errcheck // best-effort over HTTP
 	})
 	mux.HandleFunc("DELETE /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		st, err := s.Cancel(r.PathValue("id"))
@@ -201,9 +201,7 @@ type errorBody struct {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // best-effort over HTTP
+	json.NewEncoder(w).Encode(v) //nolint:errcheck // best-effort over HTTP
 }
 
 func writeError(w http.ResponseWriter, status int, code, msg string) {

@@ -69,7 +69,7 @@ type Job struct {
 	stepsDone   int
 	currentStep string
 	cached      bool
-	res         *spatial.Result
+	res         *result
 	err         error
 	tracer      *trace.Tracer
 	// prof is the execution profile, assembled from the tracer and the
@@ -136,8 +136,8 @@ func (j *Job) status() *JobStatus {
 		Cached:          j.cached,
 	}
 	if j.res != nil {
-		st.OutputTuples = j.res.Stats.OutputTuples
-		stats := j.res.Stats
+		st.OutputTuples = j.res.stats.OutputTuples
+		stats := j.res.stats
 		st.Stats = &stats
 	}
 	if j.err != nil {

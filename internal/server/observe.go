@@ -127,8 +127,8 @@ func (s *Server) recordSlowlog(j *Job, finished time.Time) {
 		E2EUS:       finished.Sub(j.queuedAt).Microseconds(),
 	}
 	if j.res != nil {
-		e.OutputTuples = j.res.Stats.OutputTuples
-		e.IntermediatePairs = j.res.Stats.IntermediatePairs()
+		e.OutputTuples = j.res.stats.OutputTuples
+		e.IntermediatePairs = j.res.stats.IntermediatePairs()
 	}
 	if j.prof != nil {
 		e.Profile = "/v1/jobs/" + j.id + "/profile"

@@ -30,10 +30,10 @@ const (
 	MaxPageLimit     = 100_000
 )
 
-// pageBounds clamps a page request to a result of total tuples: a
+// pageBounds clamps a page request to a result of total rows: a
 // negative offset reads from 0, a non-positive limit means
 // DefaultPageLimit, and no page is longer than MaxPageLimit. The page
-// is tuples[off:hi]; hi == off when off is at or past total.
+// is rows [off, hi); hi == off when off is at or past total.
 func pageBounds(total, offset, limit int) (off, hi int) {
 	if offset < 0 {
 		offset = 0
@@ -50,38 +50,44 @@ func pageBounds(total, offset, limit int) (off, hi int) {
 	return offset, offset + min(limit, total-offset)
 }
 
-// resultTuples returns a done job's tuples. Jobs that failed, were
-// cancelled, or are still in flight have no result (ErrJobNotDone). A
-// done job's tuples are never written again, so the caller reads them
-// without the server mutex.
-func (s *Server) resultTuples(id string) ([]spatial.Tuple, error) {
+// result is a done job's answer as the engine wrote it: the ID slab
+// and the run's Stats. It is never written again, so a cache hit
+// shares it and pages read it without the server mutex.
+type result struct {
+	rows  spatial.Rows
+	stats spatial.Stats
+}
+
+// resultRows returns a done job's rows. Jobs that failed, were
+// cancelled, or are still in flight have no result (ErrJobNotDone).
+func (s *Server) resultRows(id string) (spatial.Rows, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	j, ok := s.jobs[id]
 	if !ok {
-		return nil, ErrNotFound
+		return spatial.Rows{}, ErrNotFound
 	}
 	if j.state != StateDone {
-		return nil, fmt.Errorf("%w (state %s)", ErrJobNotDone, j.state)
+		return spatial.Rows{}, fmt.Errorf("%w (state %s)", ErrJobNotDone, j.state)
 	}
-	return j.res.Tuples, nil
+	return j.res.rows, nil
 }
 
 // Result returns one page of a done job's tuples. Jobs that failed,
 // were cancelled, or are still in flight have no result (ErrJobNotDone).
 func (s *Server) Result(id string, offset, limit int) (*ResultPage, error) {
-	tuples, err := s.resultTuples(id)
+	rows, err := s.resultRows(id)
 	if err != nil {
 		return nil, err
 	}
-	off, hi := pageBounds(len(tuples), offset, limit)
-	page := &ResultPage{ID: id, Total: len(tuples), Offset: off, Count: hi - off}
+	off, hi := pageBounds(rows.Len(), offset, limit)
+	page := &ResultPage{ID: id, Total: rows.Len(), Offset: off, Count: hi - off}
 	if hi > off {
 		page.Tuples = make([][]int32, 0, hi-off)
-		for _, t := range tuples[off:hi] {
-			page.Tuples = append(page.Tuples, t.IDs)
+		for i := off; i < hi; i++ {
+			page.Tuples = append(page.Tuples, rows.At(i))
 		}
-		if hi < len(tuples) {
+		if hi < rows.Len() {
 			page.NextOffset = &hi
 		}
 	}
@@ -99,38 +105,43 @@ var resultBufs = sync.Pool{New: func() any {
 	return &b
 }}
 
-// writeResultPage writes the page tuples[off:hi] of a result as the
-// JSON of its ResultPage under id, byte for byte what json.Encoder with
-// SetIndent("", "  ") writes for that page: the IDs are appended
-// straight from the tuples, and the body leaves in resultFlushBytes
-// pieces.
-func writeResultPage(w io.Writer, id string, tuples []spatial.Tuple, off, hi int) error {
+// writeResultPage writes rows [off, hi) of a result as the JSON of its
+// ResultPage under id, byte for byte what json.Encoder writes for that
+// page: the IDs are appended straight from the slab, and the body
+// leaves in resultFlushBytes pieces.
+func writeResultPage(w io.Writer, id string, rows spatial.Rows, off, hi int) error {
 	bp := resultBufs.Get().(*[]byte)
 	b := (*bp)[:0]
 	defer func() {
 		*bp = b[:0]
 		resultBufs.Put(bp)
 	}()
-	b = append(b, "{\n  \"id\": "...)
+	b = append(b, `{"id":`...)
 	b = appendJSONString(b, id)
-	b = append(b, ",\n  \"total\": "...)
-	b = strconv.AppendInt(b, int64(len(tuples)), 10)
-	b = append(b, ",\n  \"offset\": "...)
+	b = append(b, `,"total":`...)
+	b = strconv.AppendInt(b, int64(rows.Len()), 10)
+	b = append(b, `,"offset":`...)
 	b = strconv.AppendInt(b, int64(off), 10)
-	b = append(b, ",\n  \"count\": "...)
+	b = append(b, `,"count":`...)
 	b = strconv.AppendInt(b, int64(hi-off), 10)
 	if hi == off {
-		b = append(b, ",\n  \"tuples\": null\n}\n"...)
+		b = append(b, ",\"tuples\":null}\n"...)
 		_, err := w.Write(b)
 		return err
 	}
-	b = append(b, ",\n  \"tuples\": ["...)
-	for i, t := range tuples[off:hi] {
-		if i > 0 {
+	b = append(b, `,"tuples":[`...)
+	for i := off; i < hi; i++ {
+		if i > off {
 			b = append(b, ',')
 		}
-		b = append(b, "\n    "...)
-		b = appendIDs(b, t.IDs)
+		b = append(b, '[')
+		for k, id := range rows.At(i) {
+			if k > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendInt(b, int64(id), 10)
+		}
+		b = append(b, ']')
 		if len(b) >= resultFlushBytes {
 			if _, err := w.Write(b); err != nil {
 				return err
@@ -138,28 +149,14 @@ func writeResultPage(w io.Writer, id string, tuples []spatial.Tuple, off, hi int
 			b = b[:0]
 		}
 	}
-	b = append(b, "\n  ]"...)
-	if hi < len(tuples) {
-		b = append(b, ",\n  \"next_offset\": "...)
+	b = append(b, ']')
+	if hi < rows.Len() {
+		b = append(b, `,"next_offset":`...)
 		b = strconv.AppendInt(b, int64(hi), 10)
 	}
-	b = append(b, "\n}\n"...)
+	b = append(b, "}\n"...)
 	_, err := w.Write(b)
 	return err
-}
-
-// appendIDs appends one tuple's IDs, never empty, as an indented JSON
-// array nested in the page's "tuples".
-func appendIDs(b []byte, ids []int32) []byte {
-	b = append(b, '[')
-	for k, id := range ids {
-		if k > 0 {
-			b = append(b, ',')
-		}
-		b = append(b, "\n      "...)
-		b = strconv.AppendInt(b, int64(id), 10)
-	}
-	return append(b, "\n    ]"...)
 }
 
 // appendJSONString appends s as encoding/json quotes it. A job ID is

@@ -12,9 +12,12 @@ import (
 )
 
 // resultGoldenFile pins the exact bodies GET /v1/jobs/{id}/result
-// answers for a fixed result, one case per line. The json.Encoder
-// writer wrote it at commit 0764cf6: the bodies are the reference, and
-// no code path rewrites them.
+// answers for a fixed result, one case per line. A json.Encoder writer
+// wrote it at commit 0764cf6, indented; when pages became compact it
+// was written once more by encoding/json alone, outside this package,
+// and each body was checked to be json.Compact of the indented one plus
+// its newline. The bodies are the reference, and no code path rewrites
+// them.
 const resultGoldenFile = "testdata/result_page_golden.json"
 
 // resultGoldenTotal is the fixed result's size: a few tuples past
@@ -30,30 +33,26 @@ type resultGolden struct {
 	Body        string `json:"body"`
 }
 
-// goldenTuples builds a deterministic arity-3 result whose IDs span the
-// int32 range: the first tuple holds both extremes and zero, the rest
+// goldenRows builds a deterministic n-row arity-3 result whose IDs span
+// the int32 range: the first row holds both extremes and zero, the rest
 // come from a linear congruential sequence shifted to mixed magnitudes.
-func goldenTuples(n int) []spatial.Tuple {
-	tuples := make([]spatial.Tuple, n)
+func goldenRows(n int) spatial.Rows {
+	rows := spatial.Rows{Arity: 3, IDs: make([]int32, 3*n)}
 	x := uint32(2013)
-	for i := range tuples {
-		ids := make([]int32, 3)
-		for k := range ids {
-			x = x*1664525 + 1013904223
-			ids[k] = int32(x) >> (x % 31)
-		}
-		tuples[i].IDs = ids
+	for i := range rows.IDs {
+		x = x*1664525 + 1013904223
+		rows.IDs[i] = int32(x) >> (x % 31)
 	}
 	if n > 0 {
-		tuples[0].IDs = []int32{math.MaxInt32, 0, math.MinInt32}
+		copy(rows.IDs, []int32{math.MaxInt32, 0, math.MinInt32})
 	}
-	return tuples
+	return rows
 }
 
-// addDoneJob registers a finished job holding tuples, as runJob leaves
+// addDoneJob registers a finished job holding rows, as runJob leaves
 // one, so the result path can be driven without running a query.
-func addDoneJob(s *Server, id string, tuples []spatial.Tuple) {
-	j := &Job{id: id, state: StateDone, res: &spatial.Result{Tuples: tuples}, done: make(chan struct{})}
+func addDoneJob(s *Server, id string, rows spatial.Rows) {
+	j := &Job{id: id, state: StateDone, res: &result{rows: rows}, done: make(chan struct{})}
 	close(j.done)
 	s.mu.Lock()
 	s.jobs[id] = j
@@ -76,12 +75,12 @@ var resultGoldenCases = []struct{ name, path string }{
 	{"paged empty result", "/v1/jobs/j000002/result?offset=3&limit=5"},
 }
 
-// TestResultPageGolden holds every result page body to the bytes the
-// json.Encoder-based writer produced.
+// TestResultPageGolden holds every result page body to the bytes
+// encoding/json produced for it.
 func TestResultPageGolden(t *testing.T) {
 	s, _ := newTestServer(t, Config{Workers: 1})
-	addDoneJob(s, "j000001", goldenTuples(resultGoldenTotal))
-	addDoneJob(s, "j000002", nil)
+	addDoneJob(s, "j000001", goldenRows(resultGoldenTotal))
+	addDoneJob(s, "j000002", spatial.Rows{Arity: 3})
 	h := NewHandler(s, nil)
 
 	var got []resultGolden

@@ -16,11 +16,10 @@ import (
 	"mwsjoin/internal/spatial"
 )
 
-// oracleBody encodes a page the way the json.Encoder writer did: the
+// oracleBody encodes a page the way a json.Encoder writer would: the
 // request clamped, the IDs copied into a ResultPage, and the page
-// encoded with two-space indentation. It is the reference the streamed
-// body is held to.
-func oracleBody(tb testing.TB, id string, tuples []spatial.Tuple, offset, limit int) []byte {
+// encoded. It is the reference the streamed body is held to.
+func oracleBody(tb testing.TB, id string, rows spatial.Rows, offset, limit int) []byte {
 	tb.Helper()
 	if offset < 0 {
 		offset = 0
@@ -31,27 +30,25 @@ func oracleBody(tb testing.TB, id string, tuples []spatial.Tuple, offset, limit 
 	if limit > MaxPageLimit {
 		limit = MaxPageLimit
 	}
-	page := ResultPage{ID: id, Total: len(tuples), Offset: offset}
-	if offset < len(tuples) {
-		hi := min(offset+limit, len(tuples))
-		for _, t := range tuples[offset:hi] {
-			page.Tuples = append(page.Tuples, t.IDs)
+	page := ResultPage{ID: id, Total: rows.Len(), Offset: offset}
+	if offset < rows.Len() {
+		hi := min(offset+limit, rows.Len())
+		for i := offset; i < hi; i++ {
+			page.Tuples = append(page.Tuples, rows.IDs[i*rows.Arity:(i+1)*rows.Arity])
 		}
 		page.Count = hi - offset
-		if hi < len(tuples) {
+		if hi < rows.Len() {
 			page.NextOffset = &hi
 		}
 	}
-	return encodeIndented(tb, &page)
+	return encode(tb, &page)
 }
 
-// encodeIndented is json.Encoder's output with two-space indentation.
-func encodeIndented(tb testing.TB, v any) []byte {
+// encode is json.Encoder's output.
+func encode(tb testing.TB, v any) []byte {
 	tb.Helper()
 	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
 		tb.Fatal(err)
 	}
 	return buf.Bytes()
@@ -74,16 +71,16 @@ func resultPath(id string, offset, limit int) string {
 }
 
 // checkResultPage fetches one page over HTTP and holds it to the oracle
-// byte for byte, to Server.Result's page, and, decoded, to the tuples
-// it should carry.
-func checkResultPage(t *testing.T, s *Server, h http.Handler, id string, tuples []spatial.Tuple, offset, limit int) {
+// byte for byte, to Server.Result's page, and, decoded, to the rows it
+// should carry.
+func checkResultPage(t *testing.T, s *Server, h http.Handler, id string, rows spatial.Rows, offset, limit int) {
 	t.Helper()
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", resultPath(id, offset, limit), nil))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("offset %d limit %d: status %d: %s", offset, limit, rec.Code, rec.Body)
 	}
-	want := oracleBody(t, id, tuples, offset, limit)
+	want := oracleBody(t, id, rows, offset, limit)
 	if got := rec.Body.Bytes(); !bytes.Equal(got, want) {
 		t.Fatalf("offset %d limit %d: body differs from encoding/json's\n got  %.400q\n want %.400q", offset, limit, got, want)
 	}
@@ -91,19 +88,19 @@ func checkResultPage(t *testing.T, s *Server, h http.Handler, id string, tuples 
 	if err != nil {
 		t.Fatal(err)
 	}
-	if viaResult := encodeIndented(t, page); !bytes.Equal(viaResult, want) {
+	if viaResult := encode(t, page); !bytes.Equal(viaResult, want) {
 		t.Fatalf("offset %d limit %d: Server.Result's page encodes to\n %.400q\n want %.400q", offset, limit, viaResult, want)
 	}
 	var back ResultPage
 	if err := json.Unmarshal(rec.Body.Bytes(), &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.Total != len(tuples) || back.Count != len(back.Tuples) {
+	if back.Total != rows.Len() || back.Count != len(back.Tuples) {
 		t.Fatalf("offset %d limit %d: decoded total %d count %d (%d rows), want total %d",
-			offset, limit, back.Total, back.Count, len(back.Tuples), len(tuples))
+			offset, limit, back.Total, back.Count, len(back.Tuples), rows.Len())
 	}
 	for i, row := range back.Tuples {
-		ids := tuples[back.Offset+i].IDs
+		ids := rows.At(back.Offset + i)
 		if len(row) != len(ids) {
 			t.Fatalf("row %d: %v, want %v", back.Offset+i, row, ids)
 		}
@@ -115,24 +112,20 @@ func checkResultPage(t *testing.T, s *Server, h http.Handler, id string, tuples 
 	}
 }
 
-// decodeTuples reads int32s, little-endian, from data into tuples of
-// arity 1 + arity%4; a short tail is dropped.
-func decodeTuples(data []byte, arity uint8) []spatial.Tuple {
-	n := 1 + int(arity%4)
-	var tuples []spatial.Tuple
-	for len(data) >= 4*n {
-		ids := make([]int32, n)
-		for k := range ids {
-			ids[k] = int32(binary.LittleEndian.Uint32(data[4*k:]))
+// decodeRows reads int32s, little-endian, from data into rows of arity
+// 1 + arity%4; a short tail is dropped.
+func decodeRows(data []byte, arity uint8) spatial.Rows {
+	rows := spatial.Rows{Arity: 1 + int(arity%4)}
+	for ; len(data) >= 4*rows.Arity; data = data[4*rows.Arity:] {
+		for k := range rows.Arity {
+			rows.IDs = append(rows.IDs, int32(binary.LittleEndian.Uint32(data[4*k:])))
 		}
-		tuples = append(tuples, spatial.Tuple{IDs: ids})
-		data = data[4*n:]
 	}
-	return tuples
+	return rows
 }
 
 // FuzzResultPage holds GET /v1/jobs/{id}/result to encoding/json on
-// random tuple sets, offsets and limits: the body must be the oracle's
+// random results, offsets and limits: the body must be the oracle's
 // bytes and decode back to the page's IDs.
 func FuzzResultPage(f *testing.F) {
 	f.Add([]byte{}, uint8(0), 0, 0)
@@ -142,47 +135,53 @@ func FuzzResultPage(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{9}, 64), uint8(0), 63, MaxPageLimit+1)
 	s, h := newResultServer(f)
 	f.Fuzz(func(t *testing.T, data []byte, arity uint8, offset, limit int) {
-		tuples := decodeTuples(data, arity)
-		addDoneJob(s, "j000001", tuples)
-		checkResultPage(t, s, h, "j000001", tuples, offset, limit)
+		rows := decodeRows(data, arity)
+		addDoneJob(s, "j000001", rows)
+		checkResultPage(t, s, h, "j000001", rows, offset, limit)
 	})
 }
 
 // TestResultPageMatchesEncoder runs the oracle comparison over what a
 // fuzz corpus of small inputs rarely reaches: a page cut at
-// MaxPageLimit, a defaulted page of a longer result, tuples of mixed
-// arity, and IDs that need escaping.
+// MaxPageLimit, a defaulted page of a longer result, results of arity
+// 1, 2 and 4, and IDs that need escaping.
 func TestResultPageMatchesEncoder(t *testing.T) {
 	s, h := newResultServer(t)
-	long := goldenTuples(MaxPageLimit + 5)
+	long := goldenRows(MaxPageLimit + 5)
 	addDoneJob(s, "j000001", long)
 	for _, c := range []struct{ offset, limit int }{
 		{3, MaxPageLimit + 1}, {2, 0}, {MaxPageLimit + 4, -1}, {MaxPageLimit + 5, 1},
 	} {
 		checkResultPage(t, s, h, "j000001", long, c.offset, c.limit)
 	}
-	mixed := []spatial.Tuple{{IDs: []int32{1}}, {IDs: []int32{-5, 6, 7, 8}}, {IDs: []int32{0, math.MinInt32}}}
-	addDoneJob(s, "j000002", mixed)
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/jobs/j000002/result", nil))
-	if want := oracleBody(t, "j000002", mixed, 0, 0); !bytes.Equal(rec.Body.Bytes(), want) {
-		t.Errorf("mixed arity: body differs from encoding/json's\n got  %q\n want %q", rec.Body, want)
+	arities := []spatial.Rows{
+		{Arity: 1, IDs: []int32{1, math.MaxInt32, -1}},
+		{Arity: 2, IDs: []int32{0, math.MinInt32, -5, 6}},
+		{Arity: 4, IDs: []int32{-5, 6, 7, 8, math.MinInt32, 0, math.MaxInt32, 9}},
+	}
+	for i, rows := range arities {
+		id := "j00000" + strconv.Itoa(2+i)
+		addDoneJob(s, id, rows)
+		checkResultPage(t, s, h, id, rows, 0, 0)
+		checkResultPage(t, s, h, id, rows, 1, 1)
 	}
 	for _, id := range []string{"j<&>", "j\"\\", "j\t\x01", "jé ", "j\xff"} {
-		var got bytes.Buffer
-		if err := writeResultPage(&got, id, mixed, 0, 1); err != nil {
-			t.Fatal(err)
-		}
-		if want := oracleBody(t, id, mixed, 0, 1); !bytes.Equal(got.Bytes(), want) {
-			t.Errorf("id %q: body differs from encoding/json's\n got  %q\n want %q", id, got.Bytes(), want)
+		for _, rows := range arities {
+			var got bytes.Buffer
+			if err := writeResultPage(&got, id, rows, 0, 1); err != nil {
+				t.Fatal(err)
+			}
+			if want := oracleBody(t, id, rows, 0, 1); !bytes.Equal(got.Bytes(), want) {
+				t.Errorf("id %q, arity %d: body differs from encoding/json's\n got  %q\n want %q", id, rows.Arity, got.Bytes(), want)
+			}
 		}
 	}
 }
 
 // TestResultPagesWhileJobsFinish reads pages over HTTP from several
 // goroutines while a job runs, then of a cache hit sharing its result:
-// the writer reads the tuples outside the server mutex, so under -race
-// this checks that nothing writes them once the job is done.
+// the writer reads the slab outside the server mutex, so under -race
+// this checks that nothing writes it once the job is done.
 func TestResultPagesWhileJobsFinish(t *testing.T) {
 	s, _ := newTestServer(t, Config{Workers: 2})
 	h := NewHandler(s, nil)
@@ -220,15 +219,15 @@ func TestResultPagesWhileJobsFinish(t *testing.T) {
 		t.Fatal("resubmission missed the cache")
 	}
 	cached := fetchAll(hit.ID, offsets)
-	tuples, err := s.resultTuples(first.ID)
+	rows, err := s.resultRows(first.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for g, offset := range offsets {
-		if want := oracleBody(t, first.ID, tuples, offset, 7); !bytes.Equal(running[g], want) {
+		if want := oracleBody(t, first.ID, rows, offset, 7); !bytes.Equal(running[g], want) {
 			t.Errorf("offset %d while running: %.300q, want %.300q", offset, running[g], want)
 		}
-		if want := oracleBody(t, hit.ID, tuples, offset, 7); !bytes.Equal(cached[g], want) {
+		if want := oracleBody(t, hit.ID, rows, offset, 7); !bytes.Equal(cached[g], want) {
 			t.Errorf("offset %d of the cache hit: %.300q, want %.300q", offset, cached[g], want)
 		}
 	}
@@ -250,7 +249,7 @@ func (d *discardResponse) Write(p []byte) (int, error) { d.n += len(p); return l
 // page plus a small constant.
 func TestResultPageAllocs(t *testing.T) {
 	s, h := newResultServer(t)
-	addDoneJob(s, "j000001", goldenTuples(MaxPageLimit))
+	addDoneJob(s, "j000001", goldenRows(MaxPageLimit))
 	allocs := func(limit int) float64 {
 		w := &discardResponse{h: make(http.Header)}
 		r := httptest.NewRequest("GET", resultPath("j000001", 0, limit), nil)
@@ -267,7 +266,7 @@ func TestResultPageAllocs(t *testing.T) {
 // job through the handler into a writer that discards it.
 func BenchmarkResultPage(b *testing.B) {
 	s, h := newResultServer(b)
-	addDoneJob(s, "j000001", goldenTuples(10_000))
+	addDoneJob(s, "j000001", goldenRows(10_000))
 	w := &discardResponse{h: make(http.Header)}
 	r := httptest.NewRequest("GET", resultPath("j000001", 0, 10_000), nil)
 	b.ReportAllocs()

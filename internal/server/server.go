@@ -750,7 +750,7 @@ func (s *Server) nextJob() *Job {
 // engine by default, or on the cluster coordinator when one is
 // configured.
 func (s *Server) runJob(j *Job) {
-	var res *spatial.Result
+	res := new(result)
 	var err error
 	cfg := s.gridConfig()
 	cfg.Parallelism = s.cfg.Parallelism
@@ -763,7 +763,7 @@ func (s *Server) runJob(j *Job) {
 		spec := cluster.SpecFromConfig(j.method, j.queryTxt, j.rels, cfg)
 		var rr *cluster.RunResult
 		if rr, err = coord.Run(spec); err == nil {
-			res = &spatial.Result{Tuples: rr.Tuples, Stats: rr.Stats}
+			res.rows, res.stats = rr.Rows, rr.Stats
 		}
 	} else {
 		cfg.Part = j.part
@@ -779,20 +779,20 @@ func (s *Server) runJob(j *Job) {
 				gate(j.id, i, name)
 			}
 		}
-		res, err = spatial.Execute(j.method, j.q, j.rels, cfg)
+		res.rows, res.stats, err = spatial.ExecuteRows(j.method, j.q, j.rels, cfg)
 	}
 	finished := time.Now()
 
 	// Publish the Stats and assemble the profile outside the mutex:
 	// queryTxt and the tracer are immutable after submission, and no
-	// other goroutine touches the tracer once Execute has returned.
+	// other goroutine touches the tracer once ExecuteRows has returned.
 	// Cluster jobs publish too but get no profile — their spans live on
 	// the workers — and take the ErrNoProfile path.
 	var prof *profile.Profile
 	if err == nil {
-		profile.Publish(s.reg, &res.Stats)
+		profile.Publish(s.reg, &res.stats)
 		if s.cfg.Cluster == nil {
-			prof = profile.Build(j.queryTxt, &res.Stats, j.tracer.Spans())
+			prof = profile.Build(j.queryTxt, &res.stats, j.tracer.Spans())
 		}
 	}
 
@@ -804,7 +804,7 @@ func (s *Server) runJob(j *Job) {
 	case err == nil:
 		j.res = res
 		j.prof = prof
-		j.stepsDone = len(res.Stats.Rounds)
+		j.stepsDone = len(res.stats.Rounds)
 		j.currentStep = ""
 		s.setState(j, StateDone)
 		s.cache.put(j.key, res)

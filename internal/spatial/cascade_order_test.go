@@ -40,6 +40,10 @@ import (
 // round reads (the DFS, checkpoint and IntermediateBytes counts fell).
 // Every tuple half stayed the parent's.
 //
+// The ties-across-blocks workload came later, with its keys alone: they
+// were written by the code of the commit before the one that added it,
+// and the keys before them were left byte for byte.
+//
 // MWSJ_WRITE_CASCADE_GOLDEN=1 rewrites the golden and orderSnapshotFile
 // from the current code, which is only meaningful on a commit whose
 // order is the reference.
@@ -87,7 +91,22 @@ func orderWorkloads() []orderWorkload {
 		}
 		rels[i] = NewRelation(name, rects)
 	}
-	return append(ws, orderWorkload{"ties", q2(), rels})
+	ws = append(ws, orderWorkload{"ties", q2(), rels})
+	// MinX ties across column blocks, shaped like
+	// TestCascadeTieBreakAcrossBlocks: R2's rectangles span several
+	// cells, so the round-1 partials that share one tie on its MinX in
+	// round 2, and the cells that emitted them come in one order
+	// row-major and in another by column block.
+	rng = rand.New(rand.NewPCG(2013, 55))
+	side := func(name string, n int, lo, hi float64) Relation {
+		rects := make([]geom.Rect, n)
+		for j := range rects {
+			rects[j] = geom.Rect{X: rng.Float64() * 900, Y: 100 + rng.Float64()*900, L: lo + rng.Float64()*(hi-lo), B: lo + rng.Float64()*(hi-lo)}
+		}
+		return NewRelation(name, rects)
+	}
+	blocks := []Relation{side("R1", 150, 5, 40), side("R2", 30, 150, 300), side("R3", 150, 5, 40)}
+	return append(ws, orderWorkload{"ties-across-blocks", q2(), blocks})
 }
 
 // orderConfigs are the in-process axes; kill/resume and the distributed

@@ -89,6 +89,9 @@ go test -count=1 -run "^($guards)\$" $guard_pkgs
 echo "== sweep order across map splits (the race pass above ran it; a rename must not drop it) =="
 require_tests 'TestCascadeTieBreakAcrossBlocks' ./internal/spatial
 
+echo "== result pages: the slab's bytes, compact and encoding/json's (the race pass above ran them; a rename must not drop them) =="
+require_tests 'TestResultPageAllocs|TestResultPageGolden|TestCacheChargesSlabBytes' ./internal/server
+
 echo "== liveness (a worker is alive while its control connection delivers bytes; five race runs) =="
 liveness='TestSilentWorkerDeclaredDead|TestStalledReaderKeepsWorkerAlive|TestSlowResultKeepsWorkerAlive|TestClusterWorkerStatusAndGauges|TestReplacedWorkerIsReshipped'
 require_tests "$liveness" ./internal/cluster
@@ -110,13 +113,14 @@ echo "== benchmark module tests (own go.mod, invisible to the root go test ./...
 go test -C benchmark ./...
 test -z "$(gofmt -l benchmark)"
 
-echo "== DFS row read, grid routing and adaptive build, shuffle pipeline, sweep kernel, strip probe, R-tree, mark round, planner, sweep order, relation staging, control-plane and mesh bench smoke (1 iteration per benchmark) =="
+echo "== DFS row read, grid routing and adaptive build, shuffle pipeline, sweep kernel, strip probe, R-tree, mark round, planner, sweep order, relation staging, control-plane, mesh, result hash and result page bench smoke (1 iteration per benchmark) =="
 go test -run='^$' -bench BenchmarkViewMBBs -benchtime=1x ./internal/dfs
 go test -run='^$' -bench 'BenchmarkSplit|BenchmarkReplicateF2|BenchmarkBuildAdaptive' -benchtime=1x ./internal/grid
 go test -run='^$' -bench . -benchtime=1x ./internal/mapreduce
 go test -run='^$' -bench 'BenchmarkJoinSortedCells|BenchmarkStripProbe' -benchtime=1x ./internal/sweep
 go test -run='^$' -bench 'BenchmarkRTree(Build|Probe)$' -benchtime=1x ./internal/index
 go test -run='^$' -bench 'BenchmarkPlanQuery|BenchmarkMarkCell|BenchmarkSweepOrder|BenchmarkStageRows' -benchtime=1x ./internal/spatial
-go test -run='^$' -bench 'BenchmarkControlPlane|BenchmarkMeshAllToAll' -benchtime=1x ./internal/cluster
+go test -run='^$' -bench 'BenchmarkControlPlane|BenchmarkMeshAllToAll|BenchmarkHashTuples' -benchtime=1x ./internal/cluster
+go test -run='^$' -bench 'BenchmarkResultPage' -benchtime=1x ./internal/server
 
 echo "== check.sh: all green =="
