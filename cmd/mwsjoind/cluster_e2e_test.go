@@ -109,15 +109,14 @@ func TestDaemonClusterEndToEnd(t *testing.T) {
 	}
 
 	// Three real worker processes; w1 SIGKILLs itself right before its
-	// 6th mesh exchange. A job makes three, its map report, its run
-	// shuffle and its output gather, so that is round 2's output gather
-	// — mid round 2 of the cascade, after the round-1 checkpoint exists
-	// on every worker.
+	// 4th mesh exchange. A job makes two, its run shuffle and its output
+	// gather, so that is round 2's output gather — mid round 2 of the
+	// cascade, after the round-1 checkpoint exists on every worker.
 	workers := make(map[string]*exec.Cmd)
 	for _, w := range []struct {
 		name     string
 		dieAfter string
-	}{{"w0", "0"}, {"w1", "6"}, {"w2", "0"}} {
+	}{{"w0", "0"}, {"w1", "4"}, {"w2", "0"}} {
 		cmd := exec.Command(workerBin,
 			"-coordinator", coordAddr, "-name", w.name,
 			"-die-after-exchanges", w.dieAfter)

@@ -2,11 +2,11 @@
 // registers with a coordinator (mwsjoind -cluster-listen), heartbeats,
 // and executes its share of every query session the coordinator places.
 // Each session attempt dials a TCP mesh to its peers, over which every
-// job makes three exchanges: its map report (counters, and each map
-// run's priced bytes, from which every worker places the reducers), its
-// map runs for the peers' reducers (unsorted values in emit order),
-// then its reducers' outputs (for the 2-way Cascade, the page segments
-// of the round's checkpoint).
+// job makes two exchanges: its map runs for the peers' reducers
+// (unsorted values in emit order, after its map counters; every worker
+// places the reducers from the grid before the map), then its reducers'
+// outputs (for the 2-way Cascade, the page segments of the round's
+// checkpoint).
 //
 // Usage:
 //
@@ -15,7 +15,7 @@
 // The process exits when the coordinator connection drops or on
 // SIGINT/SIGTERM. -die-after-exchanges N SIGKILLs the process right
 // before its N-th mesh exchange of a session — a map-reduce job makes
-// three, its map report, its run shuffle and its output gather — the
+// two, its run shuffle and its output gather — the
 // deterministic mid-round crash the recovery CI stanza injects.
 package main
 
@@ -45,7 +45,7 @@ func run(args []string, stderr io.Writer) error {
 		name        = fs.String("name", "", "unique worker name (required)")
 		dataListen  = fs.String("data-listen", "127.0.0.1:0", "data-plane listen address for the network shuffle")
 		exchangeTO  = fs.Duration("exchange-timeout", 0, "bound on one whole shuffle exchange, its sends included, and on how long a session waits for relations it asked for (0 = 60s)")
-		dieAfter    = fs.Int("die-after-exchanges", 0, "testing: SIGKILL this process right before its n-th mesh exchange of a session, three per job (0 = never)")
+		dieAfter    = fs.Int("die-after-exchanges", 0, "testing: SIGKILL this process right before its n-th mesh exchange of a session, two per job (0 = never)")
 		quiet       = fs.Bool("quiet", false, "suppress per-session logs")
 	)
 	if err := fs.Parse(args); err != nil {

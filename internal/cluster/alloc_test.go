@@ -157,19 +157,24 @@ func measureClusterAllocation(t *testing.T, rels []spatial.Relation) (direct, cl
 
 // TestClusterShipsBoundaryPairsAtBenchmarkShape holds what a two-worker
 // cascade ships between its workers at the benchmark's cluster_w2 shape
-// to the pairs that cross a worker boundary: a mapper's split is a block
-// of grid columns of every input side — the relations are staged in MinX
-// order, and a cascade checkpoint's records are placed by the cells
-// that emitted them — each worker maps a contiguous range of blocks, and
-// each reducer is placed on the worker whose mappers emitted most of its
-// bytes, so only the rectangles crossing the one boundary between the
-// workers' columns travel. The result must be the one worker's: the
-// roster hash and tuple count of a one-worker cluster. The ceilings are
-// the figures measured when splits first followed the grid plus a margin
-// of a tenth (Cascade 20,484 B, C-Rep 2,467,988 B, C-Rep-L 28,516 B). With
-// x-strip count splits dealt m mod W the three shipped 1,075,101 B,
-// 4,909,980 B and 2,465,910 B, and with reducers dealt r mod W as well
-// 4,984,566 B, 4,911,218 B and 2,467,025 B.
+// to the pairs that cross a worker boundary: before the map, every
+// worker cuts the grid's columns into one block a worker, balanced by
+// the records each holds, and places each cell on the worker of its
+// column; a mapper's split is a range of its worker's columns of every
+// input side — the relations are staged in MinX order, and a cascade
+// checkpoint's records are placed by the cells that emitted them — so
+// only the rectangles crossing the one boundary between the workers'
+// columns travel. The result must be the one worker's: the roster hash
+// and tuple count of a one-worker cluster. The ceilings are the figures
+// measured when splits first followed the grid plus a margin of a tenth
+// (Cascade 20,484 B, C-Rep 2,467,988 B, C-Rep-L 28,516 B). Placed from
+// the grid, before the map, C-Rep ships 2,474,536 B: the map report's
+// byte-weighted placement had put column 4's lower four cells, where
+// C-Rep's replication to the lower right lands most copies from the
+// left, on the first worker. With x-strip count splits dealt m mod W the
+// three shipped 1,075,101 B, 4,909,980 B and 2,465,910 B, and with
+// reducers dealt r mod W as well 4,984,566 B, 4,911,218 B and 2,467,025
+// B.
 func TestClusterShipsBoundaryPairsAtBenchmarkShape(t *testing.T) {
 	checkShippedAtBenchmarkShape(t, 2, []shipCeiling{
 		{spatial.Cascade, 22_500},
@@ -180,16 +185,18 @@ func TestClusterShipsBoundaryPairsAtBenchmarkShape(t *testing.T) {
 
 // TestThreeWorkersShipBoundaryPairsAtBenchmarkShape is
 // TestClusterShipsBoundaryPairsAtBenchmarkShape on three workers. The
-// grid's eight columns fall to them three, three and two, so besides the
-// pairs crossing the two boundaries the placement's balance bound moves
-// a few of the first two workers' cells, whole, to the third. The
-// ceilings are the figures measured when splits first followed the grid
-// plus a tenth (Cascade 554,699 B, C-Rep 3,305,553 B, C-Rep-L 472,868 B).
+// grid's eight columns fall to them three, two and three, so only the
+// pairs crossing the two boundaries travel (Cascade 45,808 B, C-Rep
+// 3,240,799 B, C-Rep-L 63,358 B). The Cascade and C-Rep-L ceilings are
+// three times their two-worker figures; C-Rep's is the figure measured
+// when splits first followed the grid plus a tenth (3,305,553 B). Placed
+// from the map reports' weights, the balance bound moved whole cells
+// between workers, and Cascade shipped 554,699 B and C-Rep-L 472,868 B.
 func TestThreeWorkersShipBoundaryPairsAtBenchmarkShape(t *testing.T) {
 	checkShippedAtBenchmarkShape(t, 3, []shipCeiling{
-		{spatial.Cascade, 610_000},
+		{spatial.Cascade, 61_452},
 		{spatial.ControlledReplicate, 3_636_000},
-		{spatial.ControlledReplicateLimit, 520_000},
+		{spatial.ControlledReplicateLimit, 85_548},
 	})
 }
 

@@ -229,11 +229,11 @@ func TestClusterRecovery(t *testing.T) {
 	victim := 2
 	tc := startTestCluster(t, 3, func(i int, wc *WorkerConfig) {
 		if i == victim {
-			// A 3-relation cascade is two jobs of three exchanges each
-			// (the map report, the run shuffle, then the output gather);
-			// dying before the sixth is before round two's output
-			// gather, after the step-one checkpoint committed.
-			wc.DieAfterExchanges = 6
+			// A 3-relation cascade is two jobs of two exchanges each
+			// (the run shuffle, then the output gather); dying before
+			// the fourth is before round two's output gather, after the
+			// step-one checkpoint committed.
+			wc.DieAfterExchanges = 4
 			wc.DieInProcess = true
 		}
 	})
@@ -284,7 +284,7 @@ func TestClusterRecoveryAllMethods(t *testing.T) {
 			victim := 1
 			tc := startTestCluster(t, 3, func(i int, wc *WorkerConfig) {
 				if i == victim {
-					wc.DieAfterExchanges = 3 // before the first job's output gather, its third exchange
+					wc.DieAfterExchanges = 2 // before the first job's output gather, its second exchange
 					wc.DieInProcess = true
 				}
 			})

@@ -18,11 +18,11 @@
 // What crosses the wire, and how. Data plane (mesh.go, worker to
 // worker), as length-prefixed binary frames, each read by the exchange
 // it belongs to under one deadline that bounds the whole exchange, its
-// sends included; three exchanges per job: the
-// sender's map report (its counters and each of its map runs' priced
-// bytes, from which every worker computes the same reducer placement);
-// its runs for the reducers placed on the receiver (a mapper's values
-// for one reducer, unsorted, in emit order); its reduce report, then
+// sends included; two exchanges per job, each reducer placed before the
+// map by the grid column every worker assigns it: the sender's map
+// report (its map attempts, failures and lowest map error), then its
+// runs for the reducers placed on the receiver (a mapper's values for
+// one reducer, unsorted, in emit order); its reduce report, then
 // its reducers' pair counts and outputs (for the 2-way Cascade, page
 // segments of the round's checkpoint, not one record per tuple). A resumed attempt first agrees on the committed checkpoint
 // prefix in one more exchange. Control plane

@@ -25,7 +25,7 @@ const (
 	// stale worker binary fails at registration instead of mid-session —
 	// or, ignoring a spec field it never heard of, answering a different
 	// question.
-	protocolVersion = 11
+	protocolVersion = 12
 
 	// maxHeaderBytes caps the JSON header line. Every bulk field rides as
 	// an attachment, so a header holds names, counters and the run's

@@ -41,8 +41,8 @@ type WorkerConfig struct {
 	// (default 60s).
 	ExchangeTimeout time.Duration
 	// DieAfterExchanges, when positive, kills the worker right before
-	// its n-th mesh exchange of a session — a job makes three: its map
-	// report, its run shuffle and its output gather — the deterministic
+	// its n-th mesh exchange of a session — a job makes two: its run
+	// shuffle and its output gather — the deterministic
 	// mid-round fault the recovery tests and TestDaemonClusterEndToEnd
 	// inject. The death is SIGKILL of the whole process, unless
 	// DieInProcess is set.

@@ -50,11 +50,16 @@ func Read(r io.Reader) ([]geom.Rect, error) {
 }
 
 // read is Read given r's size in bytes (0 if unknown), from which it
-// sizes the output once the first block has shown how dense it is.
+// sizes the output once the first block has shown how dense it is, and a
+// block of a smaller input: its size and the byte that finds its end.
 func read(r io.Reader, size int64) ([]geom.Rect, error) {
 	var rects []geom.Rect
 	var shards []shard
-	buf, lines := make([]byte, readShape.block), 0
+	block := readShape.block
+	if size > 0 && size < int64(block) {
+		block = int(size) + 1
+	}
+	buf, lines := make([]byte, block), 0
 	for carry := 0; ; {
 		n, rerr := fill(r, buf[carry:])
 		data := buf[:carry+n]

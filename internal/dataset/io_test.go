@@ -234,6 +234,39 @@ func TestReadMemoryFollowsRectangles(t *testing.T) {
 	}
 }
 
+// TestSmallFileReadsInItsOwnSize holds ReadFile of a 1 KiB relation
+// under 64 KiB: its block is the file's size and the byte that finds its
+// end, not a whole 1 MiB block.
+func TestSmallFileReadsInItsOwnSize(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow memory allocates")
+	}
+	var csv []byte
+	for i := 0; len(csv) < 1<<10-32; i++ {
+		csv = fmt.Appendf(csv, "%d,%d,3,4\n", i, 2*i)
+	}
+	path := filepath.Join(t.TempDir(), "small.csv")
+	if err := os.WriteFile(path, csv, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := bytes.Count(csv, []byte{'\n'})
+	if _, err := ReadFile(path); err != nil { // warm the goroutines the shards run on
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rects, err := ReadFile(path)
+	runtime.ReadMemStats(&after)
+	if err != nil || len(rects) != want {
+		t.Fatalf("read %d rectangles, %v; want %d", len(rects), err, want)
+	}
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("a %d-byte file of %d rectangles: %d B allocated", len(csv), want, got)
+	if got >= 64<<10 {
+		t.Errorf("ReadFile of a %d-byte file allocated %d B, want under 64 KiB", len(csv), got)
+	}
+}
+
 // BenchmarkReadFile loads one relation of the benchmark's uniform shape
 // from its CSV, the engine-side twin of the benchmark's dataset.load_ms.
 func BenchmarkReadFile(b *testing.B) {

@@ -3,32 +3,29 @@ package mapreduce
 // Distributed execution (SPMD): every worker of a cluster runs the same
 // deterministic Job over the same input, but task *ownership* is
 // partitioned — of nm mappers, mapper m belongs to worker ⌊m·W/nm⌋, so
-// each worker runs a contiguous range of them (a block of neighbouring
-// grid columns where the caller's splits follow the grid, RunBlocks),
-// and each reducer to the worker the job's placement table names — and
-// a job makes three exchanges:
+// each worker runs a contiguous range of them (OwnedMappers), and each
+// reducer to the worker the job's Cut names, a table every worker has
+// before its map phase (RunBlocks: where the caller cuts splits along the
+// grid's columns, a worker maps a block of neighbouring columns and owns
+// their cells) — and a job makes two exchanges:
 //
-//  1. the map report, all-gathered: each worker's map attempts, map
-//     failures and lowest-index map error, then, unless its map phase
-//     failed, one vector per mapper it owns of each of that mapper's
-//     runs' priced bytes (its pair count when the job prices none). So
-//     every worker agrees on the job's MapAttempts/MapFailures totals,
-//     on whether (and how) the map phase failed, and on the placement
-//     table (placeReducers), which it computes from the same vectors;
-//  2. the network shuffle: a worker's payload to a peer is the runs of
-//     its mappers for the reducers the table gives the peer, so the
-//     shuffle sees exactly the runs[m][r] matrix an in-process run
-//     builds;
-//  3. a reduce barrier all-gathering the reducer outputs, each
+//  1. the network shuffle: a worker's payload to a peer is its map report
+//     — map attempts, map failures and lowest-index map error — then,
+//     unless its map phase failed, the runs of its mappers for the
+//     reducers the table gives the peer, so the shuffle sees exactly the
+//     runs[m][r] matrix an in-process run builds, and every worker agrees
+//     on the job's MapAttempts/MapFailures totals and on whether (and
+//     how) the map phase failed, which ends the job there;
+//  2. a reduce barrier all-gathering the reducer outputs, each
 //     reducer's pair count and the reduce accounting, so every worker
 //     finishes the job with the complete output slice and identical
 //     Stats.
 //
-// The last two frame their records alike: a header — a run's mapper,
-// reducer, priced bytes and count; a reducer entry's reducer, pairs and
-// count — then count records of the job's codec (Job.Values,
-// Job.Outputs) back to back. A pair ships as its value alone, since the
-// header names its reducer.
+// Both frame their records alike: a header — a run's mapper, reducer
+// and count; a reducer entry's reducer, pairs and count — then count
+// records of the job's codec (Job.Values, Job.Outputs) back to back. A
+// pair ships as its value alone, since the header names its reducer, and
+// its priced bytes are the receiver's to count (Job.PairBytes).
 //
 // Because the shuffle delivers a reducer's values in (mapper index,
 // emit order) no matter which worker produced the run, and outputs are
@@ -41,11 +38,9 @@ package mapreduce
 // zero).
 
 import (
-	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"slices"
 )
 
 // Exchanger is one collective data-plane primitive connecting the W
@@ -100,13 +95,6 @@ func (d *DistConfig) Slabs() *BufferPool {
 	}
 	return d.Pool
 }
-
-// mapperOwner is the worker that runs mapper m of a job of nm mappers:
-// each worker runs a contiguous range of them, mapper m on worker
-// ⌊m·W/nm⌋, so where a caller's splits follow the grid's columns a
-// worker maps a block of neighbouring columns. Reducers go where the
-// job's placement table puts them.
-func (d *DistConfig) mapperOwner(m, nm int) int { return m * d.NumWorkers / nm }
 
 // validate checks the distributed knobs at config time. numMappers is
 // the pre-default value: a W>1 job must pin NumMappers explicitly,
@@ -243,9 +231,9 @@ func reportLen(n int, e taskError) int {
 }
 
 // appendReport encodes one worker's report of a phase it ran part of:
-// its counters, then its lowest-index failed task. Two exchanges of a
-// job carry one: the map report heads its own, the reduce report the
-// reduce barrier's payload.
+// its counters, then its lowest-index failed task. Both exchanges of a
+// job carry one at the head of their payloads: the map report, the
+// reduce report.
 func appendReport(buf []byte, c []int64, e taskError) []byte {
 	for _, v := range c {
 		buf = appendUvarints(buf, uint64(v))
@@ -281,228 +269,39 @@ func distGather(d *DistConfig, tag string, payload []byte) ([][]byte, error) {
 // map attempts and failures.
 const mapReportCounters = 2
 
-// ownedMappers is the range [lo, hi) of the mappers worker w of W owns
-// among nm: those m with ⌊m·W/nm⌋ = w (mapperOwner).
-func ownedMappers(w, W, nm int) (lo, hi int) {
-	return (w*nm + W - 1) / W, ((w+1)*nm + W - 1) / W
-}
-
-// appendMapReport encodes worker w's map report: its counters c and
-// lowest-index map error e, then — unless e names a failed mapper, whose
-// report is the report alone — the count of mappers w owns and, for each
-// of them ascending, its nr weights, weights[m*nr+r] for reducer r.
-func appendMapReport(buf []byte, c []int64, e taskError, w, W, nr int, weights []int64) []byte {
-	buf = appendReport(buf, c, e)
-	if e.idx >= 0 {
-		return buf
-	}
-	lo, hi := ownedMappers(w, W, len(weights)/nr)
-	buf = appendUvarints(buf, uint64(hi-lo))
-	for m := lo; m < hi; m++ {
-		for _, v := range weights[m*nr : (m+1)*nr] {
-			buf = appendUvarints(buf, uint64(v))
-		}
-	}
-	return buf
-}
-
-// parseMapReport decodes the map report at the head of worker w's
-// payload, of a job of len(weights)/nr mappers and nr reducers, into c,
-// e and w's mappers' rows of weights, and returns the bytes after it.
-// A report carrying an error ends there; any other holds exactly one
-// vector for each mapper w owns.
-func parseMapReport(buf []byte, c []int64, e *taskError, w, W, nr int, weights []int64) ([]byte, error) {
-	nm := len(weights) / nr
-	buf, err := parseReport(buf, c, e, nm)
-	if err != nil || e.idx >= 0 {
-		return buf, err
-	}
-	k, buf, err := readUvarint(buf)
-	if err != nil {
-		return nil, err
-	}
-	// Every weight takes at least a byte.
-	if k > uint64(len(buf)/nr) {
-		return nil, fmt.Errorf("mapreduce: dist frame: %d mapper vectors of %d reducers declared with %d bytes left", k, nr, len(buf))
-	}
-	lo, hi := ownedMappers(w, W, nm)
-	if k != uint64(hi-lo) {
-		return nil, fmt.Errorf("mapreduce: dist frame: %d mapper vectors reported, worker %d owns %d mappers", k, w, hi-lo)
-	}
-	for m := lo; m < hi; m++ {
-		for r := range nr {
-			var v uint64
-			if v, buf, err = readUvarint(buf); err != nil {
-				return nil, err
-			}
-			weights[m*nr+r] = int64(v)
-		}
-	}
-	return buf, nil
-}
-
-// placeReducers is a job's placement table: entry r is the worker that
-// runs reducer r, given load[w][r], the bytes worker w's mappers emitted
-// for it. A reducer should run where most of its bytes already are, so
-// each goes to its best worker — the most bytes; among equals, the one
-// holding the fewest bytes so far, then the lower index — unless that
-// would lift the worker's total above ⌈total/W⌉ plus the largest
-// reducer's bytes; then it goes to the best worker that still has room.
-// A reducer whose bytes are split evenly ships the same wherever it
-// runs, so equals take turns instead of filling the lower worker. Reducers are placed in descending order of the margin
-// between their best and second-best worker's bytes, the lower index
-// first on a tie, so those with the most to lose from moving choose
-// first. A reducer with no bytes stays at r mod W. Every worker computes
-// the same table from the same map reports.
-func placeReducers(load [][]int64) []int {
-	W, nr := len(load), len(load[0])
-	owner := make([]int, nr)
-	sum := make([]int64, nr)
-	margin := make([]int64, nr)
-	order := make([]int, 0, nr)
-	var total, largest int64
-	for r := range owner {
-		owner[r] = r % W
-		var first, second int64
-		for w := range load {
-			v := load[w][r]
-			sum[r] += v
-			if v > first {
-				first, second = v, first
-			} else if v > second {
-				second = v
-			}
-		}
-		if sum[r] != 0 {
-			margin[r] = first - second
-			order = append(order, r)
-		}
-		total += sum[r]
-		largest = max(largest, sum[r])
-	}
-	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(margin[b], margin[a]) })
-	room := (total+int64(W)-1)/int64(W) + largest
-	held := make([]int64, W)
-	for _, r := range order {
-		// The least-held worker has room: before r it holds at most
-		// (total − sum[r])/W.
-		best := -1
-		for w := range load {
-			if held[w]+sum[r] > room {
-				continue
-			}
-			if best < 0 || load[w][r] > load[best][r] || load[w][r] == load[best][r] && held[w] < held[best] {
-				best = w
-			}
-		}
-		if best < 0 {
-			// Only a peer's claims that overflow the sums get here.
-			best = owner[r]
-		}
-		owner[r] = best
-		held[best] += sum[r]
-	}
-	return owner
-}
-
-// distMapReport is the first exchange: it all-gathers every worker's
-// map report and returns the job's placement table and every mapper's
-// weights, weights[m*nr+r] for reducer r. The reports make the
-// MapAttempts/MapFailures totals in stats global and surface the
-// globally lowest-index map error, which ends the job here; otherwise
-// each worker's weights — a run's priced bytes, or its pairs when the
-// job prices none — place the reducers, and price the runs the next
-// exchange brings in.
-func distMapReport[I any, K ReducerKey, V any, O any](j *Job[I, K, V, O], cfg *Config, stats *Stats, runs [][]run[V], mapErrs []error) ([]int, []int64, error) {
+// distExchangeRuns is the first exchange, the network shuffle. Its
+// payload to a peer is this worker's map report, then — unless its map
+// phase failed, whose report is the report alone — each owned mapper's
+// runs for the reducers owner, the job's table, gives the peer. The
+// reports make the MapAttempts/MapFailures totals in stats global and
+// surface the globally lowest-index map error, which ends the job here.
+// Otherwise runs[m][r] is populated for every locally-owned reducer
+// column r exactly as an in-process run would have built it, each
+// received run priced with Job.PairBytes as an in-process mapper prices
+// it; remote mappers' rows are materialized so the shuffle can index
+// them. Each payload to a peer is encoded into a frame from pool, which
+// goes back once the exchange returns. stats.ShuffleNetworkBytes and
+// ShuffleNetworkRuns are left at this worker's share, the bytes of runs
+// (the reports not counted) and the non-empty runs it shipped, which the
+// reduce barrier sums.
+func distExchangeRuns[I any, K ReducerKey, V any, O any](j *Job[I, K, V, O], cfg *Config, stats *Stats, runs [][]run[V], mapErrs []error, owner []int, pool *BufferPool) error {
 	d := cfg.Dist
-	W, nm, nr := d.NumWorkers, len(runs), cfg.NumReducers
+	W, nm := d.NumWorkers, len(runs)
 	// Mirror the in-process surface error exactly:
 	// fmt.Errorf("%w (mapper %d)", err, m).
 	locErr := firstError(mapErrs, func(m int, err error) string { return fmt.Sprintf("%s (mapper %d)", err, m) })
 	c := [mapReportCounters]int64{stats.MapAttempts, stats.MapFailures}
-	weights := make([]int64, nm*nr)
-	lo, hi := ownedMappers(d.Self, W, nm)
-	for m := lo; locErr.idx < 0 && m < hi; m++ {
-		for r := range runs[m] {
-			b := &runs[m][r]
-			weights[m*nr+r] = int64(b.n)
-			if j.PairBytes != nil {
-				weights[m*nr+r] = b.bytes
-			}
-		}
+	lo, hi := OwnedMappers(d.Self, W, nm)
+	if locErr.idx >= 0 {
+		hi = lo // a failed map phase ships its report alone
 	}
-	// A few bytes a reducer per mapper: too small to take a frame.
-	payload := appendMapReport(nil, c[:], locErr, d.Self, W, nr, weights)
-	incoming, err := distGather(d, "map-report", payload)
-	if err != nil {
-		return nil, nil, fmt.Errorf("mapreduce: job %q: map report: %w", cfg.Name, err)
-	}
-	defer d.Exchanger.Recycle()
-	totals, globErr := c, locErr
-	for w, buf := range incoming {
-		if w == d.Self {
-			continue
-		}
-		var c [mapReportCounters]int64
-		var e taskError
-		rest, err := parseMapReport(buf, c[:], &e, w, W, nr, weights)
-		if err == nil && len(rest) > 0 {
-			err = fmt.Errorf("mapreduce: dist frame: %d bytes after the map report", len(rest))
-		}
-		if err != nil {
-			return nil, nil, fmt.Errorf("mapreduce: job %q: map report: worker %d: %w", cfg.Name, w, err)
-		}
-		for i, v := range c {
-			totals[i] += v
-		}
-		globErr.merge(e)
-	}
-	stats.MapAttempts, stats.MapFailures = totals[0], totals[1]
-	if globErr.idx >= 0 {
-		return nil, nil, errors.New(globErr.msg)
-	}
-	return placement(weights, W, nr), weights, nil
-}
-
-// placement is the placement table of a job of W workers and nr
-// reducers whose mapper m emitted weights[m*nr+r] for reducer r: each
-// worker's mappers' weights summed, then placed by placeReducers.
-func placement(weights []int64, W, nr int) []int {
-	load := make([][]int64, W)
-	for w := range load {
-		load[w] = make([]int64, nr)
-	}
-	nm := len(weights) / nr
-	for m := 0; m < nm; m++ {
-		for r, v := range weights[m*nr : (m+1)*nr] {
-			load[m*W/nm][r] += v
-		}
-	}
-	return placeReducers(load)
-}
-
-// distExchangeRuns is the second exchange, the network shuffle: the
-// payload to a peer is each owned mapper's runs for the reducers owner,
-// the job's placement table, gives the peer. On success, runs[m][r] is
-// populated for every locally-owned reducer column r exactly as an
-// in-process run would have built it, its priced bytes taken from
-// weights, the map reports' (distMapReport); remote mappers' rows are
-// materialized so the shuffle can index them. Each payload to a peer is
-// encoded into a frame from pool, which goes back once the exchange
-// returns. stats.ShuffleNetworkBytes and ShuffleNetworkRuns are left at
-// this worker's share, the bytes of runs and the non-empty runs it
-// shipped, which the reduce barrier sums.
-func distExchangeRuns[I any, K ReducerKey, V any, O any](j *Job[I, K, V, O], cfg *Config, stats *Stats, runs [][]run[V], owner []int, weights []int64, pool *BufferPool) error {
-	d := cfg.Dist
-	W := d.NumWorkers
-	lo, hi := ownedMappers(d.Self, W, len(runs))
 	outgoing := make([][]byte, W)
 	for u := 0; u < W; u++ {
 		if u == d.Self {
 			continue
 		}
 		// Sized before the first append.
-		size := 0
+		size := reportLen(mapReportCounters, locErr)
 		for m := lo; m < hi; m++ {
 			for r, o := range owner {
 				if o == u {
@@ -510,7 +309,8 @@ func distExchangeRuns[I any, K ReducerKey, V any, O any](j *Job[I, K, V, O], cfg
 				}
 			}
 		}
-		buf := pool.getFrame(size)
+		buf := appendReport(pool.getFrame(size), c[:], locErr)
+		head := len(buf)
 		for m := lo; m < hi; m++ {
 			for r, o := range owner {
 				if o != u {
@@ -527,7 +327,7 @@ func distExchangeRuns[I any, K ReducerKey, V any, O any](j *Job[I, K, V, O], cfg
 			}
 		}
 		outgoing[u] = buf
-		stats.ShuffleNetworkBytes += int64(len(buf))
+		stats.ShuffleNetworkBytes += int64(len(buf) - head)
 	}
 	incoming, err := d.Exchanger.AllToAll("runs", outgoing)
 	for u, buf := range outgoing {
@@ -539,6 +339,33 @@ func distExchangeRuns[I any, K ReducerKey, V any, O any](j *Job[I, K, V, O], cfg
 		return fmt.Errorf("mapreduce: job %q: run exchange: %w", cfg.Name, err)
 	}
 	defer d.Exchanger.Recycle()
+	// Every report first: a failed map phase anywhere ends the job before
+	// a run is decoded. runsOf[w] is worker w's payload after its report.
+	totals, globErr := c, locErr
+	runsOf := make([][]byte, W)
+	for w, buf := range incoming {
+		if w == d.Self {
+			continue
+		}
+		var c [mapReportCounters]int64
+		var e taskError
+		rest, err := parseReport(buf, c[:], &e, nm)
+		if err == nil && e.idx >= 0 && len(rest) > 0 {
+			err = fmt.Errorf("mapreduce: dist frame: %d bytes after a failed map phase's report", len(rest))
+		}
+		if err != nil {
+			return fmt.Errorf("mapreduce: job %q: run exchange: worker %d: %w", cfg.Name, w, err)
+		}
+		runsOf[w] = rest
+		for i, v := range c {
+			totals[i] += v
+		}
+		globErr.merge(e)
+	}
+	stats.MapAttempts, stats.MapFailures = totals[0], totals[1]
+	if globErr.idx >= 0 {
+		return errors.New(globErr.msg)
+	}
 	// Materialize every remote mapper's row — the shuffle indexes
 	// runs[m][r] for all m, empty runs included.
 	for m := range runs {
@@ -546,11 +373,15 @@ func distExchangeRuns[I any, K ReducerKey, V any, O any](j *Job[I, K, V, O], cfg
 			runs[m] = getRuns[V](pool, cfg.NumReducers)
 		}
 	}
+	var price func(b *run[V], r int)
+	if j.PairBytes != nil {
+		price = func(b *run[V], r int) { priceRun(b, K(r), j.PairBytes) }
+	}
 	for w := 0; w < W; w++ {
 		if w == d.Self {
 			continue
 		}
-		if err := decodeRuns(incoming[w], d, w, owner, weights, j.PairBytes != nil, runs, &j.Values, pool); err != nil {
+		if err := decodeRuns(runsOf[w], d, w, owner, runs, &j.Values, price, pool); err != nil {
 			return fmt.Errorf("mapreduce: job %q: run exchange: worker %d: %w", cfg.Name, w, err)
 		}
 	}
@@ -602,34 +433,20 @@ func readRecords[T any](buf []byte, n uint64, b *run[T], codec *Codec[T], pool *
 }
 
 // appendRun frames mapper m's run b for reducer r: m, r and its pair
-// count, then its values' records. Its priced bytes are not repeated:
-// the map report gave every worker them.
+// count, then its values' records. Its priced bytes are not sent: the
+// receiver prices the values it decodes.
 func appendRun[V any](buf []byte, m, r int, b *run[V], codec *Codec[V]) []byte {
 	buf = appendUvarints(buf, uint64(m), uint64(r), uint64(b.n))
 	return appendRecords(buf, b, codec)
 }
 
-// RunCountError reports a shipped run whose pair count is not the one
-// its mapper's map report gave, in a job that prices no bytes, whose
-// reports' weights are pair counts.
-type RunCountError struct {
-	Mapper, Reducer int
-	Pairs, Reported uint64
-}
-
-func (e *RunCountError) Error() string {
-	return fmt.Sprintf("mapreduce: dist frame: run of mapper %d reducer %d holds %d pairs, its map report %d", e.Mapper, e.Reducer, e.Pairs, e.Reported)
-}
-
-// decodeRuns parses worker from's run-exchange payload to this worker
-// into runs: one appendRun frame for every mapper from owns and every
-// reducer owner gives this worker, in that order and nothing else. A
-// run out of place is an error. weights are the map reports'
-// (distMapReport): a run's priced bytes where priced, else its pair
-// count, which the run must hold.
-func decodeRuns[V any](buf []byte, d *DistConfig, from int, owner []int, weights []int64, priced bool, runs [][]run[V], codec *Codec[V], pool *BufferPool) error {
-	nr := len(owner)
-	lo, hi := ownedMappers(from, d.NumWorkers, len(runs))
+// decodeRuns parses the runs of worker from's run-exchange payload to
+// this worker, the bytes after its map report, into runs: one appendRun
+// frame for every mapper from owns and every reducer owner gives this
+// worker, in that order and nothing else. A run out of place is an
+// error. price, if set, prices each decoded run of reducer r.
+func decodeRuns[V any](buf []byte, d *DistConfig, from int, owner []int, runs [][]run[V], codec *Codec[V], price func(b *run[V], r int), pool *BufferPool) error {
+	lo, hi := OwnedMappers(from, d.NumWorkers, len(runs))
 	for m := lo; m < hi; m++ {
 		for r, o := range owner {
 			if o != d.Self {
@@ -645,20 +462,15 @@ func decodeRuns[V any](buf []byte, d *DistConfig, from int, owner []int, weights
 			if hdr[0] != uint64(m) || hdr[1] != uint64(r) {
 				return fmt.Errorf("mapreduce: dist frame: run of mapper %d reducer %d where mapper %d reducer %d's belongs", hdr[0], hdr[1], m, r)
 			}
-			weight := weights[m*nr+r]
-			if !priced && hdr[2] != uint64(weight) {
-				return &RunCountError{Mapper: m, Reducer: r, Pairs: hdr[2], Reported: uint64(weight)}
-			}
 			if err := checkCount("pairs", hdr[2], len(buf)); err != nil {
 				return err
 			}
-			b := &runs[m][r]
-			if priced {
-				b.bytes = weight
-			}
 			var err error
-			if buf, err = readRecords(buf, hdr[2], b, codec, pool); err != nil {
+			if buf, err = readRecords(buf, hdr[2], &runs[m][r], codec, pool); err != nil {
 				return err
+			}
+			if price != nil {
+				price(&runs[m][r], r)
 			}
 		}
 	}
@@ -675,7 +487,7 @@ func decodeRuns[V any](buf []byte, d *DistConfig, from int, owner []int, weights
 // Stats.
 const reduceReportCounters = 5
 
-// ownedReducers is the number of reducers owner, a placement table,
+// ownedReducers is the number of reducers owner, a job's owner table,
 // gives worker w.
 func ownedReducers(w int, owner []int) int {
 	n := 0
@@ -765,7 +577,7 @@ func parseReduceReport[O any](buf []byte, w int, owner []int, pairs []int64, out
 	return c, e, err
 }
 
-// distReduceBarrier is the third exchange: all-gather each worker's
+// distReduceBarrier is the second exchange: all-gather each worker's
 // reduce report (its counters, among them its share of the priced
 // bytes and the run exchange's network counters), each owned reducer's
 // pair count, and its outputs. After it, outputs,

@@ -3,7 +3,6 @@ package mapreduce
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -188,14 +187,21 @@ func TestDistBitIdenticalToInProcess(t *testing.T) {
 		input[i] = i * 7
 	}
 	base := Config{Name: "dist-eq", NumReducers: 13, NumMappers: 8, Parallelism: 4}
+	// Priced by value, so a receiver that prices what it decodes other
+	// than its mapper would shows in IntermediateBytes.
+	job := func() *Job[int, int, int, string] {
+		j := distTestJob(base)
+		j.PairBytes = func(k, v int) int { return 1 + k + v%7 }
+		return j
+	}
 
-	want, wantSt, err := distTestJob(base).Run(input)
+	want, wantSt, err := job().Run(input)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{1, 2, 3, 5} {
 		outs, sts, errs, tags := runDistributed(t, w, input, func(int) *Job[int, int, int, string] {
-			return distTestJob(base)
+			return job()
 		})
 		for self := 0; self < w; self++ {
 			if errs[self] != nil {
@@ -217,7 +223,7 @@ func TestDistBitIdenticalToInProcess(t *testing.T) {
 			if sts[self].ShuffleNetworkBytes != sts[0].ShuffleNetworkBytes {
 				t.Errorf("W=%d: workers disagree on network bytes", w)
 			}
-			if want := []string{"map-report", "runs", "outputs"}; w > 1 && !slices.Equal(tags[self], want) {
+			if want := []string{"runs", "outputs"}; w > 1 && !slices.Equal(tags[self], want) {
 				t.Errorf("W=%d worker %d: exchanges %q, want %q", w, self, tags[self], want)
 			}
 		}
@@ -338,9 +344,9 @@ func TestDistErrorIdentity(t *testing.T) {
 		if err.Error() != inErr.Error() {
 			t.Errorf("worker %d: error %q, in-process %q", self, err, inErr)
 		}
-		// The map reports are the first exchange; a failed map phase
-		// ends the job there.
-		if want := []string{"map-report"}; !slices.Equal(tags[self], want) {
+		// The map reports head the run exchange, the first; a failed map
+		// phase ends the job there.
+		if want := []string{"runs"}; !slices.Equal(tags[self], want) {
 			t.Errorf("worker %d: exchanges %q, want %q", self, tags[self], want)
 		}
 	}
@@ -348,10 +354,10 @@ func TestDistErrorIdentity(t *testing.T) {
 
 // forgingExchanger plays worker 1 of a two-worker group to a real
 // worker 0 of a job with four mappers and four reducers. It answers
-// forged[tag] on the exchange of that tag; otherwise it ships a clean map
-// report that places reducers 1 and 3 on worker 1 (cleanReport) and empty
-// runs of its mappers 2 and 3 for worker 0's reducers 0 and 2 (noRuns),
-// and echoes worker 0's own payload on any other exchange.
+// forged[tag] on the exchange of that tag; otherwise it ships cleanRuns,
+// a clean map report and the empty runs of its mappers 2 and 3 for
+// worker 0's reducers 0 and 1 under the job's default table, and echoes
+// worker 0's own payload on any other exchange.
 type forgingExchanger struct {
 	forged map[string][]byte
 }
@@ -366,24 +372,17 @@ func uv(vs ...uint64) []byte {
 }
 
 // cleanReport is worker 1's map report when its two mappers ran once
-// each: two attempts, no failure, no error, then two mapper vectors
-// that each claim 500 bytes for reducers 1 and 3. Worker 0's mappers 0
-// and 1 of 64 inputs emit 128 bytes for every reducer each, so the
-// table gives reducers 1 and 3 to worker 1 and 0 and 2 to worker 0.
-var cleanReport = uv(2, 0, 0, 0, 2, 0, 500, 0, 500, 0, 500, 0, 500)
-
-// swappedReport is cleanReport with its claims on reducers 0 and 2,
-// which the table then gives worker 1, and 1 and 3 to worker 0.
-var swappedReport = uv(2, 0, 0, 0, 2, 500, 0, 500, 0, 500, 0, 500, 0)
+// each: two attempts, no failure, no error.
+var cleanReport = uv(2, 0, 0, 0)
 
 // noRuns is worker 1's runs when its mappers emitted nothing: (mapper,
-// reducer, pairs) for mappers 2 and 3 and worker 0's reducers 0 and 2.
-var noRuns = uv(2, 0, 0, 2, 2, 0, 3, 0, 0, 3, 2, 0)
+// reducer, pairs) for mappers 2 and 3 and worker 0's reducers 0 and 1,
+// which the default table of four reducers on two workers gives it.
+var noRuns = uv(2, 0, 0, 2, 1, 0, 3, 0, 0, 3, 1, 0)
 
-// forgedNoRuns is worker 1's map report and runs when its mappers
-// emitted nothing but claimed cleanReport's bytes: FuzzDistRuns decodes
-// the two back to back.
-var forgedNoRuns = slices.Concat(cleanReport, noRuns)
+// cleanRuns is worker 1's whole run payload to worker 0 when its mappers
+// emitted nothing: its map report, then its runs.
+var cleanRuns = slices.Concat(cleanReport, noRuns)
 
 func (e *forgingExchanger) Recycle() {}
 
@@ -391,10 +390,8 @@ func (e *forgingExchanger) AllToAll(tag string, outgoing [][]byte) ([][]byte, er
 	peer, ok := e.forged[tag]
 	switch {
 	case ok:
-	case tag == "map-report":
-		peer = cleanReport
 	case tag == "runs":
-		peer = noRuns
+		peer = cleanRuns
 	default:
 		peer = outgoing[0]
 	}
@@ -402,9 +399,9 @@ func (e *forgingExchanger) AllToAll(tag string, outgoing [][]byte) ([][]byte, er
 }
 
 // runForgedPeer runs distTestJob as worker 0 against a forgingExchanger
-// that answers forged by tag, and returns the bytes the job allocated
-// and its error.
-func runForgedPeer(t *testing.T, forged map[string][]byte) (uint64, error) {
+// that answers forged by tag, its reducers placed by owner (nil: the
+// default table), and returns the bytes the job allocated and its error.
+func runForgedPeer(t *testing.T, owner []int, forged map[string][]byte) (uint64, error) {
 	t.Helper()
 	input := make([]int, 64)
 	for i := range input {
@@ -412,22 +409,30 @@ func runForgedPeer(t *testing.T, forged map[string][]byte) (uint64, error) {
 	}
 	j := distTestJob(Config{Name: "forged", NumReducers: 4, NumMappers: 4})
 	j.Config.Dist = &DistConfig{NumWorkers: 2, Self: 0, Exchanger: &forgingExchanger{forged: forged}}
+	cut := func(nm, w int) Cut { return Cut{Bounds: EvenSplits(len(input))(nm, w).Bounds, Owner: owner} }
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
-	_, _, err := j.Run(input)
+	_, _, _, err := j.RunBlocks(len(input), cut, func(lo, hi int, yield func(int) error) error {
+		for _, v := range input[lo:hi] {
+			if err := yield(v); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 	runtime.ReadMemStats(&m1)
 	return m1.TotalAlloc - m0.TotalAlloc, err
 }
 
 // TestDistWireCountsBounded: a decoder trusts no count a peer sends.
 // What it allocates follows the bytes it was sent: a payload claiming
-// 2^40 records or mapper vectors is an error before anything is sized
-// from it, and a 1 MiB payload claiming 2^20 records the codec rejects
-// costs the job less than 4 MiB of runs and less than its own size of
-// outputs — both decoders keep a value only once it decodes, in the run
-// it belongs to, and reserve nothing from a count. A record cut short
-// by the end of the payload is an error. And a run payload is the
-// sender's runs for this worker's reducers, in order: a run out of
+// 2^40 records is an error before anything is sized from it, and a 1 MiB
+// payload claiming 2^20 records the codec rejects costs the job less
+// than 4 MiB of runs and less than its own size of outputs — both
+// decoders keep a value only once it decodes, in the run it belongs to,
+// and reserve nothing from a count. A record cut short by the end of the
+// payload is an error. And a run payload is the sender's map report,
+// then its runs for this worker's reducers, in order: a run out of
 // place, bytes after the last run and an overlong varint are errors.
 func TestDistWireCountsBounded(t *testing.T) {
 	const mib = 1 << 20
@@ -438,27 +443,26 @@ func TestDistWireCountsBounded(t *testing.T) {
 		forged    []byte
 		budget    uint64
 	}{
-		// runs: mapper 2, reducer 0, 2^40 pairs, one byte of them.
-		{"runs", "pairs declared", cat(uv(2, 0, 1<<40), uv(0)), 16 << 20},
+		// runs: the report, then mapper 2, reducer 0, 2^40 pairs, one byte
+		// of them.
+		{"runs", "pairs declared", cat(cleanReport, uv(2, 0, 1<<40), uv(0)), 16 << 20},
 		// outputs: the five counters, no error, worker 1's two reducers,
-		// the first r=1 pairs=0 nout=2^40, one byte of outputs.
-		{"outputs", "outputs declared", append(uv(1, 0, 0, 0, 0, 0, 0, 2, 1, 0, 1<<40), 0), 16 << 20},
+		// the first r=2 pairs=0 nout=2^40, one byte of outputs.
+		{"outputs", "outputs declared", append(uv(1, 0, 0, 0, 0, 0, 0, 2, 2, 0, 1<<40), 0), 16 << 20},
 		// the same headers claiming 2^20 records, with 2^20 bytes the
 		// codec rejects.
-		{"runs", "an int record", cat(uv(2, 0, mib), rejected), 4 << 20},
-		{"outputs", "a string record", cat(uv(1, 0, 0, 0, 0, 0, 0, 2, 1, 0, mib), rejected, uv(3, 0, 0)), mib},
+		{"runs", "an int record", cat(cleanReport, uv(2, 0, mib), rejected), 4 << 20},
+		{"outputs", "a string record", cat(uv(1, 0, 0, 0, 0, 0, 0, 2, 2, 0, mib), rejected, uv(3, 0, 0)), mib},
 		// reducer 3's one output claims 5 bytes, and the payload ends 2
 		// bytes into it.
-		{"outputs", "a string record: mapreduce: dist frame: truncated record", cat(uv(1, 0, 0, 0, 0, 0, 0, 2), uv(1, 0, 0), uv(3, 0, 1, 5), []byte("ab")), 1 << 20},
+		{"outputs", "a string record: mapreduce: dist frame: truncated record", cat(uv(1, 0, 0, 0, 0, 0, 0, 2), uv(2, 0, 0), uv(3, 0, 1, 5), []byte("ab")), 1 << 20},
 		// well-formed runs but for the one thing named.
-		{"runs", "mapper 2 reducer 2 where mapper 2 reducer 0's belongs", uv(2, 2, 0, 2, 0, 0, 3, 0, 0, 3, 2, 0), 1 << 20},
-		{"runs", "after the last run", cat(noRuns, uv(0)), 1 << 20},
-		{"runs", "overlong varint", cat([]byte{0x82, 0x00}, noRuns[1:]), 1 << 20},
-		// map report: two attempts, no error, 2^40 mapper vectors of four
-		// weights each, one byte of them.
-		{"map-report", "1099511627776 mapper vectors of 4 reducers declared with 1 bytes left", uv(2, 0, 0, 0, 1<<40, 0), 1 << 20},
+		{"runs", "mapper 2 reducer 2 where mapper 2 reducer 0's belongs", cat(cleanReport, uv(2, 2, 0, 2, 1, 0, 3, 0, 0, 3, 1, 0)), 1 << 20},
+		{"runs", "after the last run", cat(cleanRuns, uv(0)), 1 << 20},
+		{"runs", "overlong varint", cat(cleanReport, []byte{0x82, 0x00}, noRuns[1:]), 1 << 20},
+		{"runs", "overlong varint", cat([]byte{0x82, 0x00}, cleanReport[1:], noRuns), 1 << 20},
 	} {
-		grew, err := runForgedPeer(t, map[string][]byte{c.tag: c.forged})
+		grew, err := runForgedPeer(t, nil, map[string][]byte{c.tag: c.forged})
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("forged %s payload: err = %v, want %q", c.tag, err, c.want)
 		}
@@ -469,55 +473,55 @@ func TestDistWireCountsBounded(t *testing.T) {
 }
 
 // TestDistGatherOwnership: a payload speaks only for its sender, under
-// the placement table every worker computes from the map reports. Under
-// cleanReport's table worker 1's outputs are its own reducers 1 and 3,
-// ascending, each once — a claim on worker 0's reducer 0 would
-// overwrite worker 0's outputs and count that reducer's pairs twice;
-// under swappedReport's they are 0 and 2, so the entries r mod 2 would
-// give worker 1, and runs for reducers 0 and 2, are claims on reducers
-// it does not own. A task error names one of the job's tasks, a map
-// report holds one vector per mapper its sender owns, and one carrying
-// an error is the report alone. Anything else fails the job on the
-// worker that reads it; a well-formed map error fails it with that
-// error.
+// the owner table the job's cut gives every worker. Under the default
+// table worker 1's outputs are its own reducers 2 and 3, ascending, each
+// once — a claim on worker 0's reducer 0 would overwrite worker 0's
+// outputs and count that reducer's pairs twice; under a table that gives
+// worker 1 reducers 0 and 2, the default's entries, and runs for
+// reducers 0 and 1, are claims on reducers it does not own. A task error
+// names one of the job's tasks, and a map report carrying an error is
+// the run payload alone. Anything else fails the job on the worker that
+// reads it; a well-formed map error fails it with that error.
 func TestDistGatherOwnership(t *testing.T) {
 	counters := uv(1, 0, 0, 0, 0) // reduce attempts, failures, priced bytes, network bytes and runs
 	noErr := uv(0, 0)
 	empty := func(r uint64) []byte { return uv(r, 0, 0) }
 	cat := func(parts ...[]byte) []byte { return slices.Concat(parts...) }
 	outputs := func(p []byte) map[string][]byte { return map[string][]byte{"outputs": p} }
-	report := func(p []byte) map[string][]byte { return map[string][]byte{"map-report": p} }
-	swapped := func(runs, outputs []byte) map[string][]byte {
-		return map[string][]byte{"map-report": swappedReport, "runs": runs, "outputs": outputs}
+	runs := func(p []byte) map[string][]byte { return map[string][]byte{"runs": p} }
+	both := func(runs, outputs []byte) map[string][]byte {
+		return map[string][]byte{"runs": runs, "outputs": outputs}
 	}
-	swappedNoRuns := uv(2, 1, 0, 2, 3, 0, 3, 1, 0, 3, 3, 0)
+	// Worker 1 owns reducers 0 and 2, worker 0 reducers 1 and 3.
+	swapped := []int{1, 0, 1, 0}
+	swappedRuns := cat(cleanReport, uv(2, 1, 0, 2, 3, 0, 3, 1, 0, 3, 3, 0))
 	for _, c := range []struct {
 		want   string
+		owner  []int
 		forged map[string][]byte
 	}{
-		{"", outputs(cat(counters, noErr, uv(2), empty(1), empty(3)))},
-		{"reducer 0 reported where worker 1's reducer 1 belongs", outputs(cat(counters, noErr, uv(2), uv(0, 1000, 0), empty(3)))},
-		{"reducer 1 reported where worker 1's reducer 3 belongs", outputs(cat(counters, noErr, uv(2), empty(1), empty(1)))},
-		{"reducer 3 reported where worker 1's reducer 1 belongs", outputs(cat(counters, noErr, uv(2), empty(3), empty(1)))},
-		{"1 reducers reported, worker 1 owns 2", outputs(cat(counters, noErr, uv(1), empty(1)))},
-		{"3 reducers reported, worker 1 owns 2", outputs(cat(counters, noErr, uv(3), empty(1), empty(3), empty(5)))},
-		{"bytes after the last reducer", outputs(cat(counters, noErr, uv(2), empty(1), empty(3), uv(0)))},
-		{"an error of task 4, of 4 tasks", outputs(cat(counters, uv(5, 1), []byte("x"), uv(2), empty(1), empty(3)))},
-		{"an error message without a task", outputs(cat(counters, uv(0, 1), []byte("x"), uv(2), empty(1), empty(3)))},
-		// The table moves worker 1's reducers to 0 and 2.
-		{"", swapped(swappedNoRuns, cat(counters, noErr, uv(2), empty(0), empty(2)))},
-		{"reducer 1 reported where worker 1's reducer 0 belongs", swapped(swappedNoRuns, cat(counters, noErr, uv(2), empty(1), empty(3)))},
-		{"run of mapper 2 reducer 0 where mapper 2 reducer 1's belongs", swapped(noRuns, cat(counters, noErr, uv(2), empty(0), empty(2)))},
+		{"", nil, outputs(cat(counters, noErr, uv(2), empty(2), empty(3)))},
+		{"reducer 0 reported where worker 1's reducer 2 belongs", nil, outputs(cat(counters, noErr, uv(2), uv(0, 1000, 0), empty(3)))},
+		{"reducer 2 reported where worker 1's reducer 3 belongs", nil, outputs(cat(counters, noErr, uv(2), empty(2), empty(2)))},
+		{"reducer 3 reported where worker 1's reducer 2 belongs", nil, outputs(cat(counters, noErr, uv(2), empty(3), empty(2)))},
+		{"1 reducers reported, worker 1 owns 2", nil, outputs(cat(counters, noErr, uv(1), empty(2)))},
+		{"3 reducers reported, worker 1 owns 2", nil, outputs(cat(counters, noErr, uv(3), empty(2), empty(3), empty(5)))},
+		{"bytes after the last reducer", nil, outputs(cat(counters, noErr, uv(2), empty(2), empty(3), uv(0)))},
+		{"an error of task 4, of 4 tasks", nil, outputs(cat(counters, uv(5, 1), []byte("x"), uv(2), empty(2), empty(3)))},
+		{"an error message without a task", nil, outputs(cat(counters, uv(0, 1), []byte("x"), uv(2), empty(2), empty(3)))},
+		// The cut's table moves worker 1's reducers to 0 and 2.
+		{"", swapped, both(swappedRuns, cat(counters, noErr, uv(2), empty(0), empty(2)))},
+		{"reducer 2 reported where worker 1's reducer 0 belongs", swapped, both(swappedRuns, cat(counters, noErr, uv(2), empty(2), empty(3)))},
+		{"run of mapper 2 reducer 0 where mapper 2 reducer 1's belongs", swapped, both(cleanRuns, cat(counters, noErr, uv(2), empty(0), empty(2)))},
 		// map report: map attempts and failures, then the error.
-		{"bytes after the map report", report(cat(uv(2, 1), uv(2, 1), []byte("x"), uv(0)))},
-		{"bytes after the map report", report(cat(uv(2, 1), uv(2, 1), []byte("x"), noRuns))},
-		{"an error of task 7, of 4 tasks", report(cat(uv(2, 1), uv(8, 1), []byte("x")))},
-		{"mapper 1 failed", report(cat(uv(2, 1), uv(2, 15), []byte("mapper 1 failed")))},
-		{"bytes after the map report", report(cat(cleanReport, uv(0)))},
-		{"3 mapper vectors reported, worker 1 owns 2 mappers", report(cat(uv(2, 0, 0, 0, 3), make([]byte, 12)))},
-		{"1 mapper vectors reported, worker 1 owns 2 mappers", report(cat(uv(2, 0, 0, 0, 1), make([]byte, 8)))},
+		{"bytes after a failed map phase's report", nil, runs(cat(uv(2, 1), uv(2, 1), []byte("x"), uv(0)))},
+		{"bytes after a failed map phase's report", nil, runs(cat(uv(2, 1), uv(2, 1), []byte("x"), noRuns))},
+		{"an error of task 7, of 4 tasks", nil, runs(cat(uv(2, 1), uv(8, 1), []byte("x")))},
+		{"mapper 1 failed", nil, runs(cat(uv(2, 1), uv(2, 15), []byte("mapper 1 failed")))},
+		{"bytes after the last run", nil, runs(cat(cleanRuns, uv(0)))},
+		{"truncated varint", nil, runs(uv(2, 0))},
 	} {
-		_, err := runForgedPeer(t, c.forged)
+		_, err := runForgedPeer(t, c.owner, c.forged)
 		switch {
 		case c.want == "" && err != nil:
 			t.Errorf("well-formed payloads %x: %v", c.forged, err)
@@ -549,8 +553,7 @@ func FuzzDistGathers(f *testing.F) {
 	const nm, nr = 4, 4
 	pairs := []int64{0, 5, 0, 2}
 	outs := outputRuns([][]string{nil, {"1:2,3,", ""}, nil, {"3:9,"}}, NewBufferPool())
-	// The table cleanReport places, by which worker 1 owns reducers 1
-	// and 3.
+	// A table by which worker 1 owns reducers 1 and 3.
 	owner := []int{0, 1, 0, 1}
 	outSeed := appendReduceReport(NewBufferPool(), [reduceReportCounters]int64{2, 0, 112, 123, 4}, taskError{idx: -1}, 1, owner, pairs, outs, &stringCodec)
 	f.Add(uint8(0), outSeed)
@@ -610,25 +613,21 @@ func FuzzDistGathers(f *testing.F) {
 // a frame it accepts re-encodes to the same bytes.
 var fuzzRunCodec = sumTestJob(Config{})
 
-// fuzzWorker0Weights are worker 0's mapper vectors in FuzzDistRuns,
-// rows 0 and 1 of a four-mapper, four-reducer weight matrix: 200 bytes
-// each for reducer 2, so the table the fuzzed report meets is not
-// worker 1's alone.
-var fuzzWorker0Weights = []int64{0, 0, 200, 0, 0, 0, 200, 0, 0, 0, 0, 0, 0, 0, 0, 0}
+// fuzzOwner is FuzzDistRuns' owner table: worker 0 owns reducers 0 and 2
+// of four.
+var fuzzOwner = []int{0, 1, 0, 1}
 
-// appendFuzzRuns encodes worker 1's map report and then its run payload
-// to worker 0 of a two-worker job with four mappers and four reducers:
-// its counters c and error e and, unless e names a failed mapper, the
-// vectors of its mappers 2 and 3 in weights, then their runs for the
-// reducers the table of weights gives worker 0.
-func appendFuzzRuns(c [mapReportCounters]int64, e taskError, weights []int64, runs [][]run[int64]) []byte {
-	buf := appendMapReport(nil, c[:], e, 1, 2, len(runs[0]), weights)
+// appendFuzzRuns encodes worker 1's run payload to worker 0 of a
+// two-worker job with four mappers and four reducers: its map report of
+// counters c and error e and, unless e names a failed mapper, the runs
+// of its mappers 2 and 3 for the reducers fuzzOwner gives worker 0.
+func appendFuzzRuns(c [mapReportCounters]int64, e taskError, runs [][]run[int64]) []byte {
+	buf := appendReport(nil, c[:], e)
 	if e.idx >= 0 {
 		return buf
 	}
-	owner := placement(weights, 2, len(runs[0]))
 	for m := 2; m < len(runs); m++ {
-		for r, o := range owner {
+		for r, o := range fuzzOwner {
 			if o == 0 {
 				buf = appendRun(buf, m, r, &runs[m][r], &fuzzRunCodec.Values)
 			}
@@ -637,23 +636,10 @@ func appendFuzzRuns(c [mapReportCounters]int64, e taskError, weights []int64, ru
 	return buf
 }
 
-// fuzzWeights is the weight matrix FuzzDistRuns's worker 0 holds with
-// worker 1's rows from runs' priced bytes, as worker 1's map attempts
-// would report them.
-func fuzzWeights(runs [][]run[int64]) []int64 {
-	weights := slices.Clone(fuzzWorker0Weights)
-	for m := 2; m < len(runs); m++ {
-		for r := range runs[m] {
-			weights[m*len(runs[m])+r] = runs[m][r].bytes
-		}
-	}
-	return weights
-}
-
-// FuzzDistRuns: whatever bytes a peer ships as its map report and run
-// payload, back to back, the decoders of the report and of the runs it
-// places return an error or a report and runs that re-encode to exactly
-// those bytes; they never panic, never keep a pair under another
+// FuzzDistRuns: whatever bytes a peer ships as its run payload — its map
+// report, then its runs — the decoders of the report and of the runs
+// return an error or a report and runs that re-encode to exactly those
+// bytes; they never panic, never keep a pair under another mapper or
 // reducer, and allocate no more than a small multiple of the payload.
 func FuzzDistRuns(f *testing.F) {
 	pool := NewBufferPool()
@@ -664,42 +650,35 @@ func FuzzDistRuns(f *testing.F) {
 			for i := 0; i < m*r; i++ {
 				seed[m][r].add(int64(100*m+i), pool)
 			}
-			seed[m][r].bytes = int64(16 * m * r)
 		}
 	}
 	noErr := taskError{idx: -1}
-	seedWeights := fuzzWeights(seed)
-	f.Add(appendFuzzRuns([mapReportCounters]int64{2, 0}, noErr, seedWeights, seed))
-	f.Add(forgedNoRuns)
+	failed := taskError{3, "mapper 3 failed"}
+	f.Add(appendFuzzRuns([mapReportCounters]int64{2, 0}, noErr, seed))
+	f.Add(slices.Concat(cleanReport, uv(2, 0, 0, 2, 2, 0, 3, 0, 0, 3, 2, 0)))
 	f.Add(slices.Concat(cleanReport, uv(2, 0, 1<<20), uv(0)))
 	f.Add(slices.Concat(cleanReport, uv(2, 0, 1), make([]byte, 8), uv(2, 2, 0, 3, 0, 0, 3, 2, 0)))
-	// A clean report of a retried mapper, and a failed map phase's report.
-	f.Add(appendFuzzRuns([mapReportCounters]int64{3, 1}, noErr, seedWeights, seed))
-	f.Add(appendFuzzRuns([mapReportCounters]int64{2, 2}, taskError{3, "mapper 3 failed"}, seedWeights, seed))
-	// Worker 1 claims reducer 0 only, so the table keeps reducer 2 on
-	// worker 0 and gives worker 1 the empty reducers 1 and 3 by index.
-	claims := fuzzWeights(seed)
-	for m := 2; m < 4; m++ {
-		copy(claims[4*m:4*m+4], []int64{300, 0, 0, 0})
-	}
-	f.Add(appendFuzzRuns([mapReportCounters]int64{2, 0}, noErr, claims, seed))
+	// A clean report of a retried mapper, a failed map phase's report,
+	// and one with runs after it.
+	f.Add(appendFuzzRuns([mapReportCounters]int64{3, 1}, noErr, seed))
+	f.Add(appendFuzzRuns([mapReportCounters]int64{2, 2}, failed, seed))
+	f.Add(slices.Concat(appendFuzzRuns([mapReportCounters]int64{2, 2}, failed, seed), uv(2, 0, 0)))
 	d := &DistConfig{NumWorkers: 2, Self: 0}
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		runs := make([][]run[int64], 4)
 		for m := range runs {
 			runs[m] = make([]run[int64], 4)
 		}
-		weights := slices.Clone(fuzzWorker0Weights)
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
 		var c [mapReportCounters]int64
 		var e taskError
-		rest, err := parseMapReport(payload, c[:], &e, 1, 2, 4, weights)
+		rest, err := parseReport(payload, c[:], &e, 4)
 		if err == nil && e.idx >= 0 && len(rest) > 0 {
 			err = fmt.Errorf("%d bytes after a failed map phase's report", len(rest))
 		}
 		if err == nil && e.idx < 0 {
-			err = decodeRuns(rest, d, 1, placement(weights, 2, 4), weights, true, runs, &fuzzRunCodec.Values, NewBufferPool())
+			err = decodeRuns(rest, d, 1, fuzzOwner, runs, &fuzzRunCodec.Values, nil, NewBufferPool())
 		}
 		runtime.ReadMemStats(&m1)
 		if grew := m1.TotalAlloc - m0.TotalAlloc; grew > 2*uint64(len(payload))+64<<10 {
@@ -708,52 +687,17 @@ func FuzzDistRuns(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if got := appendFuzzRuns(c, e, weights, runs); !bytes.Equal(got, payload) {
+		if got := appendFuzzRuns(c, e, runs); !bytes.Equal(got, payload) {
 			t.Fatalf("payload %x decoded, but re-encodes as %x", payload, got)
 		}
-		// A run worker 0 took in is priced at its mapper's reported weight.
-		for r, o := range placement(weights, 2, 4) {
-			for m := 2; e.idx < 0 && o == 0 && m < 4; m++ {
-				if b := runs[m][r].bytes; b != weights[m*4+r] {
-					t.Fatalf("mapper %d reducer %d's run priced at %d bytes, its report says %d", m, r, b, weights[m*4+r])
+		for m := range runs {
+			for r, o := range fuzzOwner {
+				if n := runs[m][r].n; n > 0 && (m < 2 || o != 0) {
+					t.Fatalf("mapper %d's run for reducer %d, which worker 1 does not send worker 0, holds %d pairs", m, r, n)
 				}
 			}
 		}
 	})
-}
-
-// TestDistRunCountMatchesReport: a shipped run's header carries no
-// priced bytes; the receiver takes them from the map report's weights.
-// In a job that prices none, those weights are pair counts, and a run
-// holding another count than its mapper reported is a *RunCountError.
-func TestDistRunCountMatchesReport(t *testing.T) {
-	d := &DistConfig{NumWorkers: 2, Self: 0}
-	owner := []int{0, 1}
-	// Two mappers, two reducers: mapper 1 reported 2 for reducer 0.
-	weights := []int64{0, 0, 2, 0}
-	codec := &fuzzRunCodec.Values
-	frame := func(n int) []byte {
-		buf := uv(1, 0, uint64(n))
-		for i := range n {
-			buf = codec.Append(buf, int64(i))
-		}
-		return buf
-	}
-	decode := func(n int, priced bool) (run[int64], error) {
-		runs := [][]run[int64]{make([]run[int64], 2), make([]run[int64], 2)}
-		err := decodeRuns(frame(n), d, 1, owner, weights, priced, runs, codec, NewBufferPool())
-		return runs[1][0], err
-	}
-	if b, err := decode(2, false); err != nil || b.n != 2 || b.bytes != 0 {
-		t.Errorf("unpriced run of the reported 2 pairs: %d pairs, %d bytes, err = %v", b.n, b.bytes, err)
-	}
-	var countErr *RunCountError
-	if _, err := decode(1, false); !errors.As(err, &countErr) || *countErr != (RunCountError{Mapper: 1, Reducer: 0, Pairs: 1, Reported: 2}) {
-		t.Errorf("unpriced run of 1 pair, 2 reported: err = %v", err)
-	}
-	if b, err := decode(1, true); err != nil || b.n != 1 || b.bytes != 2 {
-		t.Errorf("priced run of 1 pair reported at 2 bytes: %d pairs, %d bytes, err = %v", b.n, b.bytes, err)
-	}
 }
 
 func TestDistValidation(t *testing.T) {

@@ -14,7 +14,8 @@
 //
 //   - the input is divided into NumMappers contiguous splits, each read
 //     by its own mapper: even ones (RunSplits; Run is the in-memory
-//     special case) or ones the caller cuts (RunBlocks);
+//     special case) or ones the caller cuts (RunBlocks, whose Cut also
+//     places a cluster's reducers);
 //   - each mapper applies Map to its records and emits (K, V) pairs;
 //     value v of key k is appended to the mapper's run for reducer k;
 //   - each mapper folds the PairBytes accounting into its runs;
@@ -98,10 +99,10 @@ type Config struct {
 	Pool *BufferPool
 	// Dist, when non-nil, runs the job as one SPMD worker of a cluster:
 	// each worker runs a contiguous range of the mappers, each
-	// reducer runs on the worker whose mappers emitted most of its
-	// bytes, runs destined for remote reducers ship over Dist.Exchanger,
-	// and the reduce barrier all-gathers outputs so every worker returns
-	// the complete, bit-identical result (see dist.go). NumWorkers == 1
+	// reducer runs on the worker the job's Cut names, runs destined for
+	// remote reducers ship over Dist.Exchanger, and the reduce barrier
+	// all-gathers outputs so every worker returns the complete,
+	// bit-identical result (see dist.go). NumWorkers == 1
 	// is exactly the in-process engine. Distribution with NumWorkers > 1
 	// requires the Job's Values and Outputs codecs and an explicit
 	// NumMappers.
@@ -330,27 +331,48 @@ func (j *Job[I, K, V, O]) RunSplits(n int, read func(lo, hi int, yield func(I) e
 	return out, st, err
 }
 
-// EvenSplits is RunSplits' cut of n records: the nm+1 bounds of nm
-// splits as even as whole records allow.
-func EvenSplits(n int) func(nm int) []int {
-	return func(nm int) []int {
+// Cut is how a job divides its work (RunBlocks): its input among its map
+// splits and, on a cluster of W > 1 workers, its reducers among the
+// workers. Mapper m of nm runs on worker ⌊m·W/nm⌋ (OwnedMappers), so a
+// caller that cuts splits along its reducers' keys places each reducer
+// with the worker that maps most of its pairs, and only the rest ship.
+type Cut struct {
+	// Bounds are the nm+1 split bounds, ascending from 0 to n: mapper m
+	// reads [Bounds[m], Bounds[m+1]), which may be empty.
+	Bounds []int
+	// Owner names the worker of each reducer, one entry in [0, W) per
+	// reducer; nil deals them in contiguous blocks, reducer r of nr to
+	// worker ⌊r·W/nr⌋. An in-process job reads none of it.
+	Owner []int
+}
+
+// EvenSplits is RunSplits' cut of n records: nm splits as even as whole
+// records allow, the reducers dealt in blocks.
+func EvenSplits(n int) func(nm, workers int) Cut {
+	return func(nm, _ int) Cut {
 		bounds := make([]int, nm+1)
 		for m := 1; m <= nm; m++ {
 			bounds[m] = n * m / nm
 		}
-		return bounds
+		return Cut{Bounds: bounds}
 	}
 }
 
-// RunBlocks is RunSplits over splits the caller cuts: split(nm) returns
-// the bounds of the job's nm map splits — NumMappers, or its default, at
-// most n — nm+1 of them, ascending from 0 to n, mapper m reading
-// [bounds[m], bounds[m+1]); a split may be empty. A distributed run
-// calls split on every worker and must get the same bounds everywhere.
+// OwnedMappers is the range [lo, hi) of the mappers worker w of W runs
+// among nm: those m with ⌊m·W/nm⌋ = w.
+func OwnedMappers(w, W, nm int) (lo, hi int) {
+	return (w*nm + W - 1) / W, ((w+1)*nm + W - 1) / W
+}
+
+// RunBlocks is RunSplits over a cut the caller makes: cut(nm, W) returns
+// the Cut of the job's nm map splits — NumMappers, or its default, at
+// most n — on W workers (1 for an in-process job). A distributed run
+// calls cut on every worker and must get the same Cut everywhere.
 // Beside the outputs, it returns where each reducer's end: reducer r's
 // outputs are out[ends[r-1]:ends[r]], from 0 for reducer 0. Bounds that
-// are not nm+1 ascending ones from 0 to n fail the job.
-func (j *Job[I, K, V, O]) RunBlocks(n int, split func(nm int) []int, read func(lo, hi int, yield func(I) error) error) ([]O, []int, *Stats, error) {
+// are not nm+1 ascending ones from 0 to n, or owners that are not one
+// worker per reducer, fail the job.
+func (j *Job[I, K, V, O]) RunBlocks(n int, cut func(nm, workers int) Cut, read func(lo, hi int, yield func(I) error) error) ([]O, []int, *Stats, error) {
 	cfg, err := j.Config.withDefaults()
 	if err != nil {
 		return nil, nil, nil, err
@@ -382,8 +404,17 @@ func (j *Job[I, K, V, O]) RunBlocks(n int, split func(nm int) []int, read func(l
 	}
 
 	nm := min(cfg.NumMappers, n)
-	bounds := split(nm)
-	if err := checkSplits(bounds, nm, n); err != nil {
+	self, workers := 0, 1
+	if dist {
+		self, workers = cfg.Dist.Self, cfg.Dist.NumWorkers
+	}
+	c := cut(nm, workers)
+	bounds, owner := c.Bounds, c.Owner
+	err = checkSplits(bounds, nm, n)
+	if err == nil && dist {
+		owner, err = checkOwners(owner, cfg.NumReducers, workers)
+	}
+	if err != nil {
 		return nil, nil, nil, fmt.Errorf("mapreduce: job %q: %w", cfg.Name, err)
 	}
 
@@ -412,8 +443,9 @@ func (j *Job[I, K, V, O]) RunBlocks(n int, split func(nm int) []int, read func(l
 	runs := make([][]run[V], nm)
 	mapErrs := make([]error, nm)
 	mapRuns := make([]taskRun, nm)
+	ownLo, ownHi := OwnedMappers(self, workers, nm)
 	runTasks(cfg.Parallelism, nm, func(m int) {
-		if dist && cfg.Dist.mapperOwner(m, nm) != cfg.Dist.Self {
+		if m < ownLo || m >= ownHi {
 			// A remotely-owned mapper runs on its owner; its runs arrive
 			// through the network shuffle below.
 			return
@@ -459,7 +491,7 @@ func (j *Job[I, K, V, O]) RunBlocks(n int, split func(nm int) []int, read func(l
 	tr.End(mapSpan)
 	if !dist {
 		// A distributed run learns whether the map phase failed anywhere
-		// from the map reports of its first exchange below.
+		// from the map reports at the head of its run exchange below.
 		for m, err := range mapErrs {
 			if err != nil {
 				return nil, nil, nil, fmt.Errorf("%w (mapper %d)", err, m)
@@ -472,19 +504,11 @@ func (j *Job[I, K, V, O]) RunBlocks(n int, split func(nm int) []int, read func(l
 	if err := cancelled(); err != nil {
 		return nil, nil, nil, err
 	}
-	// owner is a distributed job's placement table: reducer r runs on
-	// worker owner[r].
-	var owner []int
 	if dist {
-		// The first exchange, the map report, places the reducers; the
-		// second, the network shuffle, sends the runs of remotely-owned
-		// reducers out and brings the remote runs of our own in.
-		var weights []int64
-		var err error
-		if owner, weights, err = distMapReport(j, &cfg, stats, runs, mapErrs); err != nil {
-			return nil, nil, nil, err
-		}
-		if err := distExchangeRuns(j, &cfg, stats, runs, owner, weights, pool); err != nil {
+		// The first exchange, the network shuffle, agrees on the map
+		// accounting, sends the runs of remotely-owned reducers out and
+		// brings the remote runs of our own in.
+		if err := distExchangeRuns(j, &cfg, stats, runs, mapErrs, owner, pool); err != nil {
 			return nil, nil, nil, err
 		}
 	}
@@ -496,7 +520,7 @@ func (j *Job[I, K, V, O]) RunBlocks(n int, split func(nm int) []int, read func(l
 	// were folded into the runs by the map phase, and the tracer is
 	// untouched per pair: shuffle counters are attached once below.
 	shuffleStart := time.Now()
-	owned := func(r int) bool { return !dist || owner[r] == cfg.Dist.Self }
+	owned := func(r int) bool { return !dist || owner[r] == self }
 	off := make([]int, nr+1)
 	for r := 0; r < nr; r++ {
 		off[r+1] = off[r]
@@ -573,7 +597,7 @@ func (j *Job[I, K, V, O]) RunBlocks(n int, split func(nm int) []int, read func(l
 	stats.ReduceWall = time.Since(reduceStart)
 
 	if dist {
-		// The third exchange, the reduce barrier: all-gather outputs and
+		// The second exchange, the reduce barrier: all-gather outputs and
 		// reduce accounting so every worker assembles the complete,
 		// bit-identical result and identical global Stats (including the
 		// ShuffleNetworkBytes/Runs totals of the run exchange).
@@ -635,6 +659,27 @@ func checkSplits(bounds []int, nm, n int) error {
 		}
 	}
 	return nil
+}
+
+// checkOwners returns a distributed job's owner table — owner, or the
+// blocks a nil one stands for — or reports one that is not a worker of
+// W for each of nr reducers.
+func checkOwners(owner []int, nr, W int) ([]int, error) {
+	if owner == nil {
+		owner = make([]int, nr)
+		for r := range owner {
+			owner[r] = r * W / nr
+		}
+	}
+	if len(owner) != nr {
+		return nil, fmt.Errorf("%d reducer owners for %d reducers", len(owner), nr)
+	}
+	for r, w := range owner {
+		if w < 0 || w >= W {
+			return nil, fmt.Errorf("reducer %d owned by worker %d, of %d", r, w, W)
+		}
+	}
+	return owner, nil
 }
 
 // taskAttempt is one task attempt's locally measured timing, logged

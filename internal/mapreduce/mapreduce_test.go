@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -432,7 +433,9 @@ func BenchmarkShuffleThroughput(b *testing.B) {
 // — deliver each reducer its values in input order, as even splits do,
 // so the outputs are RunSplits'; ends marks where each reducer's outputs
 // end; and bounds that are not nm+1 ascending ones from 0 to n fail the
-// job before any mapper runs.
+// job before any mapper runs. On two workers, any owner table the cut
+// names gives the in-process outputs, and one that is not a worker of
+// two for each of the five reducers fails the job before any mapper runs.
 func TestRunBlocksCallerSplits(t *testing.T) {
 	input := make([]int, 100)
 	for i := range input {
@@ -451,7 +454,10 @@ func TestRunBlocksCallerSplits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ends, _, err := distTestJob(cfg).RunBlocks(len(input), func(nm int) []int { return []int{0, 0, 37, 37, 100} }, read)
+	uneven := func(owner []int) func(int, int) Cut {
+		return func(int, int) Cut { return Cut{Bounds: []int{0, 0, 37, 37, 100}, Owner: owner} }
+	}
+	got, ends, _, err := distTestJob(cfg).RunBlocks(len(input), uneven(nil), read)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,8 +472,44 @@ func TestRunBlocksCallerSplits(t *testing.T) {
 		mapped := false
 		j := distTestJob(cfg)
 		j.Map = func(int, func(int, int)) error { mapped = true; return nil }
-		if _, _, _, err := j.RunBlocks(len(input), func(int) []int { return bounds }, read); err == nil || mapped {
+		if _, _, _, err := j.RunBlocks(len(input), func(int, int) Cut { return Cut{Bounds: bounds} }, read); err == nil || mapped {
 			t.Errorf("bounds %v: err = %v, mapped = %v", bounds, err, mapped)
+		}
+	}
+	for _, c := range []struct {
+		owner []int
+		want  string
+	}{
+		{[]int{1, 1, 0, 0, 1}, ""},
+		{[]int{0, 0, 0, 0, 0}, ""},
+		{[]int{0, 1, 0, 1}, "4 reducer owners for 5 reducers"},
+		{[]int{0, 1, 2, 0, 1}, "reducer 2 owned by worker 2, of 2"},
+		{[]int{0, -1, 0, 0, 1}, "reducer 1 owned by worker -1, of 2"},
+	} {
+		hub := newChanHub(2)
+		var mapped atomic.Bool
+		outs := make([][]string, 2)
+		errs := make([]error, 2)
+		var wg sync.WaitGroup
+		for self := range 2 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				j := distTestJob(cfg)
+				j.Config.Dist = &DistConfig{NumWorkers: 2, Self: self, Exchanger: hub.exchanger(self)}
+				mapOne := j.Map
+				j.Map = func(in int, emit func(int, int)) error { mapped.Store(true); return mapOne(in, emit) }
+				outs[self], _, _, errs[self] = j.RunBlocks(len(input), uneven(c.owner), read)
+			}()
+		}
+		wg.Wait()
+		for self, err := range errs {
+			switch {
+			case c.want == "" && (err != nil || !slices.Equal(outs[self], want)):
+				t.Errorf("owners %v: worker %d: %q, %v; want %q", c.owner, self, outs[self], err, want)
+			case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want) || mapped.Load()):
+				t.Errorf("owners %v: worker %d: err = %v, mapped = %v; want %q before the map", c.owner, self, err, mapped.Load(), c.want)
+			}
 		}
 	}
 }

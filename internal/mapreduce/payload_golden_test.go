@@ -11,7 +11,7 @@ import (
 
 // payloadGoldenFile pins the exact bytes worker 0 of a fixed small
 // two-worker distTestJob sends worker 1 in each of its exchanges: the
-// map report ("map-report"), the run-exchange payload ("runs") and the
+// run-exchange payload, its map report then its runs ("runs"), and the
 // reduce-barrier payload ("outputs"). Any change to one of the framings
 // fails here; a change made on
 // purpose must raise cluster.protocolVersion with it, so a worker built

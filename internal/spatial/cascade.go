@@ -209,7 +209,7 @@ func cascade(pl *plan, exec *executor) (Rows, Stats, error) {
 				Outputs: segmentCodec(out),
 			}
 			exec.tr.Observe(roundSpan, trace.KindPhase, "load-inputs", stepStart, time.Now())
-			segs, ends, st, err := job.RunBlocks(input.n, input.split, read)
+			segs, ends, st, err := job.RunBlocks(input.n, input.cut, read)
 			jobEnd = time.Now()
 			if err != nil {
 				return dfs.Segments{}, nil, err

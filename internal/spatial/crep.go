@@ -77,7 +77,7 @@ func allReplicate(pl *plan, exec *executor) (Rows, Stats, error) {
 // IDs (joinReduce) and leaves the gathered slab in rows: the job's
 // output is the slab, so its Stats count tuples, not IDs.
 func runJoinJob(job *mapreduce.Job[tagged, grid.CellID, tagged, int32], in *jobInput, read func(lo, hi int, yield func(tagged) error) error, rows *Rows) (*mapreduce.Stats, error) {
-	ids, _, st, err := job.RunBlocks(in.n, in.split, read)
+	ids, _, st, err := job.RunBlocks(in.n, in.cut, read)
 	if err != nil {
 		return nil, err
 	}
@@ -185,7 +185,7 @@ func controlledReplicate(pl *plan, exec *executor, limit bool) (Rows, Stats, err
 			Values:    itemCodec(pl.m),
 			Outputs:   itemRecordCodec(pl.m),
 		}
-		out, _, st, err := round1.RunBlocks(in.n, in.split, read)
+		out, _, st, err := round1.RunBlocks(in.n, in.cut, read)
 		if err != nil {
 			return dfs.Segments{}, nil, err
 		}

@@ -428,15 +428,17 @@ type inputSide struct {
 }
 
 // jobInput is a job's input: its sides, read in order within every map
-// split. When every side can be cut by column, split m is column block
-// m of the grid — columns [m·C/nm, (m+1)·C/nm) of C — of every side: the
-// relation records whose MinX lies in those columns, the checkpoint
-// records their cells emitted. A mapper then emits most of its pairs to
-// the cells of its own columns, and on a cluster, whose workers each map
-// a range of neighbouring blocks (mapreduce.DistConfig), only the
-// rectangles that cross a block boundary leave their worker. Otherwise
-// the splits are even, over the sides one after another. Either way,
-// each side's records reach every reducer in file order.
+// split. Its cut places the job before the map: the grid's columns fall
+// into W contiguous blocks, one a worker, balanced by the records each
+// column holds, and every cell is reduced on the worker of its column.
+// When every side can be cut by column, a worker's mappers split its
+// block's columns among them, and split m is a range of columns of
+// every side: the relation records whose MinX lies in those columns, the
+// checkpoint records their cells emitted. A mapper then emits most of
+// its pairs to the cells of its own columns, and only the rectangles
+// that cross a block boundary leave their worker. Otherwise the splits
+// are even, over the sides one after another, and the blocks the same.
+// Either way, each side's records reach every reducer in file order.
 type jobInput struct {
 	part  *grid.Partitioning
 	sides []inputSide
@@ -460,14 +462,53 @@ func (e *executor) newJobInput(sides []inputSide) *jobInput {
 	return in
 }
 
-// split is the job's cut (mapreduce.Job.RunBlocks) into nm map splits.
-func (in *jobInput) split(nm int) []int {
-	for _, sd := range in.sides {
-		if !sd.byMinX && sd.cellEnds == nil {
-			return mapreduce.EvenSplits(in.n)(nm)
+// cut is the job's Cut (mapreduce.Job.RunBlocks) into nm map splits on
+// W workers.
+func (in *jobInput) cut(nm, W int) mapreduce.Cut {
+	cols, rows := in.part.Cols(), in.part.Rows()
+	byCol := true
+	// starts[s][c] is the first record of side s in column c or right of
+	// it, for a side in MinX order.
+	starts := make([][]int, len(in.sides))
+	for s, sd := range in.sides {
+		switch {
+		case sd.cellEnds != nil:
+		case sd.byMinX:
+			starts[s] = make([]int, cols+1)
+			for c := range starts[s] {
+				starts[s][c] = in.colStart(sd.v, c)
+			}
+		default:
+			byCol = false
 		}
 	}
-	cols, rows := in.part.Cols(), in.part.Rows()
+	blocks := []int{0, cols}
+	var owner []int
+	if W > 1 {
+		blocks = columnBlocks(in.columnWeights(starts), W)
+		owner = make([]int, in.part.NumCells())
+		for w := 0; w < W; w++ {
+			for c := blocks[w]; c < blocks[w+1]; c++ {
+				for row := 0; row < rows; row++ {
+					owner[row*cols+c] = w
+				}
+			}
+		}
+	}
+	if !byCol {
+		return mapreduce.Cut{Bounds: mapreduce.EvenSplits(in.n)(nm, W).Bounds, Owner: owner}
+	}
+	// Mapper m reads columns [first[m], first[m+1]): a worker's mappers
+	// split its block, and a worker without mappers leaves its columns to
+	// the mapper before.
+	first := make([]int, nm+1)
+	for w := 0; w < W; w++ {
+		lo, hi := mapreduce.OwnedMappers(w, W, nm)
+		for m := lo; m < hi; m++ {
+			first[m] = blocks[w] + (m-lo)*(blocks[w+1]-blocks[w])/(hi-lo)
+		}
+	}
+	first[nm] = cols
 	bounds := make([]int, 1, nm+1)
 	in.pieces = in.pieces[:0]
 	at := 0
@@ -478,24 +519,92 @@ func (in *jobInput) split(nm int) []int {
 		}
 	}
 	for m := 0; m < nm; m++ {
-		c0, c1 := m*cols/nm, (m+1)*cols/nm
+		c0, c1 := first[m], first[m+1]
 		for s, sd := range in.sides {
 			if sd.cellEnds == nil {
-				add(s, in.colStart(sd.v, c0), in.colStart(sd.v, c1))
+				add(s, starts[s][c0], starts[s][c1])
 				continue
 			}
 			for row := 0; c0 < c1 && row < rows; row++ {
-				first := row*cols + c0
-				lo := 0
-				if first > 0 {
-					lo = sd.cellEnds[first-1]
-				}
-				add(s, lo, sd.cellEnds[row*cols+c1-1])
+				add(s, sd.cellEnd(row*cols+c0-1), sd.cellEnd(row*cols+c1-1))
 			}
 		}
 		bounds = append(bounds, at)
 	}
-	return bounds
+	return mapreduce.Cut{Bounds: bounds, Owner: owner}
+}
+
+// cellEnd is where cell c's records end in a checkpoint side, 0 before
+// cell 0.
+func (sd *inputSide) cellEnd(c int) int {
+	if c < 0 {
+		return 0
+	}
+	return sd.cellEnds[c]
+}
+
+// columnWeights is the records each grid column holds, summed over the
+// sides that place their records in columns: a checkpoint by its cell
+// ends, a side in MinX order by its column starts (starts[s], cut). A
+// job none of whose records are placed weighs every column one.
+func (in *jobInput) columnWeights(starts [][]int) []int64 {
+	cols, rows := in.part.Cols(), in.part.Rows()
+	weights := make([]int64, cols)
+	var total int64
+	for s, sd := range in.sides {
+		for c := range weights {
+			var n int
+			switch {
+			case sd.cellEnds != nil:
+				for row := 0; row < rows; row++ {
+					n += sd.cellEnd(row*cols+c) - sd.cellEnd(row*cols+c-1)
+				}
+			case starts[s] != nil:
+				n = starts[s][c+1] - starts[s][c]
+			}
+			weights[c] += int64(n)
+			total += int64(n)
+		}
+	}
+	if total == 0 {
+		for c := range weights {
+			weights[c] = 1
+		}
+	}
+	return weights
+}
+
+// columnBlocks cuts columns of the given weights into W contiguous
+// blocks, the W+1 column bounds ascending from 0 to len(weights): bound k
+// is the column boundary at or after bound k-1 whose prefix weight is
+// nearest k/W of the total, the first of equals. Each block then holds at
+// most total/W plus the heaviest column.
+func columnBlocks(weights []int64, W int) []int {
+	prefix := make([]int64, len(weights)+1)
+	for c, v := range weights {
+		prefix[c+1] = prefix[c] + v
+	}
+	total := prefix[len(weights)]
+	blocks := make([]int, W+1)
+	blocks[W] = len(weights)
+	for k := 1; k < W; k++ {
+		target := int64(k) * total
+		best := blocks[k-1]
+		for j := best + 1; j <= len(weights); j++ {
+			if abs64(int64(W)*prefix[j]-target) < abs64(int64(W)*prefix[best]-target) {
+				best = j
+			}
+		}
+		blocks[k] = best
+	}
+	return blocks
+}
+
+func abs64(v int64) int64 {
+	if v < 0 {
+		return -v
+	}
+	return v
 }
 
 // colStart is the first record of v, a relation in MinX order, whose

@@ -2,6 +2,7 @@ package spatial
 
 import (
 	"mwsjoin/internal/grid"
+	"mwsjoin/internal/mapreduce"
 	"mwsjoin/internal/query"
 )
 
@@ -42,4 +43,29 @@ func CascadeShape(q *query.Query, rels []Relation, cfg Config) (recordBytes []in
 		}
 	}
 	return recordBytes, itemPairs, nil
+}
+
+// GridCols is the number of columns of the grid Execute builds from q,
+// rels and cfg.
+func GridCols(q *query.Query, rels []Relation, cfg Config) (int, error) {
+	est, err := newEstimator(q, rels, cfg)
+	if err != nil {
+		return 0, err
+	}
+	g, err := est.configuredGrid(cfg)
+	if err != nil {
+		return 0, err
+	}
+	return g.part.Cols(), nil
+}
+
+// DistExchangers lets the external test package run w SPMD workers in
+// one process: the exchangers of one in-memory fabric, by worker.
+func DistExchangers(w int) []mapreduce.Exchanger {
+	h := newDistHub(w)
+	ex := make([]mapreduce.Exchanger, w)
+	for self := range ex {
+		ex[self] = h.exchanger(self)
+	}
+	return ex
 }

@@ -216,8 +216,9 @@ type partialStore struct {
 	pool    *mapreduce.BufferPool
 	// pages is the page table, every slot of it readable: a page is
 	// stored into the next free slot before any reference to it exists,
-	// and a full table is replaced by a larger copy.
-	pages atomic.Pointer[[][]byte]
+	// and a full table is replaced by a larger one. A store without pages
+	// points at noPages; its first page takes a table the pool kept.
+	pages atomic.Pointer[pageTable]
 	mu    sync.Mutex // serialises page additions
 	used  int        // the table's filled slots
 
@@ -225,9 +226,26 @@ type partialStore struct {
 	dec   pageWriter
 }
 
+// pageTable is a partial store's page table, a working set the pool
+// keeps from one store to the next (mapreduce.GetScratch), grown to the
+// most pages a store has held.
+type pageTable struct{ pages [][]byte }
+
+func (t *pageTable) Reserve(n int) {
+	if n > len(t.pages) {
+		t.pages = make([][]byte, n)
+	}
+}
+
+func (t *pageTable) Bytes() int64 { return int64(cap(t.pages)) * int64(unsafe.Sizeof([]byte(nil))) }
+
+// noPages is the table of every store that holds no page. Nothing writes
+// it.
+var noPages pageTable
+
 func newPartialStore(l *partialLayout, pool *mapreduce.BufferPool) *partialStore {
 	s := &partialStore{layout: l, stride: l.stride, perPage: int32(pageRecords(l.stride)), pool: pool}
-	s.pages.Store(new([][]byte))
+	s.pages.Store(&noPages)
 	s.dec.s = s
 	return s
 }
@@ -242,12 +260,17 @@ func (s *partialStore) newPage() (int32, []byte) {
 		// A map or reduce task reports it as its error.
 		panic("spatial: a partial store past 2³¹ records")
 	}
-	table := *s.pages.Load()
-	if s.used == len(table) {
-		table = append(table, make([][]byte, len(table)+16)...)
-		s.pages.Store(&table)
+	t := s.pages.Load()
+	if s.used == len(t.pages) {
+		// A reader may hold the full table, so it is left to the
+		// collector, not the pool.
+		grown := mapreduce.GetScratch[pageTable](s.pool, 2*s.used+16)
+		grown.Reserve(2*s.used + 16) // a nil pool's is new
+		copy(grown.pages, t.pages[:s.used])
+		s.pages.Store(grown)
+		t = grown
 	}
-	table[s.used] = page
+	t.pages[s.used] = page
 	s.used++
 	return int32(s.used - 1), page[:int(s.perPage)*s.stride]
 }
@@ -255,7 +278,7 @@ func (s *partialStore) newPage() (int32, []byte) {
 // rec resolves a reference to its record.
 func (s *partialStore) rec(ref partialRef) []byte {
 	off := int(ref.Idx) * s.stride
-	return (*s.pages.Load())[ref.Page][off : off+s.stride : off+s.stride]
+	return s.pages.Load().pages[ref.Page][off : off+s.stride : off+s.stride]
 }
 
 // slot numbers the record at ref: every record of its page's
@@ -273,8 +296,13 @@ func (s *partialStore) at(slot int32) []byte {
 func (s *partialStore) release() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, page := range (*s.pages.Swap(new([][]byte)))[:s.used] {
+	t := s.pages.Swap(&noPages)
+	for _, page := range t.pages[:s.used] {
 		s.pool.PutPage(page)
+	}
+	if t != &noPages {
+		clear(t.pages[:s.used])
+		mapreduce.PutScratch(s.pool, t)
 	}
 	s.used = 0
 }

@@ -58,7 +58,7 @@ const (
 // storeBytes is the memory a store has taken for its pages.
 func storeBytes(s *partialStore) int {
 	n := 0
-	for _, page := range *s.pages.Load() {
+	for _, page := range s.pages.Load().pages {
 		n += len(page)
 	}
 	return n
@@ -131,7 +131,7 @@ func FuzzDecodePartial(f *testing.F) {
 // inOnePage reports whether b lies within one of s's pages.
 func inOnePage(s *partialStore, b []byte) bool {
 	at := uintptr(unsafe.Pointer(unsafe.SliceData(b)))
-	for _, page := range *s.pages.Load() {
+	for _, page := range s.pages.Load().pages {
 		lo := uintptr(unsafe.Pointer(unsafe.SliceData(page)))
 		if len(page) > 0 && at >= lo && at+uintptr(len(b)) <= lo+uintptr(len(page)) {
 			return true
