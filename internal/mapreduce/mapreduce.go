@@ -13,9 +13,9 @@
 // model:
 //
 //   - the input is divided into NumMappers contiguous splits, each read
-//     by its own mapper: even ones (RunSplits; Run is the in-memory
-//     special case) or ones the caller cuts (RunBlocks, whose Cut also
-//     places a cluster's reducers);
+//     by its own mapper: ones the caller cuts (RunBlocks, whose Cut
+//     also places a cluster's reducers), even ones (EvenSplits) for an
+//     in-memory input (Run);
 //   - each mapper applies Map to its records and emits (K, V) pairs;
 //     value v of key k is appended to the mapper's run for reducer k;
 //   - each mapper folds the PairBytes accounting into its runs;
@@ -303,10 +303,10 @@ func (c *Codec[T]) read(buf []byte) (T, []byte, error) {
 // it remains so that existing Job literals compile.
 func IdentityPartition[K ReducerKey](key K, _ int) int { return int(key) }
 
-// Run executes the job on an in-memory input: RunSplits over slices of
-// the given records.
+// Run executes the job on an in-memory input: RunBlocks over even
+// splits of the given records.
 func (j *Job[I, K, V, O]) Run(input []I) ([]O, *Stats, error) {
-	return j.RunSplits(len(input), func(lo, hi int, yield func(I) error) error {
+	out, _, st, err := j.RunBlocks(len(input), EvenSplits(len(input)), func(lo, hi int, yield func(I) error) error {
 		for i := lo; i < hi; i++ {
 			if err := yield(input[i]); err != nil {
 				return err
@@ -314,20 +314,6 @@ func (j *Job[I, K, V, O]) Run(input []I) ([]O, *Stats, error) {
 		}
 		return nil
 	})
-}
-
-// RunSplits executes the job over n input records that the map tasks
-// read themselves — a mapper is handed a split and parses its own
-// records — and returns the concatenated reducer outputs plus counters.
-// The splits are even: of nm mappers, mapper m reads [n·m/nm,
-// n·(m+1)/nm). Every attempt of a mapper calls read with its split
-// [lo, hi), and read passes the split's records, in order, to yield; map
-// tasks call it concurrently, a distributed run only for the splits it
-// owns. Map, Reduce or read errors abort the job; when several tasks
-// fail, the error of the lowest-index task is returned so failures
-// reproduce.
-func (j *Job[I, K, V, O]) RunSplits(n int, read func(lo, hi int, yield func(I) error) error) ([]O, *Stats, error) {
-	out, _, st, err := j.RunBlocks(n, EvenSplits(n), read)
 	return out, st, err
 }
 
@@ -346,8 +332,9 @@ type Cut struct {
 	Owner []int
 }
 
-// EvenSplits is RunSplits' cut of n records: nm splits as even as whole
-// records allow, the reducers dealt in blocks.
+// EvenSplits is the even cut of n records: nm splits as even as whole
+// records allow, the reducers dealt in blocks; mapper m reads
+// [n·m/nm, n·(m+1)/nm).
 func EvenSplits(n int) func(nm, workers int) Cut {
 	return func(nm, _ int) Cut {
 		bounds := make([]int, nm+1)
@@ -364,14 +351,21 @@ func OwnedMappers(w, W, nm int) (lo, hi int) {
 	return (w*nm + W - 1) / W, ((w+1)*nm + W - 1) / W
 }
 
-// RunBlocks is RunSplits over a cut the caller makes: cut(nm, W) returns
-// the Cut of the job's nm map splits — NumMappers, or its default, at
-// most n — on W workers (1 for an in-process job). A distributed run
-// calls cut on every worker and must get the same Cut everywhere.
-// Beside the outputs, it returns where each reducer's end: reducer r's
-// outputs are out[ends[r-1]:ends[r]], from 0 for reducer 0. Bounds that
-// are not nm+1 ascending ones from 0 to n, or owners that are not one
-// worker per reducer, fail the job.
+// RunBlocks executes the job over n input records that the map tasks
+// read themselves — a mapper is handed a split and parses its own
+// records — and returns the concatenated reducer outputs plus counters.
+// cut(nm, W) returns the Cut of the job's nm map splits — NumMappers, or
+// its default, at most n — on W workers (1 for an in-process job); a
+// distributed run calls cut on every worker and must get the same Cut
+// everywhere. Every attempt of a mapper calls read with its split
+// [lo, hi), and read passes the split's records, in order, to yield; map
+// tasks call it concurrently, a distributed run only for the splits it
+// owns. Beside the outputs, it returns where each reducer's end:
+// reducer r's outputs are out[ends[r-1]:ends[r]], from 0 for reducer 0.
+// Bounds that are not nm+1 ascending ones from 0 to n, or owners that
+// are not one worker per reducer, fail the job. Map, Reduce or read
+// errors abort the job; when several tasks fail, the error of the
+// lowest-index task is returned so failures reproduce.
 func (j *Job[I, K, V, O]) RunBlocks(n int, cut func(nm, workers int) Cut, read func(lo, hi int, yield func(I) error) error) ([]O, []int, *Stats, error) {
 	cfg, err := j.Config.withDefaults()
 	if err != nil {
@@ -426,7 +420,7 @@ func (j *Job[I, K, V, O]) RunBlocks(n int, cut func(nm, workers int) Cut, read f
 	pool := cfg.Pool
 	if pool == nil {
 		// Private to this job and dropped with it, so nothing it recycled
-		// is ever handed out again after RunSplits returns.
+		// is ever handed out again after RunBlocks returns.
 		pool = NewBufferPool()
 	}
 	nr := cfg.NumReducers

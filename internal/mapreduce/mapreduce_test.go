@@ -145,11 +145,11 @@ func TestValueOrderWithinKey(t *testing.T) {
 	}
 }
 
-// TestRunSplitsReadsPerAttempt: a job whose mappers read their own
+// TestRunBlocksReadsPerAttempt: a job whose mappers read their own even
 // splits returns what Run returns on the same records, calls the reader
 // with exactly the engine's split bounds — once more for every retried
 // attempt — and surfaces reader errors and panics as task failures.
-func TestRunSplitsReadsPerAttempt(t *testing.T) {
+func TestRunBlocksReadsPerAttempt(t *testing.T) {
 	input := []string{"a b a", "c b", "a", "d d d", "b"}
 	cfg := Config{Name: "wc", NumReducers: 4, NumMappers: 3, Parallelism: 2, MaxAttempts: 2,
 		FailMap: func(m, attempt int) bool { return m == 1 && attempt == 1 }}
@@ -170,14 +170,18 @@ func TestRunSplitsReadsPerAttempt(t *testing.T) {
 		}
 		return nil
 	}
-	got, stats, err := wordCountJob(cfg).RunSplits(len(input), read)
+	runEven := func(n int, read func(lo, hi int, yield func(string) error) error) ([]string, *Stats, error) {
+		out, _, st, err := wordCountJob(cfg).RunBlocks(n, EvenSplits(n), read)
+		return out, st, err
+	}
+	got, stats, err := runEven(len(input), read)
 	if err != nil {
 		t.Fatal(err)
 	}
 	stats.MapWall, stats.ReduceWall, stats.TotalWall = 0, 0, 0
 	wantStats.MapWall, wantStats.ReduceWall, wantStats.TotalWall = 0, 0, 0
 	if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(stats, wantStats) {
-		t.Errorf("RunSplits = %v %+v, Run = %v %+v", got, stats, want, wantStats)
+		t.Errorf("RunBlocks = %v %+v, Run = %v %+v", got, stats, want, wantStats)
 	}
 	if wantReads := map[[2]int]int{{0, 1}: 1, {1, 3}: 2, {3, 5}: 1}; !reflect.DeepEqual(reads, wantReads) {
 		t.Errorf("reader calls = %v, want %v", reads, wantReads)
@@ -185,7 +189,7 @@ func TestRunSplitsReadsPerAttempt(t *testing.T) {
 
 	cfg.FailMap = nil
 	boom := errors.New("split unreadable")
-	_, _, err = wordCountJob(cfg).RunSplits(len(input), func(lo, hi int, _ func(string) error) error {
+	_, _, err = runEven(len(input), func(lo, hi int, _ func(string) error) error {
 		if lo == 1 {
 			return boom
 		}
@@ -194,13 +198,13 @@ func TestRunSplitsReadsPerAttempt(t *testing.T) {
 	if !errors.Is(err, boom) || !strings.Contains(err.Error(), "mapper 1") {
 		t.Errorf("reader error surfaced as %v", err)
 	}
-	_, _, err = wordCountJob(cfg).RunSplits(len(input), func(lo, hi int, _ func(string) error) error {
+	_, _, err = runEven(len(input), func(lo, hi int, _ func(string) error) error {
 		panic("bad block")
 	})
 	if err == nil || !strings.Contains(err.Error(), "map panic: bad block") {
 		t.Errorf("reader panic surfaced as %v", err)
 	}
-	if out, stats, err := wordCountJob(cfg).RunSplits(0, nil); err != nil || len(out) != 0 || stats.MapAttempts != 0 {
+	if out, stats, err := runEven(0, nil); err != nil || len(out) != 0 || stats.MapAttempts != 0 {
 		t.Errorf("empty input: %v %+v %v", out, stats, err)
 	}
 }
@@ -431,7 +435,7 @@ func BenchmarkShuffleThroughput(b *testing.B) {
 
 // TestRunBlocksCallerSplits: splits the caller cuts — uneven, some empty
 // — deliver each reducer its values in input order, as even splits do,
-// so the outputs are RunSplits'; ends marks where each reducer's outputs
+// so the outputs are Run's; ends marks where each reducer's outputs
 // end; and bounds that are not nm+1 ascending ones from 0 to n fail the
 // job before any mapper runs. On two workers, any owner table the cut
 // names gives the in-process outputs, and one that is not a worker of

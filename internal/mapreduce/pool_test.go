@@ -42,7 +42,7 @@ func TestPoolRetainsAtMostCap(t *testing.T) {
 		}
 		return nil
 	}
-	out, _, err := job.RunSplits(n, read)
+	out, _, _, err := job.RunBlocks(n, EvenSplits(n), read)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestPoolRetainsAtMostCap(t *testing.T) {
 	if s := recycled[wide](&pool.vals, 1); s != nil {
 		t.Errorf("the pool kept a %d-byte reducer-input slab, larger than its cap", cap(s)*64)
 	}
-	if _, _, err := job.RunSplits(1000, read); err != nil {
+	if _, _, _, err := job.RunBlocks(1000, EvenSplits(1000), read); err != nil {
 		t.Fatal(err)
 	}
 	if got := pool.scratchRetained(); got > MaxPoolBytes {

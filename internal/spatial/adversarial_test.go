@@ -52,10 +52,11 @@ func adversarialGrids(t *testing.T, rels []Relation) map[string]*grid.Partitioni
 	}
 }
 
-// TestMethodsAgreeOnAdversarialGrids re-runs the equivalence suite over
-// partitionings with unequal cells: the §4 definition allows any
+// TestMethodsAgreeOnAdversarialGrids holds every method to brute force
+// over partitionings with unequal cells: the §4 definition allows any
 // rectilinear partitioning and the algorithms must not depend on
-// uniformity.
+// uniformity. FuzzJoin's decoder makes only uniform and adaptive grids,
+// so these stay a fixed table.
 func TestMethodsAgreeOnAdversarialGrids(t *testing.T) {
 	rng := rand.New(rand.NewPCG(77, 8))
 	q := query.New("R1", "R2", "R3").Overlap(0, 1).Range(1, 2, 40)
@@ -73,91 +74,6 @@ func TestMethodsAgreeOnAdversarialGrids(t *testing.T) {
 			if !reflect.DeepEqual(got.TupleSet(), want.TupleSet()) {
 				t.Errorf("%s/%v: %d tuples, want %d", name, method, len(got.Tuples), len(want.Tuples))
 			}
-		}
-	}
-}
-
-// TestMethodsAgreeOnGridAlignedData places every coordinate on integer
-// multiples of the cell size, so edges constantly coincide with grid
-// cuts — the closed-cell Split semantics and the half-open ownership
-// rule must still compose into exact, duplicate-free results.
-func TestMethodsAgreeOnGridAlignedData(t *testing.T) {
-	rng := rand.New(rand.NewPCG(78, 9))
-	part := testGrid(t, 4, 400) // cells of 100×100
-	mk := func(name string, n int) Relation {
-		rects := make([]geom.Rect, n)
-		for i := range rects {
-			rects[i] = geom.Rect{
-				X: float64(rng.IntN(8)) * 50, // multiples of half a cell
-				Y: float64(rng.IntN(8)) * 50,
-				L: float64(rng.IntN(4)) * 50,
-				B: float64(rng.IntN(4)) * 50,
-			}
-		}
-		return NewRelation(name, rects)
-	}
-	for trial := 0; trial < 3; trial++ {
-		rels := []Relation{mk("R1", 60), mk("R2", 60), mk("R3", 60)}
-		for _, q := range []*query.Query{
-			query.New("R1", "R2", "R3").Overlap(0, 1).Overlap(1, 2),
-			query.New("R1", "R2", "R3").Range(0, 1, 50).Range(1, 2, 50),
-		} {
-			want, err := Execute(BruteForce, q, rels, Config{Part: part})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, method := range []Method{Cascade, AllReplicate, ControlledReplicate, ControlledReplicateLimit} {
-				got, err := Execute(method, q, rels, Config{Part: part})
-				if err != nil {
-					t.Fatalf("%v: %v", method, err)
-				}
-				if int64(len(got.TupleSet())) != got.Stats.OutputTuples {
-					t.Errorf("trial %d %v: duplicates on grid-aligned data", trial, method)
-				}
-				if !reflect.DeepEqual(got.TupleSet(), want.TupleSet()) {
-					t.Errorf("trial %d %v (%s): %d tuples, want %d", trial, method, q, len(got.Tuples), len(want.Tuples))
-				}
-			}
-		}
-	}
-}
-
-// TestMethodsAgreeOnDegenerateRectangles joins point and segment MBRs
-// (zero length and/or breadth), which road data contains in practice.
-func TestMethodsAgreeOnDegenerateRectangles(t *testing.T) {
-	rng := rand.New(rand.NewPCG(79, 10))
-	part := testGrid(t, 4, 500)
-	mk := func(name string, n int) Relation {
-		rects := make([]geom.Rect, n)
-		for i := range rects {
-			r := geom.Rect{X: rng.Float64() * 500, Y: rng.Float64() * 500}
-			switch i % 3 {
-			case 0: // point
-			case 1: // horizontal segment
-				r.L = rng.Float64() * 80
-			case 2: // vertical segment
-				r.B = rng.Float64() * 80
-			}
-			rects[i] = r
-		}
-		return NewRelation(name, rects)
-	}
-	rels := []Relation{mk("R1", 120), mk("R2", 120), mk("R3", 120)}
-	q := query.New("R1", "R2", "R3").Range(0, 1, 30).Range(1, 2, 30)
-	want, err := Execute(BruteForce, q, rels, Config{Part: part})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want.Tuples) == 0 {
-		t.Fatal("degenerate workload produced no tuples; test is vacuous")
-	}
-	for _, method := range []Method{Cascade, AllReplicate, ControlledReplicate, ControlledReplicateLimit} {
-		got, err := Execute(method, q, rels, Config{Part: part})
-		if err != nil {
-			t.Fatalf("%v: %v", method, err)
-		}
-		if !reflect.DeepEqual(got.TupleSet(), want.TupleSet()) {
-			t.Errorf("%v: %d tuples, want %d", method, len(got.Tuples), len(want.Tuples))
 		}
 	}
 }

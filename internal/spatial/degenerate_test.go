@@ -1,7 +1,6 @@
 package spatial
 
 import (
-	"math/rand/v2"
 	"slices"
 	"sort"
 	"testing"
@@ -162,57 +161,6 @@ func TestRepeatedItemsMatchBruteForce(t *testing.T) {
 			if m == ControlledReplicate && res.Stats.RectanglesReplicated == 0 {
 				t.Errorf("%s: C-Rep marked nothing — the repeats of a marked record go untested", qs)
 			}
-		}
-	}
-}
-
-// TestDegenerateBoundaryRectsRandomized extends the property to random
-// edge-touching workloads: coordinates are drawn from the cut lattice
-// (plus half-cell offsets) and most rectangles have a zero extent on at
-// least one axis, so boundary contact is the common case rather than a
-// measure-zero event.
-func TestDegenerateBoundaryRectsRandomized(t *testing.T) {
-	part, err := grid.NewFromCuts([]float64{0, 1, 2, 3, 4}, []float64{0, 1, 2, 3, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	coords := []float64{0, 0.5, 1, 1.5, 2, 2.5, 3, 3.5, 4}
-	extents := []float64{0, 0, 0, 0.5, 1, 2} // zero-extent heavily weighted
-	rng := rand.New(rand.NewPCG(2013, 42))
-	mkRel := func(name string, n int) Relation {
-		rs := make([]geom.Rect, n)
-		for i := range rs {
-			rs[i] = geom.Rect{
-				X: coords[rng.IntN(len(coords))],
-				Y: coords[rng.IntN(len(coords))],
-				L: extents[rng.IntN(len(extents))],
-				B: extents[rng.IntN(len(extents))],
-			}
-		}
-		return NewRelation(name, rs)
-	}
-	for trial := 0; trial < 25; trial++ {
-		q := query.New("A", "B", "C")
-		for i := 1; i < 3; i++ {
-			if rng.IntN(2) == 0 {
-				q.Overlap(i-1, i)
-			} else {
-				// Distances on and off the lattice spacing.
-				q.Range(i-1, i, []float64{0.5, 1, 1.5}[rng.IntN(3)])
-			}
-		}
-		rels := []Relation{mkRel("A", 8), mkRel("B", 8), mkRel("C", 8)}
-		want, err := Execute(BruteForce, q, rels, Config{Part: part})
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		ref := tupleMultiset(want)
-		for _, m := range []Method{Cascade, AllReplicate, ControlledReplicate, ControlledReplicateLimit} {
-			res, err := Execute(m, q, rels, Config{Part: part})
-			if err != nil {
-				t.Fatalf("trial %d: %v: %v", trial, m, err)
-			}
-			assertMultisetsEqual(t, q.String(), m, tupleMultiset(res), ref)
 		}
 	}
 }

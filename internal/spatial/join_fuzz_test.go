@@ -9,6 +9,7 @@ import (
 
 	"mwsjoin/internal/dfs"
 	"mwsjoin/internal/geom"
+	"mwsjoin/internal/grid"
 	"mwsjoin/internal/query"
 	"mwsjoin/internal/trace"
 )
@@ -35,6 +36,14 @@ const (
 	joinFaults    = 1 << 7 // the first attempt of mapper 0 and of one reducer fails
 )
 
+// Bits of a fuzzed join's options byte, the one after the last
+// relation. A missing byte reads as 0, so the seeds written before the
+// byte was read decode as they did.
+const (
+	joinEuclidean = 1 << 0 // C-Rep-L measures cell distance as grid.MetricEuclidean
+	joinStepLo    = 1      // bits 1–2: an ra step is 2, 1, 3 or 4 half-steps
+)
+
 // joinRepeat as a rectangle's first byte repeats the relation's previous
 // item verbatim, ID included.
 const joinRepeat = 0xff
@@ -55,10 +64,12 @@ type joinCase struct {
 //	config: the joinAdaptive … joinFaults bits
 //	cells:  the uniform grid's side 1 + b%8, or 1 + b%64 adaptive cells
 //	per edge: b%5 = 0 is ov, else ra(d) for d ∈ {0, one lattice ulp,
-//	        a lattice step, 1e9 + 0.3}
+//	        a step, 1e9 + 0.3}
 //	per slot: b%(s+1) < s binds slot s to that slot's relation (a
 //	        self-join), = s to a new relation: a count byte, then per
 //	        rectangle x, y, l, b bytes or joinRepeat
+//	options: the joinEuclidean bit, and a step's length in half-steps
+//	        (joinStepLo): by default 2, one lattice step
 //
 // Coordinates are half-steps of the lattice joinFrame/side or
 // joinSpecials; extents are 0 (three times in eight), one to four
@@ -109,13 +120,9 @@ func decodeJoinCase(data []byte) joinCase {
 			edges = append(edges, [2]int{m - 1, 0})
 		}
 	}
-	for _, e := range edges {
-		switch p := next() % 5; p {
-		case 0:
-			q.Overlap(e[0], e[1])
-		default:
-			q.Range(e[0], e[1], [4]float64{0, ulp, 2 * half, 1e9 + 0.3}[p-1])
-		}
+	picks := make([]byte, len(edges))
+	for i := range edges {
+		picks[i] = next() % 5
 	}
 
 	maxItems := 40
@@ -144,6 +151,15 @@ func decodeJoinCase(data []byte) joinCase {
 		}
 		rels[s] = Relation{Name: fmt.Sprint("R", s), Items: items}
 	}
+	opts := next()
+	step := [4]float64{2, 1, 3, 4}[opts>>joinStepLo&3] * half
+	for i, e := range edges {
+		if picks[i] == 0 {
+			q.Overlap(e[0], e[1])
+		} else {
+			q.Range(e[0], e[1], [4]float64{0, ulp, step, 1e9 + 0.3}[picks[i]-1])
+		}
+	}
 
 	cfg := Config{
 		Reducers:       side * side,
@@ -151,6 +167,9 @@ func decodeJoinCase(data []byte) joinCase {
 		NumMappers:     1 + int(c>>joinMappersLo&3),
 		OptimizeOrder:  c&joinOptimize != 0,
 		AllowSelfPairs: c&joinSelfPairs != 0,
+	}
+	if opts&joinEuclidean != 0 {
+		cfg.LimitMetric = grid.MetricEuclidean
 	}
 	if c&joinAdaptive != 0 {
 		cfg.Scheme, cfg.Reducers = PartitionAdaptive, 1+int(cells%64)
@@ -177,11 +196,11 @@ func stageInItemsOrder(t *testing.T, fs *dfs.FS, rels []Relation) {
 		if fs.Exists(name) {
 			continue
 		}
-		w := fs.CreateMBB(name)
+		var rows []byte
 		for _, it := range rel.Items {
-			w.Append(dfs.MBB{ID: it.ID, X: it.R.X, Y: it.R.Y, L: it.R.L, B: it.R.B})
+			rows = dfs.AppendMBB(rows, dfs.MBB{ID: it.ID, X: it.R.X, Y: it.R.Y, L: it.R.L, B: it.R.B})
 		}
-		if err := w.Close(); err != nil {
+		if err := fs.WriteSegments(name, dfs.Segments{Stride: dfs.MBBRecordBytes, Segs: [][]byte{rows}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -212,10 +231,14 @@ func joinSeed(shape, config, cells byte, edges []byte, slots ...[]byte) []byte {
 // must change neither its tuples nor its Stats, and must leave every
 // span closed and finished, job spans matching the Stats' rounds.
 //
-// The seeds are the regressions found by hand: verbatim-repeated
+// The seeds are the regressions found by hand — verbatim-repeated
 // records under C-Rep's mark round, the ±1e9 range join every method
-// answered with nothing, and rectangles lying on the cuts of a framed
-// uniform grid.
+// answered with nothing, rectangles lying on the cuts of a framed
+// uniform grid — and the cases of the randomized trial loops this
+// target replaced: a point exactly a band width deep, C-Rep-L under
+// the Euclidean metric, ra steps off the cut spacing, rectangles far
+// from the origin, and injected failures on a traced triangle and
+// self-join.
 func FuzzJoin(f *testing.F) {
 	// x, y, l, b bytes of one rectangle (coordinates are half-step
 	// indices on the lattice, extents pick from decodeJoinCase's table).
@@ -260,6 +283,30 @@ func FuzzJoin(f *testing.F) {
 	f.Add([]byte("1A022000100000010000\xfb$"))
 	// The repeats seed with injected task failures, traced under C-Rep.
 	f.Add(joinSeed(27, joinFramed|joinFaults|1<<joinMappersLo, 1, []byte{0}, []byte{0}, repeats, []byte{1, 3}, rect(2, 3, 3, 3), rect(0, 0, 4, 4), rect(3, 1, 3, 3)))
+	// The band's edge: on a framed 4 × 4 grid, a point at a cell's
+	// centre lies exactly slot 0's band width (slot 1's one diagonal,
+	// half a step) from the cuts, and ov-ov reaches a point on the cut
+	// through slot 1's segment. A band a hair narrower drops the point
+	// from C-Rep's mark round.
+	f.Add(joinSeed(28, joinFramed, 3, []byte{0, 0}, cat([]byte{0, 1}, rect(1, 1, 0, 0)), cat([]byte{1, 1}, rect(1, 1, 3, 0)), cat([]byte{2, 1}, rect(2, 1, 0, 0))))
+	// C-Rep-L under the Euclidean metric, traced: on the framed 4 × 4
+	// grid under ra(one step), points on the cuts x = 210 and x = 420
+	// each lie exactly the radius from the other's cell, beside points
+	// around the cell corners.
+	f.Add(joinSeed(36, joinFramed, 3, []byte{3}, cat([]byte{0, 4}, rect(2, 1, 0, 0), rect(1, 1, 0, 0), rect(3, 5, 0, 0), rect(6, 6, 3, 0)),
+		cat([]byte{1, 4}, rect(4, 1, 0, 0), rect(2, 2, 0, 0), rect(0, 7, 3, 3), rect(5, 3, 0, 0)), []byte{joinEuclidean}))
+	// Steps off the cut spacing: the grid-aligned chain under ra(half a
+	// step), and its triangle under ra(three half-steps).
+	f.Add(joinSeed(1, joinFramed, 3, []byte{3, 3}, cat([]byte{0}, aligned), cat([]byte{1, 6}, aligned[1:1+4*6]), cat([]byte{2, 6}, aligned[1+4*6:]), []byte{1 << joinStepLo}))
+	f.Add(joinSeed(7, joinFramed|joinOptimize, 3, []byte{3, 0, 3}, cat([]byte{0}, aligned), cat([]byte{1, 6}, aligned[1:1+4*6]), cat([]byte{2, 6}, aligned[1+4*6:]), []byte{2 << joinStepLo}))
+	// Far from the origin: rectangles at (1e9, −1e9 − 1) under ov and
+	// ra(one step).
+	far := cat([]byte{3}, rect(0xf8, 0xf9, 3, 4), rect(0xf8, 0xf9, 5, 0), rect(0xf8, 0xf9, 0, 7))
+	f.Add(joinSeed(1, 0, 3, []byte{0, 3}, cat([]byte{0}, far), cat([]byte{1}, far), cat([]byte{2, 2}, rect(0xf8, 0xf9, 4, 4), rect(0xf8, 0xf9, 0, 0))))
+	// Injected task failures on a traced triangle (All-Replicate) and on
+	// a traced self-join chain (Cascade).
+	f.Add(joinSeed(25, joinFramed|joinFaults|joinPar2, 3, []byte{3, 0, 0}, cat([]byte{0}, aligned), cat([]byte{1, 6}, aligned[1:1+4*6]), cat([]byte{2, 6}, aligned[1+4*6:])))
+	f.Add(joinSeed(10, joinFaults|joinPar2|2<<joinMappersLo, 3, []byte{0, 3}, cat([]byte{0}, aligned), []byte{0}, []byte{0}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		jc := decodeJoinCase(data)

@@ -58,7 +58,9 @@ func joinRoundSkew(res *spatial.Result) float64 {
 // and as brute force — across parallelism levels. Tuple order differs
 // between partitionings (tuples are emitted per owning cell), so
 // identity is over the canonical tuple set; per-method duplicate
-// freedom pins the multiset.
+// freedom pins the multiset. FuzzJoin's adaptive bit joins at most 40
+// rectangles a relation at parallelism 1 or 2; these 300 clustered ones
+// at parallelism 8 split the adaptive grid deep.
 func TestAdaptiveUniformBitIdentical(t *testing.T) {
 	rels := skewedTriple(t, 300)
 	q := skewedChain()

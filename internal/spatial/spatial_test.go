@@ -263,120 +263,6 @@ func testGrid(t testing.TB, n int, space float64) *grid.Partitioning {
 	return p
 }
 
-// crossMethodCase is one scenario of the equivalence suite.
-type crossMethodCase struct {
-	name string
-	q    *query.Query
-	rels func(rng *rand.Rand) []Relation
-}
-
-func crossMethodCases() []crossMethodCase {
-	return []crossMethodCase{
-		{
-			name: "Q2 chain overlap",
-			q:    query.New("R1", "R2", "R3").Overlap(0, 1).Overlap(1, 2),
-			rels: func(rng *rand.Rand) []Relation { return randomRelations(rng, 3, 150, 1000, 60) },
-		},
-		{
-			name: "Q3 chain range",
-			q:    query.New("R1", "R2", "R3").Range(0, 1, 30).Range(1, 2, 30),
-			rels: func(rng *rand.Rand) []Relation { return randomRelations(rng, 3, 100, 1000, 40) },
-		},
-		{
-			name: "Q4 hybrid",
-			q:    query.New("R1", "R2", "R3").Overlap(0, 1).Range(1, 2, 50),
-			rels: func(rng *rand.Rand) []Relation { return randomRelations(rng, 3, 120, 1000, 50) },
-		},
-		{
-			name: "star self-join Q2s",
-			q:    query.New("A", "B", "C").Overlap(0, 1).Overlap(1, 2),
-			rels: func(rng *rand.Rand) []Relation {
-				base := randomRelations(rng, 1, 150, 800, 70)[0]
-				return []Relation{base, base, base}
-			},
-		},
-		{
-			name: "2-way overlap",
-			q:    query.New("R1", "R2").Overlap(0, 1),
-			rels: func(rng *rand.Rand) []Relation { return randomRelations(rng, 2, 200, 1000, 60) },
-		},
-		{
-			name: "2-way range",
-			q:    query.New("R1", "R2").Range(0, 1, 45),
-			rels: func(rng *rand.Rand) []Relation { return randomRelations(rng, 2, 150, 1000, 40) },
-		},
-		{
-			name: "4-chain overlap",
-			q:    chain4(),
-			rels: func(rng *rand.Rand) []Relation { return randomRelations(rng, 4, 80, 600, 60) },
-		},
-		{
-			name: "triangle overlap",
-			q:    query.New("R1", "R2", "R3").Overlap(0, 1).Overlap(1, 2).Overlap(0, 2),
-			rels: func(rng *rand.Rand) []Relation { return randomRelations(rng, 3, 150, 800, 70) },
-		},
-		{
-			name: "hybrid 4-chain mixed",
-			q: query.New("R1", "R2", "R3", "R4").
-				Range(0, 1, 40).Overlap(1, 2).Range(2, 3, 25),
-			rels: func(rng *rand.Rand) []Relation { return randomRelations(rng, 4, 70, 600, 50) },
-		},
-	}
-}
-
-// TestAllMethodsAgree is the central integration test: on randomized
-// workloads, every map-reduce method must produce exactly the
-// brute-force tuple set — in particular with no duplicates.
-func TestAllMethodsAgree(t *testing.T) {
-	rng := rand.New(rand.NewPCG(2013, 3))
-	for _, tc := range crossMethodCases() {
-		t.Run(tc.name, func(t *testing.T) {
-			for trial := 0; trial < 3; trial++ {
-				rels := tc.rels(rng)
-				part := testGrid(t, 4, 1000)
-				want, err := Execute(BruteForce, tc.q, rels, Config{Part: part})
-				if err != nil {
-					t.Fatal(err)
-				}
-				wantSet := want.TupleSet()
-				if int64(len(wantSet)) != want.Stats.OutputTuples {
-					t.Fatalf("brute force produced duplicates")
-				}
-				for _, method := range []Method{Cascade, AllReplicate, ControlledReplicate, ControlledReplicateLimit} {
-					for _, metric := range []grid.Metric{grid.MetricChebyshev, grid.MetricEuclidean} {
-						if metric == grid.MetricEuclidean && method != ControlledReplicateLimit {
-							continue // metric only matters for C-Rep-L
-						}
-						got, err := Execute(method, tc.q, rels, Config{Part: part, LimitMetric: metric})
-						if err != nil {
-							t.Fatalf("%v: %v", method, err)
-						}
-						if int64(len(got.TupleSet())) != got.Stats.OutputTuples {
-							t.Errorf("trial %d %v(%v): produced duplicate tuples (%d unique of %d)",
-								trial, method, metric, len(got.TupleSet()), got.Stats.OutputTuples)
-						}
-						if !reflect.DeepEqual(got.TupleSet(), wantSet) {
-							t.Errorf("trial %d %v(%v): %d tuples, want %d (missing %d, extra %d)",
-								trial, method, metric, len(got.Tuples), len(wantSet),
-								countMissing(wantSet, got.TupleSet()), countMissing(got.TupleSet(), wantSet))
-						}
-					}
-				}
-			}
-		})
-	}
-}
-
-func countMissing(want, got map[string]bool) int {
-	n := 0
-	for k := range want {
-		if !got[k] {
-			n++
-		}
-	}
-	return n
-}
-
 // TestReplicationOrdering checks the paper's headline cost ordering on
 // a random workload: C-Rep marks far fewer rectangles than All-Rep
 // replicates, and C-Rep-L ships no more copies than C-Rep.

@@ -68,12 +68,12 @@ go test -race -count=1 $(go list ./... | grep -v -e '/cmd/benchtables$' -e '/int
 
 # require_tests NAMES PKGS...: a renamed test matches nothing, and go
 # test passes "no tests to run": every name of the |-list NAMES must be
-# one the packages list.
+# a test or fuzz target the packages list.
 require_tests() {
     names=$1
     shift
     want=$(echo "$names" | tr '|' '\n' | wc -l)
-    found=$(go test -list "^($names)\$" "$@" | grep -c '^Test' || true)
+    found=$(go test -list "^($names)\$" "$@" | grep -cE '^(Test|Fuzz)' || true)
     if [ "$found" -lt "$want" ]; then
         echo "the packages list $found of the $want test names $names" >&2
         exit 1
@@ -86,8 +86,8 @@ guard_pkgs='./internal/spatial ./internal/cluster ./internal/mapreduce ./interna
 require_tests "$guards" $guard_pkgs
 go test -count=1 -run "^($guards)\$" $guard_pkgs
 
-echo "== sweep order across map splits (the race pass above ran it; a rename must not drop it) =="
-require_tests 'TestCascadeTieBreakAcrossBlocks' ./internal/spatial
+echo "== sweep order across map splits and the whole-join oracle (the race pass above ran them; a rename must not drop them) =="
+require_tests 'TestCascadeTieBreakAcrossBlocks|FuzzJoin' ./internal/spatial
 
 echo "== result pages: the slab's bytes, compact and encoding/json's (the race pass above ran them; a rename must not drop them) =="
 require_tests 'TestResultPageAllocs|TestResultPageGolden|TestCacheChargesSlabBytes' ./internal/server
