@@ -159,11 +159,6 @@ func (p *Partitioning) RowCol(c CellID) (row, col int) {
 	return int(c) / p.cols, int(c) % p.cols
 }
 
-// Valid reports whether c identifies a cell of this partitioning.
-func (p *Partitioning) Valid(c CellID) bool {
-	return c >= 0 && int(c) < p.NumCells()
-}
-
 // bandOf returns the largest i < len(cuts)-1 with cuts[i] <= v, for a v
 // in [cuts[0], cuts[len(cuts)-1]): the band of the ascending cuts that
 // holds v. It guesses the band a uniform division would give — inv is
@@ -286,14 +281,6 @@ func (p *Partitioning) ForEachSplit(r geom.Rect, fn func(CellID)) {
 	}
 }
 
-// Split returns the cells of the Split transform as a slice. Prefer
-// ForEachSplit in hot paths.
-func (p *Partitioning) Split(r geom.Rect) []CellID {
-	out := make([]CellID, 0, 4)
-	p.ForEachSplit(r, func(c CellID) { out = append(out, c) })
-	return out
-}
-
 // SplitCount returns the number of cells Split would produce without
 // materialising them.
 func (p *Partitioning) SplitCount(r geom.Rect) int {
@@ -320,14 +307,6 @@ func (p *Partitioning) ForEachFourthQuadrant(r geom.Rect, fn func(CellID)) {
 			fn(p.id(row, col))
 		}
 	}
-}
-
-// ReplicateF1 returns the f1 replication cells as a slice. Prefer
-// ForEachFourthQuadrant in hot paths.
-func (p *Partitioning) ReplicateF1(r geom.Rect) []CellID {
-	out := make([]CellID, 0, 8)
-	p.ForEachFourthQuadrant(r, func(c CellID) { out = append(out, c) })
-	return out
 }
 
 // FourthQuadrantCount returns |C4(r)| without materialising the cells.
@@ -377,14 +356,6 @@ func (p *Partitioning) ForEachReplicateF2(r geom.Rect, d float64, m Metric, fn f
 			}
 		}
 	}
-}
-
-// ReplicateF2 returns the f2 replication cells as a slice. Prefer
-// ForEachReplicateF2 in hot paths.
-func (p *Partitioning) ReplicateF2(r geom.Rect, d float64, m Metric) []CellID {
-	out := make([]CellID, 0, 8)
-	p.ForEachReplicateF2(r, d, m, func(c CellID) { out = append(out, c) })
-	return out
 }
 
 // OtherCellWithin reports whether some cell different from exclude is

@@ -2,11 +2,9 @@ package grid
 
 import (
 	"math"
-	mrand "math/rand"
 	"math/rand/v2"
 	"reflect"
 	"testing"
-	"testing/quick"
 
 	"mwsjoin/internal/geom"
 )
@@ -125,12 +123,6 @@ func TestRowColRoundTrip(t *testing.T) {
 		if p.id(row, col) != c {
 			t.Fatalf("RowCol(%d) = (%d,%d) does not round-trip", c, row, col)
 		}
-		if !p.Valid(c) {
-			t.Fatalf("Valid(%d) = false", c)
-		}
-	}
-	if p.Valid(-1) || p.Valid(16) {
-		t.Error("out-of-range ids must be invalid")
 	}
 }
 
@@ -144,7 +136,7 @@ func TestPaperFigure2Transforms(t *testing.T) {
 	if got := p.Project(r1); got != cell(6) {
 		t.Errorf("Project(r1) = %d, want 6", got+1)
 	}
-	if got := p.Split(r1); !reflect.DeepEqual(got, cells(6, 7)) {
+	if got := splitCells(p, r1); !reflect.DeepEqual(got, cells(6, 7)) {
 		t.Errorf("Split(r1) = %v, want cells 6,7", got)
 	}
 	if got := p.SplitCount(r1); got != 2 {
@@ -154,7 +146,7 @@ func TestPaperFigure2Transforms(t *testing.T) {
 		t.Error("r1 must cross its cell boundary")
 	}
 	want := cells(6, 7, 8, 10, 11, 12, 14, 15, 16)
-	if got := p.ReplicateF1(r1); !reflect.DeepEqual(got, want) {
+	if got := f1Cells(p, r1); !reflect.DeepEqual(got, want) {
 		t.Errorf("ReplicateF1(r1) = %v, want %v", got, want)
 	}
 	if got := p.FourthQuadrantCount(r1); got != 9 {
@@ -163,7 +155,7 @@ func TestPaperFigure2Transforms(t *testing.T) {
 
 	// Figure 2(c): Replicate(f2) with a small d keeps only cells
 	// 6, 7, 10 and 11 — the 4th-quadrant cells within distance d.
-	got := p.ReplicateF2(r1, 10, MetricEuclidean)
+	got := f2Cells(p, r1, 10, MetricEuclidean)
 	if want := cells(6, 7, 10, 11); !reflect.DeepEqual(got, want) {
 		t.Errorf("ReplicateF2(r1, 10) = %v, want %v", got, want)
 	}
@@ -174,7 +166,7 @@ func TestSplitTouchingGridLine(t *testing.T) {
 	// A closed rectangle whose right edge lies exactly on a grid line
 	// shares that line with the next column, so Split includes it.
 	r := geom.Rect{X: 10, Y: 90, L: 15, B: 5} // right edge at x=25
-	if got := p.Split(r); !reflect.DeepEqual(got, cells(1, 2)) {
+	if got := splitCells(p, r); !reflect.DeepEqual(got, cells(1, 2)) {
 		t.Errorf("Split = %v, want cells 1,2", got)
 	}
 	if !p.Crosses(r) {
@@ -188,7 +180,7 @@ func TestSplitTouchingGridLine(t *testing.T) {
 	// A degenerate point rectangle on the corner shared by cells
 	// 1, 2, 5 and 6 splits onto all four of them.
 	pt := geom.Rect{X: 25, Y: 75}
-	if got := p.Split(pt); !reflect.DeepEqual(got, cells(1, 2, 5, 6)) {
+	if got := splitCells(p, pt); !reflect.DeepEqual(got, cells(1, 2, 5, 6)) {
 		t.Errorf("Split(corner point) = %v, want cells 1,2,5,6", got)
 	}
 }
@@ -196,33 +188,30 @@ func TestSplitTouchingGridLine(t *testing.T) {
 func TestSplitClampsOutOfBounds(t *testing.T) {
 	p := paperGrid(t)
 	r := geom.Rect{X: 90, Y: 10, L: 50, B: 50} // protrudes right and below
-	if got := p.Split(r); !reflect.DeepEqual(got, cells(16)) {
+	if got := splitCells(p, r); !reflect.DeepEqual(got, cells(16)) {
 		t.Errorf("Split = %v, want just cell 16", got)
 	}
 }
 
 func TestReplicateF2Metrics(t *testing.T) {
 	p := paperGrid(t)
-	// A small rectangle in the top-left of cell 6.
+	// A small rectangle in the top-left of cell 6. The diagonal cell 11
+	// ([50,75]×[25,50]) lies 22 from it on each axis: 31.1 Euclidean, 22
+	// Chebyshev, so d = 25 splits the metrics.
 	r := geom.Rect{X: 26, Y: 74, L: 2, B: 2}
-	// With d just under the cell size, Euclidean excludes the diagonal
-	// cell 11 region... compute: distance from r to cell 11 ([50,75]x
-	// [25,50]) is hypot(50-28, 72-50) = hypot(22,22) ≈ 31.1; Chebyshev
-	// is 22. Pick d = 25 to split the two metrics.
-	d := 25.0
-	eu := p.ReplicateF2(r, d, MetricEuclidean)
-	ch := p.ReplicateF2(r, d, MetricChebyshev)
+	eu := f2Cells(p, r, 25, MetricEuclidean)
+	ch := f2Cells(p, r, 25, MetricChebyshev)
 	if want := cells(6, 7, 10); !reflect.DeepEqual(eu, want) {
 		t.Errorf("Euclidean f2 = %v, want %v", eu, want)
 	}
 	if want := cells(6, 7, 10, 11); !reflect.DeepEqual(ch, want) {
 		t.Errorf("Chebyshev f2 = %v, want %v", ch, want)
 	}
-	if got := p.ReplicateF2(r, -1, MetricEuclidean); len(got) != 0 {
+	if got := f2Cells(p, r, -1, MetricEuclidean); len(got) != 0 {
 		t.Errorf("negative d must replicate nowhere, got %v", got)
 	}
 	// d = 0 keeps exactly the 4th-quadrant cells the rectangle touches.
-	if got := p.ReplicateF2(r, 0, MetricEuclidean); !reflect.DeepEqual(got, cells(6)) {
+	if got := f2Cells(p, r, 0, MetricEuclidean); !reflect.DeepEqual(got, cells(6)) {
 		t.Errorf("f2 with d=0 = %v, want cell 6", got)
 	}
 }
@@ -245,10 +234,10 @@ func TestReplicateF2ReachesOwnCellOnWideGrid(t *testing.T) {
 		t.Fatalf("cell 2 reaches down to %v: the rounding this test is about did not happen (gap %g)", p.CellRect(2).MinY(), gap)
 	}
 	for _, m := range []Metric{MetricChebyshev, MetricEuclidean} {
-		if got := p.ReplicateF2(seg, 0, m); !reflect.DeepEqual(got, []CellID{2, 3}) {
+		if got := f2Cells(p, seg, 0, m); !reflect.DeepEqual(got, []CellID{2, 3}) {
 			t.Errorf("%v f2 of the segment = %v, want cells 2 and 3", m, got)
 		}
-		if got := p.ReplicateF2(geom.Rect{X: 0, Y: bottom}, 0, m); !reflect.DeepEqual(got, []CellID{2}) {
+		if got := f2Cells(p, geom.Rect{X: 0, Y: bottom}, 0, m); !reflect.DeepEqual(got, []CellID{2}) {
 			t.Errorf("%v f2 of the point at its start = %v, want cell 2", m, got)
 		}
 	}
@@ -278,143 +267,6 @@ func TestMetricString(t *testing.T) {
 	if MetricEuclidean.String() != "euclidean" || MetricChebyshev.String() != "chebyshev" {
 		t.Error("unexpected metric names")
 	}
-}
-
-// randomGridRect avoids placing edges exactly on the 4×4 grid's cuts
-// (multiples of 25): Split uses closed cells, so an edge on a cut also
-// touches the neighbouring row/column, which would break the
-// 4th-quadrant containment property below. Cut-aligned edges are
-// exercised by the dedicated boundary tests instead.
-func randomGridRect(rng *rand.Rand) geom.Rect {
-	return geom.Rect{
-		X: math.Floor(rng.Float64()*100) + 0.25,
-		Y: math.Floor(rng.Float64()*100) + 0.25,
-		L: math.Floor(rng.Float64() * 30),
-		B: math.Floor(rng.Float64() * 30),
-	}
-}
-
-func gridQuickCfg() *quick.Config {
-	rng := rand.New(rand.NewPCG(11, 13))
-	return &quick.Config{
-		MaxCount: 2000,
-		Values: func(vals []reflect.Value, _ *mrand.Rand) {
-			for i := range vals {
-				vals[i] = reflect.ValueOf(randomGridRect(rng))
-			}
-		},
-	}
-}
-
-// Property: Project is always among Split's cells, Split is a subset of
-// ReplicateF1 for cells at/after the projection corner... precisely:
-// every Split cell lies in the 4th quadrant of the rectangle, so
-// Split ⊆ ReplicateF1.
-func TestPropSplitContainsProjectAndWithinF1(t *testing.T) {
-	p := paperGrid(t)
-	prop := func(r geom.Rect) bool {
-		proj := p.Project(r)
-		split := p.Split(r)
-		f1 := map[CellID]bool{}
-		p.ForEachFourthQuadrant(r, func(c CellID) { f1[c] = true })
-		foundProj := false
-		for _, c := range split {
-			if c == proj {
-				foundProj = true
-			}
-			if !f1[c] {
-				return false
-			}
-		}
-		return foundProj
-	}
-	if err := quick.Check(prop, gridQuickCfg()); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: f2 ⊆ f1, f2 grows with d, and f2 with a huge d equals f1.
-func TestPropReplicateF2SubsetMonotone(t *testing.T) {
-	p := paperGrid(t)
-	for _, m := range []Metric{MetricEuclidean, MetricChebyshev} {
-		prop := func(r geom.Rect) bool {
-			f1 := p.ReplicateF1(r)
-			f2small := p.ReplicateF2(r, 20, m)
-			f2big := p.ReplicateF2(r, 60, m)
-			f2max := p.ReplicateF2(r, 1000, m)
-			if !subset(f2small, f2big) || !subset(f2big, f1) {
-				return false
-			}
-			return reflect.DeepEqual(f2max, f1)
-		}
-		if err := quick.Check(prop, gridQuickCfg()); err != nil {
-			t.Errorf("metric %v: %v", m, err)
-		}
-	}
-}
-
-// Property: every Split cell's rectangle actually overlaps r, and every
-// cell not in Split either does not overlap r or lies outside the grid
-// clamp region.
-func TestPropSplitIsExactlyOverlapping(t *testing.T) {
-	p := paperGrid(t)
-	prop := func(r geom.Rect) bool {
-		inSplit := map[CellID]bool{}
-		p.ForEachSplit(r, func(c CellID) { inSplit[c] = true })
-		for c := CellID(0); int(c) < p.NumCells(); c++ {
-			if p.CellRect(c).Overlaps(r) != inSplit[c] {
-				return false
-			}
-		}
-		return true
-	}
-	// Restrict to in-bounds rectangles: clamping intentionally breaks
-	// the equivalence outside the grid.
-	rng := rand.New(rand.NewPCG(5, 9))
-	cfg := &quick.Config{
-		MaxCount: 1500,
-		Values: func(vals []reflect.Value, _ *mrand.Rand) {
-			r := geom.Rect{
-				X: rng.Float64() * 80,
-				Y: 20 + rng.Float64()*80,
-				L: rng.Float64() * 20,
-				B: rng.Float64() * 20,
-			}
-			vals[0] = reflect.ValueOf(r)
-		},
-	}
-	if err := quick.Check(prop, cfg); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: CellOf is consistent with CellRect containment up to the
-// half-open ownership rule: the owning cell's closed rectangle always
-// contains the point (for in-bounds points).
-func TestPropCellOfWithinCellRect(t *testing.T) {
-	p := paperGrid(t)
-	rng := rand.New(rand.NewPCG(17, 23))
-	for i := 0; i < 4000; i++ {
-		pt := geom.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}
-		c := p.CellOf(pt)
-		r := p.CellRect(c)
-		if pt.X < r.MinX() || pt.X > r.MaxX() || pt.Y < r.MinY() || pt.Y > r.MaxY() {
-			t.Fatalf("CellOf(%v) = %d but cell rect %v does not contain it", pt, c, p.CellRect(c))
-		}
-	}
-}
-
-func subset(a, b []CellID) bool {
-	set := map[CellID]bool{}
-	for _, c := range b {
-		set[c] = true
-	}
-	for _, c := range a {
-		if !set[c] {
-			return false
-		}
-	}
-	return true
 }
 
 // BenchmarkSplit is the map side's per-rectangle cost — four cell-of

@@ -42,6 +42,8 @@ const (
 const (
 	joinEuclidean = 1 << 0 // C-Rep-L measures cell distance as grid.MetricEuclidean
 	joinStepLo    = 1      // bits 1–2: an ra step is 2, 1, 3 or 4 half-steps
+	joinCountOnly = 1 << 3 // every method also runs with CountOnly
+	joinReuseFS   = 1 << 4 // every method also runs twice on one FS shared by all
 )
 
 // joinRepeat as a rectangle's first byte repeats the relation's previous
@@ -55,6 +57,9 @@ type joinCase struct {
 	cfg  Config
 	// traced is the method FuzzJoin also runs with a Tracer.
 	traced Method
+	// countOnly and reuseFS are the options byte's joinCountOnly and
+	// joinReuseFS bits.
+	countOnly, reuseFS bool
 }
 
 // decodeJoinCase turns any bytes into a join (missing bytes read as 0):
@@ -68,8 +73,9 @@ type joinCase struct {
 //	per slot: b%(s+1) < s binds slot s to that slot's relation (a
 //	        self-join), = s to a new relation: a count byte, then per
 //	        rectangle x, y, l, b bytes or joinRepeat
-//	options: the joinEuclidean bit, and a step's length in half-steps
-//	        (joinStepLo): by default 2, one lattice step
+//	options: the joinEuclidean bit, a step's length in half-steps
+//	        (joinStepLo): by default 2, one lattice step, and the
+//	        joinCountOnly and joinReuseFS bits
 //
 // Coordinates are half-steps of the lattice joinFrame/side or
 // joinSpecials; extents are 0 (three times in eight), one to four
@@ -183,7 +189,8 @@ func decodeJoinCase(data []byte) joinCase {
 		cfg.FailReduce = func(reducer, attempt int) bool { return reducer == failed && attempt == 1 }
 	}
 	methods := Methods()
-	return joinCase{q: q, rels: rels, cfg: cfg, traced: methods[int(h/9)%len(methods)]}
+	return joinCase{q: q, rels: rels, cfg: cfg, traced: methods[int(h/9)%len(methods)],
+		countOnly: opts&joinCountOnly != 0, reuseFS: opts&joinReuseFS != 0}
 }
 
 // stageInItemsOrder writes each relation to fs the way a caller that
@@ -226,10 +233,15 @@ func joinSeed(shape, config, cells byte, edges []byte, slots ...[]byte) []byte {
 // RectanglesReplicated must equal a pass over the relations against
 // its mark checkpoint (markedByRelationPass). A two-worker
 // SPMD run over distHub must return what the one-process run returns,
-// tuples in order and Stats alike. Task failures may be injected
-// (joinFaults), and one method runs once more with a Tracer: tracing
-// must change neither its tuples nor its Stats, and must leave every
-// span closed and finished, job spans matching the Stats' rounds.
+// tuples in order and Stats alike, and a one-process run's Stats must
+// record its tuples, its rounds and its injected failures
+// (checkJoinStats). Task failures may be injected (joinFaults), and one
+// method runs once more with a Tracer: tracing must change neither its
+// tuples nor its Stats, and must leave every span closed and finished,
+// job spans matching the Stats' rounds. Under joinCountOnly every
+// method must count the reference's tuples and keep none; under
+// joinReuseFS every method runs twice on one FS and must return them
+// each time.
 //
 // The seeds are the regressions found by hand — verbatim-repeated
 // records under C-Rep's mark round, the ±1e9 range join every method
@@ -238,7 +250,7 @@ func joinSeed(shape, config, cells byte, edges []byte, slots ...[]byte) []byte {
 // target replaced: a point exactly a band width deep, C-Rep-L under
 // the Euclidean metric, ra steps off the cut spacing, rectangles far
 // from the origin, and injected failures on a traced triangle and
-// self-join.
+// self-join, then CountOnly and a reused FS, alone and together.
 func FuzzJoin(f *testing.F) {
 	// x, y, l, b bytes of one rectangle (coordinates are half-step
 	// indices on the lattice, extents pick from decodeJoinCase's table).
@@ -307,6 +319,11 @@ func FuzzJoin(f *testing.F) {
 	// a traced self-join chain (Cascade).
 	f.Add(joinSeed(25, joinFramed|joinFaults|joinPar2, 3, []byte{3, 0, 0}, cat([]byte{0}, aligned), cat([]byte{1, 6}, aligned[1:1+4*6]), cat([]byte{2, 6}, aligned[1+4*6:])))
 	f.Add(joinSeed(10, joinFaults|joinPar2|2<<joinMappersLo, 3, []byte{0, 3}, cat([]byte{0}, aligned), []byte{0}, []byte{0}))
+	// CountOnly on the grid-aligned chain under ov and ra(one step), and
+	// a shared FS on the repeats; then both, with injected failures.
+	f.Add(joinSeed(1, joinFramed, 3, []byte{0, 3}, cat([]byte{0}, aligned), cat([]byte{1, 6}, aligned[1:1+4*6]), cat([]byte{2, 6}, aligned[1+4*6:]), []byte{joinCountOnly}))
+	f.Add(joinSeed(0, joinFramed, 1, []byte{0}, []byte{0}, repeats, []byte{1, 3}, rect(2, 3, 3, 3), rect(0, 0, 4, 4), rect(3, 1, 3, 3), []byte{joinReuseFS}))
+	f.Add(joinSeed(25, joinFramed|joinFaults|joinPar2, 3, []byte{3, 0, 0}, cat([]byte{0}, aligned), cat([]byte{1, 6}, aligned[1:1+4*6]), cat([]byte{2, 6}, aligned[1+4*6:]), []byte{joinCountOnly | joinReuseFS}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		jc := decodeJoinCase(data)
@@ -344,6 +361,41 @@ func FuzzJoin(f *testing.F) {
 				}
 			}
 		}
+		for m, res := range oneWorker {
+			checkJoinStats(t, m, jc, res)
+		}
+		if jc.countOnly {
+			for _, m := range Methods() {
+				// A failed reduce attempt's tally cannot be taken back
+				// (Config.CountOnly), so the reducers do not fail here.
+				cfg := jc.cfg
+				cfg.FS, cfg.CountOnly, cfg.FailReduce = dfs.New(0), true, nil
+				res, err := Execute(m, jc.q, jc.rels, cfg)
+				if err != nil {
+					t.Fatalf("%v on %s, CountOnly: %v", m, jc.q, err)
+				}
+				if res.Stats.OutputTuples != int64(len(want)) || len(res.Tuples) != 0 {
+					t.Fatalf("%v on %s, CountOnly: counted %d tuples and kept %d, the reference has %d",
+						m, jc.q, res.Stats.OutputTuples, len(res.Tuples), len(want))
+				}
+			}
+		}
+		if jc.reuseFS {
+			// Each method twice on one FS: every run after the first
+			// finds the relations staged, and a second run of a method
+			// its own checkpoints.
+			cfg := jc.cfg
+			cfg.FS = dfs.New(0)
+			for i, m := range slices.Concat(Methods(), Methods()) {
+				res, err := Execute(m, jc.q, jc.rels, cfg)
+				if err != nil {
+					t.Fatalf("%v on %s, run %d on a shared FS: %v", m, jc.q, i, err)
+				}
+				if got := tupleMultiset(res); !slices.Equal(got, want) {
+					t.Fatalf("%v on %s, run %d on a shared FS: %d tuples, the reference %d", m, jc.q, i, len(got), len(want))
+				}
+			}
+		}
 		cfg := jc.cfg
 		cfg.FS, cfg.Tracer = dfs.New(0), trace.New()
 		traced, err := Execute(jc.traced, jc.q, jc.rels, cfg)
@@ -373,4 +425,30 @@ func FuzzJoin(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkJoinStats holds a one-worker result's Stats to what they record:
+// the tuples it returned, a positive wall, C-Rep's two rounds and, once
+// a relation has items, C-Rep's DFS traffic and the injected map
+// failures.
+func checkJoinStats(t *testing.T, m Method, jc joinCase, res *Result) {
+	t.Helper()
+	st := &res.Stats
+	if st.OutputTuples != int64(len(res.Tuples)) || st.Wall <= 0 {
+		t.Fatalf("%v on %s: OutputTuples %d for %d tuples, wall %v", m, jc.q, st.OutputTuples, len(res.Tuples), st.Wall)
+	}
+	// Some round reads a relation with items, and so runs mapper 0.
+	read := slices.ContainsFunc(jc.rels, func(r Relation) bool { return len(r.Items) > 0 })
+	if cRep := m == ControlledReplicate || m == ControlledReplicateLimit; cRep && len(st.Rounds) != 2 {
+		t.Fatalf("%v on %s: %d rounds, want the mark and the join round", m, jc.q, len(st.Rounds))
+	} else if cRep && read && (st.DFS.BytesWritten == 0 || st.DFS.BytesRead == 0) {
+		t.Fatalf("%v on %s: DFS wrote %d and read %d bytes, where it stages the relations and reads them back", m, jc.q, st.DFS.BytesWritten, st.DFS.BytesRead)
+	}
+	var failures int64
+	for _, r := range st.Rounds {
+		failures += r.MapFailures
+	}
+	if jc.cfg.FailMap != nil && len(st.Rounds) > 0 && read && failures == 0 {
+		t.Fatalf("%v on %s: mapper 0 failed its first attempts, and %d rounds record no failure", m, jc.q, len(st.Rounds))
+	}
 }

@@ -86,8 +86,8 @@ guard_pkgs='./internal/spatial ./internal/cluster ./internal/mapreduce ./interna
 require_tests "$guards" $guard_pkgs
 go test -count=1 -run "^($guards)\$" $guard_pkgs
 
-echo "== sweep order across map splits and the whole-join oracle (the race pass above ran them; a rename must not drop them) =="
-require_tests 'TestCascadeTieBreakAcrossBlocks|FuzzJoin' ./internal/spatial
+echo "== sweep order across map splits and each layer's randomized oracle: the join, the transforms, the plane sweep (the race pass above ran them; a rename must not drop them) =="
+require_tests 'TestCascadeTieBreakAcrossBlocks|FuzzJoin|FuzzTransforms|FuzzJoinSorted' ./internal/spatial ./internal/grid ./internal/sweep
 
 echo "== result pages: the slab's bytes, compact and encoding/json's (the race pass above ran them; a rename must not drop them) =="
 require_tests 'TestResultPageAllocs|TestResultPageGolden|TestCacheChargesSlabBytes' ./internal/server
