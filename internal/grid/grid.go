@@ -335,8 +335,7 @@ func (p *Partitioning) ForEachReplicateF2(r geom.Rect, d float64, m Metric, fn f
 	if d < 0 {
 		return
 	}
-	cuts := math.Abs(p.xCuts[0]) + math.Abs(p.xCuts[p.cols]) + math.Abs(p.yCuts[0]) + math.Abs(p.yCuts[p.rows])
-	d += (math.Abs(r.X) + math.Abs(r.Y) + r.L + r.B + cuts + d) * 0x1p-40
+	d = p.slack(r, d)
 	row0, col0 := p.RowCol(p.Project(r))
 	// Cells further than d from r on either axis cannot qualify under
 	// either metric, so restrict the scan to the enlarged bounding box.
@@ -358,15 +357,24 @@ func (p *Partitioning) ForEachReplicateF2(r geom.Rect, d float64, m Metric, fn f
 	}
 }
 
+// slack returns d widened by 2⁻⁴⁰ of the magnitudes a distance from r
+// to a cell rounds by (ForEachReplicateF2).
+func (p *Partitioning) slack(r geom.Rect, d float64) float64 {
+	cuts := math.Abs(p.xCuts[0]) + math.Abs(p.xCuts[p.cols]) + math.Abs(p.yCuts[0]) + math.Abs(p.yCuts[p.rows])
+	return d + (math.Abs(r.X)+math.Abs(r.Y)+r.L+r.B+cuts+d)*0x1p-40
+}
+
 // OtherCellWithin reports whether some cell different from exclude is
 // within Euclidean distance d of the rectangle — the condition C2 test
 // for Range predicates (§8): a rectangle starting in cell c can have a
 // range-d relationship with a rectangle starting elsewhere only if a
-// cell c' ≠ c is within distance d of it.
+// cell c' ≠ c is within distance d of it. A cell qualifies within f2's
+// slack, so one whose computed edge lies an ulp off its cut is not missed.
 func (p *Partitioning) OtherCellWithin(r geom.Rect, exclude CellID, d float64) bool {
 	if d < 0 {
 		return false
 	}
+	d = p.slack(r, d)
 	rowLo, rowHi, colLo, colHi := p.splitRange(r.Enlarge(d))
 	for row := rowLo; row <= rowHi; row++ {
 		for col := colLo; col <= colHi; col++ {

@@ -176,10 +176,9 @@ func seedCuts(xs, ys []float64) []byte {
 //     distance to the rectangle under the metric, computed here from the
 //     gaps to the box, is at most d, missing none and taking none beyond
 //     d by more than twice the 2⁻⁴⁰ slack its doc gives;
-//   - OtherCellWithin, which has no slack and measures from a cell's
-//     computed edges X+L and Y−B (ulps of the cuts off them), finds a
-//     cell other than exclude whose box shrunk by that slack lies within
-//     Euclidean d, and none when every other box lies beyond d + slack.
+//   - OtherCellWithin, with f2's slack, finds a cell other than exclude
+//     when one lies within Euclidean d, and none when every other lies
+//     beyond d by more than twice the slack.
 //
 // The last two are checked where four times the magnitudes' sum is
 // finite, so that enlarging r by 2d cannot overflow. The seeds are the
@@ -336,13 +335,11 @@ func checkTransforms(t *testing.T, p *Partitioning, r geom.Rect, d float64, excl
 	near, far := false, true
 	for _, c := range all {
 		if c != exclude {
-			b := cell(c, p.xCuts, p.yCuts)
-			in := box{b.left + slack, b.right - slack, b.bottom + slack, b.top - slack}
-			near = near || in.left <= in.right && in.bottom <= in.top && metrics[MetricEuclidean](in) <= d
-			far = far && metrics[MetricEuclidean](b) > d+slack
+			dc := metrics[MetricEuclidean](cell(c, p.xCuts, p.yCuts))
+			near, far = near || dc <= d, far && dc > d+2*slack
 		}
 	}
 	if got := p.OtherCellWithin(r, exclude, d); got && (d < 0 || far) || !got && d >= 0 && near {
-		fail("OtherCellWithin(%d, %v) = %v; a cell within d: %v, every one beyond d + slack: %v", exclude, d, got, near, far)
+		fail("OtherCellWithin(%d, %v) = %v; a cell within d: %v, every one beyond d + 2·slack: %v", exclude, d, got, near, far)
 	}
 }

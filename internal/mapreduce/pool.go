@@ -54,7 +54,9 @@ import (
 //     Get that names a size is likewise served only by a buffer at least
 //     that large, the smallest that is; when none is, the newest buffer
 //     of that type is dropped, so the pool converges to the workload's
-//     sizes instead of holding small arrays.
+//     sizes instead of holding small arrays — but for working sets,
+//     which a miss leaves held and go back at the size their own input
+//     grew them to (GetScratch).
 //   - A double-Put of the same buffer is dropped, not retained twice:
 //     the pool remembers the backing-array identity of what it holds,
 //     so two later Gets can never return aliasing slices whose appends
@@ -62,10 +64,10 @@ import (
 //   - The chunks, slabs and pages together retain at most MaxPoolBytes,
 //     and the frames and working sets as much again on budgets of their
 //     own (a set goes back as its reduce call ends, when a job's chunks
-//     and slab fill the scratch budget); a Put
-//     beyond its budget is dropped for the collector, so a one-off
-//     giant job cannot pin its scratch forever. An execution that never
-//     exchanges leaves the frame list empty.
+//     and slab fill the scratch budget); a Put beyond its budget is
+//     dropped for the collector, so a one-off giant job cannot pin its
+//     scratch forever, and a set past the budget alone is never kept.
+//     An execution that never exchanges leaves the frame list empty.
 //
 // The free lists are deliberately NOT sync.Pools: a paper-scale shuffle
 // allocates hundreds of megabytes per job, so the garbage collector
@@ -92,11 +94,12 @@ type BufferPool struct {
 }
 
 // MaxPoolBytes caps the bytes one pool retains in its scratch lists
-// (chunks, slabs, pages), and separately in its frames. One
-// cascade_uniform execution (3 × 50,000 rectangles, two rounds) ends
-// holding 24.0 MB: its partial stores' pages, a round's map and output
-// chunks and the larger round's reducer-input slab. The cap keeps one
-// such working set warm; a second concurrent execution of that size
+// (chunks, slabs, pages), and separately in its frames and in its
+// working sets. One cascade_uniform execution (3 × 50,000 rectangles,
+// two rounds) ends holding 15.9 MB: 14.6 MB of scratch — its partial
+// stores' pages, a round's map and output chunks and the larger round's
+// reducer-input slab — and 1.3 MB of working sets. The cap keeps one
+// such execution warm; a second concurrent execution of that size
 // draws fresh memory for the rest. Retained bytes are live heap, which
 // the collector paces on, so a larger cap buys allocation with peak
 // RSS: 32 MiB raised served_mix's peak by a quarter (EXPERIMENTS.md,
@@ -124,7 +127,6 @@ type freeList struct {
 type typedStack struct {
 	elem    any // the element type's typeToken
 	entries []poolEntry
-	most    int // sets: the largest input a set of the type was asked for
 }
 
 // stack returns elem's stack, creating it on first use.
@@ -164,7 +166,9 @@ type typeToken[T any] struct{}
 // and an exchange reads its peers' frames itself, and both cluster
 // allocation guards pass 30 of 30 fresh runs at their ceilings without
 // keeping a near miss (EXPERIMENTS.md, "A mesh frame is read by its
-// exchange").
+// exchange"). A miss on the sets' list drops nothing: a query's cells
+// differ in size, and the sets a smaller cell took serve its
+// successors (EXPERIMENTS.md, "Pool designs for item 31").
 func (f *freeList) get(elem any, capacity int) poolEntry {
 	p := f.pool
 	p.mu.Lock()
@@ -181,7 +185,9 @@ func (f *freeList) get(elem any, capacity int) poolEntry {
 		}
 	}
 	drop := i < 0
-	if drop {
+	if drop && f == &p.sets {
+		return poolEntry{}
+	} else if drop {
 		i = len(s) - 1
 	}
 	e := s[i]
@@ -197,28 +203,41 @@ func (f *freeList) get(elem any, capacity int) poolEntry {
 }
 
 // put adds e under elem's type unless the pool already holds its array
-// or f's budget would then exceed MaxPoolBytes. It keeps nothing, and
-// reports false, for a working set grown for less than a set of its
-// type was since asked for (keep).
-func (f *freeList) put(elem any, e poolEntry) bool {
+// or f's budget would then exceed MaxPoolBytes. A working set that fits
+// the budget alone first displaces held sets of its type with less
+// room, the least first: a query's cells grow as its reducers run, and
+// sets kept for its first cells would turn away the larger ones.
+func (f *freeList) put(elem any, e poolEntry) {
 	p := f.pool
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if e.cap < f.stack(elem).most {
-		return false
+	if _, dup := p.held[e.data]; dup {
+		return
 	}
-	if _, dup := p.held[e.data]; dup || *f.retained+e.bytes > MaxPoolBytes {
-		f.stack(elem).most = 0 // a set grown past the budget sizes no other
-		return true
+	st := &f.stack(elem).entries
+	for f == &p.sets && e.bytes <= MaxPoolBytes && *f.retained+e.bytes > MaxPoolBytes {
+		i := -1
+		for j, h := range *st {
+			if h.cap < e.cap && (i < 0 || h.cap < (*st)[i].cap) {
+				i = j
+			}
+		}
+		if i < 0 {
+			break
+		}
+		delete(p.held, (*st)[i].data)
+		*f.retained -= (*st)[i].bytes
+		*st = append((*st)[:i], (*st)[i+1:]...)
+	}
+	if *f.retained+e.bytes > MaxPoolBytes {
+		return
 	}
 	if p.held == nil {
 		p.held = make(map[unsafe.Pointer]struct{})
 	}
 	p.held[e.data] = struct{}{}
-	st := &f.stack(elem).entries
 	*st = append(*st, e)
 	*f.retained += e.bytes
-	return true
 }
 
 // NewBufferPool returns an empty pool.
@@ -318,10 +337,10 @@ func PutSlab[T any](pool *BufferPool, s []T) {
 }
 
 // WorkingSet is a reducer's scratch, which a pool keeps between the
-// calls that hold it: Reserve grows it to take an input of n, and
-// Bytes is the memory it holds.
+// calls that hold it: Room is the largest input it takes without
+// growing, and Bytes the memory it holds.
 type WorkingSet interface {
-	Reserve(n int)
+	Room() int
 	Bytes() int64
 }
 
@@ -331,68 +350,31 @@ type setOf[T any] interface {
 	WorkingSet
 }
 
-// GetScratch returns a working set of T for an input of n, one pool
-// holds or a new one, grown to take the largest input a set of T has
-// been asked for on pool. Every other set grows to that too: those the
-// pool holds at once, those away as they come back (PutScratch). So a
-// reducer's scratch grows to its input once — in one query, whichever
-// set meets the input — unless a set so grown is past the pool's
-// budget, which drops it and sizes sets by their own inputs again.
-// Unlike a sync.Pool, a pool keeps its sets through a collection. The
-// holder owns the set until PutScratch.
+// GetScratch returns a working set of T for an input of n: of the sets
+// pool holds, the one with the least room that is at least n, or a new
+// one, which the holder grows to its input as it fills it. A miss drops
+// no held set, and no set is grown to any input but its own, so a set
+// holds what the largest cell it served held. Unlike a sync.Pool, a
+// pool keeps its sets through a collection. The holder owns the set
+// until PutScratch.
 func GetScratch[T any, S setOf[T]](pool *BufferPool, n int) S {
-	if pool == nil {
-		return new(T)
+	if pool != nil {
+		if e := pool.sets.get(typeToken[T]{}, n); e.data != nil {
+			return S((*T)(e.data))
+		}
 	}
-	s := S((*T)(pool.sets.get(typeToken[T]{}, 0).data))
-	if s == nil {
-		s = new(T)
-	}
-	most, idle := pool.sets.raise(typeToken[T]{}, n)
-	for _, e := range idle {
-		keep[T, S](pool, (*T)(e.data))
-	}
-	s.Reserve(most)
-	return s
+	return new(T)
 }
 
-// PutScratch hands a working set from GetScratch back to pool, which
-// nil drops. The caller must hold the only reference, and clear what s
-// points to outside itself, since the pool keeps s alive.
+// PutScratch hands a working set from GetScratch back to pool at the
+// size it grew to. The pool keeps it unless its bytes would take the
+// sets past their budget, MaxPoolBytes; nil drops it. The caller must
+// hold the only reference, and clear what s points to outside itself,
+// since the pool keeps s alive.
 func PutScratch[T any, S setOf[T]](pool *BufferPool, s S) {
 	if pool != nil {
-		keep[T, S](pool, s)
+		pool.sets.put(typeToken[T]{}, poolEntry{unsafe.Pointer(s), s.Room(), s.Bytes()})
 	}
-}
-
-// keep grows s to the largest input a set of T was asked for on pool
-// and hands it to pool, again if a set is asked for more meanwhile.
-func keep[T any, S setOf[T]](pool *BufferPool, s S) {
-	for {
-		most, _ := pool.sets.raise(typeToken[T]{}, 0)
-		s.Reserve(most)
-		if pool.sets.put(typeToken[T]{}, poolEntry{unsafe.Pointer(s), most, s.Bytes()}) {
-			return
-		}
-	}
-}
-
-// raise records that a set of elem's type was asked to take n, and
-// returns the most any was; when that is n, the sets f holds are taken
-// out as idle, to be grown to it and put back.
-func (f *freeList) raise(elem any, n int) (most int, idle []poolEntry) {
-	p := f.pool
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	st := f.stack(elem)
-	if n > st.most {
-		st.most, idle, st.entries = n, st.entries, nil
-		for _, e := range idle {
-			delete(p.held, e.data)
-			*f.retained -= e.bytes
-		}
-	}
-	return st.most, idle
 }
 
 // recycled returns an array of T with at least capacity elements that

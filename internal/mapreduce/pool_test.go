@@ -148,59 +148,109 @@ func TestPoolGetRule(t *testing.T) {
 	}
 }
 
-// scratchSet is a working set for TestWorkingSets: room for len(buf)
-// inputs.
+// scratchSet is a working set for TestWorkingSets: room for cap(buf)
+// inputs, grown by its holder.
 type scratchSet struct{ buf []int64 }
 
-func (s *scratchSet) Reserve(n int) {
+func (s *scratchSet) grow(n int) {
 	if cap(s.buf) < n {
 		s.buf = make([]int64, 0, n)
 	}
 }
 
+func (s *scratchSet) Room() int    { return cap(s.buf) }
 func (s *scratchSet) Bytes() int64 { return 8 * int64(cap(s.buf)) }
 
-// TestWorkingSets: a pool keeps its working sets through a collection;
-// every set it holds, hands out or takes back is grown to the largest
-// input a set of its type was asked for, so one that was away while
-// another met that input comes back grown; and the sets count against a
-// budget of their own, beside full scratch lists. Sets grown past that
-// budget are dropped, and size no later one.
+// heldSet draws a set for n inputs from pool and grows it to them.
+func heldSet(pool *BufferPool, n int) *scratchSet {
+	s := GetScratch[scratchSet](pool, n)
+	s.grow(n)
+	return s
+}
+
+// TestWorkingSets: a pool keeps its working sets through a collection,
+// on a budget of their own beside full scratch lists, each at the size
+// its own input grew it to; a set drawn for n is the held one with the
+// least room of at least n.
 func TestWorkingSets(t *testing.T) {
 	pool := NewBufferPool()
 	for range MaxPoolBytes / PageBytes {
 		pool.PutPage(make([]byte, PageBytes))
 	}
-	a, b := GetScratch[scratchSet](pool, 10), GetScratch[scratchSet](pool, 1000)
-	if a == b || cap(a.buf) != 10 || cap(b.buf) != 1000 {
-		t.Fatalf("two sets drawn at once: %p with room %d and %p with room %d", a, cap(a.buf), b, cap(b.buf))
+	a, b, c := heldSet(pool, 10), heldSet(pool, 1000), heldSet(pool, 2000)
+	if a == b || b == c || cap(a.buf) != 10 || cap(b.buf) != 1000 || cap(c.buf) != 2000 {
+		t.Fatalf("three sets drawn at once: rooms %d, %d and %d", cap(a.buf), cap(b.buf), cap(c.buf))
+	}
+	PutScratch(pool, c)
+	PutScratch(pool, a)
+	PutScratch(pool, b)
+	if cap(a.buf) != 10 || cap(b.buf) != 1000 {
+		t.Errorf("sets put back were regrown: rooms %d and %d", cap(a.buf), cap(b.buf))
+	}
+	if got := pool.Retained() - MaxPoolBytes; got != 8*3010 {
+		t.Errorf("the pool keeps %d bytes of working sets beside full scratch lists, want %d", got, 8*3010)
+	}
+	runtime.GC()
+	for _, want := range []struct {
+		n   int
+		set *scratchSet
+	}{{500, b}, {1, a}, {1000, c}} {
+		if got := GetScratch[scratchSet](pool, want.n); got != want.set {
+			t.Errorf("a set drawn for %d inputs has room %d, want the held set of room %d", want.n, cap(got.buf), cap(want.set.buf))
+		}
 	}
 	PutScratch(pool, a)
 	PutScratch(pool, b)
-	if cap(a.buf) != 1000 {
-		t.Errorf("a set put back after another met 1000 inputs has room %d", cap(a.buf))
+	PutScratch(pool, c)
+}
+
+// TestWorkingSetMissDropsNothing: a set drawn for more than any held
+// set has room for is a new one, and every held set stays for later
+// draws; the new set goes back at the size it grew to.
+func TestWorkingSetMissDropsNothing(t *testing.T) {
+	pool := NewBufferPool()
+	a, b := heldSet(pool, 100), heldSet(pool, 200)
+	PutScratch(pool, a)
+	PutScratch(pool, b)
+	c := heldSet(pool, 300)
+	if c == a || c == b || cap(c.buf) != 300 {
+		t.Fatalf("a set drawn for 300 inputs beside held rooms 100 and 200 is %p with room %d", c, cap(c.buf))
 	}
-	c := GetScratch[scratchSet](pool, 2000)
-	if cap(c.buf) != 2000 || (cap(a.buf) != 2000 && c != a) || (cap(b.buf) != 2000 && c != b) {
-		t.Errorf("a set drawn for 2000 inputs has room %d, and the one the pool held %d and %d", cap(c.buf), cap(a.buf), cap(b.buf))
+	if got := pool.Retained(); got != 8*300 {
+		t.Errorf("after a miss the pool retains %d bytes, want both held sets' %d", got, 8*300)
 	}
 	PutScratch(pool, c)
-	if got := pool.Retained() - MaxPoolBytes; got != 2*16000 {
-		t.Errorf("the pool keeps %d bytes of working sets beside full scratch lists, want %d", got, 2*16000)
+	if got := pool.Retained(); got != 8*600 {
+		t.Errorf("the pool retains %d bytes, want %d: the new set put back at its room", got, 8*600)
 	}
-	runtime.GC()
-	c, d := GetScratch[scratchSet](pool, 1), GetScratch[scratchSet](pool, 1)
-	if (c != a && c != b) || (d != a && d != b) || c == d {
-		t.Errorf("after a collection the pool handed out %p and %p, not the sets %p and %p it kept", c, d, a, b)
+	if d, e := GetScratch[scratchSet](pool, 150), GetScratch[scratchSet](pool, 150); d != b || e != c {
+		t.Errorf("two sets drawn for 150 inputs have rooms %d and %d, want 200 and 300", cap(d.buf), cap(e.buf))
 	}
+}
+
+// TestWorkingSetBudget: a set whose bytes alone pass MaxPoolBytes is
+// not kept, nor grown to what any other set met, and sizes no later
+// set; one that fits the budget alone displaces held sets of less room.
+func TestWorkingSetBudget(t *testing.T) {
+	pool := NewBufferPool()
+	const half = MaxPoolBytes / 16
+	a := heldSet(pool, half)
+	PutScratch(pool, a)
+	big := heldSet(pool, MaxPoolBytes/8+1)
+	PutScratch(pool, big)
+	if got := pool.Retained(); got != 8*half {
+		t.Errorf("a set past the budget left %d bytes held, want the first set's %d", got, 8*half)
+	}
+	if s := GetScratch[scratchSet](pool, half+1); s == big || cap(s.buf) != 0 {
+		t.Errorf("a set drawn for %d inputs has room %d: a set the budget turned away was kept", half+1, cap(s.buf))
+	}
+	c := heldSet(pool, half+1)
 	PutScratch(pool, c)
-	PutScratch(pool, d)
-	PutScratch(pool, GetScratch[scratchSet](pool, MaxPoolBytes/8+1))
-	if got := pool.Retained() - MaxPoolBytes; got != 0 {
-		t.Errorf("sets grown past the budget left %d bytes held", got)
+	if got := pool.Retained(); got != 8*(half+1) {
+		t.Errorf("the pool retains %d bytes, want the larger set's %d alone", got, 8*(half+1))
 	}
-	if e := GetScratch[scratchSet](pool, 1); cap(e.buf) != 1 {
-		t.Errorf("after sets grown past the budget were dropped, a set drawn for 1 input has room %d", cap(e.buf))
+	if s := GetScratch[scratchSet](pool, 1); s != c || cap(a.buf) != half {
+		t.Errorf("a set drawn for 1 input has room %d, want the held set of room %d; the displaced one has room %d", cap(s.buf), half+1, cap(a.buf))
 	}
 }
 
@@ -217,9 +267,10 @@ func TestWorkingSetsConcurrent(t *testing.T) {
 			for i := range 200 {
 				n := (g*37 + i*11) % 500
 				s := GetScratch[scratchSet](pool, n)
-				if cap(s.buf) < n {
-					t.Errorf("a set drawn for %d inputs has room %d", n, cap(s.buf))
+				if s.Room() > 0 && s.Room() < n {
+					t.Errorf("a set drawn for %d inputs has room %d", n, s.Room())
 				}
+				s.grow(n)
 				s.buf = append(s.buf[:0], make([]int64, n)...)
 				for k := range s.buf {
 					s.buf[k] = int64(g)

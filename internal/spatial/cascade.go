@@ -427,7 +427,7 @@ func cascadeReduce(pl *plan, part *grid.Partitioning, pool *mapreduce.BufferPool
 		// cut it. In step one they are the first slot's relation and are
 		// only checked; in later steps, the previous step's checkpoint in
 		// reducer order, they are sorted here.
-		cd.xs, cd.words = cd.xs[:0], cd.words[:0]
+		cd.xs, cd.words = reserve(cd.xs, len(vals)), reserve(cd.words, len(vals))
 		for i := range vals {
 			cd.xs = append(cd.xs, sweepOrder(vals[i].Rect.MinX()))
 			if vals[i].Pos != itemPos {
@@ -445,7 +445,7 @@ func cascadeReduce(pl *plan, part *grid.Partitioning, pool *mapreduce.BufferPool
 		}
 		sortSweepWords(cd.words[:nt], cd.xs, func(i uint64) uint32 { return uint32(vals[i].Pos) }, &cd.buf)
 		sortSweepWords(cd.words[nt:], cd.xs, nil, &cd.buf)
-		cd.recs, cd.as, cd.idBuf, cd.rectBuf = cd.recs[:0], cd.as[:0], cd.idBuf[:0], cd.rectBuf[:0]
+		cd.recs, cd.as, cd.idBuf, cd.rectBuf = reserve(cd.recs, nt), reserve(cd.as, nt), reserve(cd.idBuf, len(vals)-nt), reserve(cd.rectBuf, len(vals)-nt)
 		for _, w := range cd.words[:nt] {
 			v := &vals[uint32(w)]
 			cd.recs = append(cd.recs, in.at(v.ID))

@@ -166,7 +166,7 @@ func controlledReplicate(pl *plan, exec *executor, limit bool) (Rows, Stats, err
 				return nil
 			},
 			Reduce: func(c grid.CellID, items []tagged, emit func(itemRecord)) error {
-				cd := takeCellData(exec.pool, pl, items)
+				cd := takeCellData(exec.pool, pl.m, items)
 				defer cd.release(exec.pool)
 				// markCell marks only rectangles starting in c, so each
 				// marked rectangle is output once, by its start cell.
@@ -283,7 +283,7 @@ func controlledReplicate(pl *plan, exec *executor, limit bool) (Rows, Stats, err
 // tuple itself is dropped.
 func joinReduce(pl *plan, part *grid.Partitioning, pool *mapreduce.BufferPool, countOnly bool, counted *atomic.Int64) func(grid.CellID, []tagged, func(int32)) error {
 	return func(c grid.CellID, items []tagged, emit func(int32)) error {
-		cd := takeCellData(pool, pl, items)
+		cd := takeCellData(pool, pl.m, items)
 		defer cd.release(pool)
 		var local int64
 		pl.matchInCell(cd, part, c, func(assign []int) {
@@ -312,12 +312,12 @@ type markSet struct {
 
 func markBucket(id int32) int { return int(uint16(id) >> 4) }
 
-func (ms *markSet) Reserve(n int) { ms.recs = reserve(ms.recs, n) }
-func (ms *markSet) Bytes() int64  { return 24<<10 + 48*int64(cap(ms.recs)) }
+func (ms *markSet) Room() int    { return cap(ms.recs) }
+func (ms *markSet) Bytes() int64 { return 24<<10 + 48*int64(cap(ms.recs)) }
 
 // read fills ms with the records of chk, the mark checkpoint.
 func (ms *markSet) read(chk *dfs.View) error {
-	ms.maybe, ms.recs = [1 << 10]uint64{}, ms.recs[:0]
+	ms.maybe, ms.recs = [1 << 10]uint64{}, reserve(ms.recs, chk.Len())
 	err := chk.MBBs(0, chk.Len(), func(m dfs.MBB) error {
 		ms.recs = append(ms.recs, mbbItem(m))
 		ms.maybe[uint16(m.ID)>>6] |= 1 << (m.ID & 63)

@@ -1,9 +1,12 @@
 package spatial_test
 
 import (
+	"fmt"
+	"math"
 	"runtime"
 	"testing"
 
+	"mwsjoin/internal/dataset"
 	"mwsjoin/internal/query"
 	"mwsjoin/internal/spatial"
 )
@@ -102,5 +105,61 @@ func TestCRepLAllocationAtBenchmarkShape(t *testing.T) {
 	}
 	if scratch > creplShapeScratchBudget {
 		t.Errorf("%d bytes allocated beyond the answer, budget %d", scratch, creplShapeScratchBudget)
+	}
+}
+
+// allRepPairBudget bounds a warm All-Replicate query at
+// TestAllReplicateAllocationAtUnitShape's shape, in bytes per pair its
+// join round shuffles. A pair's 48-byte value is in a map chunk and
+// again in the reducer input slab, and at this shape both pass what
+// the pool keeps: 82.6–82.9 bytes a pair measured, 445 while every
+// working set was grown to the hottest cell's. The budget keeps a third
+// of headroom.
+const allRepPairBudget = 110
+
+// TestAllReplicateAllocationAtUnitShape holds one warm All-Replicate
+// query to allRepPairBudget bytes per shuffled pair: 3 × 30,000 of the
+// paper's synthetic rectangles at its density, an overlap chain, 64
+// cells. Its hottest cell holds every rectangle, 90,000, and a working
+// set that held a strip layout of the cell for every edge end, 321
+// bytes an item, was past MaxPoolBytes: grown to it on its way back to
+// the pool and dropped there, every set cost the hottest cell's bytes.
+func TestAllReplicateAllocationAtUnitShape(t *testing.T) {
+	if spatial.RaceEnabled {
+		t.Skip("the race detector's shadow memory allocates")
+	}
+	spatial.FreshSharedPool(t)
+	const n = 30_000
+	rels := make([]spatial.Relation, 3)
+	for i := range rels {
+		p := dataset.PaperDefaults(n)
+		p.XMax = 100_000 * math.Sqrt(n/1e6)
+		p.YMax = p.XMax
+		rel, err := dataset.SyntheticRelation(fmt.Sprintf("R%d", i+1), p, uint64(i+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rels[i] = rel
+	}
+	q := query.New("R1", "R2", "R3").Overlap(0, 1).Overlap(1, 2)
+	cfg := spatial.Config{Reducers: 64, Parallelism: 2, CountOnly: true}
+	var pairs int64
+	run := func() {
+		res, err := spatial.Execute(spatial.AllReplicate, q, rels, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pairs = res.Stats.IntermediatePairs()
+	}
+	run() // warm up the relations' summaries, the grid and the pool
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	grew := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d pairs: %d bytes, %.1f a pair (budget %d)", pairs, grew, float64(grew)/float64(pairs), allRepPairBudget)
+	if grew > uint64(pairs)*allRepPairBudget {
+		t.Errorf("%d bytes allocated for %d pairs, budget %d a pair", grew, pairs, allRepPairBudget)
 	}
 }

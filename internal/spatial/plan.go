@@ -1,8 +1,10 @@
 package spatial
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"mwsjoin/internal/geom"
 	"mwsjoin/internal/grid"
@@ -33,7 +35,6 @@ type plan struct {
 	sameDataset [][]bool
 	slotEdges   [][]query.Edge // slotEdges[s] = q.EdgesAt(s)
 	maxEdges    int            // the most edges at one slot
-	edgeEnds    int            // the edges at all slots
 }
 
 // newPlan validates the query/relation binding and builds the plan.
@@ -58,7 +59,6 @@ func newPlan(q *query.Query, rels []Relation, distinct bool) (*plan, error) {
 		}
 		pl.slotEdges[i] = q.EdgesAt(i)
 		pl.maxEdges = max(pl.maxEdges, len(pl.slotEdges[i]))
-		pl.edgeEnds += len(pl.slotEdges[i])
 	}
 
 	// Visit order: start at slot 0, greedily append the unvisited slot
@@ -224,7 +224,8 @@ func (pl *plan) compatible(si int, idI int32, sj int, idJ int32) bool {
 // (MinX, arrival position) — which is what sweep.JoinSorted and
 // Strips.Build read. It is every reducer's working set, drawn from the
 // execution's pool and handed back as the reduce call returns
-// (release): the searches over the cell keep their strip layouts,
+// (release), and it holds what its cells held: the searches over a cell
+// keep their strip layouts, one per probed slot and sized by it,
 // matchState and marker in it, and cascadeReduce sorts its sides in
 // xs, words and buf, and sweeps recs and as (its tuples) against idBuf
 // and rectBuf (its items).
@@ -238,8 +239,8 @@ type cellData struct {
 	xs      []uint64    // sortSweepWords: sweepOrder of each item's MinX,
 	words   []uint64    // the items of one slot after another,
 	buf     []uint64    // and the sort's scratch
-	keep    []int32     // matchPruned: the first slot's admitted items
-	as      []geom.Rect // and their rects
+	keep    []int32     // matchPruned: the first slot's admitted items,
+	as      []geom.Rect // and their rects where it admits not all
 	recs    [][]byte
 	join    sweep.Strips // the sweep along the plan's first edge
 	strips  cellStrips
@@ -253,17 +254,9 @@ type cellData struct {
 // in sweep order slot by slot, and sortSweepWords only checks them.
 func newCellData(m int, items []tagged) *cellData { return new(cellData).fill(m, items) }
 
-// takeCellData is newCellData in a working set drawn from pool, with a
-// strip layout for every edge end of pl, as many as a search over one
-// of its cells can probe, so a set meets no cell it lacks one for.
-func takeCellData(pool *mapreduce.BufferPool, pl *plan, items []tagged) *cellData {
-	cd := mapreduce.GetScratch[cellData](pool, len(items))
-	for len(cd.strips.built) < pl.edgeEnds {
-		st := new(sweep.Strips)
-		st.Reserve(cap(cd.idBuf))
-		cd.strips.built = append(cd.strips.built, builtStrips{s: st})
-	}
-	return cd.fill(pl.m, items)
+// takeCellData is newCellData in a working set drawn from pool.
+func takeCellData(pool *mapreduce.BufferPool, m int, items []tagged) *cellData {
+	return mapreduce.GetScratch[cellData](pool, len(items)).fill(m, items)
 }
 
 // release hands cd back to pool; nothing may read it after. What the
@@ -275,14 +268,11 @@ func (cd *cellData) release(pool *mapreduce.BufferPool) {
 	mapreduce.PutScratch(pool, cd)
 }
 
-// Reserve grows cd to take a cell of n items, its layouts to n entries.
-func (cd *cellData) Reserve(n int) {
-	cd.idBuf, cd.rectBuf, cd.keep, cd.as, cd.recs = reserve(cd.idBuf, n), reserve(cd.rectBuf, n), reserve(cd.keep, n), reserve(cd.as, n), reserve(cd.recs, n)
-	cd.xs, cd.words, cd.buf, cd.mark.markBuf = reserve(cd.xs, n), reserve(cd.words, n), reserve(cd.buf, n), reserve(cd.mark.markBuf, n)
-	cd.join.Reserve(n)
-	for _, b := range cd.strips.built {
-		b.s.Reserve(n)
-	}
+// Room is the most items of a cell cd takes without growing: a join or
+// mark cell's in idBuf and rectBuf, a cascade cell's in xs and words,
+// each array's capacity rounded up to its own size class.
+func (cd *cellData) Room() int {
+	return max(min(cap(cd.idBuf), cap(cd.rectBuf)), min(cap(cd.xs), cap(cd.words)))
 }
 
 // Bytes is the memory cd's slices and layouts hold.
@@ -291,55 +281,68 @@ func (cd *cellData) Bytes() int64 {
 	for _, l := range cd.strips.built {
 		b += l.s.Bytes()
 	}
-	return b + cd.join.Bytes() + int64(cap(cd.mark.markBuf))
+	return b + cd.join.Bytes() + int64(cap(cd.mark.markBuf)+cap(cd.mark.escape))
 }
 
-// reserve returns s, or an empty slice with room for n when s has less.
+// reserve returns s emptied, in a new array of room n when s has less.
 func reserve[T any](s []T, n int) []T {
 	if cap(s) < n {
 		return make([]T, 0, n)
 	}
-	return s
+	return s[:0]
 }
 
-// zeroed returns n zero values, in s's array if it has room.
-func zeroed[T any](s []T, n int) []T { return append(s[:0], make([]T, n)...) }
+// zeroed returns n zero values, in s's array if it has room and in one
+// of room n otherwise.
+func zeroed[T any](s []T, n int) []T { return append(reserve(s, n), make([]T, n)...) }
 
 func (cd *cellData) fill(m int, items []tagged) *cellData {
-	cd.off = append(cd.off[:0], make([]int32, m+1)...)
-	cd.xs = cd.xs[:0]
+	n := len(items)
+	cd.off = zeroed(cd.off, m+1)
 	for i := range items {
 		cd.off[items[i].Slot+1]++
-		cd.xs = append(cd.xs, sweepOrder(items[i].Rect.MinX()))
 	}
 	for s := 0; s < m; s++ {
 		cd.off[s+1] += cd.off[s]
 	}
 	// A counting sort by slot keeps each slot's arrival order; off[s]
 	// serves as slot s's fill cursor and is restored after.
-	cd.words = append(cd.words[:0], make([]uint64, len(items))...)
+	cd.idBuf, cd.rectBuf = zeroed(cd.idBuf, n), zeroed(cd.rectBuf, n)
 	for i := range items {
-		s := items[i].Slot
-		cd.words[cd.off[s]] = uint64(i)
-		cd.off[s]++
+		k := &cd.off[items[i].Slot]
+		cd.idBuf[*k], cd.rectBuf[*k] = items[i].ID, items[i].Rect
+		*k++
 	}
 	copy(cd.off[1:], cd.off[:m])
 	cd.off[0] = 0
-	n := len(items)
-	cd.idBuf = append(cd.idBuf[:0], make([]int32, n)...)
-	cd.rectBuf = append(cd.rectBuf[:0], make([]geom.Rect, n)...)
-	cd.ids, cd.rects = append(cd.ids[:0], make([][]int32, m)...), append(cd.rects[:0], make([][]geom.Rect, m)...)
+	cd.ids, cd.rects = zeroed(cd.ids, m), zeroed(cd.rects, m)
 	for s := 0; s < m; s++ {
 		lo, hi := cd.off[s], cd.off[s+1]
-		sortSweepWords(cd.words[lo:hi], cd.xs, nil, &cd.buf)
-		for k := lo; k < hi; k++ {
-			it := &items[uint32(cd.words[k])]
-			cd.idBuf[k], cd.rectBuf[k] = it.ID, it.Rect
-		}
 		cd.ids[s], cd.rects[s] = cd.idBuf[lo:hi:hi], cd.rectBuf[lo:hi:hi]
+		cd.sortSlot(s)
 	}
 	cd.strips.rects, cd.strips.n = cd.rects, 0
 	return cd
+}
+
+// sortSlot puts slot s into sweep order, arrival order breaking ties. A
+// slot that arrives in it, as a staged relation's does, is only
+// checked; one that does not is sorted in xs, words and buf, and
+// permuted through keep and as.
+func (cd *cellData) sortSlot(s int) {
+	ids, rects := cd.ids[s], cd.rects[s]
+	if slices.IsSortedFunc(rects, func(a, b geom.Rect) int { return cmp.Compare(sweepOrder(a.MinX()), sweepOrder(b.MinX())) }) {
+		return
+	}
+	cd.xs, cd.words = reserve(cd.xs, len(rects)), reserve(cd.words, len(rects))
+	for k, r := range rects {
+		cd.xs, cd.words = append(cd.xs, sweepOrder(r.MinX())), append(cd.words, uint64(k))
+	}
+	sortSweepWords(cd.words, cd.xs, nil, &cd.buf)
+	cd.keep, cd.as = append(reserve(cd.keep, len(ids)), ids...), append(reserve(cd.as, len(rects)), rects...)
+	for k, w := range cd.words {
+		ids[k], rects[k] = cd.keep[uint32(w)], cd.as[uint32(w)]
+	}
 }
 
 // cellStrips holds the strip layouts a search over one cell probes,
@@ -481,16 +484,25 @@ func (pl *plan) matchPruned(cd *cellData, pruneX, pruneY, needX, needY float64, 
 	}
 	st.runX[0], st.runY[0] = math.Inf(-1), math.Inf(1)
 
+	// as are the first slot's admitted items, keep their positions in it;
+	// as is the slot itself where every item is admitted, as in a cell of
+	// a replicating method's.
 	s0 := pl.order[0]
-	cd.keep, cd.as = cd.keep[:0], cd.as[:0]
-	for j, r := range cd.rects[s0] {
+	as, keep := cd.rects[s0], reserve(cd.keep, len(cd.rects[s0]))
+	for j := range as {
 		if _, _, ok := st.admit(0, j); ok {
-			cd.keep = append(cd.keep, int32(j))
-			cd.as = append(cd.as, r)
+			keep = append(keep, int32(j))
 		}
 	}
+	if cd.keep = keep; len(keep) < len(as) {
+		cd.as = reserve(cd.as, len(keep))
+		for _, j := range keep {
+			cd.as = append(cd.as, as[j])
+		}
+		as = cd.as
+	}
 	if pl.m == 1 {
-		for _, j := range cd.keep {
+		for _, j := range keep {
 			st.assign[s0] = int(j)
 			emit(st.assign)
 		}
@@ -498,10 +510,10 @@ func (pl *plan) matchPruned(cd *cellData, pruneX, pruneY, needX, needY float64, 
 	}
 	e := pl.edgesToPrev[1][pl.primary[1]]
 	bound := -1
-	cd.join.JoinSorted(cd.as, cd.rects[pl.order[1]], e.Pred.Weight(), func(i, k int) bool {
+	cd.join.JoinSorted(as, cd.rects[pl.order[1]], e.Pred.Weight(), func(i, k int) bool {
 		if i != bound {
 			bound = i
-			j := int(cd.keep[i])
+			j := int(keep[i])
 			st.assign[s0] = j
 			st.runX[1], st.runY[1], _ = st.admit(0, j)
 		}

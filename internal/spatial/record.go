@@ -237,6 +237,8 @@ func (t *pageTable) Reserve(n int) {
 	}
 }
 
+func (t *pageTable) Room() int { return len(t.pages) }
+
 func (t *pageTable) Bytes() int64 { return int64(cap(t.pages)) * int64(unsafe.Sizeof([]byte(nil))) }
 
 // noPages is the table of every store that holds no page. Nothing writes

@@ -3,6 +3,7 @@ package spatial
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"runtime"
 	"slices"
 	"testing"
@@ -191,9 +192,13 @@ func FuzzDecodeCascadePair(f *testing.F) {
 		m := l.members()
 		keyed := slices.Clone(l.rect)
 		keyed[int(keyPos)%m] = true
-		st := newPartialStore(newPartialLayout(keyed), mapreduce.NewBufferPool())
-		cc := &cascadeCodec{in: st, slot: 2, keyPos: int(keyPos) % m}
-		v, ok := checkCodec(t, cc.values(), rec)
+		var st *partialStore
+		cc := &cascadeCodec{slot: 2, keyPos: int(keyPos) % m}
+		v, ok := checkCodec(t, func() mapreduce.Codec[cascadeVal] {
+			st = newPartialStore(newPartialLayout(keyed), mapreduce.NewBufferPool())
+			cc.in = st
+			return cc.values()
+		}, rec)
 		if ok && v.Pos != itemPos {
 			// Compared as bytes: a fuzzed rectangle may hold NaNs.
 			var key, member [rectBytes]byte
@@ -204,8 +209,11 @@ func FuzzDecodeCascadePair(f *testing.F) {
 			}
 		}
 		checkStore(t, st, rec, ok)
-		seg := newPartialStore(l, mapreduce.NewBufferPool())
-		_, ok = checkCodec(t, segmentCodec(seg), rec)
+		var seg *partialStore
+		_, ok = checkCodec(t, func() mapreduce.Codec[[]byte] {
+			seg = newPartialStore(l, mapreduce.NewBufferPool())
+			return segmentCodec(seg)
+		}, rec)
 		checkStore(t, seg, rec, ok)
 	})
 }
@@ -227,14 +235,14 @@ func FuzzDecodeCellTagged(f *testing.F) {
 	f.Add(appendItem(appendItem(nil, tagged{Slot: 1}), tagged{Slot: 0}), uint8(2))
 	f.Fuzz(func(t *testing.T, rec []byte, slots uint8) {
 		m := 1 + int(slots)%8
-		v, ok := checkCodec(t, itemCodec(m), rec)
+		v, ok := checkCodec(t, func() mapreduce.Codec[tagged] { return itemCodec(m) }, rec)
 		if ok && (v.Slot < 0 || int(v.Slot) >= m) {
 			t.Fatalf("record %x read as slot %d of %d", rec, v.Slot, m)
 		}
-		if _, rok := checkCodec(t, itemRecordCodec(m), rec); rok != ok {
+		if _, rok := checkCodec(t, func() mapreduce.Codec[itemRecord] { return itemRecordCodec(m) }, rec); rok != ok {
 			t.Fatalf("record %x: the item codec accepts it %v, the record codec %v", rec, ok, rok)
 		}
-		checkCodec(t, idCodec, rec)
+		checkCodec(t, func() mapreduce.Codec[int32] { return idCodec }, rec)
 	})
 }
 
@@ -247,17 +255,32 @@ func checkStore(t *testing.T, st *partialStore, rec []byte, accepted bool) {
 	}
 }
 
-// checkCodec reads one record from the front of rec with c and holds it
-// to the codec property the fuzzers above state, returning it and whether Read
-// accepted it.
-func checkCodec[T any](t *testing.T, c mapreduce.Codec[T], rec []byte) (T, bool) {
+// checkCodec reads one record from the front of rec with a codec from
+// mk and holds it to the codec property the fuzzers above state,
+// returning it and whether Read accepted it. A Read allocates at most a
+// page and 1 KiB. The count it is measured by is the process's, which
+// the fuzzing engine's goroutines grow too, and they only add: a Read
+// over the limit is repeated, each time with a codec and store fresh
+// from mk, and the least of three counts is held to it.
+func checkCodec[T any](t *testing.T, mk func() mapreduce.Codec[T], rec []byte) (T, bool) {
 	t.Helper()
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	v, rest, err := c.Read(rec)
-	runtime.ReadMemStats(&m1)
-	if grew, limit := m1.TotalAlloc-m0.TotalAlloc, uint64(mapreduce.PageBytes+1<<10); grew > limit {
-		t.Fatalf("reading %d bytes allocated %d, limit %d", len(rec), grew, limit)
+	var (
+		c      mapreduce.Codec[T]
+		v      T
+		rest   []byte
+		err    error
+		m0, m1 runtime.MemStats
+	)
+	least, limit := uint64(math.MaxUint64), uint64(mapreduce.PageBytes+1<<10)
+	for i := 0; i < 3 && least > limit; i++ {
+		c = mk()
+		runtime.ReadMemStats(&m0)
+		v, rest, err = c.Read(rec)
+		runtime.ReadMemStats(&m1)
+		least = min(least, m1.TotalAlloc-m0.TotalAlloc)
+	}
+	if least > limit {
+		t.Fatalf("reading %d bytes allocated %d, limit %d", len(rec), least, limit)
 	}
 	if err != nil {
 		return v, false

@@ -198,8 +198,7 @@ func FuzzJoinSorted(f *testing.F) {
 		slices.SortStableFunc(bs, byMinX)
 		d := fuzzValue(dUnits, unit)
 
-		var kept Strips
-		kept.Reserve(1024)
+		kept := Strips{entries: make([]stripEntry, 0, 1024)}
 		for _, j := range []struct {
 			name   string
 			as, bs []geom.Rect

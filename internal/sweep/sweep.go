@@ -186,13 +186,9 @@ func (sc *Strips) Build(bs []geom.Rect, d float64) {
 	}
 }
 
-// Reserve grows sc to n strip entries (one per strip a rectangle lies
-// in) if it holds fewer; its layout is then gone.
-func (sc *Strips) Reserve(n int) {
-	if cap(sc.entries) < n {
-		sc.entries = make([]stripEntry, 0, n)
-	}
-}
+// Room is the most strip entries (one per strip a rectangle lies in)
+// sc holds without growing.
+func (sc *Strips) Room() int { return cap(sc.entries) }
 
 // Bytes is the memory sc's storage holds, its 40-byte strip entries
 // (four float64 and two int32) the most of it.

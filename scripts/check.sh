@@ -81,7 +81,7 @@ require_tests() {
 }
 
 echo "== allocation and traffic guards (the allocation ones skip under -race, whose shadow memory allocates) =="
-guards='TestCascadeAllocationBudget|TestCascadeAllocationAtBenchmarkShape|TestCRepLAllocationBudget|TestCRepLAllocationAtBenchmarkShape|TestExecuteWarmAllocation|TestClusterAllocationCeiling|TestClusterAllocationAtBenchmarkShape|TestSortedRunAllocationBudget|TestReduceOutputAllocation|TestMeshRecyclesFrameChunks|TestDistPayloadsRecycled|TestCheckpointAllocatesPerSegment|TestResultSlabBound|TestClusterShipsBoundaryPairsAtBenchmarkShape|TestThreeWorkersShipBoundaryPairsAtBenchmarkShape|TestCascadeBytesAtBenchmarkShape|TestReadAllocation|TestSmallFileReadsInItsOwnSize|TestPartialStoreKeepsPageTable'
+guards='TestCascadeAllocationBudget|TestCascadeAllocationAtBenchmarkShape|TestCRepLAllocationBudget|TestCRepLAllocationAtBenchmarkShape|TestExecuteWarmAllocation|TestClusterAllocationCeiling|TestClusterAllocationAtBenchmarkShape|TestSortedRunAllocationBudget|TestReduceOutputAllocation|TestMeshRecyclesFrameChunks|TestDistPayloadsRecycled|TestCheckpointAllocatesPerSegment|TestResultSlabBound|TestClusterShipsBoundaryPairsAtBenchmarkShape|TestThreeWorkersShipBoundaryPairsAtBenchmarkShape|TestCascadeBytesAtBenchmarkShape|TestReadAllocation|TestSmallFileReadsInItsOwnSize|TestPartialStoreKeepsPageTable|TestAllReplicateAllocationAtUnitShape|TestWorkingSets|TestWorkingSetMissDropsNothing|TestWorkingSetBudget'
 guard_pkgs='./internal/spatial ./internal/cluster ./internal/mapreduce ./internal/dataset'
 require_tests "$guards" $guard_pkgs
 go test -count=1 -run "^($guards)\$" $guard_pkgs
