@@ -19,10 +19,10 @@
 //   - each mapper applies Map to its records and emits (K, V) pairs;
 //     value v of key k is appended to the mapper's run for reducer k;
 //   - each mapper folds the PairBytes accounting into its runs;
-//   - the shuffle concatenates every reducer's runs in mapper order, in
-//     parallel across reducers;
-//   - Reduce runs once per reducer that received values, its outputs
-//     appended to a run of pooled chunks like a map run's;
+//   - the shuffle counts every reducer's pairs; reduce tasks, largest
+//     first, copy their reducer's runs in mapper order into a buffer of
+//     exactly its pairs and run Reduce once on it if it is not empty,
+//     its outputs appended to a run of pooled chunks like a map run's;
 //   - the job's output is one slice of exactly the runs' total length,
 //     each run copied into it once, in reducer-index order.
 //
@@ -32,7 +32,7 @@
 // Config.FailReduce with MaxAttempts) deterministically re-runs failed
 // attempts, discarding their partial output (including its byte
 // accounting), to mirror Hadoop's task retry semantics; retried
-// reduce attempts reuse the immutable shuffled input.
+// reduce attempts reuse the immutable gathered input.
 //
 // When Config.Tracer is set, every run emits a span tree — job →
 // map/shuffle/reduce phases → task attempts — that times what Stats
@@ -40,6 +40,7 @@
 package mapreduce
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
@@ -87,7 +88,7 @@ type Config struct {
 	Tracer      *trace.Tracer
 	TraceParent trace.SpanID
 	// Pool recycles the engine's large scratch buffers — the chunks map
-	// runs and reducer outputs live in, and the shuffled reducer inputs —
+	// runs and reducer outputs live in, and each reducer's gathered input —
 	// across task attempts and, when callers share one pool, across
 	// jobs: the spatial executor passes one pool for the whole process,
 	// so concurrent executions share it. A pool retains at most
@@ -145,7 +146,7 @@ type Stats struct {
 	ReduceAttempts      int64 // includes failed attempts
 	ReduceFailures      int64
 	// Deprecated: SpilledRuns and SpillBytesWritten are always zero — a
-	// map run stays in memory until the shuffle copies it. The fields
+	// map run stays in memory until its reducer copies it. The fields
 	// remain, omitted from JSON, only because benchmark/layers.go, frozen
 	// for this change, still reads them; the next benchmark change drops
 	// both.
@@ -507,41 +508,31 @@ func (j *Job[I, K, V, O]) RunBlocks(n int, cut func(nm, workers int) Cut, read f
 		}
 	}
 
-	// ---- shuffle: every reducer's runs, concatenated ----
-	// Reducer r's input is in[off[r]:off[r+1]], its runs copied in mapper
-	// order — the order a stable merge of one-key runs delivers — into
-	// one slab for the job, one task per reducer. Pair and byte totals
-	// were folded into the runs by the map phase, and the tracer is
-	// untouched per pair: shuffle counters are attached once below.
+	// ---- shuffle: every reducer's pair count ----
+	// Pair and byte totals were folded into the runs by the map phase, and
+	// the tracer is untouched per pair: the phase counts, and each reduce
+	// task gathers its own reducer's runs.
 	shuffleStart := time.Now()
-	owned := func(r int) bool { return !dist || owner[r] == self }
-	off := make([]int, nr+1)
+	pairs := stats.PairsPerReducer
 	for r := 0; r < nr; r++ {
-		off[r+1] = off[r]
-		if !owned(r) {
-			// Shuffled and reduced on its owner; its counts and outputs
-			// arrive through the reduce barrier.
+		if dist && owner[r] != self {
+			// Reduced on its owner; its counts and outputs arrive through
+			// the reduce barrier.
 			continue
 		}
 		for m := range runs {
-			off[r+1] += runs[m][r].n
+			pairs[r] += int64(runs[m][r].n)
 			stats.IntermediateBytes += runs[m][r].bytes
 		}
-		stats.PairsPerReducer[r] = int64(off[r+1] - off[r])
 	}
-	var in []V
-	if off[nr] > 0 {
-		in = getBufLen[V](&pool.vals, off[nr])
+	// Reducers run largest first, ties by index — longest processing time
+	// first: the phase ends no later, and the buffers and working sets
+	// the first, largest reducers take serve every later one.
+	order := make([]int, nr)
+	for r := range order {
+		order[r] = r
 	}
-	runTasks(cfg.Parallelism, nr, func(r int) {
-		if owned(r) {
-			gatherInput(in[off[r]:off[r+1]], runs, r, pool)
-		}
-	})
-	for _, rs := range runs {
-		putBuf(&pool.sets, rs) // every run drained or shipped: empty
-	}
-	runs = nil
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(pairs[b], pairs[a]) })
 	if traced {
 		tr.Observe(jobSpan, trace.KindPhase, "shuffle", shuffleStart, time.Now())
 	}
@@ -557,16 +548,23 @@ func (j *Job[I, K, V, O]) RunBlocks(n int, cut func(nm, workers int) Cut, read f
 	outputs := getRuns[O](pool, nr)
 	redErrs := make([]error, nr)
 	redRuns := make([]taskRun, nr)
-	runTasks(cfg.Parallelism, nr, func(r int) {
+	runTasks(cfg.Parallelism, nr, func(i int) {
+		r := order[i]
 		if err := cancelled(); err != nil {
 			redErrs[r] = err
 			return
 		}
-		// The shuffled input is immutable, so retried attempts reuse it.
-		vs := in[off[r]:off[r+1]:off[r+1]]
-		if len(vs) == 0 {
+		n := int(pairs[r])
+		if n == 0 {
 			return
 		}
+		// The input: the reducer's runs in mapper order — the order a
+		// stable merge of one-key runs delivers — in a buffer of its own,
+		// which retried attempts reuse. It goes back to the working sets,
+		// whose misses drop nothing, so one buffer serves later reducers.
+		in := getBufLen[V](&pool.sets, n)
+		gatherInput(in, runs, r, pool)
+		vs := in[:n:n]
 		spare := outputs[r].chunks
 		body := func() (run[O], error) {
 			out := run[O]{chunks: spare}
@@ -578,12 +576,12 @@ func (j *Job[I, K, V, O]) RunBlocks(n int, cut func(nm, workers int) Cut, read f
 		}
 		outputs[r], redErrs[r] = runAttempts(&cfg, "reducer", r, cfg.FailReduce, traced, &redRuns[r], body,
 			func(out run[O]) { out.recycle(pool); spare = out.chunks })
+		putBuf(&pool.sets, in)
 	})
-	// The reduce phase — every retry included — has committed; the
-	// shuffled input is dead (outputs are copies in their own chunks, and
-	// Reduce must not retain its values on a shared pool), so it recycles
-	// here.
-	putBuf(&pool.vals, in)
+	for _, rs := range runs {
+		recycleRuns(pool, rs) // those no reducer drained: a cancelled job's
+		putBuf(&pool.sets, rs)
+	}
 	for r := range redRuns {
 		stats.ReduceAttempts += redRuns[r].attempts
 		stats.ReduceFailures += redRuns[r].failures

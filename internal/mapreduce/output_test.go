@@ -104,9 +104,13 @@ func TestDiscardedReduceAttemptRecycles(t *testing.T) {
 		returned int64
 	}{
 		{"room", 0, chunks},
-		// The map phase returns four chunks, which leaves twelve chunks'
-		// room for the discarded attempt's forty.
-		{"near the cap", MaxPoolBytes/PageBytes - 8, 12},
+		// The prefill leaves 64 KiB, sixteen chunks' room. The map phase
+		// makes four chunks, one a reducer; every reducer has one pair, so
+		// reducer 0 runs first (ties by index) and gathers only its own
+		// chunk before it reduces, which leaves 16 − 1 = 15 chunks' room
+		// for the discarded attempt's forty. Its input buffer goes to the
+		// working sets, not to the scratch lists.
+		{"near the cap", MaxPoolBytes/PageBytes - 8, 15},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			pool := NewBufferPool()

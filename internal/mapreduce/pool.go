@@ -8,7 +8,7 @@ import (
 
 // BufferPool recycles large scratch buffers across jobs, task attempts
 // and executions: the chunks map runs and reducer outputs live in, the
-// slab a job's reducer inputs are shuffled into, fixed-size pages a
+// buffer each reducer's input is gathered into, fixed-size pages a
 // caller's own stores are built from (GetPage), the frames a
 // distributed job's exchange payloads are encoded into and an Exchanger
 // reads its peers' payloads into (GetFrame), and on a cluster worker
@@ -25,14 +25,14 @@ import (
 //
 //   - A buffer is recycled only where its user holds the sole live
 //     reference: the chunks of discarded fault-injection attempts, of
-//     map runs the shuffle has copied or shipped and of output runs
-//     the job has copied into its result, the reducer input slab
-//     after the whole reduce phase — every retry included — has
-//     committed, a page once nothing reads the store it served, a sent
-//     payload once AllToAll has returned and what it returned is
-//     decoded (the sender's own payload comes back as its own entry),
-//     a received payload once the engine has decoded it
-//     (Exchanger.Recycle) or the attempt ends, and a worker's result
+//     map runs a reduce task has gathered or the exchange has shipped
+//     and of output runs the job has copied into its result, a
+//     reducer's input buffer once the task's last attempt — every
+//     retry included — has returned, a page once nothing reads the
+//     store it served, a sent payload once AllToAll has returned and
+//     what it returned is decoded (the sender's own payload comes back
+//     as its own entry), a received payload once the engine has decoded
+//     it (Exchanger.Recycle) or the attempt ends, and a worker's result
 //     slab once the worker has hashed it and, on worker 0, sent it
 //     (PutSlab).
 //   - A chunk is cleared before it goes back, so a pooled chunk keeps
@@ -62,9 +62,9 @@ import (
 //     so two later Gets can never return aliasing slices whose appends
 //     would corrupt each other's recycled runs.
 //   - The chunks, slabs and pages together retain at most MaxPoolBytes,
-//     and the frames and working sets as much again on budgets of their
-//     own (a set goes back as its reduce call ends, when a job's chunks
-//     and slab fill the scratch budget); a Put beyond its budget is
+//     and the frames and working sets (reducers' inputs among them) as
+//     much again on budgets of their own, which a job's map chunks
+//     cannot fill; a Put beyond its budget is
 //     dropped for the collector, so a one-off giant job cannot pin its
 //     scratch forever, and a set past the budget alone is never kept.
 //     An execution that never exchanges leaves the frame list empty.
@@ -87,18 +87,18 @@ type BufferPool struct {
 	held                     map[unsafe.Pointer]struct{} // arrays currently held
 
 	chunks freeList // []V and []O — map and output run chunks, chunkBytes each
-	vals   freeList // []V — a job's shuffled reducer inputs, one slab
+	vals   freeList // []T — cluster workers' result slabs (Slab)
 	pages  freeList // []byte — PageBytes each, for callers' stores
 	frames freeList // []byte of any size — exchange payloads, sent and received
-	sets   freeList // *T, as an array of one — reducers' working sets; map tasks' runs
+	sets   freeList // *T, as an array of one — reducers' working sets; []V — reducers' inputs, map tasks' runs
 }
 
 // MaxPoolBytes caps the bytes one pool retains in its scratch lists
 // (chunks, slabs, pages), and separately in its frames and in its
 // working sets. One cascade_uniform execution (3 × 50,000 rectangles,
-// two rounds) ends holding 15.9 MB: 14.6 MB of scratch — its partial
-// stores' pages, a round's map and output chunks and the larger round's
-// reducer-input slab — and 1.3 MB of working sets. The cap keeps one
+// two rounds) ends holding 11.0 MB: 10.5 MB of scratch — its partial
+// stores' pages and a round's map and output chunks — and 0.55 MB of
+// working sets, its reducers' input buffers among them. The cap keeps one
 // such execution warm; a second concurrent execution of that size
 // draws fresh memory for the rest. Retained bytes are live heap, which
 // the collector paces on, so a larger cap buys allocation with peak
@@ -356,7 +356,7 @@ type setOf[T any] interface {
 // no held set, and no set is grown to any input but its own, so a set
 // holds what the largest cell it served held. Unlike a sync.Pool, a
 // pool keeps its sets through a collection. The holder owns the set
-// until PutScratch.
+// until PutScratch. T must not be a job's V, whose inputs share its list.
 func GetScratch[T any, S setOf[T]](pool *BufferPool, n int) S {
 	if pool != nil {
 		if e := pool.sets.get(typeToken[T]{}, n); e.data != nil {

@@ -15,9 +15,10 @@ func (p *BufferPool) scratchRetained() int64 {
 	return p.scratch
 }
 
-// TestPoolRetainsAtMostCap: a job whose map chunks and reducer-input
-// slab each outgrow MaxPoolBytes leaves its pool's scratch lists
-// holding at most the cap — chunks up to it, the slab not at all — and
+// TestPoolRetainsAtMostCap: a job whose map chunks outgrow MaxPoolBytes
+// and whose two reducers' inputs each take over half of it leaves its
+// pool's scratch lists holding at most the cap — chunks up to it — and
+// its working sets at most the cap — one input buffer, not both — and
 // the pool serves the next job from what it kept.
 func TestPoolRetainsAtMostCap(t *testing.T) {
 	type wide [64]byte
@@ -52,8 +53,8 @@ func TestPoolRetainsAtMostCap(t *testing.T) {
 	if got := pool.scratchRetained(); got > MaxPoolBytes || got < MaxPoolBytes/2 {
 		t.Errorf("after the giant job the pool retains %d bytes, want at most the cap %d and at least half of it", got, MaxPoolBytes)
 	}
-	if s := recycled[wide](&pool.vals, 1); s != nil {
-		t.Errorf("the pool kept a %d-byte reducer-input slab, larger than its cap", cap(s)*64)
+	if got := pool.Retained() - pool.scratchRetained(); got > MaxPoolBytes {
+		t.Errorf("the pool's working sets hold %d bytes of reducer inputs, cap %d", got, MaxPoolBytes)
 	}
 	if _, _, _, err := job.RunBlocks(1000, EvenSplits(1000), read); err != nil {
 		t.Fatal(err)

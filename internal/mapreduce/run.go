@@ -10,8 +10,8 @@ const chunkBytes = 4 << 10
 // run is one map attempt's values for one reducer, or one reduce
 // attempt's outputs, in emit order. The values live in fixed-size pooled
 // chunks, every one full but the last, so a growing run is never copied;
-// the shuffle copies each map value once, into its reducer's input, and
-// the job copies each output once, into its result.
+// a reduce task copies each map value once, into its reducer's input,
+// and the job copies each output once, into its result.
 type run[V any] struct {
 	chunks [][]V
 	n      int   // values held
@@ -47,8 +47,8 @@ func (b *run[V]) recycle(pool *BufferPool) {
 }
 
 // getRuns returns n empty runs for a map task: an array a finished
-// shuffle handed back, its runs' chunk lists kept, or a fresh one. The
-// arrays are task scratch, kept with the working sets.
+// reduce phase handed back, its runs' chunk lists kept, or a fresh
+// one. The arrays are task scratch, kept with the working sets.
 func getRuns[V any](pool *BufferPool, n int) []run[V] {
 	rs := getBufLen[run[V]](&pool.sets, n)
 	for r := range rs {

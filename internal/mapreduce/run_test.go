@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+
+	"mwsjoin/internal/trace"
 )
 
 // sumTestJob builds an integer aggregation job with PairBytes pricing
@@ -114,12 +116,12 @@ func TestSortedRunAllocationBudget(t *testing.T) {
 				runs[m][0].add(int64(i), pool)
 			}
 		}
-		in := getBufLen[int64](&pool.vals, nruns*per)
+		in := getBufLen[int64](&pool.sets, nruns*per)
 		gatherInput(in, runs, 0, pool)
 		if in[per] != 0 || in[len(in)-1] != per-1 {
 			t.Fatalf("reducer input is not the runs in mapper order")
 		}
-		putBuf(&pool.vals, in)
+		putBuf(&pool.sets, in)
 	}
 	// Warm the pool: the first cycle allocates the steady-state buffers.
 	cycle()
@@ -143,5 +145,88 @@ func TestSortedRunAllocationBudget(t *testing.T) {
 		if copyBytes := uint64(nruns * per * 8); bytes > copyBytes/16 {
 			t.Errorf("warm-pool run+shuffle cycle allocates %d bytes, budget %d (1/16 of one copy)", bytes, copyBytes/16)
 		}
+	}
+}
+
+// TestReducersRunLargestFirst: reduce tasks start in descending pair
+// count, ties by index, and nothing the job returns shows it — outputs,
+// ends, Stats and the reduce phase's task spans are in reducer order.
+func TestReducersRunLargestFirst(t *testing.T) {
+	// Reducer r's pairs are the input's records equal to r: counts
+	// 2, 5, 0, 5, 1, 3, 5, interleaved so each reducer's values come
+	// from several of the three mappers.
+	loads := []int{2, 5, 0, 5, 1, 3, 5}
+	var input []int
+	for round := 0; round < 5; round++ {
+		for r, n := range loads {
+			if round < n {
+				input = append(input, r)
+			}
+		}
+	}
+	tr := trace.New()
+	var called []int
+	job := &Job[int, int, int, int]{
+		Config: Config{Name: "largest-first", NumReducers: len(loads), NumMappers: 3, Parallelism: 1, Tracer: tr},
+		Map:    func(r int, emit func(int, int)) error { emit(r, r); return nil },
+		Reduce: func(r int, vs []int, emit func(int)) error {
+			called = append(called, r)
+			for i := range vs {
+				emit(r<<8 | i)
+			}
+			return nil
+		},
+	}
+	out, ends, st, err := job.RunBlocks(len(input), EvenSplits(len(input)), func(lo, hi int, yield func(int) error) error {
+		for _, r := range input[lo:hi] {
+			if err := yield(r); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{1, 3, 6, 5, 0, 4}; !reflect.DeepEqual(called, want) {
+		t.Errorf("Reduce called for reducers %v, want %v", called, want)
+	}
+	// In reducer order: the outputs, where each reducer's end, the
+	// counters and one task span per reducer that received pairs.
+	var wantOut, wantEnds []int
+	var wantSpans []string
+	wantPairs := make([]int64, len(loads))
+	for r, n := range loads {
+		for i := 0; i < n; i++ {
+			wantOut = append(wantOut, r<<8|i)
+		}
+		wantEnds = append(wantEnds, len(wantOut))
+		if n > 0 {
+			wantSpans = append(wantSpans, fmt.Sprintf("reduce-%d#1", r))
+		}
+		wantPairs[r] = int64(n)
+	}
+	if !reflect.DeepEqual(out, wantOut) || !reflect.DeepEqual(ends, wantEnds) {
+		t.Errorf("outputs %v ending %v, want %v ending %v", out, ends, wantOut, wantEnds)
+	}
+	norm := *st
+	zeroWalls(&norm)
+	wantSt := Stats{Job: "largest-first", MapInputRecords: 21, IntermediatePairs: 21, ReduceInputKeys: 6,
+		ReduceOutputRecords: 21, MapAttempts: 3, ReduceAttempts: 6, PairsPerReducer: wantPairs}
+	if !reflect.DeepEqual(norm, wantSt) {
+		t.Errorf("Stats\n got  %+v\n want %+v", norm, wantSt)
+	}
+	var reducePhase trace.SpanID
+	var spans []string
+	for _, s := range tr.Spans() {
+		switch {
+		case s.Kind == trace.KindPhase && s.Name == "reduce":
+			reducePhase = s.ID
+		case s.Kind == trace.KindTask && s.Parent == reducePhase && reducePhase != 0:
+			spans = append(spans, s.Name)
+		}
+	}
+	if !reflect.DeepEqual(spans, wantSpans) {
+		t.Errorf("reduce task spans %v, want %v", spans, wantSpans)
 	}
 }

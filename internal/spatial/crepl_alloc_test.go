@@ -3,7 +3,11 @@ package spatial_test
 import (
 	"fmt"
 	"math"
+	"os"
+	"os/exec"
 	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 
 	"mwsjoin/internal/dataset"
@@ -110,11 +114,12 @@ func TestCRepLAllocationAtBenchmarkShape(t *testing.T) {
 
 // allRepPairBudget bounds a warm All-Replicate query at
 // TestAllReplicateAllocationAtUnitShape's shape, in bytes per pair its
-// join round shuffles. A pair's 48-byte value is in a map chunk and
-// again in the reducer input slab, and at this shape both pass what
-// the pool keeps: 82.6–82.9 bytes a pair measured, 445 while every
-// working set was grown to the hottest cell's. The budget keeps a third
-// of headroom.
+// join round shuffles. While a pair's 48-byte value was in a map chunk
+// and again in a reducer-input slab of the whole job, both past what
+// the pool keeps, 82.6–82.9 bytes a pair were measured, and 445 while
+// every working set was grown to the hottest cell's. Since each reducer
+// gathers its own input into a buffer the pool keeps for the next, 34.9.
+// The budget, unchanged, kept a third of headroom over 82.9.
 const allRepPairBudget = 110
 
 // TestAllReplicateAllocationAtUnitShape holds one warm All-Replicate
@@ -129,20 +134,7 @@ func TestAllReplicateAllocationAtUnitShape(t *testing.T) {
 		t.Skip("the race detector's shadow memory allocates")
 	}
 	spatial.FreshSharedPool(t)
-	const n = 30_000
-	rels := make([]spatial.Relation, 3)
-	for i := range rels {
-		p := dataset.PaperDefaults(n)
-		p.XMax = 100_000 * math.Sqrt(n/1e6)
-		p.YMax = p.XMax
-		rel, err := dataset.SyntheticRelation(fmt.Sprintf("R%d", i+1), p, uint64(i+1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rels[i] = rel
-	}
-	q := query.New("R1", "R2", "R3").Overlap(0, 1).Overlap(1, 2)
-	cfg := spatial.Config{Reducers: 64, Parallelism: 2, CountOnly: true}
+	q, rels, cfg := allRepUnitShape(t)
 	var pairs int64
 	run := func() {
 		res, err := spatial.Execute(spatial.AllReplicate, q, rels, cfg)
@@ -161,5 +153,131 @@ func TestAllReplicateAllocationAtUnitShape(t *testing.T) {
 	t.Logf("%d pairs: %d bytes, %.1f a pair (budget %d)", pairs, grew, float64(grew)/float64(pairs), allRepPairBudget)
 	if grew > uint64(pairs)*allRepPairBudget {
 		t.Errorf("%d bytes allocated for %d pairs, budget %d a pair", grew, pairs, allRepPairBudget)
+	}
+}
+
+// allRepUnitShape is TestAllReplicateAllocationAtUnitShape's query: 3 ×
+// 30,000 of the paper's synthetic rectangles at its density, an overlap
+// chain, 64 cells, counted only.
+func allRepUnitShape(t *testing.T) (*query.Query, []spatial.Relation, spatial.Config) {
+	t.Helper()
+	const n = 30_000
+	rels := make([]spatial.Relation, 3)
+	for i := range rels {
+		p := dataset.PaperDefaults(n)
+		p.XMax = 100_000 * math.Sqrt(n/1e6)
+		p.YMax = p.XMax
+		rel, err := dataset.SyntheticRelation(fmt.Sprintf("R%d", i+1), p, uint64(i+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rels[i] = rel
+	}
+	q := query.New("R1", "R2", "R3").Overlap(0, 1).Overlap(1, 2)
+	return q, rels, spatial.Config{Reducers: 64, Parallelism: 2, CountOnly: true}
+}
+
+// allRepPeakPairBudget bounds how far one All-Replicate query at
+// allRepUnitShape raises its process's peak RSS, in bytes per pair its
+// join round shuffles. A pair's value is 48 bytes. While the shuffle
+// copied every pair of the job into one slab before the map's chunks
+// went back, three runs on a 2-core host rose 140.4 bytes a pair; with
+// each reducer gathering its own input, 63.3–63.4. The budget sits
+// between the two.
+const allRepPeakPairBudget = 100
+
+// peakChildEnv marks the process TestAllReplicatePeakHoldsEachPairOnce
+// starts to run its query in.
+const peakChildEnv = "MWSJ_PEAK_CHILD"
+
+// TestAllReplicatePeakHoldsEachPairOnce runs one All-Replicate query at
+// allRepUnitShape in a fresh process — this test binary again — and
+// holds the rise of the process's peak RSS (VmHWM) over the query to
+// allRepPeakPairBudget bytes a shuffled pair: a job that holds its pairs
+// in the map's chunks and again in a reducer-input slab of the whole job
+// peaks at twice a job that gathers each reducer's input as it reduces.
+func TestAllReplicatePeakHoldsEachPairOnce(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("reads VmHWM from /proc/self/status")
+	}
+	if spatial.RaceEnabled {
+		t.Skip("the race detector's shadow memory allocates")
+	}
+	if os.Getenv(peakChildEnv) != "" {
+		q, rels, cfg := allRepUnitShape(t)
+		before := vmHWM(t)
+		res, err := spatial.Execute(spatial.AllReplicate, q, rels, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Printf("peak %d %d %d\n", before, vmHWM(t), res.Stats.IntermediatePairs())
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^"+t.Name()+"$", "-test.count=1")
+	cmd.Env = append(os.Environ(), peakChildEnv+"=1")
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("%v: %s", err, out)
+	}
+	var before, after, pairs int64
+	for _, line := range strings.Split(string(out), "\n") {
+		if strings.HasPrefix(line, "peak ") {
+			fmt.Sscanf(line, "peak %d %d %d", &before, &after, &pairs)
+		}
+	}
+	if pairs == 0 {
+		t.Fatalf("the query process reported no pairs: %s", out)
+	}
+	rise := after - before
+	t.Logf("%d pairs: VmHWM %d → %d bytes, %.1f a pair (budget %d)", pairs, before, after, float64(rise)/float64(pairs), allRepPeakPairBudget)
+	if rise > pairs*allRepPeakPairBudget {
+		t.Errorf("peak RSS rose %d bytes for %d pairs, budget %d a pair", rise, pairs, allRepPeakPairBudget)
+	}
+}
+
+// vmHWM is the process's peak resident set, in bytes.
+func vmHWM(t *testing.T) int64 {
+	t.Helper()
+	status, err := os.ReadFile("/proc/self/status")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(status), "\n") {
+		if kb, ok := strings.CutPrefix(line, "VmHWM:"); ok {
+			n, err := strconv.ParseInt(strings.TrimSpace(strings.TrimSuffix(kb, "kB")), 10, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return n << 10
+		}
+	}
+	t.Fatal("no VmHWM line in /proc/self/status")
+	return 0
+}
+
+// creplRetainedBudget bounds what the pool holds after one
+// crepl_zipf-shaped query. While reducers ran in index order it held
+// 14.22–14.29 MB in three runs, most of it about 25 working sets kept
+// for each new largest cell; with the largest cells first, 9.00–9.05 MB.
+// The budget sits between the two.
+const creplRetainedBudget = 11_500_000
+
+// TestCRepLRetainedAtBenchmarkShape holds what a fresh process pool
+// retains after one C-Rep-L query at TestCRepLAllocationAtBenchmarkShape's
+// shape to creplRetainedBudget: the reducers run largest first, so the
+// working sets the first, largest cells grow serve every later cell, and
+// the pool keeps no set for each new largest cell along the way.
+func TestCRepLRetainedAtBenchmarkShape(t *testing.T) {
+	spatial.FreshSharedPool(t)
+	rels := goldenZipf(t, []string{"R1", "R2", "R3"}, 90000, 2013)
+	q := query.New("R1", "R2", "R3").Overlap(0, 1).Range(1, 2, 5)
+	cfg := spatial.Config{Scheme: spatial.PartitionAdaptive, Reducers: 64, Parallelism: 2, NumMappers: 8}
+	if _, err := spatial.Execute(spatial.ControlledReplicateLimit, q, rels, cfg); err != nil {
+		t.Fatal(err)
+	}
+	got := spatial.SharedPoolRetained()
+	t.Logf("the pool retains %d bytes (budget %d)", got, creplRetainedBudget)
+	if got > creplRetainedBudget {
+		t.Errorf("the pool retains %d bytes after one query, budget %d", got, creplRetainedBudget)
 	}
 }

@@ -18,6 +18,9 @@ var PlanCost = planCost
 // a process pool no earlier test has filled.
 var FreshSharedPool = freshSharedPool
 
+// SharedPoolRetained is what the process pool holds (BufferPool.Retained).
+func SharedPoolRetained() int64 { return sharedPool.Retained() }
+
 // CascadeShape lets the external test package price a cascade's records
 // and pairs under the plan and grid Execute builds from q, rels and cfg:
 // recordBytes[p] is the record length of its p-member partials (1 ≤ p ≤

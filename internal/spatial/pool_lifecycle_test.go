@@ -172,7 +172,7 @@ func TestSharedPoolConcurrentExecutions(t *testing.T) {
 // pool: on an empty pool, a cascade_uniform-shaped query (the benchmark
 // workload's query, config and rectangle density at unit 5,000)
 // allocates its whole working set; the same query again draws its
-// partial stores' pages, reducer-input slabs, map chunks and output
+// partial stores' pages, reducer-input buffers, map chunks and output
 // chunks from what the first returned, and may allocate at most a
 // quarter of the first's bytes. Measured: 4.6 MB cold, 0.69 MB warm
 // (4.4 and 0.83 MB before reducer outputs were pooled runs). The pool
